@@ -1,7 +1,7 @@
 # Tier-1 gate plus the repo-specific static analyzer, formatting,
 # full-tree race detection, and fuzz smoke runs.
 
-.PHONY: verify build test race vet fmtcheck couchvet fuzz-smoke bench-smoke cluster-test trace-demo health-demo
+.PHONY: verify build test race vet fmtcheck couchvet fuzz-smoke bench-smoke cluster-test trace-demo health-demo loc
 
 verify: fmtcheck vet build test couchvet race
 
@@ -15,7 +15,7 @@ vet:
 	go vet ./...
 
 fmtcheck:
-	@out=$$(gofmt -l cmd internal); if [ -n "$$out" ]; then \
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # couchvet runs all eight rules plus the unused-pragma audit; vetfmt
@@ -27,6 +27,13 @@ couchvet:
 
 race:
 	go test -race ./...
+
+# Non-test Go lines per package, bench/ and lint fixtures excluded:
+# the number a simplification PR quotes in CHANGES.md.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' ! -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # End-to-end tracing demo: a small YCSB run with 1-in-8 sampling,
 # printing the slowest cross-layer trace per phase (DESIGN.md §7).
@@ -68,3 +75,4 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzRecordDecode -fuzztime=$(FUZZTIME) ./internal/storage
 	go test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/memcproto
 	go test -run='^$$' -fuzz=FuzzTraceContext -fuzztime=$(FUZZTIME) ./internal/memcproto
+	go test -run='^$$' -fuzz=FuzzOpRoundTrip -fuzztime=$(FUZZTIME) ./internal/transport

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"couchgo/internal/cache"
+	"couchgo/internal/memcproto"
 	"couchgo/internal/trace"
 	"couchgo/internal/vbucket"
 )
@@ -22,8 +23,9 @@ import (
 // loopback path and real TCP connections to a multi-process cluster.
 //
 // Client methods are the KV tracing roots: each op makes the sampling
-// decision (or joins the caller's span) and every routing attempt gets
-// its own child span with node/vBucket/backoff annotations.
+// decision (or joins the caller's span) in do, and every routing
+// attempt gets its own child span with node/vBucket/backoff
+// annotations.
 type Client struct {
 	router Router
 	bucket string
@@ -110,21 +112,28 @@ func retryableRouteErr(err error) bool {
 		errors.Is(err, ErrNodeUnreachable)
 }
 
-// startOp opens the root (or child) span for one client KV operation.
-func (cl *Client) startOp(ctx context.Context, name, key string) (context.Context, *trace.Span) {
-	ctx, sp := trace.Default.Start(ctx, name)
+// do runs one KV op end to end: it opens the op's root (or child) span
+// named by its table row, routes, and closes the span with the
+// outcome. Every exported op below is a thin wrapper over it.
+func (cl *Client) do(ctx context.Context, op Op) (res Result, err error) {
+	ctx, sp := trace.Default.Start(ctx, memcproto.SpecOf(op.Code).KVSpan)
 	if sp != nil {
 		sp.Annotate("bucket", cl.bucket)
-		sp.Annotate("key", key)
+		sp.Annotate("key", op.Key)
 	}
-	return ctx, sp
+	err = cl.route(ctx, &op, &res)
+	sp.Error(err)
+	sp.End()
+	return res, err
 }
 
-// route finds the node connection owning key's vBucket, retrying
-// through map refreshes while rebalance or failover move the
-// partition. Each attempt is its own span so a trace shows exactly
-// which hops a request took and how long it backed off between them.
-func (cl *Client) route(ctx context.Context, key string, op func(ctx context.Context, vbID int, nc NodeConn) error) error {
+// route finds the node connection owning op.Key's vBucket and runs op
+// on it, retrying through map refreshes while rebalance or failover
+// move the partition. Each attempt is its own span so a trace shows
+// exactly which hops a request took and how long it backed off between
+// them. op and res are do's own, passed by pointer because each extra
+// by-value hop of these ~140-byte structs cost ~10 ns on a sub-µs Get.
+func (cl *Client) route(ctx context.Context, op *Op, res *Result) error {
 	parent := trace.FromContext(ctx)
 	var lastErr error
 	for attempt := 0; attempt < maxRouteRetries; attempt++ {
@@ -148,7 +157,7 @@ func (cl *Client) route(ctx context.Context, key string, op func(ctx context.Con
 			asp.End()
 			return err
 		}
-		nodeID, vbID := m.NodeForKey(key)
+		nodeID, vbID := m.NodeForKey(op.Key)
 		if nodeID == "" {
 			err := errors.New("core: no active node for key (partition lost)")
 			asp.Error(err)
@@ -166,7 +175,8 @@ func (cl *Client) route(ctx context.Context, key string, op func(ctx context.Con
 			}
 			continue
 		}
-		err = op(trace.ContextWith(ctx, asp), vbID, nc)
+		op.Now = cl.clock()
+		*res, err = nc.Do(trace.ContextWith(ctx, asp), vbID, *op)
 		if retryableRouteErr(err) {
 			// Stale map: "the cluster updates each connected client
 			// library with the new cluster map" — here the client
@@ -186,16 +196,8 @@ func (cl *Client) route(ctx context.Context, key string, op func(ctx context.Con
 
 // Get retrieves a document.
 func (cl *Client) Get(ctx context.Context, key string) (cache.Item, error) {
-	ctx, sp := cl.startOp(ctx, "kv:get", key)
-	var out cache.Item
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		it, err := nc.Get(ctx, vbID, key, cl.clock())
-		out = it
-		return err
-	})
-	sp.Error(err)
-	sp.End()
-	return out, err
+	res, err := cl.do(ctx, Op{Code: memcproto.OpGet, Key: key})
+	return res.Item, err
 }
 
 // Set writes a document. casCheck=0 skips optimistic locking.
@@ -205,230 +207,107 @@ func (cl *Client) Set(ctx context.Context, key string, value []byte, casCheck ui
 
 // SetWithOptions writes with flags, expiry, CAS, and durability.
 func (cl *Client) SetWithOptions(ctx context.Context, key string, value []byte, flags uint32, expiry int64, casCheck uint64, dur DurabilityOptions) (cache.Item, error) {
-	ctx, sp := cl.startOp(ctx, "kv:set", key)
-	var out cache.Item
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		it, err := nc.Set(ctx, vbID, key, value, flags, expiry, casCheck, cl.clock(), dur)
-		out = it
-		return err
-	})
-	sp.Error(err)
-	sp.End()
-	return out, err
+	res, err := cl.do(ctx, Op{Code: memcproto.OpSet, Key: key, Value: value, Flags: flags, Expiry: expiry, CAS: casCheck, Dur: dur})
+	return res.Item, err
 }
 
 // Add inserts a document that must not exist.
 func (cl *Client) Add(ctx context.Context, key string, value []byte) (cache.Item, error) {
-	ctx, sp := cl.startOp(ctx, "kv:add", key)
-	var out cache.Item
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		it, err := nc.Add(ctx, vbID, key, value, cl.clock())
-		out = it
-		return err
-	})
-	sp.Error(err)
-	sp.End()
-	return out, err
+	res, err := cl.do(ctx, Op{Code: memcproto.OpAdd, Key: key, Value: value})
+	return res.Item, err
 }
 
 // Replace updates a document that must exist.
 func (cl *Client) Replace(ctx context.Context, key string, value []byte, casCheck uint64) (cache.Item, error) {
-	ctx, sp := cl.startOp(ctx, "kv:replace", key)
-	var out cache.Item
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		it, err := nc.Replace(ctx, vbID, key, value, casCheck, cl.clock())
-		out = it
-		return err
-	})
-	sp.Error(err)
-	sp.End()
-	return out, err
+	res, err := cl.do(ctx, Op{Code: memcproto.OpReplace, Key: key, Value: value, CAS: casCheck})
+	return res.Item, err
 }
 
 // Delete removes a document.
 func (cl *Client) Delete(ctx context.Context, key string, casCheck uint64) error {
-	ctx, sp := cl.startOp(ctx, "kv:delete", key)
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		_, err := nc.Delete(ctx, vbID, key, casCheck, cl.clock(), DurabilityOptions{})
-		return err
-	})
-	sp.Error(err)
-	sp.End()
-	return err
+	return cl.DeleteWithDurability(ctx, key, casCheck, DurabilityOptions{})
 }
 
 // DeleteWithDurability removes a document and applies durability.
 func (cl *Client) DeleteWithDurability(ctx context.Context, key string, casCheck uint64, dur DurabilityOptions) error {
-	ctx, sp := cl.startOp(ctx, "kv:delete", key)
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		_, err := nc.Delete(ctx, vbID, key, casCheck, cl.clock(), dur)
-		return err
-	})
-	sp.Error(err)
-	sp.End()
+	_, err := cl.do(ctx, Op{Code: memcproto.OpDelete, Key: key, CAS: casCheck, Dur: dur})
 	return err
 }
 
 // Touch updates a document's TTL.
 func (cl *Client) Touch(ctx context.Context, key string, expiry int64) error {
-	ctx, sp := cl.startOp(ctx, "kv:touch", key)
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		return nc.Touch(ctx, vbID, key, expiry, cl.clock())
-	})
-	sp.Error(err)
-	sp.End()
+	_, err := cl.do(ctx, Op{Code: memcproto.OpTouch, Key: key, Expiry: expiry})
 	return err
 }
 
 // GetAndLock takes the document hard lock (§3.1.1).
 func (cl *Client) GetAndLock(ctx context.Context, key string, lockSeconds int64) (cache.Item, error) {
-	ctx, sp := cl.startOp(ctx, "kv:getandlock", key)
-	var out cache.Item
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		it, err := nc.GetAndLock(ctx, vbID, key, lockSeconds, cl.clock())
-		out = it
-		return err
-	})
-	sp.Error(err)
-	sp.End()
-	return out, err
+	res, err := cl.do(ctx, Op{Code: memcproto.OpGetAndLock, Key: key, Expiry: lockSeconds})
+	return res.Item, err
 }
 
 // Unlock releases the hard lock.
 func (cl *Client) Unlock(ctx context.Context, key string, casToken uint64) error {
-	ctx, sp := cl.startOp(ctx, "kv:unlock", key)
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		return nc.Unlock(ctx, vbID, key, casToken, cl.clock())
-	})
-	sp.Error(err)
-	sp.End()
+	_, err := cl.do(ctx, Op{Code: memcproto.OpUnlock, Key: key, CAS: casToken})
 	return err
 }
 
 // Append concatenates raw bytes to a document's value (memcached
 // heritage: binary values, not JSON).
 func (cl *Client) Append(ctx context.Context, key string, data []byte, casCheck uint64) (cache.Item, error) {
-	ctx, sp := cl.startOp(ctx, "kv:append", key)
-	var out cache.Item
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		it, err := nc.Append(ctx, vbID, key, data, casCheck, cl.clock())
-		out = it
-		return err
-	})
-	sp.Error(err)
-	sp.End()
-	return out, err
+	res, err := cl.do(ctx, Op{Code: memcproto.OpAppendVal, Key: key, Value: data, CAS: casCheck})
+	return res.Item, err
 }
 
 // Prepend concatenates raw bytes before a document's value.
 func (cl *Client) Prepend(ctx context.Context, key string, data []byte, casCheck uint64) (cache.Item, error) {
-	ctx, sp := cl.startOp(ctx, "kv:prepend", key)
-	var out cache.Item
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		it, err := nc.Prepend(ctx, vbID, key, data, casCheck, cl.clock())
-		out = it
-		return err
-	})
-	sp.Error(err)
-	sp.End()
-	return out, err
+	res, err := cl.do(ctx, Op{Code: memcproto.OpPrependVal, Key: key, Value: data, CAS: casCheck})
+	return res.Item, err
 }
 
 // SubdocGet reads one path inside a document without fetching it all.
 func (cl *Client) SubdocGet(ctx context.Context, key, path string) (any, error) {
-	ctx, sp := cl.startOp(ctx, "kv:subdoc:get", key)
-	var out any
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		v, err := nc.SubdocGet(ctx, vbID, key, path, cl.clock())
-		out = v
-		return err
-	})
-	sp.Error(err)
-	sp.End()
-	return out, err
+	res, err := cl.do(ctx, Op{Code: memcproto.OpSubdocGet, Key: key, Path: path})
+	return res.Doc, err
 }
 
 // SubdocSet writes one path inside a document atomically.
 func (cl *Client) SubdocSet(ctx context.Context, key, path string, v any, casCheck uint64) (cache.Item, error) {
-	ctx, sp := cl.startOp(ctx, "kv:subdoc:set", key)
-	var out cache.Item
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		it, err := nc.SubdocSet(ctx, vbID, key, path, v, casCheck, cl.clock())
-		out = it
-		return err
-	})
-	sp.Error(err)
-	sp.End()
-	return out, err
+	res, err := cl.do(ctx, Op{Code: memcproto.OpSubdocSet, Key: key, Path: path, Doc: v, CAS: casCheck})
+	return res.Item, err
 }
 
 // SubdocRemove deletes one path inside a document atomically.
 func (cl *Client) SubdocRemove(ctx context.Context, key, path string, casCheck uint64) (cache.Item, error) {
-	ctx, sp := cl.startOp(ctx, "kv:subdoc:remove", key)
-	var out cache.Item
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		it, err := nc.SubdocRemove(ctx, vbID, key, path, casCheck, cl.clock())
-		out = it
-		return err
-	})
-	sp.Error(err)
-	sp.End()
-	return out, err
+	res, err := cl.do(ctx, Op{Code: memcproto.OpSubdocRemove, Key: key, Path: path, CAS: casCheck})
+	return res.Item, err
 }
 
 // SubdocArrayAppend appends to an array field atomically.
 func (cl *Client) SubdocArrayAppend(ctx context.Context, key, path string, v any, casCheck uint64) (cache.Item, error) {
-	ctx, sp := cl.startOp(ctx, "kv:subdoc:arrayappend", key)
-	var out cache.Item
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		it, err := nc.SubdocArrayAppend(ctx, vbID, key, path, v, casCheck, cl.clock())
-		out = it
-		return err
-	})
-	sp.Error(err)
-	sp.End()
-	return out, err
+	res, err := cl.do(ctx, Op{Code: memcproto.OpSubdocArrAdd, Key: key, Path: path, Doc: v, CAS: casCheck})
+	return res.Item, err
 }
 
 // SubdocCounter adds delta to a numeric field atomically, returning
 // the new value.
 func (cl *Client) SubdocCounter(ctx context.Context, key, path string, delta float64, casCheck uint64) (float64, error) {
-	ctx, sp := cl.startOp(ctx, "kv:subdoc:counter", key)
-	var out float64
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		v, err := nc.SubdocCounter(ctx, vbID, key, path, delta, casCheck, cl.clock())
-		out = v
-		return err
-	})
-	sp.Error(err)
-	sp.End()
-	return out, err
+	res, err := cl.do(ctx, Op{Code: memcproto.OpSubdocCounter, Key: key, Path: path, Delta: delta, CAS: casCheck})
+	n, _ := res.Doc.(float64)
+	return n, err
 }
 
 // GetMeta returns a document's metadata (tombstones included), used by
 // XDCR and diagnostics.
 func (cl *Client) GetMeta(ctx context.Context, key string) (cache.Item, error) {
-	var out cache.Item
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		it, err := nc.GetMeta(ctx, vbID, key)
-		out = it
-		return err
-	})
-	return out, err
+	res, err := cl.do(ctx, Op{Code: memcproto.OpGetMeta, Key: key})
+	return res.Item, err
 }
 
 // XDCRApply installs a mutation replicated from another cluster,
 // applying the §4.6.1 conflict-resolution rule on this side. It
 // reports whether the incoming revision won.
 func (cl *Client) XDCRApply(ctx context.Context, key string, value []byte, deleted bool, cas, revSeqno uint64, flags uint32, expiry int64) (bool, error) {
-	ctx, sp := cl.startOp(ctx, "kv:xdcr", key)
-	var applied bool
-	err := cl.route(ctx, key, func(ctx context.Context, vbID int, nc NodeConn) error {
-		a, err := nc.XDCRApply(ctx, vbID, key, value, deleted, cas, revSeqno, flags, expiry)
-		applied = a
-		return err
-	})
-	sp.Error(err)
-	sp.End()
-	return applied, err
+	res, err := cl.do(ctx, Op{Code: memcproto.OpXDCRSet, Key: key, Value: value, Deleted: deleted, CAS: cas, RevSeqno: revSeqno, Flags: flags, Expiry: expiry})
+	return res.Applied, err
 }

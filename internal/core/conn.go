@@ -7,6 +7,7 @@ import (
 
 	"couchgo/internal/cache"
 	"couchgo/internal/cmap"
+	"couchgo/internal/memcproto"
 )
 
 // ErrNodeUnreachable marks transient transport failures (dial refused,
@@ -16,35 +17,51 @@ import (
 // in and the one that exists have diverged for a moment.
 var ErrNodeUnreachable = errors.New("core: node unreachable")
 
+// Op is one KV request as a plain value: the opcode plus the union of
+// every op's arguments. Which fields an op reads is fixed by the
+// extras layout of its memcproto.OpSpec row; the rest stay zero. It
+// crosses NodeConn.Do by value, so a caller's Op stays on its stack on
+// the loopback path (TestLoopbackDoGetZeroAlloc).
+type Op struct {
+	Code    memcproto.Opcode
+	Deleted bool   // XDCR: the mutation is a deletion
+	Flags   uint32 // Set/Add/Replace/XDCR document flags
+	Key     string
+	Value   []byte // document body; Append/Prepend data
+	CAS     uint64 // optimistic-lock check; Unlock's token; XDCR's source CAS
+	// Now is the client's unix-seconds clock, threaded through so
+	// expiry semantics follow the client's (injectable) time source on
+	// both transports.
+	Now int64
+	// Expiry is the document expiry (Set/Add/Replace/Touch/XDCR) or,
+	// for GetAndLock, the lock duration in seconds — the one u64 the
+	// now‖u64 layout carries.
+	Expiry   int64
+	RevSeqno uint64  // XDCR conflict-resolution revision
+	Path     string  // subdoc path
+	Doc      any     // subdoc Set/ArrayAppend payload
+	Delta    float64 // subdoc Counter increment
+	Dur      DurabilityOptions
+}
+
+// Result is what an op returns; the row's response shape says which
+// field is meaningful.
+type Result struct {
+	Item    cache.Item // ShapeItem
+	Doc     any        // ShapeJSON: SubdocGet's value, SubdocCounter's float64
+	Applied bool       // ShapeBool: whether XDCR's incoming revision won
+}
+
 // NodeConn is one node's KV surface as a smart client sees it: every
-// vBucket-routed operation, addressed by (vbID, key). Two
-// implementations exist — the in-process loopback that calls straight
-// into the owning *Node (exactly the pre-transport call path), and the
-// transport layer's TCP connection that encodes each call as a
-// memcproto frame. The client neither knows nor cares which it got;
-// that indifference is the seam the multi-process cluster hangs on.
-//
-// The `now` parameter is the client's unix-seconds clock, threaded
-// through so expiry semantics follow the client's (injectable) time
-// source on both transports.
+// vBucket-routed operation, addressed by (vbID, op.Key). Two
+// implementations exist — the in-process loopback, the single executor
+// that calls into the owning *Node's vBucket, and the transport
+// layer's TCP connection that encodes the op as a memcproto frame by
+// its table row (the server decodes it and hands it to the same
+// executor). The client neither knows nor cares which it got; that
+// indifference is the seam the multi-process cluster hangs on.
 type NodeConn interface {
-	Get(ctx context.Context, vbID int, key string, now int64) (cache.Item, error)
-	Set(ctx context.Context, vbID int, key string, value []byte, flags uint32, expiry int64, casCheck uint64, now int64, dur DurabilityOptions) (cache.Item, error)
-	Add(ctx context.Context, vbID int, key string, value []byte, now int64) (cache.Item, error)
-	Replace(ctx context.Context, vbID int, key string, value []byte, casCheck uint64, now int64) (cache.Item, error)
-	Delete(ctx context.Context, vbID int, key string, casCheck uint64, now int64, dur DurabilityOptions) (cache.Item, error)
-	Touch(ctx context.Context, vbID int, key string, expiry, now int64) error
-	GetAndLock(ctx context.Context, vbID int, key string, lockSeconds, now int64) (cache.Item, error)
-	Unlock(ctx context.Context, vbID int, key string, casToken uint64, now int64) error
-	Append(ctx context.Context, vbID int, key string, data []byte, casCheck uint64, now int64) (cache.Item, error)
-	Prepend(ctx context.Context, vbID int, key string, data []byte, casCheck uint64, now int64) (cache.Item, error)
-	SubdocGet(ctx context.Context, vbID int, key, path string, now int64) (any, error)
-	SubdocSet(ctx context.Context, vbID int, key, path string, v any, casCheck uint64, now int64) (cache.Item, error)
-	SubdocRemove(ctx context.Context, vbID int, key, path string, casCheck uint64, now int64) (cache.Item, error)
-	SubdocArrayAppend(ctx context.Context, vbID int, key, path string, v any, casCheck uint64, now int64) (cache.Item, error)
-	SubdocCounter(ctx context.Context, vbID int, key, path string, delta float64, casCheck uint64, now int64) (float64, error)
-	GetMeta(ctx context.Context, vbID int, key string) (cache.Item, error)
-	XDCRApply(ctx context.Context, vbID int, key string, value []byte, deleted bool, cas, revSeqno uint64, flags uint32, expiry int64) (bool, error)
+	Do(ctx context.Context, vbID int, op Op) (Result, error)
 }
 
 // Router is how a smart client resolves "who owns this key and how do

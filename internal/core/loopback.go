@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strconv"
 	"time"
 
-	"couchgo/internal/cache"
 	"couchgo/internal/cmap"
 	"couchgo/internal/events"
+	"couchgo/internal/memcproto"
 	"couchgo/internal/trace"
 	"couchgo/internal/vbucket"
 )
@@ -37,10 +39,10 @@ func (r loopbackRouter) Conn(id cmap.NodeID) (NodeConn, error) {
 	return loopbackConn{node: n, bucket: r.bucket}, nil
 }
 
-// loopbackConn executes KV ops directly against the owning node's
-// vBuckets. Durability waits run client-side here (same process, same
-// semantics as always); the TCP conn ships the options in extras and
-// the server performs the identical wait before acknowledging.
+// loopbackConn is the single KV executor: both transports end up in
+// its Do, the loopback router by direct call and the TCP server after
+// decoding the request frame, so the durability wait of a Set/Delete
+// runs in the serving process before the op is acknowledged.
 type loopbackConn struct {
 	node   *Node
 	bucket string
@@ -48,161 +50,62 @@ type loopbackConn struct {
 
 var _ NodeConn = loopbackConn{}
 
-func (lc loopbackConn) vb(vbID int) (*vbucket.VBucket, error) {
-	return lc.node.kvVB(lc.bucket, vbID)
-}
+var errUnknownOp = errors.New("core: no executor for opcode")
 
-func (lc loopbackConn) Get(ctx context.Context, vbID int, key string, now int64) (cache.Item, error) {
-	vb, err := lc.vb(vbID)
+func (lc loopbackConn) Do(ctx context.Context, vbID int, op Op) (res Result, err error) {
+	vb, err := lc.node.kvVB(lc.bucket, vbID)
 	if err != nil {
-		return cache.Item{}, err
+		return res, err
 	}
-	return vb.Get(ctx, key, now)
-}
-
-func (lc loopbackConn) Set(ctx context.Context, vbID int, key string, value []byte, flags uint32, expiry int64, casCheck uint64, now int64, dur DurabilityOptions) (cache.Item, error) {
-	vb, err := lc.vb(vbID)
-	if err != nil {
-		return cache.Item{}, err
+	switch op.Code {
+	case memcproto.OpGet:
+		res.Item, err = vb.Get(ctx, op.Key, op.Now)
+	case memcproto.OpSet:
+		res.Item, err = vb.Set(ctx, op.Key, op.Value, op.Flags, op.Expiry, op.CAS, op.Now)
+	case memcproto.OpAdd:
+		res.Item, err = vb.Add(ctx, op.Key, op.Value, op.Flags, op.Expiry, op.Now)
+	case memcproto.OpReplace:
+		res.Item, err = vb.Replace(ctx, op.Key, op.Value, op.Flags, op.Expiry, op.CAS, op.Now)
+	case memcproto.OpDelete:
+		res.Item, err = vb.Delete(ctx, op.Key, op.CAS, op.Now)
+	case memcproto.OpTouch:
+		_, err = vb.Touch(ctx, op.Key, op.Expiry, op.Now)
+	case memcproto.OpGetAndLock:
+		res.Item, err = vb.GetAndLock(ctx, op.Key, op.Expiry, op.Now)
+	case memcproto.OpUnlock:
+		err = vb.Unlock(ctx, op.Key, op.CAS, op.Now)
+	case memcproto.OpAppendVal:
+		res.Item, err = vb.Append(ctx, op.Key, op.Value, op.CAS, op.Now)
+	case memcproto.OpPrependVal:
+		res.Item, err = vb.Prepend(ctx, op.Key, op.Value, op.CAS, op.Now)
+	case memcproto.OpGetMeta:
+		res.Item, err = vb.GetMeta(op.Key)
+	case memcproto.OpSubdocGet:
+		res.Doc, err = vb.SubdocGet(ctx, op.Key, op.Path, op.Now)
+	case memcproto.OpSubdocSet:
+		res.Item, err = vb.SubdocSet(ctx, op.Key, op.Path, op.Doc, op.CAS, op.Now)
+	case memcproto.OpSubdocRemove:
+		res.Item, err = vb.SubdocRemove(ctx, op.Key, op.Path, op.CAS, op.Now)
+	case memcproto.OpSubdocArrAdd:
+		res.Item, err = vb.SubdocArrayAppend(ctx, op.Key, op.Path, op.Doc, op.CAS, op.Now)
+	case memcproto.OpSubdocCounter:
+		var n float64
+		n, _, err = vb.SubdocCounter(ctx, op.Key, op.Path, op.Delta, op.CAS, op.Now)
+		res.Doc = n
+	case memcproto.OpXDCRSet:
+		res.Applied, err = vb.ApplyRemote(ctx, op.Key, op.Value, op.Deleted, op.CAS, op.RevSeqno, op.Flags, op.Expiry)
+	default:
+		return res, fmt.Errorf("%w %s", errUnknownOp, op.Code)
 	}
-	it, err := vb.Set(ctx, key, value, flags, expiry, casCheck, now)
-	if err != nil {
-		return it, err
+	if err == nil && memcproto.SpecOf(op.Code).Durable {
+		err = waitDurability(ctx, vb, res.Item.Seqno, op.Dur)
 	}
-	return it, waitDurability(ctx, vb, it.Seqno, dur)
-}
-
-func (lc loopbackConn) Add(ctx context.Context, vbID int, key string, value []byte, now int64) (cache.Item, error) {
-	vb, err := lc.vb(vbID)
-	if err != nil {
-		return cache.Item{}, err
-	}
-	return vb.Add(ctx, key, value, 0, 0, now)
-}
-
-func (lc loopbackConn) Replace(ctx context.Context, vbID int, key string, value []byte, casCheck uint64, now int64) (cache.Item, error) {
-	vb, err := lc.vb(vbID)
-	if err != nil {
-		return cache.Item{}, err
-	}
-	return vb.Replace(ctx, key, value, 0, 0, casCheck, now)
-}
-
-func (lc loopbackConn) Delete(ctx context.Context, vbID int, key string, casCheck uint64, now int64, dur DurabilityOptions) (cache.Item, error) {
-	vb, err := lc.vb(vbID)
-	if err != nil {
-		return cache.Item{}, err
-	}
-	it, err := vb.Delete(ctx, key, casCheck, now)
-	if err != nil {
-		return it, err
-	}
-	return it, waitDurability(ctx, vb, it.Seqno, dur)
-}
-
-func (lc loopbackConn) Touch(ctx context.Context, vbID int, key string, expiry, now int64) error {
-	vb, err := lc.vb(vbID)
-	if err != nil {
-		return err
-	}
-	_, err = vb.Touch(ctx, key, expiry, now)
-	return err
-}
-
-func (lc loopbackConn) GetAndLock(ctx context.Context, vbID int, key string, lockSeconds, now int64) (cache.Item, error) {
-	vb, err := lc.vb(vbID)
-	if err != nil {
-		return cache.Item{}, err
-	}
-	return vb.GetAndLock(ctx, key, lockSeconds, now)
-}
-
-func (lc loopbackConn) Unlock(ctx context.Context, vbID int, key string, casToken uint64, now int64) error {
-	vb, err := lc.vb(vbID)
-	if err != nil {
-		return err
-	}
-	return vb.Unlock(ctx, key, casToken, now)
-}
-
-func (lc loopbackConn) Append(ctx context.Context, vbID int, key string, data []byte, casCheck uint64, now int64) (cache.Item, error) {
-	vb, err := lc.vb(vbID)
-	if err != nil {
-		return cache.Item{}, err
-	}
-	return vb.Append(ctx, key, data, casCheck, now)
-}
-
-func (lc loopbackConn) Prepend(ctx context.Context, vbID int, key string, data []byte, casCheck uint64, now int64) (cache.Item, error) {
-	vb, err := lc.vb(vbID)
-	if err != nil {
-		return cache.Item{}, err
-	}
-	return vb.Prepend(ctx, key, data, casCheck, now)
-}
-
-func (lc loopbackConn) SubdocGet(ctx context.Context, vbID int, key, path string, now int64) (any, error) {
-	vb, err := lc.vb(vbID)
-	if err != nil {
-		return nil, err
-	}
-	return vb.SubdocGet(ctx, key, path, now)
-}
-
-func (lc loopbackConn) SubdocSet(ctx context.Context, vbID int, key, path string, v any, casCheck uint64, now int64) (cache.Item, error) {
-	vb, err := lc.vb(vbID)
-	if err != nil {
-		return cache.Item{}, err
-	}
-	return vb.SubdocSet(ctx, key, path, v, casCheck, now)
-}
-
-func (lc loopbackConn) SubdocRemove(ctx context.Context, vbID int, key, path string, casCheck uint64, now int64) (cache.Item, error) {
-	vb, err := lc.vb(vbID)
-	if err != nil {
-		return cache.Item{}, err
-	}
-	return vb.SubdocRemove(ctx, key, path, casCheck, now)
-}
-
-func (lc loopbackConn) SubdocArrayAppend(ctx context.Context, vbID int, key, path string, v any, casCheck uint64, now int64) (cache.Item, error) {
-	vb, err := lc.vb(vbID)
-	if err != nil {
-		return cache.Item{}, err
-	}
-	return vb.SubdocArrayAppend(ctx, key, path, v, casCheck, now)
-}
-
-func (lc loopbackConn) SubdocCounter(ctx context.Context, vbID int, key, path string, delta float64, casCheck uint64, now int64) (float64, error) {
-	vb, err := lc.vb(vbID)
-	if err != nil {
-		return 0, err
-	}
-	v, _, err := vb.SubdocCounter(ctx, key, path, delta, casCheck, now)
-	return v, err
-}
-
-func (lc loopbackConn) GetMeta(ctx context.Context, vbID int, key string) (cache.Item, error) {
-	vb, err := lc.vb(vbID)
-	if err != nil {
-		return cache.Item{}, err
-	}
-	return vb.GetMeta(key)
-}
-
-func (lc loopbackConn) XDCRApply(ctx context.Context, vbID int, key string, value []byte, deleted bool, cas, revSeqno uint64, flags uint32, expiry int64) (bool, error) {
-	vb, err := lc.vb(vbID)
-	if err != nil {
-		return false, err
-	}
-	return vb.ApplyRemote(ctx, key, value, deleted, cas, revSeqno, flags, expiry)
+	return res, err
 }
 
 // waitDurability blocks until the mutation's durability requirement
 // holds. The wait gets its own span — on a slow durable write it is
-// usually the whole story. Both transports end up here: the loopback
-// conn calls it directly, the TCP server calls it before encoding the
-// response frame.
+// usually the whole story.
 func waitDurability(ctx context.Context, vb *vbucket.VBucket, seqno uint64, dur DurabilityOptions) error {
 	if dur.ReplicateTo <= 0 && !dur.PersistTo {
 		return nil

@@ -81,7 +81,8 @@ const (
 // Opcode identifies the operation of a frame.
 type Opcode uint8
 
-// KV opcodes (client requests routed by vbucket).
+// KV opcodes (client requests routed by vbucket). Each has a row in
+// the op table (optable.go).
 const (
 	OpGet           Opcode = 0x00
 	OpSet           Opcode = 0x01
@@ -94,7 +95,6 @@ const (
 	OpAppendVal     Opcode = 0x08
 	OpPrependVal    Opcode = 0x09
 	OpGetMeta       Opcode = 0x0a
-	OpObserve       Opcode = 0x0b
 	OpSubdocGet     Opcode = 0x10
 	OpSubdocSet     Opcode = 0x11
 	OpSubdocRemove  Opcode = 0x12
@@ -134,14 +134,9 @@ const (
 	OpDCPAck         Opcode = 0x55
 )
 
+// opcodeNames names the admin and DCP opcodes; KV opcodes are named by
+// their op-table row (optable.go).
 var opcodeNames = map[Opcode]string{
-	OpGet: "get", OpSet: "set", OpAdd: "add", OpReplace: "replace",
-	OpDelete: "delete", OpTouch: "touch", OpGetAndLock: "getandlock",
-	OpUnlock: "unlock", OpAppendVal: "append", OpPrependVal: "prepend",
-	OpGetMeta: "getmeta", OpObserve: "observe",
-	OpSubdocGet: "subdoc_get", OpSubdocSet: "subdoc_set",
-	OpSubdocRemove: "subdoc_remove", OpSubdocArrAdd: "subdoc_arrayappend",
-	OpSubdocCounter: "subdoc_counter", OpXDCRSet: "xdcr_set",
 	OpNoop: "noop", OpHello: "hello", OpGetClusterMap: "get_cluster_map",
 	OpSetClusterMap: "set_cluster_map", OpJoin: "join", OpStats: "stats",
 	OpHeartbeat: "heartbeat", OpFederate: "federate",
@@ -152,6 +147,9 @@ var opcodeNames = map[Opcode]string{
 
 // String names the opcode for metrics labels and logs.
 func (o Opcode) String() string {
+	if s := SpecOf(o); s != nil {
+		return s.Name
+	}
 	if n, ok := opcodeNames[o]; ok {
 		return n
 	}
@@ -159,7 +157,7 @@ func (o Opcode) String() string {
 }
 
 // Known reports whether the opcode is part of the protocol table.
-func (o Opcode) Known() bool { _, ok := opcodeNames[o]; return ok }
+func (o Opcode) Known() bool { _, ok := opcodeNames[o]; return ok || SpecOf(o) != nil }
 
 // Status is the response outcome, carried where requests carry the
 // vbucket ID.

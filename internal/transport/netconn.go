@@ -2,9 +2,8 @@ package transport
 
 import (
 	"context"
-	"encoding/json"
+	"fmt"
 
-	"couchgo/internal/cache"
 	"couchgo/internal/cmap"
 	"couchgo/internal/core"
 	"couchgo/internal/memcproto"
@@ -19,9 +18,10 @@ type mapSink interface {
 	installMap(m *cmap.Map)
 }
 
-// netConn implements core.NodeConn by encoding each call as one
-// memcproto request frame on the node's pooled multiplexed conn. It
-// is stateless (addr + pool + sink), so routers mint them freely.
+// netConn implements core.NodeConn over the node's pooled multiplexed
+// conn: Do encodes the op by its table row, exchanges one frame pair,
+// and decodes the response by the same row. It is stateless (addr +
+// pool + sink), so routers mint them freely.
 type netConn struct {
 	addr string
 	pool *Pool
@@ -36,30 +36,28 @@ func NewNodeConn(addr string, pool *Pool, sink mapSink) core.NodeConn {
 	return netConn{addr: addr, pool: pool, sink: sink}
 }
 
-// baseExtras starts a KV request's extras with the client's
-// unix-seconds clock, so expiry semantics follow the client's
-// (injectable) time source on both transports.
-func baseExtras(now int64) []byte {
-	return memcproto.AppendUint64(nil, uint64(now))
+func (nc netConn) Do(ctx context.Context, vbID int, op core.Op) (core.Result, error) {
+	spec := memcproto.SpecOf(op.Code)
+	if spec == nil {
+		return core.Result{}, fmt.Errorf("transport: %s is not a KV opcode", op.Code)
+	}
+	req, err := encodeRequest(ctx, spec, vbID, op)
+	if err != nil {
+		return core.Result{}, err
+	}
+	resp, err := nc.call(ctx, req)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return decodeResult(spec.Resp, op.Key, resp)
 }
 
 // call performs one request/response exchange, handling the epoch
 // stamp and fat not-my-vbucket map on every response.
-func (nc netConn) call(ctx context.Context, opcode memcproto.Opcode, vbID int, key string, extras, value []byte, cas uint64) (*memcproto.Frame, error) {
+func (nc netConn) call(ctx context.Context, req *memcproto.Frame) (*memcproto.Frame, error) {
 	conn, err := nc.pool.Get(nc.addr)
 	if err != nil {
 		return nil, err
-	}
-	extras, datatype := injectTraceCtx(extras, ctx)
-	req := &memcproto.Frame{
-		Magic:    memcproto.MagicReq,
-		Opcode:   opcode,
-		Datatype: datatype,
-		VBucket:  uint16(vbID),
-		CAS:      cas,
-		Extras:   extras,
-		Key:      []byte(key),
-		Value:    value,
 	}
 	resp, err := conn.Roundtrip(ctx, req)
 	if err != nil {
@@ -77,7 +75,7 @@ func (nc netConn) call(ctx context.Context, opcode memcproto.Opcode, vbID int, k
 		mNotMyVB.Inc()
 		// Attribute the bounce to the originating op, so per-op retry
 		// rates are visible next to that op's latency series.
-		nmvbCounter(opcode.String()).Inc()
+		nmvbCounter(req.Opcode.String()).Inc()
 		// Fat response: the server's current map rides the value, so
 		// the router refreshes without a second round trip.
 		if nc.sink != nil && len(resp.Value) > 0 {
@@ -88,140 +86,4 @@ func (nc netConn) call(ctx context.Context, opcode memcproto.Opcode, vbID int, k
 		return nil, errOf(resp.Status, nil)
 	}
 	return nil, errOf(resp.Status, resp.Value)
-}
-
-// itemCall is a call whose OK response carries an item.
-func (nc netConn) itemCall(ctx context.Context, opcode memcproto.Opcode, vbID int, key string, extras, value []byte, cas uint64) (cache.Item, error) {
-	resp, err := nc.call(ctx, opcode, vbID, key, extras, value, cas)
-	if err != nil {
-		return cache.Item{}, err
-	}
-	return itemFromFrame(key, resp)
-}
-
-func mutateExtras(now int64, flags uint32, expiry int64, dur core.DurabilityOptions) []byte {
-	me := memcproto.MutateExtras{
-		Flags:       flags,
-		Expiry:      expiry,
-		ReplicateTo: uint8(max(dur.ReplicateTo, 0)),
-		Persist:     dur.PersistTo,
-	}
-	if dur.Timeout > 0 {
-		me.TimeoutMillis = uint32(dur.Timeout.Milliseconds())
-	}
-	return append(baseExtras(now), me.Encode()...)
-}
-
-func (nc netConn) Get(ctx context.Context, vbID int, key string, now int64) (cache.Item, error) {
-	return nc.itemCall(ctx, memcproto.OpGet, vbID, key, baseExtras(now), nil, 0)
-}
-
-func (nc netConn) Set(ctx context.Context, vbID int, key string, value []byte, flags uint32, expiry int64, casCheck uint64, now int64, dur core.DurabilityOptions) (cache.Item, error) {
-	return nc.itemCall(ctx, memcproto.OpSet, vbID, key, mutateExtras(now, flags, expiry, dur), value, casCheck)
-}
-
-func (nc netConn) Add(ctx context.Context, vbID int, key string, value []byte, now int64) (cache.Item, error) {
-	return nc.itemCall(ctx, memcproto.OpAdd, vbID, key, mutateExtras(now, 0, 0, core.DurabilityOptions{}), value, 0)
-}
-
-func (nc netConn) Replace(ctx context.Context, vbID int, key string, value []byte, casCheck uint64, now int64) (cache.Item, error) {
-	return nc.itemCall(ctx, memcproto.OpReplace, vbID, key, mutateExtras(now, 0, 0, core.DurabilityOptions{}), value, casCheck)
-}
-
-func (nc netConn) Delete(ctx context.Context, vbID int, key string, casCheck uint64, now int64, dur core.DurabilityOptions) (cache.Item, error) {
-	return nc.itemCall(ctx, memcproto.OpDelete, vbID, key, mutateExtras(now, 0, 0, dur), nil, casCheck)
-}
-
-func (nc netConn) Touch(ctx context.Context, vbID int, key string, expiry, now int64) error {
-	extras := memcproto.AppendUint64(baseExtras(now), uint64(expiry))
-	_, err := nc.call(ctx, memcproto.OpTouch, vbID, key, extras, nil, 0)
-	return err
-}
-
-func (nc netConn) GetAndLock(ctx context.Context, vbID int, key string, lockSeconds, now int64) (cache.Item, error) {
-	extras := memcproto.AppendUint64(baseExtras(now), uint64(lockSeconds))
-	return nc.itemCall(ctx, memcproto.OpGetAndLock, vbID, key, extras, nil, 0)
-}
-
-func (nc netConn) Unlock(ctx context.Context, vbID int, key string, casToken uint64, now int64) error {
-	_, err := nc.call(ctx, memcproto.OpUnlock, vbID, key, baseExtras(now), nil, casToken)
-	return err
-}
-
-func (nc netConn) Append(ctx context.Context, vbID int, key string, data []byte, casCheck uint64, now int64) (cache.Item, error) {
-	return nc.itemCall(ctx, memcproto.OpAppendVal, vbID, key, baseExtras(now), data, casCheck)
-}
-
-func (nc netConn) Prepend(ctx context.Context, vbID int, key string, data []byte, casCheck uint64, now int64) (cache.Item, error) {
-	return nc.itemCall(ctx, memcproto.OpPrependVal, vbID, key, baseExtras(now), data, casCheck)
-}
-
-// subdocExtras lays out now(8) ‖ pathlen(2) [‖ delta(8)]; the value is
-// path ‖ payload per memcproto.SubdocBody.
-func subdocExtras(now int64, path string) ([]byte, []byte) {
-	se, value := memcproto.SubdocBody(path, nil)
-	return append(baseExtras(now), se...), value
-}
-
-func (nc netConn) SubdocGet(ctx context.Context, vbID int, key, path string, now int64) (any, error) {
-	extras, value := subdocExtras(now, path)
-	resp, err := nc.call(ctx, memcproto.OpSubdocGet, vbID, key, extras, value, 0)
-	if err != nil {
-		return nil, err
-	}
-	var v any
-	if err := json.Unmarshal(resp.Value, &v); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-func (nc netConn) subdocMutate(ctx context.Context, opcode memcproto.Opcode, vbID int, key, path string, v any, casCheck uint64, now int64) (cache.Item, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return cache.Item{}, err
-	}
-	se, value := memcproto.SubdocBody(path, payload)
-	extras := append(baseExtras(now), se...)
-	return nc.itemCall(ctx, opcode, vbID, key, extras, value, casCheck)
-}
-
-func (nc netConn) SubdocSet(ctx context.Context, vbID int, key, path string, v any, casCheck uint64, now int64) (cache.Item, error) {
-	return nc.subdocMutate(ctx, memcproto.OpSubdocSet, vbID, key, path, v, casCheck, now)
-}
-
-func (nc netConn) SubdocRemove(ctx context.Context, vbID int, key, path string, casCheck uint64, now int64) (cache.Item, error) {
-	extras, value := subdocExtras(now, path)
-	return nc.itemCall(ctx, memcproto.OpSubdocRemove, vbID, key, extras, value, casCheck)
-}
-
-func (nc netConn) SubdocArrayAppend(ctx context.Context, vbID int, key, path string, v any, casCheck uint64, now int64) (cache.Item, error) {
-	return nc.subdocMutate(ctx, memcproto.OpSubdocArrAdd, vbID, key, path, v, casCheck, now)
-}
-
-func (nc netConn) SubdocCounter(ctx context.Context, vbID int, key, path string, delta float64, casCheck uint64, now int64) (float64, error) {
-	se, value := memcproto.SubdocBody(path, nil)
-	extras := memcproto.AppendFloat64(append(baseExtras(now), se...), delta)
-	resp, err := nc.call(ctx, memcproto.OpSubdocCounter, vbID, key, extras, value, casCheck)
-	if err != nil {
-		return 0, err
-	}
-	var v float64
-	if err := json.Unmarshal(resp.Value, &v); err != nil {
-		return 0, err
-	}
-	return v, nil
-}
-
-func (nc netConn) GetMeta(ctx context.Context, vbID int, key string) (cache.Item, error) {
-	return nc.itemCall(ctx, memcproto.OpGetMeta, vbID, key, baseExtras(0), nil, 0)
-}
-
-func (nc netConn) XDCRApply(ctx context.Context, vbID int, key string, value []byte, deleted bool, cas, revSeqno uint64, flags uint32, expiry int64) (bool, error) {
-	xe := memcproto.XDCRExtras{RevSeqno: revSeqno, Flags: flags, Expiry: expiry, Deleted: deleted}
-	resp, err := nc.call(ctx, memcproto.OpXDCRSet, vbID, key, xe.Encode(), value, cas)
-	if err != nil {
-		return false, err
-	}
-	return len(resp.Value) == 1 && resp.Value[0] == 1, nil
 }

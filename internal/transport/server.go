@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"couchgo/internal/cache"
 	"couchgo/internal/cmap"
 	"couchgo/internal/core"
 	"couchgo/internal/dcp"
@@ -53,8 +52,8 @@ type ServerConfig struct {
 }
 
 // Server accepts wire-protocol connections and dispatches decoded
-// frames through the same core.NodeConn surface the in-process
-// loopback uses — both transports execute the identical op path.
+// frames through the same core.NodeConn.Do the in-process loopback
+// uses — both transports execute the identical op path.
 type Server struct {
 	cfg ServerConfig
 	ln  net.Listener
@@ -281,47 +280,17 @@ func (c *session) readLoop() {
 			memcproto.OpFederate:
 			c.handleAdmin(f)
 		default:
-			// Ops that cannot block (no durability wait) run inline on
-			// the read loop: no goroutine hand-off, and their responses
-			// pile into writeCh while more pipelined requests are
-			// already buffered — the writer coalesces them. Ops that
-			// may wait get their own goroutine (bounded by sem) so one
-			// durability wait does not stall the conn.
-			if fastKV(f) {
-				c.handleKV(f)
-				continue
-			}
-			c.sem <- struct{}{}
-			go func(f *memcproto.Frame) {
-				defer func() { <-c.sem }()
-				c.handleKV(f)
-			}(f)
+			c.handleKV(f)
 		}
 	}
 }
 
-// fastKV reports whether f's op is guaranteed not to block on a
-// durability or consistency wait, making it safe to handle inline on
-// the session read loop. Mutations qualify only when their extras
-// carry no durability requirement; a malformed frame is sent to the
-// goroutine path, which produces the error response.
-func fastKV(f *memcproto.Frame) bool {
-	switch f.Opcode {
-	case memcproto.OpGet, memcproto.OpGetMeta, memcproto.OpTouch,
-		memcproto.OpGetAndLock, memcproto.OpUnlock, memcproto.OpSubdocGet:
-		return true
-	case memcproto.OpSet, memcproto.OpDelete:
-		_, bare, err := memcproto.SplitTraceContext(f)
-		if err != nil {
-			return false
-		}
-		me, err := memcproto.DecodeMutateExtras(sliceFrom(bare, 8))
-		if err != nil {
-			return false
-		}
-		return me.ReplicateTo == 0 && !me.Persist
-	}
-	return false
+// fastKV reports whether the decoded op is guaranteed not to block on
+// a durability wait, making it safe to execute inline on the session
+// read loop: its row carries no durability, or this request asks for
+// none.
+func fastKV(spec *memcproto.OpSpec, op core.Op) bool {
+	return !spec.Durable || (op.Dur.ReplicateTo <= 0 && !op.Dur.PersistTo)
 }
 
 func (c *session) handleAdmin(f *memcproto.Frame) {
@@ -390,19 +359,19 @@ func (c *session) handleAdmin(f *memcproto.Frame) {
 	}
 }
 
-// handleKV decodes one KV request and executes it through the local
-// node's loopback conn — including the server-side durability wait
-// for SET/DELETE, which runs before the response frame is encoded.
+// handleKV serves one KV request, all of it driven by the opcode's
+// table row: decode by the row's extras layout, execute through the
+// local node's loopback conn (including the server-side durability
+// wait of a Set/Delete), encode by the row's response shape.
 func (c *session) handleKV(f *memcproto.Frame) {
 	t0 := time.Now()
-	result := "ok"
-	defer func() { opObserve(f.Opcode, result, t0) }()
-
-	fail := func(err error) {
-		result = kvResult(err)
-		c.respondErr(f, err)
+	spec := memcproto.SpecOf(f.Opcode)
+	if spec == nil {
+		c.respond(f, memcproto.StatusNotSupported, memcproto.AppendEpoch(nil, c.srv.epoch()),
+			[]byte("opcode "+f.Opcode.String()+" not supported"), 0)
+		opObserve(f.Opcode, "error", t0)
+		return
 	}
-
 	// A trace context may ride the extras tail (announced by the
 	// datatype flag): strip and validate it before any extras field is
 	// read, then continue the client's trace so the cache, storage,
@@ -410,163 +379,66 @@ func (c *session) handleKV(f *memcproto.Frame) {
 	// across the process boundary.
 	tc, bare, err := memcproto.SplitTraceContext(f)
 	if err != nil {
-		fail(err)
-		return
-	}
-	f.Extras = bare
-	ctx, span := trace.Default.Join(c.ctx, "server:"+f.Opcode.String(), tc.TraceID, tc.SpanID, tc.Sampled)
-	if span != nil {
-		span.Annotate("node", string(c.srv.cfg.Node))
-		defer func() {
-			if result != "ok" {
-				span.Annotate("result", result)
-			}
-			span.End()
-		}()
-	}
-
-	conn, err := c.srv.cfg.Cluster.LoopbackConn(c.srv.cfg.Node, c.srv.cfg.Bucket)
-	if err != nil {
-		fail(err)
+		c.finishKV(f, nil, t0, core.Result{}, err)
 		return
 	}
 	// ctx descends from the session ctx, not Background: when the
-	// client hangs up, its pending durability/consistency waits unwind
-	// instead of holding vBucket waiters for a response no one will
-	// read.
-	vbID := int(f.VBucket)
-	key := string(f.Key)
-	nowU, _ := memcproto.Uint64At(f.Extras, 0)
-	now := int64(nowU)
+	// client hangs up, its pending durability waits unwind instead of
+	// holding vBucket waiters for a response no one will read.
+	ctx, span := trace.Default.Join(c.ctx, spec.ServerSpan, tc.TraceID, tc.SpanID, tc.Sampled)
+	span.Annotate("node", string(c.srv.cfg.Node))
+	op, err := decodeRequest(spec, f, bare)
+	if err != nil {
+		c.finishKV(f, span, t0, core.Result{}, err)
+		return
+	}
+	// Ops that cannot block run inline on the read loop: no goroutine
+	// hand-off, and their responses pile into writeCh while more
+	// pipelined requests are already buffered — the writer coalesces
+	// them. Ops that may wait get their own goroutine (bounded by sem)
+	// so one durability wait does not stall the conn.
+	if fastKV(spec, op) {
+		c.execKV(ctx, f, span, t0, op)
+		return
+	}
+	c.sem <- struct{}{}
+	go func() {
+		defer func() { <-c.sem }()
+		c.execKV(ctx, f, span, t0, op)
+	}()
+}
 
-	okItem := func(it cache.Item, err error) {
-		if err != nil {
-			fail(err)
-			return
-		}
-		extras := memcproto.AppendItemMeta(memcproto.AppendEpoch(nil, c.srv.epoch()), itemMetaOf(it))
-		c.respond(f, memcproto.StatusOK, extras, it.Value, it.CAS)
+func (c *session) execKV(ctx context.Context, f *memcproto.Frame, span *trace.Span, t0 time.Time, op core.Op) {
+	var res core.Result
+	conn, err := c.srv.cfg.Cluster.LoopbackConn(c.srv.cfg.Node, c.srv.cfg.Bucket)
+	if err == nil {
+		res, err = conn.Do(ctx, int(f.VBucket), op)
 	}
-	okJSON := func(v any, err error) {
-		if err != nil {
-			fail(err)
-			return
-		}
-		value, err := json.Marshal(v)
-		if err != nil {
-			fail(err)
-			return
-		}
-		c.respond(f, memcproto.StatusOK, memcproto.AppendEpoch(nil, c.srv.epoch()), value, 0)
-	}
-	okEmpty := func(err error) {
-		if err != nil {
-			fail(err)
-			return
-		}
-		c.respond(f, memcproto.StatusOK, memcproto.AppendEpoch(nil, c.srv.epoch()), nil, 0)
-	}
-	mutate := func() (memcproto.MutateExtras, error) {
-		return memcproto.DecodeMutateExtras(sliceFrom(f.Extras, 8))
-	}
+	c.finishKV(f, span, t0, res, err)
+}
 
-	switch f.Opcode {
-	case memcproto.OpGet:
-		okItem(conn.Get(ctx, vbID, key, now))
-	case memcproto.OpSet:
-		me, err := mutate()
-		if err != nil {
-			fail(err)
-			return
+// finishKV answers req with res or err, then closes the server span
+// and the per-opcode latency observation with the outcome.
+func (c *session) finishKV(req *memcproto.Frame, span *trace.Span, t0 time.Time, res core.Result, err error) {
+	result := "ok"
+	if err == nil {
+		var extras, value []byte
+		var cas uint64
+		if extras, value, cas, err = encodeResult(memcproto.SpecOf(req.Opcode).Resp, res, c.srv.epoch()); err == nil {
+			c.respond(req, memcproto.StatusOK, extras, value, cas)
 		}
-		okItem(conn.Set(ctx, vbID, key, copyBytes(f.Value), me.Flags, me.Expiry, f.CAS, now, durOf(me)))
-	case memcproto.OpAdd:
-		okItem(conn.Add(ctx, vbID, key, copyBytes(f.Value), now))
-	case memcproto.OpReplace:
-		okItem(conn.Replace(ctx, vbID, key, copyBytes(f.Value), f.CAS, now))
-	case memcproto.OpDelete:
-		me, err := mutate()
-		if err != nil {
-			fail(err)
-			return
-		}
-		okItem(conn.Delete(ctx, vbID, key, f.CAS, now, durOf(me)))
-	case memcproto.OpTouch:
-		expiry, _ := memcproto.Uint64At(f.Extras, 8)
-		okEmpty(conn.Touch(ctx, vbID, key, int64(expiry), now))
-	case memcproto.OpGetAndLock:
-		lockSecs, _ := memcproto.Uint64At(f.Extras, 8)
-		okItem(conn.GetAndLock(ctx, vbID, key, int64(lockSecs), now))
-	case memcproto.OpUnlock:
-		okEmpty(conn.Unlock(ctx, vbID, key, f.CAS, now))
-	case memcproto.OpAppendVal:
-		okItem(conn.Append(ctx, vbID, key, copyBytes(f.Value), f.CAS, now))
-	case memcproto.OpPrependVal:
-		okItem(conn.Prepend(ctx, vbID, key, copyBytes(f.Value), f.CAS, now))
-	case memcproto.OpGetMeta:
-		okItem(conn.GetMeta(ctx, vbID, key))
-	case memcproto.OpSubdocGet:
-		path, _, err := memcproto.SplitSubdocBody(sliceFrom(f.Extras, 8), f.Value)
-		if err != nil {
-			fail(err)
-			return
-		}
-		okJSON(conn.SubdocGet(ctx, vbID, key, path, now))
-	case memcproto.OpSubdocSet, memcproto.OpSubdocArrAdd:
-		path, payload, err := memcproto.SplitSubdocBody(sliceFrom(f.Extras, 8), f.Value)
-		if err != nil {
-			fail(err)
-			return
-		}
-		var v any
-		if err := json.Unmarshal(payload, &v); err != nil {
-			fail(err)
-			return
-		}
-		if f.Opcode == memcproto.OpSubdocSet {
-			okItem(conn.SubdocSet(ctx, vbID, key, path, v, f.CAS, now))
-		} else {
-			okItem(conn.SubdocArrayAppend(ctx, vbID, key, path, v, f.CAS, now))
-		}
-	case memcproto.OpSubdocRemove:
-		path, _, err := memcproto.SplitSubdocBody(sliceFrom(f.Extras, 8), f.Value)
-		if err != nil {
-			fail(err)
-			return
-		}
-		okItem(conn.SubdocRemove(ctx, vbID, key, path, f.CAS, now))
-	case memcproto.OpSubdocCounter:
-		path, _, err := memcproto.SplitSubdocBody(sliceFrom(f.Extras, 8), f.Value)
-		if err != nil {
-			fail(err)
-			return
-		}
-		delta, ok := memcproto.Float64At(f.Extras, 10)
-		if !ok {
-			fail(memcproto.ErrBadExtras)
-			return
-		}
-		okJSON(conn.SubdocCounter(ctx, vbID, key, path, delta, f.CAS, now))
-	case memcproto.OpXDCRSet:
-		xe, err := memcproto.DecodeXDCRExtras(f.Extras)
-		if err != nil {
-			fail(err)
-			return
-		}
-		applied, err := conn.XDCRApply(ctx, vbID, key, copyBytes(f.Value), xe.Deleted, f.CAS, xe.RevSeqno, xe.Flags, xe.Expiry)
-		if err != nil {
-			fail(err)
-			return
-		}
-		v := []byte{0}
-		if applied {
-			v[0] = 1
-		}
-		c.respond(f, memcproto.StatusOK, memcproto.AppendEpoch(nil, c.srv.epoch()), v, 0)
-	default:
-		c.respond(f, memcproto.StatusNotSupported, memcproto.AppendEpoch(nil, c.srv.epoch()),
-			[]byte("opcode "+f.Opcode.String()+" not supported"), 0)
 	}
+	if err != nil {
+		result = kvResult(err)
+		c.respondErr(req, err)
+	}
+	if span != nil {
+		if result != "ok" {
+			span.Annotate("result", result)
+		}
+		span.End()
+	}
+	opObserve(req.Opcode, result, t0)
 }
 
 // handleDCP serves stream requests, failover-log fetches, and
@@ -694,27 +566,4 @@ func kvResult(err error) string {
 		return "not_my_vbucket"
 	}
 	return "error"
-}
-
-// sliceFrom returns b[off:] or nil when b is shorter.
-func sliceFrom(b []byte, off int) []byte {
-	if len(b) < off {
-		return nil
-	}
-	return b[off:]
-}
-
-func copyBytes(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
-func durOf(me memcproto.MutateExtras) core.DurabilityOptions {
-	return core.DurabilityOptions{
-		ReplicateTo: int(me.ReplicateTo),
-		PersistTo:   me.Persist,
-		Timeout:     time.Duration(me.TimeoutMillis) * time.Millisecond,
-	}
 }

@@ -66,83 +66,6 @@ func (r *rewriteRouter) Conn(node cmap.NodeID) (core.NodeConn, error) {
 	return r.inner.Conn(cmap.NodeID(r.addr))
 }
 
-func TestWireKVRoundTrip(t *testing.T) {
-	_, _, cl := newServedCluster(t, 0)
-	ctx := context.Background()
-
-	it, err := cl.Set(ctx, "greeting", []byte(`{"msg":"hello"}`), 0)
-	if err != nil {
-		t.Fatalf("Set: %v", err)
-	}
-	if it.CAS == 0 {
-		t.Fatal("Set returned zero CAS")
-	}
-
-	got, err := cl.Get(ctx, "greeting")
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if string(got.Value) != `{"msg":"hello"}` {
-		t.Fatalf("Get value = %q", got.Value)
-	}
-	if got.CAS != it.CAS {
-		t.Fatalf("Get CAS %d != Set CAS %d", got.CAS, it.CAS)
-	}
-
-	if _, err := cl.Get(ctx, "absent"); !errors.Is(err, cache.ErrKeyNotFound) {
-		t.Fatalf("Get absent = %v, want ErrKeyNotFound", err)
-	}
-
-	// CAS conflict surfaces as the canonical sentinel across the wire.
-	if _, err := cl.Replace(ctx, "greeting", []byte(`{}`), it.CAS+99); !errors.Is(err, cache.ErrCASMismatch) {
-		t.Fatalf("Replace bad CAS = %v, want ErrCASMismatch", err)
-	}
-
-	// Add on an existing key.
-	if _, err := cl.Add(ctx, "greeting", []byte(`{}`)); !errors.Is(err, cache.ErrKeyExists) {
-		t.Fatalf("Add existing = %v, want ErrKeyExists", err)
-	}
-
-	// Subdoc ops.
-	if _, err := cl.SubdocSet(ctx, "greeting", "count", 3, 0); err != nil {
-		t.Fatalf("SubdocSet: %v", err)
-	}
-	v, err := cl.SubdocGet(ctx, "greeting", "count")
-	if err != nil {
-		t.Fatalf("SubdocGet: %v", err)
-	}
-	if f, ok := v.(float64); !ok || f != 3 {
-		t.Fatalf("SubdocGet = %v (%T), want 3", v, v)
-	}
-	n, err := cl.SubdocCounter(ctx, "greeting", "count", 4, 0)
-	if err != nil {
-		t.Fatalf("SubdocCounter: %v", err)
-	}
-	if n != 7 {
-		t.Fatalf("SubdocCounter = %v, want 7", n)
-	}
-
-	// Locking.
-	locked, err := cl.GetAndLock(ctx, "greeting", 30)
-	if err != nil {
-		t.Fatalf("GetAndLock: %v", err)
-	}
-	if _, err := cl.Set(ctx, "greeting", []byte(`{}`), 0); !errors.Is(err, cache.ErrLocked) {
-		t.Fatalf("Set on locked = %v, want ErrLocked", err)
-	}
-	if err := cl.Unlock(ctx, "greeting", locked.CAS); err != nil {
-		t.Fatalf("Unlock: %v", err)
-	}
-
-	// Delete round-trips and the tombstone is visible to GetMeta.
-	if err := cl.Delete(ctx, "greeting", 0); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if _, err := cl.Get(ctx, "greeting"); !errors.Is(err, cache.ErrKeyNotFound) {
-		t.Fatalf("Get deleted = %v, want ErrKeyNotFound", err)
-	}
-}
-
 func TestWireDurability(t *testing.T) {
 	// Single node, ReplicateTo=1 can never be satisfied: the server
 	// must hold the response until the durability timeout and ship the
