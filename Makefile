@@ -1,12 +1,18 @@
 # Tier-1 gate plus the repo-specific static analyzer, formatting,
 # full-tree race detection, and fuzz smoke runs.
 
-.PHONY: verify build test race vet fmtcheck couchvet fuzz-smoke bench-smoke cluster-test trace-demo health-demo loc
+.PHONY: verify build bench-build test race vet fmtcheck couchvet fuzz-smoke bench-smoke cluster-test trace-demo health-demo loc
 
-verify: fmtcheck vet build test couchvet race
+verify: fmtcheck vet build bench-build test couchvet race
 
 build:
 	go build ./...
+
+# bench/ is its own module (`go build ./...` never compiles it) that
+# imports internal packages through a replace directive, so an internal
+# API change breaks it silently; CI has the same step.
+bench-build:
+	cd bench && go vet . && go test .
 
 test:
 	go test ./...

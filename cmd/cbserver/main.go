@@ -100,9 +100,16 @@ func main() {
 		debug.SetGCPercent(*gcPercent)
 	}
 
-	if *kvAddr != "" && *nodes != 1 {
-		log.Printf("networked cluster mode: each process runs one local node (-nodes %d ignored)", *nodes)
-		*nodes = 1
+	// In-process, the cluster's own heartbeat loop detects dead nodes.
+	// A networked process holds one node and the coordinator's watchdog
+	// owns failure detection, so the local loop stays off.
+	failoverTimeout := 2 * time.Second
+	if *kvAddr != "" {
+		failoverTimeout = 0
+		if *nodes != 1 {
+			log.Printf("networked cluster mode: each process runs one local node (-nodes %d ignored)", *nodes)
+			*nodes = 1
+		}
 	}
 
 	trace.Default.SetRate(*traceRate)
@@ -112,7 +119,7 @@ func main() {
 		Dir:                *dir,
 		NumVBuckets:        *vbuckets,
 		SyncPersist:        *syncWrite,
-		FailoverTimeout:    2 * time.Second,
+		FailoverTimeout:    failoverTimeout,
 		SlowQueryThreshold: *slowQuery,
 		SlowQueryLogSize:   *slowLog,
 	})

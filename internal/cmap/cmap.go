@@ -150,15 +150,22 @@ func (m *Map) ActiveVBuckets(node NodeID) []int {
 	return out
 }
 
+// HasReplica reports whether node holds a replica copy of vb.
+func (m *Map) HasReplica(vb int, node NodeID) bool {
+	for _, r := range m.Replicas(vb) {
+		if r == node {
+			return true
+		}
+	}
+	return false
+}
+
 // ReplicaVBuckets returns the vBuckets with a replica copy on node.
 func (m *Map) ReplicaVBuckets(node NodeID) []int {
 	var out []int
 	for vb := range m.Chains {
-		for _, r := range m.Replicas(vb) {
-			if r == node {
-				out = append(out, vb)
-				break
-			}
+		if m.HasReplica(vb, node) {
+			out = append(out, vb)
 		}
 	}
 	return out
@@ -239,6 +246,40 @@ func (m *Map) FailoverNode(node NodeID) *Map {
 		}
 		out.Chains[vb] = nc
 	}
+	return out
+}
+
+// WithChain produces a successor map in which vb's chain is active
+// followed by replicas; every other chain is unchanged. Nodes the map
+// has not seen are appended to Nodes ("" means no copy), and a chain
+// longer than NumReplicas+1 grows the replica count map-wide, padding
+// the other chains with empty slots — rebalance publishes its target
+// one vBucket at a time through this.
+func (m *Map) WithChain(vb int, active NodeID, replicas []NodeID) *Map {
+	out := m.Clone()
+	out.Rev++
+	chain := make([]int, 0, out.NumReplicas+1)
+	for _, id := range append([]NodeID{active}, replicas...) {
+		idx := out.nodeIndex(id)
+		if idx < 0 && id != "" {
+			out.Nodes = append(out.Nodes, id)
+			idx = len(out.Nodes) - 1
+		}
+		chain = append(chain, idx)
+	}
+	for len(chain) < out.NumReplicas+1 {
+		chain = append(chain, -1)
+	}
+	if len(chain) > out.NumReplicas+1 {
+		out.NumReplicas = len(chain) - 1
+		for i, c := range out.Chains {
+			for len(c) < len(chain) {
+				c = append(c, -1)
+			}
+			out.Chains[i] = c
+		}
+	}
+	out.Chains[vb] = chain
 	return out
 }
 

@@ -2,6 +2,8 @@ package cmap
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -237,5 +239,70 @@ func TestQuickBalancedMapsAreValidAndFair(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWithChain pins the chain surgery rebalance publishes one vBucket
+// at a time: the edited chain, the node list, the replica count, and
+// that every other chain (and the receiver) is left alone.
+func TestWithChain(t *testing.T) {
+	base := BuildBalanced(7, []NodeID{"a", "b"}, 4, 1) // vb0: a,b  vb1: b,a ...
+	cases := []struct {
+		name         string
+		active       NodeID
+		replicas     []NodeID
+		wantNodes    []NodeID
+		wantReplicas int
+		wantChain    []int // vb 0
+		wantOther    []int // vb 1
+	}{
+		{"swap roles", "b", []NodeID{"a"}, []NodeID{"a", "b"}, 1, []int{1, 0}, []int{1, 0}},
+		{"new node becomes active", "c", []NodeID{"a"}, []NodeID{"a", "b", "c"}, 1, []int{2, 0}, []int{1, 0}},
+		{"fewer replicas pads with -1", "b", nil, []NodeID{"a", "b"}, 1, []int{1, -1}, []int{1, 0}},
+		{"more replicas grows every chain", "a", []NodeID{"b", "c"}, []NodeID{"a", "b", "c"}, 2, []int{0, 1, 2}, []int{1, 0, -1}},
+		{"no active", "", []NodeID{"b"}, []NodeID{"a", "b"}, 1, []int{-1, 1}, []int{1, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := base.Clone()
+			got := base.WithChain(0, tc.active, tc.replicas)
+			if got.Rev != base.Rev+1 {
+				t.Errorf("Rev = %d, want %d", got.Rev, base.Rev+1)
+			}
+			if !slices.Equal(got.Nodes, tc.wantNodes) {
+				t.Errorf("Nodes = %v, want %v", got.Nodes, tc.wantNodes)
+			}
+			if got.NumReplicas != tc.wantReplicas {
+				t.Errorf("NumReplicas = %d, want %d", got.NumReplicas, tc.wantReplicas)
+			}
+			if !slices.Equal(got.Chains[0], tc.wantChain) {
+				t.Errorf("Chains[0] = %v, want %v", got.Chains[0], tc.wantChain)
+			}
+			if !slices.Equal(got.Chains[1], tc.wantOther) {
+				t.Errorf("Chains[1] = %v, want %v", got.Chains[1], tc.wantOther)
+			}
+			if err := got.Validate(); err != nil {
+				t.Errorf("Validate: %v", err)
+			}
+			if !reflect.DeepEqual(base, before) {
+				t.Error("WithChain modified its receiver")
+			}
+		})
+	}
+}
+
+func TestHasReplica(t *testing.T) {
+	m := BuildBalanced(1, []NodeID{"a", "b", "c"}, 3, 1) // vb0: a,b  vb1: b,c  vb2: c,a
+	for _, tc := range []struct {
+		vb   int
+		node NodeID
+		want bool
+	}{
+		{0, "b", true}, {0, "a", false}, {0, "c", false},
+		{2, "a", true}, {1, "", false}, {9, "a", false},
+	} {
+		if got := m.HasReplica(tc.vb, tc.node); got != tc.want {
+			t.Errorf("HasReplica(%d, %q) = %v, want %v", tc.vb, tc.node, got, tc.want)
+		}
 	}
 }

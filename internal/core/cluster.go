@@ -135,7 +135,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		hbDone:   make(chan struct{}),
 		slowLog:  metrics.NewSlowQueryLog(cfg.SlowQueryThreshold, cfg.SlowQueryLogSize),
 	}
-	go c.heartbeatLoop()
+	if cfg.FailoverTimeout > 0 {
+		go c.heartbeatLoop()
+	} else {
+		close(c.hbDone)
+	}
 	return c, nil
 }
 
@@ -320,116 +324,33 @@ func (c *Cluster) bucket(name string) (*bucketState, error) {
 }
 
 // reconcileVB drives one vBucket's cluster-wide state to match the
-// bucket's current map: the mapped active is Active with consumers
-// attached, mapped replicas stream from the active, everyone else
-// drops their copy.
+// bucket's current map: every data node reconciles its own copy, fed
+// over loopback. The mapped active goes first so its replicas' links
+// find their source on the first try.
 func (c *Cluster) reconcileVB(b *bucketState, vbID int) error {
 	m := b.Map()
-	actID := m.Active(vbID)
-	replicas := m.Replicas(vbID)
-
-	actNode, err := c.Node(actID)
+	actNode, err := c.Node(m.Active(vbID))
 	if err != nil || !actNode.Alive() {
 		return fmt.Errorf("core: vb %d has no live active node", vbID)
 	}
-	actNB, err := actNode.bucket(b.name)
-	if err != nil {
+	src := loopbackSource{c, b.name}
+	if err := c.ReconcileLocal(actNode.id, b.name, m, actNode.id, vbID, src); err != nil {
 		return err
-	}
-	actVB, err := actNB.createVB(vbID, vbucket.Active, actNode.diskDelay)
-	if err != nil {
-		return err
-	}
-	if actVB.State() != vbucket.Active {
-		// promote journals the takeover itself (it knows the causal
-		// moment relative to consumer reattachment).
-		actNB.promote(vbID)
-	} else {
-		actNB.mu.Lock()
-		actNB.attachConsumersLocked(actVB)
-		actNB.mu.Unlock()
-	}
-	// Prune durability acks to the current replica set.
-	names := make([]string, len(replicas))
-	for i, r := range replicas {
-		names[i] = string(r)
-	}
-	actVB.SetReplicaSet(names)
-
-	isReplica := map[cmap.NodeID]bool{}
-	for _, r := range replicas {
-		isReplica[r] = true
 	}
 	for _, n := range c.Nodes() {
-		if !n.services.Has(cmap.ServiceData) {
-			continue
-		}
-		if n.id == actID {
-			actNB.stopReplStream(vbID)
+		if n == actNode || !n.services.Has(cmap.ServiceData) {
 			continue
 		}
 		nb, err := n.bucket(b.name)
 		if err != nil {
 			continue // dead or unprovisioned node
 		}
-		if isReplica[n.id] {
-			rvb, err := nb.createVB(vbID, vbucket.Replica, n.diskDelay)
-			if err != nil {
-				return err
-			}
-			if rvb.State() == vbucket.Active {
-				// Demotion: detach index consumers first.
-				nb.detachConsumers(vbID)
-			}
-			rvb.SetState(vbucket.Replica)
-			c.startReplicaStream(b, vbID, actNode, n)
-		} else {
-			if nb.vb(vbID) != nil {
-				nb.demoteAndDrop(vbID)
-			}
+		if err := nb.reconcile(m, n.id, vbID, src); err != nil {
+			return err
 		}
+		nb.awaitLink(vbID)
 	}
 	return nil
-}
-
-// startReplicaStream wires dst as a memory-to-memory DCP replica of
-// src's vBucket, resuming from the replica's applied seqno. Each
-// applied mutation is acknowledged back to the active for ReplicateTo
-// durability waits.
-func (c *Cluster) startReplicaStream(b *bucketState, vbID int, src, dst *Node) {
-	srcNB, err := src.bucket(b.name)
-	if err != nil {
-		return
-	}
-	srcVB := srcNB.vb(vbID)
-	dstNB, err := dst.bucket(b.name)
-	if err != nil {
-		return
-	}
-	dstVB := dstNB.vb(vbID)
-	if srcVB == nil || dstVB == nil {
-		return
-	}
-	// The replica adopts the active's failover log: if this replica is
-	// later promoted, consumers that resumed on the old active's branch
-	// present a (UUID, seqno) the promoted producer can validate.
-	dstVB.Producer().SetFailoverLog(srcVB.Producer().FailoverLog())
-	stream, err := srcVB.Producer().OpenStream("replica:"+string(dst.id), dstVB.HighSeqno())
-	if err != nil {
-		return
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for m := range stream.C() {
-			dstVB.ApplyReplica(m)
-			srcVB.AckReplica(string(dst.id), m.Seqno)
-		}
-	}()
-	dstNB.setReplStream(vbID, func() {
-		stream.Close()
-		<-done
-	})
 }
 
 // Failover performs hard failover of a node (§4.3.1): replicas of its
@@ -458,7 +379,7 @@ func (c *Cluster) Failover(id cmap.NodeID) error {
 		b.setMap(next)
 		for vb := 0; vb < next.NumVBuckets; vb++ {
 			// Only vBuckets that referenced the dead node changed.
-			if old.Active(vb) == id || replicaOn(old, vb, id) {
+			if old.Active(vb) == id || old.HasReplica(vb, id) {
 				if next.Active(vb) == "" {
 					continue // all copies lost
 				}
@@ -469,15 +390,6 @@ func (c *Cluster) Failover(id cmap.NodeID) error {
 		}
 	}
 	return nil
-}
-
-func replicaOn(m *cmap.Map, vb int, id cmap.NodeID) bool {
-	for _, r := range m.Replicas(vb) {
-		if r == id {
-			return true
-		}
-	}
-	return false
 }
 
 // Kill simulates a node crash: the node stops serving and its DCP
@@ -592,12 +504,12 @@ func (c *Cluster) moveVB(b *bucketState, vbID int, tgtActive cmap.NodeID, tgtRep
 		}
 		// Destination builds as Pending ("rebalance marks the
 		// destination partitions as being replicas until they are ready
-		// to be switched to active").
-		if _, err := dstNB.createVB(vbID, vbucket.Pending, dstNode.diskDelay); err != nil {
+		// to be switched to active"), fed by the same link a replica is.
+		dstVB, err := dstNB.createVB(vbID, vbucket.Pending)
+		if err != nil {
 			return err
 		}
-		c.startReplicaStream(b, vbID, srcNode, dstNode)
-		dstVB := dstNB.vb(vbID)
+		dstNB.pointLink(dstVB, curActive, tgtActive, loopbackSource{c, b.name})
 
 		// Atomic switchover: stop accepting writes on the source, let
 		// the destination catch up, then flip.
@@ -617,54 +529,8 @@ func (c *Cluster) moveVB(b *bucketState, vbID int, tgtActive cmap.NodeID, tgtRep
 		events.Default.Publish(e)
 	}
 	// Publish the new chain for this vBucket and reconcile.
-	next := cur.Clone()
-	next.Rev++
-	// The target chain may reference nodes not yet in next.Nodes.
-	next.Nodes = mergeNodeIDs(next.Nodes, append([]cmap.NodeID{tgtActive}, tgtReplicas...))
-	chain := make([]int, 1+len(tgtReplicas))
-	chain[0] = indexOf(next.Nodes, tgtActive)
-	for i, r := range tgtReplicas {
-		chain[i+1] = indexOf(next.Nodes, r)
-	}
-	// Preserve chain length consistency with NumReplicas.
-	for len(chain) < next.NumReplicas+1 {
-		chain = append(chain, -1)
-	}
-	if len(chain) > len(next.Chains[vbID]) {
-		// Replica count grew (e.g. new nodes allow more replicas).
-		next.NumReplicas = len(chain) - 1
-		for vb := range next.Chains {
-			for len(next.Chains[vb]) < len(chain) {
-				next.Chains[vb] = append(next.Chains[vb], -1)
-			}
-		}
-	}
-	next.Chains[vbID] = chain
-	b.setMap(next)
+	b.setMap(cur.WithChain(vbID, tgtActive, tgtReplicas))
 	return c.reconcileVB(b, vbID)
-}
-
-func mergeNodeIDs(base, extra []cmap.NodeID) []cmap.NodeID {
-	seen := map[cmap.NodeID]bool{}
-	for _, id := range base {
-		seen[id] = true
-	}
-	for _, id := range extra {
-		if id != "" && !seen[id] {
-			base = append(base, id)
-			seen[id] = true
-		}
-	}
-	return base
-}
-
-func indexOf(ids []cmap.NodeID, id cmap.NodeID) int {
-	for i, x := range ids {
-		if x == id {
-			return i
-		}
-	}
-	return -1
 }
 
 // heartbeatLoop is the orchestrator's failure detector: nodes that
@@ -681,27 +547,23 @@ func (c *Cluster) heartbeatLoop() {
 			return
 		case <-ticker.C:
 		}
-		if c.cfg.FailoverTimeout <= 0 {
-			continue
-		}
 		now := time.Now()
 		c.mu.Lock()
-		type suspect struct{ id cmap.NodeID }
-		var suspects []suspect
+		var suspects []cmap.NodeID
 		for id, n := range c.nodes {
 			if n.Alive() {
 				c.lastSeen[id] = now
 				continue
 			}
 			if now.Sub(c.lastSeen[id]) > c.cfg.FailoverTimeout {
-				suspects = append(suspects, suspect{id})
+				suspects = append(suspects, id)
 			}
 		}
 		c.mu.Unlock()
-		for _, s := range suspects {
+		for _, id := range suspects {
 			// Only fail over nodes still mapped somewhere.
-			if c.nodeStillMapped(s.id) {
-				c.Failover(s.id)
+			if c.nodeStillMapped(id) {
+				c.Failover(id)
 			}
 		}
 	}
@@ -713,7 +575,7 @@ func (c *Cluster) nodeStillMapped(id cmap.NodeID) bool {
 	for _, b := range c.buckets {
 		m := b.Map()
 		for vb := 0; vb < m.NumVBuckets; vb++ {
-			if m.Active(vb) == id || replicaOn(m, vb, id) {
+			if m.Active(vb) == id || m.HasReplica(vb, id) {
 				return true
 			}
 		}
@@ -739,11 +601,11 @@ func (c *Cluster) BucketQuota(name string) int64 {
 	return b.opts.MemoryQuotaBytes
 }
 
-// SeverReplication is a chaos-injection hook: it stops every
-// intra-cluster replication stream for the bucket, so subsequent
-// writes exist only on the active copies — the ingredient for
-// divergent history (and DCP rollback) at failover. The chaos harness
-// and failure-path tests use it; there is no production caller.
+// SeverReplication halts every inbound replica link of the bucket on
+// this cluster's nodes; the next reconcile of a replica copy opens a
+// fresh one. A process-cluster member calls it when it leaves. As a
+// chaos hook it leaves subsequent writes on the active copies only —
+// the ingredient for divergent history (and DCP rollback) at failover.
 func (c *Cluster) SeverReplication(bucketName string) error {
 	if _, err := c.bucket(bucketName); err != nil {
 		return err
@@ -753,15 +615,7 @@ func (c *Cluster) SeverReplication(bucketName string) error {
 		if err != nil {
 			continue
 		}
-		nb.mu.Lock()
-		vbs := make([]int, 0, len(nb.replStreams))
-		for vb := range nb.replStreams {
-			vbs = append(vbs, vb)
-		}
-		nb.mu.Unlock()
-		for _, vb := range vbs {
-			nb.stopReplStream(vb)
-		}
+		nb.haltLinks()
 	}
 	return nil
 }

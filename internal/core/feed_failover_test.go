@@ -14,20 +14,8 @@ import (
 // for divergent history at failover.
 func severReplication(t *testing.T, c *Cluster, bucket string) {
 	t.Helper()
-	for _, n := range c.Nodes() {
-		nb, err := n.bucket(bucket)
-		if err != nil {
-			continue
-		}
-		nb.mu.Lock()
-		vbs := make([]int, 0, len(nb.replStreams))
-		for vb := range nb.replStreams {
-			vbs = append(vbs, vb)
-		}
-		nb.mu.Unlock()
-		for _, vb := range vbs {
-			nb.stopReplStream(vb)
-		}
+	if err := c.SeverReplication(bucket); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -5,14 +5,11 @@ import (
 	"couchgo/internal/vbucket"
 )
 
-// This file is the cluster's exported administration surface for the
-// transport layer. A multi-process cluster is N cbserver processes,
-// each running a local single-node Cluster; the transport package's
-// coordinator/member logic reconciles every pushed process-level map
-// against the local node through these hooks — the same promote /
-// demote / drop primitives reconcileVB drives in-process, exposed one
-// vBucket at a time so the reconciler can wire its replica streams
-// over sockets in between.
+// This file is what the transport layer reads and installs on the
+// process-local cluster: the bucket's map, its configured replica
+// count, a node's vBucket copies (for DCP serving), and the loopback
+// conn. Copy state itself changes only through ReconcileLocal
+// (reconcile.go).
 
 // BucketMap returns the bucket's current cluster map — the transport
 // server stamps its Rev (the epoch) on every response and ships it
@@ -37,21 +34,9 @@ func (c *Cluster) BucketReplicas(bucket string) (int, error) {
 	return b.opts.NumReplicas, nil
 }
 
-// ActiveVB returns the node's copy of a vBucket for KV dispatch. The
-// copy's own state gate (requireActive) yields ErrNotMyVBucket for
-// replica copies, and an absent copy reports it directly — exactly the
-// signal the transport server turns into a fat not-my-vbucket frame.
-func (c *Cluster) ActiveVB(node cmap.NodeID, bucket string, vbID int) (*vbucket.VBucket, error) {
-	n, err := c.Node(node)
-	if err != nil {
-		return nil, err
-	}
-	return n.kvVB(bucket, vbID)
-}
-
 // NodeVB returns the node's copy of a vBucket in any state, or nil
-// with no error when the node holds no copy. Replica apply loops and
-// DCP ack dispatch use it.
+// with no error when the node holds no copy. The transport server's
+// DCP stream, failover-log, and ack dispatch use it.
 func (c *Cluster) NodeVB(node cmap.NodeID, bucket string, vbID int) (*vbucket.VBucket, error) {
 	n, err := c.Node(node)
 	if err != nil {
@@ -64,120 +49,13 @@ func (c *Cluster) NodeVB(node cmap.NodeID, bucket string, vbID int) (*vbucket.VB
 	return nb.vb(vbID), nil
 }
 
-// EnsureActiveVB materializes vbID as Active on the node: creating it
-// fresh, or promoting a replica copy — which appends a failover-log
-// takeover entry and journals "vb takeover" before consumers reattach,
-// the causal chain the cluster-test asserts across processes. Any
-// inbound replica stream is stopped and the durability ack set is
-// pruned to the given replica names (the peer addresses that will ack
-// over DCP).
-func (c *Cluster) EnsureActiveVB(node cmap.NodeID, bucket string, vbID int, replicas []string) (*vbucket.VBucket, error) {
-	n, err := c.Node(node)
-	if err != nil {
-		return nil, err
-	}
-	nb, err := n.bucket(bucket)
-	if err != nil {
-		return nil, err
-	}
-	vb, err := nb.createVB(vbID, vbucket.Active, n.diskDelay)
-	if err != nil {
-		return nil, err
-	}
-	if vb.State() != vbucket.Active {
-		// promote journals the takeover itself (it knows the causal
-		// moment relative to consumer reattachment).
-		nb.promote(vbID)
-	} else {
-		nb.mu.Lock()
-		nb.attachConsumersLocked(vb)
-		nb.mu.Unlock()
-		nb.stopReplStream(vbID)
-	}
-	vb.SetReplicaSet(replicas)
-	return vb, nil
-}
-
-// EnsureReplicaVB materializes vbID as Replica on the node, demoting
-// an active copy if the map moved the partition away.
-func (c *Cluster) EnsureReplicaVB(node cmap.NodeID, bucket string, vbID int) (*vbucket.VBucket, error) {
-	n, err := c.Node(node)
-	if err != nil {
-		return nil, err
-	}
-	nb, err := n.bucket(bucket)
-	if err != nil {
-		return nil, err
-	}
-	vb, err := nb.createVB(vbID, vbucket.Replica, n.diskDelay)
-	if err != nil {
-		return nil, err
-	}
-	if vb.State() == vbucket.Active {
-		// Demotion: detach index consumers first.
-		nb.detachConsumers(vbID)
-	}
-	vb.SetState(vbucket.Replica)
-	return vb, nil
-}
-
-// DropVB removes the node's copy of vbID entirely (the map moved the
-// partition off this process).
-func (c *Cluster) DropVB(node cmap.NodeID, bucket string, vbID int) error {
-	n, err := c.Node(node)
-	if err != nil {
-		return err
-	}
-	nb, err := n.bucket(bucket)
-	if err != nil {
-		return err
-	}
-	if nb.vb(vbID) != nil {
-		nb.demoteAndDrop(vbID)
-	}
-	return nil
-}
-
-// SetVBReplStream installs (replacing and stopping any previous) the
-// stop function of the inbound replica stream feeding the node's copy
-// of vbID — the transport member registers its socket-backed stream
-// here so promotion and drop tear it down exactly like the in-process
-// path.
-func (c *Cluster) SetVBReplStream(node cmap.NodeID, bucket string, vbID int, stop func()) error {
-	n, err := c.Node(node)
-	if err != nil {
-		return err
-	}
-	nb, err := n.bucket(bucket)
-	if err != nil {
-		return err
-	}
-	nb.setReplStream(vbID, stop)
-	return nil
-}
-
-// StopVBReplStream stops and forgets the node's inbound replica stream
-// for vbID, if any.
-func (c *Cluster) StopVBReplStream(node cmap.NodeID, bucket string, vbID int) error {
-	n, err := c.Node(node)
-	if err != nil {
-		return err
-	}
-	nb, err := n.bucket(bucket)
-	if err != nil {
-		return err
-	}
-	nb.stopReplStream(vbID)
-	return nil
-}
-
 // SetBucketMap replaces the bucket's cluster map wholesale. In a
 // multi-process cluster the map is minted by the coordinator process
 // and pushed to every member; the member installs it here so the local
 // REST/stats surfaces and the map's Rev (the wire protocol's epoch)
 // reflect the cluster-level topology rather than the local single-node
-// view. It does NOT reconcile vBucket state — the transport member
-// does that explicitly, wiring socket-backed replica streams.
+// view. It does NOT reconcile vBucket state — the member follows up
+// with ReconcileLocal per vBucket.
 func (c *Cluster) SetBucketMap(bucket string, m *cmap.Map) error {
 	b, err := c.bucket(bucket)
 	if err != nil {

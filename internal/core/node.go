@@ -21,7 +21,6 @@ import (
 	"couchgo/internal/analytics"
 	"couchgo/internal/cache"
 	"couchgo/internal/cmap"
-	"couchgo/internal/events"
 	"couchgo/internal/fts"
 	"couchgo/internal/gsi"
 	"couchgo/internal/storage"
@@ -52,8 +51,6 @@ type Node struct {
 	alive bool
 	// buckets: per-bucket data-service state on this node.
 	buckets map[string]*nodeBucket
-	// diskDelay simulates device latency on the flusher path.
-	diskDelay time.Duration
 }
 
 // nodeBucket is one bucket's data-service footprint on one node.
@@ -82,9 +79,13 @@ type nodeBucket struct {
 	analytics *analytics.Engine
 	// vbCfg configures the node's vBuckets for this bucket.
 	vbCfg vbucket.Config
-	// replStreams: replication consumers running on THIS node for
-	// vBuckets whose active copy is elsewhere. vb -> stop func.
-	replStreams map[int]func()
+	// links: the inbound replica stream of each replica/pending copy on
+	// THIS node, by vBucket (see reconcile.go).
+	links map[int]*replicaLink
+	// bg counts the footprint's goroutines — pager, maintenance, and
+	// every link, including halted ones still unwinding — so close can
+	// wait them all out before it closes the files under them.
+	bg sync.WaitGroup
 }
 
 func newNode(id cmap.NodeID, services cmap.ServiceSet, dir string) *Node {
@@ -141,14 +142,14 @@ func (n *Node) addBucket(name string, svc *gsi.Service, ftsEng *fts.Engine, anEn
 		return err
 	}
 	nb := &nodeBucket{
-		nodeID:      string(n.id),
-		bucketName:  name,
-		store:       store,
-		vbs:         make(map[int]*vbucket.VBucket),
-		viewEngine:  views.NewEngine(),
-		replStreams: make(map[int]func()),
-		fts:         ftsEng,
-		analytics:   anEng,
+		nodeID:     string(n.id),
+		bucketName: name,
+		store:      store,
+		vbs:        make(map[int]*vbucket.VBucket),
+		viewEngine: views.NewEngine(),
+		links:      make(map[int]*replicaLink),
+		fts:        ftsEng,
+		analytics:  anEng,
 		vbCfg: vbucket.Config{
 			DiskDelay:    cfg.DiskDelay,
 			FullEviction: opts.FullEviction,
@@ -165,12 +166,13 @@ func (n *Node) addBucket(name string, svc *gsi.Service, ftsEng *fts.Engine, anEn
 	}
 	if opts.MemoryQuotaBytes > 0 {
 		nb.pagerStop = make(chan struct{})
+		nb.bg.Add(1)
 		go nb.pagerLoop(opts.MemoryQuotaBytes, opts.FullEviction)
 	}
 	nb.maintStop = make(chan struct{})
+	nb.bg.Add(1)
 	go nb.maintenanceLoop()
 	n.buckets[name] = nb
-	n.diskDelay = cfg.DiskDelay
 	n.mu.Unlock()
 	return nil
 }
@@ -204,6 +206,7 @@ const maxCompactionsPerTick = 2
 // maintenanceLoop runs the background chores of the data service: the
 // online compactor and the proactive expiry pager.
 func (nb *nodeBucket) maintenanceLoop() {
+	defer nb.bg.Done()
 	ticker := time.NewTicker(250 * time.Millisecond)
 	defer ticker.Stop()
 	lastCompact := map[int]time.Time{}
@@ -261,6 +264,7 @@ func (nb *nodeBucket) maintenanceLoop() {
 // associated values can be evicted based on usage" while every key and
 // its metadata stay resident.
 func (nb *nodeBucket) pagerLoop(quota int64, fullEviction bool) {
+	defer nb.bg.Done()
 	pager := &cache.Pager{Quota: cache.Quota{Bytes: quota}, FullEviction: fullEviction}
 	ticker := time.NewTicker(50 * time.Millisecond)
 	defer ticker.Stop()
@@ -292,7 +296,7 @@ func (nb *nodeBucket) pagerLoop(quota int64, fullEviction bool) {
 
 // createVB instantiates a vBucket in the given state. Active vBuckets
 // are attached to the view engine, GSI projector, and FTS engine.
-func (nb *nodeBucket) createVB(id int, state vbucket.State, diskDelay time.Duration) (*vbucket.VBucket, error) {
+func (nb *nodeBucket) createVB(id int, state vbucket.State) (*vbucket.VBucket, error) {
 	nb.mu.Lock()
 	defer nb.mu.Unlock()
 	if vb, ok := nb.vbs[id]; ok {
@@ -302,13 +306,11 @@ func (nb *nodeBucket) createVB(id int, state vbucket.State, diskDelay time.Durat
 	if err != nil {
 		return nil, err
 	}
-	cfg := nb.vbCfg
-	cfg.DiskDelay = diskDelay
 	// Creation, warmup, and map insert must be atomic under nb.mu so a
 	// concurrent createVB neither double-builds nor observes a cold
 	// vBucket. The vbucket layer never calls back into core, so the
 	// lock order nb.mu -> vbucket is acyclic.
-	vb := vbucket.New(id, f, state, cfg) //couchvet:ignore lockblock -- atomic create+insert; vbucket never re-enters core
+	vb := vbucket.New(id, f, state, nb.vbCfg) //couchvet:ignore lockblock -- atomic create+insert; vbucket never re-enters core
 	// Restart warmup: a pre-existing file means a previous incarnation
 	// persisted data here; replay it into the cache before any
 	// consumer attaches.
@@ -356,77 +358,6 @@ func (nb *nodeBucket) vb(id int) *vbucket.VBucket {
 	return nb.vbs[id]
 }
 
-// promote flips a replica/pending vBucket to active and attaches the
-// index consumers ("the cluster will promote one of the replica
-// partitions to active status").
-func (nb *nodeBucket) promote(vbID int) {
-	nb.mu.Lock()
-	vb := nb.vbs[vbID]
-	if vb == nil {
-		nb.mu.Unlock()
-		return
-	}
-	// State flip, failover-log append, and consumer attach are one
-	// atomic promotion under nb.mu; the vbucket/dcp layers never call
-	// back into core, so the lock order is acyclic.
-	vb.SetState(vbucket.Active) //couchvet:ignore lockblock -- atomic promotion; vbucket/dcp never re-enter core
-	// Takeover: append a new (UUID, high-seqno) entry to the failover
-	// log. Consumers that resumed past this point on the old active
-	// branch get a rollback to here when they reattach (§4.1.1).
-	highSeqno := vb.HighSeqno()       //couchvet:ignore lockblock -- atomic promotion; vbucket/dcp never re-enter core
-	vb.Producer().Takeover(highSeqno) //couchvet:ignore lockblock -- atomic promotion; vbucket/dcp never re-enter core
-	// Journal the takeover before reattaching consumers: a consumer
-	// whose resume position lies past the takeover point rolls back
-	// during the attach below, and the journal must show takeover →
-	// rollback in causal order.
-	e := events.New(events.VBucket, events.SevInfo, "vb takeover: replica promoted to active")
-	e.Node = nb.nodeID
-	e.Bucket = nb.bucketName
-	e.VB = vbID
-	e.Fields = map[string]string{"high_seqno": strconv.FormatUint(highSeqno, 10)}
-	events.Default.Publish(e)
-	nb.attachConsumersLocked(vb)
-	nb.mu.Unlock()
-	nb.stopReplStream(vbID)
-}
-
-// demoteAndDrop removes a vBucket from this node entirely (rebalance
-// moved it away).
-func (nb *nodeBucket) demoteAndDrop(vbID int) {
-	nb.stopReplStream(vbID)
-	nb.mu.Lock()
-	vb := nb.vbs[vbID]
-	delete(nb.vbs, vbID)
-	nb.mu.Unlock()
-	if vb == nil {
-		return
-	}
-	vb.SetState(vbucket.Dead)
-	nb.detachConsumers(vbID)
-	vb.Close()
-	nb.store.DropVB(vbID)
-}
-
-func (nb *nodeBucket) setReplStream(vbID int, stop func()) {
-	nb.mu.Lock()
-	old := nb.replStreams[vbID]
-	nb.replStreams[vbID] = stop
-	nb.mu.Unlock()
-	if old != nil {
-		old()
-	}
-}
-
-func (nb *nodeBucket) stopReplStream(vbID int) {
-	nb.mu.Lock()
-	stop := nb.replStreams[vbID]
-	delete(nb.replStreams, vbID)
-	nb.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
-}
-
 // close shuts down all vBuckets and engines for this bucket.
 func (nb *nodeBucket) close() {
 	if nb.pagerStop != nil {
@@ -435,21 +366,15 @@ func (nb *nodeBucket) close() {
 	if nb.maintStop != nil {
 		close(nb.maintStop)
 	}
+	nb.haltLinks()
+	nb.bg.Wait()
 	nb.mu.Lock()
-	stops := make([]func(), 0, len(nb.replStreams))
-	for _, s := range nb.replStreams {
-		stops = append(stops, s)
-	}
-	nb.replStreams = make(map[int]func())
 	vbs := make([]*vbucket.VBucket, 0, len(nb.vbs))
 	for _, vb := range nb.vbs {
 		vbs = append(vbs, vb)
 	}
 	nb.vbs = make(map[int]*vbucket.VBucket)
 	nb.mu.Unlock()
-	for _, s := range stops {
-		s()
-	}
 	nb.viewEngine.Close()
 	for _, vb := range vbs {
 		vb.Close()

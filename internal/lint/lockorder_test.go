@@ -257,6 +257,93 @@ func (t *Table) Snapshot() int {
 	return n
 }
 `},
+		{name: "link_fence_clean", src: `
+package a
+
+import "sync"
+
+// The replica-link shape: a table lock guards the link map, each link
+// has its own fence lock that its goroutine holds while writing to the
+// copy. Halting takes the fence, so the table lock is always released
+// first; the goroutine never reaches for the table. No edge between
+// the two locks in either direction.
+
+type link struct {
+	mu      sync.Mutex
+	stopped bool
+}
+
+func (l *link) halt() {
+	l.mu.Lock()
+	l.stopped = true
+	l.mu.Unlock()
+}
+
+type Table struct {
+	mu    sync.Mutex
+	links map[int]*link
+	high  int
+}
+
+func (t *Table) stop(id int) {
+	t.mu.Lock()
+	l := t.links[id]
+	delete(t.links, id)
+	t.mu.Unlock()
+	if l != nil {
+		l.halt()
+	}
+}
+
+func (t *Table) run(l *link, seqno int) {
+	l.mu.Lock()
+	if !l.stopped {
+		t.high = seqno
+	}
+	l.mu.Unlock()
+}
+`},
+		{name: "link_fence_inversion", src: `
+package a
+
+import "sync"
+
+// What the link design must never grow: halting a link with the table
+// lock still held, against a link goroutine that looks the table up
+// from inside its fence.
+
+type link struct {
+	mu      sync.Mutex
+	stopped bool
+}
+
+func (l *link) halt() {
+	l.mu.Lock()
+	l.stopped = true
+	l.mu.Unlock()
+}
+
+type Table struct {
+	mu    sync.Mutex
+	links map[int]*link
+}
+
+func (t *Table) stop(id int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if l := t.links[id]; l != nil {
+		l.halt() // want: lockorder
+	}
+}
+
+func (t *Table) run(l *link, id int) {
+	l.mu.Lock()
+	t.mu.Lock() // want: lockorder
+	delete(t.links, id)
+	t.mu.Unlock()
+	l.mu.Unlock()
+}
+`},
 		{name: "goroutine_not_launcher", src: `
 package a
 

@@ -101,7 +101,7 @@ func writeErr(w http.ResponseWriter, err error) {
 		errors.Is(err, views.ErrNoSuchView), errors.Is(err, fts.ErrNoSuchIndex):
 		status = http.StatusNotFound
 	case errors.Is(err, cache.ErrCASMismatch), errors.Is(err, cache.ErrKeyExists),
-		errors.Is(err, cache.ErrLocked):
+		errors.Is(err, cache.ErrLocked), errors.Is(err, ErrCoordinatorTopology):
 		status = http.StatusConflict
 	case errors.Is(err, core.ErrNoQueryNode), errors.Is(err, core.ErrNoIndexNode):
 		status = http.StatusServiceUnavailable
@@ -126,7 +126,18 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// ErrCoordinatorTopology refuses a topology change on a networked
+// process: its cluster map is minted by the coordinator, and the local
+// cluster under it holds this process's one node — failing that node
+// over or rebalancing it would cut the process off from a map that
+// still routes to it.
+var ErrCoordinatorTopology = errors.New("rest: topology is owned by the cluster coordinator; failover and rebalance are not available on a networked (-kv-addr) process")
+
 func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
+	if s.fed != nil {
+		writeErr(w, ErrCoordinatorTopology)
+		return
+	}
 	if err := s.c.Rebalance(); err != nil {
 		writeErr(w, err)
 		return
@@ -135,6 +146,10 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFailover(w http.ResponseWriter, r *http.Request) {
+	if s.fed != nil {
+		writeErr(w, ErrCoordinatorTopology)
+		return
+	}
 	node := r.URL.Query().Get("node")
 	if node == "" {
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "node parameter required"})

@@ -212,6 +212,51 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 }
 
+// TestTopologyEndpointsByMode: in-process, failover and rebalance act
+// on the cluster; on a networked process (federation attached) the
+// coordinator owns the topology, so both refuse with 409 and leave
+// the process's node and map exactly as they were.
+func TestTopologyEndpointsByMode(t *testing.T) {
+	for _, networked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("networked=%v", networked), func(t *testing.T) {
+			s, c := newServer(t)
+			if networked {
+				s.SetFederation(&fakeFed{self: "127.0.0.1:11210", nodes: []string{"127.0.0.1:11210"}})
+			}
+			before, err := c.BucketMap("default")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range []string{"/cluster/failover?node=node0", "/cluster/rebalance"} {
+				rec := do(t, s, "POST", path, "", nil)
+				if !networked {
+					if rec.Code != http.StatusOK {
+						t.Fatalf("POST %s: %d %s", path, rec.Code, rec.Body)
+					}
+					continue
+				}
+				if rec.Code != http.StatusConflict {
+					t.Fatalf("POST %s: %d %s, want 409", path, rec.Code, rec.Body)
+				}
+				if msg, _ := decode(t, rec)["error"].(string); msg != ErrCoordinatorTopology.Error() {
+					t.Errorf("POST %s error = %q, want %q", path, msg, ErrCoordinatorTopology)
+				}
+			}
+			n, err := c.Node("node0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			after, _ := c.BucketMap("default")
+			if networked && (!n.Alive() || after != before) {
+				t.Errorf("refused request still acted: node0 alive=%v, map rev %d -> %d", n.Alive(), before.Rev, after.Rev)
+			}
+			if !networked && (n.Alive() || after.Rev == before.Rev) {
+				t.Errorf("in-process failover did nothing: node0 alive=%v, map rev %d -> %d", n.Alive(), before.Rev, after.Rev)
+			}
+		})
+	}
+}
+
 func TestAnalyticsEndpoints(t *testing.T) {
 	s, _ := newServer(t)
 	do(t, s, "PUT", "/buckets/default/docs/c1", `{"type": "c", "cid": 1}`, nil)

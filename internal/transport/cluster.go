@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -18,7 +17,6 @@ import (
 	"couchgo/internal/events"
 	"couchgo/internal/health"
 	"couchgo/internal/memcproto"
-	"couchgo/internal/vbucket"
 )
 
 // This file turns N independent cbserver processes into one cluster.
@@ -116,7 +114,6 @@ func StartNode(opts NodeOptions) (*ClusterNode, error) {
 		self:      self,
 		pool:      pool,
 		router:    router,
-		links:     map[int]*replLink{},
 		closed:    make(chan struct{}),
 	}
 
@@ -356,7 +353,7 @@ func (co *coordinator) pushMap(addr string, value []byte) {
 				return
 			}
 		}
-		if !sleepOr(co.interval, co.closed, nil) {
+		if !sleepOr(co.interval, co.closed) {
 			return
 		}
 	}
@@ -449,30 +446,9 @@ func (co *coordinator) currentMap() *cmap.Map {
 // ---------------------------------------------------------------------------
 // Member
 
-// replLink is one inbound socket-backed replica stream.
-type replLink struct {
-	src  string
-	stop chan struct{}
-	once sync.Once
-	done chan struct{}
-}
-
-func (l *replLink) halt() { l.once.Do(func() { close(l.stop) }) }
-
-// alive reports whether the link's replica goroutine is still running
-// (non-blocking probe).
-func (l *replLink) alive() bool {
-	select {
-	case <-l.done:
-		return false
-	default:
-		return true
-	}
-}
-
 // Member reconciles the local node against coordinator-pushed maps:
-// promote/demote/drop each vBucket through the core admin hooks and
-// wire socket-backed replica streams between processes.
+// each vBucket copy goes through core's reconciler, with replica
+// copies fed from their active's process over sockets.
 type Member struct {
 	cluster   *core.Cluster
 	localNode cmap.NodeID
@@ -485,9 +461,22 @@ type Member struct {
 
 	mu        sync.Mutex
 	cur       *cmap.Map
-	links     map[int]*replLink
 	closed    chan struct{}
 	closeOnce sync.Once
+}
+
+// socketSource is core's replica-link seam over the wire: a process
+// cluster's node IDs are KV addresses, so the source of a vBucket on
+// node X is a RemoteProducer dialing X, and acks ride the stream's own
+// connection back.
+type socketSource struct{}
+
+func (socketSource) Source(node cmap.NodeID, vb int) (dcp.StreamSource, error) {
+	return NewRemoteProducer(string(node), vb), nil
+}
+
+func (socketSource) Ack(_ dcp.StreamSource, stream dcp.MutationStream, _ string, seqno uint64) {
+	stream.(*RemoteStream).Ack(seqno)
 }
 
 // CurrentMap is the last applied process map (nil before formation).
@@ -504,14 +493,22 @@ func (mb *Member) rev() int64 {
 	return 0
 }
 
+// close ends the member's part in the cluster: no further map is
+// applied and the local copies' inbound replica links stop, so a
+// closed member neither pulls from nor acks to its former peers.
 func (mb *Member) close() {
 	mb.closeOnce.Do(func() { close(mb.closed) })
-	mb.mu.Lock()
-	links := mb.links
-	mb.links = map[int]*replLink{}
-	mb.mu.Unlock()
-	for _, l := range links {
-		l.halt()
+	mb.applyMu.Lock()
+	defer mb.applyMu.Unlock()
+	mb.cluster.SeverReplication(mb.bucket) //couchvet:ignore lockblock -- applyMu reconcile serializer; core never calls back into transport
+}
+
+func (mb *Member) isClosed() bool {
+	select {
+	case <-mb.closed:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -519,6 +516,9 @@ func (mb *Member) close() {
 func (mb *Member) ApplyMap(m *cmap.Map) error {
 	mb.applyMu.Lock()
 	defer mb.applyMu.Unlock()
+	if mb.isClosed() {
+		return nil
+	}
 
 	mb.mu.Lock()
 	if mb.cur != nil && m.Rev <= mb.cur.Rev {
@@ -535,23 +535,9 @@ func (mb *Member) ApplyMap(m *cmap.Map) error {
 	}
 	mb.router.InstallMap(m)
 
-	selfID := cmap.NodeID(mb.self)
 	var firstErr error
 	for vb := 0; vb < m.NumVBuckets; vb++ {
-		active := m.Active(vb)
-		replicas := m.Replicas(vb)
-		var err error
-		switch {
-		case active == selfID:
-			err = mb.ensureActive(vb, replicas)
-		case containsNode(replicas, selfID):
-			err = mb.ensureReplica(vb, string(active))
-		case active != "":
-			mb.stopLink(vb)
-			err = mb.cluster.DropVB(mb.localNode, mb.bucket, vb) //couchvet:ignore lockblock -- applyMu reconcile serializer; core never calls back into transport
-		default:
-			// Partition lost cluster-wide; keep whatever copy we hold.
-		}
+		err := mb.cluster.ReconcileLocal(mb.localNode, mb.bucket, m, cmap.NodeID(mb.self), vb, socketSource{}) //couchvet:ignore lockblock -- applyMu reconcile serializer; core never calls back into transport
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -562,179 +548,6 @@ func (mb *Member) ApplyMap(m *cmap.Map) error {
 	e.Fields = map[string]string{"rev": strconv.FormatInt(m.Rev, 10)}
 	events.Default.Publish(e)
 	return firstErr
-}
-
-// ensureActive makes vb active locally. Re-applying an unchanged map
-// must not re-attach consumers, so an already-active copy only has
-// its durability ack set refreshed.
-func (mb *Member) ensureActive(vb int, replicas []cmap.NodeID) error {
-	mb.stopLink(vb)
-	names := make([]string, 0, len(replicas))
-	for _, r := range replicas {
-		if r != "" {
-			names = append(names, string(r))
-		}
-	}
-	cvb, err := mb.cluster.NodeVB(mb.localNode, mb.bucket, vb)
-	if err != nil {
-		return err
-	}
-	if cvb != nil && cvb.State() == vbucket.Active {
-		cvb.SetReplicaSet(names)
-		return nil
-	}
-	_, err = mb.cluster.EnsureActiveVB(mb.localNode, mb.bucket, vb, names)
-	return err
-}
-
-// ensureReplica makes vb a replica locally, fed from the active's
-// process over a dedicated DCP connection.
-func (mb *Member) ensureReplica(vb int, srcAddr string) error {
-	if _, err := mb.cluster.EnsureReplicaVB(mb.localNode, mb.bucket, vb); err != nil {
-		return err
-	}
-	mb.mu.Lock()
-	if l := mb.links[vb]; l != nil {
-		if l.src == srcAddr && l.alive() {
-			mb.mu.Unlock()
-			return nil
-		}
-		l.halt()
-	}
-	l := &replLink{src: srcAddr, stop: make(chan struct{}), done: make(chan struct{})}
-	mb.links[vb] = l
-	mb.mu.Unlock()
-
-	// Promotion and drop tear the stream down exactly like the
-	// in-process path: through the vBucket's registered stop hook.
-	if err := mb.cluster.SetVBReplStream(mb.localNode, mb.bucket, vb, l.halt); err != nil {
-		l.halt()
-		return err
-	}
-	go mb.runReplica(vb, srcAddr, l)
-	return nil
-}
-
-func (mb *Member) stopLink(vb int) {
-	mb.mu.Lock()
-	l := mb.links[vb]
-	delete(mb.links, vb)
-	mb.mu.Unlock()
-	if l != nil {
-		l.halt()
-	}
-}
-
-// runReplica keeps one replica stream alive: adopt the active's
-// failover log, resume at the local high seqno, apply and ack each
-// mutation, and reconnect (with backoff) until stopped or the local
-// copy stops being a replica.
-func (mb *Member) runReplica(vb int, src string, l *replLink) {
-	defer close(l.done)
-	backoff := 50 * time.Millisecond
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-mb.closed:
-			return
-		default:
-		}
-		cvb, err := mb.cluster.NodeVB(mb.localNode, mb.bucket, vb)
-		if err != nil || cvb == nil || cvb.State() != vbucket.Replica {
-			return
-		}
-		rs, err := mb.openReplicaStream(cvb, vb, src)
-		if err != nil {
-			if !sleepOr(backoff, l.stop, mb.closed) {
-				return
-			}
-			backoff = min(backoff*2, time.Second)
-			continue
-		}
-		backoff = 50 * time.Millisecond
-		mb.drainReplicaStream(cvb, rs, l)
-	}
-}
-
-// openReplicaStream performs the resume handshake, handling one
-// rollback bounce by rewinding to the producer's divergence point.
-func (mb *Member) openReplicaStream(cvb *vbucket.VBucket, vb int, src string) (*RemoteStream, error) {
-	rp := NewRemoteProducer(src, vb)
-	flog, _, err := rp.failoverLog()
-	if err != nil {
-		return nil, err
-	}
-	if len(flog) > 0 {
-		cvb.Producer().SetFailoverLog(flog)
-	}
-	var uuid uint64
-	if len(flog) > 0 {
-		uuid = flog[len(flog)-1].UUID
-	}
-	from := cvb.HighSeqno()
-	name := "replica:" + mb.self
-	ms, err := rp.ResumeStream(name, uuid, from)
-	var rb *dcp.RollbackError
-	if errors.As(err, &rb) {
-		e := events.New(events.FeedEvent, events.SevWarn, "replica stream rollback")
-		e.Node, e.Bucket, e.VB = mb.self, mb.bucket, vb
-		e.Fields = map[string]string{
-			"rollback_to": strconv.FormatUint(rb.Seqno, 10),
-			"uuid":        strconv.FormatUint(rb.UUID, 10),
-			"from_seqno":  strconv.FormatUint(from, 10),
-		}
-		events.Default.Publish(e)
-		ms, err = rp.ResumeStream(name, rb.UUID, rb.Seqno)
-	}
-	if err != nil {
-		return nil, err
-	}
-	rs, ok := ms.(*RemoteStream)
-	if !ok {
-		ms.Close()
-		return nil, fmt.Errorf("transport: unexpected stream type")
-	}
-	return rs, nil
-}
-
-func (mb *Member) drainReplicaStream(cvb *vbucket.VBucket, rs *RemoteStream, l *replLink) {
-	defer rs.Close()
-	for {
-		select {
-		case m, ok := <-rs.C():
-			if !ok {
-				return
-			}
-			cvb.ApplyReplica(m)
-			high := m.Seqno
-			// Apply everything already delivered before acking:
-			// AckReplica is a high-watermark, so one ack frame covers
-			// the whole run. Under load this collapses per-mutation
-			// ack traffic (frame encode + two socket crossings +
-			// producer-side bookkeeping) into one per burst; durability
-			// waiters see the same watermark, just in one hop.
-		buffered:
-			for {
-				select {
-				case m2, ok := <-rs.C():
-					if !ok {
-						rs.Ack(high)
-						return
-					}
-					cvb.ApplyReplica(m2)
-					high = m2.Seqno
-				default:
-					break buffered
-				}
-			}
-			rs.Ack(high)
-		case <-l.stop:
-			return
-		case <-mb.closed:
-			return
-		}
-	}
 }
 
 // joinLoop joins the seed until admitted with a map, then heartbeats,
@@ -751,12 +564,12 @@ func (mb *Member) joinLoop(seed string, interval time.Duration) {
 			mb.ApplyMap(m)
 			break
 		}
-		if !sleepOr(interval, mb.closed, nil) {
+		if !sleepOr(interval, mb.closed) {
 			return
 		}
 	}
 	for {
-		if !sleepOr(interval, mb.closed, nil) {
+		if !sleepOr(interval, mb.closed) {
 			return
 		}
 		m, err := mb.exchange(seed, memcproto.OpHeartbeat)
@@ -796,34 +609,15 @@ func (mb *Member) exchange(seed string, opcode memcproto.Opcode) (*cmap.Map, err
 	return nil, nil
 }
 
-func containsNode(ids []cmap.NodeID, id cmap.NodeID) bool {
-	for _, n := range ids {
-		if n == id {
-			return true
-		}
-	}
-	return false
-}
-
-// sleepOr sleeps d unless one of the stop channels fires first;
-// returns false when stopped.
-func sleepOr(d time.Duration, stop1, stop2 chan struct{}) bool {
+// sleepOr sleeps d unless stop fires first; returns false when
+// stopped.
+func sleepOr(d time.Duration, stop chan struct{}) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
-	if stop2 == nil {
-		select {
-		case <-t.C:
-			return true
-		case <-stop1:
-			return false
-		}
-	}
 	select {
 	case <-t.C:
 		return true
-	case <-stop1:
-		return false
-	case <-stop2:
+	case <-stop:
 		return false
 	}
 }

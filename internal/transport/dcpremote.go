@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"couchgo/internal/core"
 	"couchgo/internal/dcp"
@@ -40,6 +41,9 @@ func (rp *RemoteProducer) dcpExchange(f *memcproto.Frame) (*memcproto.Frame, err
 		return nil, fmt.Errorf("transport: dial %s: %v: %w", rp.addr, err, core.ErrNodeUnreachable)
 	}
 	defer raw.Close()
+	// The peer may accept and never answer (a paused process); whoever
+	// waits on a replica link must not wait on that.
+	raw.SetDeadline(time.Now().Add(dialTimeout))
 	nc := countingConn{raw}
 	if _, err := f.WriteTo(nc); err != nil {
 		return nil, fmt.Errorf("transport: %s: %v: %w", rp.addr, err, core.ErrNodeUnreachable)
@@ -105,6 +109,7 @@ func (rp *RemoteProducer) ResumeStream(name string, uuid, fromSeqno uint64) (dcp
 		mDialErrors.Inc()
 		return nil, fmt.Errorf("transport: dial %s: %v: %w", rp.addr, err, core.ErrNodeUnreachable)
 	}
+	raw.SetDeadline(time.Now().Add(dialTimeout)) // handshake only; cleared below
 	nc := countingConn{Conn: raw}
 	req := &memcproto.Frame{
 		Magic:   memcproto.MagicReq,
@@ -135,6 +140,7 @@ func (rp *RemoteProducer) ResumeStream(name string, uuid, fromSeqno uint64) (dcp
 		return nil, errOf(resp.Status, resp.Value)
 	}
 	streamUUID, _ := memcproto.Uint64At(resp.Extras, memcproto.EpochLen)
+	raw.SetDeadline(time.Time{})
 
 	rs := &RemoteStream{
 		nc:      nc,

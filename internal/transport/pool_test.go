@@ -71,7 +71,7 @@ func TestCoordinatorStopUnblocksPush(t *testing.T) {
 	co := newCoordinator(nil, "b", "self", 1, NewPool(), time.Hour, time.Hour, nil)
 	done := make(chan bool, 1)
 	go func() {
-		done <- sleepOr(co.interval, co.closed, nil)
+		done <- sleepOr(co.interval, co.closed)
 	}()
 	co.stop()
 	select {
