@@ -1,7 +1,7 @@
 # Tier-1 gate plus the repo-specific static analyzer, formatting,
 # full-tree race detection, and fuzz smoke runs.
 
-.PHONY: verify build bench-build test race vet fmtcheck couchvet fuzz-smoke bench-smoke cluster-test trace-demo health-demo loc
+.PHONY: verify build bench-build test race vet fmtcheck couchvet fuzz-smoke bench-smoke cluster-test trace-demo loc
 
 verify: fmtcheck vet build bench-build test couchvet race
 
@@ -45,12 +45,6 @@ loc:
 # printing the slowest cross-layer trace per phase (DESIGN.md §7).
 trace-demo:
 	go run ./cmd/ycsb -workload a -records 2000 -ops 4000 -threads 8 -nodes 2 -vbuckets 32 -trace 8
-
-# Health engine demo: inject a feed stall behind a live REST facade
-# and watch GET /health walk ok -> warn -> critical -> ok with the
-# journal's health events printed at the end (DESIGN.md §8).
-health-demo:
-	go run ./cmd/healthdemo
 
 # Process-level cluster tests: build the real cbserver binary (with
 # -race, as are the tests), launch three OS processes speaking the

@@ -17,7 +17,7 @@
 //
 // Every process's REST document endpoints route cluster-wide through
 // a hybrid smart client (loopback to the local node, sockets to
-// peers), and /stats/detail gains a "transport" block.
+// peers).
 //
 // Then:
 //
@@ -192,8 +192,6 @@ func main() {
 		}
 		defer node.Close()
 		api.SetKVClient(*bucket, core.NewClient(node.Router(), *bucket))
-		api.SetTransportStats(func() any { return transport.Stats() })
-		api.SetNodeID(node.KVAddr())
 		api.SetFederation(node.Federation())
 		if *join == "" {
 			log.Printf("kv transport on %s (coordinator seed, waiting for %d members)", node.KVAddr(), *clusterSize)

@@ -1,22 +1,20 @@
 // Command cbtop is a live terminal console over a running cbserver —
-// the reproduction's cbstats/"Couchbase console" view. Each frame
-// shows build/uptime, the health watchdog's verdict per check,
-// per-bucket per-node stats (items, memory, flush queue, DCP lag), KV
-// and query latency quantiles, and a tail of the cluster event
-// journal.
+// the reproduction's cbstats/"Couchbase console" view. It polls any
+// one node's /cluster/metrics, /cluster/health and /cluster/events
+// aggregates and decodes them into the server's own types
+// (rest.NodeSnapshot and friends), so each frame shows the whole
+// cluster: the worst-of health roll-up with every member's checks,
+// one row per member with build/uptime and KV and wire latency
+// quantiles, then per member its bucket rows (items, memory, flush
+// queue, DCP lag), transport and hot-path counters and latency
+// tables, and the origin-tagged merged event tail. A single process
+// is the one-member frame.
 //
 // Usage:
 //
 //	cbtop -addr http://localhost:8091
 //	cbtop -interval 2s -events 15
 //	cbtop -count 1        # one frame, no screen clearing (scripts)
-//	cbtop -cluster        # federated all-nodes view via /cluster/*
-//
-// -cluster renders the whole networked cluster through any one
-// node's /cluster/metrics, /cluster/health, and /cluster/events
-// aggregates: one row per member with KV and wire latency quantiles
-// and DCP lag, a worst-of health roll-up, and the origin-tagged
-// merged event tail.
 package main
 
 import (
@@ -26,6 +24,8 @@ import (
 	"net/http"
 	"os"
 	"time"
+
+	"couchgo/internal/rest"
 )
 
 func main() {
@@ -35,7 +35,6 @@ func main() {
 		interval  = flag.Duration("interval", time.Second, "refresh interval")
 		count     = flag.Int("count", 0, "frames to draw before exiting (0: forever)")
 		maxEvents = flag.Int("events", 10, "event-tail length")
-		clusterUI = flag.Bool("cluster", false, "render the federated all-nodes view (/cluster/* aggregates)")
 	)
 	flag.Parse()
 	if *server != "" {
@@ -43,55 +42,13 @@ func main() {
 	}
 
 	client := &http.Client{Timeout: 5 * time.Second}
-	var tail []map[string]any
-	var sinceSeq uint64
 	clear := *count != 1 // a single scripted frame shouldn't wipe the scrollback
 
 	for frame := 0; *count == 0 || frame < *count; frame++ {
 		if frame > 0 {
 			time.Sleep(*interval)
 		}
-		if *clusterUI {
-			cs := clusterSnapshot{Addr: *addr, When: time.Now()}
-			cs.Err = poll(client, *addr+"/cluster/metrics", &cs.Metrics)
-			if cs.Err == nil {
-				cs.Err = poll(client, *addr+"/cluster/health", &cs.Health)
-			}
-			if cs.Err == nil {
-				var evResp struct {
-					Events []map[string]any `json:"events"`
-				}
-				url := fmt.Sprintf("%s/cluster/events?limit=%d", *addr, *maxEvents)
-				if err := poll(client, url, &evResp); err == nil {
-					cs.Events = evResp.Events
-				}
-			}
-			if clear {
-				fmt.Print("\x1b[H\x1b[2J")
-			}
-			fmt.Print(renderCluster(cs, *maxEvents))
-			continue
-		}
-		s := snapshot{Addr: *addr, When: time.Now()}
-		s.Err = poll(client, *addr+"/stats/detail", &s.Detail)
-		if s.Err == nil {
-			s.Err = poll(client, *addr+"/health", &s.Health)
-		}
-		if s.Err == nil {
-			var evResp struct {
-				Events  []map[string]any `json:"events"`
-				LastSeq uint64           `json:"last_seq"`
-			}
-			url := fmt.Sprintf("%s/events?since=%d", *addr, sinceSeq)
-			if err := poll(client, url, &evResp); err == nil {
-				tail = append(tail, evResp.Events...)
-				if len(tail) > *maxEvents {
-					tail = tail[len(tail)-*maxEvents:]
-				}
-				sinceSeq = evResp.LastSeq
-			}
-			s.Events = tail
-		}
+		s := pollSnapshot(client, *addr, *maxEvents)
 		if clear {
 			fmt.Print("\x1b[H\x1b[2J")
 		}
@@ -100,8 +57,25 @@ func main() {
 	_ = os.Stdout.Sync()
 }
 
+// pollSnapshot fetches one frame's worth of state. Metrics and health
+// are required; a failed event fetch only costs the tail.
+func pollSnapshot(client *http.Client, addr string, maxEvents int) snapshot {
+	s := snapshot{Addr: addr, When: time.Now()}
+	s.Err = poll(client, addr+"/cluster/metrics", &s.Metrics)
+	if s.Err == nil {
+		s.Err = poll(client, addr+"/cluster/health", &s.Health)
+	}
+	if s.Err == nil {
+		var ev rest.ClusterEvents
+		if poll(client, fmt.Sprintf("%s/cluster/events?limit=%d", addr, maxEvents), &ev) == nil {
+			s.Events = ev.Events
+		}
+	}
+	return s
+}
+
 // poll GETs a JSON endpoint into out. Non-2xx/503 bodies still decode
-// (the /health endpoint speaks JSON at 503 by design).
+// (the health endpoints speak JSON at 503 by design).
 func poll(client *http.Client, url string, out any) error {
 	resp, err := client.Get(url)
 	if err != nil {

@@ -5,130 +5,147 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"couchgo/internal/health"
+	"couchgo/internal/metrics"
+	"couchgo/internal/rest"
 )
 
-// snapshot is one poll of the server's observability surface, already
-// decoded from JSON. render is a pure function over it so the display
-// logic is testable without a server.
+// snapshot is one poll of a node's /cluster/* surface, decoded into
+// the server's own types. render is a pure function over it so the
+// display logic is testable without a terminal.
 type snapshot struct {
-	Addr   string
-	When   time.Time
-	Err    error            // poll failure; renders as a banner
-	Detail map[string]any   // GET /stats/detail
-	Health map[string]any   // GET /health
-	Events []map[string]any // tail of the event journal, oldest first
+	Addr    string
+	When    time.Time
+	Err     error               // poll failure; renders as a banner
+	Metrics rest.ClusterMetrics // GET /cluster/metrics
+	Health  rest.ClusterHealth  // GET /cluster/health
+	Events  []rest.ClusterEvent // GET /cluster/events, oldest first
+}
+
+func marker(st health.State) string {
+	switch st {
+	case health.Warn:
+		return " !"
+	case health.Critical:
+		return "!!"
+	}
+	return "  "
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // render draws one full frame. maxEvents bounds the event tail.
 func render(s snapshot, maxEvents int) string {
 	var b strings.Builder
-
-	// --- header ---
-	fmt.Fprintf(&b, "cbtop — %s @ %s", s.Addr, s.When.Format("15:04:05"))
-	if srv, ok := s.Detail["server"].(map[string]any); ok {
-		fmt.Fprintf(&b, "   couchgo %v (%v) up %s",
-			srv["version"], srv["go"], fmtUptime(num(srv["uptime_seconds"])))
-	}
-	b.WriteString("\n")
+	fmt.Fprintf(&b, "cbtop — %s @ %s\n", s.Addr, s.When.Format("15:04:05"))
 	if s.Err != nil {
 		fmt.Fprintf(&b, "\n  !! poll failed: %v\n", s.Err)
 		return b.String()
 	}
 
-	// --- health ---
-	status := "unknown"
-	if v, ok := s.Health["status"].(string); ok {
-		status = v
-	}
-	fmt.Fprintf(&b, "\nHEALTH: %s\n", strings.ToUpper(status))
-	if checks, ok := s.Health["checks"].([]any); ok {
-		for _, raw := range checks {
-			chk, ok := raw.(map[string]any)
-			if !ok {
-				continue
-			}
-			marker := "  "
-			switch chk["state"] {
-			case "warn":
-				marker = " !"
-			case "critical":
-				marker = "!!"
-			}
-			fmt.Fprintf(&b, "  %s %-16v %-8v %v\n", marker, chk["name"], chk["state"], chk["detail"])
+	// --- worst-of health roll-up, every member's checks under it ---
+	fmt.Fprintf(&b, "\nCLUSTER HEALTH: %s\n", strings.ToUpper(s.Health.Status.String()))
+	for _, name := range sortedKeys(s.Health.Nodes) {
+		h := s.Health.Nodes[name]
+		fmt.Fprintf(&b, "  %s %-22s %s\n", marker(h.Status), name, h.Status)
+		for _, chk := range h.Checks {
+			fmt.Fprintf(&b, "     %s %-16s %-8s %s\n", marker(chk.State), chk.Name, chk.State, chk.Detail)
 		}
 	}
-
-	// --- buckets ---
-	if buckets, ok := s.Detail["buckets"].(map[string]any); ok && len(buckets) > 0 {
-		fmt.Fprintf(&b, "\n%-10s %-8s %-5s %9s %10s %7s %7s %8s\n",
-			"BUCKET", "NODE", "ALIVE", "ITEMS", "MEM", "QUEUE", "TOMB", "DCP-LAG")
-		names := make([]string, 0, len(buckets))
-		for name := range buckets {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			bm, _ := buckets[name].(map[string]any)
-			nodes, _ := bm["nodes"].([]any)
-			for _, raw := range nodes {
-				st, ok := raw.(map[string]any)
-				if !ok {
-					continue
-				}
-				var lag float64
-				if lags, ok := st["DCPLags"].(map[string]any); ok {
-					for _, v := range lags {
-						lag += num(v)
-					}
-				}
-				fmt.Fprintf(&b, "%-10s %-8v %-5v %9.0f %10s %7.0f %7.0f %8.0f\n",
-					name, st["ID"], st["Alive"], num(st["Items"]),
-					fmtBytes(num(st["MemUsed"])), num(st["QueueDepth"]),
-					num(st["Tombstones"]), lag)
-			}
-		}
+	for _, name := range sortedKeys(s.Health.Errors) {
+		fmt.Fprintf(&b, "  !! %-22s critical %s\n", name, s.Health.Errors[name])
 	}
 
-	// --- wire transport (networked cluster mode only) ---
-	if tr, ok := s.Detail["transport"].(map[string]any); ok {
-		fmt.Fprintf(&b, "\nTRANSPORT  conns %0.f srv / %0.f cli   in %s  out %s   nmvb %.0f   dcp-streams %.0f\n",
-			num(tr["server_conns"]), num(tr["client_conns"]),
-			fmtBytes(num(tr["bytes_in"])), fmtBytes(num(tr["bytes_out"])),
-			num(tr["not_my_vbucket"]), num(tr["dcp_streams_serving"]))
+	// --- one row per member ---
+	members := sortedKeys(s.Metrics.Nodes)
+	fmt.Fprintf(&b, "\n%-22s %-16s %8s %9s %9s %9s %9s\n",
+		"MEMBER", "VERSION", "UP", "KV-p50", "KV-p99", "WIRE-p50", "WIRE-p99")
+	for _, name := range members {
+		n := s.Metrics.Nodes[name]
+		kv50, kv99 := famQuantiles(n.Metrics["couchgo_kv_op_duration_seconds"])
+		w50, w99 := famQuantiles(n.Metrics["couchgo_transport_op_seconds"])
+		fmt.Fprintf(&b, "%-22s %-16s %8s %9s %9s %9s %9s\n",
+			name, n.Server.Version+" "+n.Server.Go, fmtUptime(n.Server.UptimeSeconds),
+			fmtLatency(kv50), fmtLatency(kv99), fmtLatency(w50), fmtLatency(w99))
+	}
+	for _, name := range sortedKeys(s.Metrics.Errors) {
+		fmt.Fprintf(&b, "%-22s  !! %s\n", name, s.Metrics.Errors[name])
 	}
 
-	// --- KV / query latencies from the registry snapshot ---
-	if m, ok := s.Detail["metrics"].(map[string]any); ok {
-		b.WriteString(renderHotPath(m))
-		b.WriteString(renderLatencies(m))
+	for _, name := range members {
+		n := s.Metrics.Nodes[name]
+		fmt.Fprintf(&b, "\n── %s ──\n", name)
+		b.WriteString(renderBuckets(n))
+		b.WriteString(renderTransport(n.Metrics))
+		b.WriteString(renderHotPath(n.Metrics))
+		b.WriteString(renderLatencies(n.Metrics))
 	}
 
-	// --- event tail ---
+	// --- merged event tail (origin-tagged) ---
 	b.WriteString("\nEVENTS")
 	if len(s.Events) == 0 {
 		b.WriteString(" (none)\n")
 		return b.String()
 	}
 	b.WriteString("\n")
-	start := 0
-	if len(s.Events) > maxEvents {
-		start = len(s.Events) - maxEvents
-	}
-	for _, e := range s.Events[start:] {
-		ts := ""
-		if raw, ok := e["time"].(string); ok {
-			if t, err := time.Parse(time.RFC3339Nano, raw); err == nil {
-				ts = t.Format("15:04:05")
-			}
-		}
-		sev, _ := e["severity"].(string)
-		fmt.Fprintf(&b, "  %s %-8s %-10v %v", ts, strings.ToUpper(sev), e["type"], e["msg"])
-		if node, ok := e["node"].(string); ok && node != "" {
-			fmt.Fprintf(&b, " [%s]", node)
+	for _, e := range s.Events[max(0, len(s.Events)-maxEvents):] {
+		fmt.Fprintf(&b, "  %s %-8s %-22s %-10s %s", e.Time.Format("15:04:05"),
+			strings.ToUpper(e.Severity.String()), e.Origin, e.Type, e.Msg)
+		if e.Node != "" {
+			fmt.Fprintf(&b, " [%s]", e.Node)
 		}
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// renderBuckets is one row per (bucket, logical node), then the
+// bucket's DCP backlog per stream as the server summed it.
+func renderBuckets(n rest.NodeSnapshot) string {
+	if len(n.Buckets) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-10s %-8s %-5s %9s %10s %7s %7s\n",
+		"BUCKET", "NODE", "ALIVE", "ITEMS", "MEM", "QUEUE", "TOMB")
+	for _, bucket := range sortedKeys(n.Buckets) {
+		for _, st := range n.Buckets[bucket] {
+			fmt.Fprintf(&b, "%-10s %-8s %-5v %9d %10s %7d %7d\n",
+				bucket, st.ID, st.Alive, st.Items, fmtBytes(float64(st.MemUsed)), st.QueueDepth, st.Tombstones)
+		}
+		if lags := n.DCPLag[bucket]; len(lags) > 0 {
+			fmt.Fprintf(&b, "%-10s DCP-LAG", bucket)
+			for _, stream := range sortedKeys(lags) {
+				fmt.Fprintf(&b, "  %s %d", stream, lags[stream])
+			}
+			b.WriteString("\n")
+		}
+	}
+	return b.String()
+}
+
+// renderTransport is the wire row, from the registry's transport
+// series; a process that never moved a byte over the KV wire has none.
+func renderTransport(m metrics.Snapshot) string {
+	val := func(fam string, labels ...string) float64 {
+		return m[fam][metrics.LabelString(labels...)].Value
+	}
+	in, out := val("couchgo_transport_bytes_total", "dir", "in"), val("couchgo_transport_bytes_total", "dir", "out")
+	if in+out == 0 {
+		return ""
+	}
+	return fmt.Sprintf("\nTRANSPORT  conns %.0f srv / %.0f cli   in %s  out %s   nmvb %.0f   dcp-streams %.0f\n",
+		val("couchgo_transport_conns", "side", "server"), val("couchgo_transport_conns", "side", "client"),
+		fmtBytes(in), fmtBytes(out),
+		val("couchgo_notmyvbucket_total"), val("couchgo_transport_dcp_streams_serving"))
 }
 
 // renderHotPath surfaces the write-path efficiency counters: group
@@ -137,37 +154,28 @@ func render(s snapshot, maxEvents int) string {
 // healthy loaded node shows coalesced appends > 1 and frames/write
 // climbing with concurrency; a deep flush queue means the disk is
 // behind.
-func renderHotPath(m map[string]any) string {
-	famSum := func(fam string) (float64, bool) {
-		series, ok := m[fam].(map[string]any)
-		if !ok || len(series) == 0 {
-			return 0, false
+func renderHotPath(m metrics.Snapshot) string {
+	famSum := func(fam string) (sum float64, ok bool) {
+		for _, v := range m[fam] {
+			sum += v.Value
 		}
-		var sum float64
-		for _, v := range series {
-			sum += num(v)
-		}
-		return sum, true
+		return sum, len(m[fam]) > 0
 	}
-	famHist := func(fam string) (map[string]any, bool) {
-		series, ok := m[fam].(map[string]any)
-		if !ok {
-			return nil, false
-		}
-		for _, v := range series {
-			if h, ok := v.(map[string]any); ok && num(h["count"]) > 0 {
-				return h, true
+	famHist := func(fam string) *metrics.HistogramStats {
+		for _, v := range m[fam] {
+			if v.Hist != nil && v.Hist.Count > 0 {
+				return v.Hist
 			}
 		}
-		return nil, false
+		return nil
 	}
 
 	batches, okB := famSum("couchgo_storage_group_commit_batches")
 	riders, okR := famSum("couchgo_storage_group_commit_riders_total")
 	queue, okQ := famSum("couchgo_flusher_queue_depth")
-	coal, okC := famHist("couchgo_storage_group_commit_coalesced_appends")
-	frames, okF := famHist("couchgo_transport_frames_per_syscall")
-	if !okB && !okR && !okQ && !okC && !okF {
+	coal := famHist("couchgo_storage_group_commit_coalesced_appends")
+	frames := famHist("couchgo_transport_frames_per_syscall")
+	if !okB && !okR && !okQ && coal == nil && frames == nil {
 		return ""
 	}
 
@@ -175,50 +183,44 @@ func renderHotPath(m map[string]any) string {
 	b.WriteString("\nHOT PATH\n")
 	if okB || okR {
 		fmt.Fprintf(&b, "  group commit   %8.0f fsyncs   %8.0f riders", batches, riders)
-		if okC {
-			fmt.Fprintf(&b, "   appends/fsync mean %.1f max %.0f", num(coal["mean"]), num(coal["max"]))
+		if coal != nil {
+			fmt.Fprintf(&b, "   appends/fsync mean %.1f max %.0f", coal.Mean, coal.Max)
 		}
 		b.WriteString("\n")
 	}
 	if okQ {
 		fmt.Fprintf(&b, "  flush queue    %8.0f entries\n", queue)
 	}
-	if okF {
-		fmt.Fprintf(&b, "  wire coalesce  %8.0f writes   frames/write mean %.1f p99 %.0f max %.0f\n",
-			num(frames["count"]), num(frames["mean"]), num(frames["p99"]), num(frames["max"]))
+	if frames != nil {
+		fmt.Fprintf(&b, "  wire coalesce  %8d writes   frames/write mean %.1f p99 %.0f max %.0f\n",
+			frames.Count, frames.Mean, frames.P99, frames.Max)
 	}
 	return b.String()
 }
 
 // renderLatencies picks the operator-facing histogram families out of
-// the registry snapshot: per-op KV latency and overall query latency.
-func renderLatencies(m map[string]any) string {
+// the registry snapshot: per-op KV latency, overall query latency and
+// server-side wire handling per opcode.
+func renderLatencies(m metrics.Snapshot) string {
 	var b strings.Builder
 	writeFam := func(title, fam string) {
-		series, ok := m[fam].(map[string]any)
-		if !ok || len(series) == 0 {
+		series := m[fam]
+		if len(series) == 0 {
 			return
 		}
-		labels := make([]string, 0, len(series))
-		for ls := range series {
-			labels = append(labels, ls)
-		}
-		sort.Strings(labels)
 		fmt.Fprintf(&b, "\n%s\n", title)
 		fmt.Fprintf(&b, "  %-18s %9s %9s %9s %9s %9s\n", "", "count", "p50", "p95", "p99", "max")
-		for _, ls := range labels {
-			h, ok := series[ls].(map[string]any)
-			if !ok {
+		for _, ls := range sortedKeys(series) {
+			h := series[ls].Hist
+			if h == nil {
 				continue
 			}
 			name := strings.Trim(ls, "{}")
 			if name == "" {
 				name = "(all)"
 			}
-			fmt.Fprintf(&b, "  %-18s %9.0f %9s %9s %9s %9s\n",
-				name, num(h["count"]),
-				fmtLatency(num(h["p50"])), fmtLatency(num(h["p95"])),
-				fmtLatency(num(h["p99"])), fmtLatency(num(h["max"])))
+			fmt.Fprintf(&b, "  %-18s %9d %9s %9s %9s %9s\n", name, h.Count,
+				fmtLatency(h.P50), fmtLatency(h.P95), fmtLatency(h.P99), fmtLatency(h.Max))
 		}
 	}
 	writeFam("KV LATENCY", "couchgo_kv_op_duration_seconds")
@@ -227,19 +229,26 @@ func renderLatencies(m map[string]any) string {
 	return b.String()
 }
 
-// num coerces any JSON number (or Go numeric, in tests) to float64.
-func num(v any) float64 {
-	switch n := v.(type) {
-	case float64:
-		return n
-	case int:
-		return float64(n)
-	case int64:
-		return float64(n)
-	case uint64:
-		return float64(n)
+// famQuantiles rolls one histogram family up into headline p50/p99
+// numbers: the count-weighted mean of each series' quantile.
+// Quantiles don't merge exactly, but for a console view a weighted
+// blend beats showing one arbitrary op — hot ops dominate, idle ops
+// don't skew.
+func famQuantiles(series map[string]metrics.SeriesValue) (p50, p99 float64) {
+	var total float64
+	for _, v := range series {
+		if v.Hist == nil || v.Hist.Count == 0 {
+			continue
+		}
+		n := float64(v.Hist.Count)
+		total += n
+		p50 += v.Hist.P50 * n
+		p99 += v.Hist.P99 * n
 	}
-	return 0
+	if total == 0 {
+		return 0, 0
+	}
+	return p50 / total, p99 / total
 }
 
 func fmtUptime(secs float64) string {

@@ -1,122 +1,182 @@
 package main
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"couchgo/internal/cmap"
+	"couchgo/internal/core"
+	"couchgo/internal/events"
+	"couchgo/internal/health"
+	"couchgo/internal/metrics"
+	"couchgo/internal/rest"
 )
 
-func fabricatedSnapshot() snapshot {
-	return snapshot{
-		Addr: "http://localhost:8091",
-		When: time.Date(2026, 1, 2, 10, 30, 0, 0, time.UTC),
-		Detail: map[string]any{
-			"server": map[string]any{
-				"version": "0.6.0", "go": "go1.22", "uptime_seconds": 125.0,
-			},
-			"buckets": map[string]any{
-				"default": map[string]any{
-					"nodes": []any{
-						map[string]any{
-							"ID": "node0", "Alive": true, "Items": 1500.0,
-							"MemUsed": 2097152.0, "QueueDepth": 12.0, "Tombstones": 3.0,
-							"DCPLags": map[string]any{"replica:node1": 7.0, "gsi": 2.0},
-						},
-						map[string]any{
-							"ID": "node1", "Alive": false, "Items": 900.0,
-							"MemUsed": 1024.0, "QueueDepth": 0.0, "Tombstones": 0.0,
-						},
-					},
-				},
-			},
-			"transport": map[string]any{
-				"server_conns": 5.0, "client_conns": 2.0,
-				"bytes_in": 1048576.0, "bytes_out": 2097152.0,
-				"not_my_vbucket": 4.0, "dial_errors": 0.0,
-				"dcp_streams_serving": 42.0,
-			},
-			"metrics": map[string]any{
-				"couchgo_kv_op_duration_seconds": map[string]any{
-					`{op="set"}`: map[string]any{
-						"count": 4000.0, "p50": 0.0002, "p95": 0.0015, "p99": 0.004, "max": 0.12,
-					},
-				},
-				"couchgo_query_duration_seconds": map[string]any{
-					"": map[string]any{
-						"count": 12.0, "p50": 0.03, "p95": 0.2, "p99": 1.5, "max": 2.5,
-					},
-				},
-				"couchgo_storage_group_commit_batches":      map[string]any{"": 120.0},
-				"couchgo_storage_group_commit_riders_total": map[string]any{"": 480.0},
-				"couchgo_storage_group_commit_coalesced_appends": map[string]any{
-					"": map[string]any{"count": 120.0, "mean": 5.0, "max": 32.0},
-				},
-				"couchgo_flusher_queue_depth": map[string]any{"": 7.0},
-				"couchgo_transport_frames_per_syscall": map[string]any{
-					"": map[string]any{"count": 9000.0, "mean": 2.4, "p99": 16.0, "max": 64.0},
-				},
-			},
-		},
-		Health: map[string]any{
-			"status": "warn",
-			"checks": []any{
-				map[string]any{"name": "node:node1", "state": "critical", "detail": "node down with mapped partitions"},
-				map[string]any{"name": "feed:stalls", "state": "warn", "detail": "1 drain(s) stalled for 2s"},
-				map[string]any{"name": "cache:memory", "state": "ok", "detail": "bucket default at 40% of quota"},
-			},
-		},
-		Events: []map[string]any{
-			{"time": "2026-01-02T10:29:58Z", "severity": "warn", "type": "feed", "msg": "feed stall: consumer backpressure", "node": ""},
-			{"time": "2026-01-02T10:29:59Z", "severity": "critical", "type": "health", "msg": "health check node:node1 -> critical", "node": "node0"},
-		},
+// newNode is a 2-node in-process cluster behind the real REST facade,
+// watchdog attached and ticked once so /health lists its checks.
+func newNode(t *testing.T) (*rest.Server, *core.Cluster) {
+	t.Helper()
+	c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
+	for i := 0; i < 2; i++ {
+		c.AddNode(cmap.NodeID(fmt.Sprintf("node%d", i)), cmap.AllServices)
+	}
+	if err := c.CreateBucket("default", core.BucketOptions{NumReplicas: 1}); err != nil {
+		t.Fatal(err)
+	}
+	w := health.New(health.Options{Interval: time.Hour, Journal: events.NewJournal(16)})
+	health.RegisterClusterChecks(w, c, health.ClusterCheckConfig{})
+	w.Tick()
+	s := rest.NewServer(c)
+	s.SetHealth(w)
+	return s, c
 }
 
-func TestRenderFullFrame(t *testing.T) {
-	out := render(fabricatedSnapshot(), 10)
-	for _, want := range []string{
-		"couchgo 0.6.0 (go1.22) up 2m5s",
-		"HEALTH: WARN",
-		"!! node:node1",
-		" ! feed:stalls",
-		"DCP-LAG",
-		"node0",
-		"2.0MiB", // MemUsed 2 MiB
-		"9",      // summed lag 7+2
-		"TRANSPORT  conns 5 srv / 2 cli",
-		"nmvb 4",
-		"dcp-streams 42",
-		"KV LATENCY",
-		`op="set"`,
-		"200µs", // p50 0.0002s
-		"QUERY LATENCY",
-		"HOT PATH",
-		"120 fsyncs",
-		"480 riders",
-		"appends/fsync mean 5.0 max 32",
-		"flush queue           7 entries",
-		"frames/write mean 2.4 p99 16 max 64",
-		"EVENTS",
-		"CRITICAL",
-		"health check node:node1 -> critical [node0]",
-		"10:29:58",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("frame missing %q:\n%s", want, out)
+// fakeFed joins rest.Servers the way the wire's OpFederate does, minus
+// the socket; a listed member with no server behind it is unreachable.
+type fakeFed struct {
+	self  string
+	peers map[string]*rest.Server
+	nodes []string
+}
+
+func (f *fakeFed) Self() string    { return f.self }
+func (f *fakeFed) Nodes() []string { return f.nodes }
+func (f *fakeFed) Fetch(_ context.Context, node, domain string, payload []byte) ([]byte, error) {
+	p, ok := f.peers[node]
+	if !ok {
+		return nil, fmt.Errorf("dial %s: connection refused", node)
+	}
+	return p.Observe(domain, payload)
+}
+
+func wantAll(t *testing.T, frame string, wants ...string) {
+	t.Helper()
+	for _, want := range wants {
+		if !strings.Contains(frame, want) {
+			t.Errorf("frame missing %q:\n%s", want, frame)
 		}
 	}
 }
 
+// TestFrameFromRealServer runs cbtop's poll and render against the
+// real server: whatever the server encodes is what the console draws.
+func TestFrameFromRealServer(t *testing.T) {
+	s, c := newNode(t)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	const writes = 9
+	cl, err := c.OpenBucket("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < writes; i++ {
+		if _, err := cl.Set(context.Background(), fmt.Sprintf("k%d", i), []byte(`{"n": 1}`), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"statement": "SELECT 1"}`))
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: %v %v", err, resp)
+	}
+	resp.Body.Close()
+
+	snap := pollSnapshot(ts.Client(), ts.URL, 10)
+	if snap.Err != nil {
+		t.Fatal(snap.Err)
+	}
+	frame := render(snap, 10)
+
+	local, ok := snap.Metrics.Nodes["local"]
+	if !ok || local.Server.UptimeSeconds <= 0 {
+		t.Fatalf("no local member with a running uptime: %+v", snap.Metrics)
+	}
+	wantAll(t, frame,
+		"CLUSTER HEALTH: OK",
+		"node:node0", // a watchdog check under the member
+		"MEMBER", "local", local.Server.Version+" "+local.Server.Go,
+		"── local ──",
+		"DCP-LAG", "replica:node",
+		"HOT PATH",
+		"KV LATENCY", `op="set"`,
+		"QUERY LATENCY",
+		"EVENTS\n", "bucket created",
+	)
+	var items int64
+	for _, st := range local.Buckets["default"] {
+		items += st.Items
+		row := fmt.Sprintf("%-10s %-8s %-5v %9d ", "default", st.ID, true, st.Items)
+		wantAll(t, frame, row)
+	}
+	if items != writes {
+		t.Errorf("bucket rows add up to %d items, wrote %d:\n%s", items, writes, frame)
+	}
+	for _, l := range strings.Split(frame, "\n") {
+		if strings.Contains(l, "bucket created") && !strings.Contains(l, " local ") {
+			t.Errorf("event line not origin-tagged: %q", l)
+		}
+	}
+}
+
+// TestFrameTwoMembersOneUnreachable: the federated frame has a row and
+// a section per answering member, and a member that cannot be reached
+// is drawn critical without costing the rest of the frame.
+func TestFrameTwoMembersOneUnreachable(t *testing.T) {
+	a, _ := newNode(t)
+	b, _ := newNode(t)
+	b.SetFederation(&fakeFed{self: "nodeB"})
+	a.SetFederation(&fakeFed{
+		self:  "nodeA",
+		peers: map[string]*rest.Server{"nodeB": b},
+		nodes: []string{"nodeA", "nodeB", "nodeC"},
+	})
+	ts := httptest.NewServer(a)
+	defer ts.Close()
+
+	snap := pollSnapshot(ts.Client(), ts.URL, 5)
+	if snap.Err != nil {
+		t.Fatal(snap.Err)
+	}
+	if snap.Metrics.Nodes["nodeB"].Node != "nodeB" {
+		t.Fatalf("peer payload not labeled by the peer: %+v", snap.Metrics.Nodes["nodeB"].Node)
+	}
+	frame := render(snap, 5)
+	wantAll(t, frame,
+		"CLUSTER HEALTH: CRITICAL",
+		"!! nodeC                  critical dial nodeC: connection refused",
+		"── nodeA ──", "── nodeB ──",
+		"nodeC                   !! dial nodeC: connection refused",
+		"EVENTS\n",
+	)
+	if strings.Contains(frame, "── nodeC ──") {
+		t.Errorf("unreachable member got a section:\n%s", frame)
+	}
+}
+
 func TestRenderEventTailBounded(t *testing.T) {
-	s := fabricatedSnapshot()
+	at := time.Date(2026, 1, 2, 10, 29, 58, 0, time.UTC)
+	older := events.New(events.FeedEvent, events.SevWarn, "feed stall: consumer backpressure")
+	older.Time = at
+	newer := events.New(events.Health, events.SevCritical, "health check node:node1 -> critical")
+	newer.Time, newer.Node = at.Add(time.Second), "node0"
+	s := snapshot{Addr: "http://x", When: at, Events: []rest.ClusterEvent{
+		{Origin: "a:11210", Event: older}, {Origin: "b:11210", Event: newer},
+	}}
 	out := render(s, 1)
 	if strings.Contains(out, "feed stall: consumer backpressure") {
 		t.Fatalf("tail not bounded to newest event:\n%s", out)
 	}
-	if !strings.Contains(out, "health check node:node1 -> critical") {
-		t.Fatalf("newest event missing:\n%s", out)
-	}
+	wantAll(t, out, "10:29:59 CRITICAL b:11210", "health check node:node1 -> critical [node0]")
 }
 
 func TestRenderPollError(t *testing.T) {
@@ -124,13 +184,6 @@ func TestRenderPollError(t *testing.T) {
 	out := render(s, 10)
 	if !strings.Contains(out, "poll failed: connection refused") {
 		t.Fatalf("no error banner:\n%s", out)
-	}
-}
-
-func TestRenderEmptySnapshot(t *testing.T) {
-	out := render(snapshot{Addr: "http://x", When: time.Now()}, 10)
-	if !strings.Contains(out, "EVENTS (none)") {
-		t.Fatalf("empty snapshot render:\n%s", out)
 	}
 }
 
@@ -146,5 +199,25 @@ func TestFormatHelpers(t *testing.T) {
 	}
 	if got := fmtUptime(3725); got != "1h2m" {
 		t.Errorf("fmtUptime = %s", got)
+	}
+}
+
+func TestFamQuantilesWeights(t *testing.T) {
+	hist := func(count uint64, p50, p99 float64) metrics.SeriesValue {
+		return metrics.SeriesValue{Hist: &metrics.HistogramStats{Count: count, P50: p50, P99: p99}}
+	}
+	p50, p99 := famQuantiles(map[string]metrics.SeriesValue{
+		"a": hist(90, 0.001, 0.002),
+		"b": hist(10, 0.011, 0.022),
+		"c": hist(0, 99, 99), // idle series must not skew
+	})
+	if p50 < 0.0019 || p50 > 0.0021 {
+		t.Fatalf("weighted p50 = %v, want ~0.002", p50)
+	}
+	if p99 < 0.0039 || p99 > 0.0041 {
+		t.Fatalf("weighted p99 = %v, want ~0.004", p99)
+	}
+	if a, b := famQuantiles(nil); a != 0 || b != 0 {
+		t.Fatal("absent family must yield zeros")
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"couchgo/internal/rest"
 )
 
 // traceNode mirrors the stitched span tree of GET /traces/{id}.
@@ -126,16 +128,13 @@ func TestDistributedTrace(t *testing.T) {
 	}
 
 	// Federation sanity on the same cluster: /cluster/metrics from any
-	// node labels a series payload for every live member.
+	// node carries every live member's NodeSnapshot, labeled by it.
 	resp, err := client.Get(p1.http + "/cluster/metrics")
 	if err != nil {
 		t.Fatalf("/cluster/metrics: %v", err)
 	}
 	defer resp.Body.Close()
-	var cm struct {
-		Nodes  map[string]json.RawMessage `json:"nodes"`
-		Errors map[string]string          `json:"errors"`
-	}
+	var cm rest.ClusterMetrics
 	if err := json.NewDecoder(resp.Body).Decode(&cm); err != nil {
 		t.Fatalf("/cluster/metrics decode: %v", err)
 	}
@@ -143,8 +142,8 @@ func TestDistributedTrace(t *testing.T) {
 		t.Fatalf("/cluster/metrics errors: %v", cm.Errors)
 	}
 	for addr := range all {
-		if _, ok := cm.Nodes[addr]; !ok {
-			t.Fatalf("/cluster/metrics missing member %s (have %d nodes)", addr, len(cm.Nodes))
+		if n, ok := cm.Nodes[addr]; !ok || n.Node != addr || len(n.Buckets) == 0 {
+			t.Fatalf("/cluster/metrics member %s missing or not its own snapshot (have %d nodes): %+v", addr, len(cm.Nodes), n.Node)
 		}
 	}
 }

@@ -384,27 +384,27 @@ func (nb *nodeBucket) close() {
 
 // NodeStats summarizes a node's data-service footprint.
 type NodeStats struct {
-	ID         cmap.NodeID
-	Services   cmap.ServiceSet
-	Alive      bool
-	ActiveVBs  int
-	ReplicaVBs int
-	Items      int64
-	MemUsed    int64
+	ID         cmap.NodeID     `json:"node"`
+	Services   cmap.ServiceSet `json:"services"`
+	Alive      bool            `json:"alive"`
+	ActiveVBs  int             `json:"active_vbs"`
+	ReplicaVBs int             `json:"replica_vbs"`
+	Items      int64           `json:"items"`
+	MemUsed    int64           `json:"mem_used"`
 	// Tombstones and NonResident describe cache composition: deleted
 	// metadata retained for replication, and value-evicted items.
-	Tombstones  int64
-	NonResident int64
+	Tombstones  int64 `json:"tombstones"`
+	NonResident int64 `json:"non_resident"`
 	// QueueDepth is the summed disk-write queue backlog across this
 	// node's active vBuckets (Figure 6's drain queue).
-	QueueDepth int
+	QueueDepth int `json:"queue_depth"`
 	// DiskBytes / DiskLiveBytes describe the append-only files; their
 	// difference is reclaimable fragmentation.
-	DiskBytes     int64
-	DiskLiveBytes int64
+	DiskBytes     int64 `json:"disk_bytes"`
+	DiskLiveBytes int64 `json:"disk_live_bytes"`
 	// DCPLags sums items-remaining per DCP stream name (e.g.
 	// "replica:node1", "gsi-projector") across this node's vBuckets.
-	DCPLags map[string]uint64 `json:",omitempty"`
+	DCPLags map[string]uint64 `json:"dcp_lags,omitempty"`
 }
 
 // stats gathers per-node counters for one bucket.

@@ -353,13 +353,14 @@ func (j *Journal) unsubscribe(s *Subscription) {
 	j.mu.Unlock()
 }
 
-// Stats describes journal-wide accounting for /metrics.
+// Stats describes journal-wide accounting for /metrics and the node
+// snapshot.
 type Stats struct {
-	Published   uint64       // events published, lifetime
-	Dropped     uint64       // subscriber-side drops, lifetime
-	Subscribers int          // currently registered subscriptions
-	Retained    map[Type]int // events currently held, per ring
-	LastSeq     uint64       // newest sequence number
+	Published   uint64       `json:"published"`   // events published, lifetime
+	Dropped     uint64       `json:"dropped"`     // subscriber-side drops, lifetime
+	Subscribers int          `json:"subscribers"` // currently registered subscriptions
+	Retained    map[Type]int `json:"retained"`    // events currently held, per ring
+	LastSeq     uint64       `json:"last_seq"`    // newest sequence number
 }
 
 // Stats returns a snapshot of journal accounting.

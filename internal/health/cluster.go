@@ -274,9 +274,7 @@ func slowOpCheck(c *core.Cluster, cfg ClusterCheckConfig) CheckFunc {
 func sumGauge(r *metrics.Registry, family string) int64 {
 	var total int64
 	for _, v := range r.Snapshot()[family] {
-		if g, ok := v.(int64); ok {
-			total += g
-		}
+		total += int64(v.Value)
 	}
 	return total
 }

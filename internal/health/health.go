@@ -43,9 +43,19 @@ func (s State) String() string {
 	}
 }
 
-// MarshalJSON encodes the state as its string name.
-func (s State) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + s.String() + `"`), nil
+// MarshalText encodes the state as its string name.
+func (s State) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText reads the name back, so a console decodes the checks
+// the server encoded.
+func (s *State) UnmarshalText(b []byte) error {
+	for _, st := range []State{OK, Warn, Critical} {
+		if st.String() == string(b) {
+			*s = st
+			return nil
+		}
+	}
+	return fmt.Errorf("health: unknown state %q", b)
 }
 
 // CheckFunc evaluates one rule, returning the raw state and a

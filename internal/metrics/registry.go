@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -212,23 +213,52 @@ func (s HistSnapshot) Stats() HistogramStats {
 	}
 }
 
-// Snapshot returns the registry as a JSON-marshalable tree:
-// name → label string → value (number for counters/gauges,
-// HistogramStats for histograms).
-func (r *Registry) Snapshot() map[string]map[string]any {
+// SeriesValue is one series in a Snapshot: Value for a counter or gauge,
+// Hist for a histogram. On the wire it is a bare number or the
+// HistogramStats object, so JSON readers decode into the same type
+// the server built.
+type SeriesValue struct {
+	Value float64
+	Hist  *HistogramStats
+}
+
+// MarshalJSON writes the number or the histogram object.
+func (s SeriesValue) MarshalJSON() ([]byte, error) {
+	if s.Hist != nil {
+		return json.Marshal(s.Hist)
+	}
+	return json.Marshal(s.Value)
+}
+
+// UnmarshalJSON reads either form back.
+func (s *SeriesValue) UnmarshalJSON(b []byte) error {
+	if len(b) > 0 && b[0] == '{' {
+		s.Hist = new(HistogramStats)
+		return json.Unmarshal(b, s.Hist)
+	}
+	return json.Unmarshal(b, &s.Value)
+}
+
+// Snapshot is the registry as a typed, JSON-round-trippable tree:
+// family name → label string → SeriesValue.
+type Snapshot map[string]map[string]SeriesValue
+
+// Snapshot copies every registered series.
+func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]map[string]any, len(r.fams))
+	out := make(Snapshot, len(r.fams))
 	for name, f := range r.fams {
-		m := make(map[string]any, len(f.series))
+		m := make(map[string]SeriesValue, len(f.series))
 		for ls, s := range f.series {
 			switch f.kind {
 			case KindCounter:
-				m[ls] = s.c.Value()
+				m[ls] = SeriesValue{Value: float64(s.c.Value())}
 			case KindGauge:
-				m[ls] = s.g.Value()
+				m[ls] = SeriesValue{Value: float64(s.g.Value())}
 			case KindHistogram:
-				m[ls] = s.h.Snapshot().Stats()
+				st := s.h.Snapshot().Stats()
+				m[ls] = SeriesValue{Hist: &st}
 			}
 		}
 		out[name] = m

@@ -145,31 +145,3 @@ func (s *Server) handleEventsStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 }
-
-// handleHealth reports the watchdog's published view. The status code
-// carries the overall verdict — 503 only when some check is critical —
-// so load balancers and scripts can use it without parsing the body.
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if s.health == nil {
-		// No watchdog attached: a liveness probe is all we can offer.
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status": "ok",
-			"checks": []health.CheckStatus{},
-			"note":   "no watchdog attached; liveness only",
-		})
-		return
-	}
-	overall := s.health.State()
-	status := http.StatusOK
-	if overall == health.Critical {
-		status = http.StatusServiceUnavailable
-	}
-	checks := s.health.Snapshot()
-	if checks == nil {
-		checks = []health.CheckStatus{}
-	}
-	writeJSON(w, status, map[string]any{
-		"status": overall.String(),
-		"checks": checks,
-	})
-}

@@ -13,16 +13,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
-	"couchgo/internal/buildinfo"
 	"couchgo/internal/events"
 	"couchgo/internal/health"
-	"couchgo/internal/metrics"
 	"couchgo/internal/trace"
 )
 
@@ -38,10 +35,6 @@ type Federation interface {
 	Fetch(ctx context.Context, node, domain string, payload []byte) ([]byte, error)
 }
 
-// SetNodeID labels this node's own series in federated responses.
-// Must be called before serving; defaults to "local".
-func (s *Server) SetNodeID(id string) { s.nodeID = id }
-
 // SetFederation attaches the cluster fan-out surface. Must be called
 // before serving.
 func (s *Server) SetFederation(f Federation) { s.fed = f }
@@ -50,9 +43,6 @@ func (s *Server) SetFederation(f Federation) { s.fed = f }
 func (s *Server) node() string {
 	if s.fed != nil {
 		return s.fed.Self()
-	}
-	if s.nodeID != "" {
-		return s.nodeID
 	}
 	return "local"
 }
@@ -66,13 +56,14 @@ const fanoutTimeout = 3 * time.Second
 // callback behind the wire's OpFederate opcode (peers calling in) and
 // the local half of every /cluster/* aggregate. The payload is the
 // domain's request body (filters, trace ID, config JSON); the reply
-// is always a JSON object labeled with this node's identity.
+// is a JSON object — for "metrics" the NodeSnapshot, for "health" its
+// Health block.
 func (s *Server) Observe(domain string, payload []byte) ([]byte, error) {
 	switch domain {
 	case "metrics":
-		return json.Marshal(s.nodeMetrics())
+		return json.Marshal(s.snapshot())
 	case "health":
-		return json.Marshal(s.nodeHealth())
+		return json.Marshal(s.healthBlock())
 	case "events":
 		return s.observeEvents(payload)
 	case "trace":
@@ -83,53 +74,6 @@ func (s *Server) Observe(domain string, payload []byte) ([]byte, error) {
 	return nil, fmt.Errorf("rest: unknown observe domain %q", domain)
 }
 
-// nodeMetrics is one node's slice of the federated metrics view: the
-// full registry snapshot (KV cache ops, wire per-opcode latency
-// histograms, transport counters) plus the scrape-time transport
-// block.
-func (s *Server) nodeMetrics() map[string]any {
-	out := map[string]any{
-		"node":           s.node(),
-		"metrics":        metrics.Default.Snapshot(),
-		"uptime_seconds": time.Since(processStart).Seconds(),
-		"version":        buildinfo.Version,
-		"go":             runtime.Version(),
-	}
-	if s.transportStats != nil {
-		out["transport"] = s.transportStats()
-	}
-	// DCP replication lag per bucket/stream, summed over local
-	// vBuckets — the federated view shows each node's own backlog.
-	lags := map[string]uint64{}
-	for _, b := range s.c.BucketNames() {
-		for _, st := range s.c.Stats(b) {
-			for name, lag := range st.DCPLags {
-				lags[b+"/"+name] += lag
-			}
-		}
-	}
-	if len(lags) > 0 {
-		out["dcp_lag"] = lags
-	}
-	return out
-}
-
-func (s *Server) nodeHealth() map[string]any {
-	out := map[string]any{"node": s.node()}
-	if s.health == nil {
-		out["status"] = health.OK.String()
-		out["checks"] = []health.CheckStatus{}
-		return out
-	}
-	checks := s.health.Snapshot()
-	if checks == nil {
-		checks = []health.CheckStatus{}
-	}
-	out["status"] = s.health.State().String()
-	out["checks"] = checks
-	return out
-}
-
 // eventsQuery is the events domain's request payload; zero values
 // mean "no filter".
 type eventsQuery struct {
@@ -137,6 +81,13 @@ type eventsQuery struct {
 	Limit    int    `json:"limit,omitempty"`
 	Type     string `json:"type,omitempty"`
 	Severity string `json:"severity,omitempty"`
+}
+
+// eventsReply is the events domain's reply: this node's journal tail.
+type eventsReply struct {
+	Node    string         `json:"node"`
+	Events  []events.Event `json:"events"`
+	LastSeq uint64         `json:"last_seq"`
 }
 
 func (s *Server) observeEvents(payload []byte) ([]byte, error) {
@@ -165,11 +116,7 @@ func (s *Server) observeEvents(payload []byte) ([]byte, error) {
 	if evs == nil {
 		evs = []events.Event{}
 	}
-	return json.Marshal(map[string]any{
-		"node":     s.node(),
-		"events":   evs,
-		"last_seq": events.Default.LastSeq(),
-	})
+	return json.Marshal(eventsReply{Node: s.node(), Events: evs, LastSeq: events.Default.LastSeq()})
 }
 
 // tracePortions is the trace domain's reply: every locally retained
@@ -237,11 +184,12 @@ func (s *Server) members() []string {
 	return s.fed.Nodes()
 }
 
-// fanout collects one domain from every member in parallel: this
-// node answers by function call, peers over the wire. Unreachable or
-// failing members land in the errors map under their node label.
-func (s *Server) fanout(ctx context.Context, domain string, payload []byte) (map[string]json.RawMessage, map[string]string) {
-	results := map[string]json.RawMessage{}
+// gather collects one domain from every member in parallel, decoded
+// into T: this node answers by function call, peers over the wire.
+// Members that are unreachable, fail, or answer something that does
+// not decode land in the errors map under their node label.
+func gather[T any](ctx context.Context, s *Server, domain string, payload []byte) (map[string]T, map[string]string) {
+	results := map[string]T{}
 	errs := map[string]string{}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -258,13 +206,19 @@ func (s *Server) fanout(ctx context.Context, domain string, payload []byte) (map
 				raw, err = s.fed.Fetch(fctx, node, domain, payload)
 				cancel()
 			}
+			var v T
+			if err == nil {
+				if err = json.Unmarshal(raw, &v); err != nil {
+					err = fmt.Errorf("bad %s payload: %w", domain, err)
+				}
+			}
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
 				errs[node] = err.Error()
 				return
 			}
-			results[node] = raw
+			results[node] = v
 		}(node)
 	}
 	wg.Wait()
@@ -273,59 +227,52 @@ func (s *Server) fanout(ctx context.Context, domain string, payload []byte) (map
 
 // --- aggregate endpoints ---
 
-// handleClusterMetrics serves GET /cluster/metrics: every member's
-// metrics snapshot, keyed and labeled by node.
+// ClusterMetrics is the body of GET /cluster/metrics: every member's
+// NodeSnapshot keyed by node. A single process is the one-member case.
+type ClusterMetrics struct {
+	Nodes  map[string]NodeSnapshot `json:"nodes"`
+	Errors map[string]string       `json:"errors"`
+}
+
 func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
-	results, errs := s.fanout(r.Context(), "metrics", nil)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"nodes":  results,
-		"errors": errs,
-	})
+	nodes, errs := gather[NodeSnapshot](r.Context(), s, "metrics", nil)
+	writeJSON(w, http.StatusOK, ClusterMetrics{Nodes: nodes, Errors: errs})
 }
 
-// handleClusterHealth serves GET /cluster/health: a worst-of roll-up
-// across members. An unreachable member counts as critical — a node
-// that cannot answer a health probe is not healthy — and the HTTP
-// status carries the cluster verdict (503 on critical) so scripts
-// can use it without parsing.
+// ClusterHealth is the body of GET /cluster/health: a worst-of roll-up
+// across members. A member in Errors counts as critical — a node that
+// cannot answer a health probe is not healthy — and the HTTP status
+// carries the cluster verdict.
+type ClusterHealth struct {
+	Status health.State      `json:"status"`
+	Nodes  map[string]Health `json:"nodes"`
+	Errors map[string]string `json:"errors"`
+}
+
 func (s *Server) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
-	results, errs := s.fanout(r.Context(), "health", nil)
-	rank := map[string]int{"ok": 0, "warn": 1, "critical": 2}
-	worst := "ok"
-	nodes := map[string]any{}
-	for node, raw := range results {
-		var v struct {
-			Status string `json:"status"`
-		}
-		status := "warn" // answered but unparseable: suspicious, not fatal
-		if err := json.Unmarshal(raw, &v); err == nil && v.Status != "" {
-			status = v.Status
-		}
-		if rank[status] > rank[worst] {
-			worst = status
-		}
-		nodes[node] = json.RawMessage(raw)
+	out := ClusterHealth{}
+	out.Nodes, out.Errors = gather[Health](r.Context(), s, "health", nil)
+	for _, h := range out.Nodes {
+		out.Status = max(out.Status, h.Status)
 	}
-	for range errs {
-		worst = "critical"
+	if len(out.Errors) > 0 {
+		out.Status = health.Critical
 	}
-	code := http.StatusOK
-	if worst == "critical" {
-		code = http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, map[string]any{
-		"status": worst,
-		"nodes":  nodes,
-		"errors": errs,
-	})
+	writeJSON(w, healthCode(out.Status), out)
 }
 
-// clusterEvent is one journal entry in the merged cluster tail,
+// ClusterEvent is one journal entry in the merged cluster tail,
 // tagged with the member it came from (Event.Node is the logical
 // node that emitted it; Origin is the process that retained it).
-type clusterEvent struct {
+type ClusterEvent struct {
 	Origin string `json:"origin"`
 	events.Event
+}
+
+// ClusterEvents is the body of GET /cluster/events.
+type ClusterEvents struct {
+	Events []ClusterEvent    `json:"events"`
+	Errors map[string]string `json:"errors"`
 }
 
 // handleClusterEvents serves GET /cluster/events: each member's
@@ -352,18 +299,11 @@ func (s *Server) handleClusterEvents(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	results, errs := s.fanout(r.Context(), "events", payload)
-	var merged []clusterEvent
-	for node, raw := range results {
-		var v struct {
-			Events []events.Event `json:"events"`
-		}
-		if err := json.Unmarshal(raw, &v); err != nil {
-			errs[node] = "bad events payload: " + err.Error()
-			continue
-		}
+	results, errs := gather[eventsReply](r.Context(), s, "events", payload)
+	merged := []ClusterEvent{}
+	for node, v := range results {
 		for _, e := range v.Events {
-			merged = append(merged, clusterEvent{Origin: node, Event: e})
+			merged = append(merged, ClusterEvent{Origin: node, Event: e})
 		}
 	}
 	sort.Slice(merged, func(i, j int) bool {
@@ -378,13 +318,7 @@ func (s *Server) handleClusterEvents(w http.ResponseWriter, r *http.Request) {
 	if limit > 0 && len(merged) > limit {
 		merged = merged[len(merged)-limit:] // keep the newest tail
 	}
-	if merged == nil {
-		merged = []clusterEvent{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"events": merged,
-		"errors": errs,
-	})
+	writeJSON(w, http.StatusOK, ClusterEvents{Events: merged, Errors: errs})
 }
 
 // stitchedTrace collects every member's portions of one trace and
@@ -392,15 +326,10 @@ func (s *Server) handleClusterEvents(w http.ResponseWriter, r *http.Request) {
 // member retains any portion.
 func (s *Server) stitchedTrace(ctx context.Context, id uint64) (map[string]any, map[string]string) {
 	payload, _ := json.Marshal(map[string]any{"id": id})
-	results, errs := s.fanout(ctx, "trace", payload)
+	results, errs := gather[tracePortions](ctx, s, "trace", payload)
 	var portions []trace.Export
 	nodes := []string{}
-	for node, raw := range results {
-		var v tracePortions
-		if err := json.Unmarshal(raw, &v); err != nil {
-			errs[node] = "bad trace payload: " + err.Error()
-			continue
-		}
+	for node, v := range results {
 		if len(v.Portions) > 0 {
 			nodes = append(nodes, node)
 		}

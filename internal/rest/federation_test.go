@@ -71,8 +71,7 @@ func TestClusterEndpointsSingleProcess(t *testing.T) {
 func TestClusterFanoutAndWorstOf(t *testing.T) {
 	a, _ := newServer(t)
 	b, _ := newServer(t)
-	a.SetNodeID("nodeA")
-	b.SetNodeID("nodeB")
+	b.SetFederation(&fakeFed{self: "nodeB"})
 	fed := &fakeFed{
 		self:  "nodeA",
 		peers: map[string]*Server{"nodeB": b},
@@ -146,7 +145,7 @@ func TestTraceConfigStrictAndBroadcast(t *testing.T) {
 
 	// Valid config applies and, with federation, broadcasts to peers.
 	b, _ := newServer(t)
-	b.SetNodeID("nodeB")
+	b.SetFederation(&fakeFed{self: "nodeB"})
 	fetched := false
 	s.SetFederation(&fedSpy{fakeFed{
 		self:  "nodeA",
@@ -184,7 +183,6 @@ func (f *fedSpy) Fetch(ctx context.Context, node, domain string, payload []byte)
 
 func TestStitchedTraceEndpoint(t *testing.T) {
 	s, _ := newServer(t)
-	s.SetNodeID("nodeA")
 	s.SetFederation(&fakeFed{self: "nodeA", peers: map[string]*Server{}, nodes: []string{"nodeA"}})
 	trace.Default.SetRate(1)
 	t.Cleanup(func() {

@@ -14,12 +14,15 @@ import (
 
 // promParse validates a Prometheus text exposition body: every TYPE
 // line appears once per family with a known kind, every sample follows
-// its family's TYPE line, and no sample key repeats. It returns the
-// samples keyed by `name{labels}`.
+// its family's TYPE line, each family's samples are contiguous (a
+// family resumed after another began would need a second TYPE line),
+// and no sample key repeats. It returns the samples keyed by
+// `name{labels}`.
 func promParse(t *testing.T, body string) map[string]float64 {
 	t.Helper()
 	types := map[string]string{}
 	samples := map[string]float64{}
+	cur, ended := "", map[string]bool{}
 	for _, line := range strings.Split(body, "\n") {
 		if line == "" {
 			continue
@@ -69,6 +72,12 @@ func promParse(t *testing.T, body string) map[string]float64 {
 		if _, ok := types[base]; !ok {
 			t.Fatalf("sample %q has no preceding TYPE line", key)
 		}
+		if base != cur {
+			if ended[base] {
+				t.Errorf("family %s is not contiguous: %q resumes it after %s", base, key, cur)
+			}
+			ended[cur], cur = true, base
+		}
 	}
 	return samples
 }
@@ -98,7 +107,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	samples := promParse(t, rec.Body.String())
 
 	// Required coverage: KV latency + ops, cache hit/miss, flusher
-	// queue depth, query timings, per-bucket and node gauges. (The
+	// queue depth (process-wide from the registry, per bucket and node
+	// from the snapshot), query timings, per-bucket and node gauges. (The
 	// registry is process-global, so counter values may include other
 	// tests' traffic; assert lower bounds only.)
 	for _, key := range []string{
@@ -109,7 +119,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`couchgo_cache_misses_total`,
 		`couchgo_query_duration_seconds_count`,
 		`couchgo_query_phase_duration_seconds_count{phase="parse"}`,
-		`couchgo_flusher_queue_depth{bucket="default",node="node0"}`,
+		`couchgo_flusher_queue_depth`,
+		`couchgo_bucket_queue_depth{bucket="default",node="node0"}`,
 		`couchgo_bucket_items{bucket="default",node="node0"}`,
 		`couchgo_storage_file_bytes{bucket="default",node="node0"}`,
 		`couchgo_node_up{node="node0"}`,

@@ -38,14 +38,10 @@ type Server struct {
 	// the local node, sockets to peers) so REST document requests
 	// route cluster-wide. Set before serving; read-only afterwards.
 	kvClients map[string]*core.Client
-	// transportStats, when set, contributes a "transport" block to
-	// /stats/detail (wire connections, bytes, NotMyVBucket count).
-	transportStats func() any
-	// nodeID labels this process's payloads in federated views; fed,
-	// when set, fans /cluster/* and stitched-trace fetches out to the
-	// cluster's members (see federation.go).
-	nodeID string
-	fed    Federation
+	// fed, when set, labels this process's payloads and fans
+	// /cluster/* and stitched-trace fetches out to the cluster's
+	// members (see federation.go).
+	fed Federation
 }
 
 // NewServer builds the handler tree for a cluster.
@@ -112,17 +108,9 @@ func writeErr(w http.ResponseWriter, err error) {
 // --- admin ---
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	var nodes []map[string]any
-	for _, n := range s.c.Nodes() {
-		nodes = append(nodes, map[string]any{
-			"id":       string(n.ID()),
-			"services": n.Services().String(),
-			"alive":    n.Alive(),
-		})
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"orchestrator": string(s.c.Orchestrator()),
-		"nodes":        nodes,
+		"orchestrator": s.c.Orchestrator(),
+		"nodes":        s.logicalNodes(),
 	})
 }
 
@@ -160,29 +148,6 @@ func (s *Server) handleFailover(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"status": "failed over", "node": node})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	bucket := r.PathValue("bucket")
-	if !s.c.HasBucket(bucket) {
-		writeErr(w, core.ErrNoSuchBucket)
-		return
-	}
-	stats := s.c.Stats(bucket)
-	var out []map[string]any
-	for _, st := range stats {
-		out = append(out, map[string]any{
-			"node":        string(st.ID),
-			"alive":       st.Alive,
-			"active_vbs":  st.ActiveVBs,
-			"replica_vbs": st.ReplicaVBs,
-			"items":       st.Items,
-			"mem_used":    st.MemUsed,
-			"tombstones":  st.Tombstones,
-			"queue_depth": st.QueueDepth,
-		})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"bucket": bucket, "nodes": out})
 }
 
 // feedServices whitelists the {service} path segment of the feeds
@@ -227,10 +192,6 @@ func (s *Server) SetKVClient(bucket string, cl *core.Client) {
 	}
 	s.kvClients[bucket] = cl
 }
-
-// SetTransportStats adds a wire-transport block to /stats/detail.
-// Must be called before serving.
-func (s *Server) SetTransportStats(fn func() any) { s.transportStats = fn }
 
 func (s *Server) client(bucket string) (*core.Client, error) {
 	if cl, ok := s.kvClients[bucket]; ok {

@@ -39,6 +39,9 @@ var (
 	mBytesOut   = metrics.Default.Counter("couchgo_transport_bytes_total", "dir", "out")
 	mNotMyVB    = metrics.Default.Counter("couchgo_notmyvbucket_total")
 	mDialErrors = metrics.Default.Counter("couchgo_transport_dial_errors_total")
+	// mStreamsServing counts DCP streams currently being pumped by
+	// servers in this process.
+	mStreamsServing = metrics.Default.Gauge("couchgo_transport_dcp_streams_serving")
 )
 
 // opHistogram is server-side handling latency per opcode, labeled by
@@ -95,32 +98,4 @@ func (c countingConn) Write(p []byte) (int, error) {
 		mBytesOut.Add(uint64(n))
 	}
 	return n, err
-}
-
-// StatsSnapshot is the transport block surfaced in /stats/detail.
-type StatsSnapshot struct {
-	ServerConns    int64  `json:"server_conns"`
-	ClientConns    int64  `json:"client_conns"`
-	BytesIn        uint64 `json:"bytes_in"`
-	BytesOut       uint64 `json:"bytes_out"`
-	NotMyVBucket   uint64 `json:"not_my_vbucket"`
-	DialErrors     uint64 `json:"dial_errors"`
-	StreamsServing int64  `json:"dcp_streams_serving"`
-}
-
-// streamsServing counts DCP streams currently being pumped by servers
-// in this process.
-var streamsServing atomic.Int64
-
-// Stats returns the current transport counters.
-func Stats() StatsSnapshot {
-	return StatsSnapshot{
-		ServerConns:    mConns.Value(),
-		ClientConns:    mConnsCli.Value(),
-		BytesIn:        mBytesIn.Value(),
-		BytesOut:       mBytesOut.Value(),
-		NotMyVBucket:   mNotMyVB.Value(),
-		DialErrors:     mDialErrors.Value(),
-		StreamsServing: streamsServing.Load(),
-	}
 }

@@ -337,7 +337,7 @@ func (c *session) handleAdmin(f *memcproto.Frame) {
 		}
 		c.respond(f, memcproto.StatusOK, extras, nil, 0)
 	case memcproto.OpStats:
-		stats := map[string]any{"transport": Stats()}
+		stats := map[string]any{}
 		if c.srv.cfg.Stats != nil {
 			for k, v := range c.srv.cfg.Stats() {
 				stats[k] = v
@@ -511,8 +511,8 @@ func (c *session) handleDCP(f *memcproto.Frame) {
 // pumpStream pushes one stream's mutations until it ends or the
 // session dies.
 func (c *session) pumpStream(opaque uint32, vbID int, name string, fromSeqno uint64, producer dcp.StreamSource, ms dcp.MutationStream) {
-	streamsServing.Add(1)
-	defer streamsServing.Add(-1)
+	mStreamsServing.Add(1)
+	defer mStreamsServing.Add(-1)
 
 	e := events.New(events.DCP, events.SevInfo, "serving dcp stream over transport")
 	e.Node, e.Bucket, e.VB = string(c.srv.cfg.Node), c.srv.cfg.Bucket, vbID
