@@ -1,7 +1,7 @@
 # Tier-1 gate plus the repo-specific static analyzer, formatting,
 # full-tree race detection, and fuzz smoke runs.
 
-.PHONY: verify build bench-build test race vet fmtcheck couchvet fuzz-smoke bench-smoke cluster-test trace-demo loc
+.PHONY: verify build bench-build test race vet fmtcheck couchvet fuzz-smoke bench-smoke bench-pairs cluster-test trace-demo loc
 
 verify: fmtcheck vet build bench-build test couchvet race
 
@@ -68,6 +68,15 @@ bench-smoke:
 	go test -run='^$$' -bench='BenchmarkGetResident|BenchmarkSetOverwrite|BenchmarkGetParallel' -benchmem -benchtime=1000x ./internal/cache
 	go test -run='^$$' -bench='BenchmarkFrameAppend' -benchmem -benchtime=1000x ./internal/memcproto
 	go test -run='^$$' -bench='BenchmarkSetPublish' -benchmem -benchtime=1000x ./internal/vbucket
+	go test -run='^$$' -bench='BenchmarkWorkloadEQuery' -benchmem -benchtime=1000x ./internal/core
+
+# Alternating parent/change pairs of one couchbench workload, the
+# procedure every ROADMAP gate asks for:
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=lib.query-e [PAIRS=10] [SEED=42]
+PAIRS ?= 10
+SEED ?= 42
+bench-pairs:
+	SEED=$(SEED) bash scripts/benchpairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzCollate -fuzztime=$(FUZZTIME) ./internal/value
@@ -76,3 +85,4 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/memcproto
 	go test -run='^$$' -fuzz=FuzzTraceContext -fuzztime=$(FUZZTIME) ./internal/memcproto
 	go test -run='^$$' -fuzz=FuzzOpRoundTrip -fuzztime=$(FUZZTIME) ./internal/transport
+	go test -run='^$$' -fuzz=FuzzPagedScan -fuzztime=$(FUZZTIME) ./internal/gsi

@@ -280,7 +280,11 @@ func (s *shadowStore) Fetch(_ context.Context, _ string, id string) (any, n1ql.M
 	return nil, n1ql.Meta{}, executor.ErrNotFound
 }
 
-func (s *shadowStore) ScanIndex(_ context.Context, _, _ string, _ n1ql.IndexUsing, opts executor.IndexScanOpts) ([]executor.IndexEntry, error) {
+// ScanIndex answers with the whole span as one final page: every call
+// sorts a fresh snapshot of the dataset, so there is nothing cheaper to
+// resume, and analytics queries are the full scans the paging is not
+// for.
+func (s *shadowStore) ScanIndex(_ context.Context, _, _ string, _ n1ql.IndexUsing, opts executor.IndexScanOpts) ([]executor.IndexEntry, bool, error) {
 	docs := s.snapshot()
 	var out []executor.IndexEntry
 	for _, d := range docs {
@@ -303,19 +307,13 @@ func (s *shadowStore) ScanIndex(_ context.Context, _, _ string, _ n1ql.IndexUsin
 			}
 		}
 		out = append(out, executor.IndexEntry{ID: d.ID, SecKey: key})
-		if opts.Limit > 0 && len(out) >= opts.Limit && !opts.Reverse {
-			break
-		}
 	}
 	if opts.Reverse {
 		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
 			out[i], out[j] = out[j], out[i]
 		}
-		if opts.Limit > 0 && len(out) > opts.Limit {
-			out = out[:opts.Limit]
-		}
 	}
-	return out, nil
+	return out, false, nil
 }
 
 func min(a, b int) int {

@@ -309,13 +309,17 @@ func (c *Cluster) consistencyVector(keyspace string) map[int]uint64 {
 	return out
 }
 
-func (s *clusterStore) ScanIndex(ctx context.Context, keyspace, index string, using n1ql.IndexUsing, opts executor.IndexScanOpts) ([]executor.IndexEntry, error) {
+// ScanIndex forwards one page of a scan to the index service. A GSI
+// page shorter than asked for ends the span; a view-backed index
+// answers with its whole result as the final page.
+func (s *clusterStore) ScanIndex(ctx context.Context, keyspace, index string, using n1ql.IndexUsing, opts executor.IndexScanOpts) ([]executor.IndexEntry, bool, error) {
 	if using == n1ql.UsingView {
-		return s.c.scanViewIndex(ctx, keyspace, index, opts)
+		out, err := s.c.scanViewIndex(ctx, keyspace, index, opts)
+		return out, false, err
 	}
 	b, err := s.c.bucket(keyspace)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	gopts := gsi.ScanOptions{
 		EqualKey: opts.EqualKey, HasEqual: opts.HasEqual,
@@ -324,19 +328,23 @@ func (s *clusterStore) ScanIndex(ctx context.Context, keyspace, index string, us
 		Limit: opts.Limit, Reverse: opts.Reverse,
 		WaitSeqnos: opts.Wait,
 	}
+	if opts.After != nil {
+		gopts.After = &gsi.ScanItem{DocID: opts.After.ID, SecKey: opts.After.SecKey}
+	}
 	items, err := b.gsiSvc.Scan(ctx, keyspace, index, gopts)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	out := make([]executor.IndexEntry, len(items))
 	for i, it := range items {
 		out[i] = executor.IndexEntry{ID: it.DocID, SecKey: it.SecKey}
 	}
-	return out, nil
+	return out, opts.Limit > 0 && len(out) == opts.Limit, nil
 }
 
 // scanViewIndex serves an IndexScan over a view-backed index by
-// scatter/gathering the per-node view engines (Figure 8).
+// scatter/gathering the per-node view engines (Figure 8). The view
+// query materialises every matching row, so the span comes back whole.
 func (c *Cluster) scanViewIndex(ctx context.Context, keyspace, index string, opts executor.IndexScanOpts) ([]executor.IndexEntry, error) {
 	vopts := views.QueryOptions{Descending: opts.Reverse}
 	switch {
@@ -371,9 +379,6 @@ func (c *Cluster) scanViewIndex(ctx context.Context, keyspace, index string, opt
 			continue
 		}
 		out = append(out, executor.IndexEntry{ID: r.ID, SecKey: []any{r.Key}})
-		if opts.Limit > 0 && len(out) >= opts.Limit {
-			break
-		}
 	}
 	return out, nil
 }

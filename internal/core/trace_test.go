@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -135,6 +136,72 @@ func TestQueryTraceUnifiesProfileAndSpans(t *testing.T) {
 	}
 	if !scanAnnotated {
 		t.Error("plan's access path not annotated on the query span")
+	}
+}
+
+// TestProfileListsEachOperatorOnce: a pipeline operator runs once per
+// batch, interleaved with its neighbours, yet `profile: timings` and
+// the request trace each list it once, in pipeline order, under the
+// names the phase histograms know.
+func TestProfileListsEachOperatorOnce(t *testing.T) {
+	c, cl := newTestCluster(t, 2, 0)
+	if _, err := c.Query("CREATE INDEX byN ON `default`(n)", executor.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		doc := fmt.Sprintf(`{"n": %d, "peer": "q%02d", "tags": [1, 2]}`, i, (i+1)%40)
+		if _, err := cl.Set(context.Background(), fmt.Sprintf("q%02d", i), []byte(doc), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	withTracing(t)
+	pipeline := []string{"parse", "plan", "scan", "fetch", "join", "unnest", "filter", "group", "project", "sort"}
+	for _, tc := range []struct {
+		stmt string
+		rows int
+		want []string // nil: any subsequence of pipeline
+	}{
+		{ // every operator, two join terms
+			stmt: "SELECT d.n, COUNT(*) AS c FROM `default` d JOIN `default` p ON KEYS d.peer JOIN `default` p2 ON KEYS p.peer " +
+				"UNNEST d.tags AS t WHERE d.n >= 0 AND t = 1 GROUP BY d.n ORDER BY c, d.n LIMIT 3",
+			rows: 3, want: pipeline,
+		},
+		{ // a filter that rejects three rows in four: the scan and fetch run several batches
+			stmt: "SELECT * FROM `default` WHERE n >= 0 AND n % 4 = 3 LIMIT 6",
+			rows: 6, want: []string{"parse", "plan", "scan", "fetch", "filter", "project"},
+		},
+		{stmt: "SELECT n FROM `default` WHERE n >= 5 LIMIT 0", rows: 0},
+	} {
+		trace.Default.Clear()
+		res, err := c.Query(tc.stmt, executor.Options{Consistency: executor.RequestPlus, Prof: executor.NewProfile()})
+		if err != nil || len(res.Rows) != tc.rows {
+			t.Fatalf("%s: %d rows, %v", tc.stmt, len(res.Rows), err)
+		}
+		var got []string
+		for _, ph := range res.Profile {
+			got = append(got, ph.Operator)
+		}
+		if tc.want != nil && !slices.Equal(got, tc.want) {
+			t.Errorf("%s:\nprofile %v\n   want %v", tc.stmt, got, tc.want)
+		}
+		next := 0
+		for _, op := range got {
+			i := slices.Index(pipeline[next:], op)
+			if i < 0 {
+				t.Errorf("%s: operator %q unknown, repeated or out of pipeline order in %v", tc.stmt, op, got)
+				break
+			}
+			next += i + 1
+		}
+		var spans []string
+		for _, name := range trace.Default.Slowest("query").Names() {
+			if op, ok := strings.CutPrefix(name, "query:"); ok {
+				spans = append(spans, op)
+			}
+		}
+		if !slices.Equal(spans, got) {
+			t.Errorf("%s:\ntrace spans %v\n    profile %v", tc.stmt, spans, got)
+		}
 	}
 }
 

@@ -1,10 +1,13 @@
 // Package executor implements N1QL query execution: the operator
 // pipeline of the paper's Figure 11 (scan → fetch → join/nest/unnest →
 // filter → group → project → distinct → sort → offset → limit) plus
-// DML execution. "Some operations, like query parsing and planning, are
+// DML execution. The pipeline is demand-driven: each operator hands a
+// batch downstream only when asked, LIMIT/OFFSET say how many rows are
+// still needed, and that demand reaches the index scan as its page
+// size. "Some operations, like query parsing and planning, are
 // done serially, while other operations, like fetch, join, and sort,
 // are done in a local parallel (based on multicore) manner" — the Fetch
-// operator here fans out across a worker pool.
+// operator here fans each batch out across a worker pool.
 package executor
 
 import (
@@ -30,9 +33,16 @@ type IndexScanOpts struct {
 	HasEqual          bool
 	Low, High         []any
 	LowIncl, HighIncl bool
-	Limit             int
-	Reverse           bool
+	// Limit is the page size the executor derived from the rows still
+	// needed downstream (0 = no bound).
+	Limit   int
+	Reverse bool
+	// After resumes the scan strictly after this entry in scan
+	// direction — the last entry of the previous page; nil asks for the
+	// span's first page.
+	After *IndexEntry
 	// Wait is the request_plus consistency vector (nil = not_bounded).
+	// The executor sets it on the first page only.
 	Wait map[int]uint64
 }
 
@@ -43,8 +53,12 @@ type Datastore interface {
 	// Fetch retrieves one document and its metadata by ID. ctx carries
 	// the query's trace so KV fetches chain into the query trace.
 	Fetch(ctx context.Context, keyspace, id string) (doc any, meta n1ql.Meta, err error)
-	// ScanIndex runs an index scan (GSI or view-backed, §3.3).
-	ScanIndex(ctx context.Context, keyspace, index string, using n1ql.IndexUsing, opts IndexScanOpts) ([]IndexEntry, error)
+	// ScanIndex serves one page of an index scan (GSI or view-backed,
+	// §3.3): the span's entries after opts.After, in scan order, and
+	// whether more may follow the last one. A store that can resume
+	// returns at most opts.Limit entries; one that cannot returns all
+	// that remain as a final page (more = false).
+	ScanIndex(ctx context.Context, keyspace, index string, using n1ql.IndexUsing, opts IndexScanOpts) (page []IndexEntry, more bool, err error)
 	// ConsistencyVector reports the data service's current per-vBucket
 	// high seqnos, captured at query start for request_plus.
 	ConsistencyVector(keyspace string) map[int]uint64

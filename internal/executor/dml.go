@@ -41,7 +41,7 @@ func ExecuteInsert(ins *n1ql.Insert, ds Datastore, cat planner.Catalog, opts Opt
 		if len(ins.Returning) > 0 {
 			ctx := n1ql.NewContext(ins.Keyspace, doc, n1ql.Meta{ID: key})
 			ctx.Params = opts.Params
-			out, err := projectReturning(ins.Returning, ctx)
+			out, err := projectTerms(ins.Returning, ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -51,7 +51,9 @@ func ExecuteInsert(ins *n1ql.Insert, ds Datastore, cat planner.Catalog, opts Opt
 	return res, nil
 }
 
-// mutationTargets scans for the documents a DELETE/UPDATE affects.
+// mutationTargets finds the documents a DELETE/UPDATE affects by
+// running them as a SELECT * through the pipeline, so the statement's
+// LIMIT stops the scan as it does a query's.
 func mutationTargets(keyspace, alias string, useKeys, where, limit n1ql.Expr, ds Datastore, cat planner.Catalog, opts Options) ([]row, error) {
 	sel := &n1ql.Select{
 		Keyspace:   keyspace,
@@ -65,25 +67,7 @@ func mutationTargets(keyspace, alias string, useKeys, where, limit n1ql.Expr, ds
 	if err != nil {
 		return nil, err
 	}
-	ex := &selectExec{p: p, ds: ds, opts: opts}
-	lim, _, err := ex.limitOffset()
-	if err != nil {
-		return nil, err
-	}
-	rows, err := ex.scanAndAssemble(lim, 0)
-	if err != nil {
-		return nil, err
-	}
-	if p.Where != nil {
-		rows, err = filterRows(rows, p.Where)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if lim >= 0 && len(rows) > lim {
-		rows = rows[:lim]
-	}
-	return rows, nil
+	return (&selectExec{p: p, ds: ds, opts: opts}).run()
 }
 
 // ExecuteDelete runs DELETE FROM ...
@@ -100,7 +84,7 @@ func ExecuteDelete(del *n1ql.Delete, ds Datastore, cat planner.Catalog, opts Opt
 		}
 		res.MutationCount++
 		if len(del.Returning) > 0 {
-			out, err := projectReturning(del.Returning, r.ctx)
+			out, err := projectTerms(del.Returning, r.ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -143,7 +127,7 @@ func ExecuteUpdate(upd *n1ql.Update, ds Datastore, cat planner.Catalog, opts Opt
 		if len(upd.Returning) > 0 {
 			ctx := n1ql.NewContext(upd.Alias, doc, n1ql.Meta{ID: id})
 			ctx.Params = opts.Params
-			out, err := projectReturning(upd.Returning, ctx)
+			out, err := projectTerms(upd.Returning, ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -226,25 +210,4 @@ func applyPathUnset(doc any, pathExpr n1ql.Expr, alias string, ctx *n1ql.Context
 	}
 	out, _ := p.Delete(doc)
 	return out, nil
-}
-
-func projectReturning(terms []n1ql.ResultTerm, ctx *n1ql.Context) (any, error) {
-	obj := make(map[string]any)
-	for ti, rt := range terms {
-		if rt.Star {
-			if err := projectStar(obj, rt, ctx); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		v, err := n1ql.Eval(rt.Expr, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if value.IsMissing(v) {
-			continue
-		}
-		obj[resultName(rt, ti)] = v
-	}
-	return obj, nil
 }

@@ -3,6 +3,7 @@ package executor
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,6 +21,8 @@ type stubDS struct {
 	// fetchConcurrency observes the parallel Fetch operator.
 	inFlight, maxInFlight atomic.Int32
 	fetches               atomic.Int32
+	// scans counts ScanIndex calls, scanned the entries they returned.
+	scans, scanned atomic.Int32
 }
 
 func newStubDS() *stubDS { return &stubDS{docs: map[string]any{}} }
@@ -47,25 +50,33 @@ func (s *stubDS) Fetch(_ context.Context, _ string, id string) (any, n1ql.Meta, 
 	return doc, n1ql.Meta{ID: id}, nil
 }
 
-func (s *stubDS) ScanIndex(_ context.Context, _, _ string, _ n1ql.IndexUsing, opts IndexScanOpts) ([]IndexEntry, error) {
+// ScanIndex is a primary index over the stub's documents: IDs at or
+// above an inclusive Low, strictly after the continuation, one page.
+func (s *stubDS) ScanIndex(_ context.Context, _, _ string, _ n1ql.IndexUsing, opts IndexScanOpts) ([]IndexEntry, bool, error) {
+	s.scans.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []IndexEntry
+	var ids []string
 	for id := range s.docs {
-		out = append(out, IndexEntry{ID: id, SecKey: []any{id}})
-	}
-	// Deterministic order.
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j].ID < out[i].ID {
-				out[i], out[j] = out[j], out[i]
-			}
+		if opts.After != nil && id <= opts.After.ID {
+			continue
 		}
+		if opts.Low != nil && id < opts.Low[0].(string) {
+			continue
+		}
+		ids = append(ids, id)
 	}
-	if opts.Limit > 0 && len(out) > opts.Limit {
-		out = out[:opts.Limit]
+	sort.Strings(ids)
+	more := opts.Limit > 0 && len(ids) > opts.Limit
+	if more {
+		ids = ids[:opts.Limit]
 	}
-	return out, nil
+	out := make([]IndexEntry, len(ids))
+	for i, id := range ids {
+		out[i] = IndexEntry{ID: id, SecKey: []any{id}}
+	}
+	s.scanned.Add(int32(len(out)))
+	return out, more, nil
 }
 
 func (s *stubDS) ConsistencyVector(string) map[int]uint64 { return nil }
@@ -187,6 +198,85 @@ func TestLimitOffsetValidation(t *testing.T) {
 	rows, err := ExecuteSelect(p, ds, Options{})
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("big offset: %v %v", rows, err)
+	}
+	p = planOf(t, "SELECT v FROM b LIMIT 5 OFFSET 1")
+	if rows, err = ExecuteSelect(p, ds, Options{}); err != nil || len(rows) != 0 {
+		t.Fatalf("offset = span: %v %v", rows, err)
+	}
+	// LIMIT 0 is a demand of no rows: no page is requested and no
+	// document fetched, whatever else the statement says.
+	for _, src := range []string{
+		"SELECT v FROM b LIMIT 0",
+		"SELECT v FROM b WHERE v = 1 LIMIT 0 OFFSET 3",
+		"SELECT meta().id FROM b LIMIT 0",
+	} {
+		ds.scans.Store(0)
+		ds.fetches.Store(0)
+		rows, err := ExecuteSelect(planOf(t, src), ds, Options{})
+		if err != nil || len(rows) != 0 {
+			t.Fatalf("%s: %v %v", src, rows, err)
+		}
+		if ds.scans.Load() != 0 || ds.fetches.Load() != 0 {
+			t.Errorf("%s: %d scans, %d fetches, want none", src, ds.scans.Load(), ds.fetches.Load())
+		}
+	}
+}
+
+// TestLimitBoundsScanAndFetch: the rows a LIMIT still needs are all the
+// scan reads and all the fetch retrieves, for a SELECT and for the
+// DELETE that shares its pipeline.
+func TestLimitBoundsScanAndFetch(t *testing.T) {
+	ds := newStubDS()
+	for i := 0; i < 5000; i++ {
+		ds.put(fmt.Sprintf("k%04d", i), `{"v": 1}`)
+	}
+	// Non-covering (SELECT *), residual WHERE that keeps every row.
+	p := planOf(t, "SELECT * FROM b WHERE meta().id >= $1 LIMIT 10")
+	rows, err := ExecuteSelect(p, ds, Options{Params: map[string]any{"1": "k1000"}})
+	if err != nil || len(rows) != 10 {
+		t.Fatalf("rows: %d %v", len(rows), err)
+	}
+	if got := rows[0].(map[string]any)["b"]; got == nil {
+		t.Fatalf("first row: %v", rows[0])
+	}
+	// Nothing is dropped, so one page of 10 is all it takes; a second
+	// page's worth would still be acceptable.
+	if n := ds.fetches.Load(); n < 10 || n > 20 {
+		t.Errorf("fetched %d documents for LIMIT 10", n)
+	}
+	if n := ds.scanned.Load(); n < 10 || n > 20 {
+		t.Errorf("scanned %d entries for LIMIT 10", n)
+	}
+	if ds.maxInFlight.Load() > 8 {
+		t.Errorf("%d fetches in flight, pool is 8", ds.maxInFlight.Load())
+	}
+
+	// A filter that rejects every other row makes the scan come back
+	// for more, in growing pages, and still stop.
+	for i := 0; i < 5000; i += 2 {
+		ds.put(fmt.Sprintf("k%04d", i), `{"v": 2}`)
+	}
+	ds.scans.Store(0)
+	ds.scanned.Store(0)
+	p = planOf(t, "SELECT meta().id FROM b WHERE v = 1 LIMIT 100")
+	if rows, err = ExecuteSelect(p, ds, Options{}); err != nil || len(rows) != 100 {
+		t.Fatalf("rows: %d %v", len(rows), err)
+	}
+	if n := ds.scanned.Load(); n < 200 || n > 400 {
+		t.Errorf("scanned %d entries for 100 rows at 50%% selectivity", n)
+	}
+	if n := ds.scans.Load(); n < 2 || n > 4 {
+		t.Errorf("%d pages, want a few growing ones", n)
+	}
+
+	ds.scanned.Store(0)
+	stmt, _ := n1ql.Parse("DELETE FROM b WHERE v = 2 LIMIT 4")
+	res, err := ExecuteDelete(stmt.(*n1ql.Delete), ds, stubCat{}, Options{})
+	if err != nil || res.MutationCount != 4 {
+		t.Fatalf("delete: %+v %v", res, err)
+	}
+	if n := ds.scanned.Load(); n < 8 || n > 16 {
+		t.Errorf("DELETE ... LIMIT 4 scanned %d entries at 50%% selectivity", n)
 	}
 }
 

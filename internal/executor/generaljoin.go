@@ -31,8 +31,13 @@ type KeyspaceScanner interface {
 	ScanKeyspace(keyspace string) ([]ScannedDoc, error)
 }
 
-// generalJoin executes JOIN/NEST ... ON <cond>.
-func (ex *selectExec) generalJoin(rows []row, j n1ql.JoinTerm) ([]row, error) {
+// joinMatcher settles how one join term finds an outer row's inner
+// matches. A general join reads the inner keyspace here, once, however
+// many batches of outer rows follow.
+func (ex *selectExec) joinMatcher(j n1ql.JoinTerm) (func(row) ([]ScannedDoc, error), error) {
+	if j.OnCond == nil {
+		return ex.keyMatches(j), nil
+	}
 	scanner, ok := ex.ds.(KeyspaceScanner)
 	if !ok {
 		return nil, fmt.Errorf("executor: general joins require the analytics service (N1QL §3.2.4 allows only ON KEYS joins)")
@@ -41,11 +46,10 @@ func (ex *selectExec) generalJoin(rows []row, j n1ql.JoinTerm) ([]row, error) {
 	if err != nil {
 		return nil, err
 	}
-	outerExpr, innerExpr := equiJoinKeys(j.OnCond, j.Alias)
-	if outerExpr != nil {
-		return ex.hashJoin(rows, j, inner, outerExpr, innerExpr)
+	if outerExpr, innerExpr := equiJoinKeys(j.OnCond, j.Alias); outerExpr != nil {
+		return ex.hashMatcher(j, inner, outerExpr, innerExpr)
 	}
-	return ex.nestedLoopJoin(rows, j, inner)
+	return nestedLoopMatcher(j, inner), nil
 }
 
 // equiJoinKeys detects `outerSide = innerSide` conditions where one
@@ -135,9 +139,9 @@ func walkRef(x n1ql.Expr, alias string, ok *bool) bool {
 	return true
 }
 
-// hashJoin builds a hash table on the inner side's join key and probes
-// it with each outer row.
-func (ex *selectExec) hashJoin(rows []row, j n1ql.JoinTerm, inner []ScannedDoc, outerExpr, innerExpr n1ql.Expr) ([]row, error) {
+// hashMatcher builds a hash table on the inner side's join key; the
+// matcher probes it with each outer row.
+func (ex *selectExec) hashMatcher(j n1ql.JoinTerm, inner []ScannedDoc, outerExpr, innerExpr n1ql.Expr) (func(row) ([]ScannedDoc, error), error) {
 	table := make(map[string][]ScannedDoc, len(inner))
 	for _, d := range inner {
 		ctx := &n1ql.Context{
@@ -156,25 +160,19 @@ func (ex *selectExec) hashJoin(rows []row, j n1ql.JoinTerm, inner []ScannedDoc, 
 		ek := string(value.EncodeKey(k))
 		table[ek] = append(table[ek], d)
 	}
-	var out []row
-	for _, r := range rows {
+	return func(r row) ([]ScannedDoc, error) {
 		k, err := n1ql.Eval(outerExpr, r.ctx)
-		if err != nil {
+		if err != nil || value.IsMissing(k) || k == nil {
 			return nil, err
 		}
-		var matches []ScannedDoc
-		if !value.IsMissing(k) && k != nil {
-			matches = table[string(value.EncodeKey(k))]
-		}
-		out = appendJoinRows(out, r, j, matches)
-	}
-	return out, nil
+		return table[string(value.EncodeKey(k))], nil
+	}, nil
 }
 
-// nestedLoopJoin evaluates the condition for every (outer, inner) pair.
-func (ex *selectExec) nestedLoopJoin(rows []row, j n1ql.JoinTerm, inner []ScannedDoc) ([]row, error) {
-	var out []row
-	for _, r := range rows {
+// nestedLoopMatcher evaluates the condition for every (outer, inner)
+// pair.
+func nestedLoopMatcher(j n1ql.JoinTerm, inner []ScannedDoc) func(row) ([]ScannedDoc, error) {
+	return func(r row) ([]ScannedDoc, error) {
 		var matches []ScannedDoc
 		for _, d := range inner {
 			ctx := r.ctx.Child(j.Alias, d.Doc)
@@ -187,31 +185,16 @@ func (ex *selectExec) nestedLoopJoin(rows []row, j n1ql.JoinTerm, inner []Scanne
 				matches = append(matches, d)
 			}
 		}
-		out = appendJoinRows(out, r, j, matches)
+		return matches, nil
 	}
-	return out, nil
 }
 
-// appendJoinRows emits result rows per the JOIN/NEST and INNER/LEFT
-// semantics shared with key joins.
+// appendJoinRows emits one outer row's results per the JOIN/NEST and
+// INNER/LEFT semantics, shared by key and general joins. NEST: "it
+// produces a single result for each left-hand input while its
+// right-hand input is collected into an array and nested". JOIN: one
+// result per matched inner document.
 func appendJoinRows(out []row, r row, j n1ql.JoinTerm, matches []ScannedDoc) []row {
-	if j.Nest {
-		if len(matches) == 0 {
-			if j.Kind == n1ql.JoinLeftOuter {
-				nr := r
-				nr.ctx = r.ctx.Child(j.Alias, value.Missing)
-				out = append(out, nr)
-			}
-			return out
-		}
-		docs := make([]any, len(matches))
-		for i, d := range matches {
-			docs[i] = d.Doc
-		}
-		nr := r
-		nr.ctx = r.ctx.Child(j.Alias, docs)
-		return append(out, nr)
-	}
 	if len(matches) == 0 {
 		if j.Kind == n1ql.JoinLeftOuter {
 			nr := r
@@ -219,6 +202,15 @@ func appendJoinRows(out []row, r row, j n1ql.JoinTerm, matches []ScannedDoc) []r
 			out = append(out, nr)
 		}
 		return out
+	}
+	if j.Nest {
+		docs := make([]any, len(matches))
+		for i, d := range matches {
+			docs[i] = d.Doc
+		}
+		nr := r
+		nr.ctx = r.ctx.Child(j.Alias, docs)
+		return append(out, nr)
 	}
 	for _, d := range matches {
 		nr := r

@@ -43,10 +43,9 @@ var phaseHists = func() map[string]*metrics.Histogram {
 	return m
 }()
 
-// Record logs one operator phase that started at t0 and produced
-// items rows. Safe on a nil receiver.
-func (p *Profile) Record(op string, t0 time.Time, items int) {
-	d := time.Since(t0)
+// Record logs one operator phase that took d and produced items rows.
+// Safe on a nil receiver.
+func (p *Profile) Record(op string, d time.Duration, items int) {
 	if h := phaseHists[op]; h != nil {
 		h.Observe(d)
 	}
@@ -63,10 +62,15 @@ func (p *Profile) Record(op string, t0 time.Time, items int) {
 // phase histograms, and — when the request is traced — a completed
 // "query:<op>" span on the request trace. Operators call this instead
 // of Prof.Record directly so profiling and tracing can never drift.
-func (o Options) Record(op string, t0 time.Time, items int) {
-	o.Prof.Record(op, t0, items)
+//
+// d is the operator's own time. A pipeline operator works in batches
+// interleaved with its neighbours', so its d is the sum over its
+// batches and start is where the executor lays the span out (operators
+// end to end from the statement's start), not a measured instant.
+func (o Options) Record(op string, start time.Time, d time.Duration, items int) {
+	o.Prof.Record(op, d, items)
 	if sp := trace.FromContext(o.Context()); sp != nil {
-		sp.Completed("query:"+op, t0, "items", strconv.Itoa(items))
+		sp.Completed("query:"+op, start, d, "items", strconv.Itoa(items))
 	}
 }
 

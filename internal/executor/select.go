@@ -2,8 +2,10 @@ package executor
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"couchgo/internal/n1ql"
@@ -13,135 +15,229 @@ import (
 
 // row is one item flowing through the pipeline.
 type row struct {
+	// id is the document a scan named; Fetch turns it into ctx.
+	id  string
 	ctx *n1ql.Context
 	// projected and sortKey are filled late in the pipeline.
 	projected any
 	sortKey   []any
 }
 
+// noLimit is the demand of a consumer that needs every row.
+const noLimit = math.MaxInt
+
+// maxBatch caps a batch, and with it an index scan page, however many
+// rows are wanted.
+const maxBatch = 1024
+
+// operator is one stage of the pipeline. next returns the stage's next
+// batch, pulling on its upstream only as far as that takes. want is the
+// number of rows the consumer still needs: a hint that sizes the batch,
+// which may come out shorter or longer. An empty batch means the stage
+// is exhausted. The batch belongs to the caller.
+type operator interface {
+	next(want int) ([]row, error)
+}
+
+// drain pulls op dry.
+func drain(op operator) ([]row, error) {
+	var all []row
+	for {
+		batch, err := op.next(noLimit)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case len(batch) == 0:
+			return all, nil
+		case all == nil:
+			all = batch
+		default:
+			all = append(all, batch...)
+		}
+	}
+}
+
+// stream is a streaming operator: each upstream batch goes through fn,
+// and demand passes through unchanged. It pulls again while fn drops a
+// whole batch, so only a dry upstream makes it return empty.
+type stream struct {
+	up operator
+	fn func([]row) ([]row, error)
+}
+
+func (s *stream) next(want int) ([]row, error) {
+	for {
+		in, err := s.up.next(want)
+		if err != nil || len(in) == 0 {
+			return nil, err
+		}
+		out, err := s.fn(in)
+		if err != nil || len(out) > 0 {
+			return out, err
+		}
+	}
+}
+
+// barrier is a blocking operator (GROUP BY, a Sort the index does not
+// deliver): it needs every upstream row before its first output, which
+// it hands over as one batch.
+type barrier struct {
+	up   operator
+	fn   func([]row) ([]row, error)
+	done bool
+}
+
+func (b *barrier) next(int) ([]row, error) {
+	if b.done {
+		return nil, nil
+	}
+	b.done = true
+	all, err := drain(b.up)
+	if err != nil {
+		return nil, err
+	}
+	return b.fn(all)
+}
+
+// limitOp is Offset + Limit, the origin of demand: it asks upstream for
+// exactly the rows it still has to skip and return, and stops asking
+// once it has them.
+type limitOp struct {
+	up           operator
+	skip, remain int // remain is noLimit without a LIMIT clause
+}
+
+func (l *limitOp) next(int) ([]row, error) {
+	for l.remain > 0 {
+		want := noLimit
+		if l.remain < noLimit-l.skip {
+			want = l.skip + l.remain
+		}
+		rows, err := l.up.next(want)
+		if err != nil || len(rows) == 0 {
+			return nil, err
+		}
+		n := min(l.skip, len(rows))
+		l.skip -= n
+		rows = rows[n:]
+		if len(rows) > l.remain {
+			rows = rows[:l.remain]
+		}
+		l.remain -= len(rows)
+		if len(rows) > 0 {
+			return rows, nil
+		}
+	}
+	return nil, nil
+}
+
+// phase times one operator for the profile: busy is the time spent in
+// its next, upstream included, so an operator's self time is its busy
+// minus its upstream's.
+type phase struct {
+	name  string
+	op    operator
+	busy  time.Duration
+	items int
+}
+
+func (ph *phase) next(want int) ([]row, error) {
+	t0 := time.Now()
+	rows, err := ph.op.next(want)
+	ph.busy += time.Since(t0)
+	ph.items += len(rows)
+	return rows, err
+}
+
 // ExecuteSelect runs a planned SELECT and returns the result values
 // (one JSON value per row).
 func ExecuteSelect(p *planner.SelectPlan, ds Datastore, opts Options) ([]any, error) {
-	ex := &selectExec{p: p, ds: ds, opts: opts}
-	return ex.run()
+	rows, err := (&selectExec{p: p, ds: ds, opts: opts}).run()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]any, len(rows))
+	for i := range rows {
+		out[i] = rows[i].projected
+	}
+	return out, nil
 }
 
 type selectExec struct {
 	p    *planner.SelectPlan
 	ds   Datastore
 	opts Options
+
+	top    operator
+	scan   *scanOp
+	phases []*phase
 }
 
 func (ex *selectExec) paramCtx() *n1ql.Context {
 	return &n1ql.Context{Params: ex.opts.Params}
 }
 
-func (ex *selectExec) run() ([]any, error) {
-	p := ex.p
+// add appends an operator, timed under name, to the pipeline.
+func (ex *selectExec) add(name string, op operator) {
+	ph := &phase{name: name, op: op}
+	ex.phases = append(ex.phases, ph)
+	ex.top = ph
+}
 
+func (ex *selectExec) addStream(name string, fn func([]row) ([]row, error)) {
+	ex.add(name, &stream{up: ex.top, fn: fn})
+}
+
+// run assembles the pipeline the plan describes, pulls the rows LIMIT
+// and OFFSET ask for through it, and reports each operator once.
+func (ex *selectExec) run() ([]row, error) {
+	p := ex.p
 	limit, offset, err := ex.limitOffset()
 	if err != nil {
 		return nil, err
 	}
-
-	rows, err := ex.scanAndAssemble(limit, offset)
+	start := time.Now()
+	if err := ex.addScan(); err != nil {
+		return nil, err
+	}
+	if p.Fetch {
+		ex.addStream("fetch", ex.fetch)
+	}
+	if len(p.Joins) > 0 {
+		ex.addStream("join", ex.joiner())
+	}
+	if len(p.Unnests) > 0 {
+		ex.addStream("unnest", ex.unnest)
+	}
+	if p.Where != nil {
+		ex.addStream("filter", func(rows []row) ([]row, error) { return filterRows(rows, p.Where) })
+	}
+	if len(p.GroupBy) > 0 || len(p.Aggregates) > 0 {
+		ex.add("group", &barrier{up: ex.top, fn: ex.group})
+	}
+	ex.addStream("project", ex.projector())
+	if len(p.OrderBy) > 0 && !p.OrderFromIndex {
+		ex.add("sort", &barrier{up: ex.top, fn: ex.sort})
+	}
+	if limit < 0 {
+		limit = noLimit
+	}
+	rows, err := drain(&limitOp{up: ex.top, skip: offset, remain: limit})
 	if err != nil {
 		return nil, err
 	}
-
-	// Join / Nest / Unnest expand or restructure rows.
-	for _, j := range p.Joins {
-		t0 := time.Now()
-		rows, err = ex.join(rows, j)
-		if err != nil {
-			return nil, err
-		}
-		ex.opts.Record("join", t0, len(rows))
+	if ex.scan != nil {
+		ex.phases[0].items = ex.scan.examined
 	}
-	for _, u := range p.Unnests {
-		t0 := time.Now()
-		rows, err = ex.unnest(rows, u)
-		if err != nil {
-			return nil, err
-		}
-		ex.opts.Record("unnest", t0, len(rows))
+	var upstream time.Duration
+	for _, ph := range ex.phases {
+		self := ph.busy - upstream
+		upstream = ph.busy
+		ex.opts.Record(ph.name, start, self, ph.items)
+		start = start.Add(self)
 	}
-
-	// Filter.
-	if p.Where != nil {
-		t0 := time.Now()
-		rows, err = filterRows(rows, p.Where)
-		if err != nil {
-			return nil, err
-		}
-		ex.opts.Record("filter", t0, len(rows))
-	}
-
-	// Group / aggregate.
-	if len(p.GroupBy) > 0 || len(p.Aggregates) > 0 {
-		t0 := time.Now()
-		rows, err = ex.group(rows)
-		if err != nil {
-			return nil, err
-		}
-		if p.Having != nil {
-			having := aggRewrite(p.Having, p.Aggregates)
-			rows, err = filterRows(rows, having)
-			if err != nil {
-				return nil, err
-			}
-		}
-		ex.opts.Record("group", t0, len(rows))
-	}
-
-	// Project (and compute sort keys while contexts are still around).
-	tProject := time.Now()
-	if err := ex.project(rows); err != nil {
-		return nil, err
-	}
-
-	// Distinct.
-	if p.Distinct {
-		rows = distinctRows(rows)
-	}
-	ex.opts.Record("project", tProject, len(rows))
-
-	// Sort.
-	if len(p.OrderBy) > 0 && !p.OrderFromIndex {
-		tSort := time.Now()
-		sort.SliceStable(rows, func(i, j int) bool {
-			for k := range rows[i].sortKey {
-				c := value.Compare(rows[i].sortKey[k], rows[j].sortKey[k])
-				if c == 0 {
-					continue
-				}
-				if ex.p.OrderBy[k].Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-		ex.opts.Record("sort", tSort, len(rows))
-	}
-
-	// Offset / Limit.
-	if offset > 0 {
-		if offset >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[offset:]
-		}
-	}
-	if limit >= 0 && len(rows) > limit {
-		rows = rows[:limit]
-	}
-
-	out := make([]any, len(rows))
-	for i := range rows {
-		out[i] = rows[i].projected
-	}
-	return out, nil
+	return rows, nil
 }
 
 // limitOffset evaluates LIMIT/OFFSET expressions (-1 = no limit).
@@ -172,56 +268,109 @@ func (ex *selectExec) limitOffset() (limit, offset int, err error) {
 	return limit, offset, nil
 }
 
-// scanAndAssemble runs the access path and builds initial row contexts
-// (including the parallel Fetch of Figure 11 when the scan does not
-// cover the query).
-func (ex *selectExec) scanAndAssemble(limit, offset int) ([]row, error) {
+// rowsOp hands out fixed rows once.
+type rowsOp struct{ rows []row }
+
+func (o *rowsOp) next(int) ([]row, error) {
+	rows := o.rows
+	o.rows = nil
+	return rows, nil
+}
+
+// scanOp is the access path. It turns index entries into rows a batch
+// at a time and asks the datastore for a page only when its buffer has
+// run dry, so a scan whose consumer stops asking stops reading the
+// index. Covering plans get their row context here (§5.1.2: "covered
+// queries ... deliver better performance" by skipping the fetch);
+// others pass the document ID on to Fetch.
+type scanOp struct {
+	ex    *selectExec
+	index string
+	using n1ql.IndexUsing
+	// opts carry the evaluated span and, between pages, the
+	// continuation.
+	opts  IndexScanOpts
+	cover bool
+
+	buf      []IndexEntry // read from the index, not yet handed out
+	more     bool         // the span may continue after buf
+	size     int          // the previous batch's size
+	examined int          // entries the datastore returned
+}
+
+// next sizes its batch, and the page behind it, from demand: the rows
+// still wanted, doubled on every repeat call (a consumer that comes
+// back dropped rows of the last batch, so a selective filter costs a
+// logarithmic number of pages), capped at maxBatch.
+func (s *scanOp) next(want int) ([]row, error) {
+	s.size = min(max(want, 2*s.size), maxBatch)
+	if len(s.buf) == 0 && s.more {
+		opts := s.opts
+		opts.Limit = s.size
+		page, more, err := s.ex.ds.ScanIndex(s.ex.opts.Context(), s.ex.p.Keyspace, s.index, s.using, opts)
+		if err != nil {
+			return nil, err
+		}
+		s.buf, s.more = page, more && len(page) > 0
+		s.examined += len(page)
+		if s.more {
+			s.opts.After = &page[len(page)-1]
+			s.opts.Wait = nil // request_plus waits once
+		}
+	}
+	n := min(s.size, len(s.buf))
+	rows := make([]row, n)
+	for i, e := range s.buf[:n] {
+		if s.cover {
+			rows[i].ctx = s.ex.coverCtx(e)
+		} else {
+			rows[i].id = e.ID
+		}
+	}
+	s.buf = s.buf[n:]
+	return rows, nil
+}
+
+// addScan starts the pipeline with the plan's access path.
+func (ex *selectExec) addScan() error {
 	p := ex.p
-	if p.Scan == nil {
+	sc := &scanOp{ex: ex, cover: !p.Fetch}
+	var span planner.Span
+	switch scan := p.Scan.(type) {
+	case nil:
 		// FROM-less SELECT: one empty row.
 		ctx := &n1ql.Context{Bindings: map[string]any{}, Params: ex.opts.Params}
-		return []row{{ctx: ctx}}, nil
-	}
-
-	tScan := time.Now()
-	switch scan := p.Scan.(type) {
+		ex.top = &rowsOp{rows: []row{{ctx: ctx}}}
+		return nil
 	case *planner.KeyScan:
 		ids, err := ex.keyScanIDs(scan)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ex.opts.Record("scan", tScan, len(ids))
-		return ex.fetchRows(ids)
+		sc.buf = make([]IndexEntry, len(ids))
+		for i, id := range ids {
+			sc.buf[i].ID = id
+		}
+		sc.examined = len(ids)
 	case *planner.IndexScan:
-		entries, err := ex.indexScan(scan.Index, scan.Using, scan.Span, scan.Reverse, limit, offset)
-		if err != nil {
-			return nil, err
-		}
-		ex.opts.Record("scan", tScan, len(entries))
-		if scan.Covering {
-			return ex.coverRows(entries), nil
-		}
-		ids := make([]string, len(entries))
-		for i, e := range entries {
-			ids[i] = e.ID
-		}
-		return ex.fetchRows(ids)
+		sc.index, sc.using, span, sc.more = scan.Index, scan.Using, scan.Span, true
+		sc.opts.Reverse = scan.Reverse
 	case *planner.PrimaryScan:
-		entries, err := ex.indexScan(scan.Index, scan.Using, scan.Span, false, limit, offset)
-		if err != nil {
-			return nil, err
-		}
-		ex.opts.Record("scan", tScan, len(entries))
-		if !ex.p.Fetch {
-			return ex.coverRows(entries), nil
-		}
-		ids := make([]string, len(entries))
-		for i, e := range entries {
-			ids[i] = e.ID
-		}
-		return ex.fetchRows(ids)
+		sc.index, sc.using, span, sc.more = scan.Index, scan.Using, scan.Span, true
+	default:
+		return fmt.Errorf("executor: unknown scan %T", p.Scan)
 	}
-	return nil, fmt.Errorf("executor: unknown scan %T", p.Scan)
+	if sc.more {
+		if err := ex.evalSpan(span, &sc.opts); err != nil {
+			return err
+		}
+		if ex.opts.Consistency == RequestPlus {
+			sc.opts.Wait = ex.ds.ConsistencyVector(p.Keyspace)
+		}
+	}
+	ex.scan = sc
+	ex.add("scan", sc)
+	return nil
 }
 
 func (ex *selectExec) keyScanIDs(scan *planner.KeyScan) ([]string, error) {
@@ -229,25 +378,32 @@ func (ex *selectExec) keyScanIDs(scan *planner.KeyScan) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	ids, ok := keyStrings(v)
+	if !ok {
+		return nil, fmt.Errorf("executor: USE KEYS requires a string or array of strings, got %s", value.KindOf(v))
+	}
+	return ids, nil
+}
+
+// keyStrings reads a key expression's value: one ID or an array of
+// them, whose non-string elements are skipped.
+func keyStrings(v any) (ids []string, ok bool) {
 	switch t := v.(type) {
 	case string:
-		return []string{t}, nil
+		return []string{t}, true
 	case []any:
-		var ids []string
 		for _, el := range t {
 			if s, ok := el.(string); ok {
 				ids = append(ids, s)
 			}
 		}
-		return ids, nil
+		return ids, true
 	}
-	return nil, fmt.Errorf("executor: USE KEYS requires a string or array of strings, got %s", value.KindOf(v))
+	return nil, false
 }
 
-// indexScan evaluates the span and runs the scan, pushing the limit
-// down when no later operator can drop or reorder rows.
-func (ex *selectExec) indexScan(index string, using n1ql.IndexUsing, span planner.Span, reverse bool, limit, offset int) ([]IndexEntry, error) {
-	opts := IndexScanOpts{Reverse: reverse}
+// evalSpan evaluates the span's constant bound expressions into opts.
+func (ex *selectExec) evalSpan(span planner.Span, opts *IndexScanOpts) error {
 	evalAll := func(es []n1ql.Expr) ([]any, error) {
 		out := make([]any, len(es))
 		for i, e := range es {
@@ -261,180 +417,141 @@ func (ex *selectExec) indexScan(index string, using n1ql.IndexUsing, span planne
 	}
 	var err error
 	if span.Equal != nil {
-		if opts.EqualKey, err = evalAll(span.Equal); err != nil {
-			return nil, err
-		}
+		opts.EqualKey, err = evalAll(span.Equal)
 		opts.HasEqual = true
-	} else {
-		if span.Low != nil {
-			if opts.Low, err = evalAll(span.Low); err != nil {
-				return nil, err
-			}
-			opts.LowIncl = span.LowIncl
+		return err
+	}
+	if span.Low != nil {
+		if opts.Low, err = evalAll(span.Low); err != nil {
+			return err
 		}
-		if span.High != nil {
-			if opts.High, err = evalAll(span.High); err != nil {
-				return nil, err
-			}
-			opts.HighIncl = span.HighIncl
+		opts.LowIncl = span.LowIncl
+	}
+	if span.High != nil {
+		if opts.High, err = evalAll(span.High); err != nil {
+			return err
 		}
+		opts.HighIncl = span.HighIncl
 	}
-	if ex.limitPushable() && limit >= 0 {
-		opts.Limit = limit + offset
-	}
-	if ex.opts.Consistency == RequestPlus {
-		opts.Wait = ex.ds.ConsistencyVector(ex.p.Keyspace)
-	}
-	return ex.ds.ScanIndex(ex.opts.Context(), ex.p.Keyspace, index, using, opts)
+	return nil
 }
 
-// limitPushable: no residual operator may drop rows before the limit.
-func (ex *selectExec) limitPushable() bool {
+// coverCtx builds a row context straight from an index entry.
+func (ex *selectExec) coverCtx(e IndexEntry) *n1ql.Context {
 	p := ex.p
-	return p.Where == nil && len(p.Joins) == 0 && len(p.Unnests) == 0 &&
-		len(p.GroupBy) == 0 && len(p.Aggregates) == 0 && !p.Distinct &&
-		(len(p.OrderBy) == 0 || p.OrderFromIndex)
+	ctx := &n1ql.Context{
+		Bindings: make(map[string]any, 1+len(p.CoverNames)),
+		Metas:    map[string]n1ql.Meta{p.Alias: {ID: e.ID}},
+		Params:   ex.opts.Params,
+		Default:  p.Alias,
+	}
+	ctx.Bind(p.CoverIDName, e.ID)
+	for k, name := range p.CoverNames {
+		if k < len(e.SecKey) {
+			ctx.Bind(name, e.SecKey[k])
+		} else {
+			ctx.Bind(name, value.Missing)
+		}
+	}
+	return ctx
 }
 
-// coverRows builds rows straight from index entries (§5.1.2: "covered
-// queries ... deliver better performance" by skipping the fetch).
-func (ex *selectExec) coverRows(entries []IndexEntry) []row {
-	rows := make([]row, len(entries))
-	for i, e := range entries {
-		ctx := &n1ql.Context{
-			Bindings: map[string]any{},
-			Metas:    map[string]n1ql.Meta{ex.p.Alias: {ID: e.ID}},
+// fetch is the parallel Fetch operator: it retrieves one batch's
+// documents by ID with at most FetchParallelism workers, preserving
+// scan order. Missing IDs drop out.
+func (ex *selectExec) fetch(rows []row) ([]row, error) {
+	one := func(r *row) {
+		doc, meta, err := ex.ds.Fetch(ex.opts.Context(), ex.p.Keyspace, r.id)
+		if err != nil {
+			return
+		}
+		r.ctx = &n1ql.Context{
+			Bindings: map[string]any{ex.p.Alias: doc},
+			Metas:    map[string]n1ql.Meta{ex.p.Alias: meta},
 			Params:   ex.opts.Params,
 			Default:  ex.p.Alias,
 		}
-		ctx.Bind(ex.p.CoverIDName, e.ID)
-		for k, name := range ex.p.CoverNames {
-			if k < len(e.SecKey) {
-				ctx.Bind(name, e.SecKey[k])
-			} else {
-				ctx.Bind(name, value.Missing)
-			}
+	}
+	workers := ex.opts.FetchParallelism
+	if workers <= 0 {
+		workers = 8
+	}
+	if workers = min(workers, len(rows)); workers == 1 {
+		for i := range rows {
+			one(&rows[i])
 		}
-		rows[i] = row{ctx: ctx}
-	}
-	return rows
-}
-
-// fetchRows is the parallel Fetch operator: it retrieves documents by
-// ID with a worker pool, preserving scan order. Missing IDs drop out.
-func (ex *selectExec) fetchRows(ids []string) ([]row, error) {
-	tFetch := time.Now()
-	par := ex.opts.FetchParallelism
-	if par <= 0 {
-		par = 8
-	}
-	type slot struct {
-		doc  any
-		meta n1ql.Meta
-		ok   bool
-	}
-	slots := make([]slot, len(ids))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, par)
-	for i := range ids {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			doc, meta, err := ex.ds.Fetch(ex.opts.Context(), ex.p.Keyspace, ids[i])
-			if err == nil {
-				slots[i] = slot{doc: doc, meta: meta, ok: true}
-			}
-		}(i)
-	}
-	wg.Wait()
-	rows := make([]row, 0, len(ids))
-	for i := range slots {
-		if !slots[i].ok {
-			continue
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for i := next.Add(1) - 1; i < int64(len(rows)); i = next.Add(1) - 1 {
+					one(&rows[i])
+				}
+			}()
 		}
-		ctx := &n1ql.Context{
-			Bindings: map[string]any{ex.p.Alias: slots[i].doc},
-			Metas:    map[string]n1ql.Meta{ex.p.Alias: slots[i].meta},
-			Params:   ex.opts.Params,
-			Default:  ex.p.Alias,
-		}
-		rows = append(rows, row{ctx: ctx})
+		wg.Wait()
 	}
-	ex.opts.Record("fetch", tFetch, len(rows))
-	return rows, nil
-}
-
-// join is the nested-loop key join of §4.5.3: "for each of the
-// qualifying documents from [the outer keyspace], a KEYSCAN will occur
-// on [the inner] based on the key in the [outer] document." General
-// (ON <cond>) joins divert to the analytics join path.
-func (ex *selectExec) join(rows []row, j n1ql.JoinTerm) ([]row, error) {
-	if j.OnCond != nil {
-		return ex.generalJoin(rows, j)
-	}
-	var out []row
+	out := rows[:0]
 	for _, r := range rows {
+		if r.ctx != nil {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
+// joiner returns the Join/Nest operator over all of the plan's join
+// terms. Each term's way of finding an outer row's inner matches is
+// settled when the first batch arrives: the nested-loop key join of
+// §4.5.3 ("for each of the qualifying documents from [the outer
+// keyspace], a KEYSCAN will occur on [the inner] based on the key in
+// the [outer] document") or, for ON <cond>, the analytics join path.
+func (ex *selectExec) joiner() func([]row) ([]row, error) {
+	var matchers []func(row) ([]ScannedDoc, error)
+	return func(rows []row) ([]row, error) {
+		for i, j := range ex.p.Joins {
+			if i == len(matchers) {
+				m, err := ex.joinMatcher(j)
+				if err != nil {
+					return nil, err
+				}
+				matchers = append(matchers, m)
+			}
+			var out []row
+			for _, r := range rows {
+				matches, err := matchers[i](r)
+				if err != nil {
+					return nil, err
+				}
+				out = appendJoinRows(out, r, j, matches)
+			}
+			rows = out
+		}
+		return rows, nil
+	}
+}
+
+// keyMatches fetches the inner documents an outer row's ON KEYS names.
+func (ex *selectExec) keyMatches(j n1ql.JoinTerm) func(row) ([]ScannedDoc, error) {
+	return func(r row) ([]ScannedDoc, error) {
 		keysVal, err := n1ql.Eval(j.OnKeys, r.ctx)
 		if err != nil {
 			return nil, err
 		}
-		var ids []string
-		switch t := keysVal.(type) {
-		case string:
-			ids = []string{t}
-		case []any:
-			for _, el := range t {
-				if s, ok := el.(string); ok {
-					ids = append(ids, s)
-				}
-			}
-		}
-		var docs []any
-		var metas []n1ql.Meta
+		ids, _ := keyStrings(keysVal)
+		var matches []ScannedDoc
 		for _, id := range ids {
 			doc, meta, err := ex.ds.Fetch(ex.opts.Context(), j.Keyspace, id)
 			if err != nil {
 				continue
 			}
-			docs = append(docs, doc)
-			metas = append(metas, meta)
+			matches = append(matches, ScannedDoc{ID: id, Doc: doc, Meta: meta})
 		}
-		if j.Nest {
-			// NEST: "it produces a single result for each left-hand
-			// input while its right-hand input is collected into an
-			// array and nested".
-			if len(docs) == 0 {
-				if j.Kind == n1ql.JoinLeftOuter {
-					nr := r
-					nr.ctx = r.ctx.Child(j.Alias, value.Missing)
-					out = append(out, nr)
-				}
-				continue
-			}
-			nr := r
-			nr.ctx = r.ctx.Child(j.Alias, docs)
-			out = append(out, nr)
-			continue
-		}
-		// JOIN: one result per matched inner document.
-		if len(docs) == 0 {
-			if j.Kind == n1ql.JoinLeftOuter {
-				nr := r
-				nr.ctx = r.ctx.Child(j.Alias, value.Missing)
-				out = append(out, nr)
-			}
-			continue
-		}
-		for i, doc := range docs {
-			nr := r
-			nr.ctx = r.ctx.Child(j.Alias, doc)
-			nr.ctx.Metas = withMeta(r.ctx.Metas, j.Alias, metas[i])
-			out = append(out, nr)
-		}
+		return matches, nil
 	}
-	return out, nil
 }
 
 func withMeta(m map[string]n1ql.Meta, alias string, meta n1ql.Meta) map[string]n1ql.Meta {
@@ -446,32 +563,35 @@ func withMeta(m map[string]n1ql.Meta, alias string, meta n1ql.Meta) map[string]n
 	return out
 }
 
-// unnest flattens a nested array: "a join operation between a parent
+// unnest flattens nested arrays: "a join operation between a parent
 // and a child object containing a nested array ... the parent object is
 // repeated for each child array item."
-func (ex *selectExec) unnest(rows []row, u n1ql.UnnestTerm) ([]row, error) {
-	var out []row
-	for _, r := range rows {
-		v, err := n1ql.Eval(u.Expr, r.ctx)
-		if err != nil {
-			return nil, err
-		}
-		arr, ok := v.([]any)
-		if !ok || len(arr) == 0 {
-			if u.Kind == n1ql.JoinLeftOuter {
+func (ex *selectExec) unnest(rows []row) ([]row, error) {
+	for _, u := range ex.p.Unnests {
+		var out []row
+		for _, r := range rows {
+			v, err := n1ql.Eval(u.Expr, r.ctx)
+			if err != nil {
+				return nil, err
+			}
+			arr, ok := v.([]any)
+			if !ok || len(arr) == 0 {
+				if u.Kind == n1ql.JoinLeftOuter {
+					nr := r
+					nr.ctx = r.ctx.Child(u.Alias, value.Missing)
+					out = append(out, nr)
+				}
+				continue
+			}
+			for _, el := range arr {
 				nr := r
-				nr.ctx = r.ctx.Child(u.Alias, value.Missing)
+				nr.ctx = r.ctx.Child(u.Alias, el)
 				out = append(out, nr)
 			}
-			continue
 		}
-		for _, el := range arr {
-			nr := r
-			nr.ctx = r.ctx.Child(u.Alias, el)
-			out = append(out, nr)
-		}
+		rows = out
 	}
-	return out, nil
+	return rows, nil
 }
 
 func filterRows(rows []row, cond n1ql.Expr) ([]row, error) {
@@ -489,7 +609,7 @@ func filterRows(rows []row, cond n1ql.Expr) ([]row, error) {
 }
 
 // group implements the Group operator: hash grouping on the GROUP BY
-// keys with one Aggregator per aggregate call per group.
+// keys with one Aggregator per aggregate call per group, then HAVING.
 func (ex *selectExec) group(rows []row) ([]row, error) {
 	p := ex.p
 	type groupState struct {
@@ -548,6 +668,9 @@ func (ex *selectExec) group(rows []row) ([]row, error) {
 		}
 		out = append(out, row{ctx: ctx})
 	}
+	if p.Having != nil {
+		return filterRows(out, aggRewrite(p.Having, p.Aggregates))
+	}
 	return out, nil
 }
 
@@ -588,14 +711,17 @@ func aggRewrite(e n1ql.Expr, aggs []*n1ql.FuncCall) n1ql.Expr {
 	return e
 }
 
-// project fills each row's projected value and sort key. This is
-// InitialProject + FinalProject: shrink to the referenced fields, then
-// shape the result JSON.
-func (ex *selectExec) project(rows []row) error {
+// projector returns the Project operator: it fills each row's projected
+// value and sort key (InitialProject + FinalProject: shrink to the
+// referenced fields, then shape the result JSON) and, for DISTINCT,
+// drops rows whose projection an earlier row of any batch already had.
+func (ex *selectExec) projector() func([]row) ([]row, error) {
 	p := ex.p
-	sortExprs := make([]n1ql.Expr, len(p.OrderBy))
-	for i, ot := range p.OrderBy {
-		sortExprs[i] = aggRewrite(ot.Expr, p.Aggregates)
+	var sortExprs []n1ql.Expr
+	if !p.OrderFromIndex {
+		for _, ot := range p.OrderBy {
+			sortExprs = append(sortExprs, aggRewrite(ot.Expr, p.Aggregates))
+		}
 	}
 	projTerms := make([]n1ql.ResultTerm, len(p.Projection))
 	copy(projTerms, p.Projection)
@@ -604,50 +730,91 @@ func (ex *selectExec) project(rows []row) error {
 			projTerms[i].Expr = aggRewrite(projTerms[i].Expr, p.Aggregates)
 		}
 	}
-	for i := range rows {
-		ctx := rows[i].ctx
-		if p.Raw {
-			v, err := n1ql.Eval(projTerms[0].Expr, ctx)
-			if err != nil {
-				return err
-			}
-			if value.IsMissing(v) {
-				v = nil
-			}
-			rows[i].projected = v
-		} else {
-			obj := make(map[string]any)
-			for ti, rt := range projTerms {
-				if rt.Star {
-					if err := projectStar(obj, rt, ctx); err != nil {
-						return err
-					}
-					continue
-				}
-				v, err := n1ql.Eval(rt.Expr, ctx)
+	var seen map[string]bool
+	if p.Distinct {
+		seen = map[string]bool{}
+	}
+	return func(rows []row) ([]row, error) {
+		out := rows[:0]
+		for _, r := range rows {
+			if p.Raw {
+				v, err := n1ql.Eval(projTerms[0].Expr, r.ctx)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				if value.IsMissing(v) {
-					continue // MISSING projections are omitted
+					v = nil
 				}
-				obj[resultName(rt, ti)] = v
-			}
-			rows[i].projected = obj
-		}
-		if len(sortExprs) > 0 && !p.OrderFromIndex {
-			key := make([]any, len(sortExprs))
-			for k, se := range sortExprs {
-				v, err := n1ql.Eval(se, ctx)
+				r.projected = v
+			} else {
+				obj, err := projectTerms(projTerms, r.ctx)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				key[k] = v
+				r.projected = obj
 			}
-			rows[i].sortKey = key
+			if p.Distinct {
+				key := string(value.EncodeKey(r.projected))
+				if seen[key] {
+					continue
+				}
+				seen[key] = true
+			}
+			if len(sortExprs) > 0 {
+				r.sortKey = make([]any, len(sortExprs))
+				for k, se := range sortExprs {
+					v, err := n1ql.Eval(se, r.ctx)
+					if err != nil {
+						return nil, err
+					}
+					r.sortKey[k] = v
+				}
+			}
+			out = append(out, r)
 		}
+		return out, nil
 	}
-	return nil
+}
+
+// projectTerms shapes one result object from projection (or RETURNING)
+// terms; MISSING values are omitted.
+func projectTerms(terms []n1ql.ResultTerm, ctx *n1ql.Context) (map[string]any, error) {
+	obj := make(map[string]any, len(terms))
+	for ti, rt := range terms {
+		if rt.Star {
+			if err := projectStar(obj, rt, ctx); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		v, err := n1ql.Eval(rt.Expr, ctx)
+		if err != nil {
+			return nil, err
+		}
+		if value.IsMissing(v) {
+			continue
+		}
+		obj[resultName(rt, ti)] = v
+	}
+	return obj, nil
+}
+
+// sort is the Sort operator, for an ORDER BY the scan does not deliver.
+func (ex *selectExec) sort(rows []row) ([]row, error) {
+	sort.SliceStable(rows, func(i, j int) bool {
+		for k := range rows[i].sortKey {
+			c := value.Compare(rows[i].sortKey[k], rows[j].sortKey[k])
+			if c == 0 {
+				continue
+			}
+			if ex.p.OrderBy[k].Desc {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	})
+	return rows, nil
 }
 
 // projectStar merges * or alias.* into the result object. Plain *
@@ -692,18 +859,4 @@ func resultName(rt n1ql.ResultTerm, pos int) string {
 		return t.Name
 	}
 	return fmt.Sprintf("$%d", pos+1)
-}
-
-func distinctRows(rows []row) []row {
-	seen := map[string]bool{}
-	out := rows[:0]
-	for _, r := range rows {
-		key := string(value.EncodeKey(r.projected))
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, r)
-	}
-	return out
 }

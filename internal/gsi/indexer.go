@@ -2,6 +2,7 @@ package gsi
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -43,8 +44,14 @@ type ScanOptions struct {
 	// EqualKey scans exactly one key (overrides Low/High).
 	EqualKey []any
 	HasEqual bool
-	Limit    int // 0 = unlimited
-	Reverse  bool
+	// Limit is the page size: the scan returns at most this many entries
+	// (0 = unlimited). A page shorter than Limit ends the span.
+	Limit   int
+	Reverse bool
+	// After resumes a paged scan strictly after this entry in scan
+	// direction, normally the last entry of the previous page; nil
+	// starts at the span's edge.
+	After *ScanItem
 	// Consistency: nil = not_bounded ("the query can return data that
 	// is currently indexed"); non-nil = request_plus ("requires all
 	// mutations, up to the moment of the query request, to be
@@ -260,27 +267,40 @@ func (ix *Indexer) waitFor(ctx context.Context, seqnos map[int]uint64) error {
 	return nil
 }
 
-// Scan runs a range or equality scan on this partition.
+// Scan serves one page of a range or equality scan on this partition:
+// the first opts.Limit entries of the span after opts.After. The mutex
+// is held for the page only, so a caller paging through a span sees
+// each page as of its own moment: entries never repeat or go backwards,
+// but mutations applied between pages show up in later pages only.
 func (ix *Indexer) Scan(ctx context.Context, opts ScanOptions) ([]ScanItem, error) {
+	items, _, err := ix.scanPage(ctx, opts, false)
+	return items, err
+}
+
+// scanPage is Scan, optionally also returning each entry's tree key so
+// the service can merge partitions' pages in tree order.
+func (ix *Indexer) scanPage(ctx context.Context, opts ScanOptions, wantKeys bool) (items []ScanItem, keys [][]byte, err error) {
 	if opts.WaitSeqnos != nil {
 		if err := ix.waitFor(ctx, opts.WaitSeqnos); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	lo, hi := scanBounds(opts)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	var out []ScanItem
-	visit := func(_ []byte, v any) bool {
-		out = append(out, v.(ScanItem))
-		return opts.Limit == 0 || len(out) < opts.Limit
+	visit := func(k []byte, v any) bool {
+		items = append(items, v.(ScanItem))
+		if wantKeys {
+			keys = append(keys, k)
+		}
+		return opts.Limit == 0 || len(items) < opts.Limit
 	}
 	if opts.Reverse {
 		ix.tree.Descend(lo, hi, visit)
 	} else {
 		ix.tree.Ascend(lo, hi, visit)
 	}
-	return out, nil
+	return items, keys, nil
 }
 
 // CountRange counts entries in the range without materializing them.
@@ -312,7 +332,28 @@ func (ix *Indexer) CountRange(opts ScanOptions) int {
 // with P and continues with a byte < 0xFF (a type tag or terminator),
 // so P itself is the inclusive lower edge and P||0xFF is the exclusive
 // upper edge of the "equal prefix" region.
+//
+// A continuation narrows the span from its leading edge: the entry's
+// tree key is the exclusive upper bound of a descending scan, and its
+// immediate successor (key‖0x00) the inclusive lower bound of an
+// ascending one.
 func scanBounds(opts ScanOptions) (lo, hi []byte) {
+	lo, hi = spanBounds(opts)
+	if opts.After == nil {
+		return lo, hi
+	}
+	k := indexTreeKey(opts.After.SecKey, opts.After.DocID)
+	if opts.Reverse {
+		if hi == nil || bytes.Compare(k, hi) < 0 {
+			hi = k
+		}
+	} else if k = append(k, 0x00); bytes.Compare(k, lo) > 0 {
+		lo = k
+	}
+	return lo, hi
+}
+
+func spanBounds(opts ScanOptions) (lo, hi []byte) {
 	if opts.HasEqual {
 		enc := value.EncodeKey(opts.EqualKey)
 		lo = append(append([]byte{}, enc...), 0x00)

@@ -1,6 +1,7 @@
 package gsi
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -186,11 +187,14 @@ func (s *Service) Lookup(keyspace, name string) (IndexMeta, error) {
 	}, nil
 }
 
-// Scan scatter/gathers over the index's partitions and merges results
-// in collation order ("it does scatter/gather for queries in case of a
-// partitioned GSI index"). The ctx bounds the request_plus
-// consistency wait: a cancelled query releases its indexer waiters
-// instead of parking until the seqno vector catches up.
+// Scan scatter/gathers one page over the index's partitions ("it does
+// scatter/gather for queries in case of a partitioned GSI index"): every
+// partition serves its own page from the same continuation, and the
+// first opts.Limit entries of their merge are the index's page, since
+// no entry past a partition's page can sort before one inside it. The
+// ctx bounds the request_plus consistency wait: a cancelled query
+// releases its indexer waiters instead of parking until the seqno
+// vector catches up.
 func (s *Service) Scan(ctx context.Context, keyspace, name string, opts ScanOptions) ([]ScanItem, error) {
 	s.mu.Lock()
 	st, ok := s.indexes[indexKey(keyspace, name)]
@@ -201,14 +205,15 @@ func (s *Service) Scan(ctx context.Context, keyspace, name string, opts ScanOpti
 	if len(st.parts) == 1 {
 		return st.parts[0].Scan(ctx, opts)
 	}
-	results := make([][]ScanItem, len(st.parts))
+	pages := make([][]ScanItem, len(st.parts))
+	keys := make([][][]byte, len(st.parts))
 	errs := make([]error, len(st.parts))
 	var wg sync.WaitGroup
 	for i, p := range st.parts {
 		wg.Add(1)
 		go func(i int, p *Indexer) {
 			defer wg.Done()
-			results[i], errs[i] = p.Scan(ctx, opts)
+			pages[i], keys[i], errs[i] = p.scanPage(ctx, opts, true)
 		}(i, p)
 	}
 	// Every partition scan observes ctx, so cancellation unblocks the
@@ -219,11 +224,43 @@ func (s *Service) Scan(ctx context.Context, keyspace, name string, opts ScanOpti
 			return nil, err
 		}
 	}
-	merged := mergeScanItems(results, opts.Reverse)
-	if opts.Limit > 0 && len(merged) > opts.Limit {
-		merged = merged[:opts.Limit]
+	return mergePages(pages, keys, opts.Reverse, opts.Limit), nil
+}
+
+// mergePages k-way merges partitions' pages, each already in tree-key
+// order (reversed for a descending scan), and keeps the first limit
+// entries (0 = all).
+func mergePages(pages [][]ScanItem, keys [][][]byte, reverse bool, limit int) []ScanItem {
+	total := 0
+	for _, p := range pages {
+		total += len(p)
 	}
-	return merged, nil
+	if limit > 0 && total > limit {
+		total = limit
+	}
+	out := make([]ScanItem, 0, total)
+	pos := make([]int, len(pages))
+	for len(out) < total {
+		best := -1
+		for p := range pages {
+			if pos[p] == len(pages[p]) {
+				continue
+			}
+			if best >= 0 {
+				c := bytes.Compare(keys[p][pos[p]], keys[best][pos[best]])
+				if reverse {
+					c = -c
+				}
+				if c >= 0 {
+					continue
+				}
+			}
+			best = p
+		}
+		out = append(out, pages[best][pos[best]])
+		pos[best]++
+	}
+	return out
 }
 
 // Count counts matching entries across partitions.
@@ -239,30 +276,6 @@ func (s *Service) Count(keyspace, name string, opts ScanOptions) (int, error) {
 		total += p.CountRange(opts)
 	}
 	return total, nil
-}
-
-func mergeScanItems(parts [][]ScanItem, reverse bool) []ScanItem {
-	var all []ScanItem
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		c := value.Compare(all[i].SecKey, all[j].SecKey)
-		if c == 0 {
-			if all[i].DocID == all[j].DocID {
-				return false
-			}
-			if reverse {
-				return all[i].DocID > all[j].DocID
-			}
-			return all[i].DocID < all[j].DocID
-		}
-		if reverse {
-			return c > 0
-		}
-		return c < 0
-	})
-	return all
 }
 
 // Processed returns the minimum applied-seqno vector across an index's

@@ -105,9 +105,6 @@ type IndexScan struct {
 	Reverse bool
 	// Covering: the scan satisfies the whole query; no Fetch needed.
 	Covering bool
-	// Limit pushed into the scan when no residual filtering can drop
-	// rows (exact span, no joins).
-	PushedLimit bool
 }
 
 func (s *IndexScan) Describe() map[string]any {

@@ -150,7 +150,7 @@ func (s *memStore) Fetch(_ context.Context, keyspace, id string) (any, n1ql.Meta
 
 func (s *memStore) ConsistencyVector(string) map[int]uint64 { return nil }
 
-func (s *memStore) ScanIndex(_ context.Context, keyspace, index string, _ n1ql.IndexUsing, opts executor.IndexScanOpts) ([]executor.IndexEntry, error) {
+func (s *memStore) ScanIndex(_ context.Context, keyspace, index string, _ n1ql.IndexUsing, opts executor.IndexScanOpts) ([]executor.IndexEntry, bool, error) {
 	s.mu.Lock()
 	var mi *memIndex
 	for i := range s.indexes[keyspace] {
@@ -161,7 +161,7 @@ func (s *memStore) ScanIndex(_ context.Context, keyspace, index string, _ n1ql.I
 	}
 	if mi == nil {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("no such index %s", index)
+		return nil, false, fmt.Errorf("no such index %s", index)
 	}
 	type pair struct {
 		id  string
@@ -255,24 +255,32 @@ func (s *memStore) ScanIndex(_ context.Context, keyspace, index string, _ n1ql.I
 		}
 		kept = append(kept, e)
 	}
-	sort.SliceStable(kept, func(i, j int) bool {
-		c := value.Compare(kept[i].sec, kept[j].sec)
+	// before orders two entries in scan direction.
+	before := func(sec []any, id string, sec2 []any, id2 string) bool {
+		c := value.Compare(sec, sec2)
 		if c == 0 {
-			c = strings.Compare(kept[i].id, kept[j].id)
+			c = strings.Compare(id, id2)
 		}
 		if opts.Reverse {
 			return c > 0
 		}
 		return c < 0
+	}
+	sort.SliceStable(kept, func(i, j int) bool {
+		return before(kept[i].sec, kept[i].id, kept[j].sec, kept[j].id)
 	})
-	if opts.Limit > 0 && len(kept) > opts.Limit {
-		kept = kept[:opts.Limit]
+	// One page: the entries strictly after the continuation, Limit of them.
+	var out []executor.IndexEntry
+	for _, e := range kept {
+		if opts.After != nil && !before(opts.After.SecKey, opts.After.ID, e.sec, e.id) {
+			continue
+		}
+		if opts.Limit > 0 && len(out) == opts.Limit {
+			return out, true, nil
+		}
+		out = append(out, executor.IndexEntry{ID: e.id, SecKey: e.sec})
 	}
-	out := make([]executor.IndexEntry, len(kept))
-	for i, e := range kept {
-		out[i] = executor.IndexEntry{ID: e.id, SecKey: e.sec}
-	}
-	return out, nil
+	return out, false, nil
 }
 
 // --- DML ---

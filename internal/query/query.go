@@ -64,7 +64,7 @@ func (e *Engine) Execute(statement string, opts executor.Options) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	opts.Record("parse", t0, 0)
+	opts.Record("parse", t0, time.Since(t0), 0)
 	return e.ExecuteStmt(stmt, opts)
 }
 
@@ -96,7 +96,7 @@ func (e *Engine) executeStmt(stmt n1ql.Statement, opts executor.Options) (*Resul
 		if err != nil {
 			return nil, err
 		}
-		opts.Record("plan", tPlan, 0)
+		opts.Record("plan", tPlan, time.Since(tPlan), 0)
 		if sp := trace.FromContext(opts.Context()); sp != nil {
 			sp.Annotate("scan", planner.ScanSummary(p.Scan))
 		}

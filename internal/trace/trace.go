@@ -543,21 +543,20 @@ func (s *Span) Error(err error) {
 	s.tr.mu.Unlock()
 }
 
-// Completed appends an already-finished child covering [start, now]
-// — for call sites that time their phases themselves (the query
-// executor's profile records).
-func (s *Span) Completed(name string, start time.Time, kv ...string) {
+// Completed appends an already-finished child covering
+// [start, start+d] — for call sites that time their phases themselves
+// (the query executor's profile records).
+func (s *Span) Completed(name string, start time.Time, d time.Duration, kv ...string) {
 	if s == nil {
 		return
 	}
-	now := time.Now()
 	c := s.Child(name)
 	if c == nil {
 		return
 	}
 	s.tr.mu.Lock()
 	c.start = start
-	c.end = now
+	c.end = start.Add(d)
 	c.open = false
 	for i := 0; i+1 < len(kv); i += 2 {
 		c.ann = append(c.ann, Annotation{Key: kv[i], Value: kv[i+1]})

@@ -22,7 +22,7 @@ func TestDisabledIsNilEverywhere(t *testing.T) {
 	// Every nil-receiver method must be a no-op, not a panic.
 	sp.Annotate("k", "v")
 	sp.Error(errors.New("x"))
-	sp.Completed("c", time.Now())
+	sp.Completed("c", time.Now(), 0)
 	sp.Child("c").End()
 	sp.End()
 	if sp.Trace().StartSpan("late") != nil {
@@ -191,7 +191,7 @@ func TestCompletedRecordsPhase(t *testing.T) {
 	tr.SetRate(1)
 	_, root := tr.Start(context.Background(), "query")
 	t0 := time.Now().Add(-3 * time.Millisecond)
-	root.Completed("query:scan", t0, "items", "42")
+	root.Completed("query:scan", t0, 3*time.Millisecond, "items", "42")
 	root.End()
 	tree := root.Trace().Tree()
 	c := tree.Children[0]
