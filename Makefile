@@ -70,13 +70,13 @@ bench-smoke:
 	go test -run='^$$' -bench='BenchmarkSetPublish' -benchmem -benchtime=1000x ./internal/vbucket
 	go test -run='^$$' -bench='BenchmarkWorkloadEQuery' -benchmem -benchtime=1000x ./internal/core
 
-# Alternating parent/change pairs of one couchbench workload, the
-# procedure every ROADMAP gate asks for:
-#   make bench-pairs BASE=HEAD~1 WORKLOAD=lib.query-e [PAIRS=10] [SEED=42]
+# Alternating parent/change pairs of couchbench workloads, the
+# procedure every ROADMAP gate asks for (WORKLOAD may list several):
+#   make bench-pairs BASE=HEAD~1 WORKLOAD="lib.kv-a wire.kv-a" [PAIRS=10] [SEED=42]
 PAIRS ?= 10
 SEED ?= 42
 bench-pairs:
-	SEED=$(SEED) bash scripts/benchpairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
+	SEED=$(SEED) bash scripts/benchpairs.sh $(BASE) "$(WORKLOAD)" $(PAIRS)
 
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzCollate -fuzztime=$(FUZZTIME) ./internal/value

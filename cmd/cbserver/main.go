@@ -41,8 +41,10 @@
 //	curl 'localhost:8091/events?severity=warn'
 //	curl 'localhost:8091/events/stream?since=0&timeout=10s'
 //
-// -auto-failover arms the watchdog: a node held critical (down with
-// mapped partitions) for consecutive health ticks is failed over.
+// Failure detection is the watchdog's: with -auto-failover a node it
+// holds critical (down with mapped partitions) for consecutive health
+// ticks is failed over; a networked seed is always armed, for members
+// silent past -kv-failover-after.
 //
 // Profiling (off unless -debug-addr is set): -debug-addr :6060 serves
 // net/http/pprof and expvar on a separate listener that should stay
@@ -84,14 +86,14 @@ func main() {
 		traceSlow    = flag.Duration("trace-threshold", trace.DefaultSlowThreshold, "latency above which a sampled trace is always retained")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (empty disables)")
 		healthEvery  = flag.Duration("health-interval", time.Second, "watchdog evaluation interval for /health")
-		autoFailover = flag.Bool("auto-failover", false, "fail over a node the watchdog holds critical (sustained down with mapped partitions)")
+		autoFailover = flag.Bool("auto-failover", false, "fail over a node the watchdog holds critical (sustained down with mapped partitions); a networked seed always fails over a silent member")
 
 		kvAddr      = flag.String("kv-addr", "", "binary KV wire-protocol listen address; enables networked cluster mode (one local node per process)")
 		join        = flag.String("join", "", "seed process's KV address to join (empty makes this process the coordinator seed)")
 		clusterSize = flag.Int("cluster-size", 1, "member processes (including the seed) the coordinator waits for before minting the cluster map")
 		advertise   = flag.String("advertise", "", "KV address peers should dial (default: the bound -kv-addr)")
 		kvHeartbeat = flag.Duration("kv-heartbeat", 500*time.Millisecond, "member heartbeat interval in networked cluster mode")
-		kvFailover  = flag.Duration("kv-failover-after", 0, "heartbeat silence before the coordinator fails a member over (default 5 heartbeats)")
+		kvFailover  = flag.Duration("kv-failover-after", 0, "heartbeat silence before the seed's watchdog grades a mapped member critical; held so for 2 -health-interval ticks, it is failed over (default 5 heartbeats)")
 		gcPercent   = flag.Int("gc-percent", 300, "Go GC target percentage (GOGC); a memory-first cache holds a large stable resident set that each GC cycle rescans, so the default trades headroom for fewer cycles. The item pager, not the GC, bounds cache memory")
 	)
 	flag.Parse()
@@ -100,16 +102,9 @@ func main() {
 		debug.SetGCPercent(*gcPercent)
 	}
 
-	// In-process, the cluster's own heartbeat loop detects dead nodes.
-	// A networked process holds one node and the coordinator's watchdog
-	// owns failure detection, so the local loop stays off.
-	failoverTimeout := 2 * time.Second
-	if *kvAddr != "" {
-		failoverTimeout = 0
-		if *nodes != 1 {
-			log.Printf("networked cluster mode: each process runs one local node (-nodes %d ignored)", *nodes)
-			*nodes = 1
-		}
+	if *kvAddr != "" && *nodes != 1 {
+		log.Printf("networked cluster mode: each process runs one local node (-nodes %d ignored)", *nodes)
+		*nodes = 1
 	}
 
 	trace.Default.SetRate(*traceRate)
@@ -119,7 +114,6 @@ func main() {
 		Dir:                *dir,
 		NumVBuckets:        *vbuckets,
 		SyncPersist:        *syncWrite,
-		FailoverTimeout:    failoverTimeout,
 		SlowQueryThreshold: *slowQuery,
 		SlowQueryLogSize:   *slowLog,
 	})
@@ -147,23 +141,16 @@ func main() {
 		go serveDebug(*debugAddr)
 	}
 
-	// Health watchdog: the standard rule set over this cluster, served
-	// at /health. With -auto-failover, a node check held critical for
+	// The process's one health watchdog, served at /health, and its one
+	// failure detector (core's own heartbeat loop stays off): the
+	// standard rule set over this cluster, plus, on a networked seed, a
+	// liveness check per member. A liveness check held critical for
 	// RaiseAfter consecutive ticks triggers the same failover path an
 	// operator would hit — the journal records the whole causal chain.
 	watchdog := health.New(health.Options{Interval: *healthEvery})
 	health.RegisterClusterChecks(watchdog, cluster, health.ClusterCheckConfig{})
-	if *autoFailover {
-		watchdog.OnTransition(func(st health.CheckStatus) {
-			id := health.NodeIDFromCheck(st.Name)
-			if id == "" || st.State != health.Critical {
-				return
-			}
-			log.Printf("auto-failover: %s (%s)", id, st.Detail)
-			if err := cluster.Failover(id); err != nil {
-				log.Printf("auto-failover %s: %v", id, err)
-			}
-		})
+	if *autoFailover && *kvAddr == "" {
+		health.AutoFailover(watchdog, "node:", cluster.Failover)
 		log.Printf("auto-failover armed (health interval %s)", *healthEvery)
 	}
 	watchdog.Start()
@@ -175,7 +162,6 @@ func main() {
 	if *kvAddr != "" {
 		node, err := transport.StartNode(transport.NodeOptions{
 			Cluster:           cluster,
-			LocalNode:         cmap.NodeID("node0"),
 			Bucket:            *bucket,
 			KVAddr:            *kvAddr,
 			Advertise:         *advertise,
@@ -183,6 +169,7 @@ func main() {
 			ClusterSize:       *clusterSize,
 			HeartbeatInterval: *kvHeartbeat,
 			FailoverAfter:     *kvFailover,
+			Watchdog:          watchdog,
 			// Peers fetch this node's metrics/health/events/traces over
 			// the wire (OpFederate) through the REST layer's Observe.
 			Observe: api.Observe,

@@ -112,11 +112,7 @@ func (m *Map) Active(vb int) NodeID {
 	if vb < 0 || vb >= len(m.Chains) {
 		return ""
 	}
-	i := m.Chains[vb][0]
-	if i < 0 || i >= len(m.Nodes) {
-		return ""
-	}
-	return m.Nodes[i]
+	return m.nodeAt(m.Chains[vb], 0)
 }
 
 // Replicas returns the nodes holding replica copies of vb.
@@ -225,14 +221,16 @@ func BuildBalanced(rev int64, nodes []NodeID, numVBuckets, numReplicas int) *Map
 // promoted ("the cluster will promote one of the replica partitions to
 // active status"); replica slots on node are vacated. vBuckets with no
 // surviving copy keep an empty (-1) chain — data loss, as in the real
-// system when replicas are exhausted.
+// system when replicas are exhausted. A node that holds no chain slot
+// (unknown, or already scrubbed) changes nothing, and the receiver
+// itself comes back: an unchanged topology keeps its Rev.
 func (m *Map) FailoverNode(node NodeID) *Map {
+	dead := m.nodeIndex(node)
+	if dead < 0 || !m.mapsIndex(dead) {
+		return m
+	}
 	out := m.Clone()
 	out.Rev++
-	dead := out.nodeIndex(node)
-	if dead < 0 {
-		return out
-	}
 	for vb, chain := range out.Chains {
 		// Drop the dead node from the chain, preserving order.
 		nc := make([]int, 0, len(chain))
@@ -247,6 +245,25 @@ func (m *Map) FailoverNode(node NodeID) *Map {
 		out.Chains[vb] = nc
 	}
 	return out
+}
+
+// mapsIndex reports whether any chain names Nodes[idx].
+func (m *Map) mapsIndex(idx int) bool {
+	for _, chain := range m.Chains {
+		for _, i := range chain {
+			if i == idx {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Maps reports whether node holds an active or replica copy of any
+// vBucket.
+func (m *Map) Maps(node NodeID) bool {
+	idx := m.nodeIndex(node)
+	return idx >= 0 && m.mapsIndex(idx)
 }
 
 // WithChain produces a successor map in which vb's chain is active
@@ -283,35 +300,35 @@ func (m *Map) WithChain(vb int, active NodeID, replicas []NodeID) *Map {
 	return out
 }
 
-// Moves describes one vBucket transfer computed by diffing two maps.
-type Move struct {
-	VB   int
-	From NodeID // "" when the copy is newly created
-	To   NodeID
-	// Position in the chain at the destination: 0 = active, >0 replica.
-	Position int
-}
-
-// DiffMoves lists the transfers needed to get from m to target. A move
-// is emitted for every (vb, position) whose node changes.
-func DiffMoves(m, target *Map) []Move {
-	var moves []Move
-	for vb := 0; vb < target.NumVBuckets && vb < m.NumVBuckets; vb++ {
-		tc := target.Chains[vb]
-		for pos := 0; pos < len(tc); pos++ {
-			var from, to NodeID
-			if pos < len(m.Chains[vb]) && m.Chains[vb][pos] >= 0 && m.Chains[vb][pos] < len(m.Nodes) {
-				from = m.Nodes[m.Chains[vb][pos]]
-			}
-			if tc[pos] >= 0 && tc[pos] < len(target.Nodes) {
-				to = target.Nodes[tc[pos]]
-			}
-			if to != "" && to != from {
-				moves = append(moves, Move{VB: vb, From: from, To: to, Position: pos})
+// Changed lists the vBuckets of next whose chain names different nodes
+// than in prev, compared by node ID because the two maps need not share
+// a node order. A nil prev changes every vBucket. It is what a node
+// reconciles when next replaces prev.
+func Changed(prev, next *Map) []int {
+	var out []int
+	for vb, chain := range next.Chains {
+		if prev == nil || vb >= len(prev.Chains) {
+			out = append(out, vb)
+			continue
+		}
+		old := prev.Chains[vb]
+		for pos := 0; pos < len(chain) || pos < len(old); pos++ {
+			if prev.nodeAt(old, pos) != next.nodeAt(chain, pos) {
+				out = append(out, vb)
+				break
 			}
 		}
 	}
-	return moves
+	return out
+}
+
+// nodeAt names the node at one chain position, "" for an empty slot or
+// a position past the chain's end.
+func (m *Map) nodeAt(chain []int, pos int) NodeID {
+	if pos >= len(chain) || chain[pos] < 0 || chain[pos] >= len(m.Nodes) {
+		return ""
+	}
+	return m.Nodes[chain[pos]]
 }
 
 // Validate checks structural invariants: chain lengths, index bounds,

@@ -125,11 +125,16 @@ func TestFailoverPromotesReplica(t *testing.T) {
 
 func TestFailoverUnknownNodeIsNoop(t *testing.T) {
 	m := BuildBalanced(1, []NodeID{"a", "b"}, 8, 1)
-	after := m.FailoverNode("zz")
-	for vb := 0; vb < 8; vb++ {
-		if after.Active(vb) != m.Active(vb) {
-			t.Fatal("unknown-node failover changed actives")
-		}
+	if after := m.FailoverNode("zz"); after != m || after.Rev != 1 {
+		t.Fatalf("unknown-node failover minted a map: rev %d -> %d, same map %v", m.Rev, after.Rev, after == m)
+	}
+	// A node already scrubbed from every chain is as good as unknown.
+	once := m.FailoverNode("b")
+	if once == m || once.Rev != 2 || once.Maps("b") {
+		t.Fatalf("first failover: rev %d, same map %v, still maps b %v", once.Rev, once == m, once.Maps("b"))
+	}
+	if again := once.FailoverNode("b"); again != once || again.Rev != 2 {
+		t.Fatalf("repeated failover minted a map: rev %d -> %d, same map %v", once.Rev, again.Rev, again == once)
 	}
 }
 
@@ -143,28 +148,31 @@ func TestFailoverLastCopyLost(t *testing.T) {
 	}
 }
 
-func TestDiffMoves(t *testing.T) {
-	before := BuildBalanced(1, []NodeID{"a", "b"}, 16, 1)
-	after := BuildBalanced(2, []NodeID{"a", "b", "c"}, 16, 1)
-	moves := DiffMoves(before, after)
-	if len(moves) == 0 {
-		t.Fatal("adding a node must produce moves")
+func TestChanged(t *testing.T) {
+	m := BuildBalanced(1, []NodeID{"a", "b", "c"}, 6, 1) // vb: a,b  b,c  c,a  a,b  b,c  c,a
+	if got := Changed(nil, m); len(got) != 6 {
+		t.Errorf("Changed(nil, m) = %v, want every vBucket", got)
 	}
-	toC := 0
-	for _, mv := range moves {
-		if mv.To == "c" {
-			toC++
-		}
-		if mv.To == mv.From {
-			t.Errorf("self-move emitted: %+v", mv)
-		}
+	if got := Changed(m, m.Clone()); len(got) != 0 {
+		t.Errorf("Changed(m, clone) = %v, want none", got)
 	}
-	if toC == 0 {
-		t.Error("no moves landed on the new node")
+	// c holds a copy of every vBucket but 0 and 3.
+	if got := Changed(m, m.FailoverNode("c")); !slices.Equal(got, []int{1, 2, 4, 5}) {
+		t.Errorf("Changed after failing c = %v, want [1 2 4 5]", got)
 	}
-	// A no-op diff yields no moves.
-	if n := len(DiffMoves(after, after)); n != 0 {
-		t.Errorf("self-diff produced %d moves", n)
+	if got := Changed(m, m.WithChain(3, "a", []NodeID{"b", "c"})); !slices.Equal(got, []int{3}) {
+		t.Errorf("Changed after growing vb 3's chain = %v, want [3]", got)
+	}
+	// The same topology under another node order and other names for
+	// the same slots compares by node ID, not by index.
+	other := &Map{NumVBuckets: 2, NumReplicas: 1, Nodes: []NodeID{"b", "a"}, Chains: [][]int{{1, 0}, {0, -1}}}
+	same := &Map{NumVBuckets: 2, NumReplicas: 1, Nodes: []NodeID{"a", "b", "x"}, Chains: [][]int{{0, 1}, {1, -1}}}
+	if got := Changed(other, same); len(got) != 0 {
+		t.Errorf("Changed across node orders = %v, want none", got)
+	}
+	same.Nodes[1] = "z"
+	if got := Changed(other, same); !slices.Equal(got, []int{0, 1}) {
+		t.Errorf("Changed after renaming b = %v, want [0 1]", got)
 	}
 }
 

@@ -33,8 +33,12 @@ type Config struct {
 	// DiskDelay simulates storage device latency per flush batch.
 	DiskDelay time.Duration
 	// HeartbeatInterval / FailoverTimeout drive automatic failure
-	// detection (§4.3.1). Zero FailoverTimeout disables auto-failover
-	// (Failover can still be invoked manually).
+	// detection (§4.3.1): every interval the live nodes are heard from,
+	// and a mapped node silent past the timeout is failed over. Zero
+	// FailoverTimeout leaves detection to whoever else evaluates the
+	// decider's rule (cbserver's watchdog), or to manual Failover; a
+	// member process of a networked cluster (transport.StartNode) leaves
+	// it zero, since the nodes to grade there are other processes.
 	HeartbeatInterval time.Duration
 	FailoverTimeout   time.Duration
 	// SlowQueryThreshold bounds N1QL latency before a statement lands
@@ -60,8 +64,10 @@ type bucketState struct {
 	name string
 	opts BucketOptions
 
+	// topo holds the bucket's cluster map.
+	topo *Decider
+
 	mu sync.Mutex
-	cm *cmap.Map
 	// gsiSvc is the bucket's index service (placed on index nodes per
 	// MDS; a single logical service instance in-process).
 	gsiSvc *gsi.Service
@@ -78,23 +84,16 @@ type bucketState struct {
 	viewIndexes map[string]planner.IndexInfo
 }
 
-func (b *bucketState) Map() *cmap.Map {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.cm
-}
+func (b *bucketState) Map() *cmap.Map { return b.topo.Map(b.name) }
 
-func (b *bucketState) setMap(m *cmap.Map) {
-	b.mu.Lock()
-	b.cm = m
-	b.mu.Unlock()
-}
-
-// Cluster is an in-process cluster of Nodes, including the cluster
-// manager responsibilities of §4.3.1: membership, orchestrator
-// election, failover, and rebalancing.
+// Cluster is one process's Nodes plus the cluster manager of §4.3.1:
+// membership, orchestrator election, and — through its Decider —
+// failover and rebalancing. In-process it is the whole cluster; under
+// transport.StartNode it is one member process of a networked one.
 type Cluster struct {
 	cfg Config
+	// topo decides every bucket's map and holds the current one.
+	topo *Decider
 
 	mu      sync.Mutex
 	nodes   map[cmap.NodeID]*Node
@@ -102,10 +101,13 @@ type Cluster struct {
 	closed  bool
 	// rebalanceMu serializes topology changes.
 	rebalanceMu sync.Mutex
+	// applyMu serializes map applies; left, once set under it, refuses
+	// them (see Leave).
+	applyMu sync.Mutex
+	left    bool
 
-	lastSeen map[cmap.NodeID]time.Time
-	stopHB   chan struct{}
-	hbDone   chan struct{}
+	stopHB chan struct{}
+	hbDone chan struct{}
 
 	// slowLog retains recent statements slower than
 	// cfg.SlowQueryThreshold.
@@ -127,14 +129,16 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
-		cfg:      cfg,
-		nodes:    make(map[cmap.NodeID]*Node),
-		buckets:  make(map[string]*bucketState),
-		lastSeen: make(map[cmap.NodeID]time.Time),
-		stopHB:   make(chan struct{}),
-		hbDone:   make(chan struct{}),
-		slowLog:  metrics.NewSlowQueryLog(cfg.SlowQueryThreshold, cfg.SlowQueryLogSize),
+		cfg:     cfg,
+		nodes:   make(map[cmap.NodeID]*Node),
+		buckets: make(map[string]*bucketState),
+		stopHB:  make(chan struct{}),
+		hbDone:  make(chan struct{}),
+		slowLog: metrics.NewSlowQueryLog(cfg.SlowQueryThreshold, cfg.SlowQueryLogSize),
 	}
+	c.topo = newDecider(func(bucket string, m *cmap.Map) error {
+		return c.ApplyMap(bucket, m, "", loopbackSource{c, bucket})
+	})
 	if cfg.FailoverTimeout > 0 {
 		go c.heartbeatLoop()
 	} else {
@@ -156,7 +160,6 @@ func (c *Cluster) AddNode(id cmap.NodeID, services cmap.ServiceSet) (*Node, erro
 	}
 	n := newNode(id, services, filepath.Join(c.cfg.Dir, string(id)))
 	c.nodes[id] = n
-	c.lastSeen[id] = time.Now()
 	// Provision existing buckets on the new node (data service only),
 	// including their recorded view definitions (views are local
 	// indexes, so every data node must build them).
@@ -213,6 +216,15 @@ func (c *Cluster) Node(id cmap.NodeID) (*Node, error) {
 	return n, nil
 }
 
+// nodeBucket returns a live node's footprint of a bucket.
+func (c *Cluster) nodeBucket(node cmap.NodeID, bucket string) (*nodeBucket, error) {
+	n, err := c.Node(node)
+	if err != nil {
+		return nil, err
+	}
+	return n.bucket(bucket)
+}
+
 // Nodes lists members in ID order.
 func (c *Cluster) Nodes() []*Node {
 	c.mu.Lock()
@@ -222,17 +234,6 @@ func (c *Cluster) Nodes() []*Node {
 		out = append(out, n)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
-// dataNodes returns alive nodes running the data service, sorted.
-func (c *Cluster) dataNodes() []*Node {
-	var out []*Node
-	for _, n := range c.Nodes() {
-		if n.services.Has(cmap.ServiceData) && n.Alive() {
-			out = append(out, n)
-		}
-	}
 	return out
 }
 
@@ -260,6 +261,7 @@ func (c *Cluster) CreateBucket(name string, opts BucketOptions) error {
 	b := &bucketState{
 		name:         name,
 		opts:         opts,
+		topo:         c.topo,
 		gsiSvc:       gsi.NewService(filepath.Join(c.cfg.Dir, "gsi", name)),
 		ftsEng:       fts.NewEngine(),
 		analyticsEng: analytics.NewEngine(name),
@@ -287,26 +289,23 @@ func (c *Cluster) CreateBucket(name string, opts BucketOptions) error {
 	}
 	c.mu.Unlock()
 
-	var ids []cmap.NodeID
-	for _, n := range nodes {
+	ids := make([]cmap.NodeID, len(nodes))
+	for i, n := range nodes {
 		if err := n.addBucket(name, b.gsiSvc, b.ftsEng, b.analyticsEng, c.cfg, opts); err != nil {
 			return err
 		}
-		ids = append(ids, n.id)
+		ids[i] = n.id
 	}
-	b.setMap(cmap.BuildBalanced(1, ids, c.cfg.NumVBuckets, opts.NumReplicas))
-	// Materialize every vBucket and wire replication.
-	m := b.Map()
-	for vb := 0; vb < m.NumVBuckets; vb++ {
-		if err := c.reconcileVB(b, vb); err != nil {
-			return err
-		}
+	// Applying the first map, balanced over the nodes just provisioned,
+	// materializes every vBucket and wires replication.
+	if err := c.topo.Form(name, ids, c.cfg.NumVBuckets, opts.NumReplicas); err != nil {
+		return err
 	}
 	e := events.New(events.Topology, events.SevInfo, "bucket created")
 	e.Bucket = name
 	e.Fields = map[string]string{
 		"replicas": fmt.Sprintf("%d", opts.NumReplicas),
-		"nodes":    fmt.Sprintf("%d", len(ids)),
+		"nodes":    fmt.Sprintf("%d", len(nodes)),
 	}
 	events.Default.Publish(e)
 	return nil
@@ -323,36 +322,6 @@ func (c *Cluster) bucket(name string) (*bucketState, error) {
 	return b, nil
 }
 
-// reconcileVB drives one vBucket's cluster-wide state to match the
-// bucket's current map: every data node reconciles its own copy, fed
-// over loopback. The mapped active goes first so its replicas' links
-// find their source on the first try.
-func (c *Cluster) reconcileVB(b *bucketState, vbID int) error {
-	m := b.Map()
-	actNode, err := c.Node(m.Active(vbID))
-	if err != nil || !actNode.Alive() {
-		return fmt.Errorf("core: vb %d has no live active node", vbID)
-	}
-	src := loopbackSource{c, b.name}
-	if err := c.ReconcileLocal(actNode.id, b.name, m, actNode.id, vbID, src); err != nil {
-		return err
-	}
-	for _, n := range c.Nodes() {
-		if n == actNode || !n.services.Has(cmap.ServiceData) {
-			continue
-		}
-		nb, err := n.bucket(b.name)
-		if err != nil {
-			continue // dead or unprovisioned node
-		}
-		if err := nb.reconcile(m, n.id, vbID, src); err != nil {
-			return err
-		}
-		nb.awaitLink(vbID)
-	}
-	return nil
-}
-
 // Failover performs hard failover of a node (§4.3.1): replicas of its
 // active partitions are promoted on the surviving nodes and the
 // cluster map revision is bumped so smart clients re-route.
@@ -367,29 +336,7 @@ func (c *Cluster) Failover(id cmap.NodeID) error {
 	e := events.New(events.Topology, events.SevWarn, "node failed over")
 	e.Node = string(id)
 	events.Default.Publish(e)
-	c.mu.Lock()
-	buckets := make([]*bucketState, 0, len(c.buckets))
-	for _, b := range c.buckets {
-		buckets = append(buckets, b)
-	}
-	c.mu.Unlock()
-	for _, b := range buckets {
-		old := b.Map()
-		next := old.FailoverNode(id)
-		b.setMap(next)
-		for vb := 0; vb < next.NumVBuckets; vb++ {
-			// Only vBuckets that referenced the dead node changed.
-			if old.Active(vb) == id || old.HasReplica(vb, id) {
-				if next.Active(vb) == "" {
-					continue // all copies lost
-				}
-				if err := c.reconcileVB(b, vb); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
+	return c.topo.Failover(id)
 }
 
 // Kill simulates a node crash: the node stops serving and its DCP
@@ -424,119 +371,97 @@ func (c *Cluster) Kill(id cmap.NodeID) error {
 	return nil
 }
 
-// Rebalance redistributes vBuckets evenly over the current alive data
-// nodes (§4.3.1): new target map, per-partition movement over DCP, and
-// an atomic switchover per partition.
+// Rebalance redistributes vBuckets evenly over the live data nodes
+// (§4.3.1): new target map, per-partition movement over DCP, and an
+// atomic switchover per partition.
 func (c *Cluster) Rebalance() error {
 	c.rebalanceMu.Lock()
 	defer c.rebalanceMu.Unlock()
-	c.mu.Lock()
-	buckets := make([]*bucketState, 0, len(c.buckets))
-	for _, b := range c.buckets {
-		buckets = append(buckets, b)
+	var live []cmap.NodeID
+	for _, n := range c.Nodes() {
+		if n.services.Has(cmap.ServiceData) && n.Alive() {
+			live = append(live, n.id)
+		}
 	}
-	c.mu.Unlock()
-
-	var ids []cmap.NodeID
-	for _, n := range c.dataNodes() {
-		ids = append(ids, n.id)
-	}
-	if len(ids) == 0 {
+	if len(live) == 0 {
 		return fmt.Errorf("core: no data nodes to rebalance onto")
 	}
 	e := events.New(events.Topology, events.SevInfo, "rebalance started")
-	e.Fields = map[string]string{"data_nodes": fmt.Sprintf("%d", len(ids))}
+	e.Fields = map[string]string{"data_nodes": fmt.Sprintf("%d", len(live))}
 	events.Default.Publish(e)
-	for _, b := range buckets {
-		cur := b.Map()
-		target := cmap.BuildBalanced(cur.Rev+1, ids, cur.NumVBuckets, b.opts.NumReplicas)
-		// Provision the bucket on any node that lacks it (fresh nodes),
-		// including its recorded view definitions.
-		for _, n := range c.dataNodes() {
-			n.mu.Lock()
-			_, has := n.buckets[b.name]
-			n.mu.Unlock()
-			if !has {
-				if err := n.addBucket(b.name, b.gsiSvc, b.ftsEng, b.analyticsEng, c.cfg, b.opts); err != nil {
-					return err
-				}
-				if err := defineRecordedViews(n, b); err != nil {
-					return err
-				}
-			}
-		}
-		for vb := 0; vb < target.NumVBuckets; vb++ {
-			if err := c.moveVB(b, vb, target.Active(vb), target.Replicas(vb)); err != nil {
-				return err
-			}
-		}
+	// Every live data node already holds every bucket: CreateBucket
+	// provisions the nodes there are, AddNode the buckets there are.
+	if err := c.topo.Rebalance(live, c.stepVB); err != nil {
+		return err
 	}
 	events.Default.Publish(events.New(events.Topology, events.SevInfo, "rebalance complete"))
 	return nil
 }
 
-// moveVB transitions one vBucket to its target chain: builds the new
-// active via a DCP catch-up stream, performs the paper's "atomic and
-// consistent switchover", then reconciles replicas.
-func (c *Cluster) moveVB(b *bucketState, vbID int, tgtActive cmap.NodeID, tgtReplicas []cmap.NodeID) error {
-	cur := b.Map()
-	curActive := cur.Active(vbID)
-	if curActive != tgtActive && curActive != "" {
-		srcNode, err := c.Node(curActive)
-		if err != nil {
+// stepVB is the decider's rebalance step: one vBucket's switchover to
+// its chain in next. A new active is built from the current one over a
+// DCP catch-up stream, with writes stopped on the source, and then the
+// map is applied — the paper's "atomic and consistent switchover". The
+// step is narrated by "vb moved", not by a map entry per partition.
+func (c *Cluster) stepVB(bucket string, vbID int, next *cmap.Map) error {
+	from, to := c.topo.Map(bucket).Active(vbID), next.Active(vbID)
+	if from != "" && from != to {
+		if err := c.moveVB(bucket, vbID, from, to); err != nil {
 			return err
 		}
-		dstNode, err := c.Node(tgtActive)
-		if err != nil {
-			return err
-		}
-		srcNB, err := srcNode.bucket(b.name)
-		if err != nil {
-			return err
-		}
-		dstNB, err := dstNode.bucket(b.name)
-		if err != nil {
-			return err
-		}
-		srcVB := srcNB.vb(vbID)
-		if srcVB == nil {
-			return fmt.Errorf("core: vb %d missing on %s", vbID, curActive)
-		}
-		// Destination builds as Pending ("rebalance marks the
-		// destination partitions as being replicas until they are ready
-		// to be switched to active"), fed by the same link a replica is.
-		dstVB, err := dstNB.createVB(vbID, vbucket.Pending)
-		if err != nil {
-			return err
-		}
-		dstNB.pointLink(dstVB, curActive, tgtActive, loopbackSource{c, b.name})
-
-		// Atomic switchover: stop accepting writes on the source, let
-		// the destination catch up, then flip.
-		srcVB.SetState(vbucket.Dead)
-		srcHigh := srcVB.HighSeqno()
-		deadline := time.Now().Add(30 * time.Second)
-		for dstVB.HighSeqno() < srcHigh {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("core: vb %d takeover timed out (%d < %d)", vbID, dstVB.HighSeqno(), srcHigh)
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-		e := events.New(events.VBucket, events.SevInfo, "vb moved")
-		e.Bucket = b.name
-		e.VB = vbID
-		e.Fields = map[string]string{"from": string(curActive), "to": string(tgtActive)}
-		events.Default.Publish(e)
 	}
-	// Publish the new chain for this vBucket and reconcile.
-	b.setMap(cur.WithChain(vbID, tgtActive, tgtReplicas))
-	return c.reconcileVB(b, vbID)
+	return c.applyMap(bucket, next, "", loopbackSource{c, bucket}, false)
 }
 
-// heartbeatLoop is the orchestrator's failure detector: nodes that
-// miss heartbeats beyond FailoverTimeout are automatically failed over
-// ("if a node in the cluster crashes ... the orchestrator notifies all
-// other machines ... and promotes to active status replica partitions").
+// moveVB builds vbID's new active on node to from the current one and
+// stops writes on the source; the map flip is the caller's.
+func (c *Cluster) moveVB(bucket string, vbID int, from, to cmap.NodeID) error {
+	srcNB, err := c.nodeBucket(from, bucket)
+	if err != nil {
+		return err
+	}
+	dstNB, err := c.nodeBucket(to, bucket)
+	if err != nil {
+		return err
+	}
+	srcVB := srcNB.vb(vbID)
+	if srcVB == nil {
+		return fmt.Errorf("core: vb %d missing on %s", vbID, from)
+	}
+	// Destination builds as Pending ("rebalance marks the destination
+	// partitions as being replicas until they are ready to be switched
+	// to active"), fed by the same link a replica is.
+	dstVB, err := dstNB.createVB(vbID, vbucket.Pending)
+	if err != nil {
+		return err
+	}
+	dstNB.pointLink(dstVB, from, to, loopbackSource{c, bucket})
+
+	// Stop accepting writes on the source and let the destination catch
+	// up; the map flip follows.
+	srcVB.SetState(vbucket.Dead)
+	srcHigh := srcVB.HighSeqno()
+	deadline := time.Now().Add(30 * time.Second)
+	for dstVB.HighSeqno() < srcHigh {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("core: vb %d takeover timed out (%d < %d)", vbID, dstVB.HighSeqno(), srcHigh)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	e := events.New(events.VBucket, events.SevInfo, "vb moved")
+	e.Bucket = bucket
+	e.VB = vbID
+	e.Fields = map[string]string{"from": string(from), "to": string(to)}
+	events.Default.Publish(e)
+	return nil
+}
+
+// heartbeatLoop evaluates the decider's failure-detection rule for a
+// library cluster: each tick the alive nodes are heard from, and a dead
+// one that is still mapped and silent past FailoverTimeout is failed
+// over ("if a node in the cluster crashes ... the orchestrator notifies
+// all other machines ... and promotes to active status replica
+// partitions").
 func (c *Cluster) heartbeatLoop() {
 	defer close(c.hbDone)
 	ticker := time.NewTicker(c.cfg.HeartbeatInterval)
@@ -547,40 +472,14 @@ func (c *Cluster) heartbeatLoop() {
 			return
 		case <-ticker.C:
 		}
-		now := time.Now()
-		c.mu.Lock()
-		var suspects []cmap.NodeID
-		for id, n := range c.nodes {
+		for _, n := range c.Nodes() {
 			if n.Alive() {
-				c.lastSeen[id] = now
-				continue
-			}
-			if now.Sub(c.lastSeen[id]) > c.cfg.FailoverTimeout {
-				suspects = append(suspects, id)
-			}
-		}
-		c.mu.Unlock()
-		for _, id := range suspects {
-			// Only fail over nodes still mapped somewhere.
-			if c.nodeStillMapped(id) {
-				c.Failover(id)
+				c.topo.Heard(n.id)
+			} else if silent, mapped := c.topo.Silence(n.id); mapped && silent > c.cfg.FailoverTimeout {
+				c.Failover(n.id)
 			}
 		}
 	}
-}
-
-func (c *Cluster) nodeStillMapped(id cmap.NodeID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, b := range c.buckets {
-		m := b.Map()
-		for vb := 0; vb < m.NumVBuckets; vb++ {
-			if m.Active(vb) == id || m.HasReplica(vb, id) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // NodeMapped reports whether any bucket's map still references the
@@ -588,8 +487,13 @@ func (c *Cluster) nodeStillMapped(id cmap.NodeID) bool {
 // check recovers to ok once failover has removed the dead node from
 // every map — a failed-over node is no longer the cluster's problem.
 func (c *Cluster) NodeMapped(id cmap.NodeID) bool {
-	return c.nodeStillMapped(id)
+	_, mapped := c.topo.Silence(id)
+	return mapped
 }
+
+// Decider returns the cluster's topology decider. A networked seed
+// drives it with its members' joins and heartbeats.
+func (c *Cluster) Decider() *Decider { return c.topo }
 
 // BucketQuota returns the bucket's cache memory quota in bytes (0 when
 // the bucket is unknown or has no quota configured).
@@ -602,10 +506,10 @@ func (c *Cluster) BucketQuota(name string) int64 {
 }
 
 // SeverReplication halts every inbound replica link of the bucket on
-// this cluster's nodes; the next reconcile of a replica copy opens a
-// fresh one. A process-cluster member calls it when it leaves. As a
-// chaos hook it leaves subsequent writes on the active copies only —
-// the ingredient for divergent history (and DCP rollback) at failover.
+// this cluster's nodes; a copy gets a fresh one when a later map
+// changes its chain. It is a chaos hook: subsequent writes stay on the
+// active copies only — the ingredient for divergent history (and DCP
+// rollback) at failover.
 func (c *Cluster) SeverReplication(bucketName string) error {
 	if _, err := c.bucket(bucketName); err != nil {
 		return err

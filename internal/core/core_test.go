@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -195,6 +196,36 @@ func TestAutoFailoverViaHeartbeat(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		if _, err := cl.Get(context.Background(), fmt.Sprintf("k%d", i)); err != nil {
 			t.Fatalf("get after auto-failover: %v", err)
+		}
+	}
+}
+
+// TestCreateBucketSkipsKilledNode: a node that crashed and has not been
+// failed over yet is not one to balance a new bucket over — with
+// detection off it would hold its share of the actives until an
+// operator stepped in.
+func TestCreateBucketSkipsKilledNode(t *testing.T) {
+	c, _ := newTestCluster(t, 3, 1)
+	if err := c.Kill("node1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateBucket("late", BucketOptions{NumReplicas: 1}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := c.BucketMap("late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []cmap.NodeID{"node0", "node2"}; !slices.Equal(m.Nodes, want) {
+		t.Fatalf("bucket created after Kill(node1) is mapped over %v, want %v", m.Nodes, want)
+	}
+	cl, err := c.OpenBucket("late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if _, err := cl.Set(context.Background(), fmt.Sprintf("k%d", i), []byte("v"), 0); err != nil {
+			t.Fatalf("set k%d: %v", i, err)
 		}
 	}
 }

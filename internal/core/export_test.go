@@ -17,11 +17,7 @@ func (c *Cluster) LoopbackReplicaSource(bucket string) ReplicaSource {
 // value that changes whenever the link is replaced (nil when there is
 // none), the node it pulls from, and whether its goroutine still runs.
 func (c *Cluster) LinkOf(node cmap.NodeID, bucket string, vb int) (id any, source cmap.NodeID, alive bool) {
-	n, err := c.Node(node)
-	if err != nil {
-		return nil, "", false
-	}
-	nb, err := n.bucket(bucket)
+	nb, err := c.nodeBucket(node, bucket)
 	if err != nil {
 		return nil, "", false
 	}
@@ -38,11 +34,7 @@ func (c *Cluster) LinkOf(node cmap.NodeID, bucket string, vb int) (id any, sourc
 // reconciler's back, so a test can tell whether a later reconcile
 // re-attached consumers.
 func (c *Cluster) DetachViews(node cmap.NodeID, bucket string, vb int) error {
-	n, err := c.Node(node)
-	if err != nil {
-		return err
-	}
-	nb, err := n.bucket(bucket)
+	nb, err := c.nodeBucket(node, bucket)
 	if err != nil {
 		return err
 	}

@@ -23,21 +23,9 @@ type loopbackRouter struct {
 	bucket string
 }
 
-func (r loopbackRouter) BucketMap() (*cmap.Map, error) {
-	b, err := r.c.bucket(r.bucket)
-	if err != nil {
-		return nil, err
-	}
-	return b.Map(), nil
-}
+func (r loopbackRouter) BucketMap() (*cmap.Map, error) { return r.c.BucketMap(r.bucket) }
 
-func (r loopbackRouter) Conn(id cmap.NodeID) (NodeConn, error) {
-	n, err := r.c.Node(id)
-	if err != nil {
-		return nil, err
-	}
-	return loopbackConn{node: n, bucket: r.bucket}, nil
-}
+func (r loopbackRouter) Conn(id cmap.NodeID) (NodeConn, error) { return r.c.LoopbackConn(id, r.bucket) }
 
 // loopbackConn is the single KV executor: both transports end up in
 // its Do, the loopback router by direct call and the TCP server after

@@ -12,12 +12,12 @@ import (
 	"couchgo/internal/vbucket"
 )
 
-// This file is the one place a node's copy of a vBucket changes role
-// (§4.3.1) and the one loop that feeds a replica copy over DCP
-// (§4.3.2). Both control planes call it: the in-process cluster once
-// per data node with the loopback source, a process-cluster member
-// once for its own node with the socket source. Nothing here knows
-// which of the two it is serving.
+// This file is the one applier of cluster maps (ApplyMap), the one
+// place a node's copy of a vBucket changes role (§4.3.1) and the one
+// loop that feeds a replica copy over DCP (§4.3.2). Both control
+// planes end up here: the in-process cluster for all of its nodes with
+// the loopback source, a member process of a networked cluster for its
+// one node with the socket source.
 
 // ReplicaSource is the per-transport seam under a replica link: where
 // the active copy's DCP producer lives, and how an applied seqno gets
@@ -59,19 +59,87 @@ func (loopbackSource) Ack(src dcp.StreamSource, _ dcp.MutationStream, replica st
 	src.(loopbackProducer).vb.AckReplica(replica, seqno)
 }
 
-// ReconcileLocal makes node's copy of vb match map m, in which the
-// node is known as self (its node ID in-process, its advertised KV
-// address in a process cluster). Replica copies are fed through src.
-func (c *Cluster) ReconcileLocal(node cmap.NodeID, bucket string, m *cmap.Map, self cmap.NodeID, vb int, src ReplicaSource) error {
-	n, err := c.Node(node)
-	if err != nil {
-		return err
+// ApplyMap brings this process's data nodes to map m: the Rev check
+// and install (a stale map is dropped), then one reconcile per local
+// node for each vBucket whose chain differs from the map it replaces —
+// re-applying a topology reconciles nothing — and a journal entry. A
+// networked process names its one node self (its KV address) and feeds
+// replicas through a socket src; in-process self is empty, every node
+// goes by its own ID, and the call returns with each changed replica's
+// link past its first open attempt, so topology calls still return
+// with replication streaming (a remote open can take a dial timeout,
+// so a member process does not wait). Applies are serialized.
+func (c *Cluster) ApplyMap(bucket string, m *cmap.Map, self cmap.NodeID, src ReplicaSource) error {
+	return c.applyMap(bucket, m, self, src, true)
+}
+
+// applyMap is ApplyMap; a rebalance that steps through its partitions
+// one map each (stepVB) leaves the journal entry out.
+func (c *Cluster) applyMap(bucket string, m *cmap.Map, self cmap.NodeID, src ReplicaSource, journal bool) error {
+	c.applyMu.Lock()
+	defer c.applyMu.Unlock()
+	if c.left {
+		return nil
 	}
-	nb, err := n.bucket(bucket)
-	if err != nil {
-		return err
+	prev, ok := c.topo.install(bucket, m)
+	if !ok {
+		return nil
 	}
-	return nb.reconcile(m, self, vb, src)
+	type local struct {
+		id cmap.NodeID // the node's name in m
+		nb *nodeBucket
+	}
+	var locals []local
+	for _, n := range c.Nodes() {
+		nb, err := n.bucket(bucket)
+		if err != nil {
+			continue // dead, or not a data node
+		}
+		id := self
+		if self == "" {
+			id = n.id
+		}
+		locals = append(locals, local{id, nb})
+	}
+	changed := cmap.Changed(prev, m)
+	var firstErr error
+	for _, vb := range changed {
+		// The mapped active goes first, so its replicas' links find their
+		// source already promoted.
+		active := m.Active(vb)
+		for _, first := range []bool{true, false} {
+			for _, l := range locals {
+				if (l.id == active) != first {
+					continue
+				}
+				if err := l.nb.reconcile(m, l.id, vb, src); err != nil && firstErr == nil {
+					firstErr = err
+				}
+				if self == "" {
+					l.nb.awaitLink(vb)
+				}
+			}
+		}
+	}
+	if journal {
+		e := events.New(events.Topology, events.SevInfo, "applied cluster map")
+		e.Node, e.Bucket = string(self), bucket
+		e.Fields = map[string]string{"rev": strconv.FormatInt(m.Rev, 10), "changed": strconv.Itoa(len(changed))}
+		events.Default.Publish(e)
+	}
+	return firstErr
+}
+
+// Leave ends this process's part in a networked cluster: no further
+// map is applied and every inbound replica link stops, so a member
+// that left neither pulls from nor acks to its former peers.
+func (c *Cluster) Leave() {
+	c.applyMu.Lock()
+	defer c.applyMu.Unlock()
+	c.left = true
+	for _, bucket := range c.BucketNames() {
+		c.SeverReplication(bucket)
+	}
 }
 
 // reconcile decides what this node's copy of vbID is under m — active,

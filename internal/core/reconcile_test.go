@@ -30,28 +30,23 @@ type harness struct {
 	ids      [3]cmap.NodeID   // each node's identity in the map
 	clusters [3]*core.Cluster // the cluster holding node i
 	local    [3]cmap.NodeID   // node i's ID inside that cluster
+	self     [3]cmap.NodeID   // the name that cluster applies maps under: empty in-process
 	dirs     [3]string        // that cluster's Config.Dir
 	client   *core.Client
-	// applyTo installs m on node i and reconciles its every vBucket.
-	applyTo func(t *testing.T, i int, m *cmap.Map)
+	// decider is the index of the node whose cluster decides topology.
+	decider int
+	// fail takes node i out of service through the decider; serving
+	// reports whether node i's cluster still applies the maps that follow.
+	fail    func(i int) error
+	serving func(i int) bool
+	// apply brings every node to m through core's applier, vBucket 0's
+	// new active first: a replica whose link opens before its source is
+	// promoted adopts the pre-takeover failover log, which is legal but
+	// not what the table pins.
+	apply func(t *testing.T, m *cmap.Map)
 }
 
-// apply brings every node to m, vBucket 0's new active first (as
-// Cluster.reconcileVB orders it): a replica whose link opens before
-// its source is promoted adopts the pre-takeover failover log, which
-// is legal but not what the table pins.
-func (h *harness) apply(t *testing.T, m *cmap.Map) {
-	t.Helper()
-	first := max(h.index(m.Active(0)), 0)
-	h.applyTo(t, first, m)
-	for i := range h.ids {
-		if i != first {
-			h.applyTo(t, i, m)
-		}
-	}
-}
-
-func newLoopbackHarness(t *testing.T) *harness {
+func newLoopbackHarness(t *testing.T, replicas int) *harness {
 	dir := t.TempDir()
 	c, err := core.NewCluster(core.Config{Dir: dir, NumVBuckets: 2})
 	if err != nil {
@@ -66,29 +61,31 @@ func newLoopbackHarness(t *testing.T) *harness {
 			t.Fatal(err)
 		}
 	}
-	if err := c.CreateBucket(bucket, core.BucketOptions{NumReplicas: 2}); err != nil {
+	if err := c.CreateBucket(bucket, core.BucketOptions{NumReplicas: replicas}); err != nil {
 		t.Fatal(err)
 	}
+	h.fail = func(i int) error { return c.Failover(h.ids[i]) }
+	// One process holds all three nodes: it applies every map, to the
+	// nodes still up.
+	h.serving = func(int) bool { return true }
 	if h.client, err = c.OpenBucket(bucket); err != nil {
 		t.Fatal(err)
 	}
 	src := c.LoopbackReplicaSource(bucket)
-	h.applyTo = func(t *testing.T, i int, m *cmap.Map) {
+	// One process holds all three nodes: one apply, ordered by the
+	// applier itself.
+	h.apply = func(t *testing.T, m *cmap.Map) {
 		t.Helper()
-		if err := c.SetBucketMap(bucket, m); err != nil {
-			t.Fatal(err)
-		}
-		for vb := 0; vb < m.NumVBuckets; vb++ {
-			if err := c.ReconcileLocal(h.local[i], bucket, m, h.ids[i], vb, src); err != nil {
-				t.Fatalf("reconcile %s vb %d: %v", h.ids[i], vb, err)
-			}
+		if err := c.ApplyMap(bucket, m, "", src); err != nil {
+			t.Fatalf("apply map rev %d: %v", m.Rev, err)
 		}
 	}
 	return h
 }
 
-func newSocketHarness(t *testing.T) *harness {
+func newSocketHarness(t *testing.T, replicas int) *harness {
 	h := &harness{}
+	since := events.Default.LastSeq()
 	var nodes [3]*transport.ClusterNode
 	var clusters [3]*core.Cluster
 	var dirs [3]string
@@ -104,15 +101,14 @@ func newSocketHarness(t *testing.T) *harness {
 		if _, err := c.AddNode(local, cmap.AllServices); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.CreateBucket(bucket, core.BucketOptions{NumReplicas: 2}); err != nil {
+		if err := c.CreateBucket(bucket, core.BucketOptions{NumReplicas: replicas}); err != nil {
 			t.Fatal(err)
 		}
 		opts := transport.NodeOptions{
-			Cluster: c, LocalNode: local, Bucket: bucket, KVAddr: "127.0.0.1:0",
+			Cluster: c, Bucket: bucket, KVAddr: "127.0.0.1:0",
 			HeartbeatInterval: 50 * time.Millisecond,
-			// The table, not the coordinator, decides every map after the
-			// first.
-			FailoverAfter: time.Hour,
+			// No watchdog: the table, not the seed, decides every map after
+			// the first.
 		}
 		if i == 0 {
 			opts.ClusterSize = 3
@@ -126,49 +122,77 @@ func newSocketHarness(t *testing.T) *harness {
 		t.Cleanup(n.Close)
 		nodes[i] = n
 	}
-	// Formation: every process holds the minted three-node map. Its node
-	// order (sorted addresses) names A, B, C.
+	// Formation: every process has applied the minted three-node map
+	// (the journal entry closes an apply). Its node order (sorted
+	// addresses) names A, B, C.
 	var formed *cmap.Map
 	eventually(t, "cluster formation", func() error {
-		for _, n := range nodes {
-			m, err := n.Router().BucketMap()
+		for i, n := range nodes {
+			m, err := clusters[i].BucketMap(bucket)
 			if err != nil || len(m.Nodes) != 3 {
 				return fmt.Errorf("%s: map %v, err %v", n.KVAddr(), m, err)
+			}
+			applied := false
+			for _, e := range events.Default.Events(events.Filter{SinceSeq: since}) {
+				applied = applied || e.Msg == "applied cluster map" && e.Node == n.KVAddr() && e.Fields["rev"] == fmt.Sprint(m.Rev)
+			}
+			if !applied {
+				return fmt.Errorf("%s: still applying map rev %d", n.KVAddr(), m.Rev)
 			}
 			formed = m
 		}
 		return nil
 	})
+	var member [3]*transport.ClusterNode
 	for i, id := range formed.Nodes {
 		for j, n := range nodes {
 			if n.KVAddr() == string(id) {
-				h.ids[i], h.clusters[i], h.dirs[i] = id, clusters[j], dirs[j]
+				h.ids[i], h.self[i], h.clusters[i], h.dirs[i], member[i] = id, id, clusters[j], dirs[j], n
 				h.local[i] = cmap.NodeID(fmt.Sprintf("local%d", j))
+				if j == 0 {
+					h.decider = i // the seed
+				}
 			}
 		}
 	}
+	// A failed member is a crashed process: it leaves before the seed's
+	// decider hears of it, so no heartbeat of its fetches the map that
+	// scrubbed it. The seed cannot leave; failed over, it still applies
+	// what it publishes.
+	var left [3]bool
+	h.fail = func(i int) error {
+		if i != h.decider {
+			member[i].Close()
+			left[i] = true
+		}
+		return h.clusters[h.decider].Decider().Failover(h.ids[i])
+	}
+	h.serving = func(i int) bool { return !left[i] }
 	h.client = core.NewClient(nodes[0].Router(), bucket)
 	pool := transport.NewPool()
 	t.Cleanup(pool.Close)
-	h.applyTo = func(t *testing.T, i int, m *cmap.Map) {
+	h.apply = func(t *testing.T, m *cmap.Map) {
 		t.Helper()
 		value, err := json.Marshal(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The coordinator's own push: SET_CLUSTER_MAP to the member.
-		conn, err := pool.Get(string(h.ids[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		resp, err := conn.Roundtrip(ctx, &memcproto.Frame{
-			Magic: memcproto.MagicReq, Opcode: memcproto.OpSetClusterMap,
-			Key: []byte(bucket), Value: value,
-		})
-		if err != nil || resp.Status != memcproto.StatusOK {
-			t.Fatalf("push map rev %d to %s: %v %v", m.Rev, h.ids[i], resp, err)
+		first := max(h.index(m.Active(0)), 0)
+		for _, i := range []int{first, (first + 1) % 3, (first + 2) % 3} {
+			// The seed's own push: SET_CLUSTER_MAP to the member.
+			conn, err := pool.Get(string(h.ids[i]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			resp, err := conn.Roundtrip(ctx, &memcproto.Frame{
+				Magic: memcproto.MagicReq, Opcode: memcproto.OpSetClusterMap,
+				Key: []byte(bucket), Value: value,
+			})
+			cancel()
+			if err != nil || resp.Status != memcproto.StatusOK {
+				t.Fatalf("push map rev %d to %s: %v %v", m.Rev, h.ids[i], resp, err)
+			}
 		}
 	}
 	return h
@@ -218,11 +242,11 @@ func TestReconcileTransitions(t *testing.T) {
 
 	for _, src := range []struct {
 		name string
-		mk   func(*testing.T) *harness
+		mk   func(*testing.T, int) *harness
 	}{{"loopback", newLoopbackHarness}, {"sockets", newSocketHarness}} {
 		t.Run(src.name, func(t *testing.T) {
 			start := events.Default.LastSeq() // the journal is process-wide
-			h := src.mk(t)
+			h := src.mk(t, 2)
 			// Consumers whose re-attachment and rollback the rows observe:
 			// a view (per node, detached on demotion) and a GSI index.
 			for i, c := range h.clusters {

@@ -2,10 +2,12 @@ package health
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"couchgo/internal/cmap"
 	"couchgo/internal/core"
+	"couchgo/internal/events"
 	"couchgo/internal/metrics"
 )
 
@@ -279,13 +281,22 @@ func sumGauge(r *metrics.Registry, family string) int64 {
 	return total
 }
 
-// NodeIDFromCheck extracts the node ID from a "node:<id>" check name
-// ("" for other checks) — the auto-failover wiring in cbserver keys
-// off it.
-func NodeIDFromCheck(name string) cmap.NodeID {
-	const prefix = "node:"
-	if len(name) > len(prefix) && name[:len(prefix)] == prefix {
-		return cmap.NodeID(name[len(prefix):])
-	}
-	return ""
+// AutoFailover arms w as the process's failure detector: a liveness
+// check named prefix+<id> ("node:" in-process, "member:" on a networked
+// seed) that the watchdog holds critical fails <id> over. It is the one
+// path from silence to a failover in a process that runs a watchdog;
+// a failover that fails is journaled.
+func AutoFailover(w *Watchdog, prefix string, failover func(cmap.NodeID) error) {
+	w.OnTransition(func(st CheckStatus) {
+		id, ok := strings.CutPrefix(st.Name, prefix)
+		if !ok || st.State != Critical {
+			return
+		}
+		if err := failover(cmap.NodeID(id)); err != nil {
+			e := events.New(events.Topology, events.SevWarn, "auto-failover failed")
+			e.Node = id
+			e.Fields = map[string]string{"error": err.Error()}
+			w.opts.Journal.Publish(e)
+		}
+	})
 }

@@ -55,13 +55,7 @@ func TestAutoFailoverCausalChain(t *testing.T) {
 	// -auto-failover flag wires it.
 	w := New(Options{Interval: 5 * time.Millisecond, RaiseAfter: 2, ClearAfter: 2})
 	RegisterClusterChecks(w, c, ClusterCheckConfig{})
-	w.OnTransition(func(st CheckStatus) {
-		if id := NodeIDFromCheck(st.Name); id != "" && st.State == Critical {
-			if err := c.Failover(id); err != nil {
-				t.Logf("auto-failover %s: %v", id, err)
-			}
-		}
-	})
+	AutoFailover(w, "node:", c.Failover)
 	w.Start()
 	t.Cleanup(w.Stop)
 

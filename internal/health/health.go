@@ -10,8 +10,8 @@
 // raises the published state (and ClearAfter ticks before it clears),
 // so a metric oscillating around a threshold produces one transition,
 // not one per tick. Every transition is recorded in the event journal
-// and handed to an optional callback — cbserver wires that callback to
-// core's failover path for flag-gated auto-failover.
+// and handed to an optional callback — AutoFailover wires that callback
+// to the decider's failover path.
 package health
 
 import (
@@ -149,8 +149,8 @@ func (w *Watchdog) Register(name string, fn CheckFunc) {
 }
 
 // OnTransition sets a callback invoked (on the watchdog goroutine,
-// with no locks held) after each published state change. cbserver uses
-// it to trigger auto-failover from sustained-critical node checks.
+// with no locks held) after each published state change; AutoFailover
+// is the one user.
 func (w *Watchdog) OnTransition(fn func(CheckStatus)) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -1,11 +1,13 @@
 package health
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"couchgo/internal/cmap"
 	"couchgo/internal/dcp"
 	"couchgo/internal/events"
 	"couchgo/internal/feed"
@@ -225,11 +227,29 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func TestNodeIDFromCheck(t *testing.T) {
-	if got := NodeIDFromCheck("node:node3"); got != "node3" {
-		t.Fatalf("NodeIDFromCheck = %q", got)
+// TestAutoFailoverKeysOnPrefixAndCritical: only a check with the armed
+// prefix, held critical, reaches the failover function, and a failover
+// that fails is journaled.
+func TestAutoFailoverKeysOnPrefixAndCritical(t *testing.T) {
+	j := events.NewJournal(0)
+	w := New(Options{RaiseAfter: 1, ClearAfter: 1, Journal: j})
+	states := map[string]State{"node:node3": Critical, "feed:stalls": Critical, "node:node4": Warn}
+	for name := range states {
+		w.Register(name, func() (State, string) { return states[name], "" })
 	}
-	if got := NodeIDFromCheck("feed:stalls"); got != "" {
-		t.Fatalf("NodeIDFromCheck(feed:stalls) = %q", got)
+	var failed []cmap.NodeID
+	AutoFailover(w, "node:", func(id cmap.NodeID) error {
+		failed = append(failed, id)
+		return errors.New("no such node")
+	})
+	w.Tick()
+	if len(failed) != 1 || failed[0] != "node3" {
+		t.Fatalf("failed over %v, want [node3]", failed)
 	}
+	for _, e := range j.Events(events.Filter{Type: events.Topology}) {
+		if e.Msg == "auto-failover failed" && e.Node == "node3" && e.Fields["error"] == "no such node" {
+			return
+		}
+	}
+	t.Fatal("failed failover was not journaled")
 }

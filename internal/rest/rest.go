@@ -57,11 +57,11 @@ func NewServer(c *core.Cluster) *Server {
 	s.mux.HandleFunc("PUT /buckets/{bucket}/docs/{key}", s.handlePut)
 	s.mux.HandleFunc("DELETE /buckets/{bucket}/docs/{key}", s.handleDelete)
 	s.mux.HandleFunc("PUT /buckets/{bucket}/views/{view}", s.handleDefineView)
-	s.mux.HandleFunc("GET /buckets/{bucket}/views/{view}", s.handleQueryView)
+	s.mux.HandleFunc("GET /buckets/{bucket}/views/{view}", s.wholeData(s.handleQueryView))
 	s.mux.HandleFunc("DELETE /buckets/{bucket}/views/{view}", s.handleDropView)
-	s.mux.HandleFunc("PUT /buckets/{bucket}/fts/{index}", s.handleDefineFTS)
-	s.mux.HandleFunc("GET /buckets/{bucket}/fts/{index}", s.handleSearch)
-	s.mux.HandleFunc("POST /query", s.handleQuery)
+	s.mux.HandleFunc("PUT /buckets/{bucket}/fts/{index}", s.wholeData(s.handleDefineFTS))
+	s.mux.HandleFunc("GET /buckets/{bucket}/fts/{index}", s.wholeData(s.handleSearch))
+	s.mux.HandleFunc("POST /query", s.wholeData(s.handleQuery))
 	s.mux.HandleFunc("POST /buckets/{bucket}/analytics/enable", s.handleAnalyticsEnable)
 	s.mux.HandleFunc("POST /buckets/{bucket}/analytics/query", s.handleAnalyticsQuery)
 	// /metrics registers without a method verb: Prometheus scrapers get
@@ -97,7 +97,7 @@ func writeErr(w http.ResponseWriter, err error) {
 		errors.Is(err, views.ErrNoSuchView), errors.Is(err, fts.ErrNoSuchIndex):
 		status = http.StatusNotFound
 	case errors.Is(err, cache.ErrCASMismatch), errors.Is(err, cache.ErrKeyExists),
-		errors.Is(err, cache.ErrLocked), errors.Is(err, ErrCoordinatorTopology):
+		errors.Is(err, cache.ErrLocked), errors.Is(err, ErrCoordinatorTopology), errors.Is(err, ErrPartialData):
 		status = http.StatusConflict
 	case errors.Is(err, core.ErrNoQueryNode), errors.Is(err, core.ErrNoIndexNode):
 		status = http.StatusServiceUnavailable
@@ -115,11 +115,30 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 }
 
 // ErrCoordinatorTopology refuses a topology change on a networked
-// process: its cluster map is minted by the coordinator, and the local
+// process: its cluster map is decided on the seed, and the local
 // cluster under it holds this process's one node — failing that node
 // over or rebalancing it would cut the process off from a map that
 // still routes to it.
 var ErrCoordinatorTopology = errors.New("rest: topology is owned by the cluster coordinator; failover and rebalance are not available on a networked (-kv-addr) process")
+
+// ErrPartialData refuses a query on a process of a multi-member
+// networked cluster: its index, view and full-text services see only
+// the vBuckets this process holds, so an answer would silently cover
+// one member's share of the bucket.
+var ErrPartialData = errors.New("rest: this process indexes only its own share of the bucket; N1QL, view and full-text queries are not available on a multi-member networked (-kv-addr) cluster")
+
+// wholeData guards a handler that answers from this process's data
+// alone: it serves while the cluster map names no other member (an
+// in-process cluster, or a solo networked process).
+func (s *Server) wholeData(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if len(s.members()) > 1 {
+			writeErr(w, ErrPartialData)
+			return
+		}
+		h(w, r)
+	}
+}
 
 func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	if s.fed != nil {

@@ -214,15 +214,43 @@ func TestAdminEndpoints(t *testing.T) {
 
 // TestTopologyEndpointsByMode: in-process, failover and rebalance act
 // on the cluster; on a networked process (federation attached) the
-// coordinator owns the topology, so both refuse with 409 and leave
-// the process's node and map exactly as they were.
+// seed owns the topology, so both refuse with 409 and leave the
+// process's node and map exactly as they were. The query-side
+// endpoints answer while this process holds the whole bucket and
+// refuse with 409 once the cluster map names another member.
 func TestTopologyEndpointsByMode(t *testing.T) {
-	for _, networked := range []bool{false, true} {
-		t.Run(fmt.Sprintf("networked=%v", networked), func(t *testing.T) {
+	self := "127.0.0.1:11210"
+	for _, mode := range []struct {
+		name    string
+		members []string // nil: in-process
+	}{{"in-process", nil}, {"networked solo", []string{self}}, {"networked pair", []string{self, "127.0.0.1:11211"}}} {
+		t.Run(mode.name, func(t *testing.T) {
 			s, c := newServer(t)
+			networked := mode.members != nil
 			if networked {
-				s.SetFederation(&fakeFed{self: "127.0.0.1:11210", nodes: []string{"127.0.0.1:11210"}})
+				s.SetFederation(&fakeFed{self: self, nodes: mode.members})
 			}
+			do(t, s, "PUT", "/buckets/default/views/byN", `{"key": "doc.n"}`, nil)
+			do(t, s, "PUT", "/buckets/default/fts/txt", `{"fields": ["body"]}`, nil)
+			for _, row := range []struct{ method, path, body string }{
+				{"POST", "/query", `{"statement": "SELECT 1"}`},
+				{"GET", "/buckets/default/views/byN", ""},
+				{"PUT", "/buckets/default/fts/txt2", `{"fields": ["body"]}`},
+				{"GET", "/buckets/default/fts/txt?q=x", ""},
+			} {
+				rec := do(t, s, row.method, row.path, row.body, nil)
+				switch partial := len(mode.members) > 1; {
+				case !partial && rec.Code >= 300:
+					t.Errorf("%s %s: %d %s", row.method, row.path, rec.Code, rec.Body)
+				case partial && rec.Code != http.StatusConflict:
+					t.Errorf("%s %s: %d %s, want 409", row.method, row.path, rec.Code, rec.Body)
+				case partial:
+					if msg, _ := decode(t, rec)["error"].(string); msg != ErrPartialData.Error() {
+						t.Errorf("%s %s error = %q, want %q", row.method, row.path, msg, ErrPartialData)
+					}
+				}
+			}
+
 			before, err := c.BucketMap("default")
 			if err != nil {
 				t.Fatal(err)

@@ -174,7 +174,7 @@ func TestDesignListsEveryMetricFamily(t *testing.T) {
 		t.Fatalf("query: %d %s", rec.Code, rec.Body)
 	}
 	node, err := transport.StartNode(transport.NodeOptions{
-		Cluster: c, LocalNode: "node0", Bucket: "default", KVAddr: "127.0.0.1:0", ClusterSize: 1,
+		Cluster: c, Bucket: "default", KVAddr: "127.0.0.1:0", ClusterSize: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

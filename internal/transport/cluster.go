@@ -5,10 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"couchgo/internal/cmap"
@@ -20,28 +19,27 @@ import (
 )
 
 // This file turns N independent cbserver processes into one cluster.
-// Each process runs a local single-node core.Cluster plus a Server; a
-// Member reconciles the local node against every coordinator-pushed
-// process-level map (node IDs are KV addresses), and the seed process
-// additionally runs the coordinator: it admits joins, mints one
-// balanced map when the expected cluster size is reached, heartbeats
-// the members through its health watchdog, and fails over a member
-// held critical — re-minting and re-broadcasting the map so every
-// process (and every smart client, via the epoch in response headers)
-// converges on the new topology. Deliberate limitation, documented in
-// DESIGN.md §9: membership is fixed at formation (no incremental
-// rebalance of a live process cluster) and the coordinator itself is
-// not failover-able.
+// Each process runs a local single-node core.Cluster plus a Server, and
+// is known to the others by its advertised KV address: the node IDs of
+// the process-level map are addresses. Topology is decided in one
+// place, the seed process's core.Decider: the seed feeds it the
+// members' joins and heartbeats, asks it for the balanced map once the
+// expected cluster size is reached, and has it fail over a member the
+// watchdog holds critical. Every map the decider mints leaves through
+// publish — applied here by core's one applier, pushed to the peers as
+// SET_CLUSTER_MAP — and a joiner hands what it is pushed (or fetches)
+// to the same applier, so every process, and every smart client via
+// the epoch in response headers, converges on it. Deliberate
+// limitations, documented in DESIGN.md §9.4: membership is fixed at
+// formation (no incremental rebalance of a live process cluster) and
+// the seed itself is not failover-able.
 
 // NodeOptions wire one cbserver process into a networked cluster.
 type NodeOptions struct {
-	// Cluster is the process-local single-node cluster with Bucket
+	// Cluster is the process-local cluster: one node, with Bucket
 	// already created.
 	Cluster *core.Cluster
-	// LocalNode is the local node's ID inside Cluster (distinct from
-	// its process-level identity, which is its advertised KV address).
-	LocalNode cmap.NodeID
-	Bucket    string
+	Bucket  string
 	// KVAddr is the wire-protocol listen address (port 0 for
 	// ephemeral).
 	KVAddr string
@@ -49,17 +47,21 @@ type NodeOptions struct {
 	// bound address, with unspecified hosts rewritten to 127.0.0.1).
 	Advertise string
 	// Join is the seed's KV address; empty makes this process the
-	// coordinator seed.
+	// seed.
 	Join string
-	// ClusterSize is the member count (including the seed) the
-	// coordinator waits for before minting the map. Coordinator only.
+	// ClusterSize is the member count (including the seed) the seed
+	// waits for before forming the cluster. Seed only.
 	ClusterSize int
-	// HeartbeatInterval paces member heartbeats and the coordinator's
-	// health ticks (default 500ms).
+	// HeartbeatInterval paces member heartbeats (default 500ms).
 	HeartbeatInterval time.Duration
-	// FailoverAfter is heartbeat silence before a member's health
+	// FailoverAfter is heartbeat silence before a mapped member's health
 	// check turns critical (default 5 intervals).
 	FailoverAfter time.Duration
+	// Watchdog is the process's one health watchdog, started and
+	// stopped by the caller. The seed registers a member:<addr> check
+	// on it for every member and arms it to fail over one it holds
+	// critical; nil leaves failure detection off.
+	Watchdog *health.Watchdog
 	// Observe serves cluster-observability fetches (metrics, health,
 	// events, traces) arriving over the wire as OpFederate requests
 	// from peer nodes. Nil disables federation on this node.
@@ -68,17 +70,25 @@ type NodeOptions struct {
 
 // ClusterNode is one process's networked-cluster runtime.
 type ClusterNode struct {
+	opts   NodeOptions
 	srv    *Server
-	member *Member
-	coord  *coordinator
 	router *NetRouter
 	pool   *Pool
-	self   string
-	closed chan struct{}
+	// self is the process's identity in the cluster, its advertised KV
+	// address; local is its one node's ID inside opts.Cluster.
+	self  string
+	local cmap.NodeID
+
+	// closed fires on Close: the join/heartbeat loop and in-flight push
+	// retries bail instead of sleeping on against a cluster that is gone.
+	closed    chan struct{}
+	closeOnce sync.Once
+	// formed is set on the seed once the cluster's first map is out.
+	formed atomic.Bool
 }
 
-// StartNode binds the KV listener, wires the member (and, for the
-// seed, the coordinator), and starts serving.
+// StartNode binds the KV listener, points the cluster's decider at
+// the wire, and starts serving (a seed) or joining (everyone else).
 func StartNode(opts NodeOptions) (*ClusterNode, error) {
 	if opts.HeartbeatInterval <= 0 {
 		opts.HeartbeatInterval = 500 * time.Millisecond
@@ -86,7 +96,15 @@ func StartNode(opts NodeOptions) (*ClusterNode, error) {
 	if opts.FailoverAfter <= 0 {
 		opts.FailoverAfter = 5 * opts.HeartbeatInterval
 	}
-	lc, err := opts.Cluster.LoopbackConn(opts.LocalNode, opts.Bucket)
+	if opts.ClusterSize <= 0 {
+		opts.ClusterSize = 1
+	}
+	locals := opts.Cluster.Nodes()
+	if len(locals) != 1 {
+		return nil, fmt.Errorf("transport: a member process holds one local node, its cluster has %d", len(locals))
+	}
+	local := locals[0].ID()
+	lc, err := opts.Cluster.LoopbackConn(local, opts.Bucket)
 	if err != nil {
 		return nil, err
 	}
@@ -107,47 +125,34 @@ func StartNode(opts NodeOptions) (*ClusterNode, error) {
 	router := NewRouter(opts.Bucket, seeds, pool)
 	router.SetLocal(cmap.NodeID(self), lc)
 
-	member := &Member{
-		cluster:   opts.Cluster,
-		localNode: opts.LocalNode,
-		bucket:    opts.Bucket,
-		self:      self,
-		pool:      pool,
-		router:    router,
-		closed:    make(chan struct{}),
-	}
-
-	n := &ClusterNode{member: member, router: router, pool: pool, self: self, closed: member.closed}
+	n := &ClusterNode{opts: opts, router: router, pool: pool, self: self, local: local, closed: make(chan struct{})}
 	cfg := ServerConfig{
 		Cluster:  opts.Cluster,
-		Node:     opts.LocalNode,
+		Node:     local,
 		Bucket:   opts.Bucket,
-		Map:      member.CurrentMap,
-		OnSetMap: member.ApplyMap,
+		OnSetMap: n.apply,
 		Stats: func() map[string]any {
-			return map[string]any{"node": self, "map_rev": member.rev()}
+			return map[string]any{"node": self, "map_rev": n.currentMap().Rev}
 		},
 		Observe: opts.Observe,
 	}
-
+	// From here the maps the process's decider mints (a seed's, in
+	// practice) leave through the wire.
+	opts.Cluster.Decider().PublishVia(n.publish)
 	if opts.Join == "" {
-		size := opts.ClusterSize
-		if size <= 0 {
-			size = 1
+		cfg.OnJoin = n.onJoin
+		cfg.OnHeartbeat = n.admit
+		if opts.Watchdog != nil {
+			health.AutoFailover(opts.Watchdog, "member:", n.failover)
 		}
-		n.coord = newCoordinator(opts.Cluster, opts.Bucket, self, size, pool,
-			opts.HeartbeatInterval, opts.FailoverAfter, member.ApplyMap)
-		cfg.OnJoin = n.coord.onJoin
-		cfg.OnHeartbeat = n.coord.heartbeat
+		// The seed is its own first member, before any join can arrive; a
+		// solo "cluster" forms right here.
+		n.admit(self)
 	}
 
 	n.srv = Serve(ln, cfg)
-	if opts.Join == "" {
-		n.coord.start()
-		// A solo "cluster" forms immediately.
-		n.coord.maybeMint()
-	} else {
-		go member.joinLoop(opts.Join, opts.HeartbeatInterval)
+	if opts.Join != "" {
+		go n.joinLoop()
 	}
 	return n, nil
 }
@@ -160,14 +165,19 @@ func (n *ClusterNode) KVAddr() string { return n.self }
 // through a client built on it.
 func (n *ClusterNode) Router() *NetRouter { return n.router }
 
-// Close stops serving and tears down member state.
+// Close stops serving and ends the process's part in the cluster.
 func (n *ClusterNode) Close() {
-	if n.coord != nil {
-		n.coord.stop()
-	}
-	n.member.close()
+	n.closeOnce.Do(func() { close(n.closed) })
+	n.opts.Cluster.Leave()
 	n.srv.Close()
 	n.pool.Close()
+}
+
+// currentMap is the process's one map of the bucket: the local
+// bootstrap map until the cluster forms, then the last one applied.
+func (n *ClusterNode) currentMap() *cmap.Map {
+	m, _ := n.opts.Cluster.BucketMap(n.opts.Bucket)
+	return m
 }
 
 // advertiseAddr rewrites a bound listen address into one peers can
@@ -184,287 +194,6 @@ func advertiseAddr(a net.Addr) string {
 	return net.JoinHostPort(ip.String(), strconv.Itoa(ta.Port))
 }
 
-// ---------------------------------------------------------------------------
-// Coordinator
-
-type coordinator struct {
-	cluster   *core.Cluster
-	bucket    string
-	self      string
-	size      int
-	pool      *Pool
-	interval  time.Duration
-	failAfter time.Duration
-	apply     func(*cmap.Map) error
-	wd        *health.Watchdog
-
-	// closed fires on stop(): in-flight push retry loops bail instead
-	// of sleeping out their remaining attempts against a dead cluster.
-	closed   chan struct{}
-	stopOnce sync.Once
-
-	mu      sync.Mutex
-	members map[string]time.Time
-	m       *cmap.Map
-	failed  map[string]bool
-}
-
-func newCoordinator(cluster *core.Cluster, bucket, self string, size int, pool *Pool,
-	interval, failAfter time.Duration, apply func(*cmap.Map) error) *coordinator {
-	co := &coordinator{
-		cluster:   cluster,
-		bucket:    bucket,
-		self:      self,
-		size:      size,
-		pool:      pool,
-		interval:  interval,
-		failAfter: failAfter,
-		apply:     apply,
-		closed:    make(chan struct{}),
-		members:   map[string]time.Time{self: time.Now()},
-		failed:    map[string]bool{},
-	}
-	co.wd = health.New(health.Options{Interval: interval, Node: self})
-	co.wd.OnTransition(co.onHealthTransition)
-	co.registerCheck(self)
-	return co
-}
-
-func (co *coordinator) start() { co.wd.Start() }
-
-func (co *coordinator) stop() {
-	co.wd.Stop()
-	co.stopOnce.Do(func() { close(co.closed) })
-}
-
-// onJoin admits a member and returns the current map (nil until the
-// cluster has formed).
-func (co *coordinator) onJoin(addr string) (*cmap.Map, error) {
-	co.mu.Lock()
-	_, known := co.members[addr]
-	co.members[addr] = time.Now()
-	minted := co.m
-	co.mu.Unlock()
-
-	if !known {
-		e := events.New(events.Topology, events.SevInfo, "member joined cluster")
-		e.Node, e.Bucket = co.self, co.bucket
-		e.Fields = map[string]string{"member": addr}
-		events.Default.Publish(e)
-		co.registerCheck(addr)
-		if minted != nil {
-			// Late joiner after formation: admitted as a heartbeating
-			// member but not rebalanced in (documented limitation).
-			return minted, nil
-		}
-		co.maybeMint()
-		co.mu.Lock()
-		minted = co.m
-		co.mu.Unlock()
-	}
-	return minted, nil
-}
-
-func (co *coordinator) heartbeat(addr string) {
-	co.mu.Lock()
-	co.members[addr] = time.Now()
-	co.mu.Unlock()
-}
-
-// maybeMint builds and broadcasts the process-level map once the
-// expected member count is reached.
-func (co *coordinator) maybeMint() {
-	local, err := co.cluster.BucketMap(co.bucket)
-	if err != nil {
-		return
-	}
-	// The local bootstrap map clamps NumReplicas to its single node;
-	// mint with the bucket's configured count (BuildBalanced re-clamps
-	// to the real member count).
-	replicas, err := co.cluster.BucketReplicas(co.bucket)
-	if err != nil {
-		replicas = local.NumReplicas
-	}
-	co.mu.Lock()
-	if co.m != nil || len(co.members) < co.size {
-		co.mu.Unlock()
-		return
-	}
-	nodes := make([]cmap.NodeID, 0, len(co.members))
-	for addr := range co.members {
-		nodes = append(nodes, cmap.NodeID(addr))
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	// Rev starts above every process's local bootstrap map so the
-	// pushed map always wins member-side staleness checks.
-	m := cmap.BuildBalanced(local.Rev+1, nodes, local.NumVBuckets, replicas)
-	co.m = m
-	co.mu.Unlock()
-
-	e := events.New(events.Topology, events.SevInfo, "cluster map minted")
-	e.Node, e.Bucket = co.self, co.bucket
-	e.Fields = map[string]string{
-		"rev":   strconv.FormatInt(m.Rev, 10),
-		"nodes": strconv.Itoa(len(nodes)),
-	}
-	events.Default.Publish(e)
-	co.broadcast(m)
-}
-
-// broadcast pushes a map to every member (self by function call,
-// peers over the wire with retries).
-func (co *coordinator) broadcast(m *cmap.Map) {
-	value, err := json.Marshal(m)
-	if err != nil {
-		return
-	}
-	if err := co.apply(m); err != nil {
-		e := events.New(events.Topology, events.SevWarn, "local map apply failed")
-		e.Node, e.Bucket = co.self, co.bucket
-		e.Fields = map[string]string{"error": err.Error()}
-		events.Default.Publish(e)
-	}
-	co.mu.Lock()
-	peers := make([]string, 0, len(co.members))
-	for addr := range co.members {
-		if addr != co.self && !co.failed[addr] {
-			peers = append(peers, addr)
-		}
-	}
-	co.mu.Unlock()
-	for _, addr := range peers {
-		go co.pushMap(addr, value)
-	}
-}
-
-func (co *coordinator) pushMap(addr string, value []byte) {
-	for attempt := 0; attempt < 5; attempt++ {
-		conn, err := co.pool.Get(addr)
-		if err == nil {
-			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			resp, rerr := conn.Roundtrip(ctx, &memcproto.Frame{
-				Magic:  memcproto.MagicReq,
-				Opcode: memcproto.OpSetClusterMap,
-				Key:    []byte(co.bucket),
-				Value:  value,
-			})
-			cancel()
-			if rerr == nil && resp.Status == memcproto.StatusOK {
-				return
-			}
-		}
-		if !sleepOr(co.interval, co.closed) {
-			return
-		}
-	}
-	e := events.New(events.Topology, events.SevWarn, "cluster map push failed")
-	e.Node, e.Bucket = co.self, co.bucket
-	e.Fields = map[string]string{"member": addr}
-	events.Default.Publish(e)
-}
-
-// registerCheck adds a member-liveness check to the watchdog: silence
-// past FailoverAfter goes critical, and the watchdog's RaiseAfter
-// hysteresis means a member must be held critical for consecutive
-// ticks before the transition fires the auto-failover.
-func (co *coordinator) registerCheck(addr string) {
-	if addr == co.self {
-		return
-	}
-	co.wd.Register("member:"+addr, func() (health.State, string) {
-		co.mu.Lock()
-		last, ok := co.members[addr]
-		failed := co.failed[addr]
-		co.mu.Unlock()
-		if failed {
-			return health.Critical, "failed over"
-		}
-		if !ok {
-			return health.OK, "not yet joined"
-		}
-		age := time.Since(last)
-		switch {
-		case age > co.failAfter:
-			return health.Critical, fmt.Sprintf("no heartbeat for %v", age.Round(time.Millisecond))
-		case age > co.failAfter/2:
-			return health.Warn, fmt.Sprintf("heartbeat lagging (%v)", age.Round(time.Millisecond))
-		}
-		return health.OK, "heartbeating"
-	})
-}
-
-// onHealthTransition is the auto-failover trigger: a member check
-// raising to critical fails the member over and re-broadcasts the
-// map.
-func (co *coordinator) onHealthTransition(st health.CheckStatus) {
-	if st.State != health.Critical || !strings.HasPrefix(st.Name, "member:") {
-		return
-	}
-	co.failover(strings.TrimPrefix(st.Name, "member:"))
-}
-
-func (co *coordinator) failover(addr string) {
-	co.mu.Lock()
-	if co.m == nil || co.failed[addr] {
-		co.mu.Unlock()
-		return
-	}
-	in := false
-	for _, n := range co.m.Nodes {
-		if string(n) == addr {
-			in = true
-			break
-		}
-	}
-	if !in {
-		co.mu.Unlock()
-		return
-	}
-	co.failed[addr] = true
-	m := co.m.FailoverNode(cmap.NodeID(addr))
-	co.m = m
-	co.mu.Unlock()
-
-	co.pool.Drop(addr)
-	e := events.New(events.Topology, events.SevWarn, "auto-failover: member failed over")
-	e.Node, e.Bucket = co.self, co.bucket
-	e.Fields = map[string]string{
-		"member": addr,
-		"rev":    strconv.FormatInt(m.Rev, 10),
-	}
-	events.Default.Publish(e)
-	co.broadcast(m)
-}
-
-// currentMap is the minted process map, nil before formation.
-func (co *coordinator) currentMap() *cmap.Map {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.m
-}
-
-// ---------------------------------------------------------------------------
-// Member
-
-// Member reconciles the local node against coordinator-pushed maps:
-// each vBucket copy goes through core's reconciler, with replica
-// copies fed from their active's process over sockets.
-type Member struct {
-	cluster   *core.Cluster
-	localNode cmap.NodeID
-	bucket    string
-	self      string
-	pool      *Pool
-	router    *NetRouter
-
-	applyMu sync.Mutex // serializes reconciles
-
-	mu        sync.Mutex
-	cur       *cmap.Map
-	closed    chan struct{}
-	closeOnce sync.Once
-}
-
 // socketSource is core's replica-link seam over the wire: a process
 // cluster's node IDs are KV addresses, so the source of a vBucket on
 // node X is a RemoteProducer dialing X, and acks ride the stream's own
@@ -479,110 +208,177 @@ func (socketSource) Ack(_ dcp.StreamSource, stream dcp.MutationStream, _ string,
 	stream.(*RemoteStream).Ack(seqno)
 }
 
-// CurrentMap is the last applied process map (nil before formation).
-func (mb *Member) CurrentMap() *cmap.Map {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return mb.cur
+// apply hands a map — pushed by the seed, fetched from it, or minted
+// here — to core's applier, then, for the bucket this node serves, to
+// the process's own router.
+func (n *ClusterNode) apply(bucket string, m *cmap.Map) error {
+	err := n.opts.Cluster.ApplyMap(bucket, m, cmap.NodeID(n.self), socketSource{})
+	if bucket == n.opts.Bucket {
+		n.router.InstallMap(m)
+	}
+	return err
 }
 
-func (mb *Member) rev() int64 {
-	if m := mb.CurrentMap(); m != nil {
-		return m.Rev
-	}
-	return 0
-}
+// ---------------------------------------------------------------------------
+// Seed: the decider's inputs and its publish seam
 
-// close ends the member's part in the cluster: no further map is
-// applied and the local copies' inbound replica links stop, so a
-// closed member neither pulls from nor acks to its former peers.
-func (mb *Member) close() {
-	mb.closeOnce.Do(func() { close(mb.closed) })
-	mb.applyMu.Lock()
-	defer mb.applyMu.Unlock()
-	mb.cluster.SeverReplication(mb.bucket) //couchvet:ignore lockblock -- applyMu reconcile serializer; core never calls back into transport
-}
-
-func (mb *Member) isClosed() bool {
-	select {
-	case <-mb.closed:
-		return true
-	default:
-		return false
-	}
-}
-
-// ApplyMap reconciles the local node against a pushed process map.
-func (mb *Member) ApplyMap(m *cmap.Map) error {
-	mb.applyMu.Lock()
-	defer mb.applyMu.Unlock()
-	if mb.isClosed() {
-		return nil
-	}
-
-	mb.mu.Lock()
-	if mb.cur != nil && m.Rev <= mb.cur.Rev {
-		mb.mu.Unlock()
-		return nil
-	}
-	mb.cur = m
-	mb.mu.Unlock()
-
-	// The local bucket map becomes the process map: REST/stats and the
-	// epoch on every response now reflect cluster-level topology.
-	if err := mb.cluster.SetBucketMap(mb.bucket, m); err != nil { //couchvet:ignore lockblock -- applyMu reconcile serializer; core never calls back into transport
+// publish delivers a map the decider minted: applied here, then pushed
+// to every live peer over the wire, with retries.
+func (n *ClusterNode) publish(bucket string, m *cmap.Map) error {
+	value, err := json.Marshal(m)
+	if err != nil {
 		return err
 	}
-	mb.router.InstallMap(m)
-
-	var firstErr error
-	for vb := 0; vb < m.NumVBuckets; vb++ {
-		err := mb.cluster.ReconcileLocal(mb.localNode, mb.bucket, m, cmap.NodeID(mb.self), vb, socketSource{}) //couchvet:ignore lockblock -- applyMu reconcile serializer; core never calls back into transport
-		if err != nil && firstErr == nil {
-			firstErr = err
+	err = n.apply(bucket, m)
+	for _, peer := range n.opts.Cluster.Decider().Live() {
+		if string(peer) != n.self {
+			go n.pushMap(string(peer), bucket, value)
 		}
 	}
-
-	e := events.New(events.Topology, events.SevInfo, "applied cluster map")
-	e.Node, e.Bucket = mb.self, mb.bucket
-	e.Fields = map[string]string{"rev": strconv.FormatInt(m.Rev, 10)}
-	events.Default.Publish(e)
-	return firstErr
+	return err
 }
+
+func (n *ClusterNode) pushMap(addr, bucket string, value []byte) {
+	for attempt := 0; attempt < 5; attempt++ {
+		conn, err := n.pool.Get(addr)
+		if err == nil {
+			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+			resp, rerr := conn.Roundtrip(ctx, &memcproto.Frame{
+				Magic:  memcproto.MagicReq,
+				Opcode: memcproto.OpSetClusterMap,
+				Key:    []byte(bucket),
+				Value:  value,
+			})
+			cancel()
+			if rerr == nil && resp.Status == memcproto.StatusOK {
+				return
+			}
+		}
+		if !sleepOr(n.opts.HeartbeatInterval, n.closed) {
+			return
+		}
+	}
+	n.journal(events.SevWarn, "cluster map push failed", map[string]string{"member": addr})
+}
+
+func (n *ClusterNode) journal(sev events.Severity, msg string, fields map[string]string) {
+	e := events.New(events.Topology, sev, msg)
+	e.Node, e.Bucket = n.self, n.opts.Bucket
+	e.Fields = fields
+	events.Default.Publish(e)
+}
+
+// admit records a join or heartbeat with the decider. First contact
+// journals the member and starts grading its silence; the member that
+// completes the expected cluster size forms the cluster — the
+// decider's balanced map over everyone, minted above every process's
+// bootstrap map. One who joins after that is admitted as a
+// heartbeating member but not rebalanced in (DESIGN.md §9.4).
+func (n *ClusterNode) admit(addr string) {
+	d := n.opts.Cluster.Decider()
+	members, joined := d.Heard(cmap.NodeID(addr))
+	if !joined {
+		return
+	}
+	if addr != n.self {
+		n.journal(events.SevInfo, "member joined cluster", map[string]string{"member": addr})
+		if n.opts.Watchdog != nil {
+			n.opts.Watchdog.Register("member:"+addr, n.memberCheck(cmap.NodeID(addr)))
+		}
+	}
+	if members == n.opts.ClusterSize {
+		if err := d.Rebalance(d.Live(), nil); err != nil {
+			n.journal(events.SevWarn, "local map apply failed", map[string]string{"error": err.Error()})
+		}
+		n.formed.Store(true)
+		n.journal(events.SevInfo, "cluster map minted", map[string]string{
+			"rev":   strconv.FormatInt(n.currentMap().Rev, 10),
+			"nodes": strconv.Itoa(members),
+		})
+	}
+}
+
+// onJoin admits a member and returns the cluster's map, nil until the
+// cluster has formed.
+func (n *ClusterNode) onJoin(addr string) (*cmap.Map, error) {
+	n.admit(addr)
+	if !n.formed.Load() {
+		return nil, nil
+	}
+	return n.currentMap(), nil
+}
+
+// memberCheck grades one member by the decider's rule: silence past
+// FailoverAfter on a member a map still names is critical, and the
+// watchdog's RaiseAfter hysteresis holds it there for consecutive ticks
+// (of the process's -health-interval, on a cbserver) before the
+// transition fires the failover. A member no map names —
+// the cluster has not formed, it joined late, or it was failed over —
+// is nobody's emergency.
+func (n *ClusterNode) memberCheck(id cmap.NodeID) health.CheckFunc {
+	return func() (health.State, string) {
+		age, mapped := n.opts.Cluster.Decider().Silence(id)
+		age = age.Round(time.Millisecond)
+		switch {
+		case !mapped:
+			return health.OK, "not mapped (failed over, or never part of the map)"
+		case age > n.opts.FailoverAfter:
+			return health.Critical, fmt.Sprintf("no heartbeat for %v", age)
+		case age > n.opts.FailoverAfter/2:
+			return health.Warn, fmt.Sprintf("heartbeat lagging (%v)", age)
+		}
+		return health.OK, "heartbeating"
+	}
+}
+
+// failover is what the armed watchdog calls for a member it holds
+// critical: the decider scrubs it from every chain and the successor
+// map goes out through publish.
+func (n *ClusterNode) failover(id cmap.NodeID) error {
+	d := n.opts.Cluster.Decider()
+	if _, mapped := d.Silence(id); !mapped {
+		return nil
+	}
+	n.pool.Drop(string(id))
+	n.journal(events.SevWarn, "auto-failover: member failed over", map[string]string{"member": string(id)})
+	return d.Failover(id)
+}
+
+// ---------------------------------------------------------------------------
+// Joiner
+
+// joinBackoffMin is the first retry delay of a joiner the seed has not
+// admitted yet (typically: it dialled before the seed listened); it
+// doubles up to the heartbeat interval.
+const joinBackoffMin = 10 * time.Millisecond
 
 // joinLoop joins the seed until admitted with a map, then heartbeats,
 // refetching the map whenever the seed's epoch outruns ours.
-func (mb *Member) joinLoop(seed string, interval time.Duration) {
-	for {
-		select {
-		case <-mb.closed:
-			return
-		default:
-		}
-		m, err := mb.exchange(seed, memcproto.OpJoin)
+func (n *ClusterNode) joinLoop() {
+	interval := n.opts.HeartbeatInterval
+	for wait := joinBackoffMin; ; wait *= 2 {
+		m, err := n.exchange(memcproto.OpJoin)
 		if err == nil && m != nil {
-			mb.ApplyMap(m)
+			n.apply(n.opts.Bucket, m)
 			break
 		}
-		if !sleepOr(interval, mb.closed) {
+		if !sleepOr(min(wait, interval), n.closed) {
 			return
 		}
 	}
-	for {
-		if !sleepOr(interval, mb.closed) {
-			return
-		}
-		m, err := mb.exchange(seed, memcproto.OpHeartbeat)
+	for sleepOr(interval, n.closed) {
+		m, err := n.exchange(memcproto.OpHeartbeat)
 		if err == nil && m != nil {
-			mb.ApplyMap(m)
+			n.apply(n.opts.Bucket, m)
 		}
 	}
 }
 
 // exchange sends one join/heartbeat and returns a newer map when the
 // seed has one.
-func (mb *Member) exchange(seed string, opcode memcproto.Opcode) (*cmap.Map, error) {
-	conn, err := mb.pool.Get(seed)
+func (n *ClusterNode) exchange(opcode memcproto.Opcode) (*cmap.Map, error) {
+	seed := n.opts.Join
+	conn, err := n.pool.Get(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -591,7 +387,7 @@ func (mb *Member) exchange(seed string, opcode memcproto.Opcode) (*cmap.Map, err
 	resp, err := conn.Roundtrip(ctx, &memcproto.Frame{
 		Magic:  memcproto.MagicReq,
 		Opcode: opcode,
-		Key:    []byte(mb.self),
+		Key:    []byte(n.self),
 	})
 	if err != nil {
 		return nil, err
@@ -603,8 +399,8 @@ func (mb *Member) exchange(seed string, opcode memcproto.Opcode) (*cmap.Map, err
 		return decodeMap(resp.Value)
 	}
 	// Heartbeat replies carry only the epoch; refetch on a newer one.
-	if epoch, ok := memcproto.Epoch(resp.Extras); ok && epoch > mb.rev() {
-		return fetchMap(mb.pool, seed, mb.bucket)
+	if epoch, ok := memcproto.Epoch(resp.Extras); ok && epoch > n.currentMap().Rev {
+		return fetchMap(n.pool, seed, n.opts.Bucket)
 	}
 	return nil, nil
 }

@@ -13,39 +13,28 @@ import (
 // of them over the KV wire. Fetches reuse the node's pooled
 // multiplexed connections, so a metrics poll never pays a dial after
 // the first request to a peer.
-type Federation struct {
-	self   string
-	pool   *Pool
-	member *Member
-}
+type Federation struct{ node *ClusterNode }
 
 // Federation returns the node's observability fan-out handle.
-func (n *ClusterNode) Federation() *Federation {
-	return &Federation{self: n.self, pool: n.pool, member: n.member}
-}
+func (n *ClusterNode) Federation() *Federation { return &Federation{n} }
 
 // Self is this node's process-level identity (its advertised KV
 // address), the label its own series carry in federated views.
-func (f *Federation) Self() string { return f.self }
+func (f *Federation) Self() string { return f.node.self }
 
 // Nodes lists the cluster's member addresses (self included), sorted
-// for stable output. Before the coordinator has minted a map the node
-// only knows itself.
+// for stable output. Before the cluster has formed the process's map
+// is its bootstrap map, which names the local node by its local ID and
+// no address: the node only knows itself.
 func (f *Federation) Nodes() []string {
-	m := f.member.CurrentMap()
-	if m == nil || len(m.Nodes) == 0 {
-		return []string{f.self}
-	}
-	nodes := make([]string, 0, len(m.Nodes))
-	seen := false
-	for _, id := range m.Nodes {
-		if string(id) == f.self {
-			seen = true
+	nodes := []string{f.node.self}
+	for _, id := range f.node.currentMap().Nodes {
+		if id == f.node.local {
+			return []string{f.node.self}
 		}
-		nodes = append(nodes, string(id))
-	}
-	if !seen {
-		nodes = append(nodes, f.self)
+		if string(id) != f.node.self {
+			nodes = append(nodes, string(id))
+		}
 	}
 	sort.Strings(nodes)
 	return nodes
@@ -56,7 +45,7 @@ func (f *Federation) Nodes() []string {
 // request payload (may be nil) rides the value, and the peer's JSON
 // reply comes back verbatim.
 func (f *Federation) Fetch(ctx context.Context, node, domain string, payload []byte) ([]byte, error) {
-	conn, err := f.pool.Get(node)
+	conn, err := f.node.pool.Get(node)
 	if err != nil {
 		return nil, err
 	}

@@ -10,12 +10,11 @@
 // consumer side acks seqnos, and resume is the same (UUID, seqno)
 // handshake as in-process — just across a socket.
 //
-// The Coordinator/Member pair in cluster.go turns N independent
-// cbserver processes into one cluster: members join the seed, the
-// coordinator mints a balanced process-level map once the expected
-// cluster size is reached, and every member reconciles its local
-// node against each pushed map, wiring socket-backed replica streams
-// between processes.
+// StartNode (cluster.go) turns N independent cbserver processes into
+// one cluster: members join the seed, the seed's core.Decider mints a
+// balanced process-level map once the expected cluster size is
+// reached, and every member hands each pushed map to core's applier,
+// which wires socket-backed replica streams between processes.
 package transport
 
 import (

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"couchgo/internal/cmap"
 	"couchgo/internal/core"
 )
 
@@ -63,25 +64,38 @@ func TestPoolGetFailFast(t *testing.T) {
 	}
 }
 
-// TestCoordinatorStopUnblocksPush asserts the push retry loop's
-// inter-attempt sleep is cancellable: stopping the coordinator fires
-// its closed channel, and sleepOr returns false instead of running
-// the interval out.
-func TestCoordinatorStopUnblocksPush(t *testing.T) {
-	co := newCoordinator(nil, "b", "self", 1, NewPool(), time.Hour, time.Hour, nil)
-	done := make(chan bool, 1)
-	go func() {
-		done <- sleepOr(co.interval, co.closed)
-	}()
-	co.stop()
-	select {
-	case slept := <-done:
-		if slept {
-			t.Fatal("sleepOr ran the full interval despite stop")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("sleepOr did not observe coordinator stop")
+// TestCloseUnblocksPush asserts the push retry loop's inter-attempt
+// sleep is cancellable: closing the node fires its closed channel, and
+// a push parked between attempts at an unreachable member returns
+// instead of running the interval out.
+func TestCloseUnblocksPush(t *testing.T) {
+	c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// stop is idempotent.
-	co.stop()
+	t.Cleanup(c.Close)
+	if _, err := c.AddNode("local", cmap.AllServices); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateBucket("b", core.BucketOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	n, err := StartNode(NodeOptions{Cluster: c, Bucket: "b", KVAddr: "127.0.0.1:0", HeartbeatInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		n.pushMap("127.0.0.1:1", "b", nil)
+	}()
+	time.Sleep(50 * time.Millisecond) // let the first attempt fail and the loop park
+	n.Close()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("pushMap did not observe Close")
+	}
+	// Close is idempotent.
+	n.Close()
 }

@@ -97,7 +97,7 @@ func (r *NetRouter) observeEpoch(epoch int64) {
 }
 
 // installMap adopts a map if it is newer than the cache (fat NMVB
-// replies and coordinator pushes land here).
+// replies and seed pushes land here).
 func (r *NetRouter) installMap(m *cmap.Map) {
 	r.mu.Lock()
 	if r.m == nil || m.Rev >= r.m.Rev {
@@ -107,8 +107,8 @@ func (r *NetRouter) installMap(m *cmap.Map) {
 	r.mu.Unlock()
 }
 
-// InstallMap is installMap for external callers (the member installs
-// coordinator-pushed maps into its serving router).
+// InstallMap is installMap for external callers (a cluster node hands
+// every map it applies to its serving router).
 func (r *NetRouter) InstallMap(m *cmap.Map) { r.installMap(m) }
 
 // Invalidate forces the next BucketMap to refetch.

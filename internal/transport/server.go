@@ -21,8 +21,7 @@ import (
 )
 
 // ServerConfig wires a Server to the process-local cluster and the
-// process-level topology callbacks the coordinator/member layer
-// provides.
+// process-level topology callbacks StartNode provides.
 type ServerConfig struct {
 	Cluster *core.Cluster
 	// Node is the local node's ID in the process-level map — by
@@ -31,15 +30,11 @@ type ServerConfig struct {
 	// Bucket is the bucket this listener serves (one bucket per KV
 	// port, like the seed's single-bucket cbserver).
 	Bucket string
-	// Map returns the process-level cluster map for epoch stamping and
-	// fat not-my-vbucket replies. Nil (or a nil return) falls back to
-	// the local cluster's bucket map.
-	Map func() *cmap.Map
 	// OnJoin admits a member (key = its advertised KV address) and
 	// returns the current process map, nil if not yet minted.
 	OnJoin func(addr string) (*cmap.Map, error)
-	// OnSetMap installs a coordinator-pushed process map.
-	OnSetMap func(m *cmap.Map) error
+	// OnSetMap applies a seed-pushed process map of the named bucket.
+	OnSetMap func(bucket string, m *cmap.Map) error
 	// OnHeartbeat records a member heartbeat.
 	OnHeartbeat func(addr string)
 	// Stats contributes extra fields to OpStats replies.
@@ -138,18 +133,10 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// currentMap is the map responses advertise: the process-level map if
-// the topology layer provides one, else the local bucket map.
+// currentMap is the map responses advertise: the process's one map of
+// the bucket, nil if the bucket is gone.
 func (s *Server) currentMap() *cmap.Map {
-	if s.cfg.Map != nil {
-		if m := s.cfg.Map(); m != nil {
-			return m
-		}
-	}
-	m, err := s.cfg.Cluster.BucketMap(s.cfg.Bucket)
-	if err != nil {
-		return nil
-	}
+	m, _ := s.cfg.Cluster.BucketMap(s.cfg.Bucket)
 	return m
 }
 
@@ -324,7 +311,7 @@ func (c *session) handleAdmin(f *memcproto.Frame) {
 	case memcproto.OpSetClusterMap:
 		m, err := decodeMap(f.Value)
 		if err == nil && c.srv.cfg.OnSetMap != nil {
-			err = c.srv.cfg.OnSetMap(m)
+			err = c.srv.cfg.OnSetMap(string(f.Key), m)
 		}
 		if err != nil {
 			c.respondErr(f, err)

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
 	"couchgo/internal/cache"
 	"couchgo/internal/cmap"
 	"couchgo/internal/core"
+	"couchgo/internal/health"
 	"couchgo/internal/vbucket"
 )
 
@@ -90,51 +92,34 @@ func TestWireDurability(t *testing.T) {
 }
 
 func TestWireNotMyVBucketRefresh(t *testing.T) {
-	// Two servers front a two-node in-process cluster. A client whose
-	// map routes everything to server 0 must be corrected by the fat
-	// not-my-vbucket response (which ships the real map) and land every
-	// op without ever asking for the map out of band.
+	// Two servers front a two-node in-process cluster whose node IDs
+	// are the servers' addresses, exactly as in the multi-process layer.
+	// A client whose map routes everything to server 0 must be corrected
+	// by the fat not-my-vbucket response (which ships the real map) and
+	// land every op without ever asking for the map out of band.
 	c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
+	var listeners []net.Listener
 	for i := 0; i < 2; i++ {
-		if _, err := c.AddNode(cmap.NodeID(fmt.Sprintf("node%d", i)), cmap.AllServices); err != nil {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners = append(listeners, ln)
+		if _, err := c.AddNode(cmap.NodeID(ln.Addr().String()), cmap.AllServices); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := c.CreateBucket("default", core.BucketOptions{NumReplicas: 0}); err != nil {
 		t.Fatal(err)
 	}
-
-	// Each server advertises a map whose node IDs are the *addresses*,
-	// exactly as the multi-process layer does.
-	addrs := map[cmap.NodeID]cmap.NodeID{}
-	translated := func() *cmap.Map {
-		m, err := c.BucketMap("default")
-		if err != nil {
-			return nil
-		}
-		tm := m.Clone()
-		for i, n := range tm.Nodes {
-			if a, ok := addrs[n]; ok {
-				tm.Nodes[i] = a
-			}
-		}
-		return tm
-	}
 	var servers []*Server
-	for i := 0; i < 2; i++ {
-		node := cmap.NodeID(fmt.Sprintf("node%d", i))
-		srv, err := Listen("127.0.0.1:0", ServerConfig{
-			Cluster: c, Node: node, Bucket: "default", Map: translated,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, ln := range listeners {
+		srv := Serve(ln, ServerConfig{Cluster: c, Node: cmap.NodeID(ln.Addr().String()), Bucket: "default"})
 		t.Cleanup(srv.Close)
-		addrs[node] = cmap.NodeID(srv.Addr())
 		servers = append(servers, srv)
 	}
 
@@ -145,7 +130,11 @@ func TestWireNotMyVBucketRefresh(t *testing.T) {
 
 	// Poison the router: an older map routing every vBucket to server
 	// 0 only.
-	bad := translated()
+	good, err := c.BucketMap("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := good.Clone()
 	bad.Rev--
 	for vb := range bad.Chains {
 		bad.Chains[vb] = []int{0}
@@ -183,28 +172,31 @@ func TestProcessClusterFormationAndFailover(t *testing.T) {
 	// Three ClusterNodes in one process, each with its own single-node
 	// core cluster — the same wiring cbserver -kv-addr/-join uses.
 	const numVB = 8
-	mk := func(name string) (*core.Cluster, cmap.NodeID) {
+	mk := func(name string) *core.Cluster {
 		c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: numVB})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Close)
-		id := cmap.NodeID(name)
-		if _, err := c.AddNode(id, cmap.AllServices); err != nil {
+		if _, err := c.AddNode(cmap.NodeID(name), cmap.AllServices); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.CreateBucket("default", core.BucketOptions{NumReplicas: 1}); err != nil {
 			t.Fatal(err)
 		}
-		return c, id
+		return c
 	}
 
-	c0, id0 := mk("local0")
+	// The seed's watchdog, as cbserver runs it: ticking at heartbeat pace.
+	wd := health.New(health.Options{Interval: 50 * time.Millisecond})
+	wd.Start()
+	defer wd.Stop()
 	seed, err := StartNode(NodeOptions{
-		Cluster: c0, LocalNode: id0, Bucket: "default",
+		Cluster: mk("local0"), Bucket: "default",
 		KVAddr: "127.0.0.1:0", ClusterSize: 3,
 		HeartbeatInterval: 50 * time.Millisecond,
 		FailoverAfter:     250 * time.Millisecond,
+		Watchdog:          wd,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,9 +205,8 @@ func TestProcessClusterFormationAndFailover(t *testing.T) {
 
 	var peers []*ClusterNode
 	for i := 1; i < 3; i++ {
-		c, id := mk(fmt.Sprintf("local%d", i))
 		n, err := StartNode(NodeOptions{
-			Cluster: c, LocalNode: id, Bucket: "default",
+			Cluster: mk(fmt.Sprintf("local%d", i)), Bucket: "default",
 			KVAddr: "127.0.0.1:0", Join: seed.KVAddr(),
 			HeartbeatInterval: 50 * time.Millisecond,
 		})
@@ -232,12 +223,12 @@ func TestProcessClusterFormationAndFailover(t *testing.T) {
 
 	// Wait for formation: every node reports the same minted map.
 	waitFor(t, 10*time.Second, func() bool {
-		m := seed.member.CurrentMap()
+		m := seed.currentMap()
 		if m == nil || len(m.Nodes) != 3 {
 			return false
 		}
 		for _, p := range peers {
-			pm := p.member.CurrentMap()
+			pm := p.currentMap()
 			if pm == nil || pm.Rev != m.Rev {
 				return false
 			}
@@ -270,9 +261,9 @@ func TestProcessClusterFormationAndFailover(t *testing.T) {
 	// victim holds no vBucket. (FailoverNode keeps the dead node in the
 	// Nodes list and scrubs it from the chains, like a real failover —
 	// the node is out of service, not forgotten.)
-	preRev := seed.member.CurrentMap().Rev
+	preRev := seed.currentMap().Rev
 	waitFor(t, 15*time.Second, func() bool {
-		m := seed.member.CurrentMap()
+		m := seed.currentMap()
 		if m == nil || m.Rev <= preRev {
 			return false
 		}
@@ -323,4 +314,51 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
+}
+
+// TestJoinerRetriesFastUntilAdmitted: a joiner that dials before the
+// seed listens retries on a short backoff, not a full heartbeat later,
+// so the cluster forms as soon as the seed is up.
+func TestJoinerRetriesFastUntilAdmitted(t *testing.T) {
+	mk := func(name string) *core.Cluster {
+		c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		if _, err := c.AddNode(cmap.NodeID(name), cmap.AllServices); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CreateBucket("default", core.BucketOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// Reserve the seed's address, then leave it closed for the joiner's
+	// first dial.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedAddr := ln.Addr().String()
+	ln.Close()
+	const heartbeat = 30 * time.Second
+	joiner, err := StartNode(NodeOptions{
+		Cluster: mk("joiner"), Bucket: "default", KVAddr: "127.0.0.1:0",
+		Join: seedAddr, HeartbeatInterval: heartbeat,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer joiner.Close()
+	time.Sleep(50 * time.Millisecond)
+	seed, err := StartNode(NodeOptions{
+		Cluster: mk("seed"), Bucket: "default", KVAddr: seedAddr,
+		ClusterSize: 2, HeartbeatInterval: heartbeat,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seed.Close()
+	waitFor(t, 5*time.Second, func() bool { return len(joiner.currentMap().Nodes) == 2 })
 }

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Alternating pairs of one couchbench workload: <base-ref> against this
+# Alternating pairs of couchbench workloads: <base-ref> against this
 # checkout as it stands (uncommitted changes included).
 #
-#   scripts/benchpairs.sh <base-ref> <workload> [pairs=10]    (SEED=42)
+#   scripts/benchpairs.sh <base-ref> "<workload> [<workload> ...]" [pairs=10]    (SEED=42)
 #
+# The workloads of the quoted list run one after the other, each with
+# its own table, so a no-gain change's control evidence (say
+# "lib.kv-a wire.kv-a wire.kv-durable") comes from one command.
 # Each side runs its own unchanged bench/run.sh, the base from a copy of
 # <base-ref> unpacked under .bench_build/pairs/ (git archive, so nothing
 # is left in .git), and the two alternate which goes first. For each of
@@ -13,10 +16,10 @@
 # control must stay within the bound BENCHMARK.json gives it.
 set -euo pipefail
 if [ $# -lt 2 ]; then
-	sed -n '2,13p' "$0" >&2
+	sed -n '2,16p' "$0" >&2
 	exit 2
 fi
-base_ref=$1 workload=$2 pairs=${3:-10} seed=${SEED:-42}
+base_ref=$1 workloads=$2 pairs=${3:-10} seed=${SEED:-42}
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 sha=$(git rev-parse --verify "$base_ref^{commit}")
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
@@ -26,8 +29,6 @@ if [ ! -d "$base" ]; then
 	mkdir -p "$base"
 	git archive "$sha" | tar -x -C "$base"
 fi
-out="$work/$workload-seed$seed.jsonl"
-: >"$out"
 
 run() { # side dir
 	local line
@@ -35,17 +36,19 @@ run() { # side dir
 	echo "{\"side\":\"$1\",\"pair\":$i,\"result\":$line}" >>"$out"
 	echo "pair $i $1: $line" >&2
 }
-for i in $(seq 1 "$pairs"); do
-	if [ $((i % 2)) -eq 1 ]; then
-		run base "$base"
-		run change "$PWD"
-	else
-		run change "$PWD"
-		run base "$base"
-	fi
-done
-
-python3 - "$out" "$sha" "$workload" "$seed" <<'EOF'
+for workload in $workloads; do
+	out="$work/$workload-seed$seed.jsonl"
+	: >"$out"
+	for i in $(seq 1 "$pairs"); do
+		if [ $((i % 2)) -eq 1 ]; then
+			run base "$base"
+			run change "$PWD"
+		else
+			run change "$PWD"
+			run base "$base"
+		fi
+	done
+	python3 - "$out" "$sha" "$workload" "$seed" <<'EOF'
 import json, statistics, sys
 rows = [json.loads(l) for l in open(sys.argv[1])]
 better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
@@ -65,3 +68,4 @@ for s in ("base", "change"):
     bad = sum(not r["result"]["correct"] for r in rows if r["side"] == s)
     print("%s: %d failed operations, %d runs that did not check out" % (s, failed, bad))
 EOF
+done
