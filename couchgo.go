@@ -481,20 +481,20 @@ type SearchHit = fts.Hit
 // CreateSearchIndex defines a full-text index over the listed document
 // fields (empty = every top-level string field).
 func (b *Bucket) CreateSearchIndex(name string, fields ...string) error {
-	h, err := b.c.FTS(b.name)
+	eng, err := b.c.FTS(b.name)
 	if err != nil {
 		return err
 	}
-	return h.Engine().Define(fts.IndexDef{Name: name, Fields: fields})
+	return eng.Define(fts.IndexDef{Name: name, Fields: fields})
 }
 
 // DropSearchIndex removes a full-text index.
 func (b *Bucket) DropSearchIndex(name string) error {
-	h, err := b.c.FTS(b.name)
+	eng, err := b.c.FTS(b.name)
 	if err != nil {
 		return err
 	}
-	return h.Engine().Drop(name)
+	return eng.Drop(name)
 }
 
 // SearchKind selects the query type.
@@ -510,21 +510,21 @@ const (
 // Search runs a full-text query. consistent=true gives
 // read-your-own-writes semantics.
 func (b *Bucket) Search(index string, kind SearchKind, text string, limit int, consistent bool) ([]SearchHit, error) {
-	h, err := b.c.FTS(b.name)
+	eng, err := b.c.FTS(b.name)
 	if err != nil {
 		return nil, err
 	}
 	opts := fts.SearchOptions{Limit: limit}
 	if consistent {
-		opts.WaitSeqnos = h.ConsistencyVector()
+		opts.WaitSeqnos = b.c.ConsistencyVector(b.name)
 	}
 	switch kind {
 	case SearchPrefix:
-		return h.Engine().SearchPrefix(index, text, opts)
+		return eng.SearchPrefix(context.Background(), index, text, opts)
 	case SearchPhrase:
-		return h.Engine().SearchPhrase(index, text, opts)
+		return eng.SearchPhrase(context.Background(), index, text, opts)
 	default:
-		return h.Engine().SearchTerm(index, text, opts)
+		return eng.SearchTerm(context.Background(), index, text, opts)
 	}
 }
 
@@ -584,9 +584,9 @@ func (c *Cluster) EnableAnalytics(bucket string) error {
 func (c *Cluster) AnalyticsQuery(bucket, statement string, opts AnalyticsOptions) ([]any, error) {
 	aopts := analytics.QueryOptions{Params: opts.Args}
 	if opts.Consistent {
-		aopts.WaitSeqnos = c.c.AnalyticsConsistencyVector(bucket)
+		aopts.WaitSeqnos = c.c.ConsistencyVector(bucket)
 	}
-	return c.c.AnalyticsQuery(bucket, statement, aopts)
+	return c.c.AnalyticsQuery(context.Background(), bucket, statement, aopts)
 }
 
 // MustJSON is a tiny helper converting a Go value to the JSON value

@@ -55,25 +55,21 @@ type Engine struct {
 	keyspace string
 	hub      *feed.Hub
 
-	mu      sync.Mutex
-	enabled bool
+	mu sync.Mutex
+	// feed is the "analytics" subscription once Enable has made it;
+	// consistent queries wait on its applied-seqno vector.
+	feed *feed.Feed
 	// docs key: "<vb>\x00<docID>" so DetachVB can drop one partition.
-	docs      map[string]entry
-	processed map[int]uint64
-	cond      *sync.Cond
-	closed    bool
+	docs map[string]entry
 }
 
 // NewEngine creates a disabled engine for one bucket (keyspace).
 func NewEngine(keyspace string) *Engine {
-	e := &Engine{
-		keyspace:  keyspace,
-		hub:       feed.NewHub("analytics"),
-		docs:      make(map[string]entry),
-		processed: make(map[int]uint64),
+	return &Engine{
+		keyspace: keyspace,
+		hub:      feed.NewHub("analytics"),
+		docs:     make(map[string]entry),
 	}
-	e.cond = sync.NewCond(&e.mu)
-	return e
 }
 
 // AttachVB registers a vBucket's producer. If the dataset is enabled,
@@ -89,29 +85,33 @@ func (e *Engine) DetachVB(vb int) {
 }
 
 // Enable starts shadowing: a DCP feed per attached vBucket backfills
-// the dataset from seqno 0, then follows live mutations.
+// the dataset from seqno 0, then follows live mutations. Enabling a live
+// dataset is a no-op; the hub refuses a second subscription racing the
+// first.
 func (e *Engine) Enable() error {
-	e.mu.Lock()
-	if e.enabled {
-		e.mu.Unlock()
+	if e.liveFeed() != nil {
 		return nil
 	}
-	e.enabled = true
-	e.mu.Unlock()
-	if _, err := e.hub.Subscribe("analytics", e); err != nil {
-		e.mu.Lock()
-		e.enabled = false
-		e.mu.Unlock()
+	f, err := e.hub.Subscribe("analytics", e)
+	if err != nil {
 		return err
 	}
+	e.mu.Lock()
+	e.feed = f
+	e.mu.Unlock()
 	return nil
 }
 
-// Enabled reports whether the dataset is live.
+// Enabled reports whether the dataset is live (Enable has subscribed
+// its feed).
 func (e *Engine) Enabled() bool {
+	return e.liveFeed() != nil
+}
+
+func (e *Engine) liveFeed() *feed.Feed {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.enabled
+	return e.feed
 }
 
 // FeedStats describes the engine's feed (empty until enabled).
@@ -120,11 +120,10 @@ func (e *Engine) FeedStats() []feed.Stat {
 }
 
 // Rollback implements feed.Rollbacker: drop the vBucket's shadow
-// documents and seqno state; the feed re-streams the partition from
-// the promoted copy's history.
+// documents; the feed re-streams the partition from the promoted
+// copy's history.
 func (e *Engine) Rollback(vb int, _ uint64) uint64 {
 	e.mu.Lock()
-	delete(e.processed, vb)
 	prefix := strconv.Itoa(vb) + "\x00"
 	for k := range e.docs {
 		if strings.HasPrefix(k, prefix) {
@@ -140,36 +139,10 @@ func (e *Engine) Apply(vb int, m dcp.Mutation) {
 	key := strconv.Itoa(vb) + "\x00" + m.Key
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
 	if m.Deleted {
 		delete(e.docs, key)
 	} else if doc, ok := value.Parse(m.Value); ok {
 		e.docs[key] = entry{doc: doc, meta: n1ql.Meta{ID: m.Key, CAS: m.CAS, Seqno: m.Seqno}}
-	}
-	if m.Seqno > e.processed[vb] {
-		e.processed[vb] = m.Seqno
-	}
-	e.cond.Broadcast()
-}
-
-// waitFor blocks until the shadow covers the seqno vector.
-func (e *Engine) waitFor(seqnos map[int]uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for !e.closed {
-		ok := true
-		for vb, want := range seqnos {
-			if want > 0 && e.processed[vb] < want {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return
-		}
-		e.cond.Wait()
 	}
 }
 
@@ -183,18 +156,14 @@ func (e *Engine) DatasetSize() int {
 // Close stops all streams.
 func (e *Engine) Close() {
 	e.hub.Close()
-	e.mu.Lock()
-	e.closed = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
 }
 
 // QueryOptions parameterize an analytics query.
 type QueryOptions struct {
 	Params map[string]any
-	// WaitSeqnos, when set, makes the query wait until the shadow has
-	// processed the given data-service seqno vector (read-your-writes
-	// into analytics).
+	// WaitSeqnos, when set, makes the query wait (bounded by its ctx)
+	// until the shadow's feed has applied the given data-service seqno
+	// vector (read-your-writes into analytics).
 	WaitSeqnos map[int]uint64
 }
 
@@ -202,8 +171,9 @@ type QueryOptions struct {
 // dataset. The full N1QL grammar is accepted, including the general
 // joins the operational query service rejects. DML is refused: the
 // analytics copy is read-only.
-func (e *Engine) Query(statement string, opts QueryOptions) ([]any, error) {
-	if !e.Enabled() {
+func (e *Engine) Query(ctx context.Context, statement string, opts QueryOptions) ([]any, error) {
+	f := e.liveFeed()
+	if f == nil {
 		return nil, ErrNotEnabled
 	}
 	stmt, err := n1ql.Parse(statement)
@@ -217,14 +187,14 @@ func (e *Engine) Query(statement string, opts QueryOptions) ([]any, error) {
 		}
 		return nil, ErrDML
 	}
-	if opts.WaitSeqnos != nil {
-		e.waitFor(opts.WaitSeqnos)
+	if err := f.Wait(ctx, opts.WaitSeqnos); err != nil {
+		return nil, err
 	}
 	p, err := planner.PlanSelect(sel, shadowCatalog{e})
 	if err != nil {
 		return nil, err
 	}
-	return executor.ExecuteSelect(p, &shadowStore{e}, executor.Options{Params: opts.Params})
+	return executor.ExecuteSelect(p, &shadowStore{e}, executor.Options{Params: opts.Params, Ctx: ctx})
 }
 
 func (e *Engine) explain(ex *n1ql.Explain, opts QueryOptions) ([]any, error) {

@@ -52,7 +52,7 @@ func (h *harness) fresh() map[int]uint64 {
 
 func (h *harness) query(t *testing.T, stmt string) []any {
 	t.Helper()
-	rows, err := h.engine.Query(stmt, QueryOptions{WaitSeqnos: h.fresh()})
+	rows, err := h.engine.Query(context.Background(), stmt, QueryOptions{WaitSeqnos: h.fresh()})
 	if err != nil {
 		t.Fatalf("%s: %v", stmt, err)
 	}
@@ -74,7 +74,7 @@ func (h *harness) loadStore(t *testing.T) {
 
 func TestQueryRequiresEnable(t *testing.T) {
 	h := newHarness(t, 1)
-	if _, err := h.engine.Query("SELECT 1", QueryOptions{}); err != ErrNotEnabled {
+	if _, err := h.engine.Query(context.Background(), "SELECT 1", QueryOptions{}); err != ErrNotEnabled {
 		t.Fatalf("err = %v", err)
 	}
 	if err := h.engine.Enable(); err != nil {
@@ -209,10 +209,10 @@ func TestGeneralLeftJoinAndNest(t *testing.T) {
 func TestAnalyticsIsReadOnly(t *testing.T) {
 	h := newHarness(t, 1)
 	h.engine.Enable()
-	if _, err := h.engine.Query(`INSERT INTO store (KEY, VALUE) VALUES ("x", {})`, QueryOptions{}); err != ErrDML {
+	if _, err := h.engine.Query(context.Background(), `INSERT INTO store (KEY, VALUE) VALUES ("x", {})`, QueryOptions{}); err != ErrDML {
 		t.Fatalf("insert: %v", err)
 	}
-	if _, err := h.engine.Query(`DELETE FROM store`, QueryOptions{}); err != ErrDML {
+	if _, err := h.engine.Query(context.Background(), `DELETE FROM store`, QueryOptions{}); err != ErrDML {
 		t.Fatalf("delete: %v", err)
 	}
 }
@@ -243,7 +243,7 @@ func TestDetachRemovesPartition(t *testing.T) {
 	h.engine.Enable()
 	h.query(t, "SELECT * FROM store") // sync
 	h.engine.DetachVB(1)
-	rows, err := h.engine.Query("SELECT COUNT(*) AS n FROM store", QueryOptions{})
+	rows, err := h.engine.Query(context.Background(), "SELECT COUNT(*) AS n FROM store", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestDetachRemovesPartition(t *testing.T) {
 func TestExplainOnAnalytics(t *testing.T) {
 	h := newHarness(t, 1)
 	h.engine.Enable()
-	rows, err := h.engine.Query(`EXPLAIN SELECT a.x FROM store a JOIN store b ON a.k = b.k`, QueryOptions{})
+	rows, err := h.engine.Query(context.Background(), `EXPLAIN SELECT a.x FROM store a JOIN store b ON a.k = b.k`, QueryOptions{})
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("explain: %v %v", rows, err)
 	}
@@ -264,10 +264,10 @@ func TestExplainOnAnalytics(t *testing.T) {
 func TestParseErrorsSurface(t *testing.T) {
 	h := newHarness(t, 1)
 	h.engine.Enable()
-	if _, err := h.engine.Query("SELEKT", QueryOptions{}); err == nil {
+	if _, err := h.engine.Query(context.Background(), "SELEKT", QueryOptions{}); err == nil {
 		t.Fatal("parse error expected")
 	}
-	if _, err := h.engine.Query("SELECT * FROM otherks", QueryOptions{}); err == nil {
+	if _, err := h.engine.Query(context.Background(), "SELECT * FROM otherks", QueryOptions{}); err == nil {
 		t.Fatal("unknown keyspace expected")
 	}
 }
@@ -276,7 +276,7 @@ func TestQueryParameters(t *testing.T) {
 	h := newHarness(t, 1)
 	h.loadStore(t)
 	h.engine.Enable()
-	rows, err := h.engine.Query(
+	rows, err := h.engine.Query(context.Background(),
 		`SELECT COUNT(*) AS n FROM store o WHERE o.type = "order" AND o.total >= $min`,
 		QueryOptions{Params: map[string]any{"min": 150.0}, WaitSeqnos: h.fresh()})
 	if err != nil {
@@ -286,7 +286,7 @@ func TestQueryParameters(t *testing.T) {
 		t.Fatalf("parameterized count: %v", got)
 	}
 	// Missing parameter surfaces an error.
-	if _, err := h.engine.Query("SELECT $nope FROM store", QueryOptions{}); err == nil {
+	if _, err := h.engine.Query(context.Background(), "SELECT $nope FROM store", QueryOptions{}); err == nil {
 		t.Fatal("missing param should error")
 	}
 }

@@ -513,16 +513,16 @@ func TestMDSTopologyEnforcement(t *testing.T) {
 
 func TestFTSOnCluster(t *testing.T) {
 	c, cl := newTestCluster(t, 2, 0)
-	h, err := c.FTS("default")
+	eng, err := c.FTS("default")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Engine().Define(ftsIndexDef("content", "body")); err != nil {
+	if err := eng.Define(ftsIndexDef("content", "body")); err != nil {
 		t.Fatal(err)
 	}
 	cl.Set(context.Background(), "d1", []byte(`{"body": "distributed database systems"}`), 0)
 	cl.Set(context.Background(), "d2", []byte(`{"body": "key value caching"}`), 0)
-	hits, err := h.Engine().SearchTerm("content", "database", ftsSearchOpts(h.ConsistencyVector()))
+	hits, err := eng.SearchTerm(context.Background(), "content", "database", ftsSearchOpts(c.ConsistencyVector("default")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,9 +641,9 @@ func TestAnalyticsServiceOnCluster(t *testing.T) {
 	}
 	// ...but the analytics service runs it, without touching the data
 	// service.
-	rows, err := c.AnalyticsQuery("default",
+	rows, err := c.AnalyticsQuery(context.Background(), "default",
 		`SELECT c.cid, COUNT(*) AS n FROM `+"`default`"+` o JOIN `+"`default`"+` c ON o.customer = c.cid WHERE o.type = "order" GROUP BY c.cid ORDER BY c.cid`,
-		analyticsOpts(c.AnalyticsConsistencyVector("default")))
+		analyticsOpts(c.ConsistencyVector("default")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,7 +664,7 @@ func TestAnalyticsRequiresServiceNode(t *testing.T) {
 	if err := c.EnableAnalytics("default"); err != ErrNoAnalyticsNode {
 		t.Fatalf("enable without node: %v", err)
 	}
-	if _, err := c.AnalyticsQuery("default", "SELECT 1", analyticsOpts(nil)); err != ErrNoAnalyticsNode {
+	if _, err := c.AnalyticsQuery(context.Background(), "default", "SELECT 1", analyticsOpts(nil)); err != ErrNoAnalyticsNode {
 		t.Fatalf("query without node: %v", err)
 	}
 	c.AddNode("a0", cmap.ServiceSet(cmap.ServiceAnalytics))

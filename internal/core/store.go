@@ -277,14 +277,16 @@ func (s *clusterStore) Fetch(ctx context.Context, keyspace, id string) (any, n1q
 }
 
 func (s *clusterStore) ConsistencyVector(keyspace string) map[int]uint64 {
-	return s.c.consistencyVector(keyspace)
+	return s.c.ConsistencyVector(keyspace)
 }
 
-// consistencyVector captures the data service's per-vBucket high
+// ConsistencyVector captures the data service's per-vBucket high
 // seqnos — the request_plus barrier of §4.2: "the query engine will
 // wait until the index is updated up to the maximum sequence number
-// for each vBucket".
-func (c *Cluster) consistencyVector(keyspace string) map[int]uint64 {
+// for each vBucket". Every consistent read (N1QL request_plus, view
+// stale=false, FTS and analytics read-your-writes) captures it here and
+// hands it to its service's feed.Feed.Wait.
+func (c *Cluster) ConsistencyVector(keyspace string) map[int]uint64 {
 	b, err := c.bucket(keyspace)
 	if err != nil {
 		return nil
@@ -482,7 +484,7 @@ func (c *Cluster) DropView(bucketName, name string) error {
 func (c *Cluster) QueryView(ctx context.Context, bucketName, view string, opts views.QueryOptions) ([]views.Row, error) {
 	var wait map[int]uint64
 	if opts.Stale == views.StaleFalse {
-		wait = c.consistencyVector(bucketName)
+		wait = c.ConsistencyVector(bucketName)
 	}
 	return c.queryViewRows(ctx, bucketName, view, opts, wait)
 }
@@ -558,12 +560,12 @@ func (c *Cluster) queryViewRows(ctx context.Context, bucketName, view string, op
 }
 
 // FTS returns the bucket's full-text service instance.
-func (c *Cluster) FTS(bucketName string) (*ftsHandle, error) {
+func (c *Cluster) FTS(bucketName string) (*fts.Engine, error) {
 	b, err := c.bucket(bucketName)
 	if err != nil {
 		return nil, err
 	}
-	return &ftsHandle{c: c, b: b}, nil
+	return b.ftsEng, nil
 }
 
 // ErrNoAnalyticsNode enforces the MDS topology for the analytics
@@ -586,8 +588,9 @@ func (c *Cluster) EnableAnalytics(bucketName string) error {
 // AnalyticsQuery runs a query on the analytics service's shadow
 // dataset — never touching the data service's cache or storage, the
 // §6.2 performance-isolation property. General (non-key) joins are
-// allowed here, unlike in the operational N1QL service.
-func (c *Cluster) AnalyticsQuery(bucketName, statement string, opts analytics.QueryOptions) ([]any, error) {
+// allowed here, unlike in the operational N1QL service. The ctx bounds
+// a consistent query's wait.
+func (c *Cluster) AnalyticsQuery(ctx context.Context, bucketName, statement string, opts analytics.QueryOptions) ([]any, error) {
 	if !c.hasService(cmap.ServiceAnalytics) {
 		return nil, ErrNoAnalyticsNode
 	}
@@ -595,26 +598,5 @@ func (c *Cluster) AnalyticsQuery(bucketName, statement string, opts analytics.Qu
 	if err != nil {
 		return nil, err
 	}
-	return b.analyticsEng.Query(statement, opts)
-}
-
-// AnalyticsConsistencyVector captures the data service's current seqno
-// vector for read-your-own-writes analytics queries.
-func (c *Cluster) AnalyticsConsistencyVector(bucketName string) map[int]uint64 {
-	return c.consistencyVector(bucketName)
-}
-
-// ftsHandle wraps the FTS engine with cluster-level consistency.
-type ftsHandle struct {
-	c *Cluster
-	b *bucketState
-}
-
-// Engine exposes the underlying engine (Define/Drop/Search*).
-func (h *ftsHandle) Engine() *fts.Engine { return h.b.ftsEng }
-
-// ConsistencyVector captures the current data-service seqnos for
-// read-your-own-writes FTS queries.
-func (h *ftsHandle) ConsistencyVector() map[int]uint64 {
-	return h.c.consistencyVector(h.b.name)
+	return b.analyticsEng.Query(ctx, statement, opts)
 }

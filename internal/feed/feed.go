@@ -13,13 +13,18 @@
 //     and rebalance re-attachments resume rather than rebuild,
 //   - rollback: a resume the producer rejects (stale branch of
 //     history) rewinds the consumer via Rollback before re-streaming,
-//   - a bounded-buffer drain loop with backpressure accounting.
+//   - a bounded-buffer drain loop with backpressure accounting,
+//   - the consistency barrier: Wait blocks a reader until that same
+//     applied-seqno vector covers the data service's high seqnos
+//     (request_plus, stale=false, FTS and analytics read-your-writes).
 //
 // Feed metrics are exported through metrics.Default per service:
 // couchgo_feed_mutations_total, couchgo_feed_rollbacks_total,
 // couchgo_feed_stalls_total (alias couchgo_feed_backpressure_stalls_total),
-// and the couchgo_feed_buffer_high_watermark gauge (the deepest the
-// drain buffer has been per service — how far behind the consumer got).
+// the couchgo_feed_buffer_high_watermark gauge (the deepest the drain
+// buffer has been per service — how far behind the consumer got), and
+// the couchgo_feed_wait_seconds histogram (how long consistent reads
+// blocked in Wait).
 //
 // Mutations carrying a sampled trace gain a per-hop apply span, and a
 // rollback attaches its span to the trace of the last mutation the
@@ -29,10 +34,12 @@
 package feed
 
 import (
+	"context"
 	"errors"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"couchgo/internal/dcp"
 	"couchgo/internal/events"
@@ -95,6 +102,12 @@ type Feed struct {
 	// is what the health watchdog ages (the stall counter only says a
 	// stall began, not that it is ongoing).
 	mStalled *metrics.Gauge
+	// mWait times the Waits that actually blocked.
+	mWait *metrics.Histogram
+	// waiters counts Waits in their slow path. A drain reads it after
+	// every seqno store and pays for a wake-up only when it is nonzero,
+	// so a feed nobody waits on costs one atomic load per mutation.
+	waiters atomic.Int32
 
 	// opMu serializes Attach/Detach/Close so stream replacement and
 	// drain shutdown never interleave.
@@ -103,6 +116,8 @@ type Feed struct {
 	mu     sync.Mutex
 	closed bool
 	vbs    map[int]*vbFeed
+	// wake is closed (and replaced) to wake every blocked Wait.
+	wake chan struct{}
 }
 
 // vbFeed is one vBucket's attachment state.
@@ -144,6 +159,8 @@ func New(name string, c Consumer, cfg Config) *Feed {
 		mStallsAlias: metrics.Default.Counter("couchgo_feed_backpressure_stalls_total", "service", cfg.Service),
 		mHighWater:   metrics.Default.Gauge("couchgo_feed_buffer_high_watermark", "service", cfg.Service),
 		mStalled:     metrics.Default.Gauge("couchgo_feed_stalled", "service", cfg.Service),
+		mWait:        metrics.Default.Histogram("couchgo_feed_wait_seconds", "service", cfg.Service),
+		wake:         make(chan struct{}),
 	}
 }
 
@@ -201,6 +218,13 @@ func (f *Feed) Attach(vb int, p dcp.StreamSource) error {
 			rsp.Annotate("to_seqno", strconv.FormatUint(rb.Seqno, 10)) //couchvet:ignore lockblock -- trace ops take only the trace's own mutex, never block
 		}
 		to := rb.Seqno
+		// Rewind the shared vector before un-applying: cur stays in vbs
+		// until the rewound vbFeed replaces it, and a Wait arriving in
+		// between must block through the re-stream, not read the
+		// pre-rollback seqno over an emptied partition.
+		if cur != nil {
+			cur.seqno.Store(0)
+		}
 		if r, ok := f.consumer.(Rollbacker); ok {
 			if got := r.Rollback(vb, rb.Seqno); got < to {
 				to = got
@@ -246,6 +270,9 @@ func (f *Feed) Attach(vb int, p dcp.StreamSource) error {
 		f.vbs = make(map[int]*vbFeed)
 	}
 	f.vbs[vb] = vf
+	// A resumed or rewound position may already cover a parked Wait and
+	// no further mutation need follow to wake it.
+	f.wakeLocked()
 	f.mu.Unlock()
 
 	go f.drain(vb, vf)
@@ -316,8 +343,70 @@ func (f *Feed) drain(vb int, vf *vbFeed) {
 		}
 		vf.lastTrace = m.Trace
 		vf.seqno.Store(m.Seqno)
+		if f.waiters.Load() != 0 {
+			f.mu.Lock()
+			f.wakeLocked()
+			f.mu.Unlock()
+		}
 		f.mMutations.Inc()
 	}
+}
+
+// Wait is the one consistency barrier of every DCP-fed index: it
+// returns nil once each vBucket in vector has an applied seqno at least
+// the wanted one (a wanted seqno of 0 is always met). A vBucket that is
+// not attached counts as seqno 0, so the wait blocks until it is
+// attached and streamed; a rollback rewinds the vBucket's seqno and the
+// wait continues through the re-stream. It returns ctx's error when ctx
+// is done first and ErrClosed when the feed closes. An empty vector asks
+// for nothing: a read that requested no consistency returns at once,
+// without touching the feed's lock and whatever the feed's state.
+func (f *Feed) Wait(ctx context.Context, vector map[int]uint64) error {
+	if len(vector) == 0 {
+		return nil
+	}
+	if ok, _, err := f.covers(vector); ok || err != nil {
+		return err
+	}
+	defer f.mWait.ObserveSince(time.Now())
+	// Register before re-checking: a drain that stored its seqno too
+	// early to see the registration is seen by the re-check, and one
+	// that stored later sees the registration and closes wake.
+	f.waiters.Add(1)
+	defer f.waiters.Add(-1)
+	for {
+		ok, wake, err := f.covers(vector)
+		if ok || err != nil {
+			return err
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// covers reports whether the applied vector has reached want and, if
+// not, the channel the next wake-up closes.
+func (f *Feed) covers(want map[int]uint64) (bool, <-chan struct{}, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return false, nil, ErrClosed
+	}
+	for vb, seqno := range want {
+		if vf := f.vbs[vb]; seqno > 0 && (vf == nil || vf.seqno.Load() < seqno) {
+			return false, f.wake, nil
+		}
+	}
+	return true, nil, nil
+}
+
+// wakeLocked wakes every blocked Wait; callers hold f.mu.
+func (f *Feed) wakeLocked() {
+	close(f.wake)
+	f.wake = make(chan struct{})
 }
 
 // Detach disconnects a vBucket and forgets its resume state. The next
@@ -345,6 +434,7 @@ func (f *Feed) Close() {
 		return
 	}
 	f.closed = true
+	f.wakeLocked()
 	vbs := f.vbs
 	f.vbs = nil
 	f.mu.Unlock()
@@ -355,7 +445,7 @@ func (f *Feed) Close() {
 }
 
 // Processed returns the per-vBucket seqno of the last mutation handed
-// to the consumer.
+// to the consumer: a copy of the vector Wait blocks on.
 func (f *Feed) Processed() map[int]uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -186,22 +186,8 @@ func TestStaleResumeRollsBackAndReconverges(t *testing.T) {
 	}
 	waitFor(t, "consumer caught up on old active", func() bool { return f.Processed()[0] == 10 })
 
-	// The promoted replica: shared history up to 5, adopted failover
-	// log, takeover at 5, then its own post-promotion writes.
-	srcB := newMemSource()
-	replica := dcp.NewProducer(0, srcB)
+	srcB, replica := promoteDivergedReplica(active)
 	defer replica.Close()
-	srcB.mu.Lock()
-	for i := 1; i <= 5; i++ {
-		k := fmt.Sprintf("a%02d", i)
-		srcB.items[k] = dcp.Mutation{Key: k, Seqno: uint64(i)}
-	}
-	srcB.high = 5
-	srcB.mu.Unlock()
-	replica.SetFailoverLog(active.FailoverLog())
-	replica.Takeover(5)
-	active.Close()
-
 	if err := f.Attach(0, replica); err != nil {
 		t.Fatal(err)
 	}
@@ -217,6 +203,24 @@ func TestStaleResumeRollsBackAndReconverges(t *testing.T) {
 	if _, ok := c.snapshot(0)["a07"]; ok {
 		t.Fatal("rolled-back document a07 survived in the consumer")
 	}
+}
+
+// promoteDivergedReplica fails vBucket 0 over from active (whose
+// history a01..a10 the consumer has seen) to a replica that holds only
+// a01..a05: it adopts the failover log, takes over at 5, and the old
+// active dies. Its own post-promotion writes start at seqno 6.
+func promoteDivergedReplica(active *dcp.Producer) (*memSource, *dcp.Producer) {
+	src := newMemSource()
+	replica := dcp.NewProducer(0, src)
+	for i := 1; i <= 5; i++ {
+		k := fmt.Sprintf("a%02d", i)
+		src.items[k] = dcp.Mutation{Key: k, Seqno: uint64(i)}
+	}
+	src.high = 5
+	replica.SetFailoverLog(active.FailoverLog())
+	replica.Takeover(5)
+	active.Close()
+	return src, replica
 }
 
 // TestReattachAfterProducerClose: a caught-up consumer survives its

@@ -12,6 +12,7 @@
 package fts
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"strconv"
@@ -56,12 +57,14 @@ type ftsIndex struct {
 	def    IndexDef
 	fields []value.Path
 
-	mu        sync.Mutex
-	terms     *btree.Tree         // term bytes -> map[docID]*posting
-	docTerms  map[string][]string // back index: docID -> terms
-	processed map[int]uint64      // vb -> seqno
-	cond      *sync.Cond
-	closed    bool
+	// feed is the index's subscription, set (under Engine.mu) once
+	// Define has subscribed it; consistent searches wait on its
+	// applied-seqno vector.
+	feed *feed.Feed
+
+	mu       sync.Mutex
+	terms    *btree.Tree         // term bytes -> map[docID]*posting
+	docTerms map[string][]string // back index: docID -> terms
 }
 
 // Engine is the FTS service instance for one bucket. DCP consumption
@@ -83,12 +86,10 @@ func NewEngine() *Engine {
 // vBuckets via DCP backfill.
 func (e *Engine) Define(def IndexDef) error {
 	fi := &ftsIndex{
-		def:       def,
-		terms:     btree.New(nil),
-		docTerms:  make(map[string][]string),
-		processed: make(map[int]uint64),
+		def:      def,
+		terms:    btree.New(nil),
+		docTerms: make(map[string][]string),
 	}
-	fi.cond = sync.NewCond(&fi.mu)
 	for _, f := range def.Fields {
 		p, ok := value.ParsePath(f)
 		if !ok {
@@ -103,27 +104,27 @@ func (e *Engine) Define(def IndexDef) error {
 	}
 	e.indexes[def.Name] = fi
 	e.mu.Unlock()
-	if _, err := e.hub.Subscribe("fts:"+def.Name, fi); err != nil {
-		e.mu.Lock()
+	f, err := e.hub.Subscribe("fts:"+def.Name, fi)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err != nil {
 		delete(e.indexes, def.Name)
-		e.mu.Unlock()
-		fi.close()
 		return err
 	}
+	fi.feed = f
 	return nil
 }
 
 // Drop removes an index.
 func (e *Engine) Drop(name string) error {
 	e.mu.Lock()
-	fi, ok := e.indexes[name]
+	_, ok := e.indexes[name]
 	delete(e.indexes, name)
 	e.mu.Unlock()
 	if !ok {
 		return ErrNoSuchIndex
 	}
 	e.hub.Unsubscribe("fts:" + name)
-	fi.close()
 	return nil
 }
 
@@ -156,23 +157,15 @@ func (e *Engine) FeedStats() []feed.Stat {
 func (e *Engine) Close() {
 	e.hub.Close()
 	e.mu.Lock()
-	list := make([]*ftsIndex, 0, len(e.indexes))
-	for _, fi := range e.indexes {
-		list = append(list, fi)
-	}
 	e.indexes = make(map[string]*ftsIndex)
 	e.mu.Unlock()
-	for _, fi := range list {
-		fi.close()
-	}
 }
 
 // Rollback implements feed.Rollbacker: drop this vBucket's documents
-// and seqno state so the feed can re-stream the partition from the
-// promoted copy's (shorter) history.
+// so the feed can re-stream the partition from the promoted copy's
+// (shorter) history.
 func (fi *ftsIndex) Rollback(vb int, _ uint64) uint64 {
 	fi.mu.Lock()
-	delete(fi.processed, vb)
 	// The back index has no vb field; the vb marker lives in the
 	// docTerms key.
 	var drop []string
@@ -186,13 +179,6 @@ func (fi *ftsIndex) Rollback(vb int, _ uint64) uint64 {
 	}
 	fi.mu.Unlock()
 	return 0
-}
-
-func (fi *ftsIndex) close() {
-	fi.mu.Lock()
-	fi.closed = true
-	fi.cond.Broadcast()
-	fi.mu.Unlock()
 }
 
 // docKey packs (vb, docID) into the back-index key.
@@ -268,9 +254,6 @@ func (fi *ftsIndex) Apply(vb int, m dcp.Mutation) {
 	dockey := docKey(vb, m.Key)
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	if fi.closed {
-		return
-	}
 	fi.removeDocLocked(dockey)
 	if len(tokens) > 0 {
 		byTerm := map[string][]int{}
@@ -294,10 +277,6 @@ func (fi *ftsIndex) Apply(vb int, m dcp.Mutation) {
 		}
 		fi.docTerms[dockey] = termList
 	}
-	if m.Seqno > fi.processed[vb] {
-		fi.processed[vb] = m.Seqno
-	}
-	fi.cond.Broadcast()
 }
 
 func (fi *ftsIndex) removeDocLocked(dockey string) {
@@ -313,41 +292,20 @@ func (fi *ftsIndex) removeDocLocked(dockey string) {
 	delete(fi.docTerms, dockey)
 }
 
-// waitFor blocks until the index processed the given seqno vector.
-func (fi *ftsIndex) waitFor(seqnos map[int]uint64) {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	for !fi.closed {
-		ok := true
-		for vb, want := range seqnos {
-			if want > 0 && fi.processed[vb] < want {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return
-		}
-		fi.cond.Wait()
-	}
-}
-
 // SearchOptions tune a query.
 type SearchOptions struct {
 	Limit int
 	// WaitSeqnos requests read-your-own-writes consistency, as with
-	// stale=false view queries.
+	// stale=false view queries: the search waits (bounded by its ctx)
+	// until the index's feed has applied the vector.
 	WaitSeqnos map[int]uint64
 }
 
 // SearchTerm finds documents containing the exact term.
-func (e *Engine) SearchTerm(index, term string, opts SearchOptions) ([]Hit, error) {
-	fi, err := e.index(index)
+func (e *Engine) SearchTerm(ctx context.Context, index, term string, opts SearchOptions) ([]Hit, error) {
+	fi, err := e.index(ctx, index, opts)
 	if err != nil {
 		return nil, err
-	}
-	if opts.WaitSeqnos != nil {
-		fi.waitFor(opts.WaitSeqnos)
 	}
 	term = strings.ToLower(term)
 	fi.mu.Lock()
@@ -362,13 +320,10 @@ func (e *Engine) SearchTerm(index, term string, opts SearchOptions) ([]Hit, erro
 }
 
 // SearchPrefix finds documents containing any term with the prefix.
-func (e *Engine) SearchPrefix(index, prefix string, opts SearchOptions) ([]Hit, error) {
-	fi, err := e.index(index)
+func (e *Engine) SearchPrefix(ctx context.Context, index, prefix string, opts SearchOptions) ([]Hit, error) {
+	fi, err := e.index(ctx, index, opts)
 	if err != nil {
 		return nil, err
-	}
-	if opts.WaitSeqnos != nil {
-		fi.waitFor(opts.WaitSeqnos)
 	}
 	prefix = strings.ToLower(prefix)
 	lo := []byte(prefix)
@@ -386,13 +341,10 @@ func (e *Engine) SearchPrefix(index, prefix string, opts SearchOptions) ([]Hit, 
 }
 
 // SearchPhrase finds documents containing the exact token sequence.
-func (e *Engine) SearchPhrase(index, phrase string, opts SearchOptions) ([]Hit, error) {
-	fi, err := e.index(index)
+func (e *Engine) SearchPhrase(ctx context.Context, index, phrase string, opts SearchOptions) ([]Hit, error) {
+	fi, err := e.index(ctx, index, opts)
 	if err != nil {
 		return nil, err
-	}
-	if opts.WaitSeqnos != nil {
-		fi.waitFor(opts.WaitSeqnos)
 	}
 	tokens := Tokenize(phrase)
 	if len(tokens) == 0 {
@@ -455,14 +407,17 @@ func rankHits(scores map[string]int, limit int) []Hit {
 	return hits
 }
 
-func (e *Engine) index(name string) (*ftsIndex, error) {
+// index resolves a search's index (one is searchable once Define has
+// subscribed it) and serves the search's consistency wait.
+func (e *Engine) index(ctx context.Context, name string, opts SearchOptions) (*ftsIndex, error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	fi, ok := e.indexes[name]
+	ok = ok && fi.feed != nil
+	e.mu.Unlock()
 	if !ok {
 		return nil, ErrNoSuchIndex
 	}
-	return fi, nil
+	return fi, fi.feed.Wait(ctx, opts.WaitSeqnos)
 }
 
 // Names lists defined indexes.

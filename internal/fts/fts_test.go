@@ -75,7 +75,7 @@ func TestTermSearch(t *testing.T) {
 	h.put(t, 1, "d2", `{"title": "Graph systems", "body": "Graph database systems model nodes"}`)
 	h.put(t, 0, "d3", `{"title": "Caching", "body": "memcached is a cache"}`)
 
-	hits, err := h.engine.SearchTerm("docs", "database", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, err := h.engine.SearchTerm(context.Background(), "docs", "database", SearchOptions{WaitSeqnos: h.fresh()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +83,13 @@ func TestTermSearch(t *testing.T) {
 		t.Fatalf("hits: %+v", hits)
 	}
 	// Case-insensitive.
-	hits, _ = h.engine.SearchTerm("docs", "COUCHBASE", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, _ = h.engine.SearchTerm(context.Background(), "docs", "COUCHBASE", SearchOptions{WaitSeqnos: h.fresh()})
 	if len(hits) != 1 || hits[0].ID != "d1" {
 		t.Fatalf("case hits: %+v", hits)
 	}
 	// Unindexed field does not match.
 	h.put(t, 0, "d4", `{"other": "database"}`)
-	hits, _ = h.engine.SearchTerm("docs", "database", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, _ = h.engine.SearchTerm(context.Background(), "docs", "database", SearchOptions{WaitSeqnos: h.fresh()})
 	for _, hit := range hits {
 		if hit.ID == "d4" {
 			t.Error("unindexed field matched")
@@ -102,12 +102,12 @@ func TestScoreOrdering(t *testing.T) {
 	h.engine.Define(IndexDef{Name: "docs", Fields: []string{"body"}})
 	h.put(t, 0, "once", `{"body": "go"}`)
 	h.put(t, 0, "thrice", `{"body": "go go go"}`)
-	hits, _ := h.engine.SearchTerm("docs", "go", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, _ := h.engine.SearchTerm(context.Background(), "docs", "go", SearchOptions{WaitSeqnos: h.fresh()})
 	if len(hits) != 2 || hits[0].ID != "thrice" || hits[0].Score != 3 {
 		t.Fatalf("hits: %+v", hits)
 	}
 	// Limit.
-	hits, _ = h.engine.SearchTerm("docs", "go", SearchOptions{Limit: 1, WaitSeqnos: h.fresh()})
+	hits, _ = h.engine.SearchTerm(context.Background(), "docs", "go", SearchOptions{Limit: 1, WaitSeqnos: h.fresh()})
 	if len(hits) != 1 {
 		t.Fatalf("limited: %+v", hits)
 	}
@@ -119,11 +119,11 @@ func TestPrefixSearch(t *testing.T) {
 	h.put(t, 0, "d1", `{"body": "database databases data"}`)
 	h.put(t, 0, "d2", `{"body": "datum"}`)
 	h.put(t, 0, "d3", `{"body": "nothing here"}`)
-	hits, _ := h.engine.SearchPrefix("docs", "data", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, _ := h.engine.SearchPrefix(context.Background(), "docs", "data", SearchOptions{WaitSeqnos: h.fresh()})
 	if len(hits) != 1 || hits[0].ID != "d1" || hits[0].Score != 3 {
 		t.Fatalf("prefix hits: %+v", hits)
 	}
-	hits, _ = h.engine.SearchPrefix("docs", "dat", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, _ = h.engine.SearchPrefix(context.Background(), "docs", "dat", SearchOptions{WaitSeqnos: h.fresh()})
 	if len(hits) != 2 {
 		t.Fatalf("wider prefix: %+v", hits)
 	}
@@ -135,15 +135,15 @@ func TestPhraseSearch(t *testing.T) {
 	h.put(t, 0, "d1", `{"body": "key value store"}`)
 	h.put(t, 0, "d2", `{"body": "value of a key in a store"}`)
 	h.put(t, 0, "d3", `{"body": "store key value"}`)
-	hits, _ := h.engine.SearchPhrase("docs", "key value store", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, _ := h.engine.SearchPhrase(context.Background(), "docs", "key value store", SearchOptions{WaitSeqnos: h.fresh()})
 	if len(hits) != 1 || hits[0].ID != "d1" {
 		t.Fatalf("phrase hits: %+v", hits)
 	}
-	hits, _ = h.engine.SearchPhrase("docs", "key value", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, _ = h.engine.SearchPhrase(context.Background(), "docs", "key value", SearchOptions{WaitSeqnos: h.fresh()})
 	if len(hits) != 2 {
 		t.Fatalf("sub-phrase hits: %+v", hits)
 	}
-	if hits, _ := h.engine.SearchPhrase("docs", "", SearchOptions{}); hits != nil {
+	if hits, _ := h.engine.SearchPhrase(context.Background(), "docs", "", SearchOptions{}); hits != nil {
 		t.Error("empty phrase")
 	}
 }
@@ -153,7 +153,7 @@ func TestPhraseDoesNotCrossFields(t *testing.T) {
 	h.engine.Define(IndexDef{Name: "docs", Fields: []string{"a", "b"}})
 	h.put(t, 0, "d1", `{"a": "hello", "b": "world"}`)
 	h.put(t, 0, "d2", `{"a": "hello world", "b": "x"}`)
-	hits, _ := h.engine.SearchPhrase("docs", "hello world", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, _ := h.engine.SearchPhrase(context.Background(), "docs", "hello world", SearchOptions{WaitSeqnos: h.fresh()})
 	if len(hits) != 1 || hits[0].ID != "d2" {
 		t.Fatalf("cross-field phrase: %+v", hits)
 	}
@@ -163,21 +163,21 @@ func TestUpdateAndDeleteMaintenance(t *testing.T) {
 	h := newHarness(t, 1)
 	h.engine.Define(IndexDef{Name: "docs", Fields: []string{"body"}})
 	h.put(t, 0, "d1", `{"body": "alpha"}`)
-	hits, _ := h.engine.SearchTerm("docs", "alpha", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, _ := h.engine.SearchTerm(context.Background(), "docs", "alpha", SearchOptions{WaitSeqnos: h.fresh()})
 	if len(hits) != 1 {
 		t.Fatal("initial index")
 	}
 	h.put(t, 0, "d1", `{"body": "beta"}`)
-	hits, _ = h.engine.SearchTerm("docs", "alpha", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, _ = h.engine.SearchTerm(context.Background(), "docs", "alpha", SearchOptions{WaitSeqnos: h.fresh()})
 	if len(hits) != 0 {
 		t.Fatalf("stale term: %+v", hits)
 	}
-	hits, _ = h.engine.SearchTerm("docs", "beta", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, _ = h.engine.SearchTerm(context.Background(), "docs", "beta", SearchOptions{WaitSeqnos: h.fresh()})
 	if len(hits) != 1 {
 		t.Fatal("updated term missing")
 	}
 	h.vbs[0].Delete(context.Background(), "d1", 0, 0)
-	hits, _ = h.engine.SearchTerm("docs", "beta", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, _ = h.engine.SearchTerm(context.Background(), "docs", "beta", SearchOptions{WaitSeqnos: h.fresh()})
 	if len(hits) != 0 {
 		t.Fatalf("deleted doc still indexed: %+v", hits)
 	}
@@ -189,7 +189,7 @@ func TestDefineOnExistingDataBackfills(t *testing.T) {
 		h.put(t, 0, fmt.Sprintf("d%d", i), `{"body": "preexisting words"}`)
 	}
 	h.engine.Define(IndexDef{Name: "late", Fields: []string{"body"}})
-	hits, _ := h.engine.SearchTerm("late", "preexisting", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, _ := h.engine.SearchTerm(context.Background(), "late", "preexisting", SearchOptions{WaitSeqnos: h.fresh()})
 	if len(hits) != 20 {
 		t.Fatalf("backfill: %d hits", len(hits))
 	}
@@ -199,12 +199,12 @@ func TestAllStringFieldsDefault(t *testing.T) {
 	h := newHarness(t, 1)
 	h.engine.Define(IndexDef{Name: "all"})
 	h.put(t, 0, "d1", `{"x": "findme", "n": 42, "nested": {"y": "hidden"}}`)
-	hits, _ := h.engine.SearchTerm("all", "findme", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, _ := h.engine.SearchTerm(context.Background(), "all", "findme", SearchOptions{WaitSeqnos: h.fresh()})
 	if len(hits) != 1 {
 		t.Fatalf("default fields: %+v", hits)
 	}
 	// Nested fields are not in the default top-level set.
-	hits, _ = h.engine.SearchTerm("all", "hidden", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, _ = h.engine.SearchTerm(context.Background(), "all", "hidden", SearchOptions{WaitSeqnos: h.fresh()})
 	if len(hits) != 0 {
 		t.Fatalf("nested should not index by default: %+v", hits)
 	}
@@ -215,9 +215,9 @@ func TestDetachVBRemovesDocs(t *testing.T) {
 	h.engine.Define(IndexDef{Name: "docs", Fields: []string{"body"}})
 	h.put(t, 0, "a", `{"body": "shared term"}`)
 	h.put(t, 1, "b", `{"body": "shared term"}`)
-	h.engine.SearchTerm("docs", "shared", SearchOptions{WaitSeqnos: h.fresh()})
+	h.engine.SearchTerm(context.Background(), "docs", "shared", SearchOptions{WaitSeqnos: h.fresh()})
 	h.engine.DetachVB(1)
-	hits, _ := h.engine.SearchTerm("docs", "shared", SearchOptions{})
+	hits, _ := h.engine.SearchTerm(context.Background(), "docs", "shared", SearchOptions{})
 	if len(hits) != 1 || hits[0].ID != "a" {
 		t.Fatalf("after detach: %+v", hits)
 	}
@@ -232,7 +232,7 @@ func TestDDLErrors(t *testing.T) {
 	if err := h.engine.Define(IndexDef{Name: "x"}); err != ErrIndexExists {
 		t.Errorf("dup: %v", err)
 	}
-	if _, err := h.engine.SearchTerm("nope", "x", SearchOptions{}); err != ErrNoSuchIndex {
+	if _, err := h.engine.SearchTerm(context.Background(), "nope", "x", SearchOptions{}); err != ErrNoSuchIndex {
 		t.Errorf("unknown: %v", err)
 	}
 	if err := h.engine.Drop("nope"); err != ErrNoSuchIndex {
@@ -250,12 +250,12 @@ func TestArrayFieldsIndexed(t *testing.T) {
 	h := newHarness(t, 1)
 	h.engine.Define(IndexDef{Name: "docs", Fields: []string{"tags"}})
 	h.put(t, 0, "d1", `{"tags": ["red panda", "blue whale"]}`)
-	hits, _ := h.engine.SearchTerm("docs", "whale", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, _ := h.engine.SearchTerm(context.Background(), "docs", "whale", SearchOptions{WaitSeqnos: h.fresh()})
 	if len(hits) != 1 {
 		t.Fatalf("array field: %+v", hits)
 	}
 	// Phrase within one element; not across elements.
-	hits, _ = h.engine.SearchPhrase("docs", "panda blue", SearchOptions{WaitSeqnos: h.fresh()})
+	hits, _ = h.engine.SearchPhrase(context.Background(), "docs", "panda blue", SearchOptions{WaitSeqnos: h.fresh()})
 	if len(hits) != 0 {
 		t.Fatalf("phrase across elements: %+v", hits)
 	}

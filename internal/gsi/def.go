@@ -50,6 +50,9 @@ var (
 	ErrNoSuchIndex = errors.New("gsi: no such index")
 	ErrIndexExists = errors.New("gsi: index already exists")
 	ErrBadDef      = errors.New("gsi: invalid index definition")
+	// ErrPartitionWait refuses ScanOptions.WaitSeqnos on a bare
+	// partition: only Service.Scan has a feed to wait on.
+	ErrPartitionWait = errors.New("gsi: a partition cannot wait for WaitSeqnos; scan through Service.Scan")
 )
 
 // Def declares an index.

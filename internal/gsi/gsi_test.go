@@ -5,8 +5,10 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"couchgo/internal/dcp"
 	"couchgo/internal/storage"
 	"couchgo/internal/vbucket"
 )
@@ -120,6 +122,55 @@ func TestCreateIndexOnExistingDataBackfills(t *testing.T) {
 	}
 	items := h.scanFresh(t, "email", ScanOptions{})
 	if len(items) != 40 {
+		t.Fatalf("backfilled %d items, want 40", len(items))
+	}
+}
+
+// buildGate parks an index's initial-build stream until release closes.
+type buildGate struct {
+	dcp.StreamSource
+	parked, release chan struct{}
+}
+
+func (g *buildGate) ResumeStream(name string, uuid, from uint64) (dcp.MutationStream, error) {
+	if strings.HasPrefix(name, "gsi-build:") {
+		close(g.parked)
+		<-g.release
+	}
+	return g.StreamSource.ResumeStream(name, uuid, from)
+}
+
+// TestScanDuringInitialBuild: the projector feed's vector covers the
+// existing data before CREATE INDEX starts, so the only thing keeping a
+// request_plus scan off half-filled partitions is that the index is not
+// scannable until its build is done.
+func TestScanDuringInitialBuild(t *testing.T) {
+	h := newHarness(t, 1)
+	g := &buildGate{StreamSource: h.vbs[0].Producer(), parked: make(chan struct{}), release: make(chan struct{})}
+	h.proj.DetachVB(0)
+	if err := h.proj.AttachVB(0, g); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		h.put(t, 0, fmt.Sprintf("u%02d", i), fmt.Sprintf(`{"email": "e%02d@x.com"}`, i))
+	}
+	created := make(chan error, 1)
+	go func() {
+		created <- h.svc.CreateIndex(Def{Name: "email", Keyspace: "Profile", SecExprs: []string{"email"}})
+	}()
+	<-g.parked
+	items, err := h.svc.Scan(context.Background(), "Profile", "email", ScanOptions{WaitSeqnos: h.fresh()})
+	if err != ErrNoSuchIndex {
+		t.Errorf("scan during the build = %d items, %v; want ErrNoSuchIndex", len(items), err)
+	}
+	if meta, err := h.svc.Lookup("Profile", "email"); err != nil || meta.Built {
+		t.Errorf("Lookup during the build = built %v, %v", meta.Built, err)
+	}
+	close(g.release)
+	if err := <-created; err != nil {
+		t.Fatal(err)
+	}
+	if items := h.scanFresh(t, "email", ScanOptions{}); len(items) != 40 {
 		t.Fatalf("backfilled %d items, want 40", len(items))
 	}
 }
@@ -260,12 +311,18 @@ func TestPartitionedIndex(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	indexed := mIndexed.Value()
 	for i := 0; i < 50; i++ {
 		h.put(t, i%2, fmt.Sprintf("u%02d", i), fmt.Sprintf(`{"age": %d}`, i))
 	}
 	items := h.scanFresh(t, "age", ScanOptions{})
 	if len(items) != 50 {
 		t.Fatalf("partitioned scan: %d items", len(items))
+	}
+	// One mutation is one maintenance op, in the partition that owns the
+	// document, however many partitions the index has.
+	if got := mIndexed.Value() - indexed; got != 50 {
+		t.Fatalf("couchgo_gsi_indexed_total advanced by %d for 50 mutations", got)
 	}
 	// Merged in collation order despite partitioning.
 	for i := 1; i < len(items); i++ {
@@ -275,12 +332,18 @@ func TestPartitionedIndex(t *testing.T) {
 	}
 	// Each doc's entries live in exactly one partition.
 	parts, _ := h.svc.Partitions("Profile", "age")
-	total := 0
+	total, guards := 0, 0
 	for _, p := range parts {
 		total += p.Stats().Entries
+		p.mu.Lock()
+		guards += len(p.lastSeq)
+		if len(p.docVB) != len(p.lastSeq) {
+			t.Errorf("partition %d: %d docVB entries, %d lastSeq", p.part, len(p.docVB), len(p.lastSeq))
+		}
+		p.mu.Unlock()
 	}
-	if total != 50 {
-		t.Fatalf("partition entries sum to %d", total)
+	if total != 50 || guards != 50 {
+		t.Fatalf("partitions hold %d entries and %d lastSeq guards for 50 documents", total, guards)
 	}
 	// Limited partitioned scan.
 	items = h.scanFresh(t, "age", ScanOptions{Low: []any{10.0}, LowIncl: true, Limit: 5})
@@ -340,7 +403,8 @@ func TestMemoryOptimizedModeAndSnapshot(t *testing.T) {
 	// Snapshot / restore round trip (§6.1.1 disk-backup recoverability).
 	parts, _ := h.svc.Partitions("Profile", "age")
 	var buf bytes.Buffer
-	if err := parts[0].SnapshotTo(&buf); err != nil {
+	vec := h.svc.FeedStats("Profile")[0].Processed
+	if err := parts[0].SnapshotTo(&buf, vec); err != nil {
 		t.Fatal(err)
 	}
 	cd, _ := compileDef(Def{Name: "age2", Keyspace: "Profile", SecExprs: []string{"age"}, Mode: MemoryOptimized})
@@ -349,7 +413,8 @@ func TestMemoryOptimizedModeAndSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restored.Close()
-	if err := restored.RestoreFrom(&buf); err != nil {
+	recovered, err := restored.RestoreFrom(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if restored.Stats().Entries != 20 {
@@ -362,9 +427,14 @@ func TestMemoryOptimizedModeAndSnapshot(t *testing.T) {
 	if len(got) != 1 || got[0].DocID != "u07" {
 		t.Fatalf("restored scan: %+v", got)
 	}
-	// Processed vector survives.
-	if restored.Processed()[0] == 0 {
-		t.Error("processed vector lost in snapshot")
+	// A bare partition has no feed to wait on: it refuses request_plus
+	// rather than answer unconsistent.
+	if _, err := restored.Scan(context.Background(), ScanOptions{WaitSeqnos: recovered}); err != ErrPartitionWait {
+		t.Errorf("partition scan with WaitSeqnos = %v, want ErrPartitionWait", err)
+	}
+	// The recovery vector survives.
+	if recovered[0] != 20 {
+		t.Errorf("recovery vector %v lost in snapshot, want vb0 at 20", recovered)
 	}
 }
 

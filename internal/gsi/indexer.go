@@ -18,8 +18,7 @@ import (
 // KeyVersion is the maintenance message flowing projector → router →
 // indexer: the set of secondary keys a document now contributes to one
 // index. Empty Entries means "remove any previous contribution" (the
-// document was deleted, stopped qualifying, or this message is a pure
-// seqno sync so request_plus consistency can make progress).
+// document was deleted or stopped qualifying).
 type KeyVersion struct {
 	Index string
 	VB    int
@@ -55,7 +54,8 @@ type ScanOptions struct {
 	// Consistency: nil = not_bounded ("the query can return data that
 	// is currently indexed"); non-nil = request_plus ("requires all
 	// mutations, up to the moment of the query request, to be
-	// processed before query execution").
+	// processed before query execution"). Service.Scan waits for the
+	// vector on the keyspace projector's feed; a partition never waits.
 	WaitSeqnos map[int]uint64
 }
 
@@ -66,10 +66,9 @@ type Indexer struct {
 	def  *compiledDef
 	part int
 
-	mu        sync.Mutex
-	tree      *btree.Tree
-	back      map[string][][]byte // docID -> tree keys
-	processed map[int]uint64      // vb -> seqno
+	mu   sync.Mutex
+	tree *btree.Tree
+	back map[string][][]byte // docID -> tree keys
 	// lastSeq guards against out-of-order redelivery: the initial-build
 	// backfill stream races the steady-state projector stream, and a
 	// document's index contribution must only ever move forward.
@@ -77,7 +76,6 @@ type Indexer struct {
 	// docVB records which vBucket last contributed each document, so
 	// PurgeVB can drop one partition's state on rollback.
 	docVB  map[string]int
-	cond   *sync.Cond
 	closed bool
 
 	// Standard mode: the append-only maintenance log (real disk I/O on
@@ -102,15 +100,13 @@ func NewStandaloneIndexer(def Def, logPath string) (*Indexer, error) {
 // Standard mode and ignored for MemoryOptimized.
 func NewIndexer(cd *compiledDef, part int, logPath string) (*Indexer, error) {
 	ix := &Indexer{
-		def:       cd,
-		part:      part,
-		tree:      btree.New(nil),
-		back:      make(map[string][][]byte),
-		processed: make(map[int]uint64),
-		lastSeq:   make(map[string]uint64),
-		docVB:     make(map[string]int),
+		def:     cd,
+		part:    part,
+		tree:    btree.New(nil),
+		back:    make(map[string][][]byte),
+		lastSeq: make(map[string]uint64),
+		docVB:   make(map[string]int),
 	}
-	ix.cond = sync.NewCond(&ix.mu)
 	if cd.Mode == Standard {
 		f, err := os.OpenFile(logPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 		if err != nil {
@@ -141,12 +137,7 @@ func (ix *Indexer) Apply(kv KeyVersion) {
 		return
 	}
 	if kv.Seqno <= ix.lastSeq[kv.DocID] {
-		// Stale or duplicate delivery (backfill racing the live feed):
-		// the consistency vector may still advance, the entries may not.
-		if kv.Seqno > ix.processed[kv.VB] {
-			ix.processed[kv.VB] = kv.Seqno
-			ix.cond.Broadcast()
-		}
+		// Stale or duplicate delivery (backfill racing the live feed).
 		return
 	}
 	mIndexed.Inc()
@@ -166,13 +157,9 @@ func (ix *Indexer) Apply(kv KeyVersion) {
 	if keys != nil {
 		ix.back[kv.DocID] = keys
 	}
-	if kv.Seqno > ix.processed[kv.VB] {
-		ix.processed[kv.VB] = kv.Seqno
-	}
 	if ix.logW != nil && (len(old) > 0 || len(keys) > 0) {
 		ix.appendLogLocked(kv)
 	}
-	ix.cond.Broadcast()
 }
 
 // appendLogLocked writes the maintenance op to the disk log. Flushed
@@ -204,10 +191,10 @@ func (ix *Indexer) appendLogLocked(kv KeyVersion) {
 }
 
 // PurgeVB drops one vBucket's contribution entirely: tree entries,
-// back-index rows, seqno guards, and the consistency-vector slot. The
-// feed layer calls it on rollback, when a promoted copy's history is
-// shorter than what this partition already applied; clearing lastSeq
-// is what lets the re-streamed (lower-seqno) versions apply again.
+// back-index rows and seqno guards. The feed layer calls it on
+// rollback, when a promoted copy's history is shorter than what this
+// partition already applied; clearing lastSeq is what lets the
+// re-streamed (lower-seqno) versions apply again.
 func (ix *Indexer) PurgeVB(vb int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -225,66 +212,26 @@ func (ix *Indexer) PurgeVB(vb int) {
 		delete(ix.lastSeq, doc)
 		delete(ix.docVB, doc)
 	}
-	delete(ix.processed, vb)
-	ix.cond.Broadcast()
-}
-
-// Processed returns a copy of the applied-seqno vector.
-func (ix *Indexer) Processed() map[int]uint64 {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	out := make(map[int]uint64, len(ix.processed))
-	for vb, s := range ix.processed {
-		out[vb] = s
-	}
-	return out
-}
-
-// waitFor blocks until the indexer has processed the seqno vector
-// (request_plus) or ctx is cancelled; cancellation wakes the wait
-// through the condition variable's Broadcast.
-func (ix *Indexer) waitFor(ctx context.Context, seqnos map[int]uint64) error {
-	stop := context.AfterFunc(ctx, func() { ix.cond.Broadcast() })
-	defer stop()
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for !ix.closed {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ok := true
-		for vb, want := range seqnos {
-			if want > 0 && ix.processed[vb] < want {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return nil
-		}
-		ix.cond.Wait()
-	}
-	return nil
 }
 
 // Scan serves one page of a range or equality scan on this partition:
 // the first opts.Limit entries of the span after opts.After. The mutex
 // is held for the page only, so a caller paging through a span sees
 // each page as of its own moment: entries never repeat or go backwards,
-// but mutations applied between pages show up in later pages only.
-func (ix *Indexer) Scan(ctx context.Context, opts ScanOptions) ([]ScanItem, error) {
-	items, _, err := ix.scanPage(ctx, opts, false)
-	return items, err
+// but mutations applied between pages show up in later pages only. A
+// partition has no seqno vector to wait on, so a request_plus scan
+// handed to one directly is refused rather than served unconsistent.
+func (ix *Indexer) Scan(_ context.Context, opts ScanOptions) ([]ScanItem, error) {
+	if opts.WaitSeqnos != nil {
+		return nil, ErrPartitionWait
+	}
+	items, _ := ix.scanPage(opts, false)
+	return items, nil
 }
 
 // scanPage is Scan, optionally also returning each entry's tree key so
 // the service can merge partitions' pages in tree order.
-func (ix *Indexer) scanPage(ctx context.Context, opts ScanOptions, wantKeys bool) (items []ScanItem, keys [][]byte, err error) {
-	if opts.WaitSeqnos != nil {
-		if err := ix.waitFor(ctx, opts.WaitSeqnos); err != nil {
-			return nil, nil, err
-		}
-	}
+func (ix *Indexer) scanPage(opts ScanOptions, wantKeys bool) (items []ScanItem, keys [][]byte) {
 	lo, hi := scanBounds(opts)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -300,16 +247,13 @@ func (ix *Indexer) scanPage(ctx context.Context, opts ScanOptions, wantKeys bool
 	} else {
 		ix.tree.Ascend(lo, hi, visit)
 	}
-	return items, keys, nil
+	return items, keys
 }
 
 // CountRange counts entries in the range without materializing them.
-// Counts serve planner statistics, not request paths, so there is no
-// ctx to thread.
+// Counts serve planner statistics, not request paths, so they count
+// what is indexed now (opts.WaitSeqnos is ignored).
 func (ix *Indexer) CountRange(opts ScanOptions) int {
-	if opts.WaitSeqnos != nil {
-		ix.waitFor(context.Background(), opts.WaitSeqnos)
-	}
 	lo, hi := scanBounds(opts)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -404,28 +348,27 @@ func (ix *Indexer) Stats() IndexerStats {
 }
 
 // SnapshotTo writes a recoverable snapshot of a memory-optimized index
-// ("recoverability is provided via disk-backups", §6.1.1).
-func (ix *Indexer) SnapshotTo(w io.Writer) error {
+// ("recoverability is provided via disk-backups", §6.1.1). vec is the
+// recovery vector stored with it: the feed's applied seqnos
+// (Feed.Processed) captured before the call, so every seqno in it is
+// in the rows and a restored index resumes its feed from there.
+func (ix *Indexer) SnapshotTo(w io.Writer, vec map[int]uint64) error {
 	ix.mu.Lock()
 	var rows []ScanItem
 	ix.tree.Ascend(nil, nil, func(_ []byte, v any) bool {
 		rows = append(rows, v.(ScanItem))
 		return true
 	})
-	processed := make(map[int]uint64, len(ix.processed))
-	for vb, s := range ix.processed {
-		processed[vb] = s
-	}
 	ix.mu.Unlock()
 
 	bw := bufio.NewWriter(w)
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(rows)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(processed)))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(vec)))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	for vb, s := range processed {
+	for vb, s := range vec {
 		var rec [12]byte
 		binary.LittleEndian.PutUint32(rec[0:], uint32(vb))
 		binary.LittleEndian.PutUint64(rec[4:], s)
@@ -448,40 +391,41 @@ func (ix *Indexer) SnapshotTo(w io.Writer) error {
 	return bw.Flush()
 }
 
-// RestoreFrom rebuilds the index from a snapshot.
-func (ix *Indexer) RestoreFrom(r io.Reader) error {
+// RestoreFrom rebuilds the index from a snapshot and returns the
+// recovery vector stored with it.
+func (ix *Indexer) RestoreFrom(r io.Reader) (map[int]uint64, error) {
 	br := bufio.NewReader(r)
 	var hdr [8]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return err
+		return nil, err
 	}
 	nRows := binary.LittleEndian.Uint32(hdr[0:])
 	nVBs := binary.LittleEndian.Uint32(hdr[4:])
-	processed := make(map[int]uint64, nVBs)
+	vec := make(map[int]uint64, nVBs)
 	for i := uint32(0); i < nVBs; i++ {
 		var rec [12]byte
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return err
+			return nil, err
 		}
-		processed[int(binary.LittleEndian.Uint32(rec[0:]))] = binary.LittleEndian.Uint64(rec[4:])
+		vec[int(binary.LittleEndian.Uint32(rec[0:]))] = binary.LittleEndian.Uint64(rec[4:])
 	}
 	tree := btree.New(nil)
 	back := make(map[string][][]byte)
 	for i := uint32(0); i < nRows; i++ {
 		var l [8]byte
 		if _, err := io.ReadFull(br, l[:]); err != nil {
-			return err
+			return nil, err
 		}
 		payload := make([]byte, binary.LittleEndian.Uint32(l[0:]))
 		if _, err := io.ReadFull(br, payload); err != nil {
-			return err
+			return nil, err
 		}
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(l[4:]) {
-			return fmt.Errorf("gsi: snapshot row %d corrupt", i)
+			return nil, fmt.Errorf("gsi: snapshot row %d corrupt", i)
 		}
 		obj, ok := value.Parse(payload)
 		if !ok {
-			return fmt.Errorf("gsi: snapshot row %d unparsable", i)
+			return nil, fmt.Errorf("gsi: snapshot row %d unparsable", i)
 		}
 		id, _ := value.Field(obj, "id").(string)
 		sec, _ := value.Field(obj, "sec").([]any)
@@ -492,9 +436,8 @@ func (ix *Indexer) RestoreFrom(r io.Reader) error {
 	ix.mu.Lock()
 	ix.tree = tree
 	ix.back = back
-	ix.processed = processed
 	ix.mu.Unlock()
-	return nil
+	return vec, nil
 }
 
 // Close releases resources.
@@ -504,7 +447,6 @@ func (ix *Indexer) Close() {
 	if ix.logW != nil {
 		ix.logW.Flush()
 	}
-	ix.cond.Broadcast()
 	ix.mu.Unlock()
 	if ix.log != nil {
 		ix.log.Close()

@@ -73,7 +73,7 @@ func (s *Service) CreateIndex(def Def) error {
 	if _, ok := s.indexes[key]; ok {
 		return ErrIndexExists
 	}
-	st := &indexState{cd: cd, built: !def.Deferred}
+	st := &indexState{cd: cd}
 	for p := 0; p < cd.NumPartitions; p++ {
 		logPath := filepath.Join(s.dir, fmt.Sprintf("idx_%s_%s_p%d.log", sanitize(def.Keyspace), sanitize(def.Name), p))
 		ix, err := NewIndexer(cd, p, logPath)
@@ -87,11 +87,15 @@ func (s *Service) CreateIndex(def Def) error {
 	s.mu.Unlock()
 	// Initial build: stream the existing data set through this index
 	// only. The per-document seqno guard in the indexer resolves races
-	// with the steady-state projector feed.
+	// with the steady-state projector feed. The index turns scannable
+	// only once the build is done: the projector feed's vector already
+	// covers the existing data, so a request_plus scan has nothing else
+	// to hold it off half-filled partitions.
 	if !def.Deferred && proj != nil {
 		proj.backfillIndex(st)
 	}
 	s.mu.Lock()
+	st.built = !def.Deferred
 	return nil
 }
 
@@ -191,39 +195,44 @@ func (s *Service) Lookup(keyspace, name string) (IndexMeta, error) {
 // scatter/gather for queries in case of a partitioned GSI index"): every
 // partition serves its own page from the same continuation, and the
 // first opts.Limit entries of their merge are the index's page, since
-// no entry past a partition's page can sort before one inside it. The
-// ctx bounds the request_plus consistency wait: a cancelled query
-// releases its indexer waiters instead of parking until the seqno
-// vector catches up.
+// no entry past a partition's page can sort before one inside it. A
+// request_plus scan first waits, once and bounded by ctx, until the
+// keyspace projector's feed has applied opts.WaitSeqnos: the projector
+// routes a mutation into every index before the feed counts it applied,
+// so the one vector covers every partition of every index.
 func (s *Service) Scan(ctx context.Context, keyspace, name string, opts ScanOptions) ([]ScanItem, error) {
 	s.mu.Lock()
 	st, ok := s.indexes[indexKey(keyspace, name)]
+	proj := s.projectors[keyspace]
 	s.mu.Unlock()
 	if !ok || !st.built {
 		return nil, ErrNoSuchIndex
+	}
+	if opts.WaitSeqnos != nil {
+		if proj == nil {
+			// No data node has attached yet: wait on the projector they
+			// will attach to.
+			proj = NewProjector(s, keyspace)
+		}
+		if err := proj.feed.Wait(ctx, opts.WaitSeqnos); err != nil {
+			return nil, err
+		}
+		opts.WaitSeqnos = nil
 	}
 	if len(st.parts) == 1 {
 		return st.parts[0].Scan(ctx, opts)
 	}
 	pages := make([][]ScanItem, len(st.parts))
 	keys := make([][][]byte, len(st.parts))
-	errs := make([]error, len(st.parts))
 	var wg sync.WaitGroup
 	for i, p := range st.parts {
 		wg.Add(1)
 		go func(i int, p *Indexer) {
 			defer wg.Done()
-			pages[i], keys[i], errs[i] = p.scanPage(ctx, opts, true)
+			pages[i], keys[i] = p.scanPage(opts, true)
 		}(i, p)
 	}
-	// Every partition scan observes ctx, so cancellation unblocks the
-	// whole gather.
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	return mergePages(pages, keys, opts.Reverse, opts.Limit), nil
 }
 
@@ -278,33 +287,6 @@ func (s *Service) Count(keyspace, name string, opts ScanOptions) (int, error) {
 	return total, nil
 }
 
-// Processed returns the minimum applied-seqno vector across an index's
-// partitions — the consistency point a request_plus scan can rely on.
-func (s *Service) Processed(keyspace, name string) (map[int]uint64, error) {
-	s.mu.Lock()
-	st, ok := s.indexes[indexKey(keyspace, name)]
-	s.mu.Unlock()
-	if !ok {
-		return nil, ErrNoSuchIndex
-	}
-	out := map[int]uint64{}
-	for i, p := range st.parts {
-		vec := p.Processed()
-		if i == 0 {
-			for vb, sq := range vec {
-				out[vb] = sq
-			}
-			continue
-		}
-		for vb := range out {
-			if vec[vb] < out[vb] {
-				out[vb] = vec[vb]
-			}
-		}
-	}
-	return out, nil
-}
-
 // route delivers a mutation's key versions for every index on the
 // keyspace. It implements both the Projector ("mapping incoming
 // mutations to a set of Global Secondary Key Versions") and the Router
@@ -326,7 +308,9 @@ func (s *Service) route(keyspace string, vb int, m dcp.Mutation) {
 	}
 }
 
-// routeTo projects one mutation into one index's partitions.
+// routeTo projects one mutation into the partition that owns the
+// document: the doc ID is the partition key, so a document never
+// changes partition and no other partition has anything to clean up.
 func routeTo(st *indexState, vb int, m dcp.Mutation) {
 	var entries [][]any
 	if !m.Deleted {
@@ -336,28 +320,22 @@ func routeTo(st *indexState, vb int, m dcp.Mutation) {
 			}
 		}
 	}
-	target := st.cd.Partition(m.Key)
-	for p, ix := range st.parts {
-		kv := KeyVersion{Index: st.cd.Name, VB: vb, Seqno: m.Seqno, DocID: m.Key}
-		if p == target {
-			kv.Entries = entries
-		}
-		// Every partition sees every seqno (possibly as a pure sync or
-		// a delete of a stale contribution) so consistency vectors
-		// advance and moved documents get cleaned up.
-		ix.Apply(kv)
-	}
+	st.parts[st.cd.Partition(m.Key)].Apply(KeyVersion{
+		Index: st.cd.Name, VB: vb, Seqno: m.Seqno, DocID: m.Key, Entries: entries,
+	})
 }
 
 // Projector consumes the keyspace's per-vBucket DCP feeds and routes
 // key versions to the indexers. One shared Projector exists per
 // keyspace; every data node attaches its active vBuckets' producers
 // through the same instance, so the feed layer's resume state follows
-// partitions as they move between nodes.
+// partitions as they move between nodes. Its feed's applied-seqno
+// vector is the one request_plus scans of the keyspace wait on.
 type Projector struct {
 	svc      *Service
 	keyspace string
 	hub      *feed.Hub
+	feed     *feed.Feed
 }
 
 // NewProjector returns the keyspace's shared projector, creating it on
@@ -365,17 +343,17 @@ type Projector struct {
 // trigger initial builds over the projector's vBuckets.
 func NewProjector(svc *Service, keyspace string) *Projector {
 	// Construct outside svc.mu: the feed layer takes its own locks and
-	// must never be entered with service state locked. A concurrent
-	// first use loses the race below and discards its hub unsubscribed.
+	// must never be entered with service state locked. Subscribing to an
+	// empty, open hub cannot fail and starts no stream, so a concurrent
+	// first use that loses the race below just discards its hub.
 	np := &Projector{svc: svc, keyspace: keyspace, hub: feed.NewHub("gsi")}
+	np.feed, _ = np.hub.Subscribe("gsi-projector", np)
 	svc.mu.Lock()
+	defer svc.mu.Unlock()
 	if p, ok := svc.projectors[keyspace]; ok {
-		svc.mu.Unlock()
 		return p
 	}
 	svc.projectors[keyspace] = np
-	svc.mu.Unlock()
-	np.hub.Subscribe("gsi-projector", np)
 	return np
 }
 

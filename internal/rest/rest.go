@@ -559,9 +559,9 @@ func (s *Server) handleAnalyticsQuery(w http.ResponseWriter, r *http.Request) {
 	bucket := r.PathValue("bucket")
 	opts := analytics.QueryOptions{Params: req.Args}
 	if req.Consistent {
-		opts.WaitSeqnos = s.c.AnalyticsConsistencyVector(bucket)
+		opts.WaitSeqnos = s.c.ConsistencyVector(bucket)
 	}
-	rows, err := s.c.AnalyticsQuery(bucket, req.Statement, opts)
+	rows, err := s.c.AnalyticsQuery(r.Context(), bucket, req.Statement, opts)
 	if err != nil {
 		if errors.Is(err, core.ErrNoSuchBucket) {
 			writeErr(w, err)
@@ -583,12 +583,12 @@ func (s *Server) handleDefineFTS(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return
 	}
-	h, err := s.c.FTS(r.PathValue("bucket"))
+	eng, err := s.c.FTS(r.PathValue("bucket"))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	if err := h.Engine().Define(fts.IndexDef{Name: r.PathValue("index"), Fields: def.Fields}); err != nil {
+	if err := eng.Define(fts.IndexDef{Name: r.PathValue("index"), Fields: def.Fields}); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -596,7 +596,7 @@ func (s *Server) handleDefineFTS(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	h, err := s.c.FTS(r.PathValue("bucket"))
+	eng, err := s.c.FTS(r.PathValue("bucket"))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -606,16 +606,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	limit, _ := strconv.Atoi(q.Get("limit"))
 	opts := fts.SearchOptions{Limit: limit}
 	if q.Get("consistent") == "true" {
-		opts.WaitSeqnos = h.ConsistencyVector()
+		opts.WaitSeqnos = s.c.ConsistencyVector(r.PathValue("bucket"))
 	}
 	var hits []fts.Hit
 	switch q.Get("kind") {
 	case "prefix":
-		hits, err = h.Engine().SearchPrefix(r.PathValue("index"), text, opts)
+		hits, err = eng.SearchPrefix(r.Context(), r.PathValue("index"), text, opts)
 	case "phrase":
-		hits, err = h.Engine().SearchPhrase(r.PathValue("index"), text, opts)
+		hits, err = eng.SearchPhrase(r.Context(), r.PathValue("index"), text, opts)
 	default:
-		hits, err = h.Engine().SearchTerm(r.PathValue("index"), text, opts)
+		hits, err = eng.SearchTerm(r.Context(), r.PathValue("index"), text, opts)
 	}
 	if err != nil {
 		writeErr(w, err)

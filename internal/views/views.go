@@ -93,8 +93,8 @@ type QueryOptions struct {
 	Group        bool
 	Stale        Staleness
 	// WaitSeqnos, for Stale=StaleFalse: the per-vBucket seqnos the
-	// index must reach before the scan runs (the data service's current
-	// high seqnos at query submission).
+	// view's feed must have applied before the scan runs (the data
+	// service's current high seqnos at query submission).
 	WaitSeqnos map[int]uint64
 }
 
@@ -188,12 +188,14 @@ type viewIndex struct {
 	def Definition
 	cm  *compiledMap
 
-	mu        sync.Mutex
-	tree      *btree.Tree
-	back      map[int]map[string][][]byte // vb -> docID -> tree keys
-	processed map[int]uint64              // vb -> last applied seqno
-	cond      *sync.Cond
-	closed    bool
+	// feed is the view's subscription, set (under Engine.mu) once Define
+	// has subscribed it; its applied-seqno vector is what stale=false
+	// waits on.
+	feed *feed.Feed
+
+	mu   sync.Mutex
+	tree *btree.Tree
+	back map[int]map[string][][]byte // vb -> docID -> tree keys
 }
 
 // Define creates a view and starts materializing it from every
@@ -215,38 +217,36 @@ func (e *Engine) Define(def Definition) error {
 		return ErrViewExists
 	}
 	vi := &viewIndex{
-		def:       def,
-		cm:        cm,
-		tree:      btree.New(red),
-		back:      make(map[int]map[string][][]byte),
-		processed: make(map[int]uint64),
+		def:  def,
+		cm:   cm,
+		tree: btree.New(red),
+		back: make(map[int]map[string][][]byte),
 	}
-	vi.cond = sync.NewCond(&vi.mu)
 	e.views[def.Name] = vi
 	e.mu.Unlock()
 	// Materialize from every attached vBucket: the hub opens a backfill
 	// stream from seqno 0 per producer for the new subscription.
-	if _, err := e.hub.Subscribe("view:"+def.Name, vi); err != nil {
-		e.mu.Lock()
+	f, err := e.hub.Subscribe("view:"+def.Name, vi)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err != nil {
 		delete(e.views, def.Name)
-		e.mu.Unlock()
-		vi.close()
 		return err
 	}
+	vi.feed = f
 	return nil
 }
 
 // Drop removes a view.
 func (e *Engine) Drop(name string) error {
 	e.mu.Lock()
-	vi, ok := e.views[name]
+	_, ok := e.views[name]
 	delete(e.views, name)
 	e.mu.Unlock()
 	if !ok {
 		return ErrNoSuchView
 	}
 	e.hub.Unsubscribe("view:" + name)
-	vi.close()
 	return nil
 }
 
@@ -295,15 +295,8 @@ func (e *Engine) FeedStats() []feed.Stat {
 func (e *Engine) Close() {
 	e.hub.Close()
 	e.mu.Lock()
-	views := make([]*viewIndex, 0, len(e.views))
-	for _, vi := range e.views {
-		views = append(views, vi)
-	}
 	e.views = make(map[string]*viewIndex)
 	e.mu.Unlock()
-	for _, vi := range views {
-		vi.close()
-	}
 }
 
 // Rollback implements feed.Rollbacker: discard the partition's entries
@@ -318,16 +311,8 @@ func (vi *viewIndex) Rollback(vb int, _ uint64) uint64 {
 		}
 	}
 	delete(vi.back, vb)
-	delete(vi.processed, vb)
 	vi.mu.Unlock()
 	return 0
-}
-
-func (vi *viewIndex) close() {
-	vi.mu.Lock()
-	vi.closed = true
-	vi.cond.Broadcast()
-	vi.mu.Unlock()
 }
 
 // treeKey builds the composite key: encoded emit key, 0x00 separator,
@@ -357,9 +342,6 @@ func (vi *viewIndex) Apply(vb int, m dcp.Mutation) {
 	}
 	vi.mu.Lock()
 	defer vi.mu.Unlock()
-	if vi.closed {
-		return
-	}
 	byDoc := vi.back[vb]
 	if byDoc == nil {
 		byDoc = make(map[string][][]byte)
@@ -374,67 +356,22 @@ func (vi *viewIndex) Apply(vb int, m dcp.Mutation) {
 		vi.tree.Set(tk, entry{vb: vb, id: m.Key, key: k, val: v})
 		byDoc[m.Key] = [][]byte{tk}
 	}
-	if m.Seqno > vi.processed[vb] {
-		vi.processed[vb] = m.Seqno
-	}
-	vi.cond.Broadcast()
-}
-
-// waitFor blocks until the index has processed the given seqno vector
-// or ctx is cancelled; cancellation wakes the wait through Broadcast.
-func (vi *viewIndex) waitFor(ctx context.Context, seqnos map[int]uint64) error {
-	stop := context.AfterFunc(ctx, func() { vi.cond.Broadcast() })
-	defer stop()
-	vi.mu.Lock()
-	defer vi.mu.Unlock()
-	for !vi.closed {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ok := true
-		for vb, want := range seqnos {
-			if want > 0 && vi.processed[vb] < want {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return nil
-		}
-		vi.cond.Wait()
-	}
-	return nil
-}
-
-// Processed returns a copy of the per-vBucket applied-seqno vector.
-func (e *Engine) Processed(name string) (map[int]uint64, error) {
-	e.mu.Lock()
-	vi, ok := e.views[name]
-	e.mu.Unlock()
-	if !ok {
-		return nil, ErrNoSuchView
-	}
-	vi.mu.Lock()
-	defer vi.mu.Unlock()
-	out := make(map[int]uint64, len(vi.processed))
-	for vb, s := range vi.processed {
-		out[vb] = s
-	}
-	return out, nil
 }
 
 // Query runs a view query against this node's local index. Cluster
 // scatter/gather (Figure 8) merges Query results from every node. The
-// ctx bounds the stale=false consistency wait.
+// ctx bounds the stale=false consistency wait on the view's feed. A
+// view is queryable once Define has subscribed it.
 func (e *Engine) Query(ctx context.Context, name string, opts QueryOptions) ([]Row, error) {
 	e.mu.Lock()
 	vi, ok := e.views[name]
+	ok = ok && vi.feed != nil
 	e.mu.Unlock()
 	if !ok {
 		return nil, ErrNoSuchView
 	}
-	if opts.Stale == StaleFalse && len(opts.WaitSeqnos) > 0 {
-		if err := vi.waitFor(ctx, opts.WaitSeqnos); err != nil {
+	if opts.Stale == StaleFalse {
+		if err := vi.feed.Wait(ctx, opts.WaitSeqnos); err != nil {
 			return nil, err
 		}
 	}

@@ -418,17 +418,16 @@ func TestProcessedVector(t *testing.T) {
 	h.engine.Define(profileView)
 	h.put(t, 0, "u1", `{"name": "A", "email": "x"}`)
 	h.queryFresh(t, "profile", QueryOptions{})
-	vec, err := h.engine.Processed("profile")
-	if err != nil || vec[0] == 0 {
-		t.Fatalf("processed: %v %v", vec, err)
-	}
-	if _, err := h.engine.Processed("nope"); err != ErrNoSuchView {
-		t.Errorf("processed unknown: %v", err)
+	// The vector the stale=false query just waited on is the one the
+	// stats surface shows: the view's feed owns the only copy.
+	st := h.engine.FeedStats()
+	if len(st) != 1 || st[0].Name != "view:profile" || st[0].Processed[0] != h.vbs[0].HighSeqno() {
+		t.Fatalf("feed stats: %+v, want view:profile at seqno %d", st, h.vbs[0].HighSeqno())
 	}
 }
 
 func TestStaleFalseTimeBound(t *testing.T) {
-	// Guard against waitFor hanging forever when vector includes an
+	// Guard against the wait hanging forever when vector includes an
 	// unattached vbucket with zero target.
 	h := newHarness(t, 1)
 	h.engine.Define(profileView)
