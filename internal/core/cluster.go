@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"couchgo/internal/analytics"
@@ -17,6 +18,7 @@ import (
 	"couchgo/internal/gsi"
 	"couchgo/internal/metrics"
 	"couchgo/internal/planner"
+	"couchgo/internal/query"
 	"couchgo/internal/vbucket"
 	"couchgo/internal/views"
 )
@@ -112,6 +114,15 @@ type Cluster struct {
 	// slowLog retains recent statements slower than
 	// cfg.SlowQueryThreshold.
 	slowLog *metrics.SlowQueryLog
+
+	// queryEng holds the prepared plans, each good for the catalogEpoch
+	// it was made under. The epoch is bumped under the lock guarding
+	// each change to what clusterStore's catalog answers: a bucket
+	// created (c.mu), a view-backed index added or dropped
+	// (bucketState.mu), a GSI index registered, built or dropped
+	// (gsi.Service.OnCatalogChange).
+	queryEng     *query.Engine
+	catalogEpoch atomic.Uint64
 }
 
 // NewCluster creates an empty cluster rooted at cfg.Dir.
@@ -136,6 +147,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		hbDone:  make(chan struct{}),
 		slowLog: metrics.NewSlowQueryLog(cfg.SlowQueryThreshold, cfg.SlowQueryLogSize),
 	}
+	c.queryEng = query.NewEngine(&clusterStore{c: c})
 	c.topo = newDecider(func(bucket string, m *cmap.Map) error {
 		return c.ApplyMap(bucket, m, "", loopbackSource{c, bucket})
 	})
@@ -266,6 +278,7 @@ func (c *Cluster) CreateBucket(name string, opts BucketOptions) error {
 		ftsEng:       fts.NewEngine(),
 		analyticsEng: analytics.NewEngine(name),
 	}
+	b.gsiSvc.OnCatalogChange = func() { c.catalogEpoch.Add(1) }
 	if err := os.MkdirAll(filepath.Join(c.cfg.Dir, "gsi", name), 0o755); err != nil {
 		return err
 	}
@@ -281,6 +294,7 @@ func (c *Cluster) CreateBucket(name string, opts BucketOptions) error {
 		return ErrBucketExists
 	}
 	c.buckets[name] = b
+	c.catalogEpoch.Add(1)
 	nodes := make([]*Node, 0, len(c.nodes))
 	for _, n := range c.nodes {
 		if n.services.Has(cmap.ServiceData) && n.Alive() {

@@ -57,8 +57,7 @@ func (c *Cluster) Query(statement string, opts executor.Options) (*query.Result,
 	}
 	opts.Ctx = ctx
 	t0 := time.Now()
-	eng := query.NewEngine(&clusterStore{c: c})
-	res, err := eng.Execute(statement, opts)
+	res, err := c.queryEng.Execute(statement, opts)
 	elapsed := time.Since(t0)
 	mQueryDuration.Observe(elapsed)
 	if c.slowLog.Observe(statement, elapsed) {
@@ -103,6 +102,8 @@ func (c *Cluster) hasService(s cmap.Service) bool {
 }
 
 // --- planner.Catalog ---
+
+func (s *clusterStore) CatalogEpoch() uint64 { return s.c.catalogEpoch.Load() }
 
 func (s *clusterStore) KeyspaceExists(name string) bool {
 	_, err := s.c.bucket(name)
@@ -234,6 +235,7 @@ func (c *Cluster) createViewIndex(b *bucketState, ci *n1ql.CreateIndex) error {
 		return gsi.ErrIndexExists
 	}
 	b.viewIndexes[ci.Name] = info
+	c.catalogEpoch.Add(1)
 	b.mu.Unlock()
 	return c.DefineView(b.name, def)
 }
@@ -250,6 +252,7 @@ func (c *Cluster) DropIndexByName(keyspace, name string) error {
 	_, isView := b.viewIndexes[name]
 	if isView {
 		delete(b.viewIndexes, name)
+		c.catalogEpoch.Add(1)
 	}
 	b.mu.Unlock()
 	if isView {

@@ -95,47 +95,49 @@ func TestQueryTraceUnifiesProfileAndSpans(t *testing.T) {
 	}
 	withTracing(t)
 
-	prof := executor.NewProfile()
 	// SELECT * defeats the covering-scan optimization, so the plan
 	// includes a document fetch and the scan annotation is the plain
-	// index scan.
-	res, err := c.Query("SELECT * FROM `default` WHERE n >= 3",
-		executor.Options{Consistency: executor.RequestPlus, Prof: prof})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 7 {
-		t.Fatalf("rows = %d, want 7", len(res.Rows))
-	}
+	// index scan. The second execution takes its plan from the cache
+	// and must show the same phases and spans as the first.
+	for _, planCache := range []string{"miss", "hit"} {
+		trace.Default.Clear()
+		prof := executor.NewProfile()
+		res, err := c.Query("SELECT * FROM `default` WHERE n >= 3",
+			executor.Options{Consistency: executor.RequestPlus, Prof: prof})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 7 {
+			t.Fatalf("rows = %d, want 7", len(res.Rows))
+		}
 
-	tc := trace.Default.Slowest("query")
-	if tc == nil {
-		t.Fatal("no query trace retained")
-	}
-	names := tc.Names()
-	for _, want := range []string{"query", "query:parse", "query:plan", "query:scan", "query:fetch", "query:project"} {
-		if !slices.Contains(names, want) {
-			t.Errorf("query trace missing span %q; have %v", want, names)
+		tc := trace.Default.Slowest("query")
+		if tc == nil {
+			t.Fatal("no query trace retained")
 		}
-	}
-	// Every profiled phase must appear as a query:<op> span — the two
-	// views of execution cannot drift.
-	for _, ph := range prof.Timings() {
-		if !slices.Contains(names, "query:"+ph.Operator) {
-			t.Errorf("profiled phase %q absent from trace spans %v", ph.Operator, names)
-		}
-	}
-	var scanAnnotated bool
-	for _, a := range tc.Tree().Annotations {
-		if a.Key == "scan" {
-			scanAnnotated = true
-			if a.Value != "IndexScan(byN)" {
-				t.Errorf("scan annotation = %q, want IndexScan(byN)", a.Value)
+		names := tc.Names()
+		for _, want := range []string{"query", "query:parse", "query:plan", "query:scan", "query:fetch", "query:project"} {
+			if !slices.Contains(names, want) {
+				t.Errorf("plan cache %s: query trace missing span %q; have %v", planCache, want, names)
 			}
 		}
-	}
-	if !scanAnnotated {
-		t.Error("plan's access path not annotated on the query span")
+		// Every profiled phase must appear as a query:<op> span — the two
+		// views of execution cannot drift.
+		for _, ph := range prof.Timings() {
+			if !slices.Contains(names, "query:"+ph.Operator) {
+				t.Errorf("profiled phase %q absent from trace spans %v", ph.Operator, names)
+			}
+		}
+		annotated := map[string]string{}
+		for _, a := range tc.Tree().Annotations {
+			annotated[a.Key] = a.Value
+		}
+		if annotated["scan"] != "IndexScan(byN)" {
+			t.Errorf("scan annotation = %q, want IndexScan(byN)", annotated["scan"])
+		}
+		if annotated["plan_cache"] != planCache {
+			t.Errorf("plan_cache annotation = %q, want %s", annotated["plan_cache"], planCache)
+		}
 	}
 }
 

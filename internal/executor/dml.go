@@ -15,12 +15,11 @@ type MutationResult struct {
 }
 
 // ExecuteInsert runs INSERT/UPSERT INTO ... (KEY, VALUE) VALUES ...
-func ExecuteInsert(ins *n1ql.Insert, ds Datastore, cat planner.Catalog, opts Options) (*MutationResult, error) {
-	if !cat.KeyspaceExists(ins.Keyspace) {
-		return nil, fmt.Errorf("%w: %s", planner.ErrNoSuchKeyspace, ins.Keyspace)
-	}
+func ExecuteInsert(ins *planner.InsertPlan, ds Datastore, opts Options) (*MutationResult, error) {
 	res := &MutationResult{}
-	pctx := &n1ql.Context{Params: opts.Params}
+	stars := []planner.Binding{{Name: ins.Keyspace, Slot: n1ql.DocSlot}}
+	pctx := ins.Scope.NewContext(value.Missing, n1ql.Meta{})
+	pctx.Params = opts.Params
 	for i := range ins.KeyExprs {
 		kv, err := n1ql.Eval(ins.KeyExprs[i], pctx)
 		if err != nil {
@@ -39,9 +38,9 @@ func ExecuteInsert(ins *n1ql.Insert, ds Datastore, cat planner.Catalog, opts Opt
 		}
 		res.MutationCount++
 		if len(ins.Returning) > 0 {
-			ctx := n1ql.NewContext(ins.Keyspace, doc, n1ql.Meta{ID: key})
+			ctx := ins.Scope.NewContext(doc, n1ql.Meta{ID: key})
 			ctx.Params = opts.Params
-			out, err := projectTerms(ins.Returning, ctx)
+			out, err := projectTerms(ins.Returning, stars, ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -51,83 +50,27 @@ func ExecuteInsert(ins *n1ql.Insert, ds Datastore, cat planner.Catalog, opts Opt
 	return res, nil
 }
 
-// mutationTargets finds the documents a DELETE/UPDATE affects by
-// running them as a SELECT * through the pipeline, so the statement's
-// LIMIT stops the scan as it does a query's.
-func mutationTargets(keyspace, alias string, useKeys, where, limit n1ql.Expr, ds Datastore, cat planner.Catalog, opts Options) ([]row, error) {
-	sel := &n1ql.Select{
-		Keyspace:   keyspace,
-		Alias:      alias,
-		UseKeys:    useKeys,
-		Where:      where,
-		Limit:      limit,
-		Projection: []n1ql.ResultTerm{{Star: true}}, // force document fetch
-	}
-	p, err := planner.PlanSelect(sel, cat)
-	if err != nil {
-		return nil, err
-	}
-	return (&selectExec{p: p, ds: ds, opts: opts}).run()
-}
-
-// ExecuteDelete runs DELETE FROM ...
-func ExecuteDelete(del *n1ql.Delete, ds Datastore, cat planner.Catalog, opts Options) (*MutationResult, error) {
-	rows, err := mutationTargets(del.Keyspace, del.Alias, del.UseKeys, del.Where, del.Limit, ds, cat, opts)
+// mutate finds a DELETE/UPDATE's documents by running its target SELECT
+// and hands each to apply, which reports whether it changed the
+// document (one changed concurrently is skipped); RETURNING then reads
+// the row as apply left it.
+func mutate(mp *planner.MutationPlan, ds Datastore, opts Options, apply func(ctx *n1ql.Context, id string) (bool, error)) (*MutationResult, error) {
+	rows, err := (&selectExec{p: mp.Targets, ds: ds, opts: opts}).run()
 	if err != nil {
 		return nil, err
 	}
 	res := &MutationResult{}
+	ctx := &n1ql.Context{Params: opts.Params}
 	for _, r := range rows {
-		id := r.ctx.Metas[del.Alias].ID
-		if err := ds.DeleteDoc(opts.Context(), del.Keyspace, id); err != nil {
-			continue // concurrently deleted
-		}
-		res.MutationCount++
-		if len(del.Returning) > 0 {
-			out, err := projectTerms(del.Returning, r.ctx)
-			if err != nil {
-				return nil, err
-			}
-			res.Returning = append(res.Returning, out)
-		}
-	}
-	return res, nil
-}
-
-// ExecuteUpdate runs UPDATE ... SET/UNSET.
-func ExecuteUpdate(upd *n1ql.Update, ds Datastore, cat planner.Catalog, opts Options) (*MutationResult, error) {
-	rows, err := mutationTargets(upd.Keyspace, upd.Alias, upd.UseKeys, upd.Where, upd.Limit, ds, cat, opts)
-	if err != nil {
-		return nil, err
-	}
-	res := &MutationResult{}
-	for _, r := range rows {
-		id := r.ctx.Metas[upd.Alias].ID
-		doc := value.Copy(r.ctx.Bindings[upd.Alias])
-		for _, sc := range upd.Sets {
-			nv, err := n1ql.Eval(sc.Val, r.ctx)
-			if err != nil {
-				return nil, err
-			}
-			doc, err = applyPathSet(doc, sc.Path, upd.Alias, nv, r.ctx)
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, un := range upd.Unsets {
-			doc, err = applyPathUnset(doc, un, upd.Alias, r.ctx)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if err := ds.UpdateDoc(opts.Context(), upd.Keyspace, id, doc); err != nil {
+		ctx.Slots = r.slots
+		if ok, err := apply(ctx, r.id); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		res.MutationCount++
-		if len(upd.Returning) > 0 {
-			ctx := n1ql.NewContext(upd.Alias, doc, n1ql.Meta{ID: id})
-			ctx.Params = opts.Params
-			out, err := projectTerms(upd.Returning, ctx)
+		if len(mp.Returning) > 0 {
+			out, err := projectTerms(mp.Returning, mp.Targets.Stars, ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -135,6 +78,42 @@ func ExecuteUpdate(upd *n1ql.Update, ds Datastore, cat planner.Catalog, opts Opt
 		}
 	}
 	return res, nil
+}
+
+// ExecuteDelete runs DELETE FROM ...
+func ExecuteDelete(mp *planner.MutationPlan, ds Datastore, opts Options) (*MutationResult, error) {
+	return mutate(mp, ds, opts, func(_ *n1ql.Context, id string) (bool, error) {
+		return ds.DeleteDoc(opts.Context(), mp.Targets.Keyspace, id) == nil, nil
+	})
+}
+
+// ExecuteUpdate runs UPDATE ... SET/UNSET.
+func ExecuteUpdate(mp *planner.MutationPlan, ds Datastore, opts Options) (*MutationResult, error) {
+	alias := mp.Targets.Alias
+	return mutate(mp, ds, opts, func(ctx *n1ql.Context, id string) (bool, error) {
+		doc := value.Copy(ctx.Slots[n1ql.DocSlot])
+		for _, sc := range mp.Sets {
+			nv, err := n1ql.Eval(sc.Val, ctx)
+			if err != nil {
+				return false, err
+			}
+			if doc, err = applyPathSet(doc, sc.Path, alias, nv, ctx); err != nil {
+				return false, err
+			}
+		}
+		for _, un := range mp.Unsets {
+			var err error
+			if doc, err = applyPathUnset(doc, un, alias, ctx); err != nil {
+				return false, err
+			}
+		}
+		if ds.UpdateDoc(opts.Context(), mp.Targets.Keyspace, id, doc) != nil {
+			return false, nil
+		}
+		// RETURNING sees the document as written.
+		ctx.Slots[n1ql.DocSlot], ctx.Slots[n1ql.MetaSlot] = doc, &n1ql.Meta{ID: id}
+		return true, nil
+	})
 }
 
 // pathOf converts a SET/UNSET target expression (Ident/Field/Element

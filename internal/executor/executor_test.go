@@ -131,6 +131,24 @@ func planOf(t *testing.T, src string) *planner.SelectPlan {
 	return p
 }
 
+func planMutation(t *testing.T, stmt n1ql.Statement) *planner.MutationPlan {
+	t.Helper()
+	mp, err := planner.PlanMutation(stmt, stubCat{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mp
+}
+
+func planInsert(t *testing.T, stmt n1ql.Statement) *planner.InsertPlan {
+	t.Helper()
+	ip, err := planner.PlanInsert(stmt.(*n1ql.Insert), stubCat{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ip
+}
+
 func TestFetchIsParallelAndOrdered(t *testing.T) {
 	ds := newStubDS()
 	for i := 0; i < 64; i++ {
@@ -271,7 +289,7 @@ func TestLimitBoundsScanAndFetch(t *testing.T) {
 
 	ds.scanned.Store(0)
 	stmt, _ := n1ql.Parse("DELETE FROM b WHERE v = 2 LIMIT 4")
-	res, err := ExecuteDelete(stmt.(*n1ql.Delete), ds, stubCat{}, Options{})
+	res, err := ExecuteDelete(planMutation(t, stmt), ds, Options{})
 	if err != nil || res.MutationCount != 4 {
 		t.Fatalf("delete: %+v %v", res, err)
 	}
@@ -317,7 +335,7 @@ func TestGroupByWithExpressionKeys(t *testing.T) {
 func TestInsertReturningAndErrors(t *testing.T) {
 	ds := newStubDS()
 	stmt, _ := n1ql.Parse(`INSERT INTO b (KEY, VALUE) VALUES ("k1", {"v": 1}) RETURNING meta().id AS id`)
-	res, err := ExecuteInsert(stmt.(*n1ql.Insert), ds, stubCat{}, Options{})
+	res, err := ExecuteInsert(planInsert(t, stmt), ds, Options{})
 	if err != nil || res.MutationCount != 1 {
 		t.Fatalf("insert: %+v %v", res, err)
 	}
@@ -325,12 +343,12 @@ func TestInsertReturningAndErrors(t *testing.T) {
 		t.Errorf("returning: %v", res.Returning)
 	}
 	// Duplicate.
-	if _, err := ExecuteInsert(stmt.(*n1ql.Insert), ds, stubCat{}, Options{}); err == nil {
+	if _, err := ExecuteInsert(planInsert(t, stmt), ds, Options{}); err == nil {
 		t.Error("duplicate insert should fail")
 	}
 	// Non-string key.
 	stmt, _ = n1ql.Parse(`INSERT INTO b (KEY, VALUE) VALUES (5, {})`)
-	if _, err := ExecuteInsert(stmt.(*n1ql.Insert), ds, stubCat{}, Options{}); err == nil {
+	if _, err := ExecuteInsert(planInsert(t, stmt), ds, Options{}); err == nil {
 		t.Error("numeric key should fail")
 	}
 }
@@ -344,7 +362,7 @@ func TestUpdatePathHandling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ExecuteUpdate(stmt.(*n1ql.Update), ds, stubCat{}, Options{}); err != nil {
+		if _, err := ExecuteUpdate(planMutation(t, stmt), ds, Options{}); err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
 	}
@@ -375,7 +393,7 @@ func TestDeleteWithLimit(t *testing.T) {
 		ds.put(fmt.Sprintf("k%d", i), `{"v": 1}`)
 	}
 	stmt, _ := n1ql.Parse("DELETE FROM b WHERE v = 1 LIMIT 4")
-	res, err := ExecuteDelete(stmt.(*n1ql.Delete), ds, stubCat{}, Options{})
+	res, err := ExecuteDelete(planMutation(t, stmt), ds, Options{})
 	if err != nil || res.MutationCount != 4 {
 		t.Fatalf("delete: %+v %v", res, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"couchgo/internal/n1ql"
+	"couchgo/internal/planner"
 	"couchgo/internal/value"
 )
 
@@ -34,7 +35,7 @@ type KeyspaceScanner interface {
 // joinMatcher settles how one join term finds an outer row's inner
 // matches. A general join reads the inner keyspace here, once, however
 // many batches of outer rows follow.
-func (ex *selectExec) joinMatcher(j n1ql.JoinTerm) (func(row) ([]ScannedDoc, error), error) {
+func (ex *selectExec) joinMatcher(j planner.Join) (func([]any) ([]ScannedDoc, error), error) {
 	if j.OnCond == nil {
 		return ex.keyMatches(j), nil
 	}
@@ -49,7 +50,7 @@ func (ex *selectExec) joinMatcher(j n1ql.JoinTerm) (func(row) ([]ScannedDoc, err
 	if outerExpr, innerExpr := equiJoinKeys(j.OnCond, j.Alias); outerExpr != nil {
 		return ex.hashMatcher(j, inner, outerExpr, innerExpr)
 	}
-	return nestedLoopMatcher(j, inner), nil
+	return ex.nestedLoopMatcher(j, inner), nil
 }
 
 // equiJoinKeys detects `outerSide = innerSide` conditions where one
@@ -141,16 +142,12 @@ func walkRef(x n1ql.Expr, alias string, ok *bool) bool {
 
 // hashMatcher builds a hash table on the inner side's join key; the
 // matcher probes it with each outer row.
-func (ex *selectExec) hashMatcher(j n1ql.JoinTerm, inner []ScannedDoc, outerExpr, innerExpr n1ql.Expr) (func(row) ([]ScannedDoc, error), error) {
+func (ex *selectExec) hashMatcher(j planner.Join, inner []ScannedDoc, outerExpr, innerExpr n1ql.Expr) (func([]any) ([]ScannedDoc, error), error) {
 	table := make(map[string][]ScannedDoc, len(inner))
-	for _, d := range inner {
-		ctx := &n1ql.Context{
-			Bindings: map[string]any{j.Alias: d.Doc},
-			Metas:    map[string]n1ql.Meta{j.Alias: d.Meta},
-			Params:   ex.opts.Params,
-			Default:  j.Alias,
-		}
-		k, err := n1ql.Eval(innerExpr, ctx)
+	build := ex.blank() // innerExpr reads nothing but the inner alias
+	for i, d := range inner {
+		build[j.Slot], build[j.MetaSlot] = d.Doc, &inner[i].Meta
+		k, err := n1ql.Eval(innerExpr, ex.at(build))
 		if err != nil {
 			return nil, err
 		}
@@ -160,8 +157,8 @@ func (ex *selectExec) hashMatcher(j n1ql.JoinTerm, inner []ScannedDoc, outerExpr
 		ek := string(value.EncodeKey(k))
 		table[ek] = append(table[ek], d)
 	}
-	return func(r row) ([]ScannedDoc, error) {
-		k, err := n1ql.Eval(outerExpr, r.ctx)
+	return func(slots []any) ([]ScannedDoc, error) {
+		k, err := n1ql.Eval(outerExpr, ex.at(slots))
 		if err != nil || value.IsMissing(k) || k == nil {
 			return nil, err
 		}
@@ -170,14 +167,15 @@ func (ex *selectExec) hashMatcher(j n1ql.JoinTerm, inner []ScannedDoc, outerExpr
 }
 
 // nestedLoopMatcher evaluates the condition for every (outer, inner)
-// pair.
-func nestedLoopMatcher(j n1ql.JoinTerm, inner []ScannedDoc) func(row) ([]ScannedDoc, error) {
-	return func(r row) ([]ScannedDoc, error) {
+// pair, over a copy of the outer row that takes each candidate in turn.
+func (ex *selectExec) nestedLoopMatcher(j planner.Join, inner []ScannedDoc) func([]any) ([]ScannedDoc, error) {
+	pair := make([]any, ex.width)
+	return func(slots []any) ([]ScannedDoc, error) {
+		copy(pair, slots)
 		var matches []ScannedDoc
-		for _, d := range inner {
-			ctx := r.ctx.Child(j.Alias, d.Doc)
-			ctx.Metas = withMeta(r.ctx.Metas, j.Alias, d.Meta)
-			v, err := n1ql.Eval(j.OnCond, ctx)
+		for i, d := range inner {
+			pair[j.Slot], pair[j.MetaSlot] = d.Doc, &inner[i].Meta
+			v, err := n1ql.Eval(j.OnCond, ex.at(pair))
 			if err != nil {
 				return nil, err
 			}
@@ -194,29 +192,26 @@ func nestedLoopMatcher(j n1ql.JoinTerm, inner []ScannedDoc) func(row) ([]Scanned
 // produces a single result for each left-hand input while its
 // right-hand input is collected into an array and nested". JOIN: one
 // result per matched inner document.
-func appendJoinRows(out []row, r row, j n1ql.JoinTerm, matches []ScannedDoc) []row {
-	if len(matches) == 0 {
+func appendJoinRows(out []row, r row, j planner.Join, matches []ScannedDoc) []row {
+	switch {
+	case len(matches) == 0:
 		if j.Kind == n1ql.JoinLeftOuter {
-			nr := r
-			nr.ctx = r.ctx.Child(j.Alias, value.Missing)
-			out = append(out, nr)
+			r.slots[j.Slot] = value.Missing
+			out = append(out, r)
 		}
-		return out
-	}
-	if j.Nest {
+	case j.Nest:
 		docs := make([]any, len(matches))
 		for i, d := range matches {
 			docs[i] = d.Doc
 		}
-		nr := r
-		nr.ctx = r.ctx.Child(j.Alias, docs)
-		return append(out, nr)
-	}
-	for _, d := range matches {
-		nr := r
-		nr.ctx = r.ctx.Child(j.Alias, d.Doc)
-		nr.ctx.Metas = withMeta(r.ctx.Metas, j.Alias, d.Meta)
-		out = append(out, nr)
+		r.slots[j.Slot] = docs
+		out = append(out, r)
+	default:
+		out = fan(out, r, len(matches))
+		for i := range matches {
+			slots := out[len(out)-len(matches)+i].slots
+			slots[j.Slot], slots[j.MetaSlot] = matches[i].Doc, &matches[i].Meta
+		}
 	}
 	return out
 }

@@ -74,6 +74,13 @@ func (o Options) Record(op string, start time.Time, d time.Duration, items int) 
 	}
 }
 
+// Reset forgets the recorded phases: the statement starts over.
+func (p *Profile) Reset() {
+	if p != nil {
+		p.phases = nil
+	}
+}
+
 // Timings returns the recorded phases in execution order (nil for a
 // nil or empty profile).
 func (p *Profile) Timings() []PhaseTiming {

@@ -15,9 +15,11 @@ import (
 
 // row is one item flowing through the pipeline.
 type row struct {
-	// id is the document a scan named; Fetch turns it into ctx.
-	id  string
-	ctx *n1ql.Context
+	// id is the document a scan named; Fetch turns it into slots.
+	id string
+	// slots hold the value of every name in the plan's scope, cut from
+	// a slab the producing operator allocates per batch.
+	slots []any
 	// projected and sortKey are filled late in the pipeline.
 	projected any
 	sortKey   []any
@@ -169,13 +171,44 @@ type selectExec struct {
 	ds   Datastore
 	opts Options
 
+	// ctx is the execution's one evaluation context; at points it at
+	// a row. width is the slots a row has, and consts the row with no
+	// name bound that LIMIT, OFFSET, USE KEYS and span bounds read.
+	ctx    n1ql.Context
+	width  int
+	consts []any
+
 	top    operator
 	scan   *scanOp
 	phases []*phase
 }
 
-func (ex *selectExec) paramCtx() *n1ql.Context {
-	return &n1ql.Context{Params: ex.opts.Params}
+func (ex *selectExec) at(slots []any) *n1ql.Context {
+	ex.ctx.Slots = slots
+	return &ex.ctx
+}
+
+// blank returns a row in which every name is unbound.
+func (ex *selectExec) blank() []any {
+	slots := make([]any, ex.width)
+	for i := range slots {
+		slots[i] = value.Missing
+	}
+	return slots
+}
+
+// fan appends n copies of r to out, the first over r's own slots and
+// the rest over fresh ones, for an operator that turns one row into n.
+func fan(out []row, r row, n int) []row {
+	out = append(out, r)
+	w := len(r.slots)
+	slab := make([]any, (n-1)*w)
+	for ; n > 1; n-- {
+		r.slots, slab = slab[:w:w], slab[w:]
+		copy(r.slots, out[len(out)-1].slots)
+		out = append(out, r)
+	}
+	return out
 }
 
 // add appends an operator, timed under name, to the pipeline.
@@ -193,6 +226,8 @@ func (ex *selectExec) addStream(name string, fn func([]row) ([]row, error)) {
 // and OFFSET ask for through it, and reports each operator once.
 func (ex *selectExec) run() ([]row, error) {
 	p := ex.p
+	ex.ctx.Params, ex.width = ex.opts.Params, p.Scope.Len()
+	ex.consts = ex.blank()
 	limit, offset, err := ex.limitOffset()
 	if err != nil {
 		return nil, err
@@ -211,7 +246,7 @@ func (ex *selectExec) run() ([]row, error) {
 		ex.addStream("unnest", ex.unnest)
 	}
 	if p.Where != nil {
-		ex.addStream("filter", func(rows []row) ([]row, error) { return filterRows(rows, p.Where) })
+		ex.addStream("filter", func(rows []row) ([]row, error) { return ex.filter(rows, p.Where) })
 	}
 	if len(p.GroupBy) > 0 || len(p.Aggregates) > 0 {
 		ex.add("group", &barrier{up: ex.top, fn: ex.group})
@@ -244,7 +279,7 @@ func (ex *selectExec) run() ([]row, error) {
 func (ex *selectExec) limitOffset() (limit, offset int, err error) {
 	limit = -1
 	if ex.p.Limit != nil {
-		v, err := n1ql.Eval(ex.p.Limit, ex.paramCtx())
+		v, err := n1ql.Eval(ex.p.Limit, ex.at(ex.consts))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -255,7 +290,7 @@ func (ex *selectExec) limitOffset() (limit, offset int, err error) {
 		limit = int(f)
 	}
 	if ex.p.Offset != nil {
-		v, err := n1ql.Eval(ex.p.Offset, ex.paramCtx())
+		v, err := n1ql.Eval(ex.p.Offset, ex.at(ex.consts))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -280,7 +315,7 @@ func (o *rowsOp) next(int) ([]row, error) {
 // scanOp is the access path. It turns index entries into rows a batch
 // at a time and asks the datastore for a page only when its buffer has
 // run dry, so a scan whose consumer stops asking stops reading the
-// index. Covering plans get their row context here (§5.1.2: "covered
+// index. Covering plans get their row's slots here (§5.1.2: "covered
 // queries ... deliver better performance" by skipping the fetch);
 // others pass the document ID on to Fetch.
 type scanOp struct {
@@ -320,10 +355,25 @@ func (s *scanOp) next(want int) ([]row, error) {
 	}
 	n := min(s.size, len(s.buf))
 	rows := make([]row, n)
-	for i, e := range s.buf[:n] {
-		if s.cover {
-			rows[i].ctx = s.ex.coverCtx(e)
-		} else {
+	if s.cover {
+		p, w := s.ex.p, s.ex.width
+		slab := make([]any, n*w)
+		for i, e := range s.buf[:n] {
+			slots := slab[i*w : (i+1)*w]
+			if p.CoverID >= 0 {
+				slots[p.CoverID] = e.ID
+			}
+			for k, at := range p.Cover {
+				if k < len(e.SecKey) {
+					slots[at] = e.SecKey[k]
+				} else {
+					slots[at] = value.Missing
+				}
+			}
+			rows[i].slots = slots
+		}
+	} else {
+		for i, e := range s.buf[:n] {
 			rows[i].id = e.ID
 		}
 	}
@@ -339,8 +389,7 @@ func (ex *selectExec) addScan() error {
 	switch scan := p.Scan.(type) {
 	case nil:
 		// FROM-less SELECT: one empty row.
-		ctx := &n1ql.Context{Bindings: map[string]any{}, Params: ex.opts.Params}
-		ex.top = &rowsOp{rows: []row{{ctx: ctx}}}
+		ex.top = &rowsOp{rows: []row{{slots: ex.blank()}}}
 		return nil
 	case *planner.KeyScan:
 		ids, err := ex.keyScanIDs(scan)
@@ -374,7 +423,7 @@ func (ex *selectExec) addScan() error {
 }
 
 func (ex *selectExec) keyScanIDs(scan *planner.KeyScan) ([]string, error) {
-	v, err := n1ql.Eval(scan.Keys, ex.paramCtx())
+	v, err := n1ql.Eval(scan.Keys, ex.at(ex.consts))
 	if err != nil {
 		return nil, err
 	}
@@ -407,7 +456,7 @@ func (ex *selectExec) evalSpan(span planner.Span, opts *IndexScanOpts) error {
 	evalAll := func(es []n1ql.Expr) ([]any, error) {
 		out := make([]any, len(es))
 		for i, e := range es {
-			v, err := n1ql.Eval(e, ex.paramCtx())
+			v, err := n1ql.Eval(e, ex.at(ex.consts))
 			if err != nil {
 				return nil, err
 			}
@@ -436,41 +485,20 @@ func (ex *selectExec) evalSpan(span planner.Span, opts *IndexScanOpts) error {
 	return nil
 }
 
-// coverCtx builds a row context straight from an index entry.
-func (ex *selectExec) coverCtx(e IndexEntry) *n1ql.Context {
-	p := ex.p
-	ctx := &n1ql.Context{
-		Bindings: make(map[string]any, 1+len(p.CoverNames)),
-		Metas:    map[string]n1ql.Meta{p.Alias: {ID: e.ID}},
-		Params:   ex.opts.Params,
-		Default:  p.Alias,
-	}
-	ctx.Bind(p.CoverIDName, e.ID)
-	for k, name := range p.CoverNames {
-		if k < len(e.SecKey) {
-			ctx.Bind(name, e.SecKey[k])
-		} else {
-			ctx.Bind(name, value.Missing)
-		}
-	}
-	return ctx
-}
-
 // fetch is the parallel Fetch operator: it retrieves one batch's
 // documents by ID with at most FetchParallelism workers, preserving
 // scan order. Missing IDs drop out.
 func (ex *selectExec) fetch(rows []row) ([]row, error) {
-	one := func(r *row) {
-		doc, meta, err := ex.ds.Fetch(ex.opts.Context(), ex.p.Keyspace, r.id)
+	w := ex.width
+	slab, metas := make([]any, len(rows)*w), make([]n1ql.Meta, len(rows))
+	one := func(i int) {
+		doc, meta, err := ex.ds.Fetch(ex.opts.Context(), ex.p.Keyspace, rows[i].id)
 		if err != nil {
 			return
 		}
-		r.ctx = &n1ql.Context{
-			Bindings: map[string]any{ex.p.Alias: doc},
-			Metas:    map[string]n1ql.Meta{ex.p.Alias: meta},
-			Params:   ex.opts.Params,
-			Default:  ex.p.Alias,
-		}
+		metas[i] = meta
+		rows[i].slots = slab[i*w : (i+1)*w]
+		rows[i].slots[n1ql.DocSlot], rows[i].slots[n1ql.MetaSlot] = doc, &metas[i]
 	}
 	workers := ex.opts.FetchParallelism
 	if workers <= 0 {
@@ -478,7 +506,7 @@ func (ex *selectExec) fetch(rows []row) ([]row, error) {
 	}
 	if workers = min(workers, len(rows)); workers == 1 {
 		for i := range rows {
-			one(&rows[i])
+			one(i)
 		}
 	} else {
 		var next atomic.Int64
@@ -488,7 +516,7 @@ func (ex *selectExec) fetch(rows []row) ([]row, error) {
 			go func() {
 				defer wg.Done()
 				for i := next.Add(1) - 1; i < int64(len(rows)); i = next.Add(1) - 1 {
-					one(&rows[i])
+					one(int(i))
 				}
 			}()
 		}
@@ -496,7 +524,7 @@ func (ex *selectExec) fetch(rows []row) ([]row, error) {
 	}
 	out := rows[:0]
 	for _, r := range rows {
-		if r.ctx != nil {
+		if r.slots != nil {
 			out = append(out, r)
 		}
 	}
@@ -510,7 +538,7 @@ func (ex *selectExec) fetch(rows []row) ([]row, error) {
 // keyspace], a KEYSCAN will occur on [the inner] based on the key in
 // the [outer] document") or, for ON <cond>, the analytics join path.
 func (ex *selectExec) joiner() func([]row) ([]row, error) {
-	var matchers []func(row) ([]ScannedDoc, error)
+	var matchers []func([]any) ([]ScannedDoc, error)
 	return func(rows []row) ([]row, error) {
 		for i, j := range ex.p.Joins {
 			if i == len(matchers) {
@@ -522,7 +550,7 @@ func (ex *selectExec) joiner() func([]row) ([]row, error) {
 			}
 			var out []row
 			for _, r := range rows {
-				matches, err := matchers[i](r)
+				matches, err := matchers[i](r.slots)
 				if err != nil {
 					return nil, err
 				}
@@ -535,9 +563,9 @@ func (ex *selectExec) joiner() func([]row) ([]row, error) {
 }
 
 // keyMatches fetches the inner documents an outer row's ON KEYS names.
-func (ex *selectExec) keyMatches(j n1ql.JoinTerm) func(row) ([]ScannedDoc, error) {
-	return func(r row) ([]ScannedDoc, error) {
-		keysVal, err := n1ql.Eval(j.OnKeys, r.ctx)
+func (ex *selectExec) keyMatches(j planner.Join) func([]any) ([]ScannedDoc, error) {
+	return func(slots []any) ([]ScannedDoc, error) {
+		keysVal, err := n1ql.Eval(j.OnKeys, ex.at(slots))
 		if err != nil {
 			return nil, err
 		}
@@ -554,15 +582,6 @@ func (ex *selectExec) keyMatches(j n1ql.JoinTerm) func(row) ([]ScannedDoc, error
 	}
 }
 
-func withMeta(m map[string]n1ql.Meta, alias string, meta n1ql.Meta) map[string]n1ql.Meta {
-	out := make(map[string]n1ql.Meta, len(m)+1)
-	for k, v := range m {
-		out[k] = v
-	}
-	out[alias] = meta
-	return out
-}
-
 // unnest flattens nested arrays: "a join operation between a parent
 // and a child object containing a nested array ... the parent object is
 // repeated for each child array item."
@@ -570,23 +589,21 @@ func (ex *selectExec) unnest(rows []row) ([]row, error) {
 	for _, u := range ex.p.Unnests {
 		var out []row
 		for _, r := range rows {
-			v, err := n1ql.Eval(u.Expr, r.ctx)
+			v, err := n1ql.Eval(u.Expr, ex.at(r.slots))
 			if err != nil {
 				return nil, err
 			}
 			arr, ok := v.([]any)
 			if !ok || len(arr) == 0 {
 				if u.Kind == n1ql.JoinLeftOuter {
-					nr := r
-					nr.ctx = r.ctx.Child(u.Alias, value.Missing)
-					out = append(out, nr)
+					r.slots[u.Slot] = value.Missing
+					out = append(out, r)
 				}
 				continue
 			}
-			for _, el := range arr {
-				nr := r
-				nr.ctx = r.ctx.Child(u.Alias, el)
-				out = append(out, nr)
+			out = fan(out, r, len(arr))
+			for i, el := range arr {
+				out[len(out)-len(arr)+i].slots[u.Slot] = el
 			}
 		}
 		rows = out
@@ -594,10 +611,10 @@ func (ex *selectExec) unnest(rows []row) ([]row, error) {
 	return rows, nil
 }
 
-func filterRows(rows []row, cond n1ql.Expr) ([]row, error) {
+func (ex *selectExec) filter(rows []row, cond n1ql.Expr) ([]row, error) {
 	out := rows[:0]
 	for _, r := range rows {
-		v, err := n1ql.Eval(cond, r.ctx)
+		v, err := n1ql.Eval(cond, ex.at(r.slots))
 		if err != nil {
 			return nil, err
 		}
@@ -610,18 +627,30 @@ func filterRows(rows []row, cond n1ql.Expr) ([]row, error) {
 
 // group implements the Group operator: hash grouping on the GROUP BY
 // keys with one Aggregator per aggregate call per group, then HAVING.
+// A group's row is its first input row with the aggregate results
+// written to their slots.
 func (ex *selectExec) group(rows []row) ([]row, error) {
 	p := ex.p
 	type groupState struct {
-		first *n1ql.Context
+		first []any
 		aggs  []*n1ql.Aggregator
 	}
 	groups := map[string]*groupState{}
-	var order []string
+	var order []*groupState
+	open := func(key string, first []any) *groupState {
+		gs := &groupState{first: first}
+		for _, a := range p.Aggregates {
+			gs.aggs = append(gs.aggs, n1ql.NewAggregator(a.FuncCall))
+		}
+		groups[key] = gs
+		order = append(order, gs)
+		return gs
+	}
 	for _, r := range rows {
+		ctx := ex.at(r.slots)
 		keyParts := make([]any, len(p.GroupBy))
 		for i, g := range p.GroupBy {
-			v, err := n1ql.Eval(g, r.ctx)
+			v, err := n1ql.Eval(g, ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -630,19 +659,14 @@ func (ex *selectExec) group(rows []row) ([]row, error) {
 		key := string(value.EncodeKey(keyParts))
 		gs, ok := groups[key]
 		if !ok {
-			gs = &groupState{first: r.ctx}
-			for _, fc := range p.Aggregates {
-				gs.aggs = append(gs.aggs, n1ql.NewAggregator(fc))
-			}
-			groups[key] = gs
-			order = append(order, key)
+			gs = open(key, r.slots)
 		}
-		for i, fc := range p.Aggregates {
-			if fc.Star {
+		for i, a := range p.Aggregates {
+			if a.Star {
 				gs.aggs[i].Add(true) // COUNT(*) counts rows
 				continue
 			}
-			v, err := n1ql.Eval(fc.Args[0], r.ctx)
+			v, err := n1ql.Eval(a.Args[0], ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -652,63 +676,19 @@ func (ex *selectExec) group(rows []row) ([]row, error) {
 	// Aggregate-only query over zero rows still yields one row
 	// (SELECT COUNT(*) ... on an empty set returns 0).
 	if len(groups) == 0 && len(p.GroupBy) == 0 {
-		gs := &groupState{first: &n1ql.Context{Bindings: map[string]any{}, Params: ex.opts.Params, Default: p.Alias}}
-		for _, fc := range p.Aggregates {
-			gs.aggs = append(gs.aggs, n1ql.NewAggregator(fc))
-		}
-		groups[""] = gs
-		order = append(order, "")
+		open("", ex.blank())
 	}
-	var out []row
-	for _, key := range order {
-		gs := groups[key]
-		ctx := gs.first
-		for i, fc := range p.Aggregates {
-			ctx = ctx.Child(aggName(fc), gs.aggs[i].Result())
+	out := make([]row, len(order))
+	for i, gs := range order {
+		for k, a := range p.Aggregates {
+			gs.first[a.Slot] = gs.aggs[k].Result()
 		}
-		out = append(out, row{ctx: ctx})
+		out[i].slots = gs.first
 	}
 	if p.Having != nil {
-		return filterRows(out, aggRewrite(p.Having, p.Aggregates))
+		return ex.filter(out, p.Having)
 	}
 	return out, nil
-}
-
-func aggName(fc *n1ql.FuncCall) string { return "$agg:" + fc.String() }
-
-// aggRewrite replaces aggregate calls with references to the group's
-// computed bindings.
-func aggRewrite(e n1ql.Expr, aggs []*n1ql.FuncCall) n1ql.Expr {
-	if e == nil {
-		return nil
-	}
-	for _, fc := range aggs {
-		if e.String() == fc.String() {
-			return &n1ql.Ident{Name: aggName(fc)}
-		}
-	}
-	switch t := e.(type) {
-	case *n1ql.Binary:
-		return &n1ql.Binary{Op: t.Op, LHS: aggRewrite(t.LHS, aggs), RHS: aggRewrite(t.RHS, aggs)}
-	case *n1ql.Unary:
-		return &n1ql.Unary{Op: t.Op, Operand: aggRewrite(t.Operand, aggs)}
-	case *n1ql.Is:
-		return &n1ql.Is{Kind: t.Kind, Operand: aggRewrite(t.Operand, aggs)}
-	case *n1ql.FuncCall:
-		out := &n1ql.FuncCall{Name: t.Name, Distinct: t.Distinct, Star: t.Star}
-		for _, a := range t.Args {
-			out.Args = append(out.Args, aggRewrite(a, aggs))
-		}
-		return out
-	case *n1ql.CaseExpr:
-		out := &n1ql.CaseExpr{Operand: aggRewrite(t.Operand, aggs), Else: aggRewrite(t.Else, aggs)}
-		for i := range t.Whens {
-			out.Whens = append(out.Whens, aggRewrite(t.Whens[i], aggs))
-			out.Thens = append(out.Thens, aggRewrite(t.Thens[i], aggs))
-		}
-		return out
-	}
-	return e
 }
 
 // projector returns the Project operator: it fills each row's projected
@@ -717,18 +697,9 @@ func aggRewrite(e n1ql.Expr, aggs []*n1ql.FuncCall) n1ql.Expr {
 // drops rows whose projection an earlier row of any batch already had.
 func (ex *selectExec) projector() func([]row) ([]row, error) {
 	p := ex.p
-	var sortExprs []n1ql.Expr
-	if !p.OrderFromIndex {
-		for _, ot := range p.OrderBy {
-			sortExprs = append(sortExprs, aggRewrite(ot.Expr, p.Aggregates))
-		}
-	}
-	projTerms := make([]n1ql.ResultTerm, len(p.Projection))
-	copy(projTerms, p.Projection)
-	for i := range projTerms {
-		if !projTerms[i].Star {
-			projTerms[i].Expr = aggRewrite(projTerms[i].Expr, p.Aggregates)
-		}
+	sortBy := p.OrderBy
+	if p.OrderFromIndex {
+		sortBy = nil
 	}
 	var seen map[string]bool
 	if p.Distinct {
@@ -737,8 +708,9 @@ func (ex *selectExec) projector() func([]row) ([]row, error) {
 	return func(rows []row) ([]row, error) {
 		out := rows[:0]
 		for _, r := range rows {
+			ctx := ex.at(r.slots)
 			if p.Raw {
-				v, err := n1ql.Eval(projTerms[0].Expr, r.ctx)
+				v, err := n1ql.Eval(p.Projection[0].Expr, ctx)
 				if err != nil {
 					return nil, err
 				}
@@ -747,7 +719,7 @@ func (ex *selectExec) projector() func([]row) ([]row, error) {
 				}
 				r.projected = v
 			} else {
-				obj, err := projectTerms(projTerms, r.ctx)
+				obj, err := projectTerms(p.Projection, p.Stars, ctx)
 				if err != nil {
 					return nil, err
 				}
@@ -760,10 +732,10 @@ func (ex *selectExec) projector() func([]row) ([]row, error) {
 				}
 				seen[key] = true
 			}
-			if len(sortExprs) > 0 {
-				r.sortKey = make([]any, len(sortExprs))
-				for k, se := range sortExprs {
-					v, err := n1ql.Eval(se, r.ctx)
+			if len(sortBy) > 0 {
+				r.sortKey = make([]any, len(sortBy))
+				for k, ot := range sortBy {
+					v, err := n1ql.Eval(ot.Expr, ctx)
 					if err != nil {
 						return nil, err
 					}
@@ -776,13 +748,14 @@ func (ex *selectExec) projector() func([]row) ([]row, error) {
 	}
 }
 
-// projectTerms shapes one result object from projection (or RETURNING)
-// terms; MISSING values are omitted.
-func projectTerms(terms []n1ql.ResultTerm, ctx *n1ql.Context) (map[string]any, error) {
+// projectTerms shapes one result object from planned projection (or
+// RETURNING) terms; MISSING values are omitted. stars are the bindings
+// a plain * stands for.
+func projectTerms(terms []n1ql.ResultTerm, stars []planner.Binding, ctx *n1ql.Context) (map[string]any, error) {
 	obj := make(map[string]any, len(terms))
-	for ti, rt := range terms {
+	for _, rt := range terms {
 		if rt.Star {
-			if err := projectStar(obj, rt, ctx); err != nil {
+			if err := projectStar(obj, rt, stars, ctx); err != nil {
 				return nil, err
 			}
 			continue
@@ -794,7 +767,7 @@ func projectTerms(terms []n1ql.ResultTerm, ctx *n1ql.Context) (map[string]any, e
 		if value.IsMissing(v) {
 			continue
 		}
-		obj[resultName(rt, ti)] = v
+		obj[rt.Alias] = v
 	}
 	return obj, nil
 }
@@ -820,16 +793,12 @@ func (ex *selectExec) sort(rows []row) ([]row, error) {
 // projectStar merges * or alias.* into the result object. Plain *
 // yields {alias: document} per N1QL semantics; alias.* splices the
 // document's own fields.
-func projectStar(obj map[string]any, rt n1ql.ResultTerm, ctx *n1ql.Context) error {
+func projectStar(obj map[string]any, rt n1ql.ResultTerm, stars []planner.Binding, ctx *n1ql.Context) error {
 	if rt.Expr == nil {
 		// Plain *: every keyspace/join/unnest binding under its alias.
-		// Internal bindings ($cover:…, $agg:…) are not part of *.
-		for name, doc := range ctx.Bindings {
-			if len(name) > 0 && name[0] == '$' {
-				continue
-			}
-			if !value.IsMissing(doc) {
-				obj[name] = doc
+		for _, b := range stars {
+			if doc := ctx.Slots[b.Slot]; !value.IsMissing(doc) {
+				obj[b.Name] = doc
 			}
 		}
 		return nil
@@ -844,19 +813,4 @@ func projectStar(obj map[string]any, rt n1ql.ResultTerm, ctx *n1ql.Context) erro
 		}
 	}
 	return nil
-}
-
-// resultName derives a projection's field name: explicit alias, else
-// the trailing path component, else $<position> (1-based).
-func resultName(rt n1ql.ResultTerm, pos int) string {
-	if rt.Alias != "" {
-		return rt.Alias
-	}
-	switch t := rt.Expr.(type) {
-	case *n1ql.Ident:
-		return t.Name
-	case *n1ql.Field:
-		return t.Name
-	}
-	return fmt.Sprintf("$%d", pos+1)
 }

@@ -358,9 +358,13 @@ func (f *Feed) drain(vb int, vf *vbFeed) {
 // not attached counts as seqno 0, so the wait blocks until it is
 // attached and streamed; a rollback rewinds the vBucket's seqno and the
 // wait continues through the re-stream. It returns ctx's error when ctx
-// is done first and ErrClosed when the feed closes. An empty vector asks
-// for nothing: a read that requested no consistency returns at once,
-// without touching the feed's lock and whatever the feed's state.
+// is done before the vector is met and ErrClosed when the feed closes.
+// A vector that is already met wins over a ctx that is already done:
+// ctx bounds the waiting, and work that needs none (the first page of
+// every request_plus scan over a caught-up index) is not failed for it.
+// An empty vector asks for nothing: a read that requested no
+// consistency returns at once, without touching the feed's lock and
+// whatever the feed's state.
 func (f *Feed) Wait(ctx context.Context, vector map[int]uint64) error {
 	if len(vector) == 0 {
 		return nil

@@ -110,6 +110,16 @@ func TestWait(t *testing.T) {
 				t.Errorf("couchgo_feed_wait_seconds observed %d waits that never blocked", got-before)
 			}
 		}},
+		{"a satisfied vector wins over a context that is already done", 3, func(t *testing.T, x *waitFixture) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := x.f.Wait(ctx, map[int]uint64{0: 3}); err != nil {
+				t.Errorf("met vector, dead ctx: %v, want nil", err)
+			}
+			if err := x.f.Wait(ctx, map[int]uint64{0: 4}); !errors.Is(err, context.Canceled) {
+				t.Errorf("unmet vector, dead ctx: %v, want context.Canceled", err)
+			}
+		}},
 		{"blocks until the seqno is applied, and the blocked wait is observed", 3, func(t *testing.T, x *waitFixture) {
 			before := blockedWaits()
 			done := x.waiter(context.Background(), map[int]uint64{0: 5})

@@ -74,9 +74,11 @@ type Def struct {
 	Deferred bool
 }
 
-// compiledDef carries the parsed, formalized expressions.
+// compiledDef carries the parsed, formalized expressions, resolved to
+// read a document's row of scope.
 type compiledDef struct {
 	Def
+	scope   *n1ql.Scope
 	secKeys []n1ql.Expr
 	where   n1ql.Expr
 	// arrayKey, when non-nil, is the ArrayComprehension in position 0
@@ -92,7 +94,7 @@ func compileDef(def Def) (*compiledDef, error) {
 	if def.NumPartitions <= 0 {
 		def.NumPartitions = 1
 	}
-	cd := &compiledDef{Def: def}
+	cd := &compiledDef{Def: def, scope: n1ql.NewScope("self")}
 	if def.IsPrimary {
 		if len(def.SecExprs) > 0 {
 			return nil, fmt.Errorf("%w: primary index cannot have key expressions", ErrBadDef)
@@ -105,7 +107,7 @@ func compileDef(def Def) (*compiledDef, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: key %d: %v", ErrBadDef, i, err)
 		}
-		f := n1ql.Formalize(e, def.Keyspace)
+		f := cd.scope.Resolve(n1ql.Formalize(e, def.Keyspace))
 		if i == 0 {
 			if ac, ok := f.(*n1ql.ArrayComprehension); ok {
 				cd.arrayKey = ac
@@ -121,7 +123,7 @@ func compileDef(def Def) (*compiledDef, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: where: %v", ErrBadDef, err)
 		}
-		f := n1ql.Formalize(e, def.Keyspace)
+		f := cd.scope.Resolve(n1ql.Formalize(e, def.Keyspace))
 		cd.where = f
 		cd.WhereCanonical = f.String()
 	}
@@ -135,7 +137,7 @@ func compileDef(def Def) (*compiledDef, error) {
 // composite secondary keys. nil means the document does not qualify
 // (filtered by the partial-index predicate, or its key is MISSING).
 func (cd *compiledDef) entries(docID string, doc any, cas uint64) ([][]any, error) {
-	ctx := n1ql.NewContext("self", doc, n1ql.Meta{ID: docID, CAS: cas})
+	ctx := cd.scope.NewContext(doc, n1ql.Meta{ID: docID, CAS: cas})
 	if cd.where != nil {
 		ok, err := n1ql.Eval(cd.where, ctx)
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"couchgo/internal/dcp"
 	"couchgo/internal/storage"
+	"couchgo/internal/value"
 	"couchgo/internal/vbucket"
 )
 
@@ -498,5 +499,26 @@ func TestDetachVBStopsProjection(t *testing.T) {
 		if it.DocID == "c" {
 			t.Fatal("detached vb still projecting")
 		}
+	}
+}
+
+// TestEntriesAllocBudget bounds what computing one mutation's entries
+// for a two-key secondary index allocates: the row (its slots, and its
+// context and metadata in one object), the key and the entry list. The
+// projector pays this per mutation per index.
+func TestEntriesAllocBudget(t *testing.T) {
+	cd, err := compileDef(Def{Name: "byCityAge", Keyspace: "Profile", SecExprs: []string{"address.city", "age"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := value.MustParse(`{"age": 30, "address": {"city": "SF"}}`)
+	n := testing.AllocsPerRun(200, func() {
+		es, err := cd.entries("p1", doc, 7)
+		if err != nil || len(es) != 1 || es[0][0] != "SF" || es[0][1] != 30.0 {
+			t.Fatal(es, err)
+		}
+	})
+	if n > 4 {
+		t.Errorf("%.0f allocations per mutation, budget 4", n)
 	}
 }

@@ -33,6 +33,11 @@ var (
 // lookup)".
 type Service struct {
 	dir string
+	// OnCatalogChange, if set before the service is used, is called
+	// with the service locked right after every change to what
+	// ListIndexes answers (an index registered, built or dropped), so a
+	// reader that sees the callback's effect also sees the change.
+	OnCatalogChange func()
 
 	mu      sync.Mutex
 	indexes map[string]*indexState // key: keyspace + "/" + name
@@ -83,6 +88,7 @@ func (s *Service) CreateIndex(def Def) error {
 		st.parts = append(st.parts, ix)
 	}
 	s.indexes[key] = st
+	s.catalogChanged()
 	proj := s.projectors[def.Keyspace]
 	s.mu.Unlock()
 	// Initial build: stream the existing data set through this index
@@ -96,7 +102,14 @@ func (s *Service) CreateIndex(def Def) error {
 	}
 	s.mu.Lock()
 	st.built = !def.Deferred
+	s.catalogChanged()
 	return nil
+}
+
+func (s *Service) catalogChanged() {
+	if s.OnCatalogChange != nil {
+		s.OnCatalogChange()
+	}
 }
 
 func sanitize(s string) string {
@@ -125,6 +138,7 @@ func (s *Service) BuildIndex(keyspace, name string) error {
 	}
 	s.mu.Lock()
 	st.built = true
+	s.catalogChanged()
 	s.mu.Unlock()
 	return nil
 }
@@ -134,6 +148,7 @@ func (s *Service) DropIndex(keyspace, name string) error {
 	s.mu.Lock()
 	st, ok := s.indexes[indexKey(keyspace, name)]
 	delete(s.indexes, indexKey(keyspace, name))
+	s.catalogChanged()
 	s.mu.Unlock()
 	if !ok {
 		return ErrNoSuchIndex

@@ -30,15 +30,25 @@ func (e *Literal) String() string {
 	return string(value.Marshal(e.Val))
 }
 
+// slot locates a resolved name in Context.Slots: the index plus one,
+// so that the zero value, an unresolved node, reads as unbound.
+type slot int
+
 // Ident is a bare identifier: either a keyspace alias or a top-level
 // field of the default keyspace's document.
-type Ident struct{ Name string }
+type Ident struct {
+	Name string
+	// slot holds the name's value or, when field is set, the default
+	// keyspace's document the name is a field of.
+	slot  slot
+	field bool
+}
 
 func (e *Ident) String() string { return quoteIdent(e.Name) }
 
 // Self is the whole document of the default binding (`SELECT RAW self`
 // style; also used internally for primary index terms).
-type Self struct{}
+type Self struct{ slot slot }
 
 func (e *Self) String() string { return "self" }
 
@@ -204,6 +214,7 @@ type FuncCall struct {
 	Args     []Expr
 	Distinct bool // COUNT(DISTINCT x)
 	Star     bool // COUNT(*)
+	slot     slot // an aggregate's result, once its group is complete
 }
 
 func (e *FuncCall) String() string {
@@ -236,6 +247,7 @@ type CollPredicate struct {
 	Var       string
 	Coll      Expr
 	Satisfies Expr
+	slot      slot // Var's
 }
 
 func (e *CollPredicate) String() string {
@@ -254,6 +266,7 @@ type ArrayComprehension struct {
 	Var    string
 	Coll   Expr
 	When   Expr // nil when absent
+	slot   slot // Var's
 }
 
 func (e *ArrayComprehension) String() string {
@@ -289,14 +302,23 @@ func (e *CaseExpr) String() string {
 }
 
 // MetaExpr is META() or META(alias): document metadata. Its fields
-// (id, cas) are reached via Field access on the result.
-type MetaExpr struct{ Alias string }
+// (id, cas, seqno) parse as Field access on it; resolving folds the
+// access into the node (field), so reading one builds no object.
+type MetaExpr struct {
+	Alias string
+	field string
+	slot  slot
+}
 
 func (e *MetaExpr) String() string {
-	if e.Alias == "" {
-		return "meta()"
+	s := "meta()"
+	if e.Alias != "" {
+		s = "meta(" + quoteIdent(e.Alias) + ")"
 	}
-	return "meta(" + quoteIdent(e.Alias) + ")"
+	if e.field != "" {
+		s += "." + quoteIdent(e.field)
+	}
+	return s
 }
 
 func quoteIdent(name string) string {

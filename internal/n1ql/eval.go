@@ -18,51 +18,36 @@ type Meta struct {
 	Seqno uint64
 }
 
-func (m Meta) object() map[string]any {
-	return map[string]any{
-		"id":    m.ID,
-		"cas":   float64(m.CAS),
-		"seqno": float64(m.Seqno),
-	}
-}
-
-// Context is one row's evaluation environment: bindings from alias to
-// value, per-alias document metadata, query parameters, and the default
-// alias bare identifiers resolve against.
+// Context is one row's evaluation environment: the value of every
+// name the statement's Scope gave a slot (a keyspace alias's metadata
+// as a *Meta), and the query parameters. Evaluating a comprehension
+// writes its variable's slot, so a Context serves one goroutine.
 type Context struct {
-	Bindings map[string]any
-	Metas    map[string]Meta
-	Params   map[string]any
-	Default  string
+	Slots  []any
+	Params map[string]any
 }
 
-// NewContext builds a single-document context with alias as both the
-// binding and the default.
-func NewContext(alias string, doc any, meta Meta) *Context {
-	return &Context{
-		Bindings: map[string]any{alias: doc},
-		Metas:    map[string]Meta{alias: meta},
-		Default:  alias,
+// get reads a resolved name; an unresolved one is unbound.
+func (s slot) get(ctx *Context) any {
+	if s == 0 {
+		return value.Missing
 	}
+	return ctx.Slots[s-1]
 }
 
-// Child clones the context with an extra binding (UNNEST variables,
-// comprehension variables). The original is not modified.
-func (c *Context) Child(name string, v any) *Context {
-	nb := make(map[string]any, len(c.Bindings)+1)
-	for k, val := range c.Bindings {
-		nb[k] = val
+// each evaluates body once per element with the comprehension variable
+// bound to it, until body says stop.
+func (s slot) each(ctx *Context, arr []any, body func() (stop bool, err error)) error {
+	if s == 0 {
+		return fmt.Errorf("n1ql: comprehension evaluated before Scope.Resolve")
 	}
-	nb[name] = v
-	return &Context{Bindings: nb, Metas: c.Metas, Params: c.Params, Default: c.Default}
-}
-
-// Bind adds/overwrites a binding in place (row assembly in the executor).
-func (c *Context) Bind(name string, v any) {
-	if c.Bindings == nil {
-		c.Bindings = map[string]any{}
+	for _, el := range arr {
+		ctx.Slots[s-1] = el
+		if stop, err := body(); stop || err != nil {
+			return err
+		}
 	}
-	c.Bindings[name] = v
+	return nil
 }
 
 // Eval evaluates e in ctx. Errors are reserved for structural problems
@@ -74,23 +59,14 @@ func Eval(e Expr, ctx *Context) (any, error) { return e.eval(ctx) }
 
 func (e *Literal) eval(*Context) (any, error) { return e.Val, nil }
 
-func (e *Self) eval(ctx *Context) (any, error) {
-	if v, ok := ctx.Bindings[ctx.Default]; ok {
-		return v, nil
-	}
-	return value.Missing, nil
-}
+func (e *Self) eval(ctx *Context) (any, error) { return e.slot.get(ctx), nil }
 
 func (e *Ident) eval(ctx *Context) (any, error) {
-	if v, ok := ctx.Bindings[e.Name]; ok {
-		return v, nil
+	v := e.slot.get(ctx)
+	if e.field {
+		return value.Field(v, e.Name), nil
 	}
-	if ctx.Default != "" {
-		if doc, ok := ctx.Bindings[ctx.Default]; ok {
-			return value.Field(doc, e.Name), nil
-		}
-	}
-	return value.Missing, nil
+	return v, nil
 }
 
 func (e *Field) eval(ctx *Context) (any, error) {
@@ -157,12 +133,19 @@ func (e *Param) eval(ctx *Context) (any, error) {
 }
 
 func (e *MetaExpr) eval(ctx *Context) (any, error) {
-	alias := e.Alias
-	if alias == "" {
-		alias = ctx.Default
+	m, ok := e.slot.get(ctx).(*Meta)
+	if !ok {
+		return value.Missing, nil
 	}
-	if m, ok := ctx.Metas[alias]; ok {
-		return m.object(), nil
+	switch e.field {
+	case "":
+		return map[string]any{"id": m.ID, "cas": float64(m.CAS), "seqno": float64(m.Seqno)}, nil
+	case "id":
+		return m.ID, nil
+	case "cas":
+		return float64(m.CAS), nil
+	case "seqno":
+		return float64(m.Seqno), nil
 	}
 	return value.Missing, nil
 }
@@ -211,18 +194,22 @@ func evalAnd(lhs, rhs Expr, ctx *Context) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r == false {
-		return false, nil
+	return and3(l, r), nil
+}
+
+func and3(l, r any) any {
+	if l == false || r == false {
+		return false
 	}
 	lb := truthState(l)
 	rb := truthState(r)
 	if lb == stateTrue && rb == stateTrue {
-		return true, nil
+		return true
 	}
 	if lb == stateMissing || rb == stateMissing {
-		return value.Missing, nil
+		return value.Missing
 	}
-	return nil, nil
+	return nil
 }
 
 // evalOr: TRUE dominates; then MISSING; then NULL; else FALSE.
@@ -491,10 +478,7 @@ func (e *Between) eval(ctx *Context) (any, error) {
 	}
 	ge := evalCompare(OpGe, v, lo)
 	le := evalCompare(OpLe, v, hi)
-	res, err := evalAnd(&Literal{Val: ge}, &Literal{Val: le}, ctx)
-	if err != nil {
-		return nil, err
-	}
+	res := and3(ge, le)
 	if e.Not {
 		switch truthState(res) {
 		case stateTrue:
@@ -518,30 +502,16 @@ func (e *CollPredicate) eval(ctx *Context) (any, error) {
 		}
 		return nil, nil
 	}
-	if e.Kind == CollAny {
-		for _, el := range arr {
-			v, err := e.Satisfies.eval(ctx.Child(e.Var, el))
-			if err != nil {
-				return nil, err
-			}
-			if v == true {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	// EVERY: true only if all satisfy (vacuously true on empty? N1QL
-	// says EVERY over empty array is TRUE).
-	for _, el := range arr {
-		v, err := e.Satisfies.eval(ctx.Child(e.Var, el))
-		if err != nil {
-			return nil, err
-		}
-		if v != true {
-			return false, nil
-		}
-	}
-	return true, nil
+	// ANY stops at the first element that satisfies, EVERY at the first
+	// that does not (EVERY over an empty array is TRUE).
+	every := e.Kind == CollEvery
+	res := every
+	err = e.slot.each(ctx, arr, func() (bool, error) {
+		v, err := e.Satisfies.eval(ctx)
+		res = v == true
+		return res != every, err
+	})
+	return res, err
 }
 
 func (e *ArrayComprehension) eval(ctx *Context) (any, error) {
@@ -557,27 +527,20 @@ func (e *ArrayComprehension) eval(ctx *Context) (any, error) {
 		return nil, nil
 	}
 	out := make([]any, 0, len(arr))
-	for _, el := range arr {
-		child := ctx.Child(e.Var, el)
+	err = e.slot.each(ctx, arr, func() (bool, error) {
 		if e.When != nil {
-			w, err := e.When.eval(child)
-			if err != nil {
-				return nil, err
-			}
-			if w != true {
-				continue
+			if w, err := e.When.eval(ctx); err != nil || w != true {
+				return false, err
 			}
 		}
-		v, err := e.Mapper.eval(child)
-		if err != nil {
-			return nil, err
-		}
+		v, err := e.Mapper.eval(ctx)
 		if value.IsMissing(v) {
 			v = nil
 		}
 		out = append(out, v)
-	}
-	return out, nil
+		return false, err
+	})
+	return out, err
 }
 
 func (e *CaseExpr) eval(ctx *Context) (any, error) {
@@ -613,6 +576,9 @@ func (e *CaseExpr) eval(ctx *Context) (any, error) {
 }
 
 func (e *FuncCall) eval(ctx *Context) (any, error) {
+	if e.slot != 0 {
+		return e.slot.get(ctx), nil
+	}
 	if IsAggregate(e.Name) {
 		return nil, fmt.Errorf("n1ql: aggregate %s used outside GROUP BY context", e.Name)
 	}

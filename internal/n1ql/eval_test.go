@@ -6,14 +6,19 @@ import (
 	"couchgo/internal/value"
 )
 
-// evalStr evaluates src against a standard test document.
+// evalStr evaluates src, resolved for alias p, over ctx's document,
+// metadata and parameters.
 func evalStr(t *testing.T, src string, ctx *Context) any {
 	t.Helper()
 	e, err := ParseExpr(src)
 	if err != nil {
 		t.Fatalf("ParseExpr(%q): %v", src, err)
 	}
-	v, err := Eval(e, ctx)
+	sc := NewScope("p")
+	e = sc.Resolve(e)
+	row := sc.NewContext(ctx.Slots[DocSlot], *ctx.Slots[MetaSlot].(*Meta))
+	row.Params = ctx.Params
+	v, err := Eval(e, row)
 	if err != nil {
 		t.Fatalf("Eval(%q): %v", src, err)
 	}
@@ -34,7 +39,7 @@ func testCtx() *Context {
 		],
 		"address": {"city": "SF", "zip": "94105"}
 	}`)
-	ctx := NewContext("p", doc, Meta{ID: "borkar123", CAS: 42, Seqno: 7})
+	ctx := NewScope("p").NewContext(doc, Meta{ID: "borkar123", CAS: 42, Seqno: 7})
 	ctx.Params = map[string]any{"1": "user42", "min": 18.0}
 	return ctx
 }
@@ -468,17 +473,23 @@ func TestHasAggregate(t *testing.T) {
 	}
 }
 
-func TestContextChildDoesNotMutateParent(t *testing.T) {
+// A comprehension variable gets a slot of its own: it shadows an outer
+// name inside the comprehension and leaves it intact after END.
+func TestComprehensionVariableShadowsAndRestores(t *testing.T) {
 	ctx := testCtx()
-	child := ctx.Child("v", "bound")
-	if _, ok := ctx.Bindings["v"]; ok {
-		t.Error("Child mutated parent bindings")
+	got := evalStr(t, "[ARRAY name FOR name IN categories END, name, ANY p IN [1] SATISFIES p = 1 END, p.age]", ctx)
+	want := []any{[]any{"db", "nosql", "cloud"}, "Dipti", true, 30.0}
+	if value.Compare(got, want) != 0 {
+		t.Errorf("got %v, want %v", got, want)
 	}
-	if child.Bindings["v"] != "bound" {
-		t.Error("Child binding missing")
+	// Unresolved, a name is unbound and a comprehension refuses to run.
+	e, _ := ParseExpr("name")
+	if v, err := Eval(e, ctx); err != nil || !value.IsMissing(v) {
+		t.Errorf("unresolved identifier = %v, %v", v, err)
 	}
-	if child.Bindings["p"] == nil {
-		t.Error("Child lost parent binding")
+	e, _ = ParseExpr("ARRAY x FOR x IN [1] END")
+	if _, err := Eval(e, ctx); err == nil {
+		t.Error("unresolved comprehension evaluated")
 	}
 }
 
@@ -488,8 +499,20 @@ func TestEvalSelfAndBind(t *testing.T) {
 	if value.Field(v, "name") != "Dipti" {
 		t.Error("self should be the whole document")
 	}
-	ctx.Bind("extra", 1.0)
-	if evalStr(t, "extra", ctx) != 1.0 {
-		t.Error("Bind failed")
+	// A name bound before resolving reads its slot, not a field of the
+	// document; an aggregate call bound the same way reads its result.
+	sc := NewScope("p")
+	extra := sc.Bind("name")
+	agg, _ := ParseExpr("SUM(age)")
+	sum := sc.BindAggregate(agg.(*FuncCall))
+	e, _ := ParseExpr("[name, SUM(age) + 1, meta().seqno]")
+	e = sc.Resolve(e)
+	row := sc.NewContext(ctx.Slots[DocSlot], Meta{Seqno: 7})
+	row.Slots[extra], row.Slots[sum] = "bound", 41.0
+	if got, err := Eval(e, row); err != nil || value.Compare(got, []any{"bound", 42.0, 7.0}) != 0 {
+		t.Errorf("got %v, %v", got, err)
+	}
+	if e.String() != "[name, (SUM(age) + 1), meta().seqno]" {
+		t.Errorf("resolving changed the text: %s", e)
 	}
 }

@@ -51,15 +51,15 @@ func TestFormalizeEquivalenceIsTheMatchKey(t *testing.T) {
 
 func TestFormalizedExprStillEvaluates(t *testing.T) {
 	doc := value.MustParse(`{"email": "a@x.com", "tags": ["t1"]}`)
-	ctx := NewContext("self", doc, Meta{ID: "d1"})
 	for src, want := range map[string]any{
 		"p.email":                              "a@x.com",
 		"meta(p).id":                           "d1",
 		"ANY t IN tags SATISFIES t = 't1' END": true,
 	} {
 		e, _ := ParseExpr(src)
-		f := Formalize(e, "p")
-		got, err := Eval(f, ctx)
+		sc := NewScope("self")
+		f := sc.Resolve(Formalize(e, "p"))
+		got, err := Eval(f, sc.NewContext(doc, Meta{ID: "d1"}))
 		if err != nil || value.Compare(got, want) != 0 {
 			t.Errorf("eval formalized %q = %v (%v), want %v", src, got, err, want)
 		}

@@ -554,55 +554,3 @@ func (a *Aggregator) Result() any {
 	}
 	return nil
 }
-
-// WalkExpr visits e and every sub-expression, stopping early when fn
-// returns false for a node (its children are then skipped).
-func WalkExpr(e Expr, fn func(Expr) bool) {
-	if e == nil || !fn(e) {
-		return
-	}
-	switch t := e.(type) {
-	case *Field:
-		WalkExpr(t.Recv, fn)
-	case *Element:
-		WalkExpr(t.Recv, fn)
-		WalkExpr(t.Index, fn)
-	case *ArrayConstruct:
-		for _, el := range t.Elems {
-			WalkExpr(el, fn)
-		}
-	case *ObjectConstruct:
-		for _, v := range t.Vals {
-			WalkExpr(v, fn)
-		}
-	case *Binary:
-		WalkExpr(t.LHS, fn)
-		WalkExpr(t.RHS, fn)
-	case *Unary:
-		WalkExpr(t.Operand, fn)
-	case *Is:
-		WalkExpr(t.Operand, fn)
-	case *Between:
-		WalkExpr(t.Operand, fn)
-		WalkExpr(t.Lo, fn)
-		WalkExpr(t.Hi, fn)
-	case *FuncCall:
-		for _, a := range t.Args {
-			WalkExpr(a, fn)
-		}
-	case *CollPredicate:
-		WalkExpr(t.Coll, fn)
-		WalkExpr(t.Satisfies, fn)
-	case *ArrayComprehension:
-		WalkExpr(t.Mapper, fn)
-		WalkExpr(t.Coll, fn)
-		WalkExpr(t.When, fn)
-	case *CaseExpr:
-		WalkExpr(t.Operand, fn)
-		for i := range t.Whens {
-			WalkExpr(t.Whens[i], fn)
-			WalkExpr(t.Thens[i], fn)
-		}
-		WalkExpr(t.Else, fn)
-	}
-}

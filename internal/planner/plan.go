@@ -53,6 +53,12 @@ func (s Span) IsFull() bool {
 	return s.Equal == nil && s.Low == nil && s.High == nil
 }
 
+// resolved returns the span with its bounds resolved in sc.
+func (s Span) resolved(sc *n1ql.Scope) Span {
+	s.Equal, s.Low, s.High = sc.ResolveAll(s.Equal), sc.ResolveAll(s.Low), sc.ResolveAll(s.High)
+	return s
+}
+
 func exprStrings(es []n1ql.Expr) []string {
 	out := make([]string, len(es))
 	for i, e := range es {
@@ -162,18 +168,51 @@ func ScanSummary(s Scan) string {
 	}
 }
 
+// Binding is a name a row carries and the slot its value is in.
+type Binding struct {
+	Name string
+	Slot int
+}
+
+// Join is a join term and the slots its alias's document and metadata
+// are written to (a NEST leaves the metadata unset).
+type Join struct {
+	n1ql.JoinTerm
+	Slot, MetaSlot int
+}
+
+// Unnest is an UNNEST term and the slot of the element it binds.
+type Unnest struct {
+	n1ql.UnnestTerm
+	Slot int
+}
+
+// Aggregate is one distinct aggregate call, its argument resolved for
+// the rows of a group, and the slot the group's result is written to.
+type Aggregate struct {
+	*n1ql.FuncCall
+	Slot int
+}
+
 // SelectPlan is the full plan for a SELECT: the scan followed by the
 // Figure-11 operator pipeline (Fetch → Join/Nest/Unnest → Filter →
-// Group → Project → Distinct → Sort → Offset → Limit).
+// Group → Project → Distinct → Sort → Offset → Limit). A row is
+// Scope.Len() slots (the FROM alias's document and metadata in
+// n1ql.DocSlot and MetaSlot) and every expression below is resolved to
+// read them: a finished plan is immutable and may run concurrently.
 type SelectPlan struct {
 	Keyspace string
 	Alias    string
+	Scope    *n1ql.Scope
 	Scan     Scan
 	// Fetch is false for covering scans and FROM-less selects.
 	Fetch bool
 
-	Joins   []n1ql.JoinTerm
-	Unnests []n1ql.UnnestTerm
+	Joins   []Join
+	Unnests []Unnest
+	// Stars are the bindings a plain * projects: the FROM, JOIN/NEST and
+	// UNNEST aliases.
+	Stars []Binding
 
 	// Where is the residual filter (possibly cover-rewritten).
 	Where n1ql.Expr
@@ -182,8 +221,9 @@ type SelectPlan struct {
 	Having  n1ql.Expr
 	// Aggregates collected from projection/having/order, in discovery
 	// order; the executor binds their results per group.
-	Aggregates []*n1ql.FuncCall
+	Aggregates []Aggregate
 
+	// Projection terms carry their result name in Alias.
 	Projection []n1ql.ResultTerm
 	Raw        bool
 	Distinct   bool
@@ -193,11 +233,11 @@ type SelectPlan struct {
 	OrderFromIndex bool
 	Limit, Offset  n1ql.Expr
 
-	// CoverIDName / CoverNames: binding names the executor populates
-	// from the index scan for covering plans. CoverNames[i] receives
-	// SecKey[i].
-	CoverIDName string
-	CoverNames  []string
+	// CoverID / Cover: the slots the executor fills from the index scan
+	// for covering plans. Cover[i] receives SecKey[i]; CoverID the
+	// document ID, and is -1 when nothing reads it.
+	CoverID int
+	Cover   []int
 }
 
 // Describe renders the plan tree for EXPLAIN (§4.5.3's EXPLAIN

@@ -16,56 +16,189 @@ var ErrNoUsableIndex = errors.New("planner: no index available on keyspace (crea
 // ErrNoSuchKeyspace rejects queries over unknown buckets.
 var ErrNoSuchKeyspace = errors.New("planner: keyspace not found")
 
-// PlanSelect builds the execution plan for a SELECT.
+// PlanSelect builds the execution plan for a SELECT. sel is read, never
+// changed: a cached statement is planned again when the catalog moves.
 func PlanSelect(sel *n1ql.Select, cat Catalog) (*SelectPlan, error) {
 	p := &SelectPlan{
-		Keyspace:   sel.Keyspace,
-		Alias:      sel.Alias,
-		Joins:      sel.Joins,
-		Unnests:    sel.Unnests,
-		Where:      sel.Where,
-		GroupBy:    sel.GroupBy,
-		Having:     sel.Having,
-		Projection: sel.Projection,
-		Raw:        sel.Raw,
-		Distinct:   sel.Distinct,
-		OrderBy:    sel.OrderBy,
-		Limit:      sel.Limit,
-		Offset:     sel.Offset,
+		Keyspace: sel.Keyspace,
+		Alias:    sel.Alias,
+		Scope:    n1ql.NewScope(sel.Alias),
+		Raw:      sel.Raw,
+		Distinct: sel.Distinct,
+		CoverID:  -1,
 	}
-	if err := collectAggregates(p, sel); err != nil {
+	aggs, err := collectAggregates(sel)
+	if err != nil {
 		return nil, err
 	}
-	if sel.Keyspace == "" {
-		// FROM-less SELECT: a single empty row flows through the
-		// pipeline (SELECT 1+1).
-		return p, nil
-	}
-	if !cat.KeyspaceExists(sel.Keyspace) {
+	// A FROM-less SELECT has no access path: a single empty row flows
+	// through the pipeline (SELECT 1+1).
+	var cover *candidate
+	switch {
+	case sel.Keyspace == "":
+	case !cat.KeyspaceExists(sel.Keyspace):
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchKeyspace, sel.Keyspace)
-	}
-
-	// Access path 1 (§4.5.3 Keyscan): USE KEYS.
-	if sel.UseKeys != nil {
-		p.Scan = &KeyScan{Keys: sel.UseKeys}
+	case sel.UseKeys != nil:
+		// Access path 1 (§4.5.3 Keyscan): USE KEYS.
+		p.Scan = &KeyScan{Keys: p.Scope.Resolve(sel.UseKeys)}
 		p.Fetch = true
-		return p, nil
+	default:
+		// Access paths 2 and 3: qualifying IndexScan, else PrimaryScan.
+		best := chooseIndex(cat.Indexes(sel.Keyspace), n1ql.ConjunctsOf(sel.Where), sel)
+		if best == nil {
+			return nil, fmt.Errorf("%w: %s", ErrNoUsableIndex, sel.Keyspace)
+		}
+		p.Scan, p.Fetch, p.OrderFromIndex = best.scan, !best.covering, best.orderFromIndex
+		if best.covering {
+			cover = best
+		}
 	}
+	p.resolve(sel, aggs, cover)
+	return p, nil
+}
 
-	// Access paths 2 and 3: qualifying IndexScan, else PrimaryScan.
-	conjuncts := n1ql.ConjunctsOf(sel.Where)
-	best := chooseIndex(cat.Indexes(sel.Keyspace), conjuncts, sel)
-	if best == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoUsableIndex, sel.Keyspace)
+// resolve binds the statement's names in pipeline order and resolves
+// each clause once the names it may see are bound: an expression that
+// runs before a name is bound reads it, as it always has, as a field
+// of the FROM document. Under a covering index, sub-expressions the
+// index holds first become references to the scan's cover slots
+// (§5.1.2).
+func (p *SelectPlan) resolve(sel *n1ql.Select, aggs []*n1ql.FuncCall, cover *candidate) {
+	sc := p.Scope
+	rw := sc.Resolve
+	if cover != nil {
+		for i := range cover.info.SecCanonical {
+			p.Cover = append(p.Cover, sc.Bind(fmt.Sprintf("$cover:%d", i)))
+		}
+		rw = func(e n1ql.Expr) n1ql.Expr {
+			return sc.Resolve(cover.overIndex(e, func(key int) n1ql.Expr {
+				if key < 0 {
+					p.CoverID = sc.Bind("$cover:id")
+					return &n1ql.Ident{Name: "$cover:id"}
+				}
+				return &n1ql.Ident{Name: fmt.Sprintf("$cover:%d", key)}
+			}))
+		}
 	}
-	p.Scan = best.scan
-	p.Fetch = !best.covering
-	if best.covering {
-		applyCoverRewrite(p, best)
+	if sel.Keyspace != "" {
+		p.Stars = []Binding{{sel.Alias, n1ql.DocSlot}}
 	}
-	if best.orderFromIndex {
-		p.OrderFromIndex = true
+	// Constant for one execution: evaluated over a row of MISSING.
+	p.Limit, p.Offset = sc.Resolve(sel.Limit), sc.Resolve(sel.Offset)
+	switch scan := p.Scan.(type) {
+	case *IndexScan:
+		scan.Span = scan.Span.resolved(sc)
+	case *PrimaryScan:
+		scan.Span = scan.Span.resolved(sc)
 	}
+	for _, j := range sel.Joins {
+		j.OnKeys = rw(j.OnKeys)
+		slot, meta := sc.Bind(j.Alias), sc.BindMeta(j.Alias)
+		j.OnCond = rw(j.OnCond)
+		p.Joins = append(p.Joins, Join{j, slot, meta})
+		p.Stars = append(p.Stars, Binding{j.Alias, slot})
+	}
+	for _, u := range sel.Unnests {
+		u.Expr = rw(u.Expr)
+		slot := sc.Bind(u.Alias)
+		p.Unnests = append(p.Unnests, Unnest{u, slot})
+		p.Stars = append(p.Stars, Binding{u.Alias, slot})
+	}
+	p.Where = rw(sel.Where)
+	for _, g := range sel.GroupBy {
+		p.GroupBy = append(p.GroupBy, rw(g))
+	}
+	for _, fc := range aggs {
+		if r, ok := rw(fc).(*n1ql.FuncCall); ok {
+			fc = r
+		}
+		p.Aggregates = append(p.Aggregates, Aggregate{FuncCall: fc})
+	}
+	// From here on an aggregate call reads its group's result.
+	for i := range p.Aggregates {
+		p.Aggregates[i].Slot = sc.BindAggregate(p.Aggregates[i].FuncCall)
+	}
+	p.Having = rw(sel.Having)
+	p.Projection = resolveTerms(sel.Projection, rw)
+	for _, ot := range sel.OrderBy {
+		ot.Expr = rw(ot.Expr)
+		p.OrderBy = append(p.OrderBy, ot)
+	}
+}
+
+// resolveTerms settles projection (or RETURNING) terms: each keeps its
+// result name in Alias — explicit, else the trailing path component,
+// else $<position> (1-based) — and has its expression resolved by rw.
+func resolveTerms(terms []n1ql.ResultTerm, rw func(n1ql.Expr) n1ql.Expr) []n1ql.ResultTerm {
+	out := make([]n1ql.ResultTerm, len(terms))
+	for i, rt := range terms {
+		if rt.Alias == "" && !rt.Star {
+			switch t := rt.Expr.(type) {
+			case *n1ql.Ident:
+				rt.Alias = t.Name
+			case *n1ql.Field:
+				rt.Alias = t.Name
+			default:
+				rt.Alias = fmt.Sprintf("$%d", i+1)
+			}
+		}
+		rt.Expr = rw(rt.Expr)
+		out[i] = rt
+	}
+	return out
+}
+
+// MutationPlan is an UPDATE or DELETE: the SELECT * that finds its
+// targets, so the statement's LIMIT stops the scan as it does a
+// query's, and the statement's own clauses resolved in that SELECT's
+// scope.
+type MutationPlan struct {
+	Targets   *SelectPlan
+	Sets      []n1ql.SetClause
+	Unsets    []n1ql.Expr
+	Returning []n1ql.ResultTerm
+}
+
+// PlanMutation plans an *n1ql.Update or *n1ql.Delete.
+func PlanMutation(stmt n1ql.Statement, cat Catalog) (*MutationPlan, error) {
+	var upd n1ql.Update // a DELETE plans as an UPDATE that sets nothing
+	switch t := stmt.(type) {
+	case *n1ql.Update:
+		upd = *t
+	case *n1ql.Delete:
+		upd = n1ql.Update{Keyspace: t.Keyspace, Alias: t.Alias, UseKeys: t.UseKeys, Where: t.Where, Limit: t.Limit, Returning: t.Returning}
+	default:
+		return nil, fmt.Errorf("planner: %T is not an UPDATE or DELETE", stmt)
+	}
+	p, err := PlanSelect(&n1ql.Select{
+		Keyspace: upd.Keyspace, Alias: upd.Alias, UseKeys: upd.UseKeys, Where: upd.Where, Limit: upd.Limit,
+		Projection: []n1ql.ResultTerm{{Star: true}}, // force document fetch
+	}, cat)
+	if err != nil {
+		return nil, err
+	}
+	mp := &MutationPlan{Targets: p, Unsets: p.Scope.ResolveAll(upd.Unsets), Returning: resolveTerms(upd.Returning, p.Scope.Resolve)}
+	for _, sc := range upd.Sets {
+		mp.Sets = append(mp.Sets, n1ql.SetClause{Path: p.Scope.Resolve(sc.Path), Val: p.Scope.Resolve(sc.Val)})
+	}
+	return mp, nil
+}
+
+// InsertPlan is an INSERT/UPSERT with its expressions resolved: the
+// VALUES pairs over a row of MISSING, RETURNING over the new document.
+type InsertPlan struct {
+	n1ql.Insert
+	Scope *n1ql.Scope
+}
+
+// PlanInsert plans an INSERT.
+func PlanInsert(ins *n1ql.Insert, cat Catalog) (*InsertPlan, error) {
+	if !cat.KeyspaceExists(ins.Keyspace) {
+		return nil, fmt.Errorf("%w: %s", ErrNoSuchKeyspace, ins.Keyspace)
+	}
+	p := &InsertPlan{Insert: *ins, Scope: n1ql.NewScope(ins.Keyspace)}
+	p.KeyExprs, p.ValExprs = p.Scope.ResolveAll(ins.KeyExprs), p.Scope.ResolveAll(ins.ValExprs)
+	p.Returning = resolveTerms(ins.Returning, p.Scope.Resolve)
 	return p, nil
 }
 
@@ -78,9 +211,6 @@ type candidate struct {
 	hasRange       bool
 	covering       bool
 	orderFromIndex bool
-	coverNames     []string
-	coverIDName    string
-	rewrites       map[string]string // canonical -> binding name
 	alias          string
 }
 
@@ -120,9 +250,6 @@ func chooseIndex(indexes []IndexInfo, conjuncts []n1ql.Expr, sel *n1ql.Select) *
 			scan:           &PrimaryScan{Index: primary.Name, Using: primary.Using, Span: c.span},
 			span:           c.span,
 			covering:       c.covering,
-			coverNames:     c.coverNames,
-			coverIDName:    c.coverIDName,
-			rewrites:       c.rewrites,
 			orderFromIndex: c.orderFromIndex,
 			alias:          sel.Alias,
 		}
@@ -407,23 +534,39 @@ func tryCovering(c *candidate, sel *n1ql.Select) bool {
 	if len(sel.Joins) > 0 {
 		return false // joined keyspaces need fetched documents
 	}
-	keys := map[string]int{}
-	for i, k := range c.info.SecCanonical {
-		keys[k] = i
-	}
-	// Every expression the query evaluates must be derivable.
-	exprs := collectQueryExprs(sel)
-	for _, e := range exprs {
-		if !coveredExpr(e, c.alias, keys) {
+	// Every expression the query evaluates must be derivable: with what
+	// the index entry holds taken as given, nothing may still read the
+	// document.
+	for _, e := range collectQueryExprs(sel) {
+		if !n1ql.IsConstant(c.overIndex(e, func(int) n1ql.Expr { return &n1ql.Literal{} })) {
 			return false
 		}
 	}
 	c.covering = true
-	c.coverIDName = "$cover:id"
-	for i := range c.info.SecCanonical {
-		c.coverNames = append(c.coverNames, fmt.Sprintf("$cover:%d", i))
-	}
 	return true
+}
+
+// overIndex copies e with every sub-expression the index entry holds,
+// key i or the document ID (-1), replaced by with's answer for it. It
+// does not look inside an ANY/EVERY/ARRAY, whose variable may shadow an
+// indexed field: one that is no key itself keeps reading the document.
+func (c *candidate) overIndex(e n1ql.Expr, with func(key int) n1ql.Expr) n1ql.Expr {
+	return n1ql.MapExpr(e, func(x n1ql.Expr) n1ql.Expr {
+		canon := canonicalOf(x, c.alias)
+		for i := len(c.info.SecCanonical) - 1; i >= 0; i-- {
+			if c.info.SecCanonical[i] == canon {
+				return with(i)
+			}
+		}
+		switch x.(type) {
+		case *n1ql.CollPredicate, *n1ql.ArrayComprehension:
+			return x
+		}
+		if canon == "meta().id" {
+			return with(-1)
+		}
+		return nil
+	})
 }
 
 func collectQueryExprs(sel *n1ql.Select) []n1ql.Expr {
@@ -454,177 +597,9 @@ func collectQueryExprs(sel *n1ql.Select) []n1ql.Expr {
 	return out
 }
 
-// coveredExpr reports whether e can be computed from the index keys
-// plus meta().id.
-func coveredExpr(e n1ql.Expr, alias string, keys map[string]int) bool {
-	if e == nil {
-		return true
-	}
-	canon := canonicalOf(e, alias)
-	if _, ok := keys[canon]; ok {
-		return true
-	}
-	if canon == "meta().id" {
-		return true
-	}
-	if n1ql.IsConstant(e) {
-		return true
-	}
-	switch t := e.(type) {
-	case *n1ql.Binary:
-		return coveredExpr(t.LHS, alias, keys) && coveredExpr(t.RHS, alias, keys)
-	case *n1ql.Unary:
-		return coveredExpr(t.Operand, alias, keys)
-	case *n1ql.Is:
-		return coveredExpr(t.Operand, alias, keys)
-	case *n1ql.Between:
-		return coveredExpr(t.Operand, alias, keys) && coveredExpr(t.Lo, alias, keys) && coveredExpr(t.Hi, alias, keys)
-	case *n1ql.FuncCall:
-		for _, a := range t.Args {
-			if !coveredExpr(a, alias, keys) {
-				return false
-			}
-		}
-		return true
-	case *n1ql.ArrayConstruct:
-		for _, el := range t.Elems {
-			if !coveredExpr(el, alias, keys) {
-				return false
-			}
-		}
-		return true
-	case *n1ql.ObjectConstruct:
-		for _, v := range t.Vals {
-			if !coveredExpr(v, alias, keys) {
-				return false
-			}
-		}
-		return true
-	case *n1ql.CaseExpr:
-		if !coveredExpr(t.Operand, alias, keys) || !coveredExpr(t.Else, alias, keys) {
-			return false
-		}
-		for i := range t.Whens {
-			if !coveredExpr(t.Whens[i], alias, keys) || !coveredExpr(t.Thens[i], alias, keys) {
-				return false
-			}
-		}
-		return true
-	}
-	// Any other doc reference (bare field, comprehension, meta().cas)
-	// requires the document.
-	return false
-}
-
-// applyCoverRewrite rewrites the plan's expressions so covered
-// sub-expressions read from scan bindings instead of the document.
-func applyCoverRewrite(p *SelectPlan, c *candidate) {
-	keys := map[string]int{}
-	for i, k := range c.info.SecCanonical {
-		keys[k] = i
-	}
-	rw := func(e n1ql.Expr) n1ql.Expr { return coverRewrite(e, c.alias, keys, c) }
-	p.Where = rw(p.Where)
-	p.Having = rw(p.Having)
-	for i := range p.GroupBy {
-		p.GroupBy[i] = rw(p.GroupBy[i])
-	}
-	proj := make([]n1ql.ResultTerm, len(p.Projection))
-	copy(proj, p.Projection)
-	for i := range proj {
-		if !proj[i].Star {
-			// Pin the derived result name before the rewrite hides the
-			// original field reference behind a cover binding.
-			if proj[i].Alias == "" {
-				switch t := proj[i].Expr.(type) {
-				case *n1ql.Ident:
-					proj[i].Alias = t.Name
-				case *n1ql.Field:
-					proj[i].Alias = t.Name
-				}
-			}
-			proj[i].Expr = rw(proj[i].Expr)
-		}
-	}
-	p.Projection = proj
-	ob := make([]n1ql.OrderTerm, len(p.OrderBy))
-	copy(ob, p.OrderBy)
-	for i := range ob {
-		ob[i].Expr = rw(ob[i].Expr)
-	}
-	p.OrderBy = ob
-	for i := range p.Aggregates {
-		rewritten := rw(p.Aggregates[i])
-		if fc, ok := rewritten.(*n1ql.FuncCall); ok {
-			p.Aggregates[i] = fc
-		}
-	}
-	p.CoverIDName = c.coverIDName
-	p.CoverNames = c.coverNames
-}
-
-// coverRewrite replaces covered sub-expressions with Ident references
-// to the scan's cover bindings.
-func coverRewrite(e n1ql.Expr, alias string, keys map[string]int, c *candidate) n1ql.Expr {
-	if e == nil {
-		return nil
-	}
-	canon := canonicalOf(e, alias)
-	if i, ok := keys[canon]; ok {
-		return &n1ql.Ident{Name: fmt.Sprintf("$cover:%d", i)}
-	}
-	if canon == "meta().id" {
-		return &n1ql.Ident{Name: "$cover:id"}
-	}
-	switch t := e.(type) {
-	case *n1ql.Binary:
-		return &n1ql.Binary{Op: t.Op, LHS: coverRewrite(t.LHS, alias, keys, c), RHS: coverRewrite(t.RHS, alias, keys, c)}
-	case *n1ql.Unary:
-		return &n1ql.Unary{Op: t.Op, Operand: coverRewrite(t.Operand, alias, keys, c)}
-	case *n1ql.Is:
-		return &n1ql.Is{Kind: t.Kind, Operand: coverRewrite(t.Operand, alias, keys, c)}
-	case *n1ql.Between:
-		return &n1ql.Between{
-			Operand: coverRewrite(t.Operand, alias, keys, c),
-			Lo:      coverRewrite(t.Lo, alias, keys, c),
-			Hi:      coverRewrite(t.Hi, alias, keys, c),
-			Not:     t.Not,
-		}
-	case *n1ql.FuncCall:
-		out := &n1ql.FuncCall{Name: t.Name, Distinct: t.Distinct, Star: t.Star}
-		for _, a := range t.Args {
-			out.Args = append(out.Args, coverRewrite(a, alias, keys, c))
-		}
-		return out
-	case *n1ql.ArrayConstruct:
-		out := &n1ql.ArrayConstruct{}
-		for _, el := range t.Elems {
-			out.Elems = append(out.Elems, coverRewrite(el, alias, keys, c))
-		}
-		return out
-	case *n1ql.ObjectConstruct:
-		out := &n1ql.ObjectConstruct{Names: t.Names}
-		for _, v := range t.Vals {
-			out.Vals = append(out.Vals, coverRewrite(v, alias, keys, c))
-		}
-		return out
-	case *n1ql.CaseExpr:
-		out := &n1ql.CaseExpr{
-			Operand: coverRewrite(t.Operand, alias, keys, c),
-			Else:    coverRewrite(t.Else, alias, keys, c),
-		}
-		for i := range t.Whens {
-			out.Whens = append(out.Whens, coverRewrite(t.Whens[i], alias, keys, c))
-			out.Thens = append(out.Thens, coverRewrite(t.Thens[i], alias, keys, c))
-		}
-		return out
-	}
-	return e
-}
-
 // collectAggregates finds aggregate calls in projection/having/order
 // and validates aggregate placement.
-func collectAggregates(p *SelectPlan, sel *n1ql.Select) error {
+func collectAggregates(sel *n1ql.Select) ([]*n1ql.FuncCall, error) {
 	seen := map[string]*n1ql.FuncCall{}
 	var order []*n1ql.FuncCall
 	collect := func(e n1ql.Expr) {
@@ -649,8 +624,7 @@ func collectAggregates(p *SelectPlan, sel *n1ql.Select) error {
 		collect(ot.Expr)
 	}
 	if sel.Where != nil && n1ql.HasAggregate(sel.Where) {
-		return &PlanError{Part: "WHERE", Err: errors.New("aggregates are not allowed in WHERE")}
+		return nil, &PlanError{Part: "WHERE", Err: errors.New("aggregates are not allowed in WHERE")}
 	}
-	p.Aggregates = order
-	return nil
+	return order, nil
 }

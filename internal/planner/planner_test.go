@@ -205,13 +205,14 @@ func TestCoveringIndex(t *testing.T) {
 	if p.Where.String() != "(`$cover:0` > \"a\")" {
 		t.Errorf("where rewrite: %s", p.Where)
 	}
-	if len(p.CoverNames) != 2 || p.CoverIDName == "" {
-		t.Errorf("cover names: %+v", p.CoverNames)
+	// One slot per index key; the document ID gets one only when read.
+	if len(p.Cover) != 2 || p.CoverID != -1 || p.Scope.Len() != 4 {
+		t.Errorf("cover slots: %v id %d of %d", p.Cover, p.CoverID, p.Scope.Len())
 	}
 	// meta().id is free.
 	p = plan(t, `SELECT meta().id, email FROM Profile WHERE email = "x"`, cat)
-	if p.Fetch {
-		t.Error("meta().id + indexed field should cover")
+	if p.Fetch || p.CoverID != 4 {
+		t.Errorf("meta().id + indexed field should cover: fetch=%v id slot %d", p.Fetch, p.CoverID)
 	}
 	// Touching a non-indexed field forces the fetch.
 	p = plan(t, `SELECT name FROM Profile WHERE email = "x"`, cat)
@@ -222,6 +223,19 @@ func TestCoveringIndex(t *testing.T) {
 	p = plan(t, `SELECT * FROM Profile WHERE email = "x"`, cat)
 	if !p.Fetch {
 		t.Error("SELECT * must fetch")
+	}
+	// So does a comprehension, and a path into a key: inside one, `age` is
+	// an element of email, not the indexed field of that name.
+	for _, src := range []string{
+		`SELECT meta().id FROM Profile WHERE email >= [] AND ANY age IN email SATISFIES age = "a" END`,
+		`SELECT ARRAY age FOR age IN email END FROM Profile WHERE email >= []`,
+		`SELECT email.domain FROM Profile WHERE email > "a"`,
+		`SELECT email[0] FROM Profile WHERE email > "a"`,
+	} {
+		p = plan(t, src, cat)
+		if !p.Fetch || strings.Contains(p.Where.String()+p.Projection[0].Expr.String(), "$cover") {
+			t.Errorf("%s: must fetch and read the document: fetch=%v where %s", src, p.Fetch, p.Where)
+		}
 	}
 }
 

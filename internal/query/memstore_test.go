@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"couchgo/internal/executor"
 	"couchgo/internal/n1ql"
@@ -18,6 +19,7 @@ import (
 // over every document and sorting. It is an independent oracle for the
 // planner/executor — no btree, no gsi, no dcp.
 type memStore struct {
+	epoch   atomic.Uint64 // bumped by every index DDL
 	mu      sync.Mutex
 	docs    map[string]map[string]any // keyspace -> id -> doc
 	indexes map[string][]memIndex     // keyspace -> defs
@@ -25,6 +27,7 @@ type memStore struct {
 
 type memIndex struct {
 	info  planner.IndexInfo
+	scope *n1ql.Scope // of the document rows the exprs below read
 	keys  []n1ql.Expr // parsed canonical key exprs
 	where n1ql.Expr
 	array *n1ql.ArrayComprehension
@@ -67,9 +70,12 @@ func (s *memStore) Indexes(keyspace string) []planner.IndexInfo {
 	return out
 }
 
+func (s *memStore) CatalogEpoch() uint64 { return s.epoch.Load() }
+
 // --- DDL ---
 
 func (s *memStore) CreateIndex(ci *n1ql.CreateIndex) error {
+	defer s.epoch.Add(1)
 	mi := memIndex{
 		info: planner.IndexInfo{
 			Name:      ci.Name,
@@ -77,12 +83,13 @@ func (s *memStore) CreateIndex(ci *n1ql.CreateIndex) error {
 			IsPrimary: ci.Primary,
 			Built:     true,
 		},
+		scope: n1ql.NewScope("self"),
 	}
 	if ci.Primary {
 		mi.info.SecCanonical = []string{"meta().id"}
 	}
 	for i, ke := range ci.Keys {
-		f := n1ql.Formalize(ke, ci.Keyspace)
+		f := mi.scope.Resolve(n1ql.Formalize(ke, ci.Keyspace))
 		mi.keys = append(mi.keys, f)
 		mi.info.SecCanonical = append(mi.info.SecCanonical, f.String())
 		if ac, ok := f.(*n1ql.ArrayComprehension); ok && i == 0 {
@@ -91,7 +98,7 @@ func (s *memStore) CreateIndex(ci *n1ql.CreateIndex) error {
 		}
 	}
 	if ci.Where != nil {
-		f := n1ql.Formalize(ci.Where, ci.Keyspace)
+		f := mi.scope.Resolve(n1ql.Formalize(ci.Where, ci.Keyspace))
 		mi.where = f
 		mi.info.WhereCanonical = f.String()
 	}
@@ -112,6 +119,7 @@ func (s *memStore) CreateIndex(ci *n1ql.CreateIndex) error {
 }
 
 func (s *memStore) DropIndex(keyspace, name string) error {
+	defer s.epoch.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	list := s.indexes[keyspace]
@@ -125,6 +133,7 @@ func (s *memStore) DropIndex(keyspace, name string) error {
 }
 
 func (s *memStore) BuildIndex(keyspace, name string) error {
+	defer s.epoch.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range s.indexes[keyspace] {
@@ -169,7 +178,7 @@ func (s *memStore) ScanIndex(_ context.Context, keyspace, index string, _ n1ql.I
 	}
 	var entries []pair
 	for id, doc := range s.docs[keyspace] {
-		ctx := n1ql.NewContext("self", doc, n1ql.Meta{ID: id})
+		ctx := mi.scope.NewContext(doc, n1ql.Meta{ID: id})
 		if mi.where != nil {
 			ok, err := n1ql.Eval(mi.where, ctx)
 			if err != nil || ok != true {

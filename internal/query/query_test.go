@@ -2,10 +2,12 @@ package query
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"couchgo/internal/executor"
+	"couchgo/internal/n1ql"
 	"couchgo/internal/value"
 )
 
@@ -450,5 +452,63 @@ func TestGeneralJoinsRejectedByQueryService(t *testing.T) {
 	_, err := e.Execute("SELECT * FROM Profile p JOIN orders o ON o.user = p.uid", executor.Options{})
 	if err == nil || !strings.Contains(err.Error(), "general") {
 		t.Fatalf("general join should be rejected: %v", err)
+	}
+}
+
+// churnStore fails its first `fail` scans as a store does whose index
+// was dropped after the plan chose it, the catalog epoch moving each
+// time.
+type churnStore struct {
+	*memStore
+	fail, scans int
+}
+
+func (s *churnStore) ScanIndex(ctx context.Context, keyspace, index string, using n1ql.IndexUsing, opts executor.IndexScanOpts) ([]executor.IndexEntry, bool, error) {
+	if s.scans++; s.scans <= s.fail {
+		s.epoch.Add(1)
+		return nil, false, errors.New("no such index")
+	}
+	return s.memStore.ScanIndex(ctx, keyspace, index, using, opts)
+}
+
+func TestReplanOnMovedEpochIsBounded(t *testing.T) {
+	_, s := fixture(t)
+	const stmt = "SELECT meta().id FROM Profile"
+	// One lost index: planned again, and the profile is the run that
+	// answered, not both.
+	cs := &churnStore{memStore: s, fail: 1}
+	prof := executor.NewProfile()
+	res, err := NewEngine(cs).Execute(stmt, executor.Options{Prof: prof})
+	if err != nil || len(res.Rows) != 4 || cs.scans != 2 {
+		t.Fatalf("one re-plan: %d rows after %d scans, err %v", len(res.Rows), cs.scans, err)
+	}
+	seen := map[string]int{}
+	for _, ph := range res.Profile {
+		seen[ph.Operator]++
+	}
+	if seen["parse"] != 1 || seen["plan"] != 1 || seen["scan"] != 1 {
+		t.Errorf("profile after a re-plan: %v", res.Profile)
+	}
+	// A catalog that never settles: the first run and two re-plans.
+	cs = &churnStore{memStore: s, fail: 1 << 30}
+	if _, err := NewEngine(cs).Execute(stmt, executor.Options{}); err == nil || cs.scans != 3 {
+		t.Errorf("endless churn: %d scans, err %v", cs.scans, err)
+	}
+	// A dead request is not run again.
+	cs = &churnStore{memStore: s, fail: 1 << 30}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := NewEngine(cs).Execute(stmt, executor.Options{Ctx: ctx}); err == nil || cs.scans > 1 {
+		t.Errorf("cancelled: %d scans, err %v", cs.scans, err)
+	}
+}
+
+func TestInsertIsNotKept(t *testing.T) {
+	e, _ := fixture(t)
+	before := len(e.prepared)
+	mustExec(t, e, `INSERT INTO Profile (KEY, VALUE) VALUES ("once", {"big": "document"})`)
+	mustExec(t, e, `SELECT meta().id FROM Profile`)
+	if got := len(e.prepared) - before; got != 1 {
+		t.Errorf("cache grew by %d entries, want the SELECT only", got)
 	}
 }

@@ -106,8 +106,9 @@ type entry struct {
 	val any
 }
 
-// compiled map spec.
+// compiled map spec: its expressions read a document's row of scope.
 type compiledMap struct {
+	scope  *n1ql.Scope
 	filter n1ql.Expr // nil if none
 	key    n1ql.Expr
 	value  n1ql.Expr // nil if none
@@ -117,7 +118,7 @@ func compileMap(spec MapSpec) (*compiledMap, error) {
 	if spec.Key == "" {
 		return nil, fmt.Errorf("%w: empty key expression", ErrBadMapSpec)
 	}
-	cm := &compiledMap{}
+	cm := &compiledMap{scope: n1ql.NewScope("doc")}
 	var err error
 	if cm.key, err = n1ql.ParseExpr(spec.Key); err != nil {
 		return nil, fmt.Errorf("%w: key: %v", ErrBadMapSpec, err)
@@ -132,12 +133,13 @@ func compileMap(spec MapSpec) (*compiledMap, error) {
 			return nil, fmt.Errorf("%w: value: %v", ErrBadMapSpec, err)
 		}
 	}
+	cm.key, cm.filter, cm.value = cm.scope.Resolve(cm.key), cm.scope.Resolve(cm.filter), cm.scope.Resolve(cm.value)
 	return cm, nil
 }
 
 // emit runs the map function over one document.
 func (cm *compiledMap) emit(docID string, doc any) (key, val any, ok bool, err error) {
-	ctx := n1ql.NewContext("doc", doc, n1ql.Meta{ID: docID})
+	ctx := cm.scope.NewContext(doc, n1ql.Meta{ID: docID})
 	if cm.filter != nil {
 		f, err := n1ql.Eval(cm.filter, ctx)
 		if err != nil {
