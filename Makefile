@@ -67,7 +67,7 @@ FUZZTIME ?= 10s
 bench-smoke:
 	go test -run='^$$' -bench='BenchmarkGetResident|BenchmarkSetOverwrite|BenchmarkGetParallel' -benchmem -benchtime=1000x ./internal/cache
 	go test -run='^$$' -bench='BenchmarkFrameAppend' -benchmem -benchtime=1000x ./internal/memcproto
-	go test -run='^$$' -bench='BenchmarkSetPublish' -benchmem -benchtime=1000x ./internal/vbucket
+	go test -run='^$$' -bench='BenchmarkSetPublish|BenchmarkDoGet|BenchmarkDoSet|BenchmarkDoGetEvicted' -benchmem -benchtime=1000x ./internal/vbucket
 	go test -run='^$$' -bench='BenchmarkWorkloadEQuery' -benchmem -benchtime=1000x ./internal/core
 
 # Alternating parent/change pairs of couchbench workloads, the

@@ -286,13 +286,6 @@ func (s *shadowStore) ScanIndex(_ context.Context, _, _ string, _ n1ql.IndexUsin
 	return out, false, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ScanKeyspace implements executor.KeyspaceScanner: the hook that
 // unlocks general joins.
 func (s *shadowStore) ScanKeyspace(keyspace string) ([]executor.ScannedDoc, error) {

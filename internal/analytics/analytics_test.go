@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"couchgo/internal/memcproto"
 	"couchgo/internal/storage"
 	"couchgo/internal/vbucket"
 )
@@ -117,7 +118,7 @@ func TestShadowFollowsMutations(t *testing.T) {
 	if rows[0].(map[string]any)["v"] != 2.0 {
 		t.Fatalf("after update: %v", rows)
 	}
-	h.vbs[0].Delete(context.Background(), "d1", 0, 0)
+	h.vbs[0].Do(context.Background(), &vbucket.Op{Code: memcproto.OpDelete, Key: "d1"})
 	rows = h.query(t, `SELECT v FROM store USE KEYS "d1"`)
 	if len(rows) != 0 {
 		t.Fatalf("after delete: %v", rows)

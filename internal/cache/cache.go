@@ -123,6 +123,28 @@ func (it *Item) snapshot() Item {
 	return cp
 }
 
+// Fetched is a document value read back from the storage engine,
+// stamped with the seqno of the revision it belongs to. An arm that
+// needs the value of an evicted item takes f's when f is that
+// revision's, and restores it, inside the stripe-lock hold that goes on
+// to use it — so the pager cannot evict between the restoration and
+// the use. The zero Fetched matches nothing (seqnos start at 1).
+type Fetched struct {
+	Seqno uint64
+	Value []byte
+}
+
+// resident reports whether it's value is in memory, first restoring it
+// from f. Runs under the stripe lock, on a live (not deleted) item.
+func (h *HashTable) resident(it *Item, f Fetched) bool {
+	if !it.Resident && f.Seqno == it.Seqno && f.Seqno != 0 {
+		it.Value, it.Resident = f.Value, true
+		h.memUsed.Add(int64(len(f.Value)))
+		h.nonResident.Add(-1)
+	}
+	return it.Resident
+}
+
 // numStripes is the sub-table fan-out per vBucket. Must be a power of
 // two. 16 stripes × up to 1024 vBuckets keeps per-stripe maps small
 // while making same-table lock collisions rare.
@@ -238,12 +260,19 @@ func (h *HashTable) Stats() Stats {
 	}
 }
 
-// Get returns the item for key. Expired documents are lazily deleted
-// (the deletion gets a seqno and flows to observers like any mutation).
-// A resident=false item is returned with ErrValueEvicted; the caller
-// (the vBucket layer) fetches the value from storage and restores it.
-// A resident hit allocates nothing.
+// Get is GetWith with nothing fetched, spelled for a caller that holds
+// the table itself (bench/'s layer replica, the expiry pager, tests).
 func (h *HashTable) Get(key string, now int64) (Item, error) {
+	return h.GetWith(key, now, Fetched{})
+}
+
+// GetWith returns the item for key. Expired documents are lazily
+// deleted (the deletion gets a seqno and flows to observers like any
+// mutation). Like every arm that reads the value, it answers
+// ErrValueEvicted, with nothing changed, when the value is not in
+// memory and f does not hold it; the caller (vbucket.Do) fetches it
+// from storage and calls again. A resident hit allocates nothing.
+func (h *HashTable) GetWith(key string, now int64, f Fetched) (Item, error) {
 	st := h.stripeOf(key)
 	st.mu.Lock()
 	it, ok := st.items[key]
@@ -258,10 +287,9 @@ func (h *HashTable) Get(key string, now int64) (Item, error) {
 		return Item{}, ErrKeyNotFound
 	}
 	it.nru = 0
-	if !it.Resident {
-		snap := it.snapshot()
+	if !h.resident(it, f) {
 		st.mu.Unlock()
-		return snap, ErrValueEvicted
+		return Item{}, ErrValueEvicted
 	}
 	snap := it.snapshot()
 	st.mu.Unlock()
@@ -456,16 +484,16 @@ func (h *HashTable) installStriped(st *stripe, key string, old, nit *Item) {
 
 // Append concatenates data after the existing raw value — the
 // memcached-heritage byte-level operation. The document must exist.
-func (h *HashTable) Append(ctx context.Context, key string, data []byte, casCheck uint64, now int64) (Item, error) {
-	return h.concat(ctx, key, data, casCheck, now, false)
+func (h *HashTable) Append(ctx context.Context, key string, data []byte, casCheck uint64, now int64, f Fetched) (Item, error) {
+	return h.concat(ctx, key, data, casCheck, now, f, false)
 }
 
 // Prepend concatenates data before the existing raw value.
-func (h *HashTable) Prepend(ctx context.Context, key string, data []byte, casCheck uint64, now int64) (Item, error) {
-	return h.concat(ctx, key, data, casCheck, now, true)
+func (h *HashTable) Prepend(ctx context.Context, key string, data []byte, casCheck uint64, now int64, f Fetched) (Item, error) {
+	return h.concat(ctx, key, data, casCheck, now, f, true)
 }
 
-func (h *HashTable) concat(ctx context.Context, key string, data []byte, casCheck uint64, now int64, front bool) (Item, error) {
+func (h *HashTable) concat(ctx context.Context, key string, data []byte, casCheck uint64, now int64, f Fetched, front bool) (Item, error) {
 	st := h.stripeOf(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -473,7 +501,7 @@ func (h *HashTable) concat(ctx context.Context, key string, data []byte, casChec
 	if !exists || it.Deleted || it.expired(now) {
 		return Item{}, ErrKeyNotFound
 	}
-	if !it.Resident {
+	if !h.resident(it, f) {
 		return Item{}, ErrValueEvicted
 	}
 	var nv []byte
@@ -485,8 +513,11 @@ func (h *HashTable) concat(ctx context.Context, key string, data []byte, casChec
 	return h.storeStriped(ctx, st, key, nv, it.Flags, it.Expiry, casCheck, now, storeSet)
 }
 
-// Touch updates the expiry without changing the value.
-func (h *HashTable) Touch(key string, expiry int64, now int64) (Item, error) {
+// Touch updates the expiry without changing the value. It is a
+// mutation like any other (new CAS, revision and seqno), so the new
+// expiry reaches disk, replicas and DCP consumers instead of living
+// only in this table until the item is evicted or the node fails over.
+func (h *HashTable) Touch(ctx context.Context, key string, expiry int64, now int64, f Fetched) (Item, error) {
 	st := h.stripeOf(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -494,18 +525,17 @@ func (h *HashTable) Touch(key string, expiry int64, now int64) (Item, error) {
 	if !ok || it.Deleted || it.expired(now) {
 		return Item{}, ErrKeyNotFound
 	}
-	if it.locked(now) {
-		return Item{}, ErrLocked
+	if !h.resident(it, f) {
+		return Item{}, ErrValueEvicted
 	}
-	it.Expiry = expiry
-	return it.snapshot(), nil
+	return h.storeStriped(ctx, st, key, it.Value, it.Flags, expiry, 0, now, storeSet)
 }
 
 // GetAndLock returns the document and takes the hard document-level
 // lock for lockSeconds ("this lock will be released after a certain
 // timeout to avoid deadlocks", §3.1.1). The returned CAS is the lock
 // token: a Set/Delete/Unlock with it releases the lock.
-func (h *HashTable) GetAndLock(key string, lockSeconds int64, now int64) (Item, error) {
+func (h *HashTable) GetAndLock(key string, lockSeconds int64, now int64, f Fetched) (Item, error) {
 	st := h.stripeOf(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -516,11 +546,11 @@ func (h *HashTable) GetAndLock(key string, lockSeconds int64, now int64) (Item, 
 	if it.locked(now) {
 		return Item{}, ErrLocked
 	}
+	if !h.resident(it, f) {
+		return Item{}, ErrValueEvicted
+	}
 	it.lockedUntil = now + lockSeconds
 	it.CAS = NextCAS() // lock token differs from the pre-lock CAS
-	if !it.Resident {
-		return it.snapshot(), ErrValueEvicted
-	}
 	return it.snapshot(), nil
 }
 
@@ -602,24 +632,6 @@ func (h *HashTable) ApplyRemote(ctx context.Context, key string, value []byte, d
 	}
 	h.commitStriped(ctx, st, key, old, nit)
 	return true
-}
-
-// RestoreValue re-installs a value fetched from storage for a
-// non-resident item. It is a no-op if the document changed meanwhile
-// (compared by CAS).
-func (h *HashTable) RestoreValue(key string, cas uint64, value []byte) {
-	st := h.stripeOf(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	it, ok := st.items[key]
-	if !ok || it.Deleted || it.Resident || it.CAS != cas {
-		return
-	}
-	h.memUsed.Add(-it.memSize())
-	it.Value = value
-	it.Resident = true
-	h.memUsed.Add(it.memSize())
-	h.nonResident.Add(-1)
 }
 
 // Restore inserts an item recovered from the storage engine without

@@ -173,13 +173,13 @@ func TestSetOverwritesExpired(t *testing.T) {
 func TestTouch(t *testing.T) {
 	h := NewHashTable()
 	h.Set(bg, "k", []byte("v"), 0, 50, 0, 10)
-	if _, err := h.Touch("k", 500, 20); err != nil {
+	if _, err := h.Touch(bg, "k", 500, 20, Fetched{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.Get("k", 100); err != nil {
 		t.Errorf("doc should survive after touch: %v", err)
 	}
-	if _, err := h.Touch("zz", 10, 0); err != ErrKeyNotFound {
+	if _, err := h.Touch(bg, "zz", 10, 0, Fetched{}); err != ErrKeyNotFound {
 		t.Errorf("touch missing: %v", err)
 	}
 }
@@ -187,12 +187,12 @@ func TestTouch(t *testing.T) {
 func TestGetAndLock(t *testing.T) {
 	h := NewHashTable()
 	h.Set(bg, "k", []byte("v"), 0, 0, 0, 100)
-	locked, err := h.GetAndLock("k", 15, 100)
+	locked, err := h.GetAndLock("k", 15, 100, Fetched{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Second locker fails.
-	if _, err := h.GetAndLock("k", 15, 101); err != ErrLocked {
+	if _, err := h.GetAndLock("k", 15, 101, Fetched{}); err != ErrLocked {
 		t.Errorf("double lock: %v", err)
 	}
 	// Plain writes and deletes are blocked.
@@ -202,7 +202,7 @@ func TestGetAndLock(t *testing.T) {
 	if _, err := h.Delete(bg, "k", 0, 101); err != ErrLocked {
 		t.Errorf("delete while locked: %v", err)
 	}
-	if _, err := h.Touch("k", 10, 101); err != ErrLocked {
+	if _, err := h.Touch(bg, "k", 10, 101, Fetched{}); err != ErrLocked {
 		t.Errorf("touch while locked: %v", err)
 	}
 	// Write with the lock token succeeds and releases the lock.
@@ -217,7 +217,7 @@ func TestGetAndLock(t *testing.T) {
 func TestLockTimesOut(t *testing.T) {
 	h := NewHashTable()
 	h.Set(bg, "k", []byte("v"), 0, 0, 0, 100)
-	h.GetAndLock("k", 15, 100)
+	h.GetAndLock("k", 15, 100, Fetched{})
 	// "This lock will be released after a certain timeout to avoid
 	// deadlocks."
 	if _, err := h.Set(bg, "k", []byte("x"), 0, 0, 0, 115); err != nil {
@@ -228,7 +228,7 @@ func TestLockTimesOut(t *testing.T) {
 func TestUnlock(t *testing.T) {
 	h := NewHashTable()
 	h.Set(bg, "k", []byte("v"), 0, 0, 0, 100)
-	locked, _ := h.GetAndLock("k", 15, 100)
+	locked, _ := h.GetAndLock("k", 15, 100, Fetched{})
 	if err := h.Unlock("k", 123456, 101); err != ErrLocked {
 		t.Errorf("unlock with wrong token: %v", err)
 	}
@@ -272,26 +272,55 @@ func TestEvictAndRestoreValue(t *testing.T) {
 	if freed := h.EvictValue("k"); freed <= 0 {
 		t.Fatal("evict freed nothing")
 	}
-	got, err := h.Get("k", 0)
-	if err != ErrValueEvicted {
+	if _, err := h.Get("k", 0); err != ErrValueEvicted {
 		t.Fatalf("expected ErrValueEvicted, got %v", err)
 	}
-	if got.CAS != it.CAS {
+	if meta, err := h.GetMeta("k"); err != nil || meta.CAS != it.CAS {
 		t.Error("metadata should survive eviction")
 	}
 	if h.Stats().NonResident != 1 {
 		t.Error("stats should count non-resident item")
 	}
-	h.RestoreValue("k", it.CAS, []byte("payload"))
-	got, err = h.Get("k", 0)
+	mem := h.Stats().MemUsed
+	got, err := h.GetWith("k", 0, Fetched{Seqno: it.Seqno, Value: []byte("payload")})
 	if err != nil || string(got.Value) != "payload" {
 		t.Errorf("after restore: %+v %v", got, err)
 	}
-	// Restore with a stale CAS is ignored.
+	if st := h.Stats(); st.NonResident != 0 || st.MemUsed != mem+int64(len("payload")) {
+		t.Errorf("restore accounting: %+v (mem before %d)", st, mem)
+	}
+	if got, err = h.Get("k", 0); err != nil || string(got.Value) != "payload" {
+		t.Errorf("the restored value did not stay: %+v %v", got, err)
+	}
+	// A value fetched for another revision is ignored.
 	h.EvictValue("k")
-	h.RestoreValue("k", 999, []byte("other"))
-	if _, err := h.Get("k", 0); err != ErrValueEvicted {
+	if _, err := h.GetWith("k", 0, Fetched{Seqno: it.Seqno + 1, Value: []byte("other")}); err != ErrValueEvicted {
 		t.Error("stale restore should be ignored")
+	}
+}
+
+// TestGetAndLockChecksResidencyFirst: an arm that answers
+// ErrValueEvicted must have changed nothing, or the caller's re-run
+// would find the document locked by a token nobody holds.
+func TestGetAndLockChecksResidencyFirst(t *testing.T) {
+	h := NewHashTable()
+	it, _ := h.Set(bg, "k", []byte("v"), 0, 0, 0, 100)
+	h.EvictValue("k")
+	if _, err := h.GetAndLock("k", 15, 100, Fetched{}); err != ErrValueEvicted {
+		t.Fatalf("GetAndLock on an evicted value: %v, want ErrValueEvicted", err)
+	}
+	if meta, _ := h.GetMeta("k"); meta.CAS != it.CAS {
+		t.Errorf("CAS moved from %d to %d on a failed lock", it.CAS, meta.CAS)
+	}
+	if err := h.Unlock("k", it.CAS, 101); err != ErrNotLocked {
+		t.Errorf("Unlock after the failed lock: %v, want ErrNotLocked", err)
+	}
+	locked, err := h.GetAndLock("k", 15, 100, Fetched{Seqno: it.Seqno, Value: []byte("v")})
+	if err != nil || string(locked.Value) != "v" || locked.CAS == it.CAS {
+		t.Fatalf("GetAndLock with the fetched value = %+v, %v", locked, err)
+	}
+	if err := h.Unlock("k", locked.CAS, 101); err != nil {
+		t.Errorf("Unlock with the returned token: %v", err)
 	}
 }
 
@@ -442,10 +471,10 @@ func TestNextCASMonotone(t *testing.T) {
 func TestAppendPrepend(t *testing.T) {
 	h := NewHashTable()
 	h.Set(bg, "k", []byte("middle"), 0, 0, 0, 0)
-	if _, err := h.Append(bg, "k", []byte("-end"), 0, 0); err != nil {
+	if _, err := h.Append(bg, "k", []byte("-end"), 0, 0, Fetched{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Prepend(bg, "k", []byte("start-"), 0, 0); err != nil {
+	if _, err := h.Prepend(bg, "k", []byte("start-"), 0, 0, Fetched{}); err != nil {
 		t.Fatal(err)
 	}
 	it, _ := h.Get("k", 0)
@@ -455,11 +484,11 @@ func TestAppendPrepend(t *testing.T) {
 	if it.RevSeqno != 3 {
 		t.Errorf("concat ops must be real mutations: rev %d", it.RevSeqno)
 	}
-	if _, err := h.Append(bg, "ghost", []byte("x"), 0, 0); err != ErrKeyNotFound {
+	if _, err := h.Append(bg, "ghost", []byte("x"), 0, 0, Fetched{}); err != ErrKeyNotFound {
 		t.Errorf("append missing: %v", err)
 	}
 	// CAS discipline.
-	if _, err := h.Append(bg, "k", []byte("x"), 12345, 0); err != ErrCASMismatch {
+	if _, err := h.Append(bg, "k", []byte("x"), 12345, 0, Fetched{}); err != ErrCASMismatch {
 		t.Errorf("stale cas: %v", err)
 	}
 }

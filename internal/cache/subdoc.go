@@ -22,7 +22,7 @@ var (
 )
 
 // SubdocGet returns the value at path inside the document.
-func (h *HashTable) SubdocGet(key, path string, now int64) (any, error) {
+func (h *HashTable) SubdocGet(key, path string, now int64, f Fetched) (any, error) {
 	p, ok := value.ParsePath(path)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrPathInvalid, path)
@@ -34,7 +34,7 @@ func (h *HashTable) SubdocGet(key, path string, now int64) (any, error) {
 	if !exists || it.Deleted || it.expired(now) {
 		return nil, ErrKeyNotFound
 	}
-	if !it.Resident {
+	if !h.resident(it, f) {
 		return nil, ErrValueEvicted
 	}
 	doc, isJSON := value.Parse(it.Value)
@@ -53,7 +53,7 @@ func (h *HashTable) SubdocGet(key, path string, now int64) (any, error) {
 // stripe lock and stores the result through the normal mutation path
 // (CAS checks, lock checks, rev/seqno assignment, observer
 // notification).
-func (h *HashTable) subdocMutate(ctx context.Context, key string, casCheck uint64, now int64, fn func(doc any) (any, error)) (Item, error) {
+func (h *HashTable) subdocMutate(ctx context.Context, key string, casCheck uint64, now int64, f Fetched, fn func(doc any) (any, error)) (Item, error) {
 	st := h.stripeOf(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -61,7 +61,7 @@ func (h *HashTable) subdocMutate(ctx context.Context, key string, casCheck uint6
 	if !exists || it.Deleted || it.expired(now) {
 		return Item{}, ErrKeyNotFound
 	}
-	if !it.Resident {
+	if !h.resident(it, f) {
 		return Item{}, ErrValueEvicted
 	}
 	doc, isJSON := value.Parse(it.Value)
@@ -76,12 +76,12 @@ func (h *HashTable) subdocMutate(ctx context.Context, key string, casCheck uint6
 }
 
 // SubdocSet writes v at path, creating intermediate objects as needed.
-func (h *HashTable) SubdocSet(ctx context.Context, key, path string, v any, casCheck uint64, now int64) (Item, error) {
+func (h *HashTable) SubdocSet(ctx context.Context, key, path string, v any, casCheck uint64, now int64, f Fetched) (Item, error) {
 	p, ok := value.ParsePath(path)
 	if !ok || p.Len() == 0 {
 		return Item{}, fmt.Errorf("%w: %q", ErrPathInvalid, path)
 	}
-	return h.subdocMutate(ctx, key, casCheck, now, func(doc any) (any, error) {
+	return h.subdocMutate(ctx, key, casCheck, now, f, func(doc any) (any, error) {
 		nd, applied := p.Set(doc, v)
 		if !applied {
 			return nil, fmt.Errorf("%w: %q", ErrPathMismatch, path)
@@ -91,12 +91,12 @@ func (h *HashTable) SubdocSet(ctx context.Context, key, path string, v any, casC
 }
 
 // SubdocRemove deletes the field at path.
-func (h *HashTable) SubdocRemove(ctx context.Context, key, path string, casCheck uint64, now int64) (Item, error) {
+func (h *HashTable) SubdocRemove(ctx context.Context, key, path string, casCheck uint64, now int64, f Fetched) (Item, error) {
 	p, ok := value.ParsePath(path)
 	if !ok || p.Len() == 0 {
 		return Item{}, fmt.Errorf("%w: %q", ErrPathInvalid, path)
 	}
-	return h.subdocMutate(ctx, key, casCheck, now, func(doc any) (any, error) {
+	return h.subdocMutate(ctx, key, casCheck, now, f, func(doc any) (any, error) {
 		nd, removed := p.Delete(doc)
 		if !removed {
 			return nil, fmt.Errorf("%w: %q", ErrPathNotFound, path)
@@ -106,12 +106,12 @@ func (h *HashTable) SubdocRemove(ctx context.Context, key, path string, casCheck
 }
 
 // SubdocArrayAppend appends v to the array at path.
-func (h *HashTable) SubdocArrayAppend(ctx context.Context, key, path string, v any, casCheck uint64, now int64) (Item, error) {
+func (h *HashTable) SubdocArrayAppend(ctx context.Context, key, path string, v any, casCheck uint64, now int64, f Fetched) (Item, error) {
 	p, ok := value.ParsePath(path)
 	if !ok {
 		return Item{}, fmt.Errorf("%w: %q", ErrPathInvalid, path)
 	}
-	return h.subdocMutate(ctx, key, casCheck, now, func(doc any) (any, error) {
+	return h.subdocMutate(ctx, key, casCheck, now, f, func(doc any) (any, error) {
 		cur := p.Eval(doc)
 		arr, isArr := cur.([]any)
 		if value.IsMissing(cur) {
@@ -129,13 +129,13 @@ func (h *HashTable) SubdocArrayAppend(ctx context.Context, key, path string, v a
 
 // SubdocCounter atomically adds delta to the number at path (creating
 // it as delta if absent) and returns the new value.
-func (h *HashTable) SubdocCounter(ctx context.Context, key, path string, delta float64, casCheck uint64, now int64) (float64, Item, error) {
+func (h *HashTable) SubdocCounter(ctx context.Context, key, path string, delta float64, casCheck uint64, now int64, f Fetched) (float64, Item, error) {
 	p, ok := value.ParsePath(path)
 	if !ok || p.Len() == 0 {
 		return 0, Item{}, fmt.Errorf("%w: %q", ErrPathInvalid, path)
 	}
 	var result float64
-	it, err := h.subdocMutate(ctx, key, casCheck, now, func(doc any) (any, error) {
+	it, err := h.subdocMutate(ctx, key, casCheck, now, f, func(doc any) (any, error) {
 		cur := p.Eval(doc)
 		switch {
 		case value.IsMissing(cur):

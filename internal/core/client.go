@@ -36,18 +36,6 @@ type Client struct {
 	clock func() int64
 }
 
-// DurabilityOptions are the per-mutation durability knobs of §2.3.2:
-// "client applications are given a choice of whether or not to wait
-// for replication and/or for persistence on a per mutation basis."
-type DurabilityOptions struct {
-	// ReplicateTo waits until that many replicas acknowledged.
-	ReplicateTo int
-	// PersistTo, when true, waits for persistence on the active node.
-	PersistTo bool
-	// Timeout bounds the durability wait (default 10s).
-	Timeout time.Duration
-}
-
 // ErrKeyNotFound mirrors the cache error at the client surface.
 var ErrKeyNotFound = cache.ErrKeyNotFound
 

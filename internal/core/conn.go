@@ -5,9 +5,8 @@ import (
 	"errors"
 	"time"
 
-	"couchgo/internal/cache"
 	"couchgo/internal/cmap"
-	"couchgo/internal/memcproto"
+	"couchgo/internal/vbucket"
 )
 
 // ErrNodeUnreachable marks transient transport failures (dial refused,
@@ -17,49 +16,22 @@ import (
 // in and the one that exists have diverged for a moment.
 var ErrNodeUnreachable = errors.New("core: node unreachable")
 
-// Op is one KV request as a plain value: the opcode plus the union of
-// every op's arguments. Which fields an op reads is fixed by the
-// extras layout of its memcproto.OpSpec row; the rest stay zero. It
-// crosses NodeConn.Do by value, so a caller's Op stays on its stack on
-// the loopback path (TestLoopbackDoGetZeroAlloc).
-type Op struct {
-	Code    memcproto.Opcode
-	Deleted bool   // XDCR: the mutation is a deletion
-	Flags   uint32 // Set/Add/Replace/XDCR document flags
-	Key     string
-	Value   []byte // document body; Append/Prepend data
-	CAS     uint64 // optimistic-lock check; Unlock's token; XDCR's source CAS
-	// Now is the client's unix-seconds clock, threaded through so
-	// expiry semantics follow the client's (injectable) time source on
-	// both transports.
-	Now int64
-	// Expiry is the document expiry (Set/Add/Replace/Touch/XDCR) or,
-	// for GetAndLock, the lock duration in seconds — the one u64 the
-	// now‖u64 layout carries.
-	Expiry   int64
-	RevSeqno uint64  // XDCR conflict-resolution revision
-	Path     string  // subdoc path
-	Doc      any     // subdoc Set/ArrayAppend payload
-	Delta    float64 // subdoc Counter increment
-	Dur      DurabilityOptions
-}
-
-// Result is what an op returns; the row's response shape says which
-// field is meaningful.
-type Result struct {
-	Item    cache.Item // ShapeItem
-	Doc     any        // ShapeJSON: SubdocGet's value, SubdocCounter's float64
-	Applied bool       // ShapeBool: whether XDCR's incoming revision won
-}
+// Op, Result and DurabilityOptions are declared by the package that
+// executes them; core names them for the client and transport layers.
+type (
+	Op                = vbucket.Op
+	Result            = vbucket.Result
+	DurabilityOptions = vbucket.DurabilityOptions
+)
 
 // NodeConn is one node's KV surface as a smart client sees it: every
 // vBucket-routed operation, addressed by (vbID, op.Key). Two
-// implementations exist — the in-process loopback, the single executor
-// that calls into the owning *Node's vBucket, and the transport
-// layer's TCP connection that encodes the op as a memcproto frame by
-// its table row (the server decodes it and hands it to the same
-// executor). The client neither knows nor cares which it got; that
-// indifference is the seam the multi-process cluster hangs on.
+// implementations exist — the in-process loopback, which hands the op
+// to the owning *Node's vBucket (vbucket.Do, the single executor), and
+// the transport layer's TCP connection that encodes the op as a
+// memcproto frame by its table row (the server decodes it and hands it
+// to the same loopback). The client neither knows nor cares which it
+// got; that indifference is the seam the multi-process cluster hangs on.
 type NodeConn interface {
 	Do(ctx context.Context, vbID int, op Op) (Result, error)
 }

@@ -10,6 +10,7 @@ import (
 	"couchgo/internal/cache"
 	"couchgo/internal/cmap"
 	"couchgo/internal/executor"
+	"couchgo/internal/memcproto"
 	"couchgo/internal/views"
 )
 
@@ -108,8 +109,8 @@ func TestReplicationAndDurability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rit, err := meta.GetMeta("durable")
-		if err != nil || rit.CAS != it.CAS || rit.Seqno != it.Seqno {
+		res, err := meta.Do(context.Background(), &Op{Code: memcproto.OpGetMeta, Key: "durable"})
+		if rit := res.Item; err != nil || rit.CAS != it.CAS || rit.Seqno != it.Seqno {
 			t.Fatalf("replica meta on %s: %+v %v (want cas %d)", rep, rit, err, it.CAS)
 		}
 	}

@@ -454,18 +454,6 @@ func (n *Node) stats(bucketName string) NodeStats {
 
 // --- node-level KV entry points (invoked by the cluster router) ---
 
-func (n *Node) kvGet(ctx context.Context, bucket string, vbID int, key string, now int64) (cache.Item, error) {
-	nb, err := n.bucket(bucket)
-	if err != nil {
-		return cache.Item{}, err
-	}
-	vb := nb.vb(vbID)
-	if vb == nil {
-		return cache.Item{}, fmt.Errorf("%w (vb %d absent)", vbucket.ErrNotMyVBucket, vbID)
-	}
-	return vb.Get(ctx, key, now)
-}
-
 func (n *Node) kvVB(bucket string, vbID int) (*vbucket.VBucket, error) {
 	nb, err := n.bucket(bucket)
 	if err != nil {

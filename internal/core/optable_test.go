@@ -8,6 +8,7 @@ import (
 
 	"couchgo/internal/memcproto"
 	"couchgo/internal/trace"
+	"couchgo/internal/vbucket"
 )
 
 // TestEveryOpRowHasExecutorArm closes the table's loop on the core
@@ -22,11 +23,11 @@ func TestEveryOpRowHasExecutorArm(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, spec := range memcproto.KVOps() {
-		if _, err := conn.Do(ctx, 0, Op{Code: spec.Code, Key: "k", Path: "p"}); errors.Is(err, errUnknownOp) {
+		if _, err := conn.Do(ctx, 0, Op{Code: spec.Code, Key: "k", Path: "p"}); errors.Is(err, vbucket.ErrUnknownOp) {
 			t.Errorf("op table row %s has no executor arm", spec.Name)
 		}
 	}
-	if _, err := conn.Do(ctx, 0, Op{Code: 0x0b, Key: "k"}); !errors.Is(err, errUnknownOp) {
+	if _, err := conn.Do(ctx, 0, Op{Code: 0x0b, Key: "k"}); !errors.Is(err, vbucket.ErrUnknownOp) {
 		t.Errorf("opcode 0x0b has no row but executed: err = %v", err)
 	}
 }

@@ -20,9 +20,9 @@
 //
 // Feed metrics are exported through metrics.Default per service:
 // couchgo_feed_mutations_total, couchgo_feed_rollbacks_total,
-// couchgo_feed_stalls_total (alias couchgo_feed_backpressure_stalls_total),
-// the couchgo_feed_buffer_high_watermark gauge (the deepest the drain
-// buffer has been per service — how far behind the consumer got), and
+// couchgo_feed_stalls_total, the couchgo_feed_buffer_high_watermark
+// gauge (the deepest the drain buffer has been per service — how far
+// behind the consumer got), and
 // the couchgo_feed_wait_seconds histogram (how long consistent reads
 // blocked in Wait).
 //
@@ -93,10 +93,7 @@ type Feed struct {
 	mMutations *metrics.Counter
 	mRollbacks *metrics.Counter
 	mStalls    *metrics.Counter
-	// mStallsAlias keeps the original backpressure-stalls name live for
-	// existing dashboards; both count the same events.
-	mStallsAlias *metrics.Counter
-	mHighWater   *metrics.Gauge
+	mHighWater *metrics.Gauge
 	// mStalled counts drain goroutines currently blocked on a full
 	// buffer — nonzero means a consumer is stalled *right now*, which
 	// is what the health watchdog ages (the stall counter only says a
@@ -149,18 +146,17 @@ func New(name string, c Consumer, cfg Config) *Feed {
 		cfg.Buffer = 64
 	}
 	return &Feed{
-		name:         name,
-		service:      cfg.Service,
-		consumer:     c,
-		buffer:       cfg.Buffer,
-		mMutations:   metrics.Default.Counter("couchgo_feed_mutations_total", "service", cfg.Service),
-		mRollbacks:   metrics.Default.Counter("couchgo_feed_rollbacks_total", "service", cfg.Service),
-		mStalls:      metrics.Default.Counter("couchgo_feed_stalls_total", "service", cfg.Service),
-		mStallsAlias: metrics.Default.Counter("couchgo_feed_backpressure_stalls_total", "service", cfg.Service),
-		mHighWater:   metrics.Default.Gauge("couchgo_feed_buffer_high_watermark", "service", cfg.Service),
-		mStalled:     metrics.Default.Gauge("couchgo_feed_stalled", "service", cfg.Service),
-		mWait:        metrics.Default.Histogram("couchgo_feed_wait_seconds", "service", cfg.Service),
-		wake:         make(chan struct{}),
+		name:       name,
+		service:    cfg.Service,
+		consumer:   c,
+		buffer:     cfg.Buffer,
+		mMutations: metrics.Default.Counter("couchgo_feed_mutations_total", "service", cfg.Service),
+		mRollbacks: metrics.Default.Counter("couchgo_feed_rollbacks_total", "service", cfg.Service),
+		mStalls:    metrics.Default.Counter("couchgo_feed_stalls_total", "service", cfg.Service),
+		mHighWater: metrics.Default.Gauge("couchgo_feed_buffer_high_watermark", "service", cfg.Service),
+		mStalled:   metrics.Default.Gauge("couchgo_feed_stalled", "service", cfg.Service),
+		mWait:      metrics.Default.Histogram("couchgo_feed_wait_seconds", "service", cfg.Service),
+		wake:       make(chan struct{}),
 	}
 }
 
@@ -304,7 +300,6 @@ func (f *Feed) drain(vb int, vf *vbFeed) {
 			case buf <- m:
 			default:
 				f.mStalls.Inc()
-				f.mStallsAlias.Inc()
 				// The event carries the high-watermark gauge's current
 				// value so journal and metrics tell one story: the
 				// buffer was this deep when backpressure hit.

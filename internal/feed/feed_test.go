@@ -266,7 +266,7 @@ func TestReattachAfterProducerClose(t *testing.T) {
 }
 
 func TestBackpressureStallCounter(t *testing.T) {
-	stalls := metrics.Default.Counter("couchgo_feed_backpressure_stalls_total", "service", "test")
+	stalls := metrics.Default.Counter("couchgo_feed_stalls_total", "service", "test")
 	before := stalls.Value()
 
 	src := newMemSource()

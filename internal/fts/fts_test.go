@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"couchgo/internal/memcproto"
 	"couchgo/internal/storage"
 	"couchgo/internal/vbucket"
 )
@@ -176,7 +177,7 @@ func TestUpdateAndDeleteMaintenance(t *testing.T) {
 	if len(hits) != 1 {
 		t.Fatal("updated term missing")
 	}
-	h.vbs[0].Delete(context.Background(), "d1", 0, 0)
+	h.vbs[0].Do(context.Background(), &vbucket.Op{Code: memcproto.OpDelete, Key: "d1"})
 	hits, _ = h.engine.SearchTerm(context.Background(), "docs", "beta", SearchOptions{WaitSeqnos: h.fresh()})
 	if len(hits) != 0 {
 		t.Fatalf("deleted doc still indexed: %+v", hits)

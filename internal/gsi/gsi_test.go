@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"couchgo/internal/dcp"
+	"couchgo/internal/memcproto"
 	"couchgo/internal/storage"
 	"couchgo/internal/value"
 	"couchgo/internal/vbucket"
@@ -106,7 +107,7 @@ func TestIndexMaintenanceOnUpdateDelete(t *testing.T) {
 	if len(items) != 1 || items[0].SecKey[0] != "new@x.com" {
 		t.Fatalf("after update: %+v", items)
 	}
-	h.vbs[0].Delete(context.Background(), "u1", 0, 0)
+	h.vbs[0].Do(context.Background(), &vbucket.Op{Code: memcproto.OpDelete, Key: "u1"})
 	items = h.scanFresh(t, "email", ScanOptions{})
 	if len(items) != 0 {
 		t.Fatalf("after delete: %+v", items)

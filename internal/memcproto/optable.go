@@ -53,8 +53,9 @@ func (s Shape) String() string { return shapeNames[s] }
 
 // OpSpec is one row of the KV op table: everything about an op that
 // is not its execution. The wire encoder and decoder, the server
-// dispatcher, the client's root span and the per-opcode histogram all
-// read it, so adding an op is one row plus one executor arm.
+// dispatcher, the executor's preamble (vbucket.Do), the client's root
+// span and the per-opcode histogram all read it, so adding an op is one
+// row plus one executor arm.
 type OpSpec struct {
 	Code Opcode
 	// Name is Opcode.String(): the histogram's opcode label and the
@@ -65,9 +66,13 @@ type OpSpec struct {
 	// Durable marks the ops whose mutate extras carry a durability
 	// requirement the executor honours — the only ops that may block.
 	Durable bool
+	// AnyState marks the op a vBucket copy answers in any state; every
+	// other op needs the active copy.
+	AnyState bool
 	// KVSpan is the client root span, "kv:" + Name with '_' → ':'
-	// unless the row spells it; ServerSpan is "server:" + Name.
-	KVSpan, ServerSpan string
+	// unless the row spells it; CacheSpan is the executor's span, the
+	// same with "cache:"; ServerSpan is "server:" + Name.
+	KVSpan, CacheSpan, ServerSpan string
 }
 
 // kvOps is the KV op table. KV opcodes occupy [0, kvOpcodeEnd).
@@ -82,7 +87,7 @@ var kvOps = []OpSpec{
 	{Code: OpUnlock, Name: "unlock", Extras: LayoutNow, Resp: ShapeEmpty},
 	{Code: OpAppendVal, Name: "append", Extras: LayoutNow, Resp: ShapeItem},
 	{Code: OpPrependVal, Name: "prepend", Extras: LayoutNow, Resp: ShapeItem},
-	{Code: OpGetMeta, Name: "getmeta", Extras: LayoutNow, Resp: ShapeItem},
+	{Code: OpGetMeta, Name: "getmeta", Extras: LayoutNow, Resp: ShapeItem, AnyState: true},
 	{Code: OpSubdocGet, Name: "subdoc_get", Extras: LayoutNowSubdoc, Resp: ShapeJSON},
 	{Code: OpSubdocSet, Name: "subdoc_set", Extras: LayoutNowSubdocDoc, Resp: ShapeItem},
 	{Code: OpSubdocRemove, Name: "subdoc_remove", Extras: LayoutNowSubdoc, Resp: ShapeItem},
@@ -101,6 +106,7 @@ func init() {
 		if s.KVSpan == "" {
 			s.KVSpan = "kv:" + strings.ReplaceAll(s.Name, "_", ":")
 		}
+		s.CacheSpan = "cache:" + strings.TrimPrefix(s.KVSpan, "kv:")
 		s.ServerSpan = "server:" + s.Name
 		kvIndex[s.Code] = s
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"couchgo/internal/cache"
 	"couchgo/internal/core"
@@ -17,6 +18,12 @@ import (
 // front of a server session), through the happy path and each error
 // status the op can return. A transport passes when both columns are
 // green; a new op is covered by adding its cases here, once.
+//
+// Every case also runs once per residency: with the document resident,
+// with its value evicted before each step, and (on a FullEviction
+// cluster) with the whole item evicted before each step. The expected
+// results are the same: where a document lives is the executor's
+// business, never the caller's.
 
 const (
 	confNow      = 1700000000
@@ -234,69 +241,120 @@ var conformance = map[memcproto.Opcode][]confCase{
 				}
 			}},
 			{op: doGet, check: valueIs(`{"x":1}`)}}},
+		// The two cases eviction makes interesting: conflict resolution
+		// and getmeta must see the stored revision, resident or not.
+		{"older_loses_to_stored", []confStep{doSet,
+			{op: core.Op{Code: memcproto.OpXDCRSet, Value: []byte(`{"x":2}`), CAS: 1, RevSeqno: 0}, check: func(t *testing.T, res, _ core.Result) {
+				if res.Applied {
+					t.Error("a revision older than the stored one must lose conflict resolution")
+				}
+			}},
+			{op: doGet, check: valueIs(confDoc)}}},
+		{"getmeta_reports_stored", []confStep{
+			{op: core.Op{Code: memcproto.OpXDCRSet, Value: []byte(`{"x":1}`), CAS: 1<<40 + 2, RevSeqno: 9}},
+			{op: core.Op{Code: memcproto.OpGetMeta}, check: func(t *testing.T, res, _ core.Result) {
+				if res.Item.CAS != 1<<40+2 || res.Item.RevSeqno != 9 {
+					t.Errorf("GetMeta = %+v, want the stored CAS and revseqno 9", res.Item)
+				}
+			}}}},
 	},
 }
 
-func TestConformance(t *testing.T) {
-	c, srv, _ := newServedCluster(t, 0)
-	pool := NewPool()
-	t.Cleanup(pool.Close)
-	loopback, err := c.LoopbackConn("node0", "default")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conns := []struct {
-		name string
-		nc   core.NodeConn
-	}{{"loopback", loopback}, {"tcp", NewNodeConn(srv.Addr(), pool, nil)}}
+// residencies is the suite's third axis: what is done to the case's
+// document before each of its steps.
+var residencies = []struct {
+	name         string
+	fullEviction bool
+	beforeEachOp func(vb *vbucket.VBucket, key string, now int64)
+}{
+	{"resident", false, func(*vbucket.VBucket, string, int64) {}},
+	{"value_evicted", false, func(vb *vbucket.VBucket, key string, _ int64) {
+		vb.Table.EvictValue(key)
+	}},
+	{"item_evicted", true, func(vb *vbucket.VBucket, key string, now int64) {
+		vb.Table.EvictItem(key, vb.PersistedSeqno(), now) // refuses a locked document: a lock lives in memory only
+	}},
+}
 
-	ctx := context.Background()
-	for _, conn := range conns {
-		for _, spec := range memcproto.KVOps() {
-			cases := conformance[spec.Code]
-			if len(cases) == 0 {
-				t.Errorf("op table row %s has no conformance cases", spec.Name)
+func TestConformance(t *testing.T) {
+	for _, full := range []bool{false, true} {
+		c, srv, _ := newServedBucket(t, core.BucketOptions{FullEviction: full})
+		pool := NewPool()
+		t.Cleanup(pool.Close)
+		loopback, err := c.LoopbackConn("node0", "default")
+		if err != nil {
+			t.Fatal(err)
+		}
+		vb, err := c.NodeVB("node0", "default", confVB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range residencies {
+			if res.fullEviction != full {
+				continue
 			}
-			for _, tc := range cases {
-				t.Run(conn.name+"/"+spec.Name+"/"+tc.name, func(t *testing.T) {
-					key := t.Name()
-					var prev core.Result
-					for i, step := range tc.steps {
-						op := step.op
-						op.Key = key
-						if op.Now == 0 {
-							op.Now = confNow
-						}
-						switch step.cas {
-						case casPrev:
-							op.CAS = prev.Item.CAS
-						case casWrong:
-							op.CAS = prev.Item.CAS + 1<<50
-						}
-						res, err := conn.nc.Do(ctx, confVB, op)
-						if step.wantErr == anyErr && err != nil {
-							err = anyErr
-						}
-						if !errors.Is(err, step.wantErr) || (step.wantErr == nil && err != nil) {
-							t.Fatalf("step %d (%s): err = %v, want %v", i, op.Code, err, step.wantErr)
-						}
-						if step.check != nil {
-							step.check(t, res, prev)
-						}
-						if err == nil && memcproto.SpecOf(op.Code).Resp == memcproto.ShapeItem {
-							prev = res
-						}
+			for _, conn := range []struct {
+				name string
+				nc   core.NodeConn
+			}{{"loopback", loopback}, {"tcp", NewNodeConn(srv.Addr(), pool, nil)}} {
+				runConformance(t, res.name+"/"+conn.name, conn.nc, func(key string, now int64) {
+					if err := vb.DrainDisk(5 * time.Second); err != nil {
+						t.Fatal(err)
 					}
+					res.beforeEachOp(vb, key, now)
 				})
 			}
-			// Every op, on every transport, bounces off a vBucket the
-			// node does not host with the canonical sentinel.
-			t.Run(conn.name+"/"+spec.Name+"/not_my_vbucket", func(t *testing.T) {
-				op := core.Op{Code: spec.Code, Key: "k", Path: "p", Now: confNow}
-				if _, err := conn.nc.Do(ctx, confAbsentVB, op); !errors.Is(err, vbucket.ErrNotMyVBucket) {
-					t.Fatalf("err = %v, want ErrNotMyVBucket", err)
+		}
+	}
+}
+
+func runConformance(t *testing.T, name string, nc core.NodeConn, beforeEachOp func(key string, now int64)) {
+	ctx := context.Background()
+	for _, spec := range memcproto.KVOps() {
+		cases := conformance[spec.Code]
+		if len(cases) == 0 {
+			t.Errorf("op table row %s has no conformance cases", spec.Name)
+		}
+		for _, tc := range cases {
+			t.Run(name+"/"+spec.Name+"/"+tc.name, func(t *testing.T) {
+				key := t.Name()
+				var prev core.Result
+				for i, step := range tc.steps {
+					op := step.op
+					op.Key = key
+					if op.Now == 0 {
+						op.Now = confNow
+					}
+					switch step.cas {
+					case casPrev:
+						op.CAS = prev.Item.CAS
+					case casWrong:
+						op.CAS = prev.Item.CAS + 1<<50
+					}
+					beforeEachOp(key, op.Now)
+					res, err := nc.Do(ctx, confVB, op)
+					if step.wantErr == anyErr && err != nil {
+						err = anyErr
+					}
+					if !errors.Is(err, step.wantErr) || (step.wantErr == nil && err != nil) {
+						t.Fatalf("step %d (%s): err = %v, want %v", i, op.Code, err, step.wantErr)
+					}
+					if step.check != nil {
+						step.check(t, res, prev)
+					}
+					if err == nil && memcproto.SpecOf(op.Code).Resp == memcproto.ShapeItem {
+						prev = res
+					}
 				}
 			})
 		}
+		// Every op, on every transport, bounces off a vBucket the
+		// node does not host with the canonical sentinel.
+		t.Run(name+"/"+spec.Name+"/not_my_vbucket", func(t *testing.T) {
+			op := core.Op{Code: spec.Code, Key: "k", Path: "p", Now: confNow}
+			if _, err := nc.Do(ctx, confAbsentVB, op); !errors.Is(err, vbucket.ErrNotMyVBucket) {
+				t.Fatalf("err = %v, want ErrNotMyVBucket", err)
+			}
+		})
 	}
 }

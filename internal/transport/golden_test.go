@@ -139,7 +139,9 @@ func rebaseCAS(raw []byte, base uint64) {
 // (PR 11's 17-method netConn and per-opcode handleKV switch), where
 // testdata/golden_frames.txt was recorded by this same test body with
 // an adapter from Op to the 17 methods. An intended wire change edits
-// that file by hand from the failure output.
+// that file by hand from the failure output (PR 22: touch became a
+// mutation, so every CAS, seqno and revseqno after the script's touch
+// is one higher; no layout changed).
 func TestGoldenFrames(t *testing.T) {
 	_, srv, _ := newServedCluster(t, 0)
 	tap := newFrameTap(t, srv.Addr())

@@ -20,23 +20,28 @@ import (
 // wire.
 func newServedCluster(t *testing.T, nReplicas int) (*core.Cluster, *Server, *core.Client) {
 	t.Helper()
+	return newServedBucket(t, core.BucketOptions{NumReplicas: nReplicas})
+}
+
+func newServedBucket(t *testing.T, opts core.BucketOptions) (*core.Cluster, *Server, *core.Client) {
+	t.Helper()
 	c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	nodes := 1 + nReplicas
+	nodes := 1 + opts.NumReplicas
 	for i := 0; i < nodes; i++ {
 		if _, err := c.AddNode(cmap.NodeID(fmt.Sprintf("node%d", i)), cmap.AllServices); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.CreateBucket("default", core.BucketOptions{NumReplicas: nReplicas}); err != nil {
+	if err := c.CreateBucket("default", opts); err != nil {
 		t.Fatal(err)
 	}
 	// One server per node would need one port per node; for the wire
 	// round-trip test a single node's server suffices, so use a
-	// single-node cluster when nReplicas == 0.
+	// single-node cluster when opts.NumReplicas == 0.
 	srv, err := Listen("127.0.0.1:0", ServerConfig{
 		Cluster: c,
 		Node:    "node0",

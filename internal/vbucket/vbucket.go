@@ -20,10 +20,10 @@ package vbucket
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"couchgo/internal/cache"
@@ -34,26 +34,15 @@ import (
 	"couchgo/internal/trace"
 )
 
-// KV-path metrics, shared across every vBucket in the process. Gets
-// resolve one of three ways — value served from RAM (hit), value
-// restored from the storage engine (bgfetch), or key absent (miss) —
-// so gets_total = hits + bgfetches + misses. Latency histograms are
-// sampled (metrics.Sample) because two clock reads are material
-// against a sub-microsecond cache hit; mutation ops are counted
-// unsampled via couchgo_kv_ops_total.
+// KV-path metrics, shared across every vBucket in the process (the
+// per-op series are in op.go). A Get is served from RAM (hit) or finds
+// no document (miss); a bgfetch is a restoration from the storage
+// engine on behalf of any op, and a Get that needed one counts as
+// neither hit nor miss.
 var (
 	mCacheHits   = metrics.Default.Counter("couchgo_cache_hits_total")
 	mCacheMisses = metrics.Default.Counter("couchgo_cache_misses_total")
 	mBgFetches   = metrics.Default.Counter("couchgo_cache_bgfetches_total")
-
-	mGetLatency    = metrics.Default.Histogram("couchgo_kv_op_duration_seconds", "op", "get")
-	mSetLatency    = metrics.Default.Histogram("couchgo_kv_op_duration_seconds", "op", "set")
-	mCasLatency    = metrics.Default.Histogram("couchgo_kv_op_duration_seconds", "op", "cas")
-	mDeleteLatency = metrics.Default.Histogram("couchgo_kv_op_duration_seconds", "op", "delete")
-
-	mSetOps    = metrics.Default.Counter("couchgo_kv_ops_total", "op", "set")
-	mCasOps    = metrics.Default.Counter("couchgo_kv_ops_total", "op", "cas")
-	mDeleteOps = metrics.Default.Counter("couchgo_kv_ops_total", "op", "delete")
 
 	mFlushBatchItems = metrics.Default.ValueHistogram("couchgo_flusher_batch_items")
 	mFlushDuration   = metrics.Default.Histogram("couchgo_flusher_flush_duration_seconds")
@@ -132,8 +121,7 @@ type Config struct {
 type VBucket struct {
 	ID int
 
-	mu    sync.Mutex
-	state State
+	state atomic.Int32 // a State; read by every KV op
 
 	Table    *cache.HashTable
 	file     *storage.VBFile
@@ -166,13 +154,13 @@ func New(id int, file *storage.VBFile, state State, cfg Config) *VBucket {
 	}
 	vb := &VBucket{
 		ID:            id,
-		state:         state,
 		Table:         cache.NewHashTable(),
 		file:          file,
 		cfg:           cfg,
 		flushDone:     make(chan struct{}),
 		replicaSeqnos: make(map[string]uint64),
 	}
+	vb.state.Store(int32(state))
 	vb.queueCond = sync.NewCond(&vb.queueMu)
 	vb.durCond = sync.NewCond(&vb.durMu)
 	vb.producer = dcp.NewProducer(id, (*snapshotSource)(vb))
@@ -198,40 +186,6 @@ func (vb *VBucket) WarmUp() error {
 	})
 	vb.Table.SetHighSeqno(vb.file.HighSeqno())
 	return err
-}
-
-// missFetch restores a fully-evicted document's state from the storage
-// engine. Returns true when something was restored.
-func (vb *VBucket) missFetch(key string) bool {
-	meta, err := vb.file.GetMeta(key)
-	if err != nil {
-		return false
-	}
-	it := cache.Item{
-		Key: key, CAS: meta.CAS, RevSeqno: meta.RevSeqno, Seqno: meta.Seqno,
-		Flags: meta.Flags, Expiry: meta.Expiry, Deleted: meta.Deleted,
-	}
-	if !meta.Deleted {
-		rec, err := vb.file.Get(key)
-		if err != nil {
-			return false
-		}
-		it.Value = rec.Value
-	}
-	vb.Table.Restore(it)
-	return true
-}
-
-// ensureResident brings an absent key's durable state back into the
-// cache before an operation that depends on it (full-eviction mode's
-// read-before-write: CAS checks and rev lineage need the metadata).
-func (vb *VBucket) ensureResident(key string) {
-	if !vb.cfg.FullEviction {
-		return
-	}
-	if _, err := vb.Table.GetMeta(key); err == cache.ErrKeyNotFound {
-		vb.missFetch(key)
-	}
 }
 
 // flushEntry is one disk-write queue element: the record plus the
@@ -393,26 +347,13 @@ func dedupBatch(batch []flushEntry) []flushEntry {
 }
 
 // State returns the current partition state.
-func (vb *VBucket) State() State {
-	vb.mu.Lock()
-	defer vb.mu.Unlock()
-	return vb.state
-}
+func (vb *VBucket) State() State { return State(vb.state.Load()) }
 
 // SetState transitions the partition (rebalance switchover, failover
 // promotion). Promoting to Active lets the seqno clock continue from
 // whatever the replica had applied.
 func (vb *VBucket) SetState(s State) {
-	vb.mu.Lock()
-	vb.state = s
-	vb.mu.Unlock()
-}
-
-func (vb *VBucket) requireActive() error {
-	if vb.State() != Active {
-		return fmt.Errorf("%w (vb %d is %s)", ErrNotMyVBucket, vb.ID, vb.State())
-	}
-	return nil
+	vb.state.Store(int32(s))
 }
 
 // Producer exposes the vBucket's DCP producer for consumers (replicas,
@@ -437,227 +378,6 @@ func (vb *VBucket) QueueDepth() int {
 	return len(vb.queue)
 }
 
-// --- KV operations (active copies only) ---
-
-// cacheSpan opens a child span under the caller's trace (never a new
-// root — sampling decisions belong to the client/query entry points).
-// With no sampled parent it returns ctx unchanged and a nil span.
-func cacheSpan(ctx context.Context, name string) (context.Context, *trace.Span) {
-	sp := trace.FromContext(ctx).Child(name)
-	return trace.ContextWith(ctx, sp), sp
-}
-
-// Get returns the document, transparently restoring evicted values from
-// the storage engine (a "background fetch" in the real server).
-func (vb *VBucket) Get(ctx context.Context, key string, now int64) (cache.Item, error) {
-	if err := vb.requireActive(); err != nil {
-		return cache.Item{}, err
-	}
-	sp := trace.FromContext(ctx).Child("cache:get")
-	defer sp.End()
-	if t0, ok := metrics.Sample(); ok {
-		defer mGetLatency.ObserveSince(t0)
-	}
-	vb.ensureResident(key)
-	it, err := vb.Table.Get(key, now)
-	if err == cache.ErrValueEvicted {
-		mBgFetches.Inc()
-		sp.Annotate("bgfetch", "true")
-		rec, rerr := vb.file.Get(key)
-		if rerr != nil {
-			return cache.Item{}, fmt.Errorf("vbucket: bgfetch %s: %w", key, rerr)
-		}
-		vb.Table.RestoreValue(key, it.CAS, rec.Value)
-		return vb.Table.Get(key, now)
-	}
-	if err == nil {
-		mCacheHits.Inc()
-	} else {
-		mCacheMisses.Inc()
-	}
-	sp.Error(err)
-	return it, err
-}
-
-// GetMeta returns metadata (tombstones included) without state checks;
-// XDCR conflict resolution uses it on both sides.
-func (vb *VBucket) GetMeta(key string) (cache.Item, error) {
-	return vb.Table.GetMeta(key)
-}
-
-// Set writes a document (CAS semantics per cache.HashTable.Set).
-func (vb *VBucket) Set(ctx context.Context, key string, value []byte, flags uint32, expiry int64, casCheck uint64, now int64) (cache.Item, error) {
-	if err := vb.requireActive(); err != nil {
-		return cache.Item{}, err
-	}
-	ops, lat := mSetOps, mSetLatency
-	if casCheck != 0 {
-		ops, lat = mCasOps, mCasLatency
-	}
-	ops.Inc()
-	if t0, ok := metrics.Sample(); ok {
-		defer lat.ObserveSince(t0)
-	}
-	ctx, sp := cacheSpan(ctx, "cache:set")
-	defer sp.End()
-	vb.ensureResident(key)
-	it, err := vb.Table.Set(ctx, key, value, flags, expiry, casCheck, now)
-	sp.Error(err)
-	if sp != nil && err == nil {
-		sp.Annotate("seqno", strconv.FormatUint(it.Seqno, 10))
-	}
-	return it, err
-}
-
-// Add inserts a document that must not already exist.
-func (vb *VBucket) Add(ctx context.Context, key string, value []byte, flags uint32, expiry int64, now int64) (cache.Item, error) {
-	if err := vb.requireActive(); err != nil {
-		return cache.Item{}, err
-	}
-	ctx, sp := cacheSpan(ctx, "cache:add")
-	defer sp.End()
-	vb.ensureResident(key)
-	return vb.Table.Add(ctx, key, value, flags, expiry, now)
-}
-
-// Replace updates a document that must already exist.
-func (vb *VBucket) Replace(ctx context.Context, key string, value []byte, flags uint32, expiry int64, casCheck uint64, now int64) (cache.Item, error) {
-	if err := vb.requireActive(); err != nil {
-		return cache.Item{}, err
-	}
-	ctx, sp := cacheSpan(ctx, "cache:replace")
-	defer sp.End()
-	vb.ensureResident(key)
-	return vb.Table.Replace(ctx, key, value, flags, expiry, casCheck, now)
-}
-
-// Delete tombstones a document.
-func (vb *VBucket) Delete(ctx context.Context, key string, casCheck uint64, now int64) (cache.Item, error) {
-	if err := vb.requireActive(); err != nil {
-		return cache.Item{}, err
-	}
-	mDeleteOps.Inc()
-	if t0, ok := metrics.Sample(); ok {
-		defer mDeleteLatency.ObserveSince(t0)
-	}
-	ctx, sp := cacheSpan(ctx, "cache:delete")
-	defer sp.End()
-	vb.ensureResident(key)
-	it, err := vb.Table.Delete(ctx, key, casCheck, now)
-	sp.Error(err)
-	return it, err
-}
-
-// Touch updates a document's expiry.
-func (vb *VBucket) Touch(ctx context.Context, key string, expiry int64, now int64) (cache.Item, error) {
-	if err := vb.requireActive(); err != nil {
-		return cache.Item{}, err
-	}
-	_, sp := cacheSpan(ctx, "cache:touch")
-	defer sp.End()
-	vb.ensureResident(key)
-	return vb.Table.Touch(key, expiry, now)
-}
-
-// GetAndLock takes the document-level hard lock.
-func (vb *VBucket) GetAndLock(ctx context.Context, key string, lockSeconds int64, now int64) (cache.Item, error) {
-	if err := vb.requireActive(); err != nil {
-		return cache.Item{}, err
-	}
-	_, sp := cacheSpan(ctx, "cache:getandlock")
-	defer sp.End()
-	vb.ensureResident(key)
-	return vb.Table.GetAndLock(key, lockSeconds, now)
-}
-
-// Unlock releases the hard lock.
-func (vb *VBucket) Unlock(ctx context.Context, key string, casToken uint64, now int64) error {
-	if err := vb.requireActive(); err != nil {
-		return err
-	}
-	_, sp := cacheSpan(ctx, "cache:unlock")
-	defer sp.End()
-	return vb.Table.Unlock(key, casToken, now)
-}
-
-// Append concatenates raw bytes after the document's value.
-func (vb *VBucket) Append(ctx context.Context, key string, data []byte, casCheck uint64, now int64) (cache.Item, error) {
-	if err := vb.requireActive(); err != nil {
-		return cache.Item{}, err
-	}
-	ctx, sp := cacheSpan(ctx, "cache:append")
-	defer sp.End()
-	return vb.Table.Append(ctx, key, data, casCheck, now)
-}
-
-// Prepend concatenates raw bytes before the document's value.
-func (vb *VBucket) Prepend(ctx context.Context, key string, data []byte, casCheck uint64, now int64) (cache.Item, error) {
-	if err := vb.requireActive(); err != nil {
-		return cache.Item{}, err
-	}
-	ctx, sp := cacheSpan(ctx, "cache:prepend")
-	defer sp.End()
-	return vb.Table.Prepend(ctx, key, data, casCheck, now)
-}
-
-// SubdocGet reads one path inside a document (sub-document lookup).
-func (vb *VBucket) SubdocGet(ctx context.Context, key, path string, now int64) (any, error) {
-	if err := vb.requireActive(); err != nil {
-		return nil, err
-	}
-	_, sp := cacheSpan(ctx, "cache:subdoc:get")
-	defer sp.End()
-	v, err := vb.Table.SubdocGet(key, path, now)
-	if err == cache.ErrValueEvicted {
-		if rec, rerr := vb.file.Get(key); rerr == nil {
-			it, _ := vb.Table.GetMeta(key)
-			vb.Table.RestoreValue(key, it.CAS, rec.Value)
-			return vb.Table.SubdocGet(key, path, now)
-		}
-	}
-	return v, err
-}
-
-// SubdocSet writes one path inside a document atomically.
-func (vb *VBucket) SubdocSet(ctx context.Context, key, path string, v any, casCheck uint64, now int64) (cache.Item, error) {
-	if err := vb.requireActive(); err != nil {
-		return cache.Item{}, err
-	}
-	ctx, sp := cacheSpan(ctx, "cache:subdoc:set")
-	defer sp.End()
-	return vb.Table.SubdocSet(ctx, key, path, v, casCheck, now)
-}
-
-// SubdocRemove deletes one path inside a document atomically.
-func (vb *VBucket) SubdocRemove(ctx context.Context, key, path string, casCheck uint64, now int64) (cache.Item, error) {
-	if err := vb.requireActive(); err != nil {
-		return cache.Item{}, err
-	}
-	ctx, sp := cacheSpan(ctx, "cache:subdoc:remove")
-	defer sp.End()
-	return vb.Table.SubdocRemove(ctx, key, path, casCheck, now)
-}
-
-// SubdocArrayAppend appends to an array inside a document atomically.
-func (vb *VBucket) SubdocArrayAppend(ctx context.Context, key, path string, v any, casCheck uint64, now int64) (cache.Item, error) {
-	if err := vb.requireActive(); err != nil {
-		return cache.Item{}, err
-	}
-	ctx, sp := cacheSpan(ctx, "cache:subdoc:arrayappend")
-	defer sp.End()
-	return vb.Table.SubdocArrayAppend(ctx, key, path, v, casCheck, now)
-}
-
-// SubdocCounter adds delta to a numeric field atomically.
-func (vb *VBucket) SubdocCounter(ctx context.Context, key, path string, delta float64, casCheck uint64, now int64) (float64, cache.Item, error) {
-	if err := vb.requireActive(); err != nil {
-		return 0, cache.Item{}, err
-	}
-	ctx, sp := cacheSpan(ctx, "cache:subdoc:counter")
-	defer sp.End()
-	return vb.Table.SubdocCounter(ctx, key, path, delta, casCheck, now)
-}
-
 // ApplyReplica installs a mutation received over a DCP replication
 // stream, preserving origin metadata. Valid in Replica/Pending states.
 func (vb *VBucket) ApplyReplica(m dcp.Mutation) {
@@ -672,17 +392,6 @@ func (vb *VBucket) ApplyReplica(m dcp.Mutation) {
 		Key: m.Key, Value: m.Value, CAS: m.CAS, RevSeqno: m.RevSeqno,
 		Seqno: m.Seqno, Flags: m.Flags, Expiry: m.Expiry, Deleted: m.Deleted,
 	})
-}
-
-// ApplyRemote applies an XDCR mutation with conflict resolution on the
-// active copy, reporting whether the incoming revision won.
-func (vb *VBucket) ApplyRemote(ctx context.Context, key string, value []byte, deleted bool, cas, revSeqno uint64, flags uint32, expiry int64) (bool, error) {
-	if err := vb.requireActive(); err != nil {
-		return false, err
-	}
-	ctx, sp := cacheSpan(ctx, "cache:xdcr")
-	defer sp.End()
-	return vb.Table.ApplyRemote(ctx, key, value, deleted, cas, revSeqno, flags, expiry), nil
 }
 
 // --- Durability (per-mutation options, §2.3.2) ---

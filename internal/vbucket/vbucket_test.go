@@ -9,12 +9,13 @@ import (
 
 	"couchgo/internal/cache"
 	"couchgo/internal/dcp"
+	"couchgo/internal/memcproto"
 	"couchgo/internal/storage"
 )
 
 var bg = context.Background()
 
-func newVB(t *testing.T, state State, cfg Config) (*VBucket, *storage.VBFile) {
+func newVB(t testing.TB, state State, cfg Config) (*VBucket, *storage.VBFile) {
 	t.Helper()
 	f, err := storage.Open(filepath.Join(t.TempDir(), "vb.couch"), false)
 	if err != nil {
@@ -50,19 +51,10 @@ func TestMemoryFirstWritePath(t *testing.T) {
 
 func TestNonActiveRejectsKVOps(t *testing.T) {
 	vb, _ := newVB(t, Replica, Config{})
-	ops := []func() error{
-		func() error { _, err := vb.Get(bg, "k", 0); return err },
-		func() error { _, err := vb.Set(bg, "k", nil, 0, 0, 0, 0); return err },
-		func() error { _, err := vb.Add(bg, "k", nil, 0, 0, 0); return err },
-		func() error { _, err := vb.Replace(bg, "k", nil, 0, 0, 0, 0); return err },
-		func() error { _, err := vb.Delete(bg, "k", 0, 0); return err },
-		func() error { _, err := vb.Touch(bg, "k", 0, 0); return err },
-		func() error { _, err := vb.GetAndLock(bg, "k", 1, 0); return err },
-		func() error { return vb.Unlock(bg, "k", 1, 0) },
-	}
-	for i, op := range ops {
-		if err := op(); err == nil || !isNotMyVBucket(err) {
-			t.Errorf("op %d on replica: %v", i, err)
+	for _, spec := range memcproto.KVOps() {
+		_, err := vb.Do(bg, &Op{Code: spec.Code, Key: "k", Path: "p"})
+		if isNotMyVBucket(err) == spec.AnyState {
+			t.Errorf("%s on replica: %v (row AnyState=%v)", spec.Name, err, spec.AnyState)
 		}
 	}
 	// Promotion makes them work.
@@ -95,7 +87,7 @@ func TestDCPStreamSeesWrites(t *testing.T) {
 	defer s.Close()
 	vb.Set(bg, "a", []byte("1"), 0, 0, 0, 0)
 	vb.Set(bg, "b", []byte("2"), 0, 0, 0, 0)
-	vb.Delete(bg, "a", 0, 0)
+	vb.Do(bg, &Op{Code: memcproto.OpDelete, Key: "a"})
 	var muts []dcp.Mutation
 	timeout := time.After(5 * time.Second)
 	for len(muts) < 3 {
@@ -208,7 +200,7 @@ func TestWarmUpAfterRestart(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		last, _ = vb.Set(bg, fmt.Sprintf("k%02d", i), []byte(fmt.Sprintf("v%d", i)), 0, 0, 0, 0)
 	}
-	vb.Delete(bg, "k00", 0, 0)
+	vb.Do(bg, &Op{Code: memcproto.OpDelete, Key: "k00"})
 	vb.DrainDisk(5 * time.Second)
 	_ = last
 	vb.Close()
@@ -240,7 +232,7 @@ func TestWarmUpAfterRestart(t *testing.T) {
 func TestApplyReplicaPreservesMetadata(t *testing.T) {
 	vb, _ := newVB(t, Replica, Config{})
 	vb.ApplyReplica(dcp.Mutation{Key: "k", Value: []byte("v"), Seqno: 42, CAS: 7, RevSeqno: 3})
-	meta, err := vb.GetMeta("k")
+	meta, err := vb.Table.GetMeta("k")
 	if err != nil || meta.CAS != 7 || meta.RevSeqno != 3 || meta.Seqno != 42 {
 		t.Fatalf("replica meta: %+v %v", meta, err)
 	}
@@ -337,7 +329,7 @@ func TestFullEvictionRevLineageContinues(t *testing.T) {
 	// Add on an evicted key conflicts (the key exists on disk).
 	vb.DrainDisk(5 * time.Second)
 	vb.Table.EvictItem("k", vb.PersistedSeqno(), 0)
-	if _, err := vb.Add(bg, "k", []byte("x"), 0, 0, 0); err != cache.ErrKeyExists {
+	if _, err := vb.Do(bg, &Op{Code: memcproto.OpAdd, Key: "k", Value: []byte("x")}); err != cache.ErrKeyExists {
 		t.Fatalf("Add on evicted key: %v", err)
 	}
 	_ = it

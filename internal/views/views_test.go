@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"couchgo/internal/memcproto"
 	"couchgo/internal/storage"
 	"couchgo/internal/value"
 	"couchgo/internal/vbucket"
@@ -129,7 +130,7 @@ func TestViewUpdatesAndDeletes(t *testing.T) {
 	}
 	// Re-add then delete the doc.
 	h.put(t, 0, "u1", `{"name": "Alice", "email": "a@x.com"}`)
-	if _, err := h.vbs[0].Delete(context.Background(), "u1", 0, 0); err != nil {
+	if _, err := h.vbs[0].Do(context.Background(), &vbucket.Op{Code: memcproto.OpDelete, Key: "u1"}); err != nil {
 		t.Fatal(err)
 	}
 	rows = h.queryFresh(t, "profile", QueryOptions{})
