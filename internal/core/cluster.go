@@ -39,8 +39,9 @@ type Config struct {
 	// and a mapped node silent past the timeout is failed over. Zero
 	// FailoverTimeout leaves detection to whoever else evaluates the
 	// decider's rule (cbserver's watchdog), or to manual Failover; a
-	// member process of a networked cluster (transport.StartNode) leaves
-	// it zero, since the nodes to grade there are other processes.
+	// member process of a networked cluster must leave it zero
+	// (transport.StartNode refuses otherwise), since the nodes to grade
+	// there are other processes.
 	HeartbeatInterval time.Duration
 	FailoverTimeout   time.Duration
 	// SlowQueryThreshold bounds N1QL latency before a statement lands
@@ -636,6 +637,10 @@ func (c *Cluster) BucketNames() []string {
 func (c *Cluster) SlowQueries() []metrics.SlowQuery {
 	return c.slowLog.Entries()
 }
+
+// FailoverTimeout is Config.FailoverTimeout: non-zero means the cluster
+// runs its own heartbeat detector.
+func (c *Cluster) FailoverTimeout() time.Duration { return c.cfg.FailoverTimeout }
 
 // SlowQueryThreshold reports the active slow-query cutoff.
 func (c *Cluster) SlowQueryThreshold() time.Duration {

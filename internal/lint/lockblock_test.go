@@ -309,6 +309,66 @@ func (c *conn) readLoop(handle func([]byte)) {
 	}
 }
 `},
+		{name: "combining_writer", src: `
+package a
+
+import (
+	"net"
+	"sync"
+)
+
+// transport.frameWriter's shape: the sender that finds no write in
+// flight raises a flag under the mutex, releases it, and writes; what
+// arrives meanwhile queues under the mutex and leaves in the leader's
+// next write. The flag, not the mutex, excludes a second writer.
+type writer struct {
+	mu      sync.Mutex
+	nc      net.Conn
+	writing bool
+	queue   [][]byte
+}
+
+func (w *writer) good(buf []byte) error {
+	w.mu.Lock()
+	w.queue = append(w.queue, buf)
+	if w.writing {
+		w.mu.Unlock()
+		return nil
+	}
+	w.writing = true
+	var err error
+	for err == nil && len(w.queue) > 0 {
+		batch := w.queue
+		w.queue = nil
+		w.mu.Unlock()
+		for _, b := range batch {
+			if _, err = w.nc.Write(b); err != nil {
+				break
+			}
+		}
+		w.mu.Lock()
+	}
+	w.writing = false
+	w.mu.Unlock()
+	return err
+}
+
+// Its broken twin holds the mutex across the write: every sender now
+// waits on the peer's receive window instead of queueing behind it.
+func (w *writer) bad(buf []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.queue = append(w.queue, buf)
+	for len(w.queue) > 0 {
+		b := w.queue[0]
+		w.queue = w.queue[1:]
+		if _, err := w.nc.Write(b); err != nil { // want: lockblock
+			return err
+		}
+	}
+	return nil
+}
+`},
 		{name: "distinct_mutexes_tracked_separately", src: `
 package a
 

@@ -132,12 +132,13 @@ func DecodeMutateExtras(b []byte) (MutateExtras, error) {
 // needs to reconstruct a cache.Item besides key, value, and the CAS
 // already carried in the header.
 type ItemMeta struct {
-	Seqno    uint64
-	RevSeqno uint64
-	Flags    uint32
-	Expiry   int64
-	Deleted  bool
-	Resident bool
+	Seqno     uint64
+	RevSeqno  uint64
+	Flags     uint32
+	Expiry    int64
+	Deleted   bool
+	Resident  bool
+	AckWanted bool // on a DCP push: somebody waits on its replication, ack it
 }
 
 const itemMetaLen = 8 + 8 + 4 + 8 + 1
@@ -156,6 +157,9 @@ func AppendItemMeta(dst []byte, m ItemMeta) []byte {
 	if m.Resident {
 		bits |= 2
 	}
+	if m.AckWanted {
+		bits |= 4
+	}
 	b[28] = bits
 	return append(dst, b[:]...)
 }
@@ -166,12 +170,13 @@ func DecodeItemMeta(b []byte) (ItemMeta, error) {
 		return ItemMeta{}, ErrBadExtras
 	}
 	return ItemMeta{
-		Seqno:    binary.BigEndian.Uint64(b[0:8]),
-		RevSeqno: binary.BigEndian.Uint64(b[8:16]),
-		Flags:    binary.BigEndian.Uint32(b[16:20]),
-		Expiry:   int64(binary.BigEndian.Uint64(b[20:28])),
-		Deleted:  b[28]&1 != 0,
-		Resident: b[28]&2 != 0,
+		Seqno:     binary.BigEndian.Uint64(b[0:8]),
+		RevSeqno:  binary.BigEndian.Uint64(b[8:16]),
+		Flags:     binary.BigEndian.Uint32(b[16:20]),
+		Expiry:    int64(binary.BigEndian.Uint64(b[20:28])),
+		Deleted:   b[28]&1 != 0,
+		Resident:  b[28]&2 != 0,
+		AckWanted: b[28]&4 != 0,
 	}, nil
 }
 

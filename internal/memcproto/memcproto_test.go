@@ -204,6 +204,11 @@ func TestExtrasRoundTrip(t *testing.T) {
 	if err != nil || got2 != im {
 		t.Fatalf("item meta: %+v %v", got2, err)
 	}
+	// AckWanted is the flags byte's bit 2: no layout change.
+	wire := AppendItemMeta(nil, ItemMeta{Seqno: 7, AckWanted: true})
+	if got, err := DecodeItemMeta(wire); len(wire) != itemMetaLen || wire[28] != 4 || err != nil || got != (ItemMeta{Seqno: 7, AckWanted: true}) {
+		t.Fatalf("ack-wanted item meta: % x -> %+v %v", wire, got, err)
+	}
 
 	xe := XDCRExtras{RevSeqno: 8, Flags: 1, Expiry: 5, Deleted: true}
 	got3, err := DecodeXDCRExtras(xe.Encode())

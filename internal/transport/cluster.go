@@ -103,6 +103,9 @@ func StartNode(opts NodeOptions) (*ClusterNode, error) {
 	if len(locals) != 1 {
 		return nil, fmt.Errorf("transport: a member process holds one local node, its cluster has %d", len(locals))
 	}
+	if opts.Cluster.FailoverTimeout() > 0 {
+		return nil, fmt.Errorf("transport: a member process's cluster must leave Config.FailoverTimeout zero: its peers are other processes, graded by the seed's watchdog")
+	}
 	local := locals[0].ID()
 	lc, err := opts.Cluster.LoopbackConn(local, opts.Bucket)
 	if err != nil {

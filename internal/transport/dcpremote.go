@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -32,32 +33,31 @@ func NewRemoteProducer(addr string, vb int) *RemoteProducer {
 	return &RemoteProducer{addr: addr, vb: vb}
 }
 
-// dcpExchange runs one request/response on a short-lived dedicated
-// conn.
-func (rp *RemoteProducer) dcpExchange(f *memcproto.Frame) (*memcproto.Frame, error) {
+// exchange runs one request/response on a dedicated conn it dials and,
+// on success, hands over with the deadline still armed: the peer may
+// accept and never answer (a paused process).
+func (rp *RemoteProducer) exchange(f *memcproto.Frame) (net.Conn, *memcproto.Frame, error) {
 	raw, err := net.DialTimeout("tcp", rp.addr, dialTimeout)
 	if err != nil {
 		mDialErrors.Inc()
-		return nil, fmt.Errorf("transport: dial %s: %v: %w", rp.addr, err, core.ErrNodeUnreachable)
+		return nil, nil, fmt.Errorf("transport: dial %s: %v: %w", rp.addr, err, core.ErrNodeUnreachable)
 	}
-	defer raw.Close()
-	// The peer may accept and never answer (a paused process); whoever
-	// waits on a replica link must not wait on that.
 	raw.SetDeadline(time.Now().Add(dialTimeout))
 	nc := countingConn{raw}
-	if _, err := f.WriteTo(nc); err != nil {
-		return nil, fmt.Errorf("transport: %s: %v: %w", rp.addr, err, core.ErrNodeUnreachable)
+	var resp *memcproto.Frame
+	if _, err = f.WriteTo(nc); err == nil {
+		resp, err = memcproto.Read(nc)
 	}
-	resp, err := memcproto.Read(nc)
 	if err != nil {
-		return nil, fmt.Errorf("transport: %s: %v: %w", rp.addr, err, core.ErrNodeUnreachable)
+		raw.Close()
+		return nil, nil, fmt.Errorf("transport: %s: %v: %w", rp.addr, err, core.ErrNodeUnreachable)
 	}
-	return resp, nil
+	return nc, resp, nil
 }
 
 // failoverLog fetches the vBucket's history plus its high seqno.
 func (rp *RemoteProducer) failoverLog() ([]dcp.FailoverEntry, uint64, error) {
-	resp, err := rp.dcpExchange(&memcproto.Frame{
+	nc, resp, err := rp.exchange(&memcproto.Frame{
 		Magic:   memcproto.MagicReq,
 		Opcode:  memcproto.OpDCPFailoverLog,
 		VBucket: uint16(rp.vb),
@@ -66,6 +66,7 @@ func (rp *RemoteProducer) failoverLog() ([]dcp.FailoverEntry, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	nc.Close()
 	if resp.Status != memcproto.StatusOK {
 		return nil, 0, errOf(resp.Status, resp.Value)
 	}
@@ -104,56 +105,43 @@ func (rp *RemoteProducer) HighSeqno() uint64 {
 // returned stream is a *RemoteStream; replication consumers assert
 // that to send durability acks.
 func (rp *RemoteProducer) ResumeStream(name string, uuid, fromSeqno uint64) (dcp.MutationStream, error) {
-	raw, err := net.DialTimeout("tcp", rp.addr, dialTimeout)
-	if err != nil {
-		mDialErrors.Inc()
-		return nil, fmt.Errorf("transport: dial %s: %v: %w", rp.addr, err, core.ErrNodeUnreachable)
-	}
-	raw.SetDeadline(time.Now().Add(dialTimeout)) // handshake only; cleared below
-	nc := countingConn{Conn: raw}
-	req := &memcproto.Frame{
+	nc, resp, err := rp.exchange(&memcproto.Frame{
 		Magic:   memcproto.MagicReq,
 		Opcode:  memcproto.OpDCPStreamReq,
 		VBucket: uint16(rp.vb),
 		Opaque:  1,
 		Extras:  memcproto.StreamReqExtras{UUID: uuid, FromSeqno: fromSeqno}.Encode(),
 		Key:     []byte(name),
-	}
-	if _, err := req.WriteTo(nc); err != nil {
-		raw.Close()
-		return nil, fmt.Errorf("transport: %s: %v: %w", rp.addr, err, core.ErrNodeUnreachable)
-	}
-	resp, err := memcproto.Read(nc)
+	})
 	if err != nil {
-		raw.Close()
-		return nil, fmt.Errorf("transport: %s: %v: %w", rp.addr, err, core.ErrNodeUnreachable)
+		return nil, err
 	}
 	switch resp.Status {
 	case memcproto.StatusOK:
 	case memcproto.StatusRollback:
-		raw.Close()
+		nc.Close()
 		rbUUID, _ := memcproto.Uint64At(resp.Extras, memcproto.EpochLen)
 		rbSeqno, _ := memcproto.Uint64At(resp.Extras, memcproto.EpochLen+8)
 		return nil, &dcp.RollbackError{UUID: rbUUID, Seqno: rbSeqno}
 	default:
-		raw.Close()
+		nc.Close()
 		return nil, errOf(resp.Status, resp.Value)
 	}
 	streamUUID, _ := memcproto.Uint64At(resp.Extras, memcproto.EpochLen)
-	raw.SetDeadline(time.Time{})
+	nc.SetDeadline(time.Time{}) // the handshake's
 
 	rs := &RemoteStream{
-		nc:      nc,
-		br:      bufio.NewReaderSize(nc, 32<<10),
-		vb:      rp.vb,
-		name:    name,
-		uuid:    streamUUID,
-		out:     make(chan dcp.Mutation, 256),
-		writeCh: make(chan *[]byte, 64),
-		closed:  make(chan struct{}),
+		nc:     nc,
+		br:     bufio.NewReaderSize(nc, 32<<10),
+		vb:     rp.vb,
+		name:   name,
+		uuid:   streamUUID,
+		out:    make(chan dcp.Mutation, 256),
+		closed: make(chan struct{}),
 	}
+	// A failed ack write: the read side sees the broken conn.
+	rs.w = &frameWriter{nc: nc, onErr: func(error) {}}
 	mConnsCli.Add(1)
-	go rs.writeLoop()
 	go rs.readLoop()
 	return rs, nil
 }
@@ -162,17 +150,21 @@ func (rp *RemoteProducer) ResumeStream(name string, uuid, fromSeqno uint64) (dcp
 // It implements dcp.MutationStream; Ack additionally reports applied
 // seqnos back to the producer for replication durability.
 type RemoteStream struct {
-	nc      net.Conn
-	br      *bufio.Reader // readLoop-only; batches pushed mutations into one syscall
-	vb      int
-	name    string
-	uuid    uint64
-	out     chan dcp.Mutation
-	writeCh chan *[]byte
-	closed  chan struct{}
-	once    sync.Once
+	nc     net.Conn
+	br     *bufio.Reader // readLoop-only; batches pushed mutations into one syscall
+	w      *frameWriter
+	vb     int
+	name   string
+	uuid   uint64
+	out    chan dcp.Mutation
+	closed chan struct{}
+	once   sync.Once
 
 	processed atomic.Uint64
+	// wanted is the highest seqno the producer asked an ack for (a
+	// marked mutation, or the snapshot marker's high seqno); acked is
+	// the last ack sent.
+	wanted, acked atomic.Uint64
 }
 
 var _ dcp.MutationStream = (*RemoteStream)(nil)
@@ -197,8 +189,15 @@ func (rs *RemoteStream) Close() {
 }
 
 // Ack reports an applied seqno to the producer (fire-and-forget; the
-// server routes it to the active vBucket's replica ack set).
+// server routes it to the active vBucket's replica ack set), but only
+// while a wanted seqno is unacked: an ack nobody waits for costs both
+// ends a syscall and a wake-up.
 func (rs *RemoteStream) Ack(seqno uint64) {
+	if rs.wanted.Load() <= rs.acked.Load() {
+		return
+	}
+	rs.acked.Store(seqno)
+	mDCPAcks.Inc()
 	f := &memcproto.Frame{
 		Magic:   memcproto.MagicReq,
 		Opcode:  memcproto.OpDCPAck,
@@ -206,22 +205,9 @@ func (rs *RemoteStream) Ack(seqno uint64) {
 		Key:     []byte(rs.name),
 		Extras:  memcproto.AppendUint64(nil, seqno),
 	}
-	buf, err := encodeFrame(f)
-	if err != nil {
-		return
+	if buf, err := encodeFrame(f); err == nil {
+		rs.w.write(context.Background(), buf, false, false)
 	}
-	select {
-	case rs.writeCh <- buf:
-	case <-rs.closed:
-		recycleBuf(buf)
-	}
-}
-
-// writeLoop is the stream's only socket writer (acks), with queued
-// acks coalesced into single syscalls. A write error is not handled
-// here: the read side sees the broken conn and closes the stream.
-func (rs *RemoteStream) writeLoop() {
-	_ = writeCoalesced(rs.nc, rs.writeCh, rs.closed)
 }
 
 // readLoop turns pushed frames back into dcp.Mutations; it is the
@@ -239,8 +225,10 @@ func (rs *RemoteStream) readLoop() {
 		}
 		switch f.Opcode {
 		case memcproto.OpDCPSnapshot:
-			// Snapshot window marker; the in-process consumers don't
-			// track windows, so neither do we.
+			// A waiter's mutation may be in the window the stream
+			// opened on: all of it is wanted.
+			high, _ := memcproto.Uint64At(f.Extras, 8)
+			rs.wanted.Store(max(high, rs.wanted.Load()))
 		case memcproto.OpDCPMutation:
 			tc, bare, err := memcproto.SplitTraceContext(f)
 			if err != nil {
@@ -250,6 +238,9 @@ func (rs *RemoteStream) readLoop() {
 			meta, err := memcproto.DecodeItemMeta(f.Extras)
 			if err != nil {
 				continue
+			}
+			if meta.AckWanted {
+				rs.wanted.Store(max(meta.Seqno, rs.wanted.Load()))
 			}
 			m := dcp.Mutation{
 				VB:       int(f.VBucket),

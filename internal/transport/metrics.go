@@ -24,6 +24,7 @@ import (
 
 	"couchgo/internal/memcproto"
 	"couchgo/internal/metrics"
+	"couchgo/internal/trace"
 )
 
 // Transport metric families. Conns counts live sockets on each side;
@@ -41,7 +42,53 @@ var (
 	// mStreamsServing counts DCP streams currently being pumped by
 	// servers in this process.
 	mStreamsServing = metrics.Default.Gauge("couchgo_transport_dcp_streams_serving")
+	// mDCPAcks counts replica acks sent: one per run a waiter wanted.
+	mDCPAcks = metrics.Default.Counter("couchgo_transport_dcp_acks_total")
+	// mDroppedFrames counts unencodable responses; each closed its session.
+	mDroppedFrames = metrics.Default.Counter("couchgo_transport_dropped_frames_total")
+
+	// The round trip, split. Client: send ends with the caller's frame
+	// on the socket or queued behind a writer, await with the response
+	// in the caller's hands; wake is the part of await after the read
+	// loop had the frame. Server: respond ends with it written or held.
+	stageSend, stageAwait, stageWake        = newStage("client", "send"), newStage("client", "await"), newStage("client", "wake")
+	stageDecode, stageExecute, stageRespond = newStage("server", "decode"), newStage("server", "execute"), newStage("server", "respond")
 )
+
+type stage struct {
+	h    *metrics.Histogram
+	span string
+}
+
+func newStage(side, name string) stage {
+	return stage{metrics.Default.Histogram("couchgo_transport_stage_seconds", "side", side, "stage", name), "wire:" + name}
+}
+
+// stages times one request's way through one side of the wire: mark
+// observes the stage that just ended and, on a sampled trace, records
+// it as a finished child of sp. Untraced requests are timed 1 in 16.
+type stages struct {
+	sp *trace.Span
+	at time.Time // zero: not timed
+}
+
+func startStages(sp *trace.Span) stages {
+	if sp != nil {
+		return stages{sp, time.Now()}
+	}
+	at, _ := metrics.Sample()
+	return stages{sp, at}
+}
+
+func (s *stages) mark(st stage) {
+	if s.at.IsZero() {
+		return
+	}
+	now := time.Now()
+	st.h.Observe(now.Sub(s.at))
+	s.sp.Completed(st.span, s.at, now.Sub(s.at))
+	s.at = now
+}
 
 // opHistogram is server-side handling latency per opcode, labeled by
 // result so fast NOT_MY_VBUCKET bounces don't flatter the op's

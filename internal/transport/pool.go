@@ -11,6 +11,7 @@ import (
 
 	"couchgo/internal/core"
 	"couchgo/internal/memcproto"
+	"couchgo/internal/trace"
 )
 
 // dialTimeout bounds one connection attempt; reconnectMaxBackoff caps
@@ -24,18 +25,17 @@ const (
 
 // Conn is one multiplexed client connection: requests are stamped
 // with a unique opaque, responses are demuxed back to the waiting
-// caller. All socket writes happen on a single writer goroutine fed
-// by a channel — no mutex is ever held across a socket write (the
+// caller. Callers write their own frames through the conn's
+// frameWriter; no mutex is ever held across a socket write (the
 // couchvet lockblock rule enforces exactly that shape).
 type Conn struct {
-	addr    string
-	nc      net.Conn
-	br      *bufio.Reader // readLoop-only; batches pipelined responses into one syscall
-	writeCh chan *[]byte
-	closed  chan struct{}
+	addr string
+	nc   net.Conn
+	br   *bufio.Reader // readLoop-only; batches pipelined responses into one syscall
+	w    *frameWriter
 
 	mu      sync.Mutex // guards pending/opaque/dead; never held across I/O
-	pending map[uint32]chan *memcproto.Frame
+	pending map[uint32]chan reply
 	opaque  uint32
 	dead    bool
 	err     error
@@ -50,23 +50,13 @@ func dialConn(addr string) (*Conn, error) {
 	c := &Conn{
 		addr:    addr,
 		nc:      countingConn{raw},
-		writeCh: make(chan *[]byte, 64),
-		closed:  make(chan struct{}),
-		pending: map[uint32]chan *memcproto.Frame{},
+		pending: map[uint32]chan reply{},
 	}
 	c.br = bufio.NewReaderSize(c.nc, 32<<10)
+	c.w = &frameWriter{nc: c.nc, onErr: c.fail}
 	mConnsCli.Add(1)
-	go c.writeLoop()
 	go c.readLoop()
 	return c, nil
-}
-
-// writeLoop is the only goroutine that touches the socket's write
-// side. Queued frames are coalesced into single syscalls.
-func (c *Conn) writeLoop() {
-	if err := writeCoalesced(c.nc, c.writeCh, c.closed); err != nil {
-		c.fail(err)
-	}
 }
 
 // readLoop is the only goroutine that touches the socket's read side;
@@ -83,7 +73,7 @@ func (c *Conn) readLoop() {
 		delete(c.pending, f.Opaque)
 		c.mu.Unlock()
 		if ch != nil {
-			ch <- f
+			ch <- reply{f, time.Now()}
 		}
 	}
 }
@@ -98,10 +88,9 @@ func (c *Conn) fail(err error) {
 	c.dead = true
 	c.err = err
 	pending := c.pending
-	c.pending = map[uint32]chan *memcproto.Frame{}
+	c.pending = map[uint32]chan reply{}
 	c.mu.Unlock()
 
-	close(c.closed)
 	c.nc.Close()
 	mConnsCli.Add(-1)
 	for _, ch := range pending {
@@ -117,12 +106,21 @@ func (c *Conn) Close() { c.fail(fmt.Errorf("transport: conn closed")) }
 // registers per request; a cap-1 chan allocation per op adds up on the
 // hot path. A channel only returns to the pool when it is provably
 // empty and unclosed (see abandon).
-var respChans = sync.Pool{New: func() any { return make(chan *memcproto.Frame, 1) }}
+var respChans = sync.Pool{New: func() any { return make(chan reply, 1) }}
 
-// Roundtrip sends one request frame and waits for its response.
-// Failures (conn death, ctx cancellation) wrap core.ErrNodeUnreachable
-// so the route loop treats them as a retryable topology wobble.
+// reply is a response and when the read loop had it.
+type reply struct {
+	f  *memcproto.Frame
+	at time.Time
+}
+
+// Roundtrip sends one request frame and waits for its response. Conn
+// death wraps core.ErrNodeUnreachable, so the route loop treats it as
+// a retryable topology wobble; a ctx that ends is returned as it is.
+// The caller writes its own frame, yielding once first when other
+// requests are in flight on the conn so theirs can share the syscall.
 func (c *Conn) Roundtrip(ctx context.Context, f *memcproto.Frame) (*memcproto.Frame, error) {
+	st := startStages(trace.FromContext(ctx))
 	c.mu.Lock()
 	if c.dead {
 		err := c.err
@@ -131,8 +129,9 @@ func (c *Conn) Roundtrip(ctx context.Context, f *memcproto.Frame) (*memcproto.Fr
 	}
 	c.opaque++
 	f.Opaque = c.opaque
-	ch := respChans.Get().(chan *memcproto.Frame)
+	ch := respChans.Get().(chan reply)
 	c.pending[f.Opaque] = ch
+	crowded := len(c.pending) > 1
 	c.mu.Unlock()
 
 	buf, err := encodeFrame(f)
@@ -140,17 +139,14 @@ func (c *Conn) Roundtrip(ctx context.Context, f *memcproto.Frame) (*memcproto.Fr
 		c.abandon(f.Opaque, ch)
 		return nil, err
 	}
-	select {
-	case c.writeCh <- buf:
-	case <-c.closed:
-		recycleBuf(buf)
+	if err := c.w.write(ctx, buf, false, crowded); err != nil {
 		c.abandon(f.Opaque, ch)
-		return nil, fmt.Errorf("transport: %s: conn died: %w", c.addr, core.ErrNodeUnreachable)
-	case <-ctx.Done():
-		recycleBuf(buf)
-		c.abandon(f.Opaque, ch)
-		return nil, ctx.Err()
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, fmt.Errorf("transport: %s: %v: %w", c.addr, err, core.ErrNodeUnreachable)
 	}
+	st.mark(stageSend)
 
 	select {
 	case resp, ok := <-ch:
@@ -158,7 +154,11 @@ func (c *Conn) Roundtrip(ctx context.Context, f *memcproto.Frame) (*memcproto.Fr
 			return nil, fmt.Errorf("transport: %s: conn died mid-request: %w", c.addr, core.ErrNodeUnreachable)
 		}
 		respChans.Put(ch)
-		return resp, nil
+		if !st.at.IsZero() {
+			(&stages{st.sp, resp.at}).mark(stageWake)
+		}
+		st.mark(stageAwait)
+		return resp.f, nil
 	case <-ctx.Done():
 		c.abandon(f.Opaque, ch)
 		return nil, ctx.Err()
@@ -170,7 +170,7 @@ func (c *Conn) Roundtrip(ctx context.Context, f *memcproto.Frame) (*memcproto.Fr
 // pool. Otherwise readLoop (a send is imminent or buffered) or fail
 // (close) already claimed it: consume the outcome, and recycle only
 // after a received value — a closed channel is dead to the pool.
-func (c *Conn) abandon(opaque uint32, ch chan *memcproto.Frame) {
+func (c *Conn) abandon(opaque uint32, ch chan reply) {
 	c.mu.Lock()
 	_, pending := c.pending[opaque]
 	delete(c.pending, opaque)

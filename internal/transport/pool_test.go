@@ -99,3 +99,26 @@ func TestCloseUnblocksPush(t *testing.T) {
 	// Close is idempotent.
 	n.Close()
 }
+
+// TestStartNodeRefusesItsOwnDetector: the nodes a member process would
+// grade are other processes, so a cluster that runs core's heartbeat
+// detector (Config.FailoverTimeout > 0) is refused, not documented.
+func TestStartNodeRefusesItsOwnDetector(t *testing.T) {
+	c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: 2,
+		HeartbeatInterval: time.Second, FailoverTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if _, err := c.AddNode("local", cmap.AllServices); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateBucket("b", core.BucketOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	n, err := StartNode(NodeOptions{Cluster: c, Bucket: "b", KVAddr: "127.0.0.1:0"})
+	if err == nil {
+		n.Close()
+		t.Fatal("StartNode accepted a cluster with FailoverTimeout > 0")
+	}
+}

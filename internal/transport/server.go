@@ -111,12 +111,11 @@ func (s *Server) acceptLoop() {
 		sess := &session{
 			srv:     s,
 			nc:      countingConn{raw},
-			writeCh: make(chan *[]byte, 256),
-			closed:  make(chan struct{}),
-			streams: map[streamKey]*servedStream{},
+			streams: map[streamKey]dcp.MutationStream{},
 			sem:     make(chan struct{}, 128),
 		}
 		sess.br = bufio.NewReaderSize(sess.nc, 32<<10)
+		sess.w = &frameWriter{nc: sess.nc, onErr: func(error) { sess.close() }}
 		sess.ctx, sess.cancel = context.WithCancel(context.Background())
 		s.mu.Lock()
 		if s.closed {
@@ -127,8 +126,7 @@ func (s *Server) acceptLoop() {
 		s.sessions[sess] = struct{}{}
 		s.mu.Unlock()
 		mConns.Add(1)
-		s.wg.Add(2)
-		go sess.writeLoop()
+		s.wg.Add(1)
 		go sess.readLoop()
 	}
 }
@@ -152,23 +150,17 @@ type streamKey struct {
 	name string
 }
 
-type servedStream struct {
-	stream dcp.MutationStream
-	srcVB  *vbucket.VBucket
-}
-
 // session is one accepted connection: a reader goroutine decoding
-// frames, a writer goroutine that is the only code touching the
-// socket's write side, and per-request handler goroutines in between
-// (responses demux by opaque, so order does not matter).
+// frames and answering what cannot block inline, handler goroutines
+// for what can (responses demux by opaque, so order does not matter),
+// and one frameWriter through which each of them writes.
 type session struct {
-	srv     *Server
-	nc      net.Conn
-	br      *bufio.Reader // readLoop-only; batches pipelined requests into one syscall
-	writeCh chan *[]byte
-	closed  chan struct{}
-	once    sync.Once
-	sem     chan struct{}
+	srv  *Server
+	nc   net.Conn
+	br   *bufio.Reader // readLoop-only; batches pipelined requests into one syscall
+	w    *frameWriter
+	once sync.Once
+	sem  chan struct{}
 	// ctx is cancelled when the session closes, releasing in-flight
 	// handler goroutines (durability waits, consistency waits) whose
 	// client is gone.
@@ -176,21 +168,20 @@ type session struct {
 	cancel context.CancelFunc
 
 	mu      sync.Mutex
-	streams map[streamKey]*servedStream
+	streams map[streamKey]dcp.MutationStream
 }
 
 func (c *session) close() {
 	c.once.Do(func() {
-		close(c.closed)
 		c.cancel()
 		c.nc.Close()
 		mConns.Add(-1)
 		c.mu.Lock()
 		streams := c.streams
-		c.streams = map[streamKey]*servedStream{}
+		c.streams = map[streamKey]dcp.MutationStream{}
 		c.mu.Unlock()
 		for _, st := range streams {
-			st.stream.Close()
+			st.Close()
 		}
 		c.srv.mu.Lock()
 		delete(c.srv.sessions, c)
@@ -198,24 +189,17 @@ func (c *session) close() {
 	})
 }
 
-func (c *session) writeLoop() {
-	defer c.srv.wg.Done()
-	if err := writeCoalesced(c.nc, c.writeCh, c.closed); err != nil {
-		c.close()
-	}
-}
-
-// send encodes and enqueues one frame; drops it if the session died.
-func (c *session) send(f *memcproto.Frame) {
+// send encodes and writes one frame, or queues it when held (the sender
+// sees more coming and will write again). One that cannot be encoded
+// would leave its opaque pending forever, so the session closes.
+func (c *session) send(f *memcproto.Frame, held bool) {
 	buf, err := encodeFrame(f)
 	if err != nil {
+		mDroppedFrames.Inc()
+		c.close()
 		return
 	}
-	select {
-	case c.writeCh <- buf:
-	case <-c.closed:
-		recycleBuf(buf)
-	}
+	c.w.write(context.Background(), buf, held, false) // an error has closed the session
 }
 
 // respond builds the response frame for req: status, the epoch-prefixed
@@ -229,7 +213,7 @@ func (c *session) respond(req *memcproto.Frame, status memcproto.Status, extras,
 		CAS:    cas,
 		Extras: extras,
 		Value:  value,
-	})
+	}, false)
 }
 
 // respondErr maps a handler error onto the wire, shipping the fat map
@@ -251,10 +235,19 @@ func (c *session) respondErr(req *memcproto.Frame, err error) {
 func (c *session) readLoop() {
 	defer c.srv.wg.Done()
 	defer c.close()
+	// Responses are held while more pipelined requests sit in br, and
+	// leave before the read blocks.
+	held := false
 	for {
+		if held && c.br.Buffered() == 0 {
+			held = c.w.hold(false)
+		}
 		f, err := memcproto.Read(c.br)
 		if err != nil {
 			return
+		}
+		if !held && c.br.Buffered() > 0 {
+			held = c.w.hold(true)
 		}
 		if f.Magic != memcproto.MagicReq {
 			return // protocol violation; drop the conn
@@ -366,7 +359,7 @@ func (c *session) handleKV(f *memcproto.Frame) {
 	// across the process boundary.
 	tc, bare, err := memcproto.SplitTraceContext(f)
 	if err != nil {
-		c.finishKV(f, nil, t0, core.Result{}, err)
+		c.finishKV(f, stages{}, t0, core.Result{}, err)
 		return
 	}
 	// ctx descends from the session ctx, not Background: when the
@@ -374,39 +367,41 @@ func (c *session) handleKV(f *memcproto.Frame) {
 	// holding vBucket waiters for a response no one will read.
 	ctx, span := trace.Default.Join(c.ctx, spec.ServerSpan, tc.TraceID, tc.SpanID, tc.Sampled)
 	span.Annotate("node", string(c.srv.cfg.Node))
+	st := startStages(span)
 	op, err := decodeRequest(spec, f, bare)
+	st.mark(stageDecode)
 	if err != nil {
-		c.finishKV(f, span, t0, core.Result{}, err)
+		c.finishKV(f, st, t0, core.Result{}, err)
 		return
 	}
-	// Ops that cannot block run inline on the read loop: no goroutine
-	// hand-off, and their responses pile into writeCh while more
-	// pipelined requests are already buffered — the writer coalesces
-	// them. Ops that may wait get their own goroutine (bounded by sem)
-	// so one durability wait does not stall the conn.
+	// Ops that cannot block run inline on the read loop, their responses
+	// held while more pipelined requests are buffered; ops that may wait
+	// get their own goroutine (bounded by sem) so one durability wait
+	// does not stall the conn.
 	if fastKV(spec, op) {
-		c.execKV(ctx, f, span, t0, op)
+		c.execKV(ctx, f, st, t0, op)
 		return
 	}
 	c.sem <- struct{}{}
-	go func() {
+	go func(st stages) { // an argument: a capture would put every request's st on the heap
 		defer func() { <-c.sem }()
-		c.execKV(ctx, f, span, t0, op)
-	}()
+		c.execKV(ctx, f, st, t0, op)
+	}(st)
 }
 
-func (c *session) execKV(ctx context.Context, f *memcproto.Frame, span *trace.Span, t0 time.Time, op core.Op) {
+func (c *session) execKV(ctx context.Context, f *memcproto.Frame, st stages, t0 time.Time, op core.Op) {
 	var res core.Result
 	conn, err := c.srv.cfg.Cluster.LoopbackConn(c.srv.cfg.Node, c.srv.cfg.Bucket)
 	if err == nil {
 		res, err = conn.Do(ctx, int(f.VBucket), op)
 	}
-	c.finishKV(f, span, t0, res, err)
+	st.mark(stageExecute)
+	c.finishKV(f, st, t0, res, err)
 }
 
 // finishKV answers req with res or err, then closes the server span
-// and the per-opcode latency observation with the outcome.
-func (c *session) finishKV(req *memcproto.Frame, span *trace.Span, t0 time.Time, res core.Result, err error) {
+// (st.sp) and the per-opcode latency observation with the outcome.
+func (c *session) finishKV(req *memcproto.Frame, st stages, t0 time.Time, res core.Result, err error) {
 	result := "ok"
 	if err == nil {
 		var extras, value []byte
@@ -419,11 +414,12 @@ func (c *session) finishKV(req *memcproto.Frame, span *trace.Span, t0 time.Time,
 		result = kvResult(err)
 		c.respondErr(req, err)
 	}
-	if span != nil {
+	st.mark(stageRespond)
+	if st.sp != nil {
 		if result != "ok" {
-			span.Annotate("result", result)
+			st.sp.Annotate("result", result)
 		}
-		span.End()
+		st.sp.End()
 	}
 	opObserve(req.Opcode, result, t0)
 }
@@ -485,37 +481,38 @@ func (c *session) handleDCP(f *memcproto.Frame) {
 		}
 		c.mu.Lock()
 		old := c.streams[streamKey{vbID, name}]
-		c.streams[streamKey{vbID, name}] = &servedStream{stream: ms, srcVB: vb}
+		c.streams[streamKey{vbID, name}] = ms
 		c.mu.Unlock()
 		if old != nil {
-			old.stream.Close()
+			old.Close()
 		}
 		c.respond(f, memcproto.StatusOK, memcproto.AppendUint64(extras, ms.StreamUUID()), nil, 0)
-		go c.pumpStream(f.Opaque, vbID, name, se.FromSeqno, producer, ms)
+		go c.pumpStream(f.Opaque, vb, name, se.FromSeqno, ms)
 	}
 }
 
 // pumpStream pushes one stream's mutations until it ends or the
-// session dies.
-func (c *session) pumpStream(opaque uint32, vbID int, name string, fromSeqno uint64, producer dcp.StreamSource, ms dcp.MutationStream) {
+// session dies: held while the stream has more to give, and asking for
+// an ack while somebody waits on replication.
+func (c *session) pumpStream(opaque uint32, vb *vbucket.VBucket, name string, fromSeqno uint64, ms dcp.MutationStream) {
 	mStreamsServing.Add(1)
 	defer mStreamsServing.Add(-1)
 
 	e := events.New(events.DCP, events.SevInfo, "serving dcp stream over transport")
-	e.Node, e.Bucket, e.VB = string(c.srv.cfg.Node), c.srv.cfg.Bucket, vbID
+	e.Node, e.Bucket, e.VB = string(c.srv.cfg.Node), c.srv.cfg.Bucket, vb.ID
 	e.Fields = map[string]string{"stream": name, "from_seqno": strconv.FormatUint(fromSeqno, 10)}
 	events.Default.Publish(e)
 
 	// Snapshot marker: the window the pushes that follow belong to.
 	c.send(&memcproto.Frame{
 		Magic: memcproto.MagicPush, Opcode: memcproto.OpDCPSnapshot,
-		VBucket: uint16(vbID), Opaque: opaque,
-		Extras: memcproto.AppendUint64(memcproto.AppendUint64(nil, fromSeqno), producer.HighSeqno()),
-	})
+		VBucket: uint16(vb.ID), Opaque: opaque,
+		Extras: memcproto.AppendUint64(memcproto.AppendUint64(nil, fromSeqno), vb.Producer().HighSeqno()),
+	}, len(ms.C()) > 0)
 	for m := range ms.C() {
 		meta := memcproto.ItemMeta{
 			Seqno: m.Seqno, RevSeqno: m.RevSeqno, Flags: m.Flags,
-			Expiry: m.Expiry, Deleted: m.Deleted, Resident: true,
+			Expiry: m.Expiry, Deleted: m.Deleted, Resident: true, AckWanted: vb.ReplicationAwaited(),
 		}
 		extras := memcproto.AppendItemMeta(nil, meta)
 		var datatype byte
@@ -530,17 +527,17 @@ func (c *session) pumpStream(opaque uint32, vbID int, name string, fromSeqno uin
 		c.send(&memcproto.Frame{
 			Magic: memcproto.MagicPush, Opcode: memcproto.OpDCPMutation,
 			Datatype: datatype,
-			VBucket:  uint16(vbID), Opaque: opaque, CAS: m.CAS,
+			VBucket:  uint16(vb.ID), Opaque: opaque, CAS: m.CAS,
 			Extras: extras, Key: []byte(m.Key), Value: m.Value,
-		})
+		}, len(ms.C()) > 0)
 	}
 	c.send(&memcproto.Frame{
 		Magic: memcproto.MagicPush, Opcode: memcproto.OpDCPStreamEnd,
-		VBucket: uint16(vbID), Opaque: opaque,
-	})
+		VBucket: uint16(vb.ID), Opaque: opaque,
+	}, false)
 	c.mu.Lock()
-	if c.streams[streamKey{vbID, name}] != nil && c.streams[streamKey{vbID, name}].stream == ms {
-		delete(c.streams, streamKey{vbID, name})
+	if c.streams[streamKey{vb.ID, name}] == ms {
+		delete(c.streams, streamKey{vb.ID, name})
 	}
 	c.mu.Unlock()
 }

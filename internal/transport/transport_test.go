@@ -18,12 +18,12 @@ import (
 // newServedCluster starts an in-process cluster behind a TCP server,
 // returning the server and a smart client routed entirely over the
 // wire.
-func newServedCluster(t *testing.T, nReplicas int) (*core.Cluster, *Server, *core.Client) {
+func newServedCluster(t testing.TB, nReplicas int) (*core.Cluster, *Server, *core.Client) {
 	t.Helper()
 	return newServedBucket(t, core.BucketOptions{NumReplicas: nReplicas})
 }
 
-func newServedBucket(t *testing.T, opts core.BucketOptions) (*core.Cluster, *Server, *core.Client) {
+func newServedBucket(t testing.TB, opts core.BucketOptions) (*core.Cluster, *Server, *core.Client) {
 	t.Helper()
 	c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: 16})
 	if err != nil {

@@ -113,6 +113,10 @@ func (vb *VBucket) Do(ctx context.Context, op *Op) (res Result, err error) {
 	if st := vb.State(); st != Active && !spec.AnyState {
 		return res, fmt.Errorf("%w (vb %d is %s)", ErrNotMyVBucket, vb.ID, st)
 	}
+	if op.Dur.ReplicateTo > 0 {
+		vb.replWaiters.Add(1) // before the arm: the mutation is pumped before the wait begins
+		defer vb.replWaiters.Add(-1)
+	}
 	// A child of the caller's span, never a new root: sampling belongs
 	// to the client and query entry points.
 	sp := trace.FromContext(ctx).Child(spec.CacheSpan)

@@ -137,7 +137,7 @@ func TestOneExecutorDownToTheCache(t *testing.T) {
 		"Do", "Get", "Set", // the executor and its two spellings
 		"WarmUp", "State", "SetState", "Close", // lifecycle
 		"Producer", "HighSeqno", "PersistedSeqno", "QueueDepth", // what the node reads
-		"ApplyReplica", "AckReplica", "SetReplicaSet", // replication
+		"ApplyReplica", "AckReplica", "SetReplicaSet", "ReplicationAwaited", // replication
 		"WaitPersist", "WaitReplicas", "DrainDisk", // durability
 	}
 	slices.Sort(want)

@@ -142,7 +142,10 @@ type VBucket struct {
 	durMu          sync.Mutex
 	persistedSeqno uint64
 	replicaSeqnos  map[string]uint64 // replica name -> acked seqno
-	durCond        *sync.Cond
+	// replWaiters counts the ops in Do that will wait on replication,
+	// from before their mutation exists (ReplicationAwaited).
+	replWaiters atomic.Int32
+	durCond     *sync.Cond
 }
 
 // New creates a vBucket in the given state over the provided storage
@@ -406,6 +409,10 @@ func (vb *VBucket) AckReplica(name string, seqno uint64) {
 	vb.durMu.Unlock()
 	vb.durCond.Broadcast()
 }
+
+// ReplicationAwaited reports whether an op with ReplicateTo is in
+// flight: what a remote replica is sent meanwhile, it must ack.
+func (vb *VBucket) ReplicationAwaited() bool { return vb.replWaiters.Load() > 0 }
 
 // SetReplicaSet prunes acknowledgement state to the given replica
 // names. Rebalance/failover call this so durability waits never count
