@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -33,15 +32,6 @@ func marker(st health.State) string {
 	return "  "
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // render draws one full frame. maxEvents bounds the event tail.
 func render(s snapshot, maxEvents int) string {
 	var b strings.Builder
@@ -53,19 +43,19 @@ func render(s snapshot, maxEvents int) string {
 
 	// --- worst-of health roll-up, every member's checks under it ---
 	fmt.Fprintf(&b, "\nCLUSTER HEALTH: %s\n", strings.ToUpper(s.Health.Status.String()))
-	for _, name := range sortedKeys(s.Health.Nodes) {
+	for _, name := range rest.SortedKeys(s.Health.Nodes) {
 		h := s.Health.Nodes[name]
 		fmt.Fprintf(&b, "  %s %-22s %s\n", marker(h.Status), name, h.Status)
 		for _, chk := range h.Checks {
 			fmt.Fprintf(&b, "     %s %-16s %-8s %s\n", marker(chk.State), chk.Name, chk.State, chk.Detail)
 		}
 	}
-	for _, name := range sortedKeys(s.Health.Errors) {
+	for _, name := range rest.SortedKeys(s.Health.Errors) {
 		fmt.Fprintf(&b, "  !! %-22s critical %s\n", name, s.Health.Errors[name])
 	}
 
 	// --- one row per member ---
-	members := sortedKeys(s.Metrics.Nodes)
+	members := rest.SortedKeys(s.Metrics.Nodes)
 	fmt.Fprintf(&b, "\n%-22s %-16s %8s %9s %9s %9s %9s\n",
 		"MEMBER", "VERSION", "UP", "KV-p50", "KV-p99", "WIRE-p50", "WIRE-p99")
 	for _, name := range members {
@@ -76,7 +66,7 @@ func render(s snapshot, maxEvents int) string {
 			name, n.Server.Version+" "+n.Server.Go, fmtUptime(n.Server.UptimeSeconds),
 			fmtLatency(kv50), fmtLatency(kv99), fmtLatency(w50), fmtLatency(w99))
 	}
-	for _, name := range sortedKeys(s.Metrics.Errors) {
+	for _, name := range rest.SortedKeys(s.Metrics.Errors) {
 		fmt.Fprintf(&b, "%-22s  !! %s\n", name, s.Metrics.Errors[name])
 	}
 
@@ -116,14 +106,14 @@ func renderBuckets(n rest.NodeSnapshot) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s %-8s %-5s %9s %10s %7s %7s\n",
 		"BUCKET", "NODE", "ALIVE", "ITEMS", "MEM", "QUEUE", "TOMB")
-	for _, bucket := range sortedKeys(n.Buckets) {
+	for _, bucket := range rest.SortedKeys(n.Buckets) {
 		for _, st := range n.Buckets[bucket] {
 			fmt.Fprintf(&b, "%-10s %-8s %-5v %9d %10s %7d %7d\n",
 				bucket, st.ID, st.Alive, st.Items, fmtBytes(float64(st.MemUsed)), st.QueueDepth, st.Tombstones)
 		}
 		if lags := n.DCPLag[bucket]; len(lags) > 0 {
 			fmt.Fprintf(&b, "%-10s DCP-LAG", bucket)
-			for _, stream := range sortedKeys(lags) {
+			for _, stream := range rest.SortedKeys(lags) {
 				fmt.Fprintf(&b, "  %s %d", stream, lags[stream])
 			}
 			b.WriteString("\n")
@@ -210,7 +200,7 @@ func renderLatencies(m metrics.Snapshot) string {
 		}
 		fmt.Fprintf(&b, "\n%s\n", title)
 		fmt.Fprintf(&b, "  %-18s %9s %9s %9s %9s %9s\n", "", "count", "p50", "p95", "p99", "max")
-		for _, ls := range sortedKeys(series) {
+		for _, ls := range rest.SortedKeys(series) {
 			h := series[ls].Hist
 			if h == nil {
 				continue

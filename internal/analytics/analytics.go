@@ -22,14 +22,12 @@ package analytics
 import (
 	"context"
 	"errors"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"couchgo/internal/dcp"
 	"couchgo/internal/executor"
 	"couchgo/internal/feed"
+	"couchgo/internal/gsi"
 	"couchgo/internal/n1ql"
 	"couchgo/internal/planner"
 	"couchgo/internal/value"
@@ -41,7 +39,8 @@ var (
 	ErrDML        = errors.New("analytics: the analytics service is read-only; run DML on the data service")
 )
 
-// entry is one shadowed document.
+// entry is one shadowed document: the value of its entry in the
+// dataset's tree.
 type entry struct {
 	doc  any
 	meta n1ql.Meta
@@ -54,13 +53,15 @@ type entry struct {
 type Engine struct {
 	keyspace string
 	hub      *feed.Hub
+	// tree is the shadow dataset and its primary index in one: the index
+	// tree GSI partitions and views hold, with one entry per document
+	// keyed [docID] whose value is the document (an entry).
+	tree *gsi.Tree
 
 	mu sync.Mutex
 	// feed is the "analytics" subscription once Enable has made it;
 	// consistent queries wait on its applied-seqno vector.
 	feed *feed.Feed
-	// docs key: "<vb>\x00<docID>" so DetachVB can drop one partition.
-	docs map[string]entry
 }
 
 // NewEngine creates a disabled engine for one bucket (keyspace).
@@ -68,7 +69,7 @@ func NewEngine(keyspace string) *Engine {
 	return &Engine{
 		keyspace: keyspace,
 		hub:      feed.NewHub("analytics"),
-		docs:     make(map[string]entry),
+		tree:     gsi.NewTree(nil),
 	}
 }
 
@@ -123,34 +124,22 @@ func (e *Engine) FeedStats() []feed.Stat {
 // documents; the feed re-streams the partition from the promoted
 // copy's history.
 func (e *Engine) Rollback(vb int, _ uint64) uint64 {
-	e.mu.Lock()
-	prefix := strconv.Itoa(vb) + "\x00"
-	for k := range e.docs {
-		if strings.HasPrefix(k, prefix) {
-			delete(e.docs, k)
-		}
-	}
-	e.mu.Unlock()
+	e.tree.PurgeVB(vb)
 	return 0
 }
 
 // Apply implements feed.Consumer: shadow one mutation.
 func (e *Engine) Apply(vb int, m dcp.Mutation) {
-	key := strconv.Itoa(vb) + "\x00" + m.Key
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if m.Deleted {
-		delete(e.docs, key)
+		e.tree.Replace(vb, m.Key, nil, nil)
 	} else if doc, ok := value.Parse(m.Value); ok {
-		e.docs[key] = entry{doc: doc, meta: n1ql.Meta{ID: m.Key, CAS: m.CAS, Seqno: m.Seqno}}
+		e.tree.Replace(vb, m.Key, [][]any{{m.Key}}, entry{doc: doc, meta: n1ql.Meta{ID: m.Key, CAS: m.CAS, Seqno: m.Seqno}})
 	}
 }
 
 // DatasetSize reports the shadowed document count.
 func (e *Engine) DatasetSize() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.docs)
+	return e.tree.Stats().Docs
 }
 
 // Close stops all streams.
@@ -228,62 +217,19 @@ func (c shadowCatalog) Indexes(string) []planner.IndexInfo {
 // shadow dataset. It never touches the data service.
 type shadowStore struct{ e *Engine }
 
-func (s *shadowStore) snapshot() []executor.ScannedDoc {
-	s.e.mu.Lock()
-	defer s.e.mu.Unlock()
-	out := make([]executor.ScannedDoc, 0, len(s.e.docs))
-	for _, en := range s.e.docs {
-		out = append(out, executor.ScannedDoc{ID: en.meta.ID, Doc: en.doc, Meta: en.meta})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 func (s *shadowStore) Fetch(_ context.Context, _ string, id string) (any, n1ql.Meta, error) {
-	s.e.mu.Lock()
-	defer s.e.mu.Unlock()
-	for _, en := range s.e.docs {
-		if en.meta.ID == id {
-			return en.doc, en.meta, nil
-		}
+	it, ok := s.e.tree.Get([]any{id}, id)
+	if !ok {
+		return nil, n1ql.Meta{}, executor.ErrNotFound
 	}
-	return nil, n1ql.Meta{}, executor.ErrNotFound
+	en := it.Value.(entry)
+	return en.doc, en.meta, nil
 }
 
-// ScanIndex answers with the whole span as one final page: every call
-// sorts a fresh snapshot of the dataset, so there is nothing cheaper to
-// resume, and analytics queries are the full scans the paging is not
-// for.
-func (s *shadowStore) ScanIndex(_ context.Context, _, _ string, _ n1ql.IndexUsing, opts executor.IndexScanOpts) ([]executor.IndexEntry, bool, error) {
-	docs := s.snapshot()
-	var out []executor.IndexEntry
-	for _, d := range docs {
-		key := []any{d.ID}
-		if opts.HasEqual {
-			if value.Compare(key, opts.EqualKey) != 0 {
-				continue
-			}
-		}
-		if opts.Low != nil {
-			c := value.Compare([]any{d.ID}[:min(1, len(opts.Low))], opts.Low[:min(1, len(opts.Low))])
-			if c < 0 || (c == 0 && !opts.LowIncl) {
-				continue
-			}
-		}
-		if opts.High != nil {
-			c := value.Compare([]any{d.ID}[:min(1, len(opts.High))], opts.High[:min(1, len(opts.High))])
-			if c > 0 || (c == 0 && !opts.HighIncl) {
-				continue
-			}
-		}
-		out = append(out, executor.IndexEntry{ID: d.ID, SecKey: key})
-	}
-	if opts.Reverse {
-		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-			out[i], out[j] = out[j], out[i]
-		}
-	}
-	return out, false, nil
+// ScanIndex serves one page of the dataset's primary index.
+func (s *shadowStore) ScanIndex(_ context.Context, _, _ string, _ n1ql.IndexUsing, opts gsi.ScanOptions) ([]gsi.ScanItem, bool, error) {
+	page := s.e.tree.Scan(opts)
+	return page, opts.More(len(page)), nil
 }
 
 // ScanKeyspace implements executor.KeyspaceScanner: the hook that
@@ -292,7 +238,13 @@ func (s *shadowStore) ScanKeyspace(keyspace string) ([]executor.ScannedDoc, erro
 	if keyspace != s.e.keyspace {
 		return nil, errors.New("analytics: unknown keyspace " + keyspace)
 	}
-	return s.snapshot(), nil
+	items := s.e.tree.Scan(gsi.ScanOptions{})
+	out := make([]executor.ScannedDoc, len(items))
+	for i, it := range items {
+		en := it.Value.(entry)
+		out[i] = executor.ScannedDoc{ID: it.DocID, Doc: en.doc, Meta: en.meta}
+	}
+	return out, nil
 }
 
 func (s *shadowStore) ConsistencyVector(string) map[int]uint64 { return nil }

@@ -6,7 +6,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"couchgo/internal/dcp"
+	"couchgo/internal/executor"
+	"couchgo/internal/gsi"
 	"couchgo/internal/memcproto"
+	"couchgo/internal/n1ql"
 	"couchgo/internal/storage"
 	"couchgo/internal/vbucket"
 )
@@ -289,5 +293,64 @@ func TestQueryParameters(t *testing.T) {
 	// Missing parameter surfaces an error.
 	if _, err := h.engine.Query(context.Background(), "SELECT $nope FROM store", QueryOptions{}); err == nil {
 		t.Fatal("missing param should error")
+	}
+}
+
+// TestShadowStoreFetchAndPages gates the shadow's two index paths by
+// count, not time: fetching one of 20 000 documents touches one tree
+// entry (it walked the whole dataset per document before), and
+// ScanIndex serves at most Limit entries resumed from After, its pages
+// concatenating to the one-shot scan.
+func TestShadowStoreFetchAndPages(t *testing.T) {
+	e := NewEngine("store")
+	defer e.Close()
+	const docs = 20000
+	for i := 0; i < docs; i++ {
+		e.Apply(i%16, dcp.Mutation{Key: fmt.Sprintf("d%05d", i), Seqno: uint64(i + 1), Value: []byte(`{"v": 1}`)})
+	}
+	s, ctx := &shadowStore{e}, context.Background()
+	last := fmt.Sprintf("d%05d", docs-1)
+	before := e.tree.Stats().Visited
+	if _, meta, err := s.Fetch(ctx, "store", last); err != nil || meta.ID != last || meta.Seqno != docs {
+		t.Fatalf("fetch %s: %+v %v", last, meta, err)
+	}
+	if visited := e.tree.Stats().Visited - before; visited != 1 {
+		t.Errorf("fetching one document touched %d entries", visited)
+	}
+	if _, _, err := s.Fetch(ctx, "store", "absent"); err != executor.ErrNotFound {
+		t.Errorf("fetching an absent document: %v", err)
+	}
+
+	span := gsi.ScanOptions{Low: []any{"d19990"}, LowIncl: true}
+	whole, more, err := s.ScanIndex(ctx, "store", "#shadow-primary", n1ql.UsingGSI, span)
+	if err != nil || more || len(whole) != 10 {
+		t.Fatalf("one-shot scan: %d entries, more %v, %v", len(whole), more, err)
+	}
+	for _, reverse := range []bool{false, true} {
+		span.Reverse, span.Limit, span.After = reverse, 4, nil
+		before, paged := e.tree.Stats().Visited, []gsi.ScanItem(nil)
+		for {
+			page, more, err := s.ScanIndex(ctx, "store", "#shadow-primary", n1ql.UsingGSI, span)
+			if err != nil || len(page) > span.Limit || more != (len(page) == span.Limit) {
+				t.Fatalf("page of %d entries for Limit %d, more %v, %v", len(page), span.Limit, more, err)
+			}
+			paged = append(paged, page...)
+			if !more {
+				break
+			}
+			span.After = &page[len(page)-1]
+		}
+		if visited := e.tree.Stats().Visited - before; len(paged) != len(whole) || visited != len(whole) {
+			t.Fatalf("reverse %v: %d entries paged by visiting %d, %d in one scan", reverse, len(paged), visited, len(whole))
+		}
+		for i, it := range paged {
+			want := whole[i]
+			if reverse {
+				want = whole[len(whole)-1-i]
+			}
+			if it.DocID != want.DocID {
+				t.Fatalf("reverse %v: entry %d is %s, want %s", reverse, i, it.DocID, want.DocID)
+			}
+		}
 	}
 }

@@ -314,78 +314,70 @@ func (c *Cluster) ConsistencyVector(keyspace string) map[int]uint64 {
 	return out
 }
 
-// ScanIndex forwards one page of a scan to the index service. A GSI
-// page shorter than asked for ends the span; a view-backed index
-// answers with its whole result as the final page.
-func (s *clusterStore) ScanIndex(ctx context.Context, keyspace, index string, using n1ql.IndexUsing, opts executor.IndexScanOpts) ([]executor.IndexEntry, bool, error) {
-	if using == n1ql.UsingView {
-		out, err := s.c.scanViewIndex(ctx, keyspace, index, opts)
-		return out, false, err
-	}
+// ScanIndex forwards one page of a scan to the index's holders: the GSI
+// service's partitions, or every data node's view engine. Both merge
+// their holders' pages by tree key, and a page shorter than asked for
+// ends the span.
+func (s *clusterStore) ScanIndex(ctx context.Context, keyspace, index string, using n1ql.IndexUsing, opts gsi.ScanOptions) ([]gsi.ScanItem, bool, error) {
 	b, err := s.c.bucket(keyspace)
 	if err != nil {
 		return nil, false, err
 	}
-	gopts := gsi.ScanOptions{
-		EqualKey: opts.EqualKey, HasEqual: opts.HasEqual,
-		Low: opts.Low, High: opts.High,
-		LowIncl: opts.LowIncl, HighIncl: opts.HighIncl,
-		Limit: opts.Limit, Reverse: opts.Reverse,
-		WaitSeqnos: opts.Wait,
+	var page []gsi.ScanItem
+	if using == n1ql.UsingView {
+		page, err = s.c.scanViewIndex(ctx, b, index, opts)
+	} else {
+		page, err = b.gsiSvc.Scan(ctx, keyspace, index, opts)
 	}
-	if opts.After != nil {
-		gopts.After = &gsi.ScanItem{DocID: opts.After.ID, SecKey: opts.After.SecKey}
-	}
-	items, err := b.gsiSvc.Scan(ctx, keyspace, index, gopts)
-	if err != nil {
-		return nil, false, err
-	}
-	out := make([]executor.IndexEntry, len(items))
-	for i, it := range items {
-		out[i] = executor.IndexEntry{ID: it.DocID, SecKey: it.SecKey}
-	}
-	return out, opts.Limit > 0 && len(out) == opts.Limit, nil
+	return page, opts.More(len(page)), err
 }
 
-// scanViewIndex serves an IndexScan over a view-backed index by
-// scatter/gathering the per-node view engines (Figure 8). The view
-// query materialises every matching row, so the span comes back whole.
-func (c *Cluster) scanViewIndex(ctx context.Context, keyspace, index string, opts executor.IndexScanOpts) ([]executor.IndexEntry, error) {
-	vopts := views.QueryOptions{Descending: opts.Reverse}
-	switch {
-	case opts.HasEqual:
-		if len(opts.EqualKey) != 1 {
-			return nil, fmt.Errorf("core: view index scans take single keys")
-		}
-		vopts.Key = opts.EqualKey[0]
-		vopts.HasKey = true
-	default:
-		if opts.Low != nil {
-			vopts.StartKey = opts.Low[0]
-			vopts.HasStart = true
-		}
-		if opts.High != nil {
-			vopts.EndKey = opts.High[0]
-			vopts.HasEnd = true
-			vopts.InclusiveEnd = opts.HighIncl
-		}
-	}
-	if opts.Wait != nil {
-		vopts.Stale = views.StaleFalse
-	}
-	rows, err := c.queryViewRows(ctx, keyspace, viewIndexName(index), vopts, opts.Wait)
+// scanViewIndex serves one page of a view-backed index (Figure 8): the
+// data nodes are its partitions, each serving its own page from the
+// same continuation after waiting for its slice of the request_plus
+// vector.
+func (c *Cluster) scanViewIndex(ctx context.Context, b *bucketState, index string, opts gsi.ScanOptions) ([]gsi.ScanItem, error) {
+	var pages [][]gsi.ScanItem
+	err := c.eachViewNode(b, opts.WaitSeqnos, func(e *views.Engine, wait map[int]uint64) error {
+		nodeOpts := opts
+		nodeOpts.WaitSeqnos = wait
+		page, err := e.Scan(ctx, viewIndexName(index), nodeOpts)
+		pages = append(pages, page)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	var out []executor.IndexEntry
-	for _, r := range rows {
-		// Exclusive low bound: the view API's start is inclusive.
-		if opts.Low != nil && !opts.LowIncl && value.Compare(r.Key, opts.Low[0]) == 0 {
+	return gsi.MergePages(pages, opts.Reverse, opts.Limit), nil
+}
+
+// eachViewNode calls fn with every live data node's view engine and
+// that node's slice of wait: the vBuckets active on it (nil when wait
+// is nil).
+func (c *Cluster) eachViewNode(b *bucketState, wait map[int]uint64, fn func(e *views.Engine, wait map[int]uint64) error) error {
+	m := b.Map()
+	for _, n := range c.Nodes() {
+		if !n.services.Has(cmap.ServiceData) || !n.Alive() {
 			continue
 		}
-		out = append(out, executor.IndexEntry{ID: r.ID, SecKey: []any{r.Key}})
+		nb, err := n.bucket(b.name)
+		if err != nil {
+			continue
+		}
+		var slice map[int]uint64
+		if wait != nil {
+			slice = map[int]uint64{}
+			for _, vb := range m.ActiveVBuckets(n.id) {
+				if s, ok := wait[vb]; ok {
+					slice[vb] = s
+				}
+			}
+		}
+		if err := fn(nb.viewEngine, slice); err != nil {
+			return err
+		}
 	}
-	return out, nil
+	return nil
 }
 
 // --- DML (routed through the data service) ---
@@ -503,37 +495,24 @@ func (c *Cluster) queryViewRows(ctx context.Context, bucketName, view string, op
 	if !ok {
 		return nil, views.ErrNoSuchView
 	}
-	m := b.Map()
 	var parts [][]views.Row
-	for _, n := range c.Nodes() {
-		if !n.services.Has(cmap.ServiceData) || !n.Alive() {
-			continue
-		}
-		nb, err := n.bucket(bucketName)
-		if err != nil {
-			continue
-		}
+	err = c.eachViewNode(b, wait, func(e *views.Engine, nodeWait map[int]uint64) error {
 		nodeOpts := opts
-		// Per-node wait vector: only the vBuckets active on this node.
 		if wait != nil {
 			nodeOpts.Stale = views.StaleFalse
-			nodeOpts.WaitSeqnos = map[int]uint64{}
-			for _, vb := range m.ActiveVBuckets(n.id) {
-				if s, ok := wait[vb]; ok {
-					nodeOpts.WaitSeqnos[vb] = s
-				}
-			}
+			nodeOpts.WaitSeqnos = nodeWait
 		}
 		// Skip/limit cannot be pushed below the merge; trim after.
 		nodeOpts.Skip = 0
 		if opts.Limit > 0 {
 			nodeOpts.Limit = opts.Limit + opts.Skip
 		}
-		rows, err := nb.viewEngine.Query(ctx, view, nodeOpts)
-		if err != nil {
-			return nil, err
-		}
+		rows, err := e.Query(ctx, view, nodeOpts)
 		parts = append(parts, rows)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	mergeReduce := ""
 	if opts.Reduce {

@@ -14,37 +14,12 @@ import (
 	"context"
 	"errors"
 
+	"couchgo/internal/gsi"
 	"couchgo/internal/n1ql"
 )
 
 // ErrNotFound is returned by Datastore.Fetch for absent documents.
 var ErrNotFound = errors.New("executor: document not found")
-
-// IndexEntry is one index scan result handed to the executor.
-type IndexEntry struct {
-	ID     string
-	SecKey []any
-}
-
-// IndexScanOpts mirrors the index service scan surface without binding
-// the executor to a concrete index implementation.
-type IndexScanOpts struct {
-	EqualKey          []any
-	HasEqual          bool
-	Low, High         []any
-	LowIncl, HighIncl bool
-	// Limit is the page size the executor derived from the rows still
-	// needed downstream (0 = no bound).
-	Limit   int
-	Reverse bool
-	// After resumes the scan strictly after this entry in scan
-	// direction — the last entry of the previous page; nil asks for the
-	// span's first page.
-	After *IndexEntry
-	// Wait is the request_plus consistency vector (nil = not_bounded).
-	// The executor sets it on the first page only.
-	Wait map[int]uint64
-}
 
 // Datastore is the query service's view of the data and index services
 // (§4.5.1: "the query service issues all key-value access requests ...
@@ -54,11 +29,11 @@ type Datastore interface {
 	// the query's trace so KV fetches chain into the query trace.
 	Fetch(ctx context.Context, keyspace, id string) (doc any, meta n1ql.Meta, err error)
 	// ScanIndex serves one page of an index scan (GSI or view-backed,
-	// §3.3): the span's entries after opts.After, in scan order, and
-	// whether more may follow the last one. A store that can resume
-	// returns at most opts.Limit entries; one that cannot returns all
-	// that remain as a final page (more = false).
-	ScanIndex(ctx context.Context, keyspace, index string, using n1ql.IndexUsing, opts IndexScanOpts) (page []IndexEntry, more bool, err error)
+	// §3.3): at most opts.Limit of the span's entries after opts.After,
+	// in scan order, and whether more may follow the last one. A page
+	// shorter than opts.Limit ends the span. opts.WaitSeqnos is the
+	// request_plus vector; the executor sets it on the first page only.
+	ScanIndex(ctx context.Context, keyspace, index string, using n1ql.IndexUsing, opts gsi.ScanOptions) (page []gsi.ScanItem, more bool, err error)
 	// ConsistencyVector reports the data service's current per-vBucket
 	// high seqnos, captured at query start for request_plus.
 	ConsistencyVector(keyspace string) map[int]uint64

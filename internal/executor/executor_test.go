@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"couchgo/internal/gsi"
 	"couchgo/internal/n1ql"
 	"couchgo/internal/planner"
 	"couchgo/internal/value"
@@ -52,13 +53,13 @@ func (s *stubDS) Fetch(_ context.Context, _ string, id string) (any, n1ql.Meta, 
 
 // ScanIndex is a primary index over the stub's documents: IDs at or
 // above an inclusive Low, strictly after the continuation, one page.
-func (s *stubDS) ScanIndex(_ context.Context, _, _ string, _ n1ql.IndexUsing, opts IndexScanOpts) ([]IndexEntry, bool, error) {
+func (s *stubDS) ScanIndex(_ context.Context, _, _ string, _ n1ql.IndexUsing, opts gsi.ScanOptions) ([]gsi.ScanItem, bool, error) {
 	s.scans.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var ids []string
 	for id := range s.docs {
-		if opts.After != nil && id <= opts.After.ID {
+		if opts.After != nil && id <= opts.After.DocID {
 			continue
 		}
 		if opts.Low != nil && id < opts.Low[0].(string) {
@@ -71,9 +72,9 @@ func (s *stubDS) ScanIndex(_ context.Context, _, _ string, _ n1ql.IndexUsing, op
 	if more {
 		ids = ids[:opts.Limit]
 	}
-	out := make([]IndexEntry, len(ids))
+	out := make([]gsi.ScanItem, len(ids))
 	for i, id := range ids {
-		out[i] = IndexEntry{ID: id, SecKey: []any{id}}
+		out[i] = gsi.ScanItem{DocID: id, SecKey: []any{id}}
 	}
 	s.scanned.Add(int32(len(out)))
 	return out, more, nil

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"couchgo/internal/gsi"
 	"couchgo/internal/n1ql"
 	"couchgo/internal/planner"
 	"couchgo/internal/value"
@@ -324,13 +325,13 @@ type scanOp struct {
 	using n1ql.IndexUsing
 	// opts carry the evaluated span and, between pages, the
 	// continuation.
-	opts  IndexScanOpts
+	opts  gsi.ScanOptions
 	cover bool
 
-	buf      []IndexEntry // read from the index, not yet handed out
-	more     bool         // the span may continue after buf
-	size     int          // the previous batch's size
-	examined int          // entries the datastore returned
+	buf      []gsi.ScanItem // read from the index, not yet handed out
+	more     bool           // the span may continue after buf
+	size     int            // the previous batch's size
+	examined int            // entries the datastore returned
 }
 
 // next sizes its batch, and the page behind it, from demand: the rows
@@ -350,7 +351,7 @@ func (s *scanOp) next(want int) ([]row, error) {
 		s.examined += len(page)
 		if s.more {
 			s.opts.After = &page[len(page)-1]
-			s.opts.Wait = nil // request_plus waits once
+			s.opts.WaitSeqnos = nil // request_plus waits once
 		}
 	}
 	n := min(s.size, len(s.buf))
@@ -361,7 +362,7 @@ func (s *scanOp) next(want int) ([]row, error) {
 		for i, e := range s.buf[:n] {
 			slots := slab[i*w : (i+1)*w]
 			if p.CoverID >= 0 {
-				slots[p.CoverID] = e.ID
+				slots[p.CoverID] = e.DocID
 			}
 			for k, at := range p.Cover {
 				if k < len(e.SecKey) {
@@ -374,7 +375,7 @@ func (s *scanOp) next(want int) ([]row, error) {
 		}
 	} else {
 		for i, e := range s.buf[:n] {
-			rows[i].id = e.ID
+			rows[i].id = e.DocID
 		}
 	}
 	s.buf = s.buf[n:]
@@ -396,9 +397,9 @@ func (ex *selectExec) addScan() error {
 		if err != nil {
 			return err
 		}
-		sc.buf = make([]IndexEntry, len(ids))
+		sc.buf = make([]gsi.ScanItem, len(ids))
 		for i, id := range ids {
-			sc.buf[i].ID = id
+			sc.buf[i].DocID = id
 		}
 		sc.examined = len(ids)
 	case *planner.IndexScan:
@@ -414,7 +415,7 @@ func (ex *selectExec) addScan() error {
 			return err
 		}
 		if ex.opts.Consistency == RequestPlus {
-			sc.opts.Wait = ex.ds.ConsistencyVector(p.Keyspace)
+			sc.opts.WaitSeqnos = ex.ds.ConsistencyVector(p.Keyspace)
 		}
 	}
 	ex.scan = sc
@@ -452,7 +453,7 @@ func keyStrings(v any) (ids []string, ok bool) {
 }
 
 // evalSpan evaluates the span's constant bound expressions into opts.
-func (ex *selectExec) evalSpan(span planner.Span, opts *IndexScanOpts) error {
+func (ex *selectExec) evalSpan(span planner.Span, opts *gsi.ScanOptions) error {
 	evalAll := func(es []n1ql.Expr) ([]any, error) {
 		out := make([]any, len(es))
 		for i, e := range es {

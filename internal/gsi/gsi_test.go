@@ -336,13 +336,16 @@ func TestPartitionedIndex(t *testing.T) {
 	parts, _ := h.svc.Partitions("Profile", "age")
 	total, guards := 0, 0
 	for _, p := range parts {
-		total += p.Stats().Entries
+		st := p.Stats()
+		total += st.Entries
 		p.mu.Lock()
-		guards += len(p.lastSeq)
-		if len(p.docVB) != len(p.lastSeq) {
-			t.Errorf("partition %d: %d docVB entries, %d lastSeq", p.part, len(p.docVB), len(p.lastSeq))
+		for _, byDoc := range p.lastSeq {
+			guards += len(byDoc)
 		}
 		p.mu.Unlock()
+		if st.Docs != st.Entries {
+			t.Errorf("partition %d: %d back-index documents for %d entries", p.part, st.Docs, st.Entries)
+		}
 	}
 	if total != 50 || guards != 50 {
 		t.Fatalf("partitions hold %d entries and %d lastSeq guards for 50 documents", total, guards)

@@ -1,7 +1,6 @@
 package gsi
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -208,13 +207,12 @@ func (s *Service) Lookup(keyspace, name string) (IndexMeta, error) {
 
 // Scan scatter/gathers one page over the index's partitions ("it does
 // scatter/gather for queries in case of a partitioned GSI index"): every
-// partition serves its own page from the same continuation, and the
-// first opts.Limit entries of their merge are the index's page, since
-// no entry past a partition's page can sort before one inside it. A
-// request_plus scan first waits, once and bounded by ctx, until the
-// keyspace projector's feed has applied opts.WaitSeqnos: the projector
-// routes a mutation into every index before the feed counts it applied,
-// so the one vector covers every partition of every index.
+// partition serves its own page from the same continuation, and
+// MergePages keeps the index's. A request_plus scan first waits, once
+// and bounded by ctx, until the keyspace projector's feed has applied
+// opts.WaitSeqnos: the projector routes a mutation into every index
+// before the feed counts it applied, so the one vector covers every
+// partition of every index.
 func (s *Service) Scan(ctx context.Context, keyspace, name string, opts ScanOptions) ([]ScanItem, error) {
 	s.mu.Lock()
 	st, ok := s.indexes[indexKey(keyspace, name)]
@@ -238,53 +236,16 @@ func (s *Service) Scan(ctx context.Context, keyspace, name string, opts ScanOpti
 		return st.parts[0].Scan(ctx, opts)
 	}
 	pages := make([][]ScanItem, len(st.parts))
-	keys := make([][][]byte, len(st.parts))
 	var wg sync.WaitGroup
 	for i, p := range st.parts {
 		wg.Add(1)
 		go func(i int, p *Indexer) {
 			defer wg.Done()
-			pages[i], keys[i] = p.scanPage(opts, true)
+			pages[i] = p.tree.Scan(opts)
 		}(i, p)
 	}
 	wg.Wait()
-	return mergePages(pages, keys, opts.Reverse, opts.Limit), nil
-}
-
-// mergePages k-way merges partitions' pages, each already in tree-key
-// order (reversed for a descending scan), and keeps the first limit
-// entries (0 = all).
-func mergePages(pages [][]ScanItem, keys [][][]byte, reverse bool, limit int) []ScanItem {
-	total := 0
-	for _, p := range pages {
-		total += len(p)
-	}
-	if limit > 0 && total > limit {
-		total = limit
-	}
-	out := make([]ScanItem, 0, total)
-	pos := make([]int, len(pages))
-	for len(out) < total {
-		best := -1
-		for p := range pages {
-			if pos[p] == len(pages[p]) {
-				continue
-			}
-			if best >= 0 {
-				c := bytes.Compare(keys[p][pos[p]], keys[best][pos[best]])
-				if reverse {
-					c = -c
-				}
-				if c >= 0 {
-					continue
-				}
-			}
-			best = p
-		}
-		out = append(out, pages[best][pos[best]])
-		pos[best]++
-	}
-	return out
+	return MergePages(pages, opts.Reverse, opts.Limit), nil
 }
 
 // Count counts matching entries across partitions.
@@ -297,7 +258,7 @@ func (s *Service) Count(keyspace, name string, opts ScanOptions) (int, error) {
 	}
 	total := 0
 	for _, p := range st.parts {
-		total += p.CountRange(opts)
+		total += p.tree.Count(opts)
 	}
 	return total, nil
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"couchgo/internal/executor"
+	"couchgo/internal/gsi"
 	"couchgo/internal/n1ql"
 	"couchgo/internal/planner"
 	"couchgo/internal/value"
@@ -159,7 +160,7 @@ func (s *memStore) Fetch(_ context.Context, keyspace, id string) (any, n1ql.Meta
 
 func (s *memStore) ConsistencyVector(string) map[int]uint64 { return nil }
 
-func (s *memStore) ScanIndex(_ context.Context, keyspace, index string, _ n1ql.IndexUsing, opts executor.IndexScanOpts) ([]executor.IndexEntry, bool, error) {
+func (s *memStore) ScanIndex(_ context.Context, keyspace, index string, _ n1ql.IndexUsing, opts gsi.ScanOptions) ([]gsi.ScanItem, bool, error) {
 	s.mu.Lock()
 	var mi *memIndex
 	for i := range s.indexes[keyspace] {
@@ -279,15 +280,15 @@ func (s *memStore) ScanIndex(_ context.Context, keyspace, index string, _ n1ql.I
 		return before(kept[i].sec, kept[i].id, kept[j].sec, kept[j].id)
 	})
 	// One page: the entries strictly after the continuation, Limit of them.
-	var out []executor.IndexEntry
+	var out []gsi.ScanItem
 	for _, e := range kept {
-		if opts.After != nil && !before(opts.After.SecKey, opts.After.ID, e.sec, e.id) {
+		if opts.After != nil && !before(opts.After.SecKey, opts.After.DocID, e.sec, e.id) {
 			continue
 		}
 		if opts.Limit > 0 && len(out) == opts.Limit {
 			return out, true, nil
 		}
-		out = append(out, executor.IndexEntry{ID: e.id, SecKey: e.sec})
+		out = append(out, gsi.ScanItem{DocID: e.id, SecKey: e.sec})
 	}
 	return out, false, nil
 }

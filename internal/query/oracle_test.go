@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"couchgo/internal/executor"
+	"couchgo/internal/gsi"
 	"couchgo/internal/n1ql"
 	"couchgo/internal/planner"
 	"couchgo/internal/value"
@@ -35,7 +36,7 @@ import (
 // span.
 type wholeStore struct{ *memStore }
 
-func (s wholeStore) ScanIndex(ctx context.Context, keyspace, index string, using n1ql.IndexUsing, opts executor.IndexScanOpts) ([]executor.IndexEntry, bool, error) {
+func (s wholeStore) ScanIndex(ctx context.Context, keyspace, index string, using n1ql.IndexUsing, opts gsi.ScanOptions) ([]gsi.ScanItem, bool, error) {
 	opts.Limit, opts.After = 0, nil
 	page, _, err := s.memStore.ScanIndex(ctx, keyspace, index, using, opts)
 	return page, false, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"couchgo/internal/executor"
+	"couchgo/internal/gsi"
 	"couchgo/internal/n1ql"
 	"couchgo/internal/value"
 )
@@ -463,7 +464,7 @@ type churnStore struct {
 	fail, scans int
 }
 
-func (s *churnStore) ScanIndex(ctx context.Context, keyspace, index string, using n1ql.IndexUsing, opts executor.IndexScanOpts) ([]executor.IndexEntry, bool, error) {
+func (s *churnStore) ScanIndex(ctx context.Context, keyspace, index string, using n1ql.IndexUsing, opts gsi.ScanOptions) ([]gsi.ScanItem, bool, error) {
 	if s.scans++; s.scans <= s.fail {
 		s.epoch.Add(1)
 		return nil, false, errors.New("no such index")

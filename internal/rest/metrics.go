@@ -121,7 +121,9 @@ func (s *Server) snapshot() *NodeSnapshot {
 	return n
 }
 
-func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+// SortedKeys returns a map's keys in ascending order, so renderings of
+// it (the exposition text, cbtop's frames) are stable.
+func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -134,7 +136,7 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 // family so each family's samples stay contiguous, as the exposition
 // format requires. None of these names is also a registry family.
 func (n *NodeSnapshot) writeGauges(tw *metrics.TextWriter) {
-	buckets := sortedKeys(n.Buckets)
+	buckets := SortedKeys(n.Buckets)
 	perNode := func(name string, v func(core.NodeStats) float64) {
 		for _, b := range buckets {
 			for _, st := range n.Buckets[b] {
@@ -150,7 +152,7 @@ func (n *NodeSnapshot) writeGauges(tw *metrics.TextWriter) {
 	perNode("couchgo_storage_file_bytes", func(st core.NodeStats) float64 { return float64(st.DiskBytes) })
 	perNode("couchgo_storage_live_bytes", func(st core.NodeStats) float64 { return float64(st.DiskLiveBytes) })
 	for _, b := range buckets {
-		for _, stream := range sortedKeys(n.DCPLag[b]) {
+		for _, stream := range SortedKeys(n.DCPLag[b]) {
 			tw.Gauge("couchgo_dcp_lag", metrics.LabelString("bucket", b, "stream", stream), float64(n.DCPLag[b][stream]))
 		}
 	}
@@ -165,7 +167,7 @@ func (n *NodeSnapshot) writeGauges(tw *metrics.TextWriter) {
 	tw.Counter("couchgo_events_published_total", "", n.Events.Published)
 	tw.Counter("couchgo_events_dropped_total", "", n.Events.Dropped)
 	tw.Gauge("couchgo_events_subscribers", "", float64(n.Events.Subscribers))
-	for _, t := range sortedKeys(n.Events.Retained) {
+	for _, t := range SortedKeys(n.Events.Retained) {
 		tw.Gauge("couchgo_events_retained", metrics.LabelString("type", string(t)), float64(n.Events.Retained[t]))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"couchgo/internal/btree"
+	"couchgo/internal/gsi"
 	"couchgo/internal/value"
 )
 
@@ -60,7 +61,7 @@ func (countReducer) Zero() any { return 0.0 }
 type sumReducer struct{}
 
 func (sumReducer) Map(_ []byte, v any) any {
-	if f, ok := value.AsNumber(v.(entry).val); ok {
+	if f, ok := value.AsNumber(v.(gsi.ScanItem).Value); ok {
 		return f
 	}
 	return 0.0
@@ -92,7 +93,7 @@ func (s stats) object() map[string]any {
 type statsReducer struct{}
 
 func (statsReducer) Map(_ []byte, v any) any {
-	f, ok := value.AsNumber(v.(entry).val)
+	f, ok := value.AsNumber(v.(gsi.ScanItem).Value)
 	if !ok {
 		return stats{}
 	}
@@ -125,7 +126,7 @@ func (statsReducer) Zero() any { return stats{} }
 
 type minReducer struct{}
 
-func (minReducer) Map(_ []byte, v any) any { return v.(entry).val }
+func (minReducer) Map(_ []byte, v any) any { return v.(gsi.ScanItem).Value }
 func (minReducer) Merge(parts ...any) any {
 	var best any
 	for _, p := range parts {
@@ -142,7 +143,7 @@ func (minReducer) Zero() any { return nil }
 
 type maxReducer struct{}
 
-func (maxReducer) Map(_ []byte, v any) any { return v.(entry).val }
+func (maxReducer) Map(_ []byte, v any) any { return v.(gsi.ScanItem).Value }
 func (maxReducer) Merge(parts ...any) any {
 	var best any
 	for _, p := range parts {

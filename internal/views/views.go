@@ -20,9 +20,9 @@ import (
 	"fmt"
 	"sync"
 
-	"couchgo/internal/btree"
 	"couchgo/internal/dcp"
 	"couchgo/internal/feed"
+	"couchgo/internal/gsi"
 	"couchgo/internal/n1ql"
 	"couchgo/internal/value"
 )
@@ -96,14 +96,6 @@ type QueryOptions struct {
 	// view's feed must have applied before the scan runs (the data
 	// service's current high seqnos at query submission).
 	WaitSeqnos map[int]uint64
-}
-
-// entry is the tree value for one emitted pair.
-type entry struct {
-	vb  int
-	id  string
-	key any
-	val any
 }
 
 // compiled map spec: its expressions read a document's row of scope.
@@ -185,19 +177,18 @@ func NewEngine() *Engine {
 	return &Engine{hub: feed.NewHub("views"), views: make(map[string]*viewIndex)}
 }
 
-// viewIndex is one view's local index.
+// viewIndex is one view's local index: the index tree GSI partitions
+// hold too, built with the view's reducer; an entry's key is the
+// one-element composite [emitted key] and its value the emitted value.
 type viewIndex struct {
-	def Definition
-	cm  *compiledMap
+	def  Definition
+	cm   *compiledMap
+	tree *gsi.Tree
 
 	// feed is the view's subscription, set (under Engine.mu) once Define
 	// has subscribed it; its applied-seqno vector is what stale=false
 	// waits on.
 	feed *feed.Feed
-
-	mu   sync.Mutex
-	tree *btree.Tree
-	back map[int]map[string][][]byte // vb -> docID -> tree keys
 }
 
 // Define creates a view and starts materializing it from every
@@ -213,16 +204,11 @@ func (e *Engine) Define(def Definition) error {
 	if err != nil {
 		return err
 	}
+	vi := &viewIndex{def: def, cm: cm, tree: gsi.NewTree(red)}
 	e.mu.Lock()
 	if _, ok := e.views[def.Name]; ok {
 		e.mu.Unlock()
 		return ErrViewExists
-	}
-	vi := &viewIndex{
-		def:  def,
-		cm:   cm,
-		tree: btree.New(red),
-		back: make(map[int]map[string][][]byte),
 	}
 	e.views[def.Name] = vi
 	e.mu.Unlock()
@@ -306,58 +292,53 @@ func (e *Engine) Close() {
 // shorter than what this view applied, and emitted rows from the lost
 // branch must not survive.
 func (vi *viewIndex) Rollback(vb int, _ uint64) uint64 {
-	vi.mu.Lock()
-	for _, treeKeys := range vi.back[vb] {
-		for _, tk := range treeKeys {
-			vi.tree.Delete(tk)
-		}
-	}
-	delete(vi.back, vb)
-	vi.mu.Unlock()
+	vi.tree.PurgeVB(vb)
 	return 0
 }
 
-// treeKey builds the composite key: encoded emit key, 0x00 separator,
-// then docID — unique per (key, doc) and ordered by collation.
-func treeKey(k any, docID string) []byte {
-	enc := value.EncodeKey(k)
-	out := make([]byte, 0, len(enc)+1+len(docID))
-	out = append(out, enc...)
-	out = append(out, 0x00)
-	return append(out, docID...)
-}
-
-// Apply implements feed.Consumer: drop the doc's old emissions, then
-// add new ones.
+// Apply implements feed.Consumer: the document's emission replaces its
+// previous one. A deleted, unparsable or non-emitting document (a
+// failing map function emits nothing) contributes no entry.
 func (vi *viewIndex) Apply(vb int, m dcp.Mutation) {
-	var k, v any
-	var emitOK bool
+	var secs [][]any
+	var val any
 	if !m.Deleted {
-		doc, ok := value.Parse(m.Value)
-		if ok {
-			var err error
-			k, v, emitOK, err = vi.cm.emit(m.Key, doc)
-			if err != nil {
-				emitOK = false // a failing map function emits nothing
+		if doc, ok := value.Parse(m.Value); ok {
+			if k, v, emitted, err := vi.cm.emit(m.Key, doc); err == nil && emitted {
+				secs, val = [][]any{{k}}, v
 			}
 		}
 	}
-	vi.mu.Lock()
-	defer vi.mu.Unlock()
-	byDoc := vi.back[vb]
-	if byDoc == nil {
-		byDoc = make(map[string][][]byte)
-		vi.back[vb] = byDoc
+	vi.tree.Replace(vb, m.Key, secs, val)
+}
+
+// lookup returns a view that Define has subscribed.
+func (e *Engine) lookup(name string) (*viewIndex, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	vi, ok := e.views[name]
+	if !ok || vi.feed == nil {
+		return nil, ErrNoSuchView
 	}
-	for _, tk := range byDoc[m.Key] {
-		vi.tree.Delete(tk)
+	return vi, nil
+}
+
+// Scan serves one page of this node's part of a view-backed index
+// (CREATE INDEX ... USING VIEW, §3.3.1), as a GSI partition serves its
+// part of a partitioned index; the cluster layer merges the nodes'
+// pages. A non-nil opts.WaitSeqnos (request_plus) is first waited for
+// on the view's feed, bounded by ctx.
+func (e *Engine) Scan(ctx context.Context, name string, opts gsi.ScanOptions) ([]gsi.ScanItem, error) {
+	vi, err := e.lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	delete(byDoc, m.Key)
-	if emitOK {
-		tk := treeKey(k, m.Key)
-		vi.tree.Set(tk, entry{vb: vb, id: m.Key, key: k, val: v})
-		byDoc[m.Key] = [][]byte{tk}
+	if opts.WaitSeqnos != nil {
+		if err := vi.feed.Wait(ctx, opts.WaitSeqnos); err != nil {
+			return nil, err
+		}
 	}
+	return vi.tree.Scan(opts), nil
 }
 
 // Query runs a view query against this node's local index. Cluster
@@ -365,12 +346,9 @@ func (vi *viewIndex) Apply(vb int, m dcp.Mutation) {
 // ctx bounds the stale=false consistency wait on the view's feed. A
 // view is queryable once Define has subscribed it.
 func (e *Engine) Query(ctx context.Context, name string, opts QueryOptions) ([]Row, error) {
-	e.mu.Lock()
-	vi, ok := e.views[name]
-	ok = ok && vi.feed != nil
-	e.mu.Unlock()
-	if !ok {
-		return nil, ErrNoSuchView
+	vi, err := e.lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Stale == StaleFalse {
 		if err := vi.feed.Wait(ctx, opts.WaitSeqnos); err != nil {
@@ -380,77 +358,54 @@ func (e *Engine) Query(ctx context.Context, name string, opts QueryOptions) ([]R
 	if opts.Reduce && vi.def.Reduce == "" {
 		return nil, fmt.Errorf("%w: view %s has no reduce", ErrBadReduce, name)
 	}
-
-	// Multi-key lookup: union of exact-key queries.
-	if len(opts.Keys) > 0 {
-		var rows []Row
-		for _, k := range opts.Keys {
-			sub := opts
-			sub.Keys = nil
-			sub.Key = k
-			sub.HasKey = true
-			r, err := e.queryOne(vi, sub)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, r...)
-		}
-		return trimRows(rows, opts), nil
+	// The tree walk stops at skip+limit rows; skip is cut afterwards.
+	want := 0
+	if opts.Limit > 0 {
+		want = opts.Skip + opts.Limit
 	}
-	rows, err := e.queryOne(vi, opts)
-	if err != nil {
-		return nil, err
+	var rows []Row
+	for _, span := range opts.spans() {
+		switch {
+		case opts.Reduce && !opts.Group:
+			// The fast path the paper highlights: aggregate straight from
+			// the pre-computed reduce annotations in the tree.
+			rows = append(rows, Row{Value: finishReduce(vi.def.Reduce, vi.tree.Reduce(span))})
+		case opts.Reduce:
+			rows = append(rows, reduceGrouped(vi, span)...)
+		case want == 0 || len(rows) < want:
+			if want > 0 {
+				span.Limit = want - len(rows)
+			}
+			for _, it := range vi.tree.Scan(span) {
+				rows = append(rows, Row{Key: it.SecKey[0], Value: it.Value, ID: it.DocID})
+			}
+		}
 	}
 	return trimRows(rows, opts), nil
 }
 
-func (e *Engine) queryOne(vi *viewIndex, opts QueryOptions) ([]Row, error) {
-	lo, hi := scanBounds(opts)
-	vi.mu.Lock()
-	defer vi.mu.Unlock()
-	if opts.Reduce && !opts.Group {
-		// The fast path the paper highlights: aggregate straight from
-		// the pre-computed reduce annotations in the tree.
-		return []Row{{Key: nil, Value: finishReduce(vi.def.Reduce, vi.tree.ReduceRange(lo, hi))}}, nil
+// spans translates the REST parameters into index scans: one per key of
+// a multi-key lookup (their union, in the order given), else one.
+func (o QueryOptions) spans() []gsi.ScanOptions {
+	keys := o.Keys
+	if len(keys) == 0 && o.HasKey {
+		keys = []any{o.Key}
 	}
-	if opts.Reduce && opts.Group {
-		return reduceGrouped(vi, lo, hi), nil
-	}
-	var rows []Row
-	visit := func(_ []byte, v any) bool {
-		en := v.(entry)
-		rows = append(rows, Row{Key: en.key, Value: en.val, ID: en.id})
-		return true
-	}
-	if opts.Descending {
-		vi.tree.Descend(lo, hi, visit)
-	} else {
-		vi.tree.Ascend(lo, hi, visit)
-	}
-	return rows, nil
-}
-
-// scanBounds converts query options into tree-key bounds.
-func scanBounds(opts QueryOptions) (lo, hi []byte) {
-	if opts.HasKey {
-		enc := value.EncodeKey(opts.Key)
-		lo = append(append([]byte{}, enc...), 0x00)
-		hi = append(append([]byte{}, enc...), 0x01)
-		return lo, hi
-	}
-	if opts.HasStart {
-		enc := value.EncodeKey(opts.StartKey)
-		lo = append(append([]byte{}, enc...), 0x00)
-	}
-	if opts.HasEnd {
-		enc := value.EncodeKey(opts.EndKey)
-		if opts.InclusiveEnd {
-			hi = append(append([]byte{}, enc...), 0x01)
-		} else {
-			hi = append(append([]byte{}, enc...), 0x00)
+	if len(keys) > 0 {
+		spans := make([]gsi.ScanOptions, len(keys))
+		for i, k := range keys {
+			spans[i] = gsi.ScanOptions{EqualKey: []any{k}, HasEqual: true, Reverse: o.Descending}
 		}
+		return spans
 	}
-	return lo, hi
+	span := gsi.ScanOptions{LowIncl: true, HighIncl: o.InclusiveEnd, Reverse: o.Descending}
+	if o.HasStart {
+		span.Low = []any{o.StartKey}
+	}
+	if o.HasEnd {
+		span.High = []any{o.EndKey}
+	}
+	return []gsi.ScanOptions{span}
 }
 
 func trimRows(rows []Row, opts QueryOptions) []Row {
@@ -466,28 +421,32 @@ func trimRows(rows []Row, opts QueryOptions) []Row {
 	return rows
 }
 
-func reduceGrouped(vi *viewIndex, lo, hi []byte) []Row {
+// reduceGrouped reduces the span's entries per distinct key
+// (group=true), reading the span a page at a time.
+func reduceGrouped(vi *viewIndex, span gsi.ScanOptions) []Row {
 	var rows []Row
-	var curKey any
 	var acc any
-	started := false
 	r, _ := reducerFor(vi.def.Reduce)
 	flush := func() {
-		if started {
-			rows = append(rows, Row{Key: curKey, Value: finishReduce(vi.def.Reduce, acc)})
+		if len(rows) > 0 {
+			rows[len(rows)-1].Value = finishReduce(vi.def.Reduce, acc)
 		}
 	}
-	vi.tree.Ascend(lo, hi, func(tk []byte, v any) bool {
-		en := v.(entry)
-		if !started || value.Compare(en.key, curKey) != 0 {
-			flush()
-			curKey = en.key
-			acc = r.Zero()
-			started = true
+	span.Reverse, span.Limit = false, 1024
+	for more := true; more; {
+		page := vi.tree.Scan(span)
+		for _, it := range page {
+			if n := len(rows); n == 0 || value.Compare(it.SecKey[0], rows[n-1].Key) != 0 {
+				flush()
+				rows = append(rows, Row{Key: it.SecKey[0]})
+				acc = r.Zero()
+			}
+			acc = r.Merge(acc, r.Map(nil, it))
 		}
-		acc = r.Merge(acc, r.Map(tk, v))
-		return true
-	})
+		if more = span.More(len(page)); more {
+			span.After = &page[len(page)-1]
+		}
+	}
 	flush()
 	return rows
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"couchgo/internal/dcp"
 	"couchgo/internal/memcproto"
 	"couchgo/internal/storage"
 	"couchgo/internal/value"
@@ -455,5 +456,56 @@ func TestEmitNullVsMissing(t *testing.T) {
 	}
 	if value.KindOf(rows[0].Key) != value.NULL {
 		t.Errorf("null key preserved: %v", rows[0].Key)
+	}
+}
+
+// TestLimitStopsTheTreeWalk gates the shared page: a query with a limit
+// reads skip+limit entries of a 10 000-row view, not its whole range
+// (counted by the tree, in the style of TestEntriesAllocBudget: a
+// count, not a timing).
+func TestLimitStopsTheTreeWalk(t *testing.T) {
+	h := newHarness(t, 0)
+	if err := h.engine.Define(Definition{Name: "byN", Map: MapSpec{Key: "doc.n", Value: "doc.n"}, Reduce: "_count"}); err != nil {
+		t.Fatal(err)
+	}
+	vi := h.engine.views["byN"]
+	const docs = 10000
+	for i := 0; i < docs; i++ {
+		vi.Apply(i%8, dcp.Mutation{Key: fmt.Sprintf("d%05d", i), Seqno: uint64(i + 1), Value: []byte(fmt.Sprintf(`{"n": %d}`, i/4))})
+	}
+	for _, tc := range []struct {
+		name  string
+		opts  QueryOptions
+		first float64
+	}{
+		{"ascending", QueryOptions{Limit: 10}, 0},
+		{"ascending from a start key", QueryOptions{StartKey: 100.0, HasStart: true, Limit: 10, Skip: 3}, 100},
+		{"descending", QueryOptions{Descending: true, Limit: 10, Skip: 5}, (docs - 1 - 5) / 4},
+		{"keys", QueryOptions{Keys: []any{7.0, 900.0, 12.0, 44.0}, Limit: 10, Skip: 2}, 7},
+	} {
+		before := vi.tree.Stats().Visited
+		rows, err := h.engine.Query(context.Background(), "byN", tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 10 || rows[0].Key != tc.first {
+			t.Errorf("%s: %d rows, first %+v, want 10 from key %v", tc.name, len(rows), rows[0], tc.first)
+		}
+		if visited, most := vi.tree.Stats().Visited-before, 10+tc.opts.Skip; visited > most {
+			t.Errorf("%s: the walk visited %d entries for limit 10 skip %d, want at most %d", tc.name, visited, tc.opts.Skip, most)
+		}
+	}
+	// A grouped reduce reads the span page by page; with the first
+	// group one entry short, later groups straddle the page edges and
+	// must still come out whole.
+	vi.Apply(0, dcp.Mutation{Key: "d00000", Seqno: docs + 1, Deleted: true})
+	groups, err := h.engine.Query(context.Background(), "byN", QueryOptions{Reduce: true, Group: true})
+	if err != nil || len(groups) != docs/4 {
+		t.Fatalf("grouped reduce: %d groups, %v", len(groups), err)
+	}
+	for i, g := range groups {
+		if want := min(3+i, 4); g.Key != float64(i) || g.Value != float64(want) {
+			t.Fatalf("group %d: %+v, want a count of %d", i, g, want)
+		}
 	}
 }
