@@ -68,6 +68,7 @@ bench-smoke:
 	go test -run='^$$' -bench='BenchmarkGetResident|BenchmarkSetOverwrite|BenchmarkGetParallel' -benchmem -benchtime=1000x ./internal/cache
 	go test -run='^$$' -bench='BenchmarkFrameAppend' -benchmem -benchtime=1000x ./internal/memcproto
 	go test -run='^$$' -bench='BenchmarkSetPublish|BenchmarkDoGet|BenchmarkDoSet|BenchmarkDoGetEvicted' -benchmem -benchtime=1000x ./internal/vbucket
+	go test -run='^$$' -bench='BenchmarkStreamHandoff' -benchmem -benchtime=100000x ./internal/dcp
 	go test -run='^$$' -bench='BenchmarkWorkloadEQuery' -benchmem -benchtime=1000x ./internal/core
 	go test -run='^$$' -bench='BenchmarkWireGet' -benchmem -benchtime=20000x ./internal/transport
 

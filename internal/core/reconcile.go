@@ -256,7 +256,7 @@ type replicaLink struct {
 	mu      sync.Mutex
 	stopped bool
 	// stream is the open stream, if any; halt closes it, which is what
-	// wakes a goroutine parked on its channel.
+	// wakes a goroutine parked in its Next.
 	stream dcp.MutationStream
 }
 
@@ -380,43 +380,32 @@ func (nb *nodeBucket) runLink(l *replicaLink, vb *vbucket.VBucket, self string, 
 			continue
 		}
 		backoff = linkBackoffMin
-		for m := range stream.C() {
-			high, open := l.applyRun(vb, m, stream.C())
-			if high > 0 {
-				rs.Ack(src, stream, self, high)
-			}
-			if !open {
+		for {
+			batch, ok := stream.Next()
+			if !ok || !l.apply(vb, batch) {
 				break
 			}
+			// The ack is a high-watermark: one covers the batch, and a
+			// ReplicateTo waiter sees it in one hop.
+			rs.Ack(src, stream, self, batch[len(batch)-1].Seqno)
 		}
 		stream.Close()
 	}
 }
 
-// applyRun applies m and then everything already buffered on c, so
-// the caller acks once per run: the ack is a high-watermark, one covers
-// the whole run, and a ReplicateTo waiter sees it in one hop. It
-// returns the last seqno applied and whether c is still worth reading
-// (false once it closed or the link was halted).
-func (l *replicaLink) applyRun(vb *vbucket.VBucket, m dcp.Mutation, c <-chan dcp.Mutation) (high uint64, open bool) {
-	for {
+// apply applies one batch to the copy and reports whether the link is
+// still running; a halt takes effect between two mutations.
+func (l *replicaLink) apply(vb *vbucket.VBucket, batch []dcp.Mutation) bool {
+	for _, m := range batch {
 		l.mu.Lock()
 		if l.stopped {
 			l.mu.Unlock()
-			return high, false
+			return false
 		}
 		vb.ApplyReplica(m) //couchvet:ignore lockblock -- halt fence (see replicaLink.mu); vbucket never re-enters core
 		l.mu.Unlock()
-		high = m.Seqno
-		select {
-		case m, open = <-c:
-			if !open {
-				return high, false
-			}
-		default:
-			return high, true
-		}
 	}
+	return true
 }
 
 // openLink performs the resume handshake against the link's source,

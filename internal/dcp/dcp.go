@@ -62,22 +62,22 @@ var uuidCounter atomic.Uint64
 
 func nextUUID() uint64 { return uuidCounter.Add(1) }
 
-// MutationStream is the consumer-side view of one open DCP stream:
-// ordered mutations on C, the vBucket UUID the stream was opened
-// under, and the last seqno delivered. *Stream implements it for the
-// in-process path; the transport layer implements it over a socket so
-// feed consumers resume via (UUID, seqno) across processes without
-// knowing which side of a wire the producer lives on.
+// MutationStream is the consumer-side view of one open DCP stream: the
+// one queue between a vBucket and an asynchronous consumer (Fig. 6),
+// pulled a batch at a time by the consumer's own goroutine. *Stream
+// implements it for the in-process path; the transport layer implements
+// it over a socket so feed consumers resume via (UUID, seqno) across
+// processes without knowing which side of a wire the producer lives on.
 type MutationStream interface {
-	// C returns the delivery channel; it closes when the stream ends.
-	C() <-chan Mutation
+	// Next blocks until something is ready and returns everything that
+	// is, in seqno order. The call after a batch tells the producer the
+	// batch has been applied. ok is false once the stream or its producer
+	// has closed; one goroutine calls Next.
+	Next() (batch []Mutation, ok bool)
 	// StreamUUID is the vBucket UUID the stream was opened under — the
 	// consumer records it alongside its applied seqno as resume state.
 	StreamUUID() uint64
-	// Processed is the seqno of the last mutation handed to the
-	// consumer side.
-	Processed() uint64
-	// Close detaches the stream.
+	// Close detaches the stream and wakes a blocked Next.
 	Close()
 }
 
@@ -220,10 +220,10 @@ func (p *Producer) HighSeqno() uint64 {
 }
 
 // StreamLags reports items-remaining per open stream: the producer's
-// high seqno minus the seqno last delivered to each consumer — the
-// paper's §4.3.4 index-freshness metric, generalized to every DCP
-// consumer. Seqnos are dense per vBucket, so the difference counts
-// undelivered mutations.
+// high seqno minus the last seqno each consumer has applied (it came
+// back for more) — the paper's §4.3.4 index-freshness metric,
+// generalized to every DCP consumer. Seqnos are dense per vBucket, so
+// the difference counts unapplied mutations.
 func (p *Producer) StreamLags() map[string]uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -233,7 +233,7 @@ func (p *Producer) StreamLags() map[string]uint64 {
 	out := make(map[string]uint64, len(p.streams))
 	for s := range p.streams {
 		var lag uint64
-		if done := s.processed.Load(); p.high > done {
+		if done := s.applied.Load(); p.high > done {
 			lag = p.high - done
 		}
 		// Streams sharing a name (same consumer across reopen) keep
@@ -261,66 +261,23 @@ func (p *Producer) Close() {
 	}
 }
 
-// OpenStream starts a named stream delivering every change after
+// ResumeStream opens a named stream delivering every change after
 // fromSeqno: first a backfill snapshot, then live mutations. The name
-// identifies the consumer in stats and tests. OpenStream trusts the
-// caller's fromSeqno without history validation — replica bootstrap
-// and index backfill use it; resumable consumers use ResumeStream.
-func (p *Producer) OpenStream(name string, fromSeqno uint64) (*Stream, error) {
+// identifies the consumer in stats. uuid is the vBucket UUID the
+// consumer last streamed under and fromSeqno the last seqno it applied.
+// The producer checks the pair against its failover log; if the
+// consumer's branch diverged before fromSeqno — it holds mutations a
+// failed-over active never saw — ResumeStream returns a *RollbackError
+// carrying the seqno to rewind to. uuid 0 (a consumer with no history,
+// replica bootstrap, an index build) trusts fromSeqno unvalidated.
+func (p *Producer) ResumeStream(name string, uuid, fromSeqno uint64) (MutationStream, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return nil, ErrClosed
 	}
-	s := &Stream{
-		Name:            name,
-		UUID:            p.failover[len(p.failover)-1].UUID,
-		producer:        p,
-		out:             make(chan Mutation, 64),
-		wake:            make(chan struct{}, 1),
-		backfillPending: true,
-	}
-	s.processed.Store(fromSeqno)
-	p.streams[s] = struct{}{}
-	p.mu.Unlock()
-
-	// Snapshot after attaching to the live feed: anything published
-	// between attach and scan is either in the snapshot or queued live
-	// with a seqno above the snapshot watermark; the pump dedups.
-	items, high, err := p.source.Snapshot(fromSeqno)
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	s.mu.Lock()
-	s.backfill = items
-	s.snapshotHigh = high
-	s.backfillPending = false
-	s.mu.Unlock()
-	// Existing data a fresh stream must backfill counts as lag, so the
-	// producer's watermark covers the snapshot even before the first
-	// live publish.
-	p.mu.Lock()
-	if high > p.high {
-		p.high = high
-	}
-	p.mu.Unlock()
-	s.kick()
-	go s.pump()
-	return s, nil
-}
-
-// ResumeStream reopens a named stream at a position the consumer
-// recorded earlier: uuid is the vBucket UUID the consumer last
-// streamed under and fromSeqno the last seqno it applied. The producer
-// checks the pair against its failover log; if the consumer's branch
-// diverged before fromSeqno — it holds mutations a failed-over active
-// never saw — ResumeStream returns a *RollbackError carrying the
-// seqno to rewind to. uuid 0 (a consumer with no history) skips
-// validation and behaves like OpenStream.
-func (p *Producer) ResumeStream(name string, uuid, fromSeqno uint64) (MutationStream, error) {
+	cur := p.failover[len(p.failover)-1].UUID
 	if uuid != 0 && fromSeqno > 0 {
-		p.mu.Lock()
 		branch := -1
 		for i, e := range p.failover {
 			if e.UUID == uuid {
@@ -328,7 +285,6 @@ func (p *Producer) ResumeStream(name string, uuid, fromSeqno uint64) (MutationSt
 				break
 			}
 		}
-		cur := p.failover[len(p.failover)-1].UUID
 		switch {
 		case branch < 0:
 			// Unknown lineage entirely: nothing past 0 is trustworthy.
@@ -344,12 +300,38 @@ func (p *Producer) ResumeStream(name string, uuid, fromSeqno uint64) (MutationSt
 				return nil, &RollbackError{UUID: cur, Seqno: upper}
 			}
 		}
-		p.mu.Unlock()
 	}
-	s, err := p.OpenStream(name, fromSeqno)
+	s := &Stream{Name: name, UUID: cur, producer: p, taken: fromSeqno, opening: true}
+	s.ready.L = &s.mu
+	s.applied.Store(fromSeqno)
+	p.streams[s] = struct{}{}
+	p.mu.Unlock()
+
+	// Snapshot after attaching to the live feed: anything published
+	// between attach and scan is either in the snapshot or queued live
+	// with a seqno above the snapshot watermark.
+	items, high, err := p.source.Snapshot(fromSeqno)
 	if err != nil {
+		s.Close()
 		return nil, err
 	}
+	// Existing data a fresh stream must backfill counts as lag, so the
+	// producer's watermark covers the snapshot even before the first
+	// live publish.
+	p.mu.Lock()
+	if high > p.high {
+		p.high = high
+	}
+	p.mu.Unlock()
+	s.mu.Lock()
+	for _, m := range s.queue {
+		if m.Seqno > high {
+			items = append(items, m)
+		}
+	}
+	s.queue, s.snapshotHigh, s.opening = items, high, false
+	s.mu.Unlock()
+	s.ready.Signal()
 	return s, nil
 }
 
@@ -368,127 +350,67 @@ func publishRollbackRequired(vb int, stream string, uuid, fromSeqno, rollbackTo 
 	events.Default.Publish(e)
 }
 
-// Stream is one consumer's ordered view of a vBucket's changes.
-// Mutations arrive on C; the channel closes when the stream ends.
-// UUID is the vBucket UUID the stream was opened under; a resumable
-// consumer records it alongside its applied seqno.
+// Stream is one consumer's ordered view of a vBucket's changes: one
+// unbounded queue the producer appends to and the consumer's Next
+// empties. UUID is the vBucket UUID the stream was opened under; a
+// resumable consumer records it alongside its applied seqno.
 type Stream struct {
 	Name     string
 	UUID     uint64
 	producer *Producer
 
-	mu              sync.Mutex
-	backfill        []Mutation
-	backfillPending bool
-	snapshotHigh    uint64
-	live            []Mutation
-	closed          bool
+	mu sync.Mutex
+	// ready is signalled when queue gains its first entry, the snapshot
+	// lands or the stream closes.
+	ready sync.Cond
+	// queue is the backfill followed by live mutations past
+	// snapshotHigh. While opening, it holds the live mutations published
+	// since the stream attached, and Next waits for the snapshot.
+	queue        []Mutation
+	opening      bool
+	snapshotHigh uint64
+	closed       bool
+	// taken is the last seqno Next handed out.
+	taken uint64
 
-	// processed is the seqno of the last mutation handed to the
-	// consumer (plus anything sitting in the small out buffer); the
-	// producer reads it to compute stream lag.
-	processed atomic.Uint64
-
-	out  chan Mutation
-	wake chan struct{}
+	// applied is the last seqno the consumer is done with: taken as of
+	// its latest call of Next. The producer reads it to compute lag.
+	applied atomic.Uint64
 }
-
-// Processed returns the seqno of the last mutation delivered to the
-// consumer side of the stream.
-func (s *Stream) Processed() uint64 { return s.processed.Load() }
 
 // StreamUUID returns the vBucket UUID the stream was opened under
 // (the UUID field, behind the MutationStream seam).
 func (s *Stream) StreamUUID() uint64 { return s.UUID }
 
-// C returns the delivery channel.
-func (s *Stream) C() <-chan Mutation { return s.out }
-
 func (s *Stream) enqueueLive(m Mutation) {
 	s.mu.Lock()
-	if !s.closed {
-		s.live = append(s.live, m)
+	// A mutation at or below the snapshot high is already in the backfill.
+	if !s.closed && (s.opening || m.Seqno > s.snapshotHigh) {
+		s.queue = append(s.queue, m)
 	}
 	s.mu.Unlock()
-	s.kick()
+	s.ready.Signal()
 }
 
-func (s *Stream) kick() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
+// Next implements MutationStream.
+func (s *Stream) Next() ([]Mutation, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.applied.Store(s.taken)
+	for !s.closed && (s.opening || len(s.queue) == 0) {
+		s.ready.Wait()
 	}
-}
-
-// pump moves queued mutations to the out channel: the entire backfill
-// first (in seqno order), then live mutations with seqno beyond the
-// snapshot high-water mark.
-func (s *Stream) pump() {
-	defer close(s.out)
-	sentBackfill := false
-	for {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		var batch []Mutation
-		if !sentBackfill {
-			if s.backfillPending {
-				s.mu.Unlock()
-				<-s.wake
-				continue
-			}
-			batch = s.backfill
-			s.backfill = nil
-			sentBackfill = true
-			s.mu.Unlock()
-			for _, m := range batch {
-				if !s.send(m) {
-					return
-				}
-			}
-			continue
-		}
-		if len(s.live) == 0 {
-			s.mu.Unlock()
-			<-s.wake
-			continue
-		}
-		batch = s.live
-		s.live = nil
-		high := s.snapshotHigh
-		s.mu.Unlock()
-		for _, m := range batch {
-			if m.Seqno <= high {
-				continue // already covered by the backfill snapshot
-			}
-			if !s.send(m) {
-				return
-			}
-		}
+	if s.closed {
+		return nil, false
 	}
+	batch := s.queue
+	s.queue = nil
+	s.taken = batch[len(batch)-1].Seqno
+	return batch, true
 }
 
-func (s *Stream) send(m Mutation) bool {
-	for {
-		select {
-		case s.out <- m:
-			s.processed.Store(m.Seqno)
-			return true
-		case <-s.wake:
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return false
-			}
-		}
-	}
-}
-
-// Close detaches the stream from the producer and closes C after the
-// pump drains.
+// Close detaches the stream from the producer; what it still queues is
+// dropped, and the consumer resumes elsewhere from what it applied.
 func (s *Stream) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -496,9 +418,10 @@ func (s *Stream) Close() {
 		return
 	}
 	s.closed = true
+	s.queue = nil
 	s.mu.Unlock()
+	s.ready.Signal()
 	s.producer.mu.Lock()
 	delete(s.producer.streams, s)
 	s.producer.mu.Unlock()
-	s.kick()
 }

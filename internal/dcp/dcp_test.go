@@ -46,20 +46,30 @@ func publish(src *memSource, p *Producer, m Mutation) {
 	p.Publish(m)
 }
 
+// open opens a stream from seqno from with no history to validate.
+func open(t *testing.T, p *Producer, name string, from uint64) *Stream {
+	t.Helper()
+	s, err := p.ResumeStream(name, 0, from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.(*Stream)
+}
+
+// collect pulls batches until it holds n mutations. A stream that never
+// delivers them hangs in Next, which the watchdog turns into a failure
+// by closing the stream.
 func collect(t *testing.T, s *Stream, n int) []Mutation {
 	t.Helper()
+	watchdog := time.AfterFunc(5*time.Second, s.Close)
+	defer watchdog.Stop()
 	var out []Mutation
-	timeout := time.After(5 * time.Second)
 	for len(out) < n {
-		select {
-		case m, ok := <-s.C():
-			if !ok {
-				t.Fatalf("stream closed after %d of %d mutations", len(out), n)
-			}
-			out = append(out, m)
-		case <-timeout:
-			t.Fatalf("timeout after %d of %d mutations", len(out), n)
+		batch, ok := s.Next()
+		if !ok {
+			t.Fatalf("stream ended after %d of %d mutations", len(out), n)
 		}
+		out = append(out, batch...)
 	}
 	return out
 }
@@ -68,10 +78,7 @@ func TestLiveStreamDeliversInOrder(t *testing.T) {
 	src := newMemSource()
 	p := NewProducer(3, src)
 	defer p.Close()
-	s, err := p.OpenStream("test", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(t, p, "test", 0)
 	defer s.Close()
 	for i := 1; i <= 20; i++ {
 		publish(src, p, Mutation{Key: fmt.Sprintf("k%d", i), Seqno: uint64(i)})
@@ -97,10 +104,7 @@ func TestBackfillThenLive(t *testing.T) {
 	}
 	publish(src, p, Mutation{Key: "k2", Seqno: 6})
 
-	s, err := p.OpenStream("late", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(t, p, "late", 0)
 	defer s.Close()
 	// Live traffic after the stream opens.
 	publish(src, p, Mutation{Key: "k7", Seqno: 7})
@@ -125,10 +129,7 @@ func TestStreamFromNonZeroSeqno(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		publish(src, p, Mutation{Key: fmt.Sprintf("k%d", i), Seqno: uint64(i)})
 	}
-	s, err := p.OpenStream("resume", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(t, p, "resume", 7)
 	defer s.Close()
 	got := collect(t, s, 3)
 	if got[0].Seqno != 8 || got[2].Seqno != 10 {
@@ -174,10 +175,7 @@ func TestNoDuplicatesAcrossBackfillLiveBoundary(t *testing.T) {
 
 	for i := 0; i < 5; i++ {
 		time.Sleep(2 * time.Millisecond)
-		s, err := p.OpenStream(fmt.Sprintf("s%d", i), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := open(t, p, fmt.Sprintf("s%d", i), 0)
 		got := collect(t, s, 30)
 		seen := map[uint64]bool{}
 		last := uint64(0)
@@ -201,9 +199,9 @@ func TestSlowConsumerDoesNotBlockPublisher(t *testing.T) {
 	src := newMemSource()
 	p := NewProducer(0, src)
 	defer p.Close()
-	s, _ := p.OpenStream("slow", 0)
+	s := open(t, p, "slow", 0)
 	defer s.Close()
-	// Publish far more than the channel buffer without reading.
+	// Publish a deep backlog without reading.
 	done := make(chan struct{})
 	go func() {
 		for i := 1; i <= 5000; i++ {
@@ -226,41 +224,23 @@ func TestCloseStream(t *testing.T) {
 	src := newMemSource()
 	p := NewProducer(0, src)
 	defer p.Close()
-	s, _ := p.OpenStream("x", 0)
+	s := open(t, p, "x", 0)
 	s.Close()
 	s.Close() // idempotent
-	// Channel eventually closes.
-	timeout := time.After(2 * time.Second)
-	for {
-		select {
-		case _, ok := <-s.C():
-			if !ok {
-				return
-			}
-		case <-timeout:
-			t.Fatal("channel never closed")
-		}
+	if _, ok := s.Next(); ok {
+		t.Fatal("Next on a closed stream returned a batch")
 	}
 }
 
 func TestProducerCloseEndsStreams(t *testing.T) {
 	src := newMemSource()
 	p := NewProducer(0, src)
-	s, _ := p.OpenStream("x", 0)
+	s := open(t, p, "x", 0)
 	p.Close()
-	timeout := time.After(2 * time.Second)
-	for {
-		select {
-		case _, ok := <-s.C():
-			if !ok {
-				goto closedOK
-			}
-		case <-timeout:
-			t.Fatal("stream not ended by producer close")
-		}
+	if _, ok := s.Next(); ok {
+		t.Fatal("stream not ended by producer close")
 	}
-closedOK:
-	if _, err := p.OpenStream("y", 0); err != ErrClosed {
+	if _, err := p.ResumeStream("y", 0, 0); err != ErrClosed {
 		t.Errorf("open on closed producer: %v", err)
 	}
 	p.Publish(Mutation{Seqno: 1}) // must not panic
@@ -272,7 +252,7 @@ func TestDeletionsFlowThroughStreams(t *testing.T) {
 	defer p.Close()
 	publish(src, p, Mutation{Key: "k", Seqno: 1})
 	publish(src, p, Mutation{Key: "k", Seqno: 2, Deleted: true})
-	s, _ := p.OpenStream("x", 0)
+	s := open(t, p, "x", 0)
 	defer s.Close()
 	got := collect(t, s, 1)
 	if !got[0].Deleted || got[0].Seqno != 2 {
@@ -290,71 +270,5 @@ func TestHighSeqnoTracking(t *testing.T) {
 	publish(src, p, Mutation{Key: "a", Seqno: 9})
 	if p.HighSeqno() != 9 {
 		t.Fatalf("high = %d", p.HighSeqno())
-	}
-}
-
-func TestStreamLagsSlowConsumer(t *testing.T) {
-	src := newMemSource()
-	p := NewProducer(0, src)
-	defer p.Close()
-	s, err := p.OpenStream("gsi-projector", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Publish 200 mutations without draining the stream. The out
-	// channel buffers 64, so processed can reach at most 64 and the
-	// reported lag must stay >= 136.
-	for i := 1; i <= 200; i++ {
-		publish(src, p, Mutation{Key: fmt.Sprintf("k%d", i), Seqno: uint64(i)})
-	}
-	lags := p.StreamLags()
-	if lag := lags["gsi-projector"]; lag < 136 {
-		t.Fatalf("slow consumer lag = %d, want >= 136", lag)
-	}
-	// Catch up: drain everything, then the lag must fall to zero.
-	collect(t, s, 200)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		// The caught-up stream must still be listed, at lag zero —
-		// a missing entry would read as a vanished gauge series.
-		lag, ok := p.StreamLags()["gsi-projector"]
-		if ok && lag == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("lag stuck at %d (listed=%v) after catch-up", lag, ok)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestFreshStreamBackfillCountsAsLag(t *testing.T) {
-	src := newMemSource()
-	p := NewProducer(0, src)
-	defer p.Close()
-	// Pre-existing data, no stream yet.
-	for i := 1; i <= 100; i++ {
-		publish(src, p, Mutation{Key: fmt.Sprintf("k%d", i), Seqno: uint64(i)})
-	}
-	s, err := p.OpenStream("late", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Nothing drained: the whole backfill minus the 64-slot channel
-	// buffer is still owed to the consumer.
-	if lag := p.StreamLags()["late"]; lag < 36 {
-		t.Fatalf("fresh stream lag = %d, want >= 36", lag)
-	}
-	collect(t, s, 100)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		lag, ok := p.StreamLags()["late"]
-		if ok && lag == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("lag stuck at %d (listed=%v) after drain", lag, ok)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -42,13 +42,10 @@ func TestStreamCarriesVBucketUUID(t *testing.T) {
 	src := newMemSource()
 	p := NewProducer(0, src)
 	defer p.Close()
-	s, err := p.OpenStream("c", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(t, p, "c", 0)
 	defer s.Close()
-	if s.UUID != p.UUID() {
-		t.Fatalf("stream UUID %d, producer UUID %d", s.UUID, p.UUID())
+	if s.StreamUUID() != p.UUID() {
+		t.Fatalf("stream UUID %d, producer UUID %d", s.StreamUUID(), p.UUID())
 	}
 }
 
@@ -102,7 +99,7 @@ func TestResumeStreamValidation(t *testing.T) {
 	}
 	s.Close()
 
-	// uuid 0 (no recorded history) behaves like OpenStream.
+	// uuid 0 (no recorded history) is trusted unvalidated.
 	s, err = p.ResumeStream("fresh", 0, 9)
 	if err != nil {
 		t.Fatalf("trust-mode resume: %v", err)

@@ -13,7 +13,7 @@
 //     and rebalance re-attachments resume rather than rebuild,
 //   - rollback: a resume the producer rejects (stale branch of
 //     history) rewinds the consumer via Rollback before re-streaming,
-//   - a bounded-buffer drain loop with backpressure accounting,
+//   - a drain loop that pulls batches and counts the deep ones,
 //   - the consistency barrier: Wait blocks a reader until that same
 //     applied-seqno vector covers the data service's high seqnos
 //     (request_plus, stale=false, FTS and analytics read-your-writes).
@@ -21,7 +21,7 @@
 // Feed metrics are exported through metrics.Default per service:
 // couchgo_feed_mutations_total, couchgo_feed_rollbacks_total,
 // couchgo_feed_stalls_total, the couchgo_feed_buffer_high_watermark
-// gauge (the deepest the drain buffer has been per service — how far
+// gauge (the largest batch a drain has pulled per service — how far
 // behind the consumer got), and
 // the couchgo_feed_wait_seconds histogram (how long consistent reads
 // blocked in Wait).
@@ -75,11 +75,11 @@ type Config struct {
 	// service: "gsi", "views", "fts", "analytics", "xdcr"). Defaults
 	// to the feed name.
 	Service string
-	// Buffer is the drain buffer capacity in mutations (default 64).
-	// When the consumer falls behind by more than Buffer, the stall
-	// counter increments and the puller blocks until space frees.
-	Buffer int
 }
+
+// stallBatch is the backlog that counts as a stall: a drain that comes
+// back to find more than this many mutations waiting has fallen behind.
+const stallBatch = 64
 
 // Feed connects one Consumer to any number of vBucket producers,
 // surviving producer changes (failover, rebalance) via resume state
@@ -88,16 +88,15 @@ type Feed struct {
 	name     string
 	service  string
 	consumer Consumer
-	buffer   int
 
 	mMutations *metrics.Counter
 	mRollbacks *metrics.Counter
 	mStalls    *metrics.Counter
 	mHighWater *metrics.Gauge
-	// mStalled counts drain goroutines currently blocked on a full
-	// buffer — nonzero means a consumer is stalled *right now*, which
-	// is what the health watchdog ages (the stall counter only says a
-	// stall began, not that it is ongoing).
+	// mStalled counts drain goroutines currently working through a
+	// stall-sized batch — nonzero means a consumer is behind *right now*,
+	// which is what the health watchdog ages (the stall counter only
+	// says a stall began, not that it is ongoing).
 	mStalled *metrics.Gauge
 	// mWait times the Waits that actually blocked.
 	mWait *metrics.Histogram
@@ -142,14 +141,10 @@ func New(name string, c Consumer, cfg Config) *Feed {
 	if cfg.Service == "" {
 		cfg.Service = name
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 64
-	}
 	return &Feed{
 		name:       name,
 		service:    cfg.Service,
 		consumer:   c,
-		buffer:     cfg.Buffer,
 		mMutations: metrics.Default.Counter("couchgo_feed_mutations_total", "service", cfg.Service),
 		mRollbacks: metrics.Default.Counter("couchgo_feed_rollbacks_total", "service", cfg.Service),
 		mStalls:    metrics.Default.Counter("couchgo_feed_stalls_total", "service", cfg.Service),
@@ -284,66 +279,56 @@ func drainAlive(vf *vbFeed) bool {
 	}
 }
 
-// drain pumps the stream through a bounded buffer into the consumer.
-// The pull side counts a backpressure stall whenever the buffer is
-// full — the consumer is more than `buffer` mutations behind — and
-// then blocks, so a slow consumer is visible in metrics without
-// unbounded memory growth in this layer. (The dcp layer's per-stream
-// queue stays unbounded, preserving the never-block-the-publisher
-// memory-first contract.)
+// drain pulls the stream a batch at a time into the consumer. A batch
+// is everything published since the drain last came back, so its size
+// is how far behind the consumer is: more than stallBatch counts a
+// stall for as long as the batch takes to apply. Nothing here bounds
+// memory or slows the publisher; the stream's queue is unbounded by the
+// memory-first contract.
 func (f *Feed) drain(vb int, vf *vbFeed) {
-	buf := make(chan dcp.Mutation, f.buffer)
-	go func() {
-		defer close(buf)
-		for m := range vf.stream.C() {
-			select {
-			case buf <- m:
-			default:
-				f.mStalls.Inc()
-				// The event carries the high-watermark gauge's current
-				// value so journal and metrics tell one story: the
-				// buffer was this deep when backpressure hit.
-				e := events.New(events.FeedEvent, events.SevWarn, "feed stall: consumer backpressure")
-				e.Service = f.service
-				e.VB = vb
-				e.Fields = map[string]string{
-					"buffer":         strconv.Itoa(f.buffer),
-					"high_watermark": strconv.FormatInt(f.mHighWater.Value(), 10),
-				}
-				events.Default.Publish(e)
-				f.mStalled.Add(1)
-				buf <- m
-				f.mStalled.Add(-1)
-			}
-		}
-	}()
 	defer close(vf.done)
-	highWater := 0
-	for m := range buf {
-		// Track the deepest backlog this drain has seen; the gauge is
-		// monotone per service so operators see worst-case lag depth.
-		if d := len(buf) + 1; d > highWater {
-			highWater = d
-			f.mHighWater.SetMax(int64(d))
+	for {
+		batch, ok := vf.stream.Next()
+		if !ok {
+			return
 		}
-		if m.Trace != nil {
-			sp := m.Trace.StartSpan("feed:apply")
-			sp.Annotate("service", f.service)
-			sp.Annotate("vb", strconv.Itoa(vb))
-			sp.Annotate("seqno", strconv.FormatUint(m.Seqno, 10))
-			f.consumer.Apply(vb, m)
-			sp.End()
-		} else {
-			f.consumer.Apply(vb, m)
+		f.mHighWater.SetMax(int64(len(batch)))
+		stalled := len(batch) > stallBatch
+		if stalled {
+			f.mStalls.Inc()
+			e := events.New(events.FeedEvent, events.SevWarn, "feed stall: consumer backpressure")
+			e.Service = f.service
+			e.VB = vb
+			e.Fields = map[string]string{
+				"batch":          strconv.Itoa(len(batch)),
+				"high_watermark": strconv.FormatInt(f.mHighWater.Value(), 10),
+			}
+			events.Default.Publish(e)
+			f.mStalled.Add(1)
 		}
-		vf.lastTrace = m.Trace
-		vf.seqno.Store(m.Seqno)
-		if f.waiters.Load() != 0 {
-			f.mu.Lock()
-			f.wakeLocked()
-			f.mu.Unlock()
+		for _, m := range batch {
+			if m.Trace != nil {
+				sp := m.Trace.StartSpan("feed:apply")
+				sp.Annotate("service", f.service)
+				sp.Annotate("vb", strconv.Itoa(vb))
+				sp.Annotate("seqno", strconv.FormatUint(m.Seqno, 10))
+				f.consumer.Apply(vb, m)
+				sp.End()
+			} else {
+				f.consumer.Apply(vb, m)
+			}
+			vf.lastTrace = m.Trace
+			vf.seqno.Store(m.Seqno)
+			if f.waiters.Load() != 0 {
+				f.mu.Lock()
+				f.wakeLocked()
+				f.mu.Unlock()
+			}
+			f.mMutations.Inc()
 		}
-		f.mMutations.Inc()
+		if stalled {
+			f.mStalled.Add(-1)
+		}
 	}
 }
 

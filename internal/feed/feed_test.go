@@ -3,11 +3,14 @@ package feed
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"couchgo/internal/dcp"
+	"couchgo/internal/events"
 	"couchgo/internal/metrics"
 )
 
@@ -62,7 +65,10 @@ type recordingConsumer struct {
 	mu      sync.Mutex
 	docs    map[int]map[string]uint64
 	applied []uint64 // every applied seqno, in call order
-	gate    chan struct{}
+	// gate, when set, parks every Apply until it receives or closes;
+	// parked counts the Applies that have reached it.
+	gate   chan struct{}
+	parked atomic.Int32
 }
 
 func newRecordingConsumer() *recordingConsumer {
@@ -71,6 +77,7 @@ func newRecordingConsumer() *recordingConsumer {
 
 func (c *recordingConsumer) Apply(vb int, m dcp.Mutation) {
 	if c.gate != nil {
+		c.parked.Add(1)
 		<-c.gate
 	}
 	c.mu.Lock()
@@ -265,28 +272,63 @@ func TestReattachAfterProducerClose(t *testing.T) {
 	}
 }
 
+// TestBackpressureStallCounter: a drain that comes back to a backlog
+// deeper than stallBatch counts one stall, journals one event, and
+// holds the stalled gauge up for as long as the batch takes to apply.
 func TestBackpressureStallCounter(t *testing.T) {
-	stalls := metrics.Default.Counter("couchgo_feed_stalls_total", "service", "test")
-	before := stalls.Value()
+	stalls := metrics.Default.Counter("couchgo_feed_stalls_total", "service", "test-stall")
+	stalled := metrics.Default.Gauge("couchgo_feed_stalled", "service", "test-stall")
+	highWater := metrics.Default.Gauge("couchgo_feed_buffer_high_watermark", "service", "test-stall")
+	stallsBefore, lastEvent := stalls.Value(), events.Default.LastSeq()
+	highWater.Set(0) // monotone per process; this run's batch must be what sets it
 
 	src := newMemSource()
 	p := dcp.NewProducer(0, src)
 	defer p.Close()
 	c := newRecordingConsumer()
 	c.gate = make(chan struct{})
-	f := New("t-stall", c, Config{Service: "test", Buffer: 1})
+	f := New("t-stall", c, Config{Service: "test-stall"})
 	defer f.Close()
+	var open sync.Once
+	release := func() { open.Do(func() { close(c.gate) }) }
+	defer release() // a failure must not leave Close waiting on a parked drain
 	if err := f.Attach(0, p); err != nil {
 		t.Fatal(err)
 	}
-	// With the consumer blocked and a 1-slot buffer, the puller must
-	// stall: slot 1 fills, the next pull hits a full buffer.
-	for i := 1; i <= 8; i++ {
+	// Park the consumer on a batch of one, then let the backlog build
+	// behind it.
+	const backlog = stallBatch + 1
+	src.publish(p, dcp.Mutation{Key: "k1", Seqno: 1})
+	waitFor(t, "consumer parked on the first mutation", func() bool { return c.parked.Load() == 1 })
+	for i := 2; i <= 1+backlog; i++ {
 		src.publish(p, dcp.Mutation{Key: fmt.Sprintf("k%d", i), Seqno: uint64(i)})
 	}
-	waitFor(t, "backpressure stall recorded", func() bool { return stalls.Value() > before })
-	close(c.gate)
-	waitFor(t, "backlog drained after release", func() bool { return f.Processed()[0] == 8 })
+	if got := stalls.Value() - stallsBefore; got != 0 || stalled.Value() != 0 {
+		t.Fatalf("stalls = %d, stalled = %d before the drain saw the backlog", got, stalled.Value())
+	}
+	c.gate <- struct{}{} // the drain comes back to the whole backlog
+	waitFor(t, "consumer parked inside the deep batch", func() bool { return c.parked.Load() == 2 })
+	if got := stalls.Value() - stallsBefore; got != 1 || stalled.Value() != 1 {
+		t.Fatalf("stalls = %d, stalled = %d inside a batch of %d, want 1 and 1", got, stalled.Value(), backlog)
+	}
+	if got := highWater.Value(); got != backlog {
+		t.Fatalf("high watermark = %d, want the batch size %d", got, backlog)
+	}
+	var stallEvents int
+	for _, e := range events.Default.Events(events.Filter{Type: events.FeedEvent, SinceSeq: lastEvent}) {
+		if e.Service == "test-stall" && e.Fields["batch"] == strconv.Itoa(backlog) {
+			stallEvents++
+		}
+	}
+	if stallEvents != 1 {
+		t.Fatalf("%d stall events journaled, want 1", stallEvents)
+	}
+	release()
+	waitFor(t, "backlog drained after release", func() bool { return f.Processed()[0] == 1+backlog })
+	waitFor(t, "stalled gauge back to zero", func() bool { return stalled.Value() == 0 })
+	if got := stalls.Value() - stallsBefore; got != 1 {
+		t.Fatalf("stalls = %d after the drain, want 1", got)
+	}
 }
 
 func TestDetachForgetsResumeState(t *testing.T) {

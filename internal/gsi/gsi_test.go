@@ -3,6 +3,7 @@ package gsi
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -174,6 +175,68 @@ func TestScanDuringInitialBuild(t *testing.T) {
 	}
 	if items := h.scanFresh(t, "email", ScanOptions{}); len(items) != 40 {
 		t.Fatalf("backfilled %d items, want 40", len(items))
+	}
+}
+
+// brokenBuild fails an index's initial-build stream while broken is
+// set: "open" refuses the stream, "short" hands it over already closed,
+// so it ends before the build's target seqno.
+type brokenBuild struct {
+	dcp.StreamSource
+	broken string
+}
+
+func (b *brokenBuild) ResumeStream(name string, uuid, from uint64) (dcp.MutationStream, error) {
+	if !strings.HasPrefix(name, "gsi-build:") || b.broken == "" {
+		return b.StreamSource.ResumeStream(name, uuid, from)
+	}
+	if b.broken == "open" {
+		return nil, errors.New("build stream refused")
+	}
+	s, err := b.StreamSource.ResumeStream(name, uuid, from)
+	if err == nil {
+		s.Close()
+	}
+	return s, err
+}
+
+// TestFailedBuildLeavesIndexUnbuilt: a build that cannot open or finish
+// one vBucket's stream returns the error and the index stays
+// unscannable, where it used to be marked built over an empty partition;
+// BuildIndex over a healed source then fills it.
+func TestFailedBuildLeavesIndexUnbuilt(t *testing.T) {
+	for _, broken := range []string{"open", "short"} {
+		t.Run(broken, func(t *testing.T) {
+			h := newHarness(t, 2)
+			b := &brokenBuild{StreamSource: h.vbs[1].Producer(), broken: broken}
+			h.proj.DetachVB(1)
+			if err := h.proj.AttachVB(1, b); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 40; i++ {
+				h.put(t, i%2, fmt.Sprintf("u%02d", i), fmt.Sprintf(`{"email": "e%02d@x.com"}`, i))
+			}
+			def := Def{Name: "email", Keyspace: "Profile", SecExprs: []string{"email"}}
+			if err := h.svc.CreateIndex(def); err == nil {
+				t.Fatal("CreateIndex over a broken build stream returned nil")
+			}
+			if meta, err := h.svc.Lookup("Profile", "email"); err != nil || meta.Built {
+				t.Fatalf("Lookup after the failed build = built %v, %v", meta.Built, err)
+			}
+			if items, err := h.svc.Scan(context.Background(), "Profile", "email", ScanOptions{WaitSeqnos: h.fresh()}); err != ErrNoSuchIndex {
+				t.Fatalf("scan after the failed build = %d items, %v; want ErrNoSuchIndex", len(items), err)
+			}
+			if err := h.svc.BuildIndex("Profile", "email"); err == nil {
+				t.Fatal("BuildIndex over a broken build stream returned nil")
+			}
+			b.broken = ""
+			if err := h.svc.BuildIndex("Profile", "email"); err != nil {
+				t.Fatal(err)
+			}
+			if items := h.scanFresh(t, "email", ScanOptions{}); len(items) != 40 {
+				t.Fatalf("rebuilt %d items, want 40", len(items))
+			}
+		})
 	}
 }
 

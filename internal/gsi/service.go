@@ -64,8 +64,9 @@ func NewService(dir string) *Service {
 
 func indexKey(keyspace, name string) string { return keyspace + "/" + name }
 
-// CreateIndex registers (and unless deferred, allows building of) an
-// index.
+// CreateIndex registers an index and, unless deferred, builds it. A
+// failed build returns its error and leaves the index registered but
+// unbuilt, as a deferred one is; BuildIndex tries again.
 func (s *Service) CreateIndex(def Def) error {
 	cd, err := compileDef(def)
 	if err != nil {
@@ -97,12 +98,12 @@ func (s *Service) CreateIndex(def Def) error {
 	// covers the existing data, so a request_plus scan has nothing else
 	// to hold it off half-filled partitions.
 	if !def.Deferred && proj != nil {
-		proj.backfillIndex(st)
+		err = proj.backfillIndex(st)
 	}
 	s.mu.Lock()
-	st.built = !def.Deferred
+	st.built = !def.Deferred && err == nil
 	s.catalogChanged()
-	return nil
+	return err
 }
 
 func (s *Service) catalogChanged() {
@@ -133,7 +134,9 @@ func (s *Service) BuildIndex(keyspace, name string) error {
 		return ErrNoSuchIndex
 	}
 	if proj != nil {
-		proj.backfillIndex(st)
+		if err := proj.backfillIndex(st); err != nil {
+			return err
+		}
 	}
 	s.mu.Lock()
 	st.built = true
@@ -216,9 +219,10 @@ func (s *Service) Lookup(keyspace, name string) (IndexMeta, error) {
 func (s *Service) Scan(ctx context.Context, keyspace, name string, opts ScanOptions) ([]ScanItem, error) {
 	s.mu.Lock()
 	st, ok := s.indexes[indexKey(keyspace, name)]
+	ok = ok && st.built // written under mu by a build that ends mid-scan
 	proj := s.projectors[keyspace]
 	s.mu.Unlock()
-	if !ok || !st.built {
+	if !ok {
 		return nil, ErrNoSuchIndex
 	}
 	if opts.WaitSeqnos != nil {
@@ -252,8 +256,9 @@ func (s *Service) Scan(ctx context.Context, keyspace, name string, opts ScanOpti
 func (s *Service) Count(keyspace, name string, opts ScanOptions) (int, error) {
 	s.mu.Lock()
 	st, ok := s.indexes[indexKey(keyspace, name)]
+	ok = ok && st.built
 	s.mu.Unlock()
-	if !ok || !st.built {
+	if !ok {
 		return 0, ErrNoSuchIndex
 	}
 	total := 0
@@ -384,8 +389,11 @@ func (p *Projector) FeedStats() []feed.Stat {
 // projector's vBuckets: a dedicated DCP stream from seqno 0 per
 // vBucket, consumed up to the high seqno observed at start. Newer
 // mutations arrive via the steady-state stream; the indexer's
-// per-document seqno guard makes the overlap safe.
-func (p *Projector) backfillIndex(st *indexState) {
+// per-document seqno guard makes the overlap safe. A vBucket whose
+// stream cannot open, or ends short of that seqno, fails the build: an
+// index marked built over a partition never filled would answer
+// request_plus scans wrongly.
+func (p *Projector) backfillIndex(st *indexState) error {
 	for vb, producer := range p.hub.Producers() {
 		target := producer.HighSeqno()
 		if target == 0 {
@@ -393,16 +401,25 @@ func (p *Projector) backfillIndex(st *indexState) {
 		}
 		s, err := producer.ResumeStream("gsi-build:"+st.cd.Name, 0, 0)
 		if err != nil {
-			continue
+			return fmt.Errorf("gsi: build %s: vb %d: %w", st.cd.Name, vb, err)
 		}
-		for m := range s.C() {
-			routeTo(st, vb, m)
-			if m.Seqno >= target {
+		var done uint64
+		for done < target {
+			batch, ok := s.Next()
+			if !ok {
 				break
 			}
+			for _, m := range batch {
+				routeTo(st, vb, m)
+			}
+			done = batch[len(batch)-1].Seqno
 		}
 		s.Close()
+		if done < target {
+			return fmt.Errorf("gsi: build %s: vb %d: stream ended at seqno %d of %d", st.cd.Name, vb, done, target)
+		}
 	}
+	return nil
 }
 
 // Close stops the projector's feeds.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,10 +130,17 @@ type nullSource struct{}
 
 func (nullSource) Snapshot(uint64) ([]dcp.Mutation, uint64, error) { return nil, 0, nil }
 
-// gatedConsumer blocks every Apply until the gate opens.
-type gatedConsumer struct{ gate chan struct{} }
+// gatedConsumer parks every Apply until the gate receives or closes;
+// parked counts the Applies that have reached it.
+type gatedConsumer struct {
+	gate   chan struct{}
+	parked atomic.Int32
+}
 
-func (g *gatedConsumer) Apply(int, dcp.Mutation) { <-g.gate }
+func (g *gatedConsumer) Apply(int, dcp.Mutation) {
+	g.parked.Add(1)
+	<-g.gate
+}
 
 // TestFeedStallHysteresis drives the acceptance scenario: an injected
 // feed stall takes the feed:stalls check ok→warn→critical, clearing
@@ -162,18 +170,24 @@ func TestFeedStallHysteresis(t *testing.T) {
 	w := New(Options{Interval: time.Hour, RaiseAfter: 2, ClearAfter: 2, Journal: j})
 	w.Register("feed:stalls", feedStallCheck(cfg))
 
-	// Inject a real stall: 1-slot buffer, consumer blocked on a gate.
+	// Inject a real stall: park the consumer on one mutation, let a
+	// backlog deeper than the feed's stall mark (64) build behind it,
+	// then let that one through. The drain comes back to the whole
+	// backlog and parks again inside it.
 	src := dcp.NewProducer(0, nullSource{})
 	defer src.Close()
 	cons := &gatedConsumer{gate: make(chan struct{})}
-	f := feed.New("health-stall-test", cons, feed.Config{Service: "health-test", Buffer: 1})
+	f := feed.New("health-stall-test", cons, feed.Config{Service: "health-test"})
 	defer f.Close()
 	if err := f.Attach(0, src); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 8; i++ {
+	src.Publish(dcp.Mutation{Key: "k1", Seqno: 1})
+	waitFor(t, "consumer parked", func() bool { return cons.parked.Load() == 1 })
+	for i := 2; i <= 101; i++ {
 		src.Publish(dcp.Mutation{Key: fmt.Sprintf("k%d", i), Seqno: uint64(i)})
 	}
+	cons.gate <- struct{}{}
 	stalled := metrics.Default.Gauge("couchgo_feed_stalled", "service", "health-test")
 	waitFor(t, "stall gauge raised", func() bool { return stalled.Value() > 0 })
 

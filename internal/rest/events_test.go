@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,9 +127,17 @@ type streamNullSource struct{}
 
 func (streamNullSource) Snapshot(uint64) ([]dcp.Mutation, uint64, error) { return nil, 0, nil }
 
-type streamGatedConsumer struct{ gate chan struct{} }
+// streamGatedConsumer parks every Apply until the gate receives or
+// closes; parked counts the Applies that have reached it.
+type streamGatedConsumer struct {
+	gate   chan struct{}
+	parked atomic.Int32
+}
 
-func (g *streamGatedConsumer) Apply(int, dcp.Mutation) { <-g.gate }
+func (g *streamGatedConsumer) Apply(int, dcp.Mutation) {
+	g.parked.Add(1)
+	<-g.gate
+}
 
 // TestHealthEndpointFeedStallTransitions is the acceptance scenario at
 // the HTTP surface: GET /health follows an injected feed stall from ok
@@ -164,18 +173,24 @@ func TestHealthEndpointFeedStallTransitions(t *testing.T) {
 		t.Fatalf("baseline health: %d %v", code, out["status"])
 	}
 
-	// Inject the stall: 1-slot buffer, consumer parked on a gate.
+	// Inject the stall: park the consumer on one mutation, let a backlog
+	// deeper than the feed's stall mark (64) build behind it, then let
+	// that one through. The drain comes back to the whole backlog and
+	// parks again inside it.
 	src := dcp.NewProducer(0, streamNullSource{})
 	defer src.Close()
 	cons := &streamGatedConsumer{gate: make(chan struct{})}
-	f := feed.New("rest-health-stall", cons, feed.Config{Service: "rest-health-test", Buffer: 1})
+	f := feed.New("rest-health-stall", cons, feed.Config{Service: "rest-health-test"})
 	defer f.Close()
 	if err := f.Attach(0, src); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 8; i++ {
+	src.Publish(dcp.Mutation{Key: "k1", Seqno: 1})
+	waitForCond(t, "consumer parked", func() bool { return cons.parked.Load() == 1 })
+	for i := 2; i <= 101; i++ {
 		src.Publish(dcp.Mutation{Key: fmt.Sprintf("k%d", i), Seqno: uint64(i)})
 	}
+	cons.gate <- struct{}{}
 	stalled := metrics.Default.Gauge("couchgo_feed_stalled", "service", "rest-health-test")
 	waitForCond(t, "stall gauge raised", func() bool { return stalled.Value() > 0 })
 

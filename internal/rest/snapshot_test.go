@@ -186,6 +186,12 @@ func TestDesignListsEveryMetricFamily(t *testing.T) {
 	if _, err := wire.Set(context.Background(), "w", []byte(`{}`), 0); err != nil {
 		t.Fatalf("wire set: %v", err)
 	}
+	// The session observes an op's latency after it responds and before it
+	// reads the next request: a second op orders the first one's
+	// couchgo_transport_op_seconds sample before the scrape.
+	if _, err := wire.Get(context.Background(), "w"); err != nil {
+		t.Fatalf("wire get: %v", err)
+	}
 
 	scraped := map[string]string{} // family -> kind
 	for _, line := range strings.Split(do(t, s, "GET", "/metrics", "", nil).Body.String(), "\n") {

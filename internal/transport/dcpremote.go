@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -131,61 +130,52 @@ func (rp *RemoteProducer) ResumeStream(name string, uuid, fromSeqno uint64) (dcp
 	nc.SetDeadline(time.Time{}) // the handshake's
 
 	rs := &RemoteStream{
-		nc:     nc,
-		br:     bufio.NewReaderSize(nc, 32<<10),
-		vb:     rp.vb,
-		name:   name,
-		uuid:   streamUUID,
-		out:    make(chan dcp.Mutation, 256),
-		closed: make(chan struct{}),
+		nc:   nc,
+		br:   bufio.NewReaderSize(nc, 32<<10),
+		vb:   rp.vb,
+		name: name,
+		uuid: streamUUID,
 	}
 	// A failed ack write: the read side sees the broken conn.
 	rs.w = &frameWriter{nc: nc, onErr: func(error) {}}
 	mConnsCli.Add(1)
-	go rs.readLoop()
 	return rs, nil
 }
 
-// RemoteStream is the consumer end of one DCP stream over a socket.
-// It implements dcp.MutationStream; Ack additionally reports applied
-// seqnos back to the producer for replication durability.
+// RemoteStream is the consumer end of one DCP stream over a socket. It
+// implements dcp.MutationStream with no goroutine of its own: Next reads
+// the socket on its caller's. Ack additionally reports applied seqnos
+// back to the producer for replication durability; the goroutine that
+// calls Next calls it.
 type RemoteStream struct {
-	nc     net.Conn
-	br     *bufio.Reader // readLoop-only; batches pushed mutations into one syscall
-	w      *frameWriter
-	vb     int
-	name   string
-	uuid   uint64
-	out    chan dcp.Mutation
-	closed chan struct{}
-	once   sync.Once
+	nc   net.Conn
+	br   *bufio.Reader // Next-only; batches pushed mutations into one syscall
+	w    *frameWriter
+	vb   int
+	name string
+	uuid uint64
+	// closed is set by Close, from any goroutine, before the conn
+	// closes: Next reads nothing more once it sees it.
+	closed atomic.Bool
 
-	processed atomic.Uint64
 	// wanted is the highest seqno the producer asked an ack for (a
 	// marked mutation, or the snapshot marker's high seqno); acked is
 	// the last ack sent.
-	wanted, acked atomic.Uint64
+	wanted, acked uint64
 }
 
 var _ dcp.MutationStream = (*RemoteStream)(nil)
 
-// C returns the mutation channel; it closes when the stream ends.
-func (rs *RemoteStream) C() <-chan dcp.Mutation { return rs.out }
-
 // StreamUUID is the vBucket UUID the stream was accepted under.
 func (rs *RemoteStream) StreamUUID() uint64 { return rs.uuid }
 
-// Processed is the seqno of the last mutation delivered.
-func (rs *RemoteStream) Processed() uint64 { return rs.processed.Load() }
-
-// Close tears the stream's connection down; the producer side sees
-// EOF and closes its end.
+// Close tears the stream's connection down, which fails a read Next is
+// blocked in; the producer side sees EOF and closes its end.
 func (rs *RemoteStream) Close() {
-	rs.once.Do(func() {
-		close(rs.closed)
+	if rs.closed.CompareAndSwap(false, true) {
 		rs.nc.Close()
 		mConnsCli.Add(-1)
-	})
+	}
 }
 
 // Ack reports an applied seqno to the producer (fire-and-forget; the
@@ -193,10 +183,10 @@ func (rs *RemoteStream) Close() {
 // while a wanted seqno is unacked: an ack nobody waits for costs both
 // ends a syscall and a wake-up.
 func (rs *RemoteStream) Ack(seqno uint64) {
-	if rs.wanted.Load() <= rs.acked.Load() {
+	if rs.wanted <= rs.acked {
 		return
 	}
-	rs.acked.Store(seqno)
+	rs.acked = seqno
 	mDCPAcks.Inc()
 	f := &memcproto.Frame{
 		Magic:   memcproto.MagicReq,
@@ -210,15 +200,19 @@ func (rs *RemoteStream) Ack(seqno uint64) {
 	}
 }
 
-// readLoop turns pushed frames back into dcp.Mutations; it is the
-// sole closer of the out channel.
-func (rs *RemoteStream) readLoop() {
-	defer close(rs.out)
-	for {
+// Next implements dcp.MutationStream: it blocks for the first pushed
+// mutation, then decodes what the read brought with it (the rule of
+// every batch on a socket: only what the reader can see). A read error,
+// a stream end or a mutation that does not decode closes the stream;
+// the batch read before it is still delivered, and the consumer's next
+// open resumes after what it applied.
+func (rs *RemoteStream) Next() ([]dcp.Mutation, bool) {
+	var batch []dcp.Mutation
+	for !rs.closed.Load() && (len(batch) == 0 || rs.br.Buffered() > 0) {
 		f, err := memcproto.Read(rs.br)
-		if err != nil {
+		if err != nil || f.Magic == memcproto.MagicPush && f.Opcode == memcproto.OpDCPStreamEnd {
 			rs.Close()
-			return
+			break
 		}
 		if f.Magic != memcproto.MagicPush {
 			continue
@@ -228,49 +222,52 @@ func (rs *RemoteStream) readLoop() {
 			// A waiter's mutation may be in the window the stream
 			// opened on: all of it is wanted.
 			high, _ := memcproto.Uint64At(f.Extras, 8)
-			rs.wanted.Store(max(high, rs.wanted.Load()))
+			rs.wanted = max(high, rs.wanted)
 		case memcproto.OpDCPMutation:
-			tc, bare, err := memcproto.SplitTraceContext(f)
+			m, ackWanted, err := decodeMutation(f)
 			if err != nil {
+				// Skipping it would be a gap the consumer cannot detect.
+				mDroppedFrames.Inc()
+				rs.Close()
 				continue
 			}
-			f.Extras = bare
-			meta, err := memcproto.DecodeItemMeta(f.Extras)
-			if err != nil {
-				continue
+			if ackWanted {
+				rs.wanted = max(m.Seqno, rs.wanted)
 			}
-			if meta.AckWanted {
-				rs.wanted.Store(max(meta.Seqno, rs.wanted.Load()))
-			}
-			m := dcp.Mutation{
-				VB:       int(f.VBucket),
-				Key:      string(f.Key),
-				Seqno:    meta.Seqno,
-				CAS:      f.CAS,
-				RevSeqno: meta.RevSeqno,
-				Flags:    meta.Flags,
-				Expiry:   meta.Expiry,
-				Deleted:  meta.Deleted,
-			}
-			// A pushed trace context continues the producer's trace on
-			// this node: the apply path's replica:apply span attaches
-			// to the local foreign portion rooted under the remote
-			// span.
-			if tc.Valid() && tc.Sampled {
-				m.Trace = trace.Default.Adopt(tc.TraceID, tc.SpanID)
-			}
-			if len(f.Value) > 0 {
-				m.Value = append([]byte(nil), f.Value...)
-			}
-			select {
-			case rs.out <- m:
-				rs.processed.Store(m.Seqno)
-			case <-rs.closed:
-				return
-			}
-		case memcproto.OpDCPStreamEnd:
-			rs.Close()
-			return
+			batch = append(batch, m)
 		}
 	}
+	return batch, len(batch) > 0
+}
+
+// decodeMutation turns a pushed OpDCPMutation back into a dcp.Mutation.
+func decodeMutation(f *memcproto.Frame) (m dcp.Mutation, ackWanted bool, err error) {
+	tc, bare, err := memcproto.SplitTraceContext(f)
+	if err != nil {
+		return m, false, err
+	}
+	meta, err := memcproto.DecodeItemMeta(bare)
+	if err != nil {
+		return m, false, err
+	}
+	m = dcp.Mutation{
+		VB:       int(f.VBucket),
+		Key:      string(f.Key),
+		Seqno:    meta.Seqno,
+		CAS:      f.CAS,
+		RevSeqno: meta.RevSeqno,
+		Flags:    meta.Flags,
+		Expiry:   meta.Expiry,
+		Deleted:  meta.Deleted,
+	}
+	// A pushed trace context continues the producer's trace on this
+	// node: the apply path's replica:apply span attaches to the local
+	// foreign portion rooted under the remote span.
+	if tc.Valid() && tc.Sampled {
+		m.Trace = trace.Default.Adopt(tc.TraceID, tc.SpanID)
+	}
+	if len(f.Value) > 0 {
+		m.Value = append([]byte(nil), f.Value...)
+	}
+	return m, meta.AckWanted, nil
 }

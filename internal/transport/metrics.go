@@ -44,7 +44,8 @@ var (
 	mStreamsServing = metrics.Default.Gauge("couchgo_transport_dcp_streams_serving")
 	// mDCPAcks counts replica acks sent: one per run a waiter wanted.
 	mDCPAcks = metrics.Default.Counter("couchgo_transport_dcp_acks_total")
-	// mDroppedFrames counts unencodable responses; each closed its session.
+	// mDroppedFrames counts unencodable responses and undecodable DCP
+	// pushes; each closed its session or stream.
 	mDroppedFrames = metrics.Default.Counter("couchgo_transport_dropped_frames_total")
 
 	// The round trip, split. Client: send ends with the caller's frame

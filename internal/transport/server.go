@@ -425,7 +425,7 @@ func (c *session) finishKV(req *memcproto.Frame, st stages, t0 time.Time, res co
 }
 
 // handleDCP serves stream requests, failover-log fetches, and
-// replication acks. Each accepted stream gets a pump goroutine
+// replication acks. Each accepted stream gets a pumpStream goroutine
 // pushing mutation frames tagged with the request's opaque; the
 // consumer side dedicates a connection per stream, so pushes never
 // compete with a request/response conversation.
@@ -492,8 +492,9 @@ func (c *session) handleDCP(f *memcproto.Frame) {
 }
 
 // pumpStream pushes one stream's mutations until it ends or the
-// session dies: held while the stream has more to give, and asking for
-// an ack while somebody waits on replication.
+// session dies: every frame of a batch but its last is held, so a batch
+// leaves in one write, and each asks for an ack while somebody waits on
+// replication.
 func (c *session) pumpStream(opaque uint32, vb *vbucket.VBucket, name string, fromSeqno uint64, ms dcp.MutationStream) {
 	mStreamsServing.Add(1)
 	defer mStreamsServing.Add(-1)
@@ -508,28 +509,30 @@ func (c *session) pumpStream(opaque uint32, vb *vbucket.VBucket, name string, fr
 		Magic: memcproto.MagicPush, Opcode: memcproto.OpDCPSnapshot,
 		VBucket: uint16(vb.ID), Opaque: opaque,
 		Extras: memcproto.AppendUint64(memcproto.AppendUint64(nil, fromSeqno), vb.Producer().HighSeqno()),
-	}, len(ms.C()) > 0)
-	for m := range ms.C() {
-		meta := memcproto.ItemMeta{
-			Seqno: m.Seqno, RevSeqno: m.RevSeqno, Flags: m.Flags,
-			Expiry: m.Expiry, Deleted: m.Deleted, Resident: true, AckWanted: vb.ReplicationAwaited(),
+	}, false)
+	for batch, ok := ms.Next(); ok; batch, ok = ms.Next() {
+		for i, m := range batch {
+			meta := memcproto.ItemMeta{
+				Seqno: m.Seqno, RevSeqno: m.RevSeqno, Flags: m.Flags,
+				Expiry: m.Expiry, Deleted: m.Deleted, Resident: true, AckWanted: vb.ReplicationAwaited(),
+			}
+			extras := memcproto.AppendItemMeta(nil, meta)
+			var datatype byte
+			// A sampled mutation propagates its trace context to the
+			// consumer (replica), parented at this node's portion root, so
+			// the replica's apply span lands in the same distributed trace.
+			if id, spanID, ok := m.Trace.RootWire(); ok {
+				extras = memcproto.AppendTraceContext(extras,
+					memcproto.TraceContext{TraceID: id, SpanID: spanID, Sampled: true})
+				datatype = memcproto.DatatypeTraceCtx
+			}
+			c.send(&memcproto.Frame{
+				Magic: memcproto.MagicPush, Opcode: memcproto.OpDCPMutation,
+				Datatype: datatype,
+				VBucket:  uint16(vb.ID), Opaque: opaque, CAS: m.CAS,
+				Extras: extras, Key: []byte(m.Key), Value: m.Value,
+			}, i < len(batch)-1)
 		}
-		extras := memcproto.AppendItemMeta(nil, meta)
-		var datatype byte
-		// A sampled mutation propagates its trace context to the
-		// consumer (replica), parented at this node's portion root, so
-		// the replica's apply span lands in the same distributed trace.
-		if id, spanID, ok := m.Trace.RootWire(); ok {
-			extras = memcproto.AppendTraceContext(extras,
-				memcproto.TraceContext{TraceID: id, SpanID: spanID, Sampled: true})
-			datatype = memcproto.DatatypeTraceCtx
-		}
-		c.send(&memcproto.Frame{
-			Magic: memcproto.MagicPush, Opcode: memcproto.OpDCPMutation,
-			Datatype: datatype,
-			VBucket:  uint16(vb.ID), Opaque: opaque, CAS: m.CAS,
-			Extras: extras, Key: []byte(m.Key), Value: m.Value,
-		}, len(ms.C()) > 0)
 	}
 	c.send(&memcproto.Frame{
 		Magic: memcproto.MagicPush, Opcode: memcproto.OpDCPStreamEnd,

@@ -28,7 +28,7 @@ func TestSetPublishAllocBudget(t *testing.T) {
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
-		for range s.C() {
+		for _, ok := s.Next(); ok; _, ok = s.Next() {
 		}
 	}()
 

@@ -102,6 +102,9 @@ var (
 	ErrClosed       = errors.New("vbucket: closed")
 )
 
+// maxFlushBatch bounds how many queued mutations one flush drains.
+const maxFlushBatch = 4096
+
 // Config tunes a vBucket.
 type Config struct {
 	// SyncOnPersist fsyncs each flushed batch.
@@ -109,8 +112,6 @@ type Config struct {
 	// DiskDelay simulates device latency per flushed batch (used by the
 	// durability ablation to model spinning disks; zero for SSD/none).
 	DiskDelay time.Duration
-	// MaxBatch bounds how many queued mutations one flush drains.
-	MaxBatch int
 	// FullEviction enables §4.3.3's full-eviction mode: the item pager
 	// may remove keys and metadata entirely, and reads/writes of absent
 	// keys consult the storage engine before concluding "not found".
@@ -152,9 +153,6 @@ type VBucket struct {
 // file. The cache hash table starts empty; WarmUp loads persisted
 // documents' metadata (and values) back into it.
 func New(id int, file *storage.VBFile, state State, cfg Config) *VBucket {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 4096
-	}
 	vb := &VBucket{
 		ID:            id,
 		Table:         cache.NewHashTable(),
@@ -261,10 +259,7 @@ func (vb *VBucket) flusher() {
 			vb.queueMu.Unlock()
 			return
 		}
-		n := len(vb.queue)
-		if n > vb.cfg.MaxBatch {
-			n = vb.cfg.MaxBatch
-		}
+		n := min(len(vb.queue), maxFlushBatch)
 		batch := vb.queue[:n]
 		vb.queue = append([]flushEntry(nil), vb.queue[n:]...)
 		vb.queueMu.Unlock()

@@ -78,9 +78,32 @@ func isNotMyVBucket(err error) bool {
 	return false
 }
 
+// pull opens a stream from seqno 0 and pulls batches until it holds n
+// mutations; a stream that never delivers them is closed after five
+// seconds, which fails the test.
+func pull(t *testing.T, vb *VBucket, name string, n int) []dcp.Mutation {
+	t.Helper()
+	s, err := vb.Producer().ResumeStream(name, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	watchdog := time.AfterFunc(5*time.Second, s.Close)
+	defer watchdog.Stop()
+	var muts []dcp.Mutation
+	for len(muts) < n {
+		batch, ok := s.Next()
+		if !ok {
+			t.Fatalf("stream %s ended after %d of %d mutations", name, len(muts), n)
+		}
+		muts = append(muts, batch...)
+	}
+	return muts
+}
+
 func TestDCPStreamSeesWrites(t *testing.T) {
 	vb, _ := newVB(t, Active, Config{})
-	s, err := vb.Producer().OpenStream("consumer", 0)
+	s, err := vb.Producer().ResumeStream("consumer", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,15 +111,9 @@ func TestDCPStreamSeesWrites(t *testing.T) {
 	vb.Set(bg, "a", []byte("1"), 0, 0, 0, 0)
 	vb.Set(bg, "b", []byte("2"), 0, 0, 0, 0)
 	vb.Do(bg, &Op{Code: memcproto.OpDelete, Key: "a"})
-	var muts []dcp.Mutation
-	timeout := time.After(5 * time.Second)
-	for len(muts) < 3 {
-		select {
-		case m := <-s.C():
-			muts = append(muts, m)
-		case <-timeout:
-			t.Fatalf("got %d mutations", len(muts))
-		}
+	muts, _ := s.Next() // all three were published before the pull
+	if len(muts) != 3 {
+		t.Fatalf("got %d mutations", len(muts))
 	}
 	if muts[0].Key != "a" || muts[1].Key != "b" || !muts[2].Deleted {
 		t.Errorf("stream: %+v", muts)
@@ -108,18 +125,8 @@ func TestDCPBackfillRestoresEvictedValues(t *testing.T) {
 	it, _ := vb.Set(bg, "cold", []byte("payload"), 0, 0, 0, 0)
 	vb.WaitPersist(context.Background(), it.Seqno, 5*time.Second)
 	vb.Table.EvictValue("cold")
-	s, err := vb.Producer().OpenStream("late", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	select {
-	case m := <-s.C():
-		if string(m.Value) != "payload" {
-			t.Errorf("backfill value = %q", m.Value)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no backfill")
+	if m := pull(t, vb, "late", 1)[0]; string(m.Value) != "payload" {
+		t.Errorf("backfill value = %q", m.Value)
 	}
 }
 
@@ -351,22 +358,11 @@ func TestFullEvictionDCPSnapshotMergesDisk(t *testing.T) {
 		}
 	}
 	// A late-joining DCP stream must still see all 20 documents.
-	s, err := vb.Producer().OpenStream("late", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	seen := map[string]bool{}
-	timeout := time.After(5 * time.Second)
-	for len(seen) < 20 {
-		select {
-		case m := <-s.C():
-			if seen[m.Key] {
-				t.Fatalf("duplicate %s in merged snapshot", m.Key)
-			}
-			seen[m.Key] = true
-		case <-timeout:
-			t.Fatalf("merged snapshot delivered only %d docs", len(seen))
+	for _, m := range pull(t, vb, "late", 20) {
+		if seen[m.Key] {
+			t.Fatalf("duplicate %s in merged snapshot", m.Key)
 		}
+		seen[m.Key] = true
 	}
 }
