@@ -69,7 +69,9 @@ bench-smoke:
 	go test -run='^$$' -bench='BenchmarkFrameAppend' -benchmem -benchtime=1000x ./internal/memcproto
 	go test -run='^$$' -bench='BenchmarkSetPublish|BenchmarkDoGet|BenchmarkDoSet|BenchmarkDoGetEvicted' -benchmem -benchtime=1000x ./internal/vbucket
 	go test -run='^$$' -bench='BenchmarkStreamHandoff' -benchmem -benchtime=100000x ./internal/dcp
+	go test -run='^$$' -bench='BenchmarkAppendBatch' -benchmem -benchtime=2000x ./internal/storage
 	go test -run='^$$' -bench='BenchmarkWorkloadEQuery' -benchmem -benchtime=1000x ./internal/core
+	go test -run='^$$' -bench='BenchmarkSetAfterlife' -benchmem -benchtime=200000x ./internal/core
 	go test -run='^$$' -bench='BenchmarkWireGet' -benchmem -benchtime=20000x ./internal/transport
 
 # Alternating parent/change pairs of couchbench workloads, the

@@ -17,7 +17,7 @@ import (
 // newTestCluster builds an n-node cluster with every service on every
 // node (the appendix's deployment topology), a small vBucket count for
 // test speed, and one bucket with the given replica count.
-func newTestCluster(t *testing.T, nNodes, nReplicas int) (*Cluster, *Client) {
+func newTestCluster(t testing.TB, nNodes, nReplicas int) (*Cluster, *Client) {
 	t.Helper()
 	c, err := NewCluster(Config{
 		Dir:         t.TempDir(),

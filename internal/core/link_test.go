@@ -89,7 +89,7 @@ func linkGoroutines() int {
 	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*nodeBucket).runLink")
 }
 
-func waitUntil(t *testing.T, what string, cond func() bool) {
+func waitUntil(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {

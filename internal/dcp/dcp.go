@@ -70,9 +70,12 @@ func nextUUID() uint64 { return uuidCounter.Add(1) }
 // processes without knowing which side of a wire the producer lives on.
 type MutationStream interface {
 	// Next blocks until something is ready and returns everything that
-	// is, in seqno order. The call after a batch tells the producer the
-	// batch has been applied. ok is false once the stream or its producer
-	// has closed; one goroutine calls Next.
+	// is, in seqno order. The batch is the caller's until its next call
+	// of Next: that call tells the producer the batch has been applied
+	// and takes the slice back, clears it and queues into it again, so a
+	// consumer that keeps a mutation copies it out (its Key and Value are
+	// never written again and may be kept as they are). ok is false once
+	// the stream or its producer has closed; one goroutine calls Next.
 	Next() (batch []Mutation, ok bool)
 	// StreamUUID is the vBucket UUID the stream was opened under — the
 	// consumer records it alongside its applied seqno as resume state.
@@ -91,8 +94,9 @@ type StreamSource interface {
 	// position, validating it against the failover log; uuid 0 skips
 	// validation (a fresh consumer, or an explicit from-scratch open).
 	ResumeStream(name string, uuid, fromSeqno uint64) (MutationStream, error)
-	// HighSeqno reports the highest seqno published so far.
-	HighSeqno() uint64
+	// HighSeqno reports the highest seqno published so far, or why it
+	// could not be read: a source out of reach is not an empty vBucket.
+	HighSeqno() (uint64, error)
 	// FailoverLog returns the vBucket's history branches, oldest first.
 	FailoverLog() []FailoverEntry
 }
@@ -212,11 +216,12 @@ func (p *Producer) Publish(m Mutation) {
 	}
 }
 
-// HighSeqno reports the highest seqno published so far.
-func (p *Producer) HighSeqno() uint64 {
+// HighSeqno reports the highest seqno published so far; a local
+// producer's never fails.
+func (p *Producer) HighSeqno() (uint64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.high
+	return p.high, nil
 }
 
 // StreamLags reports items-remaining per open stream: the producer's
@@ -350,6 +355,11 @@ func publishRollbackRequired(vb int, stream string, uuid, fromSeqno, rollbackTo 
 	events.Default.Publish(e)
 }
 
+// MaxKeptBatch caps, in slots (~50 KiB), the slice a mutation queue (a
+// MutationStream's, a flusher's) keeps for reuse: transport's
+// maxPooledBufBytes rule.
+const MaxKeptBatch = 512
+
 // Stream is one consumer's ordered view of a vBucket's changes: one
 // unbounded queue the producer appends to and the consumer's Next
 // empties. UUID is the vBucket UUID the stream was opened under; a
@@ -372,6 +382,10 @@ type Stream struct {
 	closed       bool
 	// taken is the last seqno Next handed out.
 	taken uint64
+	// lent is the batch Next handed out last: on its next call it is
+	// cleared and becomes the queue, so the stream's two slices take
+	// turns and none is allocated per batch.
+	lent []Mutation
 
 	// applied is the last seqno the consumer is done with: taken as of
 	// its latest call of Next. The producer reads it to compute lag.
@@ -397,16 +411,21 @@ func (s *Stream) Next() ([]Mutation, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.applied.Store(s.taken)
+	// A slice that grew for a backfill or a burst is left to the GC; one
+	// that is kept is cleared, so its recycled slots pin no key or value.
+	if cap(s.lent) > MaxKeptBatch {
+		s.lent = nil
+	}
+	clear(s.lent)
 	for !s.closed && (s.opening || len(s.queue) == 0) {
 		s.ready.Wait()
 	}
 	if s.closed {
 		return nil, false
 	}
-	batch := s.queue
-	s.queue = nil
-	s.taken = batch[len(batch)-1].Seqno
-	return batch, true
+	s.queue, s.lent = s.lent[:0], s.queue
+	s.taken = s.lent[len(s.lent)-1].Seqno
+	return s.lent, true
 }
 
 // Close detaches the stream from the producer; what it still queues is

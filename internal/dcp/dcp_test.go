@@ -264,11 +264,11 @@ func TestHighSeqnoTracking(t *testing.T) {
 	src := newMemSource()
 	p := NewProducer(0, src)
 	defer p.Close()
-	if p.HighSeqno() != 0 {
-		t.Fatal("fresh producer high seqno != 0")
+	if high, err := p.HighSeqno(); high != 0 || err != nil {
+		t.Fatalf("fresh producer high seqno = %d, %v", high, err)
 	}
 	publish(src, p, Mutation{Key: "a", Seqno: 9})
-	if p.HighSeqno() != 9 {
-		t.Fatalf("high = %d", p.HighSeqno())
+	if high, err := p.HighSeqno(); high != 9 || err != nil {
+		t.Fatalf("high = %d, %v", high, err)
 	}
 }

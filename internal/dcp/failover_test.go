@@ -33,8 +33,8 @@ func TestFailoverLogSeedAndTakeover(t *testing.T) {
 	if p.UUID() != log2[1].UUID {
 		t.Fatalf("UUID() = %d after takeover, want %d", p.UUID(), log2[1].UUID)
 	}
-	if p.HighSeqno() != 7 {
-		t.Fatalf("HighSeqno() = %d after takeover at 7", p.HighSeqno())
+	if high, err := p.HighSeqno(); high != 7 || err != nil {
+		t.Fatalf("HighSeqno() = %d, %v after takeover at 7", high, err)
 	}
 }
 

@@ -395,7 +395,10 @@ func (p *Projector) FeedStats() []feed.Stat {
 // request_plus scans wrongly.
 func (p *Projector) backfillIndex(st *indexState) error {
 	for vb, producer := range p.hub.Producers() {
-		target := producer.HighSeqno()
+		target, err := producer.HighSeqno()
+		if err != nil {
+			return fmt.Errorf("gsi: build %s: vb %d: %w", st.cd.Name, vb, err)
+		}
 		if target == 0 {
 			continue
 		}

@@ -15,6 +15,7 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -98,6 +99,10 @@ type Record struct {
 
 const recordMagic = 0xC7
 
+// maxEncBufBytes caps the encode buffer a file keeps between batches
+// (transport's maxPooledBufBytes rule): a burst's is left to the GC.
+const maxEncBufBytes = 64 << 10
+
 // record layout:
 //
 //	magic(1) flags(1) keyLen(2) valLen(4) seqno(8) cas(8) revSeqno(8)
@@ -133,21 +138,30 @@ func encodeRecord(buf []byte, r *Record) []byte {
 	return append(buf, tail[:]...)
 }
 
-// decodeRecord parses one record from data. It returns the record, the
-// total bytes consumed, and ok=false when the bytes do not form a
-// complete valid record (torn tail).
-func decodeRecord(data []byte) (Record, int, bool) {
+// checkRecord reports whether data starts with a complete record whose
+// CRC holds (ok=false on a torn tail), and its key and total lengths.
+func checkRecord(data []byte) (keyLen, total int, ok bool) {
 	if len(data) < headerSize || data[0] != recordMagic {
-		return Record{}, 0, false
+		return 0, 0, false
 	}
-	keyLen := int(binary.LittleEndian.Uint16(data[2:]))
-	valLen := int(binary.LittleEndian.Uint32(data[4:]))
-	total := headerSize + keyLen + valLen + 4
+	keyLen = int(binary.LittleEndian.Uint16(data[2:]))
+	total = headerSize + keyLen + int(binary.LittleEndian.Uint32(data[4:])) + 4
 	if len(data) < total {
-		return Record{}, 0, false
+		return 0, 0, false
 	}
 	crcWant := binary.LittleEndian.Uint32(data[total-4:])
 	if crc32.Checksum(data[:total-4], castagnoli) != crcWant {
+		return 0, 0, false
+	}
+	return keyLen, total, true
+}
+
+// decodeRecord parses one record from data into memory of its own. It
+// returns the record, the total bytes consumed, and ok=false when the
+// bytes do not form a complete valid record (torn tail).
+func decodeRecord(data []byte) (Record, int, bool) {
+	keyLen, total, ok := checkRecord(data)
+	if !ok {
 		return Record{}, 0, false
 	}
 	r := Record{
@@ -161,8 +175,8 @@ func decodeRecord(data []byte) (Record, int, bool) {
 			Deleted:  data[1]&1 != 0,
 		},
 	}
-	if valLen > 0 {
-		r.Value = append([]byte(nil), data[headerSize+keyLen:headerSize+keyLen+valLen]...)
+	if val := data[headerSize+keyLen : total-4]; len(val) > 0 {
+		r.Value = append([]byte(nil), val...)
 	}
 	return r, total, true
 }
@@ -189,6 +203,10 @@ type VBFile struct {
 	f    *os.File
 	path string
 	sync bool
+
+	// encBuf is Append's encode buffer, reused batch after batch. mu
+	// guards it: Append holds mu from the encode through the write.
+	encBuf []byte
 
 	byID      map[string]recInfo
 	fileBytes int64
@@ -253,7 +271,7 @@ func (v *VBFile) recover() error {
 			}
 			break
 		}
-		v.indexRecordLocked(&rec, off, int64(n))
+		v.indexRecordLocked(rec.Meta, off, int64(n))
 		off += int64(n)
 	}
 	v.fileBytes = off
@@ -261,14 +279,14 @@ func (v *VBFile) recover() error {
 	return err
 }
 
-func (v *VBFile) indexRecordLocked(rec *Record, off, size int64) {
-	if old, ok := v.byID[rec.Key]; ok {
+func (v *VBFile) indexRecordLocked(m Meta, off, size int64) {
+	if old, ok := v.byID[m.Key]; ok {
 		v.liveBytes -= old.size
 	}
-	v.byID[rec.Key] = recInfo{Meta: rec.Meta, offset: off, size: size}
+	v.byID[m.Key] = recInfo{Meta: m, offset: off, size: size}
 	v.liveBytes += size
-	if rec.Seqno > v.highSeqno {
-		v.highSeqno = rec.Seqno
+	if m.Seqno > v.highSeqno {
+		v.highSeqno = m.Seqno
 	}
 }
 
@@ -288,14 +306,19 @@ func (v *VBFile) Append(recs []Record) error {
 		v.mu.Unlock()
 		return nil
 	}
-	var buf []byte
-	offsets := make([]int64, len(recs))
-	off := v.fileBytes
+	var need int64
 	for i := range recs {
-		offsets[i] = off
-		before := len(buf)
+		need += encodedSize(&recs[i])
+	}
+	buf := v.encBuf[:0]
+	if int64(cap(buf)) < need {
+		buf = make([]byte, 0, need)
+	}
+	for i := range recs {
 		buf = encodeRecord(buf, &recs[i])
-		off += int64(len(buf) - before)
+	}
+	if cap(buf) <= maxEncBufBytes {
+		v.encBuf = buf
 	}
 	if _, err := v.f.Write(buf); err != nil {
 		v.mu.Unlock()
@@ -303,9 +326,10 @@ func (v *VBFile) Append(recs []Record) error {
 	}
 	mBytesWritten.Add(uint64(len(buf)))
 	for i := range recs {
-		v.indexRecordLocked(&recs[i], offsets[i], encodedSize(&recs[i]))
+		size := encodedSize(&recs[i])
+		v.indexRecordLocked(recs[i].Meta, v.fileBytes, size)
+		v.fileBytes += size
 	}
-	v.fileBytes = off
 	v.appendSeq++
 	seq := v.appendSeq
 	v.mu.Unlock()
@@ -419,16 +443,34 @@ func (v *VBFile) getLocked(key string) (Record, error) {
 	return v.readAtLocked(info)
 }
 
+// readAtLocked reads a record into one buffer of its own: the metadata
+// is the index's, the value the buffer's CRC-checked middle, not a copy.
 func (v *VBFile) readAtLocked(info recInfo) (Record, error) {
-	buf := make([]byte, info.size)
-	if _, err := v.f.ReadAt(buf, info.offset); err != nil {
-		return Record{}, fmt.Errorf("storage: read %s@%d: %w", info.Key, info.offset, err)
+	buf, err := v.readRawLocked(nil, info)
+	if err != nil {
+		return Record{}, err
 	}
-	rec, _, ok := decodeRecord(buf)
-	if !ok {
-		return Record{}, fmt.Errorf("storage: corrupt record for %s at offset %d", info.Key, info.offset)
+	rec := Record{Meta: info.Meta}
+	if val := buf[headerSize+len(info.Key) : len(buf)-4]; len(val) > 0 {
+		rec.Value = val
 	}
 	return rec, nil
+}
+
+// readRawLocked reads the encoded record info indexes into buf, grown if
+// it is too small, and checks it is whole.
+func (v *VBFile) readRawLocked(buf []byte, info recInfo) ([]byte, error) {
+	if int64(cap(buf)) < info.size {
+		buf = make([]byte, info.size)
+	}
+	buf = buf[:info.size]
+	if _, err := v.f.ReadAt(buf, info.offset); err != nil {
+		return nil, fmt.Errorf("storage: read %s@%d: %w", info.Key, info.offset, err)
+	}
+	if keyLen, total, ok := checkRecord(buf); !ok || total != len(buf) || keyLen != len(info.Key) {
+		return nil, fmt.Errorf("storage: corrupt record for %s at offset %d", info.Key, info.offset)
+	}
+	return buf, nil
 }
 
 // GetMeta returns the newest metadata for key, including tombstones.
@@ -577,25 +619,26 @@ func (v *VBFile) compactSwap() (int64, error) {
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Seqno < infos[j].Seqno })
 
+	// Records are self-contained, so a live one is copied as the bytes
+	// it is, CRC checked, through one buffered writer (256 KiB a write).
 	newIndex := make(map[string]recInfo, len(infos))
+	w := bufio.NewWriterSize(tmp, 256<<10)
 	var buf []byte
 	var off int64
-	var live int64
 	for _, info := range infos {
-		rec, err := v.readAtLocked(info)
+		if buf, err = v.readRawLocked(buf, info); err == nil {
+			_, err = w.Write(buf)
+		}
 		if err != nil {
 			closeCounted(tmp)
 			return 0, err
 		}
-		buf = encodeRecord(buf[:0], &rec)
-		if _, err := tmp.Write(buf); err != nil {
-			closeCounted(tmp)
-			return 0, err
-		}
-		size := int64(len(buf))
-		newIndex[rec.Key] = recInfo{Meta: rec.Meta, offset: off, size: size}
-		off += size
-		live += size
+		newIndex[info.Key] = recInfo{Meta: info.Meta, offset: off, size: info.size}
+		off += info.size
+	}
+	if err := w.Flush(); err != nil {
+		closeCounted(tmp)
+		return 0, err
 	}
 	if err := tmp.Sync(); err != nil {
 		closeCounted(tmp)
@@ -633,7 +676,7 @@ func (v *VBFile) compactSwap() (int64, error) {
 	events.Default.Publish(doneEv)
 	v.byID = newIndex
 	v.fileBytes = off
-	v.liveBytes = live
+	v.liveBytes = off
 	return v.appendSeq, nil
 }
 

@@ -88,14 +88,10 @@ func (rp *RemoteProducer) FailoverLog() []dcp.FailoverEntry {
 	return entries
 }
 
-// HighSeqno reports the remote producer's high seqno (0 on transport
-// failure).
-func (rp *RemoteProducer) HighSeqno() uint64 {
+// HighSeqno reports the remote producer's high seqno.
+func (rp *RemoteProducer) HighSeqno() (uint64, error) {
 	_, high, err := rp.failoverLog()
-	if err != nil {
-		return 0
-	}
-	return high
+	return high, err
 }
 
 // ResumeStream opens a named stream at (uuid, fromSeqno) over a
@@ -162,6 +158,8 @@ type RemoteStream struct {
 	// marked mutation, or the snapshot marker's high seqno); acked is
 	// the last ack sent.
 	wanted, acked uint64
+	// batch is what Next returned last and fills again (dcp.Stream.lent).
+	batch []dcp.Mutation
 }
 
 var _ dcp.MutationStream = (*RemoteStream)(nil)
@@ -207,7 +205,11 @@ func (rs *RemoteStream) Ack(seqno uint64) {
 // the batch read before it is still delivered, and the consumer's next
 // open resumes after what it applied.
 func (rs *RemoteStream) Next() ([]dcp.Mutation, bool) {
-	var batch []dcp.Mutation
+	clear(rs.batch)
+	batch := rs.batch[:0]
+	if cap(batch) > dcp.MaxKeptBatch {
+		batch = nil
+	}
 	for !rs.closed.Load() && (len(batch) == 0 || rs.br.Buffered() > 0) {
 		f, err := memcproto.Read(rs.br)
 		if err != nil || f.Magic == memcproto.MagicPush && f.Opcode == memcproto.OpDCPStreamEnd {
@@ -237,6 +239,7 @@ func (rs *RemoteStream) Next() ([]dcp.Mutation, bool) {
 			batch = append(batch, m)
 		}
 	}
+	rs.batch = batch
 	return batch, len(batch) > 0
 }
 

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,7 +13,9 @@ import (
 	"couchgo/internal/cmap"
 	"couchgo/internal/core"
 	"couchgo/internal/dcp"
+	"couchgo/internal/gsi"
 	"couchgo/internal/memcproto"
+	"couchgo/internal/vbucket"
 )
 
 // corruptingProxy relays TCP conversations to target and truncates the
@@ -152,5 +155,110 @@ func TestCorruptPushEndsTheStream(t *testing.T) {
 	}
 	if got := mDroppedFrames.Value() - dropped; got != corruptions {
 		t.Errorf("%d dropped frames counted, want %d", got, corruptions)
+	}
+}
+
+// TestMutationStreamBatchLifetime is the contract of MutationStream.Next,
+// run against the in-process stream and the socket's: a batch is the
+// caller's, whole, until its next call of Next, and cleared once that
+// call has taken it back. The second half holds every batch while a
+// publisher keeps filling whatever slice the stream recycled, which is a
+// data race (or a torn batch) as soon as the two are the same memory.
+func TestMutationStreamBatchLifetime(t *testing.T) {
+	c, srv, _ := newServedCluster(t, 0)
+	for name, open := range map[string]func(vb *vbucket.VBucket) dcp.StreamSource{
+		"dcp.Stream":   func(vb *vbucket.VBucket) dcp.StreamSource { return vb.Producer() },
+		"RemoteStream": func(vb *vbucket.VBucket) dcp.StreamSource { return NewRemoteProducer(srv.Addr(), vb.ID) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			vb, err := c.NodeVB("node0", "default", 0)
+			if err != nil || vb == nil {
+				t.Fatal(vb, err)
+			}
+			from := vb.HighSeqno()
+			s, err := open(vb).ResumeStream("contract:"+name, 0, from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			doc := func(seqno uint64) (string, []byte) {
+				return fmt.Sprintf("k%05d", seqno), []byte(fmt.Sprintf(`{"n": %d}`, seqno))
+			}
+			publish := func(n uint64) {
+				for i := uint64(0); i < n; i++ {
+					key, val := doc(vb.HighSeqno() + 1)
+					if _, err := vb.Set(context.Background(), key, val, 0, 0, 0, 0); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			// pull reads batches up to seqno high and returns the last one,
+			// having checked every mutation of each while it held it.
+			next := from + 1
+			pull := func(high uint64) (last []dcp.Mutation) {
+				for next <= high {
+					batch, ok := s.Next()
+					if !ok {
+						t.Fatalf("stream ended at seqno %d of %d", next, high)
+					}
+					for _, m := range batch {
+						key, val := doc(next)
+						if m.Seqno != next || m.Key != key || string(m.Value) != string(val) {
+							t.Fatalf("held batch reads %d %s %s, want %d %s %s", m.Seqno, m.Key, m.Value, next, key, val)
+						}
+						next++
+					}
+					last = batch
+				}
+				return last
+			}
+
+			publish(3)
+			held := pull(from + 3)
+			publish(1) // queued while held is still the caller's
+			pull(from + 4)
+			// Taken back, a slot is empty or holds something newer: it pins
+			// nothing of the batch that was applied.
+			for i, m := range held {
+				if (m.Key != "" || m.Value != nil) && m.Seqno <= from+3 {
+					t.Errorf("slot %d of the batch Next took back still holds %+v", i, m)
+				}
+			}
+
+			const burst = 3000
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				publish(burst)
+			}()
+			pull(from + 4 + burst)
+			<-done
+		})
+	}
+}
+
+// TestIndexBuildOverDeadSourceFails: RemoteProducer.HighSeqno answered 0
+// for a node out of reach, the build read that as an empty vBucket and
+// marked the partition built over nothing.
+func TestIndexBuildOverDeadSourceFails(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+
+	svc := gsi.NewService(t.TempDir())
+	proj := gsi.NewProjector(svc, "Profile")
+	t.Cleanup(func() { proj.Close(); svc.Close() })
+	if err := proj.AttachVB(0, NewRemoteProducer(dead, 0)); !errors.Is(err, core.ErrNodeUnreachable) {
+		t.Fatalf("attach to a dead address = %v", err)
+	}
+	err = svc.CreateIndex(gsi.Def{Name: "email", Keyspace: "Profile", SecExprs: []string{"email"}})
+	if !errors.Is(err, core.ErrNodeUnreachable) {
+		t.Fatalf("CreateIndex over a source out of reach = %v, want ErrNodeUnreachable", err)
+	}
+	if meta, err := svc.Lookup("Profile", "email"); err != nil || meta.Built {
+		t.Fatalf("Lookup after the failed build = built %v, %v", meta.Built, err)
 	}
 }

@@ -35,7 +35,7 @@ type Conn struct {
 	w    *frameWriter
 
 	mu      sync.Mutex // guards pending/opaque/dead; never held across I/O
-	pending map[uint32]chan reply
+	pending map[uint32]waiter
 	opaque  uint32
 	dead    bool
 	err     error
@@ -50,7 +50,7 @@ func dialConn(addr string) (*Conn, error) {
 	c := &Conn{
 		addr:    addr,
 		nc:      countingConn{raw},
-		pending: map[uint32]chan reply{},
+		pending: map[uint32]waiter{},
 	}
 	c.br = bufio.NewReaderSize(c.nc, 32<<10)
 	c.w = &frameWriter{nc: c.nc, onErr: c.fail}
@@ -69,11 +69,15 @@ func (c *Conn) readLoop() {
 			return
 		}
 		c.mu.Lock()
-		ch := c.pending[f.Opaque]
+		w, ok := c.pending[f.Opaque]
 		delete(c.pending, f.Opaque)
 		c.mu.Unlock()
-		if ch != nil {
-			ch <- reply{f, time.Now()}
+		if ok {
+			r := reply{f: f}
+			if w.timed {
+				r.at = time.Now()
+			}
+			w.ch <- r
 		}
 	}
 }
@@ -88,13 +92,13 @@ func (c *Conn) fail(err error) {
 	c.dead = true
 	c.err = err
 	pending := c.pending
-	c.pending = map[uint32]chan reply{}
+	c.pending = map[uint32]waiter{}
 	c.mu.Unlock()
 
 	c.nc.Close()
 	mConnsCli.Add(-1)
-	for _, ch := range pending {
-		close(ch)
+	for _, w := range pending {
+		close(w.ch)
 	}
 }
 
@@ -108,10 +112,18 @@ func (c *Conn) Close() { c.fail(fmt.Errorf("transport: conn closed")) }
 // empty and unclosed (see abandon).
 var respChans = sync.Pool{New: func() any { return make(chan reply, 1) }}
 
-// reply is a response and when the read loop had it.
+// reply is a response and, for a timed waiter, when the read loop had it.
 type reply struct {
 	f  *memcproto.Frame
 	at time.Time
+}
+
+// waiter is a pending request: where its response goes, and whether its
+// caller times the stages (1 op in 16; the read loop reads the clock for
+// those only).
+type waiter struct {
+	ch    chan reply
+	timed bool
 }
 
 // Roundtrip sends one request frame and waits for its response. Conn
@@ -130,7 +142,7 @@ func (c *Conn) Roundtrip(ctx context.Context, f *memcproto.Frame) (*memcproto.Fr
 	c.opaque++
 	f.Opaque = c.opaque
 	ch := respChans.Get().(chan reply)
-	c.pending[f.Opaque] = ch
+	c.pending[f.Opaque] = waiter{ch, !st.at.IsZero()}
 	crowded := len(c.pending) > 1
 	c.mu.Unlock()
 

@@ -449,7 +449,8 @@ func (c *session) handleDCP(f *memcproto.Frame) {
 	switch f.Opcode {
 	case memcproto.OpDCPFailoverLog:
 		value, _ := json.Marshal(producer.FailoverLog())
-		c.respond(f, memcproto.StatusOK, memcproto.AppendUint64(extras, producer.HighSeqno()), value, 0)
+		high, _ := producer.HighSeqno() // a local producer's never fails
+		c.respond(f, memcproto.StatusOK, memcproto.AppendUint64(extras, high), value, 0)
 
 	case memcproto.OpDCPAck:
 		seqno, ok := memcproto.Uint64At(f.Extras, 0)
@@ -505,10 +506,11 @@ func (c *session) pumpStream(opaque uint32, vb *vbucket.VBucket, name string, fr
 	events.Default.Publish(e)
 
 	// Snapshot marker: the window the pushes that follow belong to.
+	high, _ := vb.Producer().HighSeqno() // a local producer's never fails
 	c.send(&memcproto.Frame{
 		Magic: memcproto.MagicPush, Opcode: memcproto.OpDCPSnapshot,
 		VBucket: uint16(vb.ID), Opaque: opaque,
-		Extras: memcproto.AppendUint64(memcproto.AppendUint64(nil, fromSeqno), vb.Producer().HighSeqno()),
+		Extras: memcproto.AppendUint64(memcproto.AppendUint64(nil, fromSeqno), high),
 	}, false)
 	for batch, ok := ms.Next(); ok; batch, ok = ms.Next() {
 		for i, m := range batch {

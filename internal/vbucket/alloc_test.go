@@ -2,6 +2,7 @@ package vbucket
 
 import (
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,7 +17,9 @@ import (
 // draining. AllocsPerRun counts process-wide mallocs, so the budget
 // includes the flusher and stream consumer riding along — it is a
 // tripwire against per-op garbage creeping into any layer of the
-// path, not an exact count.
+// path, not an exact count. A count alone hid several KiB of garbage
+// per Set (a flusher batch encoded into a buffer grown from nil is one
+// allocation however large), so the bytes are budgeted too.
 func TestSetPublishAllocBudget(t *testing.T) {
 	vb, _ := newVB(t, Active, Config{})
 
@@ -38,12 +41,13 @@ func TestSetPublishAllocBudget(t *testing.T) {
 		keys[i] = "user" + strconv.Itoa(1000000+i)
 	}
 	i := 0
-	n := testing.AllocsPerRun(500, func() {
+	set := func() {
 		if _, err := vb.Set(bg, keys[i%len(keys)], value, 0, 0, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		i++
-	})
+	}
+	n := testing.AllocsPerRun(500, set)
 	// Measured ~8 (item box + flush entry + DCP mutation + batch
 	// bookkeeping across goroutines); 16 leaves headroom for scheduling
 	// variance while still catching a path that starts copying values
@@ -51,6 +55,30 @@ func TestSetPublishAllocBudget(t *testing.T) {
 	const budget = 16
 	if n > budget {
 		t.Errorf("Set→enqueue→publish allocates %.1f times per op, budget %d", n, budget)
+	}
+
+	// Bytes, over the Sets and their whole afterlife on this copy. The
+	// flusher is let catch up every few Sets, as one that keeps up with
+	// its clients does, so batches are small and in-batch dedup absorbs
+	// nothing: the queues, the stream's batches and the file's encode
+	// buffer are warm, and none may cost a value's worth of garbage per Set.
+	const sets = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for n := range sets {
+		set()
+		if n%4 == 3 {
+			if err := vb.DrainDisk(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perSet := float64(after.TotalAlloc-before.TotalAlloc) / sets
+	if byteBudget := float64(2 * len(value)); perSet > byteBudget {
+		t.Errorf("Set→enqueue→publish→persist allocates %.0f bytes per %d-byte Set, budget %.0f", perSet, len(value), byteBudget)
+	} else {
+		t.Logf("%.0f bytes allocated per %d-byte Set (budget %.0f)", perSet, len(value), byteBudget)
 	}
 }
 

@@ -20,6 +20,7 @@ package vbucket
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -130,14 +131,17 @@ type VBucket struct {
 
 	cfg Config
 
-	// Disk-write queue (Figure 6). The flusher drains it in order.
-	// Entries keep the originating mutation's trace so the commit hop
-	// shows up in sampled traces.
-	queueMu   sync.Mutex
-	queue     []flushEntry
-	queueCond *sync.Cond
-	closed    bool
-	flushDone chan struct{}
+	// Disk-write queue (Figure 6). The flusher drains it in order by
+	// swapping in the slice it drained before, so the two take turns and
+	// neither is allocated per batch. queueTraces holds the sampled
+	// traces of queued mutations (almost always none) so the commit hop
+	// shows up in them.
+	queueMu     sync.Mutex
+	queue       []storage.Record
+	queueTraces []*trace.Trace
+	queueCond   *sync.Cond
+	closed      bool
+	flushDone   chan struct{}
 
 	// Durability watermarks and their waiters.
 	durMu          sync.Mutex
@@ -189,13 +193,6 @@ func (vb *VBucket) WarmUp() error {
 	return err
 }
 
-// flushEntry is one disk-write queue element: the record plus the
-// originating mutation's sampled trace (nil almost always).
-type flushEntry struct {
-	rec storage.Record
-	tr  *trace.Trace
-}
-
 // onMutate runs under the hash-table lock for every applied mutation,
 // in seqno order: enqueue for disk and publish to DCP atomically with
 // the cache write. The context is the mutating caller's; its sampled
@@ -211,7 +208,10 @@ func (vb *VBucket) onMutate(ctx context.Context, it cache.Item) {
 		Value: it.Value,
 	}
 	vb.queueMu.Lock()
-	vb.queue = append(vb.queue, flushEntry{rec: rec, tr: tr})
+	vb.queue = append(vb.queue, rec)
+	if tr != nil {
+		vb.queueTraces = append(vb.queueTraces, tr)
+	}
 	vb.queueMu.Unlock()
 	mFlushQueueDepth.Add(1)
 	vb.queueCond.Signal()
@@ -250,6 +250,9 @@ func (vb *VBucket) journalSlowCommit(d time.Duration, items int) {
 // level of persistence" (§2.3.2).
 func (vb *VBucket) flusher() {
 	defer close(vb.flushDone)
+	// The flusher's own memory: the queue slice it drained last, which
+	// becomes the next queue.
+	var spare []storage.Record
 	for {
 		vb.queueMu.Lock()
 		for len(vb.queue) == 0 && !vb.closed {
@@ -259,33 +262,31 @@ func (vb *VBucket) flusher() {
 			vb.queueMu.Unlock()
 			return
 		}
-		n := min(len(vb.queue), maxFlushBatch)
-		batch := vb.queue[:n]
-		vb.queue = append([]flushEntry(nil), vb.queue[n:]...)
+		drained := vb.queue
+		n := min(len(drained), maxFlushBatch)
+		vb.queue = append(spare[:0], drained[n:]...)
+		// A trace is taken with the batch that empties the queue, so its
+		// commit span never ends before its mutation is on disk.
+		var traces []*trace.Trace
+		if n == len(drained) {
+			traces, vb.queueTraces = vb.queueTraces, nil
+		}
 		vb.queueMu.Unlock()
 		mFlushQueueDepth.Add(int64(-n))
 
-		batch = dedupBatch(batch)
-		mFlushBatchItems.ObserveValue(uint64(len(batch)))
-		recs := make([]storage.Record, len(batch))
+		recs := dedupBatch(drained[:n])
+		mFlushBatchItems.ObserveValue(uint64(len(recs)))
+		// One commit span per distinct trace in the batch, parented at
+		// the trace root (the client span ended long ago).
 		var commitSpans []*trace.Span
-		var seenTr map[*trace.Trace]bool
-		for i := range batch {
-			recs[i] = batch[i].rec
-			// One commit span per distinct trace in the batch, parented
-			// at the trace root (the client span ended long ago).
-			if tr := batch[i].tr; tr != nil {
-				if seenTr == nil {
-					seenTr = make(map[*trace.Trace]bool)
-				}
-				if !seenTr[tr] {
-					seenTr[tr] = true
-					sp := tr.StartSpan("storage:commit")
-					sp.Annotate("vb", strconv.Itoa(vb.ID))
-					sp.Annotate("batch_items", strconv.Itoa(len(batch)))
-					commitSpans = append(commitSpans, sp)
-				}
+		for i, tr := range traces {
+			if slices.Contains(traces[:i], tr) {
+				continue
 			}
+			sp := tr.StartSpan("storage:commit")
+			sp.Annotate("vb", strconv.Itoa(vb.ID))
+			sp.Annotate("batch_items", strconv.Itoa(len(recs)))
+			commitSpans = append(commitSpans, sp)
 		}
 		t0 := time.Now()
 		if vb.cfg.DiskDelay > 0 {
@@ -310,9 +311,7 @@ func (vb *VBucket) flusher() {
 		}
 		var high uint64
 		for i := range recs {
-			if recs[i].Seqno > high {
-				high = recs[i].Seqno
-			}
+			high = max(high, recs[i].Seqno)
 		}
 		vb.durMu.Lock()
 		if high > vb.persistedSeqno {
@@ -320,29 +319,48 @@ func (vb *VBucket) flusher() {
 		}
 		vb.durMu.Unlock()
 		vb.durCond.Broadcast()
+
+		// Recycled slots are cleared so they pin no key or value; a slice
+		// that grew for a burst is left to the GC.
+		clear(drained)
+		if spare = drained; cap(spare) > dcp.MaxKeptBatch {
+			spare = nil
+		}
 	}
 }
 
-// dedupBatch keeps only the newest record per key, preserving seqno
-// order of the survivors.
-func dedupBatch(batch []flushEntry) []flushEntry {
-	if len(batch) <= 1 {
-		return batch
-	}
-	newest := make(map[string]uint64, len(batch))
-	for i := range batch {
-		if batch[i].rec.Seqno > newest[batch[i].rec.Key] {
-			newest[batch[i].rec.Key] = batch[i].rec.Seqno
+// dedupBatch keeps only the newest record per key, preserving the order
+// of the survivors. The queue is in the order the cache applied, so a
+// record is superseded when its key recurs after it; the batches of a
+// flusher that keeps up are a few records, which a scan settles without
+// building a map.
+func dedupBatch(batch []storage.Record) []storage.Record {
+	var last map[string]int // key -> index of its newest record
+	if len(batch) > dedupScanMax {
+		last = make(map[string]int, len(batch))
+		for i := range batch {
+			last[batch[i].Key] = i
 		}
 	}
 	out := batch[:0]
 	for i := range batch {
-		if batch[i].rec.Seqno == newest[batch[i].rec.Key] {
+		newest := true
+		if last != nil {
+			newest = last[batch[i].Key] == i
+		} else {
+			for j := i + 1; j < len(batch) && newest; j++ {
+				newest = batch[j].Key != batch[i].Key
+			}
+		}
+		if newest {
 			out = append(out, batch[i])
 		}
 	}
 	return out
 }
+
+// dedupScanMax is the largest batch dedupBatch scans pairwise.
+const dedupScanMax = 16
 
 // State returns the current partition state.
 func (vb *VBucket) State() State { return State(vb.state.Load()) }

@@ -366,3 +366,30 @@ func TestFullEvictionDCPSnapshotMergesDisk(t *testing.T) {
 		seen[m.Key] = true
 	}
 }
+
+// TestDedupBatchKeepsNewestPerKey runs both of dedupBatch's ways to
+// find a superseded record (the pairwise scan of a small batch, the map
+// of a large one) against the definition: of each key the last record
+// survives, and the survivors keep their order.
+func TestDedupBatchKeepsNewestPerKey(t *testing.T) {
+	for n := 0; n <= 3*dedupScanMax; n++ {
+		for _, keys := range []int{1, 3, n + 1} {
+			batch := make([]storage.Record, n)
+			last := map[string]uint64{}
+			for i := range batch {
+				key := fmt.Sprintf("k%d", (i*7+n)%keys)
+				batch[i] = storage.Record{Meta: storage.Meta{Key: key, Seqno: uint64(i + 1)}}
+				last[key] = uint64(i + 1)
+			}
+			out := dedupBatch(batch)
+			if len(out) != len(last) {
+				t.Fatalf("%d records over %d keys: %d survive, want %d", n, keys, len(out), len(last))
+			}
+			for i, r := range out {
+				if r.Seqno != last[r.Key] || i > 0 && out[i-1].Seqno >= r.Seqno {
+					t.Fatalf("%d records over %d keys: survivor %d is %s@%d (newest @%d, previous @%d)", n, keys, i, r.Key, r.Seqno, last[r.Key], out[max(i-1, 0)].Seqno)
+				}
+			}
+		}
+	}
+}
