@@ -70,7 +70,9 @@ bench-smoke:
 	go test -run='^$$' -bench='BenchmarkSetPublish|BenchmarkDoGet|BenchmarkDoSet|BenchmarkDoGetEvicted' -benchmem -benchtime=1000x ./internal/vbucket
 	go test -run='^$$' -bench='BenchmarkStreamHandoff' -benchmem -benchtime=100000x ./internal/dcp
 	go test -run='^$$' -bench='BenchmarkAppendBatch' -benchmem -benchtime=2000x ./internal/storage
-	go test -run='^$$' -bench='BenchmarkWorkloadEQuery' -benchmem -benchtime=1000x ./internal/core
+	go test -run='^$$' -bench='BenchmarkWorkloadEQuery' -benchmem -benchtime=1000x -cpu 1,2 ./internal/core
+	go test -run='^$$' -bench='BenchmarkTreeScan' -benchmem -benchtime=500000x -cpu 1,2 ./internal/gsi
+	go test -run='^$$' -bench='BenchmarkRoute' -benchmem -benchtime=20000x ./internal/gsi
 	go test -run='^$$' -bench='BenchmarkSetAfterlife' -benchmem -benchtime=200000x ./internal/core
 	go test -run='^$$' -bench='BenchmarkWireGet' -benchmem -benchtime=20000x ./internal/transport
 
@@ -85,6 +87,7 @@ bench-pairs:
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzCollate -fuzztime=$(FUZZTIME) ./internal/value
 	go test -run='^$$' -fuzz=FuzzPathParse -fuzztime=$(FUZZTIME) ./internal/value
+	go test -run='^$$' -fuzz=FuzzParseValid -fuzztime=$(FUZZTIME) ./internal/value
 	go test -run='^$$' -fuzz=FuzzRecordDecode -fuzztime=$(FUZZTIME) ./internal/storage
 	go test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/memcproto
 	go test -run='^$$' -fuzz=FuzzTraceContext -fuzztime=$(FUZZTIME) ./internal/memcproto

@@ -19,7 +19,10 @@ const (
 
 // Reducer computes the pre-aggregated annotations. Map converts one
 // leaf entry to a partial aggregate; Merge combines partials. Merge
-// must be associative; Zero is the identity (empty range result).
+// must be associative; Zero is the identity (empty range result). A
+// Reducer holds no state: gsi.Tree calls ReduceRange under a read lock
+// it shares, so Map and Merge run on several goroutines at once (every
+// reducer in internal/views is an empty struct).
 type Reducer interface {
 	Map(key []byte, val any) any
 	Merge(parts ...any) any
@@ -27,8 +30,9 @@ type Reducer interface {
 }
 
 // Tree is a B+tree mapping unique byte keys to values. The zero-value
-// Tree is not usable; call New. Not safe for concurrent use — callers
-// wrap it with their own locking.
+// Tree is not usable; call New. It has no lock of its own: reads change
+// nothing and may share the caller's lock, Set and Delete need it
+// exclusively.
 type Tree struct {
 	root    *node
 	reducer Reducer // nil = no annotations maintained
@@ -269,12 +273,13 @@ func (t *Tree) ascend(n *node, lo, hi []byte, fn func([]byte, any) bool) bool {
 		start = childIndex(n, lo)
 	}
 	for i := start; i < len(n.children); i++ {
-		if hi != nil && i > 0 && i-1 < len(n.keys) && bytes.Compare(n.keys[i-1], hi) >= 0 {
+		if hi != nil && i > 0 && bytes.Compare(n.keys[i-1], hi) >= 0 {
 			return false
 		}
 		if !t.ascend(n.children[i], lo, hi, fn) {
 			return false
 		}
+		lo = nil // every later child lies wholly above lo: no search in it
 	}
 	return true
 }
@@ -286,10 +291,11 @@ func (t *Tree) Descend(lo, hi []byte, fn func(key []byte, val any) bool) {
 
 func (t *Tree) descend(n *node, lo, hi []byte, fn func([]byte, any) bool) bool {
 	if n.leaf {
-		for i := len(n.keys) - 1; i >= 0; i-- {
-			if hi != nil && bytes.Compare(n.keys[i], hi) >= 0 {
-				continue
-			}
+		end := len(n.keys)
+		if hi != nil {
+			end, _ = leafIndex(n, hi)
+		}
+		for i := end - 1; i >= 0; i-- {
 			if lo != nil && bytes.Compare(n.keys[i], lo) < 0 {
 				return false
 			}
@@ -299,18 +305,18 @@ func (t *Tree) descend(n *node, lo, hi []byte, fn func([]byte, any) bool) bool {
 		}
 		return true
 	}
-	for i := len(n.children) - 1; i >= 0; i-- {
-		if lo != nil && i > 0 && i-1 < len(n.keys) && bytes.Compare(n.keys[i-1], lo) < 0 {
-			// children before this one are entirely below lo; visit this
-			// child then stop.
-			if !t.descend(n.children[i], lo, hi, fn) {
-				return false
-			}
-			return false
-		}
+	end := len(n.children) - 1
+	if hi != nil {
+		end = childIndex(n, hi)
+	}
+	for i := end; i >= 0; i-- {
 		if !t.descend(n.children[i], lo, hi, fn) {
 			return false
 		}
+		if lo != nil && i > 0 && bytes.Compare(n.keys[i-1], lo) <= 0 {
+			return false // every earlier child lies wholly below lo
+		}
+		hi = nil // and wholly below hi: no search in it
 	}
 	return true
 }

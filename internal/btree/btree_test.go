@@ -191,6 +191,53 @@ func TestDescend(t *testing.T) {
 	}
 }
 
+// TestBoundedWalksAgainstModel checks Ascend and Descend over random
+// bounds (absent keys, either side open, empty and inverted ranges) on a
+// tree churned until its separators are stale and its leaves uneven:
+// both position on the near bound once, in the first leaf they reach,
+// and walk every later leaf from its edge.
+func TestBoundedWalksAgainstModel(t *testing.T) {
+	tr := New(nil)
+	present := map[int]bool{}
+	r := rand.New(rand.NewSource(11))
+	for op := 0; op < 30000; op++ {
+		i := 2 * r.Intn(1500) // even keys only: odd bounds fall between entries
+		if r.Intn(5) < 2 {
+			delete(present, i)
+			tr.Delete(key(i))
+		} else {
+			present[i] = true
+			tr.Set(key(i), i)
+		}
+	}
+	bound := func() (int, []byte) {
+		if r.Intn(6) == 0 {
+			return -1, nil
+		}
+		i := r.Intn(3100) - 50
+		return i, key(i)
+	}
+	for round := 0; round < 2000; round++ {
+		lo, loKey := bound()
+		hi, hiKey := bound()
+		var want []int
+		for i := 0; i < 3000; i += 2 {
+			if present[i] && (loKey == nil || i >= lo) && (hiKey == nil || i < hi) {
+				want = append(want, i)
+			}
+		}
+		var up, down []int
+		tr.Ascend(loKey, hiKey, func(_ []byte, v any) bool { up = append(up, v.(int)); return true })
+		tr.Descend(loKey, hiKey, func(_ []byte, v any) bool { down = append(down, v.(int)); return true })
+		for i, j := 0, len(down)-1; i < j; i, j = i+1, j-1 {
+			down[i], down[j] = down[j], down[i]
+		}
+		if fmt.Sprint(up) != fmt.Sprint(want) || fmt.Sprint(down) != fmt.Sprint(want) {
+			t.Fatalf("[%d, %d): Ascend %v, Descend (reversed) %v, want %v", lo, hi, up, down, want)
+		}
+	}
+}
+
 func TestReduceRangeMatchesScan(t *testing.T) {
 	tr := New(sumReducer{})
 	r := rand.New(rand.NewSource(11))

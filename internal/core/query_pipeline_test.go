@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"couchgo/internal/cmap"
@@ -94,47 +95,97 @@ func TestWorkloadEExaminesOnlyLimit(t *testing.T) {
 	}
 }
 
-// TestWorkloadEAllocBudget bounds what one workload E query allocates,
-// as c0 + c1·LIMIT. Measured at this commit: 27, 131 and 232
-// allocations at LIMIT 1, 50 and 100, so about 25 per statement (the
-// span, the pipeline, one slab of slots and one of rows per batch; the
-// plan comes from the cache, and the index's page is the scan's buffer,
-// not a copy of it) and 2.1 per row (the projected object); the
+// pointLookup is the query at the other end from workload E: no LIMIT,
+// so the executor asks the index for a full page of 1024 entries, and a
+// span that holds one.
+const pointLookup = "SELECT meta().id AS id FROM `default` WHERE meta().id = $1"
+
+// TestWorkloadEAllocBudget bounds what one query allocates, in objects
+// and in bytes, each as c0 + c1·rows: workload E at LIMIT 1, 50 and 100
+// (the span holds more than LIMIT entries, so rows = LIMIT) and a point
+// lookup without a LIMIT, where what is allocated must follow the one
+// row found and not the 1024 entries asked for (a page with room for
+// 1024 is 57 KB). Measured at this commit: 25, 123 and 223 allocations
+// and 1.6, 28.6 and 55.7 KB for workload E, 27 and 1.6 KB for the point
+// lookup, so about 23 allocations per statement (the span, the pipeline,
+// the index's page, which is the scan's buffer and not a copy of it,
+// one slab of slots and one of rows per batch; the plan comes from the
+// cache) and 2 per row (the projected object), and about 1 KB per
+// statement and 545 B per row (336 B of it the projected object, a Go
+// map's first group of 8 slots; 56 B the page's entry). The count
 // budget allows half as much again per statement and two more per row,
-// the boxed document ID a secondary covering index adds. Before rows
-// were slots and plans were cached this read 119, 517 and 918.
+// the boxed document ID a secondary covering index adds; the byte
+// budget allows a tenth more, and is there because a count hides size:
+// when the index grew its page by doubling the count read 131 at LIMIT
+// 50, and those 8 allocations were 5 KB of 33.6. Before rows were slots
+// and plans were cached the count read 119, 517 and 918.
 func TestWorkloadEAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 20 000 documents")
 	}
 	c := workloadECluster(t, 20000)
-	for _, limit := range []int{1, 50, 100} {
-		opts := executor.Options{Params: workloadEParams(5000, limit)}
-		n := testing.AllocsPerRun(50, func() {
-			if res, err := c.Query(workloadE, opts); err != nil || len(res.Rows) != limit {
-				t.Fatalf("LIMIT %d: %v %v", limit, res, err)
+	for _, tc := range []struct {
+		name, stmt string
+		params     map[string]any
+		rows       int
+	}{
+		{"LIMIT 1", workloadE, workloadEParams(5000, 1), 1},
+		{"LIMIT 50", workloadE, workloadEParams(5000, 50), 50},
+		{"LIMIT 100", workloadE, workloadEParams(5000, 100), 100},
+		{"point lookup", pointLookup, map[string]any{"1": "user005000"}, 1},
+	} {
+		opts := executor.Options{Params: tc.params}
+		query := func() {
+			if res, err := c.Query(tc.stmt, opts); err != nil || len(res.Rows) != tc.rows {
+				t.Fatalf("%s: %v %v", tc.name, res, err)
 			}
-		})
-		if budget := float64(39 + 4*limit); n > budget {
-			t.Errorf("LIMIT %d: %.0f allocations per query, budget %.0f", limit, n, budget)
+		}
+		n := testing.AllocsPerRun(50, query)
+		if budget := float64(39 + 4*tc.rows); n > budget {
+			t.Errorf("%s: %.0f allocations per query, budget %.0f", tc.name, n, budget)
 		} else {
-			t.Logf("LIMIT %d: %.0f allocations per query (budget %.0f)", limit, n, budget)
+			t.Logf("%s: %.0f allocations per query (budget %.0f)", tc.name, n, budget)
+		}
+		// TotalAlloc is the process's: the least of three rounds, since
+		// what the cluster's background goroutines (feeds, flushers)
+		// allocate meanwhile is only ever added.
+		const rounds, runs = 3, 200
+		b := ^uint64(0)
+		for r := 0; r < rounds; r++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				query()
+			}
+			runtime.ReadMemStats(&after)
+			b = min(b, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		if budget := uint64(2400 + 590*tc.rows); b > budget {
+			t.Errorf("%s: %d bytes allocated per query, budget %d", tc.name, b, budget)
+		} else {
+			t.Logf("%s: %d bytes allocated per query (budget %d)", tc.name, b, budget)
 		}
 	}
 }
 
-// BenchmarkWorkloadEQuery is one workload E scan of 50 rows, the
-// allocs/op column of `make bench-smoke`.
+// BenchmarkWorkloadEQuery is one workload E scan of 50 rows on every
+// benchmark goroutine: the allocs/op column of `make bench-smoke`, and
+// with -cpu 1,2 and -cpuprofile, -memprofile or -mutexprofile the
+// attribution of the query path (who allocates most; whose unlock the
+// second client waited on).
 func BenchmarkWorkloadEQuery(b *testing.B) {
 	c := workloadECluster(b, 20000)
 	opts := executor.Options{Params: workloadEParams(5000, 50)}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res, err := c.Query(workloadE, opts); err != nil || len(res.Rows) != 50 {
-			b.Fatal(res, err)
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if res, err := c.Query(workloadE, opts); err != nil || len(res.Rows) != 50 {
+				b.Error(res, err)
+				return
+			}
 		}
-	}
+	})
 }
 
 // indexKinds are the two placements of a secondary index on `n`: GSI

@@ -93,8 +93,10 @@ func truncateStatement(s string) string {
 }
 
 func (c *Cluster) hasService(s cmap.Service) bool {
-	for _, n := range c.Nodes() {
-		if n.Alive() && n.services.Has(s) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, n := range c.nodes {
+		if n.services.Has(s) && n.Alive() {
 			return true
 		}
 	}

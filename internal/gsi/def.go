@@ -133,10 +133,18 @@ func compileDef(def Def) (*compiledDef, error) {
 	return cd, nil
 }
 
+// readsDoc reports whether maintaining the index evaluates anything
+// against the document. A primary index without a WHERE does not: its
+// projector validates a mutation's value instead of decoding it.
+func (cd *compiledDef) readsDoc() bool { return !cd.IsPrimary || cd.where != nil }
+
 // entries computes the index entries for one document: a slice of
 // composite secondary keys. nil means the document does not qualify
 // (filtered by the partial-index predicate, or its key is MISSING).
 func (cd *compiledDef) entries(docID string, doc any, cas uint64) ([][]any, error) {
+	if !cd.readsDoc() {
+		return [][]any{{docID}}, nil
+	}
 	ctx := cd.scope.NewContext(doc, n1ql.Meta{ID: docID, CAS: cas})
 	if cd.where != nil {
 		ok, err := n1ql.Eval(cd.where, ctx)

@@ -40,6 +40,10 @@ type Service struct {
 
 	mu      sync.Mutex
 	indexes map[string]*indexState // key: keyspace + "/" + name
+	// byKeyspace lists each keyspace's indexes for the projector. Rebuilt
+	// (never edited) on every catalog change, so a slice read under mu
+	// stays valid after the unlock.
+	byKeyspace map[string][]*indexState
 	// projectors: one shared projector per keyspace. The projector's
 	// feed state (resume positions) lives here, at the service level,
 	// so it survives vBucket movement between data nodes.
@@ -88,7 +92,7 @@ func (s *Service) CreateIndex(def Def) error {
 		st.parts = append(st.parts, ix)
 	}
 	s.indexes[key] = st
-	s.catalogChanged()
+	s.catalogChangedLocked()
 	proj := s.projectors[def.Keyspace]
 	s.mu.Unlock()
 	// Initial build: stream the existing data set through this index
@@ -102,11 +106,17 @@ func (s *Service) CreateIndex(def Def) error {
 	}
 	s.mu.Lock()
 	st.built = !def.Deferred && err == nil
-	s.catalogChanged()
+	s.catalogChangedLocked()
 	return err
 }
 
-func (s *Service) catalogChanged() {
+// catalogChangedLocked follows every change to s.indexes or to an
+// index's built flag, with s.mu held.
+func (s *Service) catalogChangedLocked() {
+	s.byKeyspace = make(map[string][]*indexState)
+	for _, st := range s.indexes {
+		s.byKeyspace[st.cd.Keyspace] = append(s.byKeyspace[st.cd.Keyspace], st)
+	}
 	if s.OnCatalogChange != nil {
 		s.OnCatalogChange()
 	}
@@ -140,7 +150,7 @@ func (s *Service) BuildIndex(keyspace, name string) error {
 	}
 	s.mu.Lock()
 	st.built = true
-	s.catalogChanged()
+	s.catalogChangedLocked()
 	s.mu.Unlock()
 	return nil
 }
@@ -150,7 +160,7 @@ func (s *Service) DropIndex(keyspace, name string) error {
 	s.mu.Lock()
 	st, ok := s.indexes[indexKey(keyspace, name)]
 	delete(s.indexes, indexKey(keyspace, name))
-	s.catalogChanged()
+	s.catalogChangedLocked()
 	s.mu.Unlock()
 	if !ok {
 		return ErrNoSuchIndex
@@ -175,10 +185,7 @@ func (s *Service) ListIndexes(keyspace string) []IndexMeta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []IndexMeta
-	for _, st := range s.indexes {
-		if st.cd.Keyspace != keyspace {
-			continue
-		}
+	for _, st := range s.byKeyspace[keyspace] {
 		out = append(out, IndexMeta{
 			Def:            st.cd.Def,
 			SecCanonical:   st.cd.SecCanonical,
@@ -274,36 +281,46 @@ func (s *Service) Count(keyspace, name string, opts ScanOptions) (int, error) {
 // ("deciding which indexer to send the message to").
 func (s *Service) route(keyspace string, vb int, m dcp.Mutation) {
 	s.mu.Lock()
-	states := make([]*indexState, 0, len(s.indexes))
-	for _, st := range s.indexes {
-		if st.cd.Keyspace == keyspace {
-			states = append(states, st)
-		}
-	}
+	states := s.byKeyspace[keyspace]
 	s.mu.Unlock()
-	if len(states) > 0 {
-		mProjected.Inc()
+	if len(states) == 0 {
+		return
 	}
-	for _, st := range states {
-		routeTo(st, vb, m)
-	}
+	mProjected.Inc()
+	project(vb, m, states...)
 }
 
-// routeTo projects one mutation into the partition that owns the
-// document: the doc ID is the partition key, so a document never
-// changes partition and no other partition has anything to clean up.
-func routeTo(st *indexState, vb int, m dcp.Mutation) {
-	var entries [][]any
-	if !m.Deleted {
-		if doc, ok := value.Parse(m.Value); ok {
+// project turns one mutation into each index's key version and hands it
+// to the partition that owns the document: the doc ID is the partition
+// key, so a document never changes partition and no other partition has
+// anything to clean up. The value is decoded once for all the indexes,
+// and only validated when none of them reads it; a deletion and a value
+// that is not JSON leave every index, the primary included.
+func project(vb int, m dcp.Mutation, states ...*indexState) {
+	var doc any
+	ok := !m.Deleted
+	if ok {
+		reads := false
+		for _, st := range states {
+			reads = reads || st.cd.readsDoc()
+		}
+		if reads {
+			doc, ok = value.Parse(m.Value)
+		} else {
+			ok = value.Valid(m.Value)
+		}
+	}
+	for _, st := range states {
+		var entries [][]any
+		if ok {
 			if ents, err := st.cd.entries(m.Key, doc, m.CAS); err == nil {
 				entries = ents
 			}
 		}
+		st.parts[st.cd.Partition(m.Key)].Apply(KeyVersion{
+			Index: st.cd.Name, VB: vb, Seqno: m.Seqno, DocID: m.Key, Entries: entries,
+		})
 	}
-	st.parts[st.cd.Partition(m.Key)].Apply(KeyVersion{
-		Index: st.cd.Name, VB: vb, Seqno: m.Seqno, DocID: m.Key, Entries: entries,
-	})
 }
 
 // Projector consumes the keyspace's per-vBucket DCP feeds and routes
@@ -352,12 +369,7 @@ func (p *Projector) Apply(vb int, m dcp.Mutation) {
 // lost branch would linger as phantoms.
 func (p *Projector) Rollback(vb int, _ uint64) uint64 {
 	p.svc.mu.Lock()
-	states := make([]*indexState, 0, len(p.svc.indexes))
-	for _, st := range p.svc.indexes {
-		if st.cd.Keyspace == p.keyspace {
-			states = append(states, st)
-		}
-	}
+	states := p.svc.byKeyspace[p.keyspace]
 	p.svc.mu.Unlock()
 	for _, st := range states {
 		for _, ix := range st.parts {
@@ -413,7 +425,7 @@ func (p *Projector) backfillIndex(st *indexState) error {
 				break
 			}
 			for _, m := range batch {
-				routeTo(st, vb, m)
+				project(vb, m, st)
 			}
 			done = batch[len(batch)-1].Seqno
 		}
@@ -446,6 +458,7 @@ func (s *Service) Close() {
 	s.mu.Lock()
 	states := s.indexes
 	s.indexes = make(map[string]*indexState)
+	s.byKeyspace = nil
 	projectors := s.projectors
 	s.projectors = make(map[string]*Projector)
 	s.mu.Unlock()

@@ -3,6 +3,7 @@ package gsi
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 
 	"couchgo/internal/btree"
 	"couchgo/internal/value"
@@ -51,12 +52,16 @@ func (o ScanOptions) More(n int) bool { return o.Limit > 0 && n >= o.Limit }
 // partition, a data node's view index, the analytics shadow's primary
 // index. Entries sort by TreeKey; a back-index per vBucket finds a
 // document's entries to replace them and a partition's to purge them.
-// Safe for concurrent use; a scan holds the lock for its page only.
+// Safe for concurrent use: readers (Scan, Get, Count, Reduce, EachDoc,
+// Stats) share mu, a scan for its page only; Replace and PurgeVB take it
+// exclusively. Bounds and tree keys are encoded before the lock is taken
+// and a page is allocated after it is released, so a holder does not
+// wait on the allocator with others queued behind it.
 type Tree struct {
-	mu      sync.Mutex
+	mu      sync.RWMutex
 	tree    *btree.Tree
 	back    map[int]map[string][][]byte // vb -> docID -> tree keys
-	visited int
+	visited atomic.Int64                // added once per read, after the unlock
 }
 
 // NewTree creates an empty tree. reducer, when non-nil, keeps a view's
@@ -81,6 +86,10 @@ func TreeKey(sec []any, docID string) []byte {
 // entries go, one entry per key in secs (each carrying val) comes.
 // Empty secs removes the document. It reports whether the tree changed.
 func (t *Tree) Replace(vb int, docID string, secs [][]any, val any) bool {
+	keys := make([][]byte, len(secs))
+	for i, sec := range secs {
+		keys[i] = TreeKey(sec, docID)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	docs := t.back[vb]
@@ -96,9 +105,7 @@ func (t *Tree) Replace(vb int, docID string, secs [][]any, val any) bool {
 		docs = make(map[string][][]byte)
 		t.back[vb] = docs
 	}
-	keys := make([][]byte, len(secs))
 	for i, sec := range secs {
-		keys[i] = TreeKey(sec, docID)
 		t.tree.Set(keys[i], ScanItem{DocID: docID, SecKey: sec, Value: val})
 	}
 	docs[docID] = keys
@@ -120,50 +127,83 @@ func (t *Tree) PurgeVB(vb int) {
 	delete(t.back, vb)
 }
 
+// scanScratch holds the buffers limited scans walk into, cleared before
+// they come back. One grows to the largest page it has served, up to
+// scratchEntries (56 KiB, the executor's page size); a larger one is not
+// kept.
+var scanScratch = sync.Pool{New: func() any { return new([]ScanItem) }}
+
+const scratchEntries = 1024
+
 // Scan serves one page of a range or equality scan: the first
-// opts.Limit entries of the span after opts.After. The lock is held for
-// the page only, so a caller paging through a span sees each page as of
-// its own moment: entries never repeat or go backwards, but mutations
+// opts.Limit entries of the span after opts.After. The read lock is held
+// for the page only, so a caller paging through a span sees each page as
+// of its own moment: entries never repeat or go backwards, but mutations
 // applied between pages show up in later pages only.
+//
+// The page is sized by what the span yields, not by Limit: a query
+// without a LIMIT asks for 1024 entries and usually finds a few, or one.
+// A limited scan walks into a pooled buffer and copies out exactly what
+// it found after the unlock: one allocation however many entries, none
+// for an empty span, none under the lock once the buffer has served a
+// page as long. An unlimited scan grows its page as it walks and returns
+// it as it is.
 func (t *Tree) Scan(opts ScanOptions) []ScanItem {
 	lo, hi := scanBounds(opts)
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var items []ScanItem
+	var scratch *[]ScanItem
+	if opts.Limit > 0 {
+		scratch = scanScratch.Get().(*[]ScanItem)
+		items = (*scratch)[:0]
+	}
 	visit := func(_ []byte, v any) bool {
-		t.visited++
 		items = append(items, v.(ScanItem))
 		return opts.Limit == 0 || len(items) < opts.Limit
 	}
+	t.mu.RLock()
 	if opts.Reverse {
 		t.tree.Descend(lo, hi, visit)
 	} else {
 		t.tree.Ascend(lo, hi, visit)
 	}
-	return items
+	t.mu.RUnlock()
+	t.visited.Add(int64(len(items)))
+	if scratch == nil {
+		return items
+	}
+	var page []ScanItem
+	if len(items) > 0 {
+		page = append(make([]ScanItem, 0, len(items)), items...)
+	}
+	if cap(items) <= scratchEntries {
+		clear(items)
+		*scratch = items
+		scanScratch.Put(scratch)
+	}
+	return page
 }
 
 // Get returns a document's entry under one key.
 func (t *Tree) Get(sec []any, docID string) (ScanItem, bool) {
 	tk := TreeKey(sec, docID)
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
 	v, ok := t.tree.Get(tk)
+	t.mu.RUnlock()
 	if !ok {
 		return ScanItem{}, false
 	}
-	t.visited++
+	t.visited.Add(1)
 	return v.(ScanItem), true
 }
 
 // Count counts the span's entries without materializing them.
 func (t *Tree) Count(opts ScanOptions) int {
 	lo, hi := scanBounds(opts)
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := 0
+	t.mu.RLock()
 	t.tree.Ascend(lo, hi, func(_ []byte, _ any) bool { n++; return true })
-	t.visited += n
+	t.mu.RUnlock()
+	t.visited.Add(int64(n))
 	return n
 }
 
@@ -171,16 +211,16 @@ func (t *Tree) Count(opts ScanOptions) int {
 // tree's interior nodes, O(log n) (§4.3.3).
 func (t *Tree) Reduce(opts ScanOptions) any {
 	lo, hi := scanBounds(opts)
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	return t.tree.ReduceRange(lo, hi)
 }
 
 // EachDoc calls fn with every document's vBucket and keys, in no
-// particular order, under the lock.
+// particular order, under the read lock: fn must not write to the tree.
 func (t *Tree) EachDoc(fn func(vb int, docID string, secs [][]any)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	for vb, docs := range t.back {
 		for docID, keys := range docs {
 			secs := make([][]any, len(keys))
@@ -201,9 +241,9 @@ type TreeStats struct {
 
 // Stats returns current counters.
 func (t *Tree) Stats() TreeStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := TreeStats{Entries: t.tree.Len(), Visited: t.visited}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	st := TreeStats{Entries: t.tree.Len(), Visited: int(t.visited.Load())}
 	for _, docs := range t.back {
 		st.Docs += len(docs)
 	}

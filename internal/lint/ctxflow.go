@@ -21,9 +21,10 @@ import (
 //     channel, select without default and without a ctx.Done() case,
 //     sync Wait, socket read/write) are flagged unless the function
 //     consumes the ctx: calls Done/Err/Deadline on it, or hands it to
-//     a callee that can act on it — anything outside the module, an
-//     interface method, a function value, or an in-module function
-//     that itself blocks or (transitively) consumes.
+//     a callee that can act on it — anything whose body was not
+//     loaded (outside the module, or outside the load pattern), an
+//     interface method, a function value, or a loaded function that
+//     itself blocks or (transitively) consumes.
 //   - Calling an in-module function that may block *without* passing
 //     the ctx is flagged (again, only when the caller never consumes
 //     the ctx) — the inter-procedural case: the blocking happens two
@@ -133,16 +134,18 @@ func runCtxFlow(pkgs []*Package) []Diagnostic {
 	}
 
 	// Consumption credit: direct Done/Err/Deadline, a pass to anything
-	// whose body we cannot see, or a pass to an in-module callee that
-	// blocks or transitively uses the ctx.
+	// whose body we cannot see (absent from byID: outside the module, or
+	// in a package the load pattern left out, so the verdict on a
+	// function does not depend on what was loaded beside it), or a pass
+	// to a loaded callee that blocks or transitively uses the ctx.
 	for _, info := range funcs {
 		info.usesCtx = info.consumesOp
 		for _, p := range info.passes {
-			if p.callee == nil || p.iface || !moduleFunc(p.callee) {
+			if p.callee == nil || p.iface {
 				info.usesCtx = true
 				break
 			}
-			if callee := byID[funcFullID(p.callee)]; callee != nil && callee.mayBlockAny {
+			if callee := byID[funcFullID(p.callee)]; callee == nil || callee.mayBlockAny {
 				info.usesCtx = true
 				break
 			}

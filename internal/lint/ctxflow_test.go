@@ -1,6 +1,11 @@
 package lint
 
-import "testing"
+import (
+	"go/ast"
+	"go/parser"
+	"go/types"
+	"testing"
+)
 
 // TestCtxFlow exercises the context-consumption rule: sleeps in ctx
 // functions, unconsumed blocking ops, the inter-procedural
@@ -150,5 +155,86 @@ func slow(ctx context.Context) {
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) { checkFixture(t, CtxFlow, fx) })
+	}
+}
+
+// fixtureImporter serves the fixture packages checked so far and leaves
+// everything else to the shared source importer.
+type fixtureImporter map[string]*types.Package
+
+func (m fixtureImporter) Import(path string) (*types.Package, error) {
+	if p := m[path]; p != nil {
+		return p, nil
+	}
+	return testImporter.Import(path)
+}
+
+// TestCtxFlowUnloadedCallee is the gsi.Service.Scan shape: ctx goes to
+// an in-module function of another package (feed.Wait there), then the
+// caller blocks on a WaitGroup. The callee blocks on the ctx, so the
+// caller is clean when both packages are loaded, and the verdict must
+// be the same when the load pattern names the caller's package only
+// (`couchvet ./internal/gsi/...`): a body that was not loaded is a body
+// the rule cannot see, whichever module it belongs to.
+func TestCtxFlowUnloadedCallee(t *testing.T) {
+	checked := fixtureImporter{}
+	check := func(path, src string) *Package {
+		t.Helper()
+		file, err := parser.ParseFile(testFset, path+"/fixture.go", src, parser.ParseComments)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		info := NewInfo()
+		tpkg, err := (&types.Config{Importer: checked}).Check(path, testFset, []*ast.File{file}, info)
+		if err != nil {
+			t.Fatalf("typecheck %s: %v", path, err)
+		}
+		checked[path] = tpkg
+		return &Package{Path: path, Fset: testFset, Files: []*ast.File{file}, Types: tpkg, Info: info}
+	}
+	callee := check(ModulePath+"/internal/fixturefeed", `
+package fixturefeed
+
+import "context"
+
+func Wait(ctx context.Context, applied chan struct{}) error {
+	select {
+	case <-applied:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+`)
+	caller := check(ModulePath+"/internal/fixturegsi", `
+package fixturegsi
+
+import (
+	"context"
+	"sync"
+
+	"`+ModulePath+`/internal/fixturefeed"
+)
+
+func Scan(ctx context.Context, applied chan struct{}, parts int) error {
+	if err := fixturefeed.Wait(ctx, applied); err != nil {
+		return err
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < parts; i++ {
+		wg.Add(1)
+		go wg.Done()
+	}
+	wg.Wait()
+	return nil
+}
+`)
+	for name, pkgs := range map[string][]*Package{
+		"caller's package alone": {caller},
+		"both packages":          {caller, callee},
+	} {
+		for _, d := range Run(pkgs, []*Analyzer{CtxFlow}) {
+			t.Errorf("%s loaded: unexpected finding %s: %s", name, d.Pos, d.Message)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package value
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -90,6 +92,49 @@ func FuzzPathParse(f *testing.F) {
 		}
 		if p2.Len() != p.Len() {
 			t.Fatalf("round-trip changed step count: %d -> %d (%q -> %q)", p.Len(), p2.Len(), s, s2)
+		}
+	})
+}
+
+// FuzzParseValid holds Parse and Valid to one verdict on every input (a
+// primary index validates where a secondary index parses, and the two
+// must hold the same documents), and Parse to the decoder it replaced:
+// json.Decoder plus More, which is kept here as the reference. The two
+// may differ only where the reference was wrong: it took a value
+// followed by a stray ] or } for the value alone.
+func FuzzParseValid(f *testing.F) {
+	for _, s := range []string{
+		`{"a":1}`, `{"a":1}]`, `1 ]`, `{"a":1}}`, "{\"a\":1} \n", `[1] [2]`, `1 2`, ``, ` `,
+		`1e999`, `{"n":[-1e400]}`, `1e-999`, `"1e999"`, `"\\"`, `"\"1e999"`, `"\ud800"`, "\xff",
+		`-`, `1.`, `[1,]`, `{"a":{"b":[true,false,null,"x\u00e9"]}}`, `12345678901234567890e300`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := append([]byte(nil), data...)
+		v, ok := Parse(data)
+		if valid := Valid(data); valid != ok {
+			t.Fatalf("Parse ok=%v but Valid=%v for %q", ok, valid, data)
+		}
+		if !bytes.Equal(data, in) {
+			t.Fatalf("input %q changed to %q", in, data)
+		}
+		if b, isBinary := v.(Binary); !ok && (!isBinary || !bytes.Equal(b, data)) {
+			t.Fatalf("rejected %q came back as %#v, not as its bytes", data, v)
+		}
+		var ref any
+		dec := json.NewDecoder(bytes.NewReader(data))
+		refOK := dec.Decode(&ref) == nil && !dec.More()
+		switch {
+		case ok && refOK:
+			if !reflect.DeepEqual(v, ref) {
+				t.Fatalf("%q parses to %#v, the reference decoder to %#v", data, v, ref)
+			}
+		case ok != refOK:
+			rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")
+			if ok || len(rest) == 0 || (rest[0] != ']' && rest[0] != '}') {
+				t.Fatalf("Parse ok=%v, the reference decoder ok=%v for %q: not a stray bracket", ok, refOK, data)
+			}
 		}
 	})
 }

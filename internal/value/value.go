@@ -18,12 +18,12 @@
 package value
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Kind enumerates the N1QL type lattice in collation order. The order of
@@ -140,15 +140,41 @@ func Truthy(v any) bool {
 // is returned as a Binary value (the data service accepts arbitrary
 // blobs), with ok=false so callers that require JSON can reject it.
 func Parse(data []byte) (v any, ok bool) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	if err := dec.Decode(&v); err != nil {
-		return Binary(append([]byte(nil), data...)), false
-	}
-	// Reject trailing garbage after the first JSON value.
-	if dec.More() {
+	// Unmarshal, not a Decoder: it refuses anything but white space after
+	// the value (Decoder.More reports false before a stray ] or }).
+	if err := json.Unmarshal(data, &v); err != nil {
 		return Binary(append([]byte(nil), data...)), false
 	}
 	return v, true
+}
+
+// Valid reports whether Parse would accept data, without decoding it:
+// JSON by json.Valid whose every number fits a float64 (the decoder
+// refuses 1e999). For a reader that needs the verdict and not the value.
+func Valid(data []byte) bool {
+	if !json.Valid(data) {
+		return false
+	}
+	for i := 0; i < len(data); i++ {
+		switch c := data[i]; {
+		case c == '"':
+			for i++; data[i] != '"'; i++ { // valid, so the string ends
+				if data[i] == '\\' {
+					i++
+				}
+			}
+		case c == '-' || '0' <= c && c <= '9':
+			j := i + 1
+			for j < len(data) && strings.IndexByte("+-.eE0123456789", data[j]) >= 0 {
+				j++
+			}
+			if _, err := strconv.ParseFloat(string(data[i:j]), 64); err != nil {
+				return false
+			}
+			i = j - 1
+		}
+	}
+	return true
 }
 
 // MustParse decodes JSON and panics on failure. For tests and examples.
