@@ -1,12 +1,18 @@
 # Tier-1 gate plus the repo-specific static analyzer, formatting,
 # full-tree race detection, and fuzz smoke runs.
 
-.PHONY: verify build bench-build test race vet fmtcheck couchvet fuzz-smoke bench-smoke bench-pairs cluster-test trace-demo loc
+.PHONY: verify build cross-build bench-build test race vet fmtcheck couchvet fuzz-smoke bench-smoke bench-pairs cluster-test trace-demo loc
 
 verify: fmtcheck vet build bench-build test couchvet race
 
 build:
 	go build ./...
+
+# internal/storage maps its files on linux only (mmap_linux.go,
+# mmap_other.go): the side no test here runs must at least compile.
+cross-build:
+	GOOS=darwin go build ./...
+	GOOS=windows go vet ./internal/storage
 
 # bench/ is its own module (`go build ./...` never compiles it) that
 # imports internal packages through a replace directive, so an internal
@@ -66,14 +72,17 @@ FUZZTIME ?= 10s
 # the TestXxxZeroAlloc / TestXxxAllocBudget gates run by `make test`.
 bench-smoke:
 	go test -run='^$$' -bench='BenchmarkGetResident|BenchmarkSetOverwrite|BenchmarkGetParallel' -benchmem -benchtime=1000x ./internal/cache
+	go test -run='^$$' -bench='BenchmarkPagerSweep' -benchmem -benchtime=200x ./internal/cache
 	go test -run='^$$' -bench='BenchmarkFrameAppend' -benchmem -benchtime=1000x ./internal/memcproto
 	go test -run='^$$' -bench='BenchmarkSetPublish|BenchmarkDoGet|BenchmarkDoSet|BenchmarkDoGetEvicted' -benchmem -benchtime=1000x ./internal/vbucket
 	go test -run='^$$' -bench='BenchmarkStreamHandoff' -benchmem -benchtime=100000x ./internal/dcp
 	go test -run='^$$' -bench='BenchmarkAppendBatch' -benchmem -benchtime=2000x ./internal/storage
+	go test -run='^$$' -bench='BenchmarkGetMapped' -benchmem -benchtime=200000x ./internal/storage
 	go test -run='^$$' -bench='BenchmarkWorkloadEQuery' -benchmem -benchtime=1000x -cpu 1,2 ./internal/core
 	go test -run='^$$' -bench='BenchmarkTreeScan' -benchmem -benchtime=500000x -cpu 1,2 ./internal/gsi
 	go test -run='^$$' -bench='BenchmarkRoute' -benchmem -benchtime=20000x ./internal/gsi
 	go test -run='^$$' -bench='BenchmarkSetAfterlife' -benchmem -benchtime=200000x ./internal/core
+	go test -run='^$$' -bench='BenchmarkDGMRead' -benchmem -benchtime=500000x -cpu 2 ./internal/core
 	go test -run='^$$' -bench='BenchmarkWireGet' -benchmem -benchtime=20000x ./internal/transport
 
 # Alternating parent/change pairs of couchbench workloads, the

@@ -140,7 +140,8 @@ func renderTransport(m metrics.Snapshot) string {
 
 // renderHotPath surfaces the write-path efficiency counters: group
 // commit (how many appends each fsync covered), the disk-write queue
-// backlog, and wire write coalescing (frames per socket syscall). A
+// backlog, wire write coalescing (frames per socket syscall) and, once
+// the item pager has evicted, what an eviction cost it in visits. A
 // healthy loaded node shows coalesced appends > 1 and frames/write
 // climbing with concurrency; a deep flush queue means the disk is
 // behind.
@@ -184,6 +185,12 @@ func renderHotPath(m metrics.Snapshot) string {
 	if frames != nil {
 		fmt.Fprintf(&b, "  wire coalesce  %8d writes   frames/write mean %.1f p99 %.0f max %.0f\n",
 			frames.Count, frames.Mean, frames.P99, frames.Max)
+	}
+	if evicted, _ := famSum("couchgo_cache_evictions_total"); evicted > 0 {
+		visited, _ := famSum("couchgo_cache_pager_visited_total")
+		unmapped, _ := famSum("couchgo_storage_reads_unmapped_total")
+		fmt.Fprintf(&b, "  item pager     %8.0f evictions   visits/eviction %.1f   unmapped reads %.0f\n",
+			evicted, visited/evicted, unmapped)
 	}
 	return b.String()
 }

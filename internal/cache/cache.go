@@ -38,6 +38,9 @@ var (
 	mExpirations   = metrics.Default.Counter("couchgo_cache_expirations_total")
 	mEvictionsVal  = metrics.Default.Counter("couchgo_cache_evictions_total", "mode", "value")
 	mEvictionsFull = metrics.Default.Counter("couchgo_cache_evictions_total", "mode", "full")
+	// Items the pager looked at, to be read beside the evictions: an
+	// eviction costs three visits (aged twice, then evicted) at best.
+	mPagerVisited = metrics.Default.Counter("couchgo_cache_pager_visited_total")
 )
 
 // Errors returned by hash-table operations. They mirror the memcached
@@ -90,7 +93,11 @@ type Item struct {
 	// reason in seqnos (§4.2).
 	Seqno uint64
 
-	Flags  uint32
+	Flags uint32
+	// slot is the item's index + 1 in its stripe's resident slice while
+	// it is in it. Only residency writes it. It sits in the padding
+	// after Flags, among the fields a Set reads of the item it replaces.
+	slot   int32
 	Expiry int64 // unix seconds; 0 = no expiry
 	// Deleted marks a tombstone: metadata retained so replicas and
 	// indexes can observe the deletion; value gone.
@@ -120,6 +127,7 @@ func (it *Item) memSize() int64 {
 // read-only by convention: callers must not mutate returned bytes).
 func (it *Item) snapshot() Item {
 	cp := *it
+	cp.slot = 0
 	return cp
 }
 
@@ -136,13 +144,51 @@ type Fetched struct {
 
 // resident reports whether it's value is in memory, first restoring it
 // from f. Runs under the stripe lock, on a live (not deleted) item.
-func (h *HashTable) resident(it *Item, f Fetched) bool {
+func (h *HashTable) resident(st *stripe, it *Item, f Fetched) bool {
 	if !it.Resident && f.Seqno == it.Seqno && f.Seqno != 0 {
+		h.residency(st, it, nil)
 		it.Value, it.Resident = f.Value, true
+		h.residency(st, nil, it)
 		h.memUsed.Add(int64(len(f.Value)))
-		h.nonResident.Add(-1)
 	}
 	return it.Resident
+}
+
+// residency is the one place the non-resident count and a stripe's
+// resident slice change, so they cannot disagree: out (nil, or an item
+// about to leave st or to change) gives up its place and in (nil, or an
+// item that has just entered st or changed) takes its own. A resident
+// item that replaces a resident one takes over its slot. Tombstones
+// have no place. Runs under the stripe lock.
+func (h *HashTable) residency(st *stripe, out, in *Item) {
+	outLive, inLive := out != nil && !out.Deleted, in != nil && !in.Deleted
+	if in != nil {
+		in.slot = 0 // a copied item carries no membership
+	}
+	if outLive && inLive && out.Resident && in.Resident {
+		in.slot = out.slot
+		st.resident[in.slot-1] = in
+		return
+	}
+	if outLive {
+		if out.Resident {
+			last := len(st.resident) - 1
+			moved := st.resident[last]
+			st.resident[out.slot-1], moved.slot = moved, out.slot
+			st.resident[last] = nil
+			st.resident = st.resident[:last]
+		} else {
+			h.nonResident.Add(-1)
+		}
+	}
+	if inLive {
+		if in.Resident {
+			st.resident = append(st.resident, in)
+			in.slot = int32(len(st.resident))
+		} else {
+			h.nonResident.Add(1)
+		}
+	}
 }
 
 // numStripes is the sub-table fan-out per vBucket. Must be a power of
@@ -155,7 +201,12 @@ const numStripes = 16
 type stripe struct {
 	mu    sync.Mutex
 	items map[string]*Item
-	_     [40]byte
+	// resident holds the live items whose value is in memory, each once
+	// (Item.slot), in no order: what a value-mode pager sweep walks, from
+	// hand.
+	resident []*Item
+	hand     int
+	_        [16]byte
 }
 
 // HashTable is the per-vBucket document table. All operations take the
@@ -200,6 +251,10 @@ type HashTable struct {
 	// span); internally triggered mutations such as lazy expiry pass
 	// context.Background().
 	onMutate func(ctx context.Context, it Item)
+
+	// hand is the stripe the next pager sweep starts at. Last, so the
+	// fields every Set touches stay on the cache line they shared.
+	hand atomic.Uint32
 }
 
 // NewHashTable creates an empty table.
@@ -287,7 +342,7 @@ func (h *HashTable) GetWith(key string, now int64, f Fetched) (Item, error) {
 		return Item{}, ErrKeyNotFound
 	}
 	it.nru = 0
-	if !h.resident(it, f) {
+	if !h.resident(st, it, f) {
 		st.mu.Unlock()
 		return Item{}, ErrValueEvicted
 	}
@@ -462,12 +517,10 @@ func (h *HashTable) installStriped(st *stripe, key string, old, nit *Item) {
 			h.tombCount.Add(-1)
 		} else {
 			h.itemCount.Add(-1)
-			if !old.Resident {
-				h.nonResident.Add(-1)
-			}
 		}
 	}
 	st.items[key] = nit
+	h.residency(st, old, nit)
 	h.memUsed.Add(nit.memSize())
 	if nit.Expiry != 0 {
 		h.expiring.Add(1)
@@ -476,9 +529,6 @@ func (h *HashTable) installStriped(st *stripe, key string, old, nit *Item) {
 		h.tombCount.Add(1)
 	} else {
 		h.itemCount.Add(1)
-		if !nit.Resident {
-			h.nonResident.Add(1)
-		}
 	}
 }
 
@@ -501,7 +551,7 @@ func (h *HashTable) concat(ctx context.Context, key string, data []byte, casChec
 	if !exists || it.Deleted || it.expired(now) {
 		return Item{}, ErrKeyNotFound
 	}
-	if !h.resident(it, f) {
+	if !h.resident(st, it, f) {
 		return Item{}, ErrValueEvicted
 	}
 	var nv []byte
@@ -525,7 +575,7 @@ func (h *HashTable) Touch(ctx context.Context, key string, expiry int64, now int
 	if !ok || it.Deleted || it.expired(now) {
 		return Item{}, ErrKeyNotFound
 	}
-	if !h.resident(it, f) {
+	if !h.resident(st, it, f) {
 		return Item{}, ErrValueEvicted
 	}
 	return h.storeStriped(ctx, st, key, it.Value, it.Flags, expiry, 0, now, storeSet)
@@ -546,7 +596,7 @@ func (h *HashTable) GetAndLock(key string, lockSeconds int64, now int64, f Fetch
 	if it.locked(now) {
 		return Item{}, ErrLocked
 	}
-	if !h.resident(it, f) {
+	if !h.resident(st, it, f) {
 		return Item{}, ErrValueEvicted
 	}
 	it.lockedUntil = now + lockSeconds
@@ -651,6 +701,7 @@ func (h *HashTable) Restore(it Item) {
 	cp := it
 	h.SetHighSeqno(cp.Seqno)
 	st.items[it.Key] = &cp
+	h.residency(st, nil, &cp)
 	h.memUsed.Add(cp.memSize())
 	if cp.Expiry != 0 {
 		h.expiring.Add(1)
@@ -674,20 +725,7 @@ func (h *HashTable) EvictItem(key string, persistedSeqno uint64, now int64) bool
 	if !ok || it.locked(now) || it.Seqno > persistedSeqno {
 		return false
 	}
-	delete(st.items, key)
-	h.memUsed.Add(-it.memSize())
-	if it.Expiry != 0 {
-		h.expiring.Add(-1)
-	}
-	if it.Deleted {
-		h.tombCount.Add(-1)
-	} else {
-		h.itemCount.Add(-1)
-		if !it.Resident {
-			h.nonResident.Add(-1)
-		}
-	}
-	mEvictionsFull.Inc()
+	h.evictStriped(st, it, true)
 	return true
 }
 
@@ -701,13 +739,33 @@ func (h *HashTable) EvictValue(key string) int64 {
 	if !ok || it.Deleted || !it.Resident {
 		return 0
 	}
-	before := it.memSize()
-	it.Value = nil
-	it.Resident = false
-	freed := before - it.memSize()
+	return h.evictStriped(st, it, false)
+}
+
+// evictStriped evicts it where it stands, the whole item (full) or its
+// value, and returns the bytes that frees. The caller has checked that
+// it may go. Runs under the stripe lock.
+func (h *HashTable) evictStriped(st *stripe, it *Item, full bool) int64 {
+	freed := it.memSize()
+	h.residency(st, it, nil)
+	if full {
+		delete(st.items, it.Key)
+		if it.Expiry != 0 {
+			h.expiring.Add(-1)
+		}
+		if it.Deleted {
+			h.tombCount.Add(-1)
+		} else {
+			h.itemCount.Add(-1)
+		}
+		mEvictionsFull.Inc()
+	} else {
+		it.Value, it.Resident = nil, false
+		freed -= it.memSize()
+		h.residency(st, nil, it)
+		mEvictionsVal.Inc()
+	}
 	h.memUsed.Add(-freed)
-	h.nonResident.Add(1)
-	mEvictionsVal.Inc()
 	return freed
 }
 
@@ -766,35 +824,61 @@ func (h *HashTable) ForEachAll(fn func(Item) bool) {
 	}
 }
 
-// pagerPass advances NRU clocks and returns keys that are eviction
-// candidates (not locked, highest NRU). persistedSeqno guards against
-// evicting dirty state. In value-eviction mode only live resident
-// documents qualify; in full mode any clean item (including
-// already-value-evicted ones and tombstones) may be removed entirely.
-// The pass is stripe-incremental so it never stalls the whole table —
-// the pager is a background janitor, not a consistency point.
-func (h *HashTable) pagerPass(now int64, persistedSeqno uint64, full bool) []string {
-	var victims []string
-	for i := range h.stripes {
-		st := &h.stripes[i]
+// sweep is one turn of the pager's clock over the table, ended early
+// once need bytes are freed. An item that is unlocked and clean (seqno
+// at or below persistedSeqno: dirty state must stay) is aged, or
+// evicted in place when its NRU clock has run out. In value mode only
+// the stripes' resident items are visited, each stripe's from where the
+// last sweep left it; in full mode any item (value-evicted ones and
+// tombstones included) may go, and the map's own random order is the
+// hand. It takes one stripe lock at a time, so it never stalls the
+// whole table: the pager is a background janitor, not a consistency
+// point. It returns how many it evicted.
+func (h *HashTable) sweep(now int64, persistedSeqno uint64, full bool, need int64) (evicted int) {
+	visited := 0
+	// visit reports whether it evicted it.
+	visit := func(st *stripe, it *Item) bool {
+		visited++
+		if it.locked(now) || it.Seqno > persistedSeqno {
+			return false
+		}
+		if it.nru < 2 {
+			it.nru++
+			return false
+		}
+		need -= h.evictStriped(st, it, full)
+		evicted++
+		return true
+	}
+	for n := 0; n < numStripes && need > 0; n++ {
+		st := &h.stripes[h.hand.Load()%numStripes]
 		st.mu.Lock()
-		for _, it := range st.items {
-			if !full && (it.Deleted || !it.Resident) {
-				continue
+		if full {
+			for _, it := range st.items {
+				if need <= 0 {
+					break
+				}
+				visit(st, it)
 			}
-			if it.locked(now) {
-				continue
+		} else {
+			i := st.hand
+			for i < len(st.resident) && need > 0 {
+				// An eviction moves the stripe's last item, not yet
+				// visited, into slot i.
+				if !visit(st, st.resident[i]) {
+					i++
+				}
 			}
-			if it.Seqno > persistedSeqno {
-				continue // dirty: not yet on disk, must stay
+			if i >= len(st.resident) {
+				i = 0
 			}
-			if it.nru >= 2 {
-				victims = append(victims, it.Key)
-			} else {
-				it.nru++
-			}
+			st.hand = i
 		}
 		st.mu.Unlock()
+		if need > 0 { // the stripe was walked to its end
+			h.hand.Add(1)
+		}
 	}
-	return victims
+	mPagerVisited.Add(uint64(visited))
+	return evicted
 }

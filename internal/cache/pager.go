@@ -88,28 +88,21 @@ func (p *Pager) run(tables []*HashTable, persistedSeqno []uint64, now int64) int
 	evicted := 0
 	low := p.Quota.low()
 	for pass := 0; pass < 4; pass++ {
-		if MemUsed(tables) <= low {
-			break
-		}
 		progress := false
 		for i, t := range tables {
+			// What is still to free is summed once per table; the sweep
+			// counts it down by what it frees.
+			need := MemUsed(tables) - low
+			if need <= 0 {
+				return evicted
+			}
 			var ps uint64
 			if i < len(persistedSeqno) {
 				ps = persistedSeqno[i]
 			}
-			for _, key := range t.pagerPass(now, ps, p.FullEviction) {
-				if p.FullEviction {
-					if t.EvictItem(key, ps, now) {
-						evicted++
-						progress = true
-					}
-				} else if t.EvictValue(key) > 0 {
-					evicted++
-					progress = true
-				}
-				if MemUsed(tables) <= low {
-					return evicted
-				}
+			if n := t.sweep(now, ps, p.FullEviction, need); n > 0 {
+				evicted += n
+				progress = true
 			}
 		}
 		if !progress && pass >= 2 {

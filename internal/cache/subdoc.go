@@ -34,7 +34,7 @@ func (h *HashTable) SubdocGet(key, path string, now int64, f Fetched) (any, erro
 	if !exists || it.Deleted || it.expired(now) {
 		return nil, ErrKeyNotFound
 	}
-	if !h.resident(it, f) {
+	if !h.resident(st, it, f) {
 		return nil, ErrValueEvicted
 	}
 	doc, isJSON := value.Parse(it.Value)
@@ -61,7 +61,7 @@ func (h *HashTable) subdocMutate(ctx context.Context, key string, casCheck uint6
 	if !exists || it.Deleted || it.expired(now) {
 		return Item{}, ErrKeyNotFound
 	}
-	if !h.resident(it, f) {
+	if !h.resident(st, it, f) {
 		return Item{}, ErrValueEvicted
 	}
 	doc, isJSON := value.Parse(it.Value)

@@ -44,6 +44,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -179,6 +180,13 @@ func loadDir(fset *token.FileSet, imp types.Importer, root, dir string) (*Packag
 	var files []*ast.File
 	for _, e := range ents {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		// A file built for another GOOS (internal/storage's mapping)
+		// declares what this host's file declares.
+		if match, err := build.Default.MatchFile(dir, e.Name()); err != nil {
+			return nil, err
+		} else if !match {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)

@@ -23,6 +23,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"sync"
@@ -60,6 +61,11 @@ var (
 	// problem long before it is a correctness one.
 	mCloseErrors  = metrics.Default.Counter("couchgo_storage_side_errors_total", "op", "close")
 	mRemoveErrors = metrics.Default.Counter("couchgo_storage_side_errors_total", "op", "remove")
+	mUnmapErrors  = metrics.Default.Counter("couchgo_storage_side_errors_total", "op", "unmap")
+
+	// Record reads that went through ReadAt because the file has no
+	// mapping (DESIGN.md §3 "The mapping"): 0 wherever mmap works.
+	mReadsUnmapped = metrics.Default.Counter("couchgo_storage_reads_unmapped_total")
 )
 
 // closeCounted closes f, counting (rather than silently dropping) an
@@ -204,9 +210,17 @@ type VBFile struct {
 	path string
 	sync bool
 
-	// encBuf is Append's encode buffer, reused batch after batch. mu
-	// guards it: Append holds mu from the encode through the write.
+	// encBuf is Append's encode buffer, reused batch after batch, and
+	// the buffer an unmapped read fills. mu guards it: Append holds mu
+	// from the encode through the write, a read until it has copied out.
 	encBuf []byte
+
+	// mapped is a read-only shared mapping of f from offset 0, made by
+	// the first read and again when a record ends beyond it; it reaches
+	// past the end of the file, and only bytes below fileBytes are read.
+	// mu guards it. noMap is set once mapping f has failed.
+	mapped []byte
+	noMap  bool
 
 	byID      map[string]recInfo
 	fileBytes int64
@@ -425,52 +439,117 @@ func (v *VBFile) quiesceSync() {
 }
 
 // Get reads the newest version of key. Deleted keys report ErrNotFound
-// (tombstone metadata is still reachable via GetMeta).
+// (tombstone metadata is still reachable via GetNewest and GetMeta).
 func (v *VBFile) Get(key string) (Record, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.getLocked(key)
+	rec, err := v.GetNewest(key)
+	if err == nil && rec.Deleted {
+		return Record{}, ErrNotFound
+	}
+	return rec, err
 }
 
-func (v *VBFile) getLocked(key string) (Record, error) {
+// GetNewest reads the newest record of key under one hold of the lock,
+// so its metadata and value belong to one revision. A tombstone comes
+// back as its metadata with Deleted set.
+func (v *VBFile) GetNewest(key string) (Record, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if v.closed {
 		return Record{}, ErrClosed
 	}
 	info, ok := v.byID[key]
-	if !ok || info.Deleted {
+	if !ok {
 		return Record{}, ErrNotFound
+	}
+	if info.Deleted {
+		return Record{Meta: info.Meta}, nil
 	}
 	return v.readAtLocked(info)
 }
 
-// readAtLocked reads a record into one buffer of its own: the metadata
-// is the index's, the value the buffer's CRC-checked middle, not a copy.
+// readAtLocked reads a record: the metadata is the index's, the value a
+// copy, because the bytes it is checked on are the file's (the mapping
+// does not outlive a compaction, encBuf the next Append).
 func (v *VBFile) readAtLocked(info recInfo) (Record, error) {
-	buf, err := v.readRawLocked(nil, info)
-	if err != nil {
-		return Record{}, err
-	}
 	rec := Record{Meta: info.Meta}
-	if val := buf[headerSize+len(info.Key) : len(buf)-4]; len(val) > 0 {
-		rec.Value = val
-	}
-	return rec, nil
+	err := v.readRawLocked(info, func(raw []byte) error {
+		if val := raw[headerSize+len(info.Key) : len(raw)-4]; len(val) > 0 {
+			rec.Value = append([]byte(nil), val...)
+		}
+		return nil
+	})
+	return rec, err
 }
 
-// readRawLocked reads the encoded record info indexes into buf, grown if
-// it is too small, and checks it is whole.
-func (v *VBFile) readRawLocked(buf []byte, info recInfo) ([]byte, error) {
-	if int64(cap(buf)) < info.size {
-		buf = make([]byte, info.size)
+// mapLocked reports whether the mapping covers the file up to end,
+// mapping it again when it does not: twice the file's size rounded up to
+// a power of two (at least 1 MiB), so that a growing file is remapped a
+// logarithmic number of times.
+func (v *VBFile) mapLocked(end int64) bool {
+	if int64(len(v.mapped)) >= end {
+		return true
 	}
-	buf = buf[:info.size]
-	if _, err := v.f.ReadAt(buf, info.offset); err != nil {
-		return nil, fmt.Errorf("storage: read %s@%d: %w", info.Key, info.offset, err)
+	if v.noMap {
+		return false
 	}
-	if keyLen, total, ok := checkRecord(buf); !ok || total != len(buf) || keyLen != len(info.Key) {
-		return nil, fmt.Errorf("storage: corrupt record for %s at offset %d", info.Key, info.offset)
+	v.unmapLocked()
+	window := int64(1 << 20)
+	for window < 2*v.fileBytes {
+		window <<= 1
 	}
-	return buf, nil
+	m, err := mapFile(v.f, window)
+	v.mapped, v.noMap = m, err != nil
+	return err == nil
+}
+
+func (v *VBFile) unmapLocked() {
+	if v.mapped != nil && unmapFile(v.mapped) != nil {
+		mUnmapErrors.Inc()
+	}
+	v.mapped = nil
+}
+
+// readRawLocked is the one read primitive: it hands use the encoded
+// record info indexes, checked whole, as a view of the mapping or, when
+// the file has none, of encBuf filled by ReadAt. The bytes are use's
+// until it returns. A fault on the mapping (the file cut short behind
+// our back, an I/O error under a page) comes back as the error a bad
+// CRC gives.
+func (v *VBFile) readRawLocked(info recInfo, use func(raw []byte) error) (err error) {
+	var raw []byte
+	if end := info.offset + info.size; v.mapLocked(end) {
+		raw = v.mapped[info.offset:end:end]
+		defer func(old bool) {
+			debug.SetPanicOnFault(old)
+			if r := recover(); r != nil {
+				if _, fault := r.(interface{ Addr() uintptr }); !fault {
+					panic(r)
+				}
+				err = corruptError(info)
+			}
+		}(debug.SetPanicOnFault(true))
+	} else {
+		mReadsUnmapped.Inc()
+		raw = v.encBuf[:0]
+		if int64(cap(raw)) < info.size {
+			raw = make([]byte, info.size)
+		}
+		raw = raw[:info.size]
+		if cap(raw) <= maxEncBufBytes {
+			v.encBuf = raw
+		}
+		if _, err := v.f.ReadAt(raw, info.offset); err != nil {
+			return fmt.Errorf("storage: read %s@%d: %w", info.Key, info.offset, err)
+		}
+	}
+	if keyLen, total, ok := checkRecord(raw); !ok || total != len(raw) || keyLen != len(info.Key) {
+		return corruptError(info)
+	}
+	return use(raw)
+}
+
+func corruptError(info recInfo) error {
+	return fmt.Errorf("storage: corrupt record for %s at offset %d", info.Key, info.offset)
 }
 
 // GetMeta returns the newest metadata for key, including tombstones.
@@ -623,13 +702,13 @@ func (v *VBFile) compactSwap() (int64, error) {
 	// it is, CRC checked, through one buffered writer (256 KiB a write).
 	newIndex := make(map[string]recInfo, len(infos))
 	w := bufio.NewWriterSize(tmp, 256<<10)
-	var buf []byte
+	copyRaw := func(raw []byte) error {
+		_, err := w.Write(raw)
+		return err
+	}
 	var off int64
 	for _, info := range infos {
-		if buf, err = v.readRawLocked(buf, info); err == nil {
-			_, err = w.Write(buf)
-		}
-		if err != nil {
+		if err := v.readRawLocked(info, copyRaw); err != nil {
 			closeCounted(tmp)
 			return 0, err
 		}
@@ -662,6 +741,7 @@ func (v *VBFile) compactSwap() (int64, error) {
 	// handle cannot be propagated meaningfully, only counted.
 	closeCounted(v.f)
 	v.f = nf
+	v.unmapLocked() // it shows the file that was replaced
 	mCompactions.Inc()
 	reclaimed := v.fileBytes - off
 	if reclaimed > 0 {
@@ -688,6 +768,7 @@ func (v *VBFile) Close() error {
 	var err error
 	if !v.closed {
 		v.closed = true
+		v.unmapLocked()
 		err = v.f.Close()
 	}
 	v.mu.Unlock()

@@ -229,20 +229,16 @@ func (vb *VBucket) restoreItem(key string) (bool, error) {
 	if _, err := vb.Table.GetMeta(key); err != cache.ErrKeyNotFound {
 		return false, nil
 	}
-	meta, err := vb.file.GetMeta(key)
+	rec, err := vb.file.GetNewest(key)
 	if errors.Is(err, storage.ErrNotFound) {
 		return false, nil
-	}
-	var rec storage.Record
-	if err == nil && !meta.Deleted {
-		rec, err = vb.file.Get(key)
 	}
 	if err != nil {
 		return false, fmt.Errorf("vbucket: bgfetch %s: %w", key, err)
 	}
 	vb.Table.Restore(cache.Item{
-		Key: key, Value: rec.Value, CAS: meta.CAS, RevSeqno: meta.RevSeqno, Seqno: meta.Seqno,
-		Flags: meta.Flags, Expiry: meta.Expiry, Deleted: meta.Deleted,
+		Key: key, Value: rec.Value, CAS: rec.CAS, RevSeqno: rec.RevSeqno, Seqno: rec.Seqno,
+		Flags: rec.Flags, Expiry: rec.Expiry, Deleted: rec.Deleted,
 	})
 	mBgFetches.Inc()
 	return true, nil

@@ -2,6 +2,7 @@ package vbucket
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"couchgo/internal/cache"
 	"couchgo/internal/memcproto"
 	"couchgo/internal/metrics"
+	"couchgo/internal/storage"
 	"couchgo/internal/trace"
 )
 
@@ -113,6 +115,62 @@ func TestEvictRaceNeverSurfaces(t *testing.T) {
 	if n, ev := mBgFetches.Value()-before, evictions.Load(); ev == 0 || n+1 < ev {
 		t.Errorf("%d evictions but only %d bgfetches counted", ev, n)
 	}
+}
+
+// TestRestoreSeesOneRevision: under FullEviction a key is restored
+// while a writer keeps replacing its record on disk (a tombstone now and
+// then). What Restore is handed must be one revision: the CAS, seqno
+// and value of the same record, not the metadata of one and the value
+// of a later one.
+func TestRestoreSeesOneRevision(t *testing.T) {
+	vb, f := newVB(t, Active, Config{FullEviction: true})
+	const key = "k"
+	write := func(seqno uint64) error {
+		rec := storage.Record{Meta: storage.Meta{Key: key, Seqno: seqno, CAS: seqno * 7, RevSeqno: seqno, Deleted: seqno%5 == 0}}
+		if !rec.Deleted {
+			rec.Value = []byte(strconv.FormatUint(seqno, 10))
+		}
+		return f.Append([]storage.Record{rec})
+	}
+	if err := write(1); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for seqno := uint64(2); ; seqno++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := write(seqno); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 5000 && !t.Failed(); i++ {
+		if restored, err := vb.restoreItem(key); err != nil || !restored {
+			t.Errorf("restoration %d: %v, %v", i, restored, err)
+			break
+		}
+		it, err := vb.Table.GetMeta(key)
+		want := strconv.FormatUint(it.Seqno, 10)
+		if it.Deleted {
+			want = ""
+		}
+		if err != nil || it.CAS != it.Seqno*7 || it.Deleted != (it.Seqno%5 == 0) || string(it.Value) != want {
+			t.Errorf("restoration %d: seqno %d cas %d deleted %v value %q, %v: not one revision", i, it.Seqno, it.CAS, it.Deleted, it.Value, err)
+		}
+		if !vb.Table.EvictItem(key, it.Seqno, 0) {
+			t.Errorf("restoration %d: could not evict the item again", i)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestDoThroughEvictedLock: GetAndLock on an evicted value hands back
