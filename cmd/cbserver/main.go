@@ -48,7 +48,9 @@
 //
 // Profiling (off unless -debug-addr is set): -debug-addr :6060 serves
 // net/http/pprof and expvar on a separate listener that should stay
-// private to operators.
+// private to operators, and turns the mutex profile on (1 contention
+// event in 100), so /debug/pprof/mutex says which lock goroutines
+// waited on.
 package main
 
 import (
@@ -60,6 +62,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"runtime/debug"
 	"time"
 
@@ -84,7 +87,7 @@ func main() {
 		slowLog      = flag.Int("slow-query-log-size", 64, "slow-query ring buffer capacity")
 		traceRate    = flag.Int("trace-rate", 0, "sample 1 in N requests for end-to-end tracing (0 disables)")
 		traceSlow    = flag.Duration("trace-threshold", trace.DefaultSlowThreshold, "latency above which a sampled trace is always retained")
-		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (empty disables)")
+		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof (with the mutex profile sampled) and expvar on this address (empty disables)")
 		healthEvery  = flag.Duration("health-interval", time.Second, "watchdog evaluation interval for /health")
 		autoFailover = flag.Bool("auto-failover", false, "fail over a node the watchdog holds critical (sustained down with mapped partitions); a networked seed always fails over a silent member")
 
@@ -206,6 +209,7 @@ func main() {
 // separately. Registration is explicit (the pprof/expvar import side
 // effects target http.DefaultServeMux, which we never serve).
 func serveDebug(addr string) {
+	runtime.SetMutexProfileFraction(100)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -39,8 +39,10 @@ func TestGetMissZeroAlloc(t *testing.T) {
 }
 
 // TestSetAllocBudget bounds the cache write path (no observer wired):
-// one Item box plus map residency. The budget is a tripwire for
-// accidental per-op garbage, not an exact count.
+// a key's first install allocates its Item (and may grow the stripe's
+// map and resident slice), an overwrite nothing. The 1 000 measured
+// Sets over 64 keys are overwrites but for the first 64, so the
+// average has room for those and for nothing per op.
 func TestSetAllocBudget(t *testing.T) {
 	h := NewHashTable()
 	value := make([]byte, 1024)
@@ -55,7 +57,7 @@ func TestSetAllocBudget(t *testing.T) {
 		}
 		i++
 	})
-	const budget = 4
+	const budget = 1
 	if n > budget {
 		t.Errorf("cache Set allocates %.1f times per op, budget %d", n, budget)
 	}

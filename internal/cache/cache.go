@@ -77,7 +77,11 @@ func BumpCAS(seen uint64) {
 }
 
 // Item is one document's entry in the hash table: identity, metadata,
-// and the (possibly evicted) value.
+// and the (possibly evicted) value. The table keeps one Item per key,
+// at one address for as long as the key is in it: a mutation overwrites
+// it where it stands (installStriped), and what leaves the table is a
+// copy made under the stripe lock (snapshot), which no later revision
+// can reach.
 type Item struct {
 	Key   string
 	Value []byte // nil when !Resident or Deleted
@@ -146,48 +150,61 @@ type Fetched struct {
 // from f. Runs under the stripe lock, on a live (not deleted) item.
 func (h *HashTable) resident(st *stripe, it *Item, f Fetched) bool {
 	if !it.Resident && f.Seqno == it.Seqno && f.Seqno != 0 {
-		h.residency(st, it, nil)
 		it.Value, it.Resident = f.Value, true
-		h.residency(st, nil, it)
+		h.residency(st, it, counted, inSlice)
 		h.memUsed.Add(int64(len(f.Value)))
 	}
 	return it.Resident
 }
 
-// residency is the one place the non-resident count and a stripe's
-// resident slice change, so they cannot disagree: out (nil, or an item
-// about to leave st or to change) gives up its place and in (nil, or an
-// item that has just entered st or changed) takes its own. A resident
-// item that replaces a resident one takes over its slot. Tombstones
-// have no place. Runs under the stripe lock.
-func (h *HashTable) residency(st *stripe, out, in *Item) {
-	outLive, inLive := out != nil && !out.Deleted, in != nil && !in.Deleted
-	if in != nil {
-		in.slot = 0 // a copied item carries no membership
+// place is where residency keeps an item: a live item with its value in
+// memory is in its stripe's resident slice, a live one without is
+// counted non-resident, a tombstone or a key not in the table is
+// nowhere.
+type place uint8
+
+const (
+	nowhere place = iota
+	inSlice
+	counted
+)
+
+func (it *Item) place() place {
+	switch {
+	case it.Deleted:
+		return nowhere
+	case it.Resident:
+		return inSlice
 	}
-	if outLive && inLive && out.Resident && in.Resident {
-		in.slot = out.slot
-		st.resident[in.slot-1] = in
+	return counted
+}
+
+// residency is the one place the non-resident count and a stripe's
+// resident slice change, so they cannot disagree: it moves from the
+// place it had (its caller read that before changing it) to the place
+// it has now, or to nowhere when it leaves st. An item that stays
+// resident keeps its slot. Runs under the stripe lock.
+func (h *HashTable) residency(st *stripe, it *Item, from, to place) {
+	if from == to {
 		return
 	}
-	if outLive {
-		if out.Resident {
-			last := len(st.resident) - 1
-			moved := st.resident[last]
-			st.resident[out.slot-1], moved.slot = moved, out.slot
-			st.resident[last] = nil
-			st.resident = st.resident[:last]
-		} else {
-			h.nonResident.Add(-1)
-		}
+	switch from {
+	case inSlice:
+		last := len(st.resident) - 1
+		moved := st.resident[last]
+		st.resident[it.slot-1], moved.slot = moved, it.slot
+		st.resident[last] = nil
+		st.resident = st.resident[:last]
+		it.slot = 0
+	case counted:
+		h.nonResident.Add(-1)
 	}
-	if inLive {
-		if in.Resident {
-			st.resident = append(st.resident, in)
-			in.slot = int32(len(st.resident))
-		} else {
-			h.nonResident.Add(1)
-		}
+	switch to {
+	case inSlice:
+		st.resident = append(st.resident, it)
+		it.slot = int32(len(st.resident))
+	case counted:
+		h.nonResident.Add(1)
 	}
 }
 
@@ -435,21 +452,20 @@ func (h *HashTable) storeStriped(ctx context.Context, st *stripe, key string, va
 		}
 	}
 
-	var revSeqno uint64 = 1
-	if it != nil {
-		revSeqno = it.RevSeqno + 1
-	}
-	nit := &Item{
+	rev := Item{
 		Key:      key,
 		Value:    value,
 		CAS:      NextCAS(),
-		RevSeqno: revSeqno,
+		RevSeqno: 1,
 		Flags:    flags,
 		Expiry:   expiry,
 		Resident: true,
 	}
-	h.commitStriped(ctx, st, key, it, nit)
-	return nit.snapshot(), nil
+	if it != nil {
+		rev.RevSeqno = it.RevSeqno + 1
+	}
+	h.commitStriped(ctx, st, it, &rev)
+	return rev, nil
 }
 
 // Delete tombstones the document. casCheck semantics match Set.
@@ -477,58 +493,75 @@ func (h *HashTable) Delete(ctx context.Context, key string, casCheck uint64, now
 // deleteStriped tombstones it and notifies observers. Runs under the
 // stripe lock.
 func (h *HashTable) deleteStriped(ctx context.Context, st *stripe, it *Item) Item {
-	nit := &Item{
+	rev := Item{
 		Key:      it.Key,
 		CAS:      NextCAS(),
 		RevSeqno: it.RevSeqno + 1,
 		Deleted:  true,
 	}
-	h.commitStriped(ctx, st, it.Key, it, nit)
-	return nit.snapshot()
+	h.commitStriped(ctx, st, it, &rev)
+	return rev
 }
 
 // commitStriped is the sequencing section: holding st's lock, it
-// enters seqMu to assign nit's seqno, install it, and emit it to the
-// observer in one atomic step. Because every mutation passes through
-// here and seqno draw + emission happen under the same seqMu hold,
-// the observer's callback order is exactly seqno order.
+// enters seqMu to assign rev's seqno, install it over old (nil for a
+// key not in the table), and emit it to the observer in one atomic
+// step. Because every mutation passes through here and seqno draw +
+// emission happen under the same seqMu hold, the observer's callback
+// order is exactly seqno order. rev is the caller's own, on its stack,
+// and is the revision's snapshot when this returns.
 //
 // Lock order: stripe.mu (held by caller) → seqMu. Nothing acquires a
 // stripe lock while holding seqMu, so the order is acyclic.
-func (h *HashTable) commitStriped(ctx context.Context, st *stripe, key string, old, nit *Item) {
+func (h *HashTable) commitStriped(ctx context.Context, st *stripe, old, rev *Item) {
 	h.seqMu.Lock()
-	nit.Seqno = h.nextSeqno.Add(1)
-	h.installStriped(st, key, old, nit)
+	rev.Seqno = h.nextSeqno.Add(1)
+	h.installStriped(st, old, rev)
 	if h.onMutate != nil {
-		h.onMutate(ctx, nit.snapshot())
+		h.onMutate(ctx, *rev)
 	}
 	h.seqMu.Unlock()
 }
 
-// installStriped swaps old (may be nil) for nit under key, maintaining
-// the atomic accounting. Runs under the stripe lock.
-func (h *HashTable) installStriped(st *stripe, key string, old, nit *Item) {
-	if old != nil {
-		h.memUsed.Add(-old.memSize())
-		if old.Expiry != 0 {
-			h.expiring.Add(-1)
-		}
-		if old.Deleted {
-			h.tombCount.Add(-1)
-		} else {
-			h.itemCount.Add(-1)
-		}
+// installStriped makes rev (which carries no slot) its key's entry,
+// maintaining the accounting: over old, the entry the key has, where
+// old stands, so the key's Item never changes address and the map and
+// an unchanged resident slot are not written; in a new Item when the
+// key has none, the only allocation of a mutation. Runs under the
+// stripe lock.
+func (h *HashTable) installStriped(st *stripe, old, rev *Item) {
+	from := nowhere
+	switch {
+	case old == nil:
+		old = new(Item)
+		st.items[rev.Key] = old
+		h.count(rev, 1)
+	case old.Deleted == rev.Deleted && (old.Expiry != 0) == (rev.Expiry != 0):
+		// The common overwrite moves one counter, not four.
+		from = old.place()
+		h.memUsed.Add(rev.memSize() - old.memSize())
+	default:
+		from = old.place()
+		h.count(old, -1)
+		h.count(rev, 1)
 	}
-	st.items[key] = nit
-	h.residency(st, old, nit)
-	h.memUsed.Add(nit.memSize())
-	if nit.Expiry != 0 {
-		h.expiring.Add(1)
+	slot := old.slot
+	*old = *rev
+	old.slot = slot
+	h.residency(st, old, from, old.place())
+}
+
+// count adds (n = 1) or takes away (n = -1) what it contributes to the
+// table's counters.
+func (h *HashTable) count(it *Item, n int64) {
+	h.memUsed.Add(n * it.memSize())
+	if it.Expiry != 0 {
+		h.expiring.Add(n)
 	}
-	if nit.Deleted {
-		h.tombCount.Add(1)
+	if it.Deleted {
+		h.tombCount.Add(n)
 	} else {
-		h.itemCount.Add(1)
+		h.itemCount.Add(n)
 	}
 }
 
@@ -632,17 +665,16 @@ func (h *HashTable) ApplyMeta(ctx context.Context, it Item) {
 	st := h.stripeOf(it.Key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	old := st.items[it.Key]
 	it.Resident = !it.Deleted
-	cp := it
+	it.slot = 0 // a copied item carries no membership
 	// The applied mutation keeps its origin seqno; the emission still
 	// rides the sequencing section so observer order and clock updates
 	// stay atomic with the install.
 	h.seqMu.Lock()
-	h.SetHighSeqno(cp.Seqno)
-	h.installStriped(st, it.Key, old, &cp)
+	h.SetHighSeqno(it.Seqno)
+	h.installStriped(st, st.items[it.Key], &it)
 	if h.onMutate != nil {
-		h.onMutate(ctx, cp.snapshot())
+		h.onMutate(ctx, it)
 	}
 	h.seqMu.Unlock()
 }
@@ -670,7 +702,7 @@ func (h *HashTable) ApplyRemote(ctx context.Context, key string, value []byte, d
 			return false
 		}
 	}
-	nit := &Item{
+	rev := Item{
 		Key:      key,
 		Value:    value,
 		CAS:      cas,
@@ -680,7 +712,7 @@ func (h *HashTable) ApplyRemote(ctx context.Context, key string, value []byte, d
 		Deleted:  deleted,
 		Resident: !deleted,
 	}
-	h.commitStriped(ctx, st, key, old, nit)
+	h.commitStriped(ctx, st, old, &rev)
 	return true
 }
 
@@ -698,19 +730,9 @@ func (h *HashTable) Restore(it Item) {
 		return
 	}
 	it.Resident = !it.Deleted
-	cp := it
-	h.SetHighSeqno(cp.Seqno)
-	st.items[it.Key] = &cp
-	h.residency(st, nil, &cp)
-	h.memUsed.Add(cp.memSize())
-	if cp.Expiry != 0 {
-		h.expiring.Add(1)
-	}
-	if cp.Deleted {
-		h.tombCount.Add(1)
-	} else {
-		h.itemCount.Add(1)
-	}
+	it.slot = 0
+	h.SetHighSeqno(it.Seqno)
+	h.installStriped(st, nil, &it)
 }
 
 // EvictItem removes a clean, unlocked document entirely — key,
@@ -747,25 +769,18 @@ func (h *HashTable) EvictValue(key string) int64 {
 // it may go. Runs under the stripe lock.
 func (h *HashTable) evictStriped(st *stripe, it *Item, full bool) int64 {
 	freed := it.memSize()
-	h.residency(st, it, nil)
 	if full {
+		h.residency(st, it, it.place(), nowhere)
 		delete(st.items, it.Key)
-		if it.Expiry != 0 {
-			h.expiring.Add(-1)
-		}
-		if it.Deleted {
-			h.tombCount.Add(-1)
-		} else {
-			h.itemCount.Add(-1)
-		}
+		h.count(it, -1)
 		mEvictionsFull.Inc()
-	} else {
-		it.Value, it.Resident = nil, false
-		freed -= it.memSize()
-		h.residency(st, nil, it)
-		mEvictionsVal.Inc()
+		return freed
 	}
+	it.Value, it.Resident = nil, false
+	freed -= it.memSize()
+	h.residency(st, it, inSlice, counted)
 	h.memUsed.Add(-freed)
+	mEvictionsVal.Inc()
 	return freed
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
+	"unsafe"
 )
 
 // NumVBuckets is the fixed partition count of a Couchbase bucket. The
@@ -71,9 +72,13 @@ const AllServices = ServiceSet(ServiceData | ServiceIndex | ServiceQuery | Servi
 
 // VBucketID computes the partition for a document key. This is the
 // memcached/Couchbase scheme: CRC32 of the key, upper 16 bits, masked,
-// modulo the partition count, so any client in any language agrees.
+// modulo the partition count, so any client in any language agrees
+// (TestVBucketIDGolden pins the table). Every op of every client calls
+// it, and []byte(key) is a heap copy here (the slice escapes through
+// crc32's per-architecture dispatch), so the checksum reads the
+// string's own bytes; crc32 does not write to what it is given.
 func VBucketID(key string, numVBuckets int) int {
-	crc := crc32.ChecksumIEEE([]byte(key))
+	crc := crc32.ChecksumIEEE(unsafe.Slice(unsafe.StringData(key), len(key)))
 	return int((crc>>16)&0x7fff) % numVBuckets
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -16,6 +17,40 @@ func TestVBucketIDDeterministicAndInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestVBucketIDGolden is the table VBucketID's comment promises: the
+// partition of a key is a fact any client in any language can compute
+// (CRC-32/IEEE of the key's bytes, bits 16..30, modulo the partition
+// count). The ids were computed by the commit before VBucketID stopped
+// copying the key; a change to the hash fails here. It allocates
+// nothing, empty and 250-byte keys included.
+func TestVBucketIDGolden(t *testing.T) {
+	golden := []struct {
+		key          string
+		at64, at1024 int
+	}{
+		{"", 0, 0},
+		{"a", 55, 183},
+		{"user4316891766", 11, 395},
+		{"user000042", 30, 990},
+		{"airline_10", 41, 361},
+		{"beer-sample::21st_amendment_brewery_cafe", 39, 167},
+		{"ключ-κλειδί-键", 13, 13},
+		{strings.Repeat("k", 250), 23, 151},
+	}
+	for _, g := range golden {
+		if a, b := VBucketID(g.key, 64), VBucketID(g.key, 1024); a != g.at64 || b != g.at1024 {
+			t.Errorf("VBucketID(%q) = %d of 64, %d of 1024; want %d, %d", g.key, a, b, g.at64, g.at1024)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, g := range golden {
+			VBucketID(g.key, 1024)
+		}
+	}); n != 0 {
+		t.Errorf("VBucketID allocates %.1f times over the table, want 0", n)
 	}
 }
 

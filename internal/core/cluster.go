@@ -98,8 +98,10 @@ type Cluster struct {
 	// topo decides every bucket's map and holds the current one.
 	topo *Decider
 
-	mu      sync.Mutex
-	nodes   map[cmap.NodeID]*Node
+	mu sync.Mutex
+	// nodes is read by every op (Node) with no lock; AddNode publishes a
+	// member under mu.
+	nodes   published[cmap.NodeID, *Node]
 	buckets map[string]*bucketState
 	closed  bool
 	// rebalanceMu serializes topology changes.
@@ -142,7 +144,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:     cfg,
-		nodes:   make(map[cmap.NodeID]*Node),
 		buckets: make(map[string]*bucketState),
 		stopHB:  make(chan struct{}),
 		hbDone:  make(chan struct{}),
@@ -168,11 +169,11 @@ func (c *Cluster) AddNode(id cmap.NodeID, services cmap.ServiceSet) (*Node, erro
 	if c.closed {
 		return nil, ErrClusterClosed
 	}
-	if _, ok := c.nodes[id]; ok {
+	if _, ok := c.nodes.get(id); ok {
 		return nil, fmt.Errorf("core: node %s already exists", id)
 	}
 	n := newNode(id, services, filepath.Join(c.cfg.Dir, string(id)))
-	c.nodes[id] = n
+	c.nodes.put(id, n)
 	// Provision existing buckets on the new node (data service only),
 	// including their recorded view definitions (views are local
 	// indexes, so every data node must build them).
@@ -202,9 +203,7 @@ func defineRecordedViews(n *Node, b *bucketState) error {
 		defs = append(defs, d)
 	}
 	b.mu.Unlock()
-	n.mu.Lock()
-	nb := n.buckets[b.name]
-	n.mu.Unlock()
+	nb, _ := n.buckets.get(b.name)
 	if nb == nil {
 		return nil
 	}
@@ -220,9 +219,7 @@ func errorsIsViewExists(err error) bool { return err == views.ErrViewExists }
 
 // Node returns a cluster member.
 func (c *Cluster) Node(id cmap.NodeID) (*Node, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.nodes[id]
+	n, ok := c.nodes.get(id)
 	if !ok {
 		return nil, ErrNoSuchNode
 	}
@@ -240,10 +237,9 @@ func (c *Cluster) nodeBucket(node cmap.NodeID, bucket string) (*nodeBucket, erro
 
 // Nodes lists members in ID order.
 func (c *Cluster) Nodes() []*Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*Node, 0, len(c.nodes))
-	for _, n := range c.nodes {
+	nodes := c.nodes.all()
+	out := make([]*Node, 0, len(nodes))
+	for _, n := range nodes {
 		out = append(out, n)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
@@ -296,8 +292,8 @@ func (c *Cluster) CreateBucket(name string, opts BucketOptions) error {
 	}
 	c.buckets[name] = b
 	c.catalogEpoch.Add(1)
-	nodes := make([]*Node, 0, len(c.nodes))
-	for _, n := range c.nodes {
+	var nodes []*Node
+	for _, n := range c.nodes.all() {
 		if n.services.Has(cmap.ServiceData) && n.Alive() {
 			nodes = append(nodes, n)
 		}
@@ -347,7 +343,7 @@ func (c *Cluster) Failover(id cmap.NodeID) error {
 	if err != nil {
 		return err
 	}
-	n.setAlive(false)
+	n.alive.Store(false)
 	e := events.New(events.Topology, events.SevWarn, "node failed over")
 	e.Node = string(id)
 	events.Default.Publish(e)
@@ -362,21 +358,9 @@ func (c *Cluster) Kill(id cmap.NodeID) error {
 	if err != nil {
 		return err
 	}
-	n.setAlive(false)
-	n.mu.Lock()
-	nbs := make([]*nodeBucket, 0, len(n.buckets))
-	for _, nb := range n.buckets {
-		nbs = append(nbs, nb)
-	}
-	n.mu.Unlock()
-	for _, nb := range nbs {
-		nb.mu.Lock()
-		vbs := make([]*vbucket.VBucket, 0, len(nb.vbs))
-		for _, vb := range nb.vbs {
-			vbs = append(vbs, vb)
-		}
-		nb.mu.Unlock()
-		for _, vb := range vbs {
+	n.alive.Store(false)
+	for _, nb := range n.buckets.all() {
+		for _, vb := range nb.vbs.all() {
 			vb.Producer().Close()
 		}
 	}
@@ -591,9 +575,7 @@ func (c *Cluster) FeedStats(bucketName string) ([]feed.Stat, error) {
 		if !n.Alive() {
 			continue
 		}
-		n.mu.Lock()
-		nb := n.buckets[bucketName]
-		n.mu.Unlock()
+		nb, _ := n.buckets.get(bucketName)
 		if nb == nil {
 			continue
 		}
@@ -661,10 +643,7 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
-	nodes := make([]*Node, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		nodes = append(nodes, n)
-	}
+	nodes := c.nodes.all()
 	buckets := make([]*bucketState, 0, len(c.buckets))
 	for _, b := range c.buckets {
 		buckets = append(buckets, b)
@@ -674,11 +653,8 @@ func (c *Cluster) Close() {
 	<-c.hbDone
 	for _, n := range nodes {
 		n.mu.Lock()
-		nbs := make([]*nodeBucket, 0, len(n.buckets))
-		for _, nb := range n.buckets {
-			nbs = append(nbs, nb)
-		}
-		n.buckets = make(map[string]*nodeBucket)
+		nbs := n.buckets.all()
+		n.buckets.reset()
 		n.mu.Unlock()
 		for _, nb := range nbs {
 			nb.close()

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"couchgo/internal/cmap"
@@ -30,17 +31,19 @@ type Decider struct {
 	trans   sync.Mutex
 	publish func(bucket string, m *cmap.Map) error
 
-	mu      sync.Mutex
-	heard   map[cmap.NodeID]time.Time // when each node was last heard from
-	failed  map[cmap.NodeID]bool
-	buckets map[string]*bucketTopology
+	mu     sync.Mutex
+	heard  map[cmap.NodeID]time.Time // when each node was last heard from
+	failed map[cmap.NodeID]bool
+	// buckets is read by every op (Map) with no lock; Form publishes a
+	// bucket and install its next map, both under mu.
+	buckets published[string, *bucketTopology]
 }
 
 // bucketTopology is a bucket's current map and the shape it was
 // created with; the map's own NumReplicas is clamped to nodes-1, so a
 // one-node bootstrap map says 0 whatever the bucket asked for.
 type bucketTopology struct {
-	m                        *cmap.Map
+	m                        atomic.Pointer[cmap.Map]
 	numVBuckets, numReplicas int
 }
 
@@ -49,7 +52,6 @@ func newDecider(publish func(bucket string, m *cmap.Map) error) *Decider {
 		publish: publish,
 		heard:   make(map[cmap.NodeID]time.Time),
 		failed:  make(map[cmap.NodeID]bool),
-		buckets: make(map[string]*bucketTopology),
 	}
 }
 
@@ -89,12 +91,11 @@ func (d *Decider) Live() []cmap.NodeID {
 }
 
 // Map returns the bucket's current map, nil for an unknown bucket. It
-// is the per-response epoch read: one lock, no allocation.
+// is the per-op routing read and the per-response epoch read: two
+// loads and an index, no lock, no allocation.
 func (d *Decider) Map(bucket string) *cmap.Map {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if b := d.buckets[bucket]; b != nil {
-		return b.m
+	if b, ok := d.buckets.get(bucket); ok {
+		return b.m.Load()
 	}
 	return nil
 }
@@ -105,11 +106,14 @@ func (d *Decider) Map(bucket string) *cmap.Map {
 func (d *Decider) install(bucket string, m *cmap.Map) (prev *cmap.Map, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	b := d.buckets[bucket]
-	if b == nil || (b.m != nil && m.Rev <= b.m.Rev) {
+	b, _ := d.buckets.get(bucket)
+	if b == nil {
 		return nil, false
 	}
-	prev, b.m = b.m, m
+	if prev = b.m.Load(); prev != nil && m.Rev <= prev.Rev {
+		return nil, false
+	}
+	b.m.Store(m)
 	return prev, true
 }
 
@@ -119,7 +123,7 @@ func (d *Decider) Form(bucket string, over []cmap.NodeID, numVBuckets, numReplic
 	d.trans.Lock()
 	defer d.trans.Unlock()
 	d.mu.Lock()
-	d.buckets[bucket] = &bucketTopology{numVBuckets: numVBuckets, numReplicas: numReplicas}
+	d.buckets.put(bucket, &bucketTopology{numVBuckets: numVBuckets, numReplicas: numReplicas})
 	d.mu.Unlock()
 	return d.rebalanceLocked(bucket, over, nil)
 }
@@ -144,10 +148,8 @@ func (d *Decider) Rebalance(over []cmap.NodeID, step func(bucket string, vb int,
 
 // rebalanceLocked is one bucket's rebalance; the caller holds trans.
 func (d *Decider) rebalanceLocked(bucket string, over []cmap.NodeID, step func(bucket string, vb int, next *cmap.Map) error) error {
-	d.mu.Lock()
-	b := d.buckets[bucket]
-	cur := b.m
-	d.mu.Unlock()
+	b, _ := d.buckets.get(bucket)
+	cur := b.m.Load()
 	var rev int64
 	if cur != nil {
 		// Above the current map, so a target minted over a process's
@@ -202,24 +204,20 @@ func (d *Decider) Failover(id cmap.NodeID) error {
 // timeout.
 func (d *Decider) Silence(id cmap.NodeID) (silent time.Duration, mapped bool) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return time.Since(d.heard[id]), d.mappedLocked(id)
-}
-
-func (d *Decider) mappedLocked(id cmap.NodeID) bool {
-	for _, b := range d.buckets {
-		if b.m != nil && b.m.Maps(id) {
-			return true
+	silent = time.Since(d.heard[id])
+	d.mu.Unlock()
+	for _, b := range d.buckets.all() {
+		if m := b.m.Load(); m != nil && m.Maps(id) {
+			return silent, true
 		}
 	}
-	return false
+	return silent, false
 }
 
 func (d *Decider) bucketNames() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.buckets))
-	for name := range d.buckets {
+	buckets := d.buckets.all()
+	out := make([]string, 0, len(buckets))
+	for name := range buckets {
 		out = append(out, name)
 	}
 	sort.Strings(out)

@@ -191,3 +191,70 @@ func TestOnlyTheDeciderMintsMaps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRoutingReadsTakeNoLock: what a KV op reads on its way to
+// vbucket.Do is published state (published.go), so each function below
+// is loads and an index: its body calls no Lock or RLock and builds no
+// composite literal (the conn a loopback Do runs on is handed out, not
+// made). A row is (receiver, method); the rule is "the body of F
+// contains no call of {Lock, RLock} and no composite literal", written
+// as a table so that ROADMAP item 6's one rule table can take it over.
+func TestRoutingReadsTakeNoLock(t *testing.T) {
+	rows := []struct{ recv, method string }{
+		{"Decider", "Map"},
+		{"Cluster", "Node"},
+		{"Cluster", "BucketMap"},
+		{"Cluster", "NodeVB"},
+		{"Cluster", "LoopbackConn"},
+		{"Node", "Alive"},
+		{"Node", "bucket"},
+		{"Node", "conn"},
+		{"Node", "kvVB"},
+		{"nodeBucket", "vb"},
+		{"loopbackConn", "Do"},
+		{"loopbackRouter", "BucketMap"},
+		{"loopbackRouter", "Conn"},
+		{"published", "all"},
+		{"published", "get"},
+	}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := map[[2]string]*ast.BlockStmt{}
+	for _, file := range pkgs["core"].Files {
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil {
+				continue
+			}
+			// The receiver's type name, through a pointer and type
+			// parameters.
+			ast.Inspect(fn.Recv.List[0].Type, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					bodies[[2]string{id.Name, fn.Name.Name}] = fn.Body
+					return false
+				}
+				return true
+			})
+		}
+	}
+	for _, row := range rows {
+		body := bodies[[2]string{row.recv, row.method}]
+		if body == nil {
+			t.Errorf("%s.%s: no such method (a renamed row checks nothing)", row.recv, row.method)
+			continue
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				t.Errorf("%s.%s builds a composite literal on the op path", row.recv, row.method)
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock") {
+					t.Errorf("%s.%s takes a lock on the op path", row.recv, row.method)
+				}
+			}
+			return true
+		})
+	}
+}

@@ -40,5 +40,5 @@ func (c *Cluster) LoopbackConn(node cmap.NodeID, bucket string) (NodeConn, error
 	if err != nil {
 		return nil, err
 	}
-	return loopbackConn{node: n, bucket: bucket}, nil
+	return n.conn(bucket), nil
 }

@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"couchgo/internal/analytics"
@@ -45,12 +46,17 @@ type Node struct {
 	services cmap.ServiceSet
 	dir      string
 
-	mu sync.Mutex
 	// alive simulates process liveness: a "down" node stops serving
 	// requests and stops heartbeating (§4.3.1 failure detection).
-	alive bool
-	// buckets: per-bucket data-service state on this node.
-	buckets map[string]*nodeBucket
+	alive atomic.Bool
+	// mu serializes the writers of buckets and conns; every op reads
+	// both with no lock.
+	mu sync.Mutex
+	// buckets: per-bucket data-service state on this node, published by
+	// addBucket and emptied by Cluster.Close.
+	buckets published[string, *nodeBucket]
+	// conns: the one loopback conn per bucket name asked for (conn).
+	conns published[string, *loopbackConn]
 }
 
 // nodeBucket is one bucket's data-service footprint on one node.
@@ -60,8 +66,12 @@ type nodeBucket struct {
 	bucketName string
 
 	store *storage.Store
-	mu    sync.Mutex
-	vbs   map[int]*vbucket.VBucket
+	// mu serializes copy creation, promotion and removal (the writers of
+	// vbs) and guards links.
+	mu sync.Mutex
+	// vbs: this node's copies by vBucket ID, read by every op with no
+	// lock; createVB, demoteAndDrop and close publish under mu.
+	vbs published[int, *vbucket.VBucket]
 	// pagerStop ends the item-pager goroutine (set when the bucket has
 	// a memory quota).
 	pagerStop chan struct{}
@@ -89,13 +99,9 @@ type nodeBucket struct {
 }
 
 func newNode(id cmap.NodeID, services cmap.ServiceSet, dir string) *Node {
-	return &Node{
-		id:       id,
-		services: services,
-		dir:      dir,
-		alive:    true,
-		buckets:  make(map[string]*nodeBucket),
-	}
+	n := &Node{id: id, services: services, dir: dir}
+	n.alive.Store(true)
+	return n
 }
 
 // ID returns the node's identity.
@@ -105,29 +111,40 @@ func (n *Node) ID() cmap.NodeID { return n.id }
 func (n *Node) Services() cmap.ServiceSet { return n.services }
 
 // Alive reports simulated liveness.
-func (n *Node) Alive() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.alive
-}
-
-func (n *Node) setAlive(v bool) {
-	n.mu.Lock()
-	n.alive = v
-	n.mu.Unlock()
-}
+func (n *Node) Alive() bool { return n.alive.Load() }
 
 func (n *Node) bucket(name string) (*nodeBucket, error) {
 	if !n.Alive() {
 		return nil, ErrNodeDown
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	nb, ok := n.buckets[name]
+	nb, ok := n.buckets.get(name)
 	if !ok {
 		return nil, ErrNoSuchBucket
 	}
 	return nb, nil
+}
+
+// conn returns the node's loopback conn for a bucket name, the same one
+// every time, so handing it out as a NodeConn allocates nothing. A conn
+// is made for whatever name is asked for (its Do answers
+// ErrNoSuchBucket while the node lacks the bucket); callers pass the
+// bucket they were configured with.
+func (n *Node) conn(bucket string) *loopbackConn {
+	if lc, ok := n.conns.get(bucket); ok {
+		return lc
+	}
+	return n.addConn(bucket)
+}
+
+func (n *Node) addConn(bucket string) *loopbackConn {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	lc, ok := n.conns.get(bucket)
+	if !ok {
+		lc = &loopbackConn{node: n, bucket: bucket}
+		n.conns.put(bucket, lc)
+	}
+	return lc
 }
 
 // addBucket provisions the bucket's storage and engines on this node.
@@ -145,7 +162,6 @@ func (n *Node) addBucket(name string, svc *gsi.Service, ftsEng *fts.Engine, anEn
 		nodeID:     string(n.id),
 		bucketName: name,
 		store:      store,
-		vbs:        make(map[int]*vbucket.VBucket),
 		viewEngine: views.NewEngine(),
 		links:      make(map[int]*replicaLink),
 		fts:        ftsEng,
@@ -159,7 +175,7 @@ func (n *Node) addBucket(name string, svc *gsi.Service, ftsEng *fts.Engine, anEn
 		nb.projector = gsi.NewProjector(svc, name)
 	}
 	n.mu.Lock()
-	if _, ok := n.buckets[name]; ok {
+	if _, ok := n.buckets.get(name); ok {
 		n.mu.Unlock()
 		store.Close()
 		return ErrBucketExists
@@ -172,7 +188,7 @@ func (n *Node) addBucket(name string, svc *gsi.Service, ftsEng *fts.Engine, anEn
 	nb.maintStop = make(chan struct{})
 	nb.bg.Add(1)
 	go nb.maintenanceLoop()
-	n.buckets[name] = nb
+	n.buckets.put(name, nb)
 	n.mu.Unlock()
 	return nil
 }
@@ -216,15 +232,9 @@ func (nb *nodeBucket) maintenanceLoop() {
 			return
 		case <-ticker.C:
 		}
-		nb.mu.Lock()
-		vbs := make([]*vbucket.VBucket, 0, len(nb.vbs))
-		for _, vb := range nb.vbs {
-			vbs = append(vbs, vb)
-		}
-		nb.mu.Unlock()
 		var tables []*cache.HashTable
 		compacted := 0
-		for _, vb := range vbs {
+		for _, vb := range nb.vbs.all() {
 			tables = append(tables, vb.Table)
 			f, err := nb.store.VB(vb.ID)
 			if err != nil {
@@ -274,14 +284,7 @@ func (nb *nodeBucket) pagerLoop(quota int64, fullEviction bool) {
 			return
 		case <-ticker.C:
 		}
-		nb.mu.Lock()
-		vbs := make([]*vbucket.VBucket, 0, len(nb.vbs))
-		for _, vb := range nb.vbs {
-			vbs = append(vbs, vb)
-		}
-		nb.mu.Unlock()
-		// Query the vBuckets after releasing nb.mu: PersistedSeqno takes
-		// vbucket-internal locks.
+		vbs := nb.vbs.all()
 		tables := make([]*cache.HashTable, 0, len(vbs))
 		persisted := make([]uint64, 0, len(vbs))
 		for _, vb := range vbs {
@@ -299,7 +302,7 @@ func (nb *nodeBucket) pagerLoop(quota int64, fullEviction bool) {
 func (nb *nodeBucket) createVB(id int, state vbucket.State) (*vbucket.VBucket, error) {
 	nb.mu.Lock()
 	defer nb.mu.Unlock()
-	if vb, ok := nb.vbs[id]; ok {
+	if vb, ok := nb.vbs.get(id); ok {
 		return vb, nil
 	}
 	f, err := nb.store.VB(id)
@@ -320,10 +323,10 @@ func (nb *nodeBucket) createVB(id int, state vbucket.State) (*vbucket.VBucket, e
 			return nil, err
 		}
 	}
-	nb.vbs[id] = vb
 	if state == vbucket.Active {
 		nb.attachConsumersLocked(vb)
 	}
+	nb.vbs.put(id, vb)
 	return vb, nil
 }
 
@@ -353,9 +356,8 @@ func (nb *nodeBucket) detachConsumers(vbID int) {
 
 // vb returns the vBucket, or nil.
 func (nb *nodeBucket) vb(id int) *vbucket.VBucket {
-	nb.mu.Lock()
-	defer nb.mu.Unlock()
-	return nb.vbs[id]
+	vb, _ := nb.vbs.get(id)
+	return vb
 }
 
 // close shuts down all vBuckets and engines for this bucket.
@@ -369,11 +371,8 @@ func (nb *nodeBucket) close() {
 	nb.haltLinks()
 	nb.bg.Wait()
 	nb.mu.Lock()
-	vbs := make([]*vbucket.VBucket, 0, len(nb.vbs))
-	for _, vb := range nb.vbs {
-		vbs = append(vbs, vb)
-	}
-	nb.vbs = make(map[int]*vbucket.VBucket)
+	vbs := nb.vbs.all()
+	nb.vbs.reset()
 	nb.mu.Unlock()
 	nb.viewEngine.Close()
 	for _, vb := range vbs {
@@ -410,21 +409,11 @@ type NodeStats struct {
 // stats gathers per-node counters for one bucket.
 func (n *Node) stats(bucketName string) NodeStats {
 	st := NodeStats{ID: n.id, Services: n.services, Alive: n.Alive()}
-	n.mu.Lock()
-	nb := n.buckets[bucketName]
-	n.mu.Unlock()
+	nb, _ := n.buckets.get(bucketName)
 	if nb == nil {
 		return st
 	}
-	nb.mu.Lock()
-	vbs := make([]*vbucket.VBucket, 0, len(nb.vbs))
-	for _, vb := range nb.vbs {
-		vbs = append(vbs, vb)
-	}
-	nb.mu.Unlock()
-	// Per-vBucket queries take vbucket/dcp/storage locks; do them after
-	// releasing nb.mu.
-	for _, vb := range vbs {
+	for _, vb := range nb.vbs.all() {
 		switch vb.State() {
 		case vbucket.Active:
 			st.ActiveVBs++

@@ -63,6 +63,27 @@ func TestLoopbackDoGetZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestClientGetZeroAlloc is the same gate over the whole client: a
+// resident Get through Client.do → route → Conn → Do allocates nothing.
+// The test above takes its conn outside the measured function, which is
+// how one allocation per op (a conn boxed into NodeConn on every Conn
+// call) and a second (the key copied for its CRC) went unseen.
+func TestClientGetZeroAlloc(t *testing.T) {
+	_, cl := newTestCluster(t, 2, 1)
+	ctx := context.Background()
+	if _, err := cl.Set(ctx, "hot", []byte(`{"n":1}`), 0); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(1000, func() {
+		if it, err := cl.Get(ctx, "hot"); err != nil || len(it.Value) != 7 {
+			t.Fatalf("Get = %+v, %v", it, err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("a resident Get through the client allocates %.1f times per op, want 0", n)
+	}
+}
+
 // TestGetMetaHasRootSpan pins the drift the shared cl.do removed:
 // GetMeta was the one client op that opened no kv:* root span.
 func TestGetMetaHasRootSpan(t *testing.T) {

@@ -191,12 +191,15 @@ func (nb *nodeBucket) reconcile(m *cmap.Map, self cmap.NodeID, vbID int, src Rep
 // index consumers ("the cluster will promote one of the replica
 // partitions to active status").
 func (nb *nodeBucket) promote(vb *vbucket.VBucket) {
-	// State flip, failover-log append, and consumer attach are one
-	// atomic promotion under nb.mu; the vbucket/dcp layers never call
-	// back into core, so the lock order is acyclic.
+	// Failover-log append, consumer attach and state flip are one
+	// promotion under nb.mu; the vbucket/dcp layers never call back into
+	// core, so the lock order is acyclic. The flip comes last: ops reach
+	// the copy without nb.mu (nodeBucket.vb reads published state), and
+	// until it is Active it refuses them, so with its link halted nothing
+	// writes between the takeover point read here and the consumers'
+	// attach.
 	nb.mu.Lock()
 	defer nb.mu.Unlock()
-	vb.SetState(vbucket.Active) //couchvet:ignore lockblock -- atomic promotion; vbucket/dcp never re-enter core
 	// Takeover: append a new (UUID, high-seqno) entry to the failover
 	// log. Consumers that resumed past this point on the old active
 	// branch get a rollback to here when they reattach (§4.1.1).
@@ -213,6 +216,7 @@ func (nb *nodeBucket) promote(vb *vbucket.VBucket) {
 	e.Fields = map[string]string{"high_seqno": strconv.FormatUint(highSeqno, 10)}
 	events.Default.Publish(e)
 	nb.attachConsumersLocked(vb)
+	vb.SetState(vbucket.Active) //couchvet:ignore lockblock -- atomic promotion; vbucket/dcp never re-enter core
 }
 
 // demoteAndDrop removes a vBucket from this node entirely (the map
@@ -220,10 +224,12 @@ func (nb *nodeBucket) promote(vb *vbucket.VBucket) {
 func (nb *nodeBucket) demoteAndDrop(vbID int) {
 	nb.stopLink(vbID)
 	nb.mu.Lock()
-	vb := nb.vbs[vbID]
-	delete(nb.vbs, vbID)
+	vb, ok := nb.vbs.get(vbID)
+	if ok {
+		nb.vbs.drop(vbID)
+	}
 	nb.mu.Unlock()
-	if vb == nil {
+	if !ok {
 		return
 	}
 	vb.SetState(vbucket.Dead)

@@ -93,9 +93,7 @@ func truncateStatement(s string) string {
 }
 
 func (c *Cluster) hasService(s cmap.Service) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, n := range c.nodes {
+	for _, n := range c.nodes.all() {
 		if n.services.Has(s) && n.Alive() {
 			return true
 		}
