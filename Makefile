@@ -30,7 +30,7 @@ fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# couchvet runs all eight rules plus the unused-pragma audit; vetfmt
+# couchvet runs all nine rules plus the unused-pragma audit; vetfmt
 # turns the JSON findings into GitHub Actions ::error annotations and
 # is the pipe's exit status, so an empty stream (couchvet crashed)
 # fails the gate instead of passing silently.

@@ -1,7 +1,7 @@
 // Command couchvet is the repo-specific static analyzer: it loads
-// every package in the module and enforces the concurrency and
-// error-handling invariants described in internal/lint (lockblock,
-// mixedatomic, unlockedescape, leakedgoroutine, droppederror).
+// every package in the module and enforces the concurrency,
+// error-handling and structure invariants described in internal/lint
+// (`couchvet -list` names the rules).
 //
 // Usage:
 //

@@ -1,9 +1,6 @@
 package couchgo
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -11,57 +8,6 @@ import (
 	"strings"
 	"testing"
 )
-
-// walkModule visits every file of this module: bench/ (a module of its
-// own), dot directories and testdata are skipped.
-func walkModule(t *testing.T, visit func(path string)) {
-	t.Helper()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			visit(path)
-			return nil
-		}
-		if path == "." {
-			return nil
-		}
-		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
-			return filepath.SkipDir
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestOneLoadGenerator: couchbench (bench/) is the one load generator,
-// and the figure benchmarks draw their keys from math/rand in a test
-// file. No package of this module is named ycsb, and no identifier in
-// its non-test code names a Zipf chooser.
-func TestOneLoadGenerator(t *testing.T) {
-	fset := token.NewFileSet()
-	walkModule(t, func(path string) {
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return
-		}
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if file.Name.Name == "ycsb" {
-			t.Errorf("%s: package ycsb is a second load generator beside bench/", path)
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && strings.Contains(strings.ToLower(id.Name), "zipf") {
-				t.Errorf("%s: %s names a Zipf chooser outside bench/", fset.Position(id.Pos()), id.Name)
-			}
-			return true
-		})
-	})
-}
 
 // TestDocsRunOnlyWhatExists: in the code spans and fenced blocks of the
 // docs, each `go run|build|test|vet ./X` names a directory holding Go
@@ -78,17 +24,27 @@ func TestDocsRunOnlyWhatExists(t *testing.T) {
 	}
 	declared := map[string]bool{}
 	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
-	walkModule(t, func(path string) {
-		if strings.HasSuffix(path, "_test.go") {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range testFunc.FindAllSubmatch(src, -1) {
-				declared[string(m[1])] = true
-			}
+	// Every _test.go file of this module: bench/ (a module of its own),
+	// dot directories and testdata are skipped.
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() && !strings.HasSuffix(path, "_test.go") {
+			return err
 		}
+		if d.IsDir() {
+			if _, mod := os.Stat(filepath.Join(path, "go.mod")); path != "." && (mod == nil || strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return err
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	quoted := regexp.MustCompile(`'[^']*'|"[^"]*"`)
 	goCmd := regexp.MustCompile("\\bgo (?:run|build|test|vet)\\b([^&|;#)>\n`]*)")

@@ -2,14 +2,8 @@ package core_test
 
 import (
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
 	"slices"
 	"strconv"
-	"strings"
 	"testing"
 
 	"couchgo/internal/cmap"
@@ -125,136 +119,5 @@ func TestDeciderTransitions(t *testing.T) {
 	}
 	if !slices.Equal(sequences["in-process"], sequences["sockets"]) {
 		t.Errorf("the planes published different maps:\n in-process %v\n sockets    %v", sequences["in-process"], sequences["sockets"])
-	}
-}
-
-// TestOnlyTheDeciderMintsMaps: cmap's functions that return a new
-// *Map — formation, failover scrub, chain step, whatever is added next
-// — may be called by non-test code from internal/core/decider.go only.
-// A second caller is a second decider.
-func TestOnlyTheDeciderMintsMaps(t *testing.T) {
-	fset := token.NewFileSet()
-	cmapFile, err := parser.ParseFile(fset, "../cmap/cmap.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	minting := map[string]bool{}
-	for _, decl := range cmapFile.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Type.Results == nil || !fn.Name.IsExported() || fn.Name.Name == "Clone" {
-			continue
-		}
-		for _, res := range fn.Type.Results.List {
-			if star, ok := res.Type.(*ast.StarExpr); ok {
-				if id, ok := star.X.(*ast.Ident); ok && id.Name == "Map" {
-					minting[fn.Name.Name] = true
-				}
-			}
-		}
-	}
-	for _, name := range []string{"BuildBalanced", "FailoverNode", "WithChain"} {
-		if !minting[name] {
-			t.Fatalf("cmap.%s not recognised as map-minting (found %v)", name, minting)
-		}
-	}
-
-	const root = "../.."
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, path)
-		if d.IsDir() {
-			if name := d.Name(); rel != "." && (strings.HasPrefix(name, ".") || name == "testdata") || rel == "internal/cmap" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") || rel == "internal/core/decider.go" {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && minting[sel.Sel.Name] {
-					t.Errorf("%s: calls map-minting cmap.%s outside the decider", fset.Position(call.Pos()), sel.Sel.Name)
-				}
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRoutingReadsTakeNoLock: what a KV op reads on its way to
-// vbucket.Do is published state (published.go), so each function below
-// is loads and an index: its body calls no Lock or RLock and builds no
-// composite literal (the conn a loopback Do runs on is handed out, not
-// made). A row is (receiver, method); the rule is "the body of F
-// contains no call of {Lock, RLock} and no composite literal", written
-// as a table so that ROADMAP item 6's one rule table can take it over.
-func TestRoutingReadsTakeNoLock(t *testing.T) {
-	rows := []struct{ recv, method string }{
-		{"Decider", "Map"},
-		{"Cluster", "Node"},
-		{"Cluster", "BucketMap"},
-		{"Cluster", "NodeVB"},
-		{"Cluster", "LoopbackConn"},
-		{"Node", "Alive"},
-		{"Node", "bucket"},
-		{"Node", "conn"},
-		{"Node", "kvVB"},
-		{"nodeBucket", "vb"},
-		{"loopbackConn", "Do"},
-		{"loopbackRouter", "BucketMap"},
-		{"loopbackRouter", "Conn"},
-		{"published", "all"},
-		{"published", "get"},
-	}
-	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bodies := map[[2]string]*ast.BlockStmt{}
-	for _, file := range pkgs["core"].Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil {
-				continue
-			}
-			// The receiver's type name, through a pointer and type
-			// parameters.
-			ast.Inspect(fn.Recv.List[0].Type, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					bodies[[2]string{id.Name, fn.Name.Name}] = fn.Body
-					return false
-				}
-				return true
-			})
-		}
-	}
-	for _, row := range rows {
-		body := bodies[[2]string{row.recv, row.method}]
-		if body == nil {
-			t.Errorf("%s.%s: no such method (a renamed row checks nothing)", row.recv, row.method)
-			continue
-		}
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				t.Errorf("%s.%s builds a composite literal on the op path", row.recv, row.method)
-			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock") {
-					t.Errorf("%s.%s takes a lock on the op path", row.recv, row.method)
-				}
-			}
-			return true
-		})
 	}
 }

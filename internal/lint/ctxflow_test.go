@@ -1,11 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/parser"
-	"go/types"
-	"testing"
-)
+import "testing"
 
 // TestCtxFlow exercises the context-consumption rule: sleeps in ctx
 // functions, unconsumed blocking ops, the inter-procedural
@@ -158,17 +153,6 @@ func slow(ctx context.Context) {
 	}
 }
 
-// fixtureImporter serves the fixture packages checked so far and leaves
-// everything else to the shared source importer.
-type fixtureImporter map[string]*types.Package
-
-func (m fixtureImporter) Import(path string) (*types.Package, error) {
-	if p := m[path]; p != nil {
-		return p, nil
-	}
-	return testImporter.Import(path)
-}
-
 // TestCtxFlowUnloadedCallee is the gsi.Service.Scan shape: ctx goes to
 // an in-module function of another package (feed.Wait there), then the
 // caller blocks on a WaitGroup. The callee blocks on the ctx, so the
@@ -177,22 +161,7 @@ func (m fixtureImporter) Import(path string) (*types.Package, error) {
 // (`couchvet ./internal/gsi/...`): a body that was not loaded is a body
 // the rule cannot see, whichever module it belongs to.
 func TestCtxFlowUnloadedCallee(t *testing.T) {
-	checked := fixtureImporter{}
-	check := func(path, src string) *Package {
-		t.Helper()
-		file, err := parser.ParseFile(testFset, path+"/fixture.go", src, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parse %s: %v", path, err)
-		}
-		info := NewInfo()
-		tpkg, err := (&types.Config{Importer: checked}).Check(path, testFset, []*ast.File{file}, info)
-		if err != nil {
-			t.Fatalf("typecheck %s: %v", path, err)
-		}
-		checked[path] = tpkg
-		return &Package{Path: path, Fset: testFset, Files: []*ast.File{file}, Types: tpkg, Info: info}
-	}
-	callee := check(ModulePath+"/internal/fixturefeed", `
+	pkgs := loadFixtures(t, fixture{name: "wait", path: ModulePath + "/internal/fixturefeed", src: `
 package fixturefeed
 
 import "context"
@@ -205,15 +174,14 @@ func Wait(ctx context.Context, applied chan struct{}) error {
 		return ctx.Err()
 	}
 }
-`)
-	caller := check(ModulePath+"/internal/fixturegsi", `
+`}, fixture{name: "scan", path: ModulePath + "/internal/fixturegsi", src: `
 package fixturegsi
 
 import (
 	"context"
 	"sync"
 
-	"`+ModulePath+`/internal/fixturefeed"
+	"` + ModulePath + `/internal/fixturefeed"
 )
 
 func Scan(ctx context.Context, applied chan struct{}, parts int) error {
@@ -228,7 +196,8 @@ func Scan(ctx context.Context, applied chan struct{}, parts int) error {
 	wg.Wait()
 	return nil
 }
-`)
+`})
+	callee, caller := pkgs[0], pkgs[1]
 	for name, pkgs := range map[string][]*Package{
 		"caller's package alone": {caller},
 		"both packages":          {caller, callee},

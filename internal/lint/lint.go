@@ -25,10 +25,13 @@
 //   - framebound:       no allocation in internal/memcproto sized by a
 //     wire-derived length without a preceding bounds check against a
 //     declared maximum
+//   - structure:        no second X where the module has one: the rows
+//     of one rule table (structure.go)
 //
-// lockblock and the first four rules are intra-procedural; lockorder
-// and ctxflow run once over the whole loaded module and follow calls
-// across package boundaries (Analyzer.RunModule).
+// lockblock, mixedatomic, unlockedescape, leakedgoroutine, droppederror
+// and framebound are intra-procedural; lockorder, ctxflow and structure
+// run once over the whole loaded module (Analyzer.RunModule). The three
+// lock rules share one statement interpreter, heldWalker (walk.go).
 //
 // Deliberate exceptions are annotated in source with
 //
@@ -100,6 +103,7 @@ var All = []*Analyzer{
 	LockOrder,
 	CtxFlow,
 	FrameBound,
+	Structure,
 }
 
 // NewInfo returns a types.Info with every map the analyzers need.

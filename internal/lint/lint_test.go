@@ -28,6 +28,19 @@ type fixture struct {
 	src  string
 }
 
+// heldFixture declares a type for lock fixtures to lock and touch.
+const heldFixture = `package a
+
+import "sync"
+
+type S struct {
+	mu, a, b, c sync.Mutex
+	ch          chan int
+	n           map[int]int
+	m           map[string]int
+}
+`
+
 // checkFixture type-checks src as a single-file package, runs analyzer
 // a through the driver (including pragma suppression), and compares
 // the diagnostics' (line, rule) pairs against the // want: comments.
@@ -45,55 +58,75 @@ func checkFixtureAll(t *testing.T, a *Analyzer, fx fixture) {
 
 func checkFixtureWith(t *testing.T, a *Analyzer, fx fixture, run func([]*Package, []*Analyzer) []Diagnostic) {
 	t.Helper()
-	filename := fmt.Sprintf("%s_%s.go", a.Name, fx.name)
-	file, err := parser.ParseFile(testFset, filename, fx.src, parser.ParseComments)
-	if err != nil {
-		t.Fatalf("parse fixture: %v", err)
-	}
-	path := fx.path
-	if path == "" {
-		path = ModulePath + "/internal/fixture"
-	}
-	info := NewInfo()
-	conf := types.Config{Importer: testImporter}
-	tpkg, err := conf.Check(path, testFset, []*ast.File{file}, info)
-	if err != nil {
-		t.Fatalf("typecheck fixture: %v", err)
-	}
-	pkg := &Package{Path: path, Fset: testFset, Files: []*ast.File{file}, Types: tpkg, Info: info}
+	fx.name = a.Name + "_" + fx.name
+	pkgs := loadFixtures(t, fx)
+	compareWants(t, run(pkgs, []*Analyzer{a}), pkgs)
+}
 
-	var got []string
-	for _, d := range run([]*Package{pkg}, []*Analyzer{a}) {
-		got = append(got, fmt.Sprintf("%d:%s", d.Pos.Line, d.Rule))
+// fixtureImporter serves the fixtures checked so far, then the shared one.
+type fixtureImporter map[string]*types.Package
+
+func (m fixtureImporter) Import(path string) (*types.Package, error) {
+	if p := m[path]; p != nil {
+		return p, nil
 	}
-	want := wantDiags(pkg, file)
+	return testImporter.Import(path)
+}
+
+// loadFixtures type-checks each fixture as a one-file package under its
+// path (default internal/fixture), in order, so that a fixture may
+// import the ones before it.
+func loadFixtures(t *testing.T, fxs ...fixture) []*Package {
+	t.Helper()
+	checked := fixtureImporter{}
+	var pkgs []*Package
+	for _, fx := range fxs {
+		path := fx.path
+		if path == "" {
+			path = ModulePath + "/internal/fixture"
+		}
+		file, err := parser.ParseFile(testFset, path+"/"+fx.name+".go", fx.src, parser.ParseComments)
+		if err != nil {
+			t.Fatalf("parse fixture %s: %v", fx.name, err)
+		}
+		info := NewInfo()
+		tpkg, err := (&types.Config{Importer: checked}).Check(path, testFset, []*ast.File{file}, info)
+		if err != nil {
+			t.Fatalf("typecheck fixture %s: %v", fx.name, err)
+		}
+		checked[path] = tpkg
+		pkgs = append(pkgs, &Package{Path: path, Fset: testFset, Files: []*ast.File{file}, Types: tpkg, Info: info})
+	}
+	return pkgs
+}
+
+// compareWants compares the diagnostics' (file, line, rule) triples with
+// the fixtures' `// want: rule [rule...]` comments.
+func compareWants(t *testing.T, diags []Diagnostic, pkgs []*Package) {
+	t.Helper()
+	var got, want []string
+	for _, d := range diags {
+		got = append(got, fmt.Sprintf("%s:%d:%s", d.Pos.Filename, d.Pos.Line, d.Rule))
+	}
+	for _, pkg := range pkgs {
+		for _, cg := range pkg.Files[0].Comments {
+			for _, c := range cg.List {
+				// Substring, not prefix: a want marker may trail another
+				// comment (e.g. a pragma under test).
+				if _, text, ok := strings.Cut(c.Text, "// want:"); ok {
+					pos := pkg.Fset.Position(c.Pos())
+					for _, rule := range strings.Fields(text) {
+						want = append(want, fmt.Sprintf("%s:%d:%s", pos.Filename, pos.Line, rule))
+					}
+				}
+			}
+		}
+	}
 	sort.Strings(got)
 	sort.Strings(want)
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("diagnostics mismatch\n got: %v\nwant: %v", got, want)
 	}
-}
-
-// wantDiags extracts `// want: rule [rule...]` expectations as
-// "line:rule" strings.
-func wantDiags(pkg *Package, file *ast.File) []string {
-	var out []string
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			// Substring, not prefix: a want marker may trail another
-			// comment (e.g. a pragma under test).
-			idx := strings.Index(c.Text, "// want:")
-			if idx < 0 {
-				continue
-			}
-			text := c.Text[idx+len("// want:"):]
-			line := pkg.Fset.Position(c.Pos()).Line
-			for _, rule := range strings.Fields(text) {
-				out = append(out, fmt.Sprintf("%d:%s", line, rule))
-			}
-		}
-	}
-	return out
 }
 
 // TestLoadRepo loads and analyzes the entire module — the same work

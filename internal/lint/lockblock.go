@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
 	"strings"
 )
 
@@ -45,204 +44,66 @@ var lockBlockExempt = map[string]bool{
 }
 
 type lockWalker struct {
-	pkg   *Package
+	heldWalker
 	diags []Diagnostic
 }
 
 func runLockBlock(pkg *Package) []Diagnostic {
-	w := &lockWalker{pkg: pkg}
+	w := &lockWalker{}
+	w.heldWalker = heldWalker{
+		pkg:   pkg,
+		lock:  func(call *ast.CallExpr) (string, lockOp) { return mutexOp(pkg, call) },
+		block: w.report,
+		expr:  w.checkExpr,
+	}
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					w.walkStmts(n.Body.List, map[string]token.Pos{})
+					w.stmts(n.Body.List, heldSet{})
 				}
-				return false
-			case *ast.FuncLit:
-				// Only reached for literals outside any FuncDecl
-				// (package-level var initializers).
-				w.walkStmts(n.Body.List, map[string]token.Pos{})
-				return false
+			case *ast.FuncLit: // outside any FuncDecl: a package-level var initializer
+				w.stmts(n.Body.List, heldSet{})
+			default:
+				return true
 			}
-			return true
+			return false
 		})
 	}
 	return w.diags
 }
 
-// walkStmts interprets a statement sequence, threading the set of held
-// mutexes (keyed by mutex expression). Nested control-flow bodies get
-// a copy: locks acquired or released inside a branch are scoped to it,
-// which keeps the common `if cond { mu.Unlock(); return }` pattern
-// from poisoning the rest of the function.
-func (w *lockWalker) walkStmts(stmts []ast.Stmt, held map[string]token.Pos) {
-	for _, s := range stmts {
-		w.walkStmt(s, held)
-	}
-}
-
-func (w *lockWalker) walkStmt(s ast.Stmt, held map[string]token.Pos) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if key, op := mutexOp(w.pkg, call); op != opNone {
-				if op == opLock {
-					held[key] = call.Pos()
-				} else {
-					delete(held, key)
-				}
-				return
-			}
-		}
-		w.checkExpr(s.X, held)
-	case *ast.DeferStmt:
-		if _, op := mutexOp(w.pkg, s.Call); op != opNone {
-			// `defer mu.Unlock()` keeps the lock held for the rest of
-			// the function — exactly what the walker already models by
-			// leaving `held` untouched.
-			return
-		}
-		for _, a := range s.Call.Args {
-			w.checkExpr(a, held)
-		}
-	case *ast.GoStmt:
-		for _, a := range s.Call.Args {
-			w.checkExpr(a, held)
-		}
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.walkStmts(lit.Body.List, map[string]token.Pos{})
-		}
-	case *ast.SendStmt:
-		w.report(s.Pos(), held, "channel send")
-		w.checkExpr(s.Chan, held)
-		w.checkExpr(s.Value, held)
-	case *ast.SelectStmt:
-		w.report(s.Pos(), held, "select")
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.walkStmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.checkExpr(e, held)
-		}
-		for _, e := range s.Lhs {
-			w.checkExpr(e, held)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.checkExpr(e, held)
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.checkExpr(e, held)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.checkExpr(s.Cond, held)
-		w.walkStmts(s.Body.List, copyHeld(held))
-		if s.Else != nil {
-			w.walkStmt(s.Else, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.checkExpr(s.Cond, held)
-		}
-		w.walkStmts(s.Body.List, copyHeld(held))
-	case *ast.RangeStmt:
-		if isChan(w.pkg.Info.TypeOf(s.X)) {
-			w.report(s.Pos(), held, "range over channel")
-		}
-		w.checkExpr(s.X, held)
-		w.walkStmts(s.Body.List, copyHeld(held))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.checkExpr(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.walkStmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.walkStmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.BlockStmt:
-		w.walkStmts(s.List, held)
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, held)
-	}
-}
-
 // checkExpr scans an expression for blocking operations (receives,
-// calls into other internal packages) and walks any function literals
-// with a fresh lock set.
-func (w *lockWalker) checkExpr(e ast.Expr, held map[string]token.Pos) {
-	if e == nil {
-		return
-	}
+// socket writes, calls into other internal packages).
+func (w *lockWalker) checkExpr(e ast.Expr, held heldSet, _ bool) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			w.walkStmts(n.Body.List, map[string]token.Pos{})
+			w.lit(n, held)
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				w.report(n.Pos(), held, "channel receive")
+				w.report(n.Pos(), "channel receive", held)
 			}
 		case *ast.CallExpr:
 			if socketWrite(w.pkg, n) {
-				w.report(n.Pos(), held, "socket write")
+				w.report(n.Pos(), "socket write", held)
 			} else if p := calleePackage(w.pkg, n); internalPackage(p, w.pkg.Path) && !lockBlockExempt[p] {
-				w.report(n.Pos(), held, fmt.Sprintf("call into %s", p))
+				w.report(n.Pos(), fmt.Sprintf("call into %s", p), held)
 			}
 		}
 		return true
 	})
 }
 
-func (w *lockWalker) report(pos token.Pos, held map[string]token.Pos, what string) {
+func (w *lockWalker) report(pos token.Pos, what string, held heldSet) {
 	if len(held) == 0 {
 		return
 	}
-	keys := make([]string, 0, len(held))
-	for k := range held {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	w.diags = append(w.diags, Diagnostic{
 		Pos:     w.pkg.pos(pos),
 		Rule:    "lockblock",
-		Message: fmt.Sprintf("%s while holding %s", what, strings.Join(keys, ", ")),
+		Message: fmt.Sprintf("%s while holding %s", what, strings.Join(held.sorted(), ", ")),
 	})
-}
-
-func copyHeld(held map[string]token.Pos) map[string]token.Pos {
-	out := make(map[string]token.Pos, len(held))
-	for k, v := range held {
-		out[k] = v
-	}
-	return out
 }

@@ -388,6 +388,33 @@ func (s *S) bad() {
 	s.ch <- 1 // want: lockblock
 }
 `},
+		// Where the lock rules read a statement differently (heldWalker's
+		// fields), for this rule: a func literal, deferred or not, starts
+		// with nothing held; a select's comm is the select; x++ is skipped.
+		{name: "closure_starts_empty", src: heldFixture + `
+func (s *S) f() (func(), func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	quiet := func() { s.ch <- 1 }
+	return quiet, func() { s.mu.Lock(); s.ch <- 1 } // want: lockblock
+}
+`},
+		{name: "deferred_closure_starts_empty", src: heldFixture + `
+func (s *S) f() { s.mu.Lock(); defer s.mu.Unlock(); defer func() { s.ch <- 1 }() }
+`},
+		{name: "select_comm_not_walked", src: heldFixture + `
+func (s *S) f() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select { // want: lockblock
+	case s.ch <- <-s.ch:
+	default:
+	}
+}
+`},
+		{name: "incdec_not_walked", src: heldFixture + `
+func (s *S) f() { s.mu.Lock(); defer s.mu.Unlock(); s.n[<-s.ch]++ }
+`},
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) { checkFixture(t, LockBlock, fx) })

@@ -40,21 +40,18 @@ type lockCallSite struct {
 	pos    token.Position
 }
 
-// lockSummary is everything lockorder needs to know about one function.
+// lockSummary is everything lockorder needs to know about one function
+// besides its direct ordering edges, which go straight to the graph.
 type lockSummary struct {
 	acquires map[string]bool // locks taken directly
-	edges    []lockEdge      // direct held→acquired pairs
 	calls    []lockCallSite
 }
 
-type lockEdge struct {
-	from, to string
-	pos      token.Position
-}
-
 func runLockOrder(pkgs []*Package) []Diagnostic {
-	st := &lockOrderState{sums: make(map[string]*lockSummary)}
+	w := &orderWalker{sums: make(map[string]*lockSummary), edges: make(map[[2]string]token.Position)}
+	w.heldWalker = heldWalker{lock: w.key, acquire: w.ordered, expr: w.record, goBody: w.goroutine, comm: true}
 	for _, pkg := range pkgs {
+		w.pkg = pkg
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
@@ -65,14 +62,13 @@ func runLockOrder(pkgs []*Package) []Diagnostic {
 				if !ok {
 					continue
 				}
-				sum := &lockSummary{acquires: make(map[string]bool)}
-				w := &orderWalker{pkg: pkg, sum: sum, st: st}
-				w.stmts(fn.Body.List, map[string]bool{})
-				st.sums[funcFullID(obj)] = sum
+				w.sum = &lockSummary{acquires: make(map[string]bool)}
+				w.stmts(fn.Body.List, heldSet{})
+				w.sums[funcFullID(obj)] = w.sum
 			}
 		}
 	}
-	sums := st.sums
+	sums := w.sums
 
 	// Transitive closure: mayAcquire(F) = direct acquires plus
 	// everything any in-module callee may acquire, to a fixpoint.
@@ -99,212 +95,88 @@ func runLockOrder(pkgs []*Package) []Diagnostic {
 		}
 	}
 
-	// Edge set: direct edges, plus held × mayAcquire(callee) at every
-	// call site, first position wins per ordered pair.
-	edges := make(map[[2]string]token.Position)
-	addEdge := func(e lockEdge) {
-		if e.from == e.to {
-			return
-		}
-		key := [2]string{e.from, e.to}
-		if old, ok := edges[key]; !ok || posLess(e.pos, old) {
-			edges[key] = e.pos
-		}
-	}
+	// The direct edges, plus held × mayAcquire(callee) at every call site.
 	for _, sum := range sums {
-		for _, e := range sum.edges {
-			addEdge(e)
-		}
 		for _, c := range sum.calls {
-			if len(c.held) == 0 {
-				continue
-			}
 			for l := range mayAcq[c.callee] {
 				for _, h := range c.held {
-					addEdge(lockEdge{from: h, to: l, pos: c.pos})
+					w.edge(h, l, c.pos)
 				}
 			}
 		}
 	}
-
-	return lockOrderCycles(edges)
+	return lockOrderCycles(w.edges)
 }
 
-// lockOrderState is the module-wide summary registry; goroutine
-// bodies get synthetic entries so their acquisitions stay on their own
-// stack instead of inflating the launcher's.
-type lockOrderState struct {
-	sums map[string]*lockSummary
-	ngo  int
+// edge adds from -> to to the acquisition graph; the first position
+// wins per ordered pair, and a self-edge (two instances of one type) is
+// dropped.
+func (w *orderWalker) edge(from, to string, pos token.Position) {
+	key := [2]string{from, to}
+	if old, ok := w.edges[key]; from != to && (!ok || posLess(pos, old)) {
+		w.edges[key] = pos
+	}
 }
 
-// orderWalker threads the held-lock set through a function body,
-// recording direct acquisitions, direct ordering edges, and in-module
-// call sites. Branch bodies get a copy of the held set, mirroring
-// lockblock's scoping; non-goroutine function literals are analyzed
-// with a fresh held set but their records accrue to the enclosing
-// declaration (the enclosing function may run that code).
+// orderWalker records, per function, direct acquisitions, direct
+// ordering edges and in-module call sites. Function literals are walked
+// with nothing held but accrue to the enclosing declaration (it may run
+// that code); goroutine bodies get a synthetic summary of their own so
+// their acquisitions stay on their own stack instead of inflating the
+// launcher's. sums is the module-wide registry.
 type orderWalker struct {
-	pkg *Package
-	sum *lockSummary
-	st  *lockOrderState
+	heldWalker
+	sum   *lockSummary
+	sums  map[string]*lockSummary
+	edges map[[2]string]token.Position
+	ngo   int
 }
 
-func (w *orderWalker) stmts(list []ast.Stmt, held map[string]bool) {
-	for _, s := range list {
-		w.stmt(s, held)
+// key names a mutex by its type-scoped identity ("" for a local one).
+func (w *orderWalker) key(call *ast.CallExpr) (string, lockOp) {
+	if _, op := mutexOp(w.pkg, call); op != opNone {
+		return lockIdent(w.pkg, call.Fun.(*ast.SelectorExpr).X), op
+	}
+	return "", opNone
+}
+
+func (w *orderWalker) ordered(key string, call *ast.CallExpr, held heldSet) {
+	w.sum.acquires[key] = true
+	for h := range held {
+		w.edge(h, key, w.pkg.pos(call.Pos()))
 	}
 }
 
-func (w *orderWalker) stmt(s ast.Stmt, held map[string]bool) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if _, op := mutexOp(w.pkg, call); op != opNone {
-				ident := lockIdent(w.pkg, call.Fun.(*ast.SelectorExpr).X)
-				if ident == "" {
-					return
-				}
-				if op == opLock {
-					w.sum.acquires[ident] = true
-					pos := w.pkg.pos(call.Pos())
-					for h := range held {
-						w.sum.edges = append(w.sum.edges, lockEdge{from: h, to: ident, pos: pos})
-					}
-					held[ident] = true
-				} else {
-					delete(held, ident)
-				}
-				return
-			}
-		}
-		w.expr(s.X, held)
-	case *ast.DeferStmt:
-		if _, op := mutexOp(w.pkg, s.Call); op != opNone {
-			// defer mu.Unlock(): held for the rest of the function.
-			return
-		}
-		w.expr(s.Call, held)
-	case *ast.GoStmt:
-		// Arguments are evaluated on the launcher's stack with its
-		// locks held; the goroutine body runs on its own stack with
-		// nothing held, and its acquisitions belong to a synthetic
-		// summary so they never count as the launcher's.
-		for _, a := range s.Call.Args {
-			w.expr(a, held)
-		}
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			gsum := &lockSummary{acquires: make(map[string]bool)}
-			w.st.ngo++
-			w.st.sums[fmt.Sprintf("go#%d", w.st.ngo)] = gsum
-			gw := &orderWalker{pkg: w.pkg, sum: gsum, st: w.st}
-			gw.stmts(lit.Body.List, map[string]bool{})
-		}
-		// A named function launched via `go f()` contributes through
-		// its own declaration's summary; the launch is not a call.
-	case *ast.SendStmt:
-		w.expr(s.Chan, held)
-		w.expr(s.Value, held)
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				if cc.Comm != nil {
-					w.stmt(cc.Comm, copyHeldSet(held))
-				}
-				w.stmts(cc.Body, copyHeldSet(held))
-			}
-		}
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.expr(e, held)
-		}
-		for _, e := range s.Lhs {
-			w.expr(e, held)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.expr(e, held)
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.expr(e, held)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		w.expr(s.Cond, held)
-		w.stmts(s.Body.List, copyHeldSet(held))
-		if s.Else != nil {
-			w.stmt(s.Else, copyHeldSet(held))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.expr(s.Cond, held)
-		}
-		w.stmts(s.Body.List, copyHeldSet(held))
-	case *ast.RangeStmt:
-		w.expr(s.X, held)
-		w.stmts(s.Body.List, copyHeldSet(held))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.expr(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, copyHeldSet(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, copyHeldSet(held))
-			}
-		}
-	case *ast.BlockStmt:
-		w.stmts(s.List, held)
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt, held)
-	}
-}
-
-// expr records every in-module call under the current held set and
-// walks function literals with a fresh one.
-func (w *orderWalker) expr(e ast.Expr, held map[string]bool) {
-	if e == nil {
-		return
-	}
+// record notes every in-module call under the current held set.
+func (w *orderWalker) record(e ast.Expr, held heldSet, _ bool) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			w.stmts(n.Body.List, map[string]bool{})
+			w.lit(n, held)
 			return false
 		case *ast.CallExpr:
 			if fn := calleeFunc(w.pkg, n); moduleFunc(fn) {
 				w.sum.calls = append(w.sum.calls, lockCallSite{
 					callee: funcFullID(fn),
-					held:   heldSetKeys(held),
+					held:   held.sorted(),
 					pos:    w.pkg.pos(n.Pos()),
 				})
 			}
 		}
 		return true
 	})
+}
+
+// goroutine walks a go statement's literal into its own summary. A
+// named function launched by `go f()` contributes through its own
+// declaration's summary; the launch is not a call.
+func (w *orderWalker) goroutine(body *ast.BlockStmt) {
+	outer := w.sum
+	w.sum = &lockSummary{acquires: make(map[string]bool)}
+	w.ngo++
+	w.sums[fmt.Sprintf("go#%d", w.ngo)] = w.sum
+	w.stmts(body.List, heldSet{})
+	w.sum = outer
 }
 
 // lockOrderCycles runs Tarjan's SCC over the edge set and emits one
@@ -413,24 +285,4 @@ func posLess(a, b token.Position) bool {
 		return a.Line < b.Line
 	}
 	return a.Column < b.Column
-}
-
-func heldSetKeys(held map[string]bool) []string {
-	if len(held) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(held))
-	for k := range held {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func copyHeldSet(held map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(held))
-	for k, v := range held {
-		out[k] = v
-	}
-	return out
 }

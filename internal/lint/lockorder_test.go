@@ -372,6 +372,44 @@ func (s *S) g() {
 	s.b.Unlock()
 }
 `},
+		// Where the lock rules read a statement differently (heldWalker's
+		// fields), for this rule: a func literal, deferred or not, is
+		// walked with nothing held, so its locks count for the enclosing
+		// function and its order does not; a select's comm is walked;
+		// x++ is skipped.
+		{name: "closure_starts_empty", src: heldFixture + `
+func (s *S) f() func() { s.a.Lock(); defer s.a.Unlock(); return func() { s.b.Lock(); s.b.Unlock() } }
+
+func (s *S) g() { s.b.Lock(); s.a.Lock(); s.a.Unlock(); s.b.Unlock() }
+`},
+		{name: "deferred_closure_walked_empty", src: heldFixture + `
+func (s *S) f() { s.a.Lock(); defer s.a.Unlock(); defer func() { s.b.Lock(); s.b.Unlock() }() }
+
+func (s *S) g() { s.c.Lock(); s.f(); s.c.Unlock() } // want: lockorder
+
+func (s *S) h() { s.b.Lock(); s.c.Lock(); s.c.Unlock(); s.b.Unlock() } // want: lockorder
+`},
+		{name: "select_comm_walked", src: heldFixture + `
+func (s *S) next() chan int { s.b.Lock(); defer s.b.Unlock(); return s.ch }
+
+func (s *S) f() {
+	s.a.Lock()
+	defer s.a.Unlock()
+	select {
+	case <-s.next(): // want: lockorder
+	default:
+	}
+}
+
+func (s *S) g() { s.b.Lock(); s.a.Lock(); s.a.Unlock(); s.b.Unlock() } // want: lockorder
+`},
+		{name: "incdec_not_walked", src: heldFixture + `
+func (s *S) key() int { s.b.Lock(); defer s.b.Unlock(); return 0 }
+
+func (s *S) f() { s.a.Lock(); defer s.a.Unlock(); s.n[s.key()]++ }
+
+func (s *S) g() { s.b.Lock(); s.a.Lock(); s.a.Unlock(); s.b.Unlock() }
+`},
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) { checkFixture(t, LockOrder, fx) })

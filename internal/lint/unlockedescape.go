@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -27,7 +26,7 @@ type fieldAccess struct {
 	field *types.Var
 	pos   token.Pos
 	write bool
-	held  map[string]bool // mutex field names held at this point
+	held  heldSet // mutex field names held at this point
 }
 
 // methodInfo is the per-method access summary for one receiver type.
@@ -52,7 +51,7 @@ func runUnlockedEscape(pkg *Package) []Diagnostic {
 			if _, ok := named.Underlying().(*types.Struct); !ok {
 				continue
 			}
-			byType[named] = append(byType[named], collectAccesses(pkg, named, fn))
+			byType[named] = append(byType[named], collectAccesses(pkg, fn))
 		}
 	}
 
@@ -66,7 +65,7 @@ func runUnlockedEscape(pkg *Package) []Diagnostic {
 		// while holding m. A write under several mutexes at once (a
 		// double-locked rebalance, say) guards the field with each;
 		// holding any one of them at an access site is accepted.
-		guardedBy := make(map[*types.Var]map[string]bool)
+		guardedBy := make(map[*types.Var]heldSet)
 		for _, mi := range methods {
 			for _, acc := range mi.accesses {
 				if !acc.write {
@@ -74,7 +73,7 @@ func runUnlockedEscape(pkg *Package) []Diagnostic {
 				}
 				for m := range acc.held {
 					if guardedBy[acc.field] == nil {
-						guardedBy[acc.field] = make(map[string]bool)
+						guardedBy[acc.field] = make(heldSet)
 					}
 					guardedBy[acc.field][m] = true
 				}
@@ -149,27 +148,21 @@ func mutexFieldNames(named *types.Named) []string {
 }
 
 // accessWalker records receiver-field accesses with the set of
-// receiver mutexes held at each point, using the same sequential
-// region model as lockblock.
+// receiver mutexes held at each point. A func literal inside the method
+// starts with what the method holds (it usually runs while it does).
 type accessWalker struct {
-	pkg      *Package
+	heldWalker
 	recv     types.Object // receiver variable
 	recvName string
-	named    *types.Named
 	out      *methodInfo
 }
 
-func collectAccesses(pkg *Package, named *types.Named, fn *ast.FuncDecl) *methodInfo {
+func collectAccesses(pkg *Package, fn *ast.FuncDecl) *methodInfo {
 	mi := &methodInfo{decl: fn}
 	names := fn.Recv.List[0].Names
-	w := &accessWalker{
-		pkg:      pkg,
-		recv:     pkg.Info.Defs[names[0]],
-		recvName: names[0].Name,
-		named:    named,
-		out:      mi,
-	}
-	w.walkStmts(fn.Body.List, map[string]bool{})
+	w := &accessWalker{recv: pkg.Info.Defs[names[0]], recvName: names[0].Name, out: mi}
+	w.heldWalker = heldWalker{pkg: pkg, lock: w.recvMutexOp, expr: w.scanExpr, inherit: true, incDec: true}
+	w.stmts(fn.Body.List, heldSet{})
 	return mi
 }
 
@@ -191,129 +184,9 @@ func (w *accessWalker) recvMutexOp(call *ast.CallExpr) (field string, op lockOp)
 	return field, op
 }
 
-func (w *accessWalker) walkStmts(stmts []ast.Stmt, held map[string]bool) {
-	for _, s := range stmts {
-		w.walkStmt(s, held)
-	}
-}
-
-func (w *accessWalker) walkStmt(s ast.Stmt, held map[string]bool) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if field, op := w.recvMutexOp(call); op != opNone {
-				if op == opLock {
-					held[field] = true
-				} else {
-					delete(held, field)
-				}
-				return
-			}
-		}
-		w.scanExpr(s.X, held, false)
-	case *ast.DeferStmt:
-		if _, op := w.recvMutexOp(s.Call); op != opNone {
-			return // defer recv.m.Unlock(): held until return
-		}
-		for _, a := range s.Call.Args {
-			w.scanExpr(a, held, false)
-		}
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.walkStmts(lit.Body.List, copyBoolSet(held))
-		}
-	case *ast.GoStmt:
-		for _, a := range s.Call.Args {
-			w.scanExpr(a, held, false)
-		}
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.walkStmts(lit.Body.List, map[string]bool{})
-		}
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.scanExpr(e, held, false)
-		}
-		for _, e := range s.Lhs {
-			w.scanExpr(e, held, true)
-		}
-	case *ast.IncDecStmt:
-		w.scanExpr(s.X, held, true)
-	case *ast.SendStmt:
-		w.scanExpr(s.Chan, held, false)
-		w.scanExpr(s.Value, held, false)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.scanExpr(e, held, false)
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.scanExpr(e, held, false)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.scanExpr(s.Cond, held, false)
-		w.walkStmts(s.Body.List, copyBoolSet(held))
-		if s.Else != nil {
-			w.walkStmt(s.Else, copyBoolSet(held))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.scanExpr(s.Cond, held, false)
-		}
-		w.walkStmts(s.Body.List, copyBoolSet(held))
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, held, false)
-		w.walkStmts(s.Body.List, copyBoolSet(held))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.scanExpr(s.Tag, held, false)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.walkStmts(cc.Body, copyBoolSet(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.walkStmts(cc.Body, copyBoolSet(held))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.walkStmts(cc.Body, copyBoolSet(held))
-			}
-		}
-	case *ast.BlockStmt:
-		w.walkStmts(s.List, held)
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, held)
-	}
-}
-
 // scanExpr records receiver-field accesses in e. write applies to the
 // outermost selector only (a[i] = x writes a; x = a[i] reads it).
-func (w *accessWalker) scanExpr(e ast.Expr, held map[string]bool, write bool) {
-	if e == nil {
-		return
-	}
+func (w *accessWalker) scanExpr(e ast.Expr, held heldSet, write bool) {
 	// Peel write-through wrappers: recv.f[i] = x and *recv.f = x write
 	// the field; &recv.f escapes it (treated as a write, conservatively).
 	target := ast.Unparen(e)
@@ -343,7 +216,7 @@ func (w *accessWalker) scanExpr(e ast.Expr, held map[string]bool, write bool) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			w.walkStmts(n.Body.List, copyBoolSet(held))
+			w.lit(n, held)
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
@@ -363,7 +236,7 @@ func (w *accessWalker) scanExpr(e ast.Expr, held map[string]bool, write bool) {
 // recordIfRecvField records sel when it is recv.f for a plain data
 // field f of the receiver struct (mutex and sync/atomic fields are
 // skipped). Reports whether it recorded.
-func (w *accessWalker) recordIfRecvField(sel *ast.SelectorExpr, held map[string]bool, write bool) bool {
+func (w *accessWalker) recordIfRecvField(sel *ast.SelectorExpr, held heldSet, write bool) bool {
 	base, ok := ast.Unparen(sel.X).(*ast.Ident)
 	if !ok || w.pkg.Info.Uses[base] != w.recv {
 		return false
@@ -376,12 +249,12 @@ func (w *accessWalker) recordIfRecvField(sel *ast.SelectorExpr, held map[string]
 		field: obj,
 		pos:   sel.Pos(),
 		write: write,
-		held:  copyBoolSet(held),
+		held:  held.clone(),
 	})
 	return true
 }
 
-func holdsAny(held, guards map[string]bool) bool {
+func holdsAny(held, guards heldSet) bool {
 	for m := range guards {
 		if held[m] {
 			return true
@@ -391,22 +264,10 @@ func holdsAny(held, guards map[string]bool) bool {
 }
 
 // guardNames renders a guard set as "m" or "one of m1, m2".
-func guardNames(guards map[string]bool) string {
-	names := make([]string, 0, len(guards))
-	for m := range guards {
-		names = append(names, m)
-	}
-	sort.Strings(names)
+func guardNames(guards heldSet) string {
+	names := guards.sorted()
 	if len(names) == 1 {
 		return names[0]
 	}
 	return "one of " + strings.Join(names, ", ")
-}
-
-func copyBoolSet(in map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
 }

@@ -117,6 +117,32 @@ func (p *P) Get() int {
 	return p.n
 }
 `},
+		// Where the lock rules read a statement differently (heldWalker's
+		// fields), for this rule: a func literal, deferred or not, starts
+		// with a copy of what its method holds; a select's comm is not
+		// walked; x++ is a write.
+		{name: "closure_inherits_held", src: heldFixture + `
+func (s *S) each(f func()) { f() }
+
+func (s *S) Set(k string) { s.mu.Lock(); defer s.mu.Unlock(); s.each(func() { s.m[k] = 1 }) }
+
+func (s *S) Get(k string) int { return s.m[k] } // want: unlockedescape
+`},
+		{name: "deferred_closure_inherits_held", src: heldFixture + `
+func (s *S) Set(k string) { s.mu.Lock(); defer s.mu.Unlock(); defer func() { s.m[k] = 1 }() }
+
+func (s *S) Get(k string) int { return s.m[k] } // want: unlockedescape
+`},
+		{name: "select_comm_not_walked", src: heldFixture + `
+func (s *S) Set(c chan int) { s.mu.Lock(); s.ch = c; s.mu.Unlock() }
+
+func (s *S) Poll() { select { case <-s.ch: default: } }
+`},
+		{name: "incdec_is_a_write", src: heldFixture + `
+func (s *S) Incr() { s.mu.Lock(); s.n[0]++; s.mu.Unlock() }
+
+func (s *S) Bad() { s.n[0]++ } // want: unlockedescape
+`},
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) { checkFixture(t, UnlockedEscape, fx) })

