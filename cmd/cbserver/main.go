@@ -41,10 +41,9 @@
 //	curl 'localhost:8091/events?severity=warn'
 //	curl 'localhost:8091/events/stream?since=0&timeout=10s'
 //
-// Failure detection is the watchdog's: with -auto-failover a node it
-// holds critical (down with mapped partitions) for consecutive health
-// ticks is failed over; a networked seed is always armed, for members
-// silent past -kv-failover-after.
+// Failure detection is the decider's: a networked seed fails over a
+// member silent for 5 -kv-heartbeat intervals. The watchdog behind
+// /health only reports.
 //
 // Profiling (off unless -debug-addr is set): -debug-addr :6060 serves
 // net/http/pprof and expvar on a separate listener that should stay
@@ -76,27 +75,25 @@ import (
 
 func main() {
 	var (
-		listen       = flag.String("listen", ":8091", "HTTP listen address")
-		nodes        = flag.Int("nodes", 4, "number of cluster nodes")
-		replicas     = flag.Int("replicas", 1, "bucket replica count (0-3)")
-		vbuckets     = flag.Int("vbuckets", cmap.NumVBuckets, "vBucket count")
-		dir          = flag.String("dir", "", "storage directory (default: temp)")
-		bucket       = flag.String("bucket", "default", "bucket to create")
-		syncWrite    = flag.Bool("sync", false, "fsync every persisted batch")
-		slowQuery    = flag.Duration("slow-query-threshold", 100*time.Millisecond, "N1QL latency before a statement lands in the slow-query log")
-		slowLog      = flag.Int("slow-query-log-size", 64, "slow-query ring buffer capacity")
-		traceRate    = flag.Int("trace-rate", 0, "sample 1 in N requests for end-to-end tracing (0 disables)")
-		traceSlow    = flag.Duration("trace-threshold", trace.DefaultSlowThreshold, "latency above which a sampled trace is always retained")
-		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof (with the mutex profile sampled) and expvar on this address (empty disables)")
-		healthEvery  = flag.Duration("health-interval", time.Second, "watchdog evaluation interval for /health")
-		autoFailover = flag.Bool("auto-failover", false, "fail over a node the watchdog holds critical (sustained down with mapped partitions); a networked seed always fails over a silent member")
+		listen      = flag.String("listen", ":8091", "HTTP listen address")
+		nodes       = flag.Int("nodes", 4, "number of cluster nodes")
+		replicas    = flag.Int("replicas", 1, "bucket replica count (0-3)")
+		vbuckets    = flag.Int("vbuckets", cmap.NumVBuckets, "vBucket count")
+		dir         = flag.String("dir", "", "storage directory (default: temp)")
+		bucket      = flag.String("bucket", "default", "bucket to create")
+		syncWrite   = flag.Bool("sync", false, "fsync every persisted batch")
+		slowQuery   = flag.Duration("slow-query-threshold", 100*time.Millisecond, "N1QL latency before a statement lands in the slow-query log")
+		slowLog     = flag.Int("slow-query-log-size", 64, "slow-query ring buffer capacity")
+		traceRate   = flag.Int("trace-rate", 0, "sample 1 in N requests for end-to-end tracing (0 disables)")
+		traceSlow   = flag.Duration("trace-threshold", trace.DefaultSlowThreshold, "latency above which a sampled trace is always retained")
+		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof (with the mutex profile sampled) and expvar on this address (empty disables)")
+		healthEvery = flag.Duration("health-interval", time.Second, "watchdog evaluation interval for /health")
 
 		kvAddr      = flag.String("kv-addr", "", "binary KV wire-protocol listen address; enables networked cluster mode (one local node per process)")
 		join        = flag.String("join", "", "seed process's KV address to join (empty makes this process the coordinator seed)")
 		clusterSize = flag.Int("cluster-size", 1, "member processes (including the seed) the coordinator waits for before minting the cluster map")
 		advertise   = flag.String("advertise", "", "KV address peers should dial (default: the bound -kv-addr)")
-		kvHeartbeat = flag.Duration("kv-heartbeat", 500*time.Millisecond, "member heartbeat interval in networked cluster mode")
-		kvFailover  = flag.Duration("kv-failover-after", 0, "heartbeat silence before the seed's watchdog grades a mapped member critical; held so for 2 -health-interval ticks, it is failed over (default 5 heartbeats)")
+		kvHeartbeat = flag.Duration("kv-heartbeat", 500*time.Millisecond, "member heartbeat interval in networked cluster mode; the seed fails over a member silent for 5 of them")
 		gcPercent   = flag.Int("gc-percent", 300, "Go GC target percentage (GOGC); a memory-first cache holds a large stable resident set that each GC cycle rescans, so the default trades headroom for fewer cycles. The item pager, not the GC, bounds cache memory")
 	)
 	flag.Parse()
@@ -144,18 +141,10 @@ func main() {
 		go serveDebug(*debugAddr)
 	}
 
-	// The process's one health watchdog, served at /health, and its one
-	// failure detector (core's own heartbeat loop stays off): the
-	// standard rule set over this cluster, plus, on a networked seed, a
-	// liveness check per member. A liveness check held critical for
-	// RaiseAfter consecutive ticks triggers the same failover path an
-	// operator would hit — the journal records the whole causal chain.
+	// The process's one health watchdog, served at /health: the standard
+	// rule set over this cluster.
 	watchdog := health.New(health.Options{Interval: *healthEvery})
 	health.RegisterClusterChecks(watchdog, cluster, health.ClusterCheckConfig{})
-	if *autoFailover && *kvAddr == "" {
-		health.AutoFailover(watchdog, "node:", cluster.Failover)
-		log.Printf("auto-failover armed (health interval %s)", *healthEvery)
-	}
 	watchdog.Start()
 	defer watchdog.Stop()
 
@@ -171,8 +160,6 @@ func main() {
 			Join:              *join,
 			ClusterSize:       *clusterSize,
 			HeartbeatInterval: *kvHeartbeat,
-			FailoverAfter:     *kvFailover,
-			Watchdog:          watchdog,
 			// Peers fetch this node's metrics/health/events/traces over
 			// the wire (OpFederate) through the REST layer's Observe.
 			Observe: api.Observe,

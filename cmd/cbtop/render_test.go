@@ -103,7 +103,7 @@ func TestFrameFromRealServer(t *testing.T) {
 	}
 	wantAll(t, frame,
 		"CLUSTER HEALTH: OK",
-		"node:node0", // a watchdog check under the member
+		"feed:stalls", // a watchdog check under the member
 		"MEMBER", "local", local.Server.Version+" "+local.Server.Go,
 		"── local ──",
 		"DCP-LAG", "replica:node",

@@ -9,13 +9,15 @@ package integration
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -23,6 +25,7 @@ import (
 
 	"couchgo/internal/cache"
 	"couchgo/internal/core"
+	"couchgo/internal/events"
 	"couchgo/internal/transport"
 )
 
@@ -73,7 +76,6 @@ func startProc(t *testing.T, bin string, httpPort, kvPort int, args ...string) *
 		"-replicas", "1",
 		"-vbuckets", "64",
 		"-kv-heartbeat", "100ms",
-		"-kv-failover-after", "500ms",
 		"-dir", t.TempDir(),
 	}
 	cmd := exec.Command(bin, append(base, args...)...)
@@ -92,16 +94,19 @@ func startProc(t *testing.T, bin string, httpPort, kvPort int, args ...string) *
 	return p
 }
 
-// events fetches one process's journal as raw JSON text.
-func (p *proc) events(t *testing.T) string {
+// events fetches one process's journal, oldest first.
+func (p *proc) events(t *testing.T) []events.Event {
 	t.Helper()
 	resp, err := http.Get(p.http + "/events")
 	if err != nil {
-		return ""
+		return nil
 	}
 	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	return string(b)
+	var body struct{ Events []events.Event }
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Logf("decode %s/events: %v", p.http, err)
+	}
+	return body.Events
 }
 
 func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
@@ -161,26 +166,31 @@ func TestThreeProcessClusterKill9(t *testing.T) {
 	}
 
 	// kill -9 a non-coordinator member: no shutdown hooks run, its
-	// sockets die mid-stream.
+	// sockets die mid-stream. The balanced map puts a node's replicas on
+	// the next node in address order, so the victim is the member just
+	// before the seed: the seed holds its replicas.
+	addrs := []string{seed.kvAddr, p1.kvAddr, p2.kvAddr}
+	sort.Strings(addrs)
 	victim := p1
+	if addrs[(slices.Index(addrs, seed.kvAddr)+2)%3] == p2.kvAddr {
+		victim = p2
+	}
 	if err := victim.cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatalf("kill -9: %v", err)
 	}
 	victim.cmd.Wait()
 
 	// Auto-failover: the seed's journal must show the causal chain —
-	// the member's health check held critical, then the failover.
-	waitFor(t, 30*time.Second, "auto-failover journal entries", func() bool {
-		ev := seed.events(t)
-		return strings.Contains(ev, "health check member:"+victim.kvAddr) &&
-			strings.Contains(ev, "auto-failover: member failed over")
-	})
-
-	// The survivor that held the victim's replicas must have promoted
-	// them (vb takeover) when the re-minted map arrived.
-	waitFor(t, 30*time.Second, "vb takeover on a survivor", func() bool {
-		return strings.Contains(seed.events(t), "vb takeover") ||
-			strings.Contains(p2.events(t), "vb takeover")
+	// the decider's failover, the replicas promoted while the successor
+	// map is applied, the entry that closes the apply.
+	waitFor(t, 30*time.Second, "auto-failover -> vb takeover -> applied cluster map on the seed", func() bool {
+		want := []string{"auto-failover", "vb takeover", "applied cluster map"}
+		for _, e := range seed.events(t) {
+			if len(want) > 0 && strings.HasPrefix(e.Msg, want[0]) && (want[0] != "auto-failover" || e.Node == victim.kvAddr) {
+				want = want[1:]
+			}
+		}
+		return len(want) == 0
 	})
 
 	// No acknowledged write lost: every durable write must still read

@@ -159,7 +159,9 @@ type QueryOptions struct {
 // Query parses, plans, and executes a SELECT against the shadow
 // dataset. The full N1QL grammar is accepted, including the general
 // joins the operational query service rejects. DML is refused: the
-// analytics copy is read-only.
+// analytics copy is read-only. It plans per query rather than through
+// query.Engine's prepared-plan cache because that engine refuses the
+// general joins analytics exists to run.
 func (e *Engine) Query(ctx context.Context, statement string, opts QueryOptions) ([]any, error) {
 	f := e.liveFeed()
 	if f == nil {

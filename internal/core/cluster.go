@@ -36,12 +36,11 @@ type Config struct {
 	DiskDelay time.Duration
 	// HeartbeatInterval / FailoverTimeout drive automatic failure
 	// detection (§4.3.1): every interval the live nodes are heard from,
-	// and a mapped node silent past the timeout is failed over. Zero
-	// FailoverTimeout leaves detection to whoever else evaluates the
-	// decider's rule (cbserver's watchdog), or to manual Failover; a
+	// and Decider.FailoverSilent fails over a mapped node silent past the
+	// timeout. Zero FailoverTimeout leaves failover to Failover calls; a
 	// member process of a networked cluster must leave it zero
-	// (transport.StartNode refuses otherwise), since the nodes to grade
-	// there are other processes.
+	// (transport.StartNode refuses otherwise): its local node IDs are not
+	// the names its maps use, and its seed detects instead.
 	HeartbeatInterval time.Duration
 	FailoverTimeout   time.Duration
 	// SlowQueryThreshold bounds N1QL latency before a statement lands
@@ -174,6 +173,9 @@ func (c *Cluster) AddNode(id cmap.NodeID, services cmap.ServiceSet) (*Node, erro
 	}
 	n := newNode(id, services, filepath.Join(c.cfg.Dir, string(id)))
 	c.nodes.put(id, n)
+	if c.cfg.FailoverTimeout > 0 {
+		c.topo.Heard(id) // joining is a sign of life, so one killed before the next tick is graded too
+	}
 	// Provision existing buckets on the new node (data service only),
 	// including their recorded view definitions (views are local
 	// indexes, so every data node must build them).
@@ -455,12 +457,9 @@ func (c *Cluster) moveVB(bucket string, vbID int, from, to cmap.NodeID) error {
 	return nil
 }
 
-// heartbeatLoop evaluates the decider's failure-detection rule for a
-// library cluster: each tick the alive nodes are heard from, and a dead
-// one that is still mapped and silent past FailoverTimeout is failed
-// over ("if a node in the cluster crashes ... the orchestrator notifies
-// all other machines ... and promotes to active status replica
-// partitions").
+// heartbeatLoop is a library cluster's failure-detection ticker: each
+// tick the alive nodes are heard from, then the decider fails over the
+// silent ones.
 func (c *Cluster) heartbeatLoop() {
 	defer close(c.hbDone)
 	ticker := time.NewTicker(c.cfg.HeartbeatInterval)
@@ -471,23 +470,13 @@ func (c *Cluster) heartbeatLoop() {
 			return
 		case <-ticker.C:
 		}
-		for _, n := range c.Nodes() {
+		for _, n := range c.nodes.all() {
 			if n.Alive() {
 				c.topo.Heard(n.id)
-			} else if silent, mapped := c.topo.Silence(n.id); mapped && silent > c.cfg.FailoverTimeout {
-				c.Failover(n.id)
 			}
 		}
+		c.topo.FailoverSilent(c.cfg.FailoverTimeout)
 	}
-}
-
-// NodeMapped reports whether any bucket's map still references the
-// node as an active or replica. The health watchdog uses it so a node
-// check recovers to ok once failover has removed the dead node from
-// every map — a failed-over node is no longer the cluster's problem.
-func (c *Cluster) NodeMapped(id cmap.NodeID) bool {
-	_, mapped := c.topo.Silence(id)
-	return mapped
 }
 
 // Decider returns the cluster's topology decider. A networked seed

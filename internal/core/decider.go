@@ -7,14 +7,16 @@ import (
 	"time"
 
 	"couchgo/internal/cmap"
+	"couchgo/internal/events"
 )
 
 // Decider is the topology half of the cluster manager (§4.3.1): the
 // one place that chooses a bucket's next cluster map. It owns the
-// liveness table, the failed set and each bucket's current map, and
-// this file is the only non-test caller of cmap's map-minting functions
-// (TestOnlyTheDeciderMintsMaps). Who a new map is balanced over is the
-// caller's to say: an in-process cluster names its alive data nodes, a
+// liveness table it detects failures by, the failed set and each
+// bucket's current map, and this file is the only non-test caller of
+// cmap's map-minting functions (TestOnlyTheDeciderMintsMaps). Who a new
+// map is balanced over is the caller's to say: an in-process cluster
+// names its alive data nodes, a
 // networked seed the members it has heard from (Live). Every map the
 // decider mints leaves through the publish seam, which brings the
 // members to it: an in-process cluster applies it to its own nodes, a
@@ -63,10 +65,11 @@ func (d *Decider) PublishVia(publish func(bucket string, m *cmap.Map) error) {
 	d.publish = publish
 }
 
-// Heard records a sign of life from a node — a process's join and
-// heartbeats on a networked seed, the library's own heartbeat tick
-// in-process — and reports how many have been heard from and whether
-// this was the first contact.
+// Heard records a sign of life from a node, under the name the maps use
+// for it — on a networked seed a process's join and heartbeats and the
+// seed's own detector tick, in a library cluster with a failover timeout
+// AddNode and the heartbeat tick — and reports how many have been heard
+// from and whether this was the first contact.
 func (d *Decider) Heard(id cmap.NodeID) (members int, joined bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -195,23 +198,49 @@ func (d *Decider) Failover(id cmap.NodeID) error {
 	return nil
 }
 
-// Silence reports how long ago the node was last heard from (forever,
-// if it never was) and whether any bucket's map still names it as an
-// active or a replica; failover leaves it named by none. It is the input
-// of the one failure-detection rule: silence past the process's
-// timeout, on a node still mapped, leads to Failover. Whoever evaluates
-// it — the library's heartbeat loop or a watchdog check — brings the
-// timeout.
-func (d *Decider) Silence(id cmap.NodeID) (silent time.Duration, mapped bool) {
+// FailoverSilent is the one failure detector (§4.3.1: "if a node in the
+// cluster crashes ... the orchestrator ... promotes to active status
+// replica partitions"): it fails over every node heard from that a map
+// still names and that has been silent past timeout, journaling
+// "auto-failover" before and "auto-failover failed" after one that errs,
+// and returns them. Its tickers first hear what only they can: the
+// library's heartbeat loop its alive nodes, a networked seed itself.
+func (d *Decider) FailoverSilent(timeout time.Duration) (failed []cmap.NodeID) {
+	now := time.Now()
+	silence := map[cmap.NodeID]time.Duration{}
 	d.mu.Lock()
-	silent = time.Since(d.heard[id])
-	d.mu.Unlock()
-	for _, b := range d.buckets.all() {
-		if m := b.m.Load(); m != nil && m.Maps(id) {
-			return silent, true
+	for id, at := range d.heard {
+		if s := now.Sub(at); s > timeout {
+			silence[id] = s
 		}
 	}
-	return silent, false
+	d.mu.Unlock()
+	journal := func(id cmap.NodeID, msg, key, value string) {
+		e := events.New(events.Topology, events.SevWarn, msg)
+		e.Node, e.Fields = string(id), map[string]string{key: value}
+		events.Default.Publish(e)
+	}
+	for id, s := range silence {
+		if !d.mapped(id) {
+			continue
+		}
+		journal(id, "auto-failover", "silence", s.Round(time.Millisecond).String())
+		if err := d.Failover(id); err != nil {
+			journal(id, "auto-failover failed", "error", err.Error())
+		}
+		failed = append(failed, id)
+	}
+	return failed
+}
+
+// mapped reports whether a bucket's map names the node in a chain.
+func (d *Decider) mapped(id cmap.NodeID) bool {
+	for _, b := range d.buckets.all() {
+		if m := b.m.Load(); m != nil && m.Maps(id) {
+			return true
+		}
+	}
+	return false
 }
 
 func (d *Decider) bucketNames() []string {

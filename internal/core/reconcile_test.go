@@ -106,9 +106,10 @@ func newSocketHarness(t *testing.T, replicas int) *harness {
 		}
 		opts := transport.NodeOptions{
 			Cluster: c, Bucket: bucket, KVAddr: "127.0.0.1:0",
+			// The table decides every map after the first: a member it does
+			// not fail over keeps heartbeating, so the seed's detector never
+			// fires.
 			HeartbeatInterval: 50 * time.Millisecond,
-			// No watchdog: the table, not the seed, decides every map after
-			// the first.
 		}
 		if i == 0 {
 			opts.ClusterSize = 3

@@ -2,12 +2,9 @@ package health
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
-	"couchgo/internal/cmap"
 	"couchgo/internal/core"
-	"couchgo/internal/events"
 	"couchgo/internal/metrics"
 )
 
@@ -83,30 +80,11 @@ func (cfg *ClusterCheckConfig) defaults() {
 }
 
 // RegisterClusterChecks installs the standard rule set over a cluster:
-// per-node liveness, feed stall age, DCP lag, flush backlog, cache
-// residency/memory, and slow-op rate. Node checks are registered for
-// the nodes present at call time (the in-process cluster adds nodes up
-// front; re-register after topology growth if needed).
+// feed stall age, DCP lag, flush backlog, cache residency/memory, and
+// slow-op rate. Liveness is not among them: the cluster's decider
+// detects a silent node and fails it over.
 func RegisterClusterChecks(w *Watchdog, c *core.Cluster, cfg ClusterCheckConfig) {
 	cfg.defaults()
-
-	for _, n := range c.Nodes() {
-		id := n.ID()
-		node := n
-		w.Register("node:"+string(id), func() (State, string) {
-			if node.Alive() {
-				return OK, "alive"
-			}
-			// A dead node still holding partitions is the emergency;
-			// once failover unmaps it everywhere it is history, not a
-			// problem — the check recovers so /health can go green.
-			if c.NodeMapped(id) {
-				return Critical, "node down with mapped partitions"
-			}
-			return OK, "down (failed over, unmapped)"
-		})
-	}
-
 	w.Register("feed:stalls", feedStallCheck(cfg))
 	w.Register("dcp:lag", dcpLagCheck(c, cfg))
 	w.Register("flush:backlog", flushBacklogCheck(c, cfg))
@@ -279,24 +257,4 @@ func sumGauge(r *metrics.Registry, family string) int64 {
 		total += int64(v.Value)
 	}
 	return total
-}
-
-// AutoFailover arms w as the process's failure detector: a liveness
-// check named prefix+<id> ("node:" in-process, "member:" on a networked
-// seed) that the watchdog holds critical fails <id> over. It is the one
-// path from silence to a failover in a process that runs a watchdog;
-// a failover that fails is journaled.
-func AutoFailover(w *Watchdog, prefix string, failover func(cmap.NodeID) error) {
-	w.OnTransition(func(st CheckStatus) {
-		id, ok := strings.CutPrefix(st.Name, prefix)
-		if !ok || st.State != Critical {
-			return
-		}
-		if err := failover(cmap.NodeID(id)); err != nil {
-			e := events.New(events.Topology, events.SevWarn, "auto-failover failed")
-			e.Node = id
-			e.Fields = map[string]string{"error": err.Error()}
-			w.opts.Journal.Publish(e)
-		}
-	})
 }

@@ -1,17 +1,15 @@
 // Package health is the reproduction's watchdog: the piece of
 // ns_server that "continuously monitors the health of the nodes" and
-// turns raw metrics into operator-facing ok/warn/critical states and,
-// ultimately, auto-failover decisions. Checks are plain functions
-// evaluated on a fixed tick; the watchdog owns the state machine
-// around them.
+// turns raw metrics into operator-facing ok/warn/critical states. It
+// only reports; failing a silent node over is the decider's
+// (core.Decider.FailoverSilent). Checks are plain functions evaluated
+// on a fixed tick; the watchdog owns the state machine around them.
 //
 // Flap suppression is structural, not per-check: a check's raw result
 // must hold for RaiseAfter consecutive ticks before the watchdog
 // raises the published state (and ClearAfter ticks before it clears),
 // so a metric oscillating around a threshold produces one transition,
-// not one per tick. Every transition is recorded in the event journal
-// and handed to an optional callback — AutoFailover wires that callback
-// to the decider's failover path.
+// not one per tick. Every transition is recorded in the event journal.
 package health
 
 import (
@@ -98,7 +96,6 @@ type Watchdog struct {
 
 	mu      sync.Mutex
 	checks  []*check
-	onTrans func(CheckStatus)
 	started bool
 	stop    chan struct{}
 	done    chan struct{}
@@ -148,15 +145,6 @@ func (w *Watchdog) Register(name string, fn CheckFunc) {
 	})
 }
 
-// OnTransition sets a callback invoked (on the watchdog goroutine,
-// with no locks held) after each published state change; AutoFailover
-// is the one user.
-func (w *Watchdog) OnTransition(fn func(CheckStatus)) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.onTrans = fn
-}
-
 // Start launches the periodic evaluation loop.
 func (w *Watchdog) Start() {
 	w.mu.Lock()
@@ -204,7 +192,6 @@ func (w *Watchdog) Tick() {
 	w.mu.Lock()
 	checks := make([]*check, len(w.checks))
 	copy(checks, w.checks)
-	onTrans := w.onTrans
 	w.mu.Unlock()
 
 	// Evaluate outside the watchdog lock: check functions take cluster
@@ -275,9 +262,6 @@ func (w *Watchdog) Tick() {
 			"detail": st.Detail,
 		}
 		w.opts.Journal.Publish(e)
-		if onTrans != nil {
-			onTrans(st)
-		}
 	}
 }
 

@@ -1,14 +1,12 @@
 package health
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"couchgo/internal/cmap"
 	"couchgo/internal/dcp"
 	"couchgo/internal/events"
 	"couchgo/internal/feed"
@@ -44,14 +42,6 @@ func TestHysteresisDebouncesTransitions(t *testing.T) {
 	chk := &settableCheck{}
 	w.Register("test", chk.fn)
 
-	var fired []CheckStatus
-	var firedMu sync.Mutex
-	w.OnTransition(func(st CheckStatus) {
-		firedMu.Lock()
-		fired = append(fired, st)
-		firedMu.Unlock()
-	})
-
 	// One bad tick is not a transition.
 	chk.set(Warn, "blip")
 	w.Tick()
@@ -83,20 +73,20 @@ func TestHysteresisDebouncesTransitions(t *testing.T) {
 		t.Fatalf("state after sustained ok = %s, want ok", got)
 	}
 
-	firedMu.Lock()
-	defer firedMu.Unlock()
-	if len(fired) != 2 || fired[0].State != Warn || fired[1].State != OK {
-		t.Fatalf("transitions = %+v, want [warn ok]", fired)
+	if snap := w.Snapshot(); len(snap) != 1 || snap[0].Transitions != 2 || snap[0].State != OK || snap[0].Detail != "recovered" {
+		t.Fatalf("snapshot = %+v, want 2 transitions ending ok", snap)
 	}
 	evs := healthEvents(j, 0)
 	if len(evs) != 2 {
 		t.Fatalf("journal has %d health events, want 2: %+v", len(evs), evs)
 	}
+	for i, want := range []State{Warn, OK} {
+		if evs[i].Fields["check"] != "test" || evs[i].Fields["state"] != want.String() {
+			t.Fatalf("event %d fields = %+v, want check test -> %s", i, evs[i].Fields, want)
+		}
+	}
 	if evs[0].Severity != events.SevWarn || evs[1].Severity != events.SevInfo {
 		t.Fatalf("event severities = %s, %s", evs[0].Severity, evs[1].Severity)
-	}
-	if evs[0].Fields["check"] != "test" {
-		t.Fatalf("event fields = %+v", evs[0].Fields)
 	}
 }
 
@@ -239,31 +229,4 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// TestAutoFailoverKeysOnPrefixAndCritical: only a check with the armed
-// prefix, held critical, reaches the failover function, and a failover
-// that fails is journaled.
-func TestAutoFailoverKeysOnPrefixAndCritical(t *testing.T) {
-	j := events.NewJournal(0)
-	w := New(Options{RaiseAfter: 1, ClearAfter: 1, Journal: j})
-	states := map[string]State{"node:node3": Critical, "feed:stalls": Critical, "node:node4": Warn}
-	for name := range states {
-		w.Register(name, func() (State, string) { return states[name], "" })
-	}
-	var failed []cmap.NodeID
-	AutoFailover(w, "node:", func(id cmap.NodeID) error {
-		failed = append(failed, id)
-		return errors.New("no such node")
-	})
-	w.Tick()
-	if len(failed) != 1 || failed[0] != "node3" {
-		t.Fatalf("failed over %v, want [node3]", failed)
-	}
-	for _, e := range j.Events(events.Filter{Type: events.Topology}) {
-		if e.Msg == "auto-failover failed" && e.Node == "node3" && e.Fields["error"] == "no such node" {
-			return
-		}
-	}
-	t.Fatal("failed failover was not journaled")
 }

@@ -72,6 +72,13 @@ var structureRows = []row{
 	{form: onlyFrom, subj: under("cmap", "*"), typ: "*" + internal + "cmap.Map",
 		list: append(under("cmap", "*"), under("core", "Decider.rebalanceLocked", "Decider.Failover")...),
 		why:  "a second caller is a second decider"},
+	// One failure detector: silence becomes a failover in the decider, and
+	// the watchdog only reports.
+	{form: onlyFrom, subj: under("core", "Decider.Failover"), list: under("core", "Cluster.Failover", "Decider.FailoverSilent"),
+		why: "a second caller is a second failure detector"},
+	{form: absent, subj: append(under("health", "AutoFailover", "Watchdog.OnTransition"),
+		under("transport", "ClusterNode.memberCheck", "NodeOptions.FailoverAfter", "NodeOptions.Watchdog")...),
+		why: "Decider.FailoverSilent is the one failure detector"},
 	// What a KV op reads on its way to vbucket.Do is published state.
 	{form: bare, ban: noLock | noLit, why: "the op path takes no lock and builds nothing", subj: under("core",
 		"Decider.Map", "Cluster.Node", "Cluster.BucketMap", "Cluster.NodeVB", "Cluster.LoopbackConn", "Node.Alive",
@@ -369,13 +376,17 @@ func absent(c *rowChecker, r *row) {
 			} else if p == "" && match(glob, lp.Types.Name()) {
 				c.report(lp.Files[0].Name.Pos(), r, "package %s", lp.Types.Name())
 			}
-			for id, obj := range lp.Info.Defs {
-				name := id.Name
-				if obj != nil && strings.Contains(glob, ".") {
-					name = memberName(obj)
+			if strings.Contains(glob, ".") { // a method or field: "Type.Member"
+				for name, obj := range c.membersOf(lp.Types) {
+					if match(glob, name) {
+						c.report(obj.Pos(), r, "%s declares %s", shortLock(lp.Path), name)
+					}
 				}
-				if obj != nil && match(glob, name) {
-					c.report(id.Pos(), r, "%s declares %s", shortLock(lp.Path), name)
+				continue
+			}
+			for id, obj := range lp.Info.Defs {
+				if obj != nil && match(glob, id.Name) {
+					c.report(id.Pos(), r, "%s declares %s", shortLock(lp.Path), id.Name)
 				}
 			}
 		}

@@ -24,6 +24,8 @@ type (Node struct{}; nodeBucket struct{}; loopbackConn struct{}; loopbackRouter 
 type published[K comparable, V any] struct{}
 
 func (d *Decider) Failover() *cmap.Map { return cmap.Build() }; func (d *Decider) Map() {}
+func (d *Decider) FailoverSilent() { d.Failover() }; func (c *Cluster) Failover(d *Decider) { d.Failover() }
+func (c *Cluster) heartbeatLoop(d *Decider) { d.Failover() } // want: structure
 func (d *Decider) Form() *cmap.Map { return cmap.Build().Clone() } // want: structure
 func (c *Cluster) Node() { c.mu.Lock() } // want: structure
 func (c *Cluster) BucketMap() any { return []int{} } // want: structure
@@ -47,6 +49,21 @@ func (w *frameWriter) direct(b []byte) { w.nc.Write(b) } // want: structure
 func (s *session) reply(b []byte) { s.tcp.Write(b) } // want: structure
 func (s *session) yield() { runtime.Gosched() } // want: structure
 func writeLoop() {} // want: structure
+
+type NodeOptions struct {
+	FailoverAfter int // want: structure
+	Watchdog      any // want: structure
+}
+type ClusterNode struct{}
+
+func (n *ClusterNode) memberCheck() {} // want: structure
+`},
+	{name: "health", path: internal + "health", src: `package health
+
+type Watchdog struct{}
+
+func (w *Watchdog) OnTransition(fn func()) {} // want: structure
+func AutoFailover(w *Watchdog) {} // want: structure
 `},
 	{name: "dcp", path: internal + "dcp", src: `package dcp
 

@@ -77,11 +77,6 @@ type Histogram struct {
 	scale float64
 }
 
-// NewHistogram returns a standalone duration histogram (ns→seconds),
-// unattached to any registry. Use Registry.Histogram for exported
-// metrics.
-func NewHistogram() *Histogram { return &Histogram{scale: 1e-9} }
-
 func bucketIndex(v uint64) int {
 	i := bits.Len64(v)
 	if i >= numBuckets {
@@ -188,9 +183,6 @@ func (s *HistSnapshot) Quantile(q float64) float64 {
 func (s *HistSnapshot) QuantileDuration(q float64) time.Duration {
 	return time.Duration(s.Quantile(q))
 }
-
-// MaxDuration returns the maximum observation of a ns histogram.
-func (s *HistSnapshot) MaxDuration() time.Duration { return time.Duration(s.Max) }
 
 // Mean returns the mean observation in raw units (0 when empty).
 func (s *HistSnapshot) Mean() float64 {

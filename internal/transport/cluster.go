@@ -14,7 +14,6 @@ import (
 	"couchgo/internal/core"
 	"couchgo/internal/dcp"
 	"couchgo/internal/events"
-	"couchgo/internal/health"
 	"couchgo/internal/memcproto"
 )
 
@@ -24,8 +23,8 @@ import (
 // the process-level map are addresses. Topology is decided in one
 // place, the seed process's core.Decider: the seed feeds it the
 // members' joins and heartbeats, asks it for the balanced map once the
-// expected cluster size is reached, and has it fail over a member the
-// watchdog holds critical. Every map the decider mints leaves through
+// expected cluster size is reached, and has it fail over a silent
+// member on its detector tick. Every map the decider mints leaves through
 // publish — applied here by core's one applier, pushed to the peers as
 // SET_CLUSTER_MAP — and a joiner hands what it is pushed (or fetches)
 // to the same applier, so every process, and every smart client via
@@ -52,16 +51,10 @@ type NodeOptions struct {
 	// ClusterSize is the member count (including the seed) the seed
 	// waits for before forming the cluster. Seed only.
 	ClusterSize int
-	// HeartbeatInterval paces member heartbeats (default 500ms).
+	// HeartbeatInterval paces member heartbeats and the seed's detector
+	// tick (default 500ms); the seed fails over a mapped member silent
+	// for failoverHeartbeats of them.
 	HeartbeatInterval time.Duration
-	// FailoverAfter is heartbeat silence before a mapped member's health
-	// check turns critical (default 5 intervals).
-	FailoverAfter time.Duration
-	// Watchdog is the process's one health watchdog, started and
-	// stopped by the caller. The seed registers a member:<addr> check
-	// on it for every member and arms it to fail over one it holds
-	// critical; nil leaves failure detection off.
-	Watchdog *health.Watchdog
 	// Observe serves cluster-observability fetches (metrics, health,
 	// events, traces) arriving over the wire as OpFederate requests
 	// from peer nodes. Nil disables federation on this node.
@@ -83,18 +76,20 @@ type ClusterNode struct {
 	// retries bail instead of sleeping on against a cluster that is gone.
 	closed    chan struct{}
 	closeOnce sync.Once
+	// detector waits for the seed's detectLoop, which closed stops.
+	detector sync.WaitGroup
 	// formed is set on the seed once the cluster's first map is out.
 	formed atomic.Bool
 }
+
+// failoverHeartbeats is the seed's failover timeout in heartbeats.
+const failoverHeartbeats = 5
 
 // StartNode binds the KV listener, points the cluster's decider at
 // the wire, and starts serving (a seed) or joining (everyone else).
 func StartNode(opts NodeOptions) (*ClusterNode, error) {
 	if opts.HeartbeatInterval <= 0 {
 		opts.HeartbeatInterval = 500 * time.Millisecond
-	}
-	if opts.FailoverAfter <= 0 {
-		opts.FailoverAfter = 5 * opts.HeartbeatInterval
 	}
 	if opts.ClusterSize <= 0 {
 		opts.ClusterSize = 1
@@ -104,7 +99,7 @@ func StartNode(opts NodeOptions) (*ClusterNode, error) {
 		return nil, fmt.Errorf("transport: a member process holds one local node, its cluster has %d", len(locals))
 	}
 	if opts.Cluster.FailoverTimeout() > 0 {
-		return nil, fmt.Errorf("transport: a member process's cluster must leave Config.FailoverTimeout zero: its peers are other processes, graded by the seed's watchdog")
+		return nil, fmt.Errorf("transport: a member process's cluster must leave Config.FailoverTimeout zero: its peers are other processes, graded by the seed")
 	}
 	local := locals[0].ID()
 	lc, err := opts.Cluster.LoopbackConn(local, opts.Bucket)
@@ -145,12 +140,11 @@ func StartNode(opts NodeOptions) (*ClusterNode, error) {
 	if opts.Join == "" {
 		cfg.OnJoin = n.onJoin
 		cfg.OnHeartbeat = n.admit
-		if opts.Watchdog != nil {
-			health.AutoFailover(opts.Watchdog, "member:", n.failover)
-		}
 		// The seed is its own first member, before any join can arrive; a
 		// solo "cluster" forms right here.
 		n.admit(self)
+		n.detector.Add(1)
+		go n.detectLoop()
 	}
 
 	n.srv = Serve(ln, cfg)
@@ -171,6 +165,7 @@ func (n *ClusterNode) Router() *NetRouter { return n.router }
 // Close stops serving and ends the process's part in the cluster.
 func (n *ClusterNode) Close() {
 	n.closeOnce.Do(func() { close(n.closed) })
+	n.detector.Wait()
 	n.opts.Cluster.Leave()
 	n.srv.Close()
 	n.pool.Close()
@@ -285,9 +280,6 @@ func (n *ClusterNode) admit(addr string) {
 	}
 	if addr != n.self {
 		n.journal(events.SevInfo, "member joined cluster", map[string]string{"member": addr})
-		if n.opts.Watchdog != nil {
-			n.opts.Watchdog.Register("member:"+addr, n.memberCheck(cmap.NodeID(addr)))
-		}
 	}
 	if members == n.opts.ClusterSize {
 		if err := d.Rebalance(d.Live(), nil); err != nil {
@@ -311,40 +303,19 @@ func (n *ClusterNode) onJoin(addr string) (*cmap.Map, error) {
 	return n.currentMap(), nil
 }
 
-// memberCheck grades one member by the decider's rule: silence past
-// FailoverAfter on a member a map still names is critical, and the
-// watchdog's RaiseAfter hysteresis holds it there for consecutive ticks
-// (of the process's -health-interval, on a cbserver) before the
-// transition fires the failover. A member no map names —
-// the cluster has not formed, it joined late, or it was failed over —
-// is nobody's emergency.
-func (n *ClusterNode) memberCheck(id cmap.NodeID) health.CheckFunc {
-	return func() (health.State, string) {
-		age, mapped := n.opts.Cluster.Decider().Silence(id)
-		age = age.Round(time.Millisecond)
-		switch {
-		case !mapped:
-			return health.OK, "not mapped (failed over, or never part of the map)"
-		case age > n.opts.FailoverAfter:
-			return health.Critical, fmt.Sprintf("no heartbeat for %v", age)
-		case age > n.opts.FailoverAfter/2:
-			return health.Warn, fmt.Sprintf("heartbeat lagging (%v)", age)
-		}
-		return health.OK, "heartbeating"
-	}
-}
-
-// failover is what the armed watchdog calls for a member it holds
-// critical: the decider scrubs it from every chain and the successor
-// map goes out through publish.
-func (n *ClusterNode) failover(id cmap.NodeID) error {
+// detectLoop is the seed's failure-detection ticker: each heartbeat the
+// seed hears itself (members are heard where their heartbeats arrive),
+// then the decider fails over the silent members, whose pooled
+// connections are dropped.
+func (n *ClusterNode) detectLoop() {
+	defer n.detector.Done()
 	d := n.opts.Cluster.Decider()
-	if _, mapped := d.Silence(id); !mapped {
-		return nil
+	for sleepOr(n.opts.HeartbeatInterval, n.closed) {
+		d.Heard(cmap.NodeID(n.self))
+		for _, id := range d.FailoverSilent(failoverHeartbeats * n.opts.HeartbeatInterval) {
+			n.pool.Drop(string(id))
+		}
 	}
-	n.pool.Drop(string(id))
-	n.journal(events.SevWarn, "auto-failover: member failed over", map[string]string{"member": string(id)})
-	return d.Failover(id)
 }
 
 // ---------------------------------------------------------------------------

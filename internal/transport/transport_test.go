@@ -11,7 +11,6 @@ import (
 	"couchgo/internal/cache"
 	"couchgo/internal/cmap"
 	"couchgo/internal/core"
-	"couchgo/internal/health"
 	"couchgo/internal/vbucket"
 )
 
@@ -192,16 +191,10 @@ func TestProcessClusterFormationAndFailover(t *testing.T) {
 		return c
 	}
 
-	// The seed's watchdog, as cbserver runs it: ticking at heartbeat pace.
-	wd := health.New(health.Options{Interval: 50 * time.Millisecond})
-	wd.Start()
-	defer wd.Stop()
 	seed, err := StartNode(NodeOptions{
 		Cluster: mk("local0"), Bucket: "default",
 		KVAddr: "127.0.0.1:0", ClusterSize: 3,
 		HeartbeatInterval: 50 * time.Millisecond,
-		FailoverAfter:     250 * time.Millisecond,
-		Watchdog:          wd,
 	})
 	if err != nil {
 		t.Fatal(err)
