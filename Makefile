@@ -75,6 +75,7 @@ bench-smoke:
 	go test -run='^$$' -bench='BenchmarkStreamHandoff' -benchmem -benchtime=100000x ./internal/dcp
 	go test -run='^$$' -bench='BenchmarkAppendBatch' -benchmem -benchtime=2000x ./internal/storage
 	go test -run='^$$' -bench='BenchmarkGetMapped' -benchmem -benchtime=200000x ./internal/storage
+	go test -run='^$$' -bench='BenchmarkWaitedAppendBesideARound' -benchmem -benchtime=500x ./internal/storage
 	go test -run='^$$' -bench='BenchmarkWorkloadEQuery' -benchmem -benchtime=1000x -cpu 1,2 ./internal/core
 	go test -run='^$$' -bench='BenchmarkTreeScan' -benchmem -benchtime=500000x -cpu 1,2 ./internal/gsi
 	go test -run='^$$' -bench='BenchmarkRoute' -benchmem -benchtime=20000x ./internal/gsi

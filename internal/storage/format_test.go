@@ -115,9 +115,9 @@ func TestFileBytesAreTheRecords(t *testing.T) {
 		for off := 0; off < len(want); {
 			r, n, _ := decodeRecord(want[off:])
 			off += n
-			m, err := v.GetMeta(r.Key)
-			if err != nil || m != r.Meta {
-				t.Fatalf("seed %d: %s recovered as %+v, %v; want %+v", seed, r.Key, m, err, r.Meta)
+			newest, err := v.GetNewest(r.Key)
+			if err != nil || newest.Meta != r.Meta {
+				t.Fatalf("seed %d: %s recovered as %+v, %v; want %+v", seed, r.Key, newest.Meta, err, r.Meta)
 			}
 			if got, err := v.Get(r.Key); r.Deleted != (err == ErrNotFound) || !r.Deleted && !bytes.Equal(got.Value, r.Value) {
 				t.Fatalf("seed %d: Get(%s) = %q, %v; want %q", seed, r.Key, got.Value, err, r.Value)

@@ -8,14 +8,26 @@ import (
 	"time"
 )
 
+// openSynced opens a durable file whose unwaited leaders go through a
+// Syncer of its own, as a Store's files do.
 func openSynced(t *testing.T) *VBFile {
 	t.Helper()
 	v, err := Open(filepath.Join(t.TempDir(), "vb.couch"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	v.syncer = NewSyncer()
 	t.Cleanup(func() { v.Close() })
 	return v
+}
+
+// eachWaited runs test once with unwaited appends (their leader joins
+// the device round) and once with waited ones (it fsyncs at once): the
+// group-commit contract is the same on both paths.
+func eachWaited(t *testing.T, test func(t *testing.T, waited bool)) {
+	for _, waited := range []bool{false, true} {
+		t.Run(fmt.Sprintf("waited=%v", waited), func(t *testing.T) { test(t, waited) })
+	}
 }
 
 // TestGroupCommitRiders drives the leader/rider protocol
@@ -23,8 +35,12 @@ func openSynced(t *testing.T) *VBFile {
 // by the test), concurrent durable appends must write their batches
 // and then park as riders — not return, since nothing covers them yet
 // — and must all complete together the moment the watermark advances
-// past their batches.
+// past their batches. A waited append rides like any other.
 func TestGroupCommitRiders(t *testing.T) {
+	eachWaited(t, testGroupCommitRiders)
+}
+
+func testGroupCommitRiders(t *testing.T, waited bool) {
 	v := openSynced(t)
 
 	// Pose as an in-flight fsync leader.
@@ -38,7 +54,7 @@ func TestGroupCommitRiders(t *testing.T) {
 	done := make(chan error, appenders)
 	for i := 0; i < appenders; i++ {
 		go func(i int) {
-			done <- v.Append([]Record{rec(fmt.Sprintf("k%d", i), uint64(i+1), "v")})
+			done <- v.Append([]Record{rec(fmt.Sprintf("k%d", i), uint64(i+1), "v")}, waited)
 		}(i)
 	}
 
@@ -132,8 +148,12 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 // is unknowable, so every later durable append must fail fast rather
 // than pretend.
 func TestGroupCommitStickyError(t *testing.T) {
+	eachWaited(t, testGroupCommitStickyError)
+}
+
+func testGroupCommitStickyError(t *testing.T, waited bool) {
 	v := openSynced(t)
-	if err := v.Append([]Record{rec("a", 1, "v")}); err != nil {
+	if err := v.Append([]Record{rec("a", 1, "v")}, waited); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,7 +161,7 @@ func TestGroupCommitStickyError(t *testing.T) {
 	v.syncErr = fmt.Errorf("disk on fire")
 	v.syncMu.Unlock()
 
-	if err := v.Append([]Record{rec("b", 2, "v")}); err == nil {
+	if err := v.Append([]Record{rec("b", 2, "v")}, waited); err == nil {
 		t.Fatal("durable append succeeded after a failed fsync")
 	}
 }
@@ -150,6 +170,10 @@ func TestGroupCommitStickyError(t *testing.T) {
 // compactions: Compact swaps the descriptor a leader may be about to
 // fsync, so the quiesce barrier is load-bearing. Run with -race.
 func TestGroupCommitCompactRace(t *testing.T) {
+	eachWaited(t, testGroupCommitCompactRace)
+}
+
+func testGroupCommitCompactRace(t *testing.T, waited bool) {
 	v := openSynced(t)
 
 	const writers = 4
@@ -167,7 +191,7 @@ func TestGroupCommitCompactRace(t *testing.T) {
 				}
 				// Rewrite a small key set so compaction has garbage.
 				key := fmt.Sprintf("w%d-k%d", w, i%3)
-				if err := v.Append([]Record{rec(key, uint64(w*1_000_000+i+1), "v")}); err != nil {
+				if err := v.Append([]Record{rec(key, uint64(w*1_000_000+i+1), "v")}, waited); err != nil {
 					t.Error(err)
 					return
 				}
@@ -229,5 +253,138 @@ func TestSyncerCoalescesAcrossFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestWaitedAppendSkipsTheRound poses as a device round that does not
+// end: a waited append on one file of the Store must still come back
+// covered by its own fsync, while an unwaited append on another file
+// stays queued for the round until the round is released.
+func TestWaitedAppendSkipsTheRound(t *testing.T) {
+	st, err := NewStore(t.TempDir(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	a, err := st.VB(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := st.VB(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := st.syncer
+	release := func() {
+		s.mu.Lock()
+		s.syncing = false
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	}
+	s.mu.Lock()
+	s.syncing = true
+	s.mu.Unlock()
+	t.Cleanup(release) // before st.Close, which waits out b's leader
+
+	unwaited := make(chan error, 1)
+	go func() { unwaited <- b.Append([]Record{rec("b", 1, "v")}) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		queued := len(s.pending)
+		s.mu.Unlock()
+		if queued == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the unwaited append never queued for the round")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	before := mWaitedSyncs.Value()
+	waited := make(chan error, 1)
+	go func() { waited <- a.Append([]Record{rec("a", 1, "v")}, true) }()
+	select {
+	case err := <-waited:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waited append queued behind the device round")
+	}
+	a.syncMu.Lock()
+	synced := a.syncedSeq
+	a.syncMu.Unlock()
+	if synced != 1 {
+		t.Errorf("waited append returned with syncedSeq %d, want 1", synced)
+	}
+	if got := mWaitedSyncs.Value() - before; got != 1 {
+		t.Errorf("waited syncs advanced by %d, want 1", got)
+	}
+
+	select {
+	case err := <-unwaited:
+		t.Fatalf("unwaited append returned (%v) while its round was stuck", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if err := <-unwaited; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkWaitedAppendBesideARound times one file's durable append
+// while a goroutine keeps a second file of the same Store appending
+// unwaited, so a device round is nearly always in flight: waited=false
+// queues behind it, waited=true fsyncs at once.
+func BenchmarkWaitedAppendBesideARound(b *testing.B) {
+	for _, waited := range []bool{false, true} {
+		b.Run(fmt.Sprintf("waited=%v", waited), func(b *testing.B) {
+			st, err := NewStore(b.TempDir(), true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			timed, err := st.VB(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			busy, err := st.VB(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				batch := []Record{rec("busy", 0, "v")}
+				for i := 1; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					batch[0].Seqno = uint64(i)
+					if err := busy.Append(batch); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+			defer func() { close(stop); wg.Wait() }()
+
+			batch := []Record{rec("timed", 0, "v")}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch[0].Seqno = uint64(i + 1)
+				if err := timed.Append(batch, waited); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+		})
 	}
 }

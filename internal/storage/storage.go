@@ -53,6 +53,9 @@ var (
 	mGroupCommitRiders    = metrics.Default.Counter("couchgo_storage_group_commit_riders_total")
 	mGroupCommitCoalesced = metrics.Default.ValueHistogram("couchgo_storage_group_commit_coalesced_appends")
 	mDeviceSyncFiles      = metrics.Default.ValueHistogram("couchgo_storage_device_sync_files")
+	// mWaitedSyncs counts leader fsyncs of waited batches, which skip
+	// the device round because a persistence waiter needs them.
+	mWaitedSyncs = metrics.Default.Counter("couchgo_storage_waited_syncs_total")
 
 	// Secondary-path errors that cannot be propagated without masking
 	// the primary failure (closing a file while unwinding, removing a
@@ -242,8 +245,8 @@ type VBFile struct {
 	syncedSeq int64
 	syncErr   error
 
-	// syncer, when non-nil, coalesces this file's leader fsyncs with
-	// other files on the same device (set by Store.VB).
+	// syncer, when non-nil, coalesces this file's unwaited leader fsyncs
+	// with other files on the same device (set by Store.VB).
 	syncer *Syncer
 }
 
@@ -310,7 +313,11 @@ func (v *VBFile) indexRecordLocked(m Meta, off, size int64) {
 // until its bytes are covered by an fsync — its own or a concurrent
 // leader's (group commit) — so the caller's durability watermark may
 // advance the moment Append returns.
-func (v *VBFile) Append(recs []Record) error {
+//
+// waited (false when omitted) says someone waits on this batch's
+// persistence: if it leads its file's fsync, it fsyncs at once rather
+// than queueing for the device round of the Syncer.
+func (v *VBFile) Append(recs []Record, waited ...bool) error {
 	v.mu.Lock()
 	if v.closed {
 		v.mu.Unlock()
@@ -348,7 +355,7 @@ func (v *VBFile) Append(recs []Record) error {
 	seq := v.appendSeq
 	v.mu.Unlock()
 	if v.sync {
-		return v.syncTo(seq)
+		return v.syncTo(seq, len(waited) > 0 && waited[0])
 	}
 	return nil
 }
@@ -357,8 +364,9 @@ func (v *VBFile) Append(recs []Record) error {
 // joining or leading a group commit. At most one fsync per file is in
 // flight; every caller that arrives while it runs waits, and when it
 // completes, all callers whose batch it covered return together
-// (riders). A caller it did not cover becomes the next leader.
-func (v *VBFile) syncTo(seq int64) error {
+// (riders). A caller it did not cover becomes the next leader, which
+// joins the Syncer's device round unless its batch is waited.
+func (v *VBFile) syncTo(seq int64, waited bool) error {
 	v.syncMu.Lock()
 	rode := false
 	for {
@@ -396,14 +404,18 @@ func (v *VBFile) syncTo(seq int64) error {
 	v.mu.Unlock()
 
 	var err error
-	if closed {
+	switch {
+	case closed:
 		err = ErrClosed
-	} else if v.syncer != nil {
+	case v.syncer != nil && !waited:
 		err = v.syncer.Sync(f)
-	} else {
+	default:
 		t0 := time.Now()
 		err = f.Sync()
 		mFsyncDuration.ObserveSince(t0)
+		if waited {
+			mWaitedSyncs.Inc()
+		}
 	}
 
 	v.syncMu.Lock()
@@ -439,7 +451,7 @@ func (v *VBFile) quiesceSync() {
 }
 
 // Get reads the newest version of key. Deleted keys report ErrNotFound
-// (tombstone metadata is still reachable via GetNewest and GetMeta).
+// (tombstone metadata is still reachable via GetNewest).
 func (v *VBFile) Get(key string) (Record, error) {
 	rec, err := v.GetNewest(key)
 	if err == nil && rec.Deleted {
@@ -550,17 +562,6 @@ func (v *VBFile) readRawLocked(info recInfo, use func(raw []byte) error) (err er
 
 func corruptError(info recInfo) error {
 	return fmt.Errorf("storage: corrupt record for %s at offset %d", info.Key, info.offset)
-}
-
-// GetMeta returns the newest metadata for key, including tombstones.
-func (v *VBFile) GetMeta(key string) (Meta, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	info, ok := v.byID[key]
-	if !ok {
-		return Meta{}, ErrNotFound
-	}
-	return info.Meta, nil
 }
 
 // HighSeqno returns the highest persisted sequence number. The
@@ -795,7 +796,8 @@ func (v *VBFile) Remove() error {
 // device leader, fsyncs every distinct file that queued a ticket
 // while the previous round ran, and completes all their tickets
 // together. No background goroutine — leadership is carried by
-// whichever caller arrives at the right moment.
+// whichever caller arrives at the right moment. A waited append's
+// leader does not queue here (Append).
 type Syncer struct {
 	mu      sync.Mutex
 	cond    *sync.Cond

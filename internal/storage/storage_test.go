@@ -68,9 +68,9 @@ func TestTombstones(t *testing.T) {
 	if _, err := v.Get("k"); err != ErrNotFound {
 		t.Errorf("deleted key should be not found: %v", err)
 	}
-	meta, err := v.GetMeta("k")
-	if err != nil || !meta.Deleted || meta.Seqno != 2 {
-		t.Errorf("tombstone meta: %+v %v", meta, err)
+	tomb, err := v.GetNewest("k")
+	if err != nil || !tomb.Deleted || tomb.Seqno != 2 {
+		t.Errorf("tombstone meta: %+v %v", tomb.Meta, err)
 	}
 }
 
@@ -241,9 +241,9 @@ func TestCompactReclaimsSpaceAndPreservesData(t *testing.T) {
 		}
 	}
 	// Tombstone survives compaction (replicas may still need it).
-	meta, err := v.GetMeta("k0")
-	if err != nil || !meta.Deleted {
-		t.Errorf("tombstone lost in compaction: %+v %v", meta, err)
+	tomb, err := v.GetNewest("k0")
+	if err != nil || !tomb.Deleted {
+		t.Errorf("tombstone lost in compaction: %+v %v", tomb.Meta, err)
 	}
 	// Writes continue after compaction.
 	if err := v.Append([]Record{rec("post", 2000, "pv")}); err != nil {

@@ -117,6 +117,10 @@ func (vb *VBucket) Do(ctx context.Context, op *Op) (res Result, err error) {
 		vb.replWaiters.Add(1) // before the arm: the mutation is pumped before the wait begins
 		defer vb.replWaiters.Add(-1)
 	}
+	if op.Dur.PersistTo {
+		vb.persistWaiters.Add(1) // before the arm: the flusher may take the mutation before the wait begins
+		defer vb.persistWaiters.Add(-1)
+	}
 	// A child of the caller's span, never a new root: sampling belongs
 	// to the client and query entry points.
 	sp := trace.FromContext(ctx).Child(spec.CacheSpan)

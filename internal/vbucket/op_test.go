@@ -2,6 +2,7 @@ package vbucket
 
 import (
 	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -186,6 +187,75 @@ func TestDoThroughEvictedLock(t *testing.T) {
 	}
 	if _, err := vb.Do(bg, &Op{Code: memcproto.OpUnlock, Key: "k", CAS: res.Item.CAS, Now: 101}); err != nil {
 		t.Errorf("unlock with the returned token: %v", err)
+	}
+}
+
+// TestOnlyPersistToSkipsTheRound: the flusher appends a batch waited,
+// so that its fsync skips the device round, only when a PersistTo op
+// waits on it. A plain Set, a ReplicateTo-only Set and DrainDisk leave
+// their batches to the round; the traced commit of a PersistTo Set says
+// which path it took.
+func TestOnlyPersistToSkipsTheRound(t *testing.T) {
+	st, err := storage.NewStore(t.TempDir(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	f, err := st.VB(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vb := New(0, f, Active, Config{})
+	t.Cleanup(vb.Close)
+	vb.AckReplica("replica", math.MaxUint64) // every ReplicateTo wait is met at once
+	tracer := trace.New()
+	tracer.SetRate(1)
+	waitedSyncs := metrics.Default.Counter("couchgo_storage_waited_syncs_total")
+	before := waitedSyncs.Value()
+
+	// set runs a traced Set and then drains the disk; it returns whether
+	// the Set came back persisted and the commit span's waited annotation.
+	set := func(dur DurabilityOptions) (persisted bool, waited string) {
+		t.Helper()
+		ctx, root := tracer.Start(bg, "set")
+		res, err := vb.Do(ctx, &Op{Code: memcproto.OpSet, Key: "k", Value: []byte("v"), Dur: dur})
+		if err != nil {
+			t.Fatalf("set %+v: %v", dur, err)
+		}
+		persisted = vb.PersistedSeqno() >= res.Item.Seqno
+		if err := vb.DrainDisk(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		sp := spanNamed(root.Trace().Tree(), "storage:commit")
+		if sp == nil {
+			t.Fatalf("set %+v: no storage:commit span", dur)
+		}
+		for _, a := range sp.Annotations {
+			if a.Key == "waited" {
+				waited = a.Value
+			}
+		}
+		return persisted, waited
+	}
+
+	for _, dur := range []DurabilityOptions{{}, {ReplicateTo: 1}} {
+		if _, waited := set(dur); waited != "" {
+			t.Errorf("set %+v: commit span waited=%q, want no annotation", dur, waited)
+		}
+	}
+	if got := waitedSyncs.Value() - before; got != 0 {
+		t.Fatalf("plain and ReplicateTo sets and DrainDisk made %d waited syncs, want 0", got)
+	}
+	persisted, waited := set(DurabilityOptions{PersistTo: true})
+	if !persisted {
+		t.Error("a PersistTo set returned before its mutation was persisted")
+	}
+	if waited != "true" {
+		t.Errorf("PersistTo commit span waited=%q, want true", waited)
+	}
+	if got := waitedSyncs.Value() - before; got != 1 {
+		t.Errorf("a PersistTo set made %d waited syncs, want 1", got)
 	}
 }
 

@@ -147,10 +147,12 @@ type VBucket struct {
 	durMu          sync.Mutex
 	persistedSeqno uint64
 	replicaSeqnos  map[string]uint64 // replica name -> acked seqno
-	// replWaiters counts the ops in Do that will wait on replication,
-	// from before their mutation exists (ReplicationAwaited).
-	replWaiters atomic.Int32
-	durCond     *sync.Cond
+	// replWaiters and persistWaiters count the ops in Do that will wait
+	// on replication (ReplicationAwaited) and on persistence (the
+	// flusher's waited appends), from before their mutation exists.
+	replWaiters    atomic.Int32
+	persistWaiters atomic.Int32
+	durCond        *sync.Cond
 }
 
 // New creates a vBucket in the given state over the provided storage
@@ -273,6 +275,10 @@ func (vb *VBucket) flusher() {
 		}
 		vb.queueMu.Unlock()
 		mFlushQueueDepth.Add(int64(-n))
+		// A PersistTo op counted itself before its mutation was queued,
+		// so the batch holding that mutation is appended waited: its
+		// fsync skips the device round.
+		waited := vb.persistWaiters.Load() > 0
 
 		recs := dedupBatch(drained[:n])
 		mFlushBatchItems.ObserveValue(uint64(len(recs)))
@@ -286,13 +292,16 @@ func (vb *VBucket) flusher() {
 			sp := tr.StartSpan("storage:commit")
 			sp.Annotate("vb", strconv.Itoa(vb.ID))
 			sp.Annotate("batch_items", strconv.Itoa(len(recs)))
+			if waited {
+				sp.Annotate("waited", "true")
+			}
 			commitSpans = append(commitSpans, sp)
 		}
 		t0 := time.Now()
 		if vb.cfg.DiskDelay > 0 {
 			time.Sleep(vb.cfg.DiskDelay)
 		}
-		if err := vb.file.Append(recs); err != nil {
+		if err := vb.file.Append(recs, waited); err != nil {
 			// The file is closed (shutdown) or the disk failed; either
 			// way the flusher stops. Unpersisted mutations remain in
 			// memory and in replicas — the paper's durability model.
