@@ -144,7 +144,7 @@ func main() {
 	// The process's one health watchdog, served at /health: the standard
 	// rule set over this cluster.
 	watchdog := health.New(health.Options{Interval: *healthEvery})
-	health.RegisterClusterChecks(watchdog, cluster, health.ClusterCheckConfig{})
+	health.RegisterClusterChecks(watchdog, cluster, time.Now)
 	watchdog.Start()
 	defer watchdog.Stop()
 

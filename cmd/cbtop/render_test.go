@@ -33,8 +33,8 @@ func newNode(t *testing.T) (*rest.Server, *core.Cluster) {
 	if err := c.CreateBucket("default", core.BucketOptions{NumReplicas: 1}); err != nil {
 		t.Fatal(err)
 	}
-	w := health.New(health.Options{Interval: time.Hour, Journal: events.NewJournal(16)})
-	health.RegisterClusterChecks(w, c, health.ClusterCheckConfig{})
+	w := health.New(health.Options{Interval: time.Hour})
+	health.RegisterClusterChecks(w, c, time.Now)
 	w.Tick()
 	s := rest.NewServer(c)
 	s.SetHealth(w)

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"couchgo/internal/core"
+	"couchgo/internal/memcproto"
 )
 
 // newPublicCluster spins up an n-node everything-everywhere cluster
@@ -351,13 +354,17 @@ func TestPublicTouchAndAppend(t *testing.T) {
 	if d.Expiry == 0 {
 		t.Fatal("touch did not set expiry")
 	}
-	// Raw byte append via the internal client surface.
-	cl := c.Internal()
+	// Raw byte append has no public method: the op-table rows, through
+	// the node's loopback connection as the wire server dispatches them.
+	ctx, cl := context.Background(), c.Internal()
 	bcl, _ := cl.OpenBucket("default")
-	bcl.Set(context.Background(), "log", []byte("a"), 0)
-	bcl.Append(context.Background(), "log", []byte("b"), 0)
-	bcl.Prepend(context.Background(), "log", []byte("-"), 0)
-	it, _ := bcl.Get(context.Background(), "log")
+	bcl.Set(ctx, "log", []byte("a"), 0)
+	m, _ := cl.BucketMap("default")
+	node, vb := m.NodeForKey("log")
+	conn, _ := cl.LoopbackConn(node, "default")
+	conn.Do(ctx, vb, core.Op{Code: memcproto.OpAppendVal, Key: "log", Value: []byte("b")})
+	conn.Do(ctx, vb, core.Op{Code: memcproto.OpPrependVal, Key: "log", Value: []byte("-")})
+	it, _ := bcl.Get(ctx, "log")
 	if string(it.Value) != "-ab" {
 		t.Fatalf("concat: %q", it.Value)
 	}

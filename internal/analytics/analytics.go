@@ -79,12 +79,6 @@ func (e *Engine) AttachVB(vb int, p dcp.StreamSource) error {
 	return e.hub.AttachVB(vb, p)
 }
 
-// DetachVB stops shadowing a vBucket and removes its documents.
-func (e *Engine) DetachVB(vb int) {
-	e.hub.DetachVB(vb)
-	e.Rollback(vb, 0)
-}
-
 // Enable starts shadowing: a DCP feed per attached vBucket backfills
 // the dataset from seqno 0, then follows live mutations. Enabling a live
 // dataset is a no-op; the hub refuses a second subscription racing the
@@ -101,12 +95,6 @@ func (e *Engine) Enable() error {
 	e.feed = f
 	e.mu.Unlock()
 	return nil
-}
-
-// Enabled reports whether the dataset is live (Enable has subscribed
-// its feed).
-func (e *Engine) Enabled() bool {
-	return e.liveFeed() != nil
 }
 
 func (e *Engine) liveFeed() *feed.Feed {
@@ -135,11 +123,6 @@ func (e *Engine) Apply(vb int, m dcp.Mutation) {
 	} else if doc, ok := value.Parse(m.Value); ok {
 		e.tree.Replace(vb, m.Key, [][]any{{m.Key}}, entry{doc: doc, meta: n1ql.Meta{ID: m.Key, CAS: m.CAS, Seqno: m.Seqno}})
 	}
-}
-
-// DatasetSize reports the shadowed document count.
-func (e *Engine) DatasetSize() int {
-	return e.tree.Stats().Docs
 }
 
 // Close stops all streams.

@@ -36,7 +36,6 @@ type Reducer interface {
 type Tree struct {
 	root    *node
 	reducer Reducer // nil = no annotations maintained
-	size    int
 }
 
 type node struct {
@@ -52,9 +51,6 @@ type node struct {
 func New(reducer Reducer) *Tree {
 	return &Tree{root: &node{leaf: true}, reducer: reducer}
 }
-
-// Len returns the number of entries.
-func (t *Tree) Len() int { return t.size }
 
 // Get returns the value for key.
 func (t *Tree) Get(key []byte) (any, bool) {
@@ -107,9 +103,6 @@ func (t *Tree) Set(key []byte, val any) bool {
 			children: []*node{old, split.right},
 		}
 		t.annotate(t.root)
-	}
-	if inserted {
-		t.size++
 	}
 	return inserted
 }
@@ -188,9 +181,6 @@ func (t *Tree) maybeSplit(n *node) *splitResult {
 // and, under the steady churn of index maintenance, acceptably shallow.
 func (t *Tree) Delete(key []byte) bool {
 	deleted := t.del(t.root, key)
-	if deleted {
-		t.size--
-	}
 	// Collapse a root with a single child.
 	for !t.root.leaf && len(t.root.children) == 1 {
 		t.root = t.root.children[0]
@@ -321,17 +311,6 @@ func (t *Tree) descend(n *node, lo, hi []byte, fn func([]byte, any) bool) bool {
 	return true
 }
 
-// ReduceAll returns the annotation over the entire tree in O(1).
-func (t *Tree) ReduceAll() any {
-	if t.reducer == nil {
-		return nil
-	}
-	if t.root.leaf && len(t.root.keys) == 0 {
-		return t.reducer.Zero()
-	}
-	return t.root.reduce
-}
-
 // ReduceRange aggregates entries with lo <= key < hi (nil = unbounded)
 // in O(log n): whole subtrees inside the range contribute their stored
 // annotation; only the range edges descend to leaves.
@@ -384,13 +363,4 @@ func (t *Tree) reduceRange(n *node, lo, hi []byte) any {
 		parts = append(parts, t.reduceRange(c, lo, hi))
 	}
 	return t.reducer.Merge(parts...)
-}
-
-// Height returns the tree height (diagnostics / tests).
-func (t *Tree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
-		h++
-	}
-	return h
 }

@@ -41,6 +41,13 @@ func (sumReducer) Zero() any { return 0.0 }
 
 func key(i int) []byte { return []byte(fmt.Sprintf("key%06d", i)) }
 
+// size counts the tree's entries.
+func size(tr *Tree) int {
+	n := 0
+	tr.Ascend(nil, nil, func([]byte, any) bool { n++; return true })
+	return n
+}
+
 func TestSetGetDelete(t *testing.T) {
 	tr := New(nil)
 	if _, ok := tr.Get(key(1)); ok {
@@ -56,8 +63,8 @@ func TestSetGetDelete(t *testing.T) {
 	if !ok || v != "b" {
 		t.Fatalf("Get = %v %v", v, ok)
 	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d", tr.Len())
+	if size(tr) != 1 {
+		t.Fatalf("Len = %d", size(tr))
 	}
 	if !tr.Delete(key(1)) {
 		t.Fatal("Delete should report true")
@@ -65,8 +72,8 @@ func TestSetGetDelete(t *testing.T) {
 	if tr.Delete(key(1)) {
 		t.Fatal("double Delete should report false")
 	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len after delete = %d", tr.Len())
+	if size(tr) != 0 {
+		t.Fatalf("Len after delete = %d", size(tr))
 	}
 }
 
@@ -76,8 +83,8 @@ func TestLargeOrderedInsertAndScan(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tr.Set(key(i), float64(i))
 	}
-	if tr.Len() != n {
-		t.Fatalf("Len = %d", tr.Len())
+	if size(tr) != n {
+		t.Fatalf("Len = %d", size(tr))
 	}
 	i := 0
 	tr.Ascend(nil, nil, func(k []byte, v any) bool {
@@ -90,7 +97,11 @@ func TestLargeOrderedInsertAndScan(t *testing.T) {
 	if i != n {
 		t.Fatalf("scanned %d", i)
 	}
-	if h := tr.Height(); h > 5 {
+	h := 1
+	for n := tr.root; !n.leaf; n = n.children[0] {
+		h++
+	}
+	if h > 5 {
 		t.Errorf("height %d too tall for %d ordered inserts", h, n)
 	}
 }
@@ -110,8 +121,8 @@ func TestRandomInsertDeleteAgainstModel(t *testing.T) {
 			tr.Set(k, v)
 		}
 	}
-	if tr.Len() != len(model) {
-		t.Fatalf("Len = %d, model %d", tr.Len(), len(model))
+	if size(tr) != len(model) {
+		t.Fatalf("Len = %d, model %d", size(tr), len(model))
 	}
 	// Everything retrievable with the right value.
 	for k, want := range model {
@@ -133,8 +144,8 @@ func TestRandomInsertDeleteAgainstModel(t *testing.T) {
 		t.Fatalf("scan %d keys, model %d", len(keys), len(model))
 	}
 	// Annotation agrees with the count.
-	if got := tr.ReduceAll().(float64); got != float64(len(model)) {
-		t.Fatalf("ReduceAll = %v, want %d", got, len(model))
+	if got := tr.ReduceRange(nil, nil).(float64); got != float64(len(model)) {
+		t.Fatalf("whole-tree reduce = %v, want %d", got, len(model))
 	}
 }
 
@@ -281,26 +292,26 @@ func TestReduceRangeMatchesScan(t *testing.T) {
 		hi := lo + r.Intn(3000-lo)
 		check(lo, hi)
 	}
-	// Full-tree shortcut.
+	// The whole tree.
 	var total float64
 	for _, v := range vals {
 		total += v
 	}
-	if got := tr.ReduceAll().(float64); got != total {
-		t.Fatalf("ReduceAll = %v, want %v", got, total)
+	if got := tr.ReduceRange(nil, nil).(float64); got != total {
+		t.Fatalf("whole-tree reduce = %v, want %v", got, total)
 	}
 }
 
 func TestReduceAllEmptyTree(t *testing.T) {
 	tr := New(countReducer{})
-	if got := tr.ReduceAll().(float64); got != 0 {
-		t.Fatalf("empty ReduceAll = %v", got)
-	}
 	if got := tr.ReduceRange(nil, nil).(float64); got != 0 {
 		t.Fatalf("empty ReduceRange = %v", got)
 	}
+	if got := tr.ReduceRange(key(1), key(2)).(float64); got != 0 {
+		t.Fatalf("empty bounded ReduceRange = %v", got)
+	}
 	// Tree without reducer returns nil.
-	if New(nil).ReduceAll() != nil {
+	if New(nil).ReduceRange(nil, nil) != nil {
 		t.Fatal("nil reducer should yield nil")
 	}
 }
@@ -319,7 +330,7 @@ func TestQuickTreeMatchesSortedMap(t *testing.T) {
 				model[string(k)] = true
 			}
 		}
-		if tr.Len() != len(model) {
+		if size(tr) != len(model) {
 			return false
 		}
 		count := 0
@@ -336,7 +347,7 @@ func TestQuickTreeMatchesSortedMap(t *testing.T) {
 			count++
 			return true
 		})
-		return okScan && count == len(model) && tr.ReduceAll().(float64) == float64(len(model))
+		return okScan && count == len(model) && tr.ReduceRange(nil, nil).(float64) == float64(len(model))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -52,7 +52,6 @@ var (
 	ErrLocked       = errors.New("cache: document is locked")
 	ErrNotLocked    = errors.New("cache: document is not locked")
 	ErrValueEvicted = errors.New("cache: value not resident")
-	ErrTombstone    = errors.New("cache: key is deleted")
 )
 
 // casCounter generates cluster-unique, monotonically increasing CAS

@@ -161,17 +161,6 @@ func (m *Map) HasReplica(vb int, node NodeID) bool {
 	return false
 }
 
-// ReplicaVBuckets returns the vBuckets with a replica copy on node.
-func (m *Map) ReplicaVBuckets(node NodeID) []int {
-	var out []int
-	for vb := range m.Chains {
-		if m.HasReplica(vb, node) {
-			out = append(out, vb)
-		}
-	}
-	return out
-}
-
 func (m *Map) nodeIndex(n NodeID) int {
 	for i, id := range m.Nodes {
 		if id == n {

@@ -84,8 +84,14 @@ func TestBuildBalancedInvariants(t *testing.T) {
 		if got := len(m.ActiveVBuckets(n)); got != 16 {
 			t.Errorf("node %s has %d actives, want 16", n, got)
 		}
-		if got := len(m.ReplicaVBuckets(n)); got != 32 {
-			t.Errorf("node %s has %d replicas, want 32", n, got)
+		replicas := 0
+		for vb := range m.Chains {
+			if m.HasReplica(vb, n) {
+				replicas++
+			}
+		}
+		if replicas != 32 {
+			t.Errorf("node %s has %d replicas, want 32", n, replicas)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"couchgo/internal/cache"
 	"couchgo/internal/cmap"
 )
 
@@ -67,7 +68,7 @@ func TestRouteUnderTopologyChurn(t *testing.T) {
 					if gerr == nil && string(it.Value) != want {
 						t.Errorf("seed %d: Get(%s) = %s, last acknowledged %s", seed, key, it.Value, want)
 					}
-					if written || !errors.Is(gerr, ErrKeyNotFound) {
+					if written || !errors.Is(gerr, cache.ErrKeyNotFound) {
 						err = gerr
 					}
 				}

@@ -32,12 +32,7 @@ type Client struct {
 	// cluster is set for loopback clients only (in-process tests and
 	// tools reach through it); nil when the client rides a transport.
 	cluster *Cluster
-	// clock returns "now" in unix seconds; injectable for expiry tests.
-	clock func() int64
 }
-
-// ErrKeyNotFound mirrors the cache error at the client surface.
-var ErrKeyNotFound = cache.ErrKeyNotFound
 
 // OpenBucket returns a smart client for one bucket over the in-process
 // loopback transport.
@@ -49,15 +44,8 @@ func (c *Cluster) OpenBucket(name string) (*Client, error) {
 		router:  loopbackRouter{c: c, bucket: name},
 		bucket:  name,
 		cluster: c,
-		clock:   func() int64 { return time.Now().Unix() },
 	}, nil
 }
-
-// SetClock overrides the client's time source (expiry tests).
-func (cl *Client) SetClock(fn func() int64) { cl.clock = fn }
-
-// Bucket returns the bucket name.
-func (cl *Client) Bucket() string { return cl.bucket }
 
 const (
 	maxRouteRetries  = 20
@@ -163,7 +151,7 @@ func (cl *Client) route(ctx context.Context, op *Op, res *Result) error {
 			}
 			continue
 		}
-		op.Now = cl.clock()
+		op.Now = time.Now().Unix()
 		*res, err = nc.Do(trace.ContextWith(ctx, asp), vbID, *op)
 		if retryableRouteErr(err) {
 			// Stale map: "the cluster updates each connected client
@@ -240,19 +228,6 @@ func (cl *Client) Unlock(ctx context.Context, key string, casToken uint64) error
 	return err
 }
 
-// Append concatenates raw bytes to a document's value (memcached
-// heritage: binary values, not JSON).
-func (cl *Client) Append(ctx context.Context, key string, data []byte, casCheck uint64) (cache.Item, error) {
-	res, err := cl.do(ctx, Op{Code: memcproto.OpAppendVal, Key: key, Value: data, CAS: casCheck})
-	return res.Item, err
-}
-
-// Prepend concatenates raw bytes before a document's value.
-func (cl *Client) Prepend(ctx context.Context, key string, data []byte, casCheck uint64) (cache.Item, error) {
-	res, err := cl.do(ctx, Op{Code: memcproto.OpPrependVal, Key: key, Value: data, CAS: casCheck})
-	return res.Item, err
-}
-
 // SubdocGet reads one path inside a document without fetching it all.
 func (cl *Client) SubdocGet(ctx context.Context, key, path string) (any, error) {
 	res, err := cl.do(ctx, Op{Code: memcproto.OpSubdocGet, Key: key, Path: path})
@@ -283,13 +258,6 @@ func (cl *Client) SubdocCounter(ctx context.Context, key, path string, delta flo
 	res, err := cl.do(ctx, Op{Code: memcproto.OpSubdocCounter, Key: key, Path: path, Delta: delta, CAS: casCheck})
 	n, _ := res.Doc.(float64)
 	return n, err
-}
-
-// GetMeta returns a document's metadata (tombstones included), used by
-// XDCR and diagnostics.
-func (cl *Client) GetMeta(ctx context.Context, key string) (cache.Item, error) {
-	res, err := cl.do(ctx, Op{Code: memcproto.OpGetMeta, Key: key})
-	return res.Item, err
 }
 
 // XDCRApply installs a mutation replicated from another cluster,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -172,22 +173,27 @@ func (c *Cluster) AddNode(id cmap.NodeID, services cmap.ServiceSet) (*Node, erro
 		return nil, fmt.Errorf("core: node %s already exists", id)
 	}
 	n := newNode(id, services, filepath.Join(c.cfg.Dir, string(id)))
+	// Provision existing buckets on the new node (data service only),
+	// including their recorded view definitions (views are local
+	// indexes, so every data node must build them), and publish it only
+	// then: a node that fails here is closed and never joins.
+	for _, b := range c.buckets {
+		var err error
+		if services.Has(cmap.ServiceData) {
+			if err = n.addBucket(b.name, b.gsiSvc, b.ftsEng, b.analyticsEng, c.cfg, b.opts); err == nil {
+				err = defineRecordedViews(n, b)
+			}
+		}
+		if err != nil {
+			for _, nb := range n.buckets.all() {
+				nb.close()
+			}
+			return nil, err
+		}
+	}
 	c.nodes.put(id, n)
 	if c.cfg.FailoverTimeout > 0 {
 		c.topo.Heard(id) // joining is a sign of life, so one killed before the next tick is graded too
-	}
-	// Provision existing buckets on the new node (data service only),
-	// including their recorded view definitions (views are local
-	// indexes, so every data node must build them).
-	for _, b := range c.buckets {
-		if services.Has(cmap.ServiceData) {
-			if err := n.addBucket(b.name, b.gsiSvc, b.ftsEng, b.analyticsEng, c.cfg, b.opts); err != nil {
-				return nil, err
-			}
-			if err := defineRecordedViews(n, b); err != nil {
-				return nil, err
-			}
-		}
 	}
 	e := events.New(events.Topology, events.SevInfo, "node added")
 	e.Node = string(id)
@@ -210,14 +216,12 @@ func defineRecordedViews(n *Node, b *bucketState) error {
 		return nil
 	}
 	for _, d := range defs {
-		if err := nb.viewEngine.Define(d); err != nil && !errorsIsViewExists(err) {
+		if err := nb.viewEngine.Define(d); err != nil && !errors.Is(err, views.ErrViewExists) {
 			return err
 		}
 	}
 	return nil
 }
-
-func errorsIsViewExists(err error) bool { return err == views.ErrViewExists }
 
 // Node returns a cluster member.
 func (c *Cluster) Node(id cmap.NodeID) (*Node, error) {
@@ -583,12 +587,6 @@ func (c *Cluster) Stats(bucketName string) []NodeStats {
 		out = append(out, n.stats(bucketName))
 	}
 	return out
-}
-
-// HasBucket reports whether the bucket exists.
-func (c *Cluster) HasBucket(name string) bool {
-	_, err := c.bucket(name)
-	return err == nil
 }
 
 // BucketNames lists the cluster's buckets, sorted.

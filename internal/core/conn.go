@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"time"
 
 	"couchgo/internal/cmap"
 	"couchgo/internal/vbucket"
@@ -57,6 +56,5 @@ func NewClient(r Router, bucket string) *Client {
 	return &Client{
 		router: r,
 		bucket: bucket,
-		clock:  func() int64 { return time.Now().Unix() },
 	}
 }

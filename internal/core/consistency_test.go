@@ -4,21 +4,43 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"couchgo/internal/analytics"
 	"couchgo/internal/cmap"
+	"couchgo/internal/dcp"
 	"couchgo/internal/executor"
 	"couchgo/internal/fts"
 	"couchgo/internal/views"
 )
 
+// stalledSource is a vBucket producer whose streams never deliver:
+// attached in a real one's place, it severs a service's feed from it.
+type stalledSource struct{}
+
+type stalledStream struct {
+	uuid uint64
+	once sync.Once
+	done chan struct{}
+}
+
+func (stalledSource) ResumeStream(_ string, uuid, _ uint64) (dcp.MutationStream, error) {
+	return &stalledStream{uuid: uuid, done: make(chan struct{})}, nil
+}
+func (stalledSource) HighSeqno() (uint64, error)       { return 0, nil }
+func (stalledSource) FailoverLog() []dcp.FailoverEntry { return nil }
+
+func (s *stalledStream) Next() ([]dcp.Mutation, bool) { <-s.done; return nil, false }
+func (s *stalledStream) StreamUUID() uint64           { return s.uuid }
+func (s *stalledStream) Close()                       { s.once.Do(func() { close(s.done) }) }
+
 // TestReadYourWritesEveryService: the four DCP-fed query surfaces share
 // one barrier (feed.Feed.Wait), so one table drives them all. A write
 // followed by a consistent read is visible; a consistent read against a
-// vBucket the service's feed is not attached to parks until its context
-// is cancelled, then fails with context.Canceled.
+// vBucket the service's feed no longer hears from parks until its
+// context is cancelled, then fails with context.Canceled.
 func TestReadYourWritesEveryService(t *testing.T) {
 	c, cl := newTestCluster(t, 1, 0)
 	nb, err := c.nodeBucket("node0", "default")
@@ -44,11 +66,11 @@ func TestReadYourWritesEveryService(t *testing.T) {
 
 	// Each read returns the IDs of the documents tagged tag.
 	services := []struct {
-		name   string
-		detach func(vb int)
-		read   func(ctx context.Context, tag string) (int, error)
+		name  string
+		sever func(vb int)
+		read  func(ctx context.Context, tag string) (int, error)
 	}{
-		{"n1ql request_plus", nb.projector.DetachVB, func(ctx context.Context, tag string) (int, error) {
+		{"n1ql request_plus", func(vb int) { nb.projector.AttachVB(vb, stalledSource{}) }, func(ctx context.Context, tag string) (int, error) {
 			res, err := c.Query("SELECT META().id FROM `default` WHERE tag = $t",
 				executor.Options{Ctx: ctx, Consistency: executor.RequestPlus, Params: map[string]any{"t": tag}})
 			if err != nil {
@@ -60,11 +82,11 @@ func TestReadYourWritesEveryService(t *testing.T) {
 			rows, err := c.QueryView(ctx, "default", "byTag", views.QueryOptions{Key: tag, HasKey: true, Stale: views.StaleFalse})
 			return len(rows), err
 		}},
-		{"fts consistent", nb.fts.DetachVB, func(ctx context.Context, tag string) (int, error) {
+		{"fts consistent", func(vb int) { nb.fts.AttachVB(vb, stalledSource{}) }, func(ctx context.Context, tag string) (int, error) {
 			hits, err := eng.SearchTerm(ctx, "byTag", tag, fts.SearchOptions{WaitSeqnos: c.ConsistencyVector("default")})
 			return len(hits), err
 		}},
-		{"analytics consistent", nb.analytics.DetachVB, func(ctx context.Context, tag string) (int, error) {
+		{"analytics consistent", func(vb int) { nb.analytics.AttachVB(vb, stalledSource{}) }, func(ctx context.Context, tag string) (int, error) {
 			rows, err := c.AnalyticsQuery(ctx, "default", "SELECT META().id FROM `default` WHERE tag = $t",
 				analytics.QueryOptions{Params: map[string]any{"t": tag}, WaitSeqnos: c.ConsistencyVector("default")})
 			return len(rows), err
@@ -86,7 +108,7 @@ func TestReadYourWritesEveryService(t *testing.T) {
 			// Sever one vBucket from this service's feed, then write to it:
 			// the data service's seqno moves on, the index's cannot.
 			key := tag + "::severed"
-			svc.detach(cmap.VBucketID(key, 16))
+			svc.sever(cmap.VBucketID(key, 16))
 			if _, err := cl.Set(context.Background(), key, []byte(fmt.Sprintf(`{"tag": %q}`, tag)), 0); err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -264,6 +266,44 @@ func TestRebalanceScaleOut(t *testing.T) {
 	}
 	// Writes continue.
 	if _, err := cl.Set(context.Background(), "after-rebalance", []byte("x"), 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAddNodeFailsWhole: a node whose buckets cannot be provisioned
+// (here a regular file stands where its directory goes) never joins, so
+// the cluster rebalances without it and a retry once the path is fixed
+// adds it. It used to be published first, bucketless: every later
+// Rebalance failed with "no such bucket" and the retry with "already
+// exists".
+func TestAddNodeFailsWhole(t *testing.T) {
+	c, cl := newTestCluster(t, 1, 0)
+	blocker := filepath.Join(c.cfg.Dir, "node1")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddNode("node1", cmap.AllServices); err == nil {
+		t.Fatal("AddNode over a file where the node's directory goes returned nil")
+	}
+	if _, err := c.Node("node1"); err != ErrNoSuchNode {
+		t.Fatalf("the failed node is in the table: Node = %v", err)
+	}
+	if err := c.Rebalance(); err != nil {
+		t.Fatalf("rebalance after the failed AddNode: %v", err)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddNode("node1", cmap.AllServices); err != nil {
+		t.Fatalf("retry after the path is fixed: %v", err)
+	}
+	if err := c.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := c.BucketMap("default"); len(m.ActiveVBuckets("node1")) == 0 {
+		t.Error("the added node owns no vBucket after the rebalance")
+	}
+	if _, err := cl.Set(context.Background(), "after", []byte(`{}`), 0); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -129,8 +129,8 @@ func TestAutoFailoverCausalChain(t *testing.T) {
 
 	// Sample every operation so mutations carry traces and the rollback
 	// event can link back to its originating write.
-	trace.SetRate(1)
-	t.Cleanup(func() { trace.SetRate(0) })
+	trace.Default.SetRate(1)
+	t.Cleanup(func() { trace.Default.SetRate(0) })
 
 	c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: 16,
 		HeartbeatInterval: 5 * time.Millisecond, FailoverTimeout: 50 * time.Millisecond})

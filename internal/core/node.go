@@ -35,7 +35,6 @@ var (
 	ErrNodeDown      = errors.New("core: node is not responding")
 	ErrNoSuchBucket  = errors.New("core: no such bucket")
 	ErrNoSuchNode    = errors.New("core: no such node")
-	ErrNotDataNode   = errors.New("core: node does not run the data service")
 	ErrBucketExists  = errors.New("core: bucket already exists")
 	ErrClusterClosed = errors.New("core: cluster is closed")
 )

@@ -86,6 +86,7 @@ func TestClientGetZeroAlloc(t *testing.T) {
 
 // TestGetMetaHasRootSpan pins the drift the shared cl.do removed:
 // GetMeta was the one client op that opened no kv:* root span.
+// GET_META has no client method now; its op-table row rides cl.do.
 func TestGetMetaHasRootSpan(t *testing.T) {
 	_, cl := newTestCluster(t, 1, 0)
 	ctx := context.Background()
@@ -94,11 +95,11 @@ func TestGetMetaHasRootSpan(t *testing.T) {
 	}
 	withTracing(t)
 	ctx, sp := trace.Default.Start(ctx, "test:getmeta")
-	if _, err := cl.GetMeta(ctx, "m"); err != nil {
+	if _, err := cl.do(ctx, Op{Code: memcproto.OpGetMeta, Key: "m"}); err != nil {
 		t.Fatal(err)
 	}
 	sp.End()
-	if names := sp.Trace().Names(); !slices.Contains(names, "kv:getmeta") {
+	if names := spanNames(sp.Trace()); !slices.Contains(names, "kv:getmeta") {
 		t.Errorf("GetMeta opened no kv:getmeta span; have %v", names)
 	}
 }

@@ -12,6 +12,23 @@ import (
 	"couchgo/internal/trace"
 )
 
+// spanNames lists the names in t's span tree, depth first.
+func spanNames(t *trace.Trace) []string {
+	var out []string
+	var walk func(n *trace.Node)
+	walk = func(n *trace.Node) {
+		if n == nil {
+			return
+		}
+		out = append(out, n.Name)
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(t.Tree())
+	return out
+}
+
 // withTracing enables 1-in-1 sampling on the process tracer for one
 // test and restores the disabled state (with retention cleared) after.
 func withTracing(t *testing.T) {
@@ -40,7 +57,7 @@ func traceNames(t *testing.T, tc *trace.Trace, pred func([]string) bool) []strin
 	deadline := time.Now().Add(5 * time.Second)
 	var names []string
 	for time.Now().Before(deadline) {
-		names = tc.Names()
+		names = spanNames(tc)
 		if pred(names) {
 			return names
 		}
@@ -125,7 +142,7 @@ func TestQueryTraceUnifiesProfileAndSpans(t *testing.T) {
 		if tc == nil {
 			t.Fatal("no query trace retained")
 		}
-		names := tc.Names()
+		names := spanNames(tc)
 		for _, want := range []string{"query", "query:parse", "query:plan", "query:scan", "query:fetch", "query:project"} {
 			if !slices.Contains(names, want) {
 				t.Errorf("plan cache %s: query trace missing span %q; have %v", planCache, want, names)
@@ -206,7 +223,7 @@ func TestProfileListsEachOperatorOnce(t *testing.T) {
 			next += i + 1
 		}
 		var spans []string
-		for _, name := range queryTrace().Names() {
+		for _, name := range spanNames(queryTrace()) {
 			if op, ok := strings.CutPrefix(name, "query:"); ok {
 				spans = append(spans, op)
 			}
@@ -289,7 +306,7 @@ func TestTracePropagatesThroughRollback(t *testing.T) {
 			if tc == nil {
 				continue
 			}
-			names := tc.Names()
+			names := spanNames(tc)
 			if slices.Contains(names, "feed:rollback") {
 				found = tc
 				if !slices.Contains(names, "kv:set") {

@@ -158,13 +158,6 @@ func NewProducer(vb int, source SnapshotSource) *Producer {
 	}
 }
 
-// UUID returns the vBucket's current UUID (the newest failover entry).
-func (p *Producer) UUID() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.failover[len(p.failover)-1].UUID
-}
-
 // FailoverLog returns a copy of the failover log, oldest branch first.
 func (p *Producer) FailoverLog() []FailoverEntry {
 	p.mu.Lock()

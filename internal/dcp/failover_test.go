@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// uuidOf is the producer's current vBucket UUID: its newest failover
+// entry's.
+func uuidOf(p *Producer) uint64 {
+	log := p.FailoverLog()
+	return log[len(log)-1].UUID
+}
+
 func TestFailoverLogSeedAndTakeover(t *testing.T) {
 	src := newMemSource()
 	p := NewProducer(0, src)
@@ -14,9 +21,6 @@ func TestFailoverLogSeedAndTakeover(t *testing.T) {
 	log := p.FailoverLog()
 	if len(log) != 1 || log[0].Seqno != 0 {
 		t.Fatalf("fresh log = %+v, want one entry at seqno 0", log)
-	}
-	if p.UUID() != log[0].UUID {
-		t.Fatalf("UUID() = %d, want %d", p.UUID(), log[0].UUID)
 	}
 
 	p.Takeover(7)
@@ -30,8 +34,8 @@ func TestFailoverLogSeedAndTakeover(t *testing.T) {
 	if log2[1].Seqno != 7 || log2[1].UUID == log[0].UUID {
 		t.Fatalf("takeover entry = %+v", log2[1])
 	}
-	if p.UUID() != log2[1].UUID {
-		t.Fatalf("UUID() = %d after takeover, want %d", p.UUID(), log2[1].UUID)
+	if s := open(t, p, "after", 0); s.StreamUUID() != log2[1].UUID {
+		t.Fatalf("a stream opened after takeover carries UUID %d, want %d", s.StreamUUID(), log2[1].UUID)
 	}
 	if high, err := p.HighSeqno(); high != 7 || err != nil {
 		t.Fatalf("HighSeqno() = %d, %v after takeover at 7", high, err)
@@ -44,8 +48,8 @@ func TestStreamCarriesVBucketUUID(t *testing.T) {
 	defer p.Close()
 	s := open(t, p, "c", 0)
 	defer s.Close()
-	if s.StreamUUID() != p.UUID() {
-		t.Fatalf("stream UUID %d, producer UUID %d", s.StreamUUID(), p.UUID())
+	if s.StreamUUID() != uuidOf(p) {
+		t.Fatalf("stream UUID %d, producer UUID %d", s.StreamUUID(), uuidOf(p))
 	}
 }
 
@@ -56,11 +60,11 @@ func TestResumeStreamValidation(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		publish(src, p, Mutation{Key: fmt.Sprintf("k%d", i), Seqno: uint64(i)})
 	}
-	firstUUID := p.UUID()
+	firstUUID := uuidOf(p)
 	// This copy took over at seqno 5: seqnos 6..10 of the first branch
 	// are not part of the new lineage.
 	p.Takeover(5)
-	curUUID := p.UUID()
+	curUUID := uuidOf(p)
 
 	// A consumer that stopped at 4 on the old branch resumes cleanly.
 	s, err := p.ResumeStream("ok", firstUUID, 4)
@@ -121,17 +125,17 @@ func TestSetFailoverLogAdoption(t *testing.T) {
 	replica := NewProducer(0, replicaSrc)
 	defer replica.Close()
 	replica.SetFailoverLog(active.FailoverLog())
-	if replica.UUID() != active.UUID() {
-		t.Fatalf("replica UUID %d after adoption, want %d", replica.UUID(), active.UUID())
+	if uuidOf(replica) != uuidOf(active) {
+		t.Fatalf("replica UUID %d after adoption, want %d", uuidOf(replica), uuidOf(active))
 	}
 	replica.Takeover(4)
 
-	_, err := replica.ResumeStream("consumer", active.UUID(), 6)
+	_, err := replica.ResumeStream("consumer", uuidOf(active), 6)
 	var rb *RollbackError
 	if !errors.As(err, &rb) || rb.Seqno != 4 {
 		t.Fatalf("resume past promoted history: %v, want rollback to 4", err)
 	}
-	s, err := replica.ResumeStream("consumer", active.UUID(), 3)
+	s, err := replica.ResumeStream("consumer", uuidOf(active), 3)
 	if err != nil {
 		t.Fatalf("resume within promoted history: %v", err)
 	}

@@ -163,33 +163,18 @@ type Filter struct {
 
 // Subscription is one consumer's bounded, non-blocking event tap.
 type Subscription struct {
-	j       *Journal
-	ch      chan Event
-	done    chan struct{}
-	dropped atomic.Uint64
-	once    sync.Once
+	j  *Journal
+	ch chan Event
 }
 
 // C returns the event channel. The journal never closes it (a publisher
-// racing Close must not send on a closed channel); consumers should
-// select on C() and Done() together.
+// racing Close must not send on a closed channel), so a consumer stops
+// on its own signal.
 func (s *Subscription) C() <-chan Event { return s.ch }
-
-// Done is closed when the subscription is closed.
-func (s *Subscription) Done() <-chan struct{} { return s.done }
-
-// Dropped returns how many events were discarded because the
-// subscriber's buffer was full at publish time.
-func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 
 // Close deregisters the subscription. Events already buffered on C()
 // remain readable.
-func (s *Subscription) Close() {
-	s.once.Do(func() {
-		s.j.unsubscribe(s)
-		close(s.done)
-	})
-}
+func (s *Subscription) Close() { s.j.unsubscribe(s) }
 
 // Journal is the bounded event store plus fan-out hub.
 type Journal struct {
@@ -285,7 +270,6 @@ func (j *Journal) Publish(e Event) Event {
 		select {
 		case s.ch <- e:
 		default:
-			s.dropped.Add(1)
 			j.dropped.Add(1)
 		}
 	}
@@ -336,11 +320,7 @@ func (j *Journal) Subscribe(buf int) *Subscription {
 	if buf < 1 {
 		buf = 1
 	}
-	s := &Subscription{
-		j:    j,
-		ch:   make(chan Event, buf),
-		done: make(chan struct{}),
-	}
+	s := &Subscription{j: j, ch: make(chan Event, buf)}
 	j.mu.Lock()
 	j.subs[s] = struct{}{}
 	j.mu.Unlock()

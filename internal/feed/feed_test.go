@@ -280,7 +280,7 @@ func TestBackpressureStallCounter(t *testing.T) {
 	stalled := metrics.Default.Gauge("couchgo_feed_stalled", "service", "test-stall")
 	highWater := metrics.Default.Gauge("couchgo_feed_buffer_high_watermark", "service", "test-stall")
 	stallsBefore, lastEvent := stalls.Value(), events.Default.LastSeq()
-	highWater.Set(0) // monotone per process; this run's batch must be what sets it
+	highWater.Add(-highWater.Value()) // monotone per process; this run's batch must be what sets it
 
 	src := newMemSource()
 	p := dcp.NewProducer(0, src)

@@ -134,20 +134,6 @@ func (e *Engine) AttachVB(vb int, p dcp.StreamSource) error {
 	return e.hub.AttachVB(vb, p)
 }
 
-// DetachVB stops indexing a vBucket and removes its entries.
-func (e *Engine) DetachVB(vb int) {
-	e.hub.DetachVB(vb)
-	e.mu.Lock()
-	list := make([]*ftsIndex, 0, len(e.indexes))
-	for _, fi := range e.indexes {
-		list = append(list, fi)
-	}
-	e.mu.Unlock()
-	for _, fi := range list {
-		fi.Rollback(vb, 0)
-	}
-}
-
 // FeedStats describes the engine's feeds (one per index).
 func (e *Engine) FeedStats() []feed.Stat {
 	return e.hub.Stats()
@@ -418,16 +404,4 @@ func (e *Engine) index(ctx context.Context, name string, opts SearchOptions) (*f
 		return nil, ErrNoSuchIndex
 	}
 	return fi, fi.feed.Wait(ctx, opts.WaitSeqnos)
-}
-
-// Names lists defined indexes.
-func (e *Engine) Names() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var out []string
-	for n := range e.indexes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

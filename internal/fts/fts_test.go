@@ -217,7 +217,10 @@ func TestDetachVBRemovesDocs(t *testing.T) {
 	h.put(t, 0, "a", `{"body": "shared term"}`)
 	h.put(t, 1, "b", `{"body": "shared term"}`)
 	h.engine.SearchTerm(context.Background(), "docs", "shared", SearchOptions{WaitSeqnos: h.fresh()})
-	h.engine.DetachVB(1)
+	// What a vBucket leaving the engine does: its feed stops and a
+	// rollback to 0 purges its documents.
+	h.engine.hub.DetachVB(1)
+	h.engine.indexes["docs"].Rollback(1, 0)
 	hits, _ := h.engine.SearchTerm(context.Background(), "docs", "shared", SearchOptions{})
 	if len(hits) != 1 || hits[0].ID != "a" {
 		t.Fatalf("after detach: %+v", hits)
@@ -242,8 +245,8 @@ func TestDDLErrors(t *testing.T) {
 	if err := h.engine.Drop("x"); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.engine.Names()) != 0 {
-		t.Error("names after drop")
+	if _, err := h.engine.SearchTerm(context.Background(), "x", "x", SearchOptions{}); err != ErrNoSuchIndex {
+		t.Errorf("search after drop: %v", err)
 	}
 }
 

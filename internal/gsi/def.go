@@ -31,10 +31,10 @@ const (
 	// Standard persists every maintenance batch to an append-only disk
 	// log (the forestdb-backed default of version 4.1).
 	Standard StorageMode = iota
-	// MemoryOptimized keeps the whole index in memory with periodic
-	// disk snapshots for recoverability (version 4.5, §6.1.1): "These
-	// new indexes will reside completely in memory, dramatically
-	// reducing dependence on disk."
+	// MemoryOptimized keeps the whole index in memory and no log; it is
+	// rebuilt from its feed (version 4.5, §6.1.1): "These new indexes
+	// will reside completely in memory, dramatically reducing dependence
+	// on disk." The paper's disk snapshots are not reproduced.
 	MemoryOptimized
 )
 

@@ -1,7 +1,6 @@
 package gsi
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -58,6 +57,23 @@ func (h *harness) fresh() map[int]uint64 {
 		out[vb.ID] = vb.HighSeqno()
 	}
 	return out
+}
+
+// meta returns one Profile index's catalog entry.
+func (h *harness) meta(name string) (IndexMeta, bool) {
+	for _, m := range h.svc.ListIndexes("Profile") {
+		if m.Name == name {
+			return m, true
+		}
+	}
+	return IndexMeta{}, false
+}
+
+// parts returns one Profile index's partitions.
+func (h *harness) parts(name string) []*Indexer {
+	h.svc.mu.Lock()
+	defer h.svc.mu.Unlock()
+	return h.svc.indexes[indexKey("Profile", name)].parts
 }
 
 func (h *harness) scanFresh(t *testing.T, name string, opts ScanOptions) []ScanItem {
@@ -150,7 +166,7 @@ func (g *buildGate) ResumeStream(name string, uuid, from uint64) (dcp.MutationSt
 func TestScanDuringInitialBuild(t *testing.T) {
 	h := newHarness(t, 1)
 	g := &buildGate{StreamSource: h.vbs[0].Producer(), parked: make(chan struct{}), release: make(chan struct{})}
-	h.proj.DetachVB(0)
+	h.proj.hub.DetachVB(0)
 	if err := h.proj.AttachVB(0, g); err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +182,8 @@ func TestScanDuringInitialBuild(t *testing.T) {
 	if err != ErrNoSuchIndex {
 		t.Errorf("scan during the build = %d items, %v; want ErrNoSuchIndex", len(items), err)
 	}
-	if meta, err := h.svc.Lookup("Profile", "email"); err != nil || meta.Built {
-		t.Errorf("Lookup during the build = built %v, %v", meta.Built, err)
+	if meta, ok := h.meta("email"); !ok || meta.Built {
+		t.Errorf("catalog during the build: listed %v, built %v", ok, meta.Built)
 	}
 	close(g.release)
 	if err := <-created; err != nil {
@@ -209,7 +225,7 @@ func TestFailedBuildLeavesIndexUnbuilt(t *testing.T) {
 		t.Run(broken, func(t *testing.T) {
 			h := newHarness(t, 2)
 			b := &brokenBuild{StreamSource: h.vbs[1].Producer(), broken: broken}
-			h.proj.DetachVB(1)
+			h.proj.hub.DetachVB(1)
 			if err := h.proj.AttachVB(1, b); err != nil {
 				t.Fatal(err)
 			}
@@ -220,8 +236,8 @@ func TestFailedBuildLeavesIndexUnbuilt(t *testing.T) {
 			if err := h.svc.CreateIndex(def); err == nil {
 				t.Fatal("CreateIndex over a broken build stream returned nil")
 			}
-			if meta, err := h.svc.Lookup("Profile", "email"); err != nil || meta.Built {
-				t.Fatalf("Lookup after the failed build = built %v, %v", meta.Built, err)
+			if meta, ok := h.meta("email"); !ok || meta.Built {
+				t.Fatalf("catalog after the failed build: listed %v, built %v", ok, meta.Built)
 			}
 			if items, err := h.svc.Scan(context.Background(), "Profile", "email", ScanOptions{WaitSeqnos: h.fresh()}); err != ErrNoSuchIndex {
 				t.Fatalf("scan after the failed build = %d items, %v; want ErrNoSuchIndex", len(items), err)
@@ -270,10 +286,9 @@ func TestRangeScans(t *testing.T) {
 	if len(items) != 2 || items[0].SecKey[0] != 29.0 {
 		t.Fatalf("reverse limit: %+v", items)
 	}
-	// Count.
-	n, err := h.svc.Count("Profile", "age", ScanOptions{Low: []any{25.0}, LowIncl: true})
-	if err != nil || n != 5 {
-		t.Fatalf("count: %d %v", n, err)
+	// A lower bound alone.
+	if items = h.scanFresh(t, "age", ScanOptions{Low: []any{25.0}, LowIncl: true}); len(items) != 5 {
+		t.Fatalf("lower bound: %+v", items)
 	}
 }
 
@@ -363,8 +378,7 @@ func TestArrayIndex(t *testing.T) {
 	if len(items) != 1 || items[0].DocID != "p1" {
 		t.Fatalf("after array shrink: %+v", items)
 	}
-	meta, _ := h.svc.Lookup("Profile", "byCategory")
-	if !meta.IsArrayIndex {
+	if meta, _ := h.meta("byCategory"); !meta.IsArrayIndex {
 		t.Error("IsArrayIndex flag")
 	}
 }
@@ -396,18 +410,22 @@ func TestPartitionedIndex(t *testing.T) {
 		}
 	}
 	// Each doc's entries live in exactly one partition.
-	parts, _ := h.svc.Partitions("Profile", "age")
 	total, guards := 0, 0
-	for _, p := range parts {
-		st := p.Stats()
-		total += st.Entries
+	for _, p := range h.parts("age") {
+		entries, docs := len(p.tree.Scan(ScanOptions{})), 0
+		total += entries
 		p.mu.Lock()
 		for _, byDoc := range p.lastSeq {
 			guards += len(byDoc)
 		}
 		p.mu.Unlock()
-		if st.Docs != st.Entries {
-			t.Errorf("partition %d: %d back-index documents for %d entries", p.part, st.Docs, st.Entries)
+		p.tree.mu.RLock()
+		for _, byDoc := range p.tree.back {
+			docs += len(byDoc)
+		}
+		p.tree.mu.RUnlock()
+		if docs != entries {
+			t.Errorf("partition %d: %d back-index documents for %d entries", p.part, docs, entries)
 		}
 	}
 	if total != 50 || guards != 50 {
@@ -456,7 +474,11 @@ func TestRequestPlusWaitsForMutations(t *testing.T) {
 	}
 }
 
-func TestMemoryOptimizedModeAndSnapshot(t *testing.T) {
+// TestMemoryOptimizedMode: a memory-optimized index keeps no
+// maintenance log and answers scans from memory; a bare partition has no
+// feed to wait on, so it refuses request_plus rather than answer
+// unconsistent.
+func TestMemoryOptimizedMode(t *testing.T) {
 	h := newHarness(t, 1)
 	h.svc.CreateIndex(Def{
 		Name: "age", Keyspace: "Profile", SecExprs: []string{"age"}, Mode: MemoryOptimized,
@@ -464,45 +486,16 @@ func TestMemoryOptimizedModeAndSnapshot(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		h.put(t, 0, fmt.Sprintf("u%02d", i), fmt.Sprintf(`{"age": %d}`, i))
 	}
-	items := h.scanFresh(t, "age", ScanOptions{})
-	if len(items) != 20 {
-		t.Fatalf("memopt scan: %d", len(items))
+	items := h.scanFresh(t, "age", ScanOptions{EqualKey: []any{7.0}, HasEqual: true})
+	if len(items) != 1 || items[0].DocID != "u07" {
+		t.Fatalf("memopt scan: %+v", items)
 	}
-	// Snapshot / restore round trip (§6.1.1 disk-backup recoverability).
-	parts, _ := h.svc.Partitions("Profile", "age")
-	var buf bytes.Buffer
-	vec := h.svc.FeedStats("Profile")[0].Processed
-	if err := parts[0].SnapshotTo(&buf, vec); err != nil {
-		t.Fatal(err)
+	part := h.parts("age")[0]
+	if part.log != nil {
+		t.Error("a memory-optimized partition opened a maintenance log")
 	}
-	cd, _ := compileDef(Def{Name: "age2", Keyspace: "Profile", SecExprs: []string{"age"}, Mode: MemoryOptimized})
-	restored, err := NewIndexer(cd, 0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	recovered, err := restored.RestoreFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Stats().Entries != 20 {
-		t.Fatalf("restored entries: %+v", restored.Stats())
-	}
-	got, err := restored.Scan(context.Background(), ScanOptions{EqualKey: []any{7.0}, HasEqual: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].DocID != "u07" {
-		t.Fatalf("restored scan: %+v", got)
-	}
-	// A bare partition has no feed to wait on: it refuses request_plus
-	// rather than answer unconsistent.
-	if _, err := restored.Scan(context.Background(), ScanOptions{WaitSeqnos: recovered}); err != ErrPartitionWait {
+	if _, err := part.Scan(context.Background(), ScanOptions{WaitSeqnos: h.fresh()}); err != ErrPartitionWait {
 		t.Errorf("partition scan with WaitSeqnos = %v, want ErrPartitionWait", err)
-	}
-	// The recovery vector survives.
-	if recovered[0] != 20 {
-		t.Errorf("recovery vector %v lost in snapshot, want vb0 at 20", recovered)
 	}
 }
 
@@ -558,7 +551,7 @@ func TestDetachVBStopsProjection(t *testing.T) {
 	h.put(t, 0, "a", `{"age": 1}`)
 	h.put(t, 1, "b", `{"age": 2}`)
 	h.scanFresh(t, "age", ScanOptions{})
-	h.proj.DetachVB(1)
+	h.proj.hub.DetachVB(1)
 	// Further writes to vb1 are not projected.
 	h.vbs[1].Set(context.Background(), "c", []byte(`{"age": 3}`), 0, 0, 0, 0)
 	items, _ := h.svc.Scan(context.Background(), "Profile", "age", ScanOptions{})

@@ -4,9 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"sync"
 
@@ -158,105 +155,6 @@ func (ix *Indexer) Scan(_ context.Context, opts ScanOptions) ([]ScanItem, error)
 		return nil, ErrPartitionWait
 	}
 	return ix.tree.Scan(opts), nil
-}
-
-// Stats reports the partition's tree counters.
-func (ix *Indexer) Stats() TreeStats { return ix.tree.Stats() }
-
-// SnapshotTo writes a recoverable snapshot of a memory-optimized index
-// ("recoverability is provided via disk-backups", §6.1.1). vec is the
-// recovery vector stored with it: the feed's applied seqnos
-// (Feed.Processed) captured before the call, so every seqno in it is
-// in the rows and a restored index resumes its feed from there.
-func (ix *Indexer) SnapshotTo(w io.Writer, vec map[int]uint64) error {
-	var rows []map[string]any
-	ix.tree.EachDoc(func(vb int, docID string, secs [][]any) {
-		arr := make([]any, len(secs))
-		for i, sec := range secs {
-			arr[i] = sec
-		}
-		rows = append(rows, map[string]any{"vb": float64(vb), "id": docID, "secs": arr})
-	})
-
-	bw := bufio.NewWriter(w)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(rows)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(vec)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	for vb, s := range vec {
-		var rec [12]byte
-		binary.LittleEndian.PutUint32(rec[0:], uint32(vb))
-		binary.LittleEndian.PutUint64(rec[4:], s)
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	for _, r := range rows {
-		payload := value.Marshal(r)
-		var l [8]byte
-		binary.LittleEndian.PutUint32(l[0:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(l[4:], crc32.ChecksumIEEE(payload))
-		if _, err := bw.Write(l[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(payload); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// RestoreFrom loads a snapshot's documents (one row each: vBucket, ID,
-// keys) into a new partition and returns the recovery vector stored
-// with it. Nothing is loaded unless every row reads back intact.
-func (ix *Indexer) RestoreFrom(r io.Reader) (map[int]uint64, error) {
-	br := bufio.NewReader(r)
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	nRows := binary.LittleEndian.Uint32(hdr[0:])
-	nVBs := binary.LittleEndian.Uint32(hdr[4:])
-	vec := make(map[int]uint64, nVBs)
-	for i := uint32(0); i < nVBs; i++ {
-		var rec [12]byte
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, err
-		}
-		vec[int(binary.LittleEndian.Uint32(rec[0:]))] = binary.LittleEndian.Uint64(rec[4:])
-	}
-	rows := make([]any, 0, nRows)
-	for i := uint32(0); i < nRows; i++ {
-		var l [8]byte
-		if _, err := io.ReadFull(br, l[:]); err != nil {
-			return nil, err
-		}
-		payload := make([]byte, binary.LittleEndian.Uint32(l[0:]))
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, err
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(l[4:]) {
-			return nil, fmt.Errorf("gsi: snapshot row %d corrupt", i)
-		}
-		obj, ok := value.Parse(payload)
-		if !ok {
-			return nil, fmt.Errorf("gsi: snapshot row %d unparsable", i)
-		}
-		rows = append(rows, obj)
-	}
-	for _, obj := range rows {
-		vb, _ := value.AsNumber(value.Field(obj, "vb"))
-		id, _ := value.Field(obj, "id").(string)
-		arr, _ := value.Field(obj, "secs").([]any)
-		secs := make([][]any, len(arr))
-		for i := range arr {
-			secs[i], _ = arr[i].([]any)
-		}
-		ix.tree.Replace(int(vb), id, secs, nil)
-	}
-	return vec, nil
 }
 
 // Close releases resources.

@@ -198,23 +198,6 @@ func (s *Service) ListIndexes(keyspace string) []IndexMeta {
 	return out
 }
 
-// Lookup returns one index's metadata.
-func (s *Service) Lookup(keyspace, name string) (IndexMeta, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.indexes[indexKey(keyspace, name)]
-	if !ok {
-		return IndexMeta{}, ErrNoSuchIndex
-	}
-	return IndexMeta{
-		Def:            st.cd.Def,
-		SecCanonical:   st.cd.SecCanonical,
-		WhereCanonical: st.cd.WhereCanonical,
-		Built:          st.built,
-		IsArrayIndex:   st.cd.arrayKey != nil,
-	}, nil
-}
-
 // Scan scatter/gathers one page over the index's partitions ("it does
 // scatter/gather for queries in case of a partitioned GSI index"): every
 // partition serves its own page from the same continuation, and
@@ -257,22 +240,6 @@ func (s *Service) Scan(ctx context.Context, keyspace, name string, opts ScanOpti
 	}
 	wg.Wait()
 	return MergePages(pages, opts.Reverse, opts.Limit), nil
-}
-
-// Count counts matching entries across partitions.
-func (s *Service) Count(keyspace, name string, opts ScanOptions) (int, error) {
-	s.mu.Lock()
-	st, ok := s.indexes[indexKey(keyspace, name)]
-	ok = ok && st.built
-	s.mu.Unlock()
-	if !ok {
-		return 0, ErrNoSuchIndex
-	}
-	total := 0
-	for _, p := range st.parts {
-		total += p.tree.Count(opts)
-	}
-	return total, nil
 }
 
 // route delivers a mutation's key versions for every index on the
@@ -387,11 +354,6 @@ func (p *Projector) AttachVB(vb int, producer dcp.StreamSource) error {
 	return p.hub.AttachVB(vb, producer)
 }
 
-// DetachVB stops projecting a vBucket.
-func (p *Projector) DetachVB(vb int) {
-	p.hub.DetachVB(vb)
-}
-
 // FeedStats describes the projector's feeds.
 func (p *Projector) FeedStats() []feed.Stat {
 	return p.hub.Stats()
@@ -470,15 +432,4 @@ func (s *Service) Close() {
 			p.Close()
 		}
 	}
-}
-
-// Partitions exposes the partition indexers (tests, snapshots).
-func (s *Service) Partitions(keyspace, name string) ([]*Indexer, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.indexes[indexKey(keyspace, name)]
-	if !ok {
-		return nil, ErrNoSuchIndex
-	}
-	return append([]*Indexer(nil), st.parts...), nil
 }

@@ -3,7 +3,6 @@ package gsi
 import (
 	"bytes"
 	"sync"
-	"sync/atomic"
 
 	"couchgo/internal/btree"
 	"couchgo/internal/value"
@@ -52,16 +51,15 @@ func (o ScanOptions) More(n int) bool { return o.Limit > 0 && n >= o.Limit }
 // partition, a data node's view index, the analytics shadow's primary
 // index. Entries sort by TreeKey; a back-index per vBucket finds a
 // document's entries to replace them and a partition's to purge them.
-// Safe for concurrent use: readers (Scan, Get, Count, Reduce, EachDoc,
-// Stats) share mu, a scan for its page only; Replace and PurgeVB take it
-// exclusively. Bounds and tree keys are encoded before the lock is taken
-// and a page is allocated after it is released, so a holder does not
-// wait on the allocator with others queued behind it.
+// Safe for concurrent use: readers (Scan, Get, Reduce) share mu, a scan
+// for its page only; Replace and PurgeVB take it exclusively. Bounds
+// and tree keys are encoded before the lock is taken and a page is
+// allocated after it is released, so a holder does not wait on the
+// allocator with others queued behind it.
 type Tree struct {
-	mu      sync.RWMutex
-	tree    *btree.Tree
-	back    map[int]map[string][][]byte // vb -> docID -> tree keys
-	visited atomic.Int64                // added once per read, after the unlock
+	mu   sync.RWMutex
+	tree *btree.Tree
+	back map[int]map[string][][]byte // vb -> docID -> tree keys
 }
 
 // NewTree creates an empty tree. reducer, when non-nil, keeps a view's
@@ -167,7 +165,6 @@ func (t *Tree) Scan(opts ScanOptions) []ScanItem {
 		t.tree.Ascend(lo, hi, visit)
 	}
 	t.mu.RUnlock()
-	t.visited.Add(int64(len(items)))
 	if scratch == nil {
 		return items
 	}
@@ -192,19 +189,7 @@ func (t *Tree) Get(sec []any, docID string) (ScanItem, bool) {
 	if !ok {
 		return ScanItem{}, false
 	}
-	t.visited.Add(1)
 	return v.(ScanItem), true
-}
-
-// Count counts the span's entries without materializing them.
-func (t *Tree) Count(opts ScanOptions) int {
-	lo, hi := scanBounds(opts)
-	n := 0
-	t.mu.RLock()
-	t.tree.Ascend(lo, hi, func(_ []byte, _ any) bool { n++; return true })
-	t.mu.RUnlock()
-	t.visited.Add(int64(n))
-	return n
 }
 
 // Reduce aggregates the span from the reducer's annotations in the
@@ -214,40 +199,6 @@ func (t *Tree) Reduce(opts ScanOptions) any {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.tree.ReduceRange(lo, hi)
-}
-
-// EachDoc calls fn with every document's vBucket and keys, in no
-// particular order, under the read lock: fn must not write to the tree.
-func (t *Tree) EachDoc(fn func(vb int, docID string, secs [][]any)) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for vb, docs := range t.back {
-		for docID, keys := range docs {
-			secs := make([][]any, len(keys))
-			for i, tk := range keys {
-				v, _ := t.tree.Get(tk)
-				secs[i] = v.(ScanItem).SecKey
-			}
-			fn(vb, docID, secs)
-		}
-	}
-}
-
-// TreeStats reports a tree's size and how many entries its reads have
-// visited since it was created.
-type TreeStats struct {
-	Entries, Docs, Visited int
-}
-
-// Stats returns current counters.
-func (t *Tree) Stats() TreeStats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	st := TreeStats{Entries: t.tree.Len(), Visited: int(t.visited.Load())}
-	for _, docs := range t.back {
-		st.Docs += len(docs)
-	}
-	return st
 }
 
 // scanBounds converts composite bounds into tree-key bounds.

@@ -90,24 +90,49 @@ func TestScanPageFitsTheSpan(t *testing.T) {
 	}
 }
 
+// parkingCount counts entries; armed, the next Merge parks until
+// released, inside whichever read or write called it.
+type parkingCount struct {
+	armed            *atomic.Bool
+	parked, released chan struct{}
+}
+
+func (parkingCount) Map([]byte, any) any { return 1.0 }
+func (p parkingCount) Merge(parts ...any) any {
+	if p.armed.CompareAndSwap(true, false) {
+		close(p.parked)
+		<-p.released
+	}
+	n := 0.0
+	for _, x := range parts {
+		if x != nil {
+			n += x.(float64)
+		}
+	}
+	return n
+}
+func (parkingCount) Zero() any { return 0.0 }
+
 // TestReadersShareTheTree parks one reader inside the tree's lock
-// (EachDoc calls fn under it) and requires every other read to return
+// (Reduce merges under it) and requires every other read to return
 // meanwhile, and a write not to.
 func TestReadersShareTheTree(t *testing.T) {
-	tr := idTree(100)
-	parked, released := make(chan struct{}), make(chan struct{})
-	release := sync.OnceFunc(func() { close(released) })
+	red := parkingCount{armed: new(atomic.Bool), parked: make(chan struct{}), released: make(chan struct{})}
+	tr := NewTree(red)
+	for i := 0; i < 100; i++ {
+		id := fmt.Sprintf("user%08d", i)
+		tr.Replace(i%64, id, [][]any{{id}}, nil)
+	}
+	release := sync.OnceFunc(func() { close(red.released) })
 	defer release() // on a failure too, or the parked reader leaks
-	var eachDone sync.WaitGroup
-	eachDone.Add(1)
+	var reduceDone sync.WaitGroup
+	reduceDone.Add(1)
+	red.armed.Store(true)
 	go func() {
-		defer eachDone.Done()
-		var once sync.Once
-		tr.EachDoc(func(int, string, [][]any) {
-			once.Do(func() { close(parked); <-released })
-		})
+		defer reduceDone.Done()
+		tr.Reduce(ScanOptions{})
 	}()
-	<-parked
+	<-red.parked
 
 	read := make(chan string, 4)
 	go func() {
@@ -118,11 +143,8 @@ func TestReadersShareTheTree(t *testing.T) {
 		if _, ok := tr.Get([]any{"user00000007"}, "user00000007"); !ok {
 			read <- "Get missed an entry"
 		}
-		if n := tr.Count(ScanOptions{}); n != 100 {
-			read <- fmt.Sprintf("Count = %d", n)
-		}
-		if st := tr.Stats(); st.Entries != 100 || st.Docs != 100 {
-			read <- fmt.Sprintf("Stats = %+v", st)
+		if n := len(tr.Scan(ScanOptions{})); n != 100 {
+			read <- fmt.Sprintf("unlimited Scan returned %d entries", n)
 		}
 	}()
 	select {
@@ -131,7 +153,7 @@ func TestReadersShareTheTree(t *testing.T) {
 			t.Fatal(msg)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Scan, Get, Count and Stats wait for another reader to leave the tree")
+		t.Fatal("Scan and Get wait for another reader to leave the tree")
 	}
 
 	// Only now: a queued writer holds later readers off an RWMutex.
@@ -147,17 +169,16 @@ func TestReadersShareTheTree(t *testing.T) {
 	}
 	release()
 	<-wrote
-	eachDone.Wait()
-	if st := tr.Stats(); st.Entries != 101 {
-		t.Fatalf("after the write: %+v", st)
+	reduceDone.Wait()
+	if n := tr.Reduce(ScanOptions{}); n != 101.0 {
+		t.Fatalf("after the write: %v entries", n)
 	}
 }
 
 // TestPagedScanUnderWriters pages forward and in reverse through a span
 // while other goroutines replace, remove and purge: within one pass no
 // page repeats an entry or steps backwards (the contract Scan's comment
-// states), every entry lies inside the span, and Visited counts exactly
-// the entries handed out. Run under -race.
+// states) and every entry lies inside the span. Run under -race.
 func TestPagedScanUnderWriters(t *testing.T) {
 	const (
 		docs    = 2000
@@ -194,7 +215,6 @@ func TestPagedScanUnderWriters(t *testing.T) {
 			}
 		}(w)
 	}
-	var returned atomic.Int64
 	for p := 0; p < pagers; p++ {
 		paging.Add(1)
 		go func(reverse bool) {
@@ -205,7 +225,6 @@ func TestPagedScanUnderWriters(t *testing.T) {
 				var prev []byte
 				for {
 					page := tr.Scan(opts)
-					returned.Add(int64(len(page)))
 					for _, it := range page {
 						k := TreeKey(it.SecKey, it.DocID)
 						if c := bytes.Compare(k, prev); prev != nil && (c == 0 || (c < 0) != reverse) {
@@ -229,9 +248,6 @@ func TestPagedScanUnderWriters(t *testing.T) {
 	paging.Wait()
 	stop.Store(true)
 	writing.Wait()
-	if st := tr.Stats(); int64(st.Visited) != returned.Load() {
-		t.Errorf("Visited = %d, scans returned %d entries", st.Visited, returned.Load())
-	}
 }
 
 // BenchmarkTreeScan is one page on every benchmark goroutine at once:

@@ -8,117 +8,68 @@ import (
 	"couchgo/internal/metrics"
 )
 
-// ClusterCheckConfig tunes the standard rule set. Zero values take the
-// documented defaults.
-type ClusterCheckConfig struct {
-	// FeedStallCritAfter: a feed stall persisting this long is critical
-	// (default 5s). Any ongoing stall is at least warn.
-	FeedStallCritAfter time.Duration
-	// DCPLagWarn / DCPLagCrit bound total undelivered mutations across
-	// all DCP streams (defaults 1000 / 10000).
-	DCPLagWarn, DCPLagCrit uint64
-	// FlushBacklogWarn / FlushBacklogCrit bound the summed flusher
-	// queue depth (defaults 500 / 5000).
-	FlushBacklogWarn, FlushBacklogCrit int
-	// ResidencyWarn / ResidencyCrit: a bucket whose resident fraction
-	// (1 - nonresident/items) falls below these is degraded
-	// (defaults 0.5 / 0.2).
-	ResidencyWarn, ResidencyCrit float64
-	// MemoryWarn / MemoryCrit: used/quota fractions (defaults 0.85 /
-	// 0.95, the pager watermarks). Buckets without a quota are skipped.
-	MemoryWarn, MemoryCrit float64
-	// SlowOpWarnPerSec / SlowOpCritPerSec bound the slow-query rate
-	// (defaults 1 / 10 per second).
-	SlowOpWarnPerSec, SlowOpCritPerSec float64
-	// Registry supplies feed metrics (default metrics.Default).
-	Registry *metrics.Registry
-	// Now overrides the clock for stall-age and rate computations
-	// (tests and demos); defaults to time.Now.
-	Now func() time.Time
-}
-
-func (cfg *ClusterCheckConfig) defaults() {
-	if cfg.FeedStallCritAfter <= 0 {
-		cfg.FeedStallCritAfter = 5 * time.Second
-	}
-	if cfg.DCPLagWarn == 0 {
-		cfg.DCPLagWarn = 1000
-	}
-	if cfg.DCPLagCrit == 0 {
-		cfg.DCPLagCrit = 10000
-	}
-	if cfg.FlushBacklogWarn == 0 {
-		cfg.FlushBacklogWarn = 500
-	}
-	if cfg.FlushBacklogCrit == 0 {
-		cfg.FlushBacklogCrit = 5000
-	}
-	if cfg.ResidencyWarn == 0 {
-		cfg.ResidencyWarn = 0.5
-	}
-	if cfg.ResidencyCrit == 0 {
-		cfg.ResidencyCrit = 0.2
-	}
-	if cfg.MemoryWarn == 0 {
-		cfg.MemoryWarn = 0.85
-	}
-	if cfg.MemoryCrit == 0 {
-		cfg.MemoryCrit = 0.95
-	}
-	if cfg.SlowOpWarnPerSec == 0 {
-		cfg.SlowOpWarnPerSec = 1
-	}
-	if cfg.SlowOpCritPerSec == 0 {
-		cfg.SlowOpCritPerSec = 10
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = metrics.Default
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-}
+// The standard rule set's thresholds.
+const (
+	// A feed stall persisting this long is critical; any ongoing stall
+	// is at least warn.
+	feedStallCritAfter = 5 * time.Second
+	// Total undelivered mutations across all DCP streams.
+	dcpLagWarn, dcpLagCrit = 1000, 10000
+	// The summed flusher queue depth.
+	flushBacklogWarn, flushBacklogCrit = 500, 5000
+	// A bucket whose resident fraction (1 - nonresident/items) falls
+	// below these is degraded.
+	residencyWarn, residencyCrit = 0.5, 0.2
+	// Used/quota fractions, the pager watermarks. Buckets without a
+	// quota are skipped.
+	memoryWarn, memoryCrit = 0.85, 0.95
+	// The slow-query rate, per second.
+	slowOpWarnPerSec, slowOpCritPerSec = 1, 10
+)
 
 // RegisterClusterChecks installs the standard rule set over a cluster:
 // feed stall age, DCP lag, flush backlog, cache residency/memory, and
 // slow-op rate. Liveness is not among them: the cluster's decider
-// detects a silent node and fails it over.
-func RegisterClusterChecks(w *Watchdog, c *core.Cluster, cfg ClusterCheckConfig) {
-	cfg.defaults()
-	w.Register("feed:stalls", feedStallCheck(cfg))
-	w.Register("dcp:lag", dcpLagCheck(c, cfg))
-	w.Register("flush:backlog", flushBacklogCheck(c, cfg))
-	w.Register("cache:residency", residencyCheck(c, cfg))
-	w.Register("cache:memory", memoryCheck(c, cfg))
-	w.Register("query:slowops", slowOpCheck(c, cfg))
+// detects a silent node and fails it over. now is the clock that stall
+// ages and rates are taken from.
+func RegisterClusterChecks(w *Watchdog, c *core.Cluster, now func() time.Time) {
+	w.Register("feed:stalls", feedStallCheck(now))
+	w.Register("dcp:lag", dcpLagCheck(c))
+	w.Register("flush:backlog", flushBacklogCheck(c))
+	w.Register("cache:residency", residencyCheck(c))
+	w.Register("cache:memory", memoryCheck(c))
+	w.Register("query:slowops", slowOpCheck(c, now))
 }
 
 // feedStallCheck ages the couchgo_feed_stalled gauge: any drain
 // currently blocked on a full buffer is at least warn, and a stall
-// that persists past FeedStallCritAfter is critical. The closure's
+// that persists past feedStallCritAfter is critical. The closure's
 // state is safe because the watchdog runs checks sequentially.
-func feedStallCheck(cfg ClusterCheckConfig) CheckFunc {
+func feedStallCheck(clock func() time.Time) CheckFunc {
 	var stalledSince time.Time
 	return func() (State, string) {
-		stalled := sumGauge(cfg.Registry, "couchgo_feed_stalled")
+		var stalled int64
+		for _, v := range metrics.Default.Snapshot()["couchgo_feed_stalled"] {
+			stalled += int64(v.Value)
+		}
 		if stalled <= 0 {
 			stalledSince = time.Time{}
 			return OK, "no feeds stalled"
 		}
-		now := cfg.Now()
+		now := clock()
 		if stalledSince.IsZero() {
 			stalledSince = now
 		}
 		age := now.Sub(stalledSince)
 		detail := fmt.Sprintf("%d drain(s) stalled for %s", stalled, age.Round(time.Millisecond))
-		if age >= cfg.FeedStallCritAfter {
+		if age >= feedStallCritAfter {
 			return Critical, detail
 		}
 		return Warn, detail
 	}
 }
 
-func dcpLagCheck(c *core.Cluster, cfg ClusterCheckConfig) CheckFunc {
+func dcpLagCheck(c *core.Cluster) CheckFunc {
 	return func() (State, string) {
 		var total uint64
 		for _, b := range c.BucketNames() {
@@ -130,16 +81,16 @@ func dcpLagCheck(c *core.Cluster, cfg ClusterCheckConfig) CheckFunc {
 		}
 		detail := fmt.Sprintf("%d undelivered mutations", total)
 		switch {
-		case total >= cfg.DCPLagCrit:
+		case total >= dcpLagCrit:
 			return Critical, detail
-		case total >= cfg.DCPLagWarn:
+		case total >= dcpLagWarn:
 			return Warn, detail
 		}
 		return OK, detail
 	}
 }
 
-func flushBacklogCheck(c *core.Cluster, cfg ClusterCheckConfig) CheckFunc {
+func flushBacklogCheck(c *core.Cluster) CheckFunc {
 	return func() (State, string) {
 		total := 0
 		for _, b := range c.BucketNames() {
@@ -149,16 +100,16 @@ func flushBacklogCheck(c *core.Cluster, cfg ClusterCheckConfig) CheckFunc {
 		}
 		detail := fmt.Sprintf("%d queued mutations", total)
 		switch {
-		case total >= cfg.FlushBacklogCrit:
+		case total >= flushBacklogCrit:
 			return Critical, detail
-		case total >= cfg.FlushBacklogWarn:
+		case total >= flushBacklogWarn:
 			return Warn, detail
 		}
 		return OK, detail
 	}
 }
 
-func residencyCheck(c *core.Cluster, cfg ClusterCheckConfig) CheckFunc {
+func residencyCheck(c *core.Cluster) CheckFunc {
 	return func() (State, string) {
 		worst, worstBucket := 1.0, ""
 		for _, b := range c.BucketNames() {
@@ -180,16 +131,16 @@ func residencyCheck(c *core.Cluster, cfg ClusterCheckConfig) CheckFunc {
 		}
 		detail := fmt.Sprintf("bucket %s %.0f%% resident", worstBucket, worst*100)
 		switch {
-		case worst < cfg.ResidencyCrit:
+		case worst < residencyCrit:
 			return Critical, detail
-		case worst < cfg.ResidencyWarn:
+		case worst < residencyWarn:
 			return Warn, detail
 		}
 		return OK, detail
 	}
 }
 
-func memoryCheck(c *core.Cluster, cfg ClusterCheckConfig) CheckFunc {
+func memoryCheck(c *core.Cluster) CheckFunc {
 	return func() (State, string) {
 		worst, worstBucket := 0.0, ""
 		for _, b := range c.BucketNames() {
@@ -211,9 +162,9 @@ func memoryCheck(c *core.Cluster, cfg ClusterCheckConfig) CheckFunc {
 		}
 		detail := fmt.Sprintf("bucket %s at %.0f%% of quota", worstBucket, worst*100)
 		switch {
-		case worst >= cfg.MemoryCrit:
+		case worst >= memoryCrit:
 			return Critical, detail
-		case worst >= cfg.MemoryWarn:
+		case worst >= memoryWarn:
 			return Warn, detail
 		}
 		return OK, detail
@@ -221,12 +172,12 @@ func memoryCheck(c *core.Cluster, cfg ClusterCheckConfig) CheckFunc {
 }
 
 // slowOpCheck rates slow-query arrivals between ticks.
-func slowOpCheck(c *core.Cluster, cfg ClusterCheckConfig) CheckFunc {
+func slowOpCheck(c *core.Cluster, clock func() time.Time) CheckFunc {
 	var prev uint64
 	var prevAt time.Time
 	return func() (State, string) {
 		cur := c.SlowQueryTotal()
-		now := cfg.Now()
+		now := clock()
 		if prevAt.IsZero() {
 			prev, prevAt = cur, now
 			return OK, "collecting baseline"
@@ -240,21 +191,11 @@ func slowOpCheck(c *core.Cluster, cfg ClusterCheckConfig) CheckFunc {
 		rate := float64(delta) / dt
 		detail := fmt.Sprintf("%.1f slow ops/s", rate)
 		switch {
-		case rate >= cfg.SlowOpCritPerSec:
+		case rate >= slowOpCritPerSec:
 			return Critical, detail
-		case rate >= cfg.SlowOpWarnPerSec:
+		case rate >= slowOpWarnPerSec:
 			return Warn, detail
 		}
 		return OK, detail
 	}
-}
-
-// sumGauge totals every series of a gauge family in the registry
-// snapshot.
-func sumGauge(r *metrics.Registry, family string) int64 {
-	var total int64
-	for _, v := range r.Snapshot()[family] {
-		total += int64(v.Value)
-	}
-	return total
 }

@@ -6,8 +6,8 @@
 // on a fixed tick; the watchdog owns the state machine around them.
 //
 // Flap suppression is structural, not per-check: a check's raw result
-// must hold for RaiseAfter consecutive ticks before the watchdog
-// raises the published state (and ClearAfter ticks before it clears),
+// must hold for raiseAfter consecutive ticks before the watchdog
+// raises the published state (and clearAfter ticks before it clears),
 // so a metric oscillating around a threshold produces one transition,
 // not one per tick. Every transition is recorded in the event journal.
 package health
@@ -75,19 +75,17 @@ type CheckStatus struct {
 type Options struct {
 	// Interval between evaluation ticks (default 1s).
 	Interval time.Duration
-	// RaiseAfter is how many consecutive ticks a worse raw state must
-	// hold before the published state raises (default 2).
-	RaiseAfter int
-	// ClearAfter is how many consecutive ticks a better raw state must
-	// hold before the published state clears (default 3) — recoveries
-	// are held longer than degradations, the usual alarm asymmetry.
-	ClearAfter int
-	// Journal receives a health event per transition
-	// (default events.Default).
-	Journal *events.Journal
-	// Node labels emitted events with the observing node's ID.
-	Node string
 }
+
+const (
+	// raiseAfter is how many consecutive ticks a worse raw state must
+	// hold before the published state raises.
+	raiseAfter = 2
+	// clearAfter is how many consecutive ticks a better raw state must
+	// hold before the published state clears: recoveries are held
+	// longer than degradations, the usual alarm asymmetry.
+	clearAfter = 3
+)
 
 // Watchdog periodically evaluates registered checks and publishes
 // debounced state transitions.
@@ -119,15 +117,6 @@ type check struct {
 func New(opts Options) *Watchdog {
 	if opts.Interval <= 0 {
 		opts.Interval = time.Second
-	}
-	if opts.RaiseAfter <= 0 {
-		opts.RaiseAfter = 2
-	}
-	if opts.ClearAfter <= 0 {
-		opts.ClearAfter = 3
-	}
-	if opts.Journal == nil {
-		opts.Journal = events.Default
 	}
 	return &Watchdog{opts: opts}
 }
@@ -224,9 +213,9 @@ func (w *Watchdog) Tick() {
 			c.candidate = raw
 			c.streak = 1
 		}
-		need := w.opts.RaiseAfter
+		need := raiseAfter
 		if raw < c.state { // improvement: hold recoveries longer
-			need = w.opts.ClearAfter
+			need = clearAfter
 		}
 		if c.streak < need {
 			continue
@@ -255,13 +244,12 @@ func (w *Watchdog) Tick() {
 		}
 		e := events.New(events.Health, sev,
 			fmt.Sprintf("health check %s -> %s", st.Name, st.State))
-		e.Node = w.opts.Node
 		e.Fields = map[string]string{
 			"check":  st.Name,
 			"state":  st.State.String(),
 			"detail": st.Detail,
 		}
-		w.opts.Journal.Publish(e)
+		events.Default.Publish(e)
 	}
 }
 

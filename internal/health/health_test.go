@@ -32,13 +32,14 @@ func (s *settableCheck) fn() (State, string) {
 	return s.state, s.detail
 }
 
-func healthEvents(j *events.Journal, since uint64) []events.Event {
-	return j.Events(events.Filter{Type: events.Health, SinceSeq: since})
+// healthEvents returns the health events journaled after mark.
+func healthEvents(mark uint64) []events.Event {
+	return events.Default.Events(events.Filter{Type: events.Health, SinceSeq: mark})
 }
 
 func TestHysteresisDebouncesTransitions(t *testing.T) {
-	j := events.NewJournal(64)
-	w := New(Options{Interval: time.Hour, RaiseAfter: 2, ClearAfter: 3, Journal: j})
+	mark := events.Default.LastSeq()
+	w := New(Options{Interval: time.Hour})
 	chk := &settableCheck{}
 	w.Register("test", chk.fn)
 
@@ -61,7 +62,7 @@ func TestHysteresisDebouncesTransitions(t *testing.T) {
 	if got := w.State(); got != Warn {
 		t.Fatalf("state after sustained warn = %s, want warn", got)
 	}
-	// Recovery needs ClearAfter=3 consecutive ok ticks.
+	// Recovery needs clearAfter=3 consecutive ok ticks.
 	chk.set(OK, "recovered")
 	w.Tick()
 	w.Tick()
@@ -76,7 +77,7 @@ func TestHysteresisDebouncesTransitions(t *testing.T) {
 	if snap := w.Snapshot(); len(snap) != 1 || snap[0].Transitions != 2 || snap[0].State != OK || snap[0].Detail != "recovered" {
 		t.Fatalf("snapshot = %+v, want 2 transitions ending ok", snap)
 	}
-	evs := healthEvents(j, 0)
+	evs := healthEvents(mark)
 	if len(evs) != 2 {
 		t.Fatalf("journal has %d health events, want 2: %+v", len(evs), evs)
 	}
@@ -91,8 +92,7 @@ func TestHysteresisDebouncesTransitions(t *testing.T) {
 }
 
 func TestWatchdogStartStop(t *testing.T) {
-	j := events.NewJournal(64)
-	w := New(Options{Interval: time.Millisecond, RaiseAfter: 1, ClearAfter: 1, Journal: j})
+	w := New(Options{Interval: time.Millisecond})
 	chk := &settableCheck{}
 	chk.set(Critical, "down")
 	w.Register("svc", chk.fn)
@@ -137,7 +137,7 @@ func (g *gatedConsumer) Apply(int, dcp.Mutation) {
 // the stall takes it back to ok, and hysteresis yields exactly those
 // three transitions — no flapping.
 func TestFeedStallHysteresis(t *testing.T) {
-	j := events.NewJournal(64)
+	mark := events.Default.LastSeq()
 
 	// Fake clock so stall age is deterministic.
 	var clockMu sync.Mutex
@@ -147,18 +147,12 @@ func TestFeedStallHysteresis(t *testing.T) {
 		now = now.Add(d)
 		clockMu.Unlock()
 	}
-	cfg := ClusterCheckConfig{
-		FeedStallCritAfter: 5 * time.Second,
-		Now: func() time.Time {
-			clockMu.Lock()
-			defer clockMu.Unlock()
-			return now
-		},
-	}
-	cfg.defaults()
-
-	w := New(Options{Interval: time.Hour, RaiseAfter: 2, ClearAfter: 2, Journal: j})
-	w.Register("feed:stalls", feedStallCheck(cfg))
+	w := New(Options{Interval: time.Hour})
+	w.Register("feed:stalls", feedStallCheck(func() time.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
+		return now
+	}))
 
 	// Inject a real stall: park the consumer on one mutation, let a
 	// backlog deeper than the feed's stall mark (64) build behind it,
@@ -194,9 +188,10 @@ func TestFeedStallHysteresis(t *testing.T) {
 	if got := w.State(); got != Critical {
 		t.Fatalf("state after aged stall = %s, want critical", got)
 	}
-	// Clear the stall; after ClearAfter ticks the check recovers.
+	// Clear the stall; after clearAfter ticks the check recovers.
 	close(cons.gate)
 	waitFor(t, "stall gauge cleared", func() bool { return stalled.Value() == 0 })
+	w.Tick()
 	w.Tick()
 	w.Tick()
 	if got := w.State(); got != OK {
@@ -205,7 +200,7 @@ func TestFeedStallHysteresis(t *testing.T) {
 
 	// The journal shows exactly warn -> critical -> ok: hysteresis
 	// produced one transition per phase, no flapping.
-	evs := healthEvents(j, 0)
+	evs := healthEvents(mark)
 	if len(evs) != 3 {
 		t.Fatalf("journal has %d health events, want 3: %+v", len(evs), evs)
 	}

@@ -202,7 +202,7 @@ func Scan(ctx context.Context, applied chan struct{}, parts int) error {
 		"caller's package alone": {caller},
 		"both packages":          {caller, callee},
 	} {
-		for _, d := range Run(pkgs, []*Analyzer{CtxFlow}) {
+		for _, d := range runRules(pkgs, []*Analyzer{CtxFlow}) {
 			t.Errorf("%s loaded: unexpected finding %s: %s", name, d.Pos, d.Message)
 		}
 	}

@@ -219,21 +219,16 @@ func loadDir(fset *token.FileSet, imp types.Importer, root, dir string) (*Packag
 	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
-// Run executes the analyzers over pkgs, drops pragma-suppressed
+// RunAll executes the analyzers over pkgs, drops pragma-suppressed
 // findings, and returns the rest sorted by position. Module-level
 // analyzers (RunModule) see every package at once; their diagnostics
-// are suppressed by pragmas exactly like per-package ones.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := run(pkgs, analyzers)
-	return diags
-}
-
-// RunAll is Run plus pragma hygiene: any //couchvet:ignore pragma
-// naming a rule that ran but suppressed nothing is reported as a
-// finding (rule "unusedpragma"), so justifications that stopped being
-// necessary — because the code or the rule changed — surface instead
-// of rotting. Pragmas for rules that were not selected this run are
-// left alone, so `-rules` subsetting does not spray warnings.
+// are suppressed by pragmas exactly like per-package ones. Pragma
+// hygiene rides along: any //couchvet:ignore pragma naming a rule that
+// ran but suppressed nothing is reported as a finding (rule
+// "unusedpragma"), so justifications that stopped being necessary —
+// because the code or the rule changed — surface instead of rotting.
+// Pragmas for rules that were not selected this run are left alone, so
+// `-rules` subsetting does not spray warnings.
 func RunAll(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	diags, unused := run(pkgs, analyzers)
 	return sortDiags(append(diags, unused...))

@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -46,7 +47,13 @@ type S struct {
 // the diagnostics' (line, rule) pairs against the // want: comments.
 func checkFixture(t *testing.T, a *Analyzer, fx fixture) {
 	t.Helper()
-	checkFixtureWith(t, a, fx, Run)
+	checkFixtureWith(t, a, fx, runRules)
+}
+
+// runRules is RunAll without its audit of unused pragmas.
+func runRules(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	diags, _ := run(pkgs, analyzers)
+	return diags
 }
 
 // checkFixtureAll is checkFixture through RunAll, so unusedpragma
@@ -129,18 +136,32 @@ func compareWants(t *testing.T, diags []Diagnostic, pkgs []*Package) {
 	}
 }
 
+var repo struct {
+	once sync.Once
+	pkgs []*Package
+	err  error
+}
+
+// loadRepo loads the whole module once per test binary; the tests that
+// read it skip under -short.
+func loadRepo(t *testing.T) []*Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("full-module typecheck is slow; run without -short")
+	}
+	repo.once.Do(func() { repo.pkgs, repo.err = Load("../..") })
+	if repo.err != nil {
+		t.Fatalf("Load: %v", repo.err)
+	}
+	return repo.pkgs
+}
+
 // TestLoadRepo loads and analyzes the entire module — the same work
 // `go run ./cmd/couchvet ./...` does — and requires a clean result, so
 // a finding introduced anywhere in the tree fails this package's tests
 // too, not just the CI lint step.
 func TestLoadRepo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-module typecheck is slow; run without -short")
-	}
-	pkgs, err := Load("../..")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
+	pkgs := loadRepo(t)
 	if len(pkgs) < 20 {
 		t.Fatalf("Load found %d packages, expected the full tree (>=20)", len(pkgs))
 	}

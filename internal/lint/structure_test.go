@@ -130,7 +130,7 @@ func TestStructure(t *testing.T) {
 	// As under Load, executor sees gsi through a copy of its own.
 	gsi := slices.IndexFunc(structureFixtures, func(fx fixture) bool { return fx.name == "gsi" })
 	pkgs = append(pkgs, loadFixtures(t, structureFixtures[gsi], executorFixture)[1])
-	compareWants(t, Run(pkgs, []*Analyzer{Structure}), pkgs)
+	compareWants(t, runRules(pkgs, []*Analyzer{Structure}), pkgs)
 	for i := range structureRows {
 		if len(checkRows(pkgs, structureRows[i:i+1])) == 0 {
 			t.Errorf("row %d (%s) fails on no fixture", i, structureRows[i].why)

@@ -156,9 +156,6 @@ func (o Opcode) String() string {
 	return fmt.Sprintf("op_0x%02x", uint8(o))
 }
 
-// Known reports whether the opcode is part of the protocol table.
-func (o Opcode) Known() bool { _, ok := opcodeNames[o]; return ok || SpecOf(o) != nil }
-
 // Status is the response outcome, carried where requests carry the
 // vbucket ID.
 type Status uint16

@@ -178,8 +178,8 @@ func TestNames(t *testing.T) {
 	if OpDCPStreamReq.String() != "dcp_stream_req" {
 		t.Fatalf("opcode name: %s", OpDCPStreamReq)
 	}
-	if Opcode(0xfe).Known() || !OpGet.Known() {
-		t.Fatal("Known misclassifies")
+	if got := Opcode(0xfe).String(); got != "op_0xfe" {
+		t.Fatalf("unknown opcode name: %s", got)
 	}
 	if StatusNotMyVBucket.String() != "not_my_vbucket" {
 		t.Fatalf("status name: %s", StatusNotMyVBucket)

@@ -66,7 +66,7 @@ func TestEveryKVOpcodeHasTableRow(t *testing.T) {
 			t.Errorf("%s (0x%02x) is in the KV range but has no op-table row", name, uint8(code))
 		case code >= kvOpcodeEnd && SpecOf(code) != nil:
 			t.Errorf("%s (0x%02x) is outside the KV range but has a row", name, uint8(code))
-		case !code.Known():
+		case strings.HasPrefix(code.String(), "op_0x"):
 			t.Errorf("%s (0x%02x) has no name", name, uint8(code))
 		}
 		delete(rows, code)

@@ -35,9 +35,6 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // Gauge is an atomic instantaneous value that can move both ways.
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add adds delta (negative to decrement).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
@@ -177,11 +174,6 @@ func (s *HistSnapshot) Quantile(q float64) float64 {
 		cum = next
 	}
 	return float64(s.Max)
-}
-
-// QuantileDuration is Quantile for nanosecond histograms.
-func (s *HistSnapshot) QuantileDuration(q float64) time.Duration {
-	return time.Duration(s.Quantile(q))
 }
 
 // Mean returns the mean observation in raw units (0 when empty).

@@ -19,7 +19,7 @@ func TestCounterGauge(t *testing.T) {
 		t.Fatalf("counter: %d", c.Value())
 	}
 	var g Gauge
-	g.Set(10)
+	g.Add(10)
 	g.Add(-3)
 	if g.Value() != 7 {
 		t.Fatalf("gauge: %d", g.Value())
@@ -94,10 +94,10 @@ func TestQuantileKnownDistributions(t *testing.T) {
 			h.Observe(time.Millisecond)
 		}
 		s := h.Snapshot()
-		if p50 := s.QuantileDuration(0.5); p50 < 512*time.Nanosecond || p50 > 1024*time.Nanosecond {
+		if p50 := time.Duration(s.Quantile(0.5)); p50 < 512*time.Nanosecond || p50 > 1024*time.Nanosecond {
 			t.Errorf("p50: %v", p50)
 		}
-		if p99 := s.QuantileDuration(0.99); p99 < 512*time.Microsecond || p99 > 1048*time.Microsecond {
+		if p99 := time.Duration(s.Quantile(0.99)); p99 < 512*time.Microsecond || p99 > 1048*time.Microsecond {
 			t.Errorf("p99: %v", p99)
 		}
 	})
@@ -246,7 +246,7 @@ func TestWritePrometheus(t *testing.T) {
 	r.Counter("couchgo_test_hits_total").Add(7)
 	r.Counter("couchgo_test_ops_total", "op", "get").Add(3)
 	r.Counter("couchgo_test_ops_total", "op", "set").Add(4)
-	r.Gauge("couchgo_test_depth").Set(-2)
+	r.Gauge("couchgo_test_depth").Add(-2)
 	h := r.Histogram("couchgo_test_latency_seconds", "op", "get")
 	h.Observe(100 * time.Microsecond)
 	h.Observe(3 * time.Millisecond)
@@ -256,8 +256,8 @@ func TestWritePrometheus(t *testing.T) {
 	r.WriteTo(tw)
 	// A scrape-time computed gauge shares the writer.
 	tw.Gauge("couchgo_test_lag", LabelString("stream", "replica:n1"), 12)
-	if tw.Err() != nil {
-		t.Fatal(tw.Err())
+	if tw.err != nil {
+		t.Fatal(tw.err)
 	}
 
 	samples := parsePromText(t, b.String())

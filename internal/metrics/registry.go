@@ -281,9 +281,6 @@ func NewTextWriter(w io.Writer) *TextWriter {
 	return &TextWriter{w: w, typed: map[string]Kind{}}
 }
 
-// Err returns the first write error, if any.
-func (t *TextWriter) Err() error { return t.err }
-
 func (t *TextWriter) printf(format string, args ...any) {
 	if t.err != nil {
 		return

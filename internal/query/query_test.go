@@ -273,7 +273,7 @@ func TestUpdateSetUnset(t *testing.T) {
 	if !value.IsMissing(field(doc, "email")) {
 		t.Error("email not unset")
 	}
-	if value.MustParsePath("extra.note").Eval(doc) != "hi" {
+	if evalPath("extra.note", doc) != "hi" {
 		t.Error("nested set failed")
 	}
 	// Update by WHERE with LIMIT.
@@ -512,4 +512,10 @@ func TestInsertIsNotKept(t *testing.T) {
 	if got := len(e.prepared) - before; got != 1 {
 		t.Errorf("cache grew by %d entries, want the SELECT only", got)
 	}
+}
+
+// evalPath reads the path s in doc.
+func evalPath(s string, doc any) any {
+	p, _ := value.ParsePath(s)
+	return p.Eval(doc)
 }

@@ -148,19 +148,12 @@ func TestHealthEndpointFeedStallTransitions(t *testing.T) {
 
 	var clockMu sync.Mutex
 	now := time.Unix(2000, 0)
-	cfg := health.ClusterCheckConfig{
-		FeedStallCritAfter: 5 * time.Second,
-		Now: func() time.Time {
-			clockMu.Lock()
-			defer clockMu.Unlock()
-			return now
-		},
-	}
-	w := health.New(health.Options{
-		Interval: time.Hour, RaiseAfter: 2, ClearAfter: 2,
-		Journal: events.NewJournal(64),
+	w := health.New(health.Options{Interval: time.Hour})
+	health.RegisterClusterChecks(w, c, func() time.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
+		return now
 	})
-	health.RegisterClusterChecks(w, c, cfg)
 	s.SetHealth(w)
 
 	getHealth := func() (int, map[string]any) {
@@ -223,6 +216,7 @@ func TestHealthEndpointFeedStallTransitions(t *testing.T) {
 
 	close(cons.gate)
 	waitForCond(t, "stall gauge cleared", func() bool { return stalled.Value() == 0 })
+	w.Tick()
 	w.Tick()
 	w.Tick()
 	if code, out := getHealth(); code != http.StatusOK || out["status"] != "ok" {

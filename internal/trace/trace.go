@@ -157,7 +157,6 @@ type opRing struct {
 	recentPos int
 	slow      []*Trace
 	slowPos   int
-	slowTotal uint64
 }
 
 // New creates a disabled tracer (rate 0) with the default slow
@@ -267,7 +266,6 @@ func (tr *Tracer) record(t *Trace, d time.Duration) {
 		t.mu.Lock()
 		t.slow = true
 		t.mu.Unlock()
-		r.slowTotal++
 		r.slow, r.slowPos = ringPush(r.slow, r.slowPos, t, slowSize)
 	}
 }
@@ -345,17 +343,6 @@ func (tr *Tracer) Traces() []Summary {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.After(out[j].Start) })
 	return out
-}
-
-// SlowTotal reports how many traces crossed the threshold for op
-// since startup (retained or not).
-func (tr *Tracer) SlowTotal(op string) uint64 {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if r := tr.ops[op]; r != nil {
-		return r.slowTotal
-	}
-	return 0
 }
 
 // Clear drops every retained trace, including adopted foreign
@@ -605,36 +592,9 @@ func (t *Trace) Tree() *Node {
 	return nodes[0]
 }
 
-// Names returns every span name in the trace, in creation order —
-// handy for tests asserting a hop appears.
-func (t *Trace) Names() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, len(t.spans))
-	for i, s := range t.spans {
-		out[i] = s.name
-	}
-	return out
-}
-
 // --- Package-level wrappers over Default ---
 
 // Start begins a span on the default tracer.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
 	return Default.Start(ctx, name)
 }
-
-// Force begins an always-sampled root span on the default tracer.
-func Force(ctx context.Context, name string) (context.Context, *Span) {
-	return Default.Force(ctx, name)
-}
-
-// SetRate sets the default tracer's sampling rate.
-func SetRate(n int) { Default.SetRate(n) }
-
-// SetThreshold sets a per-op always-keep threshold on the default
-// tracer.
-func SetThreshold(op string, d time.Duration) { Default.SetThreshold(op, d) }

@@ -296,7 +296,7 @@ func TestConformance(t *testing.T) {
 			for _, conn := range []struct {
 				name string
 				nc   core.NodeConn
-			}{{"loopback", loopback}, {"tcp", NewNodeConn(srv.Addr(), pool, nil)}} {
+			}{{"loopback", loopback}, {"tcp", netConn{addr: addrOf(srv), pool: pool}}} {
 				runConformance(t, res.name+"/"+conn.name, conn.nc, func(key string, now int64) {
 					if err := vb.DrainDisk(5 * time.Second); err != nil {
 						t.Fatal(err)

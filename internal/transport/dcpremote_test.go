@@ -168,7 +168,7 @@ func TestMutationStreamBatchLifetime(t *testing.T) {
 	c, srv, _ := newServedCluster(t, 0)
 	for name, open := range map[string]func(vb *vbucket.VBucket) dcp.StreamSource{
 		"dcp.Stream":   func(vb *vbucket.VBucket) dcp.StreamSource { return vb.Producer() },
-		"RemoteStream": func(vb *vbucket.VBucket) dcp.StreamSource { return NewRemoteProducer(srv.Addr(), vb.ID) },
+		"RemoteStream": func(vb *vbucket.VBucket) dcp.StreamSource { return NewRemoteProducer(addrOf(srv), vb.ID) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			vb, err := c.NodeVB("node0", "default", 0)
@@ -258,7 +258,7 @@ func TestIndexBuildOverDeadSourceFails(t *testing.T) {
 	if !errors.Is(err, core.ErrNodeUnreachable) {
 		t.Fatalf("CreateIndex over a source out of reach = %v, want ErrNodeUnreachable", err)
 	}
-	if meta, err := svc.Lookup("Profile", "email"); err != nil || meta.Built {
-		t.Fatalf("Lookup after the failed build = built %v, %v", meta.Built, err)
+	if metas := svc.ListIndexes("Profile"); len(metas) != 1 || metas[0].Built {
+		t.Fatalf("catalog after the failed build: %+v", metas)
 	}
 }

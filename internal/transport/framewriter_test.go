@@ -216,7 +216,7 @@ func TestHeldResponsesLeaveBeforeTheReadBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nc, err := net.Dial("tcp", srv.Addr())
+	nc, err := net.Dial("tcp", addrOf(srv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestCtxEndsWhileSocketIsFull(t *testing.T) {
 // the session closes and the drop is counted.
 func TestUnencodableResponseClosesTheSession(t *testing.T) {
 	_, srv, _ := newServedCluster(t, 0)
-	nc, err := net.Dial("tcp", srv.Addr())
+	nc, err := net.Dial("tcp", addrOf(srv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestStagesSumToTheRoundTrip(t *testing.T) {
 	})
 	pool := NewPool()
 	defer pool.Close()
-	conn, err := pool.Get(srv.Addr())
+	conn, err := pool.Get(addrOf(srv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,10 +552,18 @@ func TestStagesSumToTheRoundTrip(t *testing.T) {
 		whole, mean["wire:send"], mean["wire:await"], mean["wire:wake"], mean["wire:decode"], mean["wire:execute"], mean["wire:respond"])
 
 	seen := map[string]bool{}
-	for _, p := range trace.Default.Portions(last.Trace().ID) {
-		for _, name := range p.Names() {
-			seen[name] = true
+	var walk func(n *trace.Node)
+	walk = func(n *trace.Node) {
+		if n == nil {
+			return
 		}
+		seen[n.Name] = true
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	for _, p := range trace.Default.Portions(last.Trace().ID) {
+		walk(p.Tree())
 	}
 	for _, st := range all {
 		if !seen[st.span] {

@@ -144,10 +144,10 @@ func rebaseCAS(raw []byte, base uint64) {
 // is one higher; no layout changed).
 func TestGoldenFrames(t *testing.T) {
 	_, srv, _ := newServedCluster(t, 0)
-	tap := newFrameTap(t, srv.Addr())
+	tap := newFrameTap(t, addrOf(srv))
 	pool := NewPool()
 	t.Cleanup(pool.Close)
-	nc := NewNodeConn(tap.ln.Addr().String(), pool, nil)
+	nc := netConn{addr: tap.ln.Addr().String(), pool: pool}
 
 	ctx := context.Background()
 	var base uint64

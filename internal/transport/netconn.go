@@ -30,12 +30,6 @@ type netConn struct {
 
 var _ core.NodeConn = netConn{}
 
-// NewNodeConn returns a core.NodeConn speaking the wire protocol to
-// addr. sink may be nil.
-func NewNodeConn(addr string, pool *Pool, sink mapSink) core.NodeConn {
-	return netConn{addr: addr, pool: pool, sink: sink}
-}
-
 func (nc netConn) Do(ctx context.Context, vbID int, op core.Op) (core.Result, error) {
 	spec := memcproto.SpecOf(op.Code)
 	if spec == nil {

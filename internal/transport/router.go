@@ -50,10 +50,6 @@ func (r *NetRouter) SetLocal(id cmap.NodeID, conn core.NodeConn) {
 	r.mu.Unlock()
 }
 
-// Pool exposes the router's connection pool (the member layer shares
-// it for admin traffic).
-func (r *NetRouter) Pool() *Pool { return r.pool }
-
 // BucketMap returns the cached map, refetching when empty or stale.
 func (r *NetRouter) BucketMap() (*cmap.Map, error) {
 	r.mu.Lock()

@@ -59,15 +59,6 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
-// Listen starts a server on addr ("host:port", port 0 for ephemeral).
-func Listen(addr string, cfg ServerConfig) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return Serve(ln, cfg), nil
-}
-
 // Serve starts a server on an already-bound listener (the node layer
 // binds first so it can advertise the real port before serving).
 func Serve(ln net.Listener, cfg ServerConfig) *Server {
@@ -76,9 +67,6 @@ func Serve(ln net.Listener, cfg ServerConfig) *Server {
 	go s.acceptLoop()
 	return s
 }
-
-// Addr is the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops accepting and tears down every session.
 func (s *Server) Close() {

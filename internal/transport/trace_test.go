@@ -122,7 +122,7 @@ func TestFederateOpcode(t *testing.T) {
 	_, srv, _ := newServedCluster(t, 0) // Observe nil
 	pool := NewPool()
 	t.Cleanup(pool.Close)
-	conn, err := pool.Get(srv.Addr())
+	conn, err := pool.Get(addrOf(srv))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,24 +41,24 @@ func newServedBucket(t testing.TB, opts core.BucketOptions) (*core.Cluster, *Ser
 	// One server per node would need one port per node; for the wire
 	// round-trip test a single node's server suffices, so use a
 	// single-node cluster when opts.NumReplicas == 0.
-	srv, err := Listen("127.0.0.1:0", ServerConfig{
-		Cluster: c,
-		Node:    "node0",
-		Bucket:  "default",
-	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := Serve(ln, ServerConfig{Cluster: c, Node: "node0", Bucket: "default"})
 	t.Cleanup(srv.Close)
 
 	pool := NewPool()
 	t.Cleanup(pool.Close)
-	router := NewRouter("default", []string{srv.Addr()}, pool)
+	router := NewRouter("default", []string{addrOf(srv)}, pool)
 	// Route every node of the in-process map to the one server; it
 	// dispatches to node0, so only node0's vBuckets answer OK — the
 	// single-node case routes everything there.
-	return c, srv, core.NewClient(&rewriteRouter{inner: router, addr: srv.Addr()}, "default")
+	return c, srv, core.NewClient(&rewriteRouter{inner: router, addr: addrOf(srv)}, "default")
 }
+
+// addrOf is the server's bound listen address.
+func addrOf(s *Server) string { return s.ln.Addr().String() }
 
 // rewriteRouter maps every node ID to one server address (the wire
 // test serves a whole single-node cluster from one listener).
@@ -129,7 +129,7 @@ func TestWireNotMyVBucketRefresh(t *testing.T) {
 
 	pool := NewPool()
 	t.Cleanup(pool.Close)
-	router := NewRouter("default", []string{servers[0].Addr()}, pool)
+	router := NewRouter("default", []string{addrOf(servers[0])}, pool)
 	cl := core.NewClient(router, "default")
 
 	// Poison the router: an older map routing every vBucket to server

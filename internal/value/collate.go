@@ -112,11 +112,6 @@ func Compare(a, b any) int {
 	return 0
 }
 
-// Equal reports whether a and b are equal under collation. Note that
-// MISSING == MISSING and NULL == NULL here; expression-level equality
-// (which propagates MISSING/NULL) lives in the n1ql package.
-func Equal(a, b any) bool { return Compare(a, b) == 0 }
-
 // EncodeKey encodes a value into a byte string whose bytewise order
 // matches collation order. Index engines use this for on-disk and
 // in-memory key comparisons without re-parsing values.

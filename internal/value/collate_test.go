@@ -66,11 +66,14 @@ func TestCompareWithinTypes(t *testing.T) {
 	}
 }
 
+// TestEqual: equality under collation is Compare == 0. MISSING equals
+// MISSING and NULL equals NULL here; expression-level equality, which
+// propagates them, lives in the n1ql package.
 func TestEqual(t *testing.T) {
-	if !Equal(MustParse(`{"a":[1,2]}`), MustParse(`{"a":[1,2]}`)) {
-		t.Error("equal documents should be Equal")
+	if Compare(MustParse(`{"a":[1,2]}`), MustParse(`{"a":[1,2]}`)) != 0 {
+		t.Error("equal documents should compare equal")
 	}
-	if Equal(1.0, "1") {
+	if Compare(1.0, "1") == 0 {
 		t.Error("number and string are never equal")
 	}
 }

@@ -66,15 +66,6 @@ func ParsePath(s string) (Path, bool) {
 	return p, true
 }
 
-// MustParsePath panics on malformed paths. For tests and fixtures.
-func MustParsePath(s string) Path {
-	p, ok := ParsePath(s)
-	if !ok {
-		panic("value: bad path: " + s)
-	}
-	return p
-}
-
 // String renders the path back to source form.
 func (p Path) String() string {
 	var b strings.Builder

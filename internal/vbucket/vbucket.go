@@ -100,7 +100,6 @@ var (
 	// ErrNotMyVBucket tells a smart client its cluster map is stale.
 	ErrNotMyVBucket = errors.New("vbucket: not my vbucket")
 	ErrTimeout      = errors.New("vbucket: durability wait timed out")
-	ErrClosed       = errors.New("vbucket: closed")
 )
 
 // maxFlushBatch bounds how many queued mutations one flush drains.
@@ -108,8 +107,6 @@ const maxFlushBatch = 4096
 
 // Config tunes a vBucket.
 type Config struct {
-	// SyncOnPersist fsyncs each flushed batch.
-	SyncOnPersist bool
 	// DiskDelay simulates device latency per flushed batch (used by the
 	// durability ablation to model spinning disks; zero for SSD/none).
 	DiskDelay time.Duration

@@ -238,17 +238,6 @@ func (e *Engine) Drop(name string) error {
 	return nil
 }
 
-// Names lists defined views.
-func (e *Engine) Names() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.views))
-	for n := range e.views {
-		out = append(out, n)
-	}
-	return out
-}
-
 // AttachVB begins indexing a vBucket that became active on this node.
 // Attaching an already-attached vBucket is a no-op, so cluster state
 // reconciliation can call it idempotently.

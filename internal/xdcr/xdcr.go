@@ -45,9 +45,10 @@ type Options struct {
 	// FilterExpr, when non-empty, is a regular expression on document
 	// IDs; only matching documents replicate.
 	FilterExpr string
-	// RetryInterval between topology re-resolution passes.
-	RetryInterval time.Duration
 }
+
+// retryInterval separates topology re-resolution passes.
+const retryInterval = 20 * time.Millisecond
 
 // Replicator pushes one source bucket's mutations to a destination
 // cluster's bucket.
@@ -56,7 +57,6 @@ type Replicator struct {
 	sourceBucket string
 	dest         *core.Client
 	filter       *regexp.Regexp
-	retry        time.Duration
 	nvb          int
 	feed         *feed.Feed
 
@@ -86,12 +86,8 @@ func Start(source *core.Cluster, sourceBucket string, dest *core.Cluster, destBu
 		source:       source,
 		sourceBucket: sourceBucket,
 		dest:         destClient,
-		retry:        opts.RetryInterval,
 		nvb:          nvb,
 		stopCh:       make(chan struct{}),
-	}
-	if r.retry <= 0 {
-		r.retry = 20 * time.Millisecond
 	}
 	if opts.FilterExpr != "" {
 		re, err := regexp.Compile(opts.FilterExpr)
@@ -117,7 +113,7 @@ func Start(source *core.Cluster, sourceBucket string, dest *core.Cluster, destBu
 // active, resuming from the recorded (uuid, seqno).
 func (r *Replicator) topologyLoop() {
 	defer r.wg.Done()
-	t := time.NewTicker(r.retry)
+	t := time.NewTicker(retryInterval)
 	defer t.Stop()
 	for {
 		for vb := 0; vb < r.nvb; vb++ {
@@ -199,16 +195,6 @@ func (r *Replicator) Stop() {
 		"applied": fmt.Sprintf("%d", st.Applied),
 	}
 	events.Default.Publish(e)
-}
-
-// FeedStats describes the replication feed.
-func (r *Replicator) FeedStats() []feed.Stat {
-	return []feed.Stat{{
-		Service:   "xdcr",
-		Name:      r.feed.Name(),
-		VBuckets:  r.nvb,
-		Processed: r.feed.Processed(),
-	}}
 }
 
 // Stats reports replication counters.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"couchgo/internal/cache"
 	"couchgo/internal/cmap"
 	"couchgo/internal/core"
 )
@@ -92,7 +93,7 @@ func TestDeletesReplicate(t *testing.T) {
 	scl.Delete(context.Background(), "gone", 0)
 	waitFor(t, "tombstone", func() bool {
 		_, err := dcl.Get(context.Background(), "gone")
-		return err == core.ErrKeyNotFound
+		return err == cache.ErrKeyNotFound
 	})
 }
 
@@ -116,7 +117,7 @@ func TestFilteredReplication(t *testing.T) {
 		_, e2 := dcl.Get(context.Background(), "user::2")
 		return e1 == nil && e2 == nil
 	})
-	if _, err := dcl.Get(context.Background(), "session::1"); err != core.ErrKeyNotFound {
+	if _, err := dcl.Get(context.Background(), "session::1"); err != cache.ErrKeyNotFound {
 		t.Fatalf("filtered-out doc replicated: %v", err)
 	}
 	if st := r.Stats(); st.Filtered == 0 {
