@@ -6,10 +6,10 @@
 //
 //	cbserver -listen :8091 -nodes 4 -replicas 1 -bucket default
 //
-// Networked cluster mode (-kv-addr): each process runs ONE local node
-// and serves the binary KV wire protocol; N processes form a cluster.
-// The first process (no -join) is the coordinator seed and waits for
-// -cluster-size members before minting the cluster map:
+// Networked cluster mode (-kv-addr): each process runs ONE local node,
+// named by its KV address, and serves the binary KV wire protocol. The
+// seed (no -join) mints the cluster map once -cluster-size members
+// heartbeat; KV ops answer NOT_MY_VBUCKET until then:
 //
 //	cbserver -listen :8091 -kv-addr :11210 -cluster-size 3 -replicas 1
 //	cbserver -listen :8092 -kv-addr :11211 -join 127.0.0.1:11210
@@ -41,9 +41,9 @@
 //	curl 'localhost:8091/events?severity=warn'
 //	curl 'localhost:8091/events/stream?since=0&timeout=10s'
 //
-// Failure detection is the decider's: a networked seed fails over a
-// member silent for 5 -kv-heartbeat intervals. The watchdog behind
-// /health only reports.
+// Failure detection is the decider's, ticked by the cluster's one
+// heartbeat loop: a networked seed fails over a member silent for 5
+// -kv-heartbeat intervals. The watchdog behind /health only reports.
 //
 // Profiling (off unless -debug-addr is set): -debug-addr :6060 serves
 // net/http/pprof and expvar on a separate listener that should stay
@@ -76,7 +76,7 @@ import (
 func main() {
 	var (
 		listen      = flag.String("listen", ":8091", "HTTP listen address")
-		nodes       = flag.Int("nodes", 4, "number of cluster nodes")
+		nodes       = flag.Int("nodes", 4, "number of cluster nodes (ignored with -kv-addr: one per process)")
 		replicas    = flag.Int("replicas", 1, "bucket replica count (0-3)")
 		vbuckets    = flag.Int("vbuckets", cmap.NumVBuckets, "vBucket count")
 		dir         = flag.String("dir", "", "storage directory (default: temp)")
@@ -93,7 +93,7 @@ func main() {
 		join        = flag.String("join", "", "seed process's KV address to join (empty makes this process the coordinator seed)")
 		clusterSize = flag.Int("cluster-size", 1, "member processes (including the seed) the coordinator waits for before minting the cluster map")
 		advertise   = flag.String("advertise", "", "KV address peers should dial (default: the bound -kv-addr)")
-		kvHeartbeat = flag.Duration("kv-heartbeat", 500*time.Millisecond, "member heartbeat interval in networked cluster mode; the seed fails over a member silent for 5 of them")
+		kvHeartbeat = flag.Duration("kv-heartbeat", 500*time.Millisecond, "heartbeat interval in networked cluster mode: members heartbeat the seed and the seed's detector ticks at it, failing over a member silent for 5 of them")
 		gcPercent   = flag.Int("gc-percent", 300, "Go GC target percentage (GOGC); a memory-first cache holds a large stable resident set that each GC cycle rescans, so the default trades headroom for fewer cycles. The item pager, not the GC, bounds cache memory")
 	)
 	flag.Parse()
@@ -102,21 +102,22 @@ func main() {
 		debug.SetGCPercent(*gcPercent)
 	}
 
-	if *kvAddr != "" && *nodes != 1 {
-		log.Printf("networked cluster mode: each process runs one local node (-nodes %d ignored)", *nodes)
-		*nodes = 1
-	}
-
 	trace.Default.SetRate(*traceRate)
 	trace.Default.SetThreshold("", *traceSlow)
 
-	cluster, err := core.NewCluster(core.Config{
+	cfg := core.Config{
 		Dir:                *dir,
 		NumVBuckets:        *vbuckets,
 		SyncPersist:        *syncWrite,
 		SlowQueryThreshold: *slowQuery,
 		SlowQueryLogSize:   *slowLog,
-	})
+	}
+	if *kvAddr != "" {
+		*nodes = 0 // the bucket is created over no node; StartNode adds one
+		cfg.HeartbeatInterval = *kvHeartbeat
+		cfg.FailoverTimeout = 5 * cfg.HeartbeatInterval
+	}
+	cluster, err := core.NewCluster(cfg)
 	if err != nil {
 		log.Fatalf("cluster: %v", err)
 	}
@@ -131,8 +132,7 @@ func main() {
 	if err := cluster.CreateBucket(*bucket, core.BucketOptions{NumReplicas: *replicas}); err != nil {
 		log.Fatalf("create bucket: %v", err)
 	}
-	log.Printf("cluster up: %d nodes, bucket %q (%d vbuckets, %d replicas), orchestrator %s",
-		*nodes, *bucket, *vbuckets, *replicas, cluster.Orchestrator())
+	log.Printf("cluster up: %d nodes, bucket %q (%d vbuckets, %d replicas)", *nodes, *bucket, *vbuckets, *replicas)
 	if *traceRate > 0 {
 		log.Printf("tracing 1 in %d requests (slow threshold %s); inspect at /traces", *traceRate, *traceSlow)
 	}
@@ -153,13 +153,12 @@ func main() {
 
 	if *kvAddr != "" {
 		node, err := transport.StartNode(transport.NodeOptions{
-			Cluster:           cluster,
-			Bucket:            *bucket,
-			KVAddr:            *kvAddr,
-			Advertise:         *advertise,
-			Join:              *join,
-			ClusterSize:       *clusterSize,
-			HeartbeatInterval: *kvHeartbeat,
+			Cluster:     cluster,
+			Bucket:      *bucket,
+			KVAddr:      *kvAddr,
+			Advertise:   *advertise,
+			Join:        *join,
+			ClusterSize: *clusterSize,
 			// Peers fetch this node's metrics/health/events/traces over
 			// the wire (OpFederate) through the REST layer's Observe.
 			Observe: api.Observe,

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"couchgo/internal/cmap"
 	"couchgo/internal/rest"
 )
 
@@ -128,7 +129,8 @@ func TestDistributedTrace(t *testing.T) {
 	}
 
 	// Federation sanity on the same cluster: /cluster/metrics from any
-	// node carries every live member's NodeSnapshot, labeled by it.
+	// node carries every live member's NodeSnapshot, labeled by it, and
+	// the member's one node goes by the same name on every surface.
 	resp, err := client.Get(p1.http + "/cluster/metrics")
 	if err != nil {
 		t.Fatalf("/cluster/metrics: %v", err)
@@ -142,8 +144,14 @@ func TestDistributedTrace(t *testing.T) {
 		t.Fatalf("/cluster/metrics errors: %v", cm.Errors)
 	}
 	for addr := range all {
-		if n, ok := cm.Nodes[addr]; !ok || n.Node != addr || len(n.Buckets) == 0 {
+		n, ok := cm.Nodes[addr]
+		if !ok || n.Node != addr || len(n.Buckets) == 0 {
 			t.Fatalf("/cluster/metrics member %s missing or not its own snapshot (have %d nodes): %+v", addr, len(cm.Nodes), n.Node)
+		}
+		if n.Orchestrator != cmap.NodeID(addr) || len(n.Nodes) != 1 || n.Nodes[0].ID != cmap.NodeID(addr) ||
+			len(n.Buckets["default"]) == 0 || n.Buckets["default"][0].ID != cmap.NodeID(addr) {
+			t.Errorf("member %s: orchestrator %q, nodes %+v, default bucket %+v; want its address everywhere",
+				addr, n.Orchestrator, n.Nodes, n.Buckets["default"])
 		}
 	}
 }

@@ -38,10 +38,9 @@ type Config struct {
 	// HeartbeatInterval / FailoverTimeout drive automatic failure
 	// detection (§4.3.1): every interval the live nodes are heard from,
 	// and Decider.FailoverSilent fails over a mapped node silent past the
-	// timeout. Zero FailoverTimeout leaves failover to Failover calls; a
-	// member process of a networked cluster must leave it zero
-	// (transport.StartNode refuses otherwise): its local node IDs are not
-	// the names its maps use, and its seed detects instead.
+	// timeout. Zero FailoverTimeout leaves failover to Failover calls. A
+	// networked process's members are heard where their heartbeats
+	// arrive, one per interval (transport.StartNode).
 	HeartbeatInterval time.Duration
 	FailoverTimeout   time.Duration
 	// SlowQueryThreshold bounds N1QL latency before a statement lands
@@ -107,9 +106,9 @@ type Cluster struct {
 	// rebalanceMu serializes topology changes.
 	rebalanceMu sync.Mutex
 	// applyMu serializes map applies; left, once set under it, refuses
-	// them (see Leave).
+	// them and stops the heartbeat loop (see Leave).
 	applyMu sync.Mutex
-	left    bool
+	left    atomic.Bool
 
 	stopHB chan struct{}
 	hbDone chan struct{}
@@ -151,7 +150,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	c.queryEng = query.NewEngine(&clusterStore{c: c})
 	c.topo = newDecider(func(bucket string, m *cmap.Map) error {
-		return c.ApplyMap(bucket, m, "", loopbackSource{c, bucket})
+		return c.ApplyMap(bucket, m, loopbackSource{c, bucket})
 	})
 	if cfg.FailoverTimeout > 0 {
 		go c.heartbeatLoop()
@@ -415,7 +414,7 @@ func (c *Cluster) stepVB(bucket string, vbID int, next *cmap.Map) error {
 			return err
 		}
 	}
-	return c.applyMap(bucket, next, "", loopbackSource{c, bucket}, false)
+	return c.applyMap(bucket, next, loopbackSource{c, bucket}, false)
 }
 
 // moveVB builds vbID's new active on node to from the current one and
@@ -440,7 +439,7 @@ func (c *Cluster) moveVB(bucket string, vbID int, from, to cmap.NodeID) error {
 	if err != nil {
 		return err
 	}
-	dstNB.pointLink(dstVB, from, to, loopbackSource{c, bucket})
+	dstNB.pointLink(dstVB, from, loopbackSource{c, bucket})
 
 	// Stop accepting writes on the source and let the destination catch
 	// up; the map flip follows.
@@ -461,9 +460,11 @@ func (c *Cluster) moveVB(bucket string, vbID int, from, to cmap.NodeID) error {
 	return nil
 }
 
-// heartbeatLoop is a library cluster's failure-detection ticker: each
-// tick the alive nodes are heard from, then the decider fails over the
-// silent ones.
+// heartbeatLoop is the one failure-detection ticker: each tick the
+// alive local nodes are heard from, then the decider fails over the
+// silent ones. On a networked seed the other members are heard where
+// their heartbeats arrive; a member hears only itself, so it fails
+// nobody over. A process that left ticks no more.
 func (c *Cluster) heartbeatLoop() {
 	defer close(c.hbDone)
 	ticker := time.NewTicker(c.cfg.HeartbeatInterval)
@@ -473,6 +474,9 @@ func (c *Cluster) heartbeatLoop() {
 		case <-c.stopHB:
 			return
 		case <-ticker.C:
+		}
+		if c.left.Load() {
+			return
 		}
 		for _, n := range c.nodes.all() {
 			if n.Alive() {
@@ -484,7 +488,7 @@ func (c *Cluster) heartbeatLoop() {
 }
 
 // Decider returns the cluster's topology decider. A networked seed
-// drives it with its members' joins and heartbeats.
+// drives it with its members' heartbeats.
 func (c *Cluster) Decider() *Decider { return c.topo }
 
 // BucketQuota returns the bucket's cache memory quota in bytes (0 when
@@ -607,9 +611,9 @@ func (c *Cluster) SlowQueries() []metrics.SlowQuery {
 	return c.slowLog.Entries()
 }
 
-// FailoverTimeout is Config.FailoverTimeout: non-zero means the cluster
-// runs its own heartbeat detector.
-func (c *Cluster) FailoverTimeout() time.Duration { return c.cfg.FailoverTimeout }
+// HeartbeatInterval is Config.HeartbeatInterval: the detector's tick and
+// a networked member's heartbeat pace.
+func (c *Cluster) HeartbeatInterval() time.Duration { return c.cfg.HeartbeatInterval }
 
 // SlowQueryThreshold reports the active slow-query cutoff.
 func (c *Cluster) SlowQueryThreshold() time.Duration {

@@ -43,7 +43,7 @@ type Decider struct {
 
 // bucketTopology is a bucket's current map and the shape it was
 // created with; the map's own NumReplicas is clamped to nodes-1, so a
-// one-node bootstrap map says 0 whatever the bucket asked for.
+// map over no nodes says 0 whatever the bucket asked for.
 type bucketTopology struct {
 	m                        atomic.Pointer[cmap.Map]
 	numVBuckets, numReplicas int
@@ -66,10 +66,9 @@ func (d *Decider) PublishVia(publish func(bucket string, m *cmap.Map) error) {
 }
 
 // Heard records a sign of life from a node, under the name the maps use
-// for it — on a networked seed a process's join and heartbeats and the
-// seed's own detector tick, in a library cluster with a failover timeout
-// AddNode and the heartbeat tick — and reports how many have been heard
-// from and whether this was the first contact.
+// for it — on a networked seed a process's heartbeats, in a cluster with
+// a failover timeout AddNode and the heartbeat tick — and reports how
+// many have been heard from and whether this was the first contact.
 func (d *Decider) Heard(id cmap.NodeID) (members int, joined bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -155,8 +154,8 @@ func (d *Decider) rebalanceLocked(bucket string, over []cmap.NodeID, step func(b
 	cur := b.m.Load()
 	var rev int64
 	if cur != nil {
-		// Above the current map, so a target minted over a process's
-		// bootstrap map wins every member's staleness check.
+		// Above the current map, so a process's first formed map wins
+		// over the one its bucket was created with, on every member.
 		rev = cur.Rev
 	}
 	target := cmap.BuildBalanced(rev+1, over, b.numVBuckets, b.numReplicas)
@@ -203,8 +202,8 @@ func (d *Decider) Failover(id cmap.NodeID) error {
 // replica partitions"): it fails over every node heard from that a map
 // still names and that has been silent past timeout, journaling
 // "auto-failover" before and "auto-failover failed" after one that errs,
-// and returns them. Its tickers first hear what only they can: the
-// library's heartbeat loop its alive nodes, a networked seed itself.
+// and returns them. Its one ticker, Cluster.heartbeatLoop, first hears
+// the alive local nodes.
 func (d *Decider) FailoverSilent(timeout time.Duration) (failed []cmap.NodeID) {
 	now := time.Now()
 	silence := map[cmap.NodeID]time.Duration{}

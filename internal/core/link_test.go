@@ -159,7 +159,7 @@ func TestReplicaLinkLifecycle(t *testing.T) {
 	// Re-point the copy through the tap.
 	rec := &recordingSource{inner: loopbackSource{c, "default"}}
 	nb.stopLink(vbID)
-	nb.pointLink(repVB, active, replica, rec)
+	nb.pointLink(repVB, active, rec)
 	write(keys[:100], 1)
 	if got, want := repVB.HighSeqno(), actVB.HighSeqno(); got != want {
 		t.Fatalf("replica at seqno %d after acknowledged writes, active at %d", got, want)
@@ -193,14 +193,14 @@ func TestReplicaLinkLifecycle(t *testing.T) {
 
 	// Halt during backoff: by the fourth refusal the link sleeps 400ms.
 	rec.cut()
-	nb.pointLink(repVB, active, replica, rec)
+	nb.pointLink(repVB, active, rec)
 	_, _, base := rec.snapshot()
 	waitUntil(t, "fourth refused attempt", 10*time.Second, func() bool { _, _, refused := rec.snapshot(); return refused >= base+4 })
 	haltedWithin(t, link(), 200*time.Millisecond, "during backoff")
 	rec.restore()
 
 	// Closing the bucket leaves no link goroutine behind, halted or live.
-	nb.pointLink(repVB, active, replica, rec)
+	nb.pointLink(repVB, active, rec)
 	if linkGoroutines() == 0 {
 		t.Fatal("no link goroutines before Close; the count below would prove nothing")
 	}

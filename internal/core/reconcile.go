@@ -61,46 +61,37 @@ func (loopbackSource) Ack(src dcp.StreamSource, _ dcp.MutationStream, replica st
 
 // ApplyMap brings this process's data nodes to map m: the Rev check
 // and install (a stale map is dropped), then one reconcile per local
-// node for each vBucket whose chain differs from the map it replaces —
-// re-applying a topology reconciles nothing — and a journal entry. A
-// networked process names its one node self (its KV address) and feeds
-// replicas through a socket src; in-process self is empty, every node
-// goes by its own ID, and the call returns with each changed replica's
-// link past its first open attempt, so topology calls still return
-// with replication streaming (a remote open can take a dial timeout,
-// so a member process does not wait). Applies are serialized.
-func (c *Cluster) ApplyMap(bucket string, m *cmap.Map, self cmap.NodeID, src ReplicaSource) error {
-	return c.applyMap(bucket, m, self, src, true)
+// node, under its own ID, for each vBucket whose chain differs from the
+// map it replaces — re-applying a topology reconciles nothing — and a
+// journal entry. Over the loopback source the call returns with each
+// changed replica's link past its first open attempt, so topology calls
+// still return with replication streaming; a member process's socket
+// source is not waited for, because a remote open can take a dial
+// timeout. Applies are serialized.
+func (c *Cluster) ApplyMap(bucket string, m *cmap.Map, src ReplicaSource) error {
+	return c.applyMap(bucket, m, src, true)
 }
 
 // applyMap is ApplyMap; a rebalance that steps through its partitions
 // one map each (stepVB) leaves the journal entry out.
-func (c *Cluster) applyMap(bucket string, m *cmap.Map, self cmap.NodeID, src ReplicaSource, journal bool) error {
+func (c *Cluster) applyMap(bucket string, m *cmap.Map, src ReplicaSource, journal bool) error {
 	c.applyMu.Lock()
 	defer c.applyMu.Unlock()
-	if c.left {
+	if c.left.Load() {
 		return nil
 	}
 	prev, ok := c.topo.install(bucket, m)
 	if !ok {
 		return nil
 	}
-	type local struct {
-		id cmap.NodeID // the node's name in m
-		nb *nodeBucket
-	}
-	var locals []local
-	for _, n := range c.Nodes() {
-		nb, err := n.bucket(bucket)
-		if err != nil {
-			continue // dead, or not a data node
+	nodes := c.Nodes()
+	var locals []*nodeBucket
+	for _, n := range nodes {
+		if nb, err := n.bucket(bucket); err == nil { // else dead, or not a data node
+			locals = append(locals, nb)
 		}
-		id := self
-		if self == "" {
-			id = n.id
-		}
-		locals = append(locals, local{id, nb})
 	}
+	_, await := src.(loopbackSource)
 	changed := cmap.Changed(prev, m)
 	var firstErr error
 	for _, vb := range changed {
@@ -108,22 +99,25 @@ func (c *Cluster) applyMap(bucket string, m *cmap.Map, self cmap.NodeID, src Rep
 		// source already promoted.
 		active := m.Active(vb)
 		for _, first := range []bool{true, false} {
-			for _, l := range locals {
-				if (l.id == active) != first {
+			for _, nb := range locals {
+				if (cmap.NodeID(nb.nodeID) == active) != first {
 					continue
 				}
-				if err := l.nb.reconcile(m, l.id, vb, src); err != nil && firstErr == nil {
+				if err := nb.reconcile(m, vb, src); err != nil && firstErr == nil {
 					firstErr = err
 				}
-				if self == "" {
-					l.nb.awaitLink(vb)
+				if await {
+					nb.awaitLink(vb)
 				}
 			}
 		}
 	}
 	if journal {
 		e := events.New(events.Topology, events.SevInfo, "applied cluster map")
-		e.Node, e.Bucket = string(self), bucket
+		if len(nodes) == 1 { // a member process journals under its node's name
+			e.Node = string(nodes[0].id)
+		}
+		e.Bucket = bucket
 		e.Fields = map[string]string{"rev": strconv.FormatInt(m.Rev, 10), "changed": strconv.Itoa(len(changed))}
 		events.Default.Publish(e)
 	}
@@ -131,12 +125,13 @@ func (c *Cluster) applyMap(bucket string, m *cmap.Map, self cmap.NodeID, src Rep
 }
 
 // Leave ends this process's part in a networked cluster: no further
-// map is applied and every inbound replica link stops, so a member
-// that left neither pulls from nor acks to its former peers.
+// map is applied, the detector stops and every inbound replica link
+// stops, so a member that left neither decides for, pulls from nor acks
+// to its former peers.
 func (c *Cluster) Leave() {
 	c.applyMu.Lock()
 	defer c.applyMu.Unlock()
-	c.left = true
+	c.left.Store(true)
 	for _, bucket := range c.BucketNames() {
 		c.SeverReplication(bucket)
 	}
@@ -147,8 +142,8 @@ func (c *Cluster) Leave() {
 // Re-applying a map is cheap: an active copy only has its durability
 // ack set refreshed (consumers are attached once, at creation or
 // promotion), and a live link to the same source is kept.
-func (nb *nodeBucket) reconcile(m *cmap.Map, self cmap.NodeID, vbID int, src ReplicaSource) error {
-	active := m.Active(vbID)
+func (nb *nodeBucket) reconcile(m *cmap.Map, vbID int, src ReplicaSource) error {
+	self, active := cmap.NodeID(nb.nodeID), m.Active(vbID)
 	switch {
 	case active == "":
 		// Partition lost cluster-wide; keep whatever copy we hold.
@@ -180,7 +175,7 @@ func (nb *nodeBucket) reconcile(m *cmap.Map, self cmap.NodeID, vbID int, src Rep
 			nb.detachConsumers(vbID)
 			vb.SetState(vbucket.Replica)
 		}
-		nb.pointLink(vb, active, self, src)
+		nb.pointLink(vb, active, src)
 	default:
 		nb.demoteAndDrop(vbID)
 	}
@@ -292,7 +287,7 @@ func (l *replicaLink) alive() bool {
 // pointLink makes source the feed of the replica/pending copy vb. A
 // live link to the same source is kept; anything else is halted and
 // replaced.
-func (nb *nodeBucket) pointLink(vb *vbucket.VBucket, source, self cmap.NodeID, src ReplicaSource) {
+func (nb *nodeBucket) pointLink(vb *vbucket.VBucket, source cmap.NodeID, src ReplicaSource) {
 	nb.mu.Lock()
 	old := nb.links[vb.ID]
 	if old != nil && old.source == source && old.alive() {
@@ -306,14 +301,13 @@ func (nb *nodeBucket) pointLink(vb *vbucket.VBucket, source, self cmap.NodeID, s
 	if old != nil {
 		old.halt()
 	}
-	go nb.runLink(l, vb, string(self), src)
+	go nb.runLink(l, vb, src)
 }
 
 // awaitLink returns once vbID's link, if there is one, has made its
-// first open attempt or exited. The in-process cluster calls it so a
-// topology change returns with replication already streaming live, as
-// its callers have always been able to assume; a process-cluster
-// member does not, because a remote open can take a dial timeout.
+// first open attempt or exited. An apply over the loopback source calls
+// it so a topology change returns with replication already streaming
+// live, as in-process callers have always been able to assume.
 func (nb *nodeBucket) awaitLink(vbID int) {
 	nb.mu.Lock()
 	l := nb.links[vbID]
@@ -357,7 +351,7 @@ func (nb *nodeBucket) stopLink(vbID int) {
 // and the open; that bounce is journaled and the stream resumes at the
 // returned point without rewinding the copy (DESIGN.md §5, known
 // limitation).
-func (nb *nodeBucket) runLink(l *replicaLink, vb *vbucket.VBucket, self string, rs ReplicaSource) {
+func (nb *nodeBucket) runLink(l *replicaLink, vb *vbucket.VBucket, rs ReplicaSource) {
 	defer nb.bg.Done()
 	defer close(l.done)
 	backoff := linkBackoffMin
@@ -370,7 +364,7 @@ func (nb *nodeBucket) runLink(l *replicaLink, vb *vbucket.VBucket, self string, 
 		if st := vb.State(); st != vbucket.Replica && st != vbucket.Pending {
 			return
 		}
-		src, stream, err := nb.openLink(l, vb, self, rs)
+		src, stream, err := nb.openLink(l, vb, rs)
 		if attempt == 0 {
 			close(l.opened)
 		}
@@ -393,7 +387,7 @@ func (nb *nodeBucket) runLink(l *replicaLink, vb *vbucket.VBucket, self string, 
 			}
 			// The ack is a high-watermark: one covers the batch, and a
 			// ReplicateTo waiter sees it in one hop.
-			rs.Ack(src, stream, self, batch[len(batch)-1].Seqno)
+			rs.Ack(src, stream, nb.nodeID, batch[len(batch)-1].Seqno)
 		}
 		stream.Close()
 	}
@@ -418,12 +412,12 @@ func (l *replicaLink) apply(vb *vbucket.VBucket, batch []dcp.Mutation) bool {
 // following one rollback bounce, and has the copy adopt the source's
 // failover log: if the copy is later promoted, consumers that resumed
 // on the old active's branch present a (UUID, seqno) it can validate.
-func (nb *nodeBucket) openLink(l *replicaLink, vb *vbucket.VBucket, self string, rs ReplicaSource) (dcp.StreamSource, dcp.MutationStream, error) {
+func (nb *nodeBucket) openLink(l *replicaLink, vb *vbucket.VBucket, rs ReplicaSource) (dcp.StreamSource, dcp.MutationStream, error) {
 	src, err := rs.Source(l.source, vb.ID)
 	if err != nil {
 		return nil, nil, err
 	}
-	name := "replica:" + self
+	name := "replica:" + nb.nodeID
 	flog := src.FailoverLog()
 	var uuid uint64
 	if len(flog) > 0 {
@@ -434,7 +428,7 @@ func (nb *nodeBucket) openLink(l *replicaLink, vb *vbucket.VBucket, self string,
 	var rb *dcp.RollbackError
 	if errors.As(err, &rb) {
 		e := events.New(events.FeedEvent, events.SevWarn, "replica stream rollback")
-		e.Node, e.Bucket, e.VB = self, nb.bucketName, vb.ID
+		e.Node, e.Bucket, e.VB = nb.nodeID, nb.bucketName, vb.ID
 		e.Fields = map[string]string{
 			"rollback_to": strconv.FormatUint(rb.Seqno, 10),
 			"uuid":        strconv.FormatUint(rb.UUID, 10),

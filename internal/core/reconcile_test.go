@@ -27,10 +27,8 @@ const bucket = "default"
 // sockets. Everything the transition table asserts goes through it, so
 // the table itself never mentions a transport.
 type harness struct {
-	ids      [3]cmap.NodeID   // each node's identity in the map
+	ids      [3]cmap.NodeID   // each node's one name, in its cluster and in the map
 	clusters [3]*core.Cluster // the cluster holding node i
-	local    [3]cmap.NodeID   // node i's ID inside that cluster
-	self     [3]cmap.NodeID   // the name that cluster applies maps under: empty in-process
 	dirs     [3]string        // that cluster's Config.Dir
 	client   *core.Client
 	// decider is the index of the node whose cluster decides topology.
@@ -56,7 +54,7 @@ func newLoopbackHarness(t *testing.T, replicas int) *harness {
 	h := &harness{}
 	for i := range h.ids {
 		h.ids[i] = cmap.NodeID(fmt.Sprintf("node%d", i))
-		h.clusters[i], h.local[i], h.dirs[i] = c, h.ids[i], dir
+		h.clusters[i], h.dirs[i] = c, dir
 		if _, err := c.AddNode(h.ids[i], cmap.AllServices); err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +74,7 @@ func newLoopbackHarness(t *testing.T, replicas int) *harness {
 	// applier itself.
 	h.apply = func(t *testing.T, m *cmap.Map) {
 		t.Helper()
-		if err := c.ApplyMap(bucket, m, "", src); err != nil {
+		if err := c.ApplyMap(bucket, m, src); err != nil {
 			t.Fatalf("apply map rev %d: %v", m.Rev, err)
 		}
 	}
@@ -91,26 +89,20 @@ func newSocketHarness(t *testing.T, replicas int) *harness {
 	var dirs [3]string
 	for i := range nodes {
 		dirs[i] = t.TempDir()
-		c, err := core.NewCluster(core.Config{Dir: dirs[i], NumVBuckets: 2})
+		// The table decides every map after the first: a member it does
+		// not fail over keeps heartbeating, so the seed's detector never
+		// fires.
+		c, err := core.NewCluster(core.Config{Dir: dirs[i], NumVBuckets: 2,
+			HeartbeatInterval: 50 * time.Millisecond, FailoverTimeout: 250 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Close)
 		clusters[i] = c
-		local := cmap.NodeID(fmt.Sprintf("local%d", i))
-		if _, err := c.AddNode(local, cmap.AllServices); err != nil {
-			t.Fatal(err)
-		}
 		if err := c.CreateBucket(bucket, core.BucketOptions{NumReplicas: replicas}); err != nil {
 			t.Fatal(err)
 		}
-		opts := transport.NodeOptions{
-			Cluster: c, Bucket: bucket, KVAddr: "127.0.0.1:0",
-			// The table decides every map after the first: a member it does
-			// not fail over keeps heartbeating, so the seed's detector never
-			// fires.
-			HeartbeatInterval: 50 * time.Millisecond,
-		}
+		opts := transport.NodeOptions{Cluster: c, Bucket: bucket, KVAddr: "127.0.0.1:0"}
 		if i == 0 {
 			opts.ClusterSize = 3
 		} else {
@@ -148,8 +140,7 @@ func newSocketHarness(t *testing.T, replicas int) *harness {
 	for i, id := range formed.Nodes {
 		for j, n := range nodes {
 			if n.KVAddr() == string(id) {
-				h.ids[i], h.self[i], h.clusters[i], h.dirs[i], member[i] = id, id, clusters[j], dirs[j], n
-				h.local[i] = cmap.NodeID(fmt.Sprintf("local%d", j))
+				h.ids[i], h.clusters[i], h.dirs[i], member[i] = id, clusters[j], dirs[j], n
 				if j == 0 {
 					h.decider = i // the seed
 				}
@@ -272,14 +263,14 @@ func TestReconcileTransitions(t *testing.T) {
 				t.Run(row.name, func(t *testing.T) {
 					var before [3]any
 					for i := range h.ids {
-						before[i], _, _ = h.clusters[i].LinkOf(h.local[i], bucket, 0)
+						before[i], _, _ = h.clusters[i].LinkOf(h.ids[i], bucket, 0)
 					}
 					active := m.Active(0)
 					ai := h.index(active)
 					// Detach the active's views behind the reconciler's back:
 					// if the copy stays active, only a re-attach brings them
 					// back, and a re-applied map must not do that.
-					if err := h.clusters[ai].DetachViews(h.local[ai], bucket, 0); err != nil {
+					if err := h.clusters[ai].DetachViews(h.ids[ai], bucket, 0); err != nil {
 						t.Fatal(err)
 					}
 					if row.diverge {
@@ -328,11 +319,11 @@ func (h *harness) settle(t *testing.T, stage string, want [3]copyWant, before [3
 	t.Helper()
 	eventually(t, stage, func() error {
 		for i, w := range want {
-			vb, err := h.clusters[i].NodeVB(h.local[i], bucket, 0)
+			vb, err := h.clusters[i].NodeVB(h.ids[i], bucket, 0)
 			if err != nil {
 				return err
 			}
-			link, source, alive := h.clusters[i].LinkOf(h.local[i], bucket, 0)
+			link, source, alive := h.clusters[i].LinkOf(h.ids[i], bucket, 0)
 			name := string(rune('A' + i))
 			switch {
 			case w.state == "absent":
@@ -364,13 +355,13 @@ func (h *harness) settle(t *testing.T, stage string, want [3]copyWant, before [3
 		return nil
 	})
 	for i, w := range want {
-		file := filepath.Join(h.dirs[i], string(h.local[i]), "data", bucket, "vb_0000.couch")
+		file := filepath.Join(h.dirs[i], string(h.ids[i]), "data", bucket, "vb_0000.couch")
 		if _, err := os.Stat(file); w.state == "absent" && !os.IsNotExist(err) {
 			t.Errorf("%s: %c holds no copy but %s is still there (%v)", stage, 'A'+i, file, err)
 		}
 		var takeovers []uint64
 		for _, e := range events.Default.Events(events.Filter{Type: events.VBucket, SinceSeq: mark}) {
-			if e.Node == string(h.local[i]) && e.VB == 0 && strings.HasPrefix(e.Msg, "vb takeover") {
+			if e.Node == string(h.ids[i]) && e.VB == 0 && strings.HasPrefix(e.Msg, "vb takeover") {
 				takeovers = append(takeovers, e.Seq)
 			}
 		}
@@ -395,7 +386,7 @@ func (h *harness) viewsAttached(t *testing.T, i int) bool {
 		t.Fatal(err)
 	}
 	for _, st := range stats {
-		if st.Service == "views" && st.Node == string(h.local[i]) {
+		if st.Service == "views" && st.Node == string(h.ids[i]) {
 			if _, ok := st.Processed[0]; ok {
 				return true
 			}

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"couchgo/internal/cmap"
 	"couchgo/internal/core"
@@ -50,9 +49,8 @@ func goroutinesIn(frames ...string) int {
 // Over the wire a replica stream has two ends: the link, parked in
 // RemoteStream.Next where a readLoop used to feed it, and the source's
 // pumpStream, parked in Stream.Next where a pump used to feed it. Each
-// member's projector also keeps the drains of the 32 copies that turned
-// replica when the pair formed (shared services are never detached): 64
-// + 64 + 128 = 256 in all, from 640.
+// member's projector drains only its 32 actives, since every copy is
+// created in its formed state: 64 + 64 + 64 = 192 in all, from 640.
 func TestStreamGoroutines(t *testing.T) {
 	const (
 		numVB = 64
@@ -83,12 +81,11 @@ func TestStreamGoroutines(t *testing.T) {
 	}{
 		{"in-process", func(t *testing.T) []*core.Cluster { return []*core.Cluster{newCluster(t, 2)} }, numVB, 0},
 		{"wire", func(t *testing.T) []*core.Cluster {
-			clusters := []*core.Cluster{newCluster(t, 1), newCluster(t, 1)}
+			clusters := []*core.Cluster{newCluster(t, 0), newCluster(t, 0)}
 			seed := ""
 			for _, c := range clusters {
 				n, err := transport.StartNode(transport.NodeOptions{
-					Cluster: c, Bucket: bucket, KVAddr: "127.0.0.1:0",
-					HeartbeatInterval: 50 * time.Millisecond, ClusterSize: 2, Join: seed,
+					Cluster: c, Bucket: bucket, KVAddr: "127.0.0.1:0", ClusterSize: 2, Join: seed,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -99,7 +96,7 @@ func TestStreamGoroutines(t *testing.T) {
 				}
 			}
 			return clusters
-		}, 2 * numVB, numVB},
+		}, numVB, numVB},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Earlier tests' links and sessions wind down first.

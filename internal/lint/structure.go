@@ -79,6 +79,13 @@ var structureRows = []row{
 	{form: absent, subj: append(under("health", "AutoFailover", "Watchdog.OnTransition"),
 		under("transport", "ClusterNode.memberCheck", "NodeOptions.FailoverAfter", "NodeOptions.Watchdog")...),
 		why: "Decider.FailoverSilent is the one failure detector"},
+	{form: onlyFrom, subj: under("core", "Decider.FailoverSilent"), list: under("core", "Cluster.heartbeatLoop"),
+		why: "one detection ticker"},
+	// One name per node: a networked process's node is its KV address, and
+	// a heartbeat is the only membership message.
+	{form: absent, subj: append(under("transport", "ClusterNode.detectLoop", "ClusterNode.onJoin", "ClusterNode.local",
+		"NodeOptions.HeartbeatInterval", "ServerConfig.OnJoin"), internal+"memcproto.OpJoin", internal+"core.Cluster.FailoverTimeout"),
+		why: "a process's node has one name, and its seed detects with core's ticker"},
 	// What a KV op reads on its way to vbucket.Do is published state.
 	{form: bare, ban: noLock | noLit, why: "the op path takes no lock and builds nothing", subj: under("core",
 		"Decider.Map", "Cluster.Node", "Cluster.BucketMap", "Cluster.NodeVB", "Cluster.LoopbackConn", "Node.Alive",

@@ -25,7 +25,8 @@ type published[K comparable, V any] struct{}
 
 func (d *Decider) Failover() *cmap.Map { return cmap.Build() }; func (d *Decider) Map() {}
 func (d *Decider) FailoverSilent() { d.Failover() }; func (c *Cluster) Failover(d *Decider) { d.Failover() }
-func (c *Cluster) heartbeatLoop(d *Decider) { d.Failover() } // want: structure
+func (c *Cluster) heartbeatLoop(d *Decider) { d.FailoverSilent(); d.Failover() } // want: structure
+func (c *Cluster) detectLoop(d *Decider) { d.FailoverSilent() } // want: structure
 func (d *Decider) Form() *cmap.Map { return cmap.Build().Clone() } // want: structure
 func (c *Cluster) Node() { c.mu.Lock() } // want: structure
 func (c *Cluster) BucketMap() any { return []int{} } // want: structure
@@ -57,6 +58,7 @@ type NodeOptions struct {
 type ClusterNode struct{}
 
 func (n *ClusterNode) memberCheck() {} // want: structure
+func (n *ClusterNode) detectLoop() {} // want: structure
 `},
 	{name: "health", path: internal + "health", src: `package health
 

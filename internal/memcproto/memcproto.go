@@ -109,7 +109,6 @@ const (
 	OpHello         Opcode = 0x21
 	OpGetClusterMap Opcode = 0x22
 	OpSetClusterMap Opcode = 0x23
-	OpJoin          Opcode = 0x24
 	OpStats         Opcode = 0x25
 	OpHeartbeat     Opcode = 0x26
 	// OpFederate is the observability federation round trip: Key names
@@ -138,7 +137,7 @@ const (
 // their op-table row (optable.go).
 var opcodeNames = map[Opcode]string{
 	OpNoop: "noop", OpHello: "hello", OpGetClusterMap: "get_cluster_map",
-	OpSetClusterMap: "set_cluster_map", OpJoin: "join", OpStats: "stats",
+	OpSetClusterMap: "set_cluster_map", OpStats: "stats",
 	OpHeartbeat: "heartbeat", OpFederate: "federate",
 	OpDCPStreamReq: "dcp_stream_req", OpDCPMutation: "dcp_mutation",
 	OpDCPSnapshot: "dcp_snapshot", OpDCPStreamEnd: "dcp_stream_end",

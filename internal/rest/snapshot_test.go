@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"couchgo/internal/cmap"
 	"couchgo/internal/core"
 	"couchgo/internal/metrics"
 	"couchgo/internal/transport"
@@ -160,10 +159,18 @@ func TestDesignListsEveryMetricFamily(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	c.AddNode(cmap.NodeID("node0"), cmap.AllServices)
 	if err := c.CreateBucket("default", core.BucketOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	// A solo networked process: its one node, added by StartNode, serves
+	// REST and the wire alike.
+	node, err := transport.StartNode(transport.NodeOptions{
+		Cluster: c, Bucket: "default", KVAddr: "127.0.0.1:0", ClusterSize: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
 	s := NewServer(c)
 
 	// KV set/get/delete and a query over REST, then one op over the wire.
@@ -173,13 +180,6 @@ func TestDesignListsEveryMetricFamily(t *testing.T) {
 	if rec := do(t, s, "POST", "/query", `{"statement": "SELECT 1"}`, nil); rec.Code != http.StatusOK {
 		t.Fatalf("query: %d %s", rec.Code, rec.Body)
 	}
-	node, err := transport.StartNode(transport.NodeOptions{
-		Cluster: c, Bucket: "default", KVAddr: "127.0.0.1:0", ClusterSize: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
 	pool := transport.NewPool()
 	t.Cleanup(pool.Close)
 	wire := core.NewClient(transport.NewRouter("default", []string{node.KVAddr()}, pool), "default")

@@ -3,11 +3,9 @@ package transport
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"couchgo/internal/cmap"
@@ -18,25 +16,26 @@ import (
 )
 
 // This file turns N independent cbserver processes into one cluster.
-// Each process runs a local single-node core.Cluster plus a Server, and
-// is known to the others by its advertised KV address: the node IDs of
-// the process-level map are addresses. Topology is decided in one
-// place, the seed process's core.Decider: the seed feeds it the
-// members' joins and heartbeats, asks it for the balanced map once the
-// expected cluster size is reached, and has it fail over a silent
-// member on its detector tick. Every map the decider mints leaves through
-// publish — applied here by core's one applier, pushed to the peers as
-// SET_CLUSTER_MAP — and a joiner hands what it is pushed (or fetches)
-// to the same applier, so every process, and every smart client via
-// the epoch in response headers, converges on it. Deliberate
-// limitations, documented in DESIGN.md §9.4: membership is fixed at
-// formation (no incremental rebalance of a live process cluster) and
-// the seed itself is not failover-able.
+// Each process runs a local core.Cluster of one node plus a Server, and
+// the node goes by the process's advertised KV address everywhere: in
+// its own cluster, in every map, to the decider and to its peers.
+// Topology is decided in one place, the seed process's core.Decider:
+// the seed feeds it the members' heartbeats, asks it for the balanced
+// map once the expected cluster size is reached, and its cluster's
+// heartbeat loop fails a silent member over. Every map the decider
+// mints leaves through publish — applied here by core's one applier,
+// pushed to the peers as SET_CLUSTER_MAP — and a joiner hands what it
+// is pushed (or fetches) to the same applier, so every process, and
+// every smart client via the epoch in response headers, converges on
+// it. Deliberate limitations, documented in DESIGN.md §9.4: membership
+// is fixed at formation (no incremental rebalance of a live process
+// cluster) and the seed itself is not failover-able.
 
 // NodeOptions wire one cbserver process into a networked cluster.
 type NodeOptions struct {
-	// Cluster is the process-local cluster: one node, with Bucket
-	// already created.
+	// Cluster is the process-local cluster, with Bucket already created
+	// and no node: StartNode adds the process's one node. Its
+	// Config.HeartbeatInterval paces member heartbeats and push retries.
 	Cluster *core.Cluster
 	Bucket  string
 	// KVAddr is the wire-protocol listen address (port 0 for
@@ -51,10 +50,6 @@ type NodeOptions struct {
 	// ClusterSize is the member count (including the seed) the seed
 	// waits for before forming the cluster. Seed only.
 	ClusterSize int
-	// HeartbeatInterval paces member heartbeats and the seed's detector
-	// tick (default 500ms); the seed fails over a mapped member silent
-	// for failoverHeartbeats of them.
-	HeartbeatInterval time.Duration
 	// Observe serves cluster-observability fetches (metrics, health,
 	// events, traces) arriving over the wire as OpFederate requests
 	// from peer nodes. Nil disables federation on this node.
@@ -67,44 +62,24 @@ type ClusterNode struct {
 	srv    *Server
 	router *NetRouter
 	pool   *Pool
-	// self is the process's identity in the cluster, its advertised KV
-	// address; local is its one node's ID inside opts.Cluster.
-	self  string
-	local cmap.NodeID
+	// self is the process's one node: its ID, in its cluster and in
+	// every map, is the advertised KV address.
+	self string
 
-	// closed fires on Close: the join/heartbeat loop and in-flight push
+	// closed fires on Close: the heartbeat loop and in-flight push
 	// retries bail instead of sleeping on against a cluster that is gone.
 	closed    chan struct{}
 	closeOnce sync.Once
-	// detector waits for the seed's detectLoop, which closed stops.
-	detector sync.WaitGroup
-	// formed is set on the seed once the cluster's first map is out.
-	formed atomic.Bool
 }
 
-// failoverHeartbeats is the seed's failover timeout in heartbeats.
-const failoverHeartbeats = 5
-
-// StartNode binds the KV listener, points the cluster's decider at
-// the wire, and starts serving (a seed) or joining (everyone else).
+// StartNode binds the KV listener, adds the process's node under the
+// address it advertises, points the cluster's decider at the wire, and
+// starts serving: a seed admits heartbeats, everyone else sends them.
+// Until the cluster forms the node holds no copy, so its KV ops answer
+// NOT_MY_VBUCKET.
 func StartNode(opts NodeOptions) (*ClusterNode, error) {
-	if opts.HeartbeatInterval <= 0 {
-		opts.HeartbeatInterval = 500 * time.Millisecond
-	}
 	if opts.ClusterSize <= 0 {
 		opts.ClusterSize = 1
-	}
-	locals := opts.Cluster.Nodes()
-	if len(locals) != 1 {
-		return nil, fmt.Errorf("transport: a member process holds one local node, its cluster has %d", len(locals))
-	}
-	if opts.Cluster.FailoverTimeout() > 0 {
-		return nil, fmt.Errorf("transport: a member process's cluster must leave Config.FailoverTimeout zero: its peers are other processes, graded by the seed")
-	}
-	local := locals[0].ID()
-	lc, err := opts.Cluster.LoopbackConn(local, opts.Bucket)
-	if err != nil {
-		return nil, err
 	}
 	ln, err := net.Listen("tcp", opts.KVAddr)
 	if err != nil {
@@ -114,6 +89,11 @@ func StartNode(opts NodeOptions) (*ClusterNode, error) {
 	if self == "" {
 		self = advertiseAddr(ln.Addr())
 	}
+	if _, err := opts.Cluster.AddNode(cmap.NodeID(self), cmap.AllServices); err != nil {
+		ln.Close()
+		return nil, err
+	}
+	lc, _ := opts.Cluster.LoopbackConn(cmap.NodeID(self), opts.Bucket) // fails only for a node that is not there
 
 	pool := NewPool()
 	seeds := []string{self}
@@ -123,10 +103,10 @@ func StartNode(opts NodeOptions) (*ClusterNode, error) {
 	router := NewRouter(opts.Bucket, seeds, pool)
 	router.SetLocal(cmap.NodeID(self), lc)
 
-	n := &ClusterNode{opts: opts, router: router, pool: pool, self: self, local: local, closed: make(chan struct{})}
+	n := &ClusterNode{opts: opts, router: router, pool: pool, self: self, closed: make(chan struct{})}
 	cfg := ServerConfig{
 		Cluster:  opts.Cluster,
-		Node:     local,
+		Node:     cmap.NodeID(self),
 		Bucket:   opts.Bucket,
 		OnSetMap: n.apply,
 		Stats: func() map[string]any {
@@ -138,13 +118,12 @@ func StartNode(opts NodeOptions) (*ClusterNode, error) {
 	// practice) leave through the wire.
 	opts.Cluster.Decider().PublishVia(n.publish)
 	if opts.Join == "" {
-		cfg.OnJoin = n.onJoin
 		cfg.OnHeartbeat = n.admit
-		// The seed is its own first member, before any join can arrive; a
-		// solo "cluster" forms right here.
-		n.admit(self)
-		n.detector.Add(1)
-		go n.detectLoop()
+		// The seed is its own first member, before any heartbeat can
+		// arrive; a solo "cluster" forms right here. AddNode may have
+		// heard it already, so this need not be first contact.
+		members, _ := opts.Cluster.Decider().Heard(cmap.NodeID(self))
+		n.form(members)
 	}
 
 	n.srv = Serve(ln, cfg)
@@ -165,14 +144,13 @@ func (n *ClusterNode) Router() *NetRouter { return n.router }
 // Close stops serving and ends the process's part in the cluster.
 func (n *ClusterNode) Close() {
 	n.closeOnce.Do(func() { close(n.closed) })
-	n.detector.Wait()
 	n.opts.Cluster.Leave()
 	n.srv.Close()
 	n.pool.Close()
 }
 
-// currentMap is the process's one map of the bucket: the local
-// bootstrap map until the cluster forms, then the last one applied.
+// currentMap is the process's one map of the bucket: one that maps no
+// copy until the cluster forms, then the last one applied.
 func (n *ClusterNode) currentMap() *cmap.Map {
 	m, _ := n.opts.Cluster.BucketMap(n.opts.Bucket)
 	return m
@@ -210,7 +188,7 @@ func (socketSource) Ack(_ dcp.StreamSource, stream dcp.MutationStream, _ string,
 // here — to core's applier, then, for the bucket this node serves, to
 // the process's own router.
 func (n *ClusterNode) apply(bucket string, m *cmap.Map) error {
-	err := n.opts.Cluster.ApplyMap(bucket, m, cmap.NodeID(n.self), socketSource{})
+	err := n.opts.Cluster.ApplyMap(bucket, m, socketSource{})
 	if bucket == n.opts.Bucket {
 		n.router.InstallMap(m)
 	}
@@ -252,7 +230,7 @@ func (n *ClusterNode) pushMap(addr, bucket string, value []byte) {
 				return
 			}
 		}
-		if !sleepOr(n.opts.HeartbeatInterval, n.closed) {
+		if !sleepOr(n.opts.Cluster.HeartbeatInterval(), n.closed) {
 			return
 		}
 	}
@@ -266,91 +244,66 @@ func (n *ClusterNode) journal(sev events.Severity, msg string, fields map[string
 	events.Default.Publish(e)
 }
 
-// admit records a join or heartbeat with the decider. First contact
-// journals the member and starts grading its silence; the member that
-// completes the expected cluster size forms the cluster — the
-// decider's balanced map over everyone, minted above every process's
-// bootstrap map. One who joins after that is admitted as a
-// heartbeating member but not rebalanced in (DESIGN.md §9.4).
+// admit records a heartbeat with the decider. First contact journals
+// the member and starts grading its silence; the member that completes
+// the expected cluster size forms the cluster. One who joins after that
+// is admitted as a heartbeating member but not rebalanced in
+// (DESIGN.md §9.4).
 func (n *ClusterNode) admit(addr string) {
-	d := n.opts.Cluster.Decider()
-	members, joined := d.Heard(cmap.NodeID(addr))
-	if !joined {
+	members, joined := n.opts.Cluster.Decider().Heard(cmap.NodeID(addr))
+	if joined {
+		n.journal(events.SevInfo, "member joined cluster", map[string]string{"member": addr})
+		n.form(members)
+	}
+}
+
+// form mints the cluster's first map when members is the expected
+// size: the decider's balanced map over everyone, one Rev above the map
+// the bucket was created with.
+func (n *ClusterNode) form(members int) {
+	if members != n.opts.ClusterSize {
 		return
 	}
-	if addr != n.self {
-		n.journal(events.SevInfo, "member joined cluster", map[string]string{"member": addr})
-	}
-	if members == n.opts.ClusterSize {
-		if err := d.Rebalance(d.Live(), nil); err != nil {
-			n.journal(events.SevWarn, "local map apply failed", map[string]string{"error": err.Error()})
-		}
-		n.formed.Store(true)
-		n.journal(events.SevInfo, "cluster map minted", map[string]string{
-			"rev":   strconv.FormatInt(n.currentMap().Rev, 10),
-			"nodes": strconv.Itoa(members),
-		})
-	}
-}
-
-// onJoin admits a member and returns the cluster's map, nil until the
-// cluster has formed.
-func (n *ClusterNode) onJoin(addr string) (*cmap.Map, error) {
-	n.admit(addr)
-	if !n.formed.Load() {
-		return nil, nil
-	}
-	return n.currentMap(), nil
-}
-
-// detectLoop is the seed's failure-detection ticker: each heartbeat the
-// seed hears itself (members are heard where their heartbeats arrive),
-// then the decider fails over the silent members, whose pooled
-// connections are dropped.
-func (n *ClusterNode) detectLoop() {
-	defer n.detector.Done()
 	d := n.opts.Cluster.Decider()
-	for sleepOr(n.opts.HeartbeatInterval, n.closed) {
-		d.Heard(cmap.NodeID(n.self))
-		for _, id := range d.FailoverSilent(failoverHeartbeats * n.opts.HeartbeatInterval) {
-			n.pool.Drop(string(id))
-		}
+	if err := d.Rebalance(d.Live(), nil); err != nil {
+		n.journal(events.SevWarn, "local map apply failed", map[string]string{"error": err.Error()})
 	}
+	n.journal(events.SevInfo, "cluster map minted", map[string]string{
+		"rev":   strconv.FormatInt(n.currentMap().Rev, 10),
+		"nodes": strconv.Itoa(members),
+	})
 }
 
 // ---------------------------------------------------------------------------
 // Joiner
 
 // joinBackoffMin is the first retry delay of a joiner the seed has not
-// admitted yet (typically: it dialled before the seed listened); it
+// answered yet (typically: it dialled before the seed listened); it
 // doubles up to the heartbeat interval.
 const joinBackoffMin = 10 * time.Millisecond
 
-// joinLoop joins the seed until admitted with a map, then heartbeats,
-// refetching the map whenever the seed's epoch outruns ours.
+// joinLoop heartbeats the seed from the first tick, one interval apart
+// once the seed has answered, and applies the map whenever the seed's
+// epoch outruns ours; the formed map itself usually arrives pushed.
 func (n *ClusterNode) joinLoop() {
-	interval := n.opts.HeartbeatInterval
-	for wait := joinBackoffMin; ; wait *= 2 {
-		m, err := n.exchange(memcproto.OpJoin)
-		if err == nil && m != nil {
-			n.apply(n.opts.Bucket, m)
-			break
+	interval := n.opts.Cluster.HeartbeatInterval()
+	for wait := min(joinBackoffMin, interval); ; wait = min(2*wait, interval) {
+		m, err := n.heartbeat()
+		if err == nil {
+			wait = interval
 		}
-		if !sleepOr(min(wait, interval), n.closed) {
+		if m != nil {
+			n.apply(n.opts.Bucket, m)
+		}
+		if !sleepOr(wait, n.closed) {
 			return
-		}
-	}
-	for sleepOr(interval, n.closed) {
-		m, err := n.exchange(memcproto.OpHeartbeat)
-		if err == nil && m != nil {
-			n.apply(n.opts.Bucket, m)
 		}
 	}
 }
 
-// exchange sends one join/heartbeat and returns a newer map when the
-// seed has one.
-func (n *ClusterNode) exchange(opcode memcproto.Opcode) (*cmap.Map, error) {
+// heartbeat sends one heartbeat and returns a newer map when the seed
+// has one: the reply carries only the epoch, so a newer one is fetched.
+func (n *ClusterNode) heartbeat() (*cmap.Map, error) {
 	seed := n.opts.Join
 	conn, err := n.pool.Get(seed)
 	if err != nil {
@@ -360,7 +313,7 @@ func (n *ClusterNode) exchange(opcode memcproto.Opcode) (*cmap.Map, error) {
 	defer cancel()
 	resp, err := conn.Roundtrip(ctx, &memcproto.Frame{
 		Magic:  memcproto.MagicReq,
-		Opcode: opcode,
+		Opcode: memcproto.OpHeartbeat,
 		Key:    []byte(n.self),
 	})
 	if err != nil {
@@ -369,10 +322,6 @@ func (n *ClusterNode) exchange(opcode memcproto.Opcode) (*cmap.Map, error) {
 	if resp.Status != memcproto.StatusOK {
 		return nil, errOf(resp.Status, resp.Value)
 	}
-	if opcode == memcproto.OpJoin && len(resp.Value) > 0 {
-		return decodeMap(resp.Value)
-	}
-	// Heartbeat replies carry only the epoch; refetch on a newer one.
 	if epoch, ok := memcproto.Epoch(resp.Extras); ok && epoch > n.currentMap().Rev {
 		return fetchMap(n.pool, seed, n.opts.Bucket)
 	}

@@ -111,7 +111,7 @@ func TestCorruptPushEndsTheStream(t *testing.T) {
 		}
 	}
 	for i, n := range nodes {
-		if err := clusters[i].ApplyMap("default", healed, cmap.NodeID(n.self), via); err != nil {
+		if err := clusters[i].ApplyMap("default", healed, via); err != nil {
 			t.Fatal(err)
 		}
 		n.router.InstallMap(healed)
@@ -127,7 +127,7 @@ func TestCorruptPushEndsTheStream(t *testing.T) {
 		}
 	}
 	copyOf := func(member, vb int) uint64 {
-		v, err := clusters[member].NodeVB("local", "default", vb)
+		v, err := clusters[member].NodeVB(cmap.NodeID(nodes[member].self), "default", vb)
 		if err != nil || v == nil {
 			t.Fatalf("member %d has no copy of vb %d: %v", member, vb, err)
 		}
@@ -144,7 +144,7 @@ func TestCorruptPushEndsTheStream(t *testing.T) {
 	for _, key := range keys {
 		vb := cmap.VBucketID(key, numVB)
 		for member, c := range clusters {
-			v, _ := c.NodeVB("local", "default", vb)
+			v, _ := c.NodeVB(cmap.NodeID(nodes[member].self), "default", vb)
 			if _, err := v.Table.GetMeta(key); err != nil {
 				t.Errorf("member %d's copy of vb %d misses %s: %v", member, vb, key, err)
 			}

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -13,29 +12,29 @@ import (
 
 // TestSeedFailsOverSilentMembers is core's TestFailoverSilent table on a
 // networked seed and its members, each its own one-node core.Cluster
-// whose node goes by local<i> inside it: the seed hears itself on its
-// detector tick and its members where their heartbeats arrive, and
-// fails over a mapped member silent for failoverHeartbeats heartbeats,
-// once.
+// whose node goes by its KV address: the seed's heartbeat loop hears
+// itself and its members where their heartbeats arrive, and fails over a
+// mapped member silent for failoverHeartbeats heartbeats, once.
 func TestSeedFailsOverSilentMembers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forms a multi-process-shaped cluster per row")
 	}
-	const beat = 50 * time.Millisecond
-	start := func(t *testing.T, local int, join string, size int, beat time.Duration) *ClusterNode {
-		c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: 8})
+	const beat, failoverHeartbeats = 50 * time.Millisecond, 5
+	start := func(t *testing.T, join string, size int, beat time.Duration) *ClusterNode {
+		cfg := core.Config{Dir: t.TempDir(), NumVBuckets: 8, HeartbeatInterval: beat}
+		if join == "" {
+			cfg.FailoverTimeout = failoverHeartbeats * beat
+		}
+		c, err := core.NewCluster(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Close)
-		if _, err := c.AddNode(cmap.NodeID(fmt.Sprintf("local%d", local)), cmap.AllServices); err != nil {
-			t.Fatal(err)
-		}
 		if err := c.CreateBucket("default", core.BucketOptions{NumReplicas: 1}); err != nil {
 			t.Fatal(err)
 		}
 		n, err := StartNode(NodeOptions{Cluster: c, Bucket: "default", KVAddr: "127.0.0.1:0",
-			Join: join, ClusterSize: size, HeartbeatInterval: beat})
+			Join: join, ClusterSize: size})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +75,7 @@ func TestSeedFailsOverSilentMembers(t *testing.T) {
 			return cmap.NodeID(nodes[0].KVAddr()), 0
 		}, false},
 		{"a late member, unmapped", beat, 2, func(t *testing.T, nodes []*ClusterNode) (cmap.NodeID, int) {
-			late := start(t, 3, nodes[0].KVAddr(), 0, beat)
+			late := start(t, nodes[0].KVAddr(), 0, beat)
 			id := cmap.NodeID(late.KVAddr())
 			waitFor(t, 10*time.Second, func() bool { return slices.Contains(nodes[0].opts.Cluster.Decider().Live(), id) })
 			late.Close()
@@ -86,9 +85,9 @@ func TestSeedFailsOverSilentMembers(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			mark := events.Default.LastSeq()
-			nodes := []*ClusterNode{start(t, 0, "", row.members+1, row.beat)}
+			nodes := []*ClusterNode{start(t, "", row.members+1, row.beat)}
 			for i := 1; i <= row.members; i++ {
-				nodes = append(nodes, start(t, i, nodes[0].KVAddr(), 0, row.beat))
+				nodes = append(nodes, start(t, nodes[0].KVAddr(), 0, row.beat))
 			}
 			waitFor(t, 10*time.Second, func() bool {
 				for _, n := range nodes {
@@ -98,7 +97,7 @@ func TestSeedFailsOverSilentMembers(t *testing.T) {
 				}
 				return true
 			})
-			// The heard set holds map names only: no local<i>.
+			// The heard set holds map names only.
 			live := nodes[0].opts.Cluster.Decider().Live()
 			if slices.Sort(live); !slices.Equal(live, nodes[0].currentMap().Nodes) {
 				t.Fatalf("Live() = %v after formation, want the map's nodes %v", live, nodes[0].currentMap().Nodes)

@@ -23,15 +23,10 @@ func (n *ClusterNode) Federation() *Federation { return &Federation{n} }
 func (f *Federation) Self() string { return f.node.self }
 
 // Nodes lists the cluster's member addresses (self included), sorted
-// for stable output. Before the cluster has formed the process's map
-// is its bootstrap map, which names the local node by its local ID and
-// no address: the node only knows itself.
+// for stable output; before the cluster has formed, self alone.
 func (f *Federation) Nodes() []string {
 	nodes := []string{f.node.self}
 	for _, id := range f.node.currentMap().Nodes {
-		if id == f.node.local {
-			return []string{f.node.self}
-		}
 		if string(id) != f.node.self {
 			nodes = append(nodes, string(id))
 		}

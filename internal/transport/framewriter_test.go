@@ -341,18 +341,15 @@ func TestUnencodableResponseClosesTheSession(t *testing.T) {
 func processPair(t *testing.T, numVB int) (nodes [2]*ClusterNode, clusters [2]*core.Cluster) {
 	t.Helper()
 	for i := range nodes {
-		c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: numVB})
+		c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: numVB, HeartbeatInterval: 50 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Close)
-		if _, err := c.AddNode("local", cmap.AllServices); err != nil {
-			t.Fatal(err)
-		}
 		if err := c.CreateBucket("default", core.BucketOptions{NumReplicas: 1}); err != nil {
 			t.Fatal(err)
 		}
-		opts := NodeOptions{Cluster: c, Bucket: "default", KVAddr: "127.0.0.1:0", HeartbeatInterval: 50 * time.Millisecond, ClusterSize: 2}
+		opts := NodeOptions{Cluster: c, Bucket: "default", KVAddr: "127.0.0.1:0", ClusterSize: 2}
 		if i == 1 {
 			opts.Join = nodes[0].KVAddr()
 		}
@@ -388,7 +385,7 @@ func TestAckOnDemand(t *testing.T) {
 	highs := func() (out [2][numVB]uint64) {
 		for i, c := range clusters {
 			for vb := 0; vb < numVB; vb++ {
-				if v, err := c.NodeVB("local", "default", vb); err == nil && v != nil {
+				if v, err := c.NodeVB(cmap.NodeID(nodes[i].self), "default", vb); err == nil && v != nil {
 					out[i][vb] = v.HighSeqno()
 				}
 			}

@@ -11,7 +11,7 @@
 // handshake as in-process — just across a socket.
 //
 // StartNode (cluster.go) turns N independent cbserver processes into
-// one cluster: members join the seed, the seed's core.Decider mints a
+// one cluster: members heartbeat the seed, the seed's core.Decider mints a
 // balanced process-level map once the expected cluster size is
 // reached, and every member hands each pushed map to core's applier,
 // which wires socket-backed replica streams between processes.

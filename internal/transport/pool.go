@@ -274,17 +274,6 @@ func reconnectBackoff(failures int) time.Duration {
 	return backoff
 }
 
-// Drop closes and forgets addr's conn (e.g. the node was failed over).
-func (p *Pool) Drop(addr string) {
-	p.mu.Lock()
-	e := p.conns[addr]
-	delete(p.conns, addr)
-	p.mu.Unlock()
-	if e != nil && e.conn != nil {
-		e.conn.Close()
-	}
-}
-
 // Close tears down every conn.
 func (p *Pool) Close() {
 	p.mu.Lock()

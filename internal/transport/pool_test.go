@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"couchgo/internal/cmap"
 	"couchgo/internal/core"
 )
 
@@ -69,18 +68,15 @@ func TestPoolGetFailFast(t *testing.T) {
 // a push parked between attempts at an unreachable member returns
 // instead of running the interval out.
 func TestCloseUnblocksPush(t *testing.T) {
-	c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: 2})
+	c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: 2, HeartbeatInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	if _, err := c.AddNode("local", cmap.AllServices); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.CreateBucket("b", core.BucketOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	n, err := StartNode(NodeOptions{Cluster: c, Bucket: "b", KVAddr: "127.0.0.1:0", HeartbeatInterval: time.Hour})
+	n, err := StartNode(NodeOptions{Cluster: c, Bucket: "b", KVAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,27 +94,4 @@ func TestCloseUnblocksPush(t *testing.T) {
 	}
 	// Close is idempotent.
 	n.Close()
-}
-
-// TestStartNodeRefusesItsOwnDetector: the nodes a member process would
-// grade are other processes, so a cluster that runs core's heartbeat
-// detector (Config.FailoverTimeout > 0) is refused, not documented.
-func TestStartNodeRefusesItsOwnDetector(t *testing.T) {
-	c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: 2,
-		HeartbeatInterval: time.Second, FailoverTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	if _, err := c.AddNode("local", cmap.AllServices); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CreateBucket("b", core.BucketOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	n, err := StartNode(NodeOptions{Cluster: c, Bucket: "b", KVAddr: "127.0.0.1:0"})
-	if err == nil {
-		n.Close()
-		t.Fatal("StartNode accepted a cluster with FailoverTimeout > 0")
-	}
 }

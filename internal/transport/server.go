@@ -30,12 +30,10 @@ type ServerConfig struct {
 	// Bucket is the bucket this listener serves (one bucket per KV
 	// port, like the seed's single-bucket cbserver).
 	Bucket string
-	// OnJoin admits a member (key = its advertised KV address) and
-	// returns the current process map, nil if not yet minted.
-	OnJoin func(addr string) (*cmap.Map, error)
 	// OnSetMap applies a seed-pushed process map of the named bucket.
 	OnSetMap func(bucket string, m *cmap.Map) error
-	// OnHeartbeat records a member heartbeat.
+	// OnHeartbeat records a member heartbeat (key = its advertised KV
+	// address).
 	OnHeartbeat func(addr string)
 	// Stats contributes extra fields to OpStats replies.
 	Stats func() map[string]any
@@ -243,7 +241,7 @@ func (c *session) readLoop() {
 		switch f.Opcode {
 		case memcproto.OpDCPStreamReq, memcproto.OpDCPAck, memcproto.OpDCPFailoverLog:
 			c.handleDCP(f)
-		case memcproto.OpJoin, memcproto.OpGetClusterMap, memcproto.OpSetClusterMap,
+		case memcproto.OpGetClusterMap, memcproto.OpSetClusterMap,
 			memcproto.OpHeartbeat, memcproto.OpStats, memcproto.OpNoop, memcproto.OpHello,
 			memcproto.OpFederate:
 			c.handleAdmin(f)
@@ -266,21 +264,6 @@ func (c *session) handleAdmin(f *memcproto.Frame) {
 	switch f.Opcode {
 	case memcproto.OpNoop, memcproto.OpHello:
 		c.respond(f, memcproto.StatusOK, extras, nil, 0)
-	case memcproto.OpJoin:
-		if c.srv.cfg.OnJoin == nil {
-			c.respond(f, memcproto.StatusNotSupported, extras, []byte("not a coordinator"), 0)
-			return
-		}
-		m, err := c.srv.cfg.OnJoin(string(f.Key))
-		if err != nil {
-			c.respondErr(f, err)
-			return
-		}
-		var value []byte
-		if m != nil {
-			value, _ = json.Marshal(m)
-		}
-		c.respond(f, memcproto.StatusOK, memcproto.AppendEpoch(nil, c.srv.epoch()), value, 0)
 	case memcproto.OpGetClusterMap:
 		m := c.srv.currentMap()
 		if m == nil {

@@ -11,6 +11,7 @@ import (
 	"couchgo/internal/cache"
 	"couchgo/internal/cmap"
 	"couchgo/internal/core"
+	"couchgo/internal/memcproto"
 	"couchgo/internal/vbucket"
 )
 
@@ -174,28 +175,23 @@ func TestProcessClusterFormationAndFailover(t *testing.T) {
 		t.Skip("multi-process-shaped cluster test is slow")
 	}
 	// Three ClusterNodes in one process, each with its own single-node
-	// core cluster — the same wiring cbserver -kv-addr/-join uses.
+	// core cluster — the same wiring and configuration cbserver
+	// -kv-addr/-join uses.
 	const numVB = 8
-	mk := func(name string) *core.Cluster {
-		c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: numVB})
+	mk := func() *core.Cluster {
+		c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: numVB,
+			HeartbeatInterval: 50 * time.Millisecond, FailoverTimeout: 250 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Close)
-		if _, err := c.AddNode(cmap.NodeID(name), cmap.AllServices); err != nil {
-			t.Fatal(err)
-		}
 		if err := c.CreateBucket("default", core.BucketOptions{NumReplicas: 1}); err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
 
-	seed, err := StartNode(NodeOptions{
-		Cluster: mk("local0"), Bucket: "default",
-		KVAddr: "127.0.0.1:0", ClusterSize: 3,
-		HeartbeatInterval: 50 * time.Millisecond,
-	})
+	seed, err := StartNode(NodeOptions{Cluster: mk(), Bucket: "default", KVAddr: "127.0.0.1:0", ClusterSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +199,7 @@ func TestProcessClusterFormationAndFailover(t *testing.T) {
 
 	var peers []*ClusterNode
 	for i := 1; i < 3; i++ {
-		n, err := StartNode(NodeOptions{
-			Cluster: mk(fmt.Sprintf("local%d", i)), Bucket: "default",
-			KVAddr: "127.0.0.1:0", Join: seed.KVAddr(),
-			HeartbeatInterval: 50 * time.Millisecond,
-		})
+		n, err := StartNode(NodeOptions{Cluster: mk(), Bucket: "default", KVAddr: "127.0.0.1:0", Join: seed.KVAddr()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,15 +310,13 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 // seed listens retries on a short backoff, not a full heartbeat later,
 // so the cluster forms as soon as the seed is up.
 func TestJoinerRetriesFastUntilAdmitted(t *testing.T) {
-	mk := func(name string) *core.Cluster {
-		c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: 4})
+	const heartbeat = 30 * time.Second
+	mk := func() *core.Cluster {
+		c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: 4, HeartbeatInterval: heartbeat})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Close)
-		if _, err := c.AddNode(cmap.NodeID(name), cmap.AllServices); err != nil {
-			t.Fatal(err)
-		}
 		if err := c.CreateBucket("default", core.BucketOptions{}); err != nil {
 			t.Fatal(err)
 		}
@@ -340,23 +330,97 @@ func TestJoinerRetriesFastUntilAdmitted(t *testing.T) {
 	}
 	seedAddr := ln.Addr().String()
 	ln.Close()
-	const heartbeat = 30 * time.Second
-	joiner, err := StartNode(NodeOptions{
-		Cluster: mk("joiner"), Bucket: "default", KVAddr: "127.0.0.1:0",
-		Join: seedAddr, HeartbeatInterval: heartbeat,
-	})
+	joiner, err := StartNode(NodeOptions{Cluster: mk(), Bucket: "default", KVAddr: "127.0.0.1:0", Join: seedAddr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer joiner.Close()
 	time.Sleep(50 * time.Millisecond)
-	seed, err := StartNode(NodeOptions{
-		Cluster: mk("seed"), Bucket: "default", KVAddr: seedAddr,
-		ClusterSize: 2, HeartbeatInterval: heartbeat,
-	})
+	seed, err := StartNode(NodeOptions{Cluster: mk(), Bucket: "default", KVAddr: seedAddr, ClusterSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer seed.Close()
 	waitFor(t, 5*time.Second, func() bool { return len(joiner.currentMap().Nodes) == 2 })
+}
+
+// TestNothingAckedBeforeFormation: until the seed's formed map arrives a
+// process's node holds no copy, so a write that reaches it first is
+// refused with NOT_MY_VBUCKET, not acknowledged on a copy formation then
+// drops or demotes. Every write acknowledged at any time reads back.
+func TestNothingAckedBeforeFormation(t *testing.T) {
+	const numVB, writes = 16, 32
+	mk := func() *core.Cluster {
+		c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: numVB, HeartbeatInterval: 50 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		if err := c.CreateBucket("default", core.BucketOptions{NumReplicas: 1}); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	seed, err := StartNode(NodeOptions{Cluster: mk(), Bucket: "default", KVAddr: "127.0.0.1:0", ClusterSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seed.Close()
+
+	// A smart client whose map sends every vBucket to the seed, one wire
+	// Set per key, no retry.
+	pool := NewPool()
+	defer pool.Close()
+	router := NewRouter("default", nil, pool)
+	toSeed := &cmap.Map{Rev: 1 << 40, NumVBuckets: numVB, Nodes: []cmap.NodeID{cmap.NodeID(seed.KVAddr())}}
+	for vb := 0; vb < numVB; vb++ {
+		toSeed.Chains = append(toSeed.Chains, []int{0})
+	}
+	router.installMap(toSeed)
+	conn, err := router.Conn(cmap.NodeID(seed.KVAddr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	acked := map[string]string{}
+	for i := 0; i < writes; i++ {
+		key, value := fmt.Sprintf("early-%d", i), fmt.Sprintf(`{"early":%d}`, i)
+		_, err := conn.Do(ctx, cmap.VBucketID(key, numVB), core.Op{Code: memcproto.OpSet, Key: key, Value: []byte(value)})
+		if err == nil {
+			acked[key] = value
+		} else if !errors.Is(err, vbucket.ErrNotMyVBucket) {
+			t.Errorf("Set %s before formation: %v, want not-my-vbucket", key, err)
+		}
+	}
+	if len(acked) > 0 {
+		t.Errorf("%d of %d Sets acknowledged before the cluster formed", len(acked), writes)
+	}
+
+	joiner, err := StartNode(NodeOptions{Cluster: mk(), Bucket: "default", KVAddr: "127.0.0.1:0", Join: seed.KVAddr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer joiner.Close()
+	waitFor(t, 10*time.Second, func() bool {
+		m := seed.currentMap()
+		return len(m.Nodes) == 2 && joiner.currentMap().Rev == m.Rev
+	})
+	cl := core.NewClient(seed.Router(), "default")
+	for i := 0; i < writes; i++ {
+		key, value := fmt.Sprintf("late-%d", i), fmt.Sprintf(`{"late":%d}`, i)
+		if _, err := cl.Set(ctx, key, []byte(value), 0); err != nil {
+			t.Fatalf("Set %s after formation: %v", key, err)
+		}
+		acked[key] = value
+	}
+	unreadable := 0
+	for key, value := range acked {
+		if it, err := cl.Get(ctx, key); err != nil || string(it.Value) != value {
+			unreadable++
+			t.Logf("acknowledged %s reads %q, %v", key, it.Value, err)
+		}
+	}
+	if unreadable > 0 {
+		t.Errorf("%d of %d acknowledged writes unreadable after formation", unreadable, len(acked))
+	}
 }
