@@ -66,7 +66,8 @@ FUZZTIME ?= 10s
 # column is the thing to watch, and the hard allocation limits live in
 # the TestXxxZeroAlloc / TestXxxAllocBudget gates run by `make test`.
 # The last line runs the paper's Figure 15/16 benchmarks once each, so
-# an op error there fails CI.
+# an op error there fails CI, and the §6.1.1 GSI storage modes, so the
+# standard-mode commit path runs there too.
 bench-smoke:
 	go test -run='^$$' -bench='BenchmarkGetResident|BenchmarkSetOverwrite|BenchmarkGetParallel' -benchmem -benchtime=1000x ./internal/cache
 	go test -run='^$$' -bench='BenchmarkPagerSweep' -benchmem -benchtime=200x ./internal/cache
@@ -83,7 +84,7 @@ bench-smoke:
 	go test -run='^$$' -bench='BenchmarkClientGet|BenchmarkClientSet' -benchmem -benchtime=1000000x -cpu 1,2 ./internal/core
 	go test -run='^$$' -bench='BenchmarkDGMRead' -benchmem -benchtime=500000x -cpu 2 ./internal/core
 	go test -run='^$$' -bench='BenchmarkWireGet' -benchmem -benchtime=20000x ./internal/transport
-	go test -run='^$$' -bench='Figure1[56]' -benchtime=2000x .
+	go test -run='^$$' -bench='Figure1[56]|GSIStorageModes' -benchtime=2000x .
 
 # Alternating parent/change pairs of couchbench workloads, the
 # procedure every ROADMAP gate asks for (WORKLOAD may list several):

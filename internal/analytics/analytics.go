@@ -116,12 +116,14 @@ func (e *Engine) Rollback(vb int, _ uint64) uint64 {
 	return 0
 }
 
-// Apply implements feed.Consumer: shadow one mutation.
-func (e *Engine) Apply(vb int, m dcp.Mutation) {
-	if m.Deleted {
-		e.tree.Replace(vb, m.Key, nil, nil)
-	} else if doc, ok := value.Parse(m.Value); ok {
-		e.tree.Replace(vb, m.Key, [][]any{{m.Key}}, entry{doc: doc, meta: n1ql.Meta{ID: m.Key, CAS: m.CAS, Seqno: m.Seqno}})
+// Apply implements feed.Consumer: shadow a batch of mutations.
+func (e *Engine) Apply(vb int, batch []dcp.Mutation) {
+	for _, m := range batch {
+		if m.Deleted {
+			e.tree.Replace(vb, m.Key, nil, nil)
+		} else if doc, ok := value.Parse(m.Value); ok {
+			e.tree.Replace(vb, m.Key, [][]any{{m.Key}}, entry{doc: doc, meta: n1ql.Meta{ID: m.Key, CAS: m.CAS, Seqno: m.Seqno}})
+		}
 	}
 }
 

@@ -310,7 +310,7 @@ func TestShadowStoreFetchAndPages(t *testing.T) {
 	defer e.Close()
 	const docs = 20000
 	for i := 0; i < docs; i++ {
-		e.Apply(i%16, dcp.Mutation{Key: fmt.Sprintf("d%05d", i), Seqno: uint64(i + 1), Value: []byte(`{"v": 1}`)})
+		e.Apply(i%16, []dcp.Mutation{{Key: fmt.Sprintf("d%05d", i), Seqno: uint64(i + 1), Value: []byte(`{"v": 1}`)}})
 	}
 	s, ctx := &shadowStore{e}, context.Background()
 	last := fmt.Sprintf("d%05d", docs-1)

@@ -50,11 +50,13 @@ import (
 // ErrClosed is returned when attaching to a closed feed or hub.
 var ErrClosed = errors.New("feed: closed")
 
-// Consumer applies one vBucket's mutations in seqno order. Apply is
-// called from the feed's drain goroutine for that vBucket; different
-// vBuckets may apply concurrently.
+// Consumer applies one vBucket's mutations in seqno order, a stream
+// batch at a time. Apply is called from the feed's drain goroutine for
+// that vBucket; different vBuckets may apply concurrently. The batch is
+// the stream's, cleared and reused by its next Next: a consumer may keep
+// a mutation's fields, never the slice.
 type Consumer interface {
-	Apply(vb int, m dcp.Mutation)
+	Apply(vb int, batch []dcp.Mutation)
 }
 
 // Rollbacker is implemented by consumers that can rewind a vBucket's
@@ -306,26 +308,28 @@ func (f *Feed) drain(vb int, vf *vbFeed) {
 			events.Default.Publish(e)
 			f.mStalled.Add(1)
 		}
+		var spans []*trace.Span
 		for _, m := range batch {
-			if m.Trace != nil {
-				sp := m.Trace.StartSpan("feed:apply")
+			if sp := m.Trace.StartSpan("feed:apply"); sp != nil {
 				sp.Annotate("service", f.service)
 				sp.Annotate("vb", strconv.Itoa(vb))
 				sp.Annotate("seqno", strconv.FormatUint(m.Seqno, 10))
-				f.consumer.Apply(vb, m)
-				sp.End()
-			} else {
-				f.consumer.Apply(vb, m)
+				spans = append(spans, sp)
 			}
-			vf.lastTrace = m.Trace
-			vf.seqno.Store(m.Seqno)
-			if f.waiters.Load() != 0 {
-				f.mu.Lock()
-				f.wakeLocked()
-				f.mu.Unlock()
-			}
-			f.mMutations.Inc()
 		}
+		f.consumer.Apply(vb, batch)
+		for _, sp := range spans {
+			sp.End()
+		}
+		last := batch[len(batch)-1]
+		vf.lastTrace = last.Trace
+		vf.seqno.Store(last.Seqno)
+		if f.waiters.Load() != 0 {
+			f.mu.Lock()
+			f.wakeLocked()
+			f.mu.Unlock()
+		}
+		f.mMutations.Add(uint64(len(batch)))
 		if stalled {
 			f.mStalled.Add(-1)
 		}

@@ -1,6 +1,7 @@
 package feed
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -64,7 +65,8 @@ func (s *memSource) docs() map[string]uint64 {
 type recordingConsumer struct {
 	mu      sync.Mutex
 	docs    map[int]map[string]uint64
-	applied []uint64 // every applied seqno, in call order
+	applied []uint64   // every applied seqno, in call order
+	batches [][]uint64 // the seqnos of each Apply call, in call order
 	// gate, when set, parks every Apply until it receives or closes;
 	// parked counts the Applies that have reached it.
 	gate   chan struct{}
@@ -75,7 +77,7 @@ func newRecordingConsumer() *recordingConsumer {
 	return &recordingConsumer{docs: map[int]map[string]uint64{}}
 }
 
-func (c *recordingConsumer) Apply(vb int, m dcp.Mutation) {
+func (c *recordingConsumer) Apply(vb int, batch []dcp.Mutation) {
 	if c.gate != nil {
 		c.parked.Add(1)
 		<-c.gate
@@ -85,12 +87,17 @@ func (c *recordingConsumer) Apply(vb int, m dcp.Mutation) {
 	if c.docs[vb] == nil {
 		c.docs[vb] = map[string]uint64{}
 	}
-	if m.Deleted {
-		delete(c.docs[vb], m.Key)
-	} else {
-		c.docs[vb][m.Key] = m.Seqno
+	seqnos := make([]uint64, 0, len(batch))
+	for _, m := range batch {
+		if m.Deleted {
+			delete(c.docs[vb], m.Key)
+		} else {
+			c.docs[vb][m.Key] = m.Seqno
+		}
+		seqnos = append(seqnos, m.Seqno)
 	}
-	c.applied = append(c.applied, m.Seqno)
+	c.applied = append(c.applied, seqnos...)
+	c.batches = append(c.batches, seqnos)
 }
 
 func (c *recordingConsumer) Rollback(vb int, _ uint64) uint64 {
@@ -329,6 +336,51 @@ func TestBackpressureStallCounter(t *testing.T) {
 	if got := stalls.Value() - stallsBefore; got != 1 {
 		t.Fatalf("stalls = %d after the drain, want 1", got)
 	}
+}
+
+// TestDrainAppliesTheStreamBatch: the drain hands the consumer each
+// batch the stream pulled, whole and in seqno order; the applied seqno
+// (and so Wait) moves only when the batch's Apply returns; and the
+// mutations counter counts mutations, not Apply calls.
+func TestDrainAppliesTheStreamBatch(t *testing.T) {
+	mutations := metrics.Default.Counter("couchgo_feed_mutations_total", "service", "test-batch")
+	before := mutations.Value()
+	src := newMemSource()
+	p := dcp.NewProducer(0, src)
+	defer p.Close()
+	c := newRecordingConsumer()
+	c.gate = make(chan struct{})
+	f := New("t-batch", c, Config{Service: "test-batch"})
+	defer f.Close()
+	var open sync.Once
+	release := func() { open.Do(func() { close(c.gate) }) }
+	defer release()
+	if err := f.Attach(0, p); err != nil {
+		t.Fatal(err)
+	}
+	// Park the consumer on a batch of one, queue nine behind it.
+	src.publish(p, dcp.Mutation{Key: "k1", Seqno: 1})
+	waitFor(t, "consumer parked on the first batch", func() bool { return c.parked.Load() == 1 })
+	for i := 2; i <= 10; i++ {
+		src.publish(p, dcp.Mutation{Key: fmt.Sprintf("k%d", i), Seqno: uint64(i)})
+	}
+	done := make(chan error, 1)
+	go func() { done <- f.Wait(context.Background(), map[int]uint64{0: 5}) }()
+	c.gate <- struct{}{}
+	waitFor(t, "consumer parked inside the second batch", func() bool { return c.parked.Load() == 2 })
+	if got := f.Processed()[0]; got != 1 {
+		t.Fatalf("applied seqno %d while the batch holding 2..10 is inside Apply, want 1", got)
+	}
+	blocked(t, done, "the batch holding seqno 5 has not returned")
+	release()
+	released(t, done, nil)
+	c.mu.Lock()
+	batches := fmt.Sprint(c.batches)
+	c.mu.Unlock()
+	if want := "[[1] [2 3 4 5 6 7 8 9 10]]"; batches != want {
+		t.Fatalf("Apply calls got seqnos %s, want %s", batches, want)
+	}
+	waitFor(t, "mutations counted", func() bool { return mutations.Value()-before == 10 })
 }
 
 func TestDetachForgetsResumeState(t *testing.T) {

@@ -229,8 +229,15 @@ func (fi *ftsIndex) tokensOf(doc any) []string {
 	return out
 }
 
-// Apply implements feed.Consumer: index one mutation.
-func (fi *ftsIndex) Apply(vb int, m dcp.Mutation) {
+// Apply implements feed.Consumer: index a batch of mutations.
+func (fi *ftsIndex) Apply(vb int, batch []dcp.Mutation) {
+	for _, m := range batch {
+		fi.index(vb, m)
+	}
+}
+
+// index replaces one document's postings.
+func (fi *ftsIndex) index(vb int, m dcp.Mutation) {
 	var tokens []string
 	if !m.Deleted {
 		if doc, ok := value.Parse(m.Value); ok {

@@ -43,7 +43,7 @@ func gsiHolder(t *testing.T, parts int) holder {
 			if n >= 0 {
 				m.Value = []byte(fmt.Sprintf(`{"n": %d}`, n))
 			}
-			project(vb, m, st)
+			project(vb, []dcp.Mutation{m}, st)
 		},
 		scan: func(opts ScanOptions) []ScanItem {
 			page, err := svc.Scan(context.Background(), "ks", "n", opts)

@@ -51,7 +51,7 @@ func routeAllocs(svc *Service, doc []byte) float64 {
 	seqno := uint64(0)
 	return testing.AllocsPerRun(200, func() {
 		seqno++
-		svc.route("ks", 3, dcp.Mutation{Key: "user00001234", Seqno: seqno, CAS: seqno, Value: doc})
+		svc.route("ks", 3, []dcp.Mutation{{Key: "user00001234", Seqno: seqno, CAS: seqno, Value: doc}})
 	})
 }
 
@@ -150,7 +150,7 @@ func BenchmarkRoute(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := i % len(keys)
-				svc.route("ks", k%64, dcp.Mutation{Key: keys[k], Seqno: uint64(i + 1), Value: doc})
+				svc.route("ks", k%64, []dcp.Mutation{{Key: keys[k], Seqno: uint64(i + 1), Value: doc}})
 			}
 		})
 	}

@@ -242,51 +242,66 @@ func (s *Service) Scan(ctx context.Context, keyspace, name string, opts ScanOpti
 	return MergePages(pages, opts.Reverse, opts.Limit), nil
 }
 
-// route delivers a mutation's key versions for every index on the
+// route delivers a batch's key versions for every index on the
 // keyspace. It implements both the Projector ("mapping incoming
 // mutations to a set of Global Secondary Key Versions") and the Router
 // ("deciding which indexer to send the message to").
-func (s *Service) route(keyspace string, vb int, m dcp.Mutation) {
+func (s *Service) route(keyspace string, vb int, batch []dcp.Mutation) {
 	s.mu.Lock()
 	states := s.byKeyspace[keyspace]
 	s.mu.Unlock()
 	if len(states) == 0 {
 		return
 	}
-	mProjected.Inc()
-	project(vb, m, states...)
+	mProjected.Add(uint64(len(batch)))
+	project(vb, batch, states...)
 }
 
-// project turns one mutation into each index's key version and hands it
-// to the partition that owns the document: the doc ID is the partition
+// project turns a batch of one vBucket's mutations into each index's key
+// versions and hands them to the partitions that own the documents, one
+// Apply per partition for the whole batch: the doc ID is the partition
 // key, so a document never changes partition and no other partition has
-// anything to clean up. The value is decoded once for all the indexes,
-// and only validated when none of them reads it; a deletion and a value
-// that is not JSON leave every index, the primary included.
-func project(vb int, m dcp.Mutation, states ...*indexState) {
-	var doc any
-	ok := !m.Deleted
-	if ok {
-		reads := false
-		for _, st := range states {
-			reads = reads || st.cd.readsDoc()
-		}
-		if reads {
+// anything to clean up. A value is decoded once for all the indexes, and
+// only validated when none of them reads it; a deletion and a value that
+// is not JSON leave every index, the primary included.
+func project(vb int, batch []dcp.Mutation, states ...*indexState) {
+	reads := false
+	for _, st := range states {
+		reads = reads || st.cd.readsDoc()
+	}
+	// kvs[i][p] is index i's key versions for its partition p, in seqno
+	// order.
+	kvs := make([][][]KeyVersion, len(states))
+	for i, st := range states {
+		kvs[i] = make([][]KeyVersion, len(st.parts))
+	}
+	for _, m := range batch {
+		var doc any
+		ok := !m.Deleted
+		if ok && reads {
 			doc, ok = value.Parse(m.Value)
-		} else {
+		} else if ok {
 			ok = value.Valid(m.Value)
 		}
+		for i, st := range states {
+			var entries [][]any
+			if ok {
+				if ents, err := st.cd.entries(m.Key, doc, m.CAS); err == nil {
+					entries = ents
+				}
+			}
+			p := st.cd.Partition(m.Key)
+			kvs[i][p] = append(kvs[i][p], KeyVersion{
+				Index: st.cd.Name, VB: vb, Seqno: m.Seqno, DocID: m.Key, Entries: entries, Trace: m.Trace,
+			})
+		}
 	}
-	for _, st := range states {
-		var entries [][]any
-		if ok {
-			if ents, err := st.cd.entries(m.Key, doc, m.CAS); err == nil {
-				entries = ents
+	for i, st := range states {
+		for p, part := range kvs[i] {
+			if len(part) > 0 {
+				st.parts[p].Apply(part...)
 			}
 		}
-		st.parts[st.cd.Partition(m.Key)].Apply(KeyVersion{
-			Index: st.cd.Name, VB: vb, Seqno: m.Seqno, DocID: m.Key, Entries: entries,
-		})
 	}
 }
 
@@ -312,7 +327,7 @@ func NewProjector(svc *Service, keyspace string) *Projector {
 	// empty, open hub cannot fail and starts no stream, so a concurrent
 	// first use that loses the race below just discards its hub.
 	np := &Projector{svc: svc, keyspace: keyspace, hub: feed.NewHub("gsi")}
-	np.feed, _ = np.hub.Subscribe("gsi-projector", np)
+	np.feed, _ = np.hub.Subscribe("gsi-projector", np) //couchvet:ignore droppederror -- an empty, open hub's first Subscribe cannot fail
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
 	if p, ok := svc.projectors[keyspace]; ok {
@@ -322,10 +337,10 @@ func NewProjector(svc *Service, keyspace string) *Projector {
 	return np
 }
 
-// Apply implements feed.Consumer: route one mutation's key versions to
-// every index on the keyspace.
-func (p *Projector) Apply(vb int, m dcp.Mutation) {
-	p.svc.route(p.keyspace, vb, m)
+// Apply implements feed.Consumer: route a batch's key versions to every
+// index on the keyspace.
+func (p *Projector) Apply(vb int, batch []dcp.Mutation) {
+	p.svc.route(p.keyspace, vb, batch)
 }
 
 // Rollback implements feed.Rollbacker: a promoted vBucket copy lacks
@@ -386,9 +401,7 @@ func (p *Projector) backfillIndex(st *indexState) error {
 			if !ok {
 				break
 			}
-			for _, m := range batch {
-				project(vb, m, st)
-			}
+			project(vb, batch, st)
 			done = batch[len(batch)-1].Seqno
 		}
 		s.Close()

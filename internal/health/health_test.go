@@ -127,7 +127,7 @@ type gatedConsumer struct {
 	parked atomic.Int32
 }
 
-func (g *gatedConsumer) Apply(int, dcp.Mutation) {
+func (g *gatedConsumer) Apply(int, []dcp.Mutation) {
 	g.parked.Add(1)
 	<-g.gate
 }

@@ -10,7 +10,8 @@ import (
 // bare-call statements, `go f()`, and `defer f()` where f returns an
 // error — inside the packages where a swallowed error corrupts or
 // loses data: the storage engine's compaction/recovery paths, the
-// cache's eviction/flush paths, and the feed layer's stream lifecycle.
+// cache's eviction/flush paths, the feed layer's stream lifecycle, and
+// the GSI partitions' maintenance log.
 // Elsewhere, discarding an error is often a reasonable judgment call;
 // in these packages it must be propagated, logged, or counted.
 var DroppedError = &Analyzer{
@@ -25,6 +26,7 @@ var droppedErrorPackages = map[string]bool{
 	ModulePath + "/internal/storage": true,
 	ModulePath + "/internal/cache":   true,
 	ModulePath + "/internal/feed":    true,
+	ModulePath + "/internal/gsi":     true,
 }
 
 func runDroppedError(pkg *Package) []Diagnostic {

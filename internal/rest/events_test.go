@@ -134,7 +134,7 @@ type streamGatedConsumer struct {
 	parked atomic.Int32
 }
 
-func (g *streamGatedConsumer) Apply(int, dcp.Mutation) {
+func (g *streamGatedConsumer) Apply(int, []dcp.Mutation) {
 	g.parked.Add(1)
 	<-g.gate
 }

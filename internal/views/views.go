@@ -285,20 +285,22 @@ func (vi *viewIndex) Rollback(vb int, _ uint64) uint64 {
 	return 0
 }
 
-// Apply implements feed.Consumer: the document's emission replaces its
+// Apply implements feed.Consumer: each document's emission replaces its
 // previous one. A deleted, unparsable or non-emitting document (a
 // failing map function emits nothing) contributes no entry.
-func (vi *viewIndex) Apply(vb int, m dcp.Mutation) {
-	var secs [][]any
-	var val any
-	if !m.Deleted {
-		if doc, ok := value.Parse(m.Value); ok {
-			if k, v, emitted, err := vi.cm.emit(m.Key, doc); err == nil && emitted {
-				secs, val = [][]any{{k}}, v
+func (vi *viewIndex) Apply(vb int, batch []dcp.Mutation) {
+	for _, m := range batch {
+		var secs [][]any
+		var val any
+		if !m.Deleted {
+			if doc, ok := value.Parse(m.Value); ok {
+				if k, v, emitted, err := vi.cm.emit(m.Key, doc); err == nil && emitted {
+					secs, val = [][]any{{k}}, v
+				}
 			}
 		}
+		vi.tree.Replace(vb, m.Key, secs, val)
 	}
-	vi.tree.Replace(vb, m.Key, secs, val)
 }
 
 // lookup returns a view that Define has subscribed.

@@ -472,7 +472,7 @@ func TestLimitStopsTheTreeWalk(t *testing.T) {
 	vi := h.engine.views["byN"]
 	const docs = 10000
 	for i := 0; i < docs; i++ {
-		vi.Apply(i%8, dcp.Mutation{Key: fmt.Sprintf("d%05d", i), Seqno: uint64(i + 1), Value: []byte(fmt.Sprintf(`{"n": %d}`, i/4))})
+		vi.Apply(i%8, []dcp.Mutation{{Key: fmt.Sprintf("d%05d", i), Seqno: uint64(i + 1), Value: []byte(fmt.Sprintf(`{"n": %d}`, i/4))}})
 	}
 	for _, tc := range []struct {
 		name  string
@@ -501,7 +501,7 @@ func TestLimitStopsTheTreeWalk(t *testing.T) {
 	// A grouped reduce reads the span page by page; with the first
 	// group one entry short, later groups straddle the page edges and
 	// must still come out whole.
-	vi.Apply(0, dcp.Mutation{Key: "d00000", Seqno: docs + 1, Deleted: true})
+	vi.Apply(0, []dcp.Mutation{{Key: "d00000", Seqno: docs + 1, Deleted: true}})
 	groups, err := h.engine.Query(context.Background(), "byN", QueryOptions{Reduce: true, Group: true})
 	if err != nil || len(groups) != docs/4 {
 		t.Fatalf("grouped reduce: %d groups, %v", len(groups), err)

@@ -134,9 +134,16 @@ func (r *Replicator) topologyLoop() {
 	}
 }
 
-// Apply implements feed.Consumer: push one mutation to the
-// destination.
-func (r *Replicator) Apply(_ int, m dcp.Mutation) {
+// Apply implements feed.Consumer: push a batch of mutations to the
+// destination, one at a time.
+func (r *Replicator) Apply(_ int, batch []dcp.Mutation) {
+	for _, m := range batch {
+		r.send(m)
+	}
+}
+
+// send pushes one mutation to the destination.
+func (r *Replicator) send(m dcp.Mutation) {
 	if r.filter != nil && !r.filter.MatchString(m.Key) {
 		r.filtered.Add(1)
 		return
