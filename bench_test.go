@@ -571,7 +571,7 @@ func BenchmarkWriteAggregation(b *testing.B) {
 // records in this bench are the same size, so bytes convert to record
 // counts exactly: total = live / (1 - fragmentation).
 func countRecords(b *testing.B, f *storage.VBFile) int {
-	frag := f.Fragmentation()
+	frag := f.Stats().Fragmentation()
 	if frag >= 1 {
 		b.Fatal("bad fragmentation")
 	}

@@ -739,13 +739,13 @@ func TestOnlineCompactionTriggersAutomatically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Fragmentation() < compactionThreshold {
-		t.Skipf("file not fragmented enough to test (%v)", f.Fragmentation())
+	if !f.Stats().WorthCompacting() {
+		t.Skipf("file not fragmented enough to test (%v)", f.Stats().Fragmentation())
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for f.Fragmentation() > compactionThreshold {
+	for f.Stats().WorthCompacting() {
 		if time.Now().After(deadline) {
-			t.Fatalf("compactor never ran: frag %v", f.Fragmentation())
+			t.Fatalf("compactor never ran: frag %v", f.Stats().Fragmentation())
 		}
 		time.Sleep(50 * time.Millisecond)
 	}

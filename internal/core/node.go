@@ -192,13 +192,6 @@ func (n *Node) addBucket(name string, svc *gsi.Service, ftsEng *fts.Engine, anEn
 	return nil
 }
 
-// compactionThreshold is the fragmentation fraction that triggers an
-// online compaction of a vBucket file (§4.3.3: "compaction is
-// periodically run, based on a fragmentation threshold, and while the
-// system is online"). The real server defaults to 30%; we compact a
-// file once more than half of it is stale versions.
-const compactionThreshold = 0.5
-
 // compactionCooldown is the minimum interval between two compactions
 // of the same vBucket file. Without it an update-heavy workload
 // refragments a small hot file within a tick and the compactor
@@ -240,12 +233,11 @@ func (nb *nodeBucket) maintenanceLoop() {
 				continue
 			}
 			st := f.Stats()
-			// Only compact files big enough for it to matter, not more
-			// often than the cooldown allows, and never more than a few
-			// per tick (vbs comes from map iteration, so the candidates
-			// skipped by the cap rotate tick to tick).
-			if compacted < maxCompactionsPerTick &&
-				st.FileBytes > 64*1024 && f.Fragmentation() > compactionThreshold &&
+			// Only compact files worth it, not more often than the
+			// cooldown allows, and never more than a few per tick (vbs
+			// comes from map iteration, so the candidates skipped by the
+			// cap rotate tick to tick).
+			if compacted < maxCompactionsPerTick && st.WorthCompacting() &&
 				time.Since(lastCompact[vb.ID]) >= compactionCooldown {
 				compacted++
 				lastCompact[vb.ID] = time.Now()

@@ -1,7 +1,6 @@
 package gsi
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -14,33 +13,34 @@ import (
 
 	"couchgo/internal/dcp"
 	"couchgo/internal/events"
+	"couchgo/internal/metrics"
+	"couchgo/internal/storage"
 	"couchgo/internal/trace"
 )
 
 // fakeLog stands in for a standard-mode partition's maintenance log. It
-// counts what is written and synced; a Sync fails with err, and with
-// gate set it first announces itself on entered and parks until gate
-// closes.
+// counts the records appended and the Syncs; a Sync fails with err, and
+// with gate set it first announces itself on entered and parks until
+// gate closes.
 type fakeLog struct {
-	bytes   atomic.Int64
-	syncs   atomic.Int32
-	entered chan struct{}
-	gate    chan struct{}
-	err     error
-	// inSync is set while a Sync runs; closedInSync records a Close that
-	// came during one.
-	inSync, closedInSync atomic.Bool
+	mu          sync.Mutex
+	recs, syncs int
+	entered     chan struct{}
+	gate        chan struct{}
+	err         error
 }
 
-func (l *fakeLog) Write(b []byte) (int, error) {
-	l.bytes.Add(int64(len(b)))
-	return len(b), nil
+func (l *fakeLog) Append(recs []storage.Record, _ ...bool) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.recs += len(recs)
+	return nil
 }
 
 func (l *fakeLog) Sync() error {
-	l.syncs.Add(1)
-	l.inSync.Store(true)
-	defer l.inSync.Store(false)
+	l.mu.Lock()
+	l.syncs++
+	l.mu.Unlock()
 	if l.gate != nil {
 		l.entered <- struct{}{}
 		<-l.gate
@@ -48,33 +48,45 @@ func (l *fakeLog) Sync() error {
 	return l.err
 }
 
-func (l *fakeLog) Close() error {
-	if l.inSync.Load() {
-		l.closedInSync.Store(true)
-	}
-	return nil
+func (l *fakeLog) Close() error  { return nil }
+func (l *fakeLog) Remove() error { return nil }
+
+// counts returns the records appended and the Syncs made.
+func (l *fakeLog) counts() (recs, syncs int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.recs, l.syncs
 }
 
 // swapLog puts l in place of a standard-mode partition's log file.
 func swapLog(t *testing.T, ix *Indexer, l *fakeLog) {
 	t.Helper()
 	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if err := ix.log.Close(); err != nil {
+	old := ix.log
+	ix.log = l
+	ix.mu.Unlock()
+	if err := old.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ix.log, ix.logW = l, bufio.NewWriter(l)
+}
+
+// diskIndexer is a standalone standard-mode partition over its real log
+// at path.
+func diskIndexer(t *testing.T, path string) *Indexer {
+	t.Helper()
+	ix, err := NewStandaloneIndexer(Def{Name: "age", Keyspace: "ks", SecExprs: []string{"age"}}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ix.Close)
+	return ix
 }
 
 // loggedIndexer is a standalone standard-mode partition writing to l.
 func loggedIndexer(t *testing.T, l *fakeLog) *Indexer {
 	t.Helper()
-	ix, err := NewStandaloneIndexer(Def{Name: "age", Keyspace: "ks", SecExprs: []string{"age"}}, filepath.Join(t.TempDir(), "idx.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := diskIndexer(t, filepath.Join(t.TempDir(), "idx.log"))
 	swapLog(t, ix, l)
-	t.Cleanup(ix.Close)
 	return ix
 }
 
@@ -105,7 +117,7 @@ func TestOneCallerSyncsEverySixteenOps(t *testing.T) {
 		}
 		ix.Apply(kv)
 	}
-	if got := l.syncs.Load(); got != 10 {
+	if _, got := l.counts(); got != 10 {
 		t.Fatalf("160 ops applied one at a time made %d fsyncs, want 10", got)
 	}
 	var commits []string
@@ -119,13 +131,16 @@ func TestOneCallerSyncsEverySixteenOps(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchesShareFsyncs: batches from many drains are
-// committed by fsyncs that each cover every flush made before them, so
-// 32 callers of 100 ops make at most one fsync each (one per 16 ops,
-// 200, when the fsync ran under the lock), and every op ends durable.
+// TestConcurrentBatchesShareFsyncs: batches from many drains ride the
+// log's group commit, whose fsyncs each cover every append made before
+// them, so 32 callers of 100 ops make at most one fsync each (one per
+// 16 ops, 200, when the fsync ran under the lock), and every op reaches
+// the log.
 func TestConcurrentBatchesShareFsyncs(t *testing.T) {
-	l := &fakeLog{}
-	ix := loggedIndexer(t, l)
+	path := filepath.Join(t.TempDir(), "idx.log")
+	ix := diskIndexer(t, path)
+	batches := metrics.Default.Counter("couchgo_storage_group_commit_batches")
+	before := batches.Value()
 	var wg sync.WaitGroup
 	for g := 0; g < 32; g++ {
 		wg.Add(1)
@@ -135,17 +150,20 @@ func TestConcurrentBatchesShareFsyncs(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := l.syncs.Load(); got > 32 {
-		t.Errorf("32 batches of 100 ops made %d fsyncs, want at most 32", got)
-	}
-	ix.mu.Lock()
-	synced := ix.syncedOps
-	ix.mu.Unlock()
-	if synced != 3200 {
-		t.Errorf("%d of 3200 ops synced", synced)
+	if got := batches.Value() - before; got == 0 || got > 32 {
+		t.Errorf("32 batches of 100 ops made %d fsyncs, want 1 to 32", got)
 	}
 	if n := len(ix.tree.Scan(ScanOptions{})); n != 3200 {
 		t.Errorf("the tree holds %d of 3200 entries", n)
+	}
+	ix.Close()
+	f, err := storage.Open(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if n := f.Stats().Items; n != 3200 {
+		t.Errorf("the log holds %d of 3200 documents", n)
 	}
 }
 
@@ -174,38 +192,8 @@ func TestBatchAppliesDuringAnFsync(t *testing.T) {
 	}
 	release()
 	wg.Wait()
-	if got := l.syncs.Load(); got != 2 {
-		t.Errorf("%d fsyncs, want 2: the second batch flushed after the first fsync began", got)
-	}
-}
-
-// TestCloseWaitsForTheFsync: a partition closed (shutdown, DROP INDEX)
-// while a caller is inside the log's fsync closes the file only after
-// that fsync returns, and starts no other.
-func TestCloseWaitsForTheFsync(t *testing.T) {
-	l := &fakeLog{entered: make(chan struct{}, 1), gate: make(chan struct{})}
-	ix := loggedIndexer(t, l)
-	var open sync.Once
-	release := func() { open.Do(func() { close(l.gate) }) }
-	defer release()
-	applied := make(chan struct{})
-	go func() { defer close(applied); ix.Apply(versions(0, 16)...) }()
-	<-l.entered
-	closed := make(chan struct{})
-	go func() { defer close(closed); ix.Close() }()
-	select {
-	case <-closed:
-		t.Fatal("Close returned while the fsync was in flight")
-	case <-time.After(30 * time.Millisecond):
-	}
-	release()
-	<-closed
-	<-applied
-	if l.closedInSync.Load() {
-		t.Error("the log was closed during its fsync")
-	}
-	if got := l.syncs.Load(); got != 1 {
-		t.Errorf("%d fsyncs, want 1", got)
+	if _, got := l.counts(); got != 2 {
+		t.Errorf("%d fsyncs, want 2: the second batch was appended after the first fsync began", got)
 	}
 }
 
@@ -261,7 +249,8 @@ func TestBuildSyncsOncePerStreamBatch(t *testing.T) {
 	if err := h.svc.BuildIndex("Profile", "age"); err != nil {
 		t.Fatal(err)
 	}
-	batches, syncs := counted.batches.Load(), l.syncs.Load()
+	_, syncs := l.counts()
+	batches := int(counted.batches.Load())
 	t.Logf("build of %d documents: %d stream batches, %d fsyncs", docs, batches, syncs)
 	if syncs > batches || syncs >= docs/commitOps {
 		t.Errorf("build made %d fsyncs over %d stream batches, want at most one per batch", syncs, batches)
@@ -272,23 +261,20 @@ func TestBuildSyncsOncePerStreamBatch(t *testing.T) {
 }
 
 // TestFailedSyncIsSticky: the log's first error is counted and journaled
-// once; nothing is written or synced after it, and the tree keeps
-// serving.
+// once; the partition drops the log, so nothing is appended or synced
+// after it, and the tree keeps serving.
 func TestFailedSyncIsSticky(t *testing.T) {
 	l := &fakeLog{err: errors.New("injected sync failure")}
 	ix := loggedIndexer(t, l)
 	errorsBefore, lastEvent := mLogErrors.Value(), events.Default.LastSeq()
 	ix.Apply(versions(0, 16)...)
-	written := l.bytes.Load()
+	written, _ := l.counts()
 	for _, kv := range versions(16, 40) {
 		ix.Apply(kv)
 	}
 	ix.Apply(versions(56, 30)...)
-	if got := l.syncs.Load(); got != 1 {
-		t.Errorf("%d fsyncs, want 1: none after the failure", got)
-	}
-	if got := l.bytes.Load(); got != written {
-		t.Errorf("%d bytes written after the failure", got-written)
+	if got, syncs := l.counts(); syncs != 1 || got != written {
+		t.Errorf("%d fsyncs and %d records appended after the failure, want none", syncs-1, got-written)
 	}
 	if got := mLogErrors.Value() - errorsBefore; got != 1 {
 		t.Errorf("couchgo_gsi_log_errors_total moved by %d, want 1", got)
@@ -304,5 +290,83 @@ func TestFailedSyncIsSticky(t *testing.T) {
 	}
 	if n := len(ix.tree.Scan(ScanOptions{})); n != 86 {
 		t.Errorf("the tree serves %d of 86 entries after the failure", n)
+	}
+}
+
+// TestLogReadsBack: the closed log, opened by storage, holds one record
+// per indexed document, with its newest seqno and its vBucket; a
+// deleted document's is a tombstone. A normal Close counts and journals
+// nothing.
+func TestLogReadsBack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "idx.log")
+	ix := diskIndexer(t, path)
+	ix.Apply(versions(0, 100)...)
+	updates := versions(0, 50)
+	for i := range updates {
+		updates[i].Seqno += 1000
+	}
+	updates[7].Entries = nil
+	ix.Apply(updates...)
+	for _, kv := range versions(100, 5) { // fewer than commitOps: pending at Close
+		ix.Apply(kv)
+	}
+	errorsBefore, lastEvent := mLogErrors.Value(), events.Default.LastSeq()
+	ix.Close()
+	if got := mLogErrors.Value() - errorsBefore; got != 0 {
+		t.Errorf("Close counted %d log errors", got)
+	}
+	for _, e := range events.Default.Events(events.Filter{Type: events.FeedEvent, SinceSeq: lastEvent}) {
+		if e.Service == "gsi" {
+			t.Errorf("Close journaled %q %v", e.Msg, e.Fields)
+		}
+	}
+
+	f, err := storage.Open(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if n := f.Stats().Items; n != 105 {
+		t.Errorf("the log holds %d documents, want 105", n)
+	}
+	for _, kv := range versions(0, 105) {
+		if kv.Seqno <= 50 {
+			kv.Seqno += 1000
+		}
+		rec, err := f.GetNewest(kv.DocID)
+		if err != nil {
+			t.Fatalf("%s: %v", kv.DocID, err)
+		}
+		if rec.Seqno != kv.Seqno || rec.Flags != uint32(kv.VB) || rec.Deleted != (kv.DocID == "d00007") {
+			t.Errorf("%s: seqno %d vb %d deleted %v, want seqno %d vb %d", kv.DocID, rec.Seqno, rec.Flags, rec.Deleted, kv.Seqno, kv.VB)
+		}
+	}
+}
+
+// TestCompactionBoundsTheLog: a log rewritten by 20 rounds of updates to
+// 1 000 documents stays within twice its live bytes, plus the 64 KiB
+// below which storage does not compact.
+func TestCompactionBoundsTheLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "idx.log")
+	ix := diskIndexer(t, path)
+	for round := 0; round < 20; round++ {
+		kvs := versions(0, 1000)
+		for i := range kvs {
+			kvs[i].Seqno += uint64(round * 1000)
+		}
+		for at := 0; at < len(kvs); at += 100 {
+			ix.Apply(kvs[at : at+100]...)
+		}
+	}
+	ix.Close()
+	f, err := storage.Open(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	st := f.Stats()
+	t.Logf("log: %d bytes, %d live, %d documents", st.FileBytes, st.LiveBytes, st.Items)
+	if st.Items != 1000 || st.FileBytes > 2*st.LiveBytes+64<<10 {
+		t.Errorf("log of %d documents: %d bytes, %d live: want at most twice the live bytes plus 64 KiB", st.Items, st.FileBytes, st.LiveBytes)
 	}
 }

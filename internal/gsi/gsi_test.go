@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -580,5 +581,79 @@ func TestEntriesAllocBudget(t *testing.T) {
 	})
 	if n > 4 {
 		t.Errorf("%.0f allocations per mutation, budget 4", n)
+	}
+}
+
+// logFiles lists the index logs in the service's directory.
+func (h *harness) logFiles(t *testing.T) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(h.svc.dir, "idx_*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestLogPathsAreOneToOne: two index names that differ only in a
+// character a file name cannot keep get a log each.
+func TestLogPathsAreOneToOne(t *testing.T) {
+	h := newHarness(t, 1)
+	for _, name := range []string{"by:age", "by_age"} {
+		if err := h.svc.CreateIndex(Def{Name: name, Keyspace: "Profile", SecExprs: []string{"age"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if files := h.logFiles(t); len(files) != 2 {
+		t.Errorf("two indexes have logs %v, want two files", files)
+	}
+}
+
+// TestDropIndexDeletesItsLogs: DROP INDEX deletes every partition's log;
+// shutdown keeps them.
+func TestDropIndexDeletesItsLogs(t *testing.T) {
+	h := newHarness(t, 1)
+	for _, name := range []string{"age", "kept"} {
+		if err := h.svc.CreateIndex(Def{Name: name, Keyspace: "Profile", SecExprs: []string{"age"}, NumPartitions: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.svc.DropIndex("Profile", "age"); err != nil {
+		t.Fatal(err)
+	}
+	if files := h.logFiles(t); len(files) != 3 || !strings.Contains(files[0], "@kept_") {
+		t.Errorf("after DROP INDEX age the logs are %v, want kept's 3", files)
+	}
+	h.svc.Close()
+	if files := h.logFiles(t); len(files) != 3 {
+		t.Errorf("after shutdown the logs are %v, want kept's 3", files)
+	}
+}
+
+// TestFailedCreateIndexClosesItsPartitions: a CREATE INDEX whose second
+// partition cannot open its log leaves no descriptor open and no log
+// behind.
+func TestFailedCreateIndexClosesItsPartitions(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(ents)
+	}
+	h := newHarness(t, 1)
+	// A directory that is not empty stands where partition 1's log goes.
+	blocker := filepath.Join(h.svc.dir, logName("Profile", "age", 1), "x")
+	if err := os.MkdirAll(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := fds()
+	if err := h.svc.CreateIndex(Def{Name: "age", Keyspace: "Profile", SecExprs: []string{"age"}, NumPartitions: 2}); err == nil {
+		t.Fatal("CREATE INDEX over a blocked log path succeeded")
+	}
+	if after := fds(); after != before {
+		t.Errorf("%d descriptors open after the failed CREATE INDEX, %d before", after, before)
+	}
+	if files := h.logFiles(t); len(files) != 1 {
+		t.Errorf("logs %v after the failed CREATE INDEX, want only the blocking directory", files)
 	}
 }

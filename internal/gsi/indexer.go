@@ -1,30 +1,27 @@
 package gsi
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"os"
 	"strconv"
 	"sync"
 
 	"couchgo/internal/events"
 	"couchgo/internal/metrics"
+	"couchgo/internal/storage"
 	"couchgo/internal/trace"
 	"couchgo/internal/value"
 )
 
-// Standard-mode log accounting: fsyncs, the ops each one made durable,
-// and partitions whose log failed (each counted once, when it fails).
-var (
-	mLogSyncs   = metrics.Default.Counter("couchgo_gsi_log_syncs_total")
-	mOpsPerSync = metrics.Default.ValueHistogram("couchgo_gsi_log_ops_per_sync")
-	mLogErrors  = metrics.Default.Counter("couchgo_gsi_log_errors_total")
-)
+// mLogErrors counts the partitions whose maintenance log failed, each
+// once, when it fails. The log's fsyncs are storage's to count.
+var mLogErrors = metrics.Default.Counter("couchgo_gsi_log_errors_total")
 
 // commitOps is the standard-mode commit threshold: an Apply that leaves
-// this many logged ops unflushed flushes them and waits for an fsync
-// that covers them.
+// this many logged ops pending appends them and waits for an fsync that
+// covers them.
 const commitOps = 16
 
 // KeyVersion is the maintenance message flowing projector → router →
@@ -45,11 +42,12 @@ type KeyVersion struct {
 }
 
 // logFile is what a standard-mode partition needs of its maintenance
-// log: an *os.File.
+// log: a *storage.VBFile opened without syncOnWrite.
 type logFile interface {
-	Write([]byte) (int, error)
+	Append(recs []storage.Record, waited ...bool) error
 	Sync() error
 	Close() error
+	Remove() error
 }
 
 // Indexer maintains one partition of one index — "the indexer
@@ -70,26 +68,15 @@ type Indexer struct {
 	closed  bool
 
 	// Standard mode: the append-only maintenance log (real disk I/O on
-	// the maintenance path, as with the on-disk index of 4.1). Records
-	// are written through logW under mu; the fsync that commits them
-	// runs outside it (commit).
-	log  logFile
-	logW *bufio.Writer
-	rec  []byte // one encoded record, reused
-	// logErr is the log's first error. It is sticky: nothing is written
-	// or synced after it, and the tree keeps serving from memory.
-	logErr error
-	// pendingOps counts the ops written since the last flush; flushedOps
-	// and syncedOps the ops flushed and made durable since the log
-	// opened, so an fsync of everything flushed covers every op up to
-	// flushedOps.
-	pendingOps            int
-	flushedOps, syncedOps uint64
-	// syncing is set while an fsync runs; syncEnd is broadcast when it
-	// ends, and lastSyncOps is the ops the last one made durable.
-	syncing     bool
-	syncEnd     *sync.Cond
-	lastSyncOps uint64
+	// the maintenance path, as with the on-disk index of 4.1), nil once
+	// it has failed. Logged ops gather in recs, their values in vals,
+	// and are appended under mu; the fsync that commits them runs
+	// outside it (Apply). compactMu is held while a call compacts the
+	// log.
+	log       logFile
+	recs      []storage.Record
+	vals      []byte
+	compactMu sync.Mutex
 }
 
 // NewStandaloneIndexer compiles def and creates a single-partition
@@ -104,7 +91,8 @@ func NewStandaloneIndexer(def Def, logPath string) (*Indexer, error) {
 }
 
 // NewIndexer creates a partition indexer. logPath is required for
-// Standard mode and ignored for MemoryOptimized.
+// Standard mode and ignored for MemoryOptimized. A standard-mode
+// partition starts its log afresh: nothing reads a leftover one back.
 func NewIndexer(cd *compiledDef, part int, logPath string) (*Indexer, error) {
 	ix := &Indexer{
 		def:     cd,
@@ -112,24 +100,27 @@ func NewIndexer(cd *compiledDef, part int, logPath string) (*Indexer, error) {
 		tree:    NewTree(nil),
 		lastSeq: make(map[int]map[string]uint64),
 	}
-	ix.syncEnd = sync.NewCond(&ix.mu)
 	if cd.Mode == Standard {
-		f, err := os.OpenFile(logPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+		if err := os.Remove(logPath); err != nil && !os.IsNotExist(err) {
+			return nil, err
+		}
+		f, err := storage.Open(logPath, false)
 		if err != nil {
 			return nil, err
 		}
 		ix.log = f
-		ix.logW = bufio.NewWriter(f)
 	}
 	return ix, nil
 }
 
 // Apply installs key versions, all under one hold of the partition's
 // lock; each vBucket's versions arrive in seqno order. Once commitOps
-// logged ops are pending, the call flushes them and, with the lock
-// released, waits for an fsync covering them: the standard (4.1) mode's
-// disk dependence that §6.1.1's memory-optimized indexes remove. One
-// fsync covers every flush made before it, whichever caller made it.
+// logged ops are pending, the call appends them, under the lock so that
+// a document's newest record is its last in the file, and with the lock
+// released waits for an fsync covering them: the standard (4.1) mode's
+// disk dependence that §6.1.1's memory-optimized indexes remove. The
+// log's group commit lets one fsync cover every append made before it,
+// whichever caller made it.
 func (ix *Indexer) Apply(kvs ...KeyVersion) {
 	ix.mu.Lock()
 	if ix.closed {
@@ -150,106 +141,92 @@ func (ix *Indexer) Apply(kvs ...KeyVersion) {
 		}
 		applied++
 		guards[kv.DocID] = kv.Seqno
-		if ix.tree.Replace(kv.VB, kv.DocID, kv.Entries, nil) && ix.logW != nil {
-			ix.appendLogLocked(kv)
+		if ix.tree.Replace(kv.VB, kv.DocID, kv.Entries, nil) && ix.log != nil {
+			ix.logLocked(kv)
 		}
 	}
 	mIndexed.Add(uint64(applied))
-	if ix.pendingOps < commitOps {
+	log, ops := ix.log, len(ix.recs)
+	if ops < commitOps {
 		ix.mu.Unlock()
 		return
 	}
-	ix.flushLocked()
-	gen := ix.flushedOps
+	err := log.Append(ix.recs)
+	ix.recs, ix.vals = ix.recs[:0], ix.vals[:0]
 	ix.mu.Unlock()
+	if err != nil {
+		ix.dropLog(log, err)
+		return
+	}
 
 	var spans []*trace.Span
 	for i := range kvs {
 		if sp := kvs[i].Trace.StartSpan("gsi:commit"); sp != nil {
 			sp.Annotate("index", ix.def.Name)
+			sp.Annotate("ops", strconv.Itoa(ops))
 			spans = append(spans, sp)
 		}
 	}
-	ops := strconv.FormatUint(ix.commit(gen), 10)
+	err = log.Sync()
 	for _, sp := range spans {
-		sp.Annotate("ops", ops)
 		sp.End()
 	}
-}
-
-// appendLogLocked writes the maintenance op to the disk log's buffer.
-func (ix *Indexer) appendLogLocked(kv *KeyVersion) {
-	if ix.logErr != nil {
+	if err != nil {
+		ix.dropLog(log, err)
 		return
 	}
-	b := binary.LittleEndian.AppendUint64(ix.rec[:0], kv.Seqno)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(kv.DocID)))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(kv.Entries)))
-	b = append(b, kv.DocID...)
+	ix.compact(log)
+}
+
+// logLocked gathers kv's log record: the document, its version's seqno
+// and vBucket, and its entries, each collation-encoded behind its
+// length. A version without entries is a deletion.
+func (ix *Indexer) logLocked(kv *KeyVersion) {
+	start := len(ix.vals)
 	for _, sec := range kv.Entries {
 		enc := value.EncodeKey(sec)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(enc)))
-		b = append(b, enc...)
+		ix.vals = binary.LittleEndian.AppendUint32(ix.vals, uint32(len(enc)))
+		ix.vals = append(ix.vals, enc...)
 	}
-	ix.rec = b
-	if _, err := ix.logW.Write(b); err != nil {
-		ix.failLocked(err)
-		return
-	}
-	ix.pendingOps++
+	ix.recs = append(ix.recs, storage.Record{
+		Meta:  storage.Meta{Key: kv.DocID, Seqno: kv.Seqno, Flags: uint32(kv.VB), Deleted: len(kv.Entries) == 0},
+		Value: ix.vals[start:],
+	})
 }
 
-// flushLocked hands the pending ops to the file (the write syscall).
-func (ix *Indexer) flushLocked() {
-	if ix.logErr != nil {
+// compact rewrites log, outside mu, when storage finds it worth
+// compacting and no other call is compacting it.
+func (ix *Indexer) compact(log logFile) {
+	f, ok := log.(*storage.VBFile)
+	if !ok || !f.Stats().WorthCompacting() || !ix.compactMu.TryLock() {
 		return
 	}
-	if err := ix.logW.Flush(); err != nil {
-		ix.failLocked(err)
-		return
+	defer ix.compactMu.Unlock()
+	if err := f.Compact(); err != nil {
+		ix.dropLog(log, err)
 	}
-	ix.flushedOps += uint64(ix.pendingOps)
-	ix.pendingOps = 0
 }
 
-// commit waits until an fsync covers the first gen flushed ops and
-// returns how many ops that fsync made durable. When no fsync in flight
-// will cover them, the caller leads one: it syncs everything flushed so
-// far, outside mu, so every drain that flushed while the previous fsync
-// ran rides the next one.
-func (ix *Indexer) commit(gen uint64) uint64 {
+// dropLog detaches log after its first error and deletes it, since a
+// log with a gap must not outlive it, and the partition serves from its
+// tree, unlogged. A log already detached, by Close or by another call,
+// reports nothing: its Sync returning storage.ErrClosed is shutdown,
+// not failure.
+func (ix *Indexer) dropLog(log logFile, err error) {
 	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for ix.syncedOps < gen && ix.logErr == nil && !ix.closed {
-		if ix.syncing {
-			ix.syncEnd.Wait()
-			continue
-		}
-		from, target := ix.syncedOps, ix.flushedOps
-		ix.syncing = true
-		ix.mu.Unlock()
-		err := ix.log.Sync()
-		ix.mu.Lock()
-		ix.syncing = false
-		ix.syncEnd.Broadcast()
-		mLogSyncs.Inc()
-		if err != nil {
-			ix.failLocked(err)
-			break
-		}
-		ix.syncedOps, ix.lastSyncOps = target, target-from
-		mOpsPerSync.ObserveValue(ix.lastSyncOps)
+	mine := ix.log == log
+	if mine {
+		ix.log, ix.recs, ix.vals = nil, nil, nil
 	}
-	return ix.lastSyncOps
+	ix.mu.Unlock()
+	if mine {
+		ix.fail(errors.Join(err, log.Remove()))
+	}
 }
 
-// failLocked makes err the partition's sticky log error, counts it and
-// journals it once.
-func (ix *Indexer) failLocked(err error) {
-	if ix.logErr != nil {
-		return
-	}
-	ix.logErr, ix.pendingOps = err, 0
+// fail counts and journals the failure of a log its caller detached, so
+// it is reported once.
+func (ix *Indexer) fail(err error) {
 	mLogErrors.Inc()
 	e := events.New(events.FeedEvent, events.SevWarn, "gsi maintenance log failed: partition serves from memory, unlogged")
 	e.Service = "gsi"
@@ -288,23 +265,28 @@ func (ix *Indexer) Scan(_ context.Context, opts ScanOptions) ([]ScanItem, error)
 	return ix.tree.Scan(opts), nil
 }
 
-// Close flushes the log, waits out an fsync in flight and closes the
-// file. Apply does nothing after Close.
-func (ix *Indexer) Close() {
+// Close ends the partition at shutdown: it appends the pending ops and
+// closes the log, keeping the file. Apply does nothing after Close.
+func (ix *Indexer) Close() { ix.close(true) }
+
+// close ends the partition, keeping its log's file or deleting it (DROP
+// INDEX, a failed CREATE INDEX). Closing the log waits out a Sync or
+// compaction in flight.
+func (ix *Indexer) close(keep bool) {
 	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.closed {
+	log, recs := ix.log, ix.recs
+	ix.closed, ix.log, ix.recs, ix.vals = true, nil, nil, nil
+	ix.mu.Unlock()
+	if log == nil {
 		return
 	}
-	ix.closed = true
-	if ix.log == nil {
-		return
+	var err error
+	if keep {
+		err = errors.Join(log.Append(recs), log.Close())
+	} else {
+		err = log.Remove()
 	}
-	ix.flushLocked()
-	for ix.syncing {
-		ix.syncEnd.Wait()
-	}
-	if err := ix.log.Close(); err != nil {
-		ix.failLocked(err)
+	if err != nil {
+		ix.fail(err)
 	}
 }

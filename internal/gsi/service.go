@@ -3,6 +3,7 @@ package gsi
 import (
 	"context"
 	"fmt"
+	"net/url"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -84,9 +85,11 @@ func (s *Service) CreateIndex(def Def) error {
 	}
 	st := &indexState{cd: cd}
 	for p := 0; p < cd.NumPartitions; p++ {
-		logPath := filepath.Join(s.dir, fmt.Sprintf("idx_%s_%s_p%d.log", sanitize(def.Keyspace), sanitize(def.Name), p))
-		ix, err := NewIndexer(cd, p, logPath)
+		ix, err := NewIndexer(cd, p, filepath.Join(s.dir, logName(def.Keyspace, def.Name, p)))
 		if err != nil {
+			for _, ix := range st.parts {
+				ix.close(false)
+			}
 			return err
 		}
 		st.parts = append(st.parts, ix)
@@ -122,15 +125,10 @@ func (s *Service) catalogChangedLocked() {
 	}
 }
 
-func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		if r == '/' || r == '\\' || r == ':' {
-			r = '_'
-		}
-		out = append(out, r)
-	}
-	return string(out)
+// logName names a partition's log, one to one in (keyspace, name,
+// partition): an escaped name has no '@', and the partition ends it.
+func logName(keyspace, name string, part int) string {
+	return fmt.Sprintf("idx_%s@%s_p%d.log", url.QueryEscape(keyspace), url.QueryEscape(name), part)
 }
 
 // BuildIndex builds a deferred index (§3.3.3's {"defer_build": true}):
@@ -155,7 +153,7 @@ func (s *Service) BuildIndex(keyspace, name string) error {
 	return nil
 }
 
-// DropIndex removes an index.
+// DropIndex removes an index and deletes its partitions' logs.
 func (s *Service) DropIndex(keyspace, name string) error {
 	s.mu.Lock()
 	st, ok := s.indexes[indexKey(keyspace, name)]
@@ -166,7 +164,7 @@ func (s *Service) DropIndex(keyspace, name string) error {
 		return ErrNoSuchIndex
 	}
 	for _, p := range st.parts {
-		p.Close()
+		p.close(false)
 	}
 	return nil
 }
@@ -428,7 +426,8 @@ func (s *Service) FeedStats(keyspace string) []feed.Stat {
 	return p.FeedStats()
 }
 
-// Close shuts down every projector feed and every indexer.
+// Close shuts down every projector feed and every indexer, keeping the
+// indexes' logs.
 func (s *Service) Close() {
 	s.mu.Lock()
 	states := s.indexes

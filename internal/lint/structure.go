@@ -129,6 +129,12 @@ var structureRows = []row{
 	{form: methodSet, subj: under("n1ql", "*"), typ: internal + "n1ql.Expr", list: []string{"String", "eval"},
 		why: "an expression runs only through eval"},
 	{form: absent, subj: under("n1ql", "Eval?*", "[A-Z]*Eval*"), why: "Eval is the only exported evaluator"},
+	// One commit path: an fsync is storage's (a file's group-commit
+	// leader, a compaction's rewrite, a device round); cbtop flushes its
+	// terminal.
+	{form: onlyFrom, subj: []string{"os.File.Sync"},
+		list: append(under("storage", "VBFile.syncTo", "VBFile.compactSwap", "Syncer.Sync"), ModulePath+"/cmd/cbtop.main"),
+		why:  "a log commits through storage.VBFile"},
 	// One load generator: couchbench.
 	{form: absent, subj: []string{"ycsb", "*[Zz][Ii][Pp][Ff]*"}, list: bench, why: "couchbench is the load generator"},
 	{form: onlyFrom, subj: []string{"math/rand.NewZipf", "math/rand/v2.NewZipf"}, list: []string{bench[0] + ".*"},

@@ -81,12 +81,23 @@ func (s *Stream) pump() { go func() {}() } // want: structure structure
 	{name: "feed", path: internal + "feed", src: "package feed\n\ntype Feed struct{}\n\nfunc (f *Feed) drain() {}\n"},
 	{name: "gsi", path: internal + "gsi", src: `package gsi
 
+import "os"
+
 type ScanOptions struct{ Low, High, EqualKey []any; LowIncl, HighIncl, HasEqual bool }
 type Projector struct{}
 
 func scanBounds(o ScanOptions) bool { return o.LowIncl || o.HasEqual }; func (p *Projector) backfillIndex() {}
 func low(o ScanOptions) []any { return o.Low } // want: structure
 func waitFor() {} // want: structure
+func commit(f *os.File) error { return f.Sync() } // want: structure
+`},
+	{name: "storage", path: internal + "storage", src: `package storage
+
+import "os"
+
+type VBFile struct{ f *os.File }
+
+func (v *VBFile) syncTo() error { return v.f.Sync() }
 `},
 	{name: "vbucket", path: internal + "vbucket", src: `package vbucket
 

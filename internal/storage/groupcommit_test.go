@@ -388,3 +388,69 @@ func BenchmarkWaitedAppendBesideARound(b *testing.B) {
 		})
 	}
 }
+
+// TestCloseWaitsForTheFsync: a file closed (a GSI partition's shutdown
+// or DROP INDEX) while a Sync's fsync is in flight closes the
+// descriptor only after that fsync returns, so the fsync succeeds on an
+// open file. A Sync that Close overtook is ErrClosed.
+func TestCloseWaitsForTheFsync(t *testing.T) {
+	v, err := Open(filepath.Join(t.TempDir(), "idx.log"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Append([]Record{rec("a", 1, "v")}); err != nil {
+		t.Fatal(err)
+	}
+	// Pose as a device round in flight, so the Sync's leader fsync
+	// queues behind it.
+	s := NewSyncer()
+	s.syncing = true
+	v.syncer = s
+	synced := make(chan error, 1)
+	go func() { synced <- v.Sync() }()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		queued := len(s.pending)
+		s.mu.Unlock()
+		if queued == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the Sync never reached its fsync")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- v.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while the fsync was in flight", err)
+	case <-time.After(30 * time.Millisecond):
+	}
+	s.mu.Lock()
+	s.syncing = false
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	if err := <-synced; err != nil {
+		t.Errorf("the fsync in flight: %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Errorf("Close: %v", err)
+	}
+
+	// A batch Close overtook never becomes durable: its Sync says so.
+	w, err := Open(filepath.Join(t.TempDir(), "idx.log"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]Record{rec("a", 1, "v")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != ErrClosed {
+		t.Errorf("Sync of a batch appended before Close = %v, want ErrClosed", err)
+	}
+}

@@ -12,6 +12,9 @@
 // record, and truncates the tail — the contract the asynchronous write
 // path relies on: a crash loses only unflushed (still-in-memory)
 // mutations, never corrupts flushed ones.
+//
+// A file also holds a standard-mode GSI partition's maintenance log: a
+// record per document, its vBucket in Flags, committed with Sync.
 package storage
 
 import (
@@ -360,6 +363,16 @@ func (v *VBFile) Append(recs []Record, waited ...bool) error {
 	return nil
 }
 
+// Sync makes every batch appended before it durable, leading or riding
+// the group commit as an unwaited durable Append does: the commit of a
+// file opened without syncOnWrite (a GSI partition's log).
+func (v *VBFile) Sync() error {
+	v.mu.Lock()
+	seq := v.appendSeq
+	v.mu.Unlock()
+	return v.syncTo(seq, false)
+}
+
 // syncTo blocks until the durable watermark covers append batch seq,
 // joining or leading a group commit. At most one fsync per file is in
 // flight; every caller that arrives while it runs waits, and when it
@@ -632,13 +645,17 @@ func (v *VBFile) Stats() Stats {
 
 // Fragmentation returns the fraction of the file occupied by stale
 // record versions, the paper's compaction trigger metric.
-func (v *VBFile) Fragmentation() float64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.fileBytes == 0 {
+func (s Stats) Fragmentation() float64 {
+	if s.FileBytes == 0 {
 		return 0
 	}
-	return float64(v.fileBytes-v.liveBytes) / float64(v.fileBytes)
+	return float64(s.FileBytes-s.LiveBytes) / float64(s.FileBytes)
+}
+
+// WorthCompacting is the one compaction rule (§4.3.3's fragmentation
+// threshold): a file over 64 KiB, more than half stale versions.
+func (s Stats) WorthCompacting() bool {
+	return s.FileBytes > 64<<10 && s.Fragmentation() > 0.5
 }
 
 // Compact rewrites the file keeping only the newest version of each key

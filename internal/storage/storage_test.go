@@ -54,7 +54,7 @@ func TestNewestVersionWins(t *testing.T) {
 	if st.Items != 1 || st.HighSeqno != 2 {
 		t.Errorf("stats: %+v", st)
 	}
-	if v.Fragmentation() <= 0 {
+	if v.Stats().Fragmentation() <= 0 {
 		t.Error("overwrite should create fragmentation")
 	}
 }
@@ -219,7 +219,7 @@ func TestCompactReclaimsSpaceAndPreservesData(t *testing.T) {
 	v.Append([]Record{del})
 
 	before := v.Stats()
-	frag := v.Fragmentation()
+	frag := v.Stats().Fragmentation()
 	if frag < 0.5 {
 		t.Fatalf("expected heavy fragmentation, got %v", frag)
 	}
@@ -230,8 +230,8 @@ func TestCompactReclaimsSpaceAndPreservesData(t *testing.T) {
 	if after.FileBytes >= before.FileBytes {
 		t.Errorf("compaction did not shrink file: %d -> %d", before.FileBytes, after.FileBytes)
 	}
-	if v.Fragmentation() != 0 {
-		t.Errorf("fragmentation after compact = %v", v.Fragmentation())
+	if v.Stats().Fragmentation() != 0 {
+		t.Errorf("fragmentation after compact = %v", v.Stats().Fragmentation())
 	}
 	// All latest values survive.
 	for i := 1; i < 10; i++ {

@@ -189,7 +189,7 @@ func TestFlusherDedupsBatch(t *testing.T) {
 	if st.Items != 1 {
 		t.Fatalf("items = %d", st.Items)
 	}
-	if frag := f.Fragmentation(); frag > 0.9 {
+	if frag := f.Stats().Fragmentation(); frag > 0.9 {
 		t.Errorf("aggregation ineffective: frag %v", frag)
 	}
 	rec, _ := f.Get("hot")
