@@ -79,7 +79,7 @@ bench-smoke:
 	go test -run='^$$' -bench='BenchmarkWaitedAppendBesideARound' -benchmem -benchtime=500x ./internal/storage
 	go test -run='^$$' -bench='BenchmarkWorkloadEQuery' -benchmem -benchtime=1000x -cpu 1,2 ./internal/core
 	go test -run='^$$' -bench='BenchmarkTreeScan' -benchmem -benchtime=500000x -cpu 1,2 ./internal/gsi
-	go test -run='^$$' -bench='BenchmarkRoute' -benchmem -benchtime=20000x ./internal/gsi
+	go test -run='^$$' -bench='BenchmarkRoute|BenchmarkPrimaryMaintain' -benchmem -benchtime=20000x ./internal/gsi
 	go test -run='^$$' -bench='BenchmarkSetAfterlife' -benchmem -benchtime=200000x ./internal/core
 	go test -run='^$$' -bench='BenchmarkClientGet|BenchmarkClientSet' -benchmem -benchtime=1000000x -cpu 1,2 ./internal/core
 	go test -run='^$$' -bench='BenchmarkDGMRead' -benchmem -benchtime=500000x -cpu 2 ./internal/core

@@ -1,6 +1,9 @@
 // Package btree implements the ordered index structure shared by the
 // view engine and the GSI indexer: an in-memory B+tree over
-// collation-encoded byte keys.
+// collation-encoded byte keys, generic over its value. A leaf holds its
+// values inline, so a tree of structs (gsi.Tree's ScanItem) keeps no
+// object per entry but its key, and a reader takes a value without a
+// type assertion.
 //
 // Its distinguishing feature reproduces the paper's view-index design
 // (§4.3.3): "A key characteristic of a view index is that it stores the
@@ -11,7 +14,10 @@
 // O(log n) by combining whole-subtree annotations.
 package btree
 
-import "bytes"
+import (
+	"bytes"
+	"slices"
+)
 
 const (
 	maxItems = 32 // max entries per leaf / children per interior node
@@ -23,114 +29,118 @@ const (
 // Reducer holds no state: gsi.Tree calls ReduceRange under a read lock
 // it shares, so Map and Merge run on several goroutines at once (every
 // reducer in internal/views is an empty struct).
-type Reducer interface {
-	Map(key []byte, val any) any
+type Reducer[V any] interface {
+	Map(key []byte, val V) any
 	Merge(parts ...any) any
 	Zero() any
 }
 
-// Tree is a B+tree mapping unique byte keys to values. The zero-value
-// Tree is not usable; call New. It has no lock of its own: reads change
-// nothing and may share the caller's lock, Set and Delete need it
-// exclusively.
-type Tree struct {
-	root    *node
-	reducer Reducer // nil = no annotations maintained
+// Tree is a B+tree mapping unique byte keys to values of type V. The
+// zero-value Tree is not usable; call New. It has no lock of its own:
+// reads change nothing and may share the caller's lock, Set and Delete
+// need it exclusively.
+type Tree[V any] struct {
+	root    *node[V]
+	reducer Reducer[V] // nil = no annotations maintained
 }
 
-type node struct {
+type node[V any] struct {
 	leaf     bool
 	keys     [][]byte
-	vals     []any   // leaf entries
-	children []*node // interior children
-	reduce   any     // annotation over the whole subtree
+	vals     []V        // leaf entries, inline
+	children []*node[V] // interior children
+	reduce   any        // annotation over the whole subtree
 }
 
 // New creates an empty tree. reducer may be nil when range-reduce
 // queries are not needed (plain GSI indexes).
-func New(reducer Reducer) *Tree {
-	return &Tree{root: &node{leaf: true}, reducer: reducer}
+func New[V any](reducer Reducer[V]) *Tree[V] {
+	return &Tree[V]{root: &node[V]{leaf: true}, reducer: reducer}
 }
 
 // Get returns the value for key.
-func (t *Tree) Get(key []byte) (any, bool) {
+func (t *Tree[V]) Get(key []byte) (V, bool) {
 	n := t.root
 	for !n.leaf {
-		n = n.children[childIndex(n, key)]
+		n = n.children[childIndex(n.keys, key)]
 	}
-	i, ok := leafIndex(n, key)
+	i, ok := leafIndex(n.keys, key)
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	return n.vals[i], true
 }
 
-// childIndex picks the child to descend into: the last child whose
-// separator key is <= key. Interior layout: children[0], keys[0],
-// children[1], keys[1], ... keys[i] is the smallest key in
-// children[i+1]'s subtree.
-func childIndex(n *node, key []byte) int {
-	i := 0
-	for i < len(n.keys) && bytes.Compare(n.keys[i], key) <= 0 {
-		i++
-	}
-	return i
-}
-
-// leafIndex finds key's position in a leaf (exact or insertion point).
-func leafIndex(n *node, key []byte) (int, bool) {
-	lo, hi := 0, len(n.keys)
+// childIndex picks the child of an interior node with separators keys
+// to descend into: the last child whose separator key is <= key.
+// Interior layout: children[0], keys[0], children[1], keys[1], ...
+// keys[i] is the smallest key in children[i+1]'s subtree.
+func childIndex(keys [][]byte, key []byte) int {
+	lo, hi := 0, len(keys)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if c := bytes.Compare(n.keys[mid], key); c < 0 {
+		mid := int(uint(lo+hi) >> 1)
+		if bytes.Compare(keys[mid], key) <= 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(n.keys) && bytes.Equal(n.keys[lo], key)
+	return lo
 }
 
-// Set inserts or replaces key's value. It reports whether the key was
-// newly inserted.
-func (t *Tree) Set(key []byte, val any) bool {
-	key = append([]byte(nil), key...)
-	inserted, split := t.insert(t.root, key, val)
+// leafIndex finds key's position among a leaf's keys (exact or
+// insertion point).
+func leafIndex(keys [][]byte, key []byte) (int, bool) {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bytes.Compare(keys[mid], key) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(keys) && bytes.Equal(keys[lo], key)
+}
+
+// Set inserts or replaces key's value. It returns the tree's own copy of
+// key, which a caller may keep (read-only) instead of a copy of its own,
+// and reports whether the key was newly inserted.
+func (t *Tree[V]) Set(key []byte, val V) (stored []byte, inserted bool) {
+	stored, inserted, split := t.insert(t.root, key, val)
 	if split != nil {
 		old := t.root
-		t.root = &node{
+		t.root = &node[V]{
 			keys:     [][]byte{split.key},
-			children: []*node{old, split.right},
+			children: []*node[V]{old, split.right},
 		}
 		t.annotate(t.root)
 	}
-	return inserted
+	return stored, inserted
 }
 
-type splitResult struct {
+type splitResult[V any] struct {
 	key   []byte
-	right *node
+	right *node[V]
 }
 
-func (t *Tree) insert(n *node, key []byte, val any) (bool, *splitResult) {
+func (t *Tree[V]) insert(n *node[V], key []byte, val V) ([]byte, bool, *splitResult[V]) {
 	if n.leaf {
-		i, found := leafIndex(n, key)
+		i, found := leafIndex(n.keys, key)
 		if found {
 			n.vals[i] = val
 			t.annotate(n)
-			return false, t.maybeSplit(n)
+			return n.keys[i], false, t.maybeSplit(n)
 		}
-		n.keys = append(n.keys, nil)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		n.vals = append(n.vals, nil)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = val
+		key = append([]byte(nil), key...)
+		n.keys = slices.Insert(n.keys, i, key)
+		n.vals = slices.Insert(n.vals, i, val)
 		t.annotate(n)
-		return true, t.maybeSplit(n)
+		return key, true, t.maybeSplit(n)
 	}
-	ci := childIndex(n, key)
-	inserted, split := t.insert(n.children[ci], key, val)
+	ci := childIndex(n.keys, key)
+	stored, inserted, split := t.insert(n.children[ci], key, val)
 	if split != nil {
 		n.keys = append(n.keys, nil)
 		copy(n.keys[ci+1:], n.keys[ci:])
@@ -140,46 +150,47 @@ func (t *Tree) insert(n *node, key []byte, val any) (bool, *splitResult) {
 		n.children[ci+1] = split.right
 	}
 	t.annotate(n)
-	return inserted, t.maybeSplit(n)
+	return stored, inserted, t.maybeSplit(n)
 }
 
-func (t *Tree) maybeSplit(n *node) *splitResult {
+func (t *Tree[V]) maybeSplit(n *node[V]) *splitResult[V] {
 	if n.leaf {
 		if len(n.keys) <= maxItems {
 			return nil
 		}
 		mid := len(n.keys) / 2
-		right := &node{
+		right := &node[V]{
 			leaf: true,
 			keys: append([][]byte(nil), n.keys[mid:]...),
-			vals: append([]any(nil), n.vals[mid:]...),
+			vals: append([]V(nil), n.vals[mid:]...),
 		}
+		clear(n.vals[mid:]) // the moved values' references live on in right alone
 		n.keys = n.keys[:mid]
 		n.vals = n.vals[:mid]
 		t.annotate(n)
 		t.annotate(right)
-		return &splitResult{key: right.keys[0], right: right}
+		return &splitResult[V]{key: right.keys[0], right: right}
 	}
 	if len(n.children) <= maxItems {
 		return nil
 	}
 	mid := len(n.children) / 2
 	sepKey := n.keys[mid-1]
-	right := &node{
+	right := &node[V]{
 		keys:     append([][]byte(nil), n.keys[mid:]...),
-		children: append([]*node(nil), n.children[mid:]...),
+		children: append([]*node[V](nil), n.children[mid:]...),
 	}
 	n.keys = n.keys[:mid-1]
 	n.children = n.children[:mid]
 	t.annotate(n)
 	t.annotate(right)
-	return &splitResult{key: sepKey, right: right}
+	return &splitResult[V]{key: sepKey, right: right}
 }
 
 // Delete removes key, reporting whether it existed. Underflowed nodes
 // are not rebalanced (empty ones are removed); the tree stays correct
 // and, under the steady churn of index maintenance, acceptably shallow.
-func (t *Tree) Delete(key []byte) bool {
+func (t *Tree[V]) Delete(key []byte) bool {
 	deleted := t.del(t.root, key)
 	// Collapse a root with a single child.
 	for !t.root.leaf && len(t.root.children) == 1 {
@@ -188,18 +199,18 @@ func (t *Tree) Delete(key []byte) bool {
 	return deleted
 }
 
-func (t *Tree) del(n *node, key []byte) bool {
+func (t *Tree[V]) del(n *node[V], key []byte) bool {
 	if n.leaf {
-		i, found := leafIndex(n, key)
+		i, found := leafIndex(n.keys, key)
 		if !found {
 			return false
 		}
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
+		n.keys = slices.Delete(n.keys, i, i+1)
+		n.vals = slices.Delete(n.vals, i, i+1)
 		t.annotate(n)
 		return true
 	}
-	ci := childIndex(n, key)
+	ci := childIndex(n.keys, key)
 	deleted := t.del(n.children[ci], key)
 	if deleted {
 		child := n.children[ci]
@@ -217,7 +228,7 @@ func (t *Tree) del(n *node, key []byte) bool {
 	return deleted
 }
 
-func (t *Tree) annotate(n *node) {
+func (t *Tree[V]) annotate(n *node[V]) {
 	if t.reducer == nil {
 		return
 	}
@@ -238,15 +249,15 @@ func (t *Tree) annotate(n *node) {
 
 // Ascend visits entries with lo <= key < hi in order (nil = unbounded).
 // Return false from fn to stop.
-func (t *Tree) Ascend(lo, hi []byte, fn func(key []byte, val any) bool) {
+func (t *Tree[V]) Ascend(lo, hi []byte, fn func(key []byte, val V) bool) {
 	t.ascend(t.root, lo, hi, fn)
 }
 
-func (t *Tree) ascend(n *node, lo, hi []byte, fn func([]byte, any) bool) bool {
+func (t *Tree[V]) ascend(n *node[V], lo, hi []byte, fn func([]byte, V) bool) bool {
 	if n.leaf {
 		start := 0
 		if lo != nil {
-			start, _ = leafIndex(n, lo)
+			start, _ = leafIndex(n.keys, lo)
 		}
 		for i := start; i < len(n.keys); i++ {
 			if hi != nil && bytes.Compare(n.keys[i], hi) >= 0 {
@@ -260,7 +271,7 @@ func (t *Tree) ascend(n *node, lo, hi []byte, fn func([]byte, any) bool) bool {
 	}
 	start := 0
 	if lo != nil {
-		start = childIndex(n, lo)
+		start = childIndex(n.keys, lo)
 	}
 	for i := start; i < len(n.children); i++ {
 		if hi != nil && i > 0 && bytes.Compare(n.keys[i-1], hi) >= 0 {
@@ -275,15 +286,15 @@ func (t *Tree) ascend(n *node, lo, hi []byte, fn func([]byte, any) bool) bool {
 }
 
 // Descend visits entries with lo <= key < hi in reverse order.
-func (t *Tree) Descend(lo, hi []byte, fn func(key []byte, val any) bool) {
+func (t *Tree[V]) Descend(lo, hi []byte, fn func(key []byte, val V) bool) {
 	t.descend(t.root, lo, hi, fn)
 }
 
-func (t *Tree) descend(n *node, lo, hi []byte, fn func([]byte, any) bool) bool {
+func (t *Tree[V]) descend(n *node[V], lo, hi []byte, fn func([]byte, V) bool) bool {
 	if n.leaf {
 		end := len(n.keys)
 		if hi != nil {
-			end, _ = leafIndex(n, hi)
+			end, _ = leafIndex(n.keys, hi)
 		}
 		for i := end - 1; i >= 0; i-- {
 			if lo != nil && bytes.Compare(n.keys[i], lo) < 0 {
@@ -297,7 +308,7 @@ func (t *Tree) descend(n *node, lo, hi []byte, fn func([]byte, any) bool) bool {
 	}
 	end := len(n.children) - 1
 	if hi != nil {
-		end = childIndex(n, hi)
+		end = childIndex(n.keys, hi)
 	}
 	for i := end; i >= 0; i-- {
 		if !t.descend(n.children[i], lo, hi, fn) {
@@ -314,14 +325,14 @@ func (t *Tree) descend(n *node, lo, hi []byte, fn func([]byte, any) bool) bool {
 // ReduceRange aggregates entries with lo <= key < hi (nil = unbounded)
 // in O(log n): whole subtrees inside the range contribute their stored
 // annotation; only the range edges descend to leaves.
-func (t *Tree) ReduceRange(lo, hi []byte) any {
+func (t *Tree[V]) ReduceRange(lo, hi []byte) any {
 	if t.reducer == nil {
 		return nil
 	}
 	return t.reduceRange(t.root, lo, hi)
 }
 
-func (t *Tree) reduceRange(n *node, lo, hi []byte) any {
+func (t *Tree[V]) reduceRange(n *node[V], lo, hi []byte) any {
 	if n.leaf {
 		var parts []any
 		for i := range n.keys {

@@ -42,21 +42,21 @@ func (sumReducer) Zero() any { return 0.0 }
 func key(i int) []byte { return []byte(fmt.Sprintf("key%06d", i)) }
 
 // size counts the tree's entries.
-func size(tr *Tree) int {
+func size(tr *Tree[any]) int {
 	n := 0
 	tr.Ascend(nil, nil, func([]byte, any) bool { n++; return true })
 	return n
 }
 
 func TestSetGetDelete(t *testing.T) {
-	tr := New(nil)
+	tr := New[any](nil)
 	if _, ok := tr.Get(key(1)); ok {
 		t.Fatal("empty tree Get")
 	}
-	if !tr.Set(key(1), "a") {
+	if _, inserted := tr.Set(key(1), "a"); !inserted {
 		t.Fatal("first Set should insert")
 	}
-	if tr.Set(key(1), "b") {
+	if _, inserted := tr.Set(key(1), "b"); inserted {
 		t.Fatal("second Set should replace")
 	}
 	v, ok := tr.Get(key(1))
@@ -78,7 +78,7 @@ func TestSetGetDelete(t *testing.T) {
 }
 
 func TestLargeOrderedInsertAndScan(t *testing.T) {
-	tr := New(nil)
+	tr := New[any](nil)
 	const n = 5000
 	for i := 0; i < n; i++ {
 		tr.Set(key(i), float64(i))
@@ -107,7 +107,7 @@ func TestLargeOrderedInsertAndScan(t *testing.T) {
 }
 
 func TestRandomInsertDeleteAgainstModel(t *testing.T) {
-	tr := New(countReducer{})
+	tr := New[any](countReducer{})
 	model := map[string]float64{}
 	r := rand.New(rand.NewSource(7))
 	for op := 0; op < 20000; op++ {
@@ -150,7 +150,7 @@ func TestRandomInsertDeleteAgainstModel(t *testing.T) {
 }
 
 func TestAscendRange(t *testing.T) {
-	tr := New(nil)
+	tr := New[any](nil)
 	for i := 0; i < 100; i++ {
 		tr.Set(key(i), i)
 	}
@@ -183,7 +183,7 @@ func TestAscendRange(t *testing.T) {
 }
 
 func TestDescend(t *testing.T) {
-	tr := New(nil)
+	tr := New[any](nil)
 	for i := 0; i < 100; i++ {
 		tr.Set(key(i), i)
 	}
@@ -208,7 +208,7 @@ func TestDescend(t *testing.T) {
 // both position on the near bound once, in the first leaf they reach,
 // and walk every later leaf from its edge.
 func TestBoundedWalksAgainstModel(t *testing.T) {
-	tr := New(nil)
+	tr := New[any](nil)
 	present := map[int]bool{}
 	r := rand.New(rand.NewSource(11))
 	for op := 0; op < 30000; op++ {
@@ -250,7 +250,7 @@ func TestBoundedWalksAgainstModel(t *testing.T) {
 }
 
 func TestReduceRangeMatchesScan(t *testing.T) {
-	tr := New(sumReducer{})
+	tr := New[any](sumReducer{})
 	r := rand.New(rand.NewSource(11))
 	vals := map[int]float64{}
 	for i := 0; i < 3000; i++ {
@@ -303,7 +303,7 @@ func TestReduceRangeMatchesScan(t *testing.T) {
 }
 
 func TestReduceAllEmptyTree(t *testing.T) {
-	tr := New(countReducer{})
+	tr := New[any](countReducer{})
 	if got := tr.ReduceRange(nil, nil).(float64); got != 0 {
 		t.Fatalf("empty ReduceRange = %v", got)
 	}
@@ -311,14 +311,14 @@ func TestReduceAllEmptyTree(t *testing.T) {
 		t.Fatalf("empty bounded ReduceRange = %v", got)
 	}
 	// Tree without reducer returns nil.
-	if New(nil).ReduceRange(nil, nil) != nil {
+	if New[any](nil).ReduceRange(nil, nil) != nil {
 		t.Fatal("nil reducer should yield nil")
 	}
 }
 
 func TestQuickTreeMatchesSortedMap(t *testing.T) {
 	f := func(ops []uint16) bool {
-		tr := New(countReducer{})
+		tr := New[any](countReducer{})
 		model := map[string]bool{}
 		for _, op := range ops {
 			k := key(int(op % 500))
@@ -355,11 +355,29 @@ func TestQuickTreeMatchesSortedMap(t *testing.T) {
 }
 
 func TestKeysAreCopied(t *testing.T) {
-	tr := New(nil)
+	tr := New[any](nil)
 	k := []byte("mutable")
 	tr.Set(k, 1)
 	k[0] = 'X'
 	if _, ok := tr.Get([]byte("mutable")); !ok {
 		t.Fatal("tree must copy keys on insert")
+	}
+}
+
+// TestSetReturnsItsCopy: Set hands back the key it stored, the one copy
+// a caller may keep instead of its own, and a Set of a key already there
+// hands back the first copy and copies nothing.
+func TestSetReturnsItsCopy(t *testing.T) {
+	tr := New[any](nil)
+	k := []byte("mutable")
+	stored, _ := tr.Set(k, 1)
+	if !bytes.Equal(stored, k) || &stored[0] == &k[0] {
+		t.Fatalf("Set returned %q at the caller's address %v", stored, &stored[0] == &k[0])
+	}
+	if again, inserted := tr.Set([]byte("mutable"), 2); inserted || &again[0] != &stored[0] {
+		t.Fatalf("replacing Set: inserted %v, same copy %v", inserted, &again[0] == &stored[0])
+	}
+	if n := testing.AllocsPerRun(100, func() { tr.Set(k, 3) }); n != 0 {
+		t.Errorf("replacing a value allocates %.0f", n)
 	}
 }

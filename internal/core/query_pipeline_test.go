@@ -105,20 +105,22 @@ const pointLookup = "SELECT meta().id AS id FROM `default` WHERE meta().id = $1"
 // (the span holds more than LIMIT entries, so rows = LIMIT) and a point
 // lookup without a LIMIT, where what is allocated must follow the one
 // row found and not the 1024 entries asked for (a page with room for
-// 1024 is 57 KB). Measured at this commit: 25, 123 and 223 allocations
-// and 1.6, 28.6 and 55.7 KB for workload E, 27 and 1.6 KB for the point
-// lookup, so about 23 allocations per statement (the span, the pipeline,
-// the index's page, which is the scan's buffer and not a copy of it,
-// one slab of slots and one of rows per batch; the plan comes from the
-// cache) and 2 per row (the projected object), and about 1 KB per
-// statement and 545 B per row (336 B of it the projected object, a Go
-// map's first group of 8 slots; 56 B the page's entry). The count
-// budget allows half as much again per statement and two more per row,
-// the boxed document ID a secondary covering index adds; the byte
-// budget allows a tenth more, and is there because a count hides size:
-// when the index grew its page by doubling the count read 131 at LIMIT
-// 50, and those 8 allocations were 5 KB of 33.6. Before rows were slots
-// and plans were cached the count read 119, 517 and 918.
+// 1024 is 57 KB). Measured at this commit: 11, 109 and 209 allocations
+// and 2.0, 24.0 and 46.1 KB for workload E, 12 and 1.9 KB for the point
+// lookup, so about 9 allocations per statement (the executor, its
+// parameters and span, one slab of slots and one batch of rows, the
+// answer; the plan comes from the cache, the index's page is the one
+// the last scan handed back) and 2 per row (the projected object), and
+// about 1.5 KB per statement and 450 B per row (336 B of it the
+// projected object, a Go map's first group of 8 slots; 64 B the row's
+// four slots). The count budget allows half as much again per statement
+// and two more per row, the boxed document ID a secondary covering
+// index adds; the byte budget allows a tenth more, and is there because
+// a count hides size: when the index grew its page by doubling the
+// count read 131 at LIMIT 50, and those 8 allocations were 5 KB of 33.6.
+// Before rows were slots and plans were cached the count read 119, 517
+// and 918; before a row was only its slots, a parameter an ordinal and
+// the page recycled, 123 and 28.6 KB at LIMIT 50.
 func TestWorkloadEAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 20 000 documents")
@@ -141,7 +143,7 @@ func TestWorkloadEAllocBudget(t *testing.T) {
 			}
 		}
 		n := testing.AllocsPerRun(50, query)
-		if budget := float64(39 + 4*tc.rows); n > budget {
+		if budget := float64(14 + 4*tc.rows); n > budget {
 			t.Errorf("%s: %.0f allocations per query, budget %.0f", tc.name, n, budget)
 		} else {
 			t.Logf("%s: %.0f allocations per query (budget %.0f)", tc.name, n, budget)
@@ -160,7 +162,7 @@ func TestWorkloadEAllocBudget(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			b = min(b, (after.TotalAlloc-before.TotalAlloc)/runs)
 		}
-		if budget := uint64(2400 + 590*tc.rows); b > budget {
+		if budget := uint64(1700 + 490*tc.rows); b > budget {
 			t.Errorf("%s: %d bytes allocated per query, budget %d", tc.name, b, budget)
 		} else {
 			t.Logf("%s: %d bytes allocated per query (budget %d)", tc.name, b, budget)

@@ -341,6 +341,7 @@ func (c *Cluster) scanViewIndex(ctx context.Context, b *bucketState, index strin
 	err := c.eachViewNode(b, opts.WaitSeqnos, func(e *views.Engine, wait map[int]uint64) error {
 		nodeOpts := opts
 		nodeOpts.WaitSeqnos = wait
+		nodeOpts.Page = nil // one buffer cannot take every node's page
 		page, err := e.Scan(ctx, viewIndexName(index), nodeOpts)
 		pages = append(pages, page)
 		return err

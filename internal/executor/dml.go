@@ -19,7 +19,7 @@ func ExecuteInsert(ins *planner.InsertPlan, ds Datastore, opts Options) (*Mutati
 	res := &MutationResult{}
 	stars := []planner.Binding{{Name: ins.Keyspace, Slot: n1ql.DocSlot}}
 	pctx := ins.Scope.NewContext(value.Missing, n1ql.Meta{})
-	pctx.Params = opts.Params
+	pctx.BindParams(ins.Scope, opts.Params)
 	for i := range ins.KeyExprs {
 		kv, err := n1ql.Eval(ins.KeyExprs[i], pctx)
 		if err != nil {
@@ -39,7 +39,7 @@ func ExecuteInsert(ins *planner.InsertPlan, ds Datastore, opts Options) (*Mutati
 		res.MutationCount++
 		if len(ins.Returning) > 0 {
 			ctx := ins.Scope.NewContext(doc, n1ql.Meta{ID: key})
-			ctx.Params = opts.Params
+			ctx.BindParams(ins.Scope, opts.Params)
 			out, err := projectTerms(ins.Returning, stars, ctx)
 			if err != nil {
 				return nil, err
@@ -60,10 +60,11 @@ func mutate(mp *planner.MutationPlan, ds Datastore, opts Options, apply func(ctx
 		return nil, err
 	}
 	res := &MutationResult{}
-	ctx := &n1ql.Context{Params: opts.Params}
+	ctx := &n1ql.Context{}
+	ctx.BindParams(mp.Targets.Scope, opts.Params)
 	for _, r := range rows {
-		ctx.Slots = r.slots
-		if ok, err := apply(ctx, r.id); err != nil {
+		ctx.Slots = r
+		if ok, err := apply(ctx, r[n1ql.MetaSlot].(*n1ql.Meta).ID); err != nil {
 			return nil, err
 		} else if !ok {
 			continue

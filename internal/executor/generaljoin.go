@@ -192,11 +192,11 @@ func (ex *selectExec) nestedLoopMatcher(j planner.Join, inner []ScannedDoc) func
 // produces a single result for each left-hand input while its
 // right-hand input is collected into an array and nested". JOIN: one
 // result per matched inner document.
-func appendJoinRows(out []row, r row, j planner.Join, matches []ScannedDoc) []row {
+func appendJoinRows(out [][]any, r []any, j planner.Join, matches []ScannedDoc) [][]any {
 	switch {
 	case len(matches) == 0:
 		if j.Kind == n1ql.JoinLeftOuter {
-			r.slots[j.Slot] = value.Missing
+			r[j.Slot] = value.Missing
 			out = append(out, r)
 		}
 	case j.Nest:
@@ -204,12 +204,12 @@ func appendJoinRows(out []row, r row, j planner.Join, matches []ScannedDoc) []ro
 		for i, d := range matches {
 			docs[i] = d.Doc
 		}
-		r.slots[j.Slot] = docs
+		r[j.Slot] = docs
 		out = append(out, r)
 	default:
 		out = fan(out, r, len(matches))
 		for i := range matches {
-			slots := out[len(out)-len(matches)+i].slots
+			slots := out[len(out)-len(matches)+i]
 			slots[j.Slot], slots[j.MetaSlot] = matches[i].Doc, &matches[i].Meta
 		}
 	}

@@ -1,9 +1,10 @@
 package executor
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,17 +15,13 @@ import (
 	"couchgo/internal/value"
 )
 
-// row is one item flowing through the pipeline.
-type row struct {
-	// id is the document a scan named; Fetch turns it into slots.
-	id string
-	// slots hold the value of every name in the plan's scope, cut from
-	// a slab the producing operator allocates per batch.
-	slots []any
-	// projected and sortKey are filled late in the pipeline.
-	projected any
-	sortKey   []any
-}
+// A row is its slots: the value of every name in the plan's scope, cut
+// from a slab the producing operator allocates per batch. The plan
+// binds a slot for everything a row carries (planner.SelectPlan): the
+// scan writes the cover slots, or the document ID into the row's
+// metadata for Fetch to read; Project writes the result value to Out and
+// the sort keys to SortKeys. An operator that drops rows compacts its
+// batch in place.
 
 // noLimit is the demand of a consumer that needs every row.
 const noLimit = math.MaxInt
@@ -39,12 +36,12 @@ const maxBatch = 1024
 // which may come out shorter or longer. An empty batch means the stage
 // is exhausted. The batch belongs to the caller.
 type operator interface {
-	next(want int) ([]row, error)
+	next(want int) ([][]any, error)
 }
 
 // drain pulls op dry.
-func drain(op operator) ([]row, error) {
-	var all []row
+func drain(op operator) ([][]any, error) {
+	var all [][]any
 	for {
 		batch, err := op.next(noLimit)
 		if err != nil {
@@ -61,46 +58,42 @@ func drain(op operator) ([]row, error) {
 	}
 }
 
-// stream is a streaming operator: each upstream batch goes through fn,
-// and demand passes through unchanged. It pulls again while fn drops a
-// whole batch, so only a dry upstream makes it return empty.
-type stream struct {
-	up operator
-	fn func([]row) ([]row, error)
+// stage runs one of the executor's row functions over its upstream. A
+// streaming stage hands each upstream batch through fn, demand passing
+// through unchanged, and pulls again while fn drops a whole batch, so
+// only a dry upstream makes it return empty. A blocking stage (GROUP
+// BY, a Sort the index does not deliver) needs every upstream row
+// before its first output, which it hands over as one batch.
+type stage struct {
+	ex       *selectExec
+	up       operator
+	fn       func(*selectExec, [][]any) ([][]any, error)
+	blocking bool
+	done     bool
 }
 
-func (s *stream) next(want int) ([]row, error) {
+func (s *stage) next(want int) ([][]any, error) {
+	if s.blocking {
+		if s.done {
+			return nil, nil
+		}
+		s.done = true
+		all, err := drain(s.up)
+		if err != nil {
+			return nil, err
+		}
+		return s.fn(s.ex, all)
+	}
 	for {
 		in, err := s.up.next(want)
 		if err != nil || len(in) == 0 {
 			return nil, err
 		}
-		out, err := s.fn(in)
+		out, err := s.fn(s.ex, in)
 		if err != nil || len(out) > 0 {
 			return out, err
 		}
 	}
-}
-
-// barrier is a blocking operator (GROUP BY, a Sort the index does not
-// deliver): it needs every upstream row before its first output, which
-// it hands over as one batch.
-type barrier struct {
-	up   operator
-	fn   func([]row) ([]row, error)
-	done bool
-}
-
-func (b *barrier) next(int) ([]row, error) {
-	if b.done {
-		return nil, nil
-	}
-	b.done = true
-	all, err := drain(b.up)
-	if err != nil {
-		return nil, err
-	}
-	return b.fn(all)
 }
 
 // limitOp is Offset + Limit, the origin of demand: it asks upstream for
@@ -111,7 +104,7 @@ type limitOp struct {
 	skip, remain int // remain is noLimit without a LIMIT clause
 }
 
-func (l *limitOp) next(int) ([]row, error) {
+func (l *limitOp) next(int) ([][]any, error) {
 	for l.remain > 0 {
 		want := noLimit
 		if l.remain < noLimit-l.skip {
@@ -137,15 +130,17 @@ func (l *limitOp) next(int) ([]row, error) {
 
 // phase times one operator for the profile: busy is the time spent in
 // its next, upstream included, so an operator's self time is its busy
-// minus its upstream's.
+// minus its upstream's. A stream or barrier phase's operator is its own
+// stage.
 type phase struct {
 	name  string
 	op    operator
+	stage stage
 	busy  time.Duration
 	items int
 }
 
-func (ph *phase) next(want int) ([]row, error) {
+func (ph *phase) next(want int) ([][]any, error) {
 	t0 := time.Now()
 	rows, err := ph.op.next(want)
 	ph.busy += time.Since(t0)
@@ -161,27 +156,40 @@ func ExecuteSelect(p *planner.SelectPlan, ds Datastore, opts Options) ([]any, er
 		return nil, err
 	}
 	out := make([]any, len(rows))
-	for i := range rows {
-		out[i] = rows[i].projected
+	for i, r := range rows {
+		out[i] = r[p.Out]
 	}
 	return out, nil
 }
+
+// maxPhases is the most operators a pipeline has: scan, fetch, join,
+// unnest, filter, group, project and sort.
+const maxPhases = 8
 
 type selectExec struct {
 	p    *planner.SelectPlan
 	ds   Datastore
 	opts Options
 
-	// ctx is the execution's one evaluation context; at points it at
-	// a row. width is the slots a row has, and consts the row with no
-	// name bound that LIMIT, OFFSET, USE KEYS and span bounds read.
+	// ctx is the execution's one evaluation context, its parameters
+	// bound once; at points it at a row. width is the slots a row has,
+	// and consts the row with no name bound that LIMIT, OFFSET, USE KEYS
+	// and span bounds read.
 	ctx    n1ql.Context
 	width  int
 	consts []any
 
-	top    operator
-	scan   *scanOp
-	phases []*phase
+	top     operator
+	scan    scanOp
+	phases  [maxPhases]phase
+	nphases int
+	limit   limitOp
+
+	// matchers are the join terms' ways of finding an outer row's inner
+	// matches, settled at the first batch; seen are the projections a
+	// DISTINCT has passed.
+	matchers []func([]any) ([]ScannedDoc, error)
+	seen     map[string]bool
 }
 
 func (ex *selectExec) at(slots []any) *n1ql.Context {
@@ -198,36 +206,44 @@ func (ex *selectExec) blank() []any {
 	return slots
 }
 
-// fan appends n copies of r to out, the first over r's own slots and
-// the rest over fresh ones, for an operator that turns one row into n.
-func fan(out []row, r row, n int) []row {
+// fan appends n copies of r to out, the first r itself and the rest
+// fresh slots, for an operator that turns one row into n.
+func fan(out [][]any, r []any, n int) [][]any {
 	out = append(out, r)
-	w := len(r.slots)
+	w := len(r)
 	slab := make([]any, (n-1)*w)
 	for ; n > 1; n-- {
-		r.slots, slab = slab[:w:w], slab[w:]
-		copy(r.slots, out[len(out)-1].slots)
-		out = append(out, r)
+		c := slab[:w:w]
+		slab = slab[w:]
+		copy(c, r)
+		out = append(out, c)
 	}
 	return out
 }
 
 // add appends an operator, timed under name, to the pipeline.
-func (ex *selectExec) add(name string, op operator) {
-	ph := &phase{name: name, op: op}
-	ex.phases = append(ex.phases, ph)
+func (ex *selectExec) add(name string, op operator) *phase {
+	ph := &ex.phases[ex.nphases]
+	ex.nphases++
+	*ph = phase{name: name, op: op}
 	ex.top = ph
+	return ph
 }
 
-func (ex *selectExec) addStream(name string, fn func([]row) ([]row, error)) {
-	ex.add(name, &stream{up: ex.top, fn: fn})
+// addStage appends a stage running fn, streaming or blocking.
+func (ex *selectExec) addStage(name string, fn func(*selectExec, [][]any) ([][]any, error), blocking bool) {
+	up := ex.top
+	ph := ex.add(name, nil)
+	ph.stage = stage{ex: ex, up: up, fn: fn, blocking: blocking}
+	ph.op = &ph.stage
 }
 
 // run assembles the pipeline the plan describes, pulls the rows LIMIT
 // and OFFSET ask for through it, and reports each operator once.
-func (ex *selectExec) run() ([]row, error) {
+func (ex *selectExec) run() ([][]any, error) {
 	p := ex.p
-	ex.ctx.Params, ex.width = ex.opts.Params, p.Scope.Len()
+	ex.width = p.Scope.Len()
+	ex.ctx.BindParams(p.Scope, ex.opts.Params)
 	ex.consts = ex.blank()
 	limit, offset, err := ex.limitOffset()
 	if err != nil {
@@ -237,37 +253,42 @@ func (ex *selectExec) run() ([]row, error) {
 	if err := ex.addScan(); err != nil {
 		return nil, err
 	}
+	defer ex.scan.release()
 	if p.Fetch {
-		ex.addStream("fetch", ex.fetch)
+		ex.addStage("fetch", (*selectExec).fetch, false)
 	}
 	if len(p.Joins) > 0 {
-		ex.addStream("join", ex.joiner())
+		ex.addStage("join", (*selectExec).join, false)
 	}
 	if len(p.Unnests) > 0 {
-		ex.addStream("unnest", ex.unnest)
+		ex.addStage("unnest", (*selectExec).unnest, false)
 	}
 	if p.Where != nil {
-		ex.addStream("filter", func(rows []row) ([]row, error) { return ex.filter(rows, p.Where) })
+		ex.addStage("filter", (*selectExec).where, false)
 	}
 	if len(p.GroupBy) > 0 || len(p.Aggregates) > 0 {
-		ex.add("group", &barrier{up: ex.top, fn: ex.group})
+		ex.addStage("group", (*selectExec).group, true)
 	}
-	ex.addStream("project", ex.projector())
-	if len(p.OrderBy) > 0 && !p.OrderFromIndex {
-		ex.add("sort", &barrier{up: ex.top, fn: ex.sort})
+	if p.Distinct {
+		ex.seen = map[string]bool{}
+	}
+	ex.addStage("project", (*selectExec).project, false)
+	if len(p.SortKeys) > 0 {
+		ex.addStage("sort", (*selectExec).sort, true)
 	}
 	if limit < 0 {
 		limit = noLimit
 	}
-	rows, err := drain(&limitOp{up: ex.top, skip: offset, remain: limit})
+	ex.limit = limitOp{up: ex.top, skip: offset, remain: limit}
+	rows, err := drain(&ex.limit)
 	if err != nil {
 		return nil, err
 	}
-	if ex.scan != nil {
+	if p.Scan != nil {
 		ex.phases[0].items = ex.scan.examined
 	}
 	var upstream time.Duration
-	for _, ph := range ex.phases {
+	for _, ph := range ex.phases[:ex.nphases] {
 		self := ph.busy - upstream
 		upstream = ph.busy
 		ex.opts.Record(ph.name, start, self, ph.items)
@@ -305,92 +326,136 @@ func (ex *selectExec) limitOffset() (limit, offset int, err error) {
 }
 
 // rowsOp hands out fixed rows once.
-type rowsOp struct{ rows []row }
+type rowsOp struct{ rows [][]any }
 
-func (o *rowsOp) next(int) ([]row, error) {
+func (o *rowsOp) next(int) ([][]any, error) {
 	rows := o.rows
 	o.rows = nil
 	return rows, nil
 }
+
+// scanPages are the pages scans have read into and handed back, cleared,
+// for the next execution's scan: a page is the datastore's to fill and
+// the executor's to keep (Datastore.ScanIndex).
+var scanPages = sync.Pool{New: func() any { return new([]gsi.ScanItem) }}
 
 // scanOp is the access path. It turns index entries into rows a batch
 // at a time and asks the datastore for a page only when its buffer has
 // run dry, so a scan whose consumer stops asking stops reading the
 // index. Covering plans get their row's slots here (§5.1.2: "covered
 // queries ... deliver better performance" by skipping the fetch);
-// others pass the document ID on to Fetch.
+// others get the document ID in their metadata, for Fetch.
 type scanOp struct {
 	ex    *selectExec
 	index string
 	using n1ql.IndexUsing
 	// opts carry the evaluated span and, between pages, the
-	// continuation.
+	// continuation, after.
 	opts  gsi.ScanOptions
+	after gsi.ScanItem
 	cover bool
 
-	buf      []gsi.ScanItem // read from the index, not yet handed out
-	more     bool           // the span may continue after buf
-	size     int            // the previous batch's size
-	examined int            // entries the datastore returned
+	// page is the last page read, into a buffer from scanPages that goes
+	// back when the execution ends; buf is what of it is not handed out.
+	page     *[]gsi.ScanItem
+	buf      []gsi.ScanItem
+	more     bool // the span may continue after buf
+	size     int  // the previous batch's size
+	examined int  // entries the datastore returned
 }
 
 // next sizes its batch, and the page behind it, from demand: the rows
 // still wanted, doubled on every repeat call (a consumer that comes
 // back dropped rows of the last batch, so a selective filter costs a
 // logarithmic number of pages), capped at maxBatch.
-func (s *scanOp) next(want int) ([]row, error) {
+func (s *scanOp) next(want int) ([][]any, error) {
 	s.size = min(max(want, 2*s.size), maxBatch)
 	if len(s.buf) == 0 && s.more {
-		opts := s.opts
-		opts.Limit = s.size
-		page, more, err := s.ex.ds.ScanIndex(s.ex.opts.Context(), s.ex.p.Keyspace, s.index, s.using, opts)
-		if err != nil {
+		if err := s.read(); err != nil {
 			return nil, err
-		}
-		s.buf, s.more = page, more && len(page) > 0
-		s.examined += len(page)
-		if s.more {
-			s.opts.After = &page[len(page)-1]
-			s.opts.WaitSeqnos = nil // request_plus waits once
 		}
 	}
 	n := min(s.size, len(s.buf))
-	rows := make([]row, n)
-	if s.cover {
-		p, w := s.ex.p, s.ex.width
-		slab := make([]any, n*w)
-		for i, e := range s.buf[:n] {
-			slots := slab[i*w : (i+1)*w]
+	if n == 0 {
+		return nil, nil
+	}
+	p, w := s.ex.p, s.ex.width
+	rows, slab := make([][]any, n), make([]any, n*w)
+	var metas []n1ql.Meta
+	if !s.cover {
+		metas = make([]n1ql.Meta, n)
+	}
+	for i, e := range s.buf[:n] {
+		r := slab[i*w : (i+1)*w : (i+1)*w]
+		if s.cover {
 			if p.CoverID >= 0 {
-				slots[p.CoverID] = e.DocID
+				r[p.CoverID] = e.DocID
 			}
 			for k, at := range p.Cover {
 				if k < len(e.SecKey) {
-					slots[at] = e.SecKey[k]
+					r[at] = e.SecKey[k]
 				} else {
-					slots[at] = value.Missing
+					r[at] = value.Missing
 				}
 			}
-			rows[i].slots = slots
+		} else {
+			// Fetch fills the document in, or drops the row.
+			metas[i].ID = e.DocID
+			r[n1ql.DocSlot], r[n1ql.MetaSlot] = value.Missing, &metas[i]
 		}
-	} else {
-		for i, e := range s.buf[:n] {
-			rows[i].id = e.DocID
-		}
+		rows[i] = r
 	}
 	s.buf = s.buf[n:]
 	return rows, nil
 }
 
+// read asks the datastore for the span's next page of s.size entries,
+// into the page the previous one came in.
+func (s *scanOp) read() error {
+	if s.page == nil {
+		s.page = scanPages.Get().(*[]gsi.ScanItem)
+	}
+	clear(*s.page)
+	opts := s.opts
+	opts.Limit, opts.Page = s.size, (*s.page)[:0]
+	page, more, err := s.ex.ds.ScanIndex(s.ex.opts.Context(), s.ex.p.Keyspace, s.index, s.using, opts)
+	if err != nil {
+		return err
+	}
+	*s.page = page
+	s.buf, s.more = page, more && len(page) > 0
+	s.examined += len(page)
+	if s.more {
+		s.after = page[len(page)-1]
+		s.opts.After = &s.after
+		s.opts.WaitSeqnos = nil // request_plus waits once
+	}
+	return nil
+}
+
+// release hands the page buffer back, cleared, once no row reads it.
+func (s *scanOp) release() {
+	if s.page == nil {
+		return
+	}
+	if cap(*s.page) <= maxBatch {
+		clear(*s.page)
+		*s.page = (*s.page)[:0]
+		scanPages.Put(s.page)
+	}
+	s.page = nil
+}
+
 // addScan starts the pipeline with the plan's access path.
 func (ex *selectExec) addScan() error {
 	p := ex.p
-	sc := &scanOp{ex: ex, cover: !p.Fetch}
+	sc := &ex.scan
+	*sc = scanOp{ex: ex, cover: !p.Fetch}
 	var span planner.Span
 	switch scan := p.Scan.(type) {
 	case nil:
 		// FROM-less SELECT: one empty row.
-		ex.top = &rowsOp{rows: []row{{slots: ex.blank()}}}
+		ex.top = &rowsOp{rows: [][]any{ex.blank()}}
 		return nil
 	case *planner.KeyScan:
 		ids, err := ex.keyScanIDs(scan)
@@ -418,7 +483,6 @@ func (ex *selectExec) addScan() error {
 			sc.opts.WaitSeqnos = ex.ds.ConsistencyVector(p.Keyspace)
 		}
 	}
-	ex.scan = sc
 	ex.add("scan", sc)
 	return nil
 }
@@ -490,19 +554,23 @@ func (ex *selectExec) evalSpan(span planner.Span, opts *gsi.ScanOptions) error {
 const fetchParallelism = 8
 
 // fetch is the parallel Fetch operator: it retrieves one batch's
-// documents by ID with at most fetchParallelism workers, preserving
-// scan order. Missing IDs drop out.
-func (ex *selectExec) fetch(rows []row) ([]row, error) {
-	w := ex.width
-	slab, metas := make([]any, len(rows)*w), make([]n1ql.Meta, len(rows))
+// documents by the IDs the scan left in their rows' metadata, with at
+// most fetchParallelism workers, preserving scan order. A missing
+// document drops its row; any other failure fails the statement, since
+// the row may well exist.
+func (ex *selectExec) fetch(rows [][]any) ([][]any, error) {
+	var failed atomic.Pointer[error]
 	one := func(i int) {
-		doc, meta, err := ex.ds.Fetch(ex.opts.Context(), ex.p.Keyspace, rows[i].id)
-		if err != nil {
-			return
+		r := rows[i]
+		meta := r[n1ql.MetaSlot].(*n1ql.Meta)
+		doc, m, err := ex.ds.Fetch(ex.opts.Context(), ex.p.Keyspace, meta.ID)
+		switch {
+		case err == nil:
+			r[n1ql.DocSlot], *meta = doc, m
+		case !errors.Is(err, ErrNotFound):
+			ferr := fmt.Errorf("executor: fetch %q: %w", meta.ID, err)
+			failed.CompareAndSwap(nil, &ferr)
 		}
-		metas[i] = meta
-		rows[i].slots = slab[i*w : (i+1)*w]
-		rows[i].slots[n1ql.DocSlot], rows[i].slots[n1ql.MetaSlot] = doc, &metas[i]
 	}
 	if workers := min(fetchParallelism, len(rows)); workers == 1 {
 		for i := range rows {
@@ -522,47 +590,48 @@ func (ex *selectExec) fetch(rows []row) ([]row, error) {
 		}
 		wg.Wait()
 	}
+	if err := failed.Load(); err != nil {
+		return nil, *err
+	}
 	out := rows[:0]
 	for _, r := range rows {
-		if r.slots != nil {
+		if !value.IsMissing(r[n1ql.DocSlot]) {
 			out = append(out, r)
 		}
 	}
 	return out, nil
 }
 
-// joiner returns the Join/Nest operator over all of the plan's join
-// terms. Each term's way of finding an outer row's inner matches is
-// settled when the first batch arrives: the nested-loop key join of
-// §4.5.3 ("for each of the qualifying documents from [the outer
-// keyspace], a KEYSCAN will occur on [the inner] based on the key in
-// the [outer] document") or, for ON <cond>, the analytics join path.
-func (ex *selectExec) joiner() func([]row) ([]row, error) {
-	var matchers []func([]any) ([]ScannedDoc, error)
-	return func(rows []row) ([]row, error) {
-		for i, j := range ex.p.Joins {
-			if i == len(matchers) {
-				m, err := ex.joinMatcher(j)
-				if err != nil {
-					return nil, err
-				}
-				matchers = append(matchers, m)
+// join is the Join/Nest operator over all of the plan's join terms.
+// Each term's way of finding an outer row's inner matches is settled
+// when the first batch arrives: the nested-loop key join of §4.5.3
+// ("for each of the qualifying documents from [the outer keyspace], a
+// KEYSCAN will occur on [the inner] based on the key in the [outer]
+// document") or, for ON <cond>, the analytics join path.
+func (ex *selectExec) join(rows [][]any) ([][]any, error) {
+	for i, j := range ex.p.Joins {
+		if i == len(ex.matchers) {
+			m, err := ex.joinMatcher(j)
+			if err != nil {
+				return nil, err
 			}
-			var out []row
-			for _, r := range rows {
-				matches, err := matchers[i](r.slots)
-				if err != nil {
-					return nil, err
-				}
-				out = appendJoinRows(out, r, j, matches)
-			}
-			rows = out
+			ex.matchers = append(ex.matchers, m)
 		}
-		return rows, nil
+		var out [][]any
+		for _, r := range rows {
+			matches, err := ex.matchers[i](r)
+			if err != nil {
+				return nil, err
+			}
+			out = appendJoinRows(out, r, j, matches)
+		}
+		rows = out
 	}
+	return rows, nil
 }
 
 // keyMatches fetches the inner documents an outer row's ON KEYS names.
+// A missing one is no match; any other failure fails the statement.
 func (ex *selectExec) keyMatches(j planner.Join) func([]any) ([]ScannedDoc, error) {
 	return func(slots []any) ([]ScannedDoc, error) {
 		keysVal, err := n1ql.Eval(j.OnKeys, ex.at(slots))
@@ -573,8 +642,11 @@ func (ex *selectExec) keyMatches(j planner.Join) func([]any) ([]ScannedDoc, erro
 		var matches []ScannedDoc
 		for _, id := range ids {
 			doc, meta, err := ex.ds.Fetch(ex.opts.Context(), j.Keyspace, id)
-			if err != nil {
+			if errors.Is(err, ErrNotFound) {
 				continue
+			}
+			if err != nil {
+				return nil, fmt.Errorf("executor: fetch %q from %s: %w", id, j.Keyspace, err)
 			}
 			matches = append(matches, ScannedDoc{ID: id, Doc: doc, Meta: meta})
 		}
@@ -585,25 +657,25 @@ func (ex *selectExec) keyMatches(j planner.Join) func([]any) ([]ScannedDoc, erro
 // unnest flattens nested arrays: "a join operation between a parent
 // and a child object containing a nested array ... the parent object is
 // repeated for each child array item."
-func (ex *selectExec) unnest(rows []row) ([]row, error) {
+func (ex *selectExec) unnest(rows [][]any) ([][]any, error) {
 	for _, u := range ex.p.Unnests {
-		var out []row
+		var out [][]any
 		for _, r := range rows {
-			v, err := n1ql.Eval(u.Expr, ex.at(r.slots))
+			v, err := n1ql.Eval(u.Expr, ex.at(r))
 			if err != nil {
 				return nil, err
 			}
 			arr, ok := v.([]any)
 			if !ok || len(arr) == 0 {
 				if u.Kind == n1ql.JoinLeftOuter {
-					r.slots[u.Slot] = value.Missing
+					r[u.Slot] = value.Missing
 					out = append(out, r)
 				}
 				continue
 			}
 			out = fan(out, r, len(arr))
 			for i, el := range arr {
-				out[len(out)-len(arr)+i].slots[u.Slot] = el
+				out[len(out)-len(arr)+i][u.Slot] = el
 			}
 		}
 		rows = out
@@ -611,10 +683,16 @@ func (ex *selectExec) unnest(rows []row) ([]row, error) {
 	return rows, nil
 }
 
-func (ex *selectExec) filter(rows []row, cond n1ql.Expr) ([]row, error) {
+// where is the Filter operator: the plan's residual WHERE.
+func (ex *selectExec) where(rows [][]any) ([][]any, error) {
+	return ex.filter(rows, ex.p.Where)
+}
+
+// filter keeps the rows cond holds for, in place.
+func (ex *selectExec) filter(rows [][]any, cond n1ql.Expr) ([][]any, error) {
 	out := rows[:0]
 	for _, r := range rows {
-		v, err := n1ql.Eval(cond, ex.at(r.slots))
+		v, err := n1ql.Eval(cond, ex.at(r))
 		if err != nil {
 			return nil, err
 		}
@@ -629,7 +707,7 @@ func (ex *selectExec) filter(rows []row, cond n1ql.Expr) ([]row, error) {
 // keys with one Aggregator per aggregate call per group, then HAVING.
 // A group's row is its first input row with the aggregate results
 // written to their slots.
-func (ex *selectExec) group(rows []row) ([]row, error) {
+func (ex *selectExec) group(rows [][]any) ([][]any, error) {
 	p := ex.p
 	type groupState struct {
 		first []any
@@ -647,7 +725,7 @@ func (ex *selectExec) group(rows []row) ([]row, error) {
 		return gs
 	}
 	for _, r := range rows {
-		ctx := ex.at(r.slots)
+		ctx := ex.at(r)
 		keyParts := make([]any, len(p.GroupBy))
 		for i, g := range p.GroupBy {
 			v, err := n1ql.Eval(g, ctx)
@@ -659,7 +737,7 @@ func (ex *selectExec) group(rows []row) ([]row, error) {
 		key := string(value.EncodeKey(keyParts))
 		gs, ok := groups[key]
 		if !ok {
-			gs = open(key, r.slots)
+			gs = open(key, r)
 		}
 		for i, a := range p.Aggregates {
 			if a.Star {
@@ -678,12 +756,12 @@ func (ex *selectExec) group(rows []row) ([]row, error) {
 	if len(groups) == 0 && len(p.GroupBy) == 0 {
 		open("", ex.blank())
 	}
-	out := make([]row, len(order))
+	out := make([][]any, len(order))
 	for i, gs := range order {
 		for k, a := range p.Aggregates {
 			gs.first[a.Slot] = gs.aggs[k].Result()
 		}
-		out[i].slots = gs.first
+		out[i] = gs.first
 	}
 	if p.Having != nil {
 		return ex.filter(out, p.Having)
@@ -691,61 +769,49 @@ func (ex *selectExec) group(rows []row) ([]row, error) {
 	return out, nil
 }
 
-// projector returns the Project operator: it fills each row's projected
-// value and sort key (InitialProject + FinalProject: shrink to the
-// referenced fields, then shape the result JSON) and, for DISTINCT,
-// drops rows whose projection an earlier row of any batch already had.
-func (ex *selectExec) projector() func([]row) ([]row, error) {
+// project is the Project operator: it writes each row's result value
+// (InitialProject + FinalProject: shrink to the referenced fields, then
+// shape the result JSON) and sort keys to their slots and, for
+// DISTINCT, drops rows whose projection an earlier row of any batch
+// already had.
+func (ex *selectExec) project(rows [][]any) ([][]any, error) {
 	p := ex.p
-	sortBy := p.OrderBy
-	if p.OrderFromIndex {
-		sortBy = nil
-	}
-	var seen map[string]bool
-	if p.Distinct {
-		seen = map[string]bool{}
-	}
-	return func(rows []row) ([]row, error) {
-		out := rows[:0]
-		for _, r := range rows {
-			ctx := ex.at(r.slots)
-			if p.Raw {
-				v, err := n1ql.Eval(p.Projection[0].Expr, ctx)
-				if err != nil {
-					return nil, err
-				}
-				if value.IsMissing(v) {
-					v = nil
-				}
-				r.projected = v
-			} else {
-				obj, err := projectTerms(p.Projection, p.Stars, ctx)
-				if err != nil {
-					return nil, err
-				}
-				r.projected = obj
+	out := rows[:0]
+	for _, r := range rows {
+		ctx := ex.at(r)
+		if p.Raw {
+			v, err := n1ql.Eval(p.Projection[0].Expr, ctx)
+			if err != nil {
+				return nil, err
 			}
-			if p.Distinct {
-				key := string(value.EncodeKey(r.projected))
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
+			if value.IsMissing(v) {
+				v = nil
 			}
-			if len(sortBy) > 0 {
-				r.sortKey = make([]any, len(sortBy))
-				for k, ot := range sortBy {
-					v, err := n1ql.Eval(ot.Expr, ctx)
-					if err != nil {
-						return nil, err
-					}
-					r.sortKey[k] = v
-				}
+			r[p.Out] = v
+		} else {
+			obj, err := projectTerms(p.Projection, p.Stars, ctx)
+			if err != nil {
+				return nil, err
 			}
-			out = append(out, r)
+			r[p.Out] = obj
 		}
-		return out, nil
+		if p.Distinct {
+			key := string(value.EncodeKey(r[p.Out]))
+			if ex.seen[key] {
+				continue
+			}
+			ex.seen[key] = true
+		}
+		for k, at := range p.SortKeys {
+			v, err := n1ql.Eval(p.OrderBy[k].Expr, ctx)
+			if err != nil {
+				return nil, err
+			}
+			r[at] = v
+		}
+		out = append(out, r)
 	}
+	return out, nil
 }
 
 // projectTerms shapes one result object from planned projection (or
@@ -773,19 +839,18 @@ func projectTerms(terms []n1ql.ResultTerm, stars []planner.Binding, ctx *n1ql.Co
 }
 
 // sort is the Sort operator, for an ORDER BY the scan does not deliver.
-func (ex *selectExec) sort(rows []row) ([]row, error) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		for k := range rows[i].sortKey {
-			c := value.Compare(rows[i].sortKey[k], rows[j].sortKey[k])
-			if c == 0 {
-				continue
+func (ex *selectExec) sort(rows [][]any) ([][]any, error) {
+	p := ex.p
+	slices.SortStableFunc(rows, func(a, b []any) int {
+		for k, at := range p.SortKeys {
+			if c := value.Compare(a[at], b[at]); c != 0 {
+				if p.OrderBy[k].Desc {
+					return -c
+				}
+				return c
 			}
-			if ex.p.OrderBy[k].Desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
+		return 0
 	})
 	return rows, nil
 }

@@ -63,8 +63,8 @@ type ftsIndex struct {
 	feed *feed.Feed
 
 	mu       sync.Mutex
-	terms    *btree.Tree         // term bytes -> map[docID]*posting
-	docTerms map[string][]string // back index: docID -> terms
+	terms    *btree.Tree[map[string]*posting] // term bytes -> postings by docID
+	docTerms map[string][]string              // back index: docID -> terms
 }
 
 // Engine is the FTS service instance for one bucket. DCP consumption
@@ -87,7 +87,7 @@ func NewEngine() *Engine {
 func (e *Engine) Define(def IndexDef) error {
 	fi := &ftsIndex{
 		def:      def,
-		terms:    btree.New(nil),
+		terms:    btree.New[map[string]*posting](nil),
 		docTerms: make(map[string][]string),
 	}
 	for _, f := range def.Fields {
@@ -259,10 +259,8 @@ func (fi *ftsIndex) index(vb int, m dcp.Mutation) {
 		var termList []string
 		for term, positions := range byTerm {
 			termList = append(termList, term)
-			var postings map[string]*posting
-			if v, ok := fi.terms.Get([]byte(term)); ok {
-				postings = v.(map[string]*posting)
-			} else {
+			postings, ok := fi.terms.Get([]byte(term))
+			if !ok {
 				postings = map[string]*posting{}
 				fi.terms.Set([]byte(term), postings)
 			}
@@ -274,8 +272,7 @@ func (fi *ftsIndex) index(vb int, m dcp.Mutation) {
 
 func (fi *ftsIndex) removeDocLocked(dockey string) {
 	for _, term := range fi.docTerms[dockey] {
-		if v, ok := fi.terms.Get([]byte(term)); ok {
-			postings := v.(map[string]*posting)
+		if postings, ok := fi.terms.Get([]byte(term)); ok {
 			delete(postings, dockey)
 			if len(postings) == 0 {
 				fi.terms.Delete([]byte(term))
@@ -304,8 +301,8 @@ func (e *Engine) SearchTerm(ctx context.Context, index, term string, opts Search
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
 	scores := map[string]int{}
-	if v, ok := fi.terms.Get([]byte(term)); ok {
-		for dockey, p := range v.(map[string]*posting) {
+	if postings, ok := fi.terms.Get([]byte(term)); ok {
+		for dockey, p := range postings {
 			scores[docID(dockey)] += len(p.positions)
 		}
 	}
@@ -324,8 +321,8 @@ func (e *Engine) SearchPrefix(ctx context.Context, index, prefix string, opts Se
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
 	scores := map[string]int{}
-	fi.terms.Ascend(lo, hi, func(_ []byte, v any) bool {
-		for dockey, p := range v.(map[string]*posting) {
+	fi.terms.Ascend(lo, hi, func(_ []byte, postings map[string]*posting) bool {
+		for dockey, p := range postings {
 			scores[docID(dockey)] += len(p.positions)
 		}
 		return true
@@ -351,17 +348,17 @@ func (e *Engine) SearchPhrase(ctx context.Context, index, phrase string, opts Se
 		return nil, nil
 	}
 	scores := map[string]int{}
-	for dockey, p0 := range first.(map[string]*posting) {
+	for dockey, p0 := range first {
 		count := 0
 		for _, start := range p0.positions {
 			match := true
 			for i := 1; i < len(tokens); i++ {
-				v, ok := fi.terms.Get([]byte(tokens[i]))
+				postings, ok := fi.terms.Get([]byte(tokens[i]))
 				if !ok {
 					match = false
 					break
 				}
-				pi, ok := v.(map[string]*posting)[dockey]
+				pi, ok := postings[dockey]
 				if !ok || !containsPos(pi.positions, start+i) {
 					match = false
 					break

@@ -143,7 +143,7 @@ func (cd *compiledDef) readsDoc() bool { return !cd.IsPrimary || cd.where != nil
 // (filtered by the partial-index predicate, or its key is MISSING).
 func (cd *compiledDef) entries(docID string, doc any, cas uint64) ([][]any, error) {
 	if !cd.readsDoc() {
-		return [][]any{{docID}}, nil
+		return primaryEntries(docID), nil
 	}
 	ctx := cd.scope.NewContext(doc, n1ql.Meta{ID: docID, CAS: cas})
 	if cd.where != nil {
@@ -156,7 +156,7 @@ func (cd *compiledDef) entries(docID string, doc any, cas uint64) ([][]any, erro
 		}
 	}
 	if cd.IsPrimary {
-		return [][]any{{docID}}, nil
+		return primaryEntries(docID), nil
 	}
 	if cd.arrayKey != nil {
 		return cd.arrayEntries(ctx)
@@ -175,6 +175,18 @@ func (cd *compiledDef) entries(docID string, doc any, cas uint64) ([][]any, erro
 		key[i] = v
 	}
 	return [][]any{key}, nil
+}
+
+// primaryEntries is a primary index's one entry for a document, its ID:
+// the entry list and the key share one allocation (the tree keeps the
+// key as its ScanItem's SecKey), beside the ID's interface box.
+func primaryEntries(docID string) [][]any {
+	e := &struct {
+		list [1][]any
+		key  [1]any
+	}{key: [1]any{docID}}
+	e.list[0] = e.key[:]
+	return e.list[:]
 }
 
 // arrayEntries expands the leading array comprehension into one entry

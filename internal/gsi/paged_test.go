@@ -59,8 +59,8 @@ func gsiHolder(t *testing.T, parts int) holder {
 // countReducer stands for a view's reduce function.
 type countReducer struct{}
 
-func (countReducer) Map([]byte, any) any { return 1.0 }
-func (countReducer) Zero() any           { return 0.0 }
+func (countReducer) Map([]byte, ScanItem) any { return 1.0 }
+func (countReducer) Zero() any                { return 0.0 }
 func (countReducer) Merge(parts ...any) any {
 	total := 0.0
 	for _, p := range parts {

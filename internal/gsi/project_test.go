@@ -79,6 +79,39 @@ func TestRouteParsesAtMostOnce(t *testing.T) {
 	}
 }
 
+// TestRoutePrimaryAllocates gates the commonest maintenance: routing one
+// update of one document to a keyspace whose only index is the primary.
+// It was 13 allocations when every entry was boxed, its tree key built
+// by doubling then copied once more, and its key versions sliced per
+// index and per partition. It is 5: the batch's per-partition lists,
+// its key versions, the entry list sharing one allocation with its key,
+// that key's ID box, and the tree key (an update keeps its key in
+// place, so btree.Set copies nothing).
+func TestRoutePrimaryAllocates(t *testing.T) {
+	n := routeAllocs(routedService(t, true), ycsbDoc(10))
+	t.Logf("routing one primary-index update: %.0f allocations", n)
+	if n > 6 {
+		t.Errorf("routing one primary-index update allocates %.0f, budget 6", n)
+	}
+}
+
+// BenchmarkPrimaryMaintain is index maintenance for a primary index
+// alone, a fresh document per op as in a load phase or workload E's
+// inserts: the allocs/op column of `make bench-smoke`.
+func BenchmarkPrimaryMaintain(b *testing.B) {
+	svc := routedService(b, true)
+	doc := ycsbDoc(10)
+	keys := make([]string, b.N)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user%012d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, k := range keys {
+		svc.route("ks", i%64, []dcp.Mutation{{Key: k, Seqno: uint64(i + 1), Value: doc}})
+	}
+}
+
 // TestPrimaryIndexRefusesNonJSON: the primary index holds exactly the
 // documents whose values are JSON, whether the value was decoded
 // (another index on the keyspace reads it) or only validated, and

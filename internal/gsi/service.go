@@ -228,12 +228,14 @@ func (s *Service) Scan(ctx context.Context, keyspace, name string, opts ScanOpti
 		return st.parts[0].Scan(ctx, opts)
 	}
 	pages := make([][]ScanItem, len(st.parts))
+	partOpts := opts
+	partOpts.Page = nil // the caller's one buffer cannot take every partition's page
 	var wg sync.WaitGroup
 	for i, p := range st.parts {
 		wg.Add(1)
 		go func(i int, p *Indexer) {
 			defer wg.Done()
-			pages[i] = p.tree.Scan(opts)
+			pages[i] = p.tree.Scan(partOpts)
 		}(i, p)
 	}
 	wg.Wait()
@@ -267,12 +269,14 @@ func project(vb int, batch []dcp.Mutation, states ...*indexState) {
 	for _, st := range states {
 		reads = reads || st.cd.readsDoc()
 	}
-	// kvs[i][p] is index i's key versions for its partition p, in seqno
-	// order.
-	kvs := make([][][]KeyVersion, len(states))
-	for i, st := range states {
-		kvs[i] = make([][]KeyVersion, len(st.parts))
+	// The key versions, in seqno order, per partition of every index:
+	// index i's partition p is kvs[base+p], base the partitions of the
+	// indexes before it.
+	parts := 0
+	for _, st := range states {
+		parts += len(st.parts)
 	}
+	kvs := make([][]KeyVersion, parts)
 	for _, m := range batch {
 		var doc any
 		ok := !m.Deleted
@@ -281,25 +285,29 @@ func project(vb int, batch []dcp.Mutation, states ...*indexState) {
 		} else if ok {
 			ok = value.Valid(m.Value)
 		}
-		for i, st := range states {
+		base := 0
+		for _, st := range states {
 			var entries [][]any
 			if ok {
 				if ents, err := st.cd.entries(m.Key, doc, m.CAS); err == nil {
 					entries = ents
 				}
 			}
-			p := st.cd.Partition(m.Key)
-			kvs[i][p] = append(kvs[i][p], KeyVersion{
+			at := base + st.cd.Partition(m.Key)
+			kvs[at] = append(kvs[at], KeyVersion{
 				Index: st.cd.Name, VB: vb, Seqno: m.Seqno, DocID: m.Key, Entries: entries, Trace: m.Trace,
 			})
+			base += len(st.parts)
 		}
 	}
-	for i, st := range states {
-		for p, part := range kvs[i] {
-			if len(part) > 0 {
-				st.parts[p].Apply(part...)
+	base := 0
+	for _, st := range states {
+		for p, ix := range st.parts {
+			if part := kvs[base+p]; len(part) > 0 {
+				ix.Apply(part...)
 			}
 		}
+		base += len(st.parts)
 	}
 }
 

@@ -2,6 +2,7 @@ package gsi
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 
 	"couchgo/internal/btree"
@@ -34,6 +35,13 @@ type ScanOptions struct {
 	// direction, normally the last entry of the previous page; nil
 	// starts at the span's edge.
 	After *ScanItem
+	// Page is the caller's buffer for the page, nil for none: a Tree
+	// writes the entries into it from its start and returns it when it
+	// has room for them, so a caller that pages repeatedly, or runs many
+	// scans, recycles one buffer instead of allocating a page per scan.
+	// The page returned is the caller's either way. A holder that merges
+	// pages from several trees gives each tree none.
+	Page []ScanItem
 	// Consistency: nil = not_bounded ("the query can return data that
 	// is currently indexed"); non-nil = request_plus ("requires all
 	// mutations, up to the moment of the query request, to be
@@ -49,64 +57,97 @@ func (o ScanOptions) More(n int) bool { return o.Limit > 0 && n >= o.Limit }
 
 // Tree is the secondary-index tree every index placement holds: a GSI
 // partition, a data node's view index, the analytics shadow's primary
-// index. Entries sort by TreeKey; a back-index per vBucket finds a
-// document's entries to replace them and a partition's to purge them.
-// Safe for concurrent use: readers (Scan, Get, Reduce) share mu, a scan
-// for its page only; Replace and PurgeVB take it exclusively. Bounds
-// and tree keys are encoded before the lock is taken and a page is
-// allocated after it is released, so a holder does not wait on the
-// allocator with others queued behind it.
+// index. Entries sort by TreeKey and are held inline in the leaves, one
+// ScanItem each, with no box of their own; a back-index per vBucket
+// finds a document's entries to replace them and a partition's to purge
+// them, sharing the tree's copy of each key. Safe for concurrent use:
+// readers (Scan, Get, Reduce) share mu, a scan for its page only;
+// Replace and PurgeVB take it exclusively. Bounds and tree keys are
+// encoded before the lock is taken and a page is allocated after it is
+// released, so a holder does not wait on the allocator with others
+// queued behind it.
 type Tree struct {
 	mu   sync.RWMutex
-	tree *btree.Tree
-	back map[int]map[string][][]byte // vb -> docID -> tree keys
+	tree *btree.Tree[ScanItem]
+	back map[int]map[string]docKeys // vb -> docID -> the document's keys
+}
+
+// docKeys are one document's keys in the tree, the tree's own copies:
+// first, and the rest when an array index gives the document several.
+// A document's usual one key costs the back-index no object of its own.
+type docKeys struct {
+	first []byte
+	rest  [][]byte
+}
+
+// each calls fn with every key.
+func (d docKeys) each(fn func(tk []byte)) {
+	if d.first != nil {
+		fn(d.first)
+	}
+	for _, tk := range d.rest {
+		fn(tk)
+	}
 }
 
 // NewTree creates an empty tree. reducer, when non-nil, keeps a view's
 // pre-computed aggregates in the interior nodes (it is handed each
 // entry's ScanItem) and makes Reduce answer from them.
-func NewTree(reducer btree.Reducer) *Tree {
-	return &Tree{tree: btree.New(reducer), back: make(map[int]map[string][][]byte)}
+func NewTree(reducer btree.Reducer[ScanItem]) *Tree {
+	return &Tree{tree: btree.New(reducer), back: make(map[int]map[string]docKeys)}
 }
 
 // TreeKey is an entry's key in the tree: the encoded secondary key
 // values, a 0x00 separator, then the document ID — unique per (key,
 // document) and ordered by collation.
 func TreeKey(sec []any, docID string) []byte {
-	enc := value.EncodeKey(sec)
-	out := make([]byte, 0, len(enc)+1+len(docID))
-	out = append(out, enc...)
-	out = append(out, 0x00)
-	return append(out, docID...)
+	return append(append(value.EncodeKey(sec), 0x00), docID...)
 }
 
 // Replace makes secs the document's whole contribution: its previous
 // entries go, one entry per key in secs (each carrying val) comes.
 // Empty secs removes the document. It reports whether the tree changed.
+// A key the document keeps (a primary index's always) keeps its place
+// and only has its entry replaced.
 func (t *Tree) Replace(vb int, docID string, secs [][]any, val any) bool {
-	keys := make([][]byte, len(secs))
-	for i, sec := range secs {
-		keys[i] = TreeKey(sec, docID)
+	var one [1][]byte // a document's usual number of keys, off the heap
+	keys := one[:0]
+	if len(secs) > len(one) {
+		keys = make([][]byte, 0, len(secs))
+	}
+	for _, sec := range secs {
+		keys = append(keys, TreeKey(sec, docID))
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	docs := t.back[vb]
-	old := docs[docID]
-	for _, tk := range old {
-		t.tree.Delete(tk)
-	}
+	old, had := docs[docID]
+	old.each(func(tk []byte) {
+		if !slices.ContainsFunc(keys, func(k []byte) bool { return bytes.Equal(k, tk) }) {
+			t.tree.Delete(tk)
+		}
+	})
 	if len(secs) == 0 {
 		delete(docs, docID)
-		return len(old) > 0
+		return had
 	}
 	if docs == nil {
-		docs = make(map[string][][]byte)
+		docs = make(map[string]docKeys)
 		t.back[vb] = docs
 	}
-	for i, sec := range secs {
-		t.tree.Set(keys[i], ScanItem{DocID: docID, SecKey: sec, Value: val})
+	var dk docKeys
+	if len(secs) > 1 {
+		dk.rest = make([][]byte, 0, len(secs)-1)
 	}
-	docs[docID] = keys
+	for i, sec := range secs {
+		tk, _ := t.tree.Set(keys[i], ScanItem{DocID: docID, SecKey: sec, Value: val})
+		if i == 0 {
+			dk.first = tk
+		} else {
+			dk.rest = append(dk.rest, tk)
+		}
+	}
+	docs[docID] = dk
 	return true
 }
 
@@ -118,17 +159,15 @@ func (t *Tree) PurgeVB(vb int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, keys := range t.back[vb] {
-		for _, tk := range keys {
-			t.tree.Delete(tk)
-		}
+		keys.each(func(tk []byte) { t.tree.Delete(tk) })
 	}
 	delete(t.back, vb)
 }
 
-// scanScratch holds the buffers limited scans walk into, cleared before
-// they come back. One grows to the largest page it has served, up to
-// scratchEntries (56 KiB, the executor's page size); a larger one is not
-// kept.
+// scanScratch holds the buffers limited scans walk into when their
+// caller brings no page, cleared before they come back. One grows to the
+// largest page it has served, up to scratchEntries (56 KiB, the
+// executor's page size); a larger one is not kept.
 var scanScratch = sync.Pool{New: func() any { return new([]ScanItem) }}
 
 const scratchEntries = 1024
@@ -141,21 +180,24 @@ const scratchEntries = 1024
 //
 // The page is sized by what the span yields, not by Limit: a query
 // without a LIMIT asks for 1024 entries and usually finds a few, or one.
-// A limited scan walks into a pooled buffer and copies out exactly what
-// it found after the unlock: one allocation however many entries, none
-// for an empty span, none under the lock once the buffer has served a
-// page as long. An unlimited scan grows its page as it walks and returns
-// it as it is.
+// A limited scan walks straight into the caller's page (opts.Page) when
+// that has room for Limit entries: no allocation and no copy. Otherwise
+// it walks into a pooled buffer and copies out what it found after the
+// unlock, into the caller's page when that has room and else into one
+// allocated exactly as long: one allocation at most however many
+// entries, none for an empty span, none under the lock once the buffer
+// has served a page as long. An unlimited scan grows its page as it
+// walks and returns it as it is.
 func (t *Tree) Scan(opts ScanOptions) []ScanItem {
 	lo, hi := scanBounds(opts)
-	var items []ScanItem
+	items := opts.Page[:0]
 	var scratch *[]ScanItem
-	if opts.Limit > 0 {
+	if opts.Limit > 0 && cap(opts.Page) < opts.Limit {
 		scratch = scanScratch.Get().(*[]ScanItem)
 		items = (*scratch)[:0]
 	}
-	visit := func(_ []byte, v any) bool {
-		items = append(items, v.(ScanItem))
+	visit := func(_ []byte, v ScanItem) bool {
+		items = append(items, v)
 		return opts.Limit == 0 || len(items) < opts.Limit
 	}
 	t.mu.RLock()
@@ -168,10 +210,11 @@ func (t *Tree) Scan(opts ScanOptions) []ScanItem {
 	if scratch == nil {
 		return items
 	}
-	var page []ScanItem
-	if len(items) > 0 {
-		page = append(make([]ScanItem, 0, len(items)), items...)
+	page := opts.Page[:0]
+	if cap(page) < len(items) {
+		page = make([]ScanItem, 0, len(items))
 	}
+	page = append(page, items...)
 	if cap(items) <= scratchEntries {
 		clear(items)
 		*scratch = items
@@ -184,12 +227,8 @@ func (t *Tree) Scan(opts ScanOptions) []ScanItem {
 func (t *Tree) Get(sec []any, docID string) (ScanItem, bool) {
 	tk := TreeKey(sec, docID)
 	t.mu.RLock()
-	v, ok := t.tree.Get(tk)
-	t.mu.RUnlock()
-	if !ok {
-		return ScanItem{}, false
-	}
-	return v.(ScanItem), true
+	defer t.mu.RUnlock()
+	return t.tree.Get(tk)
 }
 
 // Reduce aggregates the span from the reducer's annotations in the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,6 +59,77 @@ func TestScanPageAllocatesOnce(t *testing.T) {
 	}
 }
 
+// TestScanIntoTheCallersPage: a caller that brings a page with room for
+// Limit entries gets the entries in it and allocates nothing, which is
+// how the executor recycles one page from scan to scan. With less room,
+// the entries found are copied in when they fit (a point lookup asks for
+// 1024) and get a page of their own when they do not.
+func TestScanIntoTheCallersPage(t *testing.T) {
+	tr := idTree(20000)
+	for _, tc := range []struct {
+		name       string
+		room       int
+		opts       ScanOptions
+		found      int
+		ownArray   bool
+		wantAllocs float64
+	}{
+		{"room for Limit", 64, ScanOptions{Low: []any{"user00005000"}, LowIncl: true, Limit: 50}, 50, true, 0},
+		{"room for what is found", 4, sparseSpans[0].opts, 1, true, 0},
+		{"too little room", 4, ScanOptions{Low: []any{"user00005000"}, LowIncl: true, Limit: 50}, 50, false, 1},
+	} {
+		buf := make([]ScanItem, 0, tc.room)
+		opts := tc.opts
+		opts.Page = buf
+		n := math.Inf(1)
+		for i := 0; i < 20; i++ { // the least of several runs: see TestScanPageAllocatesOnce
+			n = min(n, testing.AllocsPerRun(1, func() {
+				page := tr.Scan(opts)
+				if len(page) != tc.found || (&page[:1][0] == &buf[:1][0]) != tc.ownArray {
+					t.Fatalf("%s: %d entries, in the caller's page %v", tc.name, len(page), &page[:1][0] == &buf[:1][0])
+				}
+			}))
+		}
+		bounds := testing.AllocsPerRun(10, func() { scanBounds(opts) }) // the span's encoding
+		if n-bounds != tc.wantAllocs {
+			t.Errorf("%s: %.0f allocations per scan beside the bounds' %.0f, want %.0f", tc.name, n-bounds, bounds, tc.wantAllocs)
+		}
+	}
+}
+
+// TestPrimaryEntriesKeepFewObjects bounds what a primary index keeps
+// live per entry, counted in heap objects, the collector's work: 10 000
+// Replaces of fresh documents, their key lists made beforehand as the
+// projector makes them. An entry is its ScanItem inline in a leaf and
+// one key, which the back-index shares with the tree; the leaves, the
+// interior nodes and the back-index's maps add a fraction. (A boxed
+// ScanItem, and a back-index holding its own copies of the keys in a
+// slice per document, made it 3.2.)
+func TestPrimaryEntriesKeepFewObjects(t *testing.T) {
+	const entries = 10000
+	ids := make([]string, entries)
+	secs := make([][][]any, entries)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("user%08d", i)
+		secs[i] = primaryEntries(ids[i])
+	}
+	tr := NewTree(nil)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, id := range ids {
+		tr.Replace(i%64, id, secs[i], nil)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perEntry := float64(int64(after.HeapObjects)-int64(before.HeapObjects)) / entries
+	runtime.KeepAlive(tr)
+	t.Logf("%.2f live heap objects per primary-index entry", perEntry)
+	if perEntry > 1.5 {
+		t.Errorf("%.2f live heap objects per primary-index entry, budget 1.5", perEntry)
+	}
+}
+
 type spanCase struct {
 	name string
 	opts ScanOptions
@@ -97,7 +169,7 @@ type parkingCount struct {
 	parked, released chan struct{}
 }
 
-func (parkingCount) Map([]byte, any) any { return 1.0 }
+func (parkingCount) Map([]byte, ScanItem) any { return 1.0 }
 func (p parkingCount) Merge(parts ...any) any {
 	if p.armed.CompareAndSwap(true, false) {
 		close(p.parked)

@@ -104,8 +104,12 @@ func (e *ObjectConstruct) String() string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// Param is a positional ($1) or named ($key) query parameter.
-type Param struct{ Name string }
+// Param is a positional ($1) or named ($key) query parameter. Scope.Resolve
+// gives it its ordinal among the statement's parameters.
+type Param struct {
+	Name string
+	ord  int // 1 + the parameter's index in the resolving Scope; 0 = unresolved
+}
 
 func (e *Param) String() string { return "$" + e.Name }
 

@@ -25,6 +25,32 @@ type Meta struct {
 type Context struct {
 	Slots  []any
 	Params map[string]any
+
+	// params holds Params by ordinal once BindParams has run, unbound{}
+	// for a parameter Params lacks. In a Context nobody bound, a
+	// parameter reads Params by name.
+	params []any
+}
+
+// unbound marks a parameter the execution supplied no value for: an
+// error only when an expression reads it.
+type unbound struct{}
+
+// BindParams makes params the parameters of every evaluation in c of an
+// expression s resolved, looked up once here rather than per row. A
+// parameter params lacks is not an error unless it is evaluated.
+func (c *Context) BindParams(s *Scope, params map[string]any) {
+	c.Params, c.params = params, c.params[:0]
+	if cap(c.params) < len(s.params) {
+		c.params = make([]any, 0, len(s.params))
+	}
+	for _, name := range s.params {
+		v, ok := params[name]
+		if !ok {
+			v = unbound{}
+		}
+		c.params = append(c.params, v)
+	}
 }
 
 // get reads a resolved name; an unresolved one is unbound.
@@ -124,10 +150,12 @@ func (e *ObjectConstruct) eval(ctx *Context) (any, error) {
 }
 
 func (e *Param) eval(ctx *Context) (any, error) {
-	if ctx.Params != nil {
-		if v, ok := ctx.Params[e.Name]; ok {
+	if i := e.ord - 1; i >= 0 && i < len(ctx.params) {
+		if v := ctx.params[i]; v != (unbound{}) {
 			return v, nil
 		}
+	} else if v, ok := ctx.Params[e.Name]; ok {
+		return v, nil
 	}
 	return nil, fmt.Errorf("n1ql: no value supplied for parameter $%s", e.Name)
 }

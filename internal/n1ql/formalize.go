@@ -1,5 +1,7 @@
 package n1ql
 
+import "slices"
+
 // rewrite copies e, offering every node to fn first: a non-nil answer
 // replaces the node as it stands, nil rebuilds it over its rewritten
 // children (a leaf is shared, not copied). bind brackets the part of
@@ -120,6 +122,9 @@ func Formalize(e Expr, alias string) Expr {
 type Scope struct {
 	names []scopeName
 	def   string // the alias bare identifiers are fields of; "" without a FROM
+	// params are the parameter names the scope's expressions read, in
+	// ordinal order (Context.BindParams).
+	params []string
 }
 
 type scopeName struct {
@@ -197,10 +202,10 @@ func (s *Scope) BindAggregate(fc *FuncCall) int { return s.Bind(aggSlotName(fc))
 
 // Resolve copies e with every name settled to its slot in s: an
 // identifier reads a bound name's slot or else a field of the default
-// alias's document, meta() an alias's metadata, and an aggregate call
-// bound by BindAggregate its result. The copy prints as e does. Every
-// expression handed to Eval goes through here first; an unresolved name
-// evaluates as unbound (MISSING).
+// alias's document, meta() an alias's metadata, an aggregate call bound
+// by BindAggregate its result, and a parameter its ordinal. The copy
+// prints as e does. Every expression handed to Eval goes through here
+// first; an unresolved name evaluates as unbound (MISSING).
 func (s *Scope) Resolve(e Expr) Expr {
 	meta := func(m *MetaExpr, field string) Expr {
 		alias := m.Alias
@@ -224,6 +229,8 @@ func (s *Scope) Resolve(e Expr) Expr {
 			if m, ok := t.Recv.(*MetaExpr); ok && m.field == "" {
 				return meta(m, t.Name)
 			}
+		case *Param:
+			return &Param{Name: t.Name, ord: s.param(t.Name)}
 		case *FuncCall:
 			if IsAggregate(t.Name) {
 				if at := s.find(aggSlotName(t), valueName); at != 0 {
@@ -233,6 +240,16 @@ func (s *Scope) Resolve(e Expr) Expr {
 		}
 		return nil
 	}, s.open)
+}
+
+// param returns the ordinal of the parameter called name, adding one
+// for a new name.
+func (s *Scope) param(name string) int {
+	if i := slices.Index(s.params, name); i >= 0 {
+		return i + 1
+	}
+	s.params = append(s.params, name)
+	return len(s.params)
 }
 
 // ResolveAll resolves each of es.

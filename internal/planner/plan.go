@@ -198,8 +198,9 @@ type Aggregate struct {
 // Figure-11 operator pipeline (Fetch → Join/Nest/Unnest → Filter →
 // Group → Project → Distinct → Sort → Offset → Limit). A row is
 // Scope.Len() slots (the FROM alias's document and metadata in
-// n1ql.DocSlot and MetaSlot) and every expression below is resolved to
-// read them: a finished plan is immutable and may run concurrently.
+// n1ql.DocSlot and MetaSlot, the metadata carrying the document ID from
+// the scan to the fetch) and every expression below is resolved to read
+// them: a finished plan is immutable and may run concurrently.
 type SelectPlan struct {
 	Keyspace string
 	Alias    string
@@ -238,6 +239,12 @@ type SelectPlan struct {
 	// document ID, and is -1 when nothing reads it.
 	CoverID int
 	Cover   []int
+
+	// Out is the slot Project writes the row's result value to, and
+	// SortKeys[k] the slot of its OrderBy[k] value when the executor
+	// sorts (none when the index delivers the order).
+	Out      int
+	SortKeys []int
 }
 
 // Describe renders the plan tree for EXPLAIN (§4.5.3's EXPLAIN

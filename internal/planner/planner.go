@@ -124,6 +124,13 @@ func (p *SelectPlan) resolve(sel *n1ql.Select, aggs []*n1ql.FuncCall, cover *can
 		ot.Expr = rw(ot.Expr)
 		p.OrderBy = append(p.OrderBy, ot)
 	}
+	// The projector's results: what the row answers and what it sorts by.
+	p.Out = sc.Bind("$out")
+	if !p.OrderFromIndex {
+		for k := range p.OrderBy {
+			p.SortKeys = append(p.SortKeys, sc.Bind(fmt.Sprintf("$sort:%d", k)))
+		}
+	}
 }
 
 // resolveTerms settles projection (or RETURNING) terms: each keeps its

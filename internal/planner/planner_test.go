@@ -206,8 +206,9 @@ func TestCoveringIndex(t *testing.T) {
 		t.Errorf("where rewrite: %s", p.Where)
 	}
 	// One slot per index key; the document ID gets one only when read.
-	if len(p.Cover) != 2 || p.CoverID != -1 || p.Scope.Len() != 4 {
-		t.Errorf("cover slots: %v id %d of %d", p.Cover, p.CoverID, p.Scope.Len())
+	// The last slot is the projector's result.
+	if len(p.Cover) != 2 || p.CoverID != -1 || p.Out != 4 || p.Scope.Len() != 5 {
+		t.Errorf("cover slots: %v id %d out %d of %d", p.Cover, p.CoverID, p.Out, p.Scope.Len())
 	}
 	// meta().id is free.
 	p = plan(t, `SELECT meta().id, email FROM Profile WHERE email = "x"`, cat)

@@ -1,5 +1,7 @@
 package value
 
+import "strings"
+
 // Collation implements the total order N1QL uses for ORDER BY, index
 // keys, and comparison predicates:
 //
@@ -43,15 +45,7 @@ func Compare(a, b any) int {
 			return 0
 		}
 	case STRING:
-		as, bs := a.(string), b.(string)
-		switch {
-		case as < bs:
-			return -1
-		case as > bs:
-			return 1
-		default:
-			return 0
-		}
+		return strings.Compare(a.(string), b.(string))
 	case ARRAY:
 		aa, ba := a.([]any), b.([]any)
 		n := len(aa)
@@ -118,9 +112,12 @@ func Compare(a, b any) int {
 //
 // Layout: one type-tag byte, then a type-specific payload that is
 // order-preserving under bytes.Compare.
+//
+// The buffer starts with room for 64 bytes, what a document ID or a few
+// scalars take, so a key (and a tree key built on it) is one allocation
+// rather than one per doubling.
 func EncodeKey(v any) []byte {
-	var out []byte
-	return appendKey(out, v)
+	return appendKey(make([]byte, 0, 64), v)
 }
 
 func appendKey(out []byte, v any) []byte {

@@ -13,7 +13,7 @@ import (
 // provide: _count, _sum, _stats, _min, _max. Each is a btree.Reducer so
 // partial aggregates live in the index tree's interior nodes.
 
-func reducerFor(name string) (btree.Reducer, error) {
+func reducerFor(name string) (btree.Reducer[gsi.ScanItem], error) {
 	switch name {
 	case "":
 		return nil, nil
@@ -46,7 +46,7 @@ func finishReduce(name string, partial any) any {
 
 type countReducer struct{}
 
-func (countReducer) Map(_ []byte, _ any) any { return 1.0 }
+func (countReducer) Map([]byte, gsi.ScanItem) any { return 1.0 }
 func (countReducer) Merge(parts ...any) any {
 	total := 0.0
 	for _, p := range parts {
@@ -60,8 +60,8 @@ func (countReducer) Zero() any { return 0.0 }
 
 type sumReducer struct{}
 
-func (sumReducer) Map(_ []byte, v any) any {
-	if f, ok := value.AsNumber(v.(gsi.ScanItem).Value); ok {
+func (sumReducer) Map(_ []byte, v gsi.ScanItem) any {
+	if f, ok := value.AsNumber(v.Value); ok {
 		return f
 	}
 	return 0.0
@@ -92,8 +92,8 @@ func (s stats) object() map[string]any {
 
 type statsReducer struct{}
 
-func (statsReducer) Map(_ []byte, v any) any {
-	f, ok := value.AsNumber(v.(gsi.ScanItem).Value)
+func (statsReducer) Map(_ []byte, v gsi.ScanItem) any {
+	f, ok := value.AsNumber(v.Value)
 	if !ok {
 		return stats{}
 	}
@@ -126,7 +126,7 @@ func (statsReducer) Zero() any { return stats{} }
 
 type minReducer struct{}
 
-func (minReducer) Map(_ []byte, v any) any { return v.(gsi.ScanItem).Value }
+func (minReducer) Map(_ []byte, v gsi.ScanItem) any { return v.Value }
 func (minReducer) Merge(parts ...any) any {
 	var best any
 	for _, p := range parts {
@@ -143,7 +143,7 @@ func (minReducer) Zero() any { return nil }
 
 type maxReducer struct{}
 
-func (maxReducer) Map(_ []byte, v any) any { return v.(gsi.ScanItem).Value }
+func (maxReducer) Map(_ []byte, v gsi.ScanItem) any { return v.Value }
 func (maxReducer) Merge(parts ...any) any {
 	var best any
 	for _, p := range parts {
