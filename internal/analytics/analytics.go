@@ -240,5 +240,5 @@ func (s *shadowStore) ConsistencyVector(string) map[int]uint64 { return nil }
 func (s *shadowStore) InsertDoc(context.Context, string, string, any, bool) error {
 	return ErrDML
 }
-func (s *shadowStore) UpdateDoc(context.Context, string, string, any) error { return ErrDML }
-func (s *shadowStore) DeleteDoc(context.Context, string, string) error      { return ErrDML }
+func (s *shadowStore) UpdateDoc(context.Context, string, string, any, uint64) error { return ErrDML }
+func (s *shadowStore) DeleteDoc(context.Context, string, string, uint64) error      { return ErrDML }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1018,4 +1020,59 @@ func TestFullEvictionModeOnCluster(t *testing.T) {
 	if got := res.Rows[0].(map[string]any)["n"]; got != 200.0 {
 		t.Fatalf("count over fully-evicted bucket: %v", got)
 	}
+}
+
+// TestUpdateRacesKVIncrements: a N1QL UPDATE writes through the CAS it
+// read, so a KV increment landing between its read and its write is not
+// overwritten. An UPDATE that lost every reread to the increments fails
+// and changed nothing, so the final count is every acked increment of
+// either kind.
+func TestUpdateRacesKVIncrements(t *testing.T) {
+	c, cl := newTestCluster(t, 1, 0)
+	ctx := context.Background()
+	if _, err := cl.Set(ctx, "ctr", []byte(`{"n": 0}`), 0); err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	type tally struct {
+		n   int
+		err error
+	}
+	incrs := make(chan tally, 1)
+	go func() {
+		n := 0
+		for ; !stop.Load(); n++ {
+			if _, err := cl.SubdocCounter(ctx, "ctr", "n", 1, 0); err != nil {
+				incrs <- tally{n, err}
+				return
+			}
+		}
+		incrs <- tally{n, nil}
+	}()
+	updates, failed := 0, 0
+	var uerr error
+	for i := 0; i < 200 && uerr == nil; i++ {
+		res, err := c.Query("UPDATE `default` USE KEYS \"ctr\" SET n = n + 1", executor.Options{})
+		switch {
+		case errors.Is(err, executor.ErrChanged):
+			failed++
+		case err != nil || res.MutationCount != 1:
+			uerr = fmt.Errorf("update %d: %+v %v", i, res, err)
+		default:
+			updates++
+		}
+	}
+	stop.Store(true)
+	incr := <-incrs
+	if uerr != nil || incr.err != nil {
+		t.Fatal(uerr, incr.err)
+	}
+	it, err := cl.Get(ctx, "ctr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(`"n":%d`, updates+incr.n); !contains(string(it.Value), want) {
+		t.Errorf("ctr is %s after %d updates (%d failed) and %d increments, want %s", it.Value, updates, failed, incr.n, want)
+	}
+	t.Logf("%d updates (%d failed), %d increments", updates, failed, incr.n)
 }

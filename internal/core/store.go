@@ -397,21 +397,33 @@ func (s *clusterStore) InsertDoc(ctx context.Context, keyspace, id string, doc a
 	return err
 }
 
-func (s *clusterStore) UpdateDoc(ctx context.Context, keyspace, id string, doc any) error {
+func (s *clusterStore) UpdateDoc(ctx context.Context, keyspace, id string, doc any, cas uint64) error {
 	cl, err := s.c.OpenBucket(keyspace)
 	if err != nil {
 		return err
 	}
-	_, err = cl.Replace(ctx, id, value.Marshal(doc), 0)
-	return err
+	_, err = cl.Replace(ctx, id, value.Marshal(doc), cas)
+	return dmlError(err)
 }
 
-func (s *clusterStore) DeleteDoc(ctx context.Context, keyspace, id string) error {
+func (s *clusterStore) DeleteDoc(ctx context.Context, keyspace, id string, cas uint64) error {
 	cl, err := s.c.OpenBucket(keyspace)
 	if err != nil {
 		return err
 	}
-	return cl.Delete(ctx, id, 0)
+	return dmlError(cl.Delete(ctx, id, cas))
+}
+
+// dmlError tells the executor which failed CAS write to read again and
+// which target is gone.
+func dmlError(err error) error {
+	switch {
+	case errors.Is(err, cache.ErrCASMismatch):
+		return fmt.Errorf("%w: %w", executor.ErrChanged, err)
+	case errors.Is(err, cache.ErrKeyNotFound):
+		return fmt.Errorf("%w: %w", executor.ErrNotFound, err)
+	}
+	return err
 }
 
 // --- view management + scatter/gather querying ---

@@ -18,8 +18,14 @@ import (
 	"couchgo/internal/n1ql"
 )
 
-// ErrNotFound is returned by Datastore.Fetch for absent documents.
+// ErrNotFound is returned by Datastore.Fetch for absent documents, and
+// by UpdateDoc and DeleteDoc for documents gone since they were fetched.
 var ErrNotFound = errors.New("executor: document not found")
+
+// ErrChanged is returned by Datastore.UpdateDoc and DeleteDoc when the
+// document's CAS is no longer the one its fetch read: someone else
+// wrote it in between.
+var ErrChanged = errors.New("executor: document changed since it was read")
 
 // Datastore is the query service's view of the data and index services
 // (§4.5.1: "the query service issues all key-value access requests ...
@@ -38,10 +44,12 @@ type Datastore interface {
 	// high seqnos, captured at query start for request_plus.
 	ConsistencyVector(keyspace string) map[int]uint64
 
-	// DML surface.
+	// DML surface. UpdateDoc and DeleteDoc write over the version whose
+	// CAS the target's Fetch read (§3.1.1's optimistic locking), and
+	// fail with ErrChanged if that is no longer the stored version.
 	InsertDoc(ctx context.Context, keyspace, id string, doc any, upsert bool) error
-	UpdateDoc(ctx context.Context, keyspace, id string, doc any) error
-	DeleteDoc(ctx context.Context, keyspace, id string) error
+	UpdateDoc(ctx context.Context, keyspace, id string, doc any, cas uint64) error
+	DeleteDoc(ctx context.Context, keyspace, id string, cas uint64) error
 }
 
 // Consistency selects the §3.2.3 scan_consistency level.

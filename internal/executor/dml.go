@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"errors"
 	"fmt"
 
 	"couchgo/internal/n1ql"
@@ -50,28 +51,31 @@ func ExecuteInsert(ins *planner.InsertPlan, ds Datastore, opts Options) (*Mutati
 	return res, nil
 }
 
+// maxRereads bounds how often a DML statement reads a target again
+// because its CAS moved between the read and the write.
+const maxRereads = 16
+
 // mutate finds a DELETE/UPDATE's documents by running its target SELECT
-// and hands each to apply, which reports whether it changed the
-// document (one changed concurrently is skipped); RETURNING then reads
-// the row as apply left it.
-func mutate(mp *planner.MutationPlan, ds Datastore, opts Options, apply func(ctx *n1ql.Context, id string) (bool, error)) (*MutationResult, error) {
-	rows, err := (&selectExec{p: mp.Targets, ds: ds, opts: opts}).run()
+// and hands each to apply, which writes it over the CAS its fetch read;
+// RETURNING then reads the row as apply left it. The executor goes back
+// to the pool once every target is applied.
+func mutate(mp *planner.MutationPlan, ds Datastore, opts Options, apply func(ctx *n1ql.Context, meta *n1ql.Meta) error) (*MutationResult, error) {
+	ex := newExec(mp.Targets, ds, opts)
+	defer ex.free()
+	rows, err := ex.run()
 	if err != nil {
 		return nil, err
 	}
 	res := &MutationResult{}
-	ctx := &n1ql.Context{}
-	ctx.BindParams(mp.Targets.Scope, opts.Params)
 	for _, r := range rows {
-		ctx.Slots = r
-		if ok, err := apply(ctx, r[n1ql.MetaSlot].(*n1ql.Meta).ID); err != nil {
+		if ok, err := ex.write(r, apply); err != nil {
 			return nil, err
 		} else if !ok {
 			continue
 		}
 		res.MutationCount++
 		if len(mp.Returning) > 0 {
-			out, err := projectTerms(mp.Returning, mp.Targets.Stars, ctx)
+			out, err := projectTerms(mp.Returning, mp.Targets.Stars, ex.at(r))
 			if err != nil {
 				return nil, err
 			}
@@ -81,39 +85,75 @@ func mutate(mp *planner.MutationPlan, ds Datastore, opts Options, apply func(ctx
 	return res, nil
 }
 
+// write applies one target row. A target someone else wrote since its
+// fetch is fetched again and applied again while WHERE still holds, up
+// to maxRereads times; one deleted meanwhile is no target. It reports
+// whether the row was changed; any other failure fails the statement.
+func (ex *selectExec) write(r []any, apply func(*n1ql.Context, *n1ql.Meta) error) (bool, error) {
+	meta := r[n1ql.MetaSlot].(*n1ql.Meta)
+	for range maxRereads {
+		err := apply(ex.at(r), meta)
+		switch {
+		case err == nil:
+			return true, nil
+		case errors.Is(err, ErrNotFound):
+			return false, nil
+		case !errors.Is(err, ErrChanged):
+			return false, err
+		}
+		doc, m, err := ex.ds.Fetch(ex.opts.Context(), ex.p.Keyspace, meta.ID)
+		if errors.Is(err, ErrNotFound) {
+			return false, nil
+		} else if err != nil {
+			return false, fmt.Errorf("executor: fetch %q: %w", meta.ID, err)
+		}
+		r[n1ql.DocSlot], *meta = doc, m
+		if ex.p.Where != nil {
+			v, err := n1ql.Eval(ex.p.Where, ex.at(r))
+			if err != nil || !value.Truthy(v) {
+				return false, err
+			}
+		}
+	}
+	return false, fmt.Errorf("executor: write %q: %w %d times over", meta.ID, ErrChanged, maxRereads)
+}
+
 // ExecuteDelete runs DELETE FROM ...
 func ExecuteDelete(mp *planner.MutationPlan, ds Datastore, opts Options) (*MutationResult, error) {
-	return mutate(mp, ds, opts, func(_ *n1ql.Context, id string) (bool, error) {
-		return ds.DeleteDoc(opts.Context(), mp.Targets.Keyspace, id) == nil, nil
+	return mutate(mp, ds, opts, func(_ *n1ql.Context, meta *n1ql.Meta) error {
+		if err := ds.DeleteDoc(opts.Context(), mp.Targets.Keyspace, meta.ID, meta.CAS); err != nil {
+			return fmt.Errorf("executor: delete %q: %w", meta.ID, err)
+		}
+		return nil
 	})
 }
 
 // ExecuteUpdate runs UPDATE ... SET/UNSET.
 func ExecuteUpdate(mp *planner.MutationPlan, ds Datastore, opts Options) (*MutationResult, error) {
 	alias := mp.Targets.Alias
-	return mutate(mp, ds, opts, func(ctx *n1ql.Context, id string) (bool, error) {
+	return mutate(mp, ds, opts, func(ctx *n1ql.Context, meta *n1ql.Meta) error {
 		doc := value.Copy(ctx.Slots[n1ql.DocSlot])
 		for _, sc := range mp.Sets {
 			nv, err := n1ql.Eval(sc.Val, ctx)
 			if err != nil {
-				return false, err
+				return err
 			}
 			if doc, err = applyPathSet(doc, sc.Path, alias, nv, ctx); err != nil {
-				return false, err
+				return err
 			}
 		}
 		for _, un := range mp.Unsets {
 			var err error
 			if doc, err = applyPathUnset(doc, un, alias, ctx); err != nil {
-				return false, err
+				return err
 			}
 		}
-		if ds.UpdateDoc(opts.Context(), mp.Targets.Keyspace, id, doc) != nil {
-			return false, nil
+		if err := ds.UpdateDoc(opts.Context(), mp.Targets.Keyspace, meta.ID, doc, meta.CAS); err != nil {
+			return fmt.Errorf("executor: update %q: %w", meta.ID, err)
 		}
 		// RETURNING sees the document as written.
-		ctx.Slots[n1ql.DocSlot], ctx.Slots[n1ql.MetaSlot] = doc, &n1ql.Meta{ID: id}
-		return true, nil
+		ctx.Slots[n1ql.DocSlot], *meta = doc, n1ql.Meta{ID: meta.ID}
+		return nil
 	})
 }
 

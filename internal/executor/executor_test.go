@@ -19,6 +19,9 @@ import (
 type stubDS struct {
 	mu   sync.Mutex
 	docs map[string]any
+	// cas is each document's CAS, which every write moves.
+	cas     map[string]uint64
+	lastCAS uint64
 	// fetchConcurrency observes the parallel Fetch operator.
 	inFlight, maxInFlight atomic.Int32
 	fetches               atomic.Int32
@@ -26,9 +29,16 @@ type stubDS struct {
 	scans, scanned atomic.Int32
 }
 
-func newStubDS() *stubDS { return &stubDS{docs: map[string]any{}} }
+func newStubDS() *stubDS { return &stubDS{docs: map[string]any{}, cas: map[string]uint64{}} }
 
-func (s *stubDS) put(id, doc string) { s.docs[id] = value.MustParse(doc) }
+func (s *stubDS) put(id, doc string) { s.store(id, value.MustParse(doc)) }
+
+// store writes doc under a new CAS; the caller holds mu, or is the
+// test before the stub is shared.
+func (s *stubDS) store(id string, doc any) {
+	s.lastCAS++
+	s.docs[id], s.cas[id] = doc, s.lastCAS
+}
 
 func (s *stubDS) Fetch(_ context.Context, _ string, id string) (any, n1ql.Meta, error) {
 	cur := s.inFlight.Add(1)
@@ -44,11 +54,12 @@ func (s *stubDS) Fetch(_ context.Context, _ string, id string) (any, n1ql.Meta, 
 	s.fetches.Add(1)
 	s.mu.Lock()
 	doc, ok := s.docs[id]
+	cas := s.cas[id]
 	s.mu.Unlock()
 	if !ok {
 		return nil, n1ql.Meta{}, ErrNotFound
 	}
-	return doc, n1ql.Meta{ID: id}, nil
+	return doc, n1ql.Meta{ID: id, CAS: cas}, nil
 }
 
 // ScanIndex is a primary index over the stub's documents: IDs at or
@@ -88,27 +99,39 @@ func (s *stubDS) InsertDoc(_ context.Context, _, id string, doc any, upsert bool
 	if _, ok := s.docs[id]; ok && !upsert {
 		return fmt.Errorf("exists")
 	}
-	s.docs[id] = doc
+	s.store(id, doc)
 	return nil
 }
 
-func (s *stubDS) UpdateDoc(_ context.Context, _, id string, doc any) error {
+func (s *stubDS) UpdateDoc(_ context.Context, _, id string, doc any, cas uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.docs[id]; !ok {
-		return ErrNotFound
+	if err := s.check(id, cas); err != nil {
+		return err
 	}
-	s.docs[id] = doc
+	s.store(id, doc)
 	return nil
 }
 
-func (s *stubDS) DeleteDoc(_ context.Context, _, id string) error {
+func (s *stubDS) DeleteDoc(_ context.Context, _, id string, cas uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.docs[id]; !ok {
-		return ErrNotFound
+	if err := s.check(id, cas); err != nil {
+		return err
 	}
 	delete(s.docs, id)
+	delete(s.cas, id)
+	return nil
+}
+
+// check is a write's CAS test; the caller holds mu.
+func (s *stubDS) check(id string, cas uint64) error {
+	if _, ok := s.docs[id]; !ok {
+		return ErrNotFound
+	}
+	if cas != s.cas[id] {
+		return ErrChanged
+	}
 	return nil
 }
 

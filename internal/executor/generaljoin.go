@@ -169,7 +169,7 @@ func (ex *selectExec) hashMatcher(j planner.Join, inner []ScannedDoc, outerExpr,
 // nestedLoopMatcher evaluates the condition for every (outer, inner)
 // pair, over a copy of the outer row that takes each candidate in turn.
 func (ex *selectExec) nestedLoopMatcher(j planner.Join, inner []ScannedDoc) func([]any) ([]ScannedDoc, error) {
-	pair := make([]any, ex.width)
+	pair := ex.arena.slots.take(ex.width)
 	return func(slots []any) ([]ScannedDoc, error) {
 		copy(pair, slots)
 		var matches []ScannedDoc
@@ -192,7 +192,7 @@ func (ex *selectExec) nestedLoopMatcher(j planner.Join, inner []ScannedDoc) func
 // produces a single result for each left-hand input while its
 // right-hand input is collected into an array and nested". JOIN: one
 // result per matched inner document.
-func appendJoinRows(out [][]any, r []any, j planner.Join, matches []ScannedDoc) [][]any {
+func (ex *selectExec) appendJoinRows(out [][]any, r []any, j planner.Join, matches []ScannedDoc) [][]any {
 	switch {
 	case len(matches) == 0:
 		if j.Kind == n1ql.JoinLeftOuter {
@@ -207,7 +207,7 @@ func appendJoinRows(out [][]any, r []any, j planner.Join, matches []ScannedDoc) 
 		r[j.Slot] = docs
 		out = append(out, r)
 	default:
-		out = fan(out, r, len(matches))
+		out = ex.fan(out, r, len(matches))
 		for i := range matches {
 			slots := out[len(out)-len(matches)+i]
 			slots[j.Slot], slots[j.MetaSlot] = matches[i].Doc, &matches[i].Meta

@@ -16,12 +16,12 @@ import (
 )
 
 // A row is its slots: the value of every name in the plan's scope, cut
-// from a slab the producing operator allocates per batch. The plan
-// binds a slot for everything a row carries (planner.SelectPlan): the
-// scan writes the cover slots, or the document ID into the row's
-// metadata for Fetch to read; Project writes the result value to Out and
-// the sort keys to SortKeys. An operator that drops rows compacts its
-// batch in place.
+// from the execution's arena, which the executor keeps, cleared, for the
+// next execution it is pooled for. The plan binds a slot for everything
+// a row carries (planner.SelectPlan): the scan writes the cover slots,
+// or the document ID into the row's metadata for Fetch to read; Project
+// writes the result value to Out and the sort keys to SortKeys. An
+// operator that drops rows compacts its batch in place.
 
 // noLimit is the demand of a consumer that needs every row.
 const noLimit = math.MaxInt
@@ -151,7 +151,9 @@ func (ph *phase) next(want int) ([][]any, error) {
 // ExecuteSelect runs a planned SELECT and returns the result values
 // (one JSON value per row).
 func ExecuteSelect(p *planner.SelectPlan, ds Datastore, opts Options) ([]any, error) {
-	rows, err := (&selectExec{p: p, ds: ds, opts: opts}).run()
+	ex := newExec(p, ds, opts)
+	defer ex.free()
+	rows, err := ex.run()
 	if err != nil {
 		return nil, err
 	}
@@ -174,10 +176,12 @@ type selectExec struct {
 	// ctx is the execution's one evaluation context, its parameters
 	// bound once; at points it at a row. width is the slots a row has,
 	// and consts the row with no name bound that LIMIT, OFFSET, USE KEYS
-	// and span bounds read.
+	// and span bounds read. The operators that make rows, consts and the
+	// span's bounds are cut from arena.
 	ctx    n1ql.Context
 	width  int
 	consts []any
+	arena  arena
 
 	top     operator
 	scan    scanOp
@@ -192,6 +196,85 @@ type selectExec struct {
 	seen     map[string]bool
 }
 
+// execs are executors that finished an execution, each keeping its
+// context and arena, cleared, for the next one.
+var execs sync.Pool
+
+// newExec takes an executor from the pool, or makes the pool's first,
+// for one execution of p.
+func newExec(p *planner.SelectPlan, ds Datastore, opts Options) *selectExec {
+	ex, _ := execs.Get().(*selectExec)
+	if ex == nil {
+		ex = new(selectExec)
+	}
+	ex.p, ex.ds, ex.opts = p, ds, opts
+	return ex
+}
+
+// free hands ex back to the pool once nothing reads its rows: the
+// caller has copied out each row's answer, so the arena and the context
+// are cleared and pin no document, key or map.
+func (ex *selectExec) free() {
+	ex.scan.release()
+	ex.arena.reset()
+	ex.ctx.Unbind()
+	*ex = selectExec{ctx: ex.ctx, arena: ex.arena}
+	execs.Put(ex)
+}
+
+// arena hands out the slots, row headers and metadata of an execution's
+// rows, from chunks of at most maxBatch rows: when a batch no longer
+// fits, the next chunk starts and the last is left to the rows cut from
+// it, so a long scan whose filter drops rows does not keep them all
+// reachable. A run longer than maxBatch rows (the groups of a large GROUP
+// BY, an UNNEST of a long array) gets a chunk of its own, left to the GC
+// as a large scan page is (scanOp.release).
+type arena struct {
+	slots slab[any]
+	rows  slab[[]any]
+	metas slab[n1ql.Meta]
+}
+
+// size sets the chunk limits for rows of width slots.
+func (a *arena) size(width int) {
+	a.slots.limit, a.rows.limit, a.metas.limit = maxBatch*width, maxBatch, maxBatch
+}
+
+// reset clears what the execution took.
+func (a *arena) reset() {
+	a.slots.reset()
+	a.rows.reset()
+	a.metas.reset()
+}
+
+// slab cuts runs from one chunk, which doubles from the first run up to
+// limit.
+type slab[T any] struct {
+	chunk []T
+	used  int
+	limit int
+}
+
+// take returns a zeroed run of n, with no room to append into the next.
+func (s *slab[T]) take(n int) []T {
+	if s.used+n > len(s.chunk) {
+		s.chunk, s.used = make([]T, max(n, min(2*len(s.chunk), s.limit))), 0
+	}
+	run := s.chunk[s.used : s.used+n : s.used+n]
+	s.used += n
+	return run
+}
+
+// reset zeroes what was taken, and drops a chunk past limit.
+func (s *slab[T]) reset() {
+	if len(s.chunk) > s.limit {
+		s.chunk = nil
+	} else {
+		clear(s.chunk[:s.used])
+	}
+	s.used = 0
+}
+
 func (ex *selectExec) at(slots []any) *n1ql.Context {
 	ex.ctx.Slots = slots
 	return &ex.ctx
@@ -199,7 +282,7 @@ func (ex *selectExec) at(slots []any) *n1ql.Context {
 
 // blank returns a row in which every name is unbound.
 func (ex *selectExec) blank() []any {
-	slots := make([]any, ex.width)
+	slots := ex.arena.slots.take(ex.width)
 	for i := range slots {
 		slots[i] = value.Missing
 	}
@@ -208,10 +291,10 @@ func (ex *selectExec) blank() []any {
 
 // fan appends n copies of r to out, the first r itself and the rest
 // fresh slots, for an operator that turns one row into n.
-func fan(out [][]any, r []any, n int) [][]any {
+func (ex *selectExec) fan(out [][]any, r []any, n int) [][]any {
 	out = append(out, r)
 	w := len(r)
-	slab := make([]any, (n-1)*w)
+	slab := ex.arena.slots.take((n - 1) * w)
 	for ; n > 1; n-- {
 		c := slab[:w:w]
 		slab = slab[w:]
@@ -243,6 +326,7 @@ func (ex *selectExec) addStage(name string, fn func(*selectExec, [][]any) ([][]a
 func (ex *selectExec) run() ([][]any, error) {
 	p := ex.p
 	ex.width = p.Scope.Len()
+	ex.arena.size(ex.width)
 	ex.ctx.BindParams(p.Scope, ex.opts.Params)
 	ex.consts = ex.blank()
 	limit, offset, err := ex.limitOffset()
@@ -253,7 +337,6 @@ func (ex *selectExec) run() ([][]any, error) {
 	if err := ex.addScan(); err != nil {
 		return nil, err
 	}
-	defer ex.scan.release()
 	if p.Fetch {
 		ex.addStage("fetch", (*selectExec).fetch, false)
 	}
@@ -379,11 +462,11 @@ func (s *scanOp) next(want int) ([][]any, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	p, w := s.ex.p, s.ex.width
-	rows, slab := make([][]any, n), make([]any, n*w)
+	p, w, a := s.ex.p, s.ex.width, &s.ex.arena
+	rows, slab := a.rows.take(n), a.slots.take(n*w)
 	var metas []n1ql.Meta
 	if !s.cover {
-		metas = make([]n1ql.Meta, n)
+		metas = a.metas.take(n)
 	}
 	for i, e := range s.buf[:n] {
 		r := slab[i*w : (i+1)*w : (i+1)*w]
@@ -433,7 +516,7 @@ func (s *scanOp) read() error {
 	return nil
 }
 
-// release hands the page buffer back, cleared, once no row reads it.
+// release hands the page buffer back, cleared, once the execution ends.
 func (s *scanOp) release() {
 	if s.page == nil {
 		return
@@ -519,7 +602,7 @@ func keyStrings(v any) (ids []string, ok bool) {
 // evalSpan evaluates the span's constant bound expressions into opts.
 func (ex *selectExec) evalSpan(span planner.Span, opts *gsi.ScanOptions) error {
 	evalAll := func(es []n1ql.Expr) ([]any, error) {
-		out := make([]any, len(es))
+		out := ex.arena.slots.take(len(es))
 		for i, e := range es {
 			v, err := n1ql.Eval(e, ex.at(ex.consts))
 			if err != nil {
@@ -623,7 +706,7 @@ func (ex *selectExec) join(rows [][]any) ([][]any, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = appendJoinRows(out, r, j, matches)
+			out = ex.appendJoinRows(out, r, j, matches)
 		}
 		rows = out
 	}
@@ -673,7 +756,7 @@ func (ex *selectExec) unnest(rows [][]any) ([][]any, error) {
 				}
 				continue
 			}
-			out = fan(out, r, len(arr))
+			out = ex.fan(out, r, len(arr))
 			for i, el := range arr {
 				out[len(out)-len(arr)+i][u.Slot] = el
 			}
@@ -756,7 +839,7 @@ func (ex *selectExec) group(rows [][]any) ([][]any, error) {
 	if len(groups) == 0 && len(p.GroupBy) == 0 {
 		open("", ex.blank())
 	}
-	out := make([][]any, len(order))
+	out := ex.arena.rows.take(len(order))
 	for i, gs := range order {
 		for k, a := range p.Aggregates {
 			gs.first[a.Slot] = gs.aggs[k].Result()

@@ -14,7 +14,8 @@ import (
 // Structure holds the module to the shape its "one X" refactors reached.
 // Each row of structureRows is one invariant in one of four forms:
 //
-//   - onlyFrom (A): only the functions in list may refer to subj;
+//   - onlyFrom (A): only the functions in list may refer to subj, or,
+//     for a type, make a value of it (a composite literal or new);
 //   - bare (B): the bodies of the functions in subj contain none of ban;
 //   - methodSet (C): the types in subj declare exactly the methods in
 //     list (the exported ones, when list names only exported methods);
@@ -125,6 +126,10 @@ var structureRows = []row{
 		"DrainDisk", "Get", "HighSeqno", "PersistedSeqno", "Producer", "QueueDepth", "ReplicationAwaited", "Set",
 		"SetReplicaSet", "SetState", "State", "WaitPersist", "WaitReplicas", "WarmUp"},
 		why: "a KV op is a table row and an arm of Do, not a method"},
+	// One executor per execution, from the pool: its arena is cleared
+	// before the next execution takes it.
+	{form: onlyFrom, subj: under("executor", "selectExec"), list: under("executor", "newExec", "selectExec.free"),
+		why: "an executor comes from the pool"},
 	// One evaluator over slots.
 	{form: methodSet, subj: under("n1ql", "*"), typ: internal + "n1ql.Expr", list: []string{"String", "eval"},
 		why: "an expression runs only through eval"},
@@ -276,9 +281,10 @@ func (c *rowChecker) funcsOf(lp *Package) []*ast.FuncDecl {
 func onlyFrom(c *rowChecker, r *row) {
 	objs := map[types.Object]string{}       // subject -> the name a finding gives it
 	ifaces := map[string]*types.Interface{} // an interface-method subject's name -> its interface
+	typed := false                          // a subject is a type
 	for _, s := range r.subj {
 		for name, obj := range c.resolve(r, s, func(o types.Object) bool { return r.typ == "" || hasType(o, r.typ) }) {
-			objs[obj] = shortLock(obj.Pkg().Path() + "." + name)
+			objs[obj], typed = shortLock(obj.Pkg().Path()+"."+name), typed || isType(obj)
 			// A loaded package's importers see another copy of it.
 			if twin := c.imported[obj.Pkg().Path()]; twin != nil && c.membersOf(twin)[name] != nil {
 				objs[c.membersOf(twin)[name]] = objs[obj]
@@ -302,14 +308,38 @@ func onlyFrom(c *rowChecker, r *row) {
 			c.report(pos, r, "%s refers to %s", shortLock(strings.TrimSuffix(lp.Path+"."+fn, ".")), subj)
 		}
 		for id, obj := range lp.Info.Uses {
-			if subj, ok := objs[obj]; ok {
+			if subj, ok := objs[obj]; ok && !isType(obj) {
 				refer(id.Pos(), subj)
+			}
+		}
+		for _, f := range lp.Files {
+			if typed {
+				ast.Inspect(f, func(n ast.Node) bool { madeHere(lp, n, objs, refer); return true })
 			}
 		}
 		for sel, s := range lp.Info.Selections {
 			if iface := ifaces[sel.Sel.Name]; iface != nil && s.Kind() == types.MethodVal && implements(s.Recv(), iface) {
 				refer(sel.Sel.Pos(), shortLock(s.Obj().Pkg().Path()+"."+memberName(s.Obj())))
 			}
+		}
+	}
+}
+
+// madeHere reports, through refer, n if it makes a value of a type in
+// objs: a composite literal of it, or new of it.
+func madeHere(lp *Package, n ast.Node, objs map[types.Object]string, refer func(token.Pos, string)) {
+	var made ast.Expr // the type a value is made of
+	switch n := n.(type) {
+	case *ast.CompositeLit:
+		made = n
+	case *ast.CallExpr:
+		if id, ok := n.Fun.(*ast.Ident); ok && len(n.Args) == 1 && lp.Info.Uses[id] == types.Universe.Lookup("new") {
+			made = n.Args[0]
+		}
+	}
+	if nt := namedOf(lp.Info.TypeOf(made)); made != nil && nt != nil {
+		if subj, ok := objs[nt.Obj()]; ok {
+			refer(made.Pos(), subj)
 		}
 	}
 }

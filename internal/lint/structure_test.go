@@ -124,15 +124,20 @@ var zipfian = 0.99 // want: structure
 `},
 }
 
-// executorFixture refers to gsi's span fields from another package.
+// executorFixture refers to gsi's span fields from another package, and
+// makes an executor outside the pool.
 var executorFixture = fixture{name: "executor", path: internal + "executor", src: `package executor
 
 import "couchgo/internal/gsi"
 
-type selectExec struct{}
+type selectExec struct{ p any }
 
 func (s *selectExec) evalSpan(o gsi.ScanOptions) bool { return o.LowIncl }
 func plan(o gsi.ScanOptions) bool { return o.HighIncl } // want: structure
+func newExec() *selectExec { return new(selectExec) }
+func (s *selectExec) free() { *s = selectExec{} }
+func mutate(p any) *selectExec { return &selectExec{p: p} } // want: structure
+func run(ex *selectExec) { var keep []selectExec; keep = append(keep, *ex, selectExec{}) } // want: structure
 `}
 
 // TestStructure runs the rule table over the fixtures: every finding is a

@@ -53,6 +53,13 @@ func (c *Context) BindParams(s *Scope, params map[string]any) {
 	}
 }
 
+// Unbind forgets c's row and parameters but keeps the room BindParams
+// made, so a Context kept for the next execution pins no value.
+func (c *Context) Unbind() {
+	clear(c.params)
+	c.Slots, c.Params, c.params = nil, nil, c.params[:0]
+}
+
 // get reads a resolved name; an unresolved one is unbound.
 func (s slot) get(ctx *Context) any {
 	if s == 0 {

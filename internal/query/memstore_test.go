@@ -305,7 +305,7 @@ func (s *memStore) InsertDoc(_ context.Context, keyspace, id string, doc any, up
 	return nil
 }
 
-func (s *memStore) UpdateDoc(_ context.Context, keyspace, id string, doc any) error {
+func (s *memStore) UpdateDoc(_ context.Context, keyspace, id string, doc any, _ uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, exists := s.docs[keyspace][id]; !exists {
@@ -315,7 +315,7 @@ func (s *memStore) UpdateDoc(_ context.Context, keyspace, id string, doc any) er
 	return nil
 }
 
-func (s *memStore) DeleteDoc(_ context.Context, keyspace, id string) error {
+func (s *memStore) DeleteDoc(_ context.Context, keyspace, id string, _ uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, exists := s.docs[keyspace][id]; !exists {

@@ -14,6 +14,9 @@ import (
 	"couchgo/internal/core"
 	"couchgo/internal/metrics"
 	"couchgo/internal/transport"
+	// §4's table lists XDCR's counter, which a process that replicates
+	// registers by linking the package.
+	_ "couchgo/internal/xdcr"
 )
 
 // quiesce waits until nothing in the background is still moving the

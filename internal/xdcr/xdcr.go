@@ -37,6 +37,7 @@ import (
 	"couchgo/internal/dcp"
 	"couchgo/internal/events"
 	"couchgo/internal/feed"
+	"couchgo/internal/metrics"
 	"couchgo/internal/trace"
 )
 
@@ -49,6 +50,17 @@ type Options struct {
 
 // retryInterval separates topology re-resolution passes.
 const retryInterval = 20 * time.Millisecond
+
+// A send the destination failed is retried after a backoff that
+// doubles from minSendBackoff up to maxSendBackoff.
+const (
+	minSendBackoff = time.Millisecond
+	maxSendBackoff = 100 * time.Millisecond
+)
+
+// mSendRetries counts sends the destination failed and the replicator
+// made again.
+var mSendRetries = metrics.Default.Counter("couchgo_xdcr_send_retries_total")
 
 // Replicator pushes one source bucket's mutations to a destination
 // cluster's bucket.
@@ -142,7 +154,9 @@ func (r *Replicator) Apply(_ int, batch []dcp.Mutation) {
 	}
 }
 
-// send pushes one mutation to the destination.
+// send pushes one mutation to the destination, retrying until it lands
+// or the replication stops: the feed records the batch as applied once
+// Apply returns, so a mutation given up on would never be sent again.
 func (r *Replicator) send(m dcp.Mutation) {
 	if r.filter != nil && !r.filter.MatchString(m.Key) {
 		r.filtered.Add(1)
@@ -160,12 +174,16 @@ func (r *Replicator) send(m dcp.Mutation) {
 		ctx = trace.ContextWith(ctx, sp)
 	}
 	applied, err := r.dest.XDCRApply(ctx, m.Key, m.Value, m.Deleted, m.CAS, m.RevSeqno, m.Flags, m.Expiry)
-	if err != nil {
-		// Destination unavailable for this key right now; rely on the
-		// next topology pass. In a production system this would queue
-		// and retry; here topology changes re-stream from the recorded
-		// seqno.
-		return
+	// The destination's conflict resolution makes a re-send of a
+	// mutation that did land harmless.
+	for backoff := minSendBackoff; err != nil; backoff = min(2*backoff, maxSendBackoff) {
+		mSendRetries.Inc()
+		select {
+		case <-r.stopCh:
+			return
+		case <-time.After(backoff):
+		}
+		applied, err = r.dest.XDCRApply(ctx, m.Key, m.Value, m.Deleted, m.CAS, m.RevSeqno, m.Flags, m.Expiry)
 	}
 	if applied {
 		r.applied.Add(1)

@@ -291,3 +291,61 @@ func TestStopIsIdempotent(t *testing.T) {
 		t.Error("unknown dest bucket should fail")
 	}
 }
+
+// TestFailedSendIsRetried: a mutation the destination fails, because
+// the destination's active for its key is down, is sent again until it
+// lands after the failover. The feed has recorded it as applied, so
+// nothing else would ever send it again.
+func TestFailedSendIsRetried(t *testing.T) {
+	src := newCluster(t, "west", 1)
+	dst := newCluster(t, "east", 2)
+	if err := dst.CreateBucket("rep", core.BucketOptions{NumReplicas: 1}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Start(src, "default", dst, "rep", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	scl, _ := src.OpenBucket("default")
+	dcl, _ := dst.OpenBucket("rep")
+	ctx := context.Background()
+	arrived := func(keys ...string) func() bool {
+		return func() bool {
+			for _, k := range keys {
+				if _, err := dcl.Get(ctx, k); err != nil {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	if _, err := scl.Set(ctx, "before", []byte(`{}`), 0); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "before", arrived("before"))
+
+	m, err := dst.BucketMap("rep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	down, _ := m.NodeForKey("lost")
+	if err := dst.Kill(down); err != nil {
+		t.Fatal(err)
+	}
+	retries := mSendRetries.Value()
+	if _, err := scl.Set(ctx, "lost", []byte(`{}`), 0); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "a failed send of lost", func() bool { return mSendRetries.Value() > retries })
+	if err := dst.Failover(down); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := scl.Set(ctx, "after", []byte(`{}`), 0); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "lost and after", arrived("lost", "after"))
+	if st := r.Stats(); st.Sent != 3 || st.Applied != 3 {
+		t.Errorf("stats %+v, want 3 sent and 3 applied", st)
+	}
+}
