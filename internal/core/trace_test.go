@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"couchgo/internal/executor"
+	"couchgo/internal/metrics"
 	"couchgo/internal/trace"
 )
 
@@ -67,6 +68,33 @@ func traceNames(t *testing.T, tc *trace.Trace, pred func([]string) bool) []strin
 	return nil
 }
 
+// stageCounts is couchgo_stage_seconds's sample count by stage.
+func stageCounts() map[string]uint64 {
+	out := map[string]uint64{}
+	for labels, v := range metrics.Default.Snapshot()["couchgo_stage_seconds"] {
+		out[strings.TrimSuffix(strings.TrimPrefix(labels, `{stage="`), `"}`)] = v.Hist.Count
+	}
+	return out
+}
+
+// checkStagesRose: every name in stages is a stage (has a
+// couchgo_stage_seconds series), and each stage among a trace's span
+// names took a sample since before — a span is never timed alone.
+func checkStagesRose(t *testing.T, before map[string]uint64, names, stages []string) {
+	t.Helper()
+	after := stageCounts()
+	for _, name := range stages {
+		if _, ok := after[name]; !ok {
+			t.Errorf("%s has no couchgo_stage_seconds series", name)
+		}
+	}
+	for _, name := range names {
+		if n, ok := after[name]; ok && n <= before[name] {
+			t.Errorf("the trace has a %s span, but couchgo_stage_seconds{stage=%q} stayed at %d samples", name, name, n)
+		}
+	}
+}
+
 // TestWriteTraceSpansAllLayers is the acceptance path of the tracing
 // work: one sampled client write must produce a single trace whose
 // spans cross every layer — client routing, cache, storage commit,
@@ -77,6 +105,7 @@ func TestWriteTraceSpansAllLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	withTracing(t)
+	before := stageCounts()
 
 	ctx, sp := trace.Default.Start(context.Background(), "test:write")
 	if sp == nil {
@@ -100,6 +129,7 @@ func TestWriteTraceSpansAllLayers(t *testing.T) {
 			t.Errorf("trace %d missing span %q; have %v", tc.ID, want, names)
 		}
 	}
+	checkStagesRose(t, before, names, []string{"durability:wait", "storage:commit", "feed:apply"})
 	// The whole journey shares one trace ID: the retained trace found
 	// by ID is the same object the client write populated.
 	if got := trace.Default.Get(tc.ID); got != tc {
@@ -128,6 +158,7 @@ func TestQueryTraceUnifiesProfileAndSpans(t *testing.T) {
 	// and must show the same phases and spans as the first.
 	for _, planCache := range []string{"miss", "hit"} {
 		trace.Default.Clear()
+		before := stageCounts()
 		prof := executor.NewProfile()
 		res, err := c.Query("SELECT * FROM `default` WHERE n >= 3",
 			executor.Options{Consistency: executor.RequestPlus, Prof: prof})
@@ -148,6 +179,7 @@ func TestQueryTraceUnifiesProfileAndSpans(t *testing.T) {
 				t.Errorf("plan cache %s: query trace missing span %q; have %v", planCache, want, names)
 			}
 		}
+		checkStagesRose(t, before, names, []string{"query:parse", "query:plan", "query:scan", "query:fetch", "query:project"})
 		// Every profiled phase must appear as a query:<op> span — the two
 		// views of execution cannot drift.
 		for _, ph := range prof.Timings() {
@@ -171,7 +203,7 @@ func TestQueryTraceUnifiesProfileAndSpans(t *testing.T) {
 // TestProfileListsEachOperatorOnce: a pipeline operator runs once per
 // batch, interleaved with its neighbours, yet `profile: timings` and
 // the request trace each list it once, in pipeline order, under the
-// names the phase histograms know.
+// names of its query:<op> stages.
 func TestProfileListsEachOperatorOnce(t *testing.T) {
 	c, cl := newTestCluster(t, 2, 0)
 	if _, err := c.Query("CREATE INDEX byN ON `default`(n)", executor.Options{}); err != nil {

@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"time"
 
-	"couchgo/internal/metrics"
 	"couchgo/internal/trace"
 )
 
@@ -20,8 +19,7 @@ type PhaseTiming struct {
 
 // Profile accumulates per-operator timings for one statement. A nil
 // *Profile records nothing per-query, so execution threads it
-// unconditionally; the process-wide per-phase histograms are fed
-// either way.
+// unconditionally; the phase stages are fed either way.
 type Profile struct {
 	phases []PhaseTiming
 }
@@ -30,48 +28,34 @@ type Profile struct {
 // timings`).
 func NewProfile() *Profile { return &Profile{} }
 
-// phaseHists are the process-wide per-phase latency histograms,
-// resolved once so Record stays off the registry mutex.
-var phaseHists = func() map[string]*metrics.Histogram {
-	m := map[string]*metrics.Histogram{}
-	for _, ph := range []string{
+// phaseStages are the "query:<op>" stages, one per operator.
+var phaseStages = func() map[string]*trace.Stage {
+	m := map[string]*trace.Stage{}
+	for _, op := range []string{
 		"parse", "plan", "scan", "fetch", "join", "unnest",
 		"filter", "group", "project", "sort",
 	} {
-		m[ph] = metrics.Default.Histogram("couchgo_query_phase_duration_seconds", "phase", ph)
+		m[op] = trace.NewStage("query:" + op)
 	}
 	return m
 }()
 
-// Record logs one operator phase that took d and produced items rows.
-// Safe on a nil receiver.
-func (p *Profile) Record(op string, d time.Duration, items int) {
-	if h := phaseHists[op]; h != nil {
-		h.Observe(d)
-	}
-	if p == nil {
-		return
-	}
-	p.phases = append(p.phases, PhaseTiming{
-		Operator: op, Elapsed: d, ExecTime: d.String(), Items: items,
-	})
-}
-
-// Record logs one operator phase through every observability surface
-// at once: the per-query profile (`profile: timings`), the process-wide
-// phase histograms, and — when the request is traced — a completed
-// "query:<op>" span on the request trace. Operators call this instead
-// of Prof.Record directly so profiling and tracing can never drift.
+// Record logs one operator phase that took d and produced items rows
+// through every observability surface at once: the per-query profile
+// (`profile: timings`) and the phase's stage, which samples its
+// histogram and, when the request is traced, adds a "query:<op>" span.
 //
 // d is the operator's own time. A pipeline operator works in batches
 // interleaved with its neighbours', so its d is the sum over its
 // batches and start is where the executor lays the span out (operators
 // end to end from the statement's start), not a measured instant.
 func (o Options) Record(op string, start time.Time, d time.Duration, items int) {
-	o.Prof.Record(op, d, items)
-	if sp := trace.FromContext(o.Context()); sp != nil {
-		sp.Completed("query:"+op, start, d, "items", strconv.Itoa(items))
+	if p := o.Prof; p != nil {
+		p.phases = append(p.phases, PhaseTiming{Operator: op, Elapsed: d, ExecTime: d.String(), Items: items})
 	}
+	phaseStages[op].Record(trace.FromContext(o.Context()), start, start.Add(d), nil, func(sp *trace.Span) {
+		sp.Annotate("items", strconv.Itoa(items))
+	})
 }
 
 // Reset forgets the recorded phases: the statement starts over.

@@ -71,17 +71,13 @@ type Rollbacker interface {
 	Rollback(vb int, toSeqno uint64) uint64
 }
 
-// Config tunes one feed.
-type Config struct {
-	// Service labels the feed's metrics (one label value per consumer
-	// service: "gsi", "views", "fts", "analytics", "xdcr"). Defaults
-	// to the feed name.
-	Service string
-}
-
 // stallBatch is the backlog that counts as a stall: a drain that comes
 // back to find more than this many mutations waiting has fallen behind.
 const stallBatch = 64
+
+// stageApply is one drained batch's Apply, a span on each trace the
+// batch carries.
+var stageApply = trace.NewStage("feed:apply")
 
 // Feed connects one Consumer to any number of vBucket producers,
 // surviving producer changes (failover, rebalance) via resume state
@@ -138,21 +134,20 @@ type vbFeed struct {
 }
 
 // New creates a feed delivering to c. The name becomes the DCP stream
-// name on every attached producer.
-func New(name string, c Consumer, cfg Config) *Feed {
-	if cfg.Service == "" {
-		cfg.Service = name
-	}
+// name on every attached producer; service labels the feed's metrics
+// (one label value per consumer service: "gsi", "views", "fts",
+// "analytics", "xdcr").
+func New(name, service string, c Consumer) *Feed {
 	return &Feed{
 		name:       name,
-		service:    cfg.Service,
+		service:    service,
 		consumer:   c,
-		mMutations: metrics.Default.Counter("couchgo_feed_mutations_total", "service", cfg.Service),
-		mRollbacks: metrics.Default.Counter("couchgo_feed_rollbacks_total", "service", cfg.Service),
-		mStalls:    metrics.Default.Counter("couchgo_feed_stalls_total", "service", cfg.Service),
-		mHighWater: metrics.Default.Gauge("couchgo_feed_buffer_high_watermark", "service", cfg.Service),
-		mStalled:   metrics.Default.Gauge("couchgo_feed_stalled", "service", cfg.Service),
-		mWait:      metrics.Default.Histogram("couchgo_feed_wait_seconds", "service", cfg.Service),
+		mMutations: metrics.Default.Counter("couchgo_feed_mutations_total", "service", service),
+		mRollbacks: metrics.Default.Counter("couchgo_feed_rollbacks_total", "service", service),
+		mStalls:    metrics.Default.Counter("couchgo_feed_stalls_total", "service", service),
+		mHighWater: metrics.Default.Gauge("couchgo_feed_buffer_high_watermark", "service", service),
+		mStalled:   metrics.Default.Gauge("couchgo_feed_stalled", "service", service),
+		mWait:      metrics.Default.Histogram("couchgo_feed_wait_seconds", "service", service),
 		wake:       make(chan struct{}),
 	}
 }
@@ -308,19 +303,13 @@ func (f *Feed) drain(vb int, vf *vbFeed) {
 			events.Default.Publish(e)
 			f.mStalled.Add(1)
 		}
-		var spans []*trace.Span
-		for _, m := range batch {
-			if sp := m.Trace.StartSpan("feed:apply"); sp != nil {
-				sp.Annotate("service", f.service)
-				sp.Annotate("vb", strconv.Itoa(vb))
-				sp.Annotate("seqno", strconv.FormatUint(m.Seqno, 10))
-				spans = append(spans, sp)
-			}
-		}
+		t0 := time.Now()
 		f.consumer.Apply(vb, batch)
-		for _, sp := range spans {
-			sp.End()
-		}
+		stageApply.Batch(len(batch), func(i int) *trace.Trace { return batch[i].Trace }, t0, time.Now(), nil, func(sp *trace.Span) {
+			sp.Annotate("service", f.service)
+			sp.Annotate("vb", strconv.Itoa(vb))
+			sp.Annotate("seqnos", strconv.FormatUint(batch[0].Seqno, 10)+"-"+strconv.FormatUint(batch[len(batch)-1].Seqno, 10))
+		})
 		last := batch[len(batch)-1]
 		vf.lastTrace = last.Trace
 		vf.seqno.Store(last.Seqno)

@@ -151,7 +151,7 @@ func TestFeedDeliversInOrder(t *testing.T) {
 	p := dcp.NewProducer(0, src)
 	defer p.Close()
 	c := newRecordingConsumer()
-	f := New("t-deliver", c, Config{Service: "test"})
+	f := New("t-deliver", "test", c)
 	defer f.Close()
 	if err := f.Attach(0, p); err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestStaleResumeRollsBackAndReconverges(t *testing.T) {
 	srcA := newMemSource()
 	active := dcp.NewProducer(0, srcA)
 	c := newRecordingConsumer()
-	f := New("t-rollback", c, Config{Service: "test"})
+	f := New("t-rollback", "test", c)
 	defer f.Close()
 	if err := f.Attach(0, active); err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestReattachAfterProducerClose(t *testing.T) {
 	src := newMemSource()
 	a := dcp.NewProducer(0, src)
 	c := newRecordingConsumer()
-	f := New("t-reattach", c, Config{Service: "test"})
+	f := New("t-reattach", "test", c)
 	defer f.Close()
 	if err := f.Attach(0, a); err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ func TestBackpressureStallCounter(t *testing.T) {
 	defer p.Close()
 	c := newRecordingConsumer()
 	c.gate = make(chan struct{})
-	f := New("t-stall", c, Config{Service: "test-stall"})
+	f := New("t-stall", "test-stall", c)
 	defer f.Close()
 	var open sync.Once
 	release := func() { open.Do(func() { close(c.gate) }) }
@@ -350,7 +350,7 @@ func TestDrainAppliesTheStreamBatch(t *testing.T) {
 	defer p.Close()
 	c := newRecordingConsumer()
 	c.gate = make(chan struct{})
-	f := New("t-batch", c, Config{Service: "test-batch"})
+	f := New("t-batch", "test-batch", c)
 	defer f.Close()
 	var open sync.Once
 	release := func() { open.Do(func() { close(c.gate) }) }
@@ -388,7 +388,7 @@ func TestDetachForgetsResumeState(t *testing.T) {
 	p := dcp.NewProducer(0, src)
 	defer p.Close()
 	c := newRecordingConsumer()
-	f := New("t-detach", c, Config{Service: "test"})
+	f := New("t-detach", "test", c)
 	defer f.Close()
 	if err := f.Attach(0, p); err != nil {
 		t.Fatal(err)

@@ -77,7 +77,7 @@ func (h *Hub) Subscribe(name string, c Consumer) (*Feed, error) {
 		h.mu.Unlock()
 		return nil, fmt.Errorf("feed: duplicate subscription %q", name)
 	}
-	f := New(name, c, Config{Service: h.service})
+	f := New(name, h.service, c)
 	h.feeds[name] = f
 	producers := make(map[int]dcp.StreamSource, len(h.producers))
 	for vb, p := range h.producers {

@@ -222,7 +222,7 @@ func TestWait(t *testing.T) {
 			x := &waitFixture{src: newMemSource()}
 			x.p = dcp.NewProducer(0, x.src)
 			defer func() { x.p.Close() }()
-			x.f = New("t-wait", newRecordingConsumer(), Config{Service: "test-wait"})
+			x.f = New("t-wait", "test-wait", newRecordingConsumer())
 			defer x.f.Close()
 			if err := x.f.Attach(0, x.p); err != nil {
 				t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"strconv"
 	"sync"
+	"time"
 
 	"couchgo/internal/events"
 	"couchgo/internal/metrics"
@@ -18,6 +19,10 @@ import (
 // mLogErrors counts the partitions whose maintenance log failed, each
 // once, when it fails. The log's fsyncs are storage's to count.
 var mLogErrors = metrics.Default.Counter("couchgo_gsi_log_errors_total")
+
+// stageCommit is an Apply's wait on the log's fsync, a span on each
+// trace its versions carry.
+var stageCommit = trace.NewStage("gsi:commit")
 
 // commitOps is the standard-mode commit threshold: an Apply that leaves
 // this many logged ops pending appends them and waits for an fsync that
@@ -159,18 +164,12 @@ func (ix *Indexer) Apply(kvs ...KeyVersion) {
 		return
 	}
 
-	var spans []*trace.Span
-	for i := range kvs {
-		if sp := kvs[i].Trace.StartSpan("gsi:commit"); sp != nil {
-			sp.Annotate("index", ix.def.Name)
-			sp.Annotate("ops", strconv.Itoa(ops))
-			spans = append(spans, sp)
-		}
-	}
+	t0 := time.Now()
 	err = log.Sync()
-	for _, sp := range spans {
-		sp.End()
-	}
+	stageCommit.Batch(len(kvs), func(i int) *trace.Trace { return kvs[i].Trace }, t0, time.Now(), err, func(sp *trace.Span) {
+		sp.Annotate("index", ix.def.Name)
+		sp.Annotate("ops", strconv.Itoa(ops))
+	})
 	if err != nil {
 		ix.dropLog(log, err)
 		return

@@ -161,7 +161,7 @@ func TestFeedStallHysteresis(t *testing.T) {
 	src := dcp.NewProducer(0, nullSource{})
 	defer src.Close()
 	cons := &gatedConsumer{gate: make(chan struct{})}
-	f := feed.New("health-stall-test", cons, feed.Config{Service: "health-test"})
+	f := feed.New("health-stall-test", "health-test", cons)
 	defer f.Close()
 	if err := f.Attach(0, src); err != nil {
 		t.Fatal(err)

@@ -140,6 +140,14 @@ var structureRows = []row{
 	{form: onlyFrom, subj: []string{"os.File.Sync"},
 		list: append(under("storage", "VBFile.syncTo", "VBFile.compactSwap", "Syncer.Sync"), ModulePath+"/cmd/cbtop.main"),
 		why:  "a log commits through storage.VBFile"},
+	// One stage instrument: a timed step that parents no span is a
+	// trace.Stage, whose one call records its histogram and its span, so
+	// only these hops and roots open a span.
+	{form: onlyFrom, subj: under("trace", "Trace.StartSpan", "Span.Child", "Tracer.Start", "Tracer.Force", "Tracer.Join"),
+		list: slices.Concat(under("trace", "*"), under("core", "Client.do", "Client.route", "Cluster.Query", "nodeBucket.maintenanceLoop"),
+			under("vbucket", "VBucket.Do", "VBucket.ApplyReplica"), under("feed", "Feed.Attach"), under("xdcr", "Replicator.send"),
+			under("transport", "session.handleKV"), under("rest", "startDocSpan")),
+		why: "a timed step is a trace.Stage"},
 	// One load generator: couchbench.
 	{form: absent, subj: []string{"ycsb", "*[Zz][Ii][Pp][Ff]*"}, list: bench, why: "couchbench is the load generator"},
 	{form: onlyFrom, subj: []string{"math/rand.NewZipf", "math/rand/v2.NewZipf"}, list: []string{bench[0] + ".*"},

@@ -8,6 +8,13 @@ import (
 // structureFixtures are packages at the paths the rows name, each
 // putting back the second X its rows forbid.
 var structureFixtures = []fixture{
+	{name: "trace", path: internal + "trace", src: `package trace
+
+type (Trace struct{}; Span struct{}; Tracer struct{})
+
+func (t *Trace) StartSpan(string) *Span { return nil }; func (s *Span) Child(string) *Span { return nil }
+func (tr *Tracer) Start() {}; func (tr *Tracer) Force() {}; func (tr *Tracer) Join() {}
+`},
 	{name: "cmap", path: internal + "cmap", src: `package cmap
 
 type Map struct{}
@@ -78,7 +85,15 @@ func (s *Stream) open() { s.c = make(chan Mutation) } // want: structure
 func (s *Stream) relay(in <-chan Mutation) queue { return make(queue) } // want: structure
 func (s *Stream) pump() { go func() {}() } // want: structure structure
 `},
-	{name: "feed", path: internal + "feed", src: "package feed\n\ntype Feed struct{}\n\nfunc (f *Feed) drain() {}\n"},
+	{name: "feed", path: internal + "feed", src: `package feed
+
+import "couchgo/internal/trace"
+
+type Feed struct{}
+
+func (f *Feed) Attach(t *trace.Trace) { t.StartSpan("feed:rollback") }
+func (f *Feed) drain(t *trace.Trace) { t.StartSpan("feed:apply") } // want: structure
+`},
 	{name: "gsi", path: internal + "gsi", src: `package gsi
 
 import "os"

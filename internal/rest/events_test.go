@@ -173,7 +173,7 @@ func TestHealthEndpointFeedStallTransitions(t *testing.T) {
 	src := dcp.NewProducer(0, streamNullSource{})
 	defer src.Close()
 	cons := &streamGatedConsumer{gate: make(chan struct{})}
-	f := feed.New("rest-health-stall", cons, feed.Config{Service: "rest-health-test"})
+	f := feed.New("rest-health-stall", "rest-health-test", cons)
 	defer f.Close()
 	if err := f.Attach(0, src); err != nil {
 		t.Fatal(err)

@@ -118,7 +118,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`couchgo_cache_hits_total`,
 		`couchgo_cache_misses_total`,
 		`couchgo_query_duration_seconds_count`,
-		`couchgo_query_phase_duration_seconds_count{phase="parse"}`,
+		`couchgo_stage_seconds_count{stage="query:parse"}`,
 		`couchgo_flusher_queue_depth`,
 		`couchgo_bucket_queue_depth{bucket="default",node="node0"}`,
 		`couchgo_bucket_items{bucket="default",node="node0"}`,

@@ -225,7 +225,7 @@ func (s *Server) client(bucket string) (*core.Client, error) {
 // ctx so the wire client propagates it to whichever node serves the
 // key (and onward to replicas).
 func startDocSpan(w http.ResponseWriter, r *http.Request, name string) (*http.Request, *trace.Span) {
-	ctx, span := trace.Start(r.Context(), name)
+	ctx, span := trace.Default.Start(r.Context(), name)
 	if span == nil {
 		return r, nil
 	}

@@ -11,7 +11,9 @@
 // atomic load). Asynchronous hops that outlive the root — the disk
 // flusher, the DCP feed drain, replica apply — attach spans directly
 // to the *Trace pointer riding the mutation, parented at the root, so
-// a KV write's trace keeps growing after the client call returned.
+// a KV write's trace keeps growing after the client call returned. A
+// timed step that parents nothing is a Stage: one call records its
+// histogram sample and its span.
 //
 // Finished traces land in a bounded per-op ring (newest wins), plus a
 // second always-keep ring for traces whose root exceeded the op's
@@ -31,6 +33,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"couchgo/internal/metrics"
 )
 
 // Ring and span-tree bounds.
@@ -175,8 +179,7 @@ func New() *Tracer {
 	return tr
 }
 
-// Default is the process-wide tracer used by the package-level
-// functions and all couchgo layers.
+// Default is the process-wide tracer all couchgo layers use.
 var Default = New()
 
 // SetRate enables sampling of one in n root operations; n <= 0
@@ -405,8 +408,8 @@ func (t *Trace) newSpan(name string, parent int) *Span {
 }
 
 // StartSpan opens a span parented at the trace root. Asynchronous
-// hops (flusher, feed drain, replica apply) use it because the span
-// that enqueued the work has ended by the time they run. Nil-safe.
+// hops (replica apply, XDCR send) use it because the span that
+// enqueued the work has ended by the time they run. Nil-safe.
 func (t *Trace) StartSpan(name string) *Span {
 	if t == nil {
 		return nil
@@ -513,25 +516,61 @@ func (s *Span) Error(err error) {
 	s.tr.mu.Unlock()
 }
 
-// Completed appends an already-finished child covering
-// [start, start+d] — for call sites that time their phases themselves
-// (the query executor's profile records).
-func (s *Span) Completed(name string, start time.Time, d time.Duration, kv ...string) {
+// Stage is one timed step of the write path or the query pipeline
+// (persist, replicate, feed; parse, scan, fetch …). One call records
+// both views of it: a sample in couchgo_stage_seconds{stage=name}, and
+// on a sampled trace a finished span named name, so the metric set and
+// the span tree cannot name different steps. Spans that parent other
+// spans (hops and roots) are not stages.
+type Stage struct {
+	name string
+	h    *metrics.Histogram
+}
+
+// NewStage registers the stage's histogram; make each stage once.
+func NewStage(name string) *Stage {
+	return &Stage{name, metrics.Default.Histogram("couchgo_stage_seconds", "stage", name)}
+}
+
+// Record times one op's step from start to end: a sample, and a
+// finished child of parent when the op is traced (parent non-nil),
+// marked with err. annotate, when non-nil, runs on that span only, so
+// an untraced op builds no annotation.
+func (st *Stage) Record(parent *Span, start, end time.Time, err error, annotate func(*Span)) {
+	st.h.Observe(end.Sub(start))
+	if parent != nil {
+		parent.tr.completed(st.name, parent.idx, start, end, err, annotate)
+	}
+}
+
+// Batch times one step that served n ops, the ith carrying traceOf(i):
+// one sample, and a finished span at the root of each distinct trace
+// (the spans that enqueued the ops have ended by the time a batch runs).
+func (st *Stage) Batch(n int, traceOf func(i int) *Trace, start, end time.Time, err error, annotate func(*Span)) {
+	st.h.Observe(end.Sub(start))
+	for i := range n {
+		t, j := traceOf(i), 0
+		for t != nil && j < i && traceOf(j) != t {
+			j++
+		}
+		if t != nil && j == i { // t's first op in the batch
+			t.completed(st.name, 0, start, end, err, annotate)
+		}
+	}
+}
+
+func (t *Trace) completed(name string, parent int, start, end time.Time, err error, annotate func(*Span)) {
+	s := t.newSpan(name, parent)
 	if s == nil {
 		return
 	}
-	c := s.Child(name)
-	if c == nil {
-		return
+	t.mu.Lock()
+	s.start, s.end, s.open = start, end, false
+	t.mu.Unlock()
+	s.Error(err)
+	if annotate != nil {
+		annotate(s)
 	}
-	s.tr.mu.Lock()
-	c.start = start
-	c.end = start.Add(d)
-	c.open = false
-	for i := 0; i+1 < len(kv); i += 2 {
-		c.ann = append(c.ann, Annotation{Key: kv[i], Value: kv[i+1]})
-	}
-	s.tr.mu.Unlock()
 }
 
 // --- Rendering ---
@@ -590,11 +629,4 @@ func (t *Trace) Tree() *Node {
 		return nil
 	}
 	return nodes[0]
-}
-
-// --- Package-level wrappers over Default ---
-
-// Start begins a span on the default tracer.
-func Start(ctx context.Context, name string) (context.Context, *Span) {
-	return Default.Start(ctx, name)
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"couchgo/internal/metrics"
 )
 
 func TestDisabledIsNilEverywhere(t *testing.T) {
@@ -21,7 +23,7 @@ func TestDisabledIsNilEverywhere(t *testing.T) {
 	// Every nil-receiver method must be a no-op, not a panic.
 	sp.Annotate("k", "v")
 	sp.Error(errors.New("x"))
-	sp.Completed("c", time.Now(), 0)
+	NewStage("test:nil").Record(sp, time.Now(), time.Now(), nil, nil)
 	sp.Child("c").End()
 	sp.End()
 	if sp.Trace().StartSpan("late") != nil {
@@ -204,7 +206,7 @@ func TestCompletedRecordsPhase(t *testing.T) {
 	tr.SetRate(1)
 	_, root := tr.Start(context.Background(), "query")
 	t0 := time.Now().Add(-3 * time.Millisecond)
-	root.Completed("query:scan", t0, 3*time.Millisecond, "items", "42")
+	NewStage("query:scan").Record(root, t0, t0.Add(3*time.Millisecond), nil, func(sp *Span) { sp.Annotate("items", "42") })
 	root.End()
 	tree := root.Trace().Tree()
 	c := tree.Children[0]
@@ -213,6 +215,43 @@ func TestCompletedRecordsPhase(t *testing.T) {
 	}
 	if len(c.Annotations) != 1 || c.Annotations[0].Value != "42" {
 		t.Fatalf("annotations wrong: %+v", c.Annotations)
+	}
+}
+
+// TestStage: every call is one sample of couchgo_stage_seconds{stage};
+// only a traced one adds a span, a batch adds one per distinct trace,
+// and an error marks the span.
+func TestStage(t *testing.T) {
+	st := NewStage("test:stage")
+	count := func() uint64 {
+		return metrics.Default.Histogram("couchgo_stage_seconds", "stage", "test:stage").Snapshot().Count
+	}
+	before := count()
+	annotated := 0
+	st.Record(nil, time.Now(), time.Now(), nil, func(*Span) { annotated++ })
+	if got := count() - before; got != 1 || annotated != 0 {
+		t.Fatalf("untraced Record: %d samples, %d annotations; want 1 and 0", got, annotated)
+	}
+
+	tr := New()
+	tr.SetRate(1)
+	_, a := tr.Start(context.Background(), "a")
+	_, b := tr.Start(context.Background(), "b")
+	ops := []*Trace{a.Trace(), nil, b.Trace(), a.Trace()}
+	boom := errors.New("boom")
+	st.Batch(len(ops), func(i int) *Trace { return ops[i] }, time.Now(), time.Now(), boom, func(sp *Span) { annotated++ })
+	if got := count() - before; got != 2 || annotated != 2 {
+		t.Fatalf("after a batch: %d samples, %d annotations; want 2 and 2", got, annotated)
+	}
+	for _, root := range []*Span{a, b} {
+		root.End()
+		tree := root.Trace().Tree()
+		if len(tree.Children) != 1 || tree.Children[0].Name != "test:stage" || tree.Children[0].Open {
+			t.Fatalf("%s: children %+v, want one finished test:stage span", tree.Name, tree.Children)
+		}
+		if tree.Children[0].Error != "boom" {
+			t.Fatalf("%s: stage span error %q, want boom", tree.Name, tree.Children[0].Error)
+		}
 	}
 }
 

@@ -501,11 +501,14 @@ func TestStagesSumToTheRoundTrip(t *testing.T) {
 	// after, on a loaded two-CPU -race host). So a sampled setup Set may
 	// still be marking respond here, and respond is logged, not bounded
 	// by await as decode and execute, which end before the write, are.
-	waitFor(t, 2*time.Second, func() bool { return stageRespond.h.Snapshot().Count == stageDecode.h.Snapshot().Count })
-	all := []stage{stageSend, stageAwait, stageWake, stageDecode, stageExecute, stageRespond}
+	hist := func(stage string) metrics.HistSnapshot {
+		return metrics.Default.Histogram("couchgo_stage_seconds", "stage", stage).Snapshot()
+	}
+	waitFor(t, 2*time.Second, func() bool { return hist("wire:respond").Count == hist("wire:decode").Count })
+	all := []string{"wire:send", "wire:await", "wire:wake", "wire:decode", "wire:execute", "wire:respond"}
 	before := make([]metrics.HistSnapshot, len(all))
 	for i, st := range all {
-		before[i] = st.h.Snapshot()
+		before[i] = hist(st)
 	}
 	const ops = 2000
 	var measured time.Duration
@@ -528,12 +531,12 @@ func TestStagesSumToTheRoundTrip(t *testing.T) {
 	mean := map[string]float64{}
 	for i, st := range all {
 		// The server marks respond after the response is on its way.
-		waitFor(t, 2*time.Second, func() bool { return st.h.Snapshot().Count-before[i].Count >= ops })
-		after := st.h.Snapshot()
+		waitFor(t, 2*time.Second, func() bool { return hist(st).Count-before[i].Count >= ops })
+		after := hist(st)
 		if n := after.Count - before[i].Count; n != ops {
-			t.Fatalf("%s observed %d of %d traced ops", st.span, n, ops)
+			t.Fatalf("%s observed %d of %d traced ops", st, n, ops)
 		}
-		mean[st.span] = float64(after.Sum-before[i].Sum) / ops
+		mean[st] = float64(after.Sum-before[i].Sum) / ops
 	}
 	whole := float64(measured) / ops
 	if sum := mean["wire:send"] + mean["wire:await"]; sum < 0.85*whole || sum > 1.15*whole {
@@ -563,8 +566,8 @@ func TestStagesSumToTheRoundTrip(t *testing.T) {
 		walk(p.Tree())
 	}
 	for _, st := range all {
-		if !seen[st.span] {
-			t.Errorf("trace %d has no %s span: %v", last.Trace().ID, st.span, seen)
+		if !seen[st] {
+			t.Errorf("trace %d has no %s span: %v", last.Trace().ID, st, seen)
 		}
 	}
 }

@@ -52,22 +52,13 @@ var (
 	// on the socket or queued behind a writer, await with the response
 	// in the caller's hands; wake is the part of await after the read
 	// loop had the frame. Server: respond ends with it written or held.
-	stageSend, stageAwait, stageWake        = newStage("client", "send"), newStage("client", "await"), newStage("client", "wake")
-	stageDecode, stageExecute, stageRespond = newStage("server", "decode"), newStage("server", "execute"), newStage("server", "respond")
+	stageSend, stageAwait, stageWake        = trace.NewStage("wire:send"), trace.NewStage("wire:await"), trace.NewStage("wire:wake")
+	stageDecode, stageExecute, stageRespond = trace.NewStage("wire:decode"), trace.NewStage("wire:execute"), trace.NewStage("wire:respond")
 )
 
-type stage struct {
-	h    *metrics.Histogram
-	span string
-}
-
-func newStage(side, name string) stage {
-	return stage{metrics.Default.Histogram("couchgo_transport_stage_seconds", "side", side, "stage", name), "wire:" + name}
-}
-
 // stages times one request's way through one side of the wire: mark
-// observes the stage that just ended and, on a sampled trace, records
-// it as a finished child of sp. Untraced requests are timed 1 in 16.
+// records the stage that just ended, under sp when the request is
+// traced. Untraced requests are timed 1 in 16.
 type stages struct {
 	sp *trace.Span
 	at time.Time // zero: not timed
@@ -81,13 +72,12 @@ func startStages(sp *trace.Span) stages {
 	return stages{sp, at}
 }
 
-func (s *stages) mark(st stage) {
+func (s *stages) mark(st *trace.Stage) {
 	if s.at.IsZero() {
 		return
 	}
 	now := time.Now()
-	st.h.Observe(now.Sub(s.at))
-	s.sp.Completed(st.span, s.at, now.Sub(s.at))
+	st.Record(s.sp, s.at, now, nil, nil)
 	s.at = now
 }
 

@@ -91,6 +91,8 @@ var (
 		return out
 	}()
 	casSeries = newOpSeries("cas")
+
+	stageDurability = trace.NewStage("durability:wait")
 )
 
 // Do is the one KV executor: every op of the table, from both
@@ -260,18 +262,13 @@ func (vb *VBucket) fetch(key string) (cache.Fetched, error) {
 }
 
 // waitDurability blocks until the mutation's durability requirement
-// holds. The wait gets its own span — on a slow durable write it is
+// holds. The wait is a stage of its own — on a slow durable write it is
 // usually the whole story.
 func (vb *VBucket) waitDurability(ctx context.Context, seqno uint64, dur DurabilityOptions) error {
 	if dur.ReplicateTo <= 0 && !dur.PersistTo {
 		return nil
 	}
-	sp := trace.FromContext(ctx).Child("durability:wait")
-	if sp != nil {
-		sp.Annotate("replicate_to", strconv.Itoa(dur.ReplicateTo))
-		sp.Annotate("persist_to", strconv.FormatBool(dur.PersistTo))
-		defer sp.End()
-	}
+	t0 := time.Now()
 	timeout := dur.Timeout
 	if timeout <= 0 {
 		timeout = 10 * time.Second
@@ -285,8 +282,11 @@ func (vb *VBucket) waitDurability(ctx context.Context, seqno uint64, dur Durabil
 		kind = "persist"
 		err = vb.WaitPersist(ctx, seqno, timeout)
 	}
+	stageDurability.Record(trace.FromContext(ctx), t0, time.Now(), err, func(sp *trace.Span) {
+		sp.Annotate("replicate_to", strconv.Itoa(dur.ReplicateTo))
+		sp.Annotate("persist_to", strconv.FormatBool(dur.PersistTo))
+	})
 	if err != nil {
-		sp.Error(err)
 		// The write was accepted but its guarantee was not met in time,
 		// exactly the condition an operator needs to see.
 		e := events.New(events.Durability, events.SevWarn, "durability wait failed")

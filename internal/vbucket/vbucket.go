@@ -20,7 +20,6 @@ package vbucket
 import (
 	"context"
 	"errors"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -46,7 +45,9 @@ var (
 	mBgFetches   = metrics.Default.Counter("couchgo_cache_bgfetches_total")
 
 	mFlushBatchItems = metrics.Default.ValueHistogram("couchgo_flusher_batch_items")
-	mFlushDuration   = metrics.Default.Histogram("couchgo_flusher_flush_duration_seconds")
+	// stageCommit is one flusher batch's Append and fsync, a span on
+	// each trace the batch carries.
+	stageCommit = trace.NewStage("storage:commit")
 	// mFlushQueueDepth is the process-wide disk-write queue backlog
 	// (entries enqueued by onMutate, not yet handed to storage). A
 	// persistently high value means the flushers cannot keep up.
@@ -279,41 +280,27 @@ func (vb *VBucket) flusher() {
 
 		recs := dedupBatch(drained[:n])
 		mFlushBatchItems.ObserveValue(uint64(len(recs)))
-		// One commit span per distinct trace in the batch, parented at
-		// the trace root (the client span ended long ago).
-		var commitSpans []*trace.Span
-		for i, tr := range traces {
-			if slices.Contains(traces[:i], tr) {
-				continue
-			}
-			sp := tr.StartSpan("storage:commit")
+		t0 := time.Now()
+		if vb.cfg.DiskDelay > 0 {
+			time.Sleep(vb.cfg.DiskDelay)
+		}
+		err := vb.file.Append(recs, waited)
+		end := time.Now()
+		stageCommit.Batch(len(traces), func(i int) *trace.Trace { return traces[i] }, t0, end, err, func(sp *trace.Span) {
 			sp.Annotate("vb", strconv.Itoa(vb.ID))
 			sp.Annotate("batch_items", strconv.Itoa(len(recs)))
 			if waited {
 				sp.Annotate("waited", "true")
 			}
-			commitSpans = append(commitSpans, sp)
-		}
-		t0 := time.Now()
-		if vb.cfg.DiskDelay > 0 {
-			time.Sleep(vb.cfg.DiskDelay)
-		}
-		if err := vb.file.Append(recs, waited); err != nil {
+		})
+		if err != nil {
 			// The file is closed (shutdown) or the disk failed; either
 			// way the flusher stops. Unpersisted mutations remain in
 			// memory and in replicas — the paper's durability model.
-			for _, sp := range commitSpans {
-				sp.Error(err)
-				sp.End()
-			}
 			return
 		}
-		mFlushDuration.ObserveSince(t0)
-		if d := time.Since(t0); d > slowOpThreshold {
+		if d := end.Sub(t0); d > slowOpThreshold {
 			vb.journalSlowCommit(d, len(recs))
-		}
-		for _, sp := range commitSpans {
-			sp.End()
 		}
 		var high uint64
 		for i := range recs {

@@ -44,19 +44,10 @@ func finishReduce(name string, partial any) any {
 	return partial
 }
 
-type countReducer struct{}
+// countReducer merges counts as _sum merges sums.
+type countReducer struct{ sumReducer }
 
 func (countReducer) Map([]byte, gsi.ScanItem) any { return 1.0 }
-func (countReducer) Merge(parts ...any) any {
-	total := 0.0
-	for _, p := range parts {
-		if f, ok := p.(float64); ok {
-			total += f
-		}
-	}
-	return total
-}
-func (countReducer) Zero() any { return 0.0 }
 
 type sumReducer struct{}
 
@@ -69,7 +60,7 @@ func (sumReducer) Map(_ []byte, v gsi.ScanItem) any {
 func (sumReducer) Merge(parts ...any) any {
 	total := 0.0
 	for _, p := range parts {
-		if f, ok := p.(float64); ok {
+		if f, ok := value.AsNumber(p); ok {
 			total += f
 		}
 	}
@@ -99,10 +90,16 @@ func (statsReducer) Map(_ []byte, v gsi.ScanItem) any {
 	}
 	return stats{Sum: f, Min: f, Max: f, SumSqr: f * f, Count: 1}
 }
+
+// Merge takes partials and finished objects alike: a node's reduced
+// row carries the object.
 func (statsReducer) Merge(parts ...any) any {
 	var out stats
 	for _, p := range parts {
 		st, ok := p.(stats)
+		if obj, isObj := p.(map[string]any); isObj {
+			st, ok = statsOf(obj), true
+		}
 		if !ok || st.Count == 0 {
 			continue
 		}
@@ -123,6 +120,11 @@ func (statsReducer) Merge(parts ...any) any {
 	return out
 }
 func (statsReducer) Zero() any { return stats{} }
+
+func statsOf(obj map[string]any) stats {
+	n := func(k string) float64 { f, _ := value.AsNumber(obj[k]); return f }
+	return stats{Sum: n("sum"), Min: n("min"), Max: n("max"), SumSqr: n("sumsqr"), Count: n("count")}
+}
 
 type minReducer struct{}
 
@@ -159,107 +161,36 @@ func (maxReducer) Merge(parts ...any) any {
 func (maxReducer) Zero() any { return nil }
 
 // MergeRows merges per-node scatter/gather results into one sorted
-// result set, as the coordinating node does in Figure 8. For reduced
-// (non-grouped) results, partials re-merge with the named reduce.
+// result set, as the coordinating node does in Figure 8. Reduced values
+// re-merge with the named reduce's own Merge, the one its tree uses on
+// partials: into one row, or one per key when grouped.
 func MergeRows(reduce string, grouped bool, parts [][]Row) []Row {
-	if reduce != "" && !grouped {
-		return mergeReduced(reduce, parts)
-	}
 	var all []Row
 	for _, p := range parts {
 		all = append(all, p...)
 	}
+	r, err := reducerFor(reduce)
+	if err != nil {
+		return nil
+	}
+	if r != nil && !grouped {
+		vals := make([]any, len(all))
+		for i := range all {
+			vals[i] = all[i].Value
+		}
+		return []Row{{Value: finishReduce(reduce, r.Merge(vals...))}}
+	}
 	sortRows(all)
-	if reduce != "" && grouped {
-		return regroup(reduce, all)
+	if r == nil {
+		return all
 	}
-	return all
-}
-
-func mergeReduced(reduce string, parts [][]Row) []Row {
-	switch reduce {
-	case "_count", "_sum":
-		total := 0.0
-		for _, p := range parts {
-			for _, r := range p {
-				if f, ok := value.AsNumber(r.Value); ok {
-					total += f
-				}
-			}
-		}
-		return []Row{{Value: total}}
-	case "_min":
-		var best any
-		for _, p := range parts {
-			for _, r := range p {
-				if r.Value == nil {
-					continue
-				}
-				if best == nil || value.Compare(r.Value, best) < 0 {
-					best = r.Value
-				}
-			}
-		}
-		return []Row{{Value: best}}
-	case "_max":
-		var best any
-		for _, p := range parts {
-			for _, r := range p {
-				if r.Value == nil {
-					continue
-				}
-				if best == nil || value.Compare(r.Value, best) > 0 {
-					best = r.Value
-				}
-			}
-		}
-		return []Row{{Value: best}}
-	case "_stats":
-		var out stats
-		for _, p := range parts {
-			for _, r := range p {
-				obj, ok := r.Value.(map[string]any)
-				if !ok {
-					continue
-				}
-				cnt, _ := value.AsNumber(obj["count"])
-				if cnt == 0 {
-					continue
-				}
-				sum, _ := value.AsNumber(obj["sum"])
-				mn, _ := value.AsNumber(obj["min"])
-				mx, _ := value.AsNumber(obj["max"])
-				sq, _ := value.AsNumber(obj["sumsqr"])
-				st := stats{Sum: sum, Min: mn, Max: mx, SumSqr: sq, Count: cnt}
-				if out.Count == 0 {
-					out = st
-				} else {
-					out.Sum += st.Sum
-					out.SumSqr += st.SumSqr
-					out.Count += st.Count
-					if st.Min < out.Min {
-						out.Min = st.Min
-					}
-					if st.Max > out.Max {
-						out.Max = st.Max
-					}
-				}
-			}
-		}
-		return []Row{{Value: out.object()}}
-	}
-	return nil
-}
-
-func regroup(reduce string, sorted []Row) []Row {
 	var out []Row
-	for _, r := range sorted {
-		if len(out) > 0 && value.Compare(out[len(out)-1].Key, r.Key) == 0 {
-			merged := mergeReduced(reduce, [][]Row{{out[len(out)-1]}, {r}})
-			out[len(out)-1].Value = merged[0].Value
+	for _, row := range all {
+		if n := len(out); n > 0 && value.Compare(out[n-1].Key, row.Key) == 0 {
+			out[n-1].Value = finishReduce(reduce, r.Merge(out[n-1].Value, row.Value))
 			continue
 		}
-		out = append(out, Row{Key: r.Key, Value: r.Value})
+		out = append(out, Row{Key: row.Key, Value: row.Value})
 	}
 	return out
 }

@@ -2,8 +2,10 @@ package views
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -413,6 +415,34 @@ func TestMergeRowsScatterGather(t *testing.T) {
 		if row.Key == "SF" && row.Value != 5.0 {
 			t.Errorf("SF merged = %v", row.Value)
 		}
+	}
+}
+
+// TestMergeRowsEdgeValues: re-merging through each reducer's Merge
+// keeps the answers of the per-reduce copies it replaced — _sum and
+// _count add every number value.AsNumber reads, an empty or zero-count
+// _stats keeps null min and max, and an unknown reduce answers no row.
+func TestMergeRowsEdgeValues(t *testing.T) {
+	numbers := [][]Row{{{Value: 1}, {Value: int64(2)}}, {{Value: uint64(3)}, {Value: json.Number("4.5")}, {Value: "x"}, {Value: nil}}}
+	for _, reduce := range []string{"_sum", "_count"} {
+		if r := MergeRows(reduce, false, numbers); len(r) != 1 || r[0].Value != 10.5 {
+			t.Errorf("%s over mixed numbers: %+v, want 10.5", reduce, r)
+		}
+	}
+	empty := map[string]any{"sum": 0.0, "count": 0.0, "min": nil, "max": nil, "sumsqr": 0.0}
+	for _, parts := range [][][]Row{nil, {{{Value: empty}}, {{Value: "junk"}}}} {
+		r := MergeRows("_stats", false, parts)
+		if len(r) != 1 || !reflect.DeepEqual(r[0].Value, empty) {
+			t.Errorf("_stats over %v: %+v, want %v", parts, r, empty)
+		}
+	}
+	one := map[string]any{"sum": 2, "count": json.Number("1"), "min": 2, "max": 2, "sumsqr": 4}
+	r := MergeRows("_stats", true, [][]Row{{{Key: "k", Value: one}}, {{Key: "k", Value: empty}, {Key: "k", Value: one}}})
+	if want := map[string]any{"sum": 4.0, "count": 2.0, "min": 2.0, "max": 2.0, "sumsqr": 8.0}; len(r) != 1 || !reflect.DeepEqual(r[0].Value, want) {
+		t.Errorf("grouped _stats: %+v, want %v", r, want)
+	}
+	if r := MergeRows("_median", false, numbers); r != nil {
+		t.Errorf("unknown reduce: %+v, want no rows", r)
 	}
 }
 

@@ -108,7 +108,7 @@ func Start(source *core.Cluster, sourceBucket string, dest *core.Cluster, destBu
 		}
 		r.filter = re
 	}
-	r.feed = feed.New("xdcr", r, feed.Config{Service: "xdcr"})
+	r.feed = feed.New("xdcr", "xdcr", r)
 	r.wg.Add(1)
 	go r.topologyLoop()
 	e := events.New(events.XDCR, events.SevInfo, "replication started")
