@@ -103,3 +103,4 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzTraceContext -fuzztime=$(FUZZTIME) ./internal/memcproto
 	go test -run='^$$' -fuzz=FuzzOpRoundTrip -fuzztime=$(FUZZTIME) ./internal/transport
 	go test -run='^$$' -fuzz=FuzzPagedScan -fuzztime=$(FUZZTIME) ./internal/gsi
+	go test -run='^$$' -fuzz=FuzzFaultSchedule -fuzztime=$(FUZZTIME) ./internal/core

@@ -314,14 +314,22 @@ func TestShadowStoreFetchAndPages(t *testing.T) {
 	}
 	s, ctx := &shadowStore{e}, context.Background()
 	last := fmt.Sprintf("d%05d", docs-1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, meta, err := s.Fetch(ctx, "store", last)
-	runtime.ReadMemStats(&after)
-	if err != nil || meta.ID != last || meta.Seqno != docs {
-		t.Fatalf("fetch %s: %+v %v", last, meta, err)
+	// TotalAlloc counts every goroutine in the process, so one fetch can
+	// be charged for a runtime or leftover goroutine's allocation; a walk
+	// of the dataset allocates on every fetch, so the least of a few
+	// fetches is the fetch's own cost.
+	bytes := ^uint64(0)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, meta, err := s.Fetch(ctx, "store", last)
+		runtime.ReadMemStats(&after)
+		if err != nil || meta.ID != last || meta.Seqno != docs {
+			t.Fatalf("fetch %s: %+v %v", last, meta, err)
+		}
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
-	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 4<<10 {
+	if bytes > 4<<10 {
 		t.Errorf("fetching one document allocated %d bytes: it walked the dataset", bytes)
 	}
 	if _, _, err := s.Fetch(ctx, "store", "absent"); err != executor.ErrNotFound {

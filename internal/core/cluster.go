@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -184,8 +185,8 @@ func (c *Cluster) AddNode(id cmap.NodeID, services cmap.ServiceSet) (*Node, erro
 			}
 		}
 		if err != nil {
-			for _, nb := range n.buckets.all() {
-				nb.close()
+			for name := range n.buckets.all() {
+				n.dropBucket(name)
 			}
 			return nil, err
 		}
@@ -195,8 +196,7 @@ func (c *Cluster) AddNode(id cmap.NodeID, services cmap.ServiceSet) (*Node, erro
 		c.topo.Heard(id) // joining is a sign of life, so one killed before the next tick is graded too
 	}
 	e := events.New(events.Topology, events.SevInfo, "node added")
-	e.Node = string(id)
-	e.Fields = map[string]string{"services": services.String()}
+	e.Node, e.Fields = string(id), map[string]string{"services": services.String()}
 	events.Default.Publish(e)
 	return n, nil
 }
@@ -305,24 +305,34 @@ func (c *Cluster) CreateBucket(name string, opts BucketOptions) error {
 	}
 	c.mu.Unlock()
 
+	// A bucket not provisioned and formed everywhere is never made.
+	fail := func(err error) error {
+		c.mu.Lock()
+		delete(c.buckets, name)
+		c.catalogEpoch.Add(1)
+		c.mu.Unlock()
+		for _, n := range c.nodes.all() {
+			n.dropBucket(name)
+		}
+		b.gsiSvc.Close()
+		b.ftsEng.Close()
+		b.analyticsEng.Close()
+		return err
+	}
 	ids := make([]cmap.NodeID, len(nodes))
 	for i, n := range nodes {
 		if err := n.addBucket(name, b.gsiSvc, b.ftsEng, b.analyticsEng, c.cfg, opts); err != nil {
-			return err
+			return fail(err)
 		}
 		ids[i] = n.id
 	}
 	// Applying the first map, balanced over the nodes just provisioned,
 	// materializes every vBucket and wires replication.
 	if err := c.topo.Form(name, ids, c.cfg.NumVBuckets, opts.NumReplicas); err != nil {
-		return err
+		return fail(err)
 	}
 	e := events.New(events.Topology, events.SevInfo, "bucket created")
-	e.Bucket = name
-	e.Fields = map[string]string{
-		"replicas": fmt.Sprintf("%d", opts.NumReplicas),
-		"nodes":    fmt.Sprintf("%d", len(nodes)),
-	}
+	e.Bucket, e.Fields = name, map[string]string{"replicas": strconv.Itoa(opts.NumReplicas), "nodes": strconv.Itoa(len(nodes))}
 	events.Default.Publish(e)
 	return nil
 }
@@ -453,9 +463,7 @@ func (c *Cluster) moveVB(bucket string, vbID int, from, to cmap.NodeID) error {
 		time.Sleep(200 * time.Microsecond)
 	}
 	e := events.New(events.VBucket, events.SevInfo, "vb moved")
-	e.Bucket = bucket
-	e.VB = vbID
-	e.Fields = map[string]string{"from": string(from), "to": string(to)}
+	e.Bucket, e.VB, e.Fields = bucket, vbID, map[string]string{"from": string(from), "to": string(to)}
 	events.Default.Publish(e)
 	return nil
 }
@@ -511,11 +519,9 @@ func (c *Cluster) SeverReplication(bucketName string) error {
 		return err
 	}
 	for _, n := range c.Nodes() {
-		nb, err := n.bucket(bucketName)
-		if err != nil {
-			continue
+		if nb, err := n.bucket(bucketName); err == nil {
+			nb.haltLinks()
 		}
-		nb.haltLinks()
 	}
 	return nil
 }
@@ -569,11 +575,8 @@ func (c *Cluster) FeedStats(bucketName string) ([]feed.Stat, error) {
 	out = append(out, b.ftsEng.FeedStats()...)
 	out = append(out, b.analyticsEng.FeedStats()...)
 	for _, n := range c.Nodes() {
-		if !n.Alive() {
-			continue
-		}
-		nb, _ := n.buckets.get(bucketName)
-		if nb == nil {
+		nb, err := n.bucket(bucketName)
+		if err != nil {
 			continue
 		}
 		for _, st := range nb.viewEngine.FeedStats() {
@@ -643,12 +646,8 @@ func (c *Cluster) Close() {
 	close(c.stopHB)
 	<-c.hbDone
 	for _, n := range nodes {
-		n.mu.Lock()
-		nbs := n.buckets.all()
-		n.buckets.reset()
-		n.mu.Unlock()
-		for _, nb := range nbs {
-			nb.close()
+		for name := range n.buckets.all() {
+			n.dropBucket(name)
 		}
 	}
 	for _, b := range buckets {

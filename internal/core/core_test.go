@@ -4,16 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"couchgo/internal/analytics"
 	"couchgo/internal/cache"
 	"couchgo/internal/cmap"
 	"couchgo/internal/executor"
+	"couchgo/internal/fts"
 	"couchgo/internal/memcproto"
 	"couchgo/internal/views"
 )
@@ -205,36 +205,6 @@ func TestAutoFailoverViaHeartbeat(t *testing.T) {
 	}
 }
 
-// TestCreateBucketSkipsKilledNode: a node that crashed and has not been
-// failed over yet is not one to balance a new bucket over — with
-// detection off it would hold its share of the actives until an
-// operator stepped in.
-func TestCreateBucketSkipsKilledNode(t *testing.T) {
-	c, _ := newTestCluster(t, 3, 1)
-	if err := c.Kill("node1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CreateBucket("late", BucketOptions{NumReplicas: 1}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := c.BucketMap("late")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []cmap.NodeID{"node0", "node2"}; !slices.Equal(m.Nodes, want) {
-		t.Fatalf("bucket created after Kill(node1) is mapped over %v, want %v", m.Nodes, want)
-	}
-	cl, err := c.OpenBucket("late")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		if _, err := cl.Set(context.Background(), fmt.Sprintf("k%d", i), []byte("v"), 0); err != nil {
-			t.Fatalf("set k%d: %v", i, err)
-		}
-	}
-}
-
 func TestRebalanceScaleOut(t *testing.T) {
 	c, cl := newTestCluster(t, 2, 1)
 	for i := 0; i < 80; i++ {
@@ -269,78 +239,6 @@ func TestRebalanceScaleOut(t *testing.T) {
 	// Writes continue.
 	if _, err := cl.Set(context.Background(), "after-rebalance", []byte("x"), 0); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestAddNodeFailsWhole: a node whose buckets cannot be provisioned
-// (here a regular file stands where its directory goes) never joins, so
-// the cluster rebalances without it and a retry once the path is fixed
-// adds it. It used to be published first, bucketless: every later
-// Rebalance failed with "no such bucket" and the retry with "already
-// exists".
-func TestAddNodeFailsWhole(t *testing.T) {
-	c, cl := newTestCluster(t, 1, 0)
-	blocker := filepath.Join(c.cfg.Dir, "node1")
-	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.AddNode("node1", cmap.AllServices); err == nil {
-		t.Fatal("AddNode over a file where the node's directory goes returned nil")
-	}
-	if _, err := c.Node("node1"); err != ErrNoSuchNode {
-		t.Fatalf("the failed node is in the table: Node = %v", err)
-	}
-	if err := c.Rebalance(); err != nil {
-		t.Fatalf("rebalance after the failed AddNode: %v", err)
-	}
-	if err := os.Remove(blocker); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.AddNode("node1", cmap.AllServices); err != nil {
-		t.Fatalf("retry after the path is fixed: %v", err)
-	}
-	if err := c.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	if m, _ := c.BucketMap("default"); len(m.ActiveVBuckets("node1")) == 0 {
-		t.Error("the added node owns no vBucket after the rebalance")
-	}
-	if _, err := cl.Set(context.Background(), "after", []byte(`{}`), 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRebalanceScaleIn(t *testing.T) {
-	c, cl := newTestCluster(t, 3, 1)
-	for i := 0; i < 50; i++ {
-		// ReplicateTo(1): without it, mutations still in flight to the
-		// replica die with the killed node — the paper's explicit
-		// durability tradeoff (§2.3.2).
-		if _, err := cl.SetWithOptions(context.Background(), fmt.Sprintf("doc%02d", i), []byte("v"), 0, 0, 0,
-			DurabilityOptions{ReplicateTo: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Graceful removal: fail the node over, then rebalance the rest.
-	c.Kill("node2")
-	c.Failover("node2")
-	if err := c.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := c.bucket("default")
-	m := b.Map()
-	for vb := 0; vb < m.NumVBuckets; vb++ {
-		if m.Active(vb) == "node2" {
-			t.Fatalf("vb %d still active on removed node", vb)
-		}
-		if len(m.Replicas(vb)) != 1 {
-			t.Fatalf("vb %d replica count %d after rebalance", vb, len(m.Replicas(vb)))
-		}
-	}
-	for i := 0; i < 50; i++ {
-		if _, err := cl.Get(context.Background(), fmt.Sprintf("doc%02d", i)); err != nil {
-			t.Fatalf("get after scale-in: %v", err)
-		}
 	}
 }
 
@@ -466,7 +364,7 @@ func TestN1QLOnCluster(t *testing.T) {
 		t.Fatalf("updated %d", res.MutationCount)
 	}
 	it, _ := cl.Get(context.Background(), "profile::19")
-	if string(it.Value) == "" || !contains(string(it.Value), `"vip":true`) {
+	if string(it.Value) == "" || !strings.Contains(string(it.Value), `"vip":true`) {
 		t.Errorf("updated doc: %s", it.Value)
 	}
 	// EXPLAIN works on the cluster catalog.
@@ -479,15 +377,6 @@ func TestN1QLOnCluster(t *testing.T) {
 	if first["index"] != "byAge" {
 		t.Errorf("explain chose %v", first["index"])
 	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 func TestViewBackedIndexUSINGVIEW(t *testing.T) {
@@ -560,12 +449,12 @@ func TestFTSOnCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Define(ftsIndexDef("content", "body")); err != nil {
+	if err := eng.Define(fts.IndexDef{Name: "content", Fields: []string{"body"}}); err != nil {
 		t.Fatal(err)
 	}
 	cl.Set(context.Background(), "d1", []byte(`{"body": "distributed database systems"}`), 0)
 	cl.Set(context.Background(), "d2", []byte(`{"body": "key value caching"}`), 0)
-	hits, err := eng.SearchTerm(context.Background(), "content", "database", ftsSearchOpts(c.ConsistencyVector("default")))
+	hits, err := eng.SearchTerm(context.Background(), "content", "database", fts.SearchOptions{WaitSeqnos: c.ConsistencyVector("default")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,14 +568,14 @@ func TestAnalyticsServiceOnCluster(t *testing.T) {
 	}
 	// A general (non-key) join is rejected by the N1QL query service...
 	_, err := c.Query(`SELECT * FROM `+"`default`"+` o JOIN `+"`default`"+` c ON o.customer = c.cid`, executor.Options{})
-	if err == nil || !contains(err.Error(), "general") {
+	if err == nil || !strings.Contains(err.Error(), "general") {
 		t.Fatalf("query service should reject general joins: %v", err)
 	}
 	// ...but the analytics service runs it, without touching the data
 	// service.
 	rows, err := c.AnalyticsQuery(context.Background(), "default",
 		`SELECT c.cid, COUNT(*) AS n FROM `+"`default`"+` o JOIN `+"`default`"+` c ON o.customer = c.cid WHERE o.type = "order" GROUP BY c.cid ORDER BY c.cid`,
-		analyticsOpts(c.ConsistencyVector("default")))
+		analytics.QueryOptions{WaitSeqnos: c.ConsistencyVector("default")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -707,7 +596,7 @@ func TestAnalyticsRequiresServiceNode(t *testing.T) {
 	if err := c.EnableAnalytics("default"); err != ErrNoAnalyticsNode {
 		t.Fatalf("enable without node: %v", err)
 	}
-	if _, err := c.AnalyticsQuery(context.Background(), "default", "SELECT 1", analyticsOpts(nil)); err != ErrNoAnalyticsNode {
+	if _, err := c.AnalyticsQuery(context.Background(), "default", "SELECT 1", analytics.QueryOptions{}); err != ErrNoAnalyticsNode {
 		t.Fatalf("query without node: %v", err)
 	}
 	c.AddNode("a0", cmap.ServiceSet(cmap.ServiceAnalytics))
@@ -1071,7 +960,7 @@ func TestUpdateRacesKVIncrements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fmt.Sprintf(`"n":%d`, updates+incr.n); !contains(string(it.Value), want) {
+	if want := fmt.Sprintf(`"n":%d`, updates+incr.n); !strings.Contains(string(it.Value), want) {
 		t.Errorf("ctr is %s after %d updates (%d failed) and %d increments, want %s", it.Value, updates, failed, incr.n, want)
 	}
 	t.Logf("%d updates (%d failed), %d increments", updates, failed, incr.n)

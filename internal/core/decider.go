@@ -127,7 +127,13 @@ func (d *Decider) Form(bucket string, over []cmap.NodeID, numVBuckets, numReplic
 	d.mu.Lock()
 	d.buckets.put(bucket, &bucketTopology{numVBuckets: numVBuckets, numReplicas: numReplicas})
 	d.mu.Unlock()
-	return d.rebalanceLocked(bucket, over, nil)
+	err := d.rebalanceLocked(bucket, over, nil)
+	if err != nil { // a bucket that did not form has no map
+		d.mu.Lock()
+		d.buckets.drop(bucket)
+		d.mu.Unlock()
+	}
+	return err
 }
 
 // Rebalance brings every bucket to the map balanced over the given

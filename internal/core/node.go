@@ -351,6 +351,17 @@ func (nb *nodeBucket) vb(id int) *vbucket.VBucket {
 	return vb
 }
 
+// dropBucket unpublishes the node's footprint of a bucket and closes it.
+func (n *Node) dropBucket(name string) {
+	n.mu.Lock()
+	nb, ok := n.buckets.get(name)
+	n.buckets.drop(name)
+	n.mu.Unlock()
+	if ok {
+		nb.close()
+	}
+}
+
 // close shuts down all vBuckets and engines for this bucket.
 func (nb *nodeBucket) close() {
 	if nb.pagerStop != nil {

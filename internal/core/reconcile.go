@@ -117,8 +117,7 @@ func (c *Cluster) applyMap(bucket string, m *cmap.Map, src ReplicaSource, journa
 		if len(nodes) == 1 { // a member process journals under its node's name
 			e.Node = string(nodes[0].id)
 		}
-		e.Bucket = bucket
-		e.Fields = map[string]string{"rev": strconv.FormatInt(m.Rev, 10), "changed": strconv.Itoa(len(changed))}
+		e.Bucket, e.Fields = bucket, map[string]string{"rev": strconv.FormatInt(m.Rev, 10), "changed": strconv.Itoa(len(changed))}
 		events.Default.Publish(e)
 	}
 	return firstErr
@@ -205,9 +204,7 @@ func (nb *nodeBucket) promote(vb *vbucket.VBucket) {
 	// during the attach below, and the journal must show takeover →
 	// rollback in causal order.
 	e := events.New(events.VBucket, events.SevInfo, "vb takeover: replica promoted to active")
-	e.Node = nb.nodeID
-	e.Bucket = nb.bucketName
-	e.VB = vb.ID
+	e.Node, e.Bucket, e.VB = nb.nodeID, nb.bucketName, vb.ID
 	e.Fields = map[string]string{"high_seqno": strconv.FormatUint(highSeqno, 10)}
 	events.Default.Publish(e)
 	nb.attachConsumersLocked(vb)

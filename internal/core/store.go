@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"couchgo/internal/analytics"
@@ -297,11 +298,7 @@ func (c *Cluster) ConsistencyVector(keyspace string) map[int]uint64 {
 	m := b.Map()
 	out := make(map[int]uint64, m.NumVBuckets)
 	for vb := 0; vb < m.NumVBuckets; vb++ {
-		nodeID := m.Active(vb)
-		if nodeID == "" {
-			continue
-		}
-		node, err := c.Node(nodeID)
+		node, err := c.Node(m.Active(vb))
 		if err != nil {
 			continue
 		}
@@ -358,9 +355,6 @@ func (c *Cluster) scanViewIndex(ctx context.Context, b *bucketState, index strin
 func (c *Cluster) eachViewNode(b *bucketState, wait map[int]uint64, fn func(e *views.Engine, wait map[int]uint64) error) error {
 	m := b.Map()
 	for _, n := range c.Nodes() {
-		if !n.services.Has(cmap.ServiceData) || !n.Alive() {
-			continue
-		}
 		nb, err := n.bucket(b.name)
 		if err != nil {
 			continue
@@ -447,9 +441,6 @@ func (c *Cluster) DefineView(bucketName string, def views.Definition) error {
 	b.viewDefs[def.Name] = def
 	b.mu.Unlock()
 	for _, n := range c.Nodes() {
-		if !n.services.Has(cmap.ServiceData) || !n.Alive() {
-			continue
-		}
 		nb, err := n.bucket(bucketName)
 		if err != nil {
 			continue
@@ -475,9 +466,6 @@ func (c *Cluster) DropView(bucketName, name string) error {
 		return views.ErrNoSuchView
 	}
 	for _, n := range c.Nodes() {
-		if !n.services.Has(cmap.ServiceData) || !n.Alive() {
-			continue
-		}
 		if nb, err := n.bucket(bucketName); err == nil {
 			nb.viewEngine.Drop(name)
 		}
@@ -536,10 +524,7 @@ func (c *Cluster) queryViewRows(ctx context.Context, bucketName, view string, op
 		return merged, nil
 	}
 	if opts.Descending {
-		// MergeRows sorts ascending; flip for descending queries.
-		for i, j := 0, len(merged)-1; i < j; i, j = i+1, j-1 {
-			merged[i], merged[j] = merged[j], merged[i]
-		}
+		slices.Reverse(merged) // MergeRows sorts ascending
 	}
 	if opts.Skip > 0 {
 		if opts.Skip >= len(merged) {

@@ -302,7 +302,9 @@ func TestTracePropagatesThroughRollback(t *testing.T) {
 	// Divergent, traced writes: these exist only on the actives and in
 	// the index. At least one must die with node0 for the failover to
 	// force a rollback.
-	severReplication(t, c, "default")
+	if err := c.SeverReplication("default"); err != nil {
+		t.Fatal(err)
+	}
 	b, _ := c.bucket("default")
 	oldMap := b.Map()
 	sawNode0 := false
