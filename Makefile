@@ -89,6 +89,9 @@ bench-smoke:
 # Alternating parent/change pairs of couchbench workloads, the
 # procedure every ROADMAP gate asks for (WORKLOAD may list several):
 #   make bench-pairs BASE=HEAD~1 WORKLOAD="lib.kv-a wire.kv-a" [PAIRS=10] [SEED=42]
+# BASE=HEAD on a clean tree is the A/A mode: both sides run the same
+# code, so the table is the workload's own noise (its IQR, and a win
+# count that should sit near half).
 PAIRS ?= 10
 SEED ?= 42
 bench-pairs:

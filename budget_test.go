@@ -33,7 +33,7 @@ var lineBudgets = map[string]int{
 	"internal/analytics":   244,
 	"internal/btree":       377,
 	"internal/buildinfo":   8,
-	"internal/cache":       1195,
+	"internal/cache":       1266,
 	"internal/cmap":        352,
 	"internal/core":        2878,
 	"internal/dcp":         439,
@@ -50,20 +50,20 @@ var lineBudgets = map[string]int{
 	"internal/planner":     979,
 	"internal/query":       283,
 	"internal/rest":        1428,
-	"internal/storage":     987,
+	"internal/storage":     1030,
 	"internal/trace":       987,
 	"internal/transport":   2351,
 	"internal/value":       695,
-	"internal/vbucket":     875,
+	"internal/vbucket":     893,
 	"internal/views":       648,
 	"internal/xdcr":        241,
 }
 
 var byteBudgets = map[string]int{
-	"DESIGN.md":                      112339,
+	"DESIGN.md":                      113523,
 	"README.md":                      17446,
-	"EXPERIMENTS.md":                 19123,
-	".claude/skills/verify/SKILL.md": 54495,
+	"EXPERIMENTS.md":                 19748,
+	".claude/skills/verify/SKILL.md": 54936,
 	"CHANGES.md entry":               13333,
 }
 

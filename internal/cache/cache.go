@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 
 	"couchgo/internal/metrics"
+	"couchgo/internal/storage"
 )
 
 // Process-wide cache counters (summed across every hash table). Hit
@@ -52,6 +53,8 @@ var (
 	ErrLocked       = errors.New("cache: document is locked")
 	ErrNotLocked    = errors.New("cache: document is not locked")
 	ErrValueEvicted = errors.New("cache: value not resident")
+	// ErrSealed refuses a mutation of a sealed table (Seal).
+	ErrSealed = errors.New("cache: table sealed")
 )
 
 // casCounter generates cluster-unique, monotonically increasing CAS
@@ -78,9 +81,9 @@ func BumpCAS(seen uint64) {
 // Item is one document's entry in the hash table: identity, metadata,
 // and the (possibly evicted) value. The table keeps one Item per key,
 // at one address for as long as the key is in it: a mutation overwrites
-// it where it stands (installStriped), and what leaves the table is a
-// copy made under the stripe lock (snapshot), which no later revision
-// can reach.
+// it where it stands (installStriped), a full eviction marks it gone,
+// and what leaves the table is a copy made under the stripe lock
+// (snapshot), which no later revision can reach.
 type Item struct {
 	Key   string
 	Value []byte // nil when !Resident or Deleted
@@ -100,16 +103,21 @@ type Item struct {
 	// slot is the item's index + 1 in its stripe's resident slice while
 	// it is in it. Only residency writes it. It sits in the padding
 	// after Flags, among the fields a Set reads of the item it replaces.
-	slot   int32
-	Expiry int64 // unix seconds; 0 = no expiry
+	slot        int32
+	Expiry      int64 // unix seconds; 0 = no expiry
+	lockedUntil int64 // unix seconds; 0 = unlocked
+	// loc is where this revision's record was read from disk: zero until
+	// its first fetch, and again with every new revision.
+	loc storage.Loc
 	// Deleted marks a tombstone: metadata retained so replicas and
 	// indexes can observe the deletion; value gone.
 	Deleted bool
 	// Resident is false when the value has been evicted from memory.
 	Resident bool
-
-	lockedUntil int64 // unix seconds; 0 = unlocked
-	nru         uint8 // not-recently-used clock for the item pager
+	nru      uint8 // not-recently-used clock for the item pager
+	// gone marks an entry a full eviction took out of the table: a
+	// Fetched that holds it looks the key up again.
+	gone bool
 }
 
 func (it *Item) locked(now int64) bool {
@@ -130,30 +138,52 @@ func (it *Item) memSize() int64 {
 // read-only by convention: callers must not mutate returned bytes).
 func (it *Item) snapshot() Item {
 	cp := *it
-	cp.slot = 0
+	cp.slot, cp.loc = 0, storage.Loc{}
 	return cp
 }
 
-// Fetched is a document value read back from the storage engine,
-// stamped with the seqno of the revision it belongs to. An arm that
-// needs the value of an evicted item takes f's when f is that
-// revision's, and restores it, inside the stripe-lock hold that goes on
-// to use it — so the pager cannot evict between the restoration and
-// the use. The zero Fetched matches nothing (seqnos start at 1).
+// Fetched is what an op carries between an arm's runs: a document value
+// read back from the storage engine, stamped with the seqno of its
+// revision, and Loc, where a record is on disk. An arm that needs an
+// evicted value takes f's when f is that revision's, and restores it
+// inside the stripe-lock hold that goes on to use it, so the pager
+// cannot evict in between. Otherwise it answers ErrValueEvicted, leaving
+// in f its entry, which the next run takes without a map lookup unless
+// it is gone, and where its revision was last read (the zero Loc when
+// never). The zero Fetched matches nothing (seqnos start at 1); nil is
+// nothing fetched.
 type Fetched struct {
 	Seqno uint64
 	Value []byte
+	Loc   storage.Loc
+	entry *Item
+}
+
+// entry returns key's entry in st, st's lock held: the one f holds
+// unless it is gone, else the map's.
+func (st *stripe) entry(key string, f *Fetched) (*Item, bool) {
+	if f != nil && f.entry != nil && !f.entry.gone {
+		return f.entry, true
+	}
+	it, ok := st.items[key]
+	return it, ok
 }
 
 // resident reports whether it's value is in memory, first restoring it
-// from f. Runs under the stripe lock, on a live (not deleted) item.
-func (h *HashTable) resident(st *stripe, it *Item, f Fetched) bool {
-	if !it.Resident && f.Seqno == it.Seqno && f.Seqno != 0 {
-		it.Value, it.Resident = f.Value, true
-		h.residency(st, it, counted, inSlice)
-		h.memUsed.Add(int64(len(f.Value)))
+// from f, or else leaves it in f for the fetch. Runs under the stripe
+// lock, on a live (not deleted) item.
+func (h *HashTable) resident(st *stripe, it *Item, f *Fetched) bool {
+	if it.Resident || f == nil {
+		return it.Resident
 	}
-	return it.Resident
+	if f.Seqno != it.Seqno || f.Seqno == 0 {
+		f.entry, f.Loc = it, it.loc
+		return false
+	}
+	it.Value, it.Resident, it.loc = f.Value, true, f.Loc
+	h.residency(st, it, counted, inSlice)
+	h.memUsed.Add(int64(len(f.Value)))
+	return true
 }
 
 // place is where residency keeps an item: a live item with its value in
@@ -247,6 +277,9 @@ type HashTable struct {
 	// lock-free by HighSeqno.
 	seqMu     sync.Mutex
 	nextSeqno atomic.Uint64
+	// sealed refuses every mutation at the sequencing section (Seal).
+	// seqMu guards it.
+	sealed bool
 
 	// Table accounting, maintained atomically so Stats and the metrics
 	// pollers never contend with the KV path.
@@ -254,10 +287,6 @@ type HashTable struct {
 	itemCount   atomic.Int64
 	tombCount   atomic.Int64
 	nonResident atomic.Int64
-	// expiring counts entries with a nonzero Expiry. The proactive
-	// expiry pager scans a table only when this is nonzero, so
-	// TTL-free workloads never pay for the periodic full-table scan.
-	expiring atomic.Int64
 
 	// onMutate, when set, observes every applied mutation inside the
 	// sequencing section, guaranteeing the observer sees mutations in
@@ -267,6 +296,12 @@ type HashTable struct {
 	// span); internally triggered mutations such as lazy expiry pass
 	// context.Background().
 	onMutate func(ctx context.Context, it Item)
+
+	// expiring counts entries with a nonzero Expiry. The proactive
+	// expiry pager scans a table only when this is nonzero, so
+	// TTL-free workloads never pay for the periodic full-table scan.
+	// After onMutate, which every Set reads on seqMu's cache line.
+	expiring atomic.Int64
 
 	// hand is the stripe the next pager sweep starts at. Last, so the
 	// fields every Set touches stay on the cache line they shared.
@@ -295,6 +330,17 @@ func (h *HashTable) stripeOf(key string) *stripe {
 // OnMutate registers the ordered mutation observer. Must be called
 // before the table receives traffic.
 func (h *HashTable) OnMutate(fn func(context.Context, Item)) { h.onMutate = fn }
+
+// Seal refuses (on) or accepts again every mutation from the next one
+// to reach the sequencing section: once Seal(true) returns, HighSeqno
+// is final until Seal(false), whatever an op had checked before, and a
+// refused arm answers ErrSealed having changed nothing. Replica applies
+// and restorations are not this copy's mutations and still land.
+func (h *HashTable) Seal(on bool) {
+	h.seqMu.Lock()
+	h.sealed = on
+	h.seqMu.Unlock()
+}
 
 // HighSeqno returns the max sequence number assigned so far. Lock-free.
 func (h *HashTable) HighSeqno() uint64 { return h.nextSeqno.Load() }
@@ -334,7 +380,7 @@ func (h *HashTable) Stats() Stats {
 // Get is GetWith with nothing fetched, spelled for a caller that holds
 // the table itself (bench/'s layer replica, the expiry pager, tests).
 func (h *HashTable) Get(key string, now int64) (Item, error) {
-	return h.GetWith(key, now, Fetched{})
+	return h.GetWith(key, now, nil)
 }
 
 // GetWith returns the item for key. Expired documents are lazily
@@ -343,17 +389,16 @@ func (h *HashTable) Get(key string, now int64) (Item, error) {
 // ErrValueEvicted, with nothing changed, when the value is not in
 // memory and f does not hold it; the caller (vbucket.Do) fetches it
 // from storage and calls again. A resident hit allocates nothing.
-func (h *HashTable) GetWith(key string, now int64, f Fetched) (Item, error) {
+func (h *HashTable) GetWith(key string, now int64, f *Fetched) (Item, error) {
 	st := h.stripeOf(key)
 	st.mu.Lock()
-	it, ok := st.items[key]
+	it, ok := st.entry(key, f)
 	if !ok || it.Deleted {
 		st.mu.Unlock()
 		return Item{}, ErrKeyNotFound
 	}
 	if it.expired(now) {
-		mExpirations.Inc()
-		h.deleteStriped(context.Background(), st, it)
+		h.expireStriped(context.Background(), st, it)
 		st.mu.Unlock()
 		return Item{}, ErrKeyNotFound
 	}
@@ -385,26 +430,24 @@ func (h *HashTable) GetMeta(key string) (Item, error) {
 // check this ID against the current ID in the server", §3.1.1).
 // Writing to a hard-locked document requires the lock-holder's CAS.
 func (h *HashTable) Set(ctx context.Context, key string, value []byte, flags uint32, expiry int64, casCheck uint64, now int64) (Item, error) {
-	st := h.stripeOf(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return h.storeStriped(ctx, st, key, value, flags, expiry, casCheck, now, storeSet)
+	return h.store(ctx, key, value, flags, expiry, casCheck, now, storeSet)
 }
 
 // Add stores value only if the key does not already exist.
 func (h *HashTable) Add(ctx context.Context, key string, value []byte, flags uint32, expiry int64, now int64) (Item, error) {
-	st := h.stripeOf(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return h.storeStriped(ctx, st, key, value, flags, expiry, 0, now, storeAdd)
+	return h.store(ctx, key, value, flags, expiry, 0, now, storeAdd)
 }
 
 // Replace stores value only if the key already exists.
 func (h *HashTable) Replace(ctx context.Context, key string, value []byte, flags uint32, expiry int64, casCheck uint64, now int64) (Item, error) {
+	return h.store(ctx, key, value, flags, expiry, casCheck, now, storeReplace)
+}
+
+func (h *HashTable) store(ctx context.Context, key string, value []byte, flags uint32, expiry int64, casCheck uint64, now int64, mode storeMode) (Item, error) {
 	st := h.stripeOf(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return h.storeStriped(ctx, st, key, value, flags, expiry, casCheck, now, storeReplace)
+	return h.storeStriped(ctx, st, st.items[key], key, value, flags, expiry, casCheck, now, mode)
 }
 
 type storeMode int
@@ -415,16 +458,15 @@ const (
 	storeReplace
 )
 
-// storeStriped runs under st's lock (st owns key).
-func (h *HashTable) storeStriped(ctx context.Context, st *stripe, key string, value []byte, flags uint32, expiry int64, casCheck uint64, now int64, mode storeMode) (Item, error) {
-	it, exists := st.items[key]
+// storeStriped runs under st's lock (st owns key, whose entry is it,
+// nil when the table has none).
+func (h *HashTable) storeStriped(ctx context.Context, st *stripe, it *Item, key string, value []byte, flags uint32, expiry int64, casCheck uint64, now int64, mode storeMode) (Item, error) {
+	exists := it != nil
 	if exists && (it.Deleted || it.expired(now)) {
 		if it.expired(now) && !it.Deleted {
-			mExpirations.Inc()
-			h.deleteStriped(ctx, st, it)
+			h.expireStriped(ctx, st, it) // a tombstone where it stands
 		}
 		exists = false
-		it = st.items[key] // tombstone (possibly just created)
 	}
 	switch mode {
 	case storeAdd:
@@ -463,7 +505,9 @@ func (h *HashTable) storeStriped(ctx context.Context, st *stripe, key string, va
 	if it != nil {
 		rev.RevSeqno = it.RevSeqno + 1
 	}
-	h.commitStriped(ctx, st, it, &rev)
+	if err := h.commitStriped(ctx, st, it, &rev); err != nil {
+		return Item{}, err
+	}
 	return rev, nil
 }
 
@@ -475,8 +519,7 @@ func (h *HashTable) Delete(ctx context.Context, key string, casCheck uint64, now
 	it, ok := st.items[key]
 	if !ok || it.Deleted || it.expired(now) {
 		if ok && it.expired(now) && !it.Deleted {
-			mExpirations.Inc()
-			h.deleteStriped(ctx, st, it)
+			h.expireStriped(ctx, st, it)
 		}
 		return Item{}, ErrKeyNotFound
 	}
@@ -486,20 +529,31 @@ func (h *HashTable) Delete(ctx context.Context, key string, casCheck uint64, now
 	if casCheck != 0 && it.CAS != casCheck {
 		return Item{}, ErrCASMismatch
 	}
-	return h.deleteStriped(ctx, st, it), nil
+	return h.deleteStriped(ctx, st, it)
 }
 
 // deleteStriped tombstones it and notifies observers. Runs under the
 // stripe lock.
-func (h *HashTable) deleteStriped(ctx context.Context, st *stripe, it *Item) Item {
+func (h *HashTable) deleteStriped(ctx context.Context, st *stripe, it *Item) (Item, error) {
 	rev := Item{
 		Key:      it.Key,
 		CAS:      NextCAS(),
 		RevSeqno: it.RevSeqno + 1,
 		Deleted:  true,
 	}
-	h.commitStriped(ctx, st, it, &rev)
-	return rev
+	if err := h.commitStriped(ctx, st, it, &rev); err != nil {
+		return Item{}, err
+	}
+	return rev, nil
+}
+
+// expireStriped lazily deletes it, whose expiry has passed. A sealed
+// table keeps it, expired, for the copy that takes over. Runs under the
+// stripe lock.
+func (h *HashTable) expireStriped(ctx context.Context, st *stripe, it *Item) {
+	if _, err := h.deleteStriped(ctx, st, it); err == nil {
+		mExpirations.Inc()
+	}
 }
 
 // commitStriped is the sequencing section: holding st's lock, it
@@ -508,27 +562,32 @@ func (h *HashTable) deleteStriped(ctx context.Context, st *stripe, it *Item) Ite
 // step. Because every mutation passes through here and seqno draw +
 // emission happen under the same seqMu hold, the observer's callback
 // order is exactly seqno order. rev is the caller's own, on its stack,
-// and is the revision's snapshot when this returns.
+// and is the revision's snapshot when this returns. A sealed table
+// refuses it with ErrSealed, changing nothing.
 //
 // Lock order: stripe.mu (held by caller) → seqMu. Nothing acquires a
 // stripe lock while holding seqMu, so the order is acyclic.
-func (h *HashTable) commitStriped(ctx context.Context, st *stripe, old, rev *Item) {
+func (h *HashTable) commitStriped(ctx context.Context, st *stripe, old, rev *Item) error {
 	h.seqMu.Lock()
+	defer h.seqMu.Unlock()
+	if h.sealed {
+		return ErrSealed
+	}
 	rev.Seqno = h.nextSeqno.Add(1)
 	h.installStriped(st, old, rev)
 	if h.onMutate != nil {
 		h.onMutate(ctx, *rev)
 	}
-	h.seqMu.Unlock()
+	return nil
 }
 
 // installStriped makes rev (which carries no slot) its key's entry,
 // maintaining the accounting: over old, the entry the key has, where
 // old stands, so the key's Item never changes address and the map and
 // an unchanged resident slot are not written; in a new Item when the
-// key has none, the only allocation of a mutation. Runs under the
-// stripe lock.
-func (h *HashTable) installStriped(st *stripe, old, rev *Item) {
+// key has none, the only allocation of a mutation. It returns the
+// entry. Runs under the stripe lock.
+func (h *HashTable) installStriped(st *stripe, old, rev *Item) *Item {
 	from := nowhere
 	switch {
 	case old == nil:
@@ -548,6 +607,7 @@ func (h *HashTable) installStriped(st *stripe, old, rev *Item) {
 	*old = *rev
 	old.slot = slot
 	h.residency(st, old, from, old.place())
+	return old
 }
 
 // count adds (n = 1) or takes away (n = -1) what it contributes to the
@@ -566,20 +626,20 @@ func (h *HashTable) count(it *Item, n int64) {
 
 // Append concatenates data after the existing raw value — the
 // memcached-heritage byte-level operation. The document must exist.
-func (h *HashTable) Append(ctx context.Context, key string, data []byte, casCheck uint64, now int64, f Fetched) (Item, error) {
+func (h *HashTable) Append(ctx context.Context, key string, data []byte, casCheck uint64, now int64, f *Fetched) (Item, error) {
 	return h.concat(ctx, key, data, casCheck, now, f, false)
 }
 
 // Prepend concatenates data before the existing raw value.
-func (h *HashTable) Prepend(ctx context.Context, key string, data []byte, casCheck uint64, now int64, f Fetched) (Item, error) {
+func (h *HashTable) Prepend(ctx context.Context, key string, data []byte, casCheck uint64, now int64, f *Fetched) (Item, error) {
 	return h.concat(ctx, key, data, casCheck, now, f, true)
 }
 
-func (h *HashTable) concat(ctx context.Context, key string, data []byte, casCheck uint64, now int64, f Fetched, front bool) (Item, error) {
+func (h *HashTable) concat(ctx context.Context, key string, data []byte, casCheck uint64, now int64, f *Fetched, front bool) (Item, error) {
 	st := h.stripeOf(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	it, exists := st.items[key]
+	it, exists := st.entry(key, f)
 	if !exists || it.Deleted || it.expired(now) {
 		return Item{}, ErrKeyNotFound
 	}
@@ -592,36 +652,36 @@ func (h *HashTable) concat(ctx context.Context, key string, data []byte, casChec
 	} else {
 		nv = append(append([]byte{}, it.Value...), data...)
 	}
-	return h.storeStriped(ctx, st, key, nv, it.Flags, it.Expiry, casCheck, now, storeSet)
+	return h.storeStriped(ctx, st, it, key, nv, it.Flags, it.Expiry, casCheck, now, storeSet)
 }
 
 // Touch updates the expiry without changing the value. It is a
 // mutation like any other (new CAS, revision and seqno), so the new
 // expiry reaches disk, replicas and DCP consumers instead of living
 // only in this table until the item is evicted or the node fails over.
-func (h *HashTable) Touch(ctx context.Context, key string, expiry int64, now int64, f Fetched) (Item, error) {
+func (h *HashTable) Touch(ctx context.Context, key string, expiry int64, now int64, f *Fetched) (Item, error) {
 	st := h.stripeOf(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	it, ok := st.items[key]
+	it, ok := st.entry(key, f)
 	if !ok || it.Deleted || it.expired(now) {
 		return Item{}, ErrKeyNotFound
 	}
 	if !h.resident(st, it, f) {
 		return Item{}, ErrValueEvicted
 	}
-	return h.storeStriped(ctx, st, key, it.Value, it.Flags, expiry, 0, now, storeSet)
+	return h.storeStriped(ctx, st, it, key, it.Value, it.Flags, expiry, 0, now, storeSet)
 }
 
 // GetAndLock returns the document and takes the hard document-level
 // lock for lockSeconds ("this lock will be released after a certain
 // timeout to avoid deadlocks", §3.1.1). The returned CAS is the lock
 // token: a Set/Delete/Unlock with it releases the lock.
-func (h *HashTable) GetAndLock(key string, lockSeconds int64, now int64, f Fetched) (Item, error) {
+func (h *HashTable) GetAndLock(key string, lockSeconds int64, now int64, f *Fetched) (Item, error) {
 	st := h.stripeOf(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	it, ok := st.items[key]
+	it, ok := st.entry(key, f)
 	if !ok || it.Deleted || it.expired(now) {
 		return Item{}, ErrKeyNotFound
 	}
@@ -687,7 +747,7 @@ func (h *HashTable) ApplyMeta(ctx context.Context, it Item) {
 // assigned a fresh local sequence number, since seqnos are a
 // per-vBucket, per-cluster lineage. It reports whether the incoming
 // revision won.
-func (h *HashTable) ApplyRemote(ctx context.Context, key string, value []byte, deleted bool, cas, revSeqno uint64, flags uint32, expiry int64) bool {
+func (h *HashTable) ApplyRemote(ctx context.Context, key string, value []byte, deleted bool, cas, revSeqno uint64, flags uint32, expiry int64) (bool, error) {
 	BumpCAS(cas)
 	st := h.stripeOf(key)
 	st.mu.Lock()
@@ -695,10 +755,10 @@ func (h *HashTable) ApplyRemote(ctx context.Context, key string, value []byte, d
 	old := st.items[key]
 	if old != nil {
 		if revSeqno < old.RevSeqno {
-			return false
+			return false, nil
 		}
 		if revSeqno == old.RevSeqno && cas <= old.CAS {
-			return false
+			return false, nil
 		}
 	}
 	rev := Item{
@@ -711,27 +771,37 @@ func (h *HashTable) ApplyRemote(ctx context.Context, key string, value []byte, d
 		Deleted:  deleted,
 		Resident: !deleted,
 	}
-	h.commitStriped(ctx, st, old, &rev)
-	return true
+	if err := h.commitStriped(ctx, st, old, &rev); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // Restore inserts an item recovered from the storage engine without
 // treating it as a new mutation: no observer notification, no
 // re-persistence. Used by restart warmup and by full-eviction miss
 // fetches. If the key already exists in the table (a concurrent write
-// won), Restore is a no-op — the in-memory copy is always newer.
-func (h *HashTable) Restore(it Item) {
+// won), Restore installs nothing — the in-memory copy is always newer.
+// A full-eviction fetch passes f, which says where the record is
+// (Loc), and is handed the key's entry, as an arm's miss hands it.
+func (h *HashTable) Restore(it Item, f *Fetched) {
 	BumpCAS(it.CAS)
 	st := h.stripeOf(it.Key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, exists := st.items[it.Key]; exists {
-		return
+	e, exists := st.items[it.Key]
+	if !exists {
+		it.Resident = !it.Deleted
+		it.slot = 0
+		if f != nil {
+			it.loc = f.Loc
+		}
+		h.SetHighSeqno(it.Seqno)
+		e = h.installStriped(st, nil, &it)
 	}
-	it.Resident = !it.Deleted
-	it.slot = 0
-	h.SetHighSeqno(it.Seqno)
-	h.installStriped(st, nil, &it)
+	if f != nil {
+		f.entry = e
+	}
 }
 
 // EvictItem removes a clean, unlocked document entirely — key,
@@ -770,6 +840,7 @@ func (h *HashTable) evictStriped(st *stripe, it *Item, full bool) int64 {
 	freed := it.memSize()
 	if full {
 		h.residency(st, it, it.place(), nowhere)
+		it.gone = true
 		delete(st.items, it.Key)
 		h.count(it, -1)
 		mEvictionsFull.Inc()

@@ -54,11 +54,11 @@ func TestOverwriteKeepsTheItem(t *testing.T) {
 			now += 10
 			must(h.Set(bg, key, []byte(`{"n":5}`), 0, 0, 0, now))
 		}, 2},
-		{"Touch", func() { must(h.Touch(bg, key, now+1000, now, Fetched{})) }, 1},
-		{"Append", func() { must(h.Append(bg, key, []byte(" "), 0, now, Fetched{})) }, 1},
-		{"SubdocSet", func() { must(h.SubdocSet(bg, key, "m", 1.0, 0, now, Fetched{})) }, 1},
+		{"Touch", func() { must(h.Touch(bg, key, now+1000, now, nil)) }, 1},
+		{"Append", func() { must(h.Append(bg, key, []byte(" "), 0, now, nil)) }, 1},
+		{"SubdocSet", func() { must(h.SubdocSet(bg, key, "m", 1.0, 0, now, nil)) }, 1},
 		{"GetAndLock then Set with the token", func() {
-			locked, err := h.GetAndLock(key, 15, now, Fetched{})
+			locked, err := h.GetAndLock(key, 15, now, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +66,7 @@ func TestOverwriteKeepsTheItem(t *testing.T) {
 				t.Fatalf("Set of a locked document without its token: %v", err)
 			}
 			must(h.Set(bg, key, []byte(`{"n":6}`), 0, 0, locked.CAS, now))
-			if _, err := h.GetAndLock(key, 15, now, Fetched{}); err != nil {
+			if _, err := h.GetAndLock(key, 15, now, nil); err != nil {
 				t.Fatalf("the token's Set did not release the lock: %v", err)
 			}
 			must(h.Set(bg, key, []byte(`{"n":7}`), 0, 0, entry(h, key).CAS, now))
@@ -76,10 +76,10 @@ func TestOverwriteKeepsTheItem(t *testing.T) {
 				t.Fatal("nothing evicted")
 			}
 			seqno := entry(h, key).Seqno
-			if _, err := h.GetWith(key, now, Fetched{}); err != ErrValueEvicted {
+			if _, err := h.GetWith(key, now, nil); err != ErrValueEvicted {
 				t.Fatalf("Get of an evicted value: %v", err)
 			}
-			if it, err := h.GetWith(key, now, Fetched{Seqno: seqno, Value: []byte(`{"n":7}`)}); err != nil || !it.Resident {
+			if it, err := h.GetWith(key, now, &Fetched{Seqno: seqno, Value: []byte(`{"n":7}`)}); err != nil || !it.Resident {
 				t.Fatalf("Get with the fetched value: %+v, %v", it, err)
 			}
 		}, 0},
@@ -116,7 +116,7 @@ func TestOverwriteKeepsTheItem(t *testing.T) {
 		checkResidency(t, h, "ApplyMeta")
 	}
 	for i, deleted := range []bool{true, false} {
-		if !h.ApplyRemote(bg, key, []byte(`{}`), deleted, NextCAS(), uint64(60+i), 0, 0) {
+		if won, err := h.ApplyRemote(bg, key, []byte(`{}`), deleted, NextCAS(), uint64(60+i), 0, 0); !won || err != nil {
 			t.Fatal("ApplyRemote of a newer revision lost")
 		}
 		if it := entry(h, key); it != first || it.Deleted != deleted || it.RevSeqno != uint64(60+i) {
@@ -180,7 +180,7 @@ func TestSnapshotOutlivesOverwrite(t *testing.T) {
 	if _, err := h.Set(bg, key, []byte("two"), 4, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Append(bg, key, []byte("!"), 0, 0, Fetched{}); err != nil {
+	if _, err := h.Append(bg, key, []byte("!"), 0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	tomb, err := h.Delete(bg, key, 0, 0)

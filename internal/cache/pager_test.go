@@ -106,9 +106,9 @@ func TestResidentSliceMatchesTheTable(t *testing.T) {
 		{"Set with expiry", func(key string) { h.Set(bg, key, val(), 0, now+int64(rng.Intn(3)), 0, now) }},
 		{"Delete", func(key string) { h.Delete(bg, key, 0, now) }},
 		{"Get", func(key string) { h.Get(key, now) }}, // expires lazily
-		{"Touch", func(key string) { h.Touch(bg, key, now+int64(rng.Intn(3)), now, Fetched{}) }},
-		{"Append", func(key string) { h.Append(bg, key, []byte(" "), 0, now, Fetched{}) }},
-		{"SubdocSet", func(key string) { h.SubdocSet(bg, key, "n", float64(rng.Intn(9)), 0, now, Fetched{}) }},
+		{"Touch", func(key string) { h.Touch(bg, key, now+int64(rng.Intn(3)), now, nil) }},
+		{"Append", func(key string) { h.Append(bg, key, []byte(" "), 0, now, nil) }},
+		{"SubdocSet", func(key string) { h.SubdocSet(bg, key, "n", float64(rng.Intn(9)), 0, now, nil) }},
 		{"ApplyMeta", func(key string) {
 			h.ApplyMeta(bg, Item{Key: key, Value: val(), CAS: NextCAS(), RevSeqno: 1, Seqno: h.HighSeqno() + 1})
 		}},
@@ -121,22 +121,26 @@ func TestResidentSliceMatchesTheTable(t *testing.T) {
 		}},
 		{"Restore of a copy", func(key string) {
 			if it, ok := rawCopy(key); ok && h.EvictItem(key, h.HighSeqno(), now) {
-				h.Restore(it)
+				h.Restore(it, nil)
 			}
 		}},
 		{"ApplyMeta tombstone", func(key string) {
 			h.ApplyMeta(bg, Item{Key: key, CAS: NextCAS(), RevSeqno: 1, Seqno: h.HighSeqno() + 1, Deleted: true})
 		}},
-		{"ApplyRemote", func(key string) { h.ApplyRemote(bg, key, val(), rng.Intn(4) == 0, NextCAS(), 1<<40, 0, 0) }},
-		{"Restore", func(key string) { h.Restore(Item{Key: key, Value: val(), CAS: 1, RevSeqno: 1, Seqno: 1}) }},
+		{"ApplyRemote", func(key string) {
+			if _, err := h.ApplyRemote(bg, key, val(), rng.Intn(4) == 0, NextCAS(), 1<<40, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Restore", func(key string) { h.Restore(Item{Key: key, Value: val(), CAS: 1, RevSeqno: 1, Seqno: 1}, nil) }},
 		{"GetWith the fetched revision", func(key string) {
 			if it, err := h.GetMeta(key); err == nil {
-				h.GetWith(key, now, Fetched{Seqno: it.Seqno, Value: val()})
+				h.GetWith(key, now, &Fetched{Seqno: it.Seqno, Value: val()})
 			}
 		}},
 		{"GetWith a stale fetch", func(key string) {
 			if it, err := h.GetMeta(key); err == nil {
-				h.GetWith(key, now, Fetched{Seqno: it.Seqno - 1, Value: val()})
+				h.GetWith(key, now, &Fetched{Seqno: it.Seqno - 1, Value: val()})
 			}
 		}},
 		{"EvictValue", func(key string) { h.EvictValue(key) }},
@@ -189,7 +193,7 @@ func BenchmarkPagerSweep(b *testing.B) {
 		for ; evicted > 0; next = (next + 1) % keys {
 			key := fmt.Sprintf("user%06d", next)
 			if it, _ := h.GetMeta(key); !it.Resident {
-				h.GetWith(key, 0, Fetched{Seqno: it.Seqno, Value: val})
+				h.GetWith(key, 0, &Fetched{Seqno: it.Seqno, Value: val})
 				evicted--
 			}
 		}

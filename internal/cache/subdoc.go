@@ -22,7 +22,7 @@ var (
 )
 
 // SubdocGet returns the value at path inside the document.
-func (h *HashTable) SubdocGet(key, path string, now int64, f Fetched) (any, error) {
+func (h *HashTable) SubdocGet(key, path string, now int64, f *Fetched) (any, error) {
 	p, ok := value.ParsePath(path)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrPathInvalid, path)
@@ -30,7 +30,7 @@ func (h *HashTable) SubdocGet(key, path string, now int64, f Fetched) (any, erro
 	st := h.stripeOf(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	it, exists := st.items[key]
+	it, exists := st.entry(key, f)
 	if !exists || it.Deleted || it.expired(now) {
 		return nil, ErrKeyNotFound
 	}
@@ -53,11 +53,11 @@ func (h *HashTable) SubdocGet(key, path string, now int64, f Fetched) (any, erro
 // stripe lock and stores the result through the normal mutation path
 // (CAS checks, lock checks, rev/seqno assignment, observer
 // notification).
-func (h *HashTable) subdocMutate(ctx context.Context, key string, casCheck uint64, now int64, f Fetched, fn func(doc any) (any, error)) (Item, error) {
+func (h *HashTable) subdocMutate(ctx context.Context, key string, casCheck uint64, now int64, f *Fetched, fn func(doc any) (any, error)) (Item, error) {
 	st := h.stripeOf(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	it, exists := st.items[key]
+	it, exists := st.entry(key, f)
 	if !exists || it.Deleted || it.expired(now) {
 		return Item{}, ErrKeyNotFound
 	}
@@ -72,11 +72,11 @@ func (h *HashTable) subdocMutate(ctx context.Context, key string, casCheck uint6
 	if err != nil {
 		return Item{}, err
 	}
-	return h.storeStriped(ctx, st, key, value.Marshal(nd), it.Flags, it.Expiry, casCheck, now, storeSet)
+	return h.storeStriped(ctx, st, it, key, value.Marshal(nd), it.Flags, it.Expiry, casCheck, now, storeSet)
 }
 
 // SubdocSet writes v at path, creating intermediate objects as needed.
-func (h *HashTable) SubdocSet(ctx context.Context, key, path string, v any, casCheck uint64, now int64, f Fetched) (Item, error) {
+func (h *HashTable) SubdocSet(ctx context.Context, key, path string, v any, casCheck uint64, now int64, f *Fetched) (Item, error) {
 	p, ok := value.ParsePath(path)
 	if !ok || p.Len() == 0 {
 		return Item{}, fmt.Errorf("%w: %q", ErrPathInvalid, path)
@@ -91,7 +91,7 @@ func (h *HashTable) SubdocSet(ctx context.Context, key, path string, v any, casC
 }
 
 // SubdocRemove deletes the field at path.
-func (h *HashTable) SubdocRemove(ctx context.Context, key, path string, casCheck uint64, now int64, f Fetched) (Item, error) {
+func (h *HashTable) SubdocRemove(ctx context.Context, key, path string, casCheck uint64, now int64, f *Fetched) (Item, error) {
 	p, ok := value.ParsePath(path)
 	if !ok || p.Len() == 0 {
 		return Item{}, fmt.Errorf("%w: %q", ErrPathInvalid, path)
@@ -106,7 +106,7 @@ func (h *HashTable) SubdocRemove(ctx context.Context, key, path string, casCheck
 }
 
 // SubdocArrayAppend appends v to the array at path.
-func (h *HashTable) SubdocArrayAppend(ctx context.Context, key, path string, v any, casCheck uint64, now int64, f Fetched) (Item, error) {
+func (h *HashTable) SubdocArrayAppend(ctx context.Context, key, path string, v any, casCheck uint64, now int64, f *Fetched) (Item, error) {
 	p, ok := value.ParsePath(path)
 	if !ok {
 		return Item{}, fmt.Errorf("%w: %q", ErrPathInvalid, path)
@@ -129,7 +129,7 @@ func (h *HashTable) SubdocArrayAppend(ctx context.Context, key, path string, v a
 
 // SubdocCounter atomically adds delta to the number at path (creating
 // it as delta if absent) and returns the new value.
-func (h *HashTable) SubdocCounter(ctx context.Context, key, path string, delta float64, casCheck uint64, now int64, f Fetched) (float64, Item, error) {
+func (h *HashTable) SubdocCounter(ctx context.Context, key, path string, delta float64, casCheck uint64, now int64, f *Fetched) (float64, Item, error) {
 	p, ok := value.ParsePath(path)
 	if !ok || p.Len() == 0 {
 		return 0, Item{}, fmt.Errorf("%w: %q", ErrPathInvalid, path)

@@ -176,28 +176,41 @@ func decodeRecord(data []byte) (Record, int, bool) {
 	if !ok {
 		return Record{}, 0, false
 	}
-	r := Record{
-		Meta: Meta{
-			Key:      string(data[headerSize : headerSize+keyLen]),
-			Seqno:    binary.LittleEndian.Uint64(data[8:]),
-			CAS:      binary.LittleEndian.Uint64(data[16:]),
-			RevSeqno: binary.LittleEndian.Uint64(data[24:]),
-			Flags:    binary.LittleEndian.Uint32(data[32:]),
-			Expiry:   int64(binary.LittleEndian.Uint64(data[36:])),
-			Deleted:  data[1]&1 != 0,
-		},
-	}
+	r := Record{Meta: decodeMeta(data, string(data[headerSize:headerSize+keyLen]))}
 	if val := data[headerSize+keyLen : total-4]; len(val) > 0 {
 		r.Value = append([]byte(nil), val...)
 	}
 	return r, total, true
 }
 
-// recInfo is the in-memory index entry for the newest version of a key.
+// decodeMeta reads the metadata of key's record from its header.
+func decodeMeta(hdr []byte, key string) Meta {
+	return Meta{
+		Key:      key,
+		Seqno:    binary.LittleEndian.Uint64(hdr[8:]),
+		CAS:      binary.LittleEndian.Uint64(hdr[16:]),
+		RevSeqno: binary.LittleEndian.Uint64(hdr[24:]),
+		Flags:    binary.LittleEndian.Uint32(hdr[32:]),
+		Expiry:   int64(binary.LittleEndian.Uint64(hdr[36:])),
+		Deleted:  hdr[1]&1 != 0,
+	}
+}
+
+// recInfo is the index entry for the newest record of a key: the rest
+// of its metadata is in the record's header. A size fits 32 bits, as a
+// value's length does in the header.
 type recInfo struct {
-	Meta
+	seqno  uint64
 	offset int64 // record start in file
-	size   int64
+	size   uint32
+}
+
+// Loc is where a record is: its offset and size in one generation of
+// its file. The zero Loc is in none. Only the file reads it.
+type Loc struct {
+	off  int64
+	size uint32
+	gen  uint32
 }
 
 // VBFile is the storage for one vBucket: an append-only file plus an
@@ -228,7 +241,11 @@ type VBFile struct {
 	mapped []byte
 	noMap  bool
 
-	byID      map[string]recInfo
+	byID map[string]recInfo
+	// gen numbers the file's generations: each compaction swap begins a
+	// new one, in which no offset of an older one means anything. mu
+	// guards it.
+	gen       uint32
 	fileBytes int64
 	liveBytes int64 // bytes of current-version records
 	highSeqno uint64
@@ -262,7 +279,7 @@ func Open(path string, syncOnWrite bool) (*VBFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &VBFile{f: f, path: path, sync: syncOnWrite, byID: make(map[string]recInfo)}
+	v := &VBFile{f: f, path: path, sync: syncOnWrite, byID: make(map[string]recInfo), gen: 1}
 	v.syncCond = sync.NewCond(&v.syncMu)
 	if err := v.recover(); err != nil {
 		closeCounted(f)
@@ -291,7 +308,7 @@ func (v *VBFile) recover() error {
 			}
 			break
 		}
-		v.indexRecordLocked(rec.Meta, off, int64(n))
+		v.indexRecordLocked(rec.Key, rec.Seqno, off, int64(n))
 		off += int64(n)
 	}
 	v.fileBytes = off
@@ -299,14 +316,14 @@ func (v *VBFile) recover() error {
 	return err
 }
 
-func (v *VBFile) indexRecordLocked(m Meta, off, size int64) {
-	if old, ok := v.byID[m.Key]; ok {
-		v.liveBytes -= old.size
+func (v *VBFile) indexRecordLocked(key string, seqno uint64, off, size int64) {
+	if old, ok := v.byID[key]; ok {
+		v.liveBytes -= int64(old.size)
 	}
-	v.byID[m.Key] = recInfo{Meta: m, offset: off, size: size}
+	v.byID[key] = recInfo{seqno: seqno, offset: off, size: uint32(size)}
 	v.liveBytes += size
-	if m.Seqno > v.highSeqno {
-		v.highSeqno = m.Seqno
+	if seqno > v.highSeqno {
+		v.highSeqno = seqno
 	}
 }
 
@@ -351,7 +368,7 @@ func (v *VBFile) Append(recs []Record, waited ...bool) error {
 	mBytesWritten.Add(uint64(len(buf)))
 	for i := range recs {
 		size := encodedSize(&recs[i])
-		v.indexRecordLocked(recs[i].Meta, v.fileBytes, size)
+		v.indexRecordLocked(recs[i].Key, recs[i].Seqno, v.fileBytes, size)
 		v.fileBytes += size
 	}
 	v.appendSeq++
@@ -473,32 +490,47 @@ func (v *VBFile) Get(key string) (Record, error) {
 	return rec, err
 }
 
-// GetNewest reads the newest record of key under one hold of the lock,
-// so its metadata and value belong to one revision. A tombstone comes
-// back as its metadata with Deleted set.
+// GetNewest reads the newest record of key. A tombstone comes back as
+// its metadata with Deleted set.
 func (v *VBFile) GetNewest(key string) (Record, error) {
+	rec, _, err := v.GetAt(key, Loc{})
+	return rec, err
+}
+
+// GetAt is the one read: it reads key's record at at when at is in the
+// file's current generation, and otherwise the newest record the index
+// has, and returns the record and where it is. Metadata and value come
+// from one record under one hold of the lock, so they belong to one
+// revision. A tombstone comes back as its metadata with Deleted set.
+func (v *VBFile) GetAt(key string, at Loc) (Record, Loc, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.closed {
-		return Record{}, ErrClosed
+		return Record{}, Loc{}, ErrClosed
 	}
-	info, ok := v.byID[key]
-	if !ok {
-		return Record{}, ErrNotFound
+	var info recInfo
+	if at.gen == v.gen {
+		info = recInfo{offset: at.off, size: at.size}
+	} else {
+		var ok bool
+		if info, ok = v.byID[key]; !ok {
+			return Record{}, Loc{}, ErrNotFound
+		}
+		at = Loc{off: info.offset, size: info.size, gen: v.gen}
 	}
-	if info.Deleted {
-		return Record{Meta: info.Meta}, nil
-	}
-	return v.readAtLocked(info)
+	rec, err := v.readAtLocked(key, info)
+	return rec, at, err
 }
 
-// readAtLocked reads a record: the metadata is the index's, the value a
-// copy, because the bytes it is checked on are the file's (the mapping
-// does not outlive a compaction, encBuf the next Append).
-func (v *VBFile) readAtLocked(info recInfo) (Record, error) {
-	rec := Record{Meta: info.Meta}
-	err := v.readRawLocked(info, func(raw []byte) error {
-		if val := raw[headerSize+len(info.Key) : len(raw)-4]; len(val) > 0 {
+// readAtLocked reads key's record at info, its metadata from the header
+// and its value as a copy, because the bytes it is checked on are the
+// file's (the mapping does not outlive a compaction, encBuf the next
+// Append). An info that names no seqno (a location) takes the header's.
+func (v *VBFile) readAtLocked(key string, info recInfo) (Record, error) {
+	var rec Record
+	err := v.readRawLocked(key, info, func(raw []byte) error {
+		rec.Meta = decodeMeta(raw, key)
+		if val := raw[headerSize+len(key) : len(raw)-4]; len(val) > 0 {
 			rec.Value = append([]byte(nil), val...)
 		}
 		return nil
@@ -534,15 +566,15 @@ func (v *VBFile) unmapLocked() {
 	v.mapped = nil
 }
 
-// readRawLocked is the one read primitive: it hands use the encoded
-// record info indexes, checked whole, as a view of the mapping or, when
-// the file has none, of encBuf filled by ReadAt. The bytes are use's
-// until it returns. A fault on the mapping (the file cut short behind
-// our back, an I/O error under a page) comes back as the error a bad
-// CRC gives.
-func (v *VBFile) readRawLocked(info recInfo, use func(raw []byte) error) (err error) {
+// readRawLocked is the one read primitive: it hands use key's encoded
+// record at info, checked whole (CRC, key, and the seqno when info has
+// one), as a view of the mapping or, when the file has none, of encBuf
+// filled by ReadAt. The bytes are use's until it returns. A fault on the
+// mapping (the file cut short behind our back, an I/O error under a
+// page) comes back as the error a bad CRC gives.
+func (v *VBFile) readRawLocked(key string, info recInfo, use func(raw []byte) error) (err error) {
 	var raw []byte
-	if end := info.offset + info.size; v.mapLocked(end) {
+	if end := info.offset + int64(info.size); v.mapLocked(end) {
 		raw = v.mapped[info.offset:end:end]
 		defer func(old bool) {
 			debug.SetPanicOnFault(old)
@@ -550,13 +582,13 @@ func (v *VBFile) readRawLocked(info recInfo, use func(raw []byte) error) (err er
 				if _, fault := r.(interface{ Addr() uintptr }); !fault {
 					panic(r)
 				}
-				err = corruptError(info)
+				err = corruptError(key, info)
 			}
 		}(debug.SetPanicOnFault(true))
 	} else {
 		mReadsUnmapped.Inc()
 		raw = v.encBuf[:0]
-		if int64(cap(raw)) < info.size {
+		if cap(raw) < int(info.size) {
 			raw = make([]byte, info.size)
 		}
 		raw = raw[:info.size]
@@ -564,17 +596,19 @@ func (v *VBFile) readRawLocked(info recInfo, use func(raw []byte) error) (err er
 			v.encBuf = raw
 		}
 		if _, err := v.f.ReadAt(raw, info.offset); err != nil {
-			return fmt.Errorf("storage: read %s@%d: %w", info.Key, info.offset, err)
+			return fmt.Errorf("storage: read %s@%d: %w", key, info.offset, err)
 		}
 	}
-	if keyLen, total, ok := checkRecord(raw); !ok || total != len(raw) || keyLen != len(info.Key) {
-		return corruptError(info)
+	keyLen, total, ok := checkRecord(raw)
+	if !ok || total != len(raw) || keyLen != len(key) || string(raw[headerSize:headerSize+keyLen]) != key ||
+		info.seqno != 0 && binary.LittleEndian.Uint64(raw[8:]) != info.seqno {
+		return corruptError(key, info)
 	}
 	return use(raw)
 }
 
-func corruptError(info recInfo) error {
-	return fmt.Errorf("storage: corrupt record for %s at offset %d", info.Key, info.offset)
+func corruptError(key string, info recInfo) error {
+	return fmt.Errorf("storage: corrupt record for %s at offset %d", key, info.offset)
 }
 
 // HighSeqno returns the highest persisted sequence number. The
@@ -594,15 +628,9 @@ func (v *VBFile) ScanBySeqno(fromExclusive, toInclusive uint64, fn func(Record) 
 		v.mu.Unlock()
 		return ErrClosed
 	}
-	infos := make([]recInfo, 0, len(v.byID))
-	for _, info := range v.byID {
-		if info.Seqno > fromExclusive && info.Seqno <= toInclusive {
-			infos = append(infos, info)
-		}
-	}
+	infos := v.infosLocked(func(info recInfo) bool { return info.seqno > fromExclusive && info.seqno <= toInclusive })
 	v.mu.Unlock()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Seqno < infos[j].Seqno })
-	for _, info := range infos {
+	for _, ki := range infos {
 		v.mu.Lock()
 		if v.closed {
 			v.mu.Unlock()
@@ -611,12 +639,12 @@ func (v *VBFile) ScanBySeqno(fromExclusive, toInclusive uint64, fn func(Record) 
 		// Re-check: the key may have been superseded since the snapshot;
 		// the newer version will carry a higher seqno and is either in
 		// range (visited later is wrong — skip stale) or beyond range.
-		cur, ok := v.byID[info.Key]
-		if !ok || cur.Seqno != info.Seqno {
+		cur, ok := v.byID[ki.key]
+		if !ok || cur.seqno != ki.seqno {
 			v.mu.Unlock()
 			continue
 		}
-		rec, err := v.readAtLocked(info)
+		rec, err := v.readAtLocked(ki.key, cur)
 		v.mu.Unlock()
 		if err != nil {
 			return err
@@ -626,6 +654,24 @@ func (v *VBFile) ScanBySeqno(fromExclusive, toInclusive uint64, fn func(Record) 
 		}
 	}
 	return nil
+}
+
+// keyedInfo is an index entry with its key.
+type keyedInfo struct {
+	key string
+	recInfo
+}
+
+// infosLocked lists the index entries keep accepts, in seqno order.
+func (v *VBFile) infosLocked(keep func(recInfo) bool) []keyedInfo {
+	infos := make([]keyedInfo, 0, len(v.byID))
+	for key, info := range v.byID {
+		if keep(info) {
+			infos = append(infos, keyedInfo{key, info})
+		}
+	}
+	sort.Slice(infos, func(i, j int) bool { return infos[i].seqno < infos[j].seqno })
+	return infos
 }
 
 // Stats describes file health for compaction decisions.
@@ -710,11 +756,7 @@ func (v *VBFile) compactSwap() (int64, error) {
 		}
 	}()
 
-	infos := make([]recInfo, 0, len(v.byID))
-	for _, info := range v.byID {
-		infos = append(infos, info)
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Seqno < infos[j].Seqno })
+	infos := v.infosLocked(func(recInfo) bool { return true })
 
 	// Records are self-contained, so a live one is copied as the bytes
 	// it is, CRC checked, through one buffered writer (256 KiB a write).
@@ -725,13 +767,13 @@ func (v *VBFile) compactSwap() (int64, error) {
 		return err
 	}
 	var off int64
-	for _, info := range infos {
-		if err := v.readRawLocked(info, copyRaw); err != nil {
+	for _, ki := range infos {
+		if err := v.readRawLocked(ki.key, ki.recInfo, copyRaw); err != nil {
 			closeCounted(tmp)
 			return 0, err
 		}
-		newIndex[info.Key] = recInfo{Meta: info.Meta, offset: off, size: info.size}
-		off += info.size
+		newIndex[ki.key] = recInfo{seqno: ki.seqno, offset: off, size: ki.size}
+		off += int64(ki.size)
 	}
 	if err := w.Flush(); err != nil {
 		closeCounted(tmp)
@@ -773,6 +815,7 @@ func (v *VBFile) compactSwap() (int64, error) {
 	}
 	events.Default.Publish(doneEv)
 	v.byID = newIndex
+	v.gen++
 	v.fileBytes = off
 	v.liveBytes = off
 	return v.appendSeq, nil

@@ -257,6 +257,38 @@ func TestCompactReclaimsSpaceAndPreservesData(t *testing.T) {
 	}
 }
 
+// TestGetAtReadsTheCurrentGeneration: a location read back is honoured
+// while the file is the generation it names; after a compaction moved
+// the record, the same location reads through the index and hands out
+// the record's new place. A location that names another key's record is
+// refused, not served.
+func TestGetAtReadsTheCurrentGeneration(t *testing.T) {
+	v := openTemp(t)
+	if err := v.Append([]Record{rec("a", 1, "a1"), rec("a", 2, "a2"), rec("k", 3, "vk")}); err != nil {
+		t.Fatal(err)
+	}
+	got, at, err := v.GetAt("k", Loc{})
+	if err != nil || string(got.Value) != "vk" || got.Meta != rec("k", 3, "").Meta || at.gen == 0 {
+		t.Fatalf("GetAt(k) = %+v at %+v, %v", got, at, err)
+	}
+	if again, at2, err := v.GetAt("k", at); err != nil || string(again.Value) != "vk" || at2 != at {
+		t.Fatalf("GetAt(k) at its own location = %q at %+v, %v", again.Value, at2, err)
+	}
+	if _, _, err := v.GetAt("a", at); err == nil {
+		t.Error("GetAt(a) at k's location read k's record")
+	}
+	if err := v.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	moved, now, err := v.GetAt("k", at)
+	if err != nil || string(moved.Value) != "vk" || moved.Seqno != 3 {
+		t.Fatalf("GetAt(k) at a location of the old generation = %+v, %v", moved, err)
+	}
+	if now.gen == at.gen || now.off == at.off {
+		t.Errorf("after the compaction k is at %+v, was at %+v", now, at)
+	}
+}
+
 func TestCompactThenReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "vb.couch")

@@ -102,11 +102,13 @@ var (
 // (i) Under FullEviction a key absent from the table is first restored
 // from storage, so every op (XDCR conflict resolution included) sees
 // the revision the disk holds. (ii) An arm that needs an evicted value
-// answers cache.ErrValueEvicted having changed nothing; Do fetches the
-// value and runs the arm again with it in hand, so the pager cannot
-// win that race a second time and the error never leaves Do. A Durable
-// row then waits for its durability requirement before the op is
-// acknowledged.
+// answers cache.ErrValueEvicted having changed nothing, leaving its
+// entry and where the revision was last read in the cache.Fetched; Do
+// reads the value there and runs the arm again with it in hand, on the
+// same entry, so the pager cannot win that race a second time and the
+// error never leaves Do. A mutation that a sealed (Dead) table refuses
+// is not this node's. A Durable row then waits for its durability
+// requirement before the op is acknowledged.
 func (vb *VBucket) Do(ctx context.Context, op *Op) (res Result, err error) {
 	spec := memcproto.SpecOf(op.Code)
 	if spec == nil {
@@ -137,12 +139,12 @@ func (vb *VBucket) Do(ctx context.Context, op *Op) (res Result, err error) {
 	var fetched cache.Fetched
 	restored := false
 	if vb.cfg.FullEviction {
-		restored, err = vb.restoreItem(op.Key)
+		restored, err = vb.restoreItem(op.Key, &fetched)
 	}
 	for err == nil {
 		switch op.Code {
 		case memcproto.OpGet:
-			res.Item, err = vb.Table.GetWith(op.Key, op.Now, fetched)
+			res.Item, err = vb.Table.GetWith(op.Key, op.Now, &fetched)
 		case memcproto.OpSet:
 			res.Item, err = vb.Table.Set(tctx, op.Key, op.Value, op.Flags, op.Expiry, op.CAS, op.Now)
 		case memcproto.OpAdd:
@@ -152,29 +154,29 @@ func (vb *VBucket) Do(ctx context.Context, op *Op) (res Result, err error) {
 		case memcproto.OpDelete:
 			res.Item, err = vb.Table.Delete(tctx, op.Key, op.CAS, op.Now)
 		case memcproto.OpTouch:
-			_, err = vb.Table.Touch(tctx, op.Key, op.Expiry, op.Now, fetched)
+			_, err = vb.Table.Touch(tctx, op.Key, op.Expiry, op.Now, &fetched)
 		case memcproto.OpGetAndLock:
-			res.Item, err = vb.Table.GetAndLock(op.Key, op.Expiry, op.Now, fetched)
+			res.Item, err = vb.Table.GetAndLock(op.Key, op.Expiry, op.Now, &fetched)
 		case memcproto.OpUnlock:
 			err = vb.Table.Unlock(op.Key, op.CAS, op.Now)
 		case memcproto.OpAppendVal:
-			res.Item, err = vb.Table.Append(tctx, op.Key, op.Value, op.CAS, op.Now, fetched)
+			res.Item, err = vb.Table.Append(tctx, op.Key, op.Value, op.CAS, op.Now, &fetched)
 		case memcproto.OpPrependVal:
-			res.Item, err = vb.Table.Prepend(tctx, op.Key, op.Value, op.CAS, op.Now, fetched)
+			res.Item, err = vb.Table.Prepend(tctx, op.Key, op.Value, op.CAS, op.Now, &fetched)
 		case memcproto.OpGetMeta:
 			res.Item, err = vb.Table.GetMeta(op.Key)
 		case memcproto.OpSubdocGet:
-			res.Doc, err = vb.Table.SubdocGet(op.Key, op.Path, op.Now, fetched)
+			res.Doc, err = vb.Table.SubdocGet(op.Key, op.Path, op.Now, &fetched)
 		case memcproto.OpSubdocSet:
-			res.Item, err = vb.Table.SubdocSet(tctx, op.Key, op.Path, op.Doc, op.CAS, op.Now, fetched)
+			res.Item, err = vb.Table.SubdocSet(tctx, op.Key, op.Path, op.Doc, op.CAS, op.Now, &fetched)
 		case memcproto.OpSubdocRemove:
-			res.Item, err = vb.Table.SubdocRemove(tctx, op.Key, op.Path, op.CAS, op.Now, fetched)
+			res.Item, err = vb.Table.SubdocRemove(tctx, op.Key, op.Path, op.CAS, op.Now, &fetched)
 		case memcproto.OpSubdocArrAdd:
-			res.Item, err = vb.Table.SubdocArrayAppend(tctx, op.Key, op.Path, op.Doc, op.CAS, op.Now, fetched)
+			res.Item, err = vb.Table.SubdocArrayAppend(tctx, op.Key, op.Path, op.Doc, op.CAS, op.Now, &fetched)
 		case memcproto.OpSubdocCounter:
-			res.Doc, _, err = vb.Table.SubdocCounter(tctx, op.Key, op.Path, op.Delta, op.CAS, op.Now, fetched)
+			res.Doc, _, err = vb.Table.SubdocCounter(tctx, op.Key, op.Path, op.Delta, op.CAS, op.Now, &fetched)
 		case memcproto.OpXDCRSet:
-			res.Applied = vb.Table.ApplyRemote(tctx, op.Key, op.Value, op.Deleted, op.CAS, op.RevSeqno, op.Flags, op.Expiry)
+			res.Applied, err = vb.Table.ApplyRemote(tctx, op.Key, op.Value, op.Deleted, op.CAS, op.RevSeqno, op.Flags, op.Expiry)
 		default:
 			err = fmt.Errorf("%w %s", ErrUnknownOp, op.Code)
 		}
@@ -184,9 +186,12 @@ func (vb *VBucket) Do(ctx context.Context, op *Op) (res Result, err error) {
 		// The arm misses again only if the table has meanwhile moved to
 		// a revision other than the one the disk answered with.
 		if err = ctx.Err(); err == nil {
-			fetched, err = vb.fetch(op.Key)
+			err = vb.fetch(op.Key, &fetched)
 			restored = true
 		}
+	}
+	if err == cache.ErrSealed {
+		err = fmt.Errorf("%w (vb %d is %s)", ErrNotMyVBucket, vb.ID, vb.State())
 	}
 
 	if restored {
@@ -231,34 +236,43 @@ func (vb *VBucket) Set(ctx context.Context, key string, value []byte, flags uint
 // restoreItem is the residency rule's first half: it brings a key the
 // table does not hold back from storage (metadata, and the value unless
 // it is a tombstone), reporting whether there was anything to restore.
-func (vb *VBucket) restoreItem(key string) (bool, error) {
+// f is left holding what was read and the key's entry, as a miss
+// leaves it.
+func (vb *VBucket) restoreItem(key string, f *cache.Fetched) (bool, error) {
 	if _, err := vb.Table.GetMeta(key); err != cache.ErrKeyNotFound {
 		return false, nil
 	}
-	rec, err := vb.file.GetNewest(key)
+	rec, loc, err := vb.file.GetAt(key, storage.Loc{})
 	if errors.Is(err, storage.ErrNotFound) {
 		return false, nil
 	}
 	if err != nil {
 		return false, fmt.Errorf("vbucket: bgfetch %s: %w", key, err)
 	}
+	f.Seqno, f.Value, f.Loc = rec.Seqno, rec.Value, loc
 	vb.Table.Restore(cache.Item{
 		Key: key, Value: rec.Value, CAS: rec.CAS, RevSeqno: rec.RevSeqno, Seqno: rec.Seqno,
 		Flags: rec.Flags, Expiry: rec.Expiry, Deleted: rec.Deleted,
-	})
+	}, f)
 	mBgFetches.Inc()
 	return true, nil
 }
 
-// fetch is the residency rule's second half: the persisted value of
-// key, stamped with the seqno of the revision it belongs to.
-func (vb *VBucket) fetch(key string) (cache.Fetched, error) {
-	rec, err := vb.file.Get(key)
+// fetch is the residency rule's second half: it reads the persisted
+// value of key where f's Loc says the arm's revision is, or else the
+// newest the file has, into f, stamped with the seqno of the revision
+// it belongs to and where it was read.
+func (vb *VBucket) fetch(key string, f *cache.Fetched) error {
+	rec, loc, err := vb.file.GetAt(key, f.Loc)
+	if err == nil && rec.Deleted {
+		err = storage.ErrNotFound
+	}
 	if err != nil {
-		return cache.Fetched{}, fmt.Errorf("vbucket: bgfetch %s: %w", key, err)
+		return fmt.Errorf("vbucket: bgfetch %s: %w", key, err)
 	}
 	mBgFetches.Inc()
-	return cache.Fetched{Seqno: rec.Seqno, Value: rec.Value}, nil
+	f.Seqno, f.Value, f.Loc = rec.Seqno, rec.Value, loc
+	return nil
 }
 
 // waitDurability blocks until the mutation's durability requirement

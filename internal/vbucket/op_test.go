@@ -1,6 +1,7 @@
 package vbucket
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strconv"
@@ -154,7 +155,7 @@ func TestRestoreSeesOneRevision(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 5000 && !t.Failed(); i++ {
-		if restored, err := vb.restoreItem(key); err != nil || !restored {
+		if restored, err := vb.restoreItem(key, &cache.Fetched{}); err != nil || !restored {
 			t.Errorf("restoration %d: %v, %v", i, restored, err)
 			break
 		}
@@ -386,5 +387,108 @@ func BenchmarkDoGetEvicted(b *testing.B) {
 		if _, err := vb.Do(bg, &Op{Code: memcproto.OpGet, Key: "user4316891766"}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// hookCtx is a caller's context that runs onValue at its first Value
+// call (Do reads the span there, after its state check and before the
+// arm) and onErr at its first Err call (Do checks the context between a
+// miss and its fetch). From the ninth Err call on it reports Canceled,
+// so an op that keeps missing fails instead of spinning.
+type hookCtx struct {
+	context.Context
+	onValue, onErr func()
+	values, errs   int
+}
+
+func (c *hookCtx) Value(key any) any {
+	if c.values++; c.values == 1 && c.onValue != nil {
+		c.onValue()
+	}
+	return c.Context.Value(key)
+}
+
+func (c *hookCtx) Err() error {
+	if c.errs++; c.errs == 1 && c.onErr != nil {
+		c.onErr()
+	}
+	if c.errs > 8 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// evicted persists key's value, then evicts it and reads it back twice:
+// the first fetch goes through the file's index and teaches the entry
+// where its revision is, the second reads there. It ends evicted.
+func evicted(t *testing.T, vb *VBucket, key, value string) cache.Item {
+	t.Helper()
+	it := persisted(t, vb, key, value)
+	for range 2 {
+		if vb.Table.EvictValue(key) == 0 {
+			t.Fatal("nothing to evict")
+		}
+		if got, err := vb.Get(bg, key, 0); err != nil || string(got.Value) != value {
+			t.Fatalf("get %s = %q, %v", key, got.Value, err)
+		}
+	}
+	vb.Table.EvictValue(key)
+	return it
+}
+
+// TestMissAfterCompactionReadsByIndex: the entry learned where its
+// revision was before a compaction moved the record; the next miss
+// reads it through the file's index, and learns the new place.
+func TestMissAfterCompactionReadsByIndex(t *testing.T) {
+	vb, f := newVB(t, Active, Config{})
+	for _, v := range []string{"a1", "a2", "a3"} { // stale records ahead of k's
+		persisted(t, vb, "a", v)
+	}
+	evicted(t, vb, "k", "payload")
+	if err := f.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2 {
+		if got, err := vb.Get(bg, "k", 0); err != nil || string(got.Value) != "payload" {
+			t.Fatalf("miss %d after the compaction: %q, %v", i, got.Value, err)
+		}
+		vb.Table.EvictValue("k")
+	}
+}
+
+// TestNewRevisionBetweenMissAndFetch: a new revision lands, is
+// persisted and evicted between a Get's miss and its fetch, which reads
+// the old revision where the entry last found it. The old value is
+// never installed: the Get misses again and returns the new one.
+func TestNewRevisionBetweenMissAndFetch(t *testing.T) {
+	vb, _ := newVB(t, Active, Config{})
+	evicted(t, vb, "k", "old")
+	ctx := &hookCtx{Context: bg, onErr: func() {
+		evicted(t, vb, "k", "new")
+	}}
+	res, err := vb.Do(ctx, &Op{Code: memcproto.OpGet, Key: "k"})
+	if err != nil || string(res.Item.Value) != "new" {
+		t.Fatalf("get = %q, %v; want the new revision", res.Item.Value, err)
+	}
+	if got, err := vb.Table.Get("k", 0); err != nil || string(got.Value) != "new" {
+		t.Errorf("the table holds %q, %v", got.Value, err)
+	}
+}
+
+// TestFullEvictionBetweenMissAndRetry: the entry a Get's miss handed on
+// is fully evicted before the retry, and the key written again; the
+// retry looks the key up and reads the new entry.
+func TestFullEvictionBetweenMissAndRetry(t *testing.T) {
+	vb, _ := newVB(t, Active, Config{})
+	evicted(t, vb, "k", "old")
+	ctx := &hookCtx{Context: bg, onErr: func() {
+		if !vb.Table.EvictItem("k", vb.PersistedSeqno(), 0) {
+			t.Fatal("full eviction refused")
+		}
+		persisted(t, vb, "k", "new")
+	}}
+	res, err := vb.Do(ctx, &Op{Code: memcproto.OpGet, Key: "k"})
+	if err != nil || string(res.Item.Value) != "new" {
+		t.Fatalf("get = %q, %v; want the new entry's value", res.Item.Value, err)
 	}
 }

@@ -186,7 +186,7 @@ func (vb *VBucket) WarmUp() error {
 		vb.Table.Restore(cache.Item{
 			Key: r.Key, Value: r.Value, CAS: r.CAS, RevSeqno: r.RevSeqno,
 			Seqno: r.Seqno, Flags: r.Flags, Expiry: r.Expiry, Deleted: r.Deleted,
-		})
+		}, nil)
 		return true
 	})
 	vb.Table.SetHighSeqno(vb.file.HighSeqno())
@@ -360,8 +360,12 @@ func (vb *VBucket) State() State { return State(vb.state.Load()) }
 
 // SetState transitions the partition (rebalance switchover, failover
 // promotion). Promoting to Active lets the seqno clock continue from
-// whatever the replica had applied.
+// whatever the replica had applied. Dead seals the table: a mutation
+// that passed Do's state check before the transition but had not
+// committed is refused, so HighSeqno read after SetState(Dead) returns
+// covers every write this copy acknowledged.
 func (vb *VBucket) SetState(s State) {
+	vb.Table.Seal(s == Dead)
 	vb.state.Store(int32(s))
 }
 

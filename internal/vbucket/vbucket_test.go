@@ -64,6 +64,48 @@ func TestNonActiveRejectsKVOps(t *testing.T) {
 	}
 }
 
+// TestDeadSealsAWriteInFlight is the vBucket move's window: a Set that
+// passed Do's state check while the copy was Active commits after the
+// move has set the source Dead and read its high seqno. It must not be
+// acknowledged past that seqno, or the destination, caught up only to
+// it, loses the write.
+func TestDeadSealsAWriteInFlight(t *testing.T) {
+	vb, _ := newVB(t, Active, Config{})
+	persisted(t, vb, "a", "1")
+	checked, release := make(chan struct{}), make(chan struct{})
+	ctx := &hookCtx{Context: bg, onValue: func() { close(checked); <-release }}
+	type result struct {
+		it  cache.Item
+		err error
+	}
+	done := make(chan result)
+	go func() {
+		it, err := vb.Set(ctx, "k", []byte("v"), 0, 0, 0, 0)
+		done <- result{it, err}
+	}()
+	<-checked
+	vb.SetState(Dead)
+	srcHigh := vb.HighSeqno()
+	close(release)
+	r := <-done
+	if r.err == nil && r.it.Seqno > srcHigh {
+		t.Fatalf("a write acked at seqno %d after the copy went Dead at %d", r.it.Seqno, srcHigh)
+	}
+	if r.err != nil && !isNotMyVBucket(r.err) {
+		t.Fatalf("the refused write answered %v, want not-my-vbucket", r.err)
+	}
+	if vb.HighSeqno() != srcHigh {
+		t.Errorf("high seqno moved to %d after the copy went Dead at %d", vb.HighSeqno(), srcHigh)
+	}
+	// A copy that comes back (demoted to a replica, then promoted) takes
+	// writes again.
+	vb.SetState(Replica)
+	vb.SetState(Active)
+	if _, err := vb.Set(bg, "k", []byte("v"), 0, 0, 0, 0); err != nil {
+		t.Errorf("after promotion: %v", err)
+	}
+}
+
 func isNotMyVBucket(err error) bool {
 	for e := err; e != nil; {
 		if e == ErrNotMyVBucket {

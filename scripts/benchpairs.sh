@@ -14,9 +14,12 @@
 # and how many pairs the change won: a gain needs >= 9 wins in 10 and
 # medians further apart than the base's own interquartile range; a
 # control must stay within the bound BENCHMARK.json gives it.
+# <base-ref> HEAD on a clean tree is the A/A mode: both sides run the
+# same code, so the table shows the workload's own noise, and a win
+# count far from half is a harness fault, not a gain.
 set -euo pipefail
 if [ $# -lt 2 ]; then
-	sed -n '2,16p' "$0" >&2
+	sed -n '2,19p' "$0" >&2
 	exit 2
 fi
 base_ref=$1 workloads=$2 pairs=${3:-10} seed=${SEED:-42}
