@@ -33,9 +33,9 @@ var lineBudgets = map[string]int{
 	"internal/analytics":   244,
 	"internal/btree":       377,
 	"internal/buildinfo":   8,
-	"internal/cache":       1266,
+	"internal/cache":       1276,
 	"internal/cmap":        352,
-	"internal/core":        2878,
+	"internal/core":        2921,
 	"internal/dcp":         439,
 	"internal/events":      365,
 	"internal/executor":    1574,
@@ -52,7 +52,7 @@ var lineBudgets = map[string]int{
 	"internal/rest":        1428,
 	"internal/storage":     1030,
 	"internal/trace":       987,
-	"internal/transport":   2351,
+	"internal/transport":   2366,
 	"internal/value":       695,
 	"internal/vbucket":     893,
 	"internal/views":       648,
@@ -60,10 +60,10 @@ var lineBudgets = map[string]int{
 }
 
 var byteBudgets = map[string]int{
-	"DESIGN.md":                      113523,
+	"DESIGN.md":                      113433,
 	"README.md":                      17446,
-	"EXPERIMENTS.md":                 19748,
-	".claude/skills/verify/SKILL.md": 54936,
+	"EXPERIMENTS.md":                 20217,
+	".claude/skills/verify/SKILL.md": 54928,
 	"CHANGES.md entry":               13333,
 }
 

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"couchgo/internal/metrics"
 	"couchgo/internal/storage"
@@ -120,12 +121,21 @@ type Item struct {
 	gone bool
 }
 
+// clock is now, or for 0 the wall clock: read only for an item with a
+// TTL or a lock, or by an op that takes a lock.
+func clock(now int64) int64 {
+	if now == 0 {
+		return time.Now().Unix()
+	}
+	return now
+}
+
 func (it *Item) locked(now int64) bool {
-	return it.lockedUntil != 0 && now < it.lockedUntil
+	return it.lockedUntil != 0 && clock(now) < it.lockedUntil
 }
 
 func (it *Item) expired(now int64) bool {
-	return it.Expiry != 0 && now >= it.Expiry
+	return it.Expiry != 0 && clock(now) >= it.Expiry
 }
 
 // memSize approximates the memory footprint used for watermark
@@ -691,7 +701,7 @@ func (h *HashTable) GetAndLock(key string, lockSeconds int64, now int64, f *Fetc
 	if !h.resident(st, it, f) {
 		return Item{}, ErrValueEvicted
 	}
-	it.lockedUntil = now + lockSeconds
+	it.lockedUntil = clock(now) + lockSeconds
 	it.CAS = NextCAS() // lock token differs from the pre-lock CAS
 	return it.snapshot(), nil
 }

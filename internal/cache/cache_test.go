@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 var bg = context.Background()
@@ -222,6 +223,40 @@ func TestLockTimesOut(t *testing.T) {
 	// deadlocks."
 	if _, err := h.Set(bg, "k", []byte("x"), 0, 0, 0, 115); err != nil {
 		t.Errorf("lock should expire at t=115: %v", err)
+	}
+}
+
+// TestZeroNowIsTheWallClock: now 0, what a client sends, is the
+// serving node's clock, read for an item with a TTL and for a lock.
+// Read as 1970, or not read at all, it finds an expired item and lets a
+// lock lapse at once.
+func TestZeroNowIsTheWallClock(t *testing.T) {
+	h := NewHashTable()
+	wall := time.Now().Unix()
+	h.Set(bg, "past", []byte("v"), 0, wall-1, 0, wall-10)
+	h.Set(bg, "future", []byte("v"), 0, wall+3600, 0, wall-10)
+	if _, err := h.Get("past", 0); err != ErrKeyNotFound {
+		t.Errorf("an item expired on the wall clock, got under now 0: %v, want ErrKeyNotFound", err)
+	}
+	if _, err := h.Get("future", 0); err != nil {
+		t.Errorf("an item live on the wall clock, got under now 0: %v", err)
+	}
+}
+
+func TestZeroNowLocksFromTheWallClock(t *testing.T) {
+	h := NewHashTable()
+	h.Set(bg, "k", []byte("v"), 0, 0, 0, 0)
+	wall := time.Now().Unix()
+	if _, err := h.GetAndLock("k", 15, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, now := range []int64{0, wall + 10} {
+		if _, err := h.Set(bg, "k", []byte("x"), 0, 0, 0, now); err != ErrLocked {
+			t.Errorf("Set without the lock CAS at now %d (wall clock %d): %v, want ErrLocked", now, wall, err)
+		}
+	}
+	if _, err := h.Set(bg, "k", []byte("x"), 0, 0, 0, wall+17); err != nil {
+		t.Errorf("Set past the lock's 15 s: %v", err)
 	}
 }
 

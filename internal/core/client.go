@@ -18,7 +18,7 @@ import (
 // directly to the node owning that partition. On a stale map
 // (not-my-vbucket) it refreshes and retries.
 //
-// The client is transport-agnostic: route resolves a key to a NodeConn
+// The client is transport-agnostic: route resolves a key to a Hop
 // through the Router seam, so the same code drives the in-process
 // loopback path and real TCP connections to a multi-process cluster.
 //
@@ -29,22 +29,19 @@ import (
 type Client struct {
 	router Router
 	bucket string
-	// cluster is set for loopback clients only (in-process tests and
-	// tools reach through it); nil when the client rides a transport.
-	cluster *Cluster
 }
 
 // OpenBucket returns a smart client for one bucket over the in-process
-// loopback transport.
+// loopback transport: it routes by the bucket's route table.
 func (c *Cluster) OpenBucket(name string) (*Client, error) {
 	if _, err := c.bucket(name); err != nil {
 		return nil, err
 	}
-	return &Client{
-		router:  loopbackRouter{c: c, bucket: name},
-		bucket:  name,
-		cluster: c,
-	}, nil
+	t, ok := c.topo.buckets.get(name)
+	if !ok {
+		return nil, ErrNoSuchBucket
+	}
+	return &Client{router: t, bucket: name}, nil
 }
 
 const (
@@ -103,71 +100,54 @@ func (cl *Client) do(ctx context.Context, op Op) (res Result, err error) {
 	return res, err
 }
 
-// route finds the node connection owning op.Key's vBucket and runs op
-// on it, retrying through map refreshes while rebalance or failover
-// move the partition. Each attempt is its own span so a trace shows
-// exactly which hops a request took and how long it backed off between
-// them. op and res are do's own, passed by pointer because each extra
-// by-value hop of these ~140-byte structs cost ~10 ns on a sub-µs Get.
-func (cl *Client) route(ctx context.Context, op *Op, res *Result) error {
+// route resolves op.Key to its hop and runs op there, retrying through
+// the router while rebalance or failover move the partition. Each
+// attempt is its own span so a trace shows exactly which hops a request
+// took and how long it backed off between them. op and res are do's
+// own, passed by pointer because each extra by-value hop of these
+// ~140-byte structs cost ~10 ns on a sub-µs Get.
+func (cl *Client) route(ctx context.Context, op *Op, res *Result) (err error) {
 	parent := trace.FromContext(ctx)
-	var lastErr error
 	for attempt := 0; attempt < maxRouteRetries; attempt++ {
 		asp := parent.Child("route")
 		if asp != nil {
 			asp.Annotate("attempt", strconv.Itoa(attempt))
 		}
-		retry := func(err error) error {
-			lastErr = err
-			d := routeBackoff(attempt)
-			if asp != nil {
-				asp.Error(err)
-				asp.Annotate("backoff", d.String())
-				asp.End()
-			}
-			return sleepCtx(ctx, d)
+		var hop Hop
+		hop, err = cl.router.Route(op.Key)
+		if asp != nil && hop.Node != "" {
+			asp.Annotate("node", string(hop.Node))
+			asp.Annotate("vb", strconv.Itoa(hop.VB))
 		}
-		m, err := cl.router.BucketMap()
-		if err != nil {
+		switch {
+		case err != nil:
+		case hop.Node == "":
+			err = errors.New("core: no active node for key (partition lost)")
+		case hop.Copy != nil:
+			*res, err = hop.Copy.Do(trace.ContextWith(ctx, asp), op)
+		default:
+			*res, err = hop.Conn.Do(trace.ContextWith(ctx, asp), hop.VB, *op)
+		}
+		if err == nil || hop.Node == "" || !retryableRouteErr(err) {
 			asp.Error(err)
 			asp.End()
 			return err
 		}
-		nodeID, vbID := m.NodeForKey(op.Key)
-		if nodeID == "" {
-			err := errors.New("core: no active node for key (partition lost)")
-			asp.Error(err)
-			asp.End()
-			return err
-		}
+		// Stale map: "the cluster updates each connected client library
+		// with the new cluster map" — here the client routes again by
+		// the router's current one. (Over TCP the refreshed map rode the
+		// not-my-vbucket response itself.)
+		d := routeBackoff(attempt)
 		if asp != nil {
-			asp.Annotate("node", string(nodeID))
-			asp.Annotate("vb", strconv.Itoa(vbID))
+			asp.Error(err)
+			asp.Annotate("backoff", d.String())
+			asp.End()
 		}
-		nc, err := cl.router.Conn(nodeID)
-		if err != nil {
-			if cerr := retry(err); cerr != nil {
-				return cerr
-			}
-			continue
+		if cerr := sleepCtx(ctx, d); cerr != nil {
+			return cerr
 		}
-		op.Now = time.Now().Unix()
-		*res, err = nc.Do(trace.ContextWith(ctx, asp), vbID, *op)
-		if retryableRouteErr(err) {
-			// Stale map: "the cluster updates each connected client
-			// library with the new cluster map" — here the client
-			// re-reads it and retries. (Over TCP the refreshed map rode
-			// the not-my-vbucket response itself.)
-			if cerr := retry(err); cerr != nil {
-				return cerr
-			}
-			continue
-		}
-		asp.Error(err)
-		asp.End()
-		return err
 	}
-	return lastErr
+	return err
 }
 
 // Get retrieves a document.

@@ -152,7 +152,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c.queryEng = query.NewEngine(&clusterStore{c: c})
 	c.topo = newDecider(func(bucket string, m *cmap.Map) error {
 		return c.ApplyMap(bucket, m, loopbackSource{c, bucket})
-	})
+	}, &c.nodes)
 	if cfg.FailoverTimeout > 0 {
 		go c.heartbeatLoop()
 	} else {
@@ -180,7 +180,7 @@ func (c *Cluster) AddNode(id cmap.NodeID, services cmap.ServiceSet) (*Node, erro
 	for _, b := range c.buckets {
 		var err error
 		if services.Has(cmap.ServiceData) {
-			if err = n.addBucket(b.name, b.gsiSvc, b.ftsEng, b.analyticsEng, c.cfg, b.opts); err == nil {
+			if err = n.addBucket(b.name, c.topo, b.gsiSvc, b.ftsEng, b.analyticsEng, c.cfg, b.opts); err == nil {
 				err = defineRecordedViews(n, b)
 			}
 		}
@@ -321,7 +321,7 @@ func (c *Cluster) CreateBucket(name string, opts BucketOptions) error {
 	}
 	ids := make([]cmap.NodeID, len(nodes))
 	for i, n := range nodes {
-		if err := n.addBucket(name, b.gsiSvc, b.ftsEng, b.analyticsEng, c.cfg, opts); err != nil {
+		if err := n.addBucket(name, c.topo, b.gsiSvc, b.ftsEng, b.analyticsEng, c.cfg, opts); err != nil {
 			return fail(err)
 		}
 		ids[i] = n.id
@@ -542,20 +542,7 @@ func (c *Cluster) NumVBuckets(bucketName string) (int, error) {
 // and the shared feed layer reattaches (with failover-log validation)
 // against it.
 func (c *Cluster) VBProducer(bucketName string, vbID int) (*dcp.Producer, error) {
-	b, err := c.bucket(bucketName)
-	if err != nil {
-		return nil, err
-	}
-	m := b.Map()
-	nodeID := m.Active(vbID)
-	if nodeID == "" {
-		return nil, fmt.Errorf("core: vb %d has no active copy", vbID)
-	}
-	node, err := c.Node(nodeID)
-	if err != nil {
-		return nil, err
-	}
-	vb, err := node.kvVB(bucketName, vbID)
+	vb, err := c.active(bucketName, vbID)
 	if err != nil {
 		return nil, err
 	}

@@ -36,16 +36,27 @@ type NodeConn interface {
 }
 
 // Router is how a smart client resolves "who owns this key and how do
-// I talk to them": the cached cluster map plus a connection per node.
-// The loopback router reads the bucket's live map and hands out
-// in-process conns; the transport router caches the map it last saw on
-// the wire (every response carries the server's map epoch) and hands
-// out pooled TCP conns.
+// I talk to them". The loopback router (a bucket's *bucketTopology)
+// indexes the route table published with the bucket's live map and
+// hands out the active copy itself; the transport router caches the map
+// it last saw on the wire (every response carries the server's map
+// epoch) and hands out pooled TCP conns.
 type Router interface {
-	// BucketMap returns the router's current view of the cluster map.
-	BucketMap() (*cmap.Map, error)
-	// Conn returns the connection for the named node.
-	Conn(node cmap.NodeID) (NodeConn, error)
+	// Route resolves key under the router's current map. An error with
+	// a hop to a node is retried as an op's would be; one without (no
+	// map to route by) ends the op.
+	Route(key string) (Hop, error)
+}
+
+// Hop is where a key's op goes: the vBucket the key hashes to, the node
+// the map names for its active copy ("" when the partition is lost),
+// and the copy itself when it lives in this process (handed the *Op an
+// interface call would move to the heap), else a conn to its node.
+type Hop struct {
+	Node cmap.NodeID
+	VB   int
+	Copy *vbucket.VBucket
+	Conn NodeConn
 }
 
 // NewClient builds a smart client over an arbitrary Router — the

@@ -47,7 +47,7 @@ func newTestCluster(t testing.TB, nNodes, nReplicas int) (*Cluster, *Client) {
 }
 
 func TestKVAcrossNodes(t *testing.T) {
-	_, cl := newTestCluster(t, 4, 1)
+	c, cl := newTestCluster(t, 4, 1)
 	// Keys spread across vBuckets and nodes; all operations route.
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("user::%04d", i)
@@ -66,7 +66,6 @@ func TestKVAcrossNodes(t *testing.T) {
 		}
 	}
 	// Data actually spread across the 4 nodes.
-	c := cl.cluster
 	for _, st := range c.Stats("default") {
 		if st.ActiveVBs == 0 {
 			t.Errorf("node %s owns no active vbuckets", st.ID)

@@ -36,24 +36,37 @@ type Decider struct {
 	mu     sync.Mutex
 	heard  map[cmap.NodeID]time.Time // when each node was last heard from
 	failed map[cmap.NodeID]bool
-	// buckets is read by every op (Map) with no lock; Form publishes a
-	// bucket and install its next map, both under mu.
+	// buckets is read by every op (Map, Route) with no lock; Form
+	// publishes a bucket, and install and placed its next route table,
+	// all under mu.
 	buckets published[string, *bucketTopology]
+	// nodes are this process's nodes, which route tables name.
+	nodes *published[cmap.NodeID, *Node]
 }
 
-// bucketTopology is a bucket's current map and the shape it was
-// created with; the map's own NumReplicas is clamped to nodes-1, so a
-// map over no nodes says 0 whatever the bucket asked for.
+// bucketTopology is a bucket's current map with its route table
+// (loopback.go), and the shape the bucket was created with; the map's
+// own NumReplicas is clamped to nodes-1, so a map over no nodes says 0
+// whatever the bucket asked for.
 type bucketTopology struct {
-	m                        atomic.Pointer[cmap.Map]
+	t                        atomic.Pointer[routeTable]
 	numVBuckets, numReplicas int
 }
 
-func newDecider(publish func(bucket string, m *cmap.Map) error) *Decider {
+// current returns the bucket's current map, nil before its first.
+func (b *bucketTopology) current() *cmap.Map {
+	if t := b.t.Load(); t != nil {
+		return t.m
+	}
+	return nil
+}
+
+func newDecider(publish func(bucket string, m *cmap.Map) error, nodes *published[cmap.NodeID, *Node]) *Decider {
 	return &Decider{
 		publish: publish,
 		heard:   make(map[cmap.NodeID]time.Time),
 		failed:  make(map[cmap.NodeID]bool),
+		nodes:   nodes,
 	}
 }
 
@@ -93,18 +106,18 @@ func (d *Decider) Live() []cmap.NodeID {
 }
 
 // Map returns the bucket's current map, nil for an unknown bucket. It
-// is the per-op routing read and the per-response epoch read: two
-// loads and an index, no lock, no allocation.
+// is the per-response epoch read: loads and an index, no lock, no
+// allocation.
 func (d *Decider) Map(bucket string) *cmap.Map {
 	if b, ok := d.buckets.get(bucket); ok {
-		return b.m.Load()
+		return b.current()
 	}
 	return nil
 }
 
 // install makes m the bucket's current map unless it is stale — the
-// Rev rule: only a strictly newer map replaces the current one — and
-// returns the map it replaced.
+// Rev rule: only a strictly newer map replaces the current one — with
+// its route table, and returns the map it replaced.
 func (d *Decider) install(bucket string, m *cmap.Map) (prev *cmap.Map, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -112,10 +125,10 @@ func (d *Decider) install(bucket string, m *cmap.Map) (prev *cmap.Map, ok bool) 
 	if b == nil {
 		return nil, false
 	}
-	if prev = b.m.Load(); prev != nil && m.Rev <= prev.Rev {
+	if prev = b.current(); prev != nil && m.Rev <= prev.Rev {
 		return nil, false
 	}
-	b.m.Store(m)
+	b.t.Store(d.routeTable(bucket, m))
 	return prev, true
 }
 
@@ -157,7 +170,7 @@ func (d *Decider) Rebalance(over []cmap.NodeID, step func(bucket string, vb int,
 // rebalanceLocked is one bucket's rebalance; the caller holds trans.
 func (d *Decider) rebalanceLocked(bucket string, over []cmap.NodeID, step func(bucket string, vb int, next *cmap.Map) error) error {
 	b, _ := d.buckets.get(bucket)
-	cur := b.m.Load()
+	cur := b.current()
 	var rev int64
 	if cur != nil {
 		// Above the current map, so a process's first formed map wins
@@ -241,7 +254,7 @@ func (d *Decider) FailoverSilent(timeout time.Duration) (failed []cmap.NodeID) {
 // mapped reports whether a bucket's map names the node in a chain.
 func (d *Decider) mapped(id cmap.NodeID) bool {
 	for _, b := range d.buckets.all() {
-		if m := b.m.Load(); m != nil && m.Maps(id) {
+		if m := b.current(); m != nil && m.Maps(id) {
 			return true
 		}
 	}

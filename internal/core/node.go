@@ -48,14 +48,12 @@ type Node struct {
 	// alive simulates process liveness: a "down" node stops serving
 	// requests and stops heartbeating (§4.3.1 failure detection).
 	alive atomic.Bool
-	// mu serializes the writers of buckets and conns; every op reads
-	// both with no lock.
+	// mu serializes the writers of buckets, which served ops read with
+	// no lock.
 	mu sync.Mutex
 	// buckets: per-bucket data-service state on this node, published by
 	// addBucket and emptied by Cluster.Close.
 	buckets published[string, *nodeBucket]
-	// conns: the one loopback conn per bucket name asked for (conn).
-	conns published[string, *loopbackConn]
 }
 
 // nodeBucket is one bucket's data-service footprint on one node.
@@ -63,13 +61,16 @@ type nodeBucket struct {
 	// nodeID and bucketName identify this footprint in journal events.
 	nodeID     string
 	bucketName string
+	// topo's route table names this footprint's active copies.
+	topo *Decider
 
 	store *storage.Store
 	// mu serializes copy creation, promotion and removal (the writers of
 	// vbs) and guards links.
 	mu sync.Mutex
-	// vbs: this node's copies by vBucket ID, read by every op with no
-	// lock; createVB, demoteAndDrop and close publish under mu.
+	// vbs: this node's copies by vBucket ID, read with no lock by served
+	// ops; createVB, demoteAndDrop and close publish under mu, the first
+	// two the route table too (Decider.placed).
 	vbs published[int, *vbucket.VBucket]
 	// pagerStop ends the item-pager goroutine (set when the bucket has
 	// a memory quota).
@@ -123,33 +124,10 @@ func (n *Node) bucket(name string) (*nodeBucket, error) {
 	return nb, nil
 }
 
-// conn returns the node's loopback conn for a bucket name, the same one
-// every time, so handing it out as a NodeConn allocates nothing. A conn
-// is made for whatever name is asked for (its Do answers
-// ErrNoSuchBucket while the node lacks the bucket); callers pass the
-// bucket they were configured with.
-func (n *Node) conn(bucket string) *loopbackConn {
-	if lc, ok := n.conns.get(bucket); ok {
-		return lc
-	}
-	return n.addConn(bucket)
-}
-
-func (n *Node) addConn(bucket string) *loopbackConn {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	lc, ok := n.conns.get(bucket)
-	if !ok {
-		lc = &loopbackConn{node: n, bucket: bucket}
-		n.conns.put(bucket, lc)
-	}
-	return lc
-}
-
 // addBucket provisions the bucket's storage and engines on this node.
 // A nonzero memory quota bounds this node's cache for the bucket and
 // starts the item pager (§4.3.3 value or full eviction).
-func (n *Node) addBucket(name string, svc *gsi.Service, ftsEng *fts.Engine, anEng *analytics.Engine, cfg Config, opts BucketOptions) error {
+func (n *Node) addBucket(name string, topo *Decider, svc *gsi.Service, ftsEng *fts.Engine, anEng *analytics.Engine, cfg Config, opts BucketOptions) error {
 	// Build everything before taking n.mu: store creation touches disk
 	// and the engine constructors enter other services' locks. A
 	// concurrent duplicate loses the insert race below and is released.
@@ -160,6 +138,7 @@ func (n *Node) addBucket(name string, svc *gsi.Service, ftsEng *fts.Engine, anEn
 	nb := &nodeBucket{
 		nodeID:     string(n.id),
 		bucketName: name,
+		topo:       topo,
 		store:      store,
 		viewEngine: views.NewEngine(),
 		links:      make(map[int]*replicaLink),
@@ -318,6 +297,7 @@ func (nb *nodeBucket) createVB(id int, state vbucket.State) (*vbucket.VBucket, e
 		nb.attachConsumersLocked(vb)
 	}
 	nb.vbs.put(id, vb)
+	nb.topo.placed(nb.bucketName, cmap.NodeID(nb.nodeID), id, vb)
 	return vb, nil
 }
 
@@ -378,6 +358,7 @@ func (nb *nodeBucket) close() {
 	nb.mu.Unlock()
 	nb.viewEngine.Close()
 	for _, vb := range vbs {
+		vb.SetState(vbucket.Dead) // a route table may still name it
 		vb.Close()
 	}
 	nb.store.Close()

@@ -219,6 +219,7 @@ func (nb *nodeBucket) demoteAndDrop(vbID int) {
 	vb, ok := nb.vbs.get(vbID)
 	if ok {
 		nb.vbs.drop(vbID)
+		nb.topo.placed(nb.bucketName, cmap.NodeID(nb.nodeID), vbID, nil)
 	}
 	nb.mu.Unlock()
 	if !ok {

@@ -298,15 +298,9 @@ func (c *Cluster) ConsistencyVector(keyspace string) map[int]uint64 {
 	m := b.Map()
 	out := make(map[int]uint64, m.NumVBuckets)
 	for vb := 0; vb < m.NumVBuckets; vb++ {
-		node, err := c.Node(m.Active(vb))
-		if err != nil {
-			continue
+		if v, err := c.active(keyspace, vb); err == nil {
+			out[vb] = v.HighSeqno()
 		}
-		v, err := node.kvVB(keyspace, vb)
-		if err != nil {
-			continue
-		}
-		out[vb] = v.HighSeqno()
 	}
 	return out
 }

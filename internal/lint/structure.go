@@ -89,9 +89,9 @@ var structureRows = []row{
 		why: "a process's node has one name, and its seed detects with core's ticker"},
 	// What a KV op reads on its way to vbucket.Do is published state.
 	{form: bare, ban: noLock | noLit, why: "the op path takes no lock and builds nothing", subj: under("core",
-		"Decider.Map", "Cluster.Node", "Cluster.BucketMap", "Cluster.NodeVB", "Cluster.LoopbackConn", "Node.Alive",
-		"Node.bucket", "Node.conn", "Node.kvVB", "nodeBucket.vb", "loopbackConn.Do", "loopbackRouter.BucketMap",
-		"loopbackRouter.Conn", "published.all", "published.get")},
+		"bucketTopology.Route", "routeTable.hop", "Node.Alive", "Decider.Map", "bucketTopology.current", "Cluster.Node",
+		"Cluster.BucketMap", "Cluster.NodeVB", "Node.bucket", "Node.kvVB", "nodeBucket.vb", "loopbackConn.Do",
+		"published.all", "published.get")},
 	// One writer per socket, frameWriter's drain; countingConn only counts
 	// what passes.
 	{form: onlyFrom, subj: []string{"net.Conn.Write"}, list: under("transport", "frameWriter.drainLocked", "countingConn.Write"),

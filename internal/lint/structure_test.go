@@ -27,7 +27,8 @@ import ("sync"; "couchgo/internal/cmap")
 
 type Decider struct{ mu sync.Mutex }
 type Cluster struct{ mu sync.Mutex }
-type (Node struct{}; nodeBucket struct{}; loopbackConn struct{}; loopbackRouter struct{}; replicaLink struct{})
+type (Node struct{}; nodeBucket struct{}; loopbackConn struct{}; replicaLink struct{})
+type (bucketTopology struct{ mu sync.Mutex }; routeTable struct{}; Hop struct{})
 type published[K comparable, V any] struct{}
 
 func (d *Decider) Failover() *cmap.Map { return cmap.Build() }; func (d *Decider) Map() {}
@@ -37,9 +38,13 @@ func (c *Cluster) detectLoop(d *Decider) { d.FailoverSilent() } // want: structu
 func (d *Decider) Form() *cmap.Map { return cmap.Build().Clone() } // want: structure
 func (c *Cluster) Node() { c.mu.Lock() } // want: structure
 func (c *Cluster) BucketMap() any { return []int{} } // want: structure
-func (c *Cluster) NodeVB() {}; func (c *Cluster) LoopbackConn() {}
-func (n *Node) Alive() {}; func (n *Node) bucket() {}; func (n *Node) conn() {}; func (n *Node) kvVB() {}
-func (b *nodeBucket) vb() {}; func (loopbackConn) Do() {}; func (loopbackRouter) BucketMap() {}; func (loopbackRouter) Conn() {}
+func (c *Cluster) NodeVB() {}
+func (n *Node) Alive() {}; func (n *Node) bucket() {}; func (n *Node) kvVB() {}; func (t *routeTable) hop() {}
+func (b *nodeBucket) vb() {}; func (loopbackConn) Do() {}; func (b *bucketTopology) current() {}
+func (b *bucketTopology) Route() Hop {
+	b.mu.Lock() // want: structure
+	return Hop{} // want: structure
+}
 func (p *published[K, V]) all() {}; func (p *published[K, V]) get() {}; func (l *replicaLink) apply() {}
 func (b *nodeBucket) runLink() { go b.vb() } // want: structure
 func (l *replicaLink) applyRun() {} // want: structure

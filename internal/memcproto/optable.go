@@ -3,9 +3,9 @@ package memcproto
 import "strings"
 
 // Layout names what a KV request's extras (and, for subdoc ops, its
-// value) carry. Every layout but LayoutXDCR starts with the client's
-// 8-byte unix-seconds clock, so expiry and lock arithmetic follow the
-// client's time source on both transports.
+// value) carry. Every layout but LayoutXDCR starts with an 8-byte
+// unix-seconds clock that expiry and lock arithmetic follow; 0, what a
+// client sends, means the serving node's clock.
 type Layout uint8
 
 const (

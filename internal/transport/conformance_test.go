@@ -39,10 +39,13 @@ const (
 	casWrong           // a CAS the document never had
 )
 
-// confStep is one op of a case. prev is the previous step's result.
+// confStep is one op of a case. prev is the previous step's result. A
+// step's op runs at confNow unless it names its own Now, or sends now 0
+// (wall), which the serving node reads as its own clock.
 type confStep struct {
 	op      core.Op
 	cas     casMode
+	wall    bool
 	wantErr error
 	check   func(t *testing.T, res, prev core.Result)
 }
@@ -103,6 +106,9 @@ var conformance = map[memcproto.Opcode][]confCase{
 		}}}},
 		{"miss", []confStep{{op: doGet, wantErr: notFound}}},
 		{"expired", []confStep{doSet, {op: core.Op{Code: memcproto.OpGet, Now: confNow + 501}, wantErr: notFound}}},
+		// doSet's expiry is long past on the wall clock, and 1<<40 far off.
+		{"server_clock", []confStep{doSet, {op: doGet, wall: true, wantErr: notFound},
+			{op: core.Op{Code: memcproto.OpSet, Value: []byte("v"), Expiry: 1 << 40}}, {op: doGet, wall: true, check: valueIs("v")}}},
 	},
 	memcproto.OpSet: {
 		{"create", []confStep{{op: doSet.op, check: mutated}}},
@@ -153,6 +159,9 @@ var conformance = map[memcproto.Opcode][]confCase{
 		{"lock_expires", []confStep{doSet, doLock, {op: core.Op{Code: memcproto.OpSet, Value: []byte(`{}`), Now: confNow + 31}, check: mutated}}},
 		{"absent", []confStep{{op: doLock.op, wantErr: notFound}}},
 		{"already_locked", []confStep{doSet, doLock, {op: doLock.op, wantErr: cache.ErrLocked}}},
+		// Locked for 30 s from the wall clock, so at confNow too.
+		{"server_clock", []confStep{doSetRaw, {op: doLock.op, wall: true},
+			{op: doSetRaw.op, wall: true, wantErr: cache.ErrLocked}, {op: doSetRaw.op, wantErr: cache.ErrLocked}}},
 	},
 	memcproto.OpUnlock: {
 		{"releases", []confStep{doSet, doLock, {op: core.Op{Code: memcproto.OpUnlock}, cas: casPrev},
@@ -322,7 +331,7 @@ func runConformance(t *testing.T, name string, nc core.NodeConn, beforeEachOp fu
 				for i, step := range tc.steps {
 					op := step.op
 					op.Key = key
-					if op.Now == 0 {
+					if op.Now == 0 && !step.wall {
 						op.Now = confNow
 					}
 					switch step.cas {

@@ -70,6 +70,18 @@ func (r *NetRouter) BucketMap() (*cmap.Map, error) {
 	return m, nil
 }
 
+// Route resolves key under the cached map (BucketMap) to its node's
+// conn (Conn).
+func (r *NetRouter) Route(key string) (h core.Hop, err error) {
+	m, err := r.BucketMap()
+	if err != nil {
+		return h, err
+	}
+	h.Node, h.VB = m.NodeForKey(key)
+	h.Conn, err = r.Conn(h.Node)
+	return h, err
+}
+
 // Conn returns the conn for a node — in-process for the local node,
 // pooled TCP otherwise. Node IDs are KV addresses by convention.
 func (r *NetRouter) Conn(node cmap.NodeID) (core.NodeConn, error) {

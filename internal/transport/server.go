@@ -50,6 +50,9 @@ type ServerConfig struct {
 type Server struct {
 	cfg ServerConfig
 	ln  net.Listener
+	// kv is the served node's conn, or kvErr why there is none.
+	kv    core.NodeConn
+	kvErr error
 
 	mu       sync.Mutex
 	sessions map[*session]struct{}
@@ -61,6 +64,7 @@ type Server struct {
 // binds first so it can advertise the real port before serving).
 func Serve(ln net.Listener, cfg ServerConfig) *Server {
 	s := &Server{cfg: cfg, ln: ln, sessions: map[*session]struct{}{}}
+	s.kv, s.kvErr = cfg.Cluster.LoopbackConn(cfg.Node, cfg.Bucket)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -361,10 +365,9 @@ func (c *session) handleKV(f *memcproto.Frame) {
 }
 
 func (c *session) execKV(ctx context.Context, f *memcproto.Frame, st stages, t0 time.Time, op core.Op) {
-	var res core.Result
-	conn, err := c.srv.cfg.Cluster.LoopbackConn(c.srv.cfg.Node, c.srv.cfg.Bucket)
+	res, err := core.Result{}, c.srv.kvErr
 	if err == nil {
-		res, err = conn.Do(ctx, int(f.VBucket), op)
+		res, err = c.srv.kv.Do(ctx, int(f.VBucket), op)
 	}
 	st.mark(stageExecute)
 	c.finishKV(f, st, t0, res, err)

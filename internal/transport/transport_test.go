@@ -68,9 +68,12 @@ type rewriteRouter struct {
 	addr  string
 }
 
-func (r *rewriteRouter) BucketMap() (*cmap.Map, error) { return r.inner.BucketMap() }
-func (r *rewriteRouter) Conn(node cmap.NodeID) (core.NodeConn, error) {
-	return r.inner.Conn(cmap.NodeID(r.addr))
+func (r *rewriteRouter) Route(key string) (core.Hop, error) {
+	h, err := r.inner.Route(key)
+	if err == nil {
+		h.Conn, err = r.inner.Conn(cmap.NodeID(r.addr))
+	}
+	return h, err
 }
 
 func TestWireDurability(t *testing.T) {

@@ -28,9 +28,9 @@ type Op struct {
 	Key     string
 	Value   []byte // document body; Append/Prepend data
 	CAS     uint64 // optimistic-lock check; Unlock's token; XDCR's source CAS
-	// Now is the client's unix-seconds clock, threaded through so
-	// expiry semantics follow the client's (injectable) time source on
-	// both transports.
+	// Now is the unix-seconds clock expiry and locks are judged by; 0,
+	// what a client sends, is the serving node's, read only when needed
+	// (cache.clock). Tests pin a nonzero one.
 	Now int64
 	// Expiry is the document expiry (Set/Add/Replace/Touch/XDCR) or,
 	// for GetAndLock, the lock duration in seconds — the one u64 the
