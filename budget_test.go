@@ -36,34 +36,34 @@ var lineBudgets = map[string]int{
 	"internal/cache":       1276,
 	"internal/cmap":        352,
 	"internal/core":        2921,
-	"internal/dcp":         439,
+	"internal/dcp":         607,
 	"internal/events":      365,
 	"internal/executor":    1574,
 	"internal/feed":        608,
 	"internal/fts":         411,
 	"internal/gsi":         1344,
 	"internal/health":      487,
-	"internal/lint":        3151,
+	"internal/lint":        3170,
 	"internal/memcproto":   780,
 	"internal/metrics":     652,
 	"internal/n1ql":        3585,
 	"internal/planner":     979,
 	"internal/query":       283,
 	"internal/rest":        1428,
-	"internal/storage":     1030,
+	"internal/storage":     1036,
 	"internal/trace":       987,
 	"internal/transport":   2366,
 	"internal/value":       695,
-	"internal/vbucket":     893,
+	"internal/vbucket":     855,
 	"internal/views":       648,
 	"internal/xdcr":        241,
 }
 
 var byteBudgets = map[string]int{
-	"DESIGN.md":                      113433,
+	"DESIGN.md":                      115519,
 	"README.md":                      17446,
-	"EXPERIMENTS.md":                 20217,
-	".claude/skills/verify/SKILL.md": 54928,
+	"EXPERIMENTS.md":                 20963,
+	".claude/skills/verify/SKILL.md": 56307,
 	"CHANGES.md entry":               13333,
 }
 

@@ -18,6 +18,7 @@ package dcp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -62,9 +63,9 @@ var uuidCounter atomic.Uint64
 
 func nextUUID() uint64 { return uuidCounter.Add(1) }
 
-// MutationStream is the consumer-side view of one open DCP stream: the
-// one queue between a vBucket and an asynchronous consumer (Fig. 6),
-// pulled a batch at a time by the consumer's own goroutine. *Stream
+// MutationStream is the consumer-side view of one open DCP stream: an
+// asynchronous consumer's reader of a vBucket's log (Fig. 6), pulled a
+// batch at a time by the consumer's own goroutine. *Stream
 // implements it for the in-process path; the transport layer implements
 // it over a socket so feed consumers resume via (UUID, seqno) across
 // processes without knowing which side of a wire the producer lives on.
@@ -72,7 +73,7 @@ type MutationStream interface {
 	// Next blocks until something is ready and returns everything that
 	// is, in seqno order. The batch is the caller's until its next call
 	// of Next: that call tells the producer the batch has been applied
-	// and takes the slice back, clears it and queues into it again, so a
+	// and takes the slice back, clears it and copies into it again, so a
 	// consumer that keeps a mutation copies it out (its Key and Value are
 	// never written again and may be kept as they are). ok is false once
 	// the stream or its producer has closed; one goroutine calls Next.
@@ -133,14 +134,68 @@ type SnapshotSource interface {
 	Snapshot(fromExclusive uint64) (items []Mutation, snapshotHigh uint64, err error)
 }
 
-// Producer fans one vBucket's mutation sequence out to streams.
+// ChunkLen is the number of entries in one chunk of a producer's log.
+const ChunkLen = 128
+
+// chunk is a run of the log. Publish writes slots[n], then stores n+1:
+// a reader that loaded n reads the slots below it.
+type chunk struct {
+	base  uint64 // the log position of slots[0]
+	n     atomic.Int64
+	next  atomic.Pointer[chunk]
+	slots [ChunkLen]Mutation
+}
+
+// Cursor is one reader's place in the log, slots[i] of chunk c, which
+// only that reader moves: a stream's, or a vBucket flusher's. pin, up
+// to where it has handed back what it read, and done are guarded by mu.
+type Cursor struct {
+	p      *Producer
+	stream *Stream // nil for a flusher's
+	c      *chunk
+	i      int
+	pin    uint64
+	done   bool // a stream is closed, a flusher's cursor stopped
+}
+
+func (c *Cursor) at() uint64 { return c.c.base + uint64(c.i) }
+
+// ready reports whether an entry is ready, stepping off a full chunk.
+func (c *Cursor) ready() bool {
+	if next := c.c.next.Load(); c.i == ChunkLen && next != nil {
+		c.c, c.i = next, 0
+	}
+	return int64(c.i) < c.c.n.Load()
+}
+
+// run takes up to max ready entries of c's chunk.
+func (c *Cursor) run(max int) []Mutation {
+	end := min(int(c.c.n.Load()), c.i+max)
+	r := c.c.slots[c.i:end]
+	c.i = end
+	return r
+}
+
+// Producer keeps one vBucket's mutation log, Fig. 6's one queue: chunks
+// appended to once per mutation, read by the flusher and every stream
+// through their own cursor.
 type Producer struct {
 	vb     int
 	source SnapshotSource
 
+	// tail is the chunk Publish appends to, spare one every cursor has
+	// passed, for it to reuse. readers counts the attached cursors, and
+	// parked those waiting on wake.
+	tail, spare     atomic.Pointer[chunk]
+	high            atomic.Uint64
+	readers, parked atomic.Int32
+
 	mu      sync.Mutex
-	streams map[*Stream]struct{}
-	high    uint64
+	wake    sync.Cond
+	cursors []*Cursor
+	// cleared is the first entry not cleared, at or below every pin; its
+	// chunk is nil while no cursor is attached.
+	cleared Cursor
 	closed  bool
 	// failover is the vBucket's failover log, oldest branch first. It
 	// always has at least one entry; the last entry's UUID is current.
@@ -150,11 +205,15 @@ type Producer struct {
 // NewProducer creates a producer for vb backed by the snapshot source.
 // The fresh vBucket starts a new history branch at seqno 0.
 func NewProducer(vb int, source SnapshotSource) *Producer {
-	return &Producer{
-		vb:       vb,
-		source:   source,
-		streams:  make(map[*Stream]struct{}),
-		failover: []FailoverEntry{{UUID: nextUUID(), Seqno: 0}},
+	p := &Producer{vb: vb, source: source, failover: []FailoverEntry{{UUID: nextUUID(), Seqno: 0}}}
+	p.wake.L = &p.mu
+	p.tail.Store(new(chunk))
+	return p
+}
+
+// raise stores v in w if it is higher.
+func raise(w *atomic.Uint64, v uint64) {
+	for h := w.Load(); v > h && !w.CompareAndSwap(h, v); h = w.Load() {
 	}
 }
 
@@ -184,38 +243,160 @@ func (p *Producer) SetFailoverLog(entries []FailoverEntry) {
 func (p *Producer) Takeover(seqno uint64) {
 	p.mu.Lock()
 	p.failover = append(p.failover, FailoverEntry{UUID: nextUUID(), Seqno: seqno})
-	if seqno > p.high {
-		p.high = seqno
-	}
 	p.mu.Unlock()
+	raise(&p.high, seqno)
 }
 
-// Publish delivers a mutation to all open streams. The caller must
-// invoke Publish in seqno order (the cache's OnMutate hook guarantees
-// this). Publish never blocks on slow consumers: each stream has an
-// unbounded in-memory queue, the protocol's "memory-first" decoupling.
+// Publish appends a mutation to the log, after Close too. Calls are
+// serialised and in seqno order, as the cache's OnMutate hook makes
+// them. It never waits on a reader, the protocol's "memory-first"
+// decoupling, and locks only to wake a parked one.
 func (p *Producer) Publish(m Mutation) {
 	m.VB = p.vb
+	raise(&p.high, m.Seqno)
+	t := p.tail.Load()
+	i := t.n.Load()
+	if i == ChunkLen {
+		next := p.spare.Swap(nil)
+		if next == nil {
+			next = new(chunk)
+		}
+		next.base = t.base + ChunkLen
+		next.n.Store(0)
+		next.next.Store(nil)
+		t.next.Store(next)
+		p.tail.Store(next)
+		t, i = next, 0
+	}
+	// An entry no cursor is attached to read is left unwritten: a stream
+	// attaching meanwhile reads it as seqno 0, which its snapshot covers.
+	if p.readers.Load() > 0 {
+		t.slots[i] = m
+	}
+	t.n.Store(i + 1)
+	if p.parked.Load() > 0 {
+		p.mu.Lock()
+		p.wake.Broadcast()
+		p.mu.Unlock()
+	}
+}
+
+// appended is the log position past its last entry.
+func (p *Producer) appended() uint64 {
+	t := p.tail.Load()
+	return t.base + uint64(t.n.Load())
+}
+
+// attach adds c at the log's end. Runs under mu, as do the three below.
+func (p *Producer) attach(c *Cursor) *Cursor {
+	t := p.tail.Load()
+	c.p, c.c, c.i = p, t, int(t.n.Load())
+	if c.pin = c.at(); len(p.cursors) == 0 {
+		p.cleared = *c
+	}
+	p.cursors = append(p.cursors, c)
+	p.readers.Add(1)
+	return c
+}
+
+// detach takes c out of the log, and c lets go of its chunk.
+func (p *Producer) detach(c *Cursor) {
+	c.c, c.done = nil, true
+	p.cursors = slices.DeleteFunc(p.cursors, func(x *Cursor) bool { return x == c })
+	p.readers.Add(-1)
+	p.release(nil)
+	p.wake.Broadcast()
+}
+
+// release hands back what c read, and clears what every cursor passed,
+// so a chunk a cursor stands in pins no key, value or trace; a chunk
+// every cursor is past the end of becomes the spare.
+func (p *Producer) release(c *Cursor) {
+	if c != nil {
+		c.pin = c.at()
+	}
+	low := p.appended()
+	for _, c := range p.cursors {
+		low = min(low, c.pin)
+	}
+	for k := &p.cleared; k.c != nil && k.at() < low; {
+		end := int(min(ChunkLen, low-k.c.base))
+		clear(k.c.slots[k.i:end])
+		next := k.c.next.Load()
+		if k.i = end; next == nil || low <= next.base {
+			break
+		}
+		p.spare.Store(k.c)
+		k.c, k.i = next, 0
+	}
+	if len(p.cursors) == 0 {
+		p.cleared.c = nil
+	}
+}
+
+// await parks c's reader until an append or a detach; the caller checks
+// again.
+func (p *Producer) await(c *Cursor) {
+	p.parked.Add(1)
+	if !c.ready() && !c.done {
+		p.wake.Wait()
+	}
+	p.parked.Add(-1)
+}
+
+// NewCursor attaches a cursor at the log's end, before the first
+// Publish: one attached later may read an entry Publish left unwritten.
+func (p *Producer) NewCursor() *Cursor {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return
+	return p.attach(new(Cursor))
+}
+
+// Read gives back what the last Read handed out, waits for an entry,
+// and hands fn the ready ones, up to max (ready in all), a chunk's run
+// at a time; they are the cursor's until the next Read, and fn writes
+// none of them. Once stopped, Read returns false rather than wait.
+func (c *Cursor) Read(max int, fn func(run []Mutation, ready int)) bool {
+	c.p.mu.Lock()
+	c.p.release(c)
+	for !c.ready() && !c.done {
+		c.p.await(c)
 	}
-	if m.Seqno > p.high {
-		p.high = m.Seqno
+	c.p.mu.Unlock()
+	ready := int(min(uint64(max), c.p.appended()-c.at()))
+	for n := 0; n < ready && c.ready(); {
+		run := c.run(ready - n)
+		fn(run, ready)
+		n += len(run)
 	}
-	for s := range p.streams {
-		s.enqueueLive(m)
-	}
+	return ready > 0
+}
+
+// Stop makes a Read that finds nothing ready return false.
+func (c *Cursor) Stop() {
+	c.p.mu.Lock()
+	defer c.p.mu.Unlock()
+	c.done = true
+	c.p.wake.Broadcast()
+}
+
+// Close detaches the cursor; Pending keeps counting past it.
+func (c *Cursor) Close() {
+	c.p.mu.Lock()
+	defer c.p.mu.Unlock()
+	c.p.detach(c)
+}
+
+// Pending is the number of entries appended that c has not given back.
+func (c *Cursor) Pending() int {
+	c.p.mu.Lock()
+	defer c.p.mu.Unlock()
+	return int(c.p.appended() - c.pin)
 }
 
 // HighSeqno reports the highest seqno published so far; a local
 // producer's never fails.
-func (p *Producer) HighSeqno() (uint64, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.high, nil
-}
+func (p *Producer) HighSeqno() (uint64, error) { return p.high.Load(), nil }
 
 // StreamLags reports items-remaining per open stream: the producer's
 // high seqno minus the last seqno each consumer has applied (it came
@@ -225,15 +406,16 @@ func (p *Producer) HighSeqno() (uint64, error) {
 func (p *Producer) StreamLags() map[string]uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.streams) == 0 {
-		return nil
-	}
-	out := make(map[string]uint64, len(p.streams))
-	for s := range p.streams {
-		var lag uint64
-		if done := s.applied.Load(); p.high > done {
-			lag = p.high - done
+	var out map[string]uint64
+	high := p.high.Load()
+	for _, c := range p.cursors {
+		s := c.stream
+		if s == nil {
+			continue
+		} else if out == nil {
+			out = map[string]uint64{}
 		}
+		lag := high - min(high, s.applied.Load())
 		// Streams sharing a name (same consumer across reopen) keep
 		// the worst lag. Caught-up streams still report an entry, so
 		// a scrape sees lag 0 rather than a vanished series.
@@ -244,18 +426,16 @@ func (p *Producer) StreamLags() map[string]uint64 {
 	return out
 }
 
-// Close terminates the producer and all its streams.
+// Close ends the producer's streams and refuses new ones; Publish and
+// the flusher's cursor go on.
 func (p *Producer) Close() {
 	p.mu.Lock()
-	streams := make([]*Stream, 0, len(p.streams))
-	for s := range p.streams {
-		streams = append(streams, s)
-	}
+	defer p.mu.Unlock()
 	p.closed = true
-	p.streams = make(map[*Stream]struct{})
-	p.mu.Unlock()
-	for _, s := range streams {
-		s.Close()
+	for i := len(p.cursors) - 1; i >= 0; i-- {
+		if s := p.cursors[i].stream; s != nil {
+			s.closeLocked()
+		}
 	}
 }
 
@@ -299,15 +479,15 @@ func (p *Producer) ResumeStream(name string, uuid, fromSeqno uint64) (MutationSt
 			}
 		}
 	}
-	s := &Stream{Name: name, UUID: cur, producer: p, taken: fromSeqno, opening: true}
-	s.ready.L = &s.mu
+	s := &Stream{Name: name, UUID: cur, producer: p, taken: fromSeqno}
+	s.cur.stream = s
 	s.applied.Store(fromSeqno)
-	p.streams[s] = struct{}{}
+	p.attach(&s.cur)
 	p.mu.Unlock()
 
-	// Snapshot after attaching to the live feed: anything published
-	// between attach and scan is either in the snapshot or queued live
-	// with a seqno above the snapshot watermark.
+	// Snapshot after attaching to the log: anything published between
+	// attach and scan is either in the snapshot or read by the cursor with
+	// a seqno above the snapshot watermark.
 	items, high, err := p.source.Snapshot(fromSeqno)
 	if err != nil {
 		s.Close()
@@ -316,20 +496,12 @@ func (p *Producer) ResumeStream(name string, uuid, fromSeqno uint64) (MutationSt
 	// Existing data a fresh stream must backfill counts as lag, so the
 	// producer's watermark covers the snapshot even before the first
 	// live publish.
+	raise(&p.high, high)
 	p.mu.Lock()
-	if high > p.high {
-		p.high = high
+	if !s.cur.done {
+		s.backfill, s.snapshotHigh = items, high
 	}
 	p.mu.Unlock()
-	s.mu.Lock()
-	for _, m := range s.queue {
-		if m.Seqno > high {
-			items = append(items, m)
-		}
-	}
-	s.queue, s.snapshotHigh, s.opening = items, high, false
-	s.mu.Unlock()
-	s.ready.Signal()
 	return s, nil
 }
 
@@ -348,37 +520,27 @@ func publishRollbackRequired(vb int, stream string, uuid, fromSeqno, rollbackTo 
 	events.Default.Publish(e)
 }
 
-// MaxKeptBatch caps, in slots (~50 KiB), the slice a mutation queue (a
-// MutationStream's, a flusher's) keeps for reuse: transport's
-// maxPooledBufBytes rule.
+// MaxKeptBatch caps, in slots (~50 KiB), the batch buffer (a
+// MutationStream's, a flusher's) kept while batches are small:
+// transport's maxPooledBufBytes rule.
 const MaxKeptBatch = 512
 
-// Stream is one consumer's ordered view of a vBucket's changes: one
-// unbounded queue the producer appends to and the consumer's Next
-// empties. UUID is the vBucket UUID the stream was opened under; a
-// resumable consumer records it alongside its applied seqno.
+// Stream is one consumer's ordered view of a vBucket's changes: a
+// backfill, then a cursor in the producer's log. UUID is the vBucket
+// UUID it was opened under, which a resumable consumer records.
 type Stream struct {
 	Name     string
 	UUID     uint64
 	producer *Producer
 
-	mu sync.Mutex
-	// ready is signalled when queue gains its first entry, the snapshot
-	// lands or the stream closes.
-	ready sync.Cond
-	// queue is the backfill followed by live mutations past
-	// snapshotHigh. While opening, it holds the live mutations published
-	// since the stream attached, and Next waits for the snapshot.
-	queue        []Mutation
-	opening      bool
+	// Guarded by the producer's mu: the cursor, the backfill the first
+	// batch starts with, and the batch Next copied out last.
+	cur          Cursor
+	backfill     []Mutation
 	snapshotHigh uint64
-	closed       bool
+	batch        []Mutation
 	// taken is the last seqno Next handed out.
 	taken uint64
-	// lent is the batch Next handed out last: on its next call it is
-	// cleared and becomes the queue, so the stream's two slices take
-	// turns and none is allocated per batch.
-	lent []Mutation
 
 	// applied is the last seqno the consumer is done with: taken as of
 	// its latest call of Next. The producer reads it to compute lag.
@@ -389,51 +551,57 @@ type Stream struct {
 // (the UUID field, behind the MutationStream seam).
 func (s *Stream) StreamUUID() uint64 { return s.UUID }
 
-func (s *Stream) enqueueLive(m Mutation) {
-	s.mu.Lock()
-	// A mutation at or below the snapshot high is already in the backfill.
-	if !s.closed && (s.opening || m.Seqno > s.snapshotHigh) {
-		s.queue = append(s.queue, m)
-	}
-	s.mu.Unlock()
-	s.ready.Signal()
-}
-
-// Next implements MutationStream.
+// Next implements MutationStream. It copies the ready entries out of
+// the log under the producer's mu, so that a Close from another
+// goroutine, which gives up the cursor's pin, never races a read.
 func (s *Stream) Next() ([]Mutation, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	p := s.producer
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	s.applied.Store(s.taken)
-	// A slice that grew for a backfill or a burst is left to the GC; one
-	// that is kept is cleared, so its recycled slots pin no key or value.
-	if cap(s.lent) > MaxKeptBatch {
-		s.lent = nil
+	// The last batch is cleared so it pins nothing; a buffer grown past
+	// MaxKeptBatch is kept while batches need it, not regrown per burst.
+	clear(s.batch)
+	for !s.cur.done {
+		n := int(p.appended() - s.cur.at())
+		if cap(s.batch) > MaxKeptBatch && n <= MaxKeptBatch {
+			s.batch = nil
+		}
+		batch := s.batch[:0]
+		if s.backfill != nil {
+			batch, s.backfill = s.backfill, nil
+		}
+		batch = slices.Grow(batch, n)
+		for n > 0 && s.cur.ready() {
+			run := s.cur.run(n)
+			n -= len(run)
+			// A mutation at or below the snapshot high is in the backfill.
+			for len(run) > 0 && run[0].Seqno <= s.snapshotHigh {
+				run = run[1:]
+			}
+			batch = append(batch, run...)
+		}
+		p.release(&s.cur)
+		if s.batch = batch; len(batch) > 0 {
+			s.taken = batch[len(batch)-1].Seqno
+			return batch, true
+		}
+		p.await(&s.cur)
 	}
-	clear(s.lent)
-	for !s.closed && (s.opening || len(s.queue) == 0) {
-		s.ready.Wait()
-	}
-	if s.closed {
-		return nil, false
-	}
-	s.queue, s.lent = s.lent[:0], s.queue
-	s.taken = s.lent[len(s.lent)-1].Seqno
-	return s.lent, true
+	return nil, false
 }
 
-// Close detaches the stream from the producer; what it still queues is
-// dropped, and the consumer resumes elsewhere from what it applied.
+// Close detaches the stream; what it has not handed out is dropped, and
+// the consumer resumes elsewhere from what it applied.
 func (s *Stream) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.queue = nil
-	s.mu.Unlock()
-	s.ready.Signal()
 	s.producer.mu.Lock()
-	delete(s.producer.streams, s)
-	s.producer.mu.Unlock()
+	defer s.producer.mu.Unlock()
+	s.closeLocked()
+}
+
+func (s *Stream) closeLocked() {
+	if !s.cur.done {
+		s.backfill = nil
+		s.producer.detach(&s.cur)
+	}
 }

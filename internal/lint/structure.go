@@ -39,9 +39,10 @@ var Structure = &Analyzer{
 type ban int
 
 const (
-	noGo   ban = 1 << iota // a go statement
-	noLock                 // a Lock or RLock call
-	noLit                  // a composite literal
+	noGo          ban = 1 << iota // a go statement
+	noLock                        // a Lock or RLock call
+	noLit                         // a composite literal
+	noFieldAppend                 // an append to a struct field
 )
 
 // row is one invariant; what its fields hold depends on its form.
@@ -109,6 +110,12 @@ var structureRows = []row{
 		why: "a batch is what Next returned"},
 	{form: absent, subj: append(under("dcp", "Stream.pump", "Stream.send", "Stream.kick"),
 		internal+"transport.RemoteStream.readLoop", internal+"core.replicaLink.applyRun"), why: "one queue per stream"},
+	// One log per vBucket: a mutation is written once, and the flusher and
+	// every stream read it through their own cursor.
+	{form: absent, subj: append(under("vbucket", "VBucket.queue", "VBucket.queueCond", "VBucket.queueTraces"),
+		under("dcp", "Stream.enqueueLive", "Stream.queue", "Stream.lent")...), why: "one log per vBucket, read through cursors"},
+	{form: bare, ban: noLock | noFieldAppend, subj: under("vbucket", "VBucket.onMutate"),
+		why: "a mutation is written once, to the producer's log"},
 	// Feed.Wait is the only consistency barrier.
 	{form: absent, subj: []string{internal + "gsi.waitFor", internal + "views.waitFor", internal + "fts.waitFor",
 		internal + "analytics.waitFor", internal + "xdcr.waitFor"}, why: "a consumer waits through feed.Feed.Wait"},
@@ -370,6 +377,8 @@ func bare(c *rowChecker, r *row) {
 				case *ast.CallExpr:
 					if _, op := mutexOp(lp, n); op == opLock {
 						b, what = noLock, "takes a lock"
+					} else if appendsToField(lp, n) {
+						b, what = noFieldAppend, "appends to a field"
 					}
 				case *ast.CompositeLit:
 					b, what = noLit, "builds a composite literal"
@@ -384,6 +393,16 @@ func bare(c *rowChecker, r *row) {
 			c.missing(r, s, lp)
 		}
 	}
+}
+
+// appendsToField reports whether call is append(x.f, …) for a field f.
+func appendsToField(lp *Package, call *ast.CallExpr) bool {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok || len(call.Args) == 0 || lp.Info.Uses[id] != types.Universe.Lookup("append") {
+		return false
+	}
+	sel, ok := call.Args[0].(*ast.SelectorExpr)
+	return ok && lp.Info.Selections[sel] != nil && lp.Info.Selections[sel].Kind() == types.FieldVal
 }
 
 func methodSet(c *rowChecker, r *row) {

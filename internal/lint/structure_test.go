@@ -89,6 +89,7 @@ type queue chan Mutation // want: structure
 func (s *Stream) open() { s.c = make(chan Mutation) } // want: structure
 func (s *Stream) relay(in <-chan Mutation) queue { return make(queue) } // want: structure
 func (s *Stream) pump() { go func() {}() } // want: structure structure
+func (s *Stream) enqueueLive() {} // want: structure
 `},
 	{name: "feed", path: internal + "feed", src: `package feed
 
@@ -121,9 +122,12 @@ func (v *VBFile) syncTo() error { return v.f.Sync() }
 `},
 	{name: "vbucket", path: internal + "vbucket", src: `package vbucket
 
-type VBucket struct{} // want: structure
+type VBucket struct { // want: structure
+	queue []int // want: structure
+}
 
 func (v *VBucket) Do() {}
+func (v *VBucket) onMutate() { v.queue = append(v.queue, 1) } // want: structure
 `},
 	{name: "n1ql", path: internal + "n1ql", src: `package n1ql
 

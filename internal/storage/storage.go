@@ -112,7 +112,8 @@ type Record struct {
 const recordMagic = 0xC7
 
 // maxEncBufBytes caps the encode buffer a file keeps between batches
-// (transport's maxPooledBufBytes rule): a burst's is left to the GC.
+// (transport's maxPooledBufBytes rule): a bigger batch is written in
+// pieces of it.
 const maxEncBufBytes = 64 << 10
 
 // record layout:
@@ -347,25 +348,30 @@ func (v *VBFile) Append(recs []Record, waited ...bool) error {
 		v.mu.Unlock()
 		return nil
 	}
+	// A batch bigger than the kept buffer is written a buffer at a time,
+	// so a burst's batch allocates none of its size.
 	var need int64
 	for i := range recs {
 		need += encodedSize(&recs[i])
 	}
 	buf := v.encBuf[:0]
-	if int64(cap(buf)) < need {
+	if need = min(need, maxEncBufBytes); int64(cap(buf)) < need {
 		buf = make([]byte, 0, need)
 	}
 	for i := range recs {
 		buf = encodeRecord(buf, &recs[i])
+		if i == len(recs)-1 || int64(len(buf))+encodedSize(&recs[i+1]) > maxEncBufBytes {
+			if _, err := v.f.Write(buf); err != nil {
+				v.mu.Unlock()
+				return err
+			}
+			mBytesWritten.Add(uint64(len(buf)))
+			buf = buf[:0]
+		}
 	}
 	if cap(buf) <= maxEncBufBytes {
 		v.encBuf = buf
 	}
-	if _, err := v.f.Write(buf); err != nil {
-		v.mu.Unlock()
-		return err
-	}
-	mBytesWritten.Add(uint64(len(buf)))
 	for i := range recs {
 		size := encodedSize(&recs[i])
 		v.indexRecordLocked(recs[i].Key, recs[i].Seqno, v.fileBytes, size)

@@ -80,6 +80,39 @@ func TestSetPublishAllocBudget(t *testing.T) {
 	} else {
 		t.Logf("%.0f bytes allocated per %d-byte Set (budget %.0f)", perSet, len(value), byteBudget)
 	}
+
+	// A burst: a second stream is held for burst Sets, then drained, and
+	// the flusher caught up, rounds times over. The backlog is entries of
+	// the one log, not a copy per reader regrown after every drain, so the
+	// bytes per Set do not grow with it.
+	held, err := vb.Producer().ResumeStream("burst", 0, vb.HighSeqno())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	const burst, rounds, burstBudget = 4096, 8, 512
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		for range burst {
+			set()
+		}
+		for high, got := vb.HighSeqno(), uint64(0); got < high; {
+			batch, ok := held.Next()
+			if !ok {
+				t.Fatal("held stream ended")
+			}
+			got = batch[len(batch)-1].Seqno
+		}
+		if err := vb.DrainDisk(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perSet := float64(after.TotalAlloc-before.TotalAlloc) / (burst * rounds); perSet > burstBudget {
+		t.Errorf("%d-Set bursts allocate %.0f bytes per Set, budget %d", burst, perSet, burstBudget)
+	} else {
+		t.Logf("%d-Set bursts: %.0f bytes allocated per Set (budget %d)", burst, perSet, burstBudget)
+	}
 }
 
 // TestSlowCommitJournaled is the regression test for the max-latency

@@ -20,6 +20,7 @@ package vbucket
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -129,17 +130,10 @@ type VBucket struct {
 
 	cfg Config
 
-	// Disk-write queue (Figure 6). The flusher drains it in order by
-	// swapping in the slice it drained before, so the two take turns and
-	// neither is allocated per batch. queueTraces holds the sampled
-	// traces of queued mutations (almost always none) so the commit hop
-	// shows up in them.
-	queueMu     sync.Mutex
-	queue       []storage.Record
-	queueTraces []*trace.Trace
-	queueCond   *sync.Cond
-	closed      bool
-	flushDone   chan struct{}
+	// log is the flusher's cursor in the producer's log: the disk-write
+	// queue of Figure 6 is the entries it has not given back.
+	log       *dcp.Cursor
+	flushDone chan struct{}
 
 	// Durability watermarks and their waiters.
 	durMu          sync.Mutex
@@ -166,9 +160,9 @@ func New(id int, file *storage.VBFile, state State, cfg Config) *VBucket {
 		replicaSeqnos: make(map[string]uint64),
 	}
 	vb.state.Store(int32(state))
-	vb.queueCond = sync.NewCond(&vb.queueMu)
 	vb.durCond = sync.NewCond(&vb.durMu)
 	vb.producer = dcp.NewProducer(id, (*snapshotSource)(vb))
+	vb.log = vb.producer.NewCursor()
 	vb.Table.OnMutate(vb.onMutate)
 	vb.durMu.Lock()
 	vb.persistedSeqno = file.HighSeqno()
@@ -194,32 +188,16 @@ func (vb *VBucket) WarmUp() error {
 }
 
 // onMutate runs under the hash-table lock for every applied mutation,
-// in seqno order: enqueue for disk and publish to DCP atomically with
-// the cache write. The context is the mutating caller's; its sampled
-// trace (if any) rides both the disk-write queue entry and the DCP
-// mutation so the asynchronous hops land in the same trace.
+// in seqno order: it appends the mutation to the producer's log, which
+// the flusher and every DCP stream read, atomically with the cache
+// write. The context is the mutating caller's; its sampled trace (if
+// any) rides the entry so the asynchronous hops land in the same trace.
 func (vb *VBucket) onMutate(ctx context.Context, it cache.Item) {
-	tr := trace.TraceFromContext(ctx)
-	rec := storage.Record{
-		Meta: storage.Meta{
-			Key: it.Key, Seqno: it.Seqno, CAS: it.CAS, RevSeqno: it.RevSeqno,
-			Flags: it.Flags, Expiry: it.Expiry, Deleted: it.Deleted,
-		},
-		Value: it.Value,
-	}
-	vb.queueMu.Lock()
-	vb.queue = append(vb.queue, rec)
-	if tr != nil {
-		vb.queueTraces = append(vb.queueTraces, tr)
-	}
-	vb.queueMu.Unlock()
 	mFlushQueueDepth.Add(1)
-	vb.queueCond.Signal()
-
 	vb.producer.Publish(dcp.Mutation{
 		Key: it.Key, Value: it.Value, Seqno: it.Seqno, CAS: it.CAS,
 		RevSeqno: it.RevSeqno, Flags: it.Flags, Expiry: it.Expiry, Deleted: it.Deleted,
-		Trace: tr,
+		Trace: trace.TraceFromContext(ctx),
 	})
 }
 
@@ -230,65 +208,60 @@ func (vb *VBucket) onMutate(ctx context.Context, it cache.Item) {
 // entry pins the stall to storage.Append rather than leaving a bare
 // latency outlier in the histograms.
 func (vb *VBucket) journalSlowCommit(d time.Duration, items int) {
-	vb.queueMu.Lock()
-	depth := len(vb.queue)
-	vb.queueMu.Unlock()
 	ev := events.New(events.SlowOp, events.SevWarn, "slow disk commit")
 	ev.Fields = map[string]string{
 		"site":        "storage.Append",
 		"vb":          strconv.Itoa(vb.ID),
 		"duration":    d.String(),
 		"batch_items": strconv.Itoa(items),
-		"queue_depth": strconv.Itoa(depth),
+		"queue_depth": strconv.Itoa(vb.QueueDepth()),
 	}
 	events.Default.Publish(ev)
 }
 
-// flusher drains the disk-write queue. Repeated updates to a document
+// flusher drains its cursor of the log. Repeated updates to a document
 // within one batch are deduplicated — "asynchrony ... provides an
 // opportunity for repeated updates to an object to be aggregated at the
 // level of persistence" (§2.3.2).
 func (vb *VBucket) flusher() {
 	defer close(vb.flushDone)
-	// The flusher's own memory: the queue slice it drained last, which
-	// becomes the next queue.
-	var spare []storage.Record
-	for {
-		vb.queueMu.Lock()
-		for len(vb.queue) == 0 && !vb.closed {
-			vb.queueCond.Wait()
+	defer vb.log.Close()
+	// The flusher's own memory: the records and traces of one batch,
+	// converted from the log's entries and cleared once appended.
+	var recs []storage.Record
+	var traces []*trace.Trace
+	convert := func(run []dcp.Mutation, ready int) {
+		recs = slices.Grow(recs, ready-len(recs))
+		for i := range run {
+			m := &run[i]
+			recs = append(recs, storage.Record{Meta: storage.Meta{
+				Key: m.Key, Seqno: m.Seqno, CAS: m.CAS, RevSeqno: m.RevSeqno,
+				Flags: m.Flags, Expiry: m.Expiry, Deleted: m.Deleted,
+			}, Value: m.Value})
+			if m.Trace != nil {
+				traces = append(traces, m.Trace)
+			}
 		}
-		if vb.closed && len(vb.queue) == 0 {
-			vb.queueMu.Unlock()
-			return
-		}
-		drained := vb.queue
-		n := min(len(drained), maxFlushBatch)
-		vb.queue = append(spare[:0], drained[n:]...)
-		// A trace is taken with the batch that empties the queue, so its
-		// commit span never ends before its mutation is on disk.
-		var traces []*trace.Trace
-		if n == len(drained) {
-			traces, vb.queueTraces = vb.queueTraces, nil
-		}
-		vb.queueMu.Unlock()
+	}
+	for vb.log.Read(maxFlushBatch, convert) {
+		n := len(recs)
 		mFlushQueueDepth.Add(int64(-n))
 		// A PersistTo op counted itself before its mutation was queued,
 		// so the batch holding that mutation is appended waited: its
 		// fsync skips the device round.
 		waited := vb.persistWaiters.Load() > 0
 
-		recs := dedupBatch(drained[:n])
-		mFlushBatchItems.ObserveValue(uint64(len(recs)))
+		batch := dedupBatch(recs)
+		mFlushBatchItems.ObserveValue(uint64(len(batch)))
 		t0 := time.Now()
 		if vb.cfg.DiskDelay > 0 {
 			time.Sleep(vb.cfg.DiskDelay)
 		}
-		err := vb.file.Append(recs, waited)
+		err := vb.file.Append(batch, waited)
 		end := time.Now()
 		stageCommit.Batch(len(traces), func(i int) *trace.Trace { return traces[i] }, t0, end, err, func(sp *trace.Span) {
 			sp.Annotate("vb", strconv.Itoa(vb.ID))
-			sp.Annotate("batch_items", strconv.Itoa(len(recs)))
+			sp.Annotate("batch_items", strconv.Itoa(len(batch)))
 			if waited {
 				sp.Annotate("waited", "true")
 			}
@@ -300,12 +273,10 @@ func (vb *VBucket) flusher() {
 			return
 		}
 		if d := end.Sub(t0); d > slowOpThreshold {
-			vb.journalSlowCommit(d, len(recs))
+			vb.journalSlowCommit(d, len(batch))
 		}
-		var high uint64
-		for i := range recs {
-			high = max(high, recs[i].Seqno)
-		}
+		// The log is in seqno order, and so are dedup's survivors.
+		high := batch[len(batch)-1].Seqno
 		vb.durMu.Lock()
 		if high > vb.persistedSeqno {
 			vb.persistedSeqno = high
@@ -314,10 +285,11 @@ func (vb *VBucket) flusher() {
 		vb.durCond.Broadcast()
 
 		// Recycled slots are cleared so they pin no key or value; a slice
-		// that grew for a burst is left to the GC.
-		clear(drained)
-		if spare = drained; cap(spare) > dcp.MaxKeptBatch {
-			spare = nil
+		// that grew for a burst is kept only while the backlog needs it.
+		clear(recs[:n])
+		clear(traces)
+		if recs, traces = recs[:0], traces[:0]; cap(recs) > dcp.MaxKeptBatch && vb.log.Pending() <= dcp.MaxKeptBatch {
+			recs = nil
 		}
 	}
 }
@@ -383,13 +355,10 @@ func (vb *VBucket) PersistedSeqno() uint64 {
 	return vb.persistedSeqno
 }
 
-// QueueDepth is the number of mutations waiting in the disk-write
-// queue — the drain backlog operators watch on a memory-first store.
-func (vb *VBucket) QueueDepth() int {
-	vb.queueMu.Lock()
-	defer vb.queueMu.Unlock()
-	return len(vb.queue)
-}
+// QueueDepth is the number of mutations not yet appended to the file,
+// the batch being appended included — the drain backlog operators
+// watch on a memory-first store.
+func (vb *VBucket) QueueDepth() int { return vb.log.Pending() }
 
 // ApplyReplica installs a mutation received over a DCP replication
 // stream, preserving origin metadata. Valid in Replica/Pending states.
@@ -500,14 +469,7 @@ func (vb *VBucket) DrainDisk(timeout time.Duration) error {
 // Close stops the flusher after draining the queue and shuts down DCP.
 // The storage file itself is owned by the Store and closed separately.
 func (vb *VBucket) Close() {
-	vb.queueMu.Lock()
-	if vb.closed {
-		vb.queueMu.Unlock()
-		return
-	}
-	vb.closed = true
-	vb.queueMu.Unlock()
-	vb.queueCond.Broadcast()
+	vb.log.Stop()
 	<-vb.flushDone
 	vb.producer.Close()
 }
