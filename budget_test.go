@@ -35,7 +35,7 @@ var lineBudgets = map[string]int{
 	"internal/buildinfo":   8,
 	"internal/cache":       1276,
 	"internal/cmap":        352,
-	"internal/core":        2921,
+	"internal/core":        2923,
 	"internal/dcp":         607,
 	"internal/events":      365,
 	"internal/executor":    1574,
@@ -43,7 +43,7 @@ var lineBudgets = map[string]int{
 	"internal/fts":         411,
 	"internal/gsi":         1344,
 	"internal/health":      487,
-	"internal/lint":        3170,
+	"internal/lint":        3167,
 	"internal/memcproto":   780,
 	"internal/metrics":     652,
 	"internal/n1ql":        3585,
@@ -54,16 +54,16 @@ var lineBudgets = map[string]int{
 	"internal/trace":       987,
 	"internal/transport":   2366,
 	"internal/value":       695,
-	"internal/vbucket":     855,
+	"internal/vbucket":     859,
 	"internal/views":       648,
 	"internal/xdcr":        241,
 }
 
 var byteBudgets = map[string]int{
-	"DESIGN.md":                      115519,
+	"DESIGN.md":                      115509,
 	"README.md":                      17446,
-	"EXPERIMENTS.md":                 20963,
-	".claude/skills/verify/SKILL.md": 56307,
+	"EXPERIMENTS.md":                 20962,
+	".claude/skills/verify/SKILL.md": 56304,
 	"CHANGES.md entry":               13333,
 }
 

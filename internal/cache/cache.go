@@ -558,8 +558,8 @@ func (h *HashTable) deleteStriped(ctx context.Context, st *stripe, it *Item) (It
 }
 
 // expireStriped lazily deletes it, whose expiry has passed. A sealed
-// table keeps it, expired, for the copy that takes over. Runs under the
-// stripe lock.
+// table keeps it, expired: the delete is the active copy's. Runs under
+// the stripe lock.
 func (h *HashTable) expireStriped(ctx context.Context, st *stripe, it *Item) {
 	if _, err := h.deleteStriped(ctx, st, it); err == nil {
 		mExpirations.Inc()

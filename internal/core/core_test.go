@@ -119,43 +119,6 @@ func TestReplicationAndDurability(t *testing.T) {
 	}
 }
 
-func TestManualFailoverPromotesReplicas(t *testing.T) {
-	c, cl := newTestCluster(t, 3, 1)
-	for i := 0; i < 60; i++ {
-		k := fmt.Sprintf("k%03d", i)
-		if _, err := cl.SetWithOptions(context.Background(), k, []byte(`{"v": 1}`), 0, 0, 0,
-			DurabilityOptions{ReplicateTo: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Kill one node and fail it over.
-	if err := c.Kill("node1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Failover("node1"); err != nil {
-		t.Fatal(err)
-	}
-	// Every key is still readable ("applications can continue to access
-	// the data without incurring downtime").
-	for i := 0; i < 60; i++ {
-		k := fmt.Sprintf("k%03d", i)
-		it, err := cl.Get(context.Background(), k)
-		if err != nil || string(it.Value) != `{"v": 1}` {
-			t.Fatalf("get %s after failover: %v", k, err)
-		}
-	}
-	// And writable.
-	if _, err := cl.Set(context.Background(), "post-failover", []byte("x"), 0); err != nil {
-		t.Fatal(err)
-	}
-	// The failed node owns nothing in the new map.
-	b, _ := c.bucket("default")
-	m := b.Map()
-	if n := len(m.ActiveVBuckets("node1")); n != 0 {
-		t.Errorf("failed node still active for %d vbuckets", n)
-	}
-}
-
 func TestAutoFailoverViaHeartbeat(t *testing.T) {
 	c, err := NewCluster(Config{
 		Dir:               t.TempDir(),
@@ -201,74 +164,6 @@ func TestAutoFailoverViaHeartbeat(t *testing.T) {
 		if _, err := cl.Get(context.Background(), fmt.Sprintf("k%d", i)); err != nil {
 			t.Fatalf("get after auto-failover: %v", err)
 		}
-	}
-}
-
-func TestRebalanceScaleOut(t *testing.T) {
-	c, cl := newTestCluster(t, 2, 1)
-	for i := 0; i < 80; i++ {
-		if _, err := cl.Set(context.Background(), fmt.Sprintf("doc%03d", i), []byte(fmt.Sprintf(`{"i": %d}`, i)), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Scale out: add a node and rebalance.
-	if _, err := c.AddNode("node2", cmap.AllServices); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	// The new node owns a fair share.
-	b, _ := c.bucket("default")
-	m := b.Map()
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(m.ActiveVBuckets("node2")); n < 4 {
-		t.Errorf("new node owns only %d vbuckets", n)
-	}
-	// All data survived the moves.
-	for i := 0; i < 80; i++ {
-		k := fmt.Sprintf("doc%03d", i)
-		it, err := cl.Get(context.Background(), k)
-		if err != nil || string(it.Value) != fmt.Sprintf(`{"i": %d}`, i) {
-			t.Fatalf("get %s after rebalance: %v", k, err)
-		}
-	}
-	// Writes continue.
-	if _, err := cl.Set(context.Background(), "after-rebalance", []byte("x"), 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWritesDuringRebalance(t *testing.T) {
-	c, cl := newTestCluster(t, 2, 0)
-	stop := make(chan struct{})
-	errs := make(chan error, 1)
-	go func() {
-		defer close(errs)
-		i := 0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			key := fmt.Sprintf("live%04d", i)
-			if _, err := cl.Set(context.Background(), key, []byte("v"), 0); err != nil {
-				errs <- fmt.Errorf("set %s: %w", key, err)
-				return
-			}
-			i++
-		}
-	}()
-	c.AddNode("node2", cmap.AllServices)
-	if err := c.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
-	if err, ok := <-errs; ok && err != nil {
-		t.Fatalf("writer failed during rebalance: %v", err)
 	}
 }
 
@@ -735,115 +630,6 @@ func TestClusterRestartRecoversPersistedData(t *testing.T) {
 	}
 	if n := res.Rows[0].(map[string]any)["n"].(float64); n < 39 {
 		t.Fatalf("recovered count: %v", n)
-	}
-}
-
-func TestViewsStayConsistentAcrossRebalance(t *testing.T) {
-	// §4.3.3: "when a partition has migrated to a different server, the
-	// documents that belong to the migrated partition should not be
-	// used in the view result anymore" — and the new owner's view must
-	// include them. Net effect: no lost and no duplicated view rows.
-	c, cl := newTestCluster(t, 2, 0)
-	if err := c.DefineView("default", views.Definition{
-		Name: "byN", Map: views.MapSpec{Key: "doc.n"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	const docs = 60
-	for i := 0; i < docs; i++ {
-		cl.Set(context.Background(), fmt.Sprintf("d%03d", i), []byte(fmt.Sprintf(`{"n": %d}`, i)), 0)
-	}
-	check := func(stage string) {
-		rows, err := c.QueryView(context.Background(), "default", "byN", views.QueryOptions{Stale: views.StaleFalse})
-		if err != nil {
-			t.Fatalf("%s: %v", stage, err)
-		}
-		if len(rows) != docs {
-			t.Fatalf("%s: %d view rows, want %d", stage, len(rows), docs)
-		}
-		seen := map[string]bool{}
-		for _, r := range rows {
-			if seen[r.ID] {
-				t.Fatalf("%s: duplicate view row for %s", stage, r.ID)
-			}
-			seen[r.ID] = true
-		}
-	}
-	check("before rebalance")
-	c.AddNode("node2", cmap.AllServices)
-	if err := c.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	check("after rebalance")
-	// Post-rebalance mutations index on the new owners.
-	cl.Set(context.Background(), "d000", []byte(`{"n": 999}`), 0)
-	rows, _ := c.QueryView(context.Background(), "default", "byN", views.QueryOptions{
-		Stale: views.StaleFalse, Key: 999.0, HasKey: true,
-	})
-	if len(rows) != 1 {
-		t.Fatalf("post-rebalance update not indexed: %v", rows)
-	}
-}
-
-func TestGSIStaysConsistentAcrossRebalance(t *testing.T) {
-	c, cl := newTestCluster(t, 2, 0)
-	if _, err := c.Query("CREATE INDEX byN ON `default`(n)", executor.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	const docs = 60
-	for i := 0; i < docs; i++ {
-		cl.Set(context.Background(), fmt.Sprintf("d%03d", i), []byte(fmt.Sprintf(`{"n": %d}`, i)), 0)
-	}
-	count := func(stage string) {
-		res, err := c.Query("SELECT COUNT(*) AS c FROM `default` WHERE n >= 0",
-			executor.Options{Consistency: executor.RequestPlus})
-		if err != nil {
-			t.Fatalf("%s: %v", stage, err)
-		}
-		if got := res.Rows[0].(map[string]any)["c"]; got != float64(docs) {
-			t.Fatalf("%s: count %v, want %d", stage, got, docs)
-		}
-	}
-	count("before rebalance")
-	c.AddNode("node2", cmap.AllServices)
-	if err := c.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	count("after rebalance")
-	// Update through the new topology; the index follows.
-	cl.Set(context.Background(), "d000", []byte(`{"n": -1}`), 0)
-	res, _ := c.Query("SELECT COUNT(*) AS c FROM `default` WHERE n >= 0",
-		executor.Options{Consistency: executor.RequestPlus})
-	if got := res.Rows[0].(map[string]any)["c"]; got != float64(docs-1) {
-		t.Fatalf("post-rebalance update: count %v", got)
-	}
-}
-
-func TestGSIStaysConsistentAcrossFailover(t *testing.T) {
-	c, cl := newTestCluster(t, 3, 1)
-	if _, err := c.Query("CREATE INDEX byN ON `default`(n)", executor.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	const docs = 45
-	for i := 0; i < docs; i++ {
-		if _, err := cl.SetWithOptions(context.Background(), fmt.Sprintf("d%03d", i), []byte(fmt.Sprintf(`{"n": %d}`, i)),
-			0, 0, 0, DurabilityOptions{ReplicateTo: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Kill("node2")
-	if err := c.Failover("node2"); err != nil {
-		t.Fatal(err)
-	}
-	// Wait out the promoted vBuckets' re-projection, then verify no
-	// rows were lost or duplicated in the index.
-	res, err := c.Query("SELECT COUNT(*) AS c FROM `default` WHERE n >= 0",
-		executor.Options{Consistency: executor.RequestPlus})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Rows[0].(map[string]any)["c"]; got != float64(docs) {
-		t.Fatalf("count after failover: %v, want %d", got, docs)
 	}
 }
 

@@ -36,6 +36,7 @@ type Decider struct {
 	mu     sync.Mutex
 	heard  map[cmap.NodeID]time.Time // when each node was last heard from
 	failed map[cmap.NodeID]bool
+	now    func() time.Time // the one clock heard and silence are read by
 	// buckets is read by every op (Map, Route) with no lock; Form
 	// publishes a bucket, and install and placed its next route table,
 	// all under mu.
@@ -66,6 +67,7 @@ func newDecider(publish func(bucket string, m *cmap.Map) error, nodes *published
 		publish: publish,
 		heard:   make(map[cmap.NodeID]time.Time),
 		failed:  make(map[cmap.NodeID]bool),
+		now:     time.Now,
 		nodes:   nodes,
 	}
 }
@@ -86,7 +88,7 @@ func (d *Decider) Heard(id cmap.NodeID) (members int, joined bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	_, known := d.heard[id]
-	d.heard[id] = time.Now()
+	d.heard[id] = d.now()
 	return len(d.heard), !known
 }
 
@@ -224,7 +226,7 @@ func (d *Decider) Failover(id cmap.NodeID) error {
 // and returns them. Its one ticker, Cluster.heartbeatLoop, first hears
 // the alive local nodes.
 func (d *Decider) FailoverSilent(timeout time.Duration) (failed []cmap.NodeID) {
-	now := time.Now()
+	now := d.now()
 	silence := map[cmap.NodeID]time.Duration{}
 	d.mu.Lock()
 	for id, at := range d.heard {

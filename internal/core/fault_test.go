@@ -98,11 +98,11 @@ var faultRows = []struct {
 				h.Errorf("couchgo_feed_rollbacks_total{service=gsi} = %d, want > %d", got, h.rollbacks)
 			}
 		}},
-	{name: "failover promotes replicas (TestManualFailoverPromotesReplicas, TestGSIStaysConsistentAcrossFailover)",
-		schedule: []byte{0, stepKill.at(1), stepFailover.at(1)}},
+	{name: "failover promotes replicas", schedule: []byte{0, stepKill.at(1), stepFailover.at(1)},
+		expect: servedAfter("step 2, fail over node1")},
 	{name: "a new bucket skips a dead node (TestCreateBucketSkipsKilledNode)", schedule: []byte{0, stepKill.at(1), stepCreateBucket.at(0)}},
-	{name: "scale out under writes (TestRebalanceScaleOut, TestWritesDuringRebalance, TestViewsStayConsistentAcrossRebalance, TestGSIStaysConsistentAcrossRebalance)",
-		schedule: []byte{0, stepAddNode.at(0), stepRebalance.at(0)}},
+	{name: "scale out under writes", schedule: []byte{0, stepAddNode.at(0), stepRebalance.at(0)},
+		expect: servedAfter("step 2, rebalance")},
 	{name: "a node that cannot be provisioned never joins (TestAddNodeFailsWhole)", schedule: []byte{0, stepBlockedAddNode.at(0), stepRebalance.at(0)}},
 	{name: "scale in (TestRebalanceScaleIn)", schedule: []byte{0, stepKill.at(2), stepFailover.at(2), stepRebalance.at(0)}},
 	{name: "a bucket that cannot be provisioned is never made", schedule: []byte{0, stepBlockedCreateBucket.at(1), stepSever.at(2), stepRebalance.at(0)}},
@@ -110,6 +110,16 @@ var faultRows = []struct {
 		stepEvict.at(0), stepKill.at(0), stepEvict.at(1), stepFailover.at(0), stepRebalance.at(0), stepEvict.at(2)}},
 	{name: "a death mid scale-out, then a second death", schedule: []byte{withFullEviction, stepAddNode.at(0),
 		stepKill.at(3), stepRebalance.at(0), stepFailover.at(3), stepRebalance.at(0), stepKill.at(0), stepFailover.at(0)}},
+}
+
+// servedAfter expects the checkpoints after step and at the end to have
+// read every key and checked the indexes against them.
+func servedAfter(step string) func(h *faultHarness) {
+	return func(h *faultHarness) {
+		if !slices.Contains(h.served, step) || !slices.Contains(h.served, "end") {
+			h.Errorf("every key served and the indexes checked at %v, want %s and end", h.served, step)
+		}
+	}
 }
 
 var gsiRollbacks = metrics.Default.Counter("couchgo_feed_rollbacks_total", "service", "gsi")
@@ -138,7 +148,7 @@ type faultHarness struct {
 	*testing.T
 	c               *Cluster
 	cl              *Client
-	ran             []string // the steps decoded so far
+	ran             []string // the steps decoded so far, each with its wall time by phase
 	at              string   // the one running, for the report
 	seq0, rollbacks uint64
 	full            bool
@@ -146,6 +156,7 @@ type faultHarness struct {
 	nodes           []cmap.NodeID
 	down, failed    map[cmap.NodeID]bool // down: killed or failed over
 	made            map[string]bool
+	served          []string     // the checkpoints that read every key and checked the indexes
 	gate            sync.RWMutex // each op holds it shared; a checkpoint, whole
 	stop            atomic.Bool
 	wg              sync.WaitGroup
@@ -188,17 +199,28 @@ func newFaultHarness(t *testing.T, schedule []byte) *faultHarness {
 	return h
 }
 
-// report prints a failed schedule's steps, where it failed and the journal.
+// report prints the schedule's steps with their wall times under -v, and
+// a failed one's with where it failed and the journal.
 func (h *faultHarness) report() {
-	if !h.Failed() {
+	if !h.Failed() && !testing.Verbose() {
 		return
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "schedule (full eviction %v):\n  %s\nfailed at: %s\njournal:\n", h.full, strings.Join(h.ran, "\n  "), h.at)
-	for _, e := range events.Default.Events(events.Filter{SinceSeq: h.seq0}) {
-		fmt.Fprintf(&b, "  %d %s/%s node=%s bucket=%s vb=%d %s %v\n", e.Seq, e.Type, e.Severity, e.Node, e.Bucket, e.VB, e.Msg, e.Fields)
+	fmt.Fprintf(&b, "schedule (full eviction %v):\n  %s\n", h.full, strings.Join(h.ran, "\n  "))
+	if h.Failed() {
+		fmt.Fprintf(&b, "failed at: %s\njournal:\n", h.at)
+		for _, e := range events.Default.Events(events.Filter{SinceSeq: h.seq0}) {
+			fmt.Fprintf(&b, "  %d %s/%s node=%s bucket=%s vb=%d %s %v\n", e.Seq, e.Type, e.Severity, e.Node, e.Bucket, e.VB, e.Msg, e.Fields)
+		}
 	}
 	h.Log(b.String())
+}
+
+// took appends a phase's wall time to the last step's entry, if any.
+func (h *faultHarness) took(phase string, since time.Time) {
+	if n := len(h.ran); n > 0 {
+		h.ran[n-1] += fmt.Sprintf(", %s %v", phase, time.Since(since).Round(time.Millisecond))
+	}
 }
 
 func (h *faultHarness) run(schedule []byte) {
@@ -216,9 +238,11 @@ func (h *faultHarness) run(schedule []byte) {
 		before := h.ops.Load()
 		h.step(schedule[i])
 		// Every step is followed by traffic over the topology it left.
-		for deadline := time.Now().Add(1500 * time.Millisecond); h.ops.Load() < before+faultTraffic && time.Now().Before(deadline) && !h.Failed(); {
+		t := time.Now()
+		for deadline := t.Add(1500 * time.Millisecond); h.ops.Load() < before+faultTraffic && time.Now().Before(deadline) && !h.Failed(); {
 			time.Sleep(time.Millisecond)
 		}
+		h.took("traffic", t)
 		h.checkpoint(false)
 	}
 	if !h.Failed() {
@@ -339,6 +363,7 @@ func (h *faultHarness) step(b byte) {
 	}
 	h.ran = append(h.ran, strings.TrimSpace(stepNames[kind]+" "+string(node)))
 	h.at = fmt.Sprintf("step %d, %s", len(h.ran), h.ran[len(h.ran)-1])
+	defer h.took("step", time.Now())
 	var err error
 	var byDesign bool
 	switch kind {
@@ -486,6 +511,7 @@ func (h *faultHarness) evict(node cmap.NodeID) error {
 // replica holds it. With all served it checks the indexes (property 4);
 // the final one requires each replica with a running link to match.
 func (h *faultHarness) checkpoint(final bool) {
+	defer h.took("checkpoint", time.Now())
 	h.gate.Lock()
 	defer h.gate.Unlock()
 	m, _ := h.c.BucketMap("default")
@@ -522,6 +548,7 @@ func (h *faultHarness) checkpoint(final bool) {
 	}
 	if served && !h.Failed() {
 		h.indexes(present)
+		h.served = append(h.served, h.at)
 	}
 }
 

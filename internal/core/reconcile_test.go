@@ -3,9 +3,12 @@ package core_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -31,12 +34,6 @@ type harness struct {
 	clusters [3]*core.Cluster // the cluster holding node i
 	dirs     [3]string        // that cluster's Config.Dir
 	client   *core.Client
-	// decider is the index of the node whose cluster decides topology.
-	decider int
-	// fail takes node i out of service through the decider; serving
-	// reports whether node i's cluster still applies the maps that follow.
-	fail    func(i int) error
-	serving func(i int) bool
 	// apply brings every node to m through core's applier, vBucket 0's
 	// new active first: a replica whose link opens before its source is
 	// promoted adopts the pre-takeover failover log, which is legal but
@@ -62,10 +59,6 @@ func newLoopbackHarness(t *testing.T, replicas int) *harness {
 	if err := c.CreateBucket(bucket, core.BucketOptions{NumReplicas: replicas}); err != nil {
 		t.Fatal(err)
 	}
-	h.fail = func(i int) error { return c.Failover(h.ids[i]) }
-	// One process holds all three nodes: it applies every map, to the
-	// nodes still up.
-	h.serving = func(int) bool { return true }
 	if h.client, err = c.OpenBucket(bucket); err != nil {
 		t.Fatal(err)
 	}
@@ -136,30 +129,13 @@ func newSocketHarness(t *testing.T, replicas int) *harness {
 		}
 		return nil
 	})
-	var member [3]*transport.ClusterNode
 	for i, id := range formed.Nodes {
 		for j, n := range nodes {
 			if n.KVAddr() == string(id) {
-				h.ids[i], h.clusters[i], h.dirs[i], member[i] = id, clusters[j], dirs[j], n
-				if j == 0 {
-					h.decider = i // the seed
-				}
+				h.ids[i], h.clusters[i], h.dirs[i] = id, clusters[j], dirs[j]
 			}
 		}
 	}
-	// A failed member is a crashed process: it leaves before the seed's
-	// decider hears of it, so no heartbeat of its fetches the map that
-	// scrubbed it. The seed cannot leave; failed over, it still applies
-	// what it publishes.
-	var left [3]bool
-	h.fail = func(i int) error {
-		if i != h.decider {
-			member[i].Close()
-			left[i] = true
-		}
-		return h.clusters[h.decider].Decider().Failover(h.ids[i])
-	}
-	h.serving = func(i int) bool { return !left[i] }
 	h.client = core.NewClient(nodes[0].Router(), bucket)
 	pool := transport.NewPool()
 	t.Cleanup(pool.Close)
@@ -202,7 +178,10 @@ type copyWant struct {
 // TestReconcileTransitions walks one vBucket through every transition
 // the reconciler performs, once per replica source, with one table.
 // Rows run in order; each applies a map that edits only vBucket 0's
-// chain (vBucket 1 keeps its formation chain throughout).
+// chain (vBucket 1 keeps its formation chain throughout). Every member
+// reconciles the one chain a row changes, and none when it changes
+// nothing or the map is handed to it again: the applier journals the
+// count it reconciled each of its nodes for.
 func TestReconcileTransitions(t *testing.T) {
 	const A, B, C = 0, 1, 2
 	rows := []struct {
@@ -259,6 +238,7 @@ func TestReconcileTransitions(t *testing.T) {
 			h.settle(t, "formation", [3]copyWant{{"active", 1, "", 0}, {"replica", 1, "A", 0}, {"replica", 1, "A", 0}}, [3]any{}, start)
 			h.write(t, m, "formation", 2)
 
+			prev := []int{A, B, C}
 			for _, row := range rows {
 				t.Run(row.name, func(t *testing.T) {
 					var before [3]any
@@ -290,6 +270,14 @@ func TestReconcileTransitions(t *testing.T) {
 					m = m.WithChain(0, next, replicas)
 					h.apply(t, m)
 					h.settle(t, row.name, row.want, before, mark)
+					changed := map[bool]int{false: 1}[slices.Equal(row.chain, prev)]
+					prev = row.chain
+					eventually(t, row.name, func() error { return h.reconciled(m, mark, changed) })
+					mark = events.Default.LastSeq()
+					h.apply(t, m)
+					if err := h.reconciled(m, mark, 0); err != nil {
+						t.Errorf("re-applying the map: %v", err)
+					}
 
 					if row.want[ai].state == "active" && h.viewsAttached(t, ai) {
 						t.Errorf("%s stayed active and its consumers were re-attached", h.ids[ai])
@@ -298,6 +286,11 @@ func TestReconcileTransitions(t *testing.T) {
 						h.write(t, m, row.name, min(len(replicas), 1))
 					}
 				})
+			}
+			h.clusters[C].Leave() // a member that has left applies no map, however it changes
+			mark := events.Default.LastSeq()
+			if err := errors.Join(h.clusters[C].ApplyMap(bucket, m.WithChain(1, h.ids[A], nil), nil), h.reconciled(m, mark, 0)); err != nil {
+				t.Errorf("a member that left applied a map: %v", err)
 			}
 		})
 	}
@@ -310,6 +303,25 @@ func (h *harness) index(id cmap.NodeID) int {
 		}
 	}
 	return -1
+}
+
+// reconciled reports a member not at m, or whose applier has journaled
+// other than want chains reconciled since the journal stood at seq (a
+// cluster of several nodes journals its applies under none).
+func (h *harness) reconciled(m *cmap.Map, seq uint64, want int) error {
+	for i, id := range h.ids {
+		n := 0
+		for _, e := range events.Default.Events(events.Filter{SinceSeq: seq}) {
+			if e.Msg == "applied cluster map" && e.Bucket == bucket && (e.Node == string(id) || e.Node == "") {
+				k, _ := strconv.Atoi(e.Fields["changed"])
+				n += k
+			}
+		}
+		if held, _ := h.clusters[i].BucketMap(bucket); held.Rev != m.Rev || n != want {
+			return fmt.Errorf("%s holds map rev %d, reconciled %d vBuckets; want rev %d, %d", id, held.Rev, n, m.Rev, want)
+		}
+	}
+	return nil
 }
 
 // settle polls until every copy of vBucket 0 matches want, then checks

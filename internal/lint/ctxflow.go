@@ -145,7 +145,7 @@ func runCtxFlow(pkgs []*Package) []Diagnostic {
 				info.usesCtx = true
 				break
 			}
-			if callee := byID[funcFullID(p.callee)]; callee == nil || callee.mayBlockAny {
+			if callee := byID[p.callee.FullName()]; callee == nil || callee.mayBlockAny {
 				info.usesCtx = true
 				break
 			}
@@ -161,7 +161,7 @@ func runCtxFlow(pkgs []*Package) []Diagnostic {
 				if p.callee == nil {
 					continue
 				}
-				if callee := byID[funcFullID(p.callee)]; callee != nil && callee.usesCtx {
+				if callee := byID[p.callee.FullName()]; callee != nil && callee.usesCtx {
 					info.usesCtx = true
 					changed = true
 					break
@@ -223,7 +223,7 @@ func calleeIDs(calls []ctxCallSite) []string {
 // closure's blocking is the function's blocking — except goroutine
 // bodies, where only ctx consumption is recorded.
 func collectCtxFunc(pkg *Package, fn *ast.FuncDecl, obj *types.Func) *ctxFuncInfo {
-	info := &ctxFuncInfo{id: funcFullID(obj)}
+	info := &ctxFuncInfo{id: obj.FullName()}
 	if fn.Type.Params != nil {
 		for _, field := range fn.Type.Params.List {
 			if !isContextType(pkg.Info.TypeOf(field.Type)) {
@@ -322,7 +322,7 @@ func collectCtxFunc(pkg *Package, fn *ast.FuncDecl, obj *types.Func) *ctxFuncInf
 				callee := calleeFunc(pkg, n)
 				if !inGo {
 					switch {
-					case isTimeSleep(callee):
+					case timeFunc(callee, "Sleep"):
 						info.blocks = append(info.blocks, blockSite{what: "time.Sleep", pos: pkg.pos(n.Pos()), sleep: true})
 					case isSyncWait(pkg, n):
 						info.blocks = append(info.blocks, blockSite{what: "sync Wait", pos: pkg.pos(n.Pos())})
@@ -346,11 +346,11 @@ func collectCtxFunc(pkg *Package, fn *ast.FuncDecl, obj *types.Func) *ctxFuncInf
 				}
 				if !inGo && moduleFunc(callee) {
 					if passesAnyCtx {
-						info.ctxCalls = append(info.ctxCalls, funcFullID(callee))
+						info.ctxCalls = append(info.ctxCalls, callee.FullName())
 					} else {
 						info.noCtxCalls = append(info.noCtxCalls, ctxCallSite{
-							callee: funcFullID(callee),
-							label:  shortLock(funcFullID(callee)),
+							callee: callee.FullName(),
+							label:  shortLock(callee.FullName()),
 							pos:    pkg.pos(n.Pos()),
 						})
 					}
@@ -362,11 +362,6 @@ func collectCtxFunc(pkg *Package, fn *ast.FuncDecl, obj *types.Func) *ctxFuncInf
 	}
 	ast.Inspect(fn.Body, buildWalk(false))
 	return info
-}
-
-// isTimeSleep reports whether fn is time.Sleep.
-func isTimeSleep(fn *types.Func) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Name() == "Sleep"
 }
 
 // isSyncWait reports whether call is WaitGroup.Wait or Cond.Wait.

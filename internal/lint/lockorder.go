@@ -64,7 +64,7 @@ func runLockOrder(pkgs []*Package) []Diagnostic {
 				}
 				w.sum = &lockSummary{acquires: make(map[string]bool)}
 				w.stmts(fn.Body.List, heldSet{})
-				w.sums[funcFullID(obj)] = w.sum
+				w.sums[obj.FullName()] = w.sum
 			}
 		}
 	}
@@ -157,7 +157,7 @@ func (w *orderWalker) record(e ast.Expr, held heldSet, _ bool) {
 		case *ast.CallExpr:
 			if fn := calleeFunc(w.pkg, n); moduleFunc(fn) {
 				w.sum.calls = append(w.sum.calls, lockCallSite{
-					callee: funcFullID(fn),
+					callee: fn.FullName(),
 					held:   held.sorted(),
 					pos:    w.pkg.pos(n.Pos()),
 				})

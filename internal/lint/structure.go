@@ -43,6 +43,7 @@ const (
 	noLock                        // a Lock or RLock call
 	noLit                         // a composite literal
 	noFieldAppend                 // an append to a struct field
+	noClock                       // a call of time.Now or time.Since
 )
 
 // row is one invariant; what its fields hold depends on its form.
@@ -83,6 +84,8 @@ var structureRows = []row{
 		why: "Decider.FailoverSilent is the one failure detector"},
 	{form: onlyFrom, subj: under("core", "Decider.FailoverSilent"), list: under("core", "Cluster.heartbeatLoop"),
 		why: "one detection ticker"},
+	{form: bare, ban: noClock, subj: under("core", "Decider.*"),
+		why: "the decider reads time only through its clock, or the enumerator stops being exhaustive"},
 	// One name per node: a networked process's node is its KV address, and
 	// a heartbeat is the only membership message.
 	{form: absent, subj: append(under("transport", "ClusterNode.detectLoop", "ClusterNode.onJoin", "ClusterNode.local",
@@ -379,6 +382,8 @@ func bare(c *rowChecker, r *row) {
 						b, what = noLock, "takes a lock"
 					} else if appendsToField(lp, n) {
 						b, what = noFieldAppend, "appends to a field"
+					} else if timeFunc(calleeFunc(lp, n), "Now", "Since") {
+						b, what = noClock, "reads the clock"
 					}
 				case *ast.CompositeLit:
 					b, what = noLit, "builds a composite literal"
@@ -403,6 +408,11 @@ func appendsToField(lp *Package, call *ast.CallExpr) bool {
 	}
 	sel, ok := call.Args[0].(*ast.SelectorExpr)
 	return ok && lp.Info.Selections[sel] != nil && lp.Info.Selections[sel].Kind() == types.FieldVal
+}
+
+// timeFunc reports whether fn is a function of package time by one of names.
+func timeFunc(fn *types.Func, names ...string) bool {
+	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "time" && slices.Contains(names, fn.Name())
 }
 
 func methodSet(c *rowChecker, r *row) {

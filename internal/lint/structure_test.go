@@ -23,9 +23,9 @@ func Build() *Map { return nil }; func (m *Map) Clone() *Map { return m }
 `},
 	{name: "core", path: internal + "core", src: `package core
 
-import ("sync"; "couchgo/internal/cmap")
+import ("sync"; "time"; "couchgo/internal/cmap")
 
-type Decider struct{ mu sync.Mutex }
+type Decider struct{ mu sync.Mutex; now func() time.Time }
 type Cluster struct{ mu sync.Mutex }
 type (Node struct{}; nodeBucket struct{}; loopbackConn struct{}; replicaLink struct{})
 type (bucketTopology struct{ mu sync.Mutex }; routeTable struct{}; Hop struct{})
@@ -36,6 +36,8 @@ func (d *Decider) FailoverSilent() { d.Failover() }; func (c *Cluster) Failover(
 func (c *Cluster) heartbeatLoop(d *Decider) { d.FailoverSilent(); d.Failover() } // want: structure
 func (c *Cluster) detectLoop(d *Decider) { d.FailoverSilent() } // want: structure
 func (d *Decider) Form() *cmap.Map { return cmap.Build().Clone() } // want: structure
+func (d *Decider) Heard() time.Time { return d.now() }
+func (d *Decider) silent(at time.Time) bool { return time.Now().Sub(at) > 0 } // want: structure
 func (c *Cluster) Node() { c.mu.Lock() } // want: structure
 func (c *Cluster) BucketMap() any { return []int{} } // want: structure
 func (c *Cluster) NodeVB() {}

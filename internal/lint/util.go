@@ -258,14 +258,6 @@ func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// funcFullID is the stable cross-package identity of a function or
-// method: "pkg/path.Name" or "(pkg/path.Type).Name". It is built from
-// package *path strings*, so it matches even when the source importer
-// has materialized two distinct types.Package instances for the same
-// in-module package (the directly-checked one and the one seen through
-// another package's imports).
-func funcFullID(fn *types.Func) string { return fn.FullName() }
-
 // moduleFunc reports whether fn is declared in this module.
 func moduleFunc(fn *types.Func) bool {
 	return fn != nil && fn.Pkg() != nil && inModule(fn.Pkg().Path())

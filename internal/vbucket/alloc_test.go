@@ -90,7 +90,7 @@ func TestSetPublishAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer held.Close()
-	const burst, rounds, burstBudget = 4096, 8, 512
+	const burst, rounds, burstBudget = 4096, 8, 448
 	runtime.ReadMemStats(&before)
 	for range rounds {
 		for range burst {

@@ -106,7 +106,7 @@ var (
 // entry and where the revision was last read in the cache.Fetched; Do
 // reads the value there and runs the arm again with it in hand, on the
 // same entry, so the pager cannot win that race a second time and the
-// error never leaves Do. A mutation that a sealed (Dead) table refuses
+// error never leaves Do. A mutation that a sealed (not Active) table refuses
 // is not this node's. A Durable row then waits for its durability
 // requirement before the op is acknowledged.
 func (vb *VBucket) Do(ctx context.Context, op *Op) (res Result, err error) {

@@ -159,7 +159,7 @@ func New(id int, file *storage.VBFile, state State, cfg Config) *VBucket {
 		flushDone:     make(chan struct{}),
 		replicaSeqnos: make(map[string]uint64),
 	}
-	vb.state.Store(int32(state))
+	vb.SetState(state)
 	vb.durCond = sync.NewCond(&vb.durMu)
 	vb.producer = dcp.NewProducer(id, (*snapshotSource)(vb))
 	vb.log = vb.producer.NewCursor()
@@ -227,9 +227,11 @@ func (vb *VBucket) flusher() {
 	defer close(vb.flushDone)
 	defer vb.log.Close()
 	// The flusher's own memory: the records and traces of one batch,
-	// converted from the log's entries and cleared once appended.
+	// converted from the log's entries, and dedup's index of their keys,
+	// each cleared once the batch is appended.
 	var recs []storage.Record
 	var traces []*trace.Trace
+	last := map[string]int{}
 	convert := func(run []dcp.Mutation, ready int) {
 		recs = slices.Grow(recs, ready-len(recs))
 		for i := range run {
@@ -251,7 +253,7 @@ func (vb *VBucket) flusher() {
 		// fsync skips the device round.
 		waited := vb.persistWaiters.Load() > 0
 
-		batch := dedupBatch(recs)
+		batch := dedupBatch(recs, last)
 		mFlushBatchItems.ObserveValue(uint64(len(batch)))
 		t0 := time.Now()
 		if vb.cfg.DiskDelay > 0 {
@@ -284,12 +286,13 @@ func (vb *VBucket) flusher() {
 		vb.durMu.Unlock()
 		vb.durCond.Broadcast()
 
-		// Recycled slots are cleared so they pin no key or value; a slice
-		// that grew for a burst is kept only while the backlog needs it.
+		// Recycled slots are cleared so they pin no key or value; what
+		// grew for a burst is kept only while the backlog needs it.
 		clear(recs[:n])
 		clear(traces)
+		clear(last)
 		if recs, traces = recs[:0], traces[:0]; cap(recs) > dcp.MaxKeptBatch && vb.log.Pending() <= dcp.MaxKeptBatch {
-			recs = nil
+			recs, last = nil, map[string]int{}
 		}
 	}
 }
@@ -298,14 +301,14 @@ func (vb *VBucket) flusher() {
 // of the survivors. The queue is in the order the cache applied, so a
 // record is superseded when its key recurs after it; the batches of a
 // flusher that keeps up are a few records, which a scan settles without
-// building a map.
-func dedupBatch(batch []storage.Record) []storage.Record {
-	var last map[string]int // key -> index of its newest record
-	if len(batch) > dedupScanMax {
-		last = make(map[string]int, len(batch))
-		for i := range batch {
-			last[batch[i].Key] = i
-		}
+// a map. A longer batch indexes its keys in last (key -> index of its
+// newest record), the caller's empty map.
+func dedupBatch(batch []storage.Record, last map[string]int) []storage.Record {
+	if len(batch) <= dedupScanMax {
+		last = nil
+	}
+	for i := 0; last != nil && i < len(batch); i++ {
+		last[batch[i].Key] = i
 	}
 	out := batch[:0]
 	for i := range batch {
@@ -331,13 +334,14 @@ const dedupScanMax = 16
 func (vb *VBucket) State() State { return State(vb.state.Load()) }
 
 // SetState transitions the partition (rebalance switchover, failover
-// promotion). Promoting to Active lets the seqno clock continue from
-// whatever the replica had applied. Dead seals the table: a mutation
-// that passed Do's state check before the transition but had not
-// committed is refused, so HighSeqno read after SetState(Dead) returns
-// covers every write this copy acknowledged.
+// promotion, demotion). Promoting to Active lets the seqno clock
+// continue from whatever the replica had applied. Any other state seals
+// the table: a mutation that passed Do's state check before the
+// transition but had not committed is refused, so the HighSeqno read
+// after it covers every write this copy acknowledged. Replica applies
+// and restorations still land; an expired item waits for the active.
 func (vb *VBucket) SetState(s State) {
-	vb.Table.Seal(s == Dead)
+	vb.Table.Seal(s != Active)
 	vb.state.Store(int32(s))
 }
 

@@ -64,45 +64,50 @@ func TestNonActiveRejectsKVOps(t *testing.T) {
 	}
 }
 
-// TestDeadSealsAWriteInFlight is the vBucket move's window: a Set that
-// passed Do's state check while the copy was Active commits after the
-// move has set the source Dead and read its high seqno. It must not be
-// acknowledged past that seqno, or the destination, caught up only to
-// it, loses the write.
+// TestDeadSealsAWriteInFlight is the window of a copy that stops being
+// active: a Set that passed Do's state check while the copy was Active
+// commits after a move has set it Dead and read its high seqno, or after
+// a reconcile has demoted it to a replica. It must not be acknowledged
+// past that seqno, or the copy that takes over, caught up only to it,
+// loses the write.
 func TestDeadSealsAWriteInFlight(t *testing.T) {
-	vb, _ := newVB(t, Active, Config{})
-	persisted(t, vb, "a", "1")
-	checked, release := make(chan struct{}), make(chan struct{})
-	ctx := &hookCtx{Context: bg, onValue: func() { close(checked); <-release }}
-	type result struct {
-		it  cache.Item
-		err error
-	}
-	done := make(chan result)
-	go func() {
-		it, err := vb.Set(ctx, "k", []byte("v"), 0, 0, 0, 0)
-		done <- result{it, err}
-	}()
-	<-checked
-	vb.SetState(Dead)
-	srcHigh := vb.HighSeqno()
-	close(release)
-	r := <-done
-	if r.err == nil && r.it.Seqno > srcHigh {
-		t.Fatalf("a write acked at seqno %d after the copy went Dead at %d", r.it.Seqno, srcHigh)
-	}
-	if r.err != nil && !isNotMyVBucket(r.err) {
-		t.Fatalf("the refused write answered %v, want not-my-vbucket", r.err)
-	}
-	if vb.HighSeqno() != srcHigh {
-		t.Errorf("high seqno moved to %d after the copy went Dead at %d", vb.HighSeqno(), srcHigh)
-	}
-	// A copy that comes back (demoted to a replica, then promoted) takes
-	// writes again.
-	vb.SetState(Replica)
-	vb.SetState(Active)
-	if _, err := vb.Set(bg, "k", []byte("v"), 0, 0, 0, 0); err != nil {
-		t.Errorf("after promotion: %v", err)
+	for _, to := range []State{Dead, Replica} {
+		t.Run(to.String(), func(t *testing.T) {
+			vb, _ := newVB(t, Active, Config{})
+			persisted(t, vb, "a", "1")
+			checked, release := make(chan struct{}), make(chan struct{})
+			ctx := &hookCtx{Context: bg, onValue: func() { close(checked); <-release }}
+			type result struct {
+				it  cache.Item
+				err error
+			}
+			done := make(chan result)
+			go func() {
+				it, err := vb.Set(ctx, "k", []byte("v"), 0, 0, 0, 0)
+				done <- result{it, err}
+			}()
+			<-checked
+			vb.SetState(to)
+			srcHigh := vb.HighSeqno()
+			close(release)
+			r := <-done
+			if r.err == nil && r.it.Seqno > srcHigh {
+				t.Fatalf("a write acked at seqno %d after the copy went %s at %d", r.it.Seqno, to, srcHigh)
+			}
+			if r.err != nil && !isNotMyVBucket(r.err) {
+				t.Fatalf("the refused write answered %v, want not-my-vbucket", r.err)
+			}
+			if vb.HighSeqno() != srcHigh {
+				t.Errorf("high seqno moved to %d after the copy went %s at %d", vb.HighSeqno(), to, srcHigh)
+			}
+			// A copy that comes back (a replica, then promoted) takes
+			// writes again.
+			vb.SetState(Replica)
+			vb.SetState(Active)
+			if _, err := vb.Set(bg, "k", []byte("v"), 0, 0, 0, 0); err != nil {
+				t.Errorf("after promotion: %v", err)
+			}
+		})
 	}
 }
 
@@ -411,9 +416,11 @@ func TestFullEvictionDCPSnapshotMergesDisk(t *testing.T) {
 
 // TestDedupBatchKeepsNewestPerKey runs both of dedupBatch's ways to
 // find a superseded record (the pairwise scan of a small batch, the map
-// of a large one) against the definition: of each key the last record
-// survives, and the survivors keep their order.
+// of a large one, reused across batches as the flusher does) against
+// the definition: of each key the last record survives, and the
+// survivors keep their order.
 func TestDedupBatchKeepsNewestPerKey(t *testing.T) {
+	index := map[string]int{}
 	for n := 0; n <= 3*dedupScanMax; n++ {
 		for _, keys := range []int{1, 3, n + 1} {
 			batch := make([]storage.Record, n)
@@ -423,7 +430,8 @@ func TestDedupBatchKeepsNewestPerKey(t *testing.T) {
 				batch[i] = storage.Record{Meta: storage.Meta{Key: key, Seqno: uint64(i + 1)}}
 				last[key] = uint64(i + 1)
 			}
-			out := dedupBatch(batch)
+			out := dedupBatch(batch, index)
+			clear(index)
 			if len(out) != len(last) {
 				t.Fatalf("%d records over %d keys: %d survive, want %d", n, keys, len(out), len(last))
 			}
