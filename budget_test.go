@@ -18,52 +18,46 @@ import (
 // Lowering a budget is free: do it in the change that shrinks the
 // number. Raising one needs a CHANGES.md line saying why.
 var lineBudgets = map[string]int{
-	".":                    594,
-	"cmd/cbq":              109,
-	"cmd/cbserver":         210,
-	"cmd/cbtop":            373,
-	"cmd/couchvet":         203,
-	"cmd/vetfmt":           56,
-	"examples/analytics":   78,
-	"examples/catalog":     146,
-	"examples/quickstart":  81,
-	"examples/rebalance":   114,
-	"examples/userprofile": 119,
-	"examples/xdcr":        91,
-	"internal/analytics":   244,
-	"internal/btree":       377,
-	"internal/buildinfo":   8,
-	"internal/cache":       1276,
-	"internal/cmap":        352,
-	"internal/core":        2923,
-	"internal/dcp":         607,
-	"internal/events":      365,
-	"internal/executor":    1574,
-	"internal/feed":        608,
-	"internal/fts":         411,
-	"internal/gsi":         1344,
-	"internal/health":      487,
-	"internal/lint":        3167,
-	"internal/memcproto":   780,
-	"internal/metrics":     652,
-	"internal/n1ql":        3585,
-	"internal/planner":     979,
-	"internal/query":       283,
-	"internal/rest":        1428,
-	"internal/storage":     1036,
-	"internal/trace":       987,
-	"internal/transport":   2366,
-	"internal/value":       695,
-	"internal/vbucket":     859,
-	"internal/views":       648,
-	"internal/xdcr":        241,
+	".":                  594,
+	"cmd/cbq":            109,
+	"cmd/cbserver":       210,
+	"cmd/cbtop":          373,
+	"cmd/couchvet":       203,
+	"cmd/vetfmt":         56,
+	"internal/analytics": 224,
+	"internal/btree":     377,
+	"internal/buildinfo": 8,
+	"internal/cache":     1276,
+	"internal/cmap":      352,
+	"internal/core":      2918,
+	"internal/dcp":       607,
+	"internal/events":    365,
+	"internal/executor":  1574,
+	"internal/feed":      606,
+	"internal/fts":       393,
+	"internal/gsi":       1285,
+	"internal/health":    487,
+	"internal/lint":      3176,
+	"internal/memcproto": 780,
+	"internal/metrics":   652,
+	"internal/n1ql":      3585,
+	"internal/planner":   979,
+	"internal/query":     283,
+	"internal/rest":      1428,
+	"internal/storage":   1036,
+	"internal/trace":     987,
+	"internal/transport": 2366,
+	"internal/value":     695,
+	"internal/vbucket":   859,
+	"internal/views":     648,
+	"internal/xdcr":      241,
 }
 
 var byteBudgets = map[string]int{
-	"DESIGN.md":                      115509,
-	"README.md":                      17446,
-	"EXPERIMENTS.md":                 20962,
-	".claude/skills/verify/SKILL.md": 56304,
+	"DESIGN.md":                      115596,
+	"README.md":                      17425,
+	"EXPERIMENTS.md":                 21863,
+	".claude/skills/verify/SKILL.md": 56809,
 	"CHANGES.md entry":               13333,
 }
 

@@ -47,9 +47,8 @@ type entry struct {
 }
 
 // Engine shadows one bucket for analytical querying. DCP consumption
-// goes through the shared feed layer: vBucket producers register with
-// the engine's hub, and Enable subscribes the engine itself as the
-// single "analytics" consumer.
+// goes through the shared feed layer: Enable subscribes the engine
+// itself to the bucket's hub as the single "analytics" consumer.
 type Engine struct {
 	keyspace string
 	hub      *feed.Hub
@@ -64,19 +63,10 @@ type Engine struct {
 	feed *feed.Feed
 }
 
-// NewEngine creates a disabled engine for one bucket (keyspace).
-func NewEngine(keyspace string) *Engine {
-	return &Engine{
-		keyspace: keyspace,
-		hub:      feed.NewHub("analytics"),
-		tree:     gsi.NewTree(nil),
-	}
-}
-
-// AttachVB registers a vBucket's producer. If the dataset is enabled,
-// shadowing starts immediately; otherwise Enable starts it later.
-func (e *Engine) AttachVB(vb int, p dcp.StreamSource) error {
-	return e.hub.AttachVB(vb, p)
+// NewEngine creates a disabled engine for one bucket (keyspace) and
+// its hub.
+func NewEngine(keyspace string, hub *feed.Hub) *Engine {
+	return &Engine{keyspace: keyspace, hub: hub, tree: gsi.NewTree(nil)}
 }
 
 // Enable starts shadowing: a DCP feed per attached vBucket backfills
@@ -87,7 +77,7 @@ func (e *Engine) Enable() error {
 	if e.liveFeed() != nil {
 		return nil
 	}
-	f, err := e.hub.Subscribe("analytics", e)
+	f, err := e.hub.Subscribe("analytics", "analytics", e)
 	if err != nil {
 		return err
 	}
@@ -101,11 +91,6 @@ func (e *Engine) liveFeed() *feed.Feed {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.feed
-}
-
-// FeedStats describes the engine's feed (empty until enabled).
-func (e *Engine) FeedStats() []feed.Stat {
-	return e.hub.Stats()
 }
 
 // Rollback implements feed.Rollbacker: drop the vBucket's shadow
@@ -125,11 +110,6 @@ func (e *Engine) Apply(vb int, batch []dcp.Mutation) {
 			e.tree.Replace(vb, m.Key, [][]any{{m.Key}}, entry{doc: doc, meta: n1ql.Meta{ID: m.Key, CAS: m.CAS, Seqno: m.Seqno}})
 		}
 	}
-}
-
-// Close stops all streams.
-func (e *Engine) Close() {
-	e.hub.Close()
 }
 
 // QueryOptions parameterize an analytics query.

@@ -9,6 +9,7 @@ import (
 
 	"couchgo/internal/dcp"
 	"couchgo/internal/executor"
+	"couchgo/internal/feed"
 	"couchgo/internal/gsi"
 	"couchgo/internal/memcproto"
 	"couchgo/internal/n1ql"
@@ -23,7 +24,8 @@ type harness struct {
 
 func newHarness(t *testing.T, nvb int) *harness {
 	t.Helper()
-	h := &harness{engine: NewEngine("store")}
+	hub := feed.NewHub()
+	h := &harness{engine: NewEngine("store", hub)}
 	dir := t.TempDir()
 	for i := 0; i < nvb; i++ {
 		f, err := storage.Open(filepath.Join(dir, fmt.Sprintf("vb%d.couch", i)), false)
@@ -32,12 +34,12 @@ func newHarness(t *testing.T, nvb int) *harness {
 		}
 		vb := vbucket.New(i, f, vbucket.Active, vbucket.Config{})
 		h.vbs = append(h.vbs, vb)
-		if err := h.engine.AttachVB(i, vb.Producer()); err != nil {
+		if err := hub.AttachVB(i, vb.Producer()); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { vb.Close(); f.Close() })
 	}
-	t.Cleanup(h.engine.Close)
+	t.Cleanup(hub.Close)
 	return h
 }
 
@@ -306,8 +308,7 @@ func TestQueryParameters(t *testing.T) {
 // ScanIndex serves at most Limit entries resumed from After, its pages
 // concatenating to the one-shot scan.
 func TestShadowStoreFetchAndPages(t *testing.T) {
-	e := NewEngine("store")
-	defer e.Close()
+	e := NewEngine("store", feed.NewHub())
 	const docs = 20000
 	for i := 0; i < docs; i++ {
 		e.Apply(i%16, []dcp.Mutation{{Key: fmt.Sprintf("d%05d", i), Seqno: uint64(i + 1), Value: []byte(`{"v": 1}`)}})

@@ -70,6 +70,10 @@ type bucketState struct {
 	// topo holds the bucket's cluster map.
 	topo *Decider
 
+	// hub is the bucket's one feed hub: every node's active copies attach
+	// to it, and GSI, FTS and analytics subscribe their feeds to it.
+	hub *feed.Hub
+
 	mu sync.Mutex
 	// gsiSvc is the bucket's index service (placed on index nodes per
 	// MDS; a single logical service instance in-process).
@@ -180,7 +184,7 @@ func (c *Cluster) AddNode(id cmap.NodeID, services cmap.ServiceSet) (*Node, erro
 	for _, b := range c.buckets {
 		var err error
 		if services.Has(cmap.ServiceData) {
-			if err = n.addBucket(b.name, c.topo, b.gsiSvc, b.ftsEng, b.analyticsEng, c.cfg, b.opts); err == nil {
+			if err = n.addBucket(b, c.cfg); err == nil {
 				err = defineRecordedViews(n, b)
 			}
 		}
@@ -268,17 +272,23 @@ func (c *Cluster) Orchestrator() cmap.NodeID {
 // CreateBucket provisions a bucket across the current data nodes with
 // a balanced vBucket map.
 func (c *Cluster) CreateBucket(name string, opts BucketOptions) error {
-	// Build the per-bucket engines before taking any cluster lock: the
-	// index services take their own locks and must not be entered with
-	// cluster state locked. A duplicate-name race loses the existence
-	// check below and discards its engines unstarted.
+	// Build the bucket's hub and engines before taking any cluster lock:
+	// the index services take their own locks and must not be entered
+	// with cluster state locked. A duplicate-name race loses the
+	// existence check below and discards its engines unstarted.
+	hub := feed.NewHub()
+	gsiSvc, err := gsi.NewService(filepath.Join(c.cfg.Dir, "gsi", name), name, hub)
+	if err != nil {
+		return err
+	}
 	b := &bucketState{
 		name:         name,
 		opts:         opts,
 		topo:         c.topo,
-		gsiSvc:       gsi.NewService(filepath.Join(c.cfg.Dir, "gsi", name)),
-		ftsEng:       fts.NewEngine(),
-		analyticsEng: analytics.NewEngine(name),
+		hub:          hub,
+		gsiSvc:       gsiSvc,
+		ftsEng:       fts.NewEngine(hub),
+		analyticsEng: analytics.NewEngine(name, hub),
 	}
 	b.gsiSvc.OnCatalogChange = func() { c.catalogEpoch.Add(1) }
 	if err := os.MkdirAll(filepath.Join(c.cfg.Dir, "gsi", name), 0o755); err != nil {
@@ -314,14 +324,12 @@ func (c *Cluster) CreateBucket(name string, opts BucketOptions) error {
 		for _, n := range c.nodes.all() {
 			n.dropBucket(name)
 		}
-		b.gsiSvc.Close()
-		b.ftsEng.Close()
-		b.analyticsEng.Close()
+		b.close()
 		return err
 	}
 	ids := make([]cmap.NodeID, len(nodes))
 	for i, n := range nodes {
-		if err := n.addBucket(name, c.topo, b.gsiSvc, b.ftsEng, b.analyticsEng, c.cfg, opts); err != nil {
+		if err := n.addBucket(b, c.cfg); err != nil {
 			return fail(err)
 		}
 		ids[i] = n.id
@@ -550,17 +558,15 @@ func (c *Cluster) VBProducer(bucketName string, vbID int) (*dcp.Producer, error)
 }
 
 // FeedStats aggregates the bucket's DCP feed stats across every
-// consuming service: the cluster-shared GSI projector, FTS, and
-// analytics feeds, plus each alive data node's local view feeds
-// (annotated with the node ID).
+// consuming service: the bucket hub's GSI projector, FTS, and analytics
+// feeds, plus each alive data node's local view feeds (annotated with
+// the node ID).
 func (c *Cluster) FeedStats(bucketName string) ([]feed.Stat, error) {
 	b, err := c.bucket(bucketName)
 	if err != nil {
 		return nil, err
 	}
-	out := b.gsiSvc.FeedStats(b.name)
-	out = append(out, b.ftsEng.FeedStats()...)
-	out = append(out, b.analyticsEng.FeedStats()...)
+	out := b.hub.Stats()
 	for _, n := range c.Nodes() {
 		nb, err := n.bucket(bucketName)
 		if err != nil {
@@ -638,8 +644,12 @@ func (c *Cluster) Close() {
 		}
 	}
 	for _, b := range buckets {
-		b.gsiSvc.Close()
-		b.ftsEng.Close()
-		b.analyticsEng.Close()
+		b.close()
 	}
+}
+
+// close stops the bucket's feeds, then its index service's indexers.
+func (b *bucketState) close() {
+	b.hub.Close()
+	b.gsiSvc.Close()
 }

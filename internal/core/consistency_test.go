@@ -40,13 +40,16 @@ func (s *stalledStream) Close()                       { s.once.Do(func() { close
 // one barrier (feed.Feed.Wait), so one table drives them all. A write
 // followed by a consistent read is visible; a consistent read against a
 // vBucket the service's feed no longer hears from parks until its
-// context is cancelled, then fails with context.Canceled.
+// context is cancelled, then fails with context.Canceled. Severing the
+// bucket hub severs GSI, FTS and analytics at once, so each row gives
+// the vBucket its real producer back when it is done.
 func TestReadYourWritesEveryService(t *testing.T) {
 	c, cl := newTestCluster(t, 1, 0)
 	nb, err := c.nodeBucket("node0", "default")
 	if err != nil {
 		t.Fatal(err)
 	}
+	severHub := func(vb int) { nb.hub.AttachVB(vb, stalledSource{}) }
 	if _, err := c.Query("CREATE INDEX byTag ON `default`(tag)", executor.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +73,7 @@ func TestReadYourWritesEveryService(t *testing.T) {
 		sever func(vb int)
 		read  func(ctx context.Context, tag string) (int, error)
 	}{
-		{"n1ql request_plus", func(vb int) { nb.projector.AttachVB(vb, stalledSource{}) }, func(ctx context.Context, tag string) (int, error) {
+		{"n1ql request_plus", severHub, func(ctx context.Context, tag string) (int, error) {
 			res, err := c.Query("SELECT META().id FROM `default` WHERE tag = $t",
 				executor.Options{Ctx: ctx, Consistency: executor.RequestPlus, Params: map[string]any{"t": tag}})
 			if err != nil {
@@ -82,11 +85,11 @@ func TestReadYourWritesEveryService(t *testing.T) {
 			rows, err := c.QueryView(ctx, "default", "byTag", views.QueryOptions{Key: tag, HasKey: true, Stale: views.StaleFalse})
 			return len(rows), err
 		}},
-		{"fts consistent", func(vb int) { nb.fts.AttachVB(vb, stalledSource{}) }, func(ctx context.Context, tag string) (int, error) {
+		{"fts consistent", severHub, func(ctx context.Context, tag string) (int, error) {
 			hits, err := eng.SearchTerm(ctx, "byTag", tag, fts.SearchOptions{WaitSeqnos: c.ConsistencyVector("default")})
 			return len(hits), err
 		}},
-		{"analytics consistent", func(vb int) { nb.analytics.AttachVB(vb, stalledSource{}) }, func(ctx context.Context, tag string) (int, error) {
+		{"analytics consistent", severHub, func(ctx context.Context, tag string) (int, error) {
 			rows, err := c.AnalyticsQuery(ctx, "default", "SELECT META().id FROM `default` WHERE tag = $t",
 				analytics.QueryOptions{Params: map[string]any{"t": tag}, WaitSeqnos: c.ConsistencyVector("default")})
 			return len(rows), err
@@ -108,7 +111,13 @@ func TestReadYourWritesEveryService(t *testing.T) {
 			// Sever one vBucket from this service's feed, then write to it:
 			// the data service's seqno moves on, the index's cannot.
 			key := tag + "::severed"
-			svc.sever(cmap.VBucketID(key, 16))
+			vb := cmap.VBucketID(key, 16)
+			svc.sever(vb)
+			defer func() {
+				nb.mu.Lock()
+				nb.attachConsumersLocked(nb.vb(vb))
+				nb.mu.Unlock()
+			}()
 			if _, err := cl.Set(context.Background(), key, []byte(fmt.Sprintf(`{"tag": %q}`, tag)), 0); err != nil {
 				t.Fatal(err)
 			}

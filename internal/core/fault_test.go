@@ -14,10 +14,12 @@ import (
 	"testing"
 	"time"
 
+	"couchgo/internal/analytics"
 	"couchgo/internal/cache"
 	"couchgo/internal/cmap"
 	"couchgo/internal/events"
 	"couchgo/internal/executor"
+	"couchgo/internal/fts"
 	"couchgo/internal/metrics"
 	"couchgo/internal/vbucket"
 	"couchgo/internal/views"
@@ -28,8 +30,9 @@ import (
 // each later byte is a step on a 3-node, 1-replica, 16-vBucket cluster,
 // its low nibble the kind and its high nibble the operand (a node in
 // join order, or a bucket). Four clients Set, Get and Delete their own
-// keys on "default", which has a GSI index and a view on n. After each
-// step the clients pause and one checker reads the logged history:
+// keys on "default", which has a GSI index and a view on n, an FTS index
+// on kind, and analytics enabled. After each step the clients pause and
+// one checker reads the logged history:
 //
 //  1. No acked write is lost under its durability: a read returns the
 //     last acked version, or after a death since that ack at least the
@@ -40,8 +43,9 @@ import (
 //     or a lost partition after two deaths; with no death, no route error.
 //  3. Every map validates and names no failed-over node; a Rebalance or
 //     CreateBucket balances over the live data nodes.
-//  4. With every vBucket served, a request_plus GSI query and a
-//     stale=false view query each return KV's keys with their n, once.
+//  4. With every vBucket served, a request_plus GSI query, a stale=false
+//     view query and a consistent analytics query each return KV's keys
+//     with their n, once, and a consistent FTS search KV's keys, once.
 //  5. A failed AddNode or CreateBucket leaves nothing behind.
 //
 // At the end the dead are failed over and the cluster rebalanced; every
@@ -133,6 +137,10 @@ const (
 
 var faultBuckets = [...]string{"default", "other", "late"}
 
+// faultDoc is a client's value: its op count, and a field the FTS index
+// reads.
+const faultDoc = `{"n":%d,"kind":"doc"}`
+
 // keyHistory is one key's writes in op order ("" is absent). acked is
 // the last version known present and durable on two copies; ackedAt
 // and durableAt count the kills and hazards ended when that was known.
@@ -187,7 +195,9 @@ func newFaultHarness(t *testing.T, schedule []byte) *faultHarness {
 	}
 	h.cl, _ = c.OpenBucket("default") // it exists: created above
 	_, err = c.Query("CREATE INDEX byN ON `default`(n)", executor.Options{})
-	if err = errors.Join(err, c.DefineView("default", views.Definition{Name: "byN", Map: views.MapSpec{Key: "doc.n"}})); err != nil {
+	eng, _ := c.FTS("default")
+	if err = errors.Join(err, c.DefineView("default", views.Definition{Name: "byN", Map: views.MapSpec{Key: "doc.n"}}),
+		eng.Define(fts.IndexDef{Name: "byKind", Fields: []string{"kind"}}), c.EnableAnalytics("default")); err != nil {
 		t.Fatal(err)
 	}
 	m, _ := c.BucketMap("default")
@@ -264,7 +274,7 @@ func (h *faultHarness) client(i int) {
 			it, err := h.cl.Get(ctx, k.key)
 			h.read(k, it, err)
 		} else {
-			value, dur := fmt.Sprintf(`{"n":%d}`, n), DurabilityOptions{}
+			value, dur := fmt.Sprintf(faultDoc, n), DurabilityOptions{}
 			if r == 7 {
 				value = ""
 			} else if rng.Intn(3) == 0 {
@@ -573,26 +583,43 @@ func (h *faultHarness) onReplica(m *cmap.Map, k *keyHistory) (held, wait bool) {
 	return false, wait
 }
 
-// indexes checks property 4: a request_plus GSI query and a stale=false
-// view query each return exactly the present keys with their n, once.
+// indexes checks property 4: a request_plus GSI query, a stale=false
+// view query and a consistent analytics query each return exactly the
+// present keys with their n, and a consistent FTS search the present
+// keys, once.
 func (h *faultHarness) indexes(present []string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	res, err := h.c.Query("SELECT META().id AS id, n FROM `default` WHERE n >= 0",
-		executor.Options{Ctx: ctx, Consistency: executor.RequestPlus})
-	var gsi, view []string
+	line := func(id any, n any) string { f, _ := n.(float64); return fmt.Sprintf("%s "+faultDoc, id, int64(f)) }
+	const stmt = "SELECT META().id AS id, n FROM `default` WHERE n >= 0"
+	res, err := h.c.Query(stmt, executor.Options{Ctx: ctx, Consistency: executor.RequestPlus})
+	var gsi, view, an, search, keys []string
 	for i := 0; err == nil && i < len(res.Rows); i++ {
-		gsi = append(gsi, fmt.Sprintf(`%s {"n":%.0f}`, res.Rows[i].(map[string]any)["id"], res.Rows[i].(map[string]any)["n"]))
+		gsi = append(gsi, line(res.Rows[i].(map[string]any)["id"], res.Rows[i].(map[string]any)["n"]))
 	}
 	rows, verr := h.c.QueryView(ctx, "default", "byN", views.QueryOptions{Stale: views.StaleFalse})
 	for _, r := range rows {
-		view = append(view, fmt.Sprintf(`%s {"n":%.0f}`, r.ID, r.Key))
+		view = append(view, line(r.ID, r.Key))
 	}
-	slices.Sort(present)
-	slices.Sort(gsi)
-	slices.Sort(view)
-	if err != nil || verr != nil || !slices.Equal(gsi, present) || !slices.Equal(view, present) {
-		h.Errorf("%s: KV holds %v;\nGSI request_plus returned %v (%v);\nview stale=false returned %v (%v)", h.at, present, gsi, err, view, verr)
+	anRows, aerr := h.c.AnalyticsQuery(ctx, "default", stmt, analytics.QueryOptions{WaitSeqnos: h.c.ConsistencyVector("default")})
+	for _, r := range anRows {
+		an = append(an, line(r.(map[string]any)["id"], r.(map[string]any)["n"]))
+	}
+	eng, _ := h.c.FTS("default")
+	hits, ferr := eng.SearchTerm(ctx, "byKind", "doc", fts.SearchOptions{WaitSeqnos: h.c.ConsistencyVector("default")})
+	for _, hit := range hits {
+		search = append(search, hit.ID)
+	}
+	for _, p := range present {
+		keys = append(keys, p[:strings.IndexByte(p, ' ')])
+	}
+	for _, s := range [][]string{present, gsi, view, an, search, keys} {
+		slices.Sort(s)
+	}
+	if err != nil || verr != nil || aerr != nil || ferr != nil || !slices.Equal(gsi, present) || !slices.Equal(view, present) ||
+		!slices.Equal(an, present) || !slices.Equal(search, keys) {
+		h.Errorf("%s: KV holds %v;\nGSI request_plus returned %v (%v);\nview stale=false returned %v (%v);\n"+
+			"analytics returned %v (%v);\nFTS returned %v (%v)", h.at, present, gsi, err, view, verr, an, aerr, search, ferr)
 	}
 }
 

@@ -19,11 +19,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"couchgo/internal/analytics"
 	"couchgo/internal/cache"
 	"couchgo/internal/cmap"
-	"couchgo/internal/fts"
-	"couchgo/internal/gsi"
+	"couchgo/internal/feed"
 	"couchgo/internal/storage"
 	"couchgo/internal/trace"
 	"couchgo/internal/vbucket"
@@ -81,12 +79,9 @@ type nodeBucket struct {
 	// viewEngine indexes this node's active vBuckets (views are local
 	// indexes co-located with the data, §3.3.1).
 	viewEngine *views.Engine
-	// projector feeds GSI with this node's active vBuckets' mutations.
-	projector *gsi.Projector
-	// ftsAttach mirrors the projector for the full-text service.
-	fts *fts.Engine
-	// analytics mirrors the projector for the analytics service (§6.2).
-	analytics *analytics.Engine
+	// hub is the bucket's feed hub, shared by every node's footprint:
+	// this node's active copies feed GSI, FTS and analytics through it.
+	hub *feed.Hub
 	// vbCfg configures the node's vBuckets for this bucket.
 	vbCfg vbucket.Config
 	// links: the inbound replica stream of each replica/pending copy on
@@ -127,10 +122,10 @@ func (n *Node) bucket(name string) (*nodeBucket, error) {
 // addBucket provisions the bucket's storage and engines on this node.
 // A nonzero memory quota bounds this node's cache for the bucket and
 // starts the item pager (§4.3.3 value or full eviction).
-func (n *Node) addBucket(name string, topo *Decider, svc *gsi.Service, ftsEng *fts.Engine, anEng *analytics.Engine, cfg Config, opts BucketOptions) error {
-	// Build everything before taking n.mu: store creation touches disk
-	// and the engine constructors enter other services' locks. A
-	// concurrent duplicate loses the insert race below and is released.
+func (n *Node) addBucket(b *bucketState, cfg Config) error {
+	// Build everything before taking n.mu: store creation touches disk.
+	// A concurrent duplicate loses the insert race below and is released.
+	name, opts := b.name, b.opts
 	store, err := storage.NewStore(filepath.Join(n.dir, "data", name), cfg.SyncPersist)
 	if err != nil {
 		return err
@@ -138,19 +133,15 @@ func (n *Node) addBucket(name string, topo *Decider, svc *gsi.Service, ftsEng *f
 	nb := &nodeBucket{
 		nodeID:     string(n.id),
 		bucketName: name,
-		topo:       topo,
+		topo:       b.topo,
 		store:      store,
 		viewEngine: views.NewEngine(),
+		hub:        b.hub,
 		links:      make(map[int]*replicaLink),
-		fts:        ftsEng,
-		analytics:  anEng,
 		vbCfg: vbucket.Config{
 			DiskDelay:    cfg.DiskDelay,
 			FullEviction: opts.FullEviction,
 		},
-	}
-	if svc != nil {
-		nb.projector = gsi.NewProjector(svc, name)
 	}
 	n.mu.Lock()
 	if _, ok := n.buckets.get(name); ok {
@@ -268,7 +259,7 @@ func (nb *nodeBucket) pagerLoop(quota int64, fullEviction bool) {
 }
 
 // createVB instantiates a vBucket in the given state. Active vBuckets
-// are attached to the view engine, GSI projector, and FTS engine.
+// are attached to the node's view engine and the bucket's hub.
 func (nb *nodeBucket) createVB(id int, state vbucket.State) (*vbucket.VBucket, error) {
 	nb.mu.Lock()
 	defer nb.mu.Unlock()
@@ -301,26 +292,20 @@ func (nb *nodeBucket) createVB(id int, state vbucket.State) (*vbucket.VBucket, e
 	return vb, nil
 }
 
+// attachConsumersLocked attaches an active copy to the node's view
+// engine and to the bucket's hub, which moves every GSI, FTS and
+// analytics feed of the vBucket onto it.
 func (nb *nodeBucket) attachConsumersLocked(vb *vbucket.VBucket) {
 	nb.viewEngine.AttachVB(vb.ID, vb.Producer())
-	if nb.projector != nil {
-		nb.projector.AttachVB(vb.ID, vb.Producer())
-	}
-	if nb.fts != nil {
-		nb.fts.AttachVB(vb.ID, vb.Producer())
-	}
-	if nb.analytics != nil {
-		nb.analytics.AttachVB(vb.ID, vb.Producer())
-	}
+	nb.hub.AttachVB(vb.ID, vb.Producer())
 }
 
 // detachConsumers removes the vBucket from this node's PER-NODE
 // consumers only (the view engine, §4.3.3 — views are co-located with
-// the data). The GSI projector, FTS, and analytics engines are shared
-// across the cluster: when a vBucket moves, the new active node's
-// AttachVB replaces the shared feeds' producer (closing the old
-// streams), so detaching them here would wipe index state that the
-// promoted copy still serves.
+// the data). The bucket's hub is shared across the cluster: when a
+// vBucket moves, the new active node's attach replaces the hub's
+// producer (closing the old streams), so detaching it here would wipe
+// index state that the promoted copy still serves.
 func (nb *nodeBucket) detachConsumers(vbID int) {
 	nb.viewEngine.DetachVB(vbID)
 }

@@ -413,17 +413,17 @@ func TestHubFansOutAndUnsubscribes(t *testing.T) {
 	p0, p1 := dcp.NewProducer(0, src0), dcp.NewProducer(1, src1)
 	defer p0.Close()
 	defer p1.Close()
-	h := NewHub("test")
+	h := NewHub()
 	defer h.Close()
 	if err := h.AttachVB(0, p0); err != nil {
 		t.Fatal(err)
 	}
 	c1 := newRecordingConsumer()
-	f1, err := h.Subscribe("h-one", c1)
+	f1, err := h.Subscribe("h-one", "test", c1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Subscribe("h-one", newRecordingConsumer()); err == nil {
+	if _, err := h.Subscribe("h-one", "test", newRecordingConsumer()); err == nil {
 		t.Fatal("duplicate subscription accepted")
 	}
 	// A producer attached after subscription reaches existing feeds; a
@@ -432,7 +432,7 @@ func TestHubFansOutAndUnsubscribes(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := newRecordingConsumer()
-	f2, err := h.Subscribe("h-two", c2)
+	f2, err := h.Subscribe("h-two", "test", c2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,34 @@ func TestHubFansOutAndUnsubscribes(t *testing.T) {
 	if err := h.AttachVB(0, p0); err != ErrClosed {
 		t.Fatalf("AttachVB on closed hub: %v", err)
 	}
-	if _, err := h.Subscribe("late", newRecordingConsumer()); err != ErrClosed {
+	if _, err := h.Subscribe("late", "test", newRecordingConsumer()); err != ErrClosed {
 		t.Fatalf("Subscribe on closed hub: %v", err)
+	}
+}
+
+// TestHubAttachesEveryFeed: a feed closed while still subscribed (the
+// window Unsubscribe leaves a concurrent AttachVB) fails its Attach, and
+// every other feed is attached all the same.
+func TestHubAttachesEveryFeed(t *testing.T) {
+	h := NewHub()
+	defer h.Close()
+	closed, err := h.Subscribe("closed", "test", newRecordingConsumer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	open, err := h.Subscribe("open", "test", newRecordingConsumer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	for vb := 0; vb < 32; vb++ {
+		p := dcp.NewProducer(vb, newMemSource())
+		defer p.Close()
+		if err := h.AttachVB(vb, p); err != ErrClosed {
+			t.Fatalf("AttachVB(%d) = %v, want the closed feed's ErrClosed", vb, err)
+		}
+	}
+	if got := len(open.Processed()); got != 32 {
+		t.Fatalf("the open feed is attached to %d of 32 vBuckets", got)
 	}
 }

@@ -8,33 +8,31 @@ import (
 	"couchgo/internal/dcp"
 )
 
-// Hub multiplexes one service's set of feeds over one set of vBucket
-// producers. Engines that maintain several named consumers over the
-// same vBuckets (one feed per view, per FTS index, per GSI keyspace
-// projector) register producers once via AttachVB and subscribe each
-// consumer by name; the hub attaches every feed to every producer and
-// keeps both sides reconciled as either set changes.
+// Hub multiplexes named feeds over one set of vBucket producers. A
+// bucket has one, shared by the GSI projector, every FTS index and the
+// analytics shadow, and each node's view engine has its own over the
+// node's active copies: producers register once via AttachVB, each
+// consumer subscribes by name, and the hub attaches every feed to every
+// producer and keeps both sides reconciled as either set changes.
 type Hub struct {
-	service string
-
 	mu        sync.Mutex
 	closed    bool
 	producers map[int]dcp.StreamSource
 	feeds     map[string]*Feed
 }
 
-// NewHub creates an empty hub; service labels all subscribed feeds'
-// metrics.
-func NewHub(service string) *Hub {
+// NewHub creates an empty hub.
+func NewHub() *Hub {
 	return &Hub{
-		service:   service,
 		producers: make(map[int]dcp.StreamSource),
 		feeds:     make(map[string]*Feed),
 	}
 }
 
 // AttachVB registers (or replaces) a vBucket's producer and attaches
-// every subscribed feed to it. Idempotent for an unchanged producer.
+// every subscribed feed to it, returning the first feed's error. A feed
+// that fails leaves the others attached. Idempotent for an unchanged
+// producer.
 func (h *Hub) AttachVB(vb int, p dcp.StreamSource) error {
 	h.mu.Lock()
 	if h.closed {
@@ -44,12 +42,13 @@ func (h *Hub) AttachVB(vb int, p dcp.StreamSource) error {
 	h.producers[vb] = p
 	feeds := h.feedListLocked()
 	h.mu.Unlock()
+	var first error
 	for _, f := range feeds {
-		if err := f.Attach(vb, p); err != nil {
-			return err
+		if err := f.Attach(vb, p); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
 // DetachVB forgets a vBucket's producer and detaches every feed from
@@ -66,8 +65,8 @@ func (h *Hub) DetachVB(vb int) {
 
 // Subscribe creates a feed named name delivering to c and attaches it
 // to every registered producer. The name doubles as the DCP stream
-// name.
-func (h *Hub) Subscribe(name string, c Consumer) (*Feed, error) {
+// name; service labels the feed's metrics and stats.
+func (h *Hub) Subscribe(name, service string, c Consumer) (*Feed, error) {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
@@ -77,7 +76,7 @@ func (h *Hub) Subscribe(name string, c Consumer) (*Feed, error) {
 		h.mu.Unlock()
 		return nil, fmt.Errorf("feed: duplicate subscription %q", name)
 	}
-	f := New(name, h.service, c)
+	f := New(name, service, c)
 	h.feeds[name] = f
 	producers := make(map[int]dcp.StreamSource, len(h.producers))
 	for vb, p := range h.producers {
@@ -120,14 +119,13 @@ func (h *Hub) Producers() map[int]dcp.StreamSource {
 func (h *Hub) Stats() []Stat {
 	h.mu.Lock()
 	feeds := h.feedListLocked()
-	service := h.service
 	h.mu.Unlock()
 	out := make([]Stat, 0, len(feeds))
 	for _, f := range feeds {
 		processed := f.Processed()
 		out = append(out, Stat{
-			Service:   service,
-			Name:      f.Name(),
+			Service:   f.service,
+			Name:      f.name,
 			VBuckets:  len(processed),
 			Processed: processed,
 		})

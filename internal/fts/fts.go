@@ -69,7 +69,7 @@ type ftsIndex struct {
 
 // Engine is the FTS service instance for one bucket. DCP consumption
 // goes through the shared feed layer: each index subscribes to the
-// engine's hub as one named consumer.
+// bucket's hub as one named consumer.
 type Engine struct {
 	hub *feed.Hub
 
@@ -77,9 +77,10 @@ type Engine struct {
 	indexes map[string]*ftsIndex
 }
 
-// NewEngine creates an empty FTS engine.
-func NewEngine() *Engine {
-	return &Engine{hub: feed.NewHub("fts"), indexes: make(map[string]*ftsIndex)}
+// NewEngine creates an empty FTS engine whose indexes subscribe to the
+// bucket's hub.
+func NewEngine(hub *feed.Hub) *Engine {
+	return &Engine{hub: hub, indexes: make(map[string]*ftsIndex)}
 }
 
 // Define creates an index and begins building it over attached
@@ -104,7 +105,7 @@ func (e *Engine) Define(def IndexDef) error {
 	}
 	e.indexes[def.Name] = fi
 	e.mu.Unlock()
-	f, err := e.hub.Subscribe("fts:"+def.Name, fi)
+	f, err := e.hub.Subscribe("fts:"+def.Name, "fts", fi)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err != nil {
@@ -126,25 +127,6 @@ func (e *Engine) Drop(name string) error {
 	}
 	e.hub.Unsubscribe("fts:" + name)
 	return nil
-}
-
-// AttachVB begins indexing a vBucket's mutations. Idempotent for the
-// same producer.
-func (e *Engine) AttachVB(vb int, p dcp.StreamSource) error {
-	return e.hub.AttachVB(vb, p)
-}
-
-// FeedStats describes the engine's feeds (one per index).
-func (e *Engine) FeedStats() []feed.Stat {
-	return e.hub.Stats()
-}
-
-// Close stops everything.
-func (e *Engine) Close() {
-	e.hub.Close()
-	e.mu.Lock()
-	e.indexes = make(map[string]*ftsIndex)
-	e.mu.Unlock()
 }
 
 // Rollback implements feed.Rollbacker: drop this vBucket's documents

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"couchgo/internal/feed"
 	"couchgo/internal/memcproto"
 	"couchgo/internal/storage"
 	"couchgo/internal/vbucket"
@@ -18,7 +19,8 @@ type harness struct {
 
 func newHarness(t *testing.T, nvb int) *harness {
 	t.Helper()
-	h := &harness{engine: NewEngine()}
+	hub := feed.NewHub()
+	h := &harness{engine: NewEngine(hub)}
 	dir := t.TempDir()
 	for i := 0; i < nvb; i++ {
 		f, err := storage.Open(filepath.Join(dir, fmt.Sprintf("vb%d.couch", i)), false)
@@ -27,12 +29,12 @@ func newHarness(t *testing.T, nvb int) *harness {
 		}
 		vb := vbucket.New(i, f, vbucket.Active, vbucket.Config{})
 		h.vbs = append(h.vbs, vb)
-		if err := h.engine.AttachVB(i, vb.Producer()); err != nil {
+		if err := hub.AttachVB(i, vb.Producer()); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { vb.Close(); f.Close() })
 	}
-	t.Cleanup(h.engine.Close)
+	t.Cleanup(hub.Close)
 	return h
 }
 

@@ -230,15 +230,15 @@ func (s *countedStream) Next() ([]dcp.Mutation, bool) {
 func TestBuildSyncsOncePerStreamBatch(t *testing.T) {
 	h := newHarness(t, 1)
 	counted := &countedBuild{StreamSource: h.vbs[0].Producer()}
-	h.proj.hub.DetachVB(0)
-	if err := h.proj.AttachVB(0, counted); err != nil {
+	h.hub.DetachVB(0)
+	if err := h.hub.AttachVB(0, counted); err != nil {
 		t.Fatal(err)
 	}
 	const docs = 2000
 	for i := 0; i < docs; i++ {
 		h.put(t, 0, fmt.Sprintf("u%04d", i), fmt.Sprintf(`{"age": %d}`, i))
 	}
-	if err := h.proj.feed.Wait(context.Background(), h.fresh()); err != nil {
+	if err := h.svc.feed.Wait(context.Background(), h.fresh()); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.svc.CreateIndex(Def{Name: "age", Keyspace: "Profile", SecExprs: []string{"age"}, Deferred: true}); err != nil {

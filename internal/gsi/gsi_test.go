@@ -10,24 +10,36 @@ import (
 	"testing"
 
 	"couchgo/internal/dcp"
+	"couchgo/internal/feed"
 	"couchgo/internal/memcproto"
 	"couchgo/internal/storage"
 	"couchgo/internal/value"
 	"couchgo/internal/vbucket"
 )
 
-// harness wires real vBuckets through a projector into a Service.
+// harness wires real vBuckets through a hub into a Service.
 type harness struct {
-	svc  *Service
-	proj *Projector
-	vbs  []*vbucket.VBucket
+	svc *Service
+	hub *feed.Hub
+	vbs []*vbucket.VBucket
+}
+
+// newService is a Service on keyspace over a hub of its own, closed
+// with the test.
+func newService(tb testing.TB, dir, keyspace string) (*Service, *feed.Hub) {
+	hub := feed.NewHub()
+	svc, err := NewService(dir, keyspace, hub)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { svc.Close(); hub.Close() })
+	return svc, hub
 }
 
 func newHarness(t *testing.T, nvb int) *harness {
 	t.Helper()
 	dir := t.TempDir()
-	h := &harness{svc: NewService(dir)}
-	h.proj = NewProjector(h.svc, "Profile")
+	h := &harness{}
 	for i := 0; i < nvb; i++ {
 		f, err := storage.Open(filepath.Join(dir, fmt.Sprintf("vb%d.couch", i)), false)
 		if err != nil {
@@ -35,12 +47,15 @@ func newHarness(t *testing.T, nvb int) *harness {
 		}
 		vb := vbucket.New(i, f, vbucket.Active, vbucket.Config{})
 		h.vbs = append(h.vbs, vb)
-		if err := h.proj.AttachVB(i, vb.Producer()); err != nil {
-			t.Fatal(err)
-		}
 		t.Cleanup(func() { vb.Close(); f.Close() })
 	}
-	t.Cleanup(func() { h.proj.Close(); h.svc.Close() })
+	// Registered after the vBuckets', so the feeds stop before them.
+	h.svc, h.hub = newService(t, dir, "Profile")
+	for _, vb := range h.vbs {
+		if err := h.hub.AttachVB(vb.ID, vb.Producer()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return h
 }
 
@@ -167,8 +182,8 @@ func (g *buildGate) ResumeStream(name string, uuid, from uint64) (dcp.MutationSt
 func TestScanDuringInitialBuild(t *testing.T) {
 	h := newHarness(t, 1)
 	g := &buildGate{StreamSource: h.vbs[0].Producer(), parked: make(chan struct{}), release: make(chan struct{})}
-	h.proj.hub.DetachVB(0)
-	if err := h.proj.AttachVB(0, g); err != nil {
+	h.hub.DetachVB(0)
+	if err := h.hub.AttachVB(0, g); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
@@ -226,8 +241,8 @@ func TestFailedBuildLeavesIndexUnbuilt(t *testing.T) {
 		t.Run(broken, func(t *testing.T) {
 			h := newHarness(t, 2)
 			b := &brokenBuild{StreamSource: h.vbs[1].Producer(), broken: broken}
-			h.proj.hub.DetachVB(1)
-			if err := h.proj.AttachVB(1, b); err != nil {
+			h.hub.DetachVB(1)
+			if err := h.hub.AttachVB(1, b); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 40; i++ {
@@ -552,7 +567,7 @@ func TestDetachVBStopsProjection(t *testing.T) {
 	h.put(t, 0, "a", `{"age": 1}`)
 	h.put(t, 1, "b", `{"age": 2}`)
 	h.scanFresh(t, "age", ScanOptions{})
-	h.proj.hub.DetachVB(1)
+	h.hub.DetachVB(1)
 	// Further writes to vb1 are not projected.
 	h.vbs[1].Set(context.Background(), "c", []byte(`{"age": 3}`), 0, 0, 0, 0)
 	items, _ := h.svc.Scan(context.Background(), "Profile", "age", ScanOptions{})

@@ -29,8 +29,7 @@ func numberBound(n float64) []any { return []any{n} }
 // maintained through the projector's router and read through
 // Service.Scan.
 func gsiHolder(t *testing.T, parts int) holder {
-	svc := NewService("") // memory-optimized: nothing is written
-	t.Cleanup(svc.Close)
+	svc, _ := newService(t, "", "ks") // memory-optimized: nothing is written
 	def := Def{Name: "n", Keyspace: "ks", SecExprs: []string{"n"}, Mode: MemoryOptimized, NumPartitions: parts}
 	if err := svc.CreateIndex(def); err != nil {
 		t.Fatal(err)

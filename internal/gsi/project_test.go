@@ -28,8 +28,7 @@ func ycsbDoc(fields int) []byte {
 // index when asked to and one memory-optimized index per named field
 // on keyspace ks: what Service.route projects into.
 func routedService(tb testing.TB, primary bool, fields ...string) *Service {
-	svc := NewService("")
-	tb.Cleanup(svc.Close)
+	svc, _ := newService(tb, "", "ks")
 	defs := make([]Def, 0, len(fields)+1)
 	if primary {
 		defs = append(defs, Def{Name: "#primary", IsPrimary: true})
@@ -51,7 +50,7 @@ func routeAllocs(svc *Service, doc []byte) float64 {
 	seqno := uint64(0)
 	return testing.AllocsPerRun(200, func() {
 		seqno++
-		svc.route("ks", 3, []dcp.Mutation{{Key: "user00001234", Seqno: seqno, CAS: seqno, Value: doc}})
+		svc.route(3, []dcp.Mutation{{Key: "user00001234", Seqno: seqno, CAS: seqno, Value: doc}})
 	})
 }
 
@@ -108,7 +107,7 @@ func BenchmarkPrimaryMaintain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i, k := range keys {
-		svc.route("ks", i%64, []dcp.Mutation{{Key: k, Seqno: uint64(i + 1), Value: doc}})
+		svc.route(i%64, []dcp.Mutation{{Key: k, Seqno: uint64(i + 1), Value: doc}})
 	}
 }
 
@@ -183,7 +182,7 @@ func BenchmarkRoute(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := i % len(keys)
-				svc.route("ks", k%64, []dcp.Mutation{{Key: keys[k], Seqno: uint64(i + 1), Value: doc}})
+				svc.route(k%64, []dcp.Mutation{{Key: keys[k], Seqno: uint64(i + 1), Value: doc}})
 			}
 		})
 	}

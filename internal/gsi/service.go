@@ -23,7 +23,7 @@ var (
 	mIndexed   = metrics.Default.Counter("couchgo_gsi_indexed_total")
 )
 
-// Service is the index service of one cluster (logically; partitions
+// Service is the index service of one bucket (logically; partitions
 // may be placed on different index nodes — in this reproduction the
 // Service owns every partition indexer and the cluster layer decides
 // which node runs the Service, per multi-dimensional scaling).
@@ -33,6 +33,16 @@ var (
 // lookup)".
 type Service struct {
 	dir string
+	// keyspace is the bucket whose mutations the projector routes.
+	keyspace string
+	// hub is the bucket's feed hub: its producers are what an initial
+	// build backfills from.
+	hub *feed.Hub
+	// feed is the projector's subscription to hub. It lives as long as
+	// the service, so its resume state follows vBuckets as they move
+	// between data nodes, and its applied-seqno vector is the one
+	// request_plus scans wait on.
+	feed *feed.Feed
 	// OnCatalogChange, if set before the service is used, is called
 	// with the service locked right after every change to what
 	// ListIndexes answers (an index registered, built or dropped), so a
@@ -45,10 +55,6 @@ type Service struct {
 	// (never edited) on every catalog change, so a slice read under mu
 	// stays valid after the unlock.
 	byKeyspace map[string][]*indexState
-	// projectors: one shared projector per keyspace. The projector's
-	// feed state (resume positions) lives here, at the service level,
-	// so it survives vBucket movement between data nodes.
-	projectors map[string]*Projector
 }
 
 type indexState struct {
@@ -57,14 +63,17 @@ type indexState struct {
 	built bool
 }
 
-// NewService creates an index service writing standard-mode logs under
-// dir.
-func NewService(dir string) *Service {
-	return &Service{
-		dir:        dir,
-		indexes:    make(map[string]*indexState),
-		projectors: make(map[string]*Projector),
+// NewService creates the index service of keyspace, writing
+// standard-mode logs under dir, and subscribes its projector to the
+// bucket's hub as "gsi-projector".
+func NewService(dir, keyspace string, hub *feed.Hub) (*Service, error) {
+	s := &Service{dir: dir, keyspace: keyspace, hub: hub, indexes: make(map[string]*indexState)}
+	f, err := hub.Subscribe("gsi-projector", "gsi", projector{s})
+	if err != nil {
+		return nil, err
 	}
+	s.feed = f
+	return s, nil
 }
 
 func indexKey(keyspace, name string) string { return keyspace + "/" + name }
@@ -96,7 +105,6 @@ func (s *Service) CreateIndex(def Def) error {
 	}
 	s.indexes[key] = st
 	s.catalogChangedLocked()
-	proj := s.projectors[def.Keyspace]
 	s.mu.Unlock()
 	// Initial build: stream the existing data set through this index
 	// only. The per-document seqno guard in the indexer resolves races
@@ -104,8 +112,8 @@ func (s *Service) CreateIndex(def Def) error {
 	// only once the build is done: the projector feed's vector already
 	// covers the existing data, so a request_plus scan has nothing else
 	// to hold it off half-filled partitions.
-	if !def.Deferred && proj != nil {
-		err = proj.backfillIndex(st)
+	if !def.Deferred {
+		err = s.backfillIndex(st)
 	}
 	s.mu.Lock()
 	st.built = !def.Deferred && err == nil
@@ -136,15 +144,12 @@ func logName(keyspace, name string, part int) string {
 func (s *Service) BuildIndex(keyspace, name string) error {
 	s.mu.Lock()
 	st, ok := s.indexes[indexKey(keyspace, name)]
-	proj := s.projectors[keyspace]
 	s.mu.Unlock()
 	if !ok {
 		return ErrNoSuchIndex
 	}
-	if proj != nil {
-		if err := proj.backfillIndex(st); err != nil {
-			return err
-		}
+	if err := s.backfillIndex(st); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	st.built = true
@@ -208,18 +213,12 @@ func (s *Service) Scan(ctx context.Context, keyspace, name string, opts ScanOpti
 	s.mu.Lock()
 	st, ok := s.indexes[indexKey(keyspace, name)]
 	ok = ok && st.built // written under mu by a build that ends mid-scan
-	proj := s.projectors[keyspace]
 	s.mu.Unlock()
 	if !ok {
 		return nil, ErrNoSuchIndex
 	}
 	if opts.WaitSeqnos != nil {
-		if proj == nil {
-			// No data node has attached yet: wait on the projector they
-			// will attach to.
-			proj = NewProjector(s, keyspace)
-		}
-		if err := proj.feed.Wait(ctx, opts.WaitSeqnos); err != nil {
+		if err := s.feed.Wait(ctx, opts.WaitSeqnos); err != nil {
 			return nil, err
 		}
 		opts.WaitSeqnos = nil
@@ -246,9 +245,9 @@ func (s *Service) Scan(ctx context.Context, keyspace, name string, opts ScanOpti
 // keyspace. It implements both the Projector ("mapping incoming
 // mutations to a set of Global Secondary Key Versions") and the Router
 // ("deciding which indexer to send the message to").
-func (s *Service) route(keyspace string, vb int, batch []dcp.Mutation) {
+func (s *Service) route(vb int, batch []dcp.Mutation) {
 	s.mu.Lock()
-	states := s.byKeyspace[keyspace]
+	states := s.byKeyspace[s.keyspace]
 	s.mu.Unlock()
 	if len(states) == 0 {
 		return
@@ -311,42 +310,14 @@ func project(vb int, batch []dcp.Mutation, states ...*indexState) {
 	}
 }
 
-// Projector consumes the keyspace's per-vBucket DCP feeds and routes
-// key versions to the indexers. One shared Projector exists per
-// keyspace; every data node attaches its active vBuckets' producers
-// through the same instance, so the feed layer's resume state follows
-// partitions as they move between nodes. Its feed's applied-seqno
-// vector is the one request_plus scans of the keyspace wait on.
-type Projector struct {
-	svc      *Service
-	keyspace string
-	hub      *feed.Hub
-	feed     *feed.Feed
-}
-
-// NewProjector returns the keyspace's shared projector, creating it on
-// first use and registering it with the service so CREATE INDEX can
-// trigger initial builds over the projector's vBuckets.
-func NewProjector(svc *Service, keyspace string) *Projector {
-	// Construct outside svc.mu: the feed layer takes its own locks and
-	// must never be entered with service state locked. Subscribing to an
-	// empty, open hub cannot fail and starts no stream, so a concurrent
-	// first use that loses the race below just discards its hub.
-	np := &Projector{svc: svc, keyspace: keyspace, hub: feed.NewHub("gsi")}
-	np.feed, _ = np.hub.Subscribe("gsi-projector", np) //couchvet:ignore droppederror -- an empty, open hub's first Subscribe cannot fail
-	svc.mu.Lock()
-	defer svc.mu.Unlock()
-	if p, ok := svc.projectors[keyspace]; ok {
-		return p
-	}
-	svc.projectors[keyspace] = np
-	return np
-}
+// projector is the Service's feed consumer: the bucket's mutations,
+// routed as key versions to the indexers.
+type projector struct{ s *Service }
 
 // Apply implements feed.Consumer: route a batch's key versions to every
 // index on the keyspace.
-func (p *Projector) Apply(vb int, batch []dcp.Mutation) {
-	p.svc.route(p.keyspace, vb, batch)
+func (p projector) Apply(vb int, batch []dcp.Mutation) {
+	p.s.route(vb, batch)
 }
 
 // Rollback implements feed.Rollbacker: a promoted vBucket copy lacks
@@ -355,10 +326,10 @@ func (p *Projector) Apply(vb int, batch []dcp.Mutation) {
 // history. Without the purge the per-document seqno guard would
 // reject the re-streamed (lower-seqno) versions and entries from the
 // lost branch would linger as phantoms.
-func (p *Projector) Rollback(vb int, _ uint64) uint64 {
-	p.svc.mu.Lock()
-	states := p.svc.byKeyspace[p.keyspace]
-	p.svc.mu.Unlock()
+func (p projector) Rollback(vb int, _ uint64) uint64 {
+	p.s.mu.Lock()
+	states := p.s.byKeyspace[p.s.keyspace]
+	p.s.mu.Unlock()
 	for _, st := range states {
 		for _, ix := range st.parts {
 			ix.PurgeVB(vb)
@@ -367,29 +338,19 @@ func (p *Projector) Rollback(vb int, _ uint64) uint64 {
 	return 0
 }
 
-// AttachVB starts projecting a vBucket's mutations. Re-attaching the
-// same producer is a no-op (idempotent reconciliation); a changed
-// producer resumes from the recorded position, rolling indexes back
-// first if the new producer's history demands it.
-func (p *Projector) AttachVB(vb int, producer dcp.StreamSource) error {
-	return p.hub.AttachVB(vb, producer)
-}
-
-// FeedStats describes the projector's feeds.
-func (p *Projector) FeedStats() []feed.Stat {
-	return p.hub.Stats()
-}
-
-// backfillIndex performs an index's initial build over this
-// projector's vBuckets: a dedicated DCP stream from seqno 0 per
+// backfillIndex performs an index's initial build over the hub's
+// vBuckets: a dedicated DCP stream from seqno 0 per
 // vBucket, consumed up to the high seqno observed at start. Newer
 // mutations arrive via the steady-state stream; the indexer's
 // per-document seqno guard makes the overlap safe. A vBucket whose
 // stream cannot open, or ends short of that seqno, fails the build: an
 // index marked built over a partition never filled would answer
 // request_plus scans wrongly.
-func (p *Projector) backfillIndex(st *indexState) error {
-	for vb, producer := range p.hub.Producers() {
+func (s *Service) backfillIndex(st *indexState) error {
+	if st.cd.Keyspace != s.keyspace {
+		return nil // the hub's producers hold another keyspace
+	}
+	for vb, producer := range s.hub.Producers() {
 		target, err := producer.HighSeqno()
 		if err != nil {
 			return fmt.Errorf("gsi: build %s: vb %d: %w", st.cd.Name, vb, err)
@@ -397,20 +358,20 @@ func (p *Projector) backfillIndex(st *indexState) error {
 		if target == 0 {
 			continue
 		}
-		s, err := producer.ResumeStream("gsi-build:"+st.cd.Name, 0, 0)
+		stream, err := producer.ResumeStream("gsi-build:"+st.cd.Name, 0, 0)
 		if err != nil {
 			return fmt.Errorf("gsi: build %s: vb %d: %w", st.cd.Name, vb, err)
 		}
 		var done uint64
 		for done < target {
-			batch, ok := s.Next()
+			batch, ok := stream.Next()
 			if !ok {
 				break
 			}
 			project(vb, batch, st)
 			done = batch[len(batch)-1].Seqno
 		}
-		s.Close()
+		stream.Close()
 		if done < target {
 			return fmt.Errorf("gsi: build %s: vb %d: stream ended at seqno %d of %d", st.cd.Name, vb, done, target)
 		}
@@ -418,35 +379,15 @@ func (p *Projector) backfillIndex(st *indexState) error {
 	return nil
 }
 
-// Close stops the projector's feeds.
-func (p *Projector) Close() {
-	p.hub.Close()
-}
-
-// FeedStats describes the feeds of one keyspace's projector.
-func (s *Service) FeedStats(keyspace string) []feed.Stat {
-	s.mu.Lock()
-	p := s.projectors[keyspace]
-	s.mu.Unlock()
-	if p == nil {
-		return nil
-	}
-	return p.FeedStats()
-}
-
-// Close shuts down every projector feed and every indexer, keeping the
-// indexes' logs.
+// Close unsubscribes the projector and shuts down every indexer,
+// keeping the indexes' logs.
 func (s *Service) Close() {
+	s.hub.Unsubscribe(s.feed.Name())
 	s.mu.Lock()
 	states := s.indexes
 	s.indexes = make(map[string]*indexState)
 	s.byKeyspace = nil
-	projectors := s.projectors
-	s.projectors = make(map[string]*Projector)
 	s.mu.Unlock()
-	for _, p := range projectors {
-		p.Close()
-	}
 	for _, st := range states {
 		for _, p := range st.parts {
 			p.Close()

@@ -107,7 +107,7 @@ var structureRows = []row{
 	{form: absent, typ: "chan " + internal + "dcp.Mutation", why: "consumers pull batches with Next"},
 	{form: bare, ban: noGo, subj: under("dcp", "*"), why: "internal/dcp starts no goroutine"},
 	{form: bare, ban: noGo, subj: []string{internal + "feed.Feed.drain", internal + "core.nodeBucket.runLink",
-		internal + "core.replicaLink.apply", internal + "transport.session.pumpStream", internal + "gsi.Projector.backfillIndex"},
+		internal + "core.replicaLink.apply", internal + "transport.session.pumpStream", internal + "gsi.Service.backfillIndex"},
 		why: "a stream's consumer is one goroutine"},
 	{form: methodSet, subj: under("dcp", "MutationStream"), list: []string{"Close", "Next", "StreamUUID"},
 		why: "a batch is what Next returned"},
@@ -119,6 +119,15 @@ var structureRows = []row{
 		under("dcp", "Stream.enqueueLive", "Stream.queue", "Stream.lent")...), why: "one log per vBucket, read through cursors"},
 	{form: bare, ban: noLock | noFieldAppend, subj: under("vbucket", "VBucket.onMutate"),
 		why: "a mutation is written once, to the producer's log"},
+	// One feed hub per bucket, which a copy that becomes active is
+	// attached to once; views keep one per node.
+	{form: onlyFrom, subj: under("feed", "NewHub"), list: []string{internal + "core.Cluster.CreateBucket", internal + "views.NewEngine"},
+		why: "a second hub is a second copy of the bucket's producer table"},
+	{form: onlyFrom, subj: under("feed", "Hub.AttachVB"),
+		list: []string{internal + "core.nodeBucket.attachConsumersLocked", internal + "views.Engine.AttachVB"},
+		why:  "an active copy is attached to its bucket's hub and its node's views, once each"},
+	{form: absent, subj: slices.Concat(under("gsi", "NewProjector", "Service.projectors", "Projector.AttachVB"),
+		under("fts", "Engine.AttachVB"), under("analytics", "Engine.AttachVB")), why: "a service subscribes to the bucket's hub"},
 	// Feed.Wait is the only consistency barrier.
 	{form: absent, subj: []string{internal + "gsi.waitFor", internal + "views.waitFor", internal + "fts.waitFor",
 		internal + "analytics.waitFor", internal + "xdcr.waitFor"}, why: "a consumer waits through feed.Feed.Wait"},

@@ -21,9 +21,19 @@ type Map struct{}
 
 func Build() *Map { return nil }; func (m *Map) Clone() *Map { return m }
 `},
+	{name: "feed", path: internal + "feed", src: `package feed
+
+import "couchgo/internal/trace"
+
+type (Feed struct{}; Hub struct{})
+
+func (f *Feed) Attach(t *trace.Trace) { t.StartSpan("feed:rollback") }
+func (f *Feed) drain(t *trace.Trace) { t.StartSpan("feed:apply") } // want: structure
+func NewHub() *Hub { return &Hub{} }; func (h *Hub) AttachVB() {}
+`},
 	{name: "core", path: internal + "core", src: `package core
 
-import ("sync"; "time"; "couchgo/internal/cmap")
+import ("sync"; "time"; "couchgo/internal/cmap"; "couchgo/internal/feed")
 
 type Decider struct{ mu sync.Mutex; now func() time.Time }
 type Cluster struct{ mu sync.Mutex }
@@ -51,6 +61,10 @@ func (p *published[K, V]) all() {}; func (p *published[K, V]) get() {}; func (l 
 func (b *nodeBucket) runLink() { go b.vb() } // want: structure
 func (l *replicaLink) applyRun() {} // want: structure
 type span struct{ LowIncl bool } // want: structure
+func (c *Cluster) CreateBucket() *feed.Hub { return feed.NewHub() }
+func (n *Node) addBucket() *feed.Hub { return feed.NewHub() } // want: structure
+func (b *nodeBucket) attachConsumersLocked(h *feed.Hub) { h.AttachVB() }
+func (b *nodeBucket) promote(h *feed.Hub) { h.AttachVB() } // want: structure
 `},
 	{name: "transport", path: internal + "transport", src: `package transport
 
@@ -93,23 +107,15 @@ func (s *Stream) relay(in <-chan Mutation) queue { return make(queue) } // want:
 func (s *Stream) pump() { go func() {}() } // want: structure structure
 func (s *Stream) enqueueLive() {} // want: structure
 `},
-	{name: "feed", path: internal + "feed", src: `package feed
-
-import "couchgo/internal/trace"
-
-type Feed struct{}
-
-func (f *Feed) Attach(t *trace.Trace) { t.StartSpan("feed:rollback") }
-func (f *Feed) drain(t *trace.Trace) { t.StartSpan("feed:apply") } // want: structure
-`},
 	{name: "gsi", path: internal + "gsi", src: `package gsi
 
 import "os"
 
 type ScanOptions struct{ Low, High, EqualKey []any; LowIncl, HighIncl, HasEqual bool }
-type Projector struct{}
+type Service struct{}
 
-func scanBounds(o ScanOptions) bool { return o.LowIncl || o.HasEqual }; func (p *Projector) backfillIndex() {}
+func scanBounds(o ScanOptions) bool { return o.LowIncl || o.HasEqual }; func (s *Service) backfillIndex() {}
+func NewProjector() {} // want: structure
 func low(o ScanOptions) []any { return o.Low } // want: structure
 func waitFor() {} // want: structure
 func commit(f *os.File) error { return f.Sync() } // want: structure

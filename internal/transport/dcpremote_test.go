@@ -13,6 +13,7 @@ import (
 	"couchgo/internal/cmap"
 	"couchgo/internal/core"
 	"couchgo/internal/dcp"
+	"couchgo/internal/feed"
 	"couchgo/internal/gsi"
 	"couchgo/internal/memcproto"
 	"couchgo/internal/vbucket"
@@ -248,10 +249,13 @@ func TestIndexBuildOverDeadSourceFails(t *testing.T) {
 	dead := ln.Addr().String()
 	ln.Close()
 
-	svc := gsi.NewService(t.TempDir())
-	proj := gsi.NewProjector(svc, "Profile")
-	t.Cleanup(func() { proj.Close(); svc.Close() })
-	if err := proj.AttachVB(0, NewRemoteProducer(dead, 0)); !errors.Is(err, core.ErrNodeUnreachable) {
+	hub := feed.NewHub()
+	svc, err := gsi.NewService(t.TempDir(), "Profile", hub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hub.Close(); svc.Close() })
+	if err := hub.AttachVB(0, NewRemoteProducer(dead, 0)); !errors.Is(err, core.ErrNodeUnreachable) {
 		t.Fatalf("attach to a dead address = %v", err)
 	}
 	err = svc.CreateIndex(gsi.Def{Name: "email", Keyspace: "Profile", SecExprs: []string{"email"}})

@@ -174,7 +174,7 @@ type Engine struct {
 
 // NewEngine creates an empty view engine.
 func NewEngine() *Engine {
-	return &Engine{hub: feed.NewHub("views"), views: make(map[string]*viewIndex)}
+	return &Engine{hub: feed.NewHub(), views: make(map[string]*viewIndex)}
 }
 
 // viewIndex is one view's local index: the index tree GSI partitions
@@ -214,7 +214,7 @@ func (e *Engine) Define(def Definition) error {
 	e.mu.Unlock()
 	// Materialize from every attached vBucket: the hub opens a backfill
 	// stream from seqno 0 per producer for the new subscription.
-	f, err := e.hub.Subscribe("view:"+def.Name, vi)
+	f, err := e.hub.Subscribe("view:"+def.Name, "views", vi)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err != nil {
