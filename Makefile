@@ -1,7 +1,7 @@
 # Tier-1 gate plus the repo-specific static analyzer, formatting,
 # full-tree race detection, and fuzz smoke runs.
 
-.PHONY: verify build cross-build bench-build test race vet fmtcheck couchvet fuzz-smoke bench-smoke bench-pairs cluster-test loc
+.PHONY: verify build cross-build bench-build test race vet fmtcheck couchvet fuzz-smoke soak bench-smoke bench-pairs cluster-test loc
 
 verify: fmtcheck vet build bench-build test couchvet race
 
@@ -107,3 +107,9 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzOpRoundTrip -fuzztime=$(FUZZTIME) ./internal/transport
 	go test -run='^$$' -fuzz=FuzzPagedScan -fuzztime=$(FUZZTIME) ./internal/gsi
 	go test -run='^$$' -fuzz=FuzzFaultSchedule -fuzztime=$(FUZZTIME) ./internal/core
+
+# The fault harness alone for ten minutes. Each schedule must finish in
+# its 8 s budget, so the fuzz worker's 10 s hang limit never fires, and a
+# failure comes with the step that ran long and its phase timings.
+soak:
+	go test -run='^$$' -fuzz=FuzzFaultSchedule -fuzztime=10m ./internal/core

@@ -29,7 +29,7 @@ var lineBudgets = map[string]int{
 	"internal/buildinfo": 8,
 	"internal/cache":     1276,
 	"internal/cmap":      352,
-	"internal/core":      2918,
+	"internal/core":      2920,
 	"internal/dcp":       607,
 	"internal/events":    365,
 	"internal/executor":  1574,
@@ -43,7 +43,7 @@ var lineBudgets = map[string]int{
 	"internal/n1ql":      3585,
 	"internal/planner":   979,
 	"internal/query":     283,
-	"internal/rest":      1428,
+	"internal/rest":      1431,
 	"internal/storage":   1036,
 	"internal/trace":     987,
 	"internal/transport": 2366,
@@ -56,8 +56,8 @@ var lineBudgets = map[string]int{
 var byteBudgets = map[string]int{
 	"DESIGN.md":                      115596,
 	"README.md":                      17425,
-	"EXPERIMENTS.md":                 21863,
-	".claude/skills/verify/SKILL.md": 56809,
+	"EXPERIMENTS.md":                 24639,
+	".claude/skills/verify/SKILL.md": 56757,
 	"CHANGES.md entry":               13333,
 }
 

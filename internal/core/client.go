@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"strconv"
 	"time"
@@ -103,9 +104,10 @@ func (cl *Client) do(ctx context.Context, op Op) (res Result, err error) {
 // route resolves op.Key to its hop and runs op there, retrying through
 // the router while rebalance or failover move the partition. Each
 // attempt is its own span so a trace shows exactly which hops a request
-// took and how long it backed off between them. op and res are do's
-// own, passed by pointer because each extra by-value hop of these
-// ~140-byte structs cost ~10 ns on a sub-µs Get.
+// took and how long it backed off between them; a ctx that ends in a
+// backoff fails the op with its error and the last route error. op and
+// res are do's own, passed by pointer because each extra by-value hop
+// of these ~140-byte structs cost ~10 ns on a sub-µs Get.
 func (cl *Client) route(ctx context.Context, op *Op, res *Result) (err error) {
 	parent := trace.FromContext(ctx)
 	for attempt := 0; attempt < maxRouteRetries; attempt++ {
@@ -144,7 +146,7 @@ func (cl *Client) route(ctx context.Context, op *Op, res *Result) (err error) {
 			asp.End()
 		}
 		if cerr := sleepCtx(ctx, d); cerr != nil {
-			return cerr
+			return fmt.Errorf("%w (last route error: %w)", cerr, err)
 		}
 	}
 	return err

@@ -31,8 +31,9 @@ import (
 // its low nibble the kind and its high nibble the operand (a node in
 // join order, or a bucket). Four clients Set, Get and Delete their own
 // keys on "default", which has a GSI index and a view on n, an FTS index
-// on kind, and analytics enabled. After each step the clients pause and
-// one checker reads the logged history:
+// on kind, and analytics enabled. After each step that runs (a Kill or
+// Failover that would leave one live node is skipped), the clients pause
+// and one checker reads the logged history:
 //
 //  1. No acked write is lost under its durability: a read returns the
 //     last acked version, or after a death since that ack at least the
@@ -114,6 +115,16 @@ var faultRows = []struct {
 		stepEvict.at(0), stepKill.at(0), stepEvict.at(1), stepFailover.at(0), stepRebalance.at(0), stepEvict.at(2)}},
 	{name: "a death mid scale-out, then a second death", schedule: []byte{withFullEviction, stepAddNode.at(0),
 		stepKill.at(3), stepRebalance.at(0), stepFailover.at(3), stepRebalance.at(0), stepKill.at(0), stepFailover.at(0)}},
+	// Kill node1, then eight kills of node0 (operand 3 of 3 nodes) that
+	// would each leave one live node, then create a bucket.
+	{name: "skipped steps cost nothing", schedule: []byte("\x00\x1444444444\x02"),
+		expect: func(h *faultHarness) {
+			for _, s := range h.ran {
+				if strings.HasPrefix(s, "kill node0") && strings.Contains(s, "traffic") {
+					h.Errorf("a skipped step waited for traffic: %s", s)
+				}
+			}
+		}},
 }
 
 // servedAfter expects the checkpoints after step and at the end to have
@@ -130,9 +141,13 @@ var gsiRollbacks = metrics.Default.Counter("couchgo_feed_rollbacks_total", "serv
 
 const (
 	faultClients  = 4
-	faultKeys     = 12 // per client
-	faultMaxSteps = 12 // later bytes are not run
-	faultTraffic  = 32 // ops after each step
+	faultKeys     = 12                    // per client
+	faultMaxSteps = 12                    // later bytes are not run
+	faultTraffic  = 32                    // ops after each step
+	faultDeadOp   = 20 * time.Millisecond // an op's deadline while its active is down
+	// A schedule's wall time, checked after each phase: the fuzz worker
+	// counts an input that runs 10 s as a hang, with -race or without.
+	faultBudget = 8 * time.Second
 )
 
 var faultBuckets = [...]string{"default", "other", "late"}
@@ -158,6 +173,7 @@ type faultHarness struct {
 	cl              *Client
 	ran             []string // the steps decoded so far, each with its wall time by phase
 	at              string   // the one running, for the report
+	start           time.Time
 	seq0, rollbacks uint64
 	full            bool
 	keys            []*keyHistory
@@ -179,12 +195,13 @@ func newFaultHarness(t *testing.T, schedule []byte) *faultHarness {
 	if len(schedule) > 0 {
 		settings = schedule[0]
 	}
+	start := time.Now()
 	c, err := NewCluster(Config{Dir: t.TempDir(), NumVBuckets: 16, DiskDelay: time.Duration(settings&withDiskDelay) * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	h := &faultHarness{T: t, c: c, seq0: events.Default.LastSeq(), rollbacks: gsiRollbacks.Value(), full: settings&withFullEviction != 0,
+	h := &faultHarness{T: t, c: c, start: start, seq0: events.Default.LastSeq(), rollbacks: gsiRollbacks.Value(), full: settings&withFullEviction != 0,
 		down: map[cmap.NodeID]bool{}, failed: map[cmap.NodeID]bool{}, made: map[string]bool{"default": true}}
 	t.Cleanup(h.report)
 	for i := 0; i < 3; i++ {
@@ -226,10 +243,15 @@ func (h *faultHarness) report() {
 	h.Log(b.String())
 }
 
-// took appends a phase's wall time to the last step's entry, if any.
+// took appends a phase's wall time to the last step's entry, if any,
+// and fails a schedule that has run over its budget.
 func (h *faultHarness) took(phase string, since time.Time) {
 	if n := len(h.ran); n > 0 {
 		h.ran[n-1] += fmt.Sprintf(", %s %v", phase, time.Since(since).Round(time.Millisecond))
+	}
+	if ran := time.Since(h.start); ran > faultBudget && !h.Failed() {
+		h.Errorf("%s: the schedule has run %v by the end of its %s phase, over its budget of %v",
+			h.at, ran.Round(time.Millisecond), phase, faultBudget)
 	}
 }
 
@@ -246,7 +268,9 @@ func (h *faultHarness) run(schedule []byte) {
 	h.checkpoint(false)
 	for i := 1; i < min(len(schedule), 1+faultMaxSteps) && !h.Failed(); i++ {
 		before := h.ops.Load()
-		h.step(schedule[i])
+		if !h.step(schedule[i]) {
+			continue // a skipped step left the topology as it was
+		}
 		// Every step is followed by traffic over the topology it left.
 		t := time.Now()
 		for deadline := t.Add(1500 * time.Millisecond); h.ops.Load() < before+faultTraffic && time.Now().Before(deadline) && !h.Failed(); {
@@ -261,15 +285,22 @@ func (h *faultHarness) run(schedule []byte) {
 }
 
 // client runs one client's ops on its own keys until the harness
-// stops, logging each write and checking each read.
+// stops, logging each write and checking each read. An op whose active
+// is on a node that is down would only spend the route loop's retries
+// until a failover, so it gets a short deadline, and no ReplicateTo:
+// a durability wait ends with a bare context error, not a route error.
 func (h *faultHarness) client(i int) {
 	defer h.wg.Done()
 	rng := rand.New(rand.NewSource(int64(i)))
-	ctx := context.Background()
 	mine := h.keys[i*faultKeys : (i+1)*faultKeys]
 	for n := 0; !h.stop.Load() && !h.Failed(); n++ {
 		k := mine[rng.Intn(len(mine))]
 		h.gate.RLock()
+		ctx, cancel := context.Background(), context.CancelFunc(func() {})
+		dead := h.onDeadNode(k)
+		if dead {
+			ctx, cancel = context.WithTimeout(ctx, faultDeadOp)
+		}
 		if r := rng.Intn(8); r < 3 {
 			it, err := h.cl.Get(ctx, k.key)
 			h.read(k, it, err)
@@ -277,7 +308,7 @@ func (h *faultHarness) client(i int) {
 			value, dur := fmt.Sprintf(faultDoc, n), DurabilityOptions{}
 			if r == 7 {
 				value = ""
-			} else if rng.Intn(3) == 0 {
+			} else if rng.Intn(3) == 0 && !dead {
 				dur = DurabilityOptions{ReplicateTo: 1, Timeout: 200 * time.Millisecond}
 			}
 			k.versions = append(k.versions, value)
@@ -298,9 +329,18 @@ func (h *faultHarness) client(i int) {
 				h.opErr(k, err)
 			}
 		}
+		cancel()
 		h.gate.RUnlock()
 		h.ops.Add(1)
 	}
+}
+
+// onDeadNode reports whether the current map puts k's active on a node
+// that is not alive. It reads the map and Node.Alive, both lock-free;
+// h.down belongs to the steps.
+func (h *faultHarness) onDeadNode(k *keyHistory) bool {
+	n, err := h.c.Node(h.c.topo.Map("default").Active(k.vb))
+	return err == nil && !n.Alive()
 }
 
 // read checks a Get of k against its history (property 1): the version read, or -1.
@@ -359,9 +399,10 @@ func (h *faultHarness) hazard(kill bool, do func() error) error {
 	return do()
 }
 
-// step decodes and runs one byte. A step may fail by design in the state
-// it meets (a Rebalance with a dead node mapped); no other may fail.
-func (h *faultHarness) step(b byte) {
+// step decodes and runs one byte, and reports whether it ran. A step may
+// fail by design in the state it meets (a Rebalance with a dead node
+// mapped); no other may fail.
+func (h *faultHarness) step(b byte) (ran bool) {
 	c, kind, node := h.c, stepKind(b&0x0f)%numStepKinds, h.nodes[int(b>>4)%len(h.nodes)]
 	switch kind {
 	case stepAddNode, stepBlockedAddNode:
@@ -411,7 +452,7 @@ func (h *faultHarness) step(b byte) {
 	case stepKill, stepFailover:
 		if !h.down[node] && len(h.live()) <= 2 {
 			h.Logf("%s: skipped, it would leave one live node", h.at)
-			return
+			return false
 		}
 		kill := c.Kill
 		if kind == stepFailover {
@@ -433,6 +474,7 @@ func (h *faultHarness) step(b byte) {
 		h.Logf("%s: failed by design: %v", h.at, err)
 	}
 	h.maps()
+	return true
 }
 
 // blocked runs an AddNode or CreateBucket with a file where it makes a

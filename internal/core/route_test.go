@@ -97,8 +97,8 @@ func TestRouteFollowsAMoveAndBack(t *testing.T) {
 }
 
 // TestRouteRetriesAKilledNode: an op on a killed node's copy is retried
-// as ErrNodeDown until its context ends, and goes to the promoted copy
-// once the node is failed over.
+// as ErrNodeDown until its context ends, fails with both errors, and
+// goes to the promoted copy once the node is failed over.
 func TestRouteRetriesAKilledNode(t *testing.T) {
 	c, cl := newTestCluster(t, 2, 1)
 	ctx := context.Background()
@@ -114,8 +114,8 @@ func TestRouteRetriesAKilledNode(t *testing.T) {
 	}
 	short, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
 	defer cancel()
-	if _, err := cl.Get(short, "k"); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Get on the killed node's copy: %v, want it retried until the deadline", err)
+	if _, err := cl.Get(short, "k"); !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("Get on the killed node's copy: %v, want it retried until the deadline, ErrNodeDown named", err)
 	}
 	got := make(chan error, 1)
 	go func() {

@@ -6,6 +6,7 @@
 package rest
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -93,6 +94,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func writeErr(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		// 500 still when the route loop's last error was ErrNoSuchBucket.
 	case errors.Is(err, cache.ErrKeyNotFound), errors.Is(err, core.ErrNoSuchBucket),
 		errors.Is(err, views.ErrNoSuchView), errors.Is(err, fts.ErrNoSuchIndex):
 		status = http.StatusNotFound

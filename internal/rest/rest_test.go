@@ -2,6 +2,7 @@ package rest
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -87,6 +88,25 @@ func TestKVEndpoints(t *testing.T) {
 	rec = do(t, s, "GET", "/buckets/nope/docs/x", "", nil)
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("bad bucket: %d", rec.Code)
+	}
+}
+
+// A KV op whose context ended in the route loop's backoff carries the
+// loop's last error too. One a node mid-provisioning answered with
+// ErrNoSuchBucket is a failed request (500), not a missing bucket (404).
+func TestWriteErrTimedOutRoute(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want int
+	}{
+		{core.ErrNoSuchBucket, http.StatusNotFound},
+		{fmt.Errorf("%w (last route error: %w)", context.DeadlineExceeded, core.ErrNoSuchBucket), http.StatusInternalServerError},
+		{fmt.Errorf("%w (last route error: %w)", context.Canceled, core.ErrNoSuchBucket), http.StatusInternalServerError},
+	} {
+		rec := httptest.NewRecorder()
+		if writeErr(rec, c.err); rec.Code != c.want {
+			t.Errorf("writeErr(%v) = %d, want %d", c.err, rec.Code, c.want)
+		}
 	}
 }
 

@@ -1,37 +1,46 @@
 #!/usr/bin/env bash
 # Alternating pairs of couchbench workloads: <base-ref> against this
-# checkout as it stands (uncommitted changes included).
+# checkout as it stands (tracked and staged changes included; git add a
+# new file first).
 #
 #   scripts/benchpairs.sh <base-ref> "<workload> [<workload> ...]" [pairs=10]    (SEED=42)
 #
 # The workloads of the quoted list run one after the other, each with
 # its own table, so a no-gain change's control evidence (say
 # "lib.kv-a wire.kv-a wire.kv-durable") comes from one command.
-# Each side runs its own unchanged bench/run.sh, the base from a copy of
-# <base-ref> unpacked under .bench_build/pairs/ (git archive, so nothing
-# is left in .git), and the two alternate which goes first. For each of
-# the four end-to-end metrics it prints both sides' median and quartiles
-# and how many pairs the change won: a gain needs >= 9 wins in 10 and
-# medians further apart than the base's own interquartile range; a
-# control must stay within the bound BENCHMARK.json gives it.
+# Each side runs its own unchanged bench/run.sh from a git archive
+# unpacked under .bench_build/pairs/: the base at base/<sha> (kept), the
+# change at head/<sha> (git stash create, or HEAD on a clean tree;
+# unpacked afresh each time). Both build alike, from paths of one
+# length, into their own .bench_build/, and alternate which goes first.
+# For each of the four end-to-end metrics it prints both sides' median
+# and quartiles and how many pairs the change won: a gain needs >= 9
+# wins in 10 and medians further apart than the base's own
+# interquartile range; a control must stay within the bound
+# BENCHMARK.json gives it.
 # <base-ref> HEAD on a clean tree is the A/A mode: both sides run the
 # same code, so the table shows the workload's own noise, and a win
 # count far from half is a harness fault, not a gain.
 set -euo pipefail
 if [ $# -lt 2 ]; then
-	sed -n '2,19p' "$0" >&2
+	sed -n '2,23p' "$0" >&2
 	exit 2
 fi
 base_ref=$1 workloads=$2 pairs=${3:-10} seed=${SEED:-42}
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 sha=$(git rev-parse --verify "$base_ref^{commit}")
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
+change_sha=$(git stash create)
+change_sha=${change_sha:-$(git rev-parse HEAD)}
 work="$PWD/.bench_build/pairs"
-base="$work/$sha"
+base="$work/base/$sha" change="$work/head/$change_sha"
 if [ ! -d "$base" ]; then
 	mkdir -p "$base"
 	git archive "$sha" | tar -x -C "$base"
 fi
+rm -rf "$work/head"
+mkdir -p "$change"
+git archive "$change_sha" | tar -x -C "$change"
 
 run() { # side dir
 	local line
@@ -45,13 +54,13 @@ for workload in $workloads; do
 	for i in $(seq 1 "$pairs"); do
 		if [ $((i % 2)) -eq 1 ]; then
 			run base "$base"
-			run change "$PWD"
+			run change "$change"
 		else
-			run change "$PWD"
+			run change "$change"
 			run base "$base"
 		fi
 	done
-	python3 - "$out" "$sha" "$workload" "$seed" <<'EOF'
+	python3 - "$out" "$sha" "$workload" "$seed" "$change_sha" <<'EOF'
 import json, statistics, sys
 rows = [json.loads(l) for l in open(sys.argv[1])]
 better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
@@ -59,7 +68,7 @@ side = lambda s, m: [r["result"]["metrics"][m]["value"] for r in rows if r["side
 def quart(v):
     q = statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else [v[0]] * 3
     return "%12.4f [%12.4f, %12.4f]" % (q[1], q[0], q[2])
-print("%s seed %s: base %.12s against the checkout, %d pairs" % (sys.argv[3], sys.argv[4], sys.argv[2], len(rows) // 2))
+print("%s seed %s: base %.12s against change %.12s, %d pairs" % (sys.argv[3], sys.argv[4], sys.argv[2], sys.argv[5], len(rows) // 2))
 print("%-14s %-42s %-42s %s" % ("metric", "base median [q1, q3]", "change median [q1, q3]", "change wins"))
 for m, dirn in better.items():
     b, c = side("base", m), side("change", m)
