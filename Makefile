@@ -106,6 +106,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzTraceContext -fuzztime=$(FUZZTIME) ./internal/memcproto
 	go test -run='^$$' -fuzz=FuzzOpRoundTrip -fuzztime=$(FUZZTIME) ./internal/transport
 	go test -run='^$$' -fuzz=FuzzPagedScan -fuzztime=$(FUZZTIME) ./internal/gsi
+	go test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/n1ql
 	go test -run='^$$' -fuzz=FuzzFaultSchedule -fuzztime=$(FUZZTIME) ./internal/core
 
 # The fault harness alone for ten minutes. Each schedule must finish in

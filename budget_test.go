@@ -37,10 +37,10 @@ var lineBudgets = map[string]int{
 	"internal/fts":       393,
 	"internal/gsi":       1285,
 	"internal/health":    487,
-	"internal/lint":      3176,
+	"internal/lint":      3178,
 	"internal/memcproto": 780,
 	"internal/metrics":   652,
-	"internal/n1ql":      3585,
+	"internal/n1ql":      2955,
 	"internal/planner":   979,
 	"internal/query":     283,
 	"internal/rest":      1431,
@@ -54,10 +54,10 @@ var lineBudgets = map[string]int{
 }
 
 var byteBudgets = map[string]int{
-	"DESIGN.md":                      115596,
+	"DESIGN.md":                      115589,
 	"README.md":                      17425,
-	"EXPERIMENTS.md":                 24639,
-	".claude/skills/verify/SKILL.md": 56757,
+	"EXPERIMENTS.md":                 25048,
+	".claude/skills/verify/SKILL.md": 56742,
 	"CHANGES.md entry":               13333,
 }
 

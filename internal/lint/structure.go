@@ -153,6 +153,8 @@ var structureRows = []row{
 	{form: methodSet, subj: under("n1ql", "*"), typ: internal + "n1ql.Expr", list: []string{"String", "eval"},
 		why: "an expression runs only through eval"},
 	{form: absent, subj: under("n1ql", "Eval?*", "[A-Z]*Eval*"), why: "Eval is the only exported evaluator"},
+	{form: absent, subj: under("n1ql", "parser.errorf", "parser.orExpr", "parser.andExpr", "parser.notExpr", "parser.cmpExpr",
+		"parser.addExpr", "parser.mulExpr", "binOpText"), why: "one precedence table and one error path"},
 	// One commit path: an fsync is storage's (a file's group-commit
 	// leader, a compaction's rewrite, a device round); cbtop flushes its
 	// terminal.

@@ -144,6 +144,7 @@ type Ident struct{} // want: structure
 
 func (Ident) String() string { return "" }; func (Ident) eval() any { return nil }; func (Ident) Width() int { return 0 }
 func EvalAll() {} // want: structure
+type parser struct{}; func (p *parser) cmpExpr() {} // want: structure
 `},
 	{name: "lint", path: internal + "lint", src: "package lint\n\nfunc copyHeld() {} // want: structure\n"},
 	{name: "ycsb", path: internal + "ycsb", src: `package ycsb // want: structure

@@ -27,8 +27,17 @@ func (e *Literal) String() string {
 	if value.IsMissing(e.Val) {
 		return "MISSING"
 	}
+	if s, ok := e.Val.(string); ok {
+		return quoteString(s)
+	}
 	return string(value.Marshal(e.Val))
 }
+
+// quoteString prints s as a string literal that lexes back to s byte for
+// byte. (JSON would not: the lexer reads its \u003c as "u003c".)
+func quoteString(s string) string { return `"` + stringEscaper.Replace(s) + `"` }
+
+var stringEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
 
 // slot locates a resolved name in Context.Slots: the index plus one,
 // so that the zero value, an unresolved node, reads as unbound.
@@ -99,7 +108,7 @@ type ObjectConstruct struct {
 func (e *ObjectConstruct) String() string {
 	parts := make([]string, len(e.Names))
 	for i := range e.Names {
-		parts[i] = "\"" + e.Names[i] + "\": " + e.Vals[i].String()
+		parts[i] = quoteString(e.Names[i]) + ": " + e.Vals[i].String()
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }
@@ -113,7 +122,8 @@ type Param struct {
 
 func (e *Param) String() string { return "$" + e.Name }
 
-// BinOp enumerates binary operators.
+// BinOp enumerates binary operators; binOps spells them and gives
+// their precedence.
 type BinOp int
 
 const (
@@ -135,12 +145,6 @@ const (
 	OpIn
 )
 
-var binOpText = map[BinOp]string{
-	OpEq: "=", OpNe: "!=", OpLt: "<", OpLe: "<=", OpGt: ">", OpGe: ">=",
-	OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/", OpMod: "%",
-	OpConcat: "||", OpAnd: "AND", OpOr: "OR", OpLike: "LIKE", OpIn: "IN",
-}
-
 // Binary applies Op to LHS and RHS.
 type Binary struct {
 	Op       BinOp
@@ -148,7 +152,7 @@ type Binary struct {
 }
 
 func (e *Binary) String() string {
-	return "(" + e.LHS.String() + " " + binOpText[e.Op] + " " + e.RHS.String() + ")"
+	return "(" + e.LHS.String() + " " + binOps[e.Op].text + " " + e.RHS.String() + ")"
 }
 
 // UnOp enumerates unary operators.
@@ -222,8 +226,9 @@ type FuncCall struct {
 }
 
 func (e *FuncCall) String() string {
+	name := quoteIdent(e.Name)
 	if e.Star {
-		return e.Name + "(*)"
+		return name + "(*)"
 	}
 	parts := make([]string, len(e.Args))
 	for i, a := range e.Args {
@@ -233,7 +238,7 @@ func (e *FuncCall) String() string {
 	if e.Distinct {
 		d = "DISTINCT "
 	}
-	return e.Name + "(" + d + strings.Join(parts, ", ") + ")"
+	return name + "(" + d + strings.Join(parts, ", ") + ")"
 }
 
 // CollKind distinguishes ANY / EVERY collection predicates.
@@ -259,7 +264,7 @@ func (e *CollPredicate) String() string {
 	if e.Kind == CollEvery {
 		k = "EVERY"
 	}
-	return k + " " + e.Var + " IN " + e.Coll.String() + " SATISFIES " + e.Satisfies.String() + " END"
+	return k + " " + quoteIdent(e.Var) + " IN " + e.Coll.String() + " SATISFIES " + e.Satisfies.String() + " END"
 }
 
 // ArrayComprehension is ARRAY expr FOR var IN coll [WHEN cond] END — the
@@ -274,7 +279,7 @@ type ArrayComprehension struct {
 }
 
 func (e *ArrayComprehension) String() string {
-	s := "ARRAY " + e.Mapper.String() + " FOR " + e.Var + " IN " + e.Coll.String()
+	s := "ARRAY " + e.Mapper.String() + " FOR " + quoteIdent(e.Var) + " IN " + e.Coll.String()
 	if e.When != nil {
 		s += " WHEN " + e.When.String()
 	}
@@ -325,19 +330,17 @@ func (e *MetaExpr) String() string {
 	return s
 }
 
+// quoteIdent prints name bare when the lexer reads it back as this
+// identifier (byte by byte, as the lexer does), in backticks otherwise.
 func quoteIdent(name string) string {
-	if name == "" {
-		return "``"
+	bare := name != "" && !keywords[strings.ToUpper(name)]
+	for i := 0; i < len(name) && bare; i++ {
+		bare = isIdentPart(rune(name[i])) && (i > 0 || isIdentStart(rune(name[i])))
 	}
-	for i, r := range name {
-		if !(isIdentPart(r) || (i == 0 && isIdentStart(r))) {
-			return "`" + strings.ReplaceAll(name, "`", "``") + "`"
-		}
+	if bare {
+		return name
 	}
-	if keywords[strings.ToUpper(name)] {
-		return "`" + name + "`"
-	}
-	return name
+	return "`" + strings.ReplaceAll(name, "`", "``") + "`"
 }
 
 // --- Statements ---

@@ -10,396 +10,258 @@ import (
 
 // Parse parses one N1QL statement.
 func Parse(src string) (Statement, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	stmt, err := p.statement()
-	if err != nil {
-		return nil, err
-	}
-	p.acceptOp(";")
-	if !p.at(tkEOF, "") {
-		return nil, p.errorf("unexpected %s after statement", p.peek())
-	}
-	return stmt, nil
+	return parse(src, func(p *parser) Statement {
+		stmt := p.statement()
+		p.accept(";")
+		p.end("statement")
+		return stmt
+	})
 }
 
 // ParseExpr parses a standalone expression (index definitions, view map
 // specs, and filters reuse the expression language this way).
 func ParseExpr(src string) (Expr, error) {
+	return parse(src, func(p *parser) Expr {
+		e := p.expr()
+		p.end("expression")
+		return e
+	})
+}
+
+// parseError is a syntax error. The parser panics with one where it
+// finds it, and parse recovers it, so no parsing step returns an error.
+type parseError struct{ err error }
+
+// parse lexes src and runs fn over its tokens. It recovers a parseError
+// only: any other panic is a parser bug and goes on up.
+func parse[T any](src string, fn func(*parser) T) (out T, err error) {
 	toks, err := lex(src)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
-	p := &parser{toks: toks}
-	e, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.at(tkEOF, "") {
-		return nil, p.errorf("unexpected %s after expression", p.peek())
-	}
-	return e, nil
+	defer func() {
+		if r := recover(); r != nil {
+			pe, ok := r.(parseError)
+			if !ok {
+				panic(r)
+			}
+			err = pe.err
+		}
+	}()
+	return fn(&parser{toks: toks}), nil
 }
 
 type parser struct {
-	toks []token
+	toks []token // the last is tkEOF
 	pos  int
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
-func (p *parser) backup()     { p.pos-- }
 
-func (p *parser) at(kind tokenKind, text string) bool {
-	t := p.peek()
-	return t.kind == kind && (text == "" || t.text == text)
+// after is the token after the current one (the end repeats).
+func (p *parser) after() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
+
+// fail panics with a parseError at the current token.
+func (p *parser) fail(format string, args ...any) {
+	panic(parseError{fmt.Errorf("n1ql: parse error at position %d: %s", p.peek().pos, fmt.Sprintf(format, args...))})
 }
 
-func (p *parser) atKeyword(kw string) bool { return p.at(tkKeyword, kw) }
+// isWord reports whether t is the keyword or operator w.
+func isWord(t token, w string) bool { return (t.kind == tkKeyword || t.kind == tkOp) && t.text == w }
 
-func (p *parser) acceptKeyword(kw string) bool {
-	if p.atKeyword(kw) {
+func (p *parser) at(w string) bool { return isWord(p.peek(), w) }
+
+func (p *parser) accept(w string) bool {
+	if p.at(w) {
 		p.pos++
 		return true
 	}
 	return false
 }
 
-func (p *parser) acceptOp(op string) bool {
-	if p.at(tkOp, op) {
-		p.pos++
-		return true
+// expect consumes the keywords and operators words, in order.
+func (p *parser) expect(words ...string) {
+	for _, w := range words {
+		if p.accept(w) {
+			continue
+		}
+		if keywords[w] {
+			p.fail("expected %s, found %s", w, p.peek())
+		}
+		p.fail("expected %q, found %s", w, p.peek())
 	}
-	return false
 }
 
-func (p *parser) expectKeyword(kw string) error {
-	if !p.acceptKeyword(kw) {
-		return p.errorf("expected %s, found %s", kw, p.peek())
+func (p *parser) end(what string) {
+	if p.peek().kind != tkEOF {
+		p.fail("unexpected %s after %s", p.peek(), what)
 	}
-	return nil
 }
 
-func (p *parser) expectOp(op string) error {
-	if !p.acceptOp(op) {
-		return p.errorf("expected %q, found %s", op, p.peek())
-	}
-	return nil
-}
-
-func (p *parser) ident() (string, error) {
+func (p *parser) ident() string {
 	t := p.peek()
-	if t.kind == tkIdent {
-		p.pos++
-		return t.text, nil
+	if t.kind != tkIdent {
+		p.fail("expected identifier, found %s", t)
 	}
-	return "", p.errorf("expected identifier, found %s", t)
+	p.pos++
+	return t.text
 }
 
-func (p *parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("n1ql: parse error at position %d: %s", p.peek().pos, fmt.Sprintf(format, args...))
+// alias parses an optional [AS] name; def when there is none.
+func (p *parser) alias(def string) string {
+	if p.accept("AS") || p.peek().kind == tkIdent {
+		return p.ident()
+	}
+	return def
+}
+
+// clause parses `kw expr` when kw[0] is next (kw[1:] must follow it),
+// and is nil when it is not.
+func (p *parser) clause(kw ...string) Expr {
+	if !p.accept(kw[0]) {
+		return nil
+	}
+	p.expect(kw[1:]...)
+	return p.expr()
+}
+
+// list parses one or more items separated by commas.
+func list[T any](p *parser, item func() T) []T {
+	out := []T{item()}
+	for p.accept(",") {
+		out = append(out, item())
+	}
+	return out
 }
 
 // --- Statements ---
 
-func (p *parser) statement() (Statement, error) {
+func (p *parser) statement() Statement {
 	switch {
-	case p.acceptKeyword("EXPLAIN"):
-		target, err := p.statement()
-		if err != nil {
-			return nil, err
-		}
-		return &Explain{Target: target}, nil
-	case p.atKeyword("SELECT"):
+	case p.accept("EXPLAIN"):
+		return &Explain{Target: p.statement()}
+	case p.accept("SELECT"):
 		return p.selectStatement()
-	case p.atKeyword("INSERT"), p.atKeyword("UPSERT"):
-		return p.insertStatement()
-	case p.atKeyword("UPDATE"):
-		return p.updateStatement()
-	case p.atKeyword("DELETE"):
-		return p.deleteStatement()
-	case p.atKeyword("CREATE"):
-		return p.createStatement()
-	case p.atKeyword("DROP"):
-		return p.dropStatement()
+	case p.accept("INSERT"):
+		return p.insert(false)
+	case p.accept("UPSERT"):
+		return p.insert(true)
+	case p.accept("UPDATE"):
+		return p.update()
+	case p.accept("DELETE"):
+		return p.delete()
+	case p.accept("CREATE"):
+		return p.create()
+	case p.accept("DROP"):
+		return p.drop()
 	}
-	return nil, p.errorf("expected a statement, found %s", p.peek())
+	p.fail("expected a statement, found %s", p.peek())
+	return nil
 }
 
-func (p *parser) selectStatement() (*Select, error) {
-	if err := p.expectKeyword("SELECT"); err != nil {
-		return nil, err
+func (p *parser) selectStatement() *Select {
+	sel := &Select{Distinct: p.accept("DISTINCT")}
+	if !sel.Distinct {
+		p.accept("ALL") // the default
 	}
-	sel := &Select{}
-	if p.acceptKeyword("DISTINCT") {
-		sel.Distinct = true
-	} else if p.acceptKeyword("ALL") {
-		// ALL is the default; accepted and ignored.
-	}
-	if p.acceptKeyword("RAW") {
+	if p.accept("RAW") {
 		sel.Raw = true
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
+		rt := ResultTerm{Expr: p.expr()}
+		if p.accept("AS") {
+			rt.Alias = p.ident()
 		}
-		alias := ""
-		if p.acceptKeyword("AS") {
-			a, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			alias = a
-		}
-		sel.Projection = []ResultTerm{{Expr: e, Alias: alias}}
+		sel.Projection = []ResultTerm{rt}
 	} else {
-		terms, err := p.projection()
-		if err != nil {
-			return nil, err
-		}
-		sel.Projection = terms
+		sel.Projection = p.projection()
 	}
-	if p.acceptKeyword("FROM") {
-		ks, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		sel.Keyspace = ks
-		sel.Alias = ks
-		// Optional dotted sub-path, e.g. catalog.details in the paper's
-		// EXPLAIN example; we treat the last component as the keyspace
-		// qualifier and keep the full name.
-		for p.acceptOp(".") {
-			part, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			sel.Keyspace = sel.Keyspace + "." + part
-			sel.Alias = part
-		}
-		if p.acceptKeyword("AS") {
-			a, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			sel.Alias = a
-		} else if p.at(tkIdent, "") {
-			a, _ := p.ident()
-			sel.Alias = a
-		}
-		if p.acceptKeyword("USE") {
-			if err := p.expectKeyword("KEYS"); err != nil {
-				return nil, err
-			}
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			sel.UseKeys = e
-		}
-		// JOIN / NEST / UNNEST terms, in order.
-		for {
-			kind := JoinInner
-			explicitKind := false
-			if p.acceptKeyword("INNER") {
-				explicitKind = true
-			} else if p.acceptKeyword("LEFT") {
-				p.acceptKeyword("OUTER")
-				kind = JoinLeftOuter
-				explicitKind = true
-			}
-			switch {
-			case p.acceptKeyword("JOIN"):
-				jt, err := p.joinTerm(kind, false)
-				if err != nil {
-					return nil, err
-				}
-				sel.Joins = append(sel.Joins, *jt)
-			case p.acceptKeyword("NEST"):
-				jt, err := p.joinTerm(kind, true)
-				if err != nil {
-					return nil, err
-				}
-				sel.Joins = append(sel.Joins, *jt)
-			case p.acceptKeyword("UNNEST"):
-				ut, err := p.unnestTerm(kind)
-				if err != nil {
-					return nil, err
-				}
-				sel.Unnests = append(sel.Unnests, *ut)
-			default:
-				if explicitKind {
-					return nil, p.errorf("expected JOIN, NEST, or UNNEST after join qualifier")
-				}
-				goto fromDone
-			}
-		}
-	fromDone:
+	if p.accept("FROM") {
+		p.from(sel)
 	}
-	if p.acceptKeyword("WHERE") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		sel.Where = e
+	sel.Where = p.clause("WHERE")
+	if p.accept("GROUP") {
+		p.expect("BY")
+		sel.GroupBy = list(p, p.expr)
+		sel.Having = p.clause("HAVING")
 	}
-	if p.acceptKeyword("GROUP") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
+	if p.accept("ORDER") {
+		p.expect("BY")
+		sel.OrderBy = list(p, func() OrderTerm {
+			ot := OrderTerm{Expr: p.expr()}
+			if ot.Desc = p.accept("DESC"); !ot.Desc {
+				p.accept("ASC")
 			}
-			sel.GroupBy = append(sel.GroupBy, e)
-			if !p.acceptOp(",") {
-				break
-			}
-		}
-		if p.acceptKeyword("HAVING") {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			sel.Having = e
-		}
+			return ot
+		})
 	}
-	if p.acceptKeyword("ORDER") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			ot := OrderTerm{Expr: e}
-			if p.acceptKeyword("DESC") {
-				ot.Desc = true
-			} else {
-				p.acceptKeyword("ASC")
-			}
-			sel.OrderBy = append(sel.OrderBy, ot)
-			if !p.acceptOp(",") {
-				break
-			}
-		}
-	}
-	if p.acceptKeyword("LIMIT") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		sel.Limit = e
-	}
-	if p.acceptKeyword("OFFSET") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		sel.Offset = e
-	}
-	return sel, nil
+	sel.Limit = p.clause("LIMIT")
+	sel.Offset = p.clause("OFFSET")
+	return sel
 }
 
-func (p *parser) projection() ([]ResultTerm, error) {
-	var terms []ResultTerm
+// from parses what follows FROM: the keyspace, its alias, USE KEYS, and
+// the JOIN, NEST and UNNEST terms in order.
+func (p *parser) from(sel *Select) {
+	sel.Keyspace = p.ident()
+	sel.Alias = sel.Keyspace
+	// A dotted keyspace (catalog.details in the paper's EXPLAIN example)
+	// keeps its full name; its last component is the default alias.
+	for p.accept(".") {
+		sel.Alias = p.ident()
+		sel.Keyspace += "." + sel.Alias
+	}
+	sel.Alias = p.alias(sel.Alias)
+	sel.UseKeys = p.clause("USE", "KEYS")
 	for {
-		if p.acceptOp("*") {
-			terms = append(terms, ResultTerm{Star: true})
-		} else {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			// alias.* renders as Field access on '*'; detect the lexer
-			// form: expr followed by ".*".
-			if p.acceptOp(".") {
-				if err := p.expectOp("*"); err != nil {
-					return nil, err
-				}
-				terms = append(terms, ResultTerm{Expr: e, Star: true})
-			} else {
-				rt := ResultTerm{Expr: e}
-				if p.acceptKeyword("AS") {
-					a, err := p.ident()
-					if err != nil {
-						return nil, err
-					}
-					rt.Alias = a
-				} else if p.at(tkIdent, "") {
-					a, _ := p.ident()
-					rt.Alias = a
-				}
-				terms = append(terms, rt)
-			}
+		kind, qualified := JoinInner, true
+		if p.accept("LEFT") {
+			p.accept("OUTER")
+			kind = JoinLeftOuter
+		} else if !p.accept("INNER") {
+			qualified = false
 		}
-		if !p.acceptOp(",") {
-			return terms, nil
+		switch {
+		case p.accept("JOIN"):
+			sel.Joins = append(sel.Joins, p.join(kind, false))
+		case p.accept("NEST"):
+			sel.Joins = append(sel.Joins, p.join(kind, true))
+		case p.accept("UNNEST"):
+			e := p.expr()
+			sel.Unnests = append(sel.Unnests, UnnestTerm{Kind: kind, Expr: e, Alias: p.alias(lastPathComponent(e))})
+		case qualified:
+			p.fail("expected JOIN, NEST, or UNNEST after join qualifier")
+		default:
+			return
 		}
 	}
 }
 
-func (p *parser) joinTerm(kind JoinKind, nest bool) (*JoinTerm, error) {
-	ks, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	jt := &JoinTerm{Kind: kind, Nest: nest, Keyspace: ks, Alias: ks}
-	if p.acceptKeyword("AS") {
-		a, err := p.ident()
-		if err != nil {
-			return nil, err
+func (p *parser) projection() []ResultTerm {
+	return list(p, func() ResultTerm {
+		if p.accept("*") {
+			return ResultTerm{Star: true}
 		}
-		jt.Alias = a
-	} else if p.at(tkIdent, "") {
-		a, _ := p.ident()
-		jt.Alias = a
-	}
-	if err := p.expectKeyword("ON"); err != nil {
-		return nil, err
-	}
-	if p.acceptKeyword("KEYS") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
+		e := p.expr()
+		if p.accept(".") { // alias.*: postfix leaves ".*" here
+			p.expect("*")
+			return ResultTerm{Expr: e, Star: true}
 		}
-		jt.OnKeys = e
-		return jt, nil
-	}
-	e, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	jt.OnCond = e
-	return jt, nil
+		return ResultTerm{Expr: e, Alias: p.alias("")}
+	})
 }
 
-func (p *parser) unnestTerm(kind JoinKind) (*UnnestTerm, error) {
-	e, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	ut := &UnnestTerm{Kind: kind, Expr: e}
-	if p.acceptKeyword("AS") {
-		a, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		ut.Alias = a
-	} else if p.at(tkIdent, "") {
-		a, _ := p.ident()
-		ut.Alias = a
+func (p *parser) join(kind JoinKind, nest bool) JoinTerm {
+	jt := JoinTerm{Kind: kind, Nest: nest, Keyspace: p.ident()}
+	jt.Alias = p.alias(jt.Keyspace)
+	p.expect("ON")
+	if p.accept("KEYS") {
+		jt.OnKeys = p.expr()
 	} else {
-		// Default alias: last path component.
-		ut.Alias = lastPathComponent(e)
+		jt.OnCond = p.expr()
 	}
-	return ut, nil
+	return jt
 }
 
+// lastPathComponent is an UNNEST term's default alias.
 func lastPathComponent(e Expr) string {
 	switch t := e.(type) {
 	case *Field:
@@ -412,904 +274,409 @@ func lastPathComponent(e Expr) string {
 	return "unnest"
 }
 
-func (p *parser) insertStatement() (*Insert, error) {
-	ins := &Insert{}
-	if p.acceptKeyword("UPSERT") {
-		ins.Upsert = true
-	} else if err := p.expectKeyword("INSERT"); err != nil {
-		return nil, err
+func (p *parser) returning() []ResultTerm {
+	if !p.accept("RETURNING") {
+		return nil
 	}
-	if err := p.expectKeyword("INTO"); err != nil {
-		return nil, err
-	}
-	ks, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	ins.Keyspace = ks
-	// (KEY, VALUE) VALUES (k, v) [, (k, v)]...
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("KEY"); err != nil {
-		return nil, err
-	}
-	if err := p.expectOp(","); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("VALUE"); err != nil {
-		return nil, err
-	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("VALUES"); err != nil {
-		return nil, err
-	}
-	for {
-		if err := p.expectOp("("); err != nil {
-			return nil, err
-		}
-		k, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp(","); err != nil {
-			return nil, err
-		}
-		v, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		ins.KeyExprs = append(ins.KeyExprs, k)
-		ins.ValExprs = append(ins.ValExprs, v)
-		if !p.acceptOp(",") {
-			break
-		}
-	}
-	if p.acceptKeyword("RETURNING") {
-		terms, err := p.projection()
-		if err != nil {
-			return nil, err
-		}
-		ins.Returning = terms
-	}
-	return ins, nil
+	return p.projection()
 }
 
-func (p *parser) updateStatement() (*Update, error) {
-	if err := p.expectKeyword("UPDATE"); err != nil {
-		return nil, err
-	}
-	ks, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	upd := &Update{Keyspace: ks, Alias: ks}
-	if p.acceptKeyword("AS") {
-		a, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		upd.Alias = a
-	} else if p.at(tkIdent, "") {
-		a, _ := p.ident()
-		upd.Alias = a
-	}
-	if p.acceptKeyword("USE") {
-		if err := p.expectKeyword("KEYS"); err != nil {
-			return nil, err
-		}
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		upd.UseKeys = e
-	}
-	if p.acceptKeyword("SET") {
-		for {
-			// The assignment target is a path (postfix chain), not a
-			// general expression — `a.x = 1` must not parse as equality.
-			path, err := p.postfixExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp("="); err != nil {
-				return nil, err
-			}
-			val, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			upd.Sets = append(upd.Sets, SetClause{Path: path, Val: val})
-			if !p.acceptOp(",") {
-				break
-			}
-		}
-	}
-	if p.acceptKeyword("UNSET") {
-		for {
-			path, err := p.postfixExpr()
-			if err != nil {
-				return nil, err
-			}
-			upd.Unsets = append(upd.Unsets, path)
-			if !p.acceptOp(",") {
-				break
-			}
-		}
-	}
-	if p.acceptKeyword("WHERE") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		upd.Where = e
-	}
-	if p.acceptKeyword("LIMIT") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		upd.Limit = e
-	}
-	if p.acceptKeyword("RETURNING") {
-		terms, err := p.projection()
-		if err != nil {
-			return nil, err
-		}
-		upd.Returning = terms
-	}
-	return upd, nil
+func (p *parser) insert(upsert bool) *Insert {
+	ins := &Insert{Upsert: upsert}
+	p.expect("INTO")
+	ins.Keyspace = p.ident()
+	p.expect("(", "KEY", ",", "VALUE", ")", "VALUES")
+	ins.ValExprs = list(p, func() Expr { // (k, v) [, (k, v)]...
+		p.expect("(")
+		ins.KeyExprs = append(ins.KeyExprs, p.expr())
+		p.expect(",")
+		v := p.expr()
+		p.expect(")")
+		return v
+	})
+	ins.Returning = p.returning()
+	return ins
 }
 
-func (p *parser) deleteStatement() (*Delete, error) {
-	if err := p.expectKeyword("DELETE"); err != nil {
-		return nil, err
+func (p *parser) update() *Update {
+	upd := &Update{Keyspace: p.ident()}
+	upd.Alias = p.alias(upd.Keyspace)
+	upd.UseKeys = p.clause("USE", "KEYS")
+	if p.accept("SET") {
+		upd.Sets = list(p, func() SetClause {
+			// The target is a path (postfix chain), not an expression:
+			// `a.x = 1` must not parse as equality.
+			path := p.postfix()
+			p.expect("=")
+			return SetClause{Path: path, Val: p.expr()}
+		})
 	}
-	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
+	if p.accept("UNSET") {
+		upd.Unsets = list(p, p.postfix)
 	}
-	ks, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	del := &Delete{Keyspace: ks, Alias: ks}
-	if p.acceptKeyword("AS") {
-		a, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		del.Alias = a
-	} else if p.at(tkIdent, "") {
-		a, _ := p.ident()
-		del.Alias = a
-	}
-	if p.acceptKeyword("USE") {
-		if err := p.expectKeyword("KEYS"); err != nil {
-			return nil, err
-		}
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		del.UseKeys = e
-	}
-	if p.acceptKeyword("WHERE") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		del.Where = e
-	}
-	if p.acceptKeyword("LIMIT") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		del.Limit = e
-	}
-	if p.acceptKeyword("RETURNING") {
-		terms, err := p.projection()
-		if err != nil {
-			return nil, err
-		}
-		del.Returning = terms
-	}
-	return del, nil
+	upd.Where = p.clause("WHERE")
+	upd.Limit = p.clause("LIMIT")
+	upd.Returning = p.returning()
+	return upd
 }
 
-func (p *parser) createStatement() (Statement, error) {
-	if err := p.expectKeyword("CREATE"); err != nil {
-		return nil, err
-	}
-	ci := &CreateIndex{Using: UsingGSI}
-	if p.acceptKeyword("PRIMARY") {
-		ci.Primary = true
-	}
-	if err := p.expectKeyword("INDEX"); err != nil {
-		return nil, err
-	}
-	if p.at(tkIdent, "") {
-		name, _ := p.ident()
-		ci.Name = name
+func (p *parser) delete() *Delete {
+	p.expect("FROM")
+	del := &Delete{Keyspace: p.ident()}
+	del.Alias = p.alias(del.Keyspace)
+	del.UseKeys = p.clause("USE", "KEYS")
+	del.Where = p.clause("WHERE")
+	del.Limit = p.clause("LIMIT")
+	del.Returning = p.returning()
+	return del
+}
+
+func (p *parser) create() Statement {
+	ci := &CreateIndex{Using: UsingGSI, Primary: p.accept("PRIMARY")}
+	p.expect("INDEX")
+	if p.peek().kind == tkIdent {
+		ci.Name = p.ident()
 	}
 	if ci.Name == "" && !ci.Primary {
-		return nil, p.errorf("secondary index requires a name")
+		p.fail("secondary index requires a name")
 	}
 	if ci.Name == "" {
 		ci.Name = "#primary"
 	}
-	if err := p.expectKeyword("ON"); err != nil {
-		return nil, err
-	}
-	ks, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	ci.Keyspace = ks
+	p.expect("ON")
+	ci.Keyspace = p.ident()
 	if !ci.Primary {
-		if err := p.expectOp("("); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			ci.Keys = append(ci.Keys, e)
-			if !p.acceptOp(",") {
-				break
-			}
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
+		p.expect("(")
+		ci.Keys = list(p, p.expr)
+		p.expect(")")
 	}
-	if p.acceptKeyword("WHERE") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		ci.Where = e
-	}
-	if p.acceptKeyword("USING") {
+	ci.Where = p.clause("WHERE")
+	if p.accept("USING") {
 		switch {
-		case p.acceptKeyword("GSI"):
-			ci.Using = UsingGSI
-		case p.acceptKeyword("VIEW"):
+		case p.accept("GSI"):
+		case p.accept("VIEW"):
 			ci.Using = UsingView
 		default:
-			return nil, p.errorf("expected GSI or VIEW after USING")
+			p.fail("expected GSI or VIEW after USING")
 		}
 	}
-	if p.acceptKeyword("WITH") {
-		e, err := p.expr()
+	if with := p.clause("WITH"); with != nil {
+		obj, err := Eval(with, &Context{})
 		if err != nil {
-			return nil, err
-		}
-		obj, err := Eval(e, &Context{})
-		if err != nil {
-			return nil, p.errorf("WITH clause must be a constant object: %v", err)
+			p.fail("WITH clause must be a constant object: %v", err)
 		}
 		m, ok := obj.(map[string]any)
 		if !ok {
-			return nil, p.errorf("WITH clause must be an object")
+			p.fail("WITH clause must be an object")
 		}
 		ci.With = m
 	}
-	return ci, nil
+	return ci
 }
 
-func (p *parser) dropStatement() (Statement, error) {
-	if err := p.expectKeyword("DROP"); err != nil {
-		return nil, err
-	}
+func (p *parser) drop() Statement {
 	switch {
-	case p.acceptKeyword("INDEX"):
-		ks, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp("."); err != nil {
-			return nil, err
-		}
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		return &DropIndex{Keyspace: ks, Name: name}, nil
-	case p.acceptKeyword("PRIMARY"):
-		if err := p.expectKeyword("INDEX"); err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("ON"); err != nil {
-			return nil, err
-		}
-		ks, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		return &DropIndex{Keyspace: ks, Name: "#primary"}, nil
+	case p.accept("INDEX"):
+		ks := p.ident()
+		p.expect(".")
+		return &DropIndex{Keyspace: ks, Name: p.ident()}
+	case p.accept("PRIMARY"):
+		p.expect("INDEX", "ON")
+		return &DropIndex{Keyspace: p.ident(), Name: "#primary"}
 	}
-	return nil, p.errorf("expected INDEX after DROP")
+	p.fail("expected INDEX after DROP")
+	return nil
 }
 
 // --- Expressions (precedence climbing) ---
 
-func (p *parser) expr() (Expr, error) { return p.orExpr() }
+// Precedence levels, loosest first. NOT sits between AND and the
+// comparisons; BETWEEN, IS and NOT LIKE/IN/BETWEEN are comparisons.
+const (
+	levelOr = 1 + iota
+	levelAnd
+	levelNot
+	levelCmp
+	levelAdd
+	levelMul
+)
 
-func (p *parser) orExpr() (Expr, error) {
-	lhs, err := p.andExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKeyword("OR") {
-		rhs, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		lhs = &Binary{Op: OpOr, LHS: lhs, RHS: rhs}
-	}
-	return lhs, nil
+// binOps is the one binary-operator table: each operator's spelling,
+// which Binary.String prints, another spelling the parser also reads,
+// and its precedence level.
+var binOps = [...]struct {
+	text, alt string
+	level     int
+}{
+	OpOr: {"OR", "", levelOr}, OpAnd: {"AND", "", levelAnd},
+	OpEq: {"=", "==", levelCmp}, OpNe: {"!=", "<>", levelCmp},
+	OpLt: {"<", "", levelCmp}, OpLe: {"<=", "", levelCmp},
+	OpGt: {">", "", levelCmp}, OpGe: {">=", "", levelCmp},
+	OpLike: {"LIKE", "", levelCmp}, OpIn: {"IN", "", levelCmp},
+	OpAdd: {"+", "", levelAdd}, OpSub: {"-", "", levelAdd}, OpConcat: {"||", "", levelAdd},
+	OpMul: {"*", "", levelMul}, OpDiv: {"/", "", levelMul}, OpMod: {"%", "", levelMul},
 }
 
-func (p *parser) andExpr() (Expr, error) {
-	lhs, err := p.notExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKeyword("AND") {
-		rhs, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		lhs = &Binary{Op: OpAnd, LHS: lhs, RHS: rhs}
-	}
-	return lhs, nil
-}
+func (p *parser) expr() Expr { return p.binary(levelOr) }
 
-func (p *parser) notExpr() (Expr, error) {
-	if p.acceptKeyword("NOT") {
-		e, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: OpNot, Operand: e}, nil
-	}
-	return p.cmpExpr()
-}
-
-func (p *parser) cmpExpr() (Expr, error) {
-	lhs, err := p.addExpr()
-	if err != nil {
-		return nil, err
+// binary parses an expression whose operators are of level floor or
+// tighter. A level-l operator's right operand binds level l+1 and
+// tighter, so every binary operator associates left.
+func (p *parser) binary(floor int) Expr {
+	var lhs Expr
+	if floor <= levelNot && p.accept("NOT") {
+		lhs = &Unary{Op: OpNot, Operand: p.binary(levelNot)}
+	} else {
+		lhs = p.unary()
 	}
 	for {
-		switch {
-		case p.acceptOp("="), p.acceptOp("=="):
-			rhs, err := p.addExpr()
-			if err != nil {
-				return nil, err
+		if floor <= levelCmp {
+			if e := p.predicate(lhs); e != nil {
+				lhs = e
+				continue
 			}
-			lhs = &Binary{Op: OpEq, LHS: lhs, RHS: rhs}
-		case p.acceptOp("!="), p.acceptOp("<>"):
-			rhs, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &Binary{Op: OpNe, LHS: lhs, RHS: rhs}
-		case p.acceptOp("<="):
-			rhs, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &Binary{Op: OpLe, LHS: lhs, RHS: rhs}
-		case p.acceptOp("<"):
-			rhs, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &Binary{Op: OpLt, LHS: lhs, RHS: rhs}
-		case p.acceptOp(">="):
-			rhs, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &Binary{Op: OpGe, LHS: lhs, RHS: rhs}
-		case p.acceptOp(">"):
-			rhs, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &Binary{Op: OpGt, LHS: lhs, RHS: rhs}
-		case p.acceptKeyword("LIKE"):
-			rhs, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &Binary{Op: OpLike, LHS: lhs, RHS: rhs}
-		case p.acceptKeyword("IN"):
-			rhs, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &Binary{Op: OpIn, LHS: lhs, RHS: rhs}
-		case p.acceptKeyword("BETWEEN"):
-			lo, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectKeyword("AND"); err != nil {
-				return nil, err
-			}
-			hi, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &Between{Operand: lhs, Lo: lo, Hi: hi}
-		case p.atKeyword("NOT"):
-			// NOT LIKE / NOT IN / NOT BETWEEN
+		}
+		op, ok := p.binOp(floor)
+		if !ok {
+			return lhs
+		}
+		lhs = &Binary{Op: op, LHS: lhs, RHS: p.binary(binOps[op].level + 1)}
+	}
+}
+
+// binOp consumes the next token if the table spells it at level floor
+// or tighter.
+func (p *parser) binOp(floor int) (BinOp, bool) {
+	t := p.peek()
+	for op, o := range binOps {
+		if o.level >= floor && (isWord(t, o.text) || isWord(t, o.alt)) {
 			p.pos++
-			switch {
-			case p.acceptKeyword("LIKE"):
-				rhs, err := p.addExpr()
-				if err != nil {
-					return nil, err
-				}
-				lhs = &Unary{Op: OpNot, Operand: &Binary{Op: OpLike, LHS: lhs, RHS: rhs}}
-			case p.acceptKeyword("IN"):
-				rhs, err := p.addExpr()
-				if err != nil {
-					return nil, err
-				}
-				lhs = &Unary{Op: OpNot, Operand: &Binary{Op: OpIn, LHS: lhs, RHS: rhs}}
-			case p.acceptKeyword("BETWEEN"):
-				lo, err := p.addExpr()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expectKeyword("AND"); err != nil {
-					return nil, err
-				}
-				hi, err := p.addExpr()
-				if err != nil {
-					return nil, err
-				}
-				lhs = &Between{Operand: lhs, Lo: lo, Hi: hi, Not: true}
-			default:
-				p.backup()
-				return lhs, nil
-			}
-		case p.acceptKeyword("IS"):
-			not := p.acceptKeyword("NOT")
-			var kind IsKind
-			switch {
-			case p.acceptKeyword("NULL"):
-				kind = IsNull
-				if not {
-					kind = IsNotNull
-				}
-			case p.acceptKeyword("MISSING"):
-				kind = IsMissingP
-				if not {
-					kind = IsNotMissing
-				}
-			case p.acceptKeyword("VALUED"):
-				kind = IsValued
-				if not {
-					kind = IsNotValued
-				}
-			default:
-				return nil, p.errorf("expected NULL, MISSING, or VALUED after IS")
-			}
-			lhs = &Is{Kind: kind, Operand: lhs}
-		default:
-			return lhs, nil
+			return BinOp(op), true
 		}
 	}
+	return 0, false
 }
 
-func (p *parser) addExpr() (Expr, error) {
-	lhs, err := p.mulExpr()
-	if err != nil {
-		return nil, err
+// predicate parses the comparisons the operator table does not spell:
+// IS [NOT] NULL|MISSING|VALUED, [NOT] BETWEEN lo AND hi, and NOT LIKE|IN.
+// It is nil when none follows lhs; a NOT that starts none is left.
+func (p *parser) predicate(lhs Expr) Expr {
+	if p.accept("IS") {
+		not := p.accept("NOT")
+		for i, w := range [...]string{"NULL", "MISSING", "VALUED"} {
+			if p.accept(w) {
+				kind := IsKind(2 * i) // IsNull, IsMissingP, IsValued; each NOT form follows it
+				if not {
+					kind++
+				}
+				return &Is{Kind: kind, Operand: lhs}
+			}
+		}
+		p.fail("expected NULL, MISSING, or VALUED after IS")
 	}
+	next := p.after()
+	not := p.at("NOT") && (isWord(next, "BETWEEN") || isWord(next, "LIKE") || isWord(next, "IN"))
+	if not {
+		p.pos++
+	}
+	if p.accept("BETWEEN") {
+		lo := p.binary(levelAdd)
+		p.expect("AND")
+		return &Between{Operand: lhs, Lo: lo, Hi: p.binary(levelAdd), Not: not}
+	}
+	if !not {
+		return nil
+	}
+	op, _ := p.binOp(levelCmp) // LIKE or IN
+	return &Unary{Op: OpNot, Operand: &Binary{Op: op, LHS: lhs, RHS: p.binary(levelAdd)}}
+}
+
+func (p *parser) unary() Expr {
+	if !p.accept("-") {
+		return p.postfix()
+	}
+	e := p.unary()
+	if lit, ok := e.(*Literal); ok {
+		if f, isNum := value.AsNumber(lit.Val); isNum {
+			return &Literal{Val: -f}
+		}
+	}
+	return &Unary{Op: OpNeg, Operand: e}
+}
+
+func (p *parser) postfix() Expr {
+	e := p.primary()
 	for {
 		switch {
-		case p.acceptOp("+"):
-			rhs, err := p.mulExpr()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &Binary{Op: OpAdd, LHS: lhs, RHS: rhs}
-		case p.acceptOp("-"):
-			rhs, err := p.mulExpr()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &Binary{Op: OpSub, LHS: lhs, RHS: rhs}
-		case p.acceptOp("||"):
-			rhs, err := p.mulExpr()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &Binary{Op: OpConcat, LHS: lhs, RHS: rhs}
-		default:
-			return lhs, nil
-		}
-	}
-}
-
-func (p *parser) mulExpr() (Expr, error) {
-	lhs, err := p.unaryExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.acceptOp("*"):
-			rhs, err := p.unaryExpr()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &Binary{Op: OpMul, LHS: lhs, RHS: rhs}
-		case p.acceptOp("/"):
-			rhs, err := p.unaryExpr()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &Binary{Op: OpDiv, LHS: lhs, RHS: rhs}
-		case p.acceptOp("%"):
-			rhs, err := p.unaryExpr()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &Binary{Op: OpMod, LHS: lhs, RHS: rhs}
-		default:
-			return lhs, nil
-		}
-	}
-}
-
-func (p *parser) unaryExpr() (Expr, error) {
-	if p.acceptOp("-") {
-		e, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		if lit, ok := e.(*Literal); ok {
-			if f, isNum := value.AsNumber(lit.Val); isNum {
-				return &Literal{Val: -f}, nil
-			}
-		}
-		return &Unary{Op: OpNeg, Operand: e}, nil
-	}
-	return p.postfixExpr()
-}
-
-func (p *parser) postfixExpr() (Expr, error) {
-	e, err := p.primaryExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.acceptOp("."):
-			// .* is handled by the projection parser; here it's an error
-			// unless an identifier follows.
-			if p.at(tkOp, "*") {
-				p.backup() // leave ".*" for the caller
-				return e, nil
-			}
-			name, err := p.fieldName()
-			if err != nil {
-				return nil, err
-			}
-			e = &Field{Recv: e, Name: name}
-		case p.acceptOp("["):
-			idx, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp("]"); err != nil {
-				return nil, err
-			}
+		case p.at(".") && !isWord(p.after(), "*"): // the projection takes ".*"
+			p.pos++
+			e = &Field{Recv: e, Name: p.fieldName()}
+		case p.accept("["):
+			idx := p.expr()
+			p.expect("]")
 			e = &Element{Recv: e, Index: idx}
 		default:
-			return e, nil
+			return e
 		}
 	}
 }
 
-// fieldName allows keywords after a dot (doc.end, doc.key, ...).
-func (p *parser) fieldName() (string, error) {
+// fieldName allows keywords after a dot (doc.end, doc.key, ...). The
+// lexer upper-cased a keyword; it reads back in lower case (backticks
+// keep the exact case).
+func (p *parser) fieldName() string {
 	t := p.peek()
-	if t.kind == tkIdent || t.kind == tkKeyword {
+	if t.kind == tkKeyword {
 		p.pos++
-		if t.kind == tkKeyword {
-			// Preserve original case? The lexer uppercased it; accept the
-			// uppercase spelling (backticks preserve exact case).
-			return strings.ToLower(t.text), nil
-		}
-		return t.text, nil
+		return strings.ToLower(t.text)
 	}
-	return "", p.errorf("expected field name, found %s", t)
+	if t.kind != tkIdent {
+		p.fail("expected field name, found %s", t)
+	}
+	return p.ident()
 }
 
-func (p *parser) primaryExpr() (Expr, error) {
+func (p *parser) primary() Expr {
 	t := p.peek()
+	p.pos++
 	switch t.kind {
 	case tkNumber:
-		p.pos++
 		f, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
-			return nil, p.errorf("bad number %q", t.text)
+			p.fail("bad number %q", t.text)
 		}
-		return &Literal{Val: f}, nil
+		return &Literal{Val: f}
 	case tkString:
-		p.pos++
-		return &Literal{Val: t.text}, nil
+		return &Literal{Val: t.text}
 	case tkParam:
-		p.pos++
-		return &Param{Name: t.text}, nil
+		return &Param{Name: t.text}
+	case tkIdent:
+		if p.accept("(") {
+			return p.call(t.text)
+		}
+		if strings.EqualFold(t.text, "self") {
+			return &Self{}
+		}
+		return &Ident{Name: t.text}
 	case tkKeyword:
 		switch t.text {
 		case "TRUE":
-			p.pos++
-			return &Literal{Val: true}, nil
+			return &Literal{Val: true}
 		case "FALSE":
-			p.pos++
-			return &Literal{Val: false}, nil
+			return &Literal{Val: false}
 		case "NULL":
-			p.pos++
-			return &Literal{Val: nil}, nil
+			return &Literal{Val: nil}
 		case "MISSING":
-			p.pos++
-			return &Literal{Val: value.Missing}, nil
+			return &Literal{Val: value.Missing}
 		case "CASE":
 			return p.caseExpr()
 		case "ANY", "EVERY":
-			return p.collPredicate()
+			return p.collPredicate(t.text)
 		case "ARRAY":
 			return p.arrayComprehension()
 		case "EXISTS":
-			p.pos++
-			e, err := p.unaryExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &FuncCall{Name: "EXISTS", Args: []Expr{e}}, nil
+			return &FuncCall{Name: "EXISTS", Args: []Expr{p.unary()}}
 		}
-		return nil, p.errorf("unexpected keyword %s in expression", t)
-	case tkIdent:
-		p.pos++
-		name := t.text
-		if p.acceptOp("(") {
-			return p.funcCall(name)
-		}
-		if strings.EqualFold(name, "self") {
-			return &Self{}, nil
-		}
-		return &Ident{Name: name}, nil
 	case tkOp:
 		switch t.text {
 		case "(":
-			p.pos++
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
+			e := p.expr()
+			p.expect(")")
+			return e
 		case "[":
-			p.pos++
 			ac := &ArrayConstruct{}
-			if !p.acceptOp("]") {
-				for {
-					e, err := p.expr()
-					if err != nil {
-						return nil, err
-					}
-					ac.Elems = append(ac.Elems, e)
-					if !p.acceptOp(",") {
-						break
-					}
-				}
-				if err := p.expectOp("]"); err != nil {
-					return nil, err
-				}
+			if !p.accept("]") {
+				ac.Elems = list(p, p.expr)
+				p.expect("]")
 			}
-			return ac, nil
+			return ac
 		case "{":
-			p.pos++
 			oc := &ObjectConstruct{}
-			if !p.acceptOp("}") {
-				for {
-					nt := p.next()
-					if nt.kind != tkString && nt.kind != tkIdent {
-						return nil, p.errorf("expected field name in object literal, found %s", nt)
+			if !p.accept("}") {
+				oc.Vals = list(p, func() Expr {
+					name := p.peek()
+					if name.kind != tkString && name.kind != tkIdent {
+						p.fail("expected field name in object literal, found %s", name)
 					}
-					if err := p.expectOp(":"); err != nil {
-						return nil, err
-					}
-					v, err := p.expr()
-					if err != nil {
-						return nil, err
-					}
-					oc.Names = append(oc.Names, nt.text)
-					oc.Vals = append(oc.Vals, v)
-					if !p.acceptOp(",") {
-						break
-					}
-				}
-				if err := p.expectOp("}"); err != nil {
-					return nil, err
-				}
+					p.pos++
+					p.expect(":")
+					oc.Names = append(oc.Names, name.text)
+					return p.expr()
+				})
+				p.expect("}")
 			}
-			return oc, nil
+			return oc
 		}
 	}
-	return nil, p.errorf("unexpected %s in expression", t)
+	p.pos-- // the error is at t
+	if t.kind == tkKeyword {
+		p.fail("unexpected keyword %s in expression", t)
+	}
+	p.fail("unexpected %s in expression", t)
+	return nil
 }
 
-func (p *parser) funcCall(name string) (Expr, error) {
+func (p *parser) call(name string) Expr {
 	upper := strings.ToUpper(name)
 	if upper == "META" {
-		alias := ""
-		if !p.at(tkOp, ")") {
-			a, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			alias = a
+		m := &MetaExpr{}
+		if !p.at(")") {
+			m.Alias = p.ident()
 		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		return &MetaExpr{Alias: alias}, nil
+		p.expect(")")
+		return m
 	}
 	fc := &FuncCall{Name: upper}
-	if p.acceptOp("*") {
+	switch {
+	case p.accept("*"):
 		fc.Star = true
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		return fc, nil
+		p.expect(")")
+	case !p.accept(")"):
+		fc.Distinct = p.accept("DISTINCT")
+		fc.Args = list(p, p.expr)
+		p.expect(")")
 	}
-	if p.acceptOp(")") {
-		return fc, nil
-	}
-	if p.acceptKeyword("DISTINCT") {
-		fc.Distinct = true
-	}
-	for {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		fc.Args = append(fc.Args, e)
-		if !p.acceptOp(",") {
-			break
-		}
-	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return fc, nil
+	return fc
 }
 
-func (p *parser) caseExpr() (Expr, error) {
-	if err := p.expectKeyword("CASE"); err != nil {
-		return nil, err
-	}
+func (p *parser) caseExpr() Expr {
 	ce := &CaseExpr{}
-	if !p.atKeyword("WHEN") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		ce.Operand = e
+	if !p.at("WHEN") {
+		ce.Operand = p.expr()
 	}
-	for p.acceptKeyword("WHEN") {
-		w, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("THEN"); err != nil {
-			return nil, err
-		}
-		th, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		ce.Whens = append(ce.Whens, w)
-		ce.Thens = append(ce.Thens, th)
+	for p.accept("WHEN") {
+		ce.Whens = append(ce.Whens, p.expr())
+		p.expect("THEN")
+		ce.Thens = append(ce.Thens, p.expr())
 	}
 	if len(ce.Whens) == 0 {
-		return nil, p.errorf("CASE requires at least one WHEN")
+		p.fail("CASE requires at least one WHEN")
 	}
-	if p.acceptKeyword("ELSE") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		ce.Else = e
-	}
-	if err := p.expectKeyword("END"); err != nil {
-		return nil, err
-	}
-	return ce, nil
+	ce.Else = p.clause("ELSE")
+	p.expect("END")
+	return ce
 }
 
-func (p *parser) collPredicate() (Expr, error) {
-	kind := CollAny
-	if p.acceptKeyword("EVERY") {
-		kind = CollEvery
-	} else if err := p.expectKeyword("ANY"); err != nil {
-		return nil, err
+func (p *parser) collPredicate(kw string) Expr {
+	cp := &CollPredicate{Kind: CollAny, Var: p.ident()}
+	if kw == "EVERY" {
+		cp.Kind = CollEvery
 	}
-	v, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("IN"); err != nil {
-		return nil, err
-	}
-	coll, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("SATISFIES"); err != nil {
-		return nil, err
-	}
-	sat, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("END"); err != nil {
-		return nil, err
-	}
-	return &CollPredicate{Kind: kind, Var: v, Coll: coll, Satisfies: sat}, nil
+	p.expect("IN")
+	cp.Coll = p.expr()
+	p.expect("SATISFIES")
+	cp.Satisfies = p.expr()
+	p.expect("END")
+	return cp
 }
 
-func (p *parser) arrayComprehension() (Expr, error) {
-	if err := p.expectKeyword("ARRAY"); err != nil {
-		return nil, err
-	}
-	mapper, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("FOR"); err != nil {
-		return nil, err
-	}
-	v, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("IN"); err != nil {
-		return nil, err
-	}
-	coll, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	ac := &ArrayComprehension{Mapper: mapper, Var: v, Coll: coll}
-	if p.acceptKeyword("WHEN") {
-		w, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		ac.When = w
-	}
-	if err := p.expectKeyword("END"); err != nil {
-		return nil, err
-	}
-	return ac, nil
+func (p *parser) arrayComprehension() Expr {
+	ac := &ArrayComprehension{Mapper: p.expr()}
+	p.expect("FOR")
+	ac.Var = p.ident()
+	p.expect("IN")
+	ac.Coll = p.expr()
+	ac.When = p.clause("WHEN")
+	p.expect("END")
+	return ac
 }

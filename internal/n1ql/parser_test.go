@@ -367,12 +367,93 @@ func TestParseErrors(t *testing.T) {
 		"SELECT * FROM b LIMIT",
 		"'unterminated",
 		"SELECT * FROM b WHERE x = @",
+		"SELECT {",
+		"INSERT INTO b (KEY, VALUE) VALUES ({",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
 		}
 	}
+	if _, err := ParseExpr("{"); err == nil || !strings.Contains(err.Error(), "position 1: expected field name in object literal") {
+		t.Errorf(`ParseExpr("{") = %v, want the field-name error at the end`, err)
+	}
+}
+
+// TestParseRecoversOnlyParseErrors: a syntax error is an error, and any
+// other panic inside the parser, a bug, goes on up.
+func TestParseRecoversOnlyParseErrors(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "a parser bug" {
+			t.Errorf("recovered %v, want the parser bug's panic", r)
+		}
+	}()
+	if _, err := parse("x", func(p *parser) Expr { p.fail("syntax"); return nil }); err == nil {
+		t.Error("a parseError came back as no error")
+	}
+	parse("x", func(*parser) Expr { panic("a parser bug") })
+	t.Error("the parser bug's panic was swallowed")
+}
+
+// paperStatements are the paper's N1QL statements (§3.2.3, §3.3, §4.5.3,
+// the appendix's workload E), FuzzParse's seeds.
+var paperStatements = []string{
+	`SELECT * FROM profiles USE KEYS ["acme-uuid-1234-5678", "roadster-uuid-4321-8765"]`,
+	`SELECT PO.personal_details, orders FROM profiles_orders PO USE KEYS 'borkar123'
+	  NEST profiles_orders AS orders ON KEYS ARRAY s.order_id FOR s IN PO.shipped_order_history END`,
+	"SELECT DISTINCT (categories) FROM product UNNEST product.categories AS categories",
+	"SELECT * FROM ORDERS O INNER JOIN CUSTOMER C ON KEYS O.O_C_ID",
+	"SELECT meta().id AS id FROM `bucket` WHERE meta().id >= $1 LIMIT $2",
+	"CREATE INDEX email on `Profile` (email) USING VIEW",
+	"CREATE PRIMARY INDEX profile_pk_view ON Profile USING VIEW",
+	`CREATE PRIMARY INDEX ON Profile USING GSI WITH {"defer_build": true}`,
+	"CREATE INDEX over21 ON `Profile`(age) WHERE age > 21 USING GSI",
+	"EXPLAIN SELECT title, genre, runtime FROM catalog.details ORDER BY title",
+}
+
+// FuzzParse: Parse and ParseExpr return on any input without panicking,
+// and each WHERE and projection expression of an accepted statement
+// prints and re-parses to the same text, which is what the planner
+// matches indexes by.
+func FuzzParse(f *testing.F) {
+	// The rest print what the printer once got wrong: a string JSON
+	// escapes (\u003c read back as "u003c"), a name that starts with a
+	// digit, a function name upper-casing turns into U+FFFD, a quote in
+	// a field name, a keyword as a range variable.
+	for _, src := range append(paperStatements, `SELECT "<" FROM b`, "SELECT `1a` FROM b", "SELECT \xff()",
+		`SELECT {'a"b': 1} FROM b`, "SELECT ARRAY 1 FOR `end` IN a END FROM b") {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		ParseExpr(src)
+		stmt, _ := Parse(src) // nil on an error: nothing to print
+		for ex, ok := stmt.(*Explain); ok; ex, ok = stmt.(*Explain) {
+			stmt = ex.Target
+		}
+		var exprs []Expr
+		switch s := stmt.(type) {
+		case *Select:
+			exprs = append(exprs, s.Where)
+			for _, rt := range s.Projection {
+				exprs = append(exprs, rt.Expr)
+			}
+		case *Update:
+			exprs = append(exprs, s.Where)
+		case *Delete:
+			exprs = append(exprs, s.Where)
+		case *CreateIndex:
+			exprs = append(exprs, s.Where)
+		}
+		for _, e := range exprs {
+			if e == nil {
+				continue
+			}
+			back, err := ParseExpr(e.String())
+			if err != nil || back.String() != e.String() {
+				t.Errorf("%q: %s re-parses to %v (%v)", src, e, back, err)
+			}
+		}
+	})
 }
 
 func TestParseComments(t *testing.T) {

@@ -174,6 +174,11 @@ func TestQueryEndpoint(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad stmt: %d", rec.Code)
 	}
+	// An object literal cut short is a parse error too, not a panic.
+	rec = do(t, s, "POST", "/query", `{"statement": "SELECT {"}`, nil)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "expected field name in object literal") {
+		t.Fatalf("cut-short object: %d %s", rec.Code, rec.Body)
+	}
 	rec = do(t, s, "POST", "/query", `not json`, nil)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad body: %d", rec.Code)

@@ -12,7 +12,9 @@
 # unpacked under .bench_build/pairs/: the base at base/<sha> (kept), the
 # change at head/<sha> (git stash create, or HEAD on a clean tree;
 # unpacked afresh each time). Both build alike, from paths of one
-# length, into their own .bench_build/, and alternate which goes first.
+# length, into their own .bench_build/. Each goes first in half the
+# pairs, in an order drawn from SEED, so no fixed pattern of places
+# (b c c b ...) follows one side.
 # For each of the four end-to-end metrics it prints both sides' median
 # and quartiles and how many pairs the change won: a gain needs >= 9
 # wins in 10 and medians further apart than the base's own
@@ -23,7 +25,7 @@
 # count far from half is a harness fault, not a gain.
 set -euo pipefail
 if [ $# -lt 2 ]; then
-	sed -n '2,23p' "$0" >&2
+	sed -n '2,25p' "$0" >&2
 	exit 2
 fi
 base_ref=$1 workloads=$2 pairs=${3:-10} seed=${SEED:-42}
@@ -42,6 +44,10 @@ rm -rf "$work/head"
 mkdir -p "$change"
 git archive "$change_sha" | tar -x -C "$change"
 
+read -ra first <<<"$(python3 -c 'import random, sys
+n = int(sys.argv[2]); order = [i % 2 for i in range(n)]
+random.Random(int(sys.argv[1])).shuffle(order); print(*order)' "$seed" "$pairs")"
+
 run() { # side dir
 	local line
 	line=$(bash "$2/bench/run.sh" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)
@@ -52,7 +58,7 @@ for workload in $workloads; do
 	out="$work/$workload-seed$seed.jsonl"
 	: >"$out"
 	for i in $(seq 1 "$pairs"); do
-		if [ $((i % 2)) -eq 1 ]; then
+		if [ "${first[i - 1]}" -eq 0 ]; then
 			run base "$base"
 			run change "$change"
 		else
