@@ -18,9 +18,9 @@ import (
 // Lowering a budget is free: do it in the change that shrinks the
 // number. Raising one needs a CHANGES.md line saying why.
 var lineBudgets = map[string]int{
-	".":                  594,
+	".":                  598,
 	"cmd/cbq":            109,
-	"cmd/cbserver":       210,
+	"cmd/cbserver":       209,
 	"cmd/cbtop":          373,
 	"cmd/couchvet":       203,
 	"cmd/vetfmt":         56,
@@ -29,7 +29,7 @@ var lineBudgets = map[string]int{
 	"internal/buildinfo": 8,
 	"internal/cache":     1276,
 	"internal/cmap":      352,
-	"internal/core":      2920,
+	"internal/core":      2930,
 	"internal/dcp":       607,
 	"internal/events":    365,
 	"internal/executor":  1574,
@@ -37,27 +37,27 @@ var lineBudgets = map[string]int{
 	"internal/fts":       393,
 	"internal/gsi":       1285,
 	"internal/health":    487,
-	"internal/lint":      3178,
+	"internal/lint":      3181,
 	"internal/memcproto": 780,
 	"internal/metrics":   652,
-	"internal/n1ql":      2955,
+	"internal/n1ql":      2961,
 	"internal/planner":   979,
 	"internal/query":     283,
-	"internal/rest":      1431,
+	"internal/rest":      1410,
 	"internal/storage":   1036,
 	"internal/trace":     987,
-	"internal/transport": 2366,
+	"internal/transport": 2330,
 	"internal/value":     695,
 	"internal/vbucket":   859,
 	"internal/views":     648,
-	"internal/xdcr":      241,
+	"internal/xdcr":      238,
 }
 
 var byteBudgets = map[string]int{
-	"DESIGN.md":                      115589,
+	"DESIGN.md":                      115574,
 	"README.md":                      17425,
 	"EXPERIMENTS.md":                 25048,
-	".claude/skills/verify/SKILL.md": 56742,
+	".claude/skills/verify/SKILL.md": 56739,
 	"CHANGES.md entry":               13333,
 }
 

@@ -15,9 +15,9 @@
 //	cbserver -listen :8092 -kv-addr :11211 -join 127.0.0.1:11210
 //	cbserver -listen :8093 -kv-addr :11212 -join 127.0.0.1:11210
 //
-// Every process's REST document endpoints route cluster-wide through
-// a hybrid smart client (loopback to the local node, sockets to
-// peers).
+// Every process's REST document endpoints route cluster-wide by its
+// cluster's route table (the local node by function call, peers by
+// socket).
 //
 // Then:
 //
@@ -167,7 +167,6 @@ func main() {
 			log.Fatalf("kv transport: %v", err)
 		}
 		defer node.Close()
-		api.SetKVClient(*bucket, core.NewClient(node.Router(), *bucket))
 		api.SetFederation(node.Federation())
 		if *join == "" {
 			log.Printf("kv transport on %s (coordinator seed, waiting for %d members)", node.KVAddr(), *clusterSize)

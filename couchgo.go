@@ -552,7 +552,11 @@ func (r *Replication) Stats() xdcr.Stats { return r.r.Stats() }
 // dst. Call it on both clusters (swapped) for bidirectional
 // replication; conflict resolution converges both sides.
 func (c *Cluster) ReplicateTo(dst *Cluster, srcBucket, dstBucket string, opts XDCROptions) (*Replication, error) {
-	r, err := xdcr.Start(c.c, srcBucket, dst.c, dstBucket, xdcr.Options{FilterExpr: opts.FilterExpr})
+	dest, err := dst.c.OpenBucket(dstBucket)
+	if err != nil {
+		return nil, err
+	}
+	r, err := xdcr.Start(c.c, srcBucket, dest, xdcr.Options{FilterExpr: opts.FilterExpr})
 	if err != nil {
 		return nil, err
 	}

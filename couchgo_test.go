@@ -197,6 +197,9 @@ func TestPublicXDCR(t *testing.T) {
 	if st := rep.Stats(); st.Applied == 0 {
 		t.Errorf("stats: %+v", st)
 	}
+	if _, err := west.ReplicateTo(east, "default", "nope", XDCROptions{}); err == nil {
+		t.Error("an unknown destination bucket should fail")
+	}
 }
 
 func TestPublicTopologyOps(t *testing.T) {

@@ -32,8 +32,11 @@ type Client struct {
 	bucket string
 }
 
-// OpenBucket returns a smart client for one bucket over the in-process
-// loopback transport: it routes by the bucket's route table.
+// Bucket names the bucket the client serves.
+func (cl *Client) Bucket() string { return cl.bucket }
+
+// OpenBucket returns a smart client for one bucket that routes by the
+// bucket's route table, to a copy in this process or to another's conn.
 func (c *Cluster) OpenBucket(name string) (*Client, error) {
 	if _, err := c.bucket(name); err != nil {
 		return nil, err

@@ -36,11 +36,11 @@ type NodeConn interface {
 }
 
 // Router is how a smart client resolves "who owns this key and how do
-// I talk to them". The loopback router (a bucket's *bucketTopology)
+// I talk to them". A cluster's router (a bucket's *bucketTopology)
 // indexes the route table published with the bucket's live map and
-// hands out the active copy itself; the transport router caches the map
-// it last saw on the wire (every response carries the server's map
-// epoch) and hands out pooled TCP conns.
+// hands out the active copy itself or another process's conn; an
+// external client's router caches the map it last saw on the wire
+// (every response carries the server's map epoch) and hands out conns.
 type Router interface {
 	// Route resolves key under the router's current map. An error with
 	// a hop to a node is retried as an op's would be; one without (no
@@ -60,9 +60,9 @@ type Hop struct {
 }
 
 // NewClient builds a smart client over an arbitrary Router — the
-// entry point the transport layer (and tests) use to drive the full
-// client surface over TCP. In-process callers keep using
-// Cluster.OpenBucket, which wires the loopback router.
+// external smart client's entry point, a process outside the cluster
+// driving the full client surface over TCP. Callers inside a cluster's
+// process use Cluster.OpenBucket, which routes by its route table.
 func NewClient(r Router, bucket string) *Client {
 	return &Client{
 		router: r,

@@ -41,8 +41,10 @@ type Decider struct {
 	// publishes a bucket, and install and placed its next route table,
 	// all under mu.
 	buckets published[string, *bucketTopology]
-	// nodes are this process's nodes, which route tables name.
+	// nodes are this process's nodes, which route tables name, and
+	// reach the conn to a node in another process (nil: none).
 	nodes *published[cmap.NodeID, *Node]
+	reach func(cmap.NodeID) NodeConn
 }
 
 // bucketTopology is a bucket's current map with its route table
@@ -72,12 +74,16 @@ func newDecider(publish func(bucket string, m *cmap.Map) error, nodes *published
 	}
 }
 
-// PublishVia replaces the publish seam, between transitions: a
-// networked process points it at the wire.
-func (d *Decider) PublishVia(publish func(bucket string, m *cmap.Map) error) {
+// PublishVia replaces the publish seam, between transitions, and names
+// the conn each later route table reaches a node outside this process
+// by: a networked process points both at the wire.
+func (d *Decider) PublishVia(publish func(bucket string, m *cmap.Map) error, reach func(cmap.NodeID) NodeConn) {
 	d.trans.Lock()
 	defer d.trans.Unlock()
 	d.publish = publish
+	d.mu.Lock()
+	d.reach = reach
+	d.mu.Unlock()
 }
 
 // Heard records a sign of life from a node, under the name the maps use
@@ -130,7 +136,7 @@ func (d *Decider) install(bucket string, m *cmap.Map) (prev *cmap.Map, ok bool) 
 	if prev = b.current(); prev != nil && m.Rev <= prev.Rev {
 		return nil, false
 	}
-	b.t.Store(d.routeTable(bucket, m))
+	b.t.Store(d.routeTableLocked(bucket, m))
 	return prev, true
 }
 

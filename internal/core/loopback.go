@@ -8,11 +8,11 @@ import (
 	"couchgo/internal/vbucket"
 )
 
-// routeTable is a map with what the in-process router needs of it: by
-// vBucket, the active node and that node's copy (nil: not in this
-// process, or no copy yet). It is immutable. install publishes one with
-// each map, and createVB and demoteAndDrop one with the entry they
-// changed (placed), so no op ever builds one.
+// routeTable is a map with what the router needs of it: by vBucket, the
+// active node and that node's copy (nil: not in this process, or no
+// copy yet) or, in another process, the conn to it. It is immutable.
+// install publishes one with each map, and createVB and demoteAndDrop
+// one with the entry they changed (placed), so no op ever builds one.
 type routeTable struct {
 	m      *cmap.Map
 	routes []route
@@ -22,11 +22,12 @@ type route struct {
 	id   cmap.NodeID
 	node *Node
 	vb   *vbucket.VBucket
+	conn NodeConn
 }
 
-// Route is the in-process Router: a key resolves with one index into the
+// Route is the cluster's Router: a key resolves with one index into the
 // route table published with its bucket's map, to the active copy
-// itself.
+// itself or to the conn of the process that holds it.
 func (b *bucketTopology) Route(key string) (h Hop, err error) {
 	t := b.t.Load()
 	if t == nil {
@@ -36,14 +37,14 @@ func (b *bucketTopology) Route(key string) (h Hop, err error) {
 }
 
 // hop is vb's route. Its errors are the ones a stale table gives, each
-// retried by the client: a node outside this process or down, or a copy
-// not there yet. vbucket.Do refuses the rest (a replica not yet
-// promoted, a source sealed by a move).
+// retried by the client: a node out of reach or down, or a copy not
+// there yet. vbucket.Do, here or in the conn's process, refuses the
+// rest (a replica not yet promoted, a source sealed by a move).
 func (t *routeTable) hop(vb int) (h Hop, err error) {
 	r := &t.routes[vb]
-	h.Node, h.VB, h.Copy = r.id, vb, r.vb
+	h.Node, h.VB, h.Copy, h.Conn = r.id, vb, r.vb, r.conn
 	switch {
-	case r.id == "": // the partition is lost, which the caller says
+	case r.id == "", r.conn != nil: // lost, which the caller says, or in another process
 	case r.node == nil:
 		err = ErrNodeUnreachable
 	case !r.node.Alive():
@@ -67,8 +68,8 @@ func (c *Cluster) active(bucket string, vb int) (*vbucket.VBucket, error) {
 	return h.Copy, err
 }
 
-// routeTable builds m's table; the caller holds d.mu.
-func (d *Decider) routeTable(bucket string, m *cmap.Map) *routeTable {
+// routeTableLocked builds m's table; the caller holds d.mu.
+func (d *Decider) routeTableLocked(bucket string, m *cmap.Map) *routeTable {
 	t := &routeTable{m: m, routes: make([]route, m.NumVBuckets)}
 	for vb := range t.routes {
 		r := &t.routes[vb]
@@ -77,6 +78,8 @@ func (d *Decider) routeTable(bucket string, m *cmap.Map) *routeTable {
 			if nb, ok := r.node.buckets.get(bucket); ok {
 				r.vb = nb.vb(vb)
 			}
+		} else if d.reach != nil {
+			r.conn = d.reach(r.id)
 		}
 	}
 	return t
@@ -99,10 +102,9 @@ func (d *Decider) placed(bucket string, node cmap.NodeID, vb int, v *vbucket.VBu
 }
 
 // loopbackConn is where the wire server ends up after decoding a request
-// frame, and the hybrid router's conn to its own node: it finds the
-// node's copy of the vBucket and hands the op to vbucket.Do, so an op is
-// executed (and a durable one waited for) in the serving process before
-// it is acknowledged.
+// frame: it finds the node's copy of the vBucket and hands the op to
+// vbucket.Do, so an op is executed (and a durable one waited for) in the
+// serving process before it is acknowledged.
 type loopbackConn struct {
 	node   *Node
 	bucket string

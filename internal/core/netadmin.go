@@ -33,9 +33,8 @@ func (c *Cluster) NodeVB(node cmap.NodeID, bucket string, vbID int) (*vbucket.VB
 
 // LoopbackConn returns the in-process NodeConn for one node — the
 // transport server dispatches decoded frames through it, so both
-// transports execute the identical op path, and hybrid routers use it
-// for the one node that lives in their own process. Each caller takes
-// one and keeps it.
+// transports execute the identical op path. Each caller takes one and
+// keeps it.
 func (c *Cluster) LoopbackConn(node cmap.NodeID, bucket string) (NodeConn, error) {
 	n, err := c.Node(node)
 	if err != nil {

@@ -136,7 +136,10 @@ func newSocketHarness(t *testing.T, replicas int) *harness {
 			}
 		}
 	}
-	h.client = core.NewClient(nodes[0].Router(), bucket)
+	var err error
+	if h.client, err = clusters[0].OpenBucket(bucket); err != nil {
+		t.Fatal(err)
+	}
 	pool := transport.NewPool()
 	t.Cleanup(pool.Close)
 	h.apply = func(t *testing.T, m *cmap.Map) {

@@ -91,6 +91,9 @@ var structureRows = []row{
 	{form: absent, subj: append(under("transport", "ClusterNode.detectLoop", "ClusterNode.onJoin", "ClusterNode.local",
 		"NodeOptions.HeartbeatInterval", "ServerConfig.OnJoin"), internal+"memcproto.OpJoin", internal+"core.Cluster.FailoverTimeout"),
 		why: "a process's node has one name, and its seed detects with core's ticker"},
+	// One router per process: a member routes by its cluster's route table.
+	{form: absent, subj: append(under("transport", "NetRouter.SetLocal", "NetRouter.InstallMap", "ClusterNode.Router"),
+		internal+"rest.Server.SetKVClient"), why: "a process routes by its cluster's route table"},
 	// What a KV op reads on its way to vbucket.Do is published state.
 	{form: bare, ban: noLock | noLit, why: "the op path takes no lock and builds nothing", subj: under("core",
 		"bucketTopology.Route", "routeTable.hop", "Node.Alive", "Decider.Map", "bucketTopology.current", "Cluster.Node",

@@ -87,6 +87,10 @@ type ClusterNode struct{}
 
 func (n *ClusterNode) memberCheck() {} // want: structure
 func (n *ClusterNode) detectLoop() {} // want: structure
+
+type NetRouter struct{}
+
+func (r *NetRouter) SetLocal() {} // want: structure
 `},
 	{name: "health", path: internal + "health", src: `package health
 

@@ -19,8 +19,10 @@ type allowRow struct{ key, reason string }
 var testOnlyAllow = []allowRow{
 	{"cache.HashTable.EvictItem", "the fault hook ROADMAP item 1's tier A schedule evicts an item with; TestConformance's item-evicted runs use it today"},
 	{"cache.HashTable.EvictValue", "bench/ladder.go evicts a persisted value so the vbucket rung of lib.kv-dgm takes the miss path"},
+	{"core.NewClient", "bench/launcher.go's wire workloads drive a cluster of cbserver processes as an external smart client"},
 	{"gsi.NewStandaloneIndexer", "bench/ladder.go's gsi rung applies to and scans one partition outside a Service"},
 	{"transport.NetRouter.Invalidate", "bench/launcher.go re-reads the map while a wire cluster forms"},
+	{"transport.NewRouter", "bench/launcher.go's wire workloads route their external smart client by it"},
 	{"vbucket.VBucket.DrainDisk", "bench/ladder.go drains the standalone vBucket's disk queue after loading it"},
 	{"vbucket.VBucket.Get", "bench/ladder.go's vbucket rung reads one standalone vBucket"},
 	{"vbucket.VBucket.Set", "bench/ladder.go loads and writes one standalone vBucket"},

@@ -331,11 +331,11 @@ func (e *MetaExpr) String() string {
 }
 
 // quoteIdent prints name bare when the lexer reads it back as this
-// identifier (byte by byte, as the lexer does), in backticks otherwise.
+// identifier (rune by rune, as the lexer does), in backticks otherwise.
 func quoteIdent(name string) string {
 	bare := name != "" && !keywords[strings.ToUpper(name)]
-	for i := 0; i < len(name) && bare; i++ {
-		bare = isIdentPart(rune(name[i])) && (i > 0 || isIdentStart(rune(name[i])))
+	for i, r := range name {
+		bare = bare && isIdentPart(r) && (i > 0 || isIdentStart(r))
 	}
 	if bare {
 		return name

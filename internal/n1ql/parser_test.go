@@ -1,6 +1,7 @@
 package n1ql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -419,9 +420,11 @@ func FuzzParse(f *testing.F) {
 	// The rest print what the printer once got wrong: a string JSON
 	// escapes (\u003c read back as "u003c"), a name that starts with a
 	// digit, a function name upper-casing turns into U+FFFD, a quote in
-	// a field name, a keyword as a range variable.
+	// a field name, a keyword as a range variable; and what the lexer
+	// once misread: JSON escapes, and a name outside ASCII.
 	for _, src := range append(paperStatements, `SELECT "<" FROM b`, "SELECT `1a` FROM b", "SELECT \xff()",
-		`SELECT {'a"b': 1} FROM b`, "SELECT ARRAY 1 FOR `end` IN a END FROM b") {
+		`SELECT {'a"b': 1} FROM b`, "SELECT ARRAY 1 FOR `end` IN a END FROM b", `SELECT '\b' FROM b`,
+		`SELECT '\u00e9' FROM b`, `SELECT '\ud83d\ude00' FROM b`, "SELECT café FROM b") {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -479,6 +482,48 @@ func TestParseBackticksAndEscapes(t *testing.T) {
 	}
 	if e.(*Literal).Val != "it's" {
 		t.Errorf("escaped quote: %v", e.(*Literal).Val)
+	}
+}
+
+// TestParseStringEscapes: a string literal decodes the escapes JSON
+// defines, a surrogate pair to one rune and a lone surrogate to U+FFFD,
+// while any other escaped byte still stands for itself; a malformed \u
+// is an error at its position.
+func TestParseStringEscapes(t *testing.T) {
+	for src, want := range map[string]string{
+		`'\b\f\n\r\t'`:         "\b\f\n\r\t",
+		`"\/\\\"\b"`:           "/\\\"\b",
+		"'\\'\\`\\q\\f'":       "'`q\f",
+		`'\u00e9t\u00E9'`:      "été",
+		`'\ud83d\ude00'`:       "\U0001F600",
+		`'\ud83d'`:             "\uFFFD",
+		`'\ude00\u0041'`:       "\uFFFDA",
+		`'\ud83d\ud83d\ude00'`: "\uFFFD\U0001F600",
+	} {
+		e, err := ParseExpr(src)
+		if err != nil {
+			t.Errorf("ParseExpr(%s): %v", src, err)
+		} else if got := e.(*Literal).Val; got != want {
+			t.Errorf("ParseExpr(%s) = %+q, want %+q", src, got, want)
+		}
+	}
+	for src, pos := range map[string]int{`'\u12'`: 1, `'\uzz00'`: 1, `'\u+123'`: 1, `'\ud83d\u12'`: 7} {
+		want := fmt.Sprintf("malformed escape at position %d", pos)
+		if _, err := ParseExpr(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseExpr(%s) = %v, want %q", src, err, want)
+		}
+	}
+}
+
+// TestParseUnicodeIdentifiers: a name outside ASCII lexes rune by rune,
+// bare, and prints bare and back.
+func TestParseUnicodeIdentifiers(t *testing.T) {
+	sel := parseSelect(t, "SELECT café, naïve.größe FROM b")
+	for i, want := range []string{"café", "naïve.größe"} {
+		got := sel.Projection[i].Expr.String()
+		if back, err := ParseExpr(got); got != want || err != nil || back.String() != want {
+			t.Errorf("term %d prints %s, re-parsed %v (%v); want %s", i, got, back, err, want)
+		}
 	}
 }
 

@@ -13,8 +13,11 @@ package n1ql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf16"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexical tokens.
@@ -83,19 +86,18 @@ func lex(src string) ([]token, error) {
 		}
 		start := l.pos
 		c := l.src[l.pos]
+		r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
 		switch {
-		case c == '`':
-			text, err := l.quotedIdent()
+		case c == '`' || c == '\'' || c == '"':
+			text, err := l.quoted(c)
 			if err != nil {
 				return nil, err
 			}
-			l.tokens = append(l.tokens, token{kind: tkIdent, text: text, pos: start})
-		case c == '\'' || c == '"':
-			text, err := l.stringLit(c)
-			if err != nil {
-				return nil, err
+			kind := tkString
+			if c == '`' {
+				kind = tkIdent
 			}
-			l.tokens = append(l.tokens, token{kind: tkString, text: text, pos: start})
+			l.tokens = append(l.tokens, token{kind: kind, text: text, pos: start})
 		case c == '$':
 			l.pos++
 			name := l.ident()
@@ -105,7 +107,7 @@ func lex(src string) ([]token, error) {
 			l.tokens = append(l.tokens, token{kind: tkParam, text: name, pos: start})
 		case c >= '0' && c <= '9':
 			l.tokens = append(l.tokens, token{kind: tkNumber, text: l.number(), pos: start})
-		case isIdentStart(rune(c)):
+		case isIdentStart(r):
 			word := l.ident()
 			up := strings.ToUpper(word)
 			if keywords[up] {
@@ -158,11 +160,11 @@ func isIdentPart(r rune) bool {
 	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
+// ident reads an identifier rune by rune; a byte that is not UTF-8
+// reads as U+FFFD, which is no identifier's part.
 func (l *lexer) ident() string {
 	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-		l.pos++
-	}
+	l.pos = len(l.src) - len(strings.TrimLeftFunc(l.src[start:], isIdentPart))
 	return l.src[start:l.pos]
 }
 
@@ -194,67 +196,71 @@ func (l *lexer) number() string {
 	return l.src[start:l.pos]
 }
 
-func (l *lexer) stringLit(quote byte) (string, error) {
+// quoted reads a quoted string, or a backticked identifier; a doubled
+// quote stands for one (SQL style).
+func (l *lexer) quoted(quote byte) (string, error) {
 	start := l.pos
 	l.pos++ // opening quote
 	var b strings.Builder
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch c {
-		case quote:
-			// Doubled quote = escaped quote (SQL style).
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == quote {
-				b.WriteByte(quote)
-				l.pos += 2
-				continue
-			}
+		switch c := l.src[l.pos]; {
+		case c == quote && l.pos+1 < len(l.src) && l.src[l.pos+1] == quote:
+			b.WriteByte(quote)
+			l.pos += 2
+		case c == quote:
 			l.pos++
 			return b.String(), nil
-		case '\\':
-			if l.pos+1 >= len(l.src) {
-				return "", fmt.Errorf("n1ql: unterminated escape at %d", l.pos)
+		case c == '\\' && quote != '`':
+			if !l.escape(&b) {
+				return "", fmt.Errorf("n1ql: malformed escape at position %d", l.pos)
 			}
-			esc := l.src[l.pos+1]
-			switch esc {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case '\\', '\'', '"', '`':
-				b.WriteByte(esc)
-			default:
-				b.WriteByte(esc)
-			}
-			l.pos += 2
 		default:
 			b.WriteByte(c)
 			l.pos++
 		}
 	}
-	return "", fmt.Errorf("n1ql: unterminated string starting at %d", start)
+	return "", fmt.Errorf("n1ql: unterminated %c...%c starting at %d", quote, quote, start)
 }
 
-func (l *lexer) quotedIdent() (string, error) {
-	start := l.pos
-	l.pos++ // opening backtick
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '`' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '`' {
-				b.WriteByte('`')
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			return b.String(), nil
-		}
-		b.WriteByte(c)
-		l.pos++
+// escape writes what the string escape at l.pos stands for and reads
+// past it. It means what it means in JSON (\b \f \n \r \t, and \uXXXX
+// with a surrogate pair as one rune and a lone surrogate as U+FFFD); any
+// other escaped byte, \' and \` included, stands for itself. A \u
+// without four hex digits, or a backslash that ends the source, is
+// malformed: escape reports false.
+func (l *lexer) escape(b *strings.Builder) bool {
+	if l.pos+1 >= len(l.src) {
+		return false
 	}
-	return "", fmt.Errorf("n1ql: unterminated identifier starting at %d", start)
+	if esc := l.src[l.pos+1]; esc != 'u' {
+		if i := strings.IndexByte("bfnrt", esc); i >= 0 {
+			esc = "\b\f\n\r\t"[i]
+		}
+		b.WriteByte(esc)
+		l.pos += 2
+		return true
+	}
+	unit := func(at int) rune { // the UTF-16 code unit a \uXXXX at src[at:] spells, -1 for none
+		if at+6 > len(l.src) || l.src[at:at+2] != `\u` {
+			return -1
+		}
+		u, err := strconv.ParseUint(l.src[at+2:at+6], 16, 16)
+		if err != nil {
+			return -1
+		}
+		return rune(u)
+	}
+	r := unit(l.pos)
+	if r < 0 {
+		return false
+	}
+	if l.pos += 6; utf16.IsSurrogate(r) {
+		if r = utf16.DecodeRune(r, unit(l.pos)); r != unicode.ReplacementChar {
+			l.pos += 6
+		}
+	}
+	b.WriteRune(r)
+	return true
 }
 
 // twoCharOps lists multi-character operators, longest first.

@@ -34,11 +34,6 @@ type Server struct {
 	mux    *http.ServeMux
 	health *health.Watchdog
 
-	// kvClients overrides the per-bucket document client — cbserver's
-	// network mode installs a hybrid smart client here (loopback to
-	// the local node, sockets to peers) so REST document requests
-	// route cluster-wide. Set before serving; read-only afterwards.
-	kvClients map[string]*core.Client
 	// fed, when set, labels this process's payloads and fans
 	// /cluster/* and stitched-trace fetches out to the cluster's
 	// members (see federation.go).
@@ -206,22 +201,6 @@ func (s *Server) handleFeeds(w http.ResponseWriter, r *http.Request) {
 
 // --- KV ---
 
-// SetKVClient routes a bucket's document endpoints through cl instead
-// of an in-process OpenBucket client. Must be called before serving.
-func (s *Server) SetKVClient(bucket string, cl *core.Client) {
-	if s.kvClients == nil {
-		s.kvClients = map[string]*core.Client{}
-	}
-	s.kvClients[bucket] = cl
-}
-
-func (s *Server) client(bucket string) (*core.Client, error) {
-	if cl, ok := s.kvClients[bucket]; ok {
-		return cl, nil
-	}
-	return s.c.OpenBucket(bucket)
-}
-
 // startDocSpan samples a REST-level root span for a document op.
 // When sampled, the trace ID goes back in X-Trace-Id — the handle a
 // client feeds to GET /traces/{id} — and the span rides the request
@@ -238,7 +217,7 @@ func startDocSpan(w http.ResponseWriter, r *http.Request, name string) (*http.Re
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	cl, err := s.client(r.PathValue("bucket"))
+	cl, err := s.c.OpenBucket(r.PathValue("bucket"))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -257,7 +236,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
-	cl, err := s.client(r.PathValue("bucket"))
+	cl, err := s.c.OpenBucket(r.PathValue("bucket"))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -297,7 +276,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	cl, err := s.client(r.PathValue("bucket"))
+	cl, err := s.c.OpenBucket(r.PathValue("bucket"))
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -13,6 +13,7 @@ import (
 
 	"couchgo/internal/cmap"
 	"couchgo/internal/core"
+	"couchgo/internal/transport"
 )
 
 func newServer(t *testing.T) (*Server, *core.Cluster) {
@@ -49,6 +50,47 @@ func decode(t *testing.T, rec *httptest.ResponseRecorder) map[string]any {
 		t.Fatalf("decode %q: %v", rec.Body.String(), err)
 	}
 	return out
+}
+
+// TestDocsOnAPairMember: a bare NewServer on one member of a networked
+// pair, with no other wiring, serves a document whose vBucket is active
+// on the peer: its cluster's route table reaches the peer.
+func TestDocsOnAPairMember(t *testing.T) {
+	var clusters [2]*core.Cluster
+	var addrs [2]string
+	for i := range clusters {
+		c, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: 8, HeartbeatInterval: 50 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		if err := c.CreateBucket("default", core.BucketOptions{NumReplicas: 1}); err != nil {
+			t.Fatal(err)
+		}
+		node, err := transport.StartNode(transport.NodeOptions{Cluster: c, Bucket: "default", KVAddr: "127.0.0.1:0",
+			ClusterSize: 2, Join: addrs[0]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(node.Close)
+		clusters[i], addrs[i] = c, node.KVAddr()
+	}
+	formed := func(c *core.Cluster) bool { m, _ := c.BucketMap("default"); return len(m.Nodes) == 2 }
+	waitForCond(t, "formation", func() bool { return formed(clusters[0]) && formed(clusters[1]) })
+	m, _ := clusters[0].BucketMap("default")
+	key := ""
+	for i := 0; key == ""; i++ {
+		if active, _ := m.NodeForKey(fmt.Sprint("doc-", i)); active == cmap.NodeID(addrs[1]) {
+			key = fmt.Sprint("doc-", i)
+		}
+	}
+	s := NewServer(clusters[0])
+	if rec := do(t, s, "PUT", "/buckets/default/docs/"+key, `{"on": "peer"}`, nil); rec.Code != http.StatusOK {
+		t.Fatalf("PUT %s: %d %s", key, rec.Code, rec.Body)
+	}
+	if rec := do(t, s, "GET", "/buckets/default/docs/"+key, "", nil); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "peer") {
+		t.Fatalf("GET %s: %d %s", key, rec.Code, rec.Body)
+	}
 }
 
 func TestKVEndpoints(t *testing.T) {

@@ -58,10 +58,9 @@ type NodeOptions struct {
 
 // ClusterNode is one process's networked-cluster runtime.
 type ClusterNode struct {
-	opts   NodeOptions
-	srv    *Server
-	router *NetRouter
-	pool   *Pool
+	opts NodeOptions
+	srv  *Server
+	pool *Pool
 	// self is the process's one node: its ID, in its cluster and in
 	// every map, is the advertised KV address.
 	self string
@@ -93,17 +92,8 @@ func StartNode(opts NodeOptions) (*ClusterNode, error) {
 		ln.Close()
 		return nil, err
 	}
-	lc, _ := opts.Cluster.LoopbackConn(cmap.NodeID(self), opts.Bucket) // fails only for a node that is not there
 
-	pool := NewPool()
-	seeds := []string{self}
-	if opts.Join != "" {
-		seeds = []string{opts.Join, self}
-	}
-	router := NewRouter(opts.Bucket, seeds, pool)
-	router.SetLocal(cmap.NodeID(self), lc)
-
-	n := &ClusterNode{opts: opts, router: router, pool: pool, self: self, closed: make(chan struct{})}
+	n := &ClusterNode{opts: opts, pool: NewPool(), self: self, closed: make(chan struct{})}
 	cfg := ServerConfig{
 		Cluster:  opts.Cluster,
 		Node:     cmap.NodeID(self),
@@ -115,8 +105,11 @@ func StartNode(opts NodeOptions) (*ClusterNode, error) {
 		Observe: opts.Observe,
 	}
 	// From here the maps the process's decider mints (a seed's, in
-	// practice) leave through the wire.
-	opts.Cluster.Decider().PublishVia(n.publish)
+	// practice) leave through the wire, and its route tables reach a
+	// peer's node over a conn from the one pool.
+	opts.Cluster.Decider().PublishVia(n.publish, func(id cmap.NodeID) core.NodeConn {
+		return netConn{addr: string(id), pool: n.pool, sink: n}
+	})
 	if opts.Join == "" {
 		cfg.OnHeartbeat = n.admit
 		// The seed is its own first member, before any heartbeat can
@@ -135,11 +128,6 @@ func StartNode(opts NodeOptions) (*ClusterNode, error) {
 
 // KVAddr is the address peers and clients dial.
 func (n *ClusterNode) KVAddr() string { return n.self }
-
-// Router is the process's hybrid smart-client router: loopback to the
-// local node, sockets to peers. The REST layer serves documents
-// through a client built on it.
-func (n *ClusterNode) Router() *NetRouter { return n.router }
 
 // Close stops serving and ends the process's part in the cluster.
 func (n *ClusterNode) Close() {
@@ -184,16 +172,17 @@ func (socketSource) Ack(_ dcp.StreamSource, stream dcp.MutationStream, _ string,
 	stream.(*RemoteStream).Ack(seqno)
 }
 
-// apply hands a map — pushed by the seed, fetched from it, or minted
-// here — to core's applier, then, for the bucket this node serves, to
-// the process's own router.
+// apply hands a map — pushed by the seed, fetched from it, riding a
+// peer's fat not-my-vbucket reply, or minted here — to core's applier.
 func (n *ClusterNode) apply(bucket string, m *cmap.Map) error {
-	err := n.opts.Cluster.ApplyMap(bucket, m, socketSource{})
-	if bucket == n.opts.Bucket {
-		n.router.InstallMap(m)
-	}
-	return err
+	return n.opts.Cluster.ApplyMap(bucket, m, socketSource{})
 }
+
+// installMap and observeEpoch make the process its conns' map sink: a
+// fat reply's map goes to the applier (its op routes again either way);
+// an epoch alone needs nothing, as a joiner's heartbeat fetches maps.
+func (n *ClusterNode) installMap(m *cmap.Map) { n.apply(n.opts.Bucket, m) }
+func (n *ClusterNode) observeEpoch(int64)     {}
 
 // ---------------------------------------------------------------------------
 // Seed: the decider's inputs and its publish seam

@@ -111,15 +111,17 @@ func TestCorruptPushEndsTheStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, n := range nodes {
+	for i := range nodes {
 		if err := clusters[i].ApplyMap("default", healed, via); err != nil {
 			t.Fatal(err)
 		}
-		n.router.InstallMap(healed)
 	}
 
 	dropped := mDroppedFrames.Value()
-	cl := core.NewClient(nodes[0].Router(), "default")
+	cl, err := clusters[0].OpenBucket("default")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var keys []string
 	for i := 0; i < 200; i++ {
 		keys = append(keys, fmt.Sprintf("doc-%03d", i))

@@ -379,7 +379,10 @@ func processPair(t *testing.T, numVB int) (nodes [2]*ClusterNode, clusters [2]*c
 func TestAckOnDemand(t *testing.T) {
 	const numVB = 4
 	nodes, clusters := processPair(t, numVB)
-	cl := core.NewClient(nodes[0].Router(), "default")
+	cl, err := clusters[0].OpenBucket("default")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 	// highs is every copy's high seqno, member by member.
 	highs := func() (out [2][numVB]uint64) {

@@ -11,8 +11,9 @@ import (
 
 // mapSink is what a netConn tells about cluster-map intelligence it
 // picks up on the wire: the epoch stamped on every response, and the
-// fat map riding a not-my-vbucket bounce. The NetRouter implements it;
-// a nil sink (bare conn, tests) just drops the signal.
+// fat map riding a not-my-vbucket bounce. The NetRouter implements it,
+// and so does a ClusterNode for its route table's conns; a nil sink
+// (bare conn, tests) just drops the signal.
 type mapSink interface {
 	observeEpoch(epoch int64)
 	installMap(m *cmap.Map)

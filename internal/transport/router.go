@@ -11,13 +11,14 @@ import (
 	"couchgo/internal/memcproto"
 )
 
-// NetRouter implements core.Router over the wire: it caches the last
-// cluster map it saw, hands out netConns from a shared pool, and
-// refreshes the map when the wire tells it to — a fat not-my-vbucket
-// reply installs the shipped map directly, and a response stamped
-// with a newer epoch marks the cache stale so the next BucketMap
-// refetches. This is the paper's smart client: topology intelligence
-// rides the data path, not a separate control channel.
+// NetRouter implements core.Router over the wire for a process outside
+// the cluster (a member routes by its own cluster's route table): it
+// caches the last cluster map it saw, hands out netConns from a shared
+// pool, and refreshes the map when the wire tells it to — a fat
+// not-my-vbucket reply installs the shipped map directly, and a
+// response stamped with a newer epoch marks the cache stale so the next
+// BucketMap refetches. This is the paper's smart client: topology
+// intelligence rides the data path, not a separate control channel.
 type NetRouter struct {
 	bucket string
 	pool   *Pool
@@ -26,9 +27,6 @@ type NetRouter struct {
 	mu    sync.Mutex
 	m     *cmap.Map
 	stale bool
-
-	localID   cmap.NodeID
-	localConn core.NodeConn
 }
 
 var _ core.Router = (*NetRouter)(nil)
@@ -40,14 +38,6 @@ func NewRouter(bucket string, seeds []string, pool *Pool) *NetRouter {
 		pool = NewPool()
 	}
 	return &NetRouter{bucket: bucket, pool: pool, seeds: seeds}
-}
-
-// SetLocal short-circuits one node to an in-process conn — a cbserver
-// process routes to itself by function call and to peers by socket.
-func (r *NetRouter) SetLocal(id cmap.NodeID, conn core.NodeConn) {
-	r.mu.Lock()
-	r.localID, r.localConn = id, conn
-	r.mu.Unlock()
 }
 
 // BucketMap returns the cached map, refetching when empty or stale.
@@ -71,27 +61,15 @@ func (r *NetRouter) BucketMap() (*cmap.Map, error) {
 }
 
 // Route resolves key under the cached map (BucketMap) to its node's
-// conn (Conn).
+// pooled conn; node IDs are KV addresses.
 func (r *NetRouter) Route(key string) (h core.Hop, err error) {
 	m, err := r.BucketMap()
 	if err != nil {
 		return h, err
 	}
 	h.Node, h.VB = m.NodeForKey(key)
-	h.Conn, err = r.Conn(h.Node)
-	return h, err
-}
-
-// Conn returns the conn for a node — in-process for the local node,
-// pooled TCP otherwise. Node IDs are KV addresses by convention.
-func (r *NetRouter) Conn(node cmap.NodeID) (core.NodeConn, error) {
-	r.mu.Lock()
-	localID, localConn := r.localID, r.localConn
-	r.mu.Unlock()
-	if localConn != nil && node == localID {
-		return localConn, nil
-	}
-	return netConn{addr: string(node), pool: r.pool, sink: r}, nil
+	h.Conn = netConn{addr: string(h.Node), pool: r.pool, sink: r}
+	return h, nil
 }
 
 // observeEpoch marks the cached map stale when the wire advertises a
@@ -105,7 +83,7 @@ func (r *NetRouter) observeEpoch(epoch int64) {
 }
 
 // installMap adopts a map if it is newer than the cache (fat NMVB
-// replies and seed pushes land here).
+// replies and refetches land here).
 func (r *NetRouter) installMap(m *cmap.Map) {
 	r.mu.Lock()
 	if r.m == nil || m.Rev >= r.m.Rev {
@@ -114,10 +92,6 @@ func (r *NetRouter) installMap(m *cmap.Map) {
 	}
 	r.mu.Unlock()
 }
-
-// InstallMap is installMap for external callers (a cluster node hands
-// every map it applies to its serving router).
-func (r *NetRouter) InstallMap(m *cmap.Map) { r.installMap(m) }
 
 // Invalidate forces the next BucketMap to refetch.
 func (r *NetRouter) Invalidate() {

@@ -13,6 +13,7 @@ import (
 	"couchgo/internal/core"
 	"couchgo/internal/memcproto"
 	"couchgo/internal/vbucket"
+	"couchgo/internal/xdcr"
 )
 
 // newServedCluster starts an in-process cluster behind a TCP server,
@@ -71,7 +72,7 @@ type rewriteRouter struct {
 func (r *rewriteRouter) Route(key string) (core.Hop, error) {
 	h, err := r.inner.Route(key)
 	if err == nil {
-		h.Conn, err = r.inner.Conn(cmap.NodeID(r.addr))
+		h.Conn = netConn{addr: r.addr, pool: r.inner.pool, sink: r.inner}
 	}
 	return h, err
 }
@@ -229,10 +230,13 @@ func TestProcessClusterFormationAndFailover(t *testing.T) {
 		return true
 	})
 
-	// Write through the seed's hybrid router with ReplicateTo=1 —
-	// every write is acked only after a peer's replica applied it over
-	// a socket.
-	cl := core.NewClient(seed.Router(), "default")
+	// Write through the seed's own client with ReplicateTo=1 — every
+	// write is acked only after a peer's replica applied it over a
+	// socket.
+	cl, err := seed.opts.Cluster.OpenBucket("default")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 	const writes = 40
 	for i := 0; i < writes; i++ {
@@ -370,20 +374,11 @@ func TestNothingAckedBeforeFormation(t *testing.T) {
 	}
 	defer seed.Close()
 
-	// A smart client whose map sends every vBucket to the seed, one wire
-	// Set per key, no retry.
+	// A conn that sends every vBucket to the seed, one wire Set per key,
+	// no retry.
 	pool := NewPool()
 	defer pool.Close()
-	router := NewRouter("default", nil, pool)
-	toSeed := &cmap.Map{Rev: 1 << 40, NumVBuckets: numVB, Nodes: []cmap.NodeID{cmap.NodeID(seed.KVAddr())}}
-	for vb := 0; vb < numVB; vb++ {
-		toSeed.Chains = append(toSeed.Chains, []int{0})
-	}
-	router.installMap(toSeed)
-	conn, err := router.Conn(cmap.NodeID(seed.KVAddr()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := netConn{addr: seed.KVAddr(), pool: pool}
 	ctx := context.Background()
 	acked := map[string]string{}
 	for i := 0; i < writes; i++ {
@@ -408,7 +403,10 @@ func TestNothingAckedBeforeFormation(t *testing.T) {
 		m := seed.currentMap()
 		return len(m.Nodes) == 2 && joiner.currentMap().Rev == m.Rev
 	})
-	cl := core.NewClient(seed.Router(), "default")
+	cl, err := seed.opts.Cluster.OpenBucket("default")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < writes; i++ {
 		key, value := fmt.Sprintf("late-%d", i), fmt.Sprintf(`{"late":%d}`, i)
 		if _, err := cl.Set(ctx, key, []byte(value), 0); err != nil {
@@ -425,5 +423,135 @@ func TestNothingAckedBeforeFormation(t *testing.T) {
 	}
 	if unreadable > 0 {
 		t.Errorf("%d of %d acknowledged writes unreadable after formation", unreadable, len(acked))
+	}
+}
+
+// keysByActive returns n keys whose vBucket m makes each node active,
+// in the order of nodes.
+func keysByActive(m *cmap.Map, n int, nodes ...*ClusterNode) [][]string {
+	keys := make([][]string, len(nodes))
+	for i, full := 0, 0; full < len(nodes); i++ {
+		key := fmt.Sprintf("key-%d", i)
+		active, _ := m.NodeForKey(key)
+		for j, node := range nodes {
+			if string(active) == node.self && len(keys[j]) < n {
+				if keys[j] = append(keys[j], key); len(keys[j]) == n {
+					full++
+				}
+			}
+		}
+	}
+	return keys
+}
+
+// TestMemberClientReachesEveryKey: in a pair of members, each member's
+// own OpenBucket client Sets and Gets keys active on either member: its
+// own by function call, its peer's over the route table's wire conn.
+func TestMemberClientReachesEveryKey(t *testing.T) {
+	nodes, clusters := processPair(t, 8)
+	keys := keysByActive(nodes[0].currentMap(), 4, nodes[0], nodes[1])
+	ctx := context.Background()
+	for i, c := range clusters {
+		cl, err := c.OpenBucket("default")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range append(keys[0], keys[1]...) {
+			value := fmt.Sprintf(`{"by":%d}`, i)
+			if _, err := cl.Set(ctx, key, []byte(value), 0); err != nil {
+				t.Fatalf("member %d: Set %s: %v", i, key, err)
+			}
+			if it, err := cl.Get(ctx, key); err != nil || string(it.Value) != value {
+				t.Fatalf("member %d: Get %s = %q, %v; want %s", i, key, it.Value, err, value)
+			}
+		}
+	}
+}
+
+// TestFatNotMyVBucketReachesTheApplier: a map that rides a peer's
+// NOT_MY_VBUCKET reply goes to the member's applier. The joiner alone
+// applies a newer map that moves one of its active vBuckets to the seed
+// (as if the seed's push reached it first); the seed heartbeats no one,
+// so only the reply can tell it. An op from the seed on that vBucket
+// succeeds, and the seed's map advances.
+func TestFatNotMyVBucketReachesTheApplier(t *testing.T) {
+	nodes, clusters := processPair(t, 4)
+	seed, joiner := nodes[0], nodes[1]
+	m := joiner.currentMap()
+	key := keysByActive(m, 1, joiner)[0][0]
+	_, vb := m.NodeForKey(key)
+	moved := m.WithChain(vb, cmap.NodeID(seed.self), []cmap.NodeID{cmap.NodeID(joiner.self)})
+	if err := joiner.apply("default", moved); err != nil {
+		t.Fatal(err)
+	}
+	if rev := seed.currentMap().Rev; rev != m.Rev {
+		t.Fatalf("seed map rev %d before the op, want %d", rev, m.Rev)
+	}
+	cl, err := clusters[0].OpenBucket("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := mNotMyVB.Value()
+	if _, err := cl.Set(context.Background(), key, []byte(`{"moved":true}`), 0); err != nil {
+		t.Fatalf("Set %s on the moved vb %d: %v", key, vb, err)
+	}
+	if rev := seed.currentMap().Rev; rev != moved.Rev {
+		t.Errorf("seed map rev %d after the op, want %d", rev, moved.Rev)
+	}
+	if mNotMyVB.Value() == before {
+		t.Error("the op took no not-my-vbucket bounce")
+	}
+}
+
+// TestXDCRIntoAProcessCluster: XDCR from an in-process cluster into a
+// pair of members, through an external smart client; every replicated
+// document then reads back through each member's own client.
+func TestXDCRIntoAProcessCluster(t *testing.T) {
+	src, err := core.NewCluster(core.Config{Dir: t.TempDir(), NumVBuckets: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(src.Close)
+	for _, id := range []cmap.NodeID{"west-0", "west-1"} {
+		if _, err := src.AddNode(id, cmap.AllServices); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.CreateBucket("default", core.BucketOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	nodes, clusters := processPair(t, 8)
+	pool := NewPool()
+	t.Cleanup(pool.Close)
+	dest := core.NewClient(NewRouter("default", []string{nodes[0].KVAddr()}, pool), "default")
+	r, err := xdcr.Start(src, "default", dest, xdcr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+
+	scl, err := src.OpenBucket("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const docs = 24
+	for i := 0; i < docs; i++ {
+		if _, err := scl.Set(ctx, fmt.Sprintf("doc-%d", i), []byte(fmt.Sprintf(`{"i":%d}`, i)), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*time.Second, func() bool { return r.Stats().Applied >= docs })
+	for m, c := range clusters {
+		cl, err := c.OpenBucket("default")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < docs; i++ {
+			key, want := fmt.Sprintf("doc-%d", i), fmt.Sprintf(`{"i":%d}`, i)
+			if it, err := cl.Get(ctx, key); err != nil || string(it.Value) != want {
+				t.Errorf("member %d: Get %s = %q, %v; want %s", m, key, it.Value, err, want)
+			}
+		}
 	}
 }

@@ -84,20 +84,17 @@ type Replicator struct {
 	filtered atomic.Int64
 }
 
-// Start begins replicating source/bucket into dest/destBucket.
-func Start(source *core.Cluster, sourceBucket string, dest *core.Cluster, destBucket string, opts Options) (*Replicator, error) {
+// Start begins replicating source/sourceBucket into the bucket dest
+// serves.
+func Start(source *core.Cluster, sourceBucket string, dest *core.Client, opts Options) (*Replicator, error) {
 	nvb, err := source.NumVBuckets(sourceBucket)
-	if err != nil {
-		return nil, err
-	}
-	destClient, err := dest.OpenBucket(destBucket)
 	if err != nil {
 		return nil, err
 	}
 	r := &Replicator{
 		source:       source,
 		sourceBucket: sourceBucket,
-		dest:         destClient,
+		dest:         dest,
 		nvb:          nvb,
 		stopCh:       make(chan struct{}),
 	}
@@ -114,7 +111,7 @@ func Start(source *core.Cluster, sourceBucket string, dest *core.Cluster, destBu
 	e := events.New(events.XDCR, events.SevInfo, "replication started")
 	e.Bucket = sourceBucket
 	e.Service = "xdcr"
-	e.Fields = map[string]string{"dest_bucket": destBucket, "filter": opts.FilterExpr}
+	e.Fields = map[string]string{"dest_bucket": dest.Bucket(), "filter": opts.FilterExpr}
 	events.Default.Publish(e)
 	return r, nil
 }

@@ -31,6 +31,15 @@ func newCluster(t *testing.T, name string, nodes int) *core.Cluster {
 	return c
 }
 
+// start replicates src's bucket into dst's through dst's own client.
+func start(src *core.Cluster, srcBucket string, dst *core.Cluster, dstBucket string, opts Options) (*Replicator, error) {
+	dcl, err := dst.OpenBucket(dstBucket)
+	if err != nil {
+		return nil, err
+	}
+	return Start(src, srcBucket, dcl, opts)
+}
+
 // waitFor polls until cond or the deadline.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -46,7 +55,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestBasicReplication(t *testing.T) {
 	src := newCluster(t, "west", 2)
 	dst := newCluster(t, "east", 3) // different topology
-	r, err := Start(src, "default", dst, "default", Options{})
+	r, err := start(src, "default", dst, "default", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +87,7 @@ func TestBasicReplication(t *testing.T) {
 func TestDeletesReplicate(t *testing.T) {
 	src := newCluster(t, "west", 1)
 	dst := newCluster(t, "east", 1)
-	r, err := Start(src, "default", dst, "default", Options{})
+	r, err := start(src, "default", dst, "default", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +111,7 @@ func TestFilteredReplication(t *testing.T) {
 	// document ID)".
 	src := newCluster(t, "west", 1)
 	dst := newCluster(t, "east", 1)
-	r, err := Start(src, "default", dst, "default", Options{FilterExpr: "^user::"})
+	r, err := start(src, "default", dst, "default", Options{FilterExpr: "^user::"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +132,7 @@ func TestFilteredReplication(t *testing.T) {
 	if st := r.Stats(); st.Filtered == 0 {
 		t.Errorf("stats: %+v", st)
 	}
-	if _, err := Start(src, "default", dst, "default", Options{FilterExpr: "("}); err == nil {
+	if _, err := start(src, "default", dst, "default", Options{FilterExpr: "("}); err == nil {
 		t.Error("bad filter regex should fail")
 	}
 }
@@ -144,12 +153,12 @@ func TestConflictResolutionMostUpdatesWins(t *testing.T) {
 	ecl.Set(context.Background(), "conflict", []byte(`{"site": "east", "v": 0}`), 0)
 
 	// Bidirectional replication.
-	r1, err := Start(west, "default", east, "default", Options{})
+	r1, err := start(west, "default", east, "default", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r1.Stop()
-	r2, err := Start(east, "default", west, "default", Options{})
+	r2, err := start(east, "default", west, "default", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +188,9 @@ func TestConflictTiebreakIsDeterministic(t *testing.T) {
 	wcl.Set(context.Background(), "tie", []byte(`{"site": "west"}`), 0)
 	ecl.Set(context.Background(), "tie", []byte(`{"site": "east"}`), 0) // same rev (1), later CAS
 
-	r1, _ := Start(west, "default", east, "default", Options{})
+	r1, _ := start(west, "default", east, "default", Options{})
 	defer r1.Stop()
-	r2, _ := Start(east, "default", west, "default", Options{})
+	r2, _ := start(east, "default", west, "default", Options{})
 	defer r2.Stop()
 
 	waitFor(t, "tie convergence", func() bool {
@@ -199,7 +208,7 @@ func TestConflictTiebreakIsDeterministic(t *testing.T) {
 func TestContinuousWritesEventuallyConsistent(t *testing.T) {
 	src := newCluster(t, "west", 2)
 	dst := newCluster(t, "east", 2)
-	r, _ := Start(src, "default", dst, "default", Options{})
+	r, _ := start(src, "default", dst, "default", Options{})
 	defer r.Stop()
 	scl, _ := src.OpenBucket("default")
 	dcl, _ := dst.OpenBucket("default")
@@ -237,7 +246,7 @@ func TestReplicationSurvivesSourceFailover(t *testing.T) {
 	if err := dst.CreateBucket("rep", core.BucketOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Start(src, "rep", dst, "rep", Options{})
+	r, err := start(src, "rep", dst, "rep", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,14 +290,11 @@ func TestReplicationSurvivesSourceFailover(t *testing.T) {
 func TestStopIsIdempotent(t *testing.T) {
 	src := newCluster(t, "west", 1)
 	dst := newCluster(t, "east", 1)
-	r, _ := Start(src, "default", dst, "default", Options{})
+	r, _ := start(src, "default", dst, "default", Options{})
 	r.Stop()
 	r.Stop()
-	if _, err := Start(src, "nope", dst, "default", Options{}); err == nil {
+	if _, err := start(src, "nope", dst, "default", Options{}); err == nil {
 		t.Error("unknown source bucket should fail")
-	}
-	if _, err := Start(src, "default", dst, "nope", Options{}); err == nil {
-		t.Error("unknown dest bucket should fail")
 	}
 }
 
@@ -302,7 +308,7 @@ func TestFailedSendIsRetried(t *testing.T) {
 	if err := dst.CreateBucket("rep", core.BucketOptions{NumReplicas: 1}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Start(src, "default", dst, "rep", Options{})
+	r, err := start(src, "default", dst, "rep", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
